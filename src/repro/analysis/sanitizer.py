@@ -53,6 +53,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -101,6 +102,8 @@ class _Shadow:
     owner_name: str = ""
     lockset: Optional[frozenset] = None  #: candidate locks; None = unset
     first_stack: Tuple[str, ...] = ()
+    #: the shadowed object (None: it takes no weak references)
+    alive: Optional[weakref.ref] = None
 
 
 @dataclass
@@ -233,12 +236,25 @@ def _note(owner, field_name, lock, access) -> None:
     key = (type(owner).__name__, field_name, id(owner))
     with state.mutex:
         shadow = state.shadows.get(key)
+        if (
+            shadow is not None
+            and shadow.alive is not None
+            and shadow.alive() is not owner
+        ):
+            # cells are keyed by id(): this word shadowed an object
+            # since collected, whose address ``owner`` now has
+            shadow = None
         if shadow is None:
+            try:
+                alive = weakref.ref(owner)
+            except TypeError:
+                alive = None
             shadow = _Shadow(
                 state="exclusive",
                 owner=ident,
                 owner_name=name,
                 first_stack=_stack(skip=3),
+                alive=alive,
             )
             state.shadows[key] = shadow
             return

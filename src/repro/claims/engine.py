@@ -9,9 +9,11 @@ verifier discovers that evidence is NOT_RELATED to a claim.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.claims.model import Aggregate, ClaimOp, ClaimSpec, Comparison
 from repro.datalake.types import Row, Table
 from repro.text import analyze, normalize
@@ -38,6 +40,29 @@ class ExecutionResult:
 
 def _not_related(reason: str) -> ExecutionResult:
     return ExecutionResult(verdict=None, trace=(reason,))
+
+
+_ROW_INDEX_LOCK = threading.Lock()
+
+
+def _index_rows(table: Table) -> Dict[str, int]:
+    """Build (once per table) ``normalize(cell)`` -> index of the first
+    row holding such a cell, over the cells ``Row.get`` can reach: the
+    first column of each name."""
+    with _ROW_INDEX_LOCK:
+        index = table._row_by_cell
+        if index is None:
+            reachable = sorted({table.columns.index(c) for c in table.columns})
+            index = {}
+            for row_index, row in enumerate(table.rows):
+                for position in reachable:
+                    cell = row[position]
+                    key = normalize(cell)
+                    # an already-normal cell is its own key: no second copy
+                    index.setdefault(cell if key == cell else key, row_index)
+            table._row_by_cell = index
+            _sanitizer.note_write(table, "_row_by_cell", lock=_ROW_INDEX_LOCK)
+    return index
 
 
 class TableQueryEngine:
@@ -79,8 +104,17 @@ class TableQueryEngine:
 
     def resolve_row(self, table: Table, subject: str) -> Optional[Row]:
         """Row whose key/entity cell best matches ``subject``."""
-        target = normalize(subject)
+        index = table._row_by_cell
+        if index is None:
+            index = _index_rows(table)
+        exact = index.get(normalize(subject))
+        if exact is not None:
+            return table.row(exact)
         target_tokens = set(analyze(subject))
+        if not target_tokens:
+            return None
+        # no cell equals the subject: best token overlap, the first row
+        # (then the first candidate column) winning ties
         candidate_columns = list(
             dict.fromkeys(
                 [c for c in (table.key_column,) if c]
@@ -93,10 +127,6 @@ class TableQueryEngine:
             for column in candidate_columns:
                 cell = row.get(column)
                 if cell is None:
-                    continue
-                if normalize(cell) == target:
-                    return row
-                if not target_tokens:
                     continue
                 score = jaccard(target_tokens, analyze(cell))
                 if score > best[0]:

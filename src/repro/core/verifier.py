@@ -8,11 +8,13 @@ trust of the lake source that supplied the evidence.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datalake.lake import DataLake
+from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Row
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
@@ -23,26 +25,36 @@ from repro.verify.objects import DataObject
 from repro.verify.verdict import Verdict
 
 
-def _pair_key(obj: DataObject, evidence: DataInstance) -> tuple:
-    """Cache key: the pair's *content*, not object identity."""
-    attribute = getattr(obj, "attribute", None)
-    context = getattr(obj, "context", None)
+def _object_key(obj: DataObject) -> tuple:
+    """The object half of a cache key: its *content*, not its identity."""
     return (
         type(obj).__name__,
         obj.query_text(),
-        attribute,
-        context,
+        getattr(obj, "attribute", None),
+        getattr(obj, "context", None),
+    )
+
+
+def _evidence_key(evidence: DataInstance) -> tuple:
+    """The evidence half: the instance's id and a digest of what it
+    says now, so a verdict on what it said before a write to the lake
+    is never served again (a digest, not the text: the cache holds
+    tens of thousands of keys)."""
+    content = serialize_instance(evidence).encode("utf-8")
+    return (
         evidence.instance_id,
+        hashlib.blake2b(content, digest_size=8).digest(),
     )
 
 
 class VerifierModule:
     """Verify an object against a pool of evidence and decide.
 
-    Verification is deterministic per (object content, evidence), so
-    repeated pairs — common when benchmarks sweep configurations — are
-    served from an in-process LRU cache (``cache=False`` disables it;
-    ``cache_size`` bounds it).  The cache is thread-safe: the batch
+    Verification is deterministic per (object content, evidence
+    content), so repeated pairs — common when benchmarks sweep
+    configurations — are served from an in-process LRU cache
+    (``cache=False`` disables it; ``cache_size`` bounds it) that a write
+    to the lake cannot make stale.  The cache is thread-safe: the batch
     engine verifies objects from worker threads.
     """
 
@@ -76,26 +88,42 @@ class VerifierModule:
         self, obj: DataObject, evidence: DataInstance
     ) -> VerificationOutcome:
         """Verify a single pair through the Agent, with caching."""
-        outcome, _ = self._verify_one(obj, evidence)
+        outcome, hit = self._verify_pair(self._key_of(obj), obj, evidence)
+        self._count(1, int(hit))
         return outcome
 
-    def _verify_one(
-        self, obj: DataObject, evidence: DataInstance
-    ) -> Tuple[VerificationOutcome, bool]:
-        """(outcome, served-from-cache) for one pair."""
-        self._metrics.counter("verifier.verifications").inc()
+    def _key_of(self, obj: DataObject) -> Optional[tuple]:
+        return _object_key(obj) if self._cache is not None else None
+
+    def _count(self, pairs: int, hits: int) -> None:
+        """Report ``pairs`` verifications, ``hits`` of them cached."""
+        if pairs:
+            self._metrics.counter("verifier.verifications").inc(pairs)
         if self._cache is None:
+            return
+        if hits:
+            self._metrics.counter("verifier.cache.hits").inc(hits)
+        if pairs > hits:
+            self._metrics.counter("verifier.cache.misses").inc(pairs - hits)
+            self._metrics.gauge("verifier.cache.entries").set(len(self))
+
+    def _verify_pair(
+        self,
+        object_key: Optional[tuple],
+        obj: DataObject,
+        evidence: DataInstance,
+    ) -> Tuple[VerificationOutcome, bool]:
+        """(outcome, served-from-cache) for one pair; ``object_key`` is
+        ``_key_of(obj)``, computed once for a pool."""
+        if object_key is None:
             return self.agent.verify(obj, evidence), False
-        key = _pair_key(obj, evidence)
+        key = object_key + _evidence_key(evidence)
         with self._cache_lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
                 self._cache.move_to_end(key)
-        if cached is not None:
-            self._metrics.counter("verifier.cache.hits").inc()
-            return cached, True
-        self._metrics.counter("verifier.cache.misses").inc()
+                return cached, True
         # verify outside the lock; a concurrent duplicate recomputes the
         # same deterministic outcome, which is cheaper than serializing
         # every verification behind one mutex
@@ -105,8 +133,6 @@ class VerifierModule:
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
-            entries = len(self._cache)
-        self._metrics.gauge("verifier.cache.entries").set(entries)
         return outcome, False
 
     def source_of(self, evidence: DataInstance) -> str:
@@ -138,16 +164,24 @@ class VerifierModule:
         if branch is None:
             branch = NULL_BRANCH
         outcomes: List[VerificationOutcome] = []
-        for evidence in evidence_list:
-            with branch.span(
-                "verdict",
-                parent=parent,
-                attributes={"evidence_id": evidence.instance_id},
-            ) as span:
-                outcome = self.verify_one(obj, evidence)
-                span.set("verifier", outcome.verifier)
-                span.set("verdict", outcome.verdict.name)
-            outcomes.append(outcome)
+        object_key = self._key_of(obj)
+        started = hits = 0
+        try:
+            for evidence in evidence_list:
+                started += 1
+                with branch.span(
+                    "verdict",
+                    parent=parent,
+                    attributes={"evidence_id": evidence.instance_id},
+                ) as span:
+                    outcome, hit = self._verify_pair(object_key, obj, evidence)
+                    span.set("verifier", outcome.verifier)
+                    span.set("verdict", outcome.verdict.name)
+                hits += hit
+                outcomes.append(outcome)
+        finally:
+            # a pair that raised was counted (as a miss) before it ran
+            self._count(started, hits)
         votes = [
             (self.source_of(evidence), outcome.verdict)
             for evidence, outcome in zip(evidence_list, outcomes)

@@ -113,6 +113,12 @@ class Table:
     entity_columns: Tuple[str, ...] = ()
     key_column: Optional[str] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: first row by normalised cell, built on first use by
+    #: ``TableQueryEngine.resolve_row`` — a table's rows are replaced
+    #: with the table (``update_instance``), never edited in place
+    _row_by_cell: Optional[Dict[str, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.columns = tuple(self.columns)

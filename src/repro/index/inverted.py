@@ -109,6 +109,9 @@ class _SealedPostings:
         "doc_ids", "norm",
         "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat",
         "tok_pos", "contrib_flat",
+        # lets the race sanitizer tell this seal from a collected one
+        # whose address it reuses
+        "__weakref__",
     )
 
     def __init__(

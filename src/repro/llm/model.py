@@ -16,8 +16,11 @@ would.  Its behaviour is fully mechanistic:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.claims.model import ClaimSpec
 from repro.claims.parser import ClaimParser
 from repro.datalake.types import Table
@@ -31,7 +34,7 @@ from repro.llm.prompts import (
     split_sections,
 )
 from repro.llm.reasoning import NoisyClaimReasoner
-from repro.text import analyze, normalize
+from repro.text import analyze, normalize, sentences
 from repro.text.numbers import numbers_in, parse_number
 from repro.text.similarity import jaccard
 
@@ -84,6 +87,87 @@ def _parse_table_payload(payload: str) -> Optional[Table]:
     )
 
 
+#: readings kept per model: an Evidence section's parsed table and
+#: row index cost ~6 KB, so the memo stays under ~6 MB
+READINGS_SIZE = 1024
+
+_PARSER = ClaimParser(strict=False)
+
+
+class _Evidence(NamedTuple):
+    """What the model reads in one Evidence section.  A pure function
+    of the section's text, so every pair showing that text shares it;
+    no handler writes to it."""
+
+    text: str
+    fields: Optional[Dict[str, str]]  # a serialised tuple
+    table: Optional[Table]  # a serialised table
+    #: analysed tuple values / table caption / whole passage
+    tokens: FrozenSet[str]
+    years: Set[int]  # table: years in the caption
+    normalized: str  # passage: normalize(text)
+    title: str  # passage: normalize(first line)
+
+
+def _read_evidence(text: str) -> _Evidence:
+    fields = _parse_tuple_payload(text)
+    if fields is not None:
+        tokens = frozenset(analyze(" ".join(fields.values())))
+        return _Evidence(text, fields, None, tokens, set(), "", "")
+    table = _parse_table_payload(text)
+    if table is not None:
+        return _Evidence(
+            text, None, table, frozenset(analyze(table.caption)),
+            _years_in(table.caption), "", "",
+        )
+    return _Evidence(
+        text, None, None, frozenset(analyze(text)), set(),
+        normalize(text), normalize(text.partition("\n")[0]),
+    )
+
+
+class _Object(NamedTuple):
+    """What the model reads in the Generative Data, Attribute and
+    Context sections: parsed once for the k' pairs of a pool."""
+
+    text: str
+    attribute: str  # "" when no single attribute is on trial
+    fields: Optional[Dict[str, str]]  # a generated tuple; None: a claim
+    spec: Optional[ClaimSpec]  # claim: what ClaimParser makes of it
+    #: claim: analysed scope; tuple: analysed identifying values
+    tokens: FrozenSet[str]
+    years: Set[int]  # claim: years in its scope
+    anchor: FrozenSet[str]  # tuple: analysed leading identifying value
+    names: Tuple[str, ...]  # tuple: normalised entity-like values
+
+
+def _read_object(
+    data: str, attribute: Optional[str], context: Optional[str]
+) -> _Object:
+    fields = _parse_tuple_payload(data)
+    if fields is None:
+        scope = context or data
+        return _Object(
+            data, "", None, _PARSER.parse(data), frozenset(analyze(scope)),
+            _years_in(scope), frozenset(), (),
+        )
+    target = normalize(attribute or "")
+    identity = [
+        value for column, value in fields.items()
+        if normalize(column) != target
+    ]
+    return _Object(
+        data, attribute or "", fields, None,
+        frozenset(analyze(" ".join(identity))), set(),
+        # the leading field of a tuple names its entity
+        frozenset(analyze(identity[0])) if identity else frozenset(),
+        tuple(
+            normalize(value) for value in identity
+            if parse_number(value) is None and len(value) >= 4
+        ),
+    )
+
+
 class SimulatedLLM:
     """A deterministic stand-in for a hosted chat model."""
 
@@ -96,9 +180,10 @@ class SimulatedLLM:
         self.knowledge = knowledge
         self.profile = profile
         self.seed = seed
-        self._parser = ClaimParser(strict=False)
         self._reasoner = NoisyClaimReasoner(profile)
         self.num_calls = 0
+        self._readings: "OrderedDict[tuple, NamedTuple]" = OrderedDict()
+        self._readings_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # public API
@@ -197,7 +282,7 @@ class SimulatedLLM:
             elif line.startswith("Context:"):
                 context = line.partition(":")[2].strip()
         rng = rng_for(self.seed, "claimqa", statement, context)
-        spec = self._parser.parse(statement)
+        spec = _PARSER.parse(statement)
         memory = (
             self.knowledge.recall_table(context or statement)
             if self.knowledge is not None
@@ -223,41 +308,53 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     def _handle_verification(self, prompt: str) -> str:
         sections = split_sections(prompt)
-        evidence = sections["evidence"]
+        evidence_text = sections["evidence"]
         data = sections["data"]
         attribute = sections["attribute"]
         context = sections["context"]
-        rng = rng_for(self.seed, "verify", evidence, data, attribute or "", context or "")
-
-        data_tuple = _parse_tuple_payload(data)
-        evidence_tuple = _parse_tuple_payload(evidence)
-        evidence_table = _parse_table_payload(evidence)
-
-        if data_tuple is not None:
-            if evidence_tuple is not None:
+        rng = rng_for(
+            self.seed, "verify", evidence_text, data, attribute or "", context or ""
+        )
+        evidence = self._reading(_read_evidence, evidence_text)
+        obj = self._reading(_read_object, data, attribute, context)
+        if obj.fields is not None:
+            if evidence.fields is not None:
                 verdict, why = self._verify_tuple_vs_tuple(
-                    data_tuple, evidence_tuple, attribute, rng
+                    obj, evidence.fields, evidence.tokens, rng
                 )
-            elif evidence_table is not None:
-                verdict, why = self._verify_tuple_vs_table(
-                    data_tuple, evidence_table, attribute, rng
-                )
+            elif evidence.table is not None:
+                verdict, why = self._verify_tuple_vs_table(obj, evidence.table, rng)
             else:
-                verdict, why = self._verify_tuple_vs_text(
-                    data_tuple, evidence, attribute, rng
-                )
+                verdict, why = self._verify_tuple_vs_text(obj, evidence, rng)
         else:
-            if evidence_table is not None:
-                verdict, why = self._verify_claim_vs_table(
-                    data, context, evidence_table, rng
-                )
-            elif evidence_tuple is not None:
-                verdict, why = self._verify_claim_vs_tuple(
-                    data, evidence_tuple, rng
-                )
+            if evidence.table is not None:
+                verdict, why = self._verify_claim_vs_table(obj, evidence, rng)
+            elif evidence.fields is not None:
+                verdict, why = self._verify_claim_vs_tuple(obj, evidence, rng)
             else:
-                verdict, why = self._verify_claim_vs_text(data, evidence, rng)
+                verdict, why = self._verify_claim_vs_text(obj, evidence, rng)
         return f"Result: {verdict}\nExplanation: {why}"
+
+    def _reading(self, read: Callable, *sections: Optional[str]):
+        """``read(*sections)``, computed once per distinct section text
+        and kept in a bounded LRU.  The key is the text the model was
+        shown, so a memoized answer is the answer a fresh reading of
+        the same prompt would give."""
+        key = (read, *sections)
+        with self._readings_lock:
+            reading = self._readings.get(key)
+            if reading is not None:
+                self._readings.move_to_end(key)
+                return reading
+        # read outside the lock: a concurrent duplicate computes the
+        # same pure value
+        reading = read(*sections)
+        with self._readings_lock:
+            self._readings[key] = reading
+            _sanitizer.note_write(self, "_readings", lock=self._readings_lock)
+            while len(self._readings) > READINGS_SIZE:
+                self._readings.popitem(last=False)
+        return reading
 
     # -- helpers --------------------------------------------------------
     def _maybe_slip_relatedness(self, related: bool, rng: random.Random) -> bool:
@@ -287,33 +384,22 @@ class SimulatedLLM:
     # -- (tuple, tuple) --------------------------------------------------
     def _verify_tuple_vs_tuple(
         self,
-        data: Dict[str, str],
+        obj: _Object,
         evidence: Dict[str, str],
-        attribute: Optional[str],
+        evidence_tokens: FrozenSet[str],
         rng: random.Random,
     ) -> Tuple[str, str]:
-        target = attribute or ""
-        data_identity = [
-            value for column, value in data.items()
-            if normalize(column) != normalize(target)
-        ]
-        identity_tokens = set(analyze(" ".join(data_identity)))
-        evidence_tokens = set(analyze(" ".join(evidence.values())))
+        data, target = obj.fields, obj.attribute
         overlap = (
-            len(identity_tokens & evidence_tokens) / len(identity_tokens)
-            if identity_tokens
+            len(obj.tokens & evidence_tokens) / len(obj.tokens)
+            if obj.tokens
             else 0.0
         )
-        # the leading field of a tuple names its entity; the evidence must
-        # describe the *same* entity, not merely share attribute values
-        anchor_tokens: set = set()
-        for column, value in data.items():
-            if normalize(column) != normalize(target):
-                anchor_tokens = set(analyze(value))
-                break
+        # the evidence must describe the *same* entity, not merely share
+        # attribute values
         anchor_overlap = (
-            len(anchor_tokens & evidence_tokens) / len(anchor_tokens)
-            if anchor_tokens
+            len(obj.anchor & evidence_tokens) / len(obj.anchor)
+            if obj.anchor
             else 1.0
         )
         related = (
@@ -358,68 +444,41 @@ class SimulatedLLM:
 
     # -- (tuple, table) ---------------------------------------------------
     def _verify_tuple_vs_table(
-        self,
-        data: Dict[str, str],
-        table: Table,
-        attribute: Optional[str],
-        rng: random.Random,
+        self, obj: _Object, table: Table, rng: random.Random
     ) -> Tuple[str, str]:
         # find the table row matching the tuple's identity, then defer to
         # tuple-vs-tuple logic
-        identity = {
-            column: value
-            for column, value in data.items()
-            if normalize(column) != normalize(attribute or "")
-        }
         best_row: Optional[Dict[str, str]] = None
         best_score = 0.0
-        identity_tokens = set(analyze(" ".join(identity.values())))
-        for row in table.iter_rows():
-            row_tokens = set(analyze(" ".join(row.values)))
-            if not identity_tokens:
-                continue
-            score = len(identity_tokens & row_tokens) / len(identity_tokens)
-            if score > best_score:
-                best_score = score
-                best_row = row.as_dict()
+        if obj.tokens:
+            for row in table.iter_rows():
+                row_tokens = set(analyze(" ".join(row.values)))
+                score = len(obj.tokens & row_tokens) / len(obj.tokens)
+                if score > best_score:
+                    best_score = score
+                    best_row = row.as_dict()
         if best_row is None or best_score < self.profile.tuple_overlap_threshold:
             related = self._maybe_slip_relatedness(False, rng)
             if not related:
                 return NOT_RELATED, "No row in the evidence table matches the tuple."
             best_row = table.row(0).as_dict()
-        return self._verify_tuple_vs_tuple(data, best_row, attribute, rng)
+        return self._verify_tuple_vs_tuple(
+            obj, best_row, frozenset(analyze(" ".join(best_row.values()))), rng
+        )
 
     # -- (tuple, text) ----------------------------------------------------
     def _verify_tuple_vs_text(
-        self,
-        data: Dict[str, str],
-        text: str,
-        attribute: Optional[str],
-        rng: random.Random,
+        self, obj: _Object, evidence: _Evidence, rng: random.Random
     ) -> Tuple[str, str]:
-        target = attribute or ""
-        normalized_text = normalize(text)
-        text_tokens = set(analyze(text))
+        data, target = obj.fields, obj.attribute
+        text, normalized_text = evidence.text, evidence.normalized
         # relatedness: the passage must be *about* one of the tuple's
         # identifying entities, not merely mention one in passing — the
         # subject of a page is its title (first line), so anchor there
-        first_line, _, _ = text.partition("\n")
-        normalized_title = normalize(first_line)
-        identifying = [
-            value
-            for column, value in data.items()
-            if normalize(column) != normalize(target)
-            and parse_number(value) is None
-            and len(value) >= 4
-        ]
-        if normalized_title and normalized_title != normalized_text:
-            related = any(
-                normalize(value) in normalized_title for value in identifying
-            )
+        if evidence.title and evidence.title != normalized_text:
+            related = any(name in evidence.title for name in obj.names)
         else:
-            related = any(
-                normalize(value) in normalized_text for value in identifying
-            )
+            related = any(name in normalized_text for name in obj.names)
         related = self._maybe_slip_relatedness(related, rng)
         if not related:
             return NOT_RELATED, (
@@ -431,7 +490,7 @@ class SimulatedLLM:
         # does the passage discuss the target attribute's concept at all?
         if target:
             column_tokens = set(analyze(target))
-            if column_tokens and not column_tokens & text_tokens:
+            if column_tokens and not column_tokens & evidence.tokens:
                 return NOT_RELATED, (
                     f"The passage does not discuss the attribute {target!r}."
                 )
@@ -470,9 +529,7 @@ class SimulatedLLM:
         column_tokens = set(analyze(column))
         if not column_tokens:
             return True
-        from repro.text import sentences as split_sentences
-
-        for sentence in split_sentences(text):
+        for sentence in sentences(text):
             sentence_numbers = numbers_in(sentence)
             if any(abs(n - number) <= 1e-9 for n in sentence_numbers):
                 if column_tokens & set(analyze(sentence)):
@@ -481,19 +538,11 @@ class SimulatedLLM:
 
     # -- (claim, table) ----------------------------------------------------
     def _verify_claim_vs_table(
-        self,
-        claim_text: str,
-        context: Optional[str],
-        table: Table,
-        rng: random.Random,
+        self, obj: _Object, evidence: _Evidence, rng: random.Random
     ) -> Tuple[str, str]:
-        spec = self._parser.parse(claim_text)
-        scope = context or claim_text
-        scope_tokens = set(analyze(scope))
-        caption_tokens = set(analyze(table.caption))
-        caption_sim = jaccard(scope_tokens, caption_tokens)
-        scope_years = _years_in(scope)
-        caption_years = _years_in(table.caption)
+        spec, table, claim_text = obj.spec, evidence.table, obj.text
+        caption_sim = jaccard(obj.tokens, evidence.tokens)
+        scope_years, caption_years = obj.years, evidence.years
         years_compatible = (
             not scope_years or not caption_years or bool(scope_years & caption_years)
         )
@@ -515,7 +564,7 @@ class SimulatedLLM:
         if spec is None:
             # lexical fallback: is the claim's content present in the table?
             claim_tokens = set(analyze(claim_text))
-            table_tokens = set(analyze(table.caption)) | {
+            table_tokens = evidence.tokens | {
                 token
                 for row in table.rows
                 for cell in row
@@ -538,13 +587,10 @@ class SimulatedLLM:
 
     # -- (claim, tuple) ----------------------------------------------------
     def _verify_claim_vs_tuple(
-        self,
-        claim_text: str,
-        evidence: Dict[str, str],
-        rng: random.Random,
+        self, obj: _Object, reading: _Evidence, rng: random.Random
     ) -> Tuple[str, str]:
-        spec = self._parser.parse(claim_text)
-        evidence_tokens = set(analyze(" ".join(evidence.values())))
+        spec, claim_text = obj.spec, obj.text
+        evidence, evidence_tokens = reading.fields, reading.tokens
         if spec is None or spec.subject is None:
             claim_tokens = set(analyze(claim_text))
             overlap = (
@@ -579,10 +625,10 @@ class SimulatedLLM:
 
     # -- (claim, text) — standard fact checking ----------------------------
     def _verify_claim_vs_text(
-        self, claim_text: str, text: str, rng: random.Random
+        self, obj: _Object, evidence: _Evidence, rng: random.Random
     ) -> Tuple[str, str]:
-        normalized_text = normalize(text)
-        spec = self._parser.parse(claim_text)
+        spec, claim_text = obj.spec, obj.text
+        text, normalized_text = evidence.text, evidence.normalized
         subject = spec.subject if spec is not None else None
         if subject and normalize(subject) not in normalized_text:
             related = self._maybe_slip_relatedness(False, rng)
@@ -598,9 +644,8 @@ class SimulatedLLM:
                 return VERIFIED, f"The passage states {spec.value!r}."
             return REFUTED, f"The passage does not support {spec.value!r}."
         claim_tokens = set(analyze(claim_text))
-        text_tokens = set(analyze(text))
         coverage = (
-            len(claim_tokens & text_tokens) / len(claim_tokens)
+            len(claim_tokens & evidence.tokens) / len(claim_tokens)
             if claim_tokens
             else 0.0
         )

@@ -54,6 +54,10 @@ def normalize(text: str) -> str:
     >>> normalize("  Café\\tRenée ")
     'cafe renee'
     """
+    if text.isascii():
+        # NFKD and the combining filter are the identity on ASCII, and
+        # ``str.split`` cuts at exactly the characters ``\s`` matches
+        return " ".join(text.lower().split())
     text = unicodedata.normalize("NFKD", text)
     text = "".join(ch for ch in text if not unicodedata.combining(ch))
     text = text.lower()

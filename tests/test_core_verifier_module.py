@@ -165,3 +165,107 @@ class TestCacheBound:
 
         with _pytest.raises(ValueError):
             self.make_module(tiny_lake, quiet_profile, cache_size=0)
+
+
+class TestCacheFollowsContent:
+    """Regression: outcomes were keyed on the evidence's instance id, so
+    a claim re-verified after its table changed got the old verdict."""
+
+    @staticmethod
+    def claim_and_rewrite(table):
+        """A true LOOKUP claim over ``table`` and the table with that
+        one cell changed."""
+        from repro.datalake.types import Table
+        from repro.verify.objects import ClaimObject
+
+        column = table.columns.index("votes")
+        subject, old = table.rows[1][0], table.rows[1][column]
+        claim = ClaimObject(
+            "stale", f"the votes of {subject} is {old}", context=table.caption
+        )
+        rows = list(table.rows)
+        rows[1] = rows[1][:column] + ("91,919",) + rows[1][column + 1:]
+        rewritten = Table(
+            table_id=table.table_id, caption=table.caption,
+            columns=table.columns, rows=rows, source=table.source,
+            entity_columns=table.entity_columns, key_column=table.key_column,
+        )
+        return claim, rewritten
+
+    def test_same_id_new_content_is_verified_afresh(self, module,
+                                                    election_table):
+        claim, rewritten = self.claim_and_rewrite(election_table)
+        assert module.verify_one(claim, election_table).verdict is Verdict.VERIFIED
+        hits = module.cache_hits
+        assert module.verify_one(claim, rewritten).verdict is Verdict.REFUTED
+        assert module.cache_hits == hits
+        # each version of the table keeps its own verdict
+        assert module.verify_one(claim, election_table).verdict is Verdict.VERIFIED
+        assert module.verify_one(claim, rewritten).verdict is Verdict.REFUTED
+        assert module.cache_hits == hits + 2
+
+    @pytest.mark.parametrize("how", ["update", "remove_add"])
+    def test_reverify_after_a_write_sees_the_write(self, election_table,
+                                                   medal_table, quiet_profile,
+                                                   how):
+        from repro.core.pipeline import VerifAI
+        from repro.datalake.lake import DataLake
+
+        lake = DataLake(name="coherence")
+        lake.add_table(election_table)
+        lake.add_table(medal_table)
+        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=24)
+        system = VerifAI(lake, llm=llm).build_indexes()
+        claim, rewritten = self.claim_and_rewrite(election_table)
+        assert system.verify(claim).final_verdict is Verdict.VERIFIED
+        if how == "update":
+            system.update_instance(rewritten)
+        else:
+            system.remove_instance(election_table.table_id)
+            lake.add_table(rewritten)
+            system.add_instance(rewritten)
+        assert system.verify(claim).final_verdict is Verdict.REFUTED
+
+
+class TestPoolCounters:
+    def test_a_pool_reports_its_pairs_once_with_the_per_pair_totals(
+        self, module, election_table
+    ):
+        from repro.obs.metrics import get_registry
+
+        def counts():
+            snapshot = get_registry().snapshot()
+            return [
+                snapshot.get(name, 0.0) for name in (
+                    "verifier.verifications", "verifier.cache.hits",
+                    "verifier.cache.misses",
+                )
+            ]
+
+        obj = TupleObject("n1", election_table.row(0), attribute="party")
+        evidence = [election_table.row(i) for i in range(3)]
+        before = counts()
+        module.verify_pool(obj, evidence)
+        module.verify_pool(obj, evidence + [election_table.row(3)])
+        delta = [after - b for after, b in zip(counts(), before)]
+        assert delta == [7.0, 3.0, 4.0]
+        assert get_registry().snapshot()["verifier.cache.entries"] == len(module)
+
+    def test_a_pair_that_raises_is_still_counted(self, tiny_lake,
+                                                 election_table):
+        from repro.obs.metrics import get_registry
+
+        class Exploding(LLMVerifier):
+            def verify(self, obj, evidence):
+                raise RuntimeError("boom")
+
+        module = VerifierModule(
+            VerifierAgent([], fallback=Exploding(None)), tiny_lake
+        )
+        obj = TupleObject("n2", election_table.row(0), attribute="party")
+        before = get_registry().snapshot()
+        with pytest.raises(RuntimeError):
+            module.verify_pool(obj, [election_table.row(0)])
+        after = get_registry().snapshot()
+        for name in ("verifier.verifications", "verifier.cache.misses"):
+            assert after[name] - before.get(name, 0.0) == 1.0

@@ -182,6 +182,35 @@ def test_lock_intersection_catches_disjoint_guards():
     assert len(found) >= 1
 
 
+def test_a_collected_objects_address_starts_a_fresh_cell():
+    # cells are keyed by id(): an object allocated where a collected
+    # one lived, guarded by its own lock, must not inherit the dead
+    # object's candidate lockset (seen as a flaky "race" between two
+    # indexes' seals, each under its own _seal_lock)
+    def guarded_writes(obj, lock):
+        def write():
+            with lock:
+                obj.value += 1
+                sanitizer.note_write(obj, "value")
+        run_pair(write, write)
+
+    with sanitizer.sanitized(prefixes=("tests",)) as found:
+        reused = False
+        for _ in range(200):
+            first = Shared()
+            address = id(first)
+            guarded_writes(first, threading.Lock())
+            del first
+            second = Shared()
+            if id(second) == address:
+                reused = True
+                guarded_writes(second, threading.Lock())
+                break
+        if not reused:
+            pytest.skip("the allocator never reused the address")
+    assert found == []
+
+
 # ----------------------------------------------------------------------
 # lifecycle and proxy mechanics
 # ----------------------------------------------------------------------
