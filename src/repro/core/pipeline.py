@@ -139,7 +139,7 @@ class VerifAI:
         # the evidence in the prompt
         self.llm = llm or SimulatedLLM(knowledge=None)
         self.indexer = IndexerModule(lake, self.config, clock=self.clock)
-        self.reranker = RerankerModule()
+        self.reranker = RerankerModule(clock=self.clock)
         agent = VerifierAgent(
             local_verifiers=local_verifiers,
             fallback=LLMVerifier(self.llm),

@@ -12,6 +12,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.datalake.types import Modality
 from repro.index.base import SearchHit
+from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import get_registry
 from repro.rerank.base import Reranker
 from repro.rerank.colbert import LateInteractionReranker
@@ -30,11 +31,13 @@ class RerankerModule:
         text_table: Optional[Reranker] = None,
         tuple_tuple: Optional[Reranker] = None,
         fallback: Optional[Reranker] = None,
+        clock: Optional[Clock] = None,
     ) -> None:
         self.text_text = text_text or LateInteractionReranker()
         self.text_table = text_table or TableReranker()
         self.tuple_tuple = tuple_tuple or TupleReranker()
         self.fallback = fallback or FeatureReranker()
+        self.clock: Clock = clock or MonotonicClock()
 
     def route(self, obj: DataObject, modality: Modality) -> Reranker:
         """The reranker for this pair type."""
@@ -64,4 +67,9 @@ class RerankerModule:
             "reranker.candidates",
             buckets=(1, 2, 5, 10, 20, 50, 100, 200, 500),
         ).observe(len(candidates))
-        return reranker.rerank(obj.query_text(), candidates, fetch, k)
+        start = self.clock.now()
+        shortlist = reranker.rerank(obj.query_text(), candidates, fetch, k)
+        metrics.histogram(f"reranker.seconds.{reranker.name}").observe(
+            self.clock.now() - start
+        )
+        return shortlist

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.text import analyze
+
+#: tokens whose (bucket, sign) a vectorizer keeps (~150 B each); a token
+#: that arrives once the memo is full is hashed on every occurrence
+HASH_MEMO_SIZE = 65536
 
 
 def _token_digest(token: str, salt: str = "") -> int:
@@ -26,7 +32,7 @@ def _token_digest(token: str, salt: str = "") -> int:
     return int.from_bytes(digest, "little")
 
 
-def _hash_index_sign(token: str, dim: int, salt: str = "") -> tuple:
+def _hash_index_sign(token: str, dim: int, salt: str = "") -> Tuple[int, float]:
     """(bucket index, +/-1 sign) for a token under signed hashing."""
     value = _token_digest(token, salt)
     index = value % dim
@@ -34,18 +40,40 @@ def _hash_index_sign(token: str, dim: int, salt: str = "") -> tuple:
     return index, sign
 
 
-class HashingVectorizer:
-    """Stateless signed-feature-hashing vectorizer.
+class _SignedHashing:
+    """The projection both vectorizers share: ``dim`` buckets, a salt,
+    and each token's (bucket, sign) digested once — a corpus holds two
+    orders of magnitude more token occurrences than distinct tokens."""
+
+    def __init__(self, dim: int, salt: str) -> None:
+        if dim <= 0:
+            raise ValueError(f"dim must be positive, got {dim}")
+        self.dim = dim
+        self.salt = salt
+        self._slots: Dict[str, Tuple[int, float]] = {}
+        # shard builds and serving threads encode through one vectorizer
+        self._slots_lock = threading.Lock()
+
+    def _slot(self, token: str) -> Tuple[int, float]:
+        slot = self._slots.get(token)
+        if slot is None:
+            slot = _hash_index_sign(token, self.dim, self.salt)
+            with self._slots_lock:
+                if len(self._slots) < HASH_MEMO_SIZE:
+                    self._slots[token] = slot
+                    _sanitizer.note_write(self, "_slots")
+        return slot
+
+
+class HashingVectorizer(_SignedHashing):
+    """Fit-free signed-feature-hashing vectorizer.
 
     Produces L2-normalized vectors; tokens are weighted by sublinear term
     frequency (1 + log tf).
     """
 
     def __init__(self, dim: int = 256, salt: str = "hv") -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self.dim = dim
-        self.salt = salt
+        super().__init__(dim, salt)
 
     def transform_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         """Embed a pre-tokenized sequence."""
@@ -53,7 +81,7 @@ class HashingVectorizer:
         if not tokens:
             return vec
         for token, count in Counter(tokens).items():
-            index, sign = _hash_index_sign(token, self.dim, self.salt)
+            index, sign = self._slot(token)
             vec[index] += sign * (1.0 + math.log(count))
         norm = np.linalg.norm(vec)
         if norm > 0:
@@ -72,7 +100,7 @@ class HashingVectorizer:
         return np.vstack(rows)
 
 
-class TfidfVectorizer:
+class TfidfVectorizer(_SignedHashing):
     """Corpus-fit TF-IDF weighting, projected into a dense space by hashing.
 
     Fitting records document frequencies; transforming weights each token
@@ -81,10 +109,7 @@ class TfidfVectorizer:
     """
 
     def __init__(self, dim: int = 256, salt: str = "tfidf") -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self.dim = dim
-        self.salt = salt
+        super().__init__(dim, salt)
         self._doc_freq: Dict[str, int] = {}
         self._num_docs = 0
 
@@ -115,7 +140,7 @@ class TfidfVectorizer:
             return vec
         for token, count in Counter(tokens).items():
             weight = (1.0 + math.log(count)) * self.idf(token)
-            index, sign = _hash_index_sign(token, self.dim, self.salt)
+            index, sign = self._slot(token)
             vec[index] += sign * weight
         norm = np.linalg.norm(vec)
         if norm > 0:

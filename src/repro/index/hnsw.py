@@ -13,8 +13,8 @@ from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.index.base import SearchHit, top_k
-from repro.index.vector import VectorIndex
+from repro.index.base import SearchHit
+from repro.index.vector import VectorIndex, top_hits
 
 
 class HNSWIndex(VectorIndex):
@@ -143,10 +143,8 @@ class HNSWIndex(VectorIndex):
             entry = self._greedy_search(vector, entry, layer)
         ef = max(self.ef_search, k)
         found = self._search_layer(vector, entry, 0, ef)
-        score_map: Dict[str, float] = {}
-        for dist, node in found:
-            if self.metric == "cosine":
-                score_map[self._ids[node]] = 1.0 - dist
-            else:
-                score_map[self._ids[node]] = -dist
-        return top_k(score_map, k, self.name)
+        distances = np.array([dist for dist, _ in found])
+        scores = 1.0 - distances if self.metric == "cosine" else -distances
+        return top_hits(
+            scores, self._ids, k, self.name, rows=[node for _, node in found]
+        )

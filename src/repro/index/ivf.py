@@ -11,8 +11,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.index.base import SearchHit, top_k
-from repro.index.vector import VectorIndex
+from repro.index.base import SearchHit
+from repro.index.vector import VectorIndex, top_hits
 
 
 def _kmeans(
@@ -71,18 +71,26 @@ class IVFFlatIndex(VectorIndex):
         self.seed = seed
         self._rows: List[np.ndarray] = []
         self._centroids: Optional[np.ndarray] = None
-        self._cells: Dict[int, List[int]] = {}
+        #: cell -> its row indices, ascending
+        self._cells: Dict[int, np.ndarray] = {}
+        #: the stacked rows and their L2 norms as of the last training;
+        #: a search gathers its probed rows from them
+        self._data: Optional[np.ndarray] = None
+        self._norms: Optional[np.ndarray] = None
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
         self._rows.append(vector)
         self._centroids = None  # retrain on next search
         self._cells = {}
+        self._data = self._norms = None
 
     def train(self) -> None:
         """Cluster the stored vectors into cells."""
         if not self._rows:
             return
         data = np.vstack(self._rows)
+        self._data = data
+        self._norms = np.linalg.norm(data, axis=1)
         self._centroids = _kmeans(data, self.nlist, self.seed)
         distances = (
             np.einsum("ij,ij->i", data, data)[:, None]
@@ -90,10 +98,10 @@ class IVFFlatIndex(VectorIndex):
             + np.einsum("ij,ij->i", self._centroids, self._centroids)[None, :]
         )
         assignment = distances.argmin(axis=1)
-        cells: Dict[int, List[int]] = {}
-        for row_index, cell in enumerate(assignment):
-            cells.setdefault(int(cell), []).append(row_index)
-        self._cells = cells
+        self._cells = {
+            int(cell): np.nonzero(assignment == cell)[0]
+            for cell in np.unique(assignment)
+        }
 
     @property
     def is_trained(self) -> bool:
@@ -107,16 +115,16 @@ class IVFFlatIndex(VectorIndex):
             self.train()
         assert self._centroids is not None
         centroid_dist = np.linalg.norm(self._centroids - vector, axis=1)
-        probe_cells = np.argsort(centroid_dist)[: self.nprobe]
-        candidate_rows: List[int] = []
-        for cell in probe_cells:
-            candidate_rows.extend(self._cells.get(int(cell), ()))
-        if not candidate_rows:
+        probe_cells = np.argsort(centroid_dist)[: self.nprobe].tolist()
+        probed = [
+            self._cells[cell] for cell in probe_cells if cell in self._cells
+        ]
+        if not probed:
             return []
-        matrix = np.vstack([self._rows[i] for i in candidate_rows])
-        scores = self._scores_against(matrix, vector)
-        score_map = {
-            self._ids[row]: float(scores[pos])
-            for pos, row in enumerate(candidate_rows)
-        }
-        return top_k(score_map, k, self.name)
+        candidate_rows = np.concatenate(probed)
+        scores = self._scores_against(
+            self._data[candidate_rows], vector, self._norms[candidate_rows]
+        )
+        return top_hits(
+            scores, self._ids, k, self.name, rows=candidate_rows.tolist()
+        )

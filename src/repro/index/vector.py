@@ -9,12 +9,47 @@ from __future__ import annotations
 
 import abc
 import threading
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.index.base import SearchHit, SearchIndex, top_k
+from repro.index.base import SearchHit, SearchIndex
+
+
+def top_hits(
+    scores: np.ndarray,
+    ids: Sequence[str],
+    k: int,
+    index_name: str,
+    rows: Optional[Sequence[int]] = None,
+) -> List[SearchHit]:
+    """The ``k`` best of ``scores`` as hits, ordered by ``(-score, id)``.
+
+    ``scores[i]`` belongs to ``ids[i]``, or to ``ids[rows[i]]`` when the
+    scores cover a subset of the index.  One ``np.partition`` (the
+    selection behind ``argpartition``) finds the k-th best score;
+    everything tied with it stays in the running, so the id order
+    decides across the boundary exactly as a full sort would (the
+    ``_rank_matrix`` rule of :mod:`repro.index.inverted`).
+    """
+    count = scores.shape[0]
+    if k <= 0 or count == 0:
+        return []
+    if k < count:
+        kth = np.partition(scores, count - k)[count - k]
+        positions = np.nonzero(scores >= kth)[0]
+        scores = scores[positions]
+        positions = positions.tolist()
+    else:
+        positions = range(count)
+    if rows is not None:
+        positions = [rows[i] for i in positions]
+    ranked = sorted(zip((-scores).tolist(), [ids[i] for i in positions]))
+    return [
+        SearchHit(score=-negated, instance_id=instance_id, index_name=index_name)
+        for negated, instance_id in ranked[:k]
+    ]
 
 
 class VectorIndex(SearchIndex):
@@ -100,10 +135,18 @@ class VectorIndex(SearchIndex):
         """Top-k nearest stored vectors."""
 
     # -- scoring helpers -------------------------------------------------
-    def _scores_against(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """Similarity scores of ``vector`` against rows of ``matrix``."""
+    def _scores_against(
+        self,
+        matrix: np.ndarray,
+        vector: np.ndarray,
+        row_norms: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Similarity scores of ``vector`` against rows of ``matrix``
+        (``row_norms``: the rows' L2 norms, when the caller keeps them)."""
         if self.metric == "cosine":
-            norms = np.linalg.norm(matrix, axis=1) * (np.linalg.norm(vector) or 1.0)
+            if row_norms is None:
+                row_norms = np.linalg.norm(matrix, axis=1)
+            norms = row_norms * (np.linalg.norm(vector) or 1.0)
             norms[norms == 0] = 1.0
             return (matrix @ vector) / norms
         # l2: negate distance so that larger is better
@@ -124,6 +167,9 @@ class FlatVectorIndex(VectorIndex):
         super().__init__(dim, encoder=encoder, metric=metric, name=name)
         self._rows: List[np.ndarray] = []
         self._matrix: Optional[np.ndarray] = None
+        #: L2 norm of every row of ``_matrix``, computed on the first
+        #: cosine search after a stacking and dropped with the matrix
+        self._norms: Optional[np.ndarray] = None
         # serializes the lazy vstack in _get_matrix(): vector shards
         # are searched from a thread pool, and two searchers hitting
         # an invalidated cache must not build (and publish) twice
@@ -152,8 +198,7 @@ class FlatVectorIndex(VectorIndex):
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
         self._rows.append(vector)
-        with self._matrix_lock:
-            self._matrix = None  # invalidate cache
+        self._invalidate()
 
     def remove_vector(self, instance_id: str) -> None:
         """Evict one vector and its id (KeyError when absent).
@@ -171,8 +216,12 @@ class FlatVectorIndex(VectorIndex):
         del self._ids[index]
         del self._rows[index]
         self._id_set.discard(instance_id)
+        self._invalidate()
+
+    def _invalidate(self) -> None:
         with self._matrix_lock:
-            self._matrix = None  # invalidate cache
+            self._matrix = None
+            self._norms = None
 
     def _get_matrix(self) -> np.ndarray:
         matrix = self._matrix
@@ -191,16 +240,52 @@ class FlatVectorIndex(VectorIndex):
                     )
         return matrix
 
-    def search_vector(self, vector: np.ndarray, k: int = 10) -> List[SearchHit]:
-        vector = self._check_vector(vector)
+    def _get_norms(self) -> Optional[np.ndarray]:
+        """Row norms of the stacked matrix (cosine only), computed once
+        per stacking — an attached snapshot's on its first search."""
+        if self.metric != "cosine":
+            return None
+        norms = self._norms
+        if norms is None:
+            matrix = self._get_matrix()
+            with self._matrix_lock:
+                norms = self._norms
+                if norms is None:
+                    norms = np.linalg.norm(matrix, axis=1)
+                    self._norms = norms
+                    _sanitizer.note_write(
+                        self, "_norms", lock=self._matrix_lock
+                    )
+        return norms
+
+    def _search_vectors(
+        self, vectors: Sequence[np.ndarray], k: int
+    ) -> List[List[SearchHit]]:
+        """Top-k of every query vector against one reading of the
+        matrix and its norms."""
         matrix = self._get_matrix()
         if matrix.shape[0] == 0 or k <= 0:
-            return []
-        scores = self._scores_against(matrix, vector)
-        score_map: Dict[str, float] = {
-            self._ids[i]: float(scores[i]) for i in range(len(self._ids))
-        }
-        return top_k(score_map, k, self.name)
+            return [[] for _ in vectors]
+        norms = self._get_norms()
+        return [
+            top_hits(
+                self._scores_against(matrix, vector, norms),
+                self._ids, k, self.name,
+            )
+            for vector in vectors
+        ]
+
+    def search_vector(self, vector: np.ndarray, k: int = 10) -> List[SearchHit]:
+        return self._search_vectors([self._check_vector(vector)], k)[0]
+
+    def search_batch(
+        self, queries: List[str], k: int = 10
+    ) -> List[List[SearchHit]]:
+        """Encode every query, then score them against one reading of
+        the matrix and its norms; hit-for-hit the per-query loop."""
+        return self._search_vectors(
+            [self._check_vector(self.encode(query)) for query in queries], k
+        )
 
     def vector_of(self, instance_id: str) -> np.ndarray:
         """Stored vector of an instance (for tests and rerankers)."""

@@ -9,13 +9,17 @@ surface forms interact strongly while unrelated tokens stay near zero.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.embed.token_embed import TokenEmbedder
 from repro.rerank.base import Reranker
 from repro.text import analyze
+
+#: a read query: its token matrix and, under ``token_weight``, the
+#: weight of each token
+_Query = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
 class LateInteractionReranker(Reranker):
@@ -25,6 +29,9 @@ class LateInteractionReranker(Reranker):
     contribution (e.g. by BM25 idf, so rare entity tokens dominate) —
     the analogue of ColBERT learning to down-weight stopword-like
     tokens.
+
+    A payload is read into the embedder's vocabulary row ids of its
+    tokens; its matrix is gathered from them when it is scored.
     """
 
     name = "colbert"
@@ -33,41 +40,33 @@ class LateInteractionReranker(Reranker):
         self,
         embedder: Optional[TokenEmbedder] = None,
         normalize_by_query_length: bool = True,
-        cache_documents: bool = True,
         token_weight: Optional[Callable[[str], float]] = None,
     ) -> None:
+        super().__init__()
         self.embedder = embedder or TokenEmbedder(dim=64)
         self.normalize_by_query_length = normalize_by_query_length
         self.token_weight = token_weight
-        self._doc_cache: Optional[Dict[str, np.ndarray]] = (
-            {} if cache_documents else None
-        )
 
-    def _doc_matrix(self, payload: str) -> np.ndarray:
-        if self._doc_cache is not None:
-            cached = self._doc_cache.get(payload)
-            if cached is not None:
-                return cached
-        matrix = self.embedder.embed_text(payload)
-        if self._doc_cache is not None:
-            self._doc_cache[payload] = matrix
-        return matrix
+    def _read_query(self, query: str) -> _Query:
+        tokens = analyze(query)
+        weights = None
+        if self.token_weight is not None:
+            weights = np.array([self.token_weight(token) for token in tokens])
+        return self.embedder.embed_tokens(tokens), weights
 
-    def score(self, query: str, payload: str) -> float:
-        """MaxSim score of ``payload`` for ``query``."""
-        query_tokens = analyze(query)
-        query_matrix = self.embedder.embed_tokens(query_tokens)
-        doc_matrix = self._doc_matrix(payload)
-        if query_matrix.shape[0] == 0 or doc_matrix.shape[0] == 0:
+    def _read_payload(self, payload: str) -> np.ndarray:
+        return self.embedder.token_rows(analyze(payload))
+
+    def _score(self, query: _Query, payload: np.ndarray) -> float:
+        """MaxSim score of a payload's token rows for a read query."""
+        query_matrix, weights = query
+        if query_matrix.shape[0] == 0 or payload.shape[0] == 0:
             return 0.0
         # (num_query_tokens, num_doc_tokens) cosine table; embeddings are
         # unit vectors so the inner product is the cosine
-        interactions = query_matrix @ doc_matrix.T
+        interactions = query_matrix @ self.embedder.vectors(payload).T
         max_sims = interactions.max(axis=1)
-        if self.token_weight is not None:
-            weights = np.array(
-                [self.token_weight(token) for token in query_tokens]
-            )
+        if weights is not None:
             total = float((max_sims * weights).sum())
             denom = float(weights.sum()) or 1.0
         else:

@@ -8,13 +8,13 @@ for different types of fine-grained Rerankers") calls for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, NamedTuple
 
 from repro.rerank.base import Reranker
 from repro.text import analyze
 from repro.text.numbers import numbers_in
-from repro.text.similarity import jaccard, trigram_similarity
+from repro.text.similarity import jaccard, ngrams
 
 
 @dataclass
@@ -27,39 +27,62 @@ class FeatureWeights:
     number_overlap: float = 0.1
 
 
+class _Text(NamedTuple):
+    """What the features read in one text, query or payload."""
+
+    tokens: FrozenSet[str]
+    numbers: FrozenSet[float]
+    #: character trigrams of the first 200 characters
+    trigrams: FrozenSet[str]
+
+
+def _read_text(text: str) -> _Text:
+    return _Text(
+        frozenset(analyze(text)),
+        frozenset(numbers_in(text)),
+        frozenset(ngrams(text[:200], 3)),
+    )
+
+
 class FeatureReranker(Reranker):
     """Mixture of cheap lexical features."""
 
     name = "features"
 
     def __init__(self, weights: FeatureWeights = FeatureWeights()) -> None:
+        super().__init__()
         self.weights = weights
+
+    def _read_query(self, query: str) -> _Text:
+        return _read_text(query)
+
+    def _read_payload(self, payload: str) -> _Text:
+        return _read_text(payload)
 
     def features(self, query: str, payload: str) -> Dict[str, float]:
         """The raw feature values for a pair (useful for inspection)."""
-        query_tokens = set(analyze(query))
-        payload_tokens = set(analyze(payload))
+        return self._features(self._read_query(query), self._reading(payload))
+
+    def _features(self, query: _Text, payload: _Text) -> Dict[str, float]:
         coverage = (
-            len(query_tokens & payload_tokens) / len(query_tokens)
-            if query_tokens
+            len(query.tokens & payload.tokens) / len(query.tokens)
+            if query.tokens
             else 0.0
         )
-        query_numbers = set(numbers_in(query))
-        payload_numbers = set(numbers_in(payload))
         number_overlap = (
-            len(query_numbers & payload_numbers) / len(query_numbers)
-            if query_numbers
+            len(query.numbers & payload.numbers) / len(query.numbers)
+            if query.numbers
             else 0.0
         )
         return {
-            "token_jaccard": jaccard(query_tokens, payload_tokens),
+            "token_jaccard": jaccard(query.tokens, payload.tokens),
             "query_coverage": coverage,
-            "trigram": trigram_similarity(query[:200], payload[:200]),
+            "trigram": jaccard(query.trigrams, payload.trigrams),
             "number_overlap": number_overlap,
         }
 
-    def score(self, query: str, payload: str) -> float:
-        values = self.features(query, payload)
+    def _score(self, query: _Text, payload: _Text) -> float:
+        values = self._features(query, payload)
         weights = self.weights
         return (
             weights.token_jaccard * values["token_jaccard"]

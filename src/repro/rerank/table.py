@@ -13,12 +13,11 @@ against a serialized table by mixing four signals:
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import FrozenSet, List, NamedTuple, Set, Tuple
 
 from repro.rerank.base import Reranker
 from repro.text import analyze
 from repro.text.numbers import numbers_in
-from repro.text.similarity import jaccard
 
 
 def _years(tokens_source: str) -> Set[int]:
@@ -27,6 +26,20 @@ def _years(tokens_source: str) -> Set[int]:
         for n in numbers_in(tokens_source)
         if 1900 <= n <= 2100 and n == int(n)
     }
+
+
+#: a read claim: its tokens and the years it names
+_Claim = Tuple[FrozenSet[str], Set[int]]
+
+
+class _Table(NamedTuple):
+    """What the scorer reads in one serialized table."""
+
+    caption_tokens: FrozenSet[str]
+    header_tokens: FrozenSet[str]
+    #: every token a claim can be grounded in: cells, caption, header
+    all_tokens: FrozenSet[str]
+    caption_years: Set[int]
 
 
 class TableReranker(Reranker):
@@ -41,17 +54,19 @@ class TableReranker(Reranker):
         cell_weight: float = 0.4,
         year_penalty: float = 0.5,
     ) -> None:
+        super().__init__()
         self.caption_weight = caption_weight
         self.schema_weight = schema_weight
         self.cell_weight = cell_weight
         self.year_penalty = year_penalty
 
-    def score(self, query: str, payload: str) -> float:
-        """Score a claim against a serialized table (caption\\nheader\\nrows)."""
+    def _read_query(self, query: str) -> _Claim:
+        return frozenset(analyze(query)), _years(query)
+
+    def _read_payload(self, payload: str) -> _Table:
+        """Read a serialized table (caption\\nheader\\nrows)."""
         lines = payload.splitlines()
-        if not lines:
-            return 0.0
-        caption = lines[0] if " | " not in lines[0] else ""
+        caption = lines[0] if lines and " | " not in lines[0] else ""
         header = ""
         body_lines: List[str] = []
         for line in lines[1:] if caption else lines:
@@ -59,11 +74,23 @@ class TableReranker(Reranker):
                 header = line
             elif " | " in line:
                 body_lines.append(line)
-        claim_tokens = set(analyze(query))
+        caption_tokens = frozenset(analyze(caption))
+        header_tokens = frozenset(analyze(header))
+        cell_tokens = frozenset(analyze(" ".join(body_lines)))
+        return _Table(
+            caption_tokens,
+            header_tokens,
+            cell_tokens | caption_tokens | header_tokens,
+            _years(caption),
+        )
+
+    def _score(self, query: _Claim, payload: _Table) -> float:
+        """Score a read claim against a read table."""
+        claim_tokens, claim_years = query
         if not claim_tokens:
             return 0.0
 
-        caption_tokens = set(analyze(caption))
+        caption_tokens = payload.caption_tokens
         # fraction of the caption covered by the claim — a claim naming the
         # table's full scope scores 1.0
         caption_score = (
@@ -72,18 +99,14 @@ class TableReranker(Reranker):
             else 0.0
         )
 
-        header_tokens = set(analyze(header))
+        header_tokens = payload.header_tokens
         schema_score = (
             len(claim_tokens & header_tokens) / len(header_tokens)
             if header_tokens
             else 0.0
         )
 
-        cell_tokens = set(analyze(" ".join(body_lines)))
-        grounding = (
-            len(claim_tokens & (cell_tokens | caption_tokens | header_tokens))
-            / len(claim_tokens)
-        )
+        grounding = len(claim_tokens & payload.all_tokens) / len(claim_tokens)
 
         score = (
             self.caption_weight * caption_score
@@ -91,8 +114,7 @@ class TableReranker(Reranker):
             + self.cell_weight * grounding
         )
 
-        claim_years = _years(query)
-        caption_years = _years(caption)
+        caption_years = payload.caption_years
         if claim_years and caption_years and not claim_years & caption_years:
             score -= self.year_penalty
         return score

@@ -16,6 +16,14 @@ def levenshtein(a: str, b: str) -> int:
     """Edit distance between ``a`` and ``b`` (insert/delete/substitute = 1)."""
     if a == b:
         return 0
+    # a shortest edit script leaves a shared prefix and suffix alone
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_a and start < end_b and a[start] == b[start]:
+        start += 1
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
     if not a:
         return len(b)
     if not b:
@@ -25,11 +33,18 @@ def levenshtein(a: str, b: str) -> int:
     previous = list(range(len(b) + 1))
     for i, ch_a in enumerate(a, start=1):
         current = [i]
+        append = current.append
+        diagonal, left = i - 1, i
         for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
+            above = previous[j]
+            # min(above + 1, left + 1, diagonal + cost), spelled out
+            best = diagonal if ch_a == ch_b else diagonal + 1
+            if above < best:
+                best = above + 1
+            if left < best:
+                best = left + 1
+            append(best)
+            diagonal, left = above, best
         previous = current
     return previous[-1]
 
