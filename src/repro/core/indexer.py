@@ -21,8 +21,10 @@ so downstream modules never know shards exist.
 The module supports the full incremental lifecycle: instances added to
 the lake after :meth:`build` fold in with :meth:`add_instance`, and
 lake churn flows through :meth:`remove_instance` /
-:meth:`update_instance` (tombstone + lazy compaction + re-seal, vector
-eviction, payload-cache eviction) — no full rebuild required.
+:meth:`update_instance` (postings removed at once, the sealed form
+patched on the next read, vector eviction, payload-cache eviction) — no
+full rebuild required; an update re-indexes only the entries whose
+payload changed.
 Mutations are single-writer: do not interleave them with concurrent
 searches.
 """
@@ -82,6 +84,16 @@ def _fold_chunks_to_documents(hits: List[SearchHit], k: int) -> List[SearchHit]:
     return sorted(
         best.values(), key=lambda hit: (-hit.score, hit.instance_id)
     )[:k]
+
+
+def _entries_missing_from(
+    other: Dict[str, str], entries: Dict[str, str]
+) -> Dict[str, str]:
+    """The entries whose ``(id, payload)`` is not in ``other``."""
+    return {
+        index_id: payload for index_id, payload in entries.items()
+        if other.get(index_id) != payload
+    }
 
 
 class IndexerModule:
@@ -171,13 +183,50 @@ class IndexerModule:
             name=f"vec-{modality.value}",
         )
 
-    def _add_to_indexes(self, modality: Modality, instance: DataInstance) -> None:
+    def _instance_entries(
+        self, instance: DataInstance
+    ) -> Dict[Modality, Dict[str, str]]:
+        """Every ``index id -> payload`` entry one lake instance is
+        indexed under, per modality: a table is a TABLE entry plus a
+        TUPLE entry per row (matching :meth:`build`'s coverage)."""
+        if isinstance(instance, Table):
+            return {
+                Modality.TABLE: dict(self._payload_entries(instance)),
+                Modality.TUPLE: {
+                    index_id: payload
+                    for row in instance.iter_rows()
+                    for index_id, payload in self._payload_entries(row)
+                },
+            }
+        modality = (
+            Modality.TEXT if isinstance(instance, TextDocument)
+            else Modality.TUPLE
+        )
+        return {modality: dict(self._payload_entries(instance))}
+
+    def _index_entries(
+        self, modality: Modality, entries: Dict[str, str]
+    ) -> None:
         content = self._content[modality]
         semantic = self._semantic.get(modality)
-        for index_id, payload in self._payload_entries(instance):
+        for index_id, payload in entries.items():
             content.add(index_id, payload)
             if semantic is not None:
                 semantic.add(index_id, payload)
+
+    def _unindex_entries(
+        self, modality: Modality, entries: Dict[str, str]
+    ) -> None:
+        """Drop entries from the content index, the vector index and the
+        payload cache (a row is cached under its entry id; a chunk id
+        is never cached, so evicting it is a harmless miss)."""
+        content = self._content[modality]
+        semantic = self._semantic.get(modality)
+        for index_id in entries:
+            content.remove(index_id)
+            if semantic is not None:
+                semantic.remove(index_id)
+            self._evict_payload(index_id)
 
     def _modality_entries(self, modality: Modality) -> List[Tuple[str, str]]:
         """Every (index id, payload) entry of one modality, in lake
@@ -329,14 +378,8 @@ class IndexerModule:
         if not self._built:
             self.build()
             return
-        if isinstance(instance, Table):
-            self._add_to_indexes(Modality.TABLE, instance)
-            for row in instance.iter_rows():
-                self._add_to_indexes(Modality.TUPLE, row)
-        elif isinstance(instance, TextDocument):
-            self._add_to_indexes(Modality.TEXT, instance)
-        else:
-            self._add_to_indexes(Modality.TUPLE, instance)
+        for modality, entries in self._instance_entries(instance).items():
+            self._index_entries(modality, entries)
         self._metrics.counter("indexer.mutations.added").inc()
 
     def remove_instance(self, instance: DataInstance) -> None:
@@ -345,9 +388,9 @@ class IndexerModule:
         Takes the removed instance itself (what
         :meth:`DataLake.remove_instance` returns) because its derived
         index entries — a table's tuples, a chunked document's chunks —
-        are recomputed from it.  Content indexes tombstone and compact
-        lazily on the next read; vector and payload-cache entries are
-        evicted eagerly.  Before :meth:`build` the indexes need nothing
+        are recomputed from it.  Content postings, vector and
+        payload-cache entries all go at once.  Before :meth:`build` the
+        indexes need nothing
         (the next build reads the already-mutated lake), but the
         payload cache predates the build and must still evict, or
         :meth:`fetch_payload` keeps serving an instance the lake no
@@ -356,14 +399,9 @@ class IndexerModule:
         if not self._built:
             self._evict_instance_payloads(instance)
             return
-        if isinstance(instance, Table):
-            self._remove_from_indexes(Modality.TABLE, instance)
-            for row in instance.iter_rows():
-                self._remove_from_indexes(Modality.TUPLE, row)
-        elif isinstance(instance, TextDocument):
-            self._remove_from_indexes(Modality.TEXT, instance)
-        else:
-            self._remove_from_indexes(Modality.TUPLE, instance)
+        for modality, entries in self._instance_entries(instance).items():
+            self._unindex_entries(modality, entries)
+        self._evict_payload(instance.instance_id)
         self._metrics.counter("indexer.mutations.removed").inc()
 
     def update_instance(
@@ -373,7 +411,10 @@ class IndexerModule:
 
         Needs both versions: the old one names the entries to drop
         (its chunk/tuple ids may differ from the new one's), the new
-        one is what :meth:`DataLake.update_instance` registered.
+        one is what :meth:`DataLake.update_instance` registered.  Only
+        the entries whose ``(id, payload)`` differs between the two are
+        touched — a one-cell change re-indexes the table and that row,
+        not every row — so a write costs what it changed.
         Before :meth:`build` only the payload cache needs work: the old
         version's cached serializations are evicted so
         :meth:`fetch_payload` re-serializes the new one.
@@ -386,20 +427,19 @@ class IndexerModule:
         if not self._built:
             self._evict_instance_payloads(old)
             return
-        self.remove_instance(old)
-        self.add_instance(new)
+        before = self._instance_entries(old)
+        after = self._instance_entries(new)
+        for modality, entries in before.items():
+            dropped = _entries_missing_from(after.get(modality, {}), entries)
+            self._unindex_entries(modality, dropped)
+        self._evict_payload(old.instance_id)
+        for modality, entries in after.items():
+            added = _entries_missing_from(before.get(modality, {}), entries)
+            self._index_entries(modality, added)
+        # an update is one removal and one addition, as it is counted
+        self._metrics.counter("indexer.mutations.removed").inc()
+        self._metrics.counter("indexer.mutations.added").inc()
         self._metrics.counter("indexer.mutations.updated").inc()
-
-    def _remove_from_indexes(
-        self, modality: Modality, instance: DataInstance
-    ) -> None:
-        content = self._content[modality]
-        semantic = self._semantic.get(modality)
-        for index_id, _ in self._payload_entries(instance):
-            content.remove(index_id)
-            if semantic is not None:
-                semantic.remove(index_id)
-        self._evict_payload(instance.instance_id)
 
     def _evict_instance_payloads(self, instance: DataInstance) -> None:
         """Evict every payload-cache entry an instance can be fetched

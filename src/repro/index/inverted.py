@@ -44,27 +44,46 @@ Two extensions support the sharded deployment
   external :class:`CorpusStats` view instead, which is how N shards
   of one logical index all rank with *global* statistics and stay
   score-identical to the unsharded build;
-* **live mutation** — :meth:`remove` tombstones a document in O(1)
-  (statistics are corrected immediately; postings keep the dead
-  entries), and the next scoring read compacts the postings lazily
-  and re-seals.  :meth:`update` is remove + add.
+* **live mutation** — :meth:`add` and :meth:`remove` edit the dict
+  form at once, in O(the document's distinct tokens): each document
+  keeps a record of its tokens, so a removal deletes exactly its own
+  postings (and drops a row it empties) without walking anyone
+  else's.  :meth:`update` is remove + add, which moves the document to
+  the end of the document order.  A write un-publishes the sealed form
+  but keeps it as the *base* the next :meth:`seal` patches: the net
+  removals and additions since the base are folded into its CSR arrays
+  in a fixed number of numpy passes, with Python only over the
+  postings that were added, and ``norm`` / ``idf_flat`` — which every
+  write moves — are re-derived from the integer statistics.  The
+  patched arrays are byte-identical to a compile from nothing
+  (``tests/test_index_patch.py``); with no base (first seal,
+  :meth:`invalidate_seal`, the bulk build) ``seal`` compiles.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
+from bisect import insort
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, compress
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-try:  # numpy powers the sealed form; the dict form needs nothing
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import SearchHit, SearchIndex, top_k
+from repro.obs.metrics import get_registry
 from repro.text import analyze
+
+
+def _bm25_idf(num_docs: int, df: int) -> float:
+    """BM25+ style idf, floored at a small positive value."""
+    if num_docs == 0:
+        return 0.0
+    raw = math.log((num_docs - df + 0.5) / (df + 0.5) + 1.0)
+    return max(raw, 1e-6)
 
 
 class CorpusStats:
@@ -81,15 +100,15 @@ class CorpusStats:
         self._index = index
 
     def doc_count(self) -> int:
-        """Number of live (non-tombstoned) documents."""
+        """Number of documents."""
         return len(self._index._doc_length)
 
     def total_token_length(self) -> int:
-        """Sum of live document lengths (for average length)."""
+        """Sum of document lengths (for average length)."""
         return self._index._total_length
 
     def df(self, token: str) -> int:
-        """Number of live documents containing ``token``."""
+        """Number of documents containing ``token``."""
         return self._index.local_df(token)
 
 
@@ -123,6 +142,7 @@ class _SealedPostings:
         doc_idx: "np.ndarray",
         tf_flat: "np.ndarray",
         idf_flat: "np.ndarray",
+        tok_pos: Optional[Dict[str, int]] = None,
     ) -> None:
         self.doc_ids = doc_ids
         self.norm = norm            # per-doc k1 * (1 - b + b * len/avg)
@@ -131,10 +151,12 @@ class _SealedPostings:
         self.doc_idx = doc_idx      # concatenated doc-index postings
         self.tf_flat = tf_flat      # concatenated term frequencies
         self.idf_flat = idf_flat    # per-token BM25+ idf, token order
-        #: token -> position in the sorted vocabulary (CSR row index)
-        self.tok_pos: Dict[str, int] = {
-            token: i for i, token in enumerate(tokens)
-        }
+        #: token -> position in the sorted vocabulary (CSR row index);
+        #: a patch has already built it to place its additions
+        self.tok_pos: Dict[str, int] = (
+            tok_pos if tok_pos is not None
+            else dict(zip(tokens, range(len(tokens))))
+        )
         #: per-posting BM25 contribution for qtf = 1, lazily compiled by
         #: the query-matrix kernel (derived data, never persisted)
         self.contrib_flat: Optional["np.ndarray"] = None
@@ -206,18 +228,28 @@ class InvertedIndex(SearchIndex):
         self.b = b
         self.remove_stopwords = remove_stopwords
         self.stemming = stemming
-        self.auto_seal = auto_seal and np is not None
+        self.auto_seal = auto_seal
         self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
         self._doc_length: Dict[str, int] = {}
+        #: document -> its distinct tokens (the postings dict's own
+        #: interned key objects, so the record costs pointers, not
+        #: strings): what lets remove() delete exactly its own postings
+        self._doc_tokens: Dict[str, Tuple[str, ...]] = {}
         self._total_length = 0
         self._sealed: Optional[_SealedPostings] = None
-        # serializes the lazy compile in seal()/_contrib_flat(): the
+        # serializes the lazy seal in seal()/_contrib_flat(): the
         # scatter paths fan search out over threads, and two of them
-        # hitting an unsealed shard must not compact concurrently
+        # hitting an unsealed shard must not both compile and publish
         self._seal_lock = threading.Lock()
-        # ids removed but not yet purged from the postings; any scoring
-        # read compacts first, so stale entries are never scored
-        self._tombstones: Dict[str, None] = {}
+        #: the last published seal, kept across writes so the next
+        #: seal() patches it; ``None`` = nothing to patch, compile
+        self._base: Optional[_SealedPostings] = None
+        #: the net writes since ``_base``: its documents removed since,
+        #: and the documents added since, in order.  An updated
+        #: document is in both: its old version dead, its new one fresh.
+        #: Recorded only while there is a base; reset at each publication
+        self._dead: Set[str] = set()
+        self._fresh: Dict[str, None] = {}
         #: True for an index memmap-attached from a persisted sealed
         #: snapshot: its dict postings are absent, so mutation (which
         #: would silently lose the corpus) is refused
@@ -251,64 +283,74 @@ class InvertedIndex(SearchIndex):
         self._forbid_attached_mutation("add")
         if instance_id in self._doc_length:
             raise ValueError(f"duplicate instance id: {instance_id}")
-        if instance_id in self._tombstones:
-            # re-adding a tombstoned id: purge its stale postings first,
-            # or compaction would later delete the fresh entries too
-            self.compact()
-        self._sealed = None  # any write invalidates the compiled form
         tokens = self._analyze(payload)
+        self._sealed = None  # any write un-publishes the compiled form
+        if self._base is not None:
+            self._fresh[instance_id] = None
         self._doc_length[instance_id] = len(tokens)
         self._total_length += len(tokens)
-        for token, count in Counter(tokens).items():
+        counts = Counter(tokens)
+        distinct = tuple(map(sys.intern, counts))
+        for token, count in zip(distinct, counts.values()):
             self._postings[token][instance_id] = count
+        self._doc_tokens[instance_id] = distinct
 
     def remove(self, instance_id: str) -> None:
-        """Tombstone one document in O(1).
+        """Delete one document's postings, in O(its distinct tokens).
 
-        Statistics (document count, total length) are corrected
-        immediately so idf/avg-length reads stay exact; the document's
-        postings entries are purged lazily by :meth:`compact` on the
-        next scoring read.  Raises ``KeyError`` for an unknown id.
+        Statistics, postings and vocabulary (a row the document was the
+        last carrier of is dropped) are all corrected before this
+        returns.  Raises ``KeyError`` for an unknown id.
         """
         self._forbid_attached_mutation("remove")
         length = self._doc_length.pop(instance_id)  # KeyError when absent
         self._total_length -= length
-        self._tombstones[instance_id] = None
-        self._sealed = None  # any write invalidates the compiled form
+        for token in self._doc_tokens.pop(instance_id):
+            row = self._postings[token]
+            del row[instance_id]
+            if not row:
+                del self._postings[token]
+        self._sealed = None  # any write un-publishes the compiled form
+        if self._base is not None:
+            if instance_id in self._fresh:
+                del self._fresh[instance_id]
+            else:
+                self._dead.add(instance_id)
 
     def update(self, instance_id: str, payload: str) -> None:
         """Replace one document's payload (remove + add)."""
         self.remove(instance_id)
         self.add(instance_id, payload)
 
-    def compact(self) -> None:
-        """Purge tombstoned documents from the postings (idempotent).
-
-        Deferred from :meth:`remove` to the next scoring read so a
-        burst of removals pays for one postings walk, not one per
-        delete.
-        """
-        if not self._tombstones:
-            return
-        dead = self._tombstones
-        empty_tokens = []
-        for token, entry in self._postings.items():
-            stale = [doc_id for doc_id in entry if doc_id in dead]
-            for doc_id in stale:
-                del entry[doc_id]
-            if not entry:
-                empty_tokens.append(token)
-        for token in empty_tokens:
-            del self._postings[token]
-        self._tombstones = {}
-
-    @property
-    def pending_tombstones(self) -> int:
-        """Removed documents not yet compacted out of the postings."""
-        return len(self._tombstones)
+    def _restore(
+        self,
+        doc_length: Mapping[str, int],
+        postings: Mapping[str, Mapping[str, int]],
+    ) -> None:
+        """Fill this (empty) index from a snapshot's dict form — the
+        one place outside :meth:`add` that builds write-side state, so
+        a loaded index has every record a later ``remove`` needs."""
+        self._doc_length = {
+            doc_id: int(length) for doc_id, length in doc_length.items()
+        }
+        self._total_length = sum(self._doc_length.values())
+        records: Dict[str, List[str]] = {doc_id: [] for doc_id in doc_length}
+        for token, row in postings.items():
+            if not row:
+                continue
+            token = sys.intern(token)
+            self._postings[token] = {
+                doc_id: int(count) for doc_id, count in row.items()
+            }
+            for doc_id in row:
+                records[doc_id].append(token)
+        self._doc_tokens = {
+            doc_id: tuple(record) for doc_id, record in records.items()
+        }
 
     def invalidate_seal(self) -> None:
-        """Drop the compiled read form (next search re-seals).
+        """Drop the compiled read form *and* the base a patch would
+        start from: the next seal compiles from nothing.
 
         The sharded layer calls this on *every* shard when *any* shard
         mutates: global corpus statistics changed, so every shard's
@@ -317,14 +359,13 @@ class InvertedIndex(SearchIndex):
         """
         self._forbid_attached_mutation("invalidate the seal")
         self._sealed = None
+        self._base = None
 
     def __len__(self) -> int:
         return len(self._doc_length)
 
     def local_df(self, token: str) -> int:
-        """Document frequency of ``token`` in *this* index's postings
-        (compacting first, so tombstoned documents never count)."""
-        self.compact()
+        """Document frequency of ``token`` in *this* index's postings."""
         return len(self._postings.get(token, ()))
 
     @property
@@ -338,12 +379,7 @@ class InvertedIndex(SearchIndex):
     def idf(self, token: str) -> float:
         """BM25+ style idf, floored at a small positive value."""
         stats = self._stats()
-        num_docs = stats.doc_count()
-        df = stats.df(token)
-        if num_docs == 0:
-            return 0.0
-        raw = math.log((num_docs - df + 0.5) / (df + 0.5) + 1.0)
-        return max(raw, 1e-6)
+        return _bm25_idf(stats.doc_count(), stats.df(token))
 
     # ------------------------------------------------------------------
     # sealed (compiled) form
@@ -358,60 +394,203 @@ class InvertedIndex(SearchIndex):
         return self._attached
 
     def seal(self) -> "InvertedIndex":
-        """Compile the postings into the flat vectorized read form.
+        """Bring the flat vectorized read form up to date.
 
         Idempotent; called lazily by :meth:`search` when ``auto_seal``
-        is on.  The next :meth:`add` invalidates the compiled form.
-        Safe under concurrent readers: the compile (which includes a
-        :meth:`compact` postings walk) runs under a lock, so a second
-        searching thread blocks instead of reading half-compacted
-        postings or publishing a duplicate seal.
+        is on.  The next write un-publishes the compiled form.  One
+        rule picks the work: a base exists (a seal was published and
+        only ``add`` / ``remove`` happened since) -> patch it; no base
+        -> compile from the dict form.  Safe under concurrent readers:
+        either runs under a lock and publishes a *new* seal, so a
+        second searching thread blocks instead of publishing a
+        duplicate, and a reader still holding the previous seal keeps
+        a consistent one.
         """
-        if np is None:
-            raise RuntimeError("sealing requires numpy")
         if self._sealed is not None:
             return self
         with self._seal_lock:
             if self._sealed is None:
-                self._seal_build_locked()
+                if self._base is None:
+                    self._compile_locked()
+                else:
+                    self._patch_locked()
         return self
 
-    def _seal_build_locked(self) -> None:
-        """Compile and publish the sealed form; caller holds
+    def _compile_locked(self) -> None:
+        """Compile the dict form from nothing; caller holds
         ``_seal_lock``."""
-        self.compact()
         doc_ids = list(self._doc_length)
-        doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        avg_len = self.avg_doc_length
-        norm = np.empty(len(doc_ids), dtype=np.float64)
-        for i, doc_id in enumerate(doc_ids):
-            doc_len = self._doc_length[doc_id]
-            # exactly the dict scorer's denominator term, hoisted per doc
-            norm[i] = self.k1 * (
-                1 - self.b + self.b * doc_len / avg_len if avg_len else 1.0
-            )
+        doc_pos = dict(zip(doc_ids, range(len(doc_ids))))
         tokens = sorted(self._postings)
+        rows = [self._postings[token] for token in tokens]
         tok_start = np.zeros(len(tokens) + 1, dtype=np.int64)
-        for i, token in enumerate(tokens):
-            tok_start[i + 1] = tok_start[i] + len(self._postings[token])
-        total = int(tok_start[-1])
-        doc_idx = np.empty(total, dtype=np.int64)
-        tf_flat = np.empty(total, dtype=np.float64)
-        for i, token in enumerate(tokens):
-            entry = self._postings[token]
-            start, end = int(tok_start[i]), int(tok_start[i + 1])
-            doc_idx[start:end] = np.fromiter(
-                (doc_pos[doc_id] for doc_id in entry),
-                dtype=np.int64, count=len(entry),
-            )
-            tf_flat[start:end] = np.fromiter(
-                entry.values(), dtype=np.float64, count=len(entry)
-            )
-        idf_flat = np.array(
-            [self.idf(token) for token in tokens], dtype=np.float64
+        np.cumsum(
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+            out=tok_start[1:],
         )
-        self._sealed = _SealedPostings(
-            doc_ids, norm, tokens, tok_start, doc_idx, tf_flat, idf_flat
+        total = int(tok_start[-1])
+        # each row in its dict (= document) order, rows in token order
+        doc_idx = np.fromiter(
+            map(doc_pos.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64, count=total,
+        )
+        tf_flat = np.fromiter(
+            chain.from_iterable(map(dict.values, rows)),
+            dtype=np.float64, count=total,
+        )
+        self._publish_locked(doc_ids, tokens, tok_start, doc_idx, tf_flat)
+        get_registry().counter("index.seal.compiled").inc()
+
+    def _patch_locked(self) -> None:
+        """Fold the writes since ``_base`` into its CSR arrays; caller
+        holds ``_seal_lock``.
+
+        Produces, array for array and byte for byte, what
+        :meth:`_compile_locked` would: documents in ``_doc_length``
+        order (the base's survivors, then the fresh ones), every row in
+        document order (its surviving postings, then the fresh ones),
+        rows in sorted token order (emptied rows dropped, first-seen
+        tokens inserted in place).  The base's arrays are only read.
+        """
+        # a patch that fails half way leaves no base: next seal compiles
+        base, self._base = self._base, None
+        dead, fresh = self._dead, list(self._fresh)
+        if dead:
+            keep_doc = ~np.fromiter(
+                map(dead.__contains__, base.doc_ids),
+                dtype=bool, count=len(base.doc_ids),
+            )
+            keep = keep_doc[base.doc_idx]
+            # each dead posting shortens the row its position falls in
+            dead_rows = np.searchsorted(
+                base.tok_start, np.flatnonzero(~keep), side="right"
+            ) - 1
+            kept_len = np.diff(base.tok_start) - np.bincount(
+                dead_rows, minlength=len(base.tokens)
+            )
+            kept_docs = base.doc_idx[keep]
+            # survivors close ranks; every index is in range, and
+            # mode="raise" would buffer the whole output
+            np.take(
+                np.cumsum(keep_doc) - 1, kept_docs, out=kept_docs,
+                mode="clip",
+            )
+            kept_tf = base.tf_flat[keep]
+            del keep, keep_doc
+        else:
+            kept_len = np.diff(base.tok_start)
+            kept_docs, kept_tf = base.doc_idx, base.tf_flat
+
+        # the fresh documents' postings, document by document
+        first_fresh = len(base.doc_ids) - len(dead)
+        add_tokens: List[str] = []
+        add_docs: List[int] = []
+        add_tf: List[int] = []
+        for offset, doc_id in enumerate(fresh):
+            record = self._doc_tokens[doc_id]
+            add_tokens.extend(record)
+            add_docs.extend([first_fresh + offset] * len(record))
+            add_tf.extend([self._postings[t][doc_id] for t in record])
+
+        # vocabulary: a base row lives on if a posting survived or a
+        # fresh one lands in it; first-seen tokens are inserted in order
+        touched = dict.fromkeys(add_tokens)
+        alive = kept_len > 0
+        alive[[base.tok_pos[t] for t in touched if t in base.tok_pos]] = True
+        tokens = list(compress(base.tokens, alive.tolist()))
+        first_seen = [t for t in touched if t not in base.tok_pos]
+        for token in first_seen:
+            insort(tokens, token)
+        tok_pos = dict(zip(tokens, range(len(tokens))))
+        del base  # nothing below reads it: let its arrays go first
+
+        # row lengths: the surviving base rows keep their order around
+        # the first-seen rows, then every row grows by its additions
+        kept_end = np.zeros(len(tokens), dtype=np.int64)
+        from_base = np.ones(len(tokens), dtype=bool)
+        from_base[[tok_pos[t] for t in first_seen]] = False
+        kept_end[from_base] = kept_len[alive]
+        np.cumsum(kept_end, out=kept_end)
+        add_rows = np.fromiter(
+            map(tok_pos.__getitem__, add_tokens),
+            dtype=np.int64, count=len(add_tokens),
+        )
+        tok_start = np.zeros(len(tokens) + 1, dtype=np.int64)
+        tok_start[1:] = kept_end + np.cumsum(
+            np.bincount(add_rows, minlength=len(tokens))
+        )
+        # an addition lands behind the surviving postings of its row and
+        # of every row before it, and behind the additions before it
+        order = np.argsort(add_rows, kind="stable")
+        at = kept_end[add_rows[order]] + np.arange(order.size)
+        survivor = np.ones(int(tok_start[-1]), dtype=bool)
+        survivor[at] = False
+        doc_idx = np.empty(survivor.size, dtype=np.int64)
+        doc_idx[survivor] = kept_docs
+        doc_idx[at] = np.array(add_docs, dtype=np.int64)[order]
+        del kept_docs
+        tf_flat = np.empty(survivor.size, dtype=np.float64)
+        tf_flat[survivor] = kept_tf
+        tf_flat[at] = np.array(add_tf, dtype=np.float64)[order]
+        del kept_tf
+        self._publish_locked(
+            list(self._doc_length), tokens, tok_start, doc_idx, tf_flat,
+            tok_pos,
+        )
+        get_registry().counter("index.seal.patched").inc()
+
+    def _scoring_tables(
+        self, tokens: List[str], tok_start: "np.ndarray"
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(norm, idf_flat)`` from the integer statistics — the one
+        derivation both :meth:`_compile_locked` and
+        :meth:`_patch_locked` publish, replaying the dict scorer's
+        scalar arithmetic (same operations, same order, same doubles).
+        """
+        lengths = np.fromiter(
+            self._doc_length.values(),
+            dtype=np.float64, count=len(self._doc_length),
+        )
+        avg_len = self.avg_doc_length
+        if avg_len:
+            # exactly the dict scorer's denominator term, hoisted per doc
+            norm = self.k1 * (1 - self.b + self.b * lengths / avg_len)
+        else:
+            norm = np.full(lengths.size, self.k1 * 1.0)
+        stats = self._stats()
+        if self.corpus_stats is None:
+            df = np.diff(tok_start)  # own postings: df is the row length
+        else:
+            df = np.fromiter(
+                map(stats.df, tokens), dtype=np.int64, count=len(tokens)
+            )
+        # math.log once per distinct df (a few hundred values), so each
+        # idf is the very float idf() returns
+        distinct, inverse = np.unique(df, return_inverse=True)
+        num_docs = stats.doc_count()
+        idf_of = np.array(
+            [_bm25_idf(num_docs, n) for n in distinct.tolist()],
+            dtype=np.float64,
+        )
+        return norm, idf_of[inverse]
+
+    def _publish_locked(
+        self,
+        doc_ids: List[str],
+        tokens: List[str],
+        tok_start: "np.ndarray",
+        doc_idx: "np.ndarray",
+        tf_flat: "np.ndarray",
+        tok_pos: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """Publish one new seal and make it the base of the writes to
+        come; caller holds ``_seal_lock``."""
+        norm, idf_flat = self._scoring_tables(tokens, tok_start)
+        self._dead = set()
+        self._fresh = {}
+        self._base = self._sealed = _SealedPostings(
+            doc_ids, norm, tokens, tok_start, doc_idx, tf_flat, idf_flat,
+            tok_pos,
         )
         _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
 
@@ -628,8 +807,7 @@ class InvertedIndex(SearchIndex):
         """Score a whole batch of queries in one query-matrix pass.
 
         Bit-identical to ``[self.search(q, k) for q in queries]`` on the
-        sealed path (differential-tested); falls back to the per-query
-        dict scorer when numpy is unavailable."""
+        sealed path (differential-tested)."""
         queries = list(queries)
         if len(queries) == 1:
             # a 1-row matrix pays the stream-assembly overhead for no
@@ -666,8 +844,6 @@ class InvertedIndex(SearchIndex):
         the sealed ``doc_ids`` order instead of repeated id strings)."""
         queries = list(queries)
         if self._sealed is None:
-            if np is None:
-                raise RuntimeError("search_matrix_arrays requires numpy")
             self.seal()
         ranked = self._score_matrix(self.plan_matrix(queries), k)
         out: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -698,10 +874,9 @@ class InvertedIndex(SearchIndex):
     def search_dict(self, query: str, k: int = 10) -> List[SearchHit]:
         """Reference scorer over the dict postings (the original path).
 
-        Kept as the differential-testing oracle for the sealed form and
-        as the fallback when numpy is unavailable.
+        Kept as the differential-testing oracle for the sealed form,
+        and what an ``auto_seal=False`` index answers with.
         """
-        self.compact()
         tokens = self._analyze(query)
         if not tokens or not self._doc_length:
             return []

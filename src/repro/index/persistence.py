@@ -7,8 +7,8 @@ without re-analyzing the corpus.
 
 Sharded indexes (:class:`~repro.index.shard.ShardedInvertedIndex`)
 snapshot as one manifest file per logical index plus one payload per
-shard; shards are compacted (tombstones purged) before writing, so a
-snapshot never carries dead postings.
+shard.  A removal edits the postings at once, so a snapshot never
+carries a removed document.
 
 Two persistence families live here:
 
@@ -125,7 +125,6 @@ def _attach_array(
 
 def _index_payload(index: InvertedIndex) -> dict:
     """The JSON-serializable snapshot of one inverted index."""
-    index.compact()
     return {
         "version": _FORMAT_VERSION,
         "name": index.name,
@@ -143,26 +142,13 @@ def _index_payload(index: InvertedIndex) -> dict:
     }
 
 
-def _index_from_payload(payload: dict) -> InvertedIndex:
-    """Rebuild one inverted index from its snapshot payload."""
+def _restore_from_payload(index: InvertedIndex, payload: dict) -> None:
+    """Fill an empty index with one snapshot payload's dict form."""
     if payload.get("version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported index format version: {payload.get('version')!r}"
         )
-    index = InvertedIndex(
-        name=payload["name"],
-        k1=payload["k1"],
-        b=payload["b"],
-        remove_stopwords=payload["remove_stopwords"],
-        stemming=payload["stemming"],
-    )
-    index._doc_length = dict(payload["doc_length"])
-    index._total_length = payload["total_length"]
-    for token, postings in payload["postings"].items():
-        index._postings[token] = {
-            doc_id: int(count) for doc_id, count in postings.items()
-        }
-    return index
+    index._restore(payload["doc_length"], payload["postings"])
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -180,7 +166,15 @@ def load_inverted_index(path: Union[str, Path]) -> InvertedIndex:
     """Restore an inverted index written by :func:`save_inverted_index`."""
     with Path(path).open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    return _index_from_payload(payload)
+    index = InvertedIndex(
+        name=payload["name"],
+        k1=payload["k1"],
+        b=payload["b"],
+        remove_stopwords=payload["remove_stopwords"],
+        stemming=payload["stemming"],
+    )
+    _restore_from_payload(index, payload)
+    return index
 
 
 def save_sharded_index(
@@ -225,12 +219,8 @@ def load_sharded_index(path: Union[str, Path]) -> ShardedInvertedIndex:
         remove_stopwords=first["remove_stopwords"],
         stemming=first["stemming"],
     )
-    for shard_no, shard_payload in enumerate(payload["shards"]):
-        restored = _index_from_payload(shard_payload)
-        shard = index.shards[shard_no]
-        shard._doc_length = restored._doc_length
-        shard._total_length = restored._total_length
-        shard._postings = restored._postings
+    for shard, shard_payload in zip(index.shards, payload["shards"]):
+        _restore_from_payload(shard, shard_payload)
     return index
 
 
@@ -394,8 +384,6 @@ def save_sealed_sharded_index(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for shard in index.shards:
-        shard.compact()
     shard_dirs = []
     for shard_no, shard in enumerate(index.shards):
         shard_dir = f"shard-{shard_no:04d}"

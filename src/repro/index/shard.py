@@ -28,7 +28,7 @@ Two properties make that exact rather than approximate:
 
 Mutation propagates: removing or updating an instance in one shard
 invalidates *every* shard's sealed read form (global statistics
-changed), and the next search lazily compacts and re-seals.
+changed), and the next search re-seals.
 
 How the scatter *runs* — serial loop, thread pool, or a process pool
 whose workers memmap-attach sealed shard snapshots — is selected per
@@ -195,7 +195,7 @@ class ShardedInvertedIndex(SearchIndex):
         self._invalidate_seals()
 
     def remove(self, instance_id: str) -> None:
-        """Tombstone one document (KeyError when absent)."""
+        """Remove one document (KeyError when absent)."""
         self.shard_for(instance_id).remove(instance_id)
         self._invalidate_seals()
 
@@ -240,9 +240,7 @@ class ShardedInvertedIndex(SearchIndex):
         ]
 
     def seal(self) -> "ShardedInvertedIndex":
-        """Compact and compile every shard's read form."""
-        for shard in self.shards:
-            shard.compact()
+        """Compile every shard's read form."""
         for shard in self.shards:
             if shard.auto_seal and len(shard):
                 shard.seal()
@@ -253,10 +251,6 @@ class ShardedInvertedIndex(SearchIndex):
         """True when every non-empty shard has a compiled read form."""
         populated = [shard for shard in self.shards if len(shard)]
         return bool(populated) and all(s.is_sealed for s in populated)
-
-    @property
-    def pending_tombstones(self) -> int:
-        return sum(shard.pending_tombstones for shard in self.shards)
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)

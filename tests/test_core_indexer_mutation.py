@@ -87,10 +87,13 @@ class TestInvertedIndexSealLifecycle:
         index.add("a", "shared token alpha")
         index.add("b", "shared token beta")
         index.remove("a")
-        assert index.pending_tombstones == 1
+        # the removal is complete before any read: "a" is unreachable
+        # and the token only it carried is out of the vocabulary
+        assert index.local_df("alpha") == 0
+        assert index.local_df("token") == 1
         hits = index.search("shared token", 5)
         assert [h.instance_id for h in hits] == ["b"]
-        assert index.pending_tombstones == 0
+        assert index.search("alpha", 5) == []
 
     def test_remove_then_readd_same_id(self):
         index = self.build()
@@ -113,13 +116,13 @@ class TestInvertedIndexSealLifecycle:
         index = self.build()
         before = index.avg_doc_length
         index.remove("a")
-        # stats reflect the removal immediately, tombstone or not
-        assert index.pending_tombstones == 1
+        # every statistic reflects the removal at once, before any read
+        assert not index.is_sealed
         assert len(index) == 2
         assert index.avg_doc_length != before or index._total_length >= 0
         # df is over post-analysis tokens ("apples" stems to "apple");
-        # "orchard" appeared in docs a and c, and a is now tombstoned
-        assert index.local_df("orchard") == 1  # compacts on read
+        # "orchard" appeared in docs a and c, and a is now gone
+        assert index.local_df("orchard") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,606 @@
+"""A patched seal is a compiled seal, byte for byte.
+
+``InvertedIndex.seal()`` after a write folds the net removals and
+additions into the last published seal instead of compiling the dict
+form from nothing.  Everything else in the index stack — dict ≡ sealed ≡
+matrix ≡ sharded, the memmap snapshot bytes, the process-pool spool —
+rests on one property, proved here: after any sequence of writes the
+seven sealed arrays (``doc_ids``, ``norm``, ``tokens``, ``tok_start``,
+``doc_idx``, ``tf_flat``, ``idf_flat``) of the patched seal equal, as
+bytes, those of ``invalidate_seal(); seal()`` over the same dict form.
+
+The index under test chains patch on patch; a *mirror* index receives
+the same writes and always compiles, so the two never share a seal.
+``make bench-quick`` runs this file, ``make sanitize`` runs it under the
+lockset sanitizer, and it is one of ``make coverage``'s suites for
+``index/inverted.py``.
+"""
+
+import hashlib
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.config import VerifAIConfig
+from repro.core.indexer import IndexerModule
+from repro.datalake.types import Modality, Table
+from repro.index.inverted import InvertedIndex
+from repro.index.persistence import attach_sealed_index, save_sealed_index
+from repro.obs.metrics import get_registry
+from repro.verify.base import VerificationError
+from repro.workloads.builder import LakeConfig, build_lake
+
+SEVEN = (
+    "doc_ids", "norm", "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat"
+)
+
+#: sha256 of the seven arrays compiled at ``bff0fe4`` (the parent of the
+#: PR that rewrote the compile) from ``seeded_pair(14, docs=400)``: as
+#: built, and after ``churn_for_the_pin``
+PINNED_BUILT = (
+    "60ea0071b25b47d6308c5c9e32917b23bf9d6c11e7d1fd8bb01367426e316c79"
+)
+PINNED_CHURNED = (
+    "99170ab044d9f96b8d7efff630a41e17253650f1b9d74f1f5254225ea985a5c0"
+)
+
+SYLLABLES = (
+    "ka", "to", "mi", "ra", "ne", "so", "lu", "vi", "da", "po", "chi", "ben"
+)
+
+
+def word(rank):
+    """The ``rank``-th pseudo-word: its base-12 digits as syllables."""
+    parts = [SYLLABLES[rank % 12]]
+    rank //= 12
+    while rank:
+        parts.append(SYLLABLES[rank % 12])
+        rank //= 12
+    return "".join(parts) + "x"
+
+
+def payload(rng, vocabulary=600):
+    """5-40 words, low ranks far more frequent than high ones."""
+    return " ".join(
+        word(int(rng.random() ** 3 * vocabulary))
+        for _ in range(rng.randint(5, 40))
+    )
+
+
+def seven(index):
+    """The seven sealed arrays of ``index`` as bytes, by name."""
+    return seven_of(index._sealed)
+
+
+def seven_of(sealed):
+    return {
+        "doc_ids": "\n".join(sealed.doc_ids).encode(),
+        "norm": sealed.norm.tobytes(),
+        "tokens": "\n".join(sealed.tokens).encode(),
+        "tok_start": sealed.tok_start.tobytes(),
+        "doc_idx": sealed.doc_idx.tobytes(),
+        "tf_flat": sealed.tf_flat.tobytes(),
+        "idf_flat": sealed.idf_flat.tobytes(),
+    }
+
+
+def first_difference(left, right):
+    """Name of the first of the seven arrays whose bytes differ."""
+    for name in SEVEN:
+        if left[name] != right[name]:
+            return name
+    return None
+
+
+def digest(arrays):
+    hasher = hashlib.sha256()
+    for name in SEVEN:
+        hasher.update(len(arrays[name]).to_bytes(8, "big"))
+        hasher.update(arrays[name])
+    return hasher.hexdigest()
+
+
+def pairs(hits):
+    return [(hit.instance_id, hit.score) for hit in hits]
+
+
+class Pair:
+    """The index under test and its always-compiling mirror."""
+
+    def __init__(self, **kwargs):
+        self.live = InvertedIndex(name="pair", **kwargs)
+        self.mirror = InvertedIndex(name="pair", **kwargs)
+
+    def add(self, doc_id, text):
+        self.live.add(doc_id, text)
+        self.mirror.add(doc_id, text)
+
+    def remove(self, doc_id):
+        self.live.remove(doc_id)
+        self.mirror.remove(doc_id)
+
+    def update(self, doc_id, text):
+        self.live.update(doc_id, text)
+        self.mirror.update(doc_id, text)
+
+    def ids(self):
+        return list(self.live._doc_length)
+
+    def check(self, queries=("kax tox", "mix"), k=10, context=None):
+        """Seal the live index (a patch, when it has a base), compile
+        the mirror from nothing, and demand equal bytes and equal hits
+        on every scoring path."""
+        self.live.seal()
+        self.mirror.invalidate_seal()
+        self.mirror.seal()
+        assert first_difference(
+            seven(self.live), seven(self.mirror)
+        ) is None, context
+        queries = list(queries)
+        expected = [pairs(self.mirror.search_dict(q, k)) for q in queries]
+        assert [pairs(self.live.search(q, k)) for q in queries] == expected
+        assert [
+            pairs(hits) for hits in self.live.search_matrix(queries, k)
+        ] == expected, context
+        assert [
+            pairs(self.live.search_dict(q, k)) for q in queries
+        ] == expected, context
+
+
+def seeded_pair(seed, docs=60, **kwargs):
+    rng = random.Random(seed)
+    pair = Pair(**kwargs)
+    for number in range(docs):
+        pair.add(f"doc{number}", payload(rng))
+    return pair, rng
+
+
+def churn_for_the_pin(index, rng):
+    for number in range(0, 400, 7):
+        index.remove(f"doc{number}")
+    for number in range(3, 400, 11):
+        if f"doc{number}" in index._doc_length:
+            index.update(f"doc{number}", payload(rng))
+    for number in range(0, 400, 21):
+        index.add(f"doc{number}", payload(rng))
+
+
+def patched_count():
+    return get_registry().counter("index.seal.patched").value
+
+
+def compiled_count():
+    return get_registry().counter("index.seal.compiled").value
+
+
+# ---------------------------------------------------------------------------
+# the compile itself did not move
+# ---------------------------------------------------------------------------
+class TestCompileIsPinned:
+    def test_compiled_arrays_are_the_parents(self):
+        pair, rng = seeded_pair(14, docs=400)
+        index = pair.mirror
+        index.seal()
+        assert digest(seven(index)) == PINNED_BUILT
+        churn_for_the_pin(index, rng)
+        index.invalidate_seal()
+        index.seal()
+        assert digest(seven(index)) == PINNED_CHURNED
+
+    def test_patching_reaches_the_pinned_bytes_too(self):
+        pair, rng = seeded_pair(14, docs=400)
+        index = pair.live
+        index.seal()
+        churn_for_the_pin(index, rng)
+        before = patched_count()
+        index.seal()
+        assert patched_count() == before + 1
+        assert digest(seven(index)) == PINNED_CHURNED
+
+    @pytest.mark.parametrize("name", SEVEN)
+    def test_one_flipped_bit_is_a_difference(self, name):
+        pair, _ = seeded_pair(2, docs=12)
+        pair.live.seal()
+        reference = seven(pair.live)
+        mutant = dict(reference)
+        flipped = bytearray(mutant[name])
+        flipped[len(flipped) // 2] ^= 1
+        mutant[name] = bytes(flipped)
+        assert first_difference(reference, reference) is None
+        assert first_difference(reference, mutant) == name
+        assert digest(reference) != digest(mutant)
+
+
+# ---------------------------------------------------------------------------
+# seeded interleavings
+# ---------------------------------------------------------------------------
+class TestSeededInterleavings:
+    @pytest.mark.parametrize("burst", [1, 2, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bursts_patch_to_compiled_bytes(self, seed, burst):
+        pair, rng = seeded_pair(seed)
+        pair.check()
+        fresh_ids = iter(range(10_000, 20_000))
+        compiled = compiled_count()
+        for round_no in range(120 // burst + 3):
+            for _ in range(burst):
+                alive = pair.ids()
+                roll = rng.random()
+                # rare high ranks: the vocabulary grows and shrinks
+                text = payload(rng, vocabulary=rng.choice([20, 600, 3000]))
+                if roll < 0.35 or len(alive) < 3:
+                    pair.add(f"new{next(fresh_ids)}", text)
+                elif roll < 0.65:
+                    pair.remove(rng.choice(alive))
+                else:
+                    pair.update(rng.choice(alive), text)
+            assert not pair.live.is_sealed
+            before = patched_count()
+            pair.check(
+                queries=[payload(rng), payload(rng, 20), "zzzx"],
+                context=(seed, burst, round_no),
+            )
+            assert patched_count() == before + 1
+        # the live index never compiled again (the mirror did, always)
+        assert compiled_count() - compiled == 120 // burst + 3
+
+
+# ---------------------------------------------------------------------------
+# the cases worth naming
+# ---------------------------------------------------------------------------
+class TestNamedCases:
+    def small(self):
+        pair = Pair()
+        pair.add("a", "kax tox mix")
+        pair.add("b", "tox rax rax nex")
+        pair.add("c", "mix sox lux")
+        pair.add("d", "kax kax vix")
+        pair.check()
+        return pair
+
+    def test_token_seen_for_the_first_time(self):
+        pair = self.small()
+        pair.add("e", "aax zzzx tox")  # before the first and after the last
+        pair.check(queries=["aax", "zzzx tox"])
+        assert pair.live._sealed.tokens[0] == "aax"
+        assert pair.live._sealed.tokens[-1] == "zzzx"
+
+    def test_last_carrier_of_a_token_removed(self):
+        pair = self.small()
+        pair.remove("b")  # the only document with rax and nex
+        pair.check(queries=["rax nex", "tox"])
+        assert "rax" not in pair.live._sealed.tok_pos
+        assert pair.live.search("rax", 5) == []
+
+    def test_first_and_last_document_removed(self):
+        pair = self.small()
+        pair.remove("a")
+        pair.check()
+        pair.remove("d")
+        pair.check()
+        assert pair.live._sealed.doc_ids == ["b", "c"]
+
+    def test_add_then_remove_inside_one_burst(self):
+        pair = self.small()
+        untouched = seven(pair.live)
+        pair.add("e", "pox dax chix")
+        pair.remove("e")
+        assert not pair.live.is_sealed
+        pair.check()
+        assert first_difference(seven(pair.live), untouched) is None
+
+    def test_remove_then_readd_of_one_id(self):
+        pair = self.small()
+        pair.remove("a")
+        pair.add("a", "pox dax")
+        pair.check(queries=["pox", "kax"])
+        assert pair.live._sealed.doc_ids == ["b", "c", "d", "a"]
+        assert pairs(pair.live.search("mix", 5)) == pairs(
+            pair.mirror.search_dict("mix", 5)
+        )
+        assert "a" not in [h.instance_id for h in pair.live.search("mix", 5)]
+
+    def test_readd_then_remove_again_inside_one_burst(self):
+        pair = self.small()
+        pair.update("a", "pox dax")
+        pair.remove("a")
+        pair.add("e", "kax benx")
+        pair.check(queries=["pox", "kax"])
+        assert pair.live._sealed.doc_ids == ["b", "c", "d", "e"]
+
+    def test_update_with_an_identical_payload(self):
+        pair = self.small()
+        pair.update("b", "tox rax rax nex")
+        pair.check(queries=["rax", "tox"])
+        # same statistics, but the document moved to the end
+        assert pair.live._sealed.doc_ids == ["a", "c", "d", "b"]
+
+    def test_index_emptied_and_refilled(self):
+        pair = self.small()
+        for doc_id in pair.ids():
+            pair.remove(doc_id)
+        pair.check()
+        assert len(pair.live) == 0
+        assert pair.live._sealed.tokens == []
+        assert pair.live.search("kax", 5) == []
+        pair.add("z", "kax pox")
+        pair.add("y", "pox")
+        pair.check(queries=["kax pox"])
+
+    def test_document_without_tokens(self):
+        pair = self.small()
+        pair.add("empty", "")
+        pair.check()
+        pair.remove("empty")
+        pair.check()
+
+    def test_k_at_least_the_corpus(self):
+        pair = self.small()
+        pair.update("c", "kax tox mix sox")
+        for k in (4, 5, 100):
+            pair.check(queries=["kax tox mix", "sox"], k=k)
+
+    def test_unsealed_index_answers_from_the_dict_form(self):
+        pair = Pair(auto_seal=False)
+        pair.add("a", "kax tox")
+        pair.add("b", "tox mix")
+        pair.remove("a")
+        assert not pair.live.is_sealed
+        assert pairs(pair.live.search("tox", 5)) == pairs(
+            pair.mirror.search_dict("tox", 5)
+        )
+        assert pair.live.idf("tox") == pair.mirror.idf("tox")
+        assert InvertedIndex().idf("tox") == 0.0
+
+    def test_external_corpus_stats_are_read_per_token(self):
+        pair = self.small()
+        other, _ = seeded_pair(3, docs=20)
+        from repro.index.shard import GlobalBM25Stats
+
+        pair.live.corpus_stats = GlobalBM25Stats([pair.live, other.live])
+        pair.mirror.corpus_stats = GlobalBM25Stats([pair.mirror, other.live])
+        pair.live.invalidate_seal()
+        pair.check()
+        pair.update("a", "kax pox")
+        pair.check(queries=["kax pox"])
+
+    def test_write_between_two_planned_matrix_searches(self):
+        pair = self.small()
+        plan = pair.live.plan_matrix(["kax tox", "mix", "rax"])
+        first = pair.live.search_matrix_planned(plan, 5)
+        assert pair.live._sealed.contrib_flat is not None
+        pair.update("b", "kax mix mix")
+        second = pair.live.search_matrix_planned(plan, 5)
+        pair.mirror.invalidate_seal()
+        expected = pair.mirror.search_matrix_planned(plan, 5)
+        assert [pairs(h) for h in second] == [pairs(h) for h in expected]
+        assert [pairs(h) for h in second] != [pairs(h) for h in first]
+        arrays = pair.live.search_matrix_arrays(["kax tox", "mix"], 5)
+        assert [index.tolist() for index, _ in arrays] == [
+            index.tolist()
+            for index, _ in pair.mirror.search_matrix_arrays(
+                ["kax tox", "mix"], 5
+            )
+        ]
+
+    def test_the_base_arrays_are_never_written(self):
+        pair = self.small()
+        held = pair.live._sealed  # a reader still on the old generation
+        before = seven(pair.live)
+        held_contrib = pair.live._contrib_flat().copy()
+        pair.remove("a")
+        pair.add("e", "tox zzzx")
+        pair.check()
+        assert pair.live._sealed is not held
+        assert first_difference(seven_of(held), before) is None
+        assert np.array_equal(held.contrib_flat, held_contrib)
+
+    def test_invalidate_seal_still_means_compile(self):
+        pair = self.small()
+        pair.add("e", "pox")
+        pair.live.invalidate_seal()
+        patched, compiled = patched_count(), compiled_count()
+        pair.live.seal()
+        assert patched_count() == patched
+        assert compiled_count() == compiled + 1
+        pair.check()
+
+
+# ---------------------------------------------------------------------------
+# persistence
+# ---------------------------------------------------------------------------
+class TestPersistenceAfterAPatch:
+    def test_snapshot_bytes_equal_after_patch_and_after_compile(
+        self, tmp_path
+    ):
+        pair, rng = seeded_pair(5)
+        pair.check()
+        for doc_id in pair.ids()[::7]:
+            pair.update(doc_id, payload(rng, vocabulary=3000))
+        pair.remove(pair.ids()[0])
+        pair.check()
+        save_sealed_index(pair.live, tmp_path / "patched")
+        save_sealed_index(pair.mirror, tmp_path / "compiled")
+        names = sorted(p.name for p in (tmp_path / "patched").iterdir())
+        assert names == sorted(
+            p.name for p in (tmp_path / "compiled").iterdir()
+        )
+        for name in names:
+            assert (tmp_path / "patched" / name).read_bytes() == (
+                tmp_path / "compiled" / name
+            ).read_bytes(), name
+
+    def test_attached_index_still_refuses_writes(self, tmp_path):
+        pair, _ = seeded_pair(6, docs=10)
+        pair.update("doc3", "kax pox")
+        pair.check()
+        save_sealed_index(pair.live, tmp_path / "snap")
+        attached = attach_sealed_index(tmp_path / "snap")
+        assert pairs(attached.search("kax pox", 5)) == pairs(
+            pair.live.search("kax pox", 5)
+        )
+        with pytest.raises(VerificationError):
+            attached.add("new", "kax")
+        with pytest.raises(VerificationError):
+            attached.remove("doc3")
+        with pytest.raises(VerificationError):
+            attached.invalidate_seal()
+        assert attached.is_attached and attached.is_sealed
+
+
+# ---------------------------------------------------------------------------
+# through the indexer: an update re-indexes what changed, no more
+# ---------------------------------------------------------------------------
+def one_cell_changed(table, marker):
+    rows = [list(row) for row in table.rows]
+    rows[0][-1] = f"{rows[0][-1]} {marker}"
+    return Table(
+        table_id=table.table_id,
+        caption=table.caption,
+        columns=table.columns,
+        rows=[tuple(row) for row in rows],
+        source=table.source,
+        entity_columns=table.entity_columns,
+        key_column=table.key_column,
+        metadata=dict(table.metadata),
+    )
+
+
+def inverted_indexes(content):
+    return getattr(content, "shards", [content])
+
+
+PROBES = [
+    "largest cities by population",
+    "gold silver bronze medal total",
+    "season player statistics patchmark",
+]
+
+
+class TestThroughTheIndexer:
+    @pytest.mark.parametrize("semantic", [False, True])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_update_instance_patches_to_rebuilt_answers(
+        self, num_shards, semantic
+    ):
+        config = VerifAIConfig(
+            num_shards=num_shards, use_semantic_index=semantic
+        )
+        lake = build_lake(LakeConfig(num_tables=10, seed=23)).lake
+        indexer = IndexerModule(lake, config).build()
+        for step, table in enumerate(lake.tables()[:3]):
+            new = one_cell_changed(table, f"patchmark{step}")
+            old = lake.update_instance(new)
+            indexer.update_instance(old, new)
+        document = lake.documents()[0]
+        removed = lake.remove_instance(document.doc_id)
+        indexer.remove_instance(removed)
+        rebuilt = IndexerModule(lake, config).build()
+        for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT):
+            for query in PROBES:
+                assert pairs(indexer.search(query, modality, 8)) == pairs(
+                    rebuilt.search(query, modality, 8)
+                ), (modality, query)
+            for index in inverted_indexes(indexer.content_index(modality)):
+                index.seal()
+                live = seven(index)
+                index.invalidate_seal()
+                index.seal()
+                assert first_difference(live, seven(index)) is None
+
+    def test_one_cell_costs_one_row_and_the_table(self):
+        lake = build_lake(LakeConfig(num_tables=6, seed=29)).lake
+        indexer = IndexerModule(lake, VerifAIConfig()).build()
+        table = lake.tables()[0]
+        tuples = indexer.content_index(Modality.TUPLE)
+        tables = indexer.content_index(Modality.TABLE)
+        row_ids = [row.instance_id for row in table.iter_rows()]
+        order_before = list(tuples._doc_length)
+        for row_id in row_ids:  # every row payload is cached
+            indexer.fetch_payload(row_id)
+        registry = get_registry()
+        counts = {
+            name: registry.counter(f"indexer.mutations.{name}").value
+            for name in ("added", "removed", "updated")
+        }
+        new = one_cell_changed(table, "patchmark")
+        indexer.update_instance(lake.update_instance(new), new)
+        # only the changed row moved to the end of the document order
+        assert list(tuples._doc_length) == [
+            doc_id for doc_id in order_before if doc_id != row_ids[0]
+        ] + [row_ids[0]]
+        assert list(tables._doc_length)[-1] == table.table_id
+        # ... and only its cached payload was evicted
+        assert row_ids[0] not in indexer._payload_cache
+        assert all(row_id in indexer._payload_cache for row_id in row_ids[1:])
+        assert "patchmark" in indexer.fetch_payload(row_ids[0])
+        for name, value in counts.items():
+            counter = registry.counter(f"indexer.mutations.{name}")
+            assert counter.value == value + 1, name
+        before = patched_count()
+        assert row_ids[0] in [
+            hit.instance_id
+            for hit in indexer.search("patchmark", Modality.TUPLE, 3)
+        ]
+        assert patched_count() == before + 1
+
+
+# ---------------------------------------------------------------------------
+# readers racing to seal after a write
+# ---------------------------------------------------------------------------
+class TestReadHammer:
+    """``make sanitize`` runs this under the lockset sanitizer: eight
+    readers find the index unsealed after a write, exactly one of them
+    patches, and all of them read the new generation."""
+
+    def test_eight_readers_across_a_patch(self):
+        pair, rng = seeded_pair(9, docs=80)
+        pair.check()
+        queries = [payload(rng, 40) for _ in range(6)]
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_no in range(6):
+                victim = pair.ids()[round_no * 5]
+                pair.update(victim, payload(rng, vocabulary=3000))
+                pair.add(f"hammer{round_no}", payload(rng))
+                pair.mirror.invalidate_seal()
+                expected = [
+                    pairs(pair.mirror.search_dict(q, 7)) for q in queries
+                ]
+                results = {}
+                barrier = threading.Barrier(8)
+
+                def reader(reader_no):
+                    try:
+                        barrier.wait(timeout=10)
+                        if reader_no % 2:
+                            got = pair.live.search_matrix(queries, 7)
+                        else:
+                            got = [pair.live.search(q, 7) for q in queries]
+                        results[reader_no] = [pairs(hits) for hits in got]
+                    except Exception as error:  # surfaced below
+                        errors.append(error)
+
+                before = patched_count()
+                threads = [
+                    threading.Thread(target=reader, args=(number,))
+                    for number in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert patched_count() == before + 1
+                assert [results[number] for number in range(8)] == [
+                    expected
+                ] * 8
+                pair.check(queries=queries[:2])
+        finally:
+            sys.setswitchinterval(previous)

@@ -270,9 +270,15 @@ class TestShardedInvertedIndex:
         sharded.remove("d2")
         assert len(sharded) == len(DOCS) - 1
         assert "d2" not in sharded
-        assert sharded.pending_tombstones == 1
-        sharded.seal()  # seal compacts
-        assert sharded.pending_tombstones == 0
+        # the removal needs no seal to take effect, and survives one
+        assert all(
+            h.instance_id != "d2" for h in sharded.search(DOCS[1][1], 10)
+        )
+        sharded.seal()
+        assert len(sharded) == len(DOCS) - 1
+        assert all(
+            h.instance_id != "d2" for h in sharded.search(DOCS[1][1], 10)
+        )
 
     def test_remove_unknown_raises(self):
         _, sharded = build_pair(2)
