@@ -5,13 +5,13 @@
 install:
 	pip install -e . --no-build-isolation
 
-# the default CI gate: static analysis first, then the test suite
-# (which includes the observability smoke below), the sharding/churn
-# differential suite with its slow soak, the timing-free differential
-# proofs behind the benchmark claims, the benchmark regression gate's
-# self-consistency check, and the concurrency suites under the lockset
-# race sanitizer
-check: lint test-obs serve-test test test-shard bench-quick bench-check sanitize coverage
+# the default CI gate, each test file once: static analysis, the whole
+# of tests/ (which holds the test-obs, serve-test and bench-quick files
+# — those three targets are for quick iteration, not part of the gate),
+# the slow soak tier-1 deselects, the benchmark regression gate's
+# self-consistency check, the concurrency suites under the lockset race
+# sanitizer, and the coverage floor
+check: lint test test-shard bench-check sanitize coverage
 
 # tests/ includes tests/test_batch_faults.py, the fault-isolation suite
 # for verification campaigns (poisoned objects, retries, fail_fast, and
@@ -27,12 +27,12 @@ test-faults:
 test-obs:
 	PYTHONPATH=src pytest tests/test_obs_clock_metrics.py tests/test_obs_trace.py -q
 
-# the sharding equivalence + churn differential suite, INCLUDING the
-# slow soak that tier-1 skips ("slow or not slow" overrides the
-# default -m "not slow" addopts)
+# the slow soak of the sharding equivalence + churn differential suite
+# that tier-1 deselects (-m slow overrides the default -m "not slow"
+# addopts; the non-slow half of both files runs in `test`)
 test-shard:
 	PYTHONPATH=src pytest tests/test_index_sharding.py tests/test_index_churn.py \
-		-m "slow or not slow" -q
+		-m slow -q
 
 # the verification service: endpoints, admission control under
 # contention, and the deterministic load harness

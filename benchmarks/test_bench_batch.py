@@ -4,9 +4,10 @@ Three comparisons the PR cares about:
 
 * sealed (vectorized) vs dict BM25 search throughput on the medium
   tuple index;
-* per-object retrieval vs the query-matrix campaign pass on a sharded
+* per-query ``indexer.search`` vs the query-matrix
+  ``indexer.search_batch`` pass over a campaign's queries on a sharded
   system — the matrix kernel's acceptance bar is >= 2x on retrieval
-  stage time, asserted here with bit-identical stage lists;
+  time, asserted here with bit-identical hit lists;
 * ``verify_batch`` through the batch engine, serial vs parallel
   workers, each on a freshly built system so verifier-cache warmth
   cannot flatter later rounds.
@@ -92,48 +93,49 @@ def sharded_system(context):
 
 
 def retrieve_per_object(system, objects):
+    depth = system.config.fine_k(Modality.TUPLE)
     return [
-        system.retrieval_stages(obj, Modality.TUPLE) for obj in objects
+        system.indexer.search(obj.query_text(), Modality.TUPLE, depth)
+        for obj in objects
     ]
 
 
 def retrieve_batched(system, objects):
-    return system.retrieval_stages_batch(objects, Modality.TUPLE)
+    return system.indexer.search_batch(
+        [obj.query_text() for obj in objects], Modality.TUPLE,
+        system.config.fine_k(Modality.TUPLE),
+    )
 
 
-def stage_pairs(stage_lists):
+def hit_pairs(hit_lists):
     return [
-        [
-            (name, [(h.instance_id, h.score) for h in hits])
-            for name, hits in stages
-        ]
-        for stages in stage_lists
+        [(h.instance_id, h.score) for h in hits] for hits in hit_lists
     ]
 
 
 def test_bench_retrieval_per_object(benchmark, sharded_system, batch_objects):
     retrieve_batched(sharded_system, batch_objects)  # seal + warm caches
-    stages = benchmark(retrieve_per_object, sharded_system, batch_objects)
-    assert len(stages) == len(batch_objects)
+    hits = benchmark(retrieve_per_object, sharded_system, batch_objects)
+    assert len(hits) == len(batch_objects)
 
 
 def test_bench_retrieval_matrix_batched(
     benchmark, sharded_system, batch_objects
 ):
     retrieve_batched(sharded_system, batch_objects)
-    stages = benchmark(retrieve_batched, sharded_system, batch_objects)
-    assert len(stages) == len(batch_objects)
+    hits = benchmark(retrieve_batched, sharded_system, batch_objects)
+    assert len(hits) == len(batch_objects)
 
 
 def test_bench_matrix_campaign_speedup(
     benchmark, sharded_system, batch_objects
 ):
     """The acceptance bar: the batched query-matrix pass beats the
-    per-object loop by >= 2x on retrieval stage time for the 24-object
-    campaign — and returns hit-for-hit identical stage lists."""
+    per-query loop by >= 2x on retrieval time for the 24-object
+    campaign — and returns hit-for-hit identical lists."""
     batched = retrieve_batched(sharded_system, batch_objects)  # warm
     looped = retrieve_per_object(sharded_system, batch_objects)
-    assert stage_pairs(batched) == stage_pairs(looped)
+    assert hit_pairs(batched) == hit_pairs(looped)
     per = best_of(lambda: retrieve_per_object(sharded_system, batch_objects))
     bat = best_of(lambda: retrieve_batched(sharded_system, batch_objects))
     benchmark.extra_info["per_object_s"] = per

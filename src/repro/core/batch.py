@@ -1,8 +1,13 @@
-"""Batch-first execution through the VerifAI pipeline.
+"""The one verification path: a staged campaign core.
 
-``VerifAI.verify_batch`` delegates here.  The engine takes a sequence of
-data objects and runs retrieval + rerank + verify for all of them with
-three scaling moves the serial loop cannot make:
+``VerifAI.verify_batch`` and ``VerifAI.verify`` both run here.  A
+campaign is the explicit :class:`Campaign` state plus four stages, each
+a module-level function over it — :func:`plan`, :func:`prefill`,
+:func:`attempt` (inside the :func:`run_object` error boundary) and
+:func:`finalize` — sequenced by :func:`run_campaign`.  ``verify(obj)``
+is the campaign of one: the same functions, differing only in that the
+object's ``verify`` span *is* the trace root instead of a child of
+``verify_batch``.  What the stages buy over a per-object loop:
 
 * **retrieval dedup** — objects that issue the identical retrieval
   (same object type, query text, modality, and depths) share one
@@ -10,55 +15,58 @@ three scaling moves the serial loop cannot make:
   its own provenance record.  The dedup plan is computed up front from
   the inputs alone, so the reported dedup counters (and the ``dedup``
   span attribute) are deterministic regardless of which worker happens
-  to execute a shared retrieval first;
-* **query-matrix retrieval** — with ``config.batch_matrix_retrieval``
-  (the default) the deduplicated queries of each modality are scored
-  as *one* query-matrix BM25 pass per index
-  (:meth:`VerifAI.retrieval_stages_batch`) that prefills the
-  retrieval cache before workers start; the matrix kernel is
-  bit-identical to the per-query path, and spans are always replayed
-  from the cached stage lists, so reports and traces cannot tell the
-  two apart.  A prefill fault falls back to per-object retrieval
-  under the normal error boundary;
+  to run first;
+* **query-matrix retrieval** — the deduplicated queries of each
+  modality are scored as *one* query-matrix BM25 pass per index
+  (:meth:`VerifAI.retrieval_stages_batch`) that prefills the retrieval
+  cache before workers start, under a ``retrieve:prefill:<modality>``
+  span.  Object spans are always replayed from the cached stage lists.
+  A prefill fault leaves that modality's cache cold: each object then
+  runs the same retrieval function over itself alone, inside its own
+  error boundary, which attributes the fault to the object that caused
+  it;
 * **thread parallelism** — a ``ThreadPoolExecutor`` fans objects out to
   ``max_workers`` threads (1 = the serial path, the default).  Every
   shared structure the workers touch (verifier outcome cache, payload
-  cache, retrieval dedup map, provenance records pre-created in input
-  order) is either lock-protected or owned by exactly one worker, and
-  all components are deterministic per input, so the parallel run is
-  report-for-report identical to the serial one;
+  cache, the campaign's retrieval cache, provenance records pre-created
+  in input order) is either lock-protected or owned by exactly one
+  worker, and all components are deterministic per input, so the
+  parallel run is report-for-report identical to the serial one;
 * **observability** — the campaign activates a per-run metrics
   :class:`~repro.obs.metrics.Scope` on every thread that works for it,
   so the :class:`BatchStats` attached to the
   :class:`~repro.core.pipeline.BatchReport` reflects *this* campaign's
   cache traffic even when other campaigns interleave in the same
-  process.  ``run(..., trace=True)`` additionally records a span tree
-  (``verify_batch`` → per-object ``verify`` → retrieval stages →
-  ``verify_pool`` → per-evidence ``verdict``) whose export is
+  process.  ``trace=True`` additionally records a span tree
+  (``verify_batch`` → ``index.build:*`` on a cold system,
+  ``retrieve:prefill:*``, then per-object ``verify`` → retrieval stages
+  → ``verify_pool`` → per-evidence ``verdict``) whose export is
   byte-identical for serial and parallel runs under a deterministic
   clock.
 
-Every object additionally runs inside a **per-object error boundary**:
-a fault anywhere in its retrieve→rerank→verify chain never propagates
-out of the pool.  The object gets ``max_retries`` extra attempts
-(immediate and deterministic — no sleeps or jitter), and if they are
-exhausted its report comes back with ``status="FAILED"``, the error
-string, and ``final_verdict=NOT_RELATED``, while its provenance record
-is finalized with the same failure (never left dangling).  Stage and
-outcome writes — and span commits — are deferred until an attempt
-succeeds or fails for the last time, so retried attempts never
-duplicate provenance or trace spans.  ``fail_fast=True`` restores
-raise-on-first-error for callers that prefer a crash (the failing
-object's record is still finalized before the raise; records of other
-in-flight objects may remain open because the campaign aborted).
+Every object runs inside a **per-object error boundary**: a fault
+anywhere in its retrieve→rerank→verify chain never propagates out of
+the pool.  The object gets ``max_retries`` extra attempts (immediate
+and deterministic — no sleeps or jitter), and if they are exhausted its
+report comes back with ``status="FAILED"``, the error string, and
+``final_verdict=NOT_RELATED``, while its provenance record is finalized
+with the same failure (never left dangling).  Stage and outcome writes
+— and span commits — are deferred until an attempt succeeds or fails
+for the last time, so retried attempts never duplicate provenance or
+trace spans.  ``fail_fast=True`` restores raise-on-first-error for
+callers that prefer a crash (the failing object's record is still
+finalized before the raise; records of other in-flight objects may
+remain open because the campaign aborted).
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import (
     DEFAULT_MODALITIES,
@@ -67,14 +75,21 @@ from repro.core.pipeline import (
     VerifAI,
     VerificationReport,
     format_error,
-    safe_query_text,
 )
 from repro.datalake.types import DataInstance, Modality
 from repro.index.base import SearchHit
 from repro.obs.events import get_event_log
 from repro.obs.metrics import Scope
 from repro.obs.profile import StageProfile
-from repro.obs.trace import NULL_BRANCH, Span, Tracer
+from repro.obs.trace import (
+    NULL_BRANCH,
+    NULL_SPAN,
+    SPAN_FAILED,
+    SPAN_OK,
+    Span,
+    Trace,
+    Tracer,
+)
 from repro.verify.objects import DataObject
 from repro.verify.verdict import Verdict
 
@@ -82,13 +97,19 @@ from repro.verify.verdict import Verdict
 #: modality, depths) execution; the last stage holds the shortlist
 _Stages = List[Tuple[str, List[SearchHit]]]
 
+#: setup spans (cold index build, matrix prefill: at most one of each
+#: per modality) take sibling indexes counting up from here, so they
+#: sort ahead of what the attempts hang under the same root — object
+#: ``verify`` spans at their positions, or a solo object's stages
+_SETUP_FIRST_INDEX = -2 * len(Modality)
+
 
 @dataclass
 class BatchStats:
     """What one ``verify_batch`` run cost and what the caches saved.
 
     Built from the campaign's metrics :class:`~repro.obs.metrics.Scope`
-    (see :meth:`from_scope`), so cache counters attribute to *this*
+    (see :meth:`from_campaign`), so cache counters attribute to *this*
     campaign's threads rather than to process-wide deltas.
     """
 
@@ -107,36 +128,34 @@ class BatchStats:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_scope(
-        cls,
-        scope: Scope,
-        *,
-        objects: int,
-        max_workers: int,
-        unique_retrievals: int,
-        retrieval_cache_hits: int,
-        verifier_cache_entries: int,
-        verifier_cache_size: int,
-        stage_seconds: Dict[str, float],
-    ) -> "BatchStats":
-        """Assemble stats from the campaign's scope plus plan-derived
-        values the scope cannot know (dedup plan, cache geometry)."""
+    def from_campaign(cls, campaign: "Campaign") -> "BatchStats":
+        """Assemble stats from a finished campaign: its scope, plus the
+        plan-derived values the scope cannot know (dedup plan, cache
+        geometry)."""
+        scope = campaign.scope
+        verifier = campaign.system.verifier
         return cls(
-            objects=objects,
-            max_workers=max_workers,
+            objects=len(campaign.objects),
+            max_workers=campaign.engine.max_workers,
             failed=int(scope.value("batch.failed")),
             retries=int(scope.value("batch.retries")),
-            unique_retrievals=unique_retrievals,
-            retrieval_cache_hits=retrieval_cache_hits,
+            unique_retrievals=len(campaign.plan_first),
+            retrieval_cache_hits=(
+                campaign.planned_refs - len(campaign.plan_first)
+            ),
             matrix_batches=int(scope.value("batch.matrix_batches")),
             verifier_cache_hits=int(scope.value("verifier.cache.hits")),
-            verifier_cache_entries=verifier_cache_entries,
-            verifier_cache_size=verifier_cache_size,
+            verifier_cache_entries=len(verifier),
+            verifier_cache_size=verifier.cache_size,
             payload_cache_hits=int(
                 scope.value("indexer.payload_cache.hits")
             ),
             analyze_cache_hits=int(scope.value("text.analyze_cache.hits")),
-            stage_seconds=dict(stage_seconds),
+            stage_seconds={
+                "retrieve": scope.value("pipeline.retrieve_seconds.sum"),
+                "verify": scope.value("pipeline.verify_seconds.sum"),
+                "total": campaign.total_seconds,
+            },
         )
 
     def per_object_seconds(self) -> Dict[str, float]:
@@ -200,7 +219,7 @@ class BatchStats:
 
 
 class BatchEngine:
-    """Run one verification campaign over a ``VerifAI`` system.
+    """The execution policy of a campaign over a ``VerifAI`` system.
 
     ``fail_fast`` re-raises the first per-object fault instead of
     reporting it; ``max_retries`` (default
@@ -228,9 +247,6 @@ class BatchEngine:
         self.fail_fast = fail_fast
         self.max_retries = retries
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def run(
         self,
         objects: Sequence[DataObject],
@@ -247,378 +263,428 @@ class BatchEngine:
         :class:`~repro.obs.profile.StageProfile` to the report; the
         default path builds byte-identical traces to an unprofiled run.
         """
-        system = self.system
-        clock = system.clock
-        registry = system.metrics
-        events = get_event_log()
-        object_list = list(objects)
+        campaign = Campaign(
+            self, objects, modalities, k_coarse, k_fine,
+            trace=trace or profile, profile=profile,
+        )
+        reports = run_campaign(campaign)
+        return BatchReport(
+            reports=reports,
+            stats=BatchStats.from_campaign(campaign),
+            trace=campaign.trace,
+            profile=(
+                StageProfile.from_trace(campaign.trace) if profile else None
+            ),
+        )
 
-        trace = trace or profile
-        scope = registry.scope()
-        tracer: Optional[Tracer] = None
-        root_span: Optional[Span] = None
-        # profile-only measurements of work that deliberately emits no
-        # span (the matrix prefill): (stack, wall, cpu) entries folded
-        # into the StageProfile and subtracted from the root's self time
-        profile_extras: List[Tuple[Tuple[str, ...], float, float]] = []
+
+def _plan_query(obj: DataObject) -> Optional[str]:
+    """``obj.query_text()``, or ``None`` for an object too broken to
+    ask.  Such an object still gets a provenance record (with an empty
+    query) and contributes nothing to the dedup plan; the real exception
+    is raised again, and reported, inside its error boundary."""
+    try:
+        return obj.query_text()
+    except Exception:
+        return None
+
+
+class Campaign:
+    """The explicit state of one campaign, shared by its stages.
+
+    Opening one allocates the provenance records (serially, in input
+    order, so record ids are deterministic regardless of worker
+    scheduling), the metrics scope, and — traced — the tracer and its
+    root.  ``solo`` (exactly one object) roots the trace at that
+    object's ``verify`` span; otherwise the root is ``verify_batch``,
+    which deliberately carries no worker-count attribute: serial and
+    parallel runs of one campaign must export the same bytes.
+    :func:`plan` fills the dedup plan; the retrieval cache is the one
+    field worker threads write, through :meth:`store`, under its lock.
+    """
+
+    def __init__(
+        self,
+        engine: BatchEngine,
+        objects: Sequence[DataObject],
+        modalities: Optional[Sequence[Modality]] = None,
+        k_coarse: Optional[int] = None,
+        k_fine: Optional[int] = None,
+        trace: bool = False,
+        profile: bool = False,
+        solo: bool = False,
+    ) -> None:
+        system = engine.system
+        self.engine = engine
+        self.system = system
+        self.objects = list(objects)
+        #: each object's ``query_text()``; ``None`` where it raised
+        self.queries = [_plan_query(obj) for obj in self.objects]
+        fixed = tuple(modalities) if modalities is not None else None
+        #: evidence modalities per object
+        self.modalities: List[Tuple[Modality, ...]] = [
+            fixed if fixed is not None
+            else DEFAULT_MODALITIES.get(type(obj), (Modality.TABLE,))
+            for obj in self.objects
+        ]
+        self.k_coarse = k_coarse
+        self.k_fine = k_fine
+        self.records = [
+            system.provenance.new_record(obj.object_id, query or "")
+            for obj, query in zip(self.objects, self.queries)
+        ]
+        self.scope = system.metrics.scope()
+        self.solo = solo
+        self.tracer: Optional[Tracer] = None
+        self.root: Optional[Span] = None
+        #: staging for the cold-build and prefill spans under ``root``
+        self.setup_branch = NULL_BRANCH
         if trace:
-            tracer = Tracer(
-                system.next_trace_id(), clock=clock,
+            self.tracer = Tracer(
+                system.next_trace_id(), clock=system.clock,
                 cpu_clock=system.cpu_clock if profile else None,
             )
-            # deliberately no worker-count attribute: serial and
-            # parallel runs of one campaign must export the same bytes
-            root_span = tracer.root(
-                "verify_batch", attributes={"objects": len(object_list)}
+            for record in self.records:
+                record.trace_id = self.tracer.trace_id
+            if solo:
+                self.root = self.tracer.root(
+                    "verify",
+                    attributes={"object_id": self.objects[0].object_id},
+                    record_id=self.records[0].record_id,
+                )
+            else:
+                self.root = self.tracer.root(
+                    "verify_batch", attributes={"objects": len(self.objects)}
+                )
+            self.setup_branch = self.tracer.branch(
+                first_index=_SETUP_FIRST_INDEX
+            )
+        #: the dedup plan: which position first issues each retrieval key
+        self.plan_first: Dict[tuple, int] = {}
+        self.planned_refs = 0
+        self.start = 0.0
+        self.total_seconds = 0.0
+        self.trace: Optional[Trace] = None
+        self._retrievals: Dict[tuple, _Stages] = {}
+        self._retrievals_lock = threading.Lock()
+
+    def retrieval_key(
+        self, obj: DataObject, query: str, modality: Modality
+    ) -> tuple:
+        return (
+            type(obj).__name__, query, modality, self.k_coarse, self.k_fine
+        )
+
+    def cached(self, key: tuple) -> Optional[_Stages]:
+        with self._retrievals_lock:
+            return self._retrievals.get(key)
+
+    def store(self, key: tuple, stages: _Stages) -> _Stages:
+        """Cache one retrieval.  A concurrent miss recomputes the same
+        deterministic stages; first writer wins, results are equal."""
+        with self._retrievals_lock:
+            return self._retrievals.setdefault(key, stages)
+
+    def object_span(self, branch, position: int) -> ContextManager[Span]:
+        """The ``verify`` span of one attempt at one object: a child of
+        the campaign root, or — solo — the root itself, which stays
+        open across attempts and is closed by :func:`finalize`."""
+        if self.solo:
+            return nullcontext(self.root or NULL_SPAN)
+        return branch.span(
+            "verify",
+            parent=self.root,
+            index=position,
+            attributes={"object_id": self.objects[position].object_id},
+            record_id=self.records[position].record_id,
+        )
+
+
+def run_campaign(campaign: Campaign) -> List[VerificationReport]:
+    """plan → prefill → attempt every object → finalize."""
+    system = campaign.system
+    # build (and seal) indexes up front so worker threads never race on
+    # the lazy build path; build cost is not attributed to the campaign
+    # scope.  A traced cold build hangs its spans under the root.
+    system.indexer.build(branch=campaign.setup_branch, parent=campaign.root)
+    with system.metrics.activate(campaign.scope):
+        campaign.start = system.clock.now()
+        plan(campaign)
+        prefill(campaign)
+        reports = run_objects(campaign)
+        finalize(campaign, reports)
+    return reports
+
+
+def plan(campaign: Campaign) -> None:
+    """The dedup plan: which position first issues each retrieval key.
+    Computed from the inputs alone, so dedup counters and span
+    attributes never depend on worker interleaving."""
+    for position, obj in enumerate(campaign.objects):
+        query = campaign.queries[position]
+        if query is None:
+            continue
+        for modality in campaign.modalities[position]:
+            campaign.planned_refs += 1
+            campaign.plan_first.setdefault(
+                campaign.retrieval_key(obj, query, modality), position
             )
 
-        # build (and seal) indexes up front so worker threads never race
-        # on the lazy build path; build cost is not attributed to the
-        # campaign scope.  A traced cold build hangs its spans (sharded
-        # builds emit per-shard children) under the campaign root.
-        if tracer is not None and not system.indexer.is_built:
-            build_cpu_start = system.cpu_clock.now() if profile else 0.0
-            build_start = clock.now() if profile else 0.0
-            build_branch = tracer.branch()
-            system.indexer.build(branch=build_branch, parent=root_span)
-            build_branch.commit()
-            # a monolithic cold build emits no spans (sharded builds
-            # do), so attribute its cost via a profile-only stage — it
-            # would otherwise inflate the root's unexplained self time
-            if profile and system.config.num_shards <= 1:
-                profile_extras.append((
-                    ("verify_batch", "index.build"),
-                    clock.now() - build_start,
-                    system.cpu_clock.now() - build_cpu_start,
-                ))
+
+def prefill(campaign: Campaign) -> None:
+    """Score each modality's deduplicated campaign queries in one matrix
+    pass and seed the retrieval cache, so workers only ever hit.  A
+    fault leaves that modality's cache cold (its span FAILED): each
+    object then retrieves for itself inside its own error boundary,
+    which reports the fault against the object that caused it."""
+    system = campaign.system
+    registry = system.metrics
+    by_modality: Dict[Modality, List[tuple]] = {}
+    for key in campaign.plan_first:  # insertion = input order
+        by_modality.setdefault(key[2], []).append(key)
+    prefill_start = system.clock.now()
+    for modality, keys in by_modality.items():
+        attributes: Dict[str, object] = {
+            "modality": modality.value, "queries": len(keys),
+        }
+        # the fan-out is stamped only when sharding is on, so
+        # default-config traces carry no shard attribute at all
+        if system.config.num_shards > 1:
+            attributes["shards"] = system.config.num_shards
+        try:
+            with campaign.setup_branch.span(
+                f"retrieve:prefill:{modality.value}",
+                parent=campaign.root,
+                attributes=attributes,
+            ):
+                stage_lists = system.retrieval_stages_batch(
+                    [campaign.objects[campaign.plan_first[k]] for k in keys],
+                    modality, campaign.k_coarse, campaign.k_fine,
+                )
+        except Exception:
+            registry.counter("batch.matrix_prefill_failures").inc()
+            get_event_log().emit(
+                "batch.matrix_prefill_failed",
+                modality=modality.value,
+                queries=len(keys),
+            )
+            continue
+        for key, stages in zip(keys, stage_lists):
+            campaign.store(key, stages)
+        registry.counter("batch.matrix_batches").inc()
+    registry.histogram("pipeline.retrieve_seconds").observe(
+        system.clock.now() - prefill_start
+    )
+    campaign.setup_branch.commit()
+
+
+def replay_stage_spans(
+    campaign: Campaign, branch, parent,
+    stages: _Stages, modality: Modality, deduped: bool,
+) -> None:
+    """Emit one span per retrieval stage.  Spans are always replayed
+    from the stage list (whoever executed the retrieval), so the trace
+    shape never depends on execution order."""
+    config = campaign.system.config
+    fine = (
+        campaign.k_fine if campaign.k_fine is not None
+        else config.fine_k(modality)
+    )
+    coarse_depth = (
+        campaign.k_coarse if campaign.k_coarse is not None
+        else config.k_coarse
+    )
+    for stage_name, hits in stages:
+        if stage_name.startswith("coarse:"):
+            span_name = f"retrieve:{stage_name}"
+            # a lone coarse stage retrieves at fine depth
+            depth = coarse_depth if len(stages) > 1 else fine
         else:
-            system.indexer.build()
+            span_name = stage_name
+            depth = fine
+        with branch.span(
+            span_name,
+            parent=parent,
+            attributes={
+                "modality": modality.value,
+                "k": depth,
+                "hits": len(hits),
+                "dedup": deduped,
+            },
+        ):
+            pass
 
-        def modalities_for(obj: DataObject) -> Tuple[Modality, ...]:
-            if modalities is not None:
-                return tuple(modalities)
-            return DEFAULT_MODALITIES.get(type(obj), (Modality.TABLE,))
 
-        with registry.activate(scope):
-            batch_start = clock.now()
+def retrieve_object(
+    campaign: Campaign, position: int, branch, obj_span
+) -> List[_Stages]:
+    """One object's retrievals, a stage list per modality, with their
+    spans replayed under ``obj_span``.  The prefill normally seeded
+    every one; a cold key (its prefill faulted, or the plan could not
+    ask this object) runs the same retrieval over this object alone,
+    inside its own error boundary."""
+    obj = campaign.objects[position]
+    query = obj.query_text()
+    retrieved: List[_Stages] = []
+    for modality in campaign.modalities[position]:
+        key = campaign.retrieval_key(obj, query, modality)
+        stages = campaign.cached(key)
+        if stages is None:
+            stages = campaign.store(
+                key,
+                campaign.system.retrieval_stages_batch(
+                    [obj], modality, campaign.k_coarse, campaign.k_fine
+                )[0],
+            )
+        replay_stage_spans(
+            campaign, branch, obj_span, stages, modality,
+            deduped=campaign.plan_first.get(key, position) != position,
+        )
+        retrieved.append(stages)
+    return retrieved
 
-            # provenance records are allocated serially in input order so
-            # record ids are deterministic regardless of worker
-            # scheduling; a broken query_text() must not abort allocation
-            # — the boundary in run_one reports it per object
-            records = [
-                system.provenance.new_record(
-                    obj.object_id, safe_query_text(obj)
+
+def attempt(
+    campaign: Campaign, position: int, final_attempt: bool
+) -> VerificationReport:
+    """One guarded attempt at one object; only mutates the provenance
+    record after the full chain succeeded, so retries never duplicate
+    stages or outcomes.  Spans follow the same rule: committed on
+    success or on the final failure, discarded on a retried attempt."""
+    system = campaign.system
+    clock = system.clock
+    obj = campaign.objects[position]
+    record = campaign.records[position]
+    branch = (
+        campaign.tracer.branch() if campaign.tracer is not None
+        else NULL_BRANCH
+    )
+    try:
+        with campaign.object_span(branch, position) as obj_span:
+            retrieve_start = clock.now()
+            retrieved = retrieve_object(campaign, position, branch, obj_span)
+            evidence: List[DataInstance] = []
+            for stages in retrieved:
+                evidence.extend(system.resolve(stages[-1][1]))
+            verify_start = clock.now()
+            with branch.span(
+                "verify_pool",
+                parent=obj_span,
+                attributes={"evidence": len(evidence)},
+            ) as pool_span:
+                outcomes, final, margin = system.verifier.verify_pool(
+                    obj, evidence, branch=branch, parent=pool_span
                 )
-                for obj in object_list
-            ]
-            if tracer is not None:
-                for record in records:
-                    record.trace_id = tracer.trace_id
+                pool_span.set("verdict", final.name)
+            obj_span.set("verdict", final.name)
+            verify_end = clock.now()
+    except Exception:
+        # the failed attempt's spans (each marked FAILED on unwind) are
+        # the record of what happened — but only if no retry will
+        # produce a cleaner story
+        if final_attempt:
+            branch.commit()
+        else:
+            branch.discard()
+        raise
+    branch.commit()
+    for stages in retrieved:
+        for stage_name, hits in stages:
+            record.add_stage(stage_name, hits)
+    record.record_outcomes(outcomes)
+    record.finalize(final, margin)
+    registry = system.metrics
+    registry.histogram("pipeline.retrieve_seconds").observe(
+        verify_start - retrieve_start
+    )
+    registry.histogram("pipeline.verify_seconds").observe(
+        verify_end - verify_start
+    )
+    return VerificationReport(
+        object_id=obj.object_id,
+        final_verdict=final,
+        margin=margin,
+        outcomes=outcomes,
+        evidence_ids=[o.evidence_id for o in outcomes],
+        record_id=record.record_id,
+    )
 
-            # the dedup plan: which position first issues each retrieval
-            # key.  Computed from the inputs alone, so dedup counters and
-            # span attributes never depend on worker interleaving.
-            def plan_query(obj: DataObject) -> Optional[str]:
-                """``query_text()``, or ``None`` for an object too broken
-                to plan — its fault is reported by the error boundary in
-                ``run_one``; here it just contributes nothing to dedup."""
-                try:
-                    return obj.query_text()
-                except Exception:
-                    return None
 
-            plan_first: Dict[tuple, int] = {}
-            planned_refs = 0
-            for position, obj in enumerate(object_list):
-                query = plan_query(obj)
-                if query is None:
-                    continue
-                for modality in modalities_for(obj):
-                    key = (
-                        type(obj).__name__, query, modality,
-                        k_coarse, k_fine,
+def run_object(campaign: Campaign, position: int) -> VerificationReport:
+    """The per-object error boundary around :func:`attempt`.
+
+    Re-activates the campaign scope so worker-thread cache traffic
+    attributes to this campaign (a no-op on the thread that opened it,
+    where the scope is already active)."""
+    engine = campaign.engine
+    registry = campaign.system.metrics
+    obj = campaign.objects[position]
+    with registry.activate(campaign.scope):
+        registry.counter("pipeline.verify_calls").inc()
+        attempts = engine.max_retries + 1
+        for number in range(1, attempts + 1):
+            try:
+                return attempt(campaign, position, number == attempts)
+            except Exception as exc:
+                if number < attempts:
+                    registry.counter("batch.retries").inc()
+                    get_event_log().emit(
+                        "batch.retry",
+                        object_id=obj.object_id,
+                        attempt=number,
                     )
-                    planned_refs += 1
-                    plan_first.setdefault(key, position)
-            plan_dedup_hits = planned_refs - len(plan_first)
-
-            retrieval_cache: Dict[tuple, _Stages] = {}
-            cache_lock = threading.Lock()
-
-            # query-matrix prefill: score each modality's deduplicated
-            # campaign queries in one matrix pass and seed the cache, so
-            # workers only ever hit.  The kernel is bit-identical to the
-            # per-query path and spans are replayed from stage lists
-            # either way, so reports and traces are unchanged; a prefill
-            # fault just leaves the cache cold and the per-object error
-            # boundary tells the story as usual.
-            if system.config.batch_matrix_retrieval and plan_first:
-                by_modality: Dict[Modality, List[tuple]] = {}
-                for key in plan_first:  # insertion = input order
-                    by_modality.setdefault(key[2], []).append(key)
-                prefill_cpu_start = (
-                    system.cpu_clock.now() if profile else 0.0
+                    continue
+                record = campaign.records[position]
+                error = format_error(exc)
+                record.mark_failed(error)
+                registry.counter("batch.failed").inc()
+                get_event_log().emit(
+                    "batch.object_failed",
+                    object_id=obj.object_id,
+                    error=error,
                 )
-                prefill_start = clock.now()
-                for modality, keys in by_modality.items():
-                    reps = [
-                        object_list[plan_first[key]] for key in keys
-                    ]
-                    try:
-                        stage_lists = system.retrieval_stages_batch(
-                            reps, modality, k_coarse, k_fine
-                        )
-                    except Exception:
-                        # leave this modality's cache cold: each object
-                        # retries its own retrieval inside the normal
-                        # per-object error boundary, which reports the
-                        # fault properly
-                        registry.counter(
-                            "batch.matrix_prefill_failures"
-                        ).inc()
-                        events.emit(
-                            "batch.matrix_prefill_failed",
-                            modality=modality.value,
-                            queries=len(keys),
-                        )
-                        continue
-                    for key, stages in zip(keys, stage_lists):
-                        retrieval_cache[key] = stages
-                    registry.counter("batch.matrix_batches").inc()
-                prefill_end = clock.now()
-                registry.histogram("pipeline.retrieve_seconds").observe(
-                    prefill_end - prefill_start
-                )
-                if profile:
-                    # the prefill runs inside the root span but emits no
-                    # child span (trace shape must not change); record it
-                    # as a profile-only stage instead
-                    profile_extras.append((
-                        ("verify_batch", "retrieve:prefill"),
-                        prefill_end - prefill_start,
-                        system.cpu_clock.now() - prefill_cpu_start,
-                    ))
-
-            def replay_stage_spans(
-                branch, parent, stages: _Stages,
-                modality: Modality, deduped: bool,
-            ) -> None:
-                """Emit one span per retrieval stage.  Spans are always
-                replayed from the stage list (whether this object
-                executed the retrieval or took it from the dedup cache),
-                so the trace shape never depends on execution order."""
-                fine = (
-                    k_fine if k_fine is not None
-                    else system.config.fine_k(modality)
-                )
-                coarse_depth = (
-                    k_coarse if k_coarse is not None
-                    else system.config.k_coarse
-                )
-                for stage_name, hits in stages:
-                    if stage_name.startswith("coarse:"):
-                        span_name = f"retrieve:{stage_name}"
-                        # a lone coarse stage retrieves at fine depth
-                        depth = coarse_depth if len(stages) > 1 else fine
-                    else:
-                        span_name = stage_name
-                        depth = fine
-                    with branch.span(
-                        span_name,
-                        parent=parent,
-                        attributes={
-                            "modality": modality.value,
-                            "k": depth,
-                            "hits": len(hits),
-                            "dedup": deduped,
-                        },
-                    ):
-                        pass
-
-            def attempt_one(
-                position: int, final_attempt: bool
-            ) -> VerificationReport:
-                """One guarded attempt; only mutates the provenance
-                record after the full chain succeeded, so retries never
-                duplicate stages or outcomes.  Spans follow the same
-                rule: committed on success or on the final failure,
-                discarded on a retried attempt."""
-                obj = object_list[position]
-                record = records[position]
-                branch = (
-                    tracer.branch() if tracer is not None else NULL_BRANCH
-                )
-                try:
-                    with branch.span(
-                        "verify",
-                        parent=root_span,
-                        index=position,
-                        attributes={"object_id": obj.object_id},
-                        record_id=record.record_id,
-                    ) as obj_span:
-                        retrieve_start = clock.now()
-                        stage_log: _Stages = []
-                        evidence: List[DataInstance] = []
-                        for modality in modalities_for(obj):
-                            key = (
-                                type(obj).__name__, obj.query_text(),
-                                modality, k_coarse, k_fine,
-                            )
-                            with cache_lock:
-                                stages = retrieval_cache.get(key)
-                            if stages is None:
-                                stages = system.retrieval_stages(
-                                    obj, modality, k_coarse, k_fine
-                                )
-                                # a concurrent miss recomputes the same
-                                # deterministic stages; first writer
-                                # wins, results are equal
-                                with cache_lock:
-                                    stages = retrieval_cache.setdefault(
-                                        key, stages
-                                    )
-                            deduped = (
-                                plan_first.get(key, position) != position
-                            )
-                            replay_stage_spans(
-                                branch, obj_span, stages, modality, deduped
-                            )
-                            stage_log.extend(stages)
-                            evidence.extend(system.resolve(stages[-1][1]))
-                        verify_start = clock.now()
-                        with branch.span(
-                            "verify_pool",
-                            parent=obj_span,
-                            attributes={"evidence": len(evidence)},
-                        ) as pool_span:
-                            outcomes, final, margin = (
-                                system.verifier.verify_pool(
-                                    obj, evidence,
-                                    branch=branch, parent=pool_span,
-                                )
-                            )
-                            pool_span.set("verdict", final.name)
-                        obj_span.set("verdict", final.name)
-                        verify_end = clock.now()
-                except Exception:
-                    # the failed attempt's spans (each marked FAILED on
-                    # unwind) are the record of what happened — but only
-                    # if no retry will produce a cleaner story
-                    if final_attempt:
-                        branch.commit()
-                    else:
-                        branch.discard()
+                if engine.fail_fast:
                     raise
-                branch.commit()
-                for stage_name, hits in stage_log:
-                    record.add_stage(stage_name, hits)
-                record.record_outcomes(outcomes)
-                record.finalize(final, margin)
-                registry.histogram("pipeline.retrieve_seconds").observe(
-                    verify_start - retrieve_start
-                )
-                registry.histogram("pipeline.verify_seconds").observe(
-                    verify_end - verify_start
-                )
                 return VerificationReport(
                     object_id=obj.object_id,
-                    final_verdict=final,
-                    margin=margin,
-                    outcomes=outcomes,
-                    evidence_ids=[o.evidence_id for o in outcomes],
+                    final_verdict=Verdict.NOT_RELATED,
+                    margin=0.0,
                     record_id=record.record_id,
+                    status=STATUS_FAILED,
+                    error=error,
                 )
 
-            def run_one(position: int) -> VerificationReport:
-                """The per-object error boundary around ``attempt_one``.
 
-                Re-activates the campaign scope so worker-thread cache
-                traffic attributes to this campaign (a no-op on the main
-                thread, where the scope is already active)."""
-                with registry.activate(scope):
-                    attempts = self.max_retries + 1
-                    for attempt in range(attempts):
-                        final_attempt = attempt + 1 == attempts
-                        try:
-                            return attempt_one(position, final_attempt)
-                        except Exception as exc:
-                            if not final_attempt:
-                                registry.counter("batch.retries").inc()
-                                events.emit(
-                                    "batch.retry",
-                                    object_id=(
-                                        object_list[position].object_id
-                                    ),
-                                    attempt=attempt + 1,
-                                )
-                                continue
-                            obj = object_list[position]
-                            record = records[position]
-                            error = format_error(exc)
-                            record.mark_failed(error)
-                            registry.counter("batch.failed").inc()
-                            events.emit(
-                                "batch.object_failed",
-                                object_id=obj.object_id,
-                                error=error,
-                            )
-                            if self.fail_fast:
-                                raise
-                            return VerificationReport(
-                                object_id=obj.object_id,
-                                final_verdict=Verdict.NOT_RELATED,
-                                margin=0.0,
-                                record_id=record.record_id,
-                                status=STATUS_FAILED,
-                                error=error,
-                            )
-                raise AssertionError(
-                    "unreachable: attempts >= 1"
-                )  # pragma: no cover
+def run_objects(campaign: Campaign) -> List[VerificationReport]:
+    """Every object through its boundary, serially or on the pool;
+    reports come back in input order either way."""
+    positions = range(len(campaign.objects))
+    run_one = partial(run_object, campaign)
+    if campaign.engine.max_workers == 1 or len(positions) <= 1:
+        return [run_one(position) for position in positions]
+    with ThreadPoolExecutor(
+        max_workers=campaign.engine.max_workers
+    ) as pool:
+        return list(pool.map(run_one, positions))
 
-            if self.max_workers == 1 or len(object_list) <= 1:
-                reports = [run_one(i) for i in range(len(object_list))]
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=self.max_workers
-                ) as pool:
-                    reports = list(
-                        pool.map(run_one, range(len(object_list)))
-                    )
 
-            # generation-log linking is append-order-sensitive; do it
-            # once, serially, in input order
-            for obj, report in zip(object_list, reports):
-                system.generation_log.link_verification(
-                    obj.object_id, report.record_id
-                )
-
-            stats = BatchStats.from_scope(
-                scope,
-                objects=len(object_list),
-                max_workers=self.max_workers,
-                unique_retrievals=len(plan_first),
-                retrieval_cache_hits=plan_dedup_hits,
-                verifier_cache_entries=len(system.verifier),
-                verifier_cache_size=system.verifier.cache_size,
-                stage_seconds={
-                    "retrieve": scope.value("pipeline.retrieve_seconds.sum"),
-                    "verify": scope.value("pipeline.verify_seconds.sum"),
-                    "total": clock.now() - batch_start,
-                },
-            )
-
-        campaign_trace = None
-        campaign_profile = None
-        if tracer is not None:
-            tracer.close(root_span)
-            campaign_trace = tracer.trace()
-            if profile:
-                campaign_profile = StageProfile.from_trace(
-                    campaign_trace, extras=profile_extras
-                )
-        return BatchReport(
-            reports=reports, stats=stats, trace=campaign_trace,
-            profile=campaign_profile,
+def finalize(campaign: Campaign, reports: List[VerificationReport]) -> None:
+    """Link the generation log (append-order-sensitive: once, serially,
+    in input order), stamp the total, close the root and snapshot the
+    trace."""
+    system = campaign.system
+    for obj, report in zip(campaign.objects, reports):
+        system.generation_log.link_verification(
+            obj.object_id, report.record_id
         )
+    campaign.total_seconds = system.clock.now() - campaign.start
+    if campaign.tracer is not None:
+        # a campaign root is OK whatever its objects did; a solo root
+        # is its object's span and fails with it
+        failed = campaign.solo and not reports[0].ok
+        campaign.tracer.close(
+            campaign.root,
+            SPAN_FAILED if failed else SPAN_OK,
+            reports[0].error if failed else "",
+        )
+        campaign.trace = campaign.tracer.trace()

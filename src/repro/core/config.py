@@ -37,9 +37,11 @@ class VerifAIConfig:
       memoizes (LRU entries);
     * ``batch_max_workers`` — default worker-thread count for
       :meth:`VerifAI.verify_batch` (1 = serial);
-    * ``batch_max_retries`` — extra attempts the batch engine's
-      per-object error boundary grants an object whose
-      retrieve/rerank/verify raised (0 = fail on the first error).
+    * ``batch_max_retries`` — extra attempts the per-object error
+      boundary grants an object whose retrieve/rerank/verify raised
+      (0 = fail on the first error).  One boundary serves
+      :meth:`VerifAI.verify_batch` and :meth:`VerifAI.verify` (the
+      campaign of one), so both honour it.
       Retries are immediate and deterministic — no sleeps or jitter —
       so serial and parallel runs stay report-for-report identical;
     * ``num_shards`` — partition every modality's content + semantic
@@ -55,12 +57,7 @@ class VerifAIConfig:
       ``"process"`` (workers memmap-attach sealed shard snapshots and
       return compact id/score arrays — no corpus pickling).  Purely a
       wall-clock knob: all three produce identical hits, scores, and
-      traces (see :mod:`repro.index.executor`);
-    * ``batch_matrix_retrieval`` — let the batch engine score each
-      deduplicated campaign's queries as one query-matrix BM25 pass
-      per index instead of per-query loops.  Bit-identical to the
-      per-query path (differential-tested), so this too is purely a
-      throughput knob.
+      traces (see :mod:`repro.index.executor`).
     """
 
     k_coarse: int = 50
@@ -81,7 +78,6 @@ class VerifAIConfig:
     num_shards: int = 1
     shard_build_workers: int = 0
     shard_search_executor: str = "serial"
-    batch_matrix_retrieval: bool = True
 
     def fine_k(self, modality: Modality) -> int:
         """Shortlist size for one modality."""

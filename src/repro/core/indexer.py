@@ -260,31 +260,44 @@ class IndexerModule:
 
     def _build_locked(self, branch=NULL_BRANCH, parent=None) -> None:
         for modality in _INDEXED_MODALITIES:
-            content = self._new_content_index(modality)
-            self._content[modality] = content
-            semantic = self._new_semantic_index(modality)
-            if semantic is not None:
-                self._semantic[modality] = semantic
-            entries = self._modality_entries(modality)
-            if self.config.num_shards > 1:
-                timings = self._build_shards(content, semantic, entries)
-                self._record_shard_build(branch, parent, modality, timings)
-            else:
-                for index_id, payload in entries:
-                    content.add(index_id, payload)
-                    if semantic is not None:
-                        semantic.add(index_id, payload)
-            indexes: List[SearchIndex] = [content]
-            if semantic is not None:
-                indexes.append(semantic)
-            self._combiners[modality] = Combiner(
-                indexes,
-                method=self.config.fusion,
-                name=f"combined-{modality.value}",
-            )
-        self.seal_indexes()
+            with branch.span(
+                f"index.build:{modality.value}",
+                parent=parent,
+                attributes={
+                    "modality": modality.value,
+                    "shards": self.config.num_shards,
+                },
+            ) as build_span:
+                self._build_modality(modality, branch, build_span)
         self._metrics.gauge("indexer.shard.count").set(self.config.num_shards)
         self._built = True
+
+    def _build_modality(self, modality: Modality, branch, build_span) -> None:
+        """Fill, seal and wire up one modality's indexes."""
+        content = self._new_content_index(modality)
+        self._content[modality] = content
+        semantic = self._new_semantic_index(modality)
+        if semantic is not None:
+            self._semantic[modality] = semantic
+        entries = self._modality_entries(modality)
+        if self.config.num_shards > 1:
+            timings = self._build_shards(content, semantic, entries)
+            self._record_shard_build(branch, build_span, timings)
+        else:
+            for index_id, payload in entries:
+                content.add(index_id, payload)
+                if semantic is not None:
+                    semantic.add(index_id, payload)
+        if content.auto_seal:
+            content.seal()
+        indexes: List[SearchIndex] = [content]
+        if semantic is not None:
+            indexes.append(semantic)
+        self._combiners[modality] = Combiner(
+            indexes,
+            method=self.config.fusion,
+            name=f"combined-{modality.value}",
+        )
 
     def _build_shards(
         self,
@@ -328,9 +341,10 @@ class IndexerModule:
         return timings
 
     def _record_shard_build(
-        self, branch, parent, modality: Modality, timings: List[_ShardTiming]
+        self, branch, build_span, timings: List[_ShardTiming]
     ) -> None:
-        """Report per-shard build metrics, and spans when tracing.
+        """Report per-shard build metrics, and one span per shard under
+        the modality's build span when tracing.
 
         Span indexes are the shard numbers, so the trace shape is
         identical however the parallel build interleaved; start/end are
@@ -339,32 +353,18 @@ class IndexerModule:
         for _, start, end, _ in timings:
             build_seconds.observe(end - start)
         self._metrics.counter("indexer.shard.builds").inc(len(timings))
-        if branch is None or branch is NULL_BRANCH:
+        if branch is NULL_BRANCH:
             return
-        with branch.span(
-            f"index.build:{modality.value}",
-            parent=parent,
-            attributes={
-                "modality": modality.value,
-                "shards": len(timings),
-            },
-        ) as mod_span:
-            shard_spans = []
-            for shard_no, start, end, entry_count in timings:
-                with branch.span(
-                    "index.build.shard",
-                    parent=mod_span,
-                    index=shard_no,
-                    attributes={"shard": shard_no, "entries": entry_count},
-                ) as shard_span:
-                    shard_spans.append((shard_span, start, end))
-        # replace open/close stamps with the worker-measured windows
-        for shard_span, start, end in shard_spans:
+        for shard_no, start, end, entry_count in timings:
+            with branch.span(
+                "index.build.shard",
+                parent=build_span,
+                index=shard_no,
+                attributes={"shard": shard_no, "entries": entry_count},
+            ) as shard_span:
+                pass
             shard_span.start = start
             shard_span.end = end
-        if timings:
-            mod_span.start = min(t[1] for t in timings)
-            mod_span.end = max(t[2] for t in timings)
 
     # ------------------------------------------------------------------
     # incremental updates

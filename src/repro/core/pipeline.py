@@ -22,7 +22,7 @@ from repro.index.base import SearchHit
 from repro.llm.model import SimulatedLLM
 from repro.obs.clock import Clock, MonotonicClock, ThreadCpuClock
 from repro.obs.metrics import get_registry
-from repro.obs.trace import NULL_BRANCH, Trace, Tracer
+from repro.obs.trace import Trace
 from repro.provenance.generation import GenerationLog
 from repro.provenance.store import ProvenanceStore
 from repro.verify.agent import VerifierAgent
@@ -48,19 +48,6 @@ STATUS_FAILED = "FAILED"
 def format_error(exc: BaseException) -> str:
     """The one-line error string reports and records carry for a fault."""
     return f"{type(exc).__name__}: {exc}"
-
-
-def safe_query_text(obj: DataObject) -> str:
-    """``obj.query_text()``, or "" when the object is too broken to ask.
-
-    Provenance records need *a* query string even for objects whose
-    ``query_text()`` raises; the real exception is re-raised (and
-    reported) by the error boundary around the pipeline itself.
-    """
-    try:
-        return obj.query_text()
-    except Exception:
-        return ""
 
 
 @dataclass
@@ -168,68 +155,6 @@ class VerifAI:
             count = self._trace_counter
         return f"trace-{count:06d}"
 
-    def retrieval_stages(
-        self,
-        obj: DataObject,
-        modality: Modality,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
-        branch=None,
-        parent=None,
-    ) -> List[Tuple[str, List[SearchHit]]]:
-        """Coarse retrieval + optional reranking, as named provenance
-        stages.  The last stage's hits are the evidence shortlist.
-
-        Results depend only on the object's query text, type, and the
-        depths — which is what lets the batch engine dedupe identical
-        retrievals across objects.  A tracing ``branch`` (plus ``parent``
-        span) emits one span per stage."""
-        if branch is None:
-            branch = NULL_BRANCH
-        query = obj.query_text()
-        fine = k_fine if k_fine is not None else self.config.fine_k(modality)
-
-        def retrieve_attrs(k: int) -> Dict[str, object]:
-            attrs: Dict[str, object] = {"modality": modality.value, "k": k}
-            # only stamp the fan-out when sharding is on, so traces of
-            # default-config runs stay byte-identical to earlier builds
-            if self.config.num_shards > 1:
-                attrs["shards"] = self.config.num_shards
-            return attrs
-
-        if self.config.use_reranker:
-            coarse_k = (
-                k_coarse if k_coarse is not None else self.config.k_coarse
-            )
-            with branch.span(
-                f"retrieve:coarse:{modality.value}",
-                parent=parent,
-                attributes=retrieve_attrs(coarse_k),
-            ) as span:
-                coarse = self.indexer.search(query, modality, k_coarse)
-                span.set("hits", len(coarse))
-            with branch.span(
-                f"rerank:{modality.value}",
-                parent=parent,
-                attributes={"modality": modality.value, "k": fine},
-            ) as span:
-                shortlist = self.reranker.rerank(
-                    obj, modality, coarse, self.indexer.fetch_payload, fine
-                )
-                span.set("hits", len(shortlist))
-            return [
-                (f"coarse:{modality.value}", coarse),
-                (f"rerank:{modality.value}", shortlist),
-            ]
-        with branch.span(
-            f"retrieve:coarse:{modality.value}",
-            parent=parent,
-            attributes=retrieve_attrs(fine),
-        ) as span:
-            hits = self.indexer.search(query, modality, fine)
-            span.set("hits", len(hits))
-        return [(f"coarse:{modality.value}", hits)]
-
     def retrieval_stages_batch(
         self,
         objs: Sequence[DataObject],
@@ -237,41 +162,38 @@ class VerifAI:
         k_coarse: Optional[int] = None,
         k_fine: Optional[int] = None,
     ) -> List[List[Tuple[str, List[SearchHit]]]]:
-        """Stage lists for many objects' retrievals against one
-        modality, scored as **one query-matrix pass** per index instead
-        of a per-object loop.
+        """Coarse retrieval + optional reranking for each object against
+        one modality, as named provenance stages; the last stage's hits
+        are the evidence shortlist.
 
-        Returns one stage list per object, hit-for-hit identical to
-        ``[self.retrieval_stages(obj, modality, ...) for obj in objs]``
-        (the matrix kernel is differential-tested against the per-query
-        path).  Emits no spans — the batch engine replays spans from
-        the stage lists, so traces never depend on which path filled
-        the retrieval cache.  Reranking stays per-object (it is object-
-        specific by design), but it consumes the batched coarse lists.
+        The coarse step scores every object's query in **one
+        query-matrix pass** per index (hit-for-hit identical to
+        ``indexer.search`` per query — the kernel is differential-tested
+        against it); a single object is a matrix of one row.  Reranking
+        stays per-object (it is object-specific by design) and consumes
+        the batched coarse lists.  Results depend only on each object's
+        query text, type, and the depths, which is what lets a campaign
+        dedupe identical retrievals.  Emits no spans: the campaign core
+        replays them from the stage lists.
         """
         objs = list(objs)
-        if not objs:
-            return []
         queries = [obj.query_text() for obj in objs]
         fine = k_fine if k_fine is not None else self.config.fine_k(modality)
-        if self.config.use_reranker:
-            coarse_lists = self.indexer.search_batch(
-                queries, modality, k_coarse
+        coarse_name = f"coarse:{modality.value}"
+        if not self.config.use_reranker:
+            hit_lists = self.indexer.search_batch(queries, modality, fine)
+            return [[(coarse_name, hits)] for hits in hit_lists]
+        rerank_name = f"rerank:{modality.value}"
+        stage_lists = []
+        coarse_lists = self.indexer.search_batch(queries, modality, k_coarse)
+        for obj, coarse in zip(objs, coarse_lists):
+            shortlist = self.reranker.rerank(
+                obj, modality, coarse, self.indexer.fetch_payload, fine
             )
-            stage_lists = []
-            for obj, coarse in zip(objs, coarse_lists):
-                shortlist = self.reranker.rerank(
-                    obj, modality, coarse, self.indexer.fetch_payload, fine
-                )
-                stage_lists.append([
-                    (f"coarse:{modality.value}", coarse),
-                    (f"rerank:{modality.value}", shortlist),
-                ])
-            return stage_lists
-        hit_lists = self.indexer.search_batch(queries, modality, fine)
-        return [
-            [(f"coarse:{modality.value}", hits)] for hits in hit_lists
-        ]
+            stage_lists.append(
+                [(coarse_name, coarse), (rerank_name, shortlist)]
+            )
+        return stage_lists
 
     def retrieve(
         self,
@@ -279,13 +201,12 @@ class VerifAI:
         modality: Modality,
         k_coarse: Optional[int] = None,
         k_fine: Optional[int] = None,
-        record=None,
     ) -> List[SearchHit]:
-        """Coarse retrieval + optional task-specific reranking."""
-        stages = self.retrieval_stages(obj, modality, k_coarse, k_fine)
-        if record is not None:
-            for stage_name, hits in stages:
-                record.add_stage(stage_name, hits)
+        """Coarse retrieval + optional task-specific reranking: the
+        evidence shortlist for one object against one modality."""
+        stages = self.retrieval_stages_batch(
+            [obj], modality, k_coarse, k_fine
+        )[0]
         return stages[-1][1]
 
     def resolve(self, hits: Sequence[SearchHit]) -> List[DataInstance]:
@@ -306,98 +227,33 @@ class VerifAI:
     ) -> VerificationReport:
         """Discover evidence for ``obj`` across modalities and verify it.
 
-        Runs inside the same per-object error boundary as the batch
-        engine: a fault anywhere in retrieve/rerank/verify finalizes the
-        provenance record with the failure and returns a ``FAILED``
-        report instead of raising.  ``fail_fast=True`` restores
-        raise-on-error (the record is still finalized first, so no
-        dangling lineage either way).
+        This is the campaign of one: the same staged core as
+        :meth:`verify_batch` (:mod:`repro.core.batch`) over a single
+        object, so it runs inside the same per-object error boundary — a
+        fault anywhere in retrieve/rerank/verify finalizes the
+        provenance record with the failure, lands in the flight
+        recorder, and returns a ``FAILED`` report instead of raising,
+        after ``config.batch_max_retries`` extra attempts (default 0).
+        ``fail_fast=True`` restores raise-on-error (the record is still
+        finalized first, so no dangling lineage either way).
 
-        ``trace=True`` records a span tree of the run (root ``verify``
-        span, one span per retrieval stage, a ``verify_pool`` span with
-        per-evidence ``verdict`` children) on ``report.trace``, and
-        cross-links it with the provenance record: the root span carries
-        ``record_id`` and the record carries the trace id.
+        ``trace=True`` records a span tree of the run on
+        ``report.trace``.  Its root is the object's ``verify`` span
+        (where a campaign's root is ``verify_batch``); under it sit one
+        ``retrieve:prefill:<modality>`` span per modality, the replayed
+        retrieval stages, and a ``verify_pool`` span with per-evidence
+        ``verdict`` children.  The root span carries ``record_id`` and
+        the record carries the trace id.
         """
-        if modalities is None:
-            modalities = DEFAULT_MODALITIES.get(type(obj), (Modality.TABLE,))
-        record = self.provenance.new_record(
-            obj.object_id, safe_query_text(obj)
+        from repro.core.batch import BatchEngine, Campaign, run_campaign
+
+        campaign = Campaign(
+            BatchEngine(self, fail_fast=fail_fast), [obj],
+            modalities, k_coarse, k_fine, trace=trace, solo=True,
         )
-        tracer: Optional[Tracer] = None
-        branch = NULL_BRANCH
-        if trace:
-            tracer = Tracer(self.next_trace_id(), clock=self.clock)
-            record.trace_id = tracer.trace_id
-            branch = tracer.branch()
-        self.metrics.counter("pipeline.verify_calls").inc()
-        start = self.clock.now()
-        try:
-            with branch.span(
-                "verify",
-                attributes={"object_id": obj.object_id},
-                record_id=record.record_id,
-            ) as root:
-                evidence: List[DataInstance] = []
-                for modality in modalities:
-                    stages = self.retrieval_stages(
-                        obj, modality, k_coarse, k_fine,
-                        branch=branch, parent=root,
-                    )
-                    for stage_name, hits in stages:
-                        record.add_stage(stage_name, hits)
-                    evidence.extend(self.resolve(stages[-1][1]))
-                retrieve_end = self.clock.now()
-                with branch.span(
-                    "verify_pool",
-                    parent=root,
-                    attributes={"evidence": len(evidence)},
-                ) as pool_span:
-                    outcomes, final, margin = self.verifier.verify_pool(
-                        obj, evidence, branch=branch, parent=pool_span
-                    )
-                    pool_span.set("verdict", final.name)
-                root.set("verdict", final.name)
-        except Exception as exc:
-            # serial verify never retries, so the failed attempt's spans
-            # are the trace: commit them (each marked FAILED on unwind)
-            branch.commit()
-            record.mark_failed(format_error(exc))
-            self.generation_log.link_verification(
-                obj.object_id, record.record_id
-            )
-            self.metrics.counter("pipeline.verify_failed").inc()
-            if fail_fast:
-                raise
-            return VerificationReport(
-                object_id=obj.object_id,
-                final_verdict=Verdict.NOT_RELATED,
-                margin=0.0,
-                record_id=record.record_id,
-                status=STATUS_FAILED,
-                error=record.error,
-                trace=tracer.trace() if tracer is not None else None,
-            )
-        branch.commit()
-        verify_end = self.clock.now()
-        self.metrics.histogram("pipeline.retrieve_seconds").observe(
-            retrieve_end - start
-        )
-        self.metrics.histogram("pipeline.verify_seconds").observe(
-            verify_end - retrieve_end
-        )
-        record.record_outcomes(outcomes)
-        record.finalize(final, margin)
-        self.generation_log.link_verification(obj.object_id, record.record_id)
-        return VerificationReport(
-            object_id=obj.object_id,
-            final_verdict=final,
-            margin=margin,
-            outcomes=outcomes,
-            evidence_ids=[o.evidence_id for o in outcomes],
-            record_id=record.record_id,
-            trace=tracer.trace() if tracer is not None else None,
-        )
+        report = run_campaign(campaign)[0]
+        report.trace = campaign.trace
+        return report
 
     def verify_batch(
         self,

@@ -38,10 +38,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-try:  # numpy underpins the sealed kernels the executors dispatch to
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import SearchHit

@@ -36,10 +36,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-try:  # the sealed memmap family requires numpy; JSON snapshots do not
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.index.inverted import InvertedIndex, _SealedPostings
 from repro.index.shard import ShardedInvertedIndex
@@ -236,8 +233,6 @@ def save_sealed_index(
     ``corpus_stats`` view is assigned — a shard persisted this way
     keeps its *global* statistics).  Returns the snapshot directory.
     """
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
     index.seal()
     sealed = index._sealed
     directory = Path(directory)
@@ -292,8 +287,6 @@ def attach_sealed_index(
     version-skewed snapshot raises
     :class:`~repro.verify.base.VerificationError`.
     """
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
     directory = Path(directory)
     manifest = _load_manifest(directory / "manifest.json", _SEALED_KIND)
     try:
@@ -438,8 +431,6 @@ def save_vector_index(
     index: FlatVectorIndex, directory: Union[str, Path]
 ) -> Path:
     """Persist a flat vector index's dense matrix + id table."""
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     matrix = np.ascontiguousarray(index._get_matrix(), dtype=np.float64)
@@ -465,8 +456,6 @@ def save_vector_index(
 
 def attach_vector_index(directory: Union[str, Path]) -> FlatVectorIndex:
     """Zero-copy attach of a vector snapshot (read-only memmap matrix)."""
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
     directory = Path(directory)
     manifest = _load_manifest(
         directory / "manifest.json", _SEALED_VECTOR_KIND

@@ -42,10 +42,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, List, Optional
 
-try:  # numpy powers the vector shards; BM25 shards degrade to dicts
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.index import executor as shard_executor
 from repro.index.base import SearchHit, SearchIndex
@@ -158,7 +155,7 @@ class ShardedInvertedIndex(SearchIndex):
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.name = name
         self.num_shards = num_shards
-        self.auto_seal = auto_seal and np is not None
+        self.auto_seal = auto_seal
         self.search_executor = validate_executor_mode(executor)
         self._spool = ShardSpool(prefix=f"repro-{name}-")
         self.shards: List[InvertedIndex] = [
@@ -223,7 +220,7 @@ class ShardedInvertedIndex(SearchIndex):
         if not queries:
             return []
         mode = self.search_executor
-        if mode == "process" and np is not None:
+        if mode == "process":
             rankings = shard_executor.scatter_processes(
                 self.shards, self._spool, queries, k
             )

@@ -87,23 +87,12 @@ class StageProfile:
         self._count[key] = self._count.get(key, 0) + count
 
     @classmethod
-    def from_trace(
-        cls,
-        trace: Trace,
-        extras: Sequence[Tuple[Sequence[str], float, Optional[float]]] = (),
-    ) -> "StageProfile":
+    def from_trace(cls, trace: Trace) -> "StageProfile":
         """Fold a finished trace into per-stage self times.
 
         A span's self time is its duration minus its children's
         durations (clamped at zero — a parent stamped by one thread and
         children by another can disagree by a scheduler quantum).
-
-        ``extras`` are profile-only measurements of work that happens
-        inside a span but deliberately emits no child span (the batch
-        engine's matrix prefill, which must not change trace shape):
-        each ``(stack, wall, cpu)`` is added as its own stage AND
-        subtracted from its parent span's self time, keeping the
-        sum-equals-total invariant.
         """
         profile = cls()
         children: Dict[str, List[Span]] = {}
@@ -111,17 +100,6 @@ class StageProfile:
             if span.parent_id:
                 children.setdefault(span.parent_id, []).append(span)
         stacks: Dict[str, Tuple[str, ...]] = {}
-        extra_wall: Dict[Tuple[str, ...], float] = {}
-        extra_cpu: Dict[Tuple[str, ...], float] = {}
-        for stack, wall, cpu in extras:
-            parent_key = tuple(stack)[:-1]
-            if not parent_key:
-                raise ValueError(
-                    "extra profile entries need a parent stage"
-                )
-            extra_wall[parent_key] = extra_wall.get(parent_key, 0.0) + wall
-            if cpu is not None:
-                extra_cpu[parent_key] = extra_cpu.get(parent_key, 0.0) + cpu
         for span in trace.spans:  # depth-first: parents precede children
             parent_stack = stacks.get(span.parent_id, ())
             stack = parent_stack + (span.name,)
@@ -129,10 +107,7 @@ class StageProfile:
             child_wall = sum(
                 c.duration for c in children.get(span.span_id, ())
             )
-            self_wall = max(
-                0.0,
-                span.duration - child_wall - extra_wall.get(stack, 0.0),
-            )
+            self_wall = max(0.0, span.duration - child_wall)
             self_cpu: Optional[float] = None
             cpu = span.cpu_duration
             if cpu is not None:
@@ -140,12 +115,8 @@ class StageProfile:
                     c.cpu_duration or 0.0
                     for c in children.get(span.span_id, ())
                 )
-                self_cpu = max(
-                    0.0, cpu - child_cpu - extra_cpu.get(stack, 0.0)
-                )
+                self_cpu = max(0.0, cpu - child_cpu)
             profile.add(stack, self_wall, self_cpu)
-        for stack, wall, cpu in extras:
-            profile.add(tuple(stack), wall, cpu)
         return profile
 
     # ------------------------------------------------------------------

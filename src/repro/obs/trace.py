@@ -189,9 +189,13 @@ class Tracer:
         self,
         name: str,
         attributes: Optional[Mapping[str, AttrValue]] = None,
+        record_id: str = "",
     ) -> Span:
         """Open and register the trace's root span."""
-        span = self.open_span(name, parent=None, index=0, attributes=attributes)
+        span = self.open_span(
+            name, parent=None, index=0,
+            attributes=attributes, record_id=record_id,
+        )
         with self._lock:
             self._spans.append(span)
         return span
@@ -204,9 +208,13 @@ class Tracer:
         span.status = status
         span.error = error
 
-    def branch(self) -> "SpanBranch":
-        """A staging area for one attempt's spans (commit or discard)."""
-        return SpanBranch(self)
+    def branch(self, first_index: int = 0) -> "SpanBranch":
+        """A staging area for one attempt's spans (commit or discard).
+
+        Sibling indexes count up from ``first_index``; a negative one
+        sorts the branch's spans ahead of siblings other branches hang
+        under the same parent (setup work ahead of the objects)."""
+        return SpanBranch(self, first_index)
 
     def extend(self, spans: List[Span]) -> None:
         """Register finished spans (called by branch commits)."""
@@ -233,14 +241,15 @@ class SpanBranch:
     worker), so it needs no lock.
     """
 
-    def __init__(self, tracer: Tracer) -> None:
+    def __init__(self, tracer: Tracer, first_index: int = 0) -> None:
         self._tracer = tracer
+        self._first_index = first_index
         self._spans: List[Span] = []
         self._next_index: Dict[str, int] = {}
 
     def _auto_index(self, parent: Optional[Span]) -> int:
         parent_id = parent.span_id if parent is not None else ""
-        index = self._next_index.get(parent_id, 0)
+        index = self._next_index.get(parent_id, self._first_index)
         self._next_index[parent_id] = index + 1
         return index
 
@@ -292,11 +301,18 @@ class SpanBranch:
 
 
 class _NullSpan:
-    """Attribute sink for untraced runs."""
+    """Attribute sink for untraced runs; also its own ``with`` block, so
+    an untraced span costs no generator."""
 
     __slots__ = ()
 
     def set(self, key: str, value: AttrValue) -> None:
+        return None
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
         return None
 
 
@@ -305,7 +321,6 @@ class _NullBranch:
 
     __slots__ = ()
 
-    @contextmanager
     def span(
         self,
         name: str,
@@ -313,8 +328,8 @@ class _NullBranch:
         index: Optional[int] = None,
         attributes=None,
         record_id: str = "",
-    ) -> Iterator[_NullSpan]:
-        yield NULL_SPAN
+    ) -> _NullSpan:
+        return NULL_SPAN
 
     def commit(self) -> None:
         return None

@@ -326,10 +326,9 @@ class VerificationService:
         return trace.trace_id
 
     def _run_verify(self, obj):
-        """Worker-thread body: one traced, scope-attributed verify."""
-        scope = self.registry.scope()
-        with self.registry.activate(scope):
-            return self.system.verify(obj, trace=True)
+        """Worker-thread body: one traced verify (the campaign of one
+        scopes its own metrics)."""
+        return self.system.verify(obj, trace=True)
 
     def _run_verify_batch(self, objects, max_workers, fail_fast):
         return self.system.verify_batch(

@@ -12,7 +12,16 @@ import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import STATUS_FAILED, STATUS_OK, VerifAI
+from repro.datalake.types import Modality
 from repro.llm.model import SimulatedLLM
+from repro.obs.clock import TickClock
+from repro.obs.events import (
+    EventLog,
+    install_event_log,
+    uninstall_event_log,
+)
+from repro.obs.export import render_trace_json
+from repro.obs.metrics import get_registry
 from repro.provenance.store import RECORD_FAILED, RECORD_FINALIZED
 from repro.verify.base import VerificationError, Verifier
 from repro.verify.objects import TupleObject
@@ -67,6 +76,15 @@ def mixed_workload(bundle):
         cls = PoisonedObject if i in POISONED else TupleObject
         objects.append(cls(f"obj-{i:02d}", row, attribute=table.columns[1]))
     return objects
+
+
+@pytest.fixture()
+def event_log():
+    """A flight recorder installed for one test."""
+    log = EventLog()
+    install_event_log(log)
+    yield log
+    uninstall_event_log(log)
 
 
 def make_system(bundle, **config_kwargs):
@@ -252,11 +270,145 @@ class TestSerialVerifyBoundary:
             system.verify(poisoned, fail_fast=True)
         assert system.provenance.open_records() == []
 
+    def test_solo_fault_is_observable_like_a_campaign_fault(
+        self, bundle, event_log
+    ):
+        """One boundary: a fault through ``verify()`` lands in the
+        flight recorder, in ``batch.failed`` and in the generation log
+        exactly as the same fault inside a campaign does."""
+        system = make_system(bundle)
+        system.generation_log.log("prompt", "response", object_id="bad-solo")
+        failed_before = get_registry().counter("batch.failed").value
+        report = system.verify(
+            PoisonedObject(
+                "bad-solo", bundle.tables[0].row(0),
+                attribute=bundle.tables[0].columns[1],
+            )
+        )
+        assert report.status == STATUS_FAILED
+        events = event_log.events(kind="batch.object_failed")
+        assert [e.fields for e in events] == [
+            {"object_id": "bad-solo", "error": report.error}
+        ]
+        assert get_registry().counter("batch.failed").value == (
+            failed_before + 1
+        )
+        assert system.provenance.get(report.record_id).status == (
+            RECORD_FAILED
+        )
+        generation = system.generation_log.for_object("bad-solo")
+        assert generation.verification_record_ids == [report.record_id]
+
+    def test_solo_verify_honours_batch_max_retries(self, bundle, event_log):
+        system = make_system(bundle, prefer_local=True, batch_max_retries=1)
+        flaky = FlakyVerifier(failures=1)
+        system.verifier.agent.local_verifiers.append(flaky)
+        obj = TupleObject(
+            "flaky-solo", bundle.tables[0].row(0),
+            attribute=bundle.tables[0].columns[1],
+        )
+        report = system.verify(obj, trace=True)
+        assert report.status == STATUS_OK
+        assert flaky.calls > 1
+        retries = event_log.events(kind="batch.retry")
+        assert [e.fields for e in retries] == [
+            {"object_id": "flaky-solo", "attempt": 1}
+        ]
+        assert event_log.events(kind="batch.object_failed") == []
+        # the retried attempt's spans were discarded: one attempt's
+        # worth, none of them FAILED
+        assert len(report.trace.spans_named("verify")) == 1
+        assert len(report.trace.spans_named("verify_pool")) == 1
+        assert not any(span.failed for span in report.trace.spans)
+        assert len(system.provenance.get(report.record_id).outcomes) == (
+            len(report.outcomes)
+        )
+
     def test_verification_error_is_a_runtime_error(self):
         assert issubclass(VerificationError, RuntimeError)
         from repro.verify import VerificationError as exported
 
         assert exported is VerificationError
+
+
+class TestPrefillFault:
+    """A fault inside the matrix prefill leaves that modality's cache
+    cold; each object then retrieves for itself inside its own error
+    boundary, which pins the fault on the object that caused it."""
+
+    CULPRIT = "obj-02"
+
+    def campaign(self, bundle, mixed_workload, workers=1, choke=True):
+        system = VerifAI(
+            bundle.lake,
+            llm=SimulatedLLM(knowledge=None, seed=26),
+            config=VerifAIConfig(use_reranker=True),
+            clock=TickClock(),
+        ).build_indexes()
+        rerank = system.reranker.rerank
+
+        def choking_rerank(obj, modality, *args):
+            if obj.object_id == self.CULPRIT and modality is Modality.TEXT:
+                raise RuntimeError(f"reranker choked on {obj.object_id}")
+            return rerank(obj, modality, *args)
+
+        if choke:
+            system.reranker.rerank = choking_rerank
+        batch = system.verify_batch(
+            mixed_workload[:5], max_workers=workers, trace=True
+        )
+        return system, batch
+
+    def test_prefill_fault_is_pinned_on_its_object(
+        self, bundle, mixed_workload, event_log
+    ):
+        failures = get_registry().counter("batch.matrix_prefill_failures")
+        failures_before = failures.value
+        system, batch = self.campaign(bundle, mixed_workload)
+        # the text prefill faulted, the tuple prefill did not
+        assert failures.value == failures_before + 1
+        assert batch.stats.matrix_batches == 1
+        events = event_log.events(kind="batch.matrix_prefill_failed")
+        assert [e.fields for e in events] == [
+            {"modality": "text", "queries": 5}
+        ]
+        prefills = {
+            span.attributes["modality"]: span
+            for span in batch.trace.spans
+            if span.name.startswith("retrieve:prefill:")
+        }
+        assert prefills["text"].failed
+        assert "reranker choked" in prefills["text"].error
+        assert not prefills["tuple"].failed
+        # exactly the culprit comes back FAILED ...
+        assert [r.object_id for r in batch.failures] == [self.CULPRIT]
+        assert "reranker choked" in batch.failures[0].error
+        # ... and the other four equal a clean run's, stage for stage
+        clean_system, clean = self.campaign(
+            bundle, mixed_workload, choke=False
+        )
+        for report, expected in zip(batch.reports, clean.reports):
+            if report.object_id == self.CULPRIT:
+                continue
+            assert (
+                report.final_verdict, report.margin, report.evidence_ids
+            ) == (
+                expected.final_verdict, expected.margin,
+                expected.evidence_ids,
+            )
+            assert system.provenance.get(report.record_id).retrieval == (
+                clean_system.provenance.get(expected.record_id).retrieval
+            )
+
+    def test_fallback_traces_are_identical_serial_and_parallel(
+        self, bundle, mixed_workload
+    ):
+        _, serial = self.campaign(bundle, mixed_workload, workers=1)
+        _, parallel = self.campaign(bundle, mixed_workload, workers=4)
+        assert render_trace_json(serial.trace) == render_trace_json(
+            parallel.trace
+        )
+        assert fingerprint(serial) == fingerprint(parallel)
 
 
 class TestFailedRecordPersistence:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.batch import BatchEngine, BatchStats
+from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.llm.model import SimulatedLLM
+from repro.obs.clock import TickClock
 from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 
@@ -38,9 +40,42 @@ def workload(bundle):
     return objects
 
 
-def make_system(bundle):
+def make_system(bundle, clock=None, **config_kwargs):
     llm = SimulatedLLM(knowledge=None, seed=26)
-    return VerifAI(bundle.lake, llm=llm).build_indexes()
+    return VerifAI(
+        bundle.lake, llm=llm, config=VerifAIConfig(**config_kwargs),
+        clock=clock,
+    ).build_indexes()
+
+
+def root_prefills(trace):
+    """The ``retrieve:prefill:*`` spans directly under the trace root."""
+    return [
+        span for span in trace.children_of(trace.root)
+        if span.name.startswith("retrieve:prefill:")
+    ]
+
+
+def object_subtree(trace):
+    """The object's ``verify`` span and everything under it, depth
+    first, minus where the two entry points legitimately differ: the
+    ``verify_batch`` wrapper and the ``retrieve:prefill:*`` spans (under
+    the wrapper in a campaign, under ``verify`` when solo)."""
+    (top,) = trace.spans_named("verify")
+    rows = []
+
+    def walk(span, depth):
+        if span.name.startswith("retrieve:prefill:"):
+            return
+        rows.append((
+            depth, span.name, span.attributes, span.status, span.error,
+            span.record_id,
+        ))
+        for child in trace.children_of(span):
+            walk(child, depth + 1)
+
+    walk(top, 0)
+    return rows
 
 
 def report_fingerprint(batch):
@@ -77,24 +112,56 @@ class TestParallelEquivalence:
             assert record.retrieval, "stages must be replayed into the record"
             assert record.final_verdict == int(report.final_verdict)
 
+    @pytest.mark.parametrize(
+        "config_kwargs",
+        [
+            {},
+            {"num_shards": 2},
+            {"use_reranker": True, "use_semantic_index": True},
+        ],
+        ids=["default", "sharded", "full"],
+    )
     def test_serial_verify_and_batch_produce_identical_records(
-        self, bundle, workload
+        self, bundle, workload, config_kwargs
     ):
-        """The serial path and the batch engine share one
-        record-outcomes helper; their provenance must be equal
-        field-for-field for the same objects."""
+        """``verify(obj)`` is the campaign of one: its provenance equals
+        the batch engine's field-for-field for the same objects, and its
+        span subtree equals a one-object campaign's."""
         from dataclasses import asdict
 
-        serial_system = make_system(bundle)
-        batch_system = make_system(bundle)
-        for obj in workload:
-            serial_system.verify(obj)
+        serial_system = make_system(bundle, TickClock(), **config_kwargs)
+        batch_system = make_system(bundle, TickClock(), **config_kwargs)
+        solo_reports = [
+            serial_system.verify(obj, trace=True) for obj in workload
+        ]
         batch = batch_system.verify_batch(workload)
         assert len(serial_system.provenance) == len(batch_system.provenance)
         for report in batch.reports:
             serial_record = serial_system.provenance.get(report.record_id)
             batch_record = batch_system.provenance.get(report.record_id)
+            # only the solo runs were traced
+            assert serial_record.trace_id and not batch_record.trace_id
+            serial_record.trace_id = ""
             assert asdict(serial_record) == asdict(batch_record)
+
+        ones_system = make_system(bundle, TickClock(), **config_kwargs)
+        for obj, solo in zip(workload, solo_reports):
+            one = ones_system.verify_batch([obj], trace=True)
+            assert solo.trace.root.name == "verify"
+            assert solo.trace.root.record_id == solo.record_id
+            assert one.trace.root.name == "verify_batch"
+            assert object_subtree(solo.trace) == object_subtree(one.trace)
+            assert [s.name for s in root_prefills(solo.trace)] == [
+                s.name for s in root_prefills(one.trace)
+            ]
+
+        # under a real clock the retrieval that fed the solo object is a
+        # timed span of its own trace, not a side channel
+        timed = make_system(bundle, **config_kwargs).verify(
+            workload[0], trace=True
+        )
+        prefills = root_prefills(timed.trace)
+        assert prefills and all(span.duration > 0 for span in prefills)
 
     def test_report_order_matches_input_order(self, bundle, workload):
         system = make_system(bundle)

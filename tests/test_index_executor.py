@@ -180,11 +180,10 @@ def trace_workload(trace_bundle):
     ]
 
 
-def traced_run(bundle, workload, executor, matrix=True):
+def traced_run(bundle, workload, executor):
     config = VerifAIConfig(
         num_shards=2,
         shard_search_executor=executor,
-        batch_matrix_retrieval=matrix,
     )
     system = VerifAI(
         bundle.lake,
@@ -215,22 +214,6 @@ class TestSystemInvariance:
         }
         assert verdicts["thread"] == verdicts["serial"]
         assert verdicts["process"] == verdicts["serial"]
-
-    def test_matrix_prefill_is_invisible_in_traces(
-        self, trace_bundle, trace_workload
-    ):
-        with_matrix = traced_run(
-            trace_bundle, trace_workload, "serial", matrix=True
-        )
-        without = traced_run(
-            trace_bundle, trace_workload, "serial", matrix=False
-        )
-        assert render_trace_json(with_matrix.trace) == render_trace_json(
-            without.trace
-        )
-        assert [
-            (r.object_id, r.final_verdict) for r in with_matrix.reports
-        ] == [(r.object_id, r.final_verdict) for r in without.reports]
 
     def test_matrix_prefill_counted(self, trace_bundle, trace_workload):
         batch = traced_run(trace_bundle, trace_workload, "serial")

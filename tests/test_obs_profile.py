@@ -126,25 +126,6 @@ class TestStageProfile:
             "verify_batch;verify;verify_pool"
         ].cpu_seconds == pytest.approx(0.75)
 
-    def test_extras_become_stages_and_reduce_parent_self_time(self):
-        profile = StageProfile.from_trace(
-            build_profile_trace(),
-            extras=[(("verify_batch", "retrieve:prefill"), 1.5, 0.25)],
-        )
-        by_stack = {e.label: e for e in profile.entries()}
-        assert by_stack[
-            "verify_batch;retrieve:prefill"
-        ].wall_seconds == pytest.approx(1.5)
-        assert by_stack["verify_batch"].wall_seconds == pytest.approx(0.5)
-        # the sum-equals-total invariant survives the reshuffle
-        assert profile.total_wall_seconds == pytest.approx(4.0)
-
-    def test_extras_require_a_parent_stage(self):
-        with pytest.raises(ValueError):
-            StageProfile.from_trace(
-                build_profile_trace(), extras=[(("orphan",), 1.0, None)]
-            )
-
     def test_collapsed_output_is_sorted_and_parseable(self):
         profile = StageProfile.from_trace(build_profile_trace())
         lines = profile.collapsed().splitlines()
