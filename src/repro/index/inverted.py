@@ -21,10 +21,14 @@ bit-identical hit lists: the sealed scorer replays the exact arithmetic
 of the dict scorer (same operation order, same IEEE doubles) and breaks
 ties on instance id the same way.  Token contributions accumulate in
 **sorted token order** on every path — per-query dict, per-query
-sealed, and the batched :meth:`InvertedIndex.search_matrix` kernel —
-which is what lets the query-matrix kernel (one vectorized pass per
-token over all queries) reproduce the per-query float64 sums bit for
-bit.
+sealed, and the batched :meth:`InvertedIndex.search_matrix` kernel.
+That kernel scores a campaign in tiles of consecutive queries: a
+tile's postings are laid out as one flat stream, query by query and
+token by token, and a single ``np.bincount`` folds the stream into the
+tile's queries x documents score matrix.  ``bincount`` adds in stream
+order and a cell belongs to one query, so every cell replays that
+query's sorted-token float64 sum bit for bit; the tile size
+(:data:`_TILE_BUDGET`) only bounds how much memory one pass touches.
 
 Because the sealed form is a handful of flat arrays, it is also the
 **persistence unit**: :mod:`repro.index.persistence` writes the arrays
@@ -65,7 +69,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import Counter, defaultdict
 from itertools import chain, compress
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -76,6 +80,18 @@ from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import SearchHit, SearchIndex, top_k
 from repro.obs.metrics import get_registry
 from repro.text import analyze
+
+
+#: Most elements — postings in the stream plus cells in the score matrix
+#: — one tile of the query-matrix kernel may hold.  Every temporary of a
+#: tile is one of those two lengths, so this bounds the kernel's working
+#: set whatever the campaign size.  Chosen from the sweep in
+#: docs/performance.md ("The query-matrix kernel"): from 48k to 96k a
+#: warm 50-query prefill inside a campaign is at its fastest and takes
+#: no page faults; from 128k up the allocator returns the temporaries to
+#: the OS after every call and maps them in again, and at the untiled
+#: size a query costs 2.5 times as much.
+_TILE_BUDGET = 48_000
 
 
 def _bm25_idf(num_docs: int, df: int) -> float:
@@ -157,8 +173,10 @@ class _SealedPostings:
             tok_pos if tok_pos is not None
             else dict(zip(tokens, range(len(tokens))))
         )
-        #: per-posting BM25 contribution for qtf = 1, lazily compiled by
-        #: the query-matrix kernel (derived data, never persisted)
+        #: per-posting BM25 contribution for qtf = 1, built by the
+        #: query-matrix kernel the first time it scores against this
+        #: seal (derived data: never persisted, and not carried across a
+        #: patch — every write moves ``norm``, so every value changes)
         self.contrib_flat: Optional["np.ndarray"] = None
 
     def posting(
@@ -183,28 +201,21 @@ class _SealedPostings:
 
 
 class MatrixPlan:
-    """A campaign of queries analyzed and inverted once.
+    """A campaign of queries analyzed once.
 
-    Shard-independent: ``tokens`` is the sorted union vocabulary, and
-    per token ``token_rows`` / ``token_counts`` hold the carrying query
-    rows (ascending) and their query term frequencies.  Built by
-    :meth:`InvertedIndex.plan_matrix`, consumed by
-    :meth:`InvertedIndex.search_matrix_planned` on every shard.
+    Shard-independent: ``terms`` holds, per query, its sorted
+    ``(token, count)`` list — what the per-query sealed path computes
+    for one query.  Built by :meth:`InvertedIndex.plan_matrix`, consumed
+    by :meth:`InvertedIndex.search_matrix_planned` on every shard.
     """
 
-    __slots__ = ("queries", "tokens", "token_rows", "token_counts")
+    __slots__ = ("queries", "terms")
 
     def __init__(
-        self,
-        queries: List[str],
-        tokens: List[str],
-        token_rows: Dict[str, List[int]],
-        token_counts: Dict[str, List[float]],
+        self, queries: List[str], terms: List[List[Tuple[str, int]]]
     ) -> None:
         self.queries = queries
-        self.tokens = tokens
-        self.token_rows = token_rows
-        self.token_counts = token_counts
+        self.terms = terms
 
 
 class InvertedIndex(SearchIndex):
@@ -237,9 +248,10 @@ class InvertedIndex(SearchIndex):
         self._doc_tokens: Dict[str, Tuple[str, ...]] = {}
         self._total_length = 0
         self._sealed: Optional[_SealedPostings] = None
-        # serializes the lazy seal in seal()/_contrib_flat(): the
-        # scatter paths fan search out over threads, and two of them
-        # hitting an unsealed shard must not both compile and publish
+        # serializes what readers build lazily — the seal itself
+        # (compile or patch, in seal()) and a seal's contrib_flat: the
+        # scatter paths and the batch engine search from several
+        # threads, and two of them must not both build and publish
         self._seal_lock = threading.Lock()
         #: the last published seal, kept across writes so the next
         #: seal() patches it; ``None`` = nothing to patch, compile
@@ -595,13 +607,15 @@ class InvertedIndex(SearchIndex):
         _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
 
     def _rank_candidates(
-        self, scores: "np.ndarray", matched: "np.ndarray", k: int
+        self,
+        sealed: _SealedPostings,
+        scores: "np.ndarray",
+        matched: "np.ndarray",
+        k: int,
     ) -> List[Tuple[int, float]]:
-        """Top-k ``(doc index, score)`` pairs under the ``(-score, id)``
-        total order — the one selection routine every sealed path
-        (per-query, query-matrix, memmap worker) shares, so their
-        rankings cannot drift apart."""
-        sealed = self._sealed
+        """Top-k ``(doc index, score)`` pairs of one query under the
+        ``(-score, id)`` total order — the per-query selection
+        :meth:`_rank_matrix` reproduces row for row."""
         candidates = np.nonzero(matched)[0]
         if candidates.size == 0 or k <= 0:
             return []
@@ -617,9 +631,9 @@ class InvertedIndex(SearchIndex):
         return [(i, float(score)) for score, _, i in ranked]
 
     def _hits_from_ranked(
-        self, ranked: List[Tuple[int, float]]
+        self, sealed: _SealedPostings, ranked: List[Tuple[int, float]]
     ) -> List[SearchHit]:
-        doc_ids = self._sealed.doc_ids
+        doc_ids = sealed.doc_ids
         return [
             SearchHit(
                 score=score, instance_id=doc_ids[i], index_name=self.name
@@ -627,9 +641,9 @@ class InvertedIndex(SearchIndex):
             for i, score in ranked
         ]
 
-    def _search_sealed(self, query: str, k: int) -> List[SearchHit]:
-        sealed = self._sealed
-        assert sealed is not None
+    def _search_sealed(
+        self, sealed: _SealedPostings, query: str, k: int
+    ) -> List[SearchHit]:
         tokens = self._analyze(query)
         if not tokens or not sealed.doc_ids:
             return []
@@ -650,7 +664,9 @@ class InvertedIndex(SearchIndex):
                 * query_count
             )
             matched[idx] = True
-        return self._hits_from_ranked(self._rank_candidates(scores, matched, k))
+        return self._hits_from_ranked(
+            sealed, self._rank_candidates(sealed, scores, matched, k)
+        )
 
     # ------------------------------------------------------------------
     # query-matrix (batched) scoring
@@ -658,102 +674,101 @@ class InvertedIndex(SearchIndex):
     def plan_matrix(self, queries: Sequence[str]) -> "MatrixPlan":
         """Analyze a campaign once into a shard-independent plan.
 
-        The plan holds the inverted campaign — sorted union vocabulary,
-        and per token the carrying query rows and their counts — which
-        depends only on the queries and the analyzer settings, never on
-        any shard's postings.  A sharded index therefore plans once and
-        scores the same plan against every shard
+        The plan depends only on the queries and the analyzer settings,
+        never on any shard's postings.  A sharded index therefore plans
+        once and scores the same plan against every shard
         (:meth:`search_matrix_planned`)."""
         queries = list(queries)
-        token_rows: Dict[str, List[int]] = {}
-        token_counts: Dict[str, List[float]] = {}
-        for qi, query in enumerate(queries):
-            for token, query_count in sorted(
-                Counter(self._analyze(query)).items()
-            ):
-                token_rows.setdefault(token, []).append(qi)
-                token_counts.setdefault(token, []).append(float(query_count))
         return MatrixPlan(
-            queries, sorted(token_rows), token_rows, token_counts
+            queries,
+            [sorted(Counter(self._analyze(q)).items()) for q in queries],
         )
 
     def _score_matrix(
-        self, plan: "MatrixPlan", k: int
+        self, sealed: _SealedPostings, plan: "MatrixPlan", k: int
     ) -> List[List[Tuple[int, float]]]:
-        """Rank every campaign query against the sealed shard in one
-        vectorized pass (rows = queries, columns = documents).
+        """Rank every campaign query against one seal, a tile of
+        consecutive queries at a time (rows = the tile's queries,
+        columns = documents).
 
-        Accumulation runs over the union vocabulary in sorted order with
-        the exact per-token arithmetic of :meth:`_search_sealed`, so the
-        float64 sums — and therefore the rankings — are bit-identical to
-        running each query through the per-query sealed path."""
-        sealed = self._sealed
+        A tile is cut where one more query would take it past
+        :data:`_TILE_BUDGET` elements, a query costing its postings
+        plus its score row; a query that alone costs more is a tile of
+        one.  Cutting changes no sum: a cell belongs to one query, whose
+        postings arrive in sorted token order with the exact per-token
+        arithmetic of :meth:`_search_sealed`, so scores — and therefore
+        rankings — are bit-identical to the per-query sealed path
+        wherever the cuts fall."""
         num_docs = len(sealed.doc_ids)
-        num_queries = len(plan.queries)
-        if not num_docs or not num_queries or k <= 0:
+        if not num_docs or k <= 0:
             return [[] for _ in plan.queries]
-        contrib_flat = self._contrib_flat()
-        # One (token-position, query-row, query-count) triple per pair of
-        # a union-vocabulary token and a query carrying it, token-major
-        # in sorted token order, rows ascending within a token — the
-        # canonical accumulation order.
-        token_rows = plan.token_rows
-        token_counts = plan.token_counts
+        contrib_flat = self._contrib_flat(sealed)
+        # One (CSR row, query row, query count) triple per query token
+        # this seal knows: query-major, a query's tokens in sorted
+        # order — the canonical accumulation order.
+        tok_pos = sealed.tok_pos
         pair_tok: List[int] = []
-        pair_rows: List[int] = []
-        pair_qc: List[float] = []
-        for token in plan.tokens:
-            position = sealed.tok_pos.get(token)
-            if position is None:
-                continue
-            rows = token_rows[token]
-            pair_tok.extend([position] * len(rows))
-            pair_rows.extend(rows)
-            pair_qc.extend(token_counts[token])
-        if not pair_tok:
-            return [[] for _ in plan.queries]
-        # Expand the pairs into one flat contribution stream: for pair
-        # (t, q) the values are qc * contrib_flat[block of t] and the
-        # cells are q * num_docs + doc_idx[block of t].  ``np.bincount``
-        # folds the stream into the score matrix in a single C pass,
-        # accumulating sequentially in stream order — so each cell's
-        # float64 sum replays the per-query path's sorted-token
-        # accumulation exactly (and qc * contrib == contrib * qc bit
-        # for bit: IEEE multiplication commutes).
+        pair_row: List[int] = []
+        pair_qc: List[int] = []
+        pair_end: List[int] = []  # per query, where its pairs end
+        for row, terms in enumerate(plan.terms):
+            for token, query_count in terms:
+                position = tok_pos.get(token)
+                if position is not None:
+                    pair_tok.append(position)
+                    pair_row.append(row)
+                    pair_qc.append(query_count)
+            pair_end.append(len(pair_tok))
         tok_arr = np.asarray(pair_tok, dtype=np.int64)
         starts = sealed.tok_start[tok_arr]
         lengths = sealed.tok_start[tok_arr + 1] - starts
-        total = int(lengths.sum())
-        if not total:
-            return [[] for _ in plan.queries]
-        # gather[j] walks each pair's CSR block: start + 0..len-1
-        ends = np.cumsum(lengths)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(
-            ends - lengths, lengths
-        )
-        gather = np.repeat(starts, lengths) + ramp
-        values = (
-            np.repeat(np.asarray(pair_qc, dtype=np.float64), lengths)
-            * contrib_flat[gather]
-        )
-        cells = (
-            np.repeat(
-                np.asarray(pair_rows, dtype=np.int64) * num_docs, lengths
+        rows = np.asarray(pair_row, dtype=np.int64)
+        counts = np.asarray(pair_qc, dtype=np.float64)
+        # cost[q]: elements queries 0..q hold between them
+        stream_end = np.concatenate(([0], np.cumsum(lengths)))[pair_end]
+        cost = (
+            stream_end + num_docs * np.arange(1, len(pair_end) + 1)
+        ).tolist()
+        registry = get_registry()
+        tiles = registry.counter("index.matrix.tiles")
+        stream_postings = registry.counter("index.matrix.stream_postings")
+        ranked: List[List[Tuple[int, float]]] = []
+        first = first_pair = spent = 0
+        while first < len(cost):
+            stop = max(
+                first + 1, bisect_right(cost, spent + _TILE_BUDGET, first)
             )
-            + sealed.doc_idx[gather]
-        )
-        scores = np.bincount(
-            cells, weights=values, minlength=num_queries * num_docs
-        ).reshape(num_queries, num_docs)
-        return self._rank_matrix(scores, k)
+            pairs = slice(first_pair, pair_end[stop - 1])
+            # Lay the tile's pairs out as one flat stream: pair (t, q)
+            # contributes qc * contrib_flat[block of t] to the cells
+            # q * num_docs + doc_idx[block of t].  ``np.bincount`` folds
+            # the stream into the score matrix in a single C pass,
+            # adding in stream order (and qc * contrib == contrib * qc
+            # bit for bit: IEEE multiplication commutes).
+            lens = lengths[pairs]
+            total = int(lens.sum())
+            # gather[j] walks each pair's CSR block: start + 0..len-1
+            gather = np.repeat(starts[pairs] - np.cumsum(lens) + lens, lens)
+            gather += np.arange(total)
+            values = contrib_flat[gather]
+            values *= np.repeat(counts[pairs], lens)
+            cells = sealed.doc_idx[gather]
+            cells += np.repeat((rows[pairs] - first) * num_docs, lens)
+            scores = np.bincount(
+                cells, weights=values, minlength=(stop - first) * num_docs
+            ).reshape(stop - first, num_docs)
+            ranked.extend(self._rank_matrix(sealed, scores, k))
+            tiles.inc()
+            stream_postings.inc(total)
+            first, first_pair, spent = stop, pairs.stop, cost[stop - 1]
+        return ranked
 
-    def _contrib_flat(self) -> "np.ndarray":
+    def _contrib_flat(self, sealed: _SealedPostings) -> "np.ndarray":
         """Per-posting BM25 contribution at query term frequency 1 —
         ``idf * (tf * (k1 + 1)) / (tf + norm[doc])`` over the whole CSR
         layout, exactly the per-query path's token term.  Derived from
         the sealed arrays on first use and cached on the seal (works for
         memmap attachments too; never persisted)."""
-        sealed = self._sealed
         if sealed.contrib_flat is None:
             with self._seal_lock:
                 if sealed.contrib_flat is None:
@@ -770,10 +785,11 @@ class InvertedIndex(SearchIndex):
         return sealed.contrib_flat
 
     def _rank_matrix(
-        self, scores: "np.ndarray", k: int
+        self, sealed: _SealedPostings, scores: "np.ndarray", k: int
     ) -> List[List[Tuple[int, float]]]:
         """Per-row top-k of a score matrix under the ``(-score, id)``
-        total order, selecting with one matrix-wide ``argpartition``.
+        total order, finding every row's k-th score with one
+        ``partition``.
 
         Equivalent to :meth:`_rank_candidates` row by row: matched docs
         are exactly those with score > 0 (every BM25 contribution is
@@ -782,11 +798,13 @@ class InvertedIndex(SearchIndex):
         all docs equals the k-th largest over matched docs whenever at
         least k docs matched, with ties kept on both sides of the cut.
         """
-        sealed = self._sealed
         num_queries, num_docs = scores.shape
-        kk = min(k, num_docs)
-        part = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-        kth = np.take_along_axis(scores, part, axis=1).min(axis=1)
+        at = min(k, num_docs) - 1
+        # the k-th largest is the k-th smallest of the negation, and
+        # numpy selects a position that near the front with one scan
+        # (selecting ``num_docs - k`` of ``scores`` itself, which needs
+        # no negated copy, is 5x slower on these tie-heavy rows)
+        kth = (-np.partition(-scores, at, axis=1)[:, at]).tolist()
         ranked: List[List[Tuple[int, float]]] = []
         for qi in range(num_queries):
             row = scores[qi]
@@ -801,10 +819,20 @@ class InvertedIndex(SearchIndex):
             ranked.append([(i, float(score)) for score, _, i in ordered])
         return ranked
 
+    def _current_seal(self) -> Optional[_SealedPostings]:
+        """The seal one call reads from start to end, brought up to
+        date first when ``auto_seal`` is on; ``None`` = answer from the
+        dict form.  Every sealed entry point takes it once and passes it
+        down, so a call never mixes two generations' arrays."""
+        sealed = self._sealed
+        if sealed is None and self.auto_seal and self._doc_length:
+            sealed = self.seal()._sealed
+        return sealed
+
     def search_matrix(
         self, queries: Sequence[str], k: int = 10
     ) -> List[List[SearchHit]]:
-        """Score a whole batch of queries in one query-matrix pass.
+        """Score a whole batch of queries with the query-matrix kernel.
 
         Bit-identical to ``[self.search(q, k) for q in queries]`` on the
         sealed path (differential-tested)."""
@@ -813,10 +841,6 @@ class InvertedIndex(SearchIndex):
             # a 1-row matrix pays the stream-assembly overhead for no
             # sharing; the per-query kernel is bit-identical and faster
             return [self.search(queries[0], k)]
-        if self._sealed is None and self.auto_seal and self._doc_length:
-            self.seal()
-        if self._sealed is None:
-            return [self.search_dict(query, k) for query in queries]
         return self.search_matrix_planned(self.plan_matrix(queries), k)
 
     def search_matrix_planned(
@@ -826,14 +850,15 @@ class InvertedIndex(SearchIndex):
 
         The sharded scatter paths plan the campaign once
         (:meth:`plan_matrix`) and call this on every shard, so the
-        per-query analysis and inversion cost is paid once per campaign
-        instead of once per shard."""
-        if self._sealed is None and self.auto_seal and self._doc_length:
-            self.seal()
-        if self._sealed is None:
+        per-query analysis cost is paid once per campaign instead of
+        once per shard."""
+        sealed = self._current_seal()
+        if sealed is None:
             return [self.search_dict(query, k) for query in plan.queries]
-        ranked = self._score_matrix(plan, k)
-        return [self._hits_from_ranked(r) for r in ranked]
+        return [
+            self._hits_from_ranked(sealed, ranked)
+            for ranked in self._score_matrix(sealed, plan, k)
+        ]
 
     def search_matrix_arrays(
         self, queries: Sequence[str], k: int = 10
@@ -842,10 +867,8 @@ class InvertedIndex(SearchIndex):
         ``(doc index array, score array)`` pair per query — the wire
         format the process-pool shard workers ship back (indexes into
         the sealed ``doc_ids`` order instead of repeated id strings)."""
-        queries = list(queries)
-        if self._sealed is None:
-            self.seal()
-        ranked = self._score_matrix(self.plan_matrix(queries), k)
+        sealed = self.seal()._sealed
+        ranked = self._score_matrix(sealed, self.plan_matrix(queries), k)
         out: List[Tuple[np.ndarray, np.ndarray]] = []
         for r in ranked:
             idx = np.fromiter((i for i, _ in r), dtype=np.int64, count=len(r))
@@ -865,10 +888,9 @@ class InvertedIndex(SearchIndex):
     # search
     # ------------------------------------------------------------------
     def search(self, query: str, k: int = 10) -> List[SearchHit]:
-        if self._sealed is None and self.auto_seal and self._doc_length:
-            self.seal()
-        if self._sealed is not None:
-            return self._search_sealed(query, k)
+        sealed = self._current_seal()
+        if sealed is not None:
+            return self._search_sealed(sealed, query, k)
         return self.search_dict(query, k)
 
     def search_dict(self, query: str, k: int = 10) -> List[SearchHit]:

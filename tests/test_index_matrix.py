@@ -8,15 +8,26 @@ bit-identical ``(instance_id, score)`` rankings of the per-query paths
 is exact float64 equality, never approx: both paths accumulate
 contributions in the same canonical sorted-token order, so IEEE
 addition order matches and the scores agree to the last bit.
+
+The kernel scores a campaign in tiles of consecutive queries, cut where
+one more query would pass ``inverted._TILE_BUDGET`` elements
+(``TestTiles``): wherever the cuts fall the rankings do not move, and
+no single ``np.bincount`` pass is handed more than the budget allows.
 """
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
+from repro.index import inverted
 from repro.index.inverted import InvertedIndex
+from repro.index.persistence import attach_sealed_index, save_sealed_index
 from repro.index.shard import ShardedInvertedIndex
+from repro.obs.metrics import get_registry
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -111,6 +122,146 @@ class TestMatrixKernel:
                 text = "sunny mornings in the green meadow"
             oracle.add(doc_id, text)
         assert got == [pairs(oracle.search(q, 5)) for q in MICRO_QUERIES]
+
+
+# ---------------------------------------------------------------------------
+# tiles: wherever a campaign is cut, the rankings do not move
+# ---------------------------------------------------------------------------
+def pseudo_word(rank):
+    return "".join("kmrtv"[d] + "aeo"[d % 3] for d in divmod(rank, 5)) + "x"
+
+
+def corpus_text(rng, words=12, vocabulary=25):
+    """Low ranks far more frequent than high ones, so streams vary."""
+    return " ".join(
+        pseudo_word(int(rng.random() ** 2 * vocabulary)) for _ in range(words)
+    )
+
+
+def fill(index, docs=1500, seed=5):
+    rng = random.Random(seed)
+    for number in range(docs):
+        index.add(f"doc{number:04d}", corpus_text(rng))
+    return index
+
+
+def campaign(count=56, seed=11):
+    rng = random.Random(seed)
+    return [corpus_text(rng, words=rng.randint(1, 7)) for _ in range(count)]
+
+
+def counter(name):
+    return get_registry().counter(f"index.matrix.{name}").value
+
+
+class BincountSpy:
+    """Records ``(stream length, minlength)`` of every ``np.bincount``
+    pass the kernel makes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self._bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", self)
+
+    def __call__(self, cells, weights=None, minlength=0):
+        self.calls.append((len(cells), minlength))
+        return self._bincount(cells, weights=weights, minlength=minlength)
+
+
+#: with the budget forced to ``EDGE_BUDGET`` over ``fill(docs=40)``: a
+#: query that alone costs more than the budget, empty and absent-token
+#: queries where tiles begin and end, and one query landing in two tiles
+EDGE_BUDGET = 160
+EDGE_QUERIES = [
+    "",
+    "kakax kakax kamex karox katax kavex mekax memex merox",  # its own tile
+    "absent tokens only",
+    "",
+    "kamex rotax",
+    "karox",
+    "absent",
+    "kamex rotax",
+    "",
+]
+
+
+class TestTiles:
+    def test_a_multi_tile_campaign_equals_the_per_query_paths(self):
+        index = fill(InvertedIndex(name="tiles"))
+        queries = campaign()
+        expected = [pairs(index.search_dict(q, 5)) for q in queries]
+        tiles = counter("tiles")
+        got = [pairs(hits) for hits in index.search_matrix(queries, 5)]
+        assert counter("tiles") - tiles >= 3
+        assert got == expected
+        assert got == [pairs(index.search(q, 5)) for q in queries]
+        assert sum(map(bool, got)) > 50, "vacuous: most queries matched nothing"
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("k", [0, 1, 3, 1000])
+    def test_cuts_on_every_edge_change_nothing(
+        self, monkeypatch, num_shards, k
+    ):
+        budget = EDGE_BUDGET // num_shards  # a shard holds 1/n of it all
+        monkeypatch.setattr(inverted, "_TILE_BUDGET", budget)
+        sharded = fill(ShardedInvertedIndex(num_shards, name="tiles"), docs=40)
+        spy = BincountSpy(monkeypatch)
+        got = [pairs(hits) for hits in sharded.search_batch(EDGE_QUERIES, k)]
+        if k:
+            assert len(spy.calls) >= 3 * num_shards
+            assert max(map(sum, spy.calls)) > budget
+        assert got == [pairs(sharded.search(q, k)) for q in EDGE_QUERIES]
+        assert got[4] == got[7]
+        if k == 1000:  # k beyond the matches: every matched document
+            assert 0 < len(got[5]) < 40
+
+    def test_worker_arrays_are_tiled_the_same(self, monkeypatch, tmp_path):
+        index = fill(InvertedIndex(name="tiles"), docs=40)
+        save_sealed_index(index, tmp_path / "snap")
+        attached = attach_sealed_index(tmp_path / "snap")
+        monkeypatch.setattr(inverted, "_TILE_BUDGET", EDGE_BUDGET)
+        tiles = counter("tiles")
+        arrays = attached.search_matrix_arrays(EDGE_QUERIES, 3)
+        assert counter("tiles") - tiles >= 4
+        doc_ids = attached._sealed.doc_ids
+        assert [
+            [(doc_ids[i], score) for i, score in zip(idx.tolist(), sc.tolist())]
+            for idx, sc in arrays
+        ] == [pairs(index.search(q, 3)) for q in EDGE_QUERIES]
+
+    def test_no_pass_is_handed_more_than_the_budget(self, monkeypatch):
+        index = fill(InvertedIndex(name="tiles")).seal()
+        queries = campaign(50)
+        docs = len(index)
+        streams = [
+            sum(index.local_df(token) for token in set(index._analyze(q)))
+            for q in queries
+        ]
+        budget = inverted._TILE_BUDGET
+        assert max(streams) + docs < budget < sum(streams) + 50 * docs
+        tiles, postings = counter("tiles"), counter("stream_postings")
+        spy = BincountSpy(monkeypatch)
+        index.search_batch(queries, 3)
+        assert len(spy.calls) >= 3
+        for stream, cells in spy.calls:
+            assert stream + cells <= budget
+            assert cells % docs == 0
+        # every query scored once, and the counters say how it was cut
+        assert sum(stream for stream, _ in spy.calls) == sum(streams)
+        assert sum(cells for _, cells in spy.calls) == 50 * docs
+        assert counter("tiles") - tiles == len(spy.calls)
+        assert counter("stream_postings") - postings == sum(streams)
+
+    def test_an_oversize_query_is_a_tile_of_one(self, monkeypatch):
+        index = fill(InvertedIndex(name="tiles"), docs=40).seal()
+        monkeypatch.setattr(inverted, "_TILE_BUDGET", EDGE_BUDGET)
+        spy = BincountSpy(monkeypatch)
+        index.search_batch(EDGE_QUERIES, 3)
+        longest = max(stream for stream, _ in spy.calls)
+        assert longest + 40 > EDGE_BUDGET  # alone over the budget...
+        assert (longest, 40) in spy.calls  # ...so scored alone
+        for stream, cells in spy.calls:
+            assert stream + cells <= EDGE_BUDGET or cells == 40
 
 
 # ---------------------------------------------------------------------------

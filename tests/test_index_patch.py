@@ -390,7 +390,7 @@ class TestNamedCases:
         pair = self.small()
         held = pair.live._sealed  # a reader still on the old generation
         before = seven(pair.live)
-        held_contrib = pair.live._contrib_flat().copy()
+        held_contrib = pair.live._contrib_flat(held).copy()
         pair.remove("a")
         pair.add("e", "tox zzzx")
         pair.check()
