@@ -60,23 +60,26 @@ trace-demo:
 # the stdlib line-coverage gate (no coverage.py in the image): rerun
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers (with their readings memo), the
-# rerankers, the token embedder, the flat vector index and the inverted
-# index (dict form, compile, patch) in a fresh interpreter under the
-# settrace tracer, failing (exit 4) if any measured file dips below the
-# committed 90% floor
+# rerankers, the token embedder, the flat vector index, the inverted
+# index (dict form, compile, patch) and the text layer's analysis and
+# similarity in a fresh interpreter under the settrace tracer, failing
+# (exit 4) if any measured file dips below the committed 90% floor
 coverage:
 	PYTHONPATH=src python -m repro.cli coverage --floor 0.9 \
 		--target src/repro/loop --target src/repro/repair.py \
 		--target src/repro/llm/model.py --target src/repro/rerank \
 		--target src/repro/embed/token_embed.py \
 		--target src/repro/index/vector.py \
-		--target src/repro/index/inverted.py -- -q \
+		--target src/repro/index/inverted.py \
+		--target src/repro/text/tokenize.py \
+		--target src/repro/text/similarity.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_index_matrix.py tests/test_index_churn.py \
-		tests/test_core_indexer_mutation.py
+		tests/test_core_indexer_mutation.py tests/test_text_tokenize.py \
+		tests/test_text_similarity.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -91,14 +94,16 @@ lint-json:
 	PYTHONPATH=src python -m repro.cli lint --json --baseline lint_baseline.json src/repro
 
 # the concurrency suites (and the thread hammers on the simulated LLM's
-# readings memo, on a shared RerankerModule, and on readers racing to
-# patch a seal) under the Eraser-style lockset race sanitizer (see
-# docs/static_analysis.md); exit status 3 = races found
+# readings memo, on a shared RerankerModule, on readers racing to patch
+# a seal, and on the text layer's word table while it fills) under the
+# Eraser-style lockset race sanitizer (see docs/static_analysis.md);
+# exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
 		tests/test_batch_faults.py tests/test_index_executor.py \
 		tests/test_index_churn.py tests/test_llm_readings.py \
-		tests/test_rerank_readings.py tests/test_index_patch.py
+		tests/test_rerank_readings.py tests/test_index_patch.py \
+		tests/test_text_tokenize.py
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -107,13 +112,16 @@ bench:
 # behind every speed claim (query-matrix kernel, memmap round-trip,
 # executor equivalence, the verdict path's content-keyed readings, the
 # read-once rerank and semantic-search path, the patched seal's byte
-# equality with a compile) — no timing assertions, pure score/byte
-# equality, fast enough to gate every `make check`
+# equality with a compile, the table-walk analysis and the bit-parallel
+# edit distance against their per-occurrence / DP oracles) — no timing
+# assertions, pure score/byte equality, fast enough to gate every
+# `make check`
 bench-quick:
 	PYTHONPATH=src pytest tests/test_index_matrix.py \
 		tests/test_index_memmap.py tests/test_index_executor.py \
 		tests/test_llm_readings.py tests/test_rerank_readings.py \
-		tests/test_index_patch.py -q
+		tests/test_index_patch.py tests/test_text_tokenize.py \
+		tests/test_text_similarity.py -q
 
 # the regression gate's self-consistency check: every committed
 # BENCH_*.json snapshot must diff clean against itself (exercises the

@@ -12,6 +12,7 @@ from typing import Union
 
 from repro.datalake.lake import DataLake
 from repro.datalake.types import Source, Table, TextDocument
+from repro.snapshot import write_json
 
 _FORMAT_VERSION = 1
 
@@ -51,10 +52,7 @@ def save_lake(lake: DataLake, path: Union[str, Path]) -> None:
             for t in entity.triples
         ],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False)
+    write_json(payload, Path(path))
 
 
 def load_lake(path: Union[str, Path]) -> DataLake:

@@ -41,6 +41,7 @@ import numpy as np
 from repro.index.inverted import InvertedIndex, _SealedPostings
 from repro.index.shard import ShardedInvertedIndex
 from repro.index.vector import FlatVectorIndex
+from repro.snapshot import write_json
 
 _FORMAT_VERSION = 1
 _SHARDED_FORMAT_VERSION = 1
@@ -148,15 +149,9 @@ def _restore_from_payload(index: InvertedIndex, payload: dict) -> None:
     index._restore(payload["doc_length"], payload["postings"])
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False)
-
-
 def save_inverted_index(index: InvertedIndex, path: Union[str, Path]) -> None:
     """Snapshot an inverted index to ``path``."""
-    _write_json(_index_payload(index), Path(path))
+    write_json(_index_payload(index), Path(path))
 
 
 def load_inverted_index(path: Union[str, Path]) -> InvertedIndex:
@@ -189,7 +184,7 @@ def save_sharded_index(
         "num_shards": index.num_shards,
         "shards": [_index_payload(shard) for shard in index.shards],
     }
-    _write_json(payload, Path(path))
+    write_json(payload, Path(path))
 
 
 def load_sharded_index(path: Union[str, Path]) -> ShardedInvertedIndex:
@@ -269,7 +264,7 @@ def save_sealed_index(
     }
     for name, array in arrays.items():
         array.tofile(directory / f"{name}.bin")
-    _write_json(manifest, directory / "manifest.json")
+    write_json(manifest, directory / "manifest.json")
     return directory
 
 
@@ -389,7 +384,7 @@ def save_sealed_sharded_index(
         "num_shards": index.num_shards,
         "shards": shard_dirs,
     }
-    _write_json(manifest, directory / "manifest.json")
+    write_json(manifest, directory / "manifest.json")
     return directory
 
 
@@ -450,7 +445,7 @@ def save_vector_index(
         },
     }
     matrix.tofile(directory / "matrix.bin")
-    _write_json(manifest, directory / "manifest.json")
+    write_json(manifest, directory / "manifest.json")
     return directory
 
 

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.snapshot import write_json
 from repro.verify.verdict import Verdict
 
 #: lifecycle states of a :class:`VerificationRecord`
@@ -187,10 +188,7 @@ class ProvenanceStore:
     def save(self, path: Union[str, Path]) -> None:
         """Dump all records as JSON."""
         payload = [asdict(record) for record in self._records.values()]
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False)
+        write_json(payload, Path(path))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ProvenanceStore":

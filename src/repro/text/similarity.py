@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -28,25 +28,36 @@ def levenshtein(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
-    if len(a) < len(b):
+    if len(a) > len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        append = current.append
-        diagonal, left = i - 1, i
-        for j, ch_b in enumerate(b, start=1):
-            above = previous[j]
-            # min(above + 1, left + 1, diagonal + cost), spelled out
-            best = diagonal if ch_a == ch_b else diagonal + 1
-            if above < best:
-                best = above + 1
-            if left < best:
-                best = left + 1
-            append(best)
-            diagonal, left = above, best
-        previous = current
-    return previous[-1]
+    # Myers' bit-parallel recurrence: bit i of ``plus`` / ``minus`` says
+    # the DP column steps +1 / -1 from row i to row i + 1 of the pattern
+    # ``a``, and one round of integer ops per character of ``b`` replaces
+    # a DP row.  Python ints carry any pattern length, so there is no
+    # 64-character block loop.
+    occurs: Dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        occurs[ch] = occurs.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    distance = len(a)
+    plus, minus = mask, 0
+    occurs_get = occurs.get
+    for ch in b:
+        match = occurs_get(ch, 0) | minus
+        diagonal = (((match & plus) + plus) ^ plus) | match
+        across_plus = minus | ~(plus | diagonal)
+        across_minus = plus & diagonal
+        if across_plus & last:
+            distance += 1
+        elif across_minus & last:
+            distance -= 1
+        across_plus = (across_plus << 1) | 1  # row 0 of the DP counts up
+        minus = across_plus & diagonal & mask
+        plus = ((across_minus << 1) | ~(across_plus | diagonal)) & mask
+    return distance
 
 
 def levenshtein_ratio(a: str, b: str) -> float:

@@ -1,5 +1,7 @@
 """String/token similarity measures and their invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,85 @@ from repro.text import (
 from repro.text.similarity import jaro, token_overlap
 
 short_text = st.text(max_size=25)
+#: few letters, so long strings share runs and the distance is far from
+#: ``max(len)``; an accent and an astral character keep non-ASCII and
+#: non-BMP code points in play; up to 150 characters crosses the
+#: 64-character word a fixed-width bit-parallel pattern would need
+#: blocks for
+FEW_LETTERS = "abé😀"
+long_text = st.text(alphabet=FEW_LETTERS, max_size=150)
+splice = st.text(alphabet=FEW_LETTERS, max_size=3)
+
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """The two-row dynamic programme ``levenshtein`` was before it
+    became bit-parallel; kept as the reference it must equal."""
+    previous = list(range(len(b) + 1))
+    for i, ch_a in enumerate(a, start=1):
+        current = [i]
+        for j, ch_b in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ch_a != ch_b),
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
+class TestLevenshteinEqualsTheDP:
+    """``levenshtein`` (Myers' bit-parallel recurrence on Python ints,
+    after a shared prefix/suffix strip) returns the DP's integer."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("", ""),
+            ("", "a"),
+            ("a", ""),
+            ("a", "a"),
+            ("a", "b"),
+            ("kitten", "sitting"),
+            ("flaw", "lawn"),
+            ("abc", "xabcx"),  # nothing to strip, pattern inside the text
+            ("prefix-a-suffix", "prefix-b-suffix"),  # strip leaves one char
+            ("aaaa", "aa"),  # strip empties the shorter string
+            ("ab" * 40, "ba" * 40),  # 80-bit pattern
+            ("a" * 64 + "b", "b" + "a" * 64),  # pattern of exactly 65 bits
+            ("x" * 200, "y" * 130),
+            ("café", "cafe"),
+            ("😀😃😄", "😀😄"),
+            ("e\u0301", "é"),  # combining sequence vs precomposed
+        ],
+    )
+    def test_named_cases(self, a, b):
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+        assert levenshtein(b, a) == dp_levenshtein(a, b)
+
+    @given(short_text, short_text)
+    def test_any_short_text(self, a, b):
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+    @given(long_text, long_text)
+    def test_long_patterns_over_few_letters(self, a, b):
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+    @given(long_text, st.integers(0, 150), splice)
+    def test_near_equal_strings(self, a, position, patch):
+        # one splice into an otherwise equal string: the strip does
+        # almost all of the work and the pattern is at most the patch
+        b = a[:position] + patch + a[position + 1:]
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            alphabet = rng.choice(["ab", "abcdefgh", "abcdefghij 0123456789"])
+            a = "".join(rng.choices(alphabet, k=rng.randint(0, 30)))
+            b = "".join(rng.choices(alphabet, k=rng.randint(0, 30)))
+            assert levenshtein(a, b) == dp_levenshtein(a, b), (a, b)
 
 
 class TestLevenshtein:
