@@ -61,9 +61,11 @@ trace-demo:
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers (with their readings memo), the
 # rerankers, the token embedder, the flat vector index, the inverted
-# index (dict form, compile, patch) and the text layer's analysis and
-# similarity in a fresh interpreter under the settrace tracer, failing
-# (exit 4) if any measured file dips below the committed 90% floor
+# index (dict form, compile, patch), the text layer's analysis and
+# similarity, and the campaign path's glue (prompt splitting and
+# response parsing, the verifier module, the combiner) in a fresh
+# interpreter under the settrace tracer, failing (exit 4) if any
+# measured file dips below the committed 90% floor
 coverage:
 	PYTHONPATH=src python -m repro.cli coverage --floor 0.9 \
 		--target src/repro/loop --target src/repro/repair.py \
@@ -72,14 +74,19 @@ coverage:
 		--target src/repro/index/vector.py \
 		--target src/repro/index/inverted.py \
 		--target src/repro/text/tokenize.py \
-		--target src/repro/text/similarity.py -- -q \
+		--target src/repro/text/similarity.py \
+		--target src/repro/llm/prompts.py \
+		--target src/repro/core/verifier.py \
+		--target src/repro/index/combiner.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_index_matrix.py tests/test_index_churn.py \
 		tests/test_core_indexer_mutation.py tests/test_text_tokenize.py \
-		tests/test_text_similarity.py
+		tests/test_text_similarity.py tests/test_llm_prompts.py \
+		tests/test_core_verifier_module.py tests/test_index_combiner.py \
+		tests/test_verdict_glue.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -94,7 +101,7 @@ lint-json:
 	PYTHONPATH=src python -m repro.cli lint --json --baseline lint_baseline.json src/repro
 
 # the concurrency suites (and the thread hammers on the simulated LLM's
-# readings memo, on a shared RerankerModule, on readers racing to patch
+# readings memo and call count, on a shared RerankerModule, on readers racing to patch
 # a seal, and on the text layer's word table while it fills) under the
 # Eraser-style lockset race sanitizer (see docs/static_analysis.md);
 # exit status 3 = races found
@@ -113,7 +120,9 @@ bench:
 # executor equivalence, the verdict path's content-keyed readings, the
 # read-once rerank and semantic-search path, the patched seal's byte
 # equality with a compile, the table-walk analysis and the bit-parallel
-# edit distance against their per-occurrence / DP oracles) — no timing
+# edit distance against their per-occurrence / DP oracles, the prompt
+# splitter, response parser, candidate ordering and one-index combiner
+# against the bodies they replaced) — no timing
 # assertions, pure score/byte equality, fast enough to gate every
 # `make check`
 bench-quick:
@@ -121,7 +130,7 @@ bench-quick:
 		tests/test_index_memmap.py tests/test_index_executor.py \
 		tests/test_llm_readings.py tests/test_rerank_readings.py \
 		tests/test_index_patch.py tests/test_text_tokenize.py \
-		tests/test_text_similarity.py -q
+		tests/test_text_similarity.py tests/test_verdict_glue.py -q
 
 # the regression gate's self-consistency check: every committed
 # BENCH_*.json snapshot must diff clean against itself (exercises the

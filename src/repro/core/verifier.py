@@ -35,15 +35,16 @@ def _object_key(obj: DataObject) -> tuple:
     )
 
 
-def _evidence_key(evidence: DataInstance) -> tuple:
+def _evidence_key(evidence: DataInstance, evidence_text: str) -> tuple:
     """The evidence half: the instance's id and a digest of what it
-    says now, so a verdict on what it said before a write to the lake
-    is never served again (a digest, not the text: the cache holds
-    tens of thousands of keys)."""
-    content = serialize_instance(evidence).encode("utf-8")
+    says now (``evidence_text``, its rendering), so a verdict on what
+    it said before a write to the lake is never served again (a digest,
+    not the text: the cache holds tens of thousands of keys)."""
     return (
         evidence.instance_id,
-        hashlib.blake2b(content, digest_size=8).digest(),
+        hashlib.blake2b(
+            evidence_text.encode("utf-8"), digest_size=8
+        ).digest(),
     )
 
 
@@ -117,7 +118,10 @@ class VerifierModule:
         ``_key_of(obj)``, computed once for a pool."""
         if object_key is None:
             return self.agent.verify(obj, evidence), False
-        key = object_key + _evidence_key(evidence)
+        # rendered once per pair: the text the key digests is the text
+        # a text-reading verifier is handed
+        evidence_text = serialize_instance(evidence)
+        key = object_key + _evidence_key(evidence, evidence_text)
         with self._cache_lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -127,10 +131,9 @@ class VerifierModule:
         # verify outside the lock; a concurrent duplicate recomputes the
         # same deterministic outcome, which is cheaper than serializing
         # every verification behind one mutex
-        outcome = self.agent.verify(obj, evidence)
+        outcome = self.agent.verify(obj, evidence, evidence_text)
         with self._cache_lock:
-            self._cache[key] = outcome
-            self._cache.move_to_end(key)
+            self._cache[key] = outcome  # a new key lands at the recent end
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
         return outcome, False

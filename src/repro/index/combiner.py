@@ -55,13 +55,30 @@ class Combiner:
         self.rrf_k = rrf_k
         self.name = name
 
+    def _fan_out(self, k: int, per_index_k: int) -> int:
+        """How many hits each index is asked for before fusion.
+
+        Two or more rankings are fused from ``2 * k`` hits each: an id
+        outside one index's top k can still reach the fused top k.  MAX
+        keeps ``2 * k`` even over one index — its min-max normalisation
+        reads the tail of the list.  RRF over a *single* ranking scores
+        rank alone, so the fused top k is that ranking's first k re-scored
+        (an index's top k being the prefix of its top ``2 * k``, as every
+        exact index here guarantees) and ``k`` is all it asks for.
+        """
+        if per_index_k:
+            return per_index_k
+        if len(self.indexes) == 1 and self.method is FusionMethod.RRF:
+            return k
+        return 2 * k
+
     def search(self, query: str, k: int = 10, per_index_k: int = 0) -> List[SearchHit]:
         """Query every index and fuse.
 
         ``per_index_k`` controls how many hits each index contributes
-        before fusion (defaults to ``2 * k`` for headroom).
+        before fusion (default: see :meth:`_fan_out`).
         """
-        fan_out = per_index_k or max(2 * k, k)
+        fan_out = self._fan_out(k, per_index_k)
         rankings = [index.search(query, fan_out) for index in self.indexes]
         return self.fuse(rankings, k)
 
@@ -76,7 +93,7 @@ class Combiner:
         queries = list(queries)
         if not queries:
             return []
-        fan_out = per_index_k or max(2 * k, k)
+        fan_out = self._fan_out(k, per_index_k)
         # [index][query] -> ranking
         per_index = [
             index.search_batch(queries, fan_out) for index in self.indexes

@@ -102,6 +102,27 @@ def _bm25_idf(num_docs: int, df: int) -> float:
     return max(raw, 1e-6)
 
 
+def _order_candidates(
+    doc_ids: Sequence[str],
+    scores: "np.ndarray",
+    candidates: "np.ndarray",
+    k: int,
+) -> List[Tuple[int, float]]:
+    """The first ``k`` of ``candidates`` (document indexes into
+    ``doc_ids``; ``scores[j]`` is the score of ``candidates[j]``) as
+    ``(doc index, score)`` pairs under the ``(-score, id)`` total order.
+
+    The one ordering both the per-query and the query-matrix selection
+    end in.  It reads the arrays once, as lists, and sorts plain
+    ``(-score, id, index)`` tuples: ids are unique, so the index is
+    never compared, and a float's negation is exact both ways."""
+    indexes = candidates.tolist()
+    ordered = sorted(
+        zip((-scores).tolist(), [doc_ids[i] for i in indexes], indexes)
+    )[:k]
+    return [(i, -negated) for negated, _, i in ordered]
+
+
 class CorpusStats:
     """Corpus-wide aggregates BM25 scoring depends on.
 
@@ -619,16 +640,12 @@ class InvertedIndex(SearchIndex):
         candidates = np.nonzero(matched)[0]
         if candidates.size == 0 or k <= 0:
             return []
+        cand_scores = scores[candidates]
         if candidates.size > k:
-            cand_scores = scores[candidates]
             keep = np.argpartition(-cand_scores, k - 1)[:k]
-            kth_score = cand_scores[keep].min()
-            candidates = candidates[cand_scores >= kth_score]
-        ranked = sorted(
-            ((scores[i], sealed.doc_ids[i], i) for i in candidates),
-            key=lambda triple: (-triple[0], triple[1]),
-        )[:k]
-        return [(i, float(score)) for score, _, i in ranked]
+            tied = cand_scores >= cand_scores[keep].min()
+            candidates, cand_scores = candidates[tied], cand_scores[tied]
+        return _order_candidates(sealed.doc_ids, cand_scores, candidates, k)
 
     def _hits_from_ranked(
         self, sealed: _SealedPostings, ranked: List[Tuple[int, float]]
@@ -812,11 +829,11 @@ class InvertedIndex(SearchIndex):
                 candidates = np.nonzero(row >= kth[qi])[0]
             else:  # fewer than k matches: keep every matched doc
                 candidates = np.nonzero(row > 0.0)[0]
-            ordered = sorted(
-                ((row[i], sealed.doc_ids[i], i) for i in candidates),
-                key=lambda triple: (-triple[0], triple[1]),
-            )[:k]
-            ranked.append([(i, float(score)) for score, _, i in ordered])
+            ranked.append(
+                _order_candidates(
+                    sealed.doc_ids, row[candidates], candidates, k
+                )
+            )
         return ranked
 
     def _current_seal(self) -> Optional[_SealedPostings]:

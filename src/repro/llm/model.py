@@ -190,7 +190,10 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     def chat(self, prompt: str) -> str:
         """Answer one prompt; identical prompts yield identical answers."""
-        self.num_calls += 1
+        # worker threads share one model: an unguarded += loses updates
+        with self._readings_lock:
+            self.num_calls += 1
+            _sanitizer.note_write(self, "num_calls", lock=self._readings_lock)
         if COMPLETION_MARKER in prompt:
             return self._handle_completion(prompt)
         if VERIFICATION_MARKER in prompt:

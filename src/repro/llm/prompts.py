@@ -156,8 +156,9 @@ def parse_verification_response(text: str) -> Tuple[Optional[str], str]:
     verdict = match.group(1).lower()
     explanation = ""
     for line in text.splitlines():
-        if line.lower().startswith("explanation:"):
-            explanation = line.partition(":")[2].strip()
+        # the label is 12 characters and ends at the line's first colon
+        if line[:12].lower() == "explanation:":
+            explanation = line[12:].strip()
             break
     return verdict, explanation
 
@@ -237,31 +238,41 @@ def split_feedback(prompt: str) -> Tuple[dict, int]:
 
 
 def split_sections(prompt: str) -> dict:
-    """Split a verification prompt into its labelled sections."""
-    sections = {"evidence": "", "data": "", "attribute": None, "context": None}
-    current = None
-    body: dict = {"evidence": [], "data": []}
+    """Split a verification prompt into its labelled sections.
+
+    One walk over the lines.  Every label carries a colon, so only a
+    line with one is stripped and compared against the labels — all but
+    a few lines of a prompt are evidence body, kept as they are.
+    """
+    attribute = context = None
+    evidence: List[str] = []
+    data: List[str] = []
+    current: Optional[List[str]] = None
     for line in prompt.splitlines():
-        stripped = line.strip()
-        if stripped == "Evidence:":
-            current = "evidence"
-            continue
-        if stripped == "Generative Data:":
-            current = "data"
-            continue
-        if stripped.startswith("Attribute to verify:"):
-            sections["attribute"] = stripped.partition(":")[2].strip()
-            current = None
-            continue
-        if stripped.startswith("Context:"):
-            sections["context"] = stripped.partition(":")[2].strip()
-            current = None
-            continue
-        if stripped.startswith("Result:"):
-            current = None
-            continue
+        if ":" in line:
+            stripped = line.strip()
+            if stripped == "Evidence:":
+                current = evidence
+                continue
+            if stripped == "Generative Data:":
+                current = data
+                continue
+            if stripped.startswith("Attribute to verify:"):
+                attribute = stripped.partition(":")[2].strip()
+                current = None
+                continue
+            if stripped.startswith("Context:"):
+                context = stripped.partition(":")[2].strip()
+                current = None
+                continue
+            if stripped.startswith("Result:"):
+                current = None
+                continue
         if current is not None:
-            body[current].append(line)
-    sections["evidence"] = "\n".join(body["evidence"]).strip()
-    sections["data"] = "\n".join(body["data"]).strip()
-    return sections
+            current.append(line)
+    return {
+        "evidence": "\n".join(evidence).strip(),
+        "data": "\n".join(data).strip(),
+        "attribute": attribute,
+        "context": context,
+    }

@@ -32,6 +32,7 @@ executor lifecycle API exists to avoid.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -138,7 +139,9 @@ class VerificationService:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Configure the process pool, build indexes, open the socket."""
+        """Configure the process pool, build indexes, take what was
+        built out of the collector's reach, open the socket.  A start
+        that fails part-way stops what it had started."""
         start_method = (
             self.config.pool_start_method or default_pool_start_method()
         )
@@ -152,17 +155,26 @@ class VerificationService:
             warm=warm,
         )
         self.system.build_indexes()
-        install_event_log(self.events)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrency,
-            thread_name_prefix="serve-verify",
-        )
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port
-        )
+        # The lake and its indexes live as long as the service does;
+        # moved to the permanent generation, they are not walked again
+        # by every full collection the requests' garbage sets off.
+        gc.freeze()
+        try:
+            install_event_log(self.events)
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.config.max_concurrency,
+                thread_name_prefix="serve-verify",
+            )
+            self._server = await asyncio.start_server(
+                self._serve_connection, self.config.host, self.config.port
+            )
+        except BaseException:
+            await self.stop()
+            raise
 
     async def stop(self) -> None:
-        """Close the socket, drain workers, tear down the process pool."""
+        """Close the socket, drain workers, tear down the process pool,
+        hand the frozen objects back to the collector."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -180,6 +192,7 @@ class VerificationService:
             self._executor = None
         uninstall_event_log(self.events)
         shutdown_process_pool()
+        gc.unfreeze()
 
     @property
     def address(self) -> tuple:

@@ -49,9 +49,24 @@ class VerifierAgent:
             f"{type(evidence).__name__})"
         )
 
-    def verify(self, obj: DataObject, evidence: DataInstance) -> VerificationOutcome:
-        """Dispatch and verify one pair."""
-        return self.choose(obj, evidence).verify(obj, evidence)
+    def verify(
+        self,
+        obj: DataObject,
+        evidence: DataInstance,
+        evidence_text: Optional[str] = None,
+    ) -> VerificationOutcome:
+        """Dispatch and verify one pair.
+
+        ``evidence_text`` — ``serialize_instance(evidence)``, when the
+        caller has rendered it already — goes only to a verifier whose
+        ``verify`` is marked :func:`~repro.verify.base.reads_evidence_text`;
+        every other verifier is called as ``verify(obj, evidence)``."""
+        verify = self.choose(obj, evidence).verify
+        if evidence_text is not None and getattr(
+            verify, "reads_evidence_text", False
+        ):
+            return verify(obj, evidence, evidence_text)
+        return verify(obj, evidence)
 
     def verify_all(
         self, obj: DataObject, evidence_list: Sequence[DataInstance]

@@ -22,15 +22,17 @@ class Verdict(enum.IntEnum):
         """Map a response string (case-insensitive) to a verdict."""
         if text is None:
             return None
-        mapping = {
-            "verified": cls.VERIFIED,
-            "true": cls.VERIFIED,
-            "refuted": cls.REFUTED,
-            "false": cls.REFUTED,
-            "not related": cls.NOT_RELATED,
-            "unrelated": cls.NOT_RELATED,
-        }
-        return mapping.get(text.strip().lower())
+        return _FROM_STRING.get(text.strip().lower())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return {0: "Verified", 1: "Refuted", 2: "Not Related"}[int(self)]
+
+
+_FROM_STRING = {
+    "verified": Verdict.VERIFIED,
+    "true": Verdict.VERIFIED,
+    "refuted": Verdict.REFUTED,
+    "false": Verdict.REFUTED,
+    "not related": Verdict.NOT_RELATED,
+    "unrelated": Verdict.NOT_RELATED,
+}

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.embed.vectorizers import HashingVectorizer
 from repro.index.base import SearchHit
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.inverted import InvertedIndex
-from repro.index.trigram import TrigramIndex
+from repro.index.vector import FlatVectorIndex
 
 
 def hit(instance_id, score, name="idx"):
@@ -67,13 +68,14 @@ class TestFusion:
 class TestEndToEnd:
     def test_search_unions_index_families(self):
         content = InvertedIndex()
-        trigram = TrigramIndex()
+        semantic = FlatVectorIndex(
+            dim=64, encoder=HashingVectorizer(dim=64).transform
+        )
         content.add("exact", "tom jenkins ohio")
-        trigram.add("fuzzy", "tom jenkinz ohio")
-        combiner = Combiner([content, trigram], method=FusionMethod.RRF)
+        semantic.add("fuzzy", "tom jenkinz ohio")
+        combiner = Combiner([content, semantic], method=FusionMethod.RRF)
         ids = {h.instance_id for h in combiner.search("tom jenkins ohio", k=5)}
-        # the typo variant is invisible to BM25 token match but found by
-        # trigram similarity — the union covers both
+        # each document is known to one index only — the union covers both
         assert "exact" in ids
         assert "fuzzy" in ids
 

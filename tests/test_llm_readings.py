@@ -178,6 +178,24 @@ class TestChatIsByteIdentical:
         assert a._readings and not b._readings
 
 
+def hammer(worker, threads=8):
+    """Run ``worker(thread number)`` on ``threads`` threads under a
+    shortened switch interval; every thread must finish."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        running = [
+            threading.Thread(target=worker, args=(i,)) for i in range(threads)
+        ]
+        for thread in running:
+            thread.start()
+        for thread in running:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in running)
+
+
 class TestThreadHammer:
     """The memo is shared by ``verify_batch`` workers and ``serve``'s
     four; ``make sanitize`` runs this file under the lockset sanitizer."""
@@ -199,24 +217,29 @@ class TestThreadHammer:
             except Exception as error:  # surfaced by the assert below
                 errors.append(error)
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
+        hammer(worker)
         assert not errors
         expected = {position: reference[position] for position in sample}
         assert all(results[i] == expected for i in range(8))
         assert len(llm._readings) <= 8
-        assert llm.num_calls <= 8 * len(sample)
+        assert llm.num_calls == 8 * len(sample)
+
+    def test_num_calls_loses_no_update(self):
+        """``chat`` counts itself under ``_readings_lock``: eight threads
+        behind a barrier must leave the exact total (an unguarded ``+=``
+        is a read-modify-write; the sanitizer flags it when the lock is
+        taken away)."""
+        llm = fresh_llm()
+        per_thread = 2_000
+        barrier = threading.Barrier(8)
+
+        def worker(thread_number):
+            barrier.wait(timeout=30)
+            for _ in range(per_thread):
+                llm.chat("neither a completion nor a verification prompt")
+
+        hammer(worker)
+        assert llm.num_calls == 8 * per_thread
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ Admission-control behavior under contention lives in
 tests/test_serve_admission.py.
 """
 
+import gc
 import http.client
 import json
 import re
+import socket
 import threading
 
 import pytest
@@ -551,3 +553,30 @@ class TestConcurrentLoad:
         assert len(service.events) <= service.events.capacity
         if service.events.last_seq <= service.events.capacity:
             assert service.events.dropped == 0
+
+
+class TestCollectorLifecycle:
+    """The built lake is frozen out of the collector for exactly as
+    long as the service runs."""
+
+    @staticmethod
+    def _service(port):
+        bundle = build_lake(LakeConfig(num_tables=4, seed=5))
+        return VerificationService(
+            VerifAI(bundle.lake), ServeConfig(port=port, max_concurrency=1)
+        )
+
+    def test_frozen_while_serving_released_on_stop(self):
+        with ServerThread(self._service(0)):
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_failed_start_leaves_nothing_frozen(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            service = self._service(taken.getsockname()[1])
+            with pytest.raises(OSError):
+                ServerThread(service).start()
+        assert gc.get_freeze_count() == 0
+        assert service._executor is None
