@@ -8,10 +8,11 @@ install:
 # the default CI gate, each test file once: static analysis, the whole
 # of tests/ (which holds the test-obs, serve-test and bench-quick files
 # — those three targets are for quick iteration, not part of the gate),
-# the slow soak tier-1 deselects, the benchmark regression gate's
-# self-consistency check, the concurrency suites under the lockset race
-# sanitizer, and the coverage floor
-check: lint test test-shard bench-check sanitize coverage
+# the slow soak tier-1 deselects, the concurrency suites under the
+# lockset race sanitizer, and the coverage floor (bench-check is not in
+# the gate: it diffs the committed BENCH_*.json against themselves,
+# which tests/test_benchdiff.py::TestCommittedBaselines already does)
+check: lint test test-shard sanitize coverage
 
 # tests/ includes tests/test_batch_faults.py, the fault-isolation suite
 # for verification campaigns (poisoned objects, retries, fail_fast, and
@@ -61,11 +62,12 @@ trace-demo:
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers (with their readings memo), the
 # rerankers, the token embedder, the flat vector index, the inverted
-# index (dict form, compile, patch), the text layer's analysis and
-# similarity, and the campaign path's glue (prompt splitting and
-# response parsing, the verifier module, the combiner) in a fresh
-# interpreter under the settrace tracer, failing (exit 4) if any
-# measured file dips below the committed 90% floor
+# index (dict form, compile, patch), the sharded indexes and their one
+# scatter (the process worker's entry is called in-process), the text
+# layer's analysis and similarity, and the campaign path's glue (prompt
+# splitting and response parsing, the verifier module, the combiner) in
+# a fresh interpreter under the settrace tracer, failing (exit 4) if
+# any measured file dips below the committed 90% floor
 coverage:
 	PYTHONPATH=src python -m repro.cli coverage --floor 0.9 \
 		--target src/repro/loop --target src/repro/repair.py \
@@ -73,6 +75,8 @@ coverage:
 		--target src/repro/embed/token_embed.py \
 		--target src/repro/index/vector.py \
 		--target src/repro/index/inverted.py \
+		--target src/repro/index/shard.py \
+		--target src/repro/index/executor.py \
 		--target src/repro/text/tokenize.py \
 		--target src/repro/text/similarity.py \
 		--target src/repro/llm/prompts.py \
@@ -86,7 +90,8 @@ coverage:
 		tests/test_core_indexer_mutation.py tests/test_text_tokenize.py \
 		tests/test_text_similarity.py tests/test_llm_prompts.py \
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
-		tests/test_verdict_glue.py
+		tests/test_verdict_glue.py tests/test_index_sharding.py \
+		tests/test_index_executor.py tests/test_executor_lifecycle.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro

@@ -56,7 +56,7 @@ class TestBuild:
     def test_build_sharded_serial(self, benchmark, context):
         indexer = run_once(
             benchmark, build, context,
-            num_shards=SHARDS, shard_build_workers=1,
+            num_shards=SHARDS,
         )
         assert indexer.is_built
 

@@ -100,7 +100,7 @@ class SealedPostingsLoopRule(Rule):
                 yield self.finding(
                     ctx, node,
                     f"per-element loop over {dotted_name(target)}; "
-                    "consume the sealed arrays (search_matrix / "
-                    "postings slice views) instead of walking another "
+                    "consume the sealed arrays (search_batch / "
+                    "rank_planned) instead of walking another "
                     "index's postings dict",
                 )

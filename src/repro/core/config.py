@@ -49,13 +49,10 @@ class VerifAIConfig:
       root (1 = the monolithic index).  Scatter-gather search is
       proven hit-for-hit identical to the unsharded build
       (tests/test_index_sharding.py), so this is purely a scale knob;
-    * ``shard_build_workers`` — threads used to build shards in
-      parallel (0 = one worker per shard, 1 = serial build; only
-      meaningful when ``num_shards > 1``);
     * ``shard_search_executor`` — how scatter-gather search fans out
       across shards: ``"serial"`` (default), ``"thread"``, or
-      ``"process"`` (workers memmap-attach sealed shard snapshots and
-      return compact id/score arrays — no corpus pickling).  Purely a
+      ``"process"`` (workers memmap-attach shard snapshots and return
+      positions and scores — no corpus pickling).  Purely a
       wall-clock knob: all three produce identical hits, scores, and
       traces (see :mod:`repro.index.executor`).
     """
@@ -76,7 +73,6 @@ class VerifAIConfig:
     batch_max_workers: int = 1
     batch_max_retries: int = 0
     num_shards: int = 1
-    shard_build_workers: int = 0
     shard_search_executor: str = "serial"
 
     def fine_k(self, modality: Modality) -> int:

@@ -13,10 +13,10 @@ chunk hits are folded back to their parent documents.
 With ``config.num_shards > 1`` every modality's content + semantic
 index is partitioned into N shards by stable hash of the instance id's
 root (chunks co-locate with their parent document, tuples with their
-parent table), shards build in parallel, and ``search()`` runs
-scatter-gather.  Shard results are proven hit-for-hit identical — ids
-*and* scores — to the monolithic build (tests/test_index_sharding.py),
-so downstream modules never know shards exist.
+parent table), and ``search()`` runs scatter-gather.  Shard results are
+proven hit-for-hit identical — ids *and* scores — to the monolithic
+build (tests/test_index_sharding.py), so downstream modules never know
+shards exist.
 
 The module supports the full incremental lifecycle: instances added to
 the lake after :meth:`build` fold in with :meth:`add_instance`, and
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
@@ -65,7 +64,7 @@ _INDEXED_MODALITIES = (
 )
 
 #: (shard number, build start, build end, entries built) timings the
-#: parallel build reports for metrics and spans
+#: sharded build reports for metrics and spans
 _ShardTiming = Tuple[int, float, float, int]
 
 
@@ -288,8 +287,7 @@ class IndexerModule:
                 content.add(index_id, payload)
                 if semantic is not None:
                     semantic.add(index_id, payload)
-        if content.auto_seal:
-            content.seal()
+        content.seal()
         indexes: List[SearchIndex] = [content]
         if semantic is not None:
             indexes.append(semantic)
@@ -305,39 +303,28 @@ class IndexerModule:
         semantic: Optional[ShardedVectorIndex],
         entries: Sequence[Tuple[str, str]],
     ) -> List[_ShardTiming]:
-        """Partition the entries and build every shard, in parallel when
-        ``config.shard_build_workers`` allows.
+        """Partition the entries and build every shard, one after
+        another (pure-Python ``add`` holds the GIL: threads lost).
 
-        Each shard is written by exactly one worker (the partition is
-        disjoint), so the build needs no locks; indexes are added to
-        shard sub-indexes directly, skipping the wrapper's per-add
-        seal invalidation (nothing is sealed yet).
+        Entries are added to shard sub-indexes directly, skipping the
+        wrapper's per-add seal invalidation (nothing is sealed yet).
         """
         num_shards = self.config.num_shards
         buckets: List[List[Tuple[str, str]]] = [[] for _ in range(num_shards)]
         for entry in entries:
             buckets[shard_of(entry[0], num_shards)].append(entry)
-
-        def build_one(shard_no: int) -> _ShardTiming:
+        timings: List[_ShardTiming] = []
+        for shard_no, bucket in enumerate(buckets):
             start = self.clock.now()
             content_shard = content.shards[shard_no]
             semantic_shard = (
                 semantic.shards[shard_no] if semantic is not None else None
             )
-            for index_id, payload in buckets[shard_no]:
+            for index_id, payload in bucket:
                 content_shard.add(index_id, payload)
                 if semantic_shard is not None:
                     semantic_shard.add(index_id, payload)
-            return shard_no, start, self.clock.now(), len(buckets[shard_no])
-
-        workers = self.config.shard_build_workers or num_shards
-        if workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, num_shards)
-            ) as pool:
-                timings = list(pool.map(build_one, range(num_shards)))
-        else:
-            timings = [build_one(i) for i in range(num_shards)]
+            timings.append((shard_no, start, self.clock.now(), len(bucket)))
         return timings
 
     def _record_shard_build(
@@ -346,9 +333,8 @@ class IndexerModule:
         """Report per-shard build metrics, and one span per shard under
         the modality's build span when tracing.
 
-        Span indexes are the shard numbers, so the trace shape is
-        identical however the parallel build interleaved; start/end are
-        backfilled from the worker-measured times."""
+        Spans are emitted after the build, start/end backfilled from
+        the times measured around each shard."""
         build_seconds = self._metrics.histogram("indexer.shard.build_seconds")
         for _, start, end, _ in timings:
             build_seconds.observe(end - start)
@@ -463,34 +449,20 @@ class IndexerModule:
     def search(
         self, query: str, modality: Modality, k: Optional[int] = None
     ) -> List[SearchHit]:
-        """Coarse top-k for one modality (content + semantic fused).
-
-        With shards configured this is a scatter-gather: every shard
-        answers, the merged ranking is provably identical to the
-        monolithic index's."""
-        if not self._built:
-            self.build()
-        self._metrics.counter(f"indexer.search.{modality.value}").inc()
-        if self.config.num_shards > 1:
-            self._metrics.counter("indexer.shard.search.fanout").inc(
-                self.config.num_shards
-            )
-        depth = k if k is not None else self.config.k_coarse
-        if modality is Modality.TEXT and self.config.chunk_text:
-            raw = self._combiners[modality].search(query, depth * 3)
-            return _fold_chunks_to_documents(raw, depth)
-        return self._combiners[modality].search(query, depth)
+        """Coarse top-k for one modality (content + semantic fused):
+        the batch of one."""
+        return self.search_batch([query], modality, k)[0]
 
     def search_batch(
         self, queries: List[str], modality: Modality, k: Optional[int] = None
     ) -> List[List[SearchHit]]:
         """Coarse top-k for a whole query batch against one modality.
 
-        One query-matrix pass per underlying index scores every query
-        at once; fusion, chunk folding, and metrics then mirror
-        :meth:`search` per query, so the hit lists are identical to
-        ``[self.search(q, modality, k) for q in queries]`` — the batch
-        engine relies on that to swap this in transparently.
+        Every underlying index scores the batch in one call, then each
+        query's rankings are fused and (for chunked text) folded back
+        to documents.  With shards configured this is a scatter-gather:
+        every shard answers, the merged ranking is provably identical
+        to the monolithic index's.
         """
         queries = list(queries)
         if not queries:
@@ -532,8 +504,7 @@ class IndexerModule:
         """Compile every content index's vectorized read form up front
         (otherwise sealing happens lazily on first search)."""
         for index in self._content.values():
-            if index.auto_seal:
-                index.seal()
+            index.seal()
         return self
 
     def fetch_payload(self, instance_id: str) -> str:

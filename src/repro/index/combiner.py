@@ -73,23 +73,18 @@ class Combiner:
         return 2 * k
 
     def search(self, query: str, k: int = 10, per_index_k: int = 0) -> List[SearchHit]:
-        """Query every index and fuse.
-
-        ``per_index_k`` controls how many hits each index contributes
-        before fusion (default: see :meth:`_fan_out`).
-        """
-        fan_out = self._fan_out(k, per_index_k)
-        rankings = [index.search(query, fan_out) for index in self.indexes]
-        return self.fuse(rankings, k)
+        """Query every index and fuse: the batch of one."""
+        return self.search_batch([query], k, per_index_k)[0]
 
     def search_batch(
         self, queries: List[str], k: int = 10, per_index_k: int = 0
     ) -> List[List[SearchHit]]:
-        """Batched :meth:`search`: each index scores the whole query
-        batch in one call (the query-matrix kernel where the index has
-        one), then each query's rankings fuse exactly as in the
-        per-query path — so results are hit-for-hit identical to
-        ``[self.search(q, k) for q in queries]``."""
+        """Query every index with the whole batch in one call, then fuse
+        each query's rankings.
+
+        ``per_index_k`` controls how many hits each index contributes
+        before fusion (default: see :meth:`_fan_out`).
+        """
         queries = list(queries)
         if not queries:
             return []
@@ -98,10 +93,7 @@ class Combiner:
         per_index = [
             index.search_batch(queries, fan_out) for index in self.indexes
         ]
-        return [
-            self.fuse([rankings[qi] for rankings in per_index], k)
-            for qi in range(len(queries))
-        ]
+        return [self.fuse(rankings, k) for rankings in zip(*per_index)]
 
     def fuse(self, rankings: Iterable[Sequence[SearchHit]], k: int) -> List[SearchHit]:
         """Fuse pre-computed per-index rankings into a single top-k."""

@@ -1,29 +1,23 @@
-"""Scatter-gather execution strategies for sharded search.
+"""How a sharded index fans one task out to its shards.
 
-``ShardedInvertedIndex`` / ``ShardedVectorIndex`` fan a query batch out
-to every shard and merge the per-shard rankings.  *How* the fan-out
-runs is this module's concern, selected by
-``VerifAIConfig.shard_search_executor``:
+:func:`scatter` returns ``[task(shard, *args) for shard in shards]``;
+``VerifAIConfig.shard_search_executor`` selects how the calls run:
 
 * ``serial`` — one shard after another on the calling thread.  The
-  default: zero coordination cost, and with the query-matrix kernel a
-  serial scatter already amortizes analysis + numpy dispatch across
-  the whole batch;
+  default: zero coordination cost;
 * ``thread`` — a ``ThreadPoolExecutor`` over shards.  Cheap to enter,
-  but the scoring kernels hold the GIL for most of their runtime, so
-  threads mostly help when shards are large enough for numpy to
-  release the GIL meaningfully;
-* ``process`` — a shared ``ProcessPoolExecutor`` whose workers
-  **memmap-attach** the sealed shards from a spool directory
-  (:func:`repro.index.persistence.save_sealed_index`) and ship back
-  compact ``(doc index, score)`` arrays.  Nothing about the corpus is
-  pickled — workers read the flat arrays straight from the page cache
-  — which is what lets multi-core machines actually beat the serial
-  path instead of re-serializing the index per task.
+  but the scoring kernels hold the GIL for most of their runtime;
+* ``process`` — the shared ``ProcessPoolExecutor``, whose workers
+  **memmap-attach** each shard's snapshot from a spool directory
+  (:class:`ShardSpool`) and run the task against the attachment.
+  Nothing about the corpus is pickled — workers read the flat arrays
+  straight from the page cache; the task, its arguments and its result
+  are all that cross the pipe, so a task returns positions and scores,
+  never hit objects.
 
-All three strategies call the same sealed scoring kernel on the same
-arrays, so their rankings are bit-identical; the differential suite
-(``make bench-quick``) asserts it.
+The task is the same function on the same arrays in every mode, so the
+results are bit-identical; the differential suite (``make bench-quick``)
+asserts it.
 """
 
 from __future__ import annotations
@@ -34,24 +28,15 @@ import os
 import shutil
 import tempfile
 import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.index.base import SearchHit
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index.inverted import InvertedIndex
-    from repro.index.vector import FlatVectorIndex
 
 #: the executor modes ``VerifAIConfig.shard_search_executor`` accepts
 EXECUTOR_MODES = ("serial", "thread", "process")
-
-#: per-shard rankings: [shard][query] -> hit list
-ShardRankings = List[List[List[SearchHit]]]
 
 
 def validate_executor_mode(mode: str) -> str:
@@ -68,57 +53,18 @@ def validate_executor_mode(mode: str) -> str:
 # ---------------------------------------------------------------------------
 #: per-process cache of memmap-attached shards, keyed by snapshot dir —
 #: a worker attaches each shard once and reuses it across tasks
-_ATTACHED: Dict[str, "InvertedIndex"] = {}
+_ATTACHED: Dict[str, Any] = {}
 
 
-def _attached_shard(shard_dir: str) -> "InvertedIndex":
+def _run_attached(shard_dir: str, task: Callable, *args: Any) -> Any:
+    """The one worker entry: ``task`` against the memmap attachment of
+    the snapshot in ``shard_dir`` (either snapshot kind)."""
     index = _ATTACHED.get(shard_dir)
     if index is None:
-        from repro.index.persistence import attach_sealed_index
+        from repro.index.persistence import attach_snapshot
 
-        index = attach_sealed_index(shard_dir)
-        _ATTACHED[shard_dir] = index
-    return index
-
-
-def _search_shard_worker(
-    shard_dir: str, queries: List[str], k: int
-) -> List[Tuple["np.ndarray", "np.ndarray"]]:
-    """Run the query-matrix kernel against one memmap-attached shard.
-
-    Returns one compact ``(doc index array, score array)`` pair per
-    query; the parent maps indexes back to ids through its own copy of
-    the shard's ``doc_ids`` (identical order — it wrote the snapshot).
-    """
-    index = _attached_shard(shard_dir)
-    return index.search_matrix_arrays(queries, k)
-
-
-#: per-process cache of memmap-attached vector shards
-_ATTACHED_VECTORS: Dict[str, "FlatVectorIndex"] = {}
-
-
-def _attached_vector_shard(shard_dir: str) -> "FlatVectorIndex":
-    index = _ATTACHED_VECTORS.get(shard_dir)
-    if index is None:
-        from repro.index.persistence import attach_vector_index
-
-        index = attach_vector_index(shard_dir)
-        _ATTACHED_VECTORS[shard_dir] = index
-    return index
-
-
-def _search_vector_shard_worker(
-    shard_dir: str, vectors: List["np.ndarray"], k: int
-) -> List[List[Tuple[float, str]]]:
-    """Score pre-encoded query vectors against one memmap-attached
-    vector shard (the encoder stays in the parent — workers only ever
-    see dense float64 vectors)."""
-    index = _attached_vector_shard(shard_dir)
-    return [
-        [(hit.score, hit.instance_id) for hit in index.search_vector(v, k)]
-        for v in vectors
-    ]
+        index = _ATTACHED[shard_dir] = attach_snapshot(shard_dir)
+    return task(index, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +85,6 @@ _POOL_CONFIG: Dict[str, Optional[object]] = {
 #: guards the check-then-create in :func:`shared_process_pool` — two
 #: threads racing the first search would each fork a full pool
 _POOL_LOCK = threading.Lock()
-
-
-def _shutdown_pool() -> None:
-    pool = _POOL.pop("pool", None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _spawn_pool() -> ProcessPoolExecutor:
@@ -221,6 +161,11 @@ def shutdown_process_pool(wait: bool = True) -> None:
         pool.shutdown(wait=wait, cancel_futures=True)
 
 
+# once per process, here and not where a pool is spawned: a process
+# that lives for weeks respawns its pool after every broken one
+atexit.register(shutdown_process_pool, wait=False)
+
+
 def _evict_broken_pool(pool: ProcessPoolExecutor) -> None:
     """Retire a pool whose worker died (OOM-killed, crashed).
 
@@ -259,7 +204,6 @@ def shared_process_pool() -> ProcessPoolExecutor:
                 pool = _spawn_pool()
                 _POOL["pool"] = pool
                 _sanitizer.note_write(_POOL, "pool", lock=_POOL_LOCK)
-                atexit.register(_shutdown_pool)
     return pool
 
 
@@ -270,15 +214,19 @@ class ShardSpool:
     """The on-disk sealed snapshots process workers attach.
 
     Owned by a sharded index; (re)written lazily on the first
-    process-mode search after a mutation, and removed at interpreter
-    exit.  The spool is the hand-off point between the writable parent
-    index and its read-only worker attachments.
+    process-mode search after a mutation, and removed when the next
+    mutation invalidates it, when its owner is collected, or at
+    interpreter exit.  The spool is the hand-off point between the
+    writable parent index and its read-only worker attachments.
     """
 
     def __init__(self, prefix: str = "repro-shards-") -> None:
         self._prefix = prefix
-        self._dir: Optional[str] = None
         self._shard_dirs: List[str] = []
+        #: removes the spooled directory (``None`` = nothing spooled); a
+        #: finalizer, not an ``atexit`` handler per re-spool: it is
+        #: dropped once it has run
+        self._remove_dir: Optional[weakref.finalize] = None
         # two threads racing the first process-mode search must not
         # each persist a full spool (and leak the loser's tempdir)
         self._lock = threading.Lock()
@@ -291,7 +239,7 @@ class ShardSpool:
         """Persist every shard once via ``save(shard, target_dir)``;
         idempotent until :meth:`invalidate`."""
         with self._lock:
-            if self._dir is None:
+            if self._remove_dir is None:
                 spool_dir = tempfile.mkdtemp(prefix=self._prefix)
                 shard_dirs = []
                 for shard_no, shard in enumerate(shards):
@@ -301,167 +249,57 @@ class ShardSpool:
                     # not attach half-written shards
                     save(shard, target)  # repro-lint: disable=IPC002
                     shard_dirs.append(target)
-                self._dir = spool_dir
                 self._shard_dirs = shard_dirs
-                _sanitizer.note_write(self, "_dir", lock=self._lock)
-                atexit.register(self.invalidate)
+                self._remove_dir = weakref.finalize(
+                    self, shutil.rmtree, spool_dir, ignore_errors=True
+                )
+                _sanitizer.note_write(self, "_shard_dirs", lock=self._lock)
             return list(self._shard_dirs)
 
     def invalidate(self) -> None:
         """Drop the spool (the next process search re-persists)."""
         with self._lock:
-            if self._dir is not None:
-                shutil.rmtree(self._dir, ignore_errors=True)
-                self._dir = None
+            if self._remove_dir is not None:
+                self._remove_dir()
+                self._remove_dir = None
                 self._shard_dirs = []
-                _sanitizer.note_write(self, "_dir", lock=self._lock)
+                _sanitizer.note_write(self, "_shard_dirs", lock=self._lock)
 
 
 # ---------------------------------------------------------------------------
-# the three strategies
+# the fan-out
 # ---------------------------------------------------------------------------
-def _hits_from_arrays(
-    shard: "InvertedIndex",
-    per_query: List[Tuple["np.ndarray", "np.ndarray"]],
-) -> List[List[SearchHit]]:
-    """Compact worker arrays back to hits via the parent's doc table."""
-    doc_ids = shard._sealed.doc_ids
-    name = shard.name
-    return [
-        [
-            SearchHit(
-                score=float(score),
-                instance_id=doc_ids[int(i)],
-                index_name=name,
-            )
-            for i, score in zip(idx, scores)
-        ]
-        for idx, scores in per_query
-    ]
-
-
-def scatter_serial(
-    shards: Sequence["InvertedIndex"], queries: List[str], k: int
-) -> ShardRankings:
-    if len(queries) == 1:
-        # let each shard take its single-query fast path
-        return [shard.search_batch(queries, k) for shard in shards]
-    # every shard shares the analyzer settings, so the campaign plan —
-    # analysis + inversion of the query batch — is computed once and
-    # scored against each shard instead of being rebuilt per shard
-    plan = shards[0].plan_matrix(queries)
-    return [shard.search_matrix_planned(plan, k) for shard in shards]
-
-
-def scatter_threads(
-    shards: Sequence["InvertedIndex"], queries: List[str], k: int
-) -> ShardRankings:
-    if len(queries) == 1:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            return list(
-                pool.map(lambda shard: shard.search_batch(queries, k), shards)
-            )
-    plan = shards[0].plan_matrix(queries)  # shared: see scatter_serial
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        return list(
-            pool.map(
-                lambda shard: shard.search_matrix_planned(plan, k), shards
-            )
-        )
-
-
-def scatter_processes(
-    shards: Sequence["InvertedIndex"],
+def scatter(
+    shards: Sequence,
+    mode: str,
     spool: ShardSpool,
-    queries: List[str],
-    k: int,
-) -> ShardRankings:
-    """Fan the query batch out to memmap-attached worker processes.
+    save: Callable,
+    task: Callable,
+    *args: Any,
+) -> List[Any]:
+    """``[task(shard, *args) for shard in shards]``, run the ``mode`` way.
 
-    Shards must be sealed (the spool persists their sealed form); the
-    parent only ships query strings + k and receives ``(idx, score)``
-    arrays back — the corpus itself never crosses the pipe.
+    In process mode the task runs against each shard's memmap-attached
+    snapshot (``spool`` persists them with ``save`` once per index
+    generation), so ``task`` must be a module-level function and its
+    arguments and result picklable; the corpus never crosses the pipe.
     """
-    from repro.index.persistence import save_sealed_index
-
-    shard_dirs = spool.ensure(shards, save_sealed_index)
-    pool = shared_process_pool()
-    try:
-        futures = [
-            pool.submit(_search_shard_worker, shard_dir, queries, k)
-            for shard_dir in shard_dirs
-        ]
-        results = [future.result() for future in futures]
-    except BrokenProcessPool:
-        # a worker died mid-flight (OOM-killed, crashed): retire the
-        # poisoned pool and serve *this* query serially — identical
-        # results, just slower — so one dead worker never turns into
-        # an outage.  The next search respawns a fresh pool.
-        _evict_broken_pool(pool)
-        return scatter_serial(shards, queries, k)
-    return [
-        _hits_from_arrays(shard, result)
-        for shard, result in zip(shards, results)
-    ]
-
-
-def scatter_serial_vectors(
-    shards: Sequence["FlatVectorIndex"], vectors: List["np.ndarray"], k: int
-) -> ShardRankings:
-    return [
-        [shard.search_vector(vector, k) for vector in vectors]
-        for shard in shards
-    ]
-
-
-def scatter_threads_vectors(
-    shards: Sequence["FlatVectorIndex"], vectors: List["np.ndarray"], k: int
-) -> ShardRankings:
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        return list(
-            pool.map(
-                lambda shard: [
-                    shard.search_vector(vector, k) for vector in vectors
-                ],
-                shards,
-            )
-        )
-
-
-def scatter_processes_vectors(
-    shards: Sequence["FlatVectorIndex"],
-    spool: ShardSpool,
-    vectors: List["np.ndarray"],
-    k: int,
-) -> ShardRankings:
-    """Process fan-out for vector shards: workers memmap-attach the
-    persisted matrices and score pre-encoded vectors; scoring runs the
-    same gemv on the same float64 rows, so results are bit-identical
-    to the in-process path."""
-    from repro.index.persistence import save_vector_index
-
-    shard_dirs = spool.ensure(shards, save_vector_index)
-    pool = shared_process_pool()
-    try:
-        futures = [
-            pool.submit(_search_vector_shard_worker, shard_dir, vectors, k)
-            for shard_dir in shard_dirs
-        ]
-        results = [future.result() for future in futures]
-    except BrokenProcessPool:
-        # same recovery as scatter_processes: evict the dead pool,
-        # answer this query serially, respawn on the next search
-        _evict_broken_pool(pool)
-        return scatter_serial_vectors(shards, vectors, k)
-    return [
-        [
-            [
-                SearchHit(
-                    score=score, instance_id=instance_id, index_name=shard.name
-                )
-                for score, instance_id in per_query
+    if mode == "thread":
+        with ThreadPoolExecutor(max_workers=len(shards)) as threads:
+            return list(threads.map(lambda shard: task(shard, *args), shards))
+    if mode == "process":
+        shard_dirs = spool.ensure(shards, save)
+        pool = shared_process_pool()
+        try:
+            futures = [
+                pool.submit(_run_attached, shard_dir, task, *args)
+                for shard_dir in shard_dirs
             ]
-            for per_query in result
-        ]
-        for shard, result in zip(shards, results)
-    ]
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            # a worker died mid-flight (OOM-killed, crashed): retire the
+            # poisoned pool and answer *this* call serially — identical
+            # results, just slower — so one dead worker never turns into
+            # an outage.  The next call respawns a fresh pool.
+            _evict_broken_pool(pool)
+    return [task(shard, *args) for shard in shards]

@@ -5,30 +5,40 @@ This is the content-based index the paper's experiments actually use
 files..."), so its ranking function matches ES defaults: BM25 with
 k1 = 1.2, b = 0.75.
 
-The index has two execution forms:
+The index has two forms:
 
 * the **dict form** — token -> ``{instance_id: tf}`` postings — is the
-  write path: ``add`` is cheap and incremental;
-* the **sealed form** is a compiled read path: one flat contiguous
-  CSR-style postings layout (sorted token table, ``tok_start`` offsets
-  into concatenated document-index + term-frequency arrays), precomputed
-  idf and length-normalization arrays, dense score accumulation over a
-  single float64 buffer, and ``argpartition``-based top-k selection.
+  write path: ``add`` / ``remove`` are cheap and incremental;
+* the **sealed form** is the read path: one flat contiguous CSR-style
+  postings layout (sorted token table, ``tok_start`` offsets into
+  concatenated document-index + term-frequency arrays) with precomputed
+  idf and length-normalization arrays.  A read compiles or patches it
+  lazily and any write un-publishes it, so callers never see a stale
+  ranking; an index with no seal is an empty index.
 
-``search`` compiles the sealed form lazily and any ``add`` invalidates
-it, so callers never see a stale ranking.  Both paths produce
-bit-identical hit lists: the sealed scorer replays the exact arithmetic
-of the dict scorer (same operation order, same IEEE doubles) and breaks
-ties on instance id the same way.  Token contributions accumulate in
-**sorted token order** on every path — per-query dict, per-query
-sealed, and the batched :meth:`InvertedIndex.search_matrix` kernel.
-That kernel scores a campaign in tiles of consecutive queries: a
-tile's postings are laid out as one flat stream, query by query and
-token by token, and a single ``np.bincount`` folds the stream into the
-tile's queries x documents score matrix.  ``bincount`` adds in stream
-order and a cell belongs to one query, so every cell replays that
-query's sorted-token float64 sum bit for bit; the tile size
-(:data:`_TILE_BUDGET`) only bounds how much memory one pass touches.
+Every read is a batch — ``search(q)`` is ``search_batch([q])[0]`` — and
+a batch is plan -> rank -> hits: :meth:`InvertedIndex.plan_matrix`
+analyzes the queries once, ``_score_matrix`` ranks the plan against one
+seal, and the hits read their ids off that seal.  Two kernels fill the
+queries x documents score matrix, and ``_score_matrix`` is the one place
+that chooses between them, by the number of queries in the plan:
+
+* **one query**: the per-token kernel adds a token's postings at a time
+  into a single row, and needs nothing beyond the seal itself — what a
+  read that follows a write wants;
+* **otherwise**: the tiled matrix kernel lays a tile of consecutive
+  queries' postings out as one flat stream, query by query and token by
+  token, and a single ``np.bincount`` folds the stream into the tile's
+  score matrix.  It reads ``contrib_flat``, a per-posting table built
+  the first time a seal is scored this way; the tile size
+  (:data:`_TILE_BUDGET`) only bounds how much memory one pass touches.
+
+Token contributions accumulate in **sorted token order** in both kernels
+(``bincount`` adds in stream order and a cell belongs to one query) and
+in :meth:`InvertedIndex.search_dict`, the reference scorer over the dict
+form that tests compare against, so all three replay the same float64
+sums bit for bit; one selection, ``_rank_matrix``, then takes every
+row's top k under the ``(-score, id)`` total order.
 
 Because the sealed form is a handful of flat arrays, it is also the
 **persistence unit**: :mod:`repro.index.persistence` writes the arrays
@@ -72,7 +82,9 @@ import threading
 from bisect import bisect_right, insort
 from collections import Counter, defaultdict
 from itertools import chain, compress
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -102,25 +114,33 @@ def _bm25_idf(num_docs: int, df: int) -> float:
     return max(raw, 1e-6)
 
 
+#: one query's ranking: positions in the seal's document order, and
+#: their scores.  Two columns, not k ``(position, score)`` tuples: what a
+#: shard worker ships back the parent's collector then need not track
+Ranked = Tuple[List[int], List[float]]
+
+
 def _order_candidates(
     doc_ids: Sequence[str],
     scores: "np.ndarray",
     candidates: "np.ndarray",
     k: int,
-) -> List[Tuple[int, float]]:
+) -> Ranked:
     """The first ``k`` of ``candidates`` (document indexes into
-    ``doc_ids``; ``scores[j]`` is the score of ``candidates[j]``) as
-    ``(doc index, score)`` pairs under the ``(-score, id)`` total order.
+    ``doc_ids``; ``scores[j]`` is the score of ``candidates[j]``) under
+    the ``(-score, id)`` total order, as :data:`Ranked` columns.
 
-    The one ordering both the per-query and the query-matrix selection
-    end in.  It reads the arrays once, as lists, and sorts plain
-    ``(-score, id, index)`` tuples: ids are unique, so the index is
-    never compared, and a float's negation is exact both ways."""
+    The one ordering every selection ends in.  It reads the arrays
+    once, as lists, and sorts plain ``(-score, id, index)`` tuples: ids
+    are unique, so the index is never compared, and a float's negation
+    is exact both ways."""
     indexes = candidates.tolist()
     ordered = sorted(
         zip((-scores).tolist(), [doc_ids[i] for i in indexes], indexes)
     )[:k]
-    return [(i, -negated) for negated, _, i in ordered]
+    return (
+        [i for _, _, i in ordered], [-negated for negated, _, _ in ordered]
+    )
 
 
 class CorpusStats:
@@ -156,9 +176,9 @@ class _SealedPostings:
     (sorted), ``tok_start`` offsets, concatenated ``doc_idx`` /
     ``tf_flat`` postings — plus per-doc ``norm`` and per-token
     ``idf_flat``.  The flat arrays are the persistence unit
-    (:mod:`repro.index.persistence` memmaps them directly); the
-    ``postings`` / ``idf`` dict attributes are zero-copy *views* over
-    them, kept for the per-token scoring loops.
+    (:mod:`repro.index.persistence` memmaps them directly);
+    :meth:`posting` slices one token's row out of them, zero-copy, for
+    the per-token kernel.
     """
 
     __slots__ = (
@@ -221,22 +241,16 @@ class _SealedPostings:
         )
 
 
-class MatrixPlan:
+class MatrixPlan(NamedTuple):
     """A campaign of queries analyzed once.
 
-    Shard-independent: ``terms`` holds, per query, its sorted
-    ``(token, count)`` list — what the per-query sealed path computes
-    for one query.  Built by :meth:`InvertedIndex.plan_matrix`, consumed
-    by :meth:`InvertedIndex.search_matrix_planned` on every shard.
+    Shard-independent, and all of a campaign that crosses the pipe to
+    a shard worker: ``terms`` holds, per query, its sorted
+    ``(token, count)`` list.  Built by :meth:`InvertedIndex.plan_matrix`,
+    consumed by :meth:`InvertedIndex.rank_planned` on every shard.
     """
 
-    __slots__ = ("queries", "terms")
-
-    def __init__(
-        self, queries: List[str], terms: List[List[Tuple[str, int]]]
-    ) -> None:
-        self.queries = queries
-        self.terms = terms
+    terms: List[List[Tuple[str, int]]]
 
 
 class InvertedIndex(SearchIndex):
@@ -249,7 +263,6 @@ class InvertedIndex(SearchIndex):
         b: float = 0.75,
         remove_stopwords: bool = True,
         stemming: bool = True,
-        auto_seal: bool = True,
     ) -> None:
         if k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {k1}")
@@ -260,7 +273,6 @@ class InvertedIndex(SearchIndex):
         self.b = b
         self.remove_stopwords = remove_stopwords
         self.stemming = stemming
-        self.auto_seal = auto_seal
         self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
         self._doc_length: Dict[str, int] = {}
         #: document -> its distinct tokens (the postings dict's own
@@ -397,6 +409,9 @@ class InvertedIndex(SearchIndex):
     def __len__(self) -> int:
         return len(self._doc_length)
 
+    def __contains__(self, instance_id: str) -> bool:
+        return instance_id in self._doc_length
+
     def local_df(self, token: str) -> int:
         """Document frequency of ``token`` in *this* index's postings."""
         return len(self._postings.get(token, ()))
@@ -429,8 +444,8 @@ class InvertedIndex(SearchIndex):
     def seal(self) -> "InvertedIndex":
         """Bring the flat vectorized read form up to date.
 
-        Idempotent; called lazily by :meth:`search` when ``auto_seal``
-        is on.  The next write un-publishes the compiled form.  One
+        Idempotent; every read calls it lazily.  The next write
+        un-publishes the compiled form.  One
         rule picks the work: a base exists (a seal was published and
         only ``add`` / ``remove`` happened since) -> patch it; no base
         -> compile from the dict form.  Safe under concurrent readers:
@@ -627,98 +642,69 @@ class InvertedIndex(SearchIndex):
         )
         _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
 
-    def _rank_candidates(
-        self,
-        sealed: _SealedPostings,
-        scores: "np.ndarray",
-        matched: "np.ndarray",
-        k: int,
-    ) -> List[Tuple[int, float]]:
-        """Top-k ``(doc index, score)`` pairs of one query under the
-        ``(-score, id)`` total order — the per-query selection
-        :meth:`_rank_matrix` reproduces row for row."""
-        candidates = np.nonzero(matched)[0]
-        if candidates.size == 0 or k <= 0:
-            return []
-        cand_scores = scores[candidates]
-        if candidates.size > k:
-            keep = np.argpartition(-cand_scores, k - 1)[:k]
-            tied = cand_scores >= cand_scores[keep].min()
-            candidates, cand_scores = candidates[tied], cand_scores[tied]
-        return _order_candidates(sealed.doc_ids, cand_scores, candidates, k)
-
-    def _hits_from_ranked(
-        self, sealed: _SealedPostings, ranked: List[Tuple[int, float]]
-    ) -> List[SearchHit]:
-        doc_ids = sealed.doc_ids
-        return [
-            SearchHit(
-                score=score, instance_id=doc_ids[i], index_name=self.name
-            )
-            for i, score in ranked
-        ]
-
-    def _search_sealed(
-        self, sealed: _SealedPostings, query: str, k: int
-    ) -> List[SearchHit]:
-        tokens = self._analyze(query)
-        if not tokens or not sealed.doc_ids:
-            return []
-        num_docs = len(sealed.doc_ids)
-        scores = np.zeros(num_docs, dtype=np.float64)
-        matched = np.zeros(num_docs, dtype=bool)
-        # sorted token order: the canonical accumulation order shared
-        # with search_dict and the query-matrix kernel, so all three
-        # produce identical float64 sums
-        for token, query_count in sorted(Counter(tokens).items()):
-            entry = sealed.posting(token)
-            if entry is None:
-                continue
-            idx, tf, idf = entry
-            # identical arithmetic (and evaluation order) to the dict path
-            scores[idx] += (
-                idf * (tf * (self.k1 + 1)) / (tf + sealed.norm[idx])
-                * query_count
-            )
-            matched[idx] = True
-        return self._hits_from_ranked(
-            sealed, self._rank_candidates(sealed, scores, matched, k)
-        )
-
     # ------------------------------------------------------------------
-    # query-matrix (batched) scoring
+    # scoring a plan: the per-token kernel and the tiled matrix kernel
     # ------------------------------------------------------------------
     def plan_matrix(self, queries: Sequence[str]) -> "MatrixPlan":
         """Analyze a campaign once into a shard-independent plan.
 
         The plan depends only on the queries and the analyzer settings,
         never on any shard's postings.  A sharded index therefore plans
-        once and scores the same plan against every shard
-        (:meth:`search_matrix_planned`)."""
-        queries = list(queries)
+        once and ranks the same plan against every shard
+        (:meth:`rank_planned`)."""
         return MatrixPlan(
-            queries,
-            [sorted(Counter(self._analyze(q)).items()) for q in queries],
+            [sorted(Counter(self._analyze(q)).items()) for q in queries]
         )
 
+    def _score_tokens(
+        self, sealed: _SealedPostings, terms: List[Tuple[str, int]]
+    ) -> "np.ndarray":
+        """One query's scores as a one-row matrix, a token at a time —
+        the per-token kernel.  ``terms`` arrive in sorted token order:
+        the canonical accumulation order shared with search_dict and
+        the tiled kernel, so all three produce identical float64 sums."""
+        scores = np.zeros((1, len(sealed.doc_ids)), dtype=np.float64)
+        row = scores[0]
+        for token, query_count in terms:
+            entry = sealed.posting(token)
+            if entry is None:
+                continue
+            idx, tf, idf = entry
+            # identical arithmetic (and evaluation order) to the dict path
+            row[idx] += (
+                idf * (tf * (self.k1 + 1)) / (tf + sealed.norm[idx])
+                * query_count
+            )
+        return scores
+
     def _score_matrix(
-        self, sealed: _SealedPostings, plan: "MatrixPlan", k: int
-    ) -> List[List[Tuple[int, float]]]:
-        """Rank every campaign query against one seal, a tile of
-        consecutive queries at a time (rows = the tile's queries,
-        columns = documents).
+        self, sealed: Optional[_SealedPostings], plan: "MatrixPlan", k: int
+    ) -> List[Ranked]:
+        """Rank every query of a plan against one seal: per query, the
+        positions (in the seal's document order) and scores of its top k.
+
+        The one place a kernel is chosen.  A plan of one query takes the
+        per-token kernel (:meth:`_score_tokens`): a one-row matrix pays
+        the stream assembly for no sharing, and ``contrib_flat`` for a
+        seal the next write may drop before a second read.  Any other
+        plan is scored a tile of consecutive queries at a time (rows =
+        the tile's queries, columns = documents).
 
         A tile is cut where one more query would take it past
         :data:`_TILE_BUDGET` elements, a query costing its postings
         plus its score row; a query that alone costs more is a tile of
         one.  Cutting changes no sum: a cell belongs to one query, whose
         postings arrive in sorted token order with the exact per-token
-        arithmetic of :meth:`_search_sealed`, so scores — and therefore
-        rankings — are bit-identical to the per-query sealed path
-        wherever the cuts fall."""
+        arithmetic of :meth:`_score_tokens`, so scores — and therefore
+        rankings — are bit-identical between the kernels wherever the
+        cuts fall."""
+        if sealed is None or not sealed.doc_ids or k <= 0:
+            return [([], []) for _ in plan.terms]
+        if len(plan.terms) == 1:
+            return self._rank_matrix(
+                sealed, self._score_tokens(sealed, plan.terms[0]), k
+            )
         num_docs = len(sealed.doc_ids)
-        if not num_docs or k <= 0:
-            return [[] for _ in plan.queries]
         contrib_flat = self._contrib_flat(sealed)
         # One (CSR row, query row, query count) triple per query token
         # this seal knows: query-major, a query's tokens in sorted
@@ -749,7 +735,7 @@ class InvertedIndex(SearchIndex):
         registry = get_registry()
         tiles = registry.counter("index.matrix.tiles")
         stream_postings = registry.counter("index.matrix.stream_postings")
-        ranked: List[List[Tuple[int, float]]] = []
+        ranked: List[Ranked] = []
         first = first_pair = spent = 0
         while first < len(cost):
             stop = max(
@@ -803,13 +789,13 @@ class InvertedIndex(SearchIndex):
 
     def _rank_matrix(
         self, sealed: _SealedPostings, scores: "np.ndarray", k: int
-    ) -> List[List[Tuple[int, float]]]:
+    ) -> List[Ranked]:
         """Per-row top-k of a score matrix under the ``(-score, id)``
         total order, finding every row's k-th score with one
         ``partition``.
 
-        Equivalent to :meth:`_rank_candidates` row by row: matched docs
-        are exactly those with score > 0 (every BM25 contribution is
+        The one selection, for both kernels' scores.  Matched docs are
+        exactly those with score > 0 (every BM25 contribution is
         strictly positive — idf is floored at 1e-6, tf >= 1, qc >= 1 —
         so a matched sum cannot be 0.0), and the k-th largest score over
         all docs equals the k-th largest over matched docs whenever at
@@ -822,7 +808,7 @@ class InvertedIndex(SearchIndex):
         # (selecting ``num_docs - k`` of ``scores`` itself, which needs
         # no negated copy, is 5x slower on these tie-heavy rows)
         kth = (-np.partition(-scores, at, axis=1)[:, at]).tolist()
-        ranked: List[List[Tuple[int, float]]] = []
+        ranked: List[Ranked] = []
         for qi in range(num_queries):
             row = scores[qi]
             if kth[qi] > 0.0:
@@ -836,92 +822,74 @@ class InvertedIndex(SearchIndex):
             )
         return ranked
 
+    # ------------------------------------------------------------------
+    # search
+    # ------------------------------------------------------------------
     def _current_seal(self) -> Optional[_SealedPostings]:
         """The seal one call reads from start to end, brought up to
-        date first when ``auto_seal`` is on; ``None`` = answer from the
-        dict form.  Every sealed entry point takes it once and passes it
-        down, so a call never mixes two generations' arrays."""
+        date first; ``None`` = the index is empty.  Every read takes it
+        once and passes it down, so a call never mixes two generations'
+        arrays."""
         sealed = self._sealed
-        if sealed is None and self.auto_seal and self._doc_length:
+        if sealed is None and self._doc_length:
             sealed = self.seal()._sealed
         return sealed
 
-    def search_matrix(
-        self, queries: Sequence[str], k: int = 10
-    ) -> List[List[SearchHit]]:
-        """Score a whole batch of queries with the query-matrix kernel.
-
-        Bit-identical to ``[self.search(q, k) for q in queries]`` on the
-        sealed path (differential-tested)."""
-        queries = list(queries)
-        if len(queries) == 1:
-            # a 1-row matrix pays the stream-assembly overhead for no
-            # sharing; the per-query kernel is bit-identical and faster
-            return [self.search(queries[0], k)]
-        return self.search_matrix_planned(self.plan_matrix(queries), k)
-
-    def search_matrix_planned(
-        self, plan: "MatrixPlan", k: int = 10
-    ) -> List[List[SearchHit]]:
-        """Score a pre-analyzed campaign plan against this index.
-
-        The sharded scatter paths plan the campaign once
-        (:meth:`plan_matrix`) and call this on every shard, so the
-        per-query analysis cost is paid once per campaign instead of
-        once per shard."""
-        sealed = self._current_seal()
-        if sealed is None:
-            return [self.search_dict(query, k) for query in plan.queries]
+    def _hits_from_ranked(
+        self, sealed: Optional[_SealedPostings], ranked: Ranked
+    ) -> List[SearchHit]:
+        """One query's ranking as hits, ids read from the seal that
+        ranked it."""
+        positions, scores = ranked
+        if not positions:  # also the empty index, which has no seal
+            return []
+        doc_ids = sealed.doc_ids
         return [
-            self._hits_from_ranked(sealed, ranked)
-            for ranked in self._score_matrix(sealed, plan, k)
+            SearchHit(
+                score=score, instance_id=doc_ids[i], index_name=self.name
+            )
+            for i, score in zip(positions, scores)
         ]
 
-    def search_matrix_arrays(
-        self, queries: Sequence[str], k: int = 10
-    ) -> List[Tuple["np.ndarray", "np.ndarray"]]:
-        """Like :meth:`search_matrix`, but returning one compact
-        ``(doc index array, score array)`` pair per query — the wire
-        format the process-pool shard workers ship back (indexes into
-        the sealed ``doc_ids`` order instead of repeated id strings)."""
-        sealed = self.seal()._sealed
-        ranked = self._score_matrix(sealed, self.plan_matrix(queries), k)
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for r in ranked:
-            idx = np.fromiter((i for i, _ in r), dtype=np.int64, count=len(r))
-            sc = np.fromiter(
-                (score for _, score in r), dtype=np.float64, count=len(r)
-            )
-            out.append((idx, sc))
-        return out
+    def rank_planned(
+        self, plan: "MatrixPlan", k: int = 10
+    ) -> List[Ranked]:
+        """Rank a pre-analyzed plan against this index: per query, the
+        positions (in the seal's document order) and scores of its top k.
+
+        The shard seam: a sharded index plans once (:meth:`plan_matrix`)
+        and calls this on every shard — in process, or in a worker on a
+        memmap attachment, whose columns cross the pipe as they are —
+        and reads the ids off its own seal."""
+        return self._score_matrix(self._current_seal(), plan, k)
 
     def search_batch(
         self, queries: Sequence[str], k: int = 10
     ) -> List[List[SearchHit]]:
-        """Batched search (the query-matrix kernel)."""
-        return self.search_matrix(queries, k)
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def search(self, query: str, k: int = 10) -> List[SearchHit]:
+        """Plan the queries, rank the plan, materialise the hits."""
         sealed = self._current_seal()
-        if sealed is not None:
-            return self._search_sealed(sealed, query, k)
-        return self.search_dict(query, k)
+        return [
+            self._hits_from_ranked(sealed, ranked)
+            for ranked in self._score_matrix(
+                sealed, self.plan_matrix(queries), k
+            )
+        ]
+
+    def search(self, query: str, k: int = 10) -> List[SearchHit]:
+        return self.search_batch([query], k)[0]
 
     def search_dict(self, query: str, k: int = 10) -> List[SearchHit]:
         """Reference scorer over the dict postings (the original path).
 
-        Kept as the differential-testing oracle for the sealed form,
-        and what an ``auto_seal=False`` index answers with.
+        Kept as the differential-testing oracle for the sealed form;
+        no read path calls it.
         """
         tokens = self._analyze(query)
         if not tokens or not self._doc_length:
             return []
         avg_len = self.avg_doc_length
         scores: Dict[str, float] = defaultdict(float)
-        # sorted token order — see _search_sealed: one canonical
+        # sorted token order — see _score_tokens: one canonical
         # accumulation order across all scoring paths
         for token, query_count in sorted(Counter(tokens).items()):
             postings = self._postings.get(token)

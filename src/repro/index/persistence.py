@@ -27,7 +27,9 @@ Two persistence families live here:
 Every manifest carries a format version and array geometry; a
 truncated, corrupted, or version-skewed snapshot fails with a clean
 :class:`~repro.verify.base.VerificationError` instead of a numpy
-traceback.
+traceback.  Every file is written whole or not at all
+(:mod:`repro.snapshot`), the manifest last: a save that dies over an
+existing snapshot leaves each array the old or the new one, never torn.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from repro.index.inverted import InvertedIndex, _SealedPostings
 from repro.index.shard import ShardedInvertedIndex
 from repro.index.vector import FlatVectorIndex
-from repro.snapshot import write_json
+from repro.snapshot import write_array, write_json
 
 _FORMAT_VERSION = 1
 _SHARDED_FORMAT_VERSION = 1
@@ -66,7 +68,7 @@ def _snapshot_error(message: str) -> Exception:
     return VerificationError(f"sealed index snapshot: {message}")
 
 
-def _load_manifest(path: Path, expected_kind: str) -> dict:
+def _load_manifest(path: Path, *expected_kinds: str) -> dict:
     """Read and validate a sealed-snapshot manifest, failing with a
     clean :class:`VerificationError` on any malformation."""
     if not path.is_file():
@@ -80,10 +82,10 @@ def _load_manifest(path: Path, expected_kind: str) -> dict:
         ) from None
     if not isinstance(manifest, dict):
         raise _snapshot_error(f"manifest at {path} is not an object")
-    if manifest.get("kind") != expected_kind:
+    if manifest.get("kind") not in expected_kinds:
         raise _snapshot_error(
             f"manifest at {path} has kind {manifest.get('kind')!r}, "
-            f"expected {expected_kind!r}"
+            f"expected {' or '.join(map(repr, expected_kinds))}"
         )
     if manifest.get("version") != _SEALED_FORMAT_VERSION:
         raise _snapshot_error(
@@ -263,7 +265,7 @@ def save_sealed_index(
         },
     }
     for name, array in arrays.items():
-        array.tofile(directory / f"{name}.bin")
+        write_array(array, directory / f"{name}.bin")
     write_json(manifest, directory / "manifest.json")
     return directory
 
@@ -284,6 +286,12 @@ def attach_sealed_index(
     """
     directory = Path(directory)
     manifest = _load_manifest(directory / "manifest.json", _SEALED_KIND)
+    return _attach_sealed(directory, manifest, name)
+
+
+def _attach_sealed(
+    directory: Path, manifest: dict, name: Optional[str] = None
+) -> InvertedIndex:
     try:
         doc_ids = list(manifest["doc_ids"])
         doc_lengths = [int(n) for n in manifest["doc_lengths"]]
@@ -444,7 +452,7 @@ def save_vector_index(
             }
         },
     }
-    matrix.tofile(directory / "matrix.bin")
+    write_array(matrix, directory / "matrix.bin")
     write_json(manifest, directory / "manifest.json")
     return directory
 
@@ -455,6 +463,10 @@ def attach_vector_index(directory: Union[str, Path]) -> FlatVectorIndex:
     manifest = _load_manifest(
         directory / "manifest.json", _SEALED_VECTOR_KIND
     )
+    return _attach_vector(directory, manifest)
+
+
+def _attach_vector(directory: Path, manifest: dict) -> FlatVectorIndex:
     try:
         ids: List[str] = list(manifest["ids"])
         index = FlatVectorIndex(
@@ -478,3 +490,17 @@ def attach_vector_index(directory: Union[str, Path]) -> FlatVectorIndex:
     index._matrix = flat.reshape(len(ids), index.dim)
     index._attached = True
     return index
+
+
+def attach_snapshot(
+    directory: Union[str, Path]
+) -> Union[InvertedIndex, FlatVectorIndex]:
+    """Attach whichever single-index snapshot ``directory`` holds, going
+    by its manifest's ``kind`` — what a shard worker calls: it is handed
+    a directory, not told what its parent spooled there."""
+    directory = Path(directory)
+    attach = {
+        _SEALED_KIND: _attach_sealed, _SEALED_VECTOR_KIND: _attach_vector,
+    }
+    manifest = _load_manifest(directory / "manifest.json", *attach)
+    return attach[manifest["kind"]](directory, manifest)

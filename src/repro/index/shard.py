@@ -3,10 +3,10 @@
 The ROADMAP's scale direction: partition one logical index into N
 shards by a **stable hash of the instance id's root** (so chunk ids
 ``doc#cN`` and tuple ids ``table#rN`` co-locate with their parent
-document/table), build the shards independently — and in parallel —
-and serve ``search()`` by **scatter-gather**: query every shard,
-merge the per-shard rankings under the global ``(-score,
-instance_id)`` total order, truncate to k.
+document/table), build the shards independently, and serve
+``search()`` by **scatter-gather**: query every shard, merge the
+per-shard rankings under the global ``(-score, instance_id)`` total
+order, truncate to k.
 
 The invariant everything below is built around (and that
 ``tests/test_index_sharding.py`` proves differentially):
@@ -26,28 +26,26 @@ Two properties make that exact rather than approximate:
   subset of the union of local top-ks, so merging and truncating
   loses nothing and reorders nothing.
 
-Mutation propagates: removing or updating an instance in one shard
-invalidates *every* shard's sealed read form (global statistics
-changed), and the next search re-seals.
-
-How the scatter *runs* — serial loop, thread pool, or a process pool
-whose workers memmap-attach sealed shard snapshots — is selected per
-index by ``executor=`` (see :mod:`repro.index.executor`).  All three
-strategies call the same sealed kernels on the same arrays, so the
-choice affects wall-clock only, never a single hit or score.
+Both sharded indexes are one base class (routing, the spool, one
+scatter-gather-merge) plus what differs: BM25 shards carry the global
+statistics, and a write to one invalidates *every* shard's sealed read
+form (the statistics changed); vector shards encode the batch once.
+How the scatter *runs* is selected per index by ``executor=`` and is
+one function, :func:`repro.index.executor.scatter`: the same task on
+the same arrays in every mode, so the choice affects wall-clock only,
+never a single hit or score.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.index import executor as shard_executor
 from repro.index.base import SearchHit, SearchIndex
-from repro.index.executor import ShardSpool, validate_executor_mode
-from repro.index.inverted import CorpusStats, InvertedIndex
+from repro.index.executor import ShardSpool, scatter, validate_executor_mode
+from repro.index.inverted import CorpusStats, InvertedIndex, MatrixPlan
 from repro.index.vector import FlatVectorIndex
 
 
@@ -131,77 +129,46 @@ class GlobalBM25Stats(CorpusStats):
         return sum(shard.local_df(token) for shard in self._shards)
 
 
-class ShardedInvertedIndex(SearchIndex):
-    """N BM25 shards behind one :class:`SearchIndex` face.
+class _ShardedIndex(SearchIndex):
+    """What the two sharded indexes share: routing by :func:`shard_of`,
+    the spool process workers attach, and scatter-gather-merge.
 
-    Writes route by :func:`shard_of`; reads scatter to every shard and
-    gather-merge.  Every shard scores with :class:`GlobalBM25Stats`,
-    so results are hit-for-hit identical to a single
-    :class:`InvertedIndex` over the same corpus.
+    A subclass brings how a shard is made (``new_shard(name)``) and
+    snapshotted (``save``), the module-level task a shard runs
+    (``_task``), what the task is handed for a query batch
+    (``_prepare``) and how one shard's result becomes hits (``_hits``).
     """
 
     def __init__(
-        self,
-        num_shards: int,
-        name: str = "bm25-sharded",
-        k1: float = 1.2,
-        b: float = 0.75,
-        remove_stopwords: bool = True,
-        stemming: bool = True,
-        auto_seal: bool = True,
-        executor: str = "serial",
+        self, num_shards: int, name: str, executor: str,
+        new_shard: Callable, save: Callable,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.name = name
         self.num_shards = num_shards
-        self.auto_seal = auto_seal
         self.search_executor = validate_executor_mode(executor)
         self._spool = ShardSpool(prefix=f"repro-{name}-")
-        self.shards: List[InvertedIndex] = [
-            InvertedIndex(
-                name=f"{name}/s{i}",
-                k1=k1,
-                b=b,
-                remove_stopwords=remove_stopwords,
-                stemming=stemming,
-                auto_seal=auto_seal,
-            )
-            for i in range(num_shards)
-        ]
-        stats = GlobalBM25Stats(self.shards)
-        for shard in self.shards:
-            shard.corpus_stats = stats
+        self.shards = [new_shard(f"{name}/s{i}") for i in range(num_shards)]
+        self._save = save
 
-    # -- routing --------------------------------------------------------
-    def shard_for(self, instance_id: str) -> InvertedIndex:
+    def shard_for(self, instance_id: str):
         """The shard an instance id lives in."""
         return self.shards[shard_of(instance_id, self.num_shards)]
 
-    def _invalidate_seals(self) -> None:
-        """Global statistics changed: every shard's compiled form is
-        stale, not just the mutated one's — and so is the persisted
-        spool process workers attach."""
-        for shard in self.shards:
-            shard.invalidate_seal()
+    def _written(self) -> None:
+        """After every write: the spooled snapshots are stale."""
         self._spool.invalidate()
 
-    # -- writes ---------------------------------------------------------
     def add(self, instance_id: str, payload: str) -> None:
         self.shard_for(instance_id).add(instance_id, payload)
-        self._invalidate_seals()
+        self._written()
 
     def remove(self, instance_id: str) -> None:
-        """Remove one document (KeyError when absent)."""
+        """Remove one instance (KeyError when absent)."""
         self.shard_for(instance_id).remove(instance_id)
-        self._invalidate_seals()
+        self._written()
 
-    def update(self, instance_id: str, payload: str) -> None:
-        """Replace one document's payload (remove + add)."""
-        self.shard_for(instance_id).update(instance_id, payload)
-        self._invalidate_seals()
-
-    # -- reads ----------------------------------------------------------
     def search(self, query: str, k: int = 10) -> List[SearchHit]:
         """Scatter the query to every shard, gather-merge the top-k."""
         return self.search_batch([query], k)[0]
@@ -211,35 +178,96 @@ class ShardedInvertedIndex(SearchIndex):
     ) -> List[List[SearchHit]]:
         """Scatter a whole query batch to every shard, gather-merge.
 
-        Each shard scores the batch with the query-matrix kernel
-        (:meth:`InvertedIndex.search_matrix`); the fan-out strategy is
-        :attr:`search_executor` (``serial`` / ``thread`` / ``process``)
-        and never changes a hit or a score.
+        The batch is prepared once, in this process; how the fan-out
+        runs is :attr:`search_executor` (``serial`` / ``thread`` /
+        ``process``) and never changes a hit or a score.
         """
         queries = list(queries)
         if not queries:
             return []
-        mode = self.search_executor
-        if mode == "process":
-            rankings = shard_executor.scatter_processes(
-                self.shards, self._spool, queries, k
-            )
-        elif mode == "thread":
-            rankings = shard_executor.scatter_threads(self.shards, queries, k)
-        else:
-            rankings = shard_executor.scatter_serial(self.shards, queries, k)
-        # rankings is [shard][query]; merge per query across shards
-        return [
-            merge_shard_hits(
-                [per_shard[qi] for per_shard in rankings], k, self.name
-            )
-            for qi in range(len(queries))
+        results = scatter(
+            self.shards, self.search_executor, self._spool, self._save,
+            self._task, self._prepare(queries), k,
+        )
+        per_shard = [  # [shard][query] -> hits
+            self._hits(shard, result)
+            for shard, result in zip(self.shards, results)
         ]
+        return [
+            merge_shard_hits(per_query, k, self.name)
+            for per_query in zip(*per_shard)
+        ]
+
+    def __len__(self) -> int:
+        return sum(len(shard) for shard in self.shards)
+
+    def __contains__(self, instance_id: str) -> bool:
+        return instance_id in self.shard_for(instance_id)
+
+
+class ShardedInvertedIndex(_ShardedIndex):
+    """N BM25 shards behind one :class:`SearchIndex` face.
+
+    Every shard scores with :class:`GlobalBM25Stats`, so results are
+    hit-for-hit identical to a single :class:`InvertedIndex` over the
+    same corpus.  The batch is planned once
+    (:meth:`InvertedIndex.plan_matrix`) and every shard ranks the plan
+    (:meth:`InvertedIndex.rank_planned`) into positions and scores — all
+    a process worker ships back; the ids are read here, off the shard's
+    own seal, which is the one the worker's snapshot was written from.
+    """
+
+    _task = staticmethod(InvertedIndex.rank_planned)
+
+    def __init__(
+        self,
+        num_shards: int,
+        name: str = "bm25-sharded",
+        k1: float = 1.2,
+        b: float = 0.75,
+        remove_stopwords: bool = True,
+        stemming: bool = True,
+        executor: str = "serial",
+    ) -> None:
+        from repro.index.persistence import save_sealed_index  # imports us
+
+        super().__init__(
+            num_shards, name, executor,
+            lambda shard_name: InvertedIndex(
+                name=shard_name, k1=k1, b=b,
+                remove_stopwords=remove_stopwords, stemming=stemming,
+            ),
+            save_sealed_index,
+        )
+        stats = GlobalBM25Stats(self.shards)
+        for shard in self.shards:
+            shard.corpus_stats = stats
+
+    def _prepare(self, queries: List[str]) -> MatrixPlan:
+        # every shard shares the analyzer settings: analyze once
+        return self.shards[0].plan_matrix(queries)
+
+    def _hits(self, shard, result) -> List[List[SearchHit]]:
+        return [
+            shard._hits_from_ranked(shard._sealed, ranked) for ranked in result
+        ]
+
+    def _written(self) -> None:
+        """Global statistics changed: every shard's compiled form is
+        stale, not just the mutated one's — and so is the spool."""
+        for shard in self.shards:
+            shard.invalidate_seal()
+        super()._written()
+
+    def update(self, instance_id: str, payload: str) -> None:
+        """Replace one document's payload (remove + add)."""
+        self.shard_for(instance_id).update(instance_id, payload)
+        self._written()
 
     def seal(self) -> "ShardedInvertedIndex":
         """Compile every shard's read form."""
         for shard in self.shards:
-            if shard.auto_seal and len(shard):
+            if len(shard):
                 shard.seal()
         return self
 
@@ -249,20 +277,31 @@ class ShardedInvertedIndex(SearchIndex):
         populated = [shard for shard in self.shards if len(shard)]
         return bool(populated) and all(s.is_sealed for s in populated)
 
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
 
-    def __contains__(self, instance_id: str) -> bool:
-        return instance_id in self.shard_for(instance_id)._doc_length
+def _rank_vectors(
+    shard: FlatVectorIndex, vectors: List["np.ndarray"], k: int
+) -> List[Tuple[List[float], List[str]]]:
+    """A vector shard's task: per query vector, the scores and the ids
+    of its top k — columns, like :data:`repro.index.inverted.Ranked`."""
+    ranked = []
+    for vector in vectors:
+        hits = shard.search_vector(vector, k)
+        ranked.append(
+            ([hit.score for hit in hits], [hit.instance_id for hit in hits])
+        )
+    return ranked
 
 
-class ShardedVectorIndex(SearchIndex):
+class ShardedVectorIndex(_ShardedIndex):
     """N flat vector shards behind one :class:`SearchIndex` face.
 
     Vector similarity is per-document local (no corpus statistics), so
     sharding only needs the routing rule and the exact merge.  The
-    query is encoded once and scattered as a vector.
+    batch is encoded once, in this process — a worker only ever sees
+    dense vectors — and scattered as vectors.
     """
+
+    _task = staticmethod(_rank_vectors)
 
     def __init__(
         self,
@@ -273,80 +312,31 @@ class ShardedVectorIndex(SearchIndex):
         name: str = "vec-sharded",
         executor: str = "serial",
     ) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.name = name
-        self.num_shards = num_shards
+        from repro.index.persistence import save_vector_index  # imports us
+
+        super().__init__(
+            num_shards, name, executor,
+            lambda shard_name: FlatVectorIndex(
+                dim=dim, encoder=encoder, metric=metric, name=shard_name
+            ),
+            save_vector_index,
+        )
         self.dim = dim
         self._encoder = encoder
-        self.search_executor = validate_executor_mode(executor)
-        self._spool = ShardSpool(prefix=f"repro-{name}-")
-        self.shards: List[FlatVectorIndex] = [
-            FlatVectorIndex(
-                dim=dim, encoder=encoder, metric=metric, name=f"{name}/s{i}"
-            )
-            for i in range(num_shards)
-        ]
 
-    def shard_for(self, instance_id: str) -> FlatVectorIndex:
-        """The shard an instance id lives in."""
-        return self.shards[shard_of(instance_id, self.num_shards)]
-
-    def add(self, instance_id: str, payload: str) -> None:
-        self.shard_for(instance_id).add(instance_id, payload)
-        self._spool.invalidate()
-
-    def remove(self, instance_id: str) -> None:
-        """Evict one vector (KeyError when absent)."""
-        self.shard_for(instance_id).remove(instance_id)
-        self._spool.invalidate()
-
-    def search(self, query: str, k: int = 10) -> List[SearchHit]:
-        return self.search_batch([query], k)[0]
-
-    def search_batch(
-        self, queries: List[str], k: int = 10
-    ) -> List[List[SearchHit]]:
-        """Encode the batch once, scatter the vectors to every shard.
-
-        The fan-out strategy is :attr:`search_executor`; the encoder
-        always runs in the parent process (worker processes only ever
-        see dense vectors).
-        """
+    def _prepare(self, queries: List[str]) -> List["np.ndarray"]:
         if self._encoder is None:
             raise RuntimeError(
                 f"{type(self).__name__} has no encoder; construct with "
                 "encoder= to search by string"
             )
-        queries = list(queries)
-        if not queries:
-            return []
-        vectors = [
+        return [
             np.asarray(self._encoder(query), dtype=np.float64)
             for query in queries
         ]
-        mode = self.search_executor
-        if mode == "process":
-            rankings = shard_executor.scatter_processes_vectors(
-                self.shards, self._spool, vectors, k
-            )
-        elif mode == "thread":
-            rankings = shard_executor.scatter_threads_vectors(
-                self.shards, vectors, k
-            )
-        else:
-            rankings = shard_executor.scatter_serial_vectors(
-                self.shards, vectors, k
-            )
+
+    def _hits(self, shard, result) -> List[List[SearchHit]]:
         return [
-            merge_shard_hits(
-                [per_shard[qi] for per_shard in rankings], k, self.name
-            )
-            for qi in range(len(queries))
+            [SearchHit(score, id_, shard.name) for score, id_ in zip(*ranked)]
+            for ranked in result
         ]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def __contains__(self, instance_id: str) -> bool:
-        return instance_id in self.shard_for(instance_id)

@@ -83,7 +83,7 @@ class TestInvertedIndexSealLifecycle:
             ] == [(h.instance_id, h.score) for h in fresh.search(query, 5)]
 
     def test_dict_path_compacts_tombstones(self):
-        index = InvertedIndex(name="dict", auto_seal=False)
+        index = InvertedIndex(name="dict")
         index.add("a", "shared token alpha")
         index.add("b", "shared token beta")
         index.remove("a")
@@ -91,9 +91,10 @@ class TestInvertedIndexSealLifecycle:
         # and the token only it carried is out of the vocabulary
         assert index.local_df("alpha") == 0
         assert index.local_df("token") == 1
-        hits = index.search("shared token", 5)
+        hits = index.search_dict("shared token", 5)
         assert [h.instance_id for h in hits] == ["b"]
-        assert index.search("alpha", 5) == []
+        assert index.search_dict("alpha", 5) == []
+        assert not index.is_sealed  # the oracle reads the dict form alone
 
     def test_remove_then_readd_same_id(self):
         index = self.build()

@@ -119,6 +119,43 @@ class TestConfigureLifecycle:
         assert executor._POOL.get("pool") is None
 
 
+class TestExitHandlers:
+    """A process that lives for weeks re-spools after every write and
+    respawns its pool after every broken one: neither may leave one
+    more ``atexit`` handler behind each time."""
+
+    @pytest.fixture
+    def registered(self, monkeypatch):
+        handlers = []
+        monkeypatch.setattr(
+            executor.atexit, "register",
+            lambda func, *args, **kwargs: handlers.append(func) or func,
+        )
+        return handlers
+
+    def test_mutate_search_cycles_register_at_most_one(self, registered):
+        configure_process_pool(max_workers=1)
+        sharded = build_sharded("process", num_shards=2)
+        spools = set()
+        for cycle in range(5):
+            sharded.update("doc-000", f"quick brown fox number {cycle}")
+            assert sharded.search("quick brown fox", 3)
+            spools.update(sharded._spool.shard_dirs)
+        assert len(spools) == 10  # five spools of two shards: non-vacuous
+        assert len(registered) <= 1
+        sharded._spool.invalidate()
+        assert not any(os.path.isdir(d) for d in spools)
+
+    def test_pool_respawns_register_at_most_one(self, registered):
+        pools = set()
+        for _ in range(4):
+            pools.add(configure_process_pool(max_workers=1))
+            shutdown_process_pool()
+            pools.add(shared_process_pool())
+        assert len(pools) == 8
+        assert len(registered) <= 1
+
+
 class TestBrokenPoolRecovery:
     def test_worker_killed_mid_flight_falls_back_and_respawns(self):
         configure_process_pool(max_workers=1)

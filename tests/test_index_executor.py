@@ -11,6 +11,7 @@ traced campaigns export byte-identical JSON under a frozen TickClock
 regardless of executor or matrix-prefill setting.
 """
 
+import gc
 import os
 from pathlib import Path
 
@@ -20,9 +21,11 @@ from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.core.pipeline import VerifAI
 from repro.embed.vectorizers import HashingVectorizer
+from repro.index import executor, persistence
 from repro.index.executor import (
     EXECUTOR_MODES,
     ShardSpool,
+    scatter,
     validate_executor_mode,
 )
 from repro.index.shard import ShardedInvertedIndex, ShardedVectorIndex
@@ -56,7 +59,7 @@ def pairs(hits):
     return [(h.instance_id, h.score) for h in hits]
 
 
-def build_sharded(executor, num_shards=4):
+def build_sharded(executor="serial", num_shards=4):
     sharded = ShardedInvertedIndex(
         num_shards, name="exec-test", executor=executor
     )
@@ -131,6 +134,75 @@ class TestExecutorEquality:
 
 
 # ---------------------------------------------------------------------------
+# the one fan-out
+# ---------------------------------------------------------------------------
+def shard_census(shard, tag):
+    """A trivial task: module-level, so a worker can unpickle it."""
+    return tag, shard.name, len(shard)
+
+
+def build_sharded_vectors(num_shards=3):
+    sharded = ShardedVectorIndex(
+        num_shards, dim=16, encoder=HashingVectorizer(dim=16).transform,
+        name="vec-exec",
+    )
+    for doc_id, text in DOCS:
+        sharded.add(doc_id, text)
+    return sharded
+
+
+class TestScatter:
+    @pytest.mark.parametrize("build", [build_sharded, build_sharded_vectors])
+    def test_a_task_returns_the_same_list_in_every_mode(self, build):
+        sharded = build()
+        spool = ShardSpool(prefix="repro-scatter-test-")
+        expected = [
+            ("census", shard.name, len(shard)) for shard in sharded.shards
+        ]
+        assert sum(size for _, _, size in expected) == len(DOCS)
+        try:
+            for mode in EXECUTOR_MODES:
+                assert scatter(
+                    sharded.shards, mode, spool, sharded._save,
+                    shard_census, "census",
+                ) == expected, mode
+            assert len(spool.shard_dirs) == len(sharded.shards)
+        finally:
+            spool.invalidate()
+
+    def test_the_worker_entry_attaches_each_directory_once(
+        self, monkeypatch, tmp_path
+    ):
+        bm25, vectors = build_sharded("serial", 2), build_sharded_vectors(2)
+        persistence.save_sealed_index(bm25.shards[0], tmp_path / "bm25")
+        persistence.save_vector_index(vectors.shards[0], tmp_path / "vec")
+        attached = []
+        real = persistence.attach_snapshot
+        monkeypatch.setattr(
+            persistence, "attach_snapshot",
+            lambda directory: attached.append(directory) or real(directory),
+        )
+        monkeypatch.setattr(executor, "_ATTACHED", {})
+        for shard, name in ((bm25.shards[0], "bm25"), (vectors.shards[0], "vec")):
+            directory = str(tmp_path / name)
+            for _ in range(3):
+                assert executor._run_attached(
+                    directory, shard_census, name
+                ) == (name, shard.name, len(shard))
+            assert executor._ATTACHED[directory].is_attached
+        assert attached == [str(tmp_path / "bm25"), str(tmp_path / "vec")]
+
+    def test_a_snapshot_of_neither_kind_is_refused(self, tmp_path):
+        from repro.verify.base import VerificationError
+
+        persistence.save_sealed_sharded_index(
+            build_sharded("serial", 2), tmp_path
+        )
+        with pytest.raises(VerificationError, match="sealed-sharded"):
+            persistence.attach_snapshot(tmp_path)
+
+
+# ---------------------------------------------------------------------------
 # the spool that feeds process workers
 # ---------------------------------------------------------------------------
 class TestShardSpool:
@@ -153,6 +225,16 @@ class TestShardSpool:
         assert second != first
         assert len(saved) == 4
         spool.invalidate()
+
+    def test_a_collected_spool_takes_its_directory_with_it(self):
+        spool = ShardSpool(prefix="repro-spool-test-")
+        (spooled,) = spool.ensure(
+            ["shard"], lambda shard, target: os.makedirs(target)
+        )
+        assert os.path.isdir(spooled)
+        del spool
+        gc.collect()
+        assert not os.path.isdir(spooled)
 
     def test_mutation_invalidates_search_spool(self):
         sharded = build_sharded("process", 2)

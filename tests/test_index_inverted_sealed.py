@@ -55,12 +55,6 @@ class TestSealedLifecycle:
         assert index.search("", 5) == []
         assert index.search("zzz-not-there", 5) == []
 
-    def test_auto_seal_off_uses_dict_path(self):
-        index = InvertedIndex(auto_seal=False)
-        index.add("d1", "alpha beta")
-        index.search("alpha", 5)
-        assert not index.is_sealed
-
 
 class TestDifferentialRandom:
     def test_random_corpus_bit_identical(self):

@@ -2,7 +2,7 @@
 
 The contract under test (src/repro/index/inverted.py): scoring a whole
 campaign of queries against a sealed shard in one vectorized pass
-(``search_matrix`` / ``search_batch``) returns, query for query, the
+(``search_batch``) returns, query for query, the
 bit-identical ``(instance_id, score)`` rankings of the per-query paths
 — the sealed single-query kernel AND the original dict walk.  Equality
 is exact float64 equality, never approx: both paths accumulate
@@ -19,11 +19,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index import inverted
+from repro.index.executor import EXECUTOR_MODES, shutdown_process_pool
 from repro.index.inverted import InvertedIndex
 from repro.index.persistence import attach_sealed_index, save_sealed_index
 from repro.index.shard import ShardedInvertedIndex
@@ -86,34 +88,34 @@ class TestMatrixKernel:
         ]
         index.seal()
         expected_sealed = [pairs(index.search(q, 5)) for q in MICRO_QUERIES]
-        got = [pairs(hits) for hits in index.search_matrix(MICRO_QUERIES, 5)]
+        got = [pairs(hits) for hits in index.search_batch(MICRO_QUERIES, 5)]
         assert got == expected_sealed
         assert got == expected_dict
 
     def test_matrix_seals_an_unsealed_index(self):
         index = build_index()
         assert not index.is_sealed
-        got = [pairs(h) for h in index.search_matrix(MICRO_QUERIES, 5)]
+        got = [pairs(h) for h in index.search_batch(MICRO_QUERIES, 5)]
         assert index.is_sealed
         assert got == [pairs(index.search(q, 5)) for q in MICRO_QUERIES]
 
     def test_matrix_empty_campaign(self):
-        assert build_index().search_matrix([], 5) == []
+        assert build_index().search_batch([], 5) == []
 
     def test_matrix_k_edge_cases(self):
         index = build_index()
         for k in (0, 1, len(DOCS), 10 * len(DOCS)):
-            got = [pairs(h) for h in index.search_matrix(MICRO_QUERIES, k)]
+            got = [pairs(h) for h in index.search_batch(MICRO_QUERIES, k)]
             assert got == [
                 pairs(index.search(q, k)) for q in MICRO_QUERIES
             ]
 
     def test_matrix_after_mutation_reseals_correctly(self):
         index = build_index()
-        index.search_matrix(MICRO_QUERIES, 5)  # seals
+        index.search_batch(MICRO_QUERIES, 5)  # seals
         index.remove("d1")
         index.update("d3", "sunny mornings in the green meadow")
-        got = [pairs(h) for h in index.search_matrix(MICRO_QUERIES, 5)]
+        got = [pairs(h) for h in index.search_batch(MICRO_QUERIES, 5)]
         oracle = InvertedIndex(name="micro")
         for doc_id, text in DOCS:
             if doc_id == "d1":
@@ -122,6 +124,121 @@ class TestMatrixKernel:
                 text = "sunny mornings in the green meadow"
             oracle.add(doc_id, text)
         assert got == [pairs(oracle.search(q, 5)) for q in MICRO_QUERIES]
+
+
+# ---------------------------------------------------------------------------
+# one of each: a query is a batch of one, one selection ranks both
+# kernels, and the kernel is chosen in one place
+# ---------------------------------------------------------------------------
+#: three words over short documents: most scores tie, so the selection's
+#: boundary (ties on both sides of the k-th score) is where answers go
+TIE_WORDS = ["kax", "tox", "mix"]
+tie_docs = st.lists(
+    st.lists(st.sampled_from(TIE_WORDS), min_size=0, max_size=3).map(" ".join),
+    min_size=0, max_size=14,
+)
+tie_queries = st.lists(
+    st.lists(
+        st.sampled_from(TIE_WORDS + ["absent"]), min_size=0, max_size=3
+    ).map(" ".join),
+    min_size=1, max_size=4,
+)
+
+
+def tie_fill(index, docs):
+    for number, text in enumerate(docs):
+        index.add(f"doc{number:02d}", text)
+    return index
+
+
+def assert_one_answer(index, oracle, queries, docs):
+    """``search`` ≡ ``search_batch`` rows ≡ the oracle's dict walk, at
+    every k around each query's match count."""
+    matches = [len(oracle.search_dict(q, len(docs) + 1)) for q in queries]
+    for k in sorted({0, 1, len(docs), len(docs) + 5}.union(
+        *({m - 1, m, m + 1} for m in matches)
+    )):
+        expected = [pairs(oracle.search_dict(q, k)) for q in queries]
+        assert [pairs(index.search(q, k)) for q in queries] == expected, k
+        assert [
+            pairs(hits) for hits in index.search_batch(queries, k)
+        ] == expected, k
+
+
+class TestOneOfEach:
+    @settings(max_examples=60, deadline=None)
+    @given(docs=tie_docs, queries=tie_queries)
+    def test_solo_batch_and_dict_agree_on_tie_heavy_corpora(
+        self, docs, queries, tmp_path_factory
+    ):
+        oracle = tie_fill(InvertedIndex(name="ties"), docs)
+        assert_one_answer(oracle, oracle, queries, docs)
+        snap = tmp_path_factory.mktemp("ties")
+        save_sealed_index(oracle, snap)
+        assert_one_answer(attach_sealed_index(snap), oracle, queries, docs)
+        for num_shards in (2, 4):
+            for mode in ("serial", "thread"):
+                sharded = ShardedInvertedIndex(
+                    num_shards, name="ties", executor=mode
+                )
+                assert_one_answer(
+                    tie_fill(sharded, docs), oracle, queries, docs
+                )
+
+    @settings(max_examples=6, deadline=None)
+    @given(docs=tie_docs, queries=tie_queries)
+    def test_process_shards_agree_on_tie_heavy_corpora(self, docs, queries):
+        oracle = tie_fill(InvertedIndex(name="ties"), docs)
+        try:
+            for num_shards in (2, 4):
+                sharded = ShardedInvertedIndex(
+                    num_shards, name="ties", executor="process"
+                )
+                assert_one_answer(
+                    tie_fill(sharded, docs), oracle, queries, docs
+                )
+        finally:
+            shutdown_process_pool()
+
+    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
+    def test_an_empty_index_answers_nothing(self, mode):
+        for index in (
+            InvertedIndex(name="void"),
+            ShardedInvertedIndex(2, name="void", executor=mode),
+        ):
+            assert_one_answer(index, InvertedIndex(), ["kax", ""], [])
+            assert index.search_batch([], 3) == []
+        shutdown_process_pool()
+
+    @pytest.mark.parametrize("shards,mode", [
+        (1, None), (2, "serial"), (4, "serial"), (2, "thread"), (4, "thread"),
+    ])
+    def test_only_a_batch_of_two_builds_contrib_flat(
+        self, monkeypatch, shards, mode
+    ):
+        if mode is None:
+            index = fill(InvertedIndex(name="solo"), docs=60)
+            members = [index]
+        else:
+            index = fill(
+                ShardedInvertedIndex(shards, name="solo", executor=mode),
+                docs=60,
+            )
+            members = index.shards
+        built = []
+        real = InvertedIndex._contrib_flat
+        monkeypatch.setattr(
+            InvertedIndex, "_contrib_flat",
+            lambda self, sealed: built.append(self.name) or real(self, sealed),
+        )
+        query, other = campaign(2)
+        assert index.search(query, 5) == index.search_batch([query], 5)[0]
+        assert index.search(query, 5)
+        assert built == []
+        assert all(m._sealed.contrib_flat is None for m in members)
+        index.search_batch([query, other], 5)
+        assert sorted(built) == sorted(m.name for m in members)
+        assert all(m._sealed.contrib_flat is not None for m in members)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +308,7 @@ class TestTiles:
         queries = campaign()
         expected = [pairs(index.search_dict(q, 5)) for q in queries]
         tiles = counter("tiles")
-        got = [pairs(hits) for hits in index.search_matrix(queries, 5)]
+        got = [pairs(hits) for hits in index.search_batch(queries, 5)]
         assert counter("tiles") - tiles >= 3
         assert got == expected
         assert got == [pairs(index.search(q, 5)) for q in queries]
@@ -221,12 +338,12 @@ class TestTiles:
         attached = attach_sealed_index(tmp_path / "snap")
         monkeypatch.setattr(inverted, "_TILE_BUDGET", EDGE_BUDGET)
         tiles = counter("tiles")
-        arrays = attached.search_matrix_arrays(EDGE_QUERIES, 3)
+        ranked = attached.rank_planned(attached.plan_matrix(EDGE_QUERIES), 3)
         assert counter("tiles") - tiles >= 4
         doc_ids = attached._sealed.doc_ids
         assert [
-            [(doc_ids[i], score) for i, score in zip(idx.tolist(), sc.tolist())]
-            for idx, sc in arrays
+            [(doc_ids[i], score) for i, score in zip(positions, scores)]
+            for positions, scores in ranked
         ] == [pairs(index.search(q, 3)) for q in EDGE_QUERIES]
 
     def test_no_pass_is_handed_more_than_the_budget(self, monkeypatch):

@@ -101,7 +101,7 @@ class TestRoundTrip:
     def test_matrix_kernel_identical_on_attached_index(self, snapshot_dir):
         original = build_index()
         attached = attach_sealed_index(snapshot_dir)
-        batched = attached.search_matrix(QUERIES, 10)
+        batched = attached.search_batch(QUERIES, 10)
         for query, hits in zip(QUERIES, batched):
             assert [
                 (h.instance_id, h.score) for h in hits

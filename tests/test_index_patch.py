@@ -143,7 +143,7 @@ class Pair:
         expected = [pairs(self.mirror.search_dict(q, k)) for q in queries]
         assert [pairs(self.live.search(q, k)) for q in queries] == expected
         assert [
-            pairs(hits) for hits in self.live.search_matrix(queries, k)
+            pairs(hits) for hits in self.live.search_batch(queries, k)
         ] == expected, context
         assert [
             pairs(self.live.search_dict(q, k)) for q in queries
@@ -344,14 +344,14 @@ class TestNamedCases:
             pair.check(queries=["kax tox mix", "sox"], k=k)
 
     def test_unsealed_index_answers_from_the_dict_form(self):
-        pair = Pair(auto_seal=False)
+        pair = Pair()
         pair.add("a", "kax tox")
         pair.add("b", "tox mix")
         pair.remove("a")
+        assert pairs(pair.live.search_dict("tox", 5)) == [
+            ("b", pair.mirror.search("tox", 5)[0].score)
+        ]
         assert not pair.live.is_sealed
-        assert pairs(pair.live.search("tox", 5)) == pairs(
-            pair.mirror.search_dict("tox", 5)
-        )
         assert pair.live.idf("tox") == pair.mirror.idf("tox")
         assert InvertedIndex().idf("tox") == 0.0
 
@@ -369,21 +369,30 @@ class TestNamedCases:
 
     def test_write_between_two_planned_matrix_searches(self):
         pair = self.small()
-        plan = pair.live.plan_matrix(["kax tox", "mix", "rax"])
-        first = pair.live.search_matrix_planned(plan, 5)
-        assert pair.live._sealed.contrib_flat is not None
+        def ranked(index):
+            """The plan ranked on one seal: ids read off it, and it."""
+            columns = index.rank_planned(plan, 5)
+            sealed = index._sealed
+            return sealed, [
+                [(sealed.doc_ids[i], s) for i, s in zip(positions, scores)]
+                for positions, scores in columns
+            ]
+
+        queries = ["kax tox", "mix", "rax"]
+        plan = pair.live.plan_matrix(queries)
+        first_seal, first = ranked(pair.live)
+        assert first_seal.contrib_flat is not None
         pair.update("b", "kax mix mix")
-        second = pair.live.search_matrix_planned(plan, 5)
+        assert not pair.live.is_sealed
+        second_seal, second = ranked(pair.live)
+        # one seal a planned call: the write's patch, published once
+        assert second_seal is not first_seal
+        assert second_seal is pair.live._sealed
         pair.mirror.invalidate_seal()
-        expected = pair.mirror.search_matrix_planned(plan, 5)
-        assert [pairs(h) for h in second] == [pairs(h) for h in expected]
-        assert [pairs(h) for h in second] != [pairs(h) for h in first]
-        arrays = pair.live.search_matrix_arrays(["kax tox", "mix"], 5)
-        assert [index.tolist() for index, _ in arrays] == [
-            index.tolist()
-            for index, _ in pair.mirror.search_matrix_arrays(
-                ["kax tox", "mix"], 5
-            )
+        assert second == ranked(pair.mirror)[1]
+        assert second != first
+        assert second == [
+            pairs(pair.mirror.search_dict(q, 5)) for q in queries
         ]
 
     def test_the_base_arrays_are_never_written(self):
@@ -579,7 +588,7 @@ class TestReadHammer:
                     try:
                         barrier.wait(timeout=10)
                         if reader_no % 2:
-                            got = pair.live.search_matrix(queries, 7)
+                            got = pair.live.search_batch(queries, 7)
                         else:
                             got = [pair.live.search(q, 7) for q in queries]
                         results[reader_no] = [pairs(hits) for hits in got]

@@ -188,7 +188,7 @@ class TestShardCountInvariance:
         ).build()
         serial = IndexerModule(
             small_bundle.lake,
-            VerifAIConfig(num_shards=4, shard_build_workers=1),
+            VerifAIConfig(num_shards=4),
         ).build()
         for modality in MODALITIES:
             for query in QUERIES:

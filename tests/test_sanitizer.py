@@ -351,7 +351,7 @@ def test_flat_vector_lazy_matrix_build_is_guarded():
 
 def test_inverted_index_concurrent_seal_is_guarded():
     with sanitizer.sanitized() as found:
-        index = InvertedIndex(auto_seal=True)
+        index = InvertedIndex()
         for i in range(32):
             index.add(f"doc-{i}", f"token{i} shared corpus text")
         results = []

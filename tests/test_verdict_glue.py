@@ -103,7 +103,7 @@ def from_string_oracle(text):
 
 
 def order_oracle(doc_ids, row, candidates, k):
-    """``_rank_matrix`` / ``_rank_candidates``' ordering: per-element
+    """The ordering ``_rank_matrix`` used to end in: per-element
     numpy reads under a ``lambda`` key."""
     ordered = sorted(
         ((row[i], doc_ids[i], i) for i in candidates),
@@ -399,11 +399,14 @@ class TestOrderCandidates:
             dtype=np.int64,
         )
         k = data.draw(st.integers(0, num_docs + 2))
-        got = _order_candidates(doc_ids, row[candidates], candidates, k)
-        assert got == order_oracle(doc_ids, row, candidates, k)
-        assert all(
-            type(i) is int and type(score) is float for i, score in got
+        positions, scores = _order_candidates(
+            doc_ids, row[candidates], candidates, k
         )
+        assert list(zip(positions, scores)) == order_oracle(
+            doc_ids, row, candidates, k
+        )
+        assert all(type(i) is int for i in positions)
+        assert all(type(score) is float for score in scores)
 
     @pytest.mark.parametrize("num_shards", (1, 2, 4))
     def test_search_and_search_batch_agree_with_search_dict(self, num_shards):
