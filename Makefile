@@ -1,32 +1,22 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-faults test-obs test-shard serve-test serve-demo trace-demo loop-demo bench bench-quick bench-check bench-batch bench-serve bench-shard bench-loop bench-paper experiments examples lint lint-json sanitize coverage
+.PHONY: install check test test-shard serve-demo trace-demo loop-demo experiments examples lint sanitize coverage
 
 install:
 	pip install -e . --no-build-isolation
 
 # the default CI gate, each test file once: static analysis, the whole
-# of tests/ (which holds the test-obs, serve-test and bench-quick files
-# — those three targets are for quick iteration, not part of the gate),
-# the slow soak tier-1 deselects, the concurrency suites under the
-# lockset race sanitizer, and the coverage floor (bench-check is not in
-# the gate: it diffs the committed BENCH_*.json against themselves,
-# which tests/test_benchdiff.py::TestCommittedBaselines already does)
+# of tests/, the slow soak tier-1 deselects, the concurrency suites
+# under the lockset race sanitizer, and the coverage floor.  A target
+# stays in this file only if `check` depends on it or it runs something
+# no single pytest path does; timing is `python3 -m bench.run`
 check: lint test test-shard sanitize coverage
 
-# tests/ includes tests/test_batch_faults.py, the fault-isolation suite
-# for verification campaigns (poisoned objects, retries, fail_fast, and
-# the no-dangling-provenance invariant)
+# tests/ includes tests/paper/, the paper's tables, figures and
+# ablations as shape assertions at the medium scale (REPRO_SCALE=paper
+# for the full corpus EXPERIMENTS.md reports)
 test:
 	PYTHONPATH=src pytest tests/ -q
-
-# just the fault-isolation suite, for quick iteration on the boundary
-test-faults:
-	PYTHONPATH=src pytest tests/test_batch_faults.py -q
-
-# observability smoke: clocks, metrics scopes, and byte-stable traces
-test-obs:
-	PYTHONPATH=src pytest tests/test_obs_clock_metrics.py tests/test_obs_trace.py -q
 
 # the slow soak of the sharding equivalence + churn differential suite
 # that tier-1 deselects (-m slow overrides the default -m "not slow"
@@ -34,11 +24,6 @@ test-obs:
 test-shard:
 	PYTHONPATH=src pytest tests/test_index_sharding.py tests/test_index_churn.py \
 		-m slow -q
-
-# the verification service: endpoints, admission control under
-# contention, and the deterministic load harness
-serve-test:
-	PYTHONPATH=src pytest tests/test_serve.py tests/test_serve_admission.py -q
 
 # serve a small lake, replay a seeded load mix against ourselves,
 # print the p50/p95/p99 + shed report, and exit
@@ -102,9 +87,6 @@ lint:
 loop-demo:
 	PYTHONPATH=src python -m repro.cli orchestrate --max-iters 4
 
-lint-json:
-	PYTHONPATH=src python -m repro.cli lint --json --baseline lint_baseline.json src/repro
-
 # the concurrency suites (and the thread hammers on the simulated LLM's
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
 # a seal, and on the text layer's word table while it fills) under the
@@ -117,57 +99,11 @@ sanitize:
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
-# the timing-free half of the benchmark story: the bit-identity proofs
-# behind every speed claim (query-matrix kernel, memmap round-trip,
-# executor equivalence, the verdict path's content-keyed readings, the
-# read-once rerank and semantic-search path, the patched seal's byte
-# equality with a compile, the table-walk analysis and the bit-parallel
-# edit distance against their per-occurrence / DP oracles, the prompt
-# splitter, response parser, candidate ordering and one-index combiner
-# against the bodies they replaced) — no timing
-# assertions, pure score/byte equality, fast enough to gate every
-# `make check`
-bench-quick:
-	PYTHONPATH=src pytest tests/test_index_matrix.py \
-		tests/test_index_memmap.py tests/test_index_executor.py \
-		tests/test_llm_readings.py tests/test_rerank_readings.py \
-		tests/test_index_patch.py tests/test_text_tokenize.py \
-		tests/test_text_similarity.py tests/test_verdict_glue.py -q
-
-# the regression gate's self-consistency check: every committed
-# BENCH_*.json snapshot must diff clean against itself (exercises the
-# loader + gate end to end; compare a fresh run against the committed
-# snapshots with `repro bench diff . /path/to/new` after re-benching)
-bench-check:
-	PYTHONPATH=src python -m repro.cli bench diff . .
-
-bench-batch:
-	pytest benchmarks/test_bench_batch.py --benchmark-only \
-		--benchmark-json=BENCH_batch.json
-
-bench-serve:
-	pytest benchmarks/test_bench_serve.py --benchmark-only \
-		--benchmark-json=BENCH_serve.json
-
-bench-shard:
-	pytest benchmarks/test_bench_shard.py --benchmark-only \
-		--benchmark-json=BENCH_shard.json
-
-# the convergence campaign as a tracked benchmark: wall time of the
-# default scenario mix, with the accuracy lift and iteration stats
-# recorded in extra_info and gated by `repro bench diff`
-bench-loop:
-	PYTHONPATH=src pytest benchmarks/test_bench_loop.py --benchmark-only \
-		--benchmark-json=BENCH_loop.json
-
-bench-paper:
-	REPRO_SCALE=paper pytest benchmarks/ --benchmark-only
-
+# regenerate EXPERIMENTS.md: every table, figure and ablation at the
+# paper scale (the build/search seconds of the vector-index ablation
+# are the only host-dependent cells)
 experiments:
-	python examples/run_paper_experiments.py paper
+	PYTHONPATH=src python examples/run_paper_experiments.py paper > EXPERIMENTS.md
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null || exit 1; done

@@ -50,10 +50,6 @@ class CallSite:
     via_fallback: bool = False
 
     @property
-    def is_external(self) -> bool:
-        return self.callee.startswith("external:")
-
-    @property
     def is_param(self) -> bool:
         return self.callee.startswith("param:")
 

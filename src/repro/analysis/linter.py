@@ -389,11 +389,6 @@ class Linter:
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return findings
 
-    def lint_file(self, path: Path, root: Optional[Path] = None) -> List[Finding]:
-        rel = _rel_path(path, root)
-        source = path.read_text(encoding="utf-8")
-        return self.lint_source(source, path=rel)
-
     def lint_paths(
         self, paths: Iterable[Path], root: Optional[Path] = None
     ) -> List[Finding]:
@@ -517,23 +512,3 @@ def dotted_name(node: ast.AST) -> str:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def enclosing_function(
-    ctx: LintContext, node: ast.AST
-) -> Optional[ast.AST]:
-    for ancestor in ctx.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ancestor
-    return None
-
-
-def enclosing_with_lock(ctx: LintContext, node: ast.AST) -> bool:
-    """True when ``node`` sits inside ``with <something lock-ish>:``."""
-    for ancestor in ctx.ancestors(node):
-        if isinstance(ancestor, ast.With):
-            for item in ancestor.items:
-                name = dotted_name(item.context_expr)
-                if "lock" in name.lower():
-                    return True
-    return False

@@ -276,12 +276,6 @@ class Project:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def module_of(self, rel_path: str) -> Optional[ModuleInfo]:
-        for mod in self.modules.values():
-            if mod.rel_path == rel_path:
-                return mod
-        return None
-
     def resolve_class(
         self, mod: ModuleInfo, raw_name: str
     ) -> Optional[ClassInfo]:

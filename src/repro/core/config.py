@@ -31,10 +31,6 @@ class VerifAIConfig:
       paper's Section 4 setting, which evaluates raw index retrieval);
     * ``prefer_local`` — Agent policy: route to local verifiers when one
       supports the pair, else the LLM;
-    * ``payload_cache_size`` — serialized payloads the Indexer keeps for
-      rerankers (LRU entries, not bytes);
-    * ``verifier_cache_size`` — (object, evidence) outcomes the Verifier
-      memoizes (LRU entries);
     * ``batch_max_workers`` — default worker-thread count for
       :meth:`VerifAI.verify_batch` (1 = serial);
     * ``batch_max_retries`` — extra attempts the per-object error
@@ -68,8 +64,6 @@ class VerifAIConfig:
     prefer_local: bool = False
     chunk_text: bool = False
     chunk_max_tokens: int = 64
-    payload_cache_size: int = 8192
-    verifier_cache_size: int = 65536
     batch_max_workers: int = 1
     batch_max_retries: int = 0
     num_shards: int = 1

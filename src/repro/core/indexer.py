@@ -63,6 +63,10 @@ _INDEXED_MODALITIES = (
     Modality.KG_ENTITY,
 )
 
+#: serialized payloads ``fetch_payload`` keeps for rerankers (LRU
+#: entries, not bytes)
+PAYLOAD_CACHE_SIZE = 8192
+
 #: (shard number, build start, build end, entries built) timings the
 #: sharded build reports for metrics and spans
 _ShardTiming = Tuple[int, float, float, int]
@@ -500,13 +504,6 @@ class IndexerModule:
             self.build()
         return self._semantic.get(modality)
 
-    def seal_indexes(self) -> "IndexerModule":
-        """Compile every content index's vectorized read form up front
-        (otherwise sealing happens lazily on first search)."""
-        for index in self._content.values():
-            index.seal()
-        return self
-
     def fetch_payload(self, instance_id: str) -> str:
         """Serialized payload of any indexed instance, LRU-cached.
 
@@ -529,7 +526,7 @@ class IndexerModule:
             _sanitizer.note_write(
                 self, "_payload_cache", lock=self._payload_lock
             )
-            while len(self._payload_cache) > self.config.payload_cache_size:
+            while len(self._payload_cache) > PAYLOAD_CACHE_SIZE:
                 self._payload_cache.popitem(last=False)
             entries = len(self._payload_cache)
         self._metrics.counter("indexer.payload_cache.misses").inc()

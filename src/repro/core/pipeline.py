@@ -132,10 +132,7 @@ class VerifAI:
             fallback=LLMVerifier(self.llm),
             prefer_local=self.config.prefer_local,
         )
-        self.verifier = VerifierModule(
-            agent, lake, source_trust,
-            cache_size=self.config.verifier_cache_size,
-        )
+        self.verifier = VerifierModule(agent, lake, source_trust)
         self.provenance = ProvenanceStore()
         self.generation_log = GenerationLog()
 

@@ -129,7 +129,8 @@ def render_ablations(context: ExperimentContext) -> str:
     vectors = run_vector_index_ablation(context)
     parts.append("\n### Vector indexes (Faiss trade-off)\n")
     parts.append(_markdown_table(
-        ["index", "recall@10 vs flat", "build (s)", "search (s)"],
+        ["index", "recall@10 vs flat", "build (s, host-dependent)",
+         "search (s, host-dependent)"],
         [[r.name, r.recall_at_10, round(r.build_seconds, 3),
           round(r.search_seconds, 4)] for r in vectors],
     ))
@@ -165,9 +166,10 @@ def render_ablations(context: ExperimentContext) -> str:
     end_to_end = run_end_to_end(context)
     parts.append("\n### End-to-end final-verdict accuracy (full pipeline)\n")
     parts.append(_markdown_table(
-        ["configuration", "tuple accuracy", "claim accuracy"],
-        [[r.configuration, r.tuple_accuracy, r.claim_accuracy]
-         for r in end_to_end],
+        ["configuration", "tuple accuracy", "claim accuracy",
+         "tuple undecided", "claim undecided"],
+        [[r.configuration, r.tuple_accuracy, r.claim_accuracy,
+          r.tuple_undecided, r.claim_undecided] for r in end_to_end],
     ))
 
     sensitivity = run_arithmetic_sensitivity(context)
@@ -209,8 +211,12 @@ def render_full_report(context: ExperimentContext) -> str:
     sections = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Every number regenerable with "
-        "`REPRO_SCALE=%s pytest benchmarks/ --benchmark-only`." % context.scale,
+        "This file is the output of `PYTHONPATH=src python "
+        "examples/run_paper_experiments.py %s` (`make experiments` runs "
+        "it at the `paper` scale); `tests/paper/` asserts the same shapes "
+        "in tier-1.  Every number is seeded and reproducible except the "
+        "vector-index build/search seconds, which depend on the host."
+        % context.scale,
         "",
         f"Corpus: {stats.num_tables} tables / {stats.num_tuples} tuples / "
         f"{stats.num_text_files} text files (scale `{context.scale}`, "

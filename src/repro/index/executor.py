@@ -16,8 +16,7 @@
   never hit objects.
 
 The task is the same function on the same arrays in every mode, so the
-results are bit-identical; the differential suite (``make bench-quick``)
-asserts it.
+results are bit-identical; ``tests/test_index_executor.py`` asserts it.
 """
 
 from __future__ import annotations

@@ -13,9 +13,6 @@ import ast
 import re
 from typing import List, Optional, Tuple
 
-from repro.datalake.serialize import serialize_row, serialize_table
-from repro.datalake.types import Row, Table
-
 COMPLETION_MARKER = "Please fill the missing values, annotated by NaN."
 VERIFICATION_MARKER = "Please use the evidence below to validate the generative data."
 CLAIM_QA_MARKER = "Answer with true or false."
@@ -123,16 +120,6 @@ def claim_question_prompt(statement: str, context: str = "") -> str:
         lines.append(f"Context: {context}")
     lines.append(CLAIM_QA_MARKER)
     return "\n".join(lines)
-
-
-def evidence_text_for_row(row: Row) -> str:
-    """Serialize a tuple for the Evidence slot."""
-    return serialize_row(row)
-
-
-def evidence_text_for_table(table: Table, max_rows: Optional[int] = None) -> str:
-    """Serialize a table for the Evidence slot."""
-    return serialize_table(table, max_rows=max_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ Everything is derived from the scenario's seed and runs under a frozen
 audit trail bytes — are a pure function of its definition.  The
 default mix is the acceptance campaign: a generator drafting at <= 0.6
 first-pass accuracy must converge to >= 0.9 end-state accuracy within
-``max_iters=4`` (see ``benchmarks/test_bench_loop.py``).
+``max_iters=4`` (asserted in ``tests/test_loop.py``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Benchmark regression gate: compare two BENCH_*.json snapshots.
 
-``repro bench diff OLD NEW`` (and ``make bench-check``) loads two
+``repro bench diff OLD NEW`` loads two
 pytest-benchmark JSON files — or two directories of ``BENCH_*.json``
 files paired by filename — matches benchmarks by ``fullname``, and
 compares one summary statistic (``mean`` by default) with a noise

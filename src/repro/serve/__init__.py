@@ -14,8 +14,7 @@ is traced end to end (span tree ↔ provenance record, both ways).
 
 ``repro.serve.loadgen`` is the matching deterministic load harness:
 seeded request mixes, open- and closed-loop arrival patterns, and
-p50/p95/p99 latency / throughput / shed-rate reports — the numbers
-``BENCH_serve.json`` tracks PR over PR.
+p50/p95/p99 latency / throughput / shed-rate reports.
 
 See docs/serving.md for the endpoint and knob reference.
 """

@@ -79,6 +79,10 @@ SERVE_LATENCY_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
+#: a request slower than this is recorded as a ``serve.slow_request``
+#: event
+SLOW_REQUEST_SECONDS = 1.0
+
 
 def _json_body(payload: object) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
@@ -142,17 +146,12 @@ class VerificationService:
         """Configure the process pool, build indexes, take what was
         built out of the collector's reach, open the socket.  A start
         that fails part-way stops what it had started."""
-        start_method = (
-            self.config.pool_start_method or default_pool_start_method()
-        )
         # warm eagerly only when searches will actually scatter to
         # processes; otherwise just record the server-safe config for a
         # later opt-in without paying worker startup now
         warm = self.system.config.shard_search_executor == "process"
         configure_process_pool(
-            max_workers=self.config.pool_workers,
-            start_method=start_method,
-            warm=warm,
+            start_method=default_pool_start_method(), warm=warm
         )
         self.system.build_indexes()
         # The lake and its indexes live as long as the service does;
@@ -283,7 +282,7 @@ class VerificationService:
         # text exposition stays deterministic)
         trace_id = response.headers.get("X-Trace-Id", "")
         self._request_seconds.observe(elapsed, exemplar=trace_id or None)
-        if elapsed >= self.config.slow_request_seconds:
+        if elapsed >= SLOW_REQUEST_SECONDS:
             self.events.emit(
                 "serve.slow_request",
                 route=route,
@@ -472,9 +471,7 @@ class VerificationService:
         seconds = min(seconds, self.config.debug_profile_max_seconds)
 
         def sample() -> tuple:
-            sampler = StackSampler(
-                interval=self.config.profile_sample_interval
-            )
+            sampler = StackSampler()
             sampler.sample_for(seconds)
             return sampler.collapsed(), sampler.sample_count
 

@@ -43,18 +43,10 @@ class ServeConfig:
       ``/verify-batch`` body may ask for;
     * ``trace_cache_size`` — finished request traces kept for
       ``GET /trace/<trace_id>`` (oldest evicted first);
-    * ``pool_workers`` / ``pool_start_method`` — forwarded to
-      :func:`repro.index.executor.configure_process_pool` at startup so
-      the shard process pool is created *before* request threads exist
-      (``None`` start method resolves to
-      :func:`default_pool_start_method`);
     * ``event_log_size`` — flight-recorder ring capacity (the last N
       structured events behind ``GET /debug/events``);
-    * ``slow_request_seconds`` — requests slower than this are recorded
-      as ``serve.slow_request`` events;
     * ``debug_profile_max_seconds`` — upper clamp on the ``seconds``
       a ``GET /debug/profile`` call may sample for;
-    * ``profile_sample_interval`` — the stack sampler's period;
     * ``clock`` — the injectable time source for request metrics
       (defaults to the system's clock; tests pin a TickClock).
     """
@@ -68,12 +60,8 @@ class ServeConfig:
     max_batch_objects: int = 256
     batch_max_workers: int = 4
     trace_cache_size: int = 512
-    pool_workers: Optional[int] = None
-    pool_start_method: Optional[str] = None
     event_log_size: int = 512
-    slow_request_seconds: float = 1.0
     debug_profile_max_seconds: float = 10.0
-    profile_sample_interval: float = 0.005
     clock: Optional[Clock] = None
 
     def __post_init__(self) -> None:
@@ -110,18 +98,8 @@ class ServeConfig:
             raise ValueError(
                 f"event_log_size must be >= 1, got {self.event_log_size}"
             )
-        if self.slow_request_seconds <= 0:
-            raise ValueError(
-                f"slow_request_seconds must be > 0, "
-                f"got {self.slow_request_seconds}"
-            )
         if self.debug_profile_max_seconds <= 0:
             raise ValueError(
                 f"debug_profile_max_seconds must be > 0, "
                 f"got {self.debug_profile_max_seconds}"
-            )
-        if self.profile_sample_interval <= 0:
-            raise ValueError(
-                f"profile_sample_interval must be > 0, "
-                f"got {self.profile_sample_interval}"
             )

@@ -18,8 +18,7 @@ Two halves, split on purpose:
 Latency is read through the injectable :class:`~repro.obs.clock.Clock`
 (tests pin a ``TickClock``); only arrival pacing touches the event
 loop's own timer, because a frozen clock cannot schedule the future.
-Reports carry nearest-rank p50/p95/p99, throughput, and shed rate —
-the ``BENCH_serve.json`` columns.
+Reports carry nearest-rank p50/p95/p99, throughput, and shed rate.
 """
 
 from __future__ import annotations
@@ -193,7 +192,7 @@ class LoadReport:
     #: request path -> that route's latencies; a mixed run's overall
     #: percentiles hide the split between cheap /verify and expensive
     #: /verify-batch, which is exactly what the per-endpoint breakdown
-    #: in BENCH_serve.json exists to show
+    #: exists to show
     route_latencies: Dict[str, List[float]] = field(
         repr=False, default_factory=dict
     )

@@ -9,8 +9,7 @@ inside the files being measured, and a floor check.
 
 Three entry points:
 
-* :class:`LineTracer` — the library API (tests use it directly, via
-  the :mod:`repro.analysis.coverage` re-export);
+* :class:`LineTracer` — the library API (tests use it directly);
 * a pytest plugin (``-p repro_coverage``) that reads its targets and
   floor from ``REPRO_COVERAGE_TARGETS`` / ``REPRO_COVERAGE_FLOOR`` and
   fails the session with exit status :data:`COVERAGE_EXIT_STATUS` when

@@ -4,13 +4,12 @@ The paper anticipates: "We anticipate that the retrieval performance
 will improve when we expand the number of retrieved files."
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import run_k_sweep
 from repro.metrics.tables import format_table
 
 
-def test_bench_k_sweep(context, benchmark):
-    sweep = run_once(benchmark, run_k_sweep, context)
+def test_k_sweep(context):
+    sweep = run_k_sweep(context)
     print()
     print(
         format_table(

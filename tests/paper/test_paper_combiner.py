@@ -4,13 +4,12 @@ Section 3.1: "Combining these two approaches can enhance recall and
 serve as a foundation for indexing data lakes more effectively."
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import run_combiner_ablation
 from repro.metrics.tables import format_table
 
 
-def test_bench_combiner(context, benchmark):
-    results = run_once(benchmark, run_combiner_ablation, context)
+def test_combiner(context):
+    results = run_combiner_ablation(context)
     print()
     print(
         format_table(

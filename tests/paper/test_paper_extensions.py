@@ -6,7 +6,6 @@
   and skips — measured end-to-end on the synthetic lake.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import (
     run_text_fact_checking,
     run_tuple_verifier_comparison,
@@ -14,8 +13,8 @@ from repro.experiments.ablations import (
 from repro.metrics.tables import format_table
 
 
-def test_bench_local_tuple_verifier(context, benchmark):
-    results = run_once(benchmark, run_tuple_verifier_comparison, context)
+def test_local_tuple_verifier(context):
+    results = run_tuple_verifier_comparison(context)
     print()
     print(
         format_table(
@@ -30,8 +29,8 @@ def test_bench_local_tuple_verifier(context, benchmark):
     assert abs(results["llm_accuracy"] - results["local_accuracy"]) <= 0.15
 
 
-def test_bench_text_fact_checking(context, benchmark):
-    results = run_once(benchmark, run_text_fact_checking, context)
+def test_text_fact_checking(context):
+    results = run_text_fact_checking(context)
     print()
     print(
         format_table(

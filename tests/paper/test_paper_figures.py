@@ -1,12 +1,11 @@
-"""Figure 1 and Figure 4 case studies as regression benchmarks."""
+"""Figure 1 and Figure 4 case studies as regression tests."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import run_figure1, run_figure4
 from repro.verify.verdict import Verdict
 
 
-def test_bench_figure1(context, benchmark):
-    result = run_once(benchmark, run_figure1, context)
+def test_figure1(context):
+    result = run_figure1(context)
     print()
     print("figure 1(a) correct imputation :", result.verified_report.summary())
     print("figure 1(a) wrong imputation   :", result.refuted_report.summary())
@@ -21,8 +20,8 @@ def test_bench_figure1(context, benchmark):
     assert result.text_report.final_verdict is Verdict.REFUTED
 
 
-def test_bench_figure4(context, benchmark):
-    result = run_once(benchmark, run_figure4, context)
+def test_figure4(context):
+    result = run_figure4(context)
     print()
     print("claim:", result.claim_text)
     print(result.report.summary())

@@ -5,13 +5,12 @@ and determining the correctness of claims is only 0.52 and 0.54,
 respectively, in the absence of additional data."
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.headline import run_headline
 from repro.metrics.tables import format_table
 
 
-def test_bench_headline(context, benchmark):
-    result = run_once(benchmark, run_headline, context)
+def test_headline(context):
+    result = run_headline(context)
     print()
     print(
         format_table(

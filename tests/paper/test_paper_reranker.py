@@ -5,7 +5,6 @@ should match or beat raw coarse retrieval at k' — the reason the
 Reranker module exists.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import (
     run_reranker_ablation,
     run_text_reranker_ablation,
@@ -13,8 +12,8 @@ from repro.experiments.ablations import (
 from repro.metrics.tables import format_table
 
 
-def test_bench_table_reranker(context, benchmark):
-    results = run_once(benchmark, run_reranker_ablation, context)
+def test_table_reranker(context):
+    results = run_reranker_ablation(context)
     print()
     print(
         format_table(
@@ -28,8 +27,8 @@ def test_bench_table_reranker(context, benchmark):
     assert reranked >= coarse - 1e-9
 
 
-def test_bench_text_reranker(context, benchmark):
-    results = run_once(benchmark, run_text_reranker_ablation, context)
+def test_text_reranker(context):
+    results = run_text_reranker_ablation(context)
     print()
     print(
         format_table(

@@ -5,7 +5,6 @@ mechanism knobs rather than being tuned constants — which requires the
 measured quantities to vary smoothly and monotonically with the knobs.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import (
     run_arithmetic_sensitivity,
     run_coverage_sensitivity,
@@ -13,8 +12,8 @@ from repro.experiments.ablations import (
 from repro.metrics.tables import format_table
 
 
-def test_bench_arithmetic_sensitivity(context, benchmark):
-    sweep = run_once(benchmark, run_arithmetic_sensitivity, context)
+def test_arithmetic_sensitivity(context):
+    sweep = run_arithmetic_sensitivity(context)
     print()
     print(
         format_table(
@@ -30,8 +29,8 @@ def test_bench_arithmetic_sensitivity(context, benchmark):
     assert accuracies[-1] < accuracies[0]
 
 
-def test_bench_coverage_sensitivity(context, benchmark):
-    sweep = run_once(benchmark, run_coverage_sensitivity, context)
+def test_coverage_sensitivity(context):
+    sweep = run_coverage_sensitivity(context)
     print()
     print(
         format_table(

@@ -4,13 +4,12 @@ Paper: recall(tuple→tuple)=0.99 @3, recall(tuple→text)=0.58 @3,
 recall(claim→table)=0.88 @5.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.table1 import run_table1
 from repro.metrics.tables import format_table
 
 
-def test_bench_table1(context, benchmark):
-    rows = run_once(benchmark, run_table1, context)
+def test_table1(context):
+    rows = run_table1(context)
     print()
     print(
         format_table(

@@ -6,7 +6,6 @@ The key *shape* is the crossover: the local specialist wins on relevant
 evidence, the generalist wins on retrieved (mostly irrelevant) evidence.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.table2 import run_table2
 from repro.metrics.tables import format_table
 
@@ -15,8 +14,8 @@ def _fmt(value):
     return "NA" if value is None else value
 
 
-def test_bench_table2(context, benchmark):
-    rows = run_once(benchmark, run_table2, context)
+def test_table2(context):
+    rows = run_table2(context)
     print()
     print(
         format_table(

@@ -5,13 +5,12 @@ truth discovery assigns them low trust, and trust-weighted evidence
 pooling beats uniform voting.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import run_trust_ablation
 from repro.metrics.tables import format_table
 
 
-def test_bench_trust(context, benchmark):
-    results = run_once(benchmark, run_trust_ablation, context)
+def test_trust(context):
+    results = run_trust_ablation(context)
     print()
     print(
         format_table(

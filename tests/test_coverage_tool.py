@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.coverage import (
+from repro_coverage import (
     COVERAGE_EXIT_STATUS,
     ENV_FLOOR,
     ENV_TARGETS,

@@ -1,6 +1,6 @@
 """Smoke tests of every experiment runner at tiny scale.
 
-The benchmarks assert the paper's shapes at full scale; these tests only
+``tests/paper/`` asserts the paper's shapes at full scale; these tests only
 assert that each runner executes end-to-end and returns sane structures,
 so the full test suite stays fast.
 """

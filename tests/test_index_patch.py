@@ -11,9 +11,8 @@ bytes, those of ``invalidate_seal(); seal()`` over the same dict form.
 
 The index under test chains patch on patch; a *mirror* index receives
 the same writes and always compiles, so the two never share a seal.
-``make bench-quick`` runs this file, ``make sanitize`` runs it under the
-lockset sanitizer, and it is one of ``make coverage``'s suites for
-``index/inverted.py``.
+``make sanitize`` runs this file under the lockset sanitizer, and it is
+one of ``make coverage``'s suites for ``index/inverted.py``.
 """
 
 import hashlib

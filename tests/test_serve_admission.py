@@ -264,9 +264,8 @@ class TestBoundedConcurrency:
     def test_per_endpoint_breakdown_partitions_latencies(
         self, width2_served
     ):
-        """The per-route breakdown (what BENCH_serve.json commits)
-        accounts for every timed request, keyed by the actual paths in
-        the mix."""
+        """The per-route breakdown accounts for every timed request,
+        keyed by the actual paths in the mix."""
         server, _, bundle = width2_served
         host, port = server.address
         mix = build_request_mix(bundle.lake, 18, seed=7)
