@@ -49,10 +49,11 @@ trace-demo:
 # rerankers, the token embedder, the flat vector index, the inverted
 # index (dict form, compile, patch), the sharded indexes and their one
 # scatter (the process worker's entry is called in-process), the text
-# layer's analysis and similarity, and the campaign path's glue (prompt
-# splitting and response parsing, the verifier module, the combiner) in
-# a fresh interpreter under the settrace tracer, failing (exit 4) if
-# any measured file dips below the committed 90% floor
+# layer's analysis and similarity, the campaign path's glue (prompt
+# splitting and response parsing, the verifier module, the combiner)
+# and the evidence form's writers and readers in a fresh interpreter
+# under the settrace tracer, failing (exit 4) if any measured file dips
+# below the committed 90% floor
 coverage:
 	PYTHONPATH=src python -m repro.cli coverage --floor 0.9 \
 		--target src/repro/loop --target src/repro/repair.py \
@@ -66,7 +67,8 @@ coverage:
 		--target src/repro/text/similarity.py \
 		--target src/repro/llm/prompts.py \
 		--target src/repro/core/verifier.py \
-		--target src/repro/index/combiner.py -- -q \
+		--target src/repro/index/combiner.py \
+		--target src/repro/datalake/serialize.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -76,7 +78,8 @@ coverage:
 		tests/test_text_similarity.py tests/test_llm_prompts.py \
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
 		tests/test_verdict_glue.py tests/test_index_sharding.py \
-		tests/test_index_executor.py tests/test_executor_lifecycle.py
+		tests/test_index_executor.py tests/test_executor_lifecycle.py \
+		tests/test_datalake_serialize.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro

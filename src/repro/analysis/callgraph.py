@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.analysis.project import (
-    ClassInfo,
     FunctionInfo,
     ModuleInfo,
     Project,

@@ -6,8 +6,9 @@ numpy passes over flat contiguous arrays (see
 arrays — or over another index's postings dict — silently re-introduces
 the interpreted inner loop the sealed form was built to eliminate, and
 such regressions don't fail tests (results stay identical); they only
-show up as a collapsed BENCH delta much later.  PERF001 catches them at
-lint time, scoped to ``src/repro/index/`` where the kernels live.
+show up in a ``python3 -m bench.run`` pass, which ``make check`` does
+not run.  PERF001 catches them at lint time, scoped to
+``src/repro/index/`` where the kernels live.
 """
 
 from __future__ import annotations

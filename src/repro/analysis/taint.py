@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.callgraph import CallGraph, CallSite, dotted
 from repro.analysis.project import FunctionInfo, ModuleInfo, Project

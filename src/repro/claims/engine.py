@@ -10,7 +10,7 @@ verifier discovers that evidence is NOT_RELATED to a claim.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import sanitizer as _sanitizer

@@ -85,9 +85,15 @@ def _cmd_verify_claim(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_tuple(args: argparse.Namespace) -> int:
+    from repro.serve.protocol import BadRequest, replaced_row
+
     system = _system_for(args)
     table = system.lake.table(args.table_id)
-    row = table.row(args.row).replace_value(args.column, args.value)
+    try:
+        row = replaced_row(table.row(args.row), args.column, args.value)
+    except BadRequest as exc:
+        print(f"verify-tuple: {exc}", file=sys.stderr)
+        return 2
     obj = TupleObject("cli-tuple", row, attribute=args.column)
     report = system.verify(obj)
     print(report.summary())

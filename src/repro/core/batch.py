@@ -27,9 +27,9 @@ object's ``verify`` span *is* the trace root instead of a child of
   it;
 * **thread parallelism** — a ``ThreadPoolExecutor`` fans objects out to
   ``max_workers`` threads (1 = the serial path, the default).  Every
-  shared structure the workers touch (verifier outcome cache, payload
-  cache, the campaign's retrieval cache, provenance records pre-created
-  in input order) is either lock-protected or owned by exactly one
+  shared structure the workers touch (verifier outcome cache, the
+  campaign's retrieval cache, provenance records pre-created in input
+  order) is either lock-protected or owned by exactly one
   worker, and all components are deterministic per input, so the
   parallel run is report-for-report identical to the serial one;
 * **observability** — the campaign activates a per-run metrics
@@ -79,7 +79,6 @@ from repro.core.pipeline import (
 from repro.datalake.types import DataInstance, Modality
 from repro.index.base import SearchHit
 from repro.obs.events import get_event_log
-from repro.obs.metrics import Scope
 from repro.obs.profile import StageProfile
 from repro.obs.trace import (
     NULL_BRANCH,
@@ -123,7 +122,6 @@ class BatchStats:
     verifier_cache_hits: int = 0
     verifier_cache_entries: int = 0
     verifier_cache_size: int = 0
-    payload_cache_hits: int = 0
     analyze_cache_hits: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -147,9 +145,6 @@ class BatchStats:
             verifier_cache_hits=int(scope.value("verifier.cache.hits")),
             verifier_cache_entries=len(verifier),
             verifier_cache_size=verifier.cache_size,
-            payload_cache_hits=int(
-                scope.value("indexer.payload_cache.hits")
-            ),
             analyze_cache_hits=int(scope.value("text.analyze_cache.hits")),
             stage_seconds={
                 "retrieve": scope.value("pipeline.retrieve_seconds.sum"),
@@ -182,7 +177,6 @@ class BatchStats:
             "matrix_batches": self.matrix_batches,
             "max_workers": self.max_workers,
             "objects": self.objects,
-            "payload_cache_hits": self.payload_cache_hits,
             "per_object_seconds": self.per_object_seconds(),
             "retries": self.retries,
             "retrieval_cache_hits": self.retrieval_cache_hits,
@@ -213,7 +207,6 @@ class BatchStats:
             f"({self.retrieval_cache_hits} deduped, "
             f"{self.matrix_batches} matrix batches); cache hits: "
             f"{self.verifier_cache_hits} verifier, "
-            f"{self.payload_cache_hits} payload, "
             f"{self.analyze_cache_hits} analyze"
         )
 

@@ -22,9 +22,8 @@ The module supports the full incremental lifecycle: instances added to
 the lake after :meth:`build` fold in with :meth:`add_instance`, and
 lake churn flows through :meth:`remove_instance` /
 :meth:`update_instance` (postings removed at once, the sealed form
-patched on the next read, vector eviction, payload-cache eviction) — no
-full rebuild required; an update re-indexes only the entries whose
-payload changed.
+patched on the next read, vector eviction) — no full rebuild required;
+an update re-indexes only the entries whose payload changed.
 Mutations are single-writer: do not interleave them with concurrent
 searches.
 """
@@ -32,17 +31,15 @@ searches.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Modality, Table, TextDocument
 from repro.embed.chunker import chunk_document
 from repro.embed.vectorizers import HashingVectorizer
 from repro.index.base import SearchHit, SearchIndex
-from repro.index.combiner import Combiner, FusionMethod
+from repro.index.combiner import Combiner
 from repro.index.executor import validate_executor_mode
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import (
@@ -62,10 +59,6 @@ _INDEXED_MODALITIES = (
     Modality.TEXT,
     Modality.KG_ENTITY,
 )
-
-#: serialized payloads ``fetch_payload`` keeps for rerankers (LRU
-#: entries, not bytes)
-PAYLOAD_CACHE_SIZE = 8192
 
 #: (shard number, build start, build end, entries built) timings the
 #: sharded build reports for metrics and spans
@@ -124,14 +117,6 @@ class IndexerModule:
         # guards the lazy build: search()/verify paths may race to build
         # from the batch engine's worker threads
         self._build_lock = threading.Lock()
-        # serialized payloads are immutable while an instance is in the
-        # lake, so rerankers can share one serialization per instance
-        # instead of re-serializing it for every query; remove/update
-        # evict, so a mutated instance is never served stale
-        self._payload_cache: "OrderedDict[str, str]" = OrderedDict()
-        self._payload_lock = threading.Lock()
-        self.payload_cache_hits = 0
-        self.payload_cache_misses = 0
         self._metrics = get_registry()
 
     @property
@@ -220,16 +205,13 @@ class IndexerModule:
     def _unindex_entries(
         self, modality: Modality, entries: Dict[str, str]
     ) -> None:
-        """Drop entries from the content index, the vector index and the
-        payload cache (a row is cached under its entry id; a chunk id
-        is never cached, so evicting it is a harmless miss)."""
+        """Drop entries from the content index and the vector index."""
         content = self._content[modality]
         semantic = self._semantic.get(modality)
         for index_id in entries:
             content.remove(index_id)
             if semantic is not None:
                 semantic.remove(index_id)
-            self._evict_payload(index_id)
 
     def _modality_entries(self, modality: Modality) -> List[Tuple[str, str]]:
         """Every (index id, payload) entry of one modality, in lake
@@ -378,20 +360,14 @@ class IndexerModule:
         Takes the removed instance itself (what
         :meth:`DataLake.remove_instance` returns) because its derived
         index entries — a table's tuples, a chunked document's chunks —
-        are recomputed from it.  Content postings, vector and
-        payload-cache entries all go at once.  Before :meth:`build` the
-        indexes need nothing
-        (the next build reads the already-mutated lake), but the
-        payload cache predates the build and must still evict, or
-        :meth:`fetch_payload` keeps serving an instance the lake no
-        longer holds.
+        are recomputed from it.  Content postings and vector entries go
+        at once.  Before :meth:`build` there is nothing to do: the next
+        build reads the already-mutated lake.
         """
         if not self._built:
-            self._evict_instance_payloads(instance)
             return
         for modality, entries in self._instance_entries(instance).items():
             self._unindex_entries(modality, entries)
-        self._evict_payload(instance.instance_id)
         self._metrics.counter("indexer.mutations.removed").inc()
 
     def update_instance(
@@ -405,9 +381,6 @@ class IndexerModule:
         the entries whose ``(id, payload)`` differs between the two are
         touched — a one-cell change re-indexes the table and that row,
         not every row — so a write costs what it changed.
-        Before :meth:`build` only the payload cache needs work: the old
-        version's cached serializations are evicted so
-        :meth:`fetch_payload` re-serializes the new one.
         """
         if old.instance_id != new.instance_id:
             raise ValueError(
@@ -415,14 +388,12 @@ class IndexerModule:
                 f"{old.instance_id!r} != {new.instance_id!r}"
             )
         if not self._built:
-            self._evict_instance_payloads(old)
             return
         before = self._instance_entries(old)
         after = self._instance_entries(new)
         for modality, entries in before.items():
             dropped = _entries_missing_from(after.get(modality, {}), entries)
             self._unindex_entries(modality, dropped)
-        self._evict_payload(old.instance_id)
         for modality, entries in after.items():
             added = _entries_missing_from(before.get(modality, {}), entries)
             self._index_entries(modality, added)
@@ -430,22 +401,6 @@ class IndexerModule:
         self._metrics.counter("indexer.mutations.removed").inc()
         self._metrics.counter("indexer.mutations.added").inc()
         self._metrics.counter("indexer.mutations.updated").inc()
-
-    def _evict_instance_payloads(self, instance: DataInstance) -> None:
-        """Evict every payload-cache entry an instance can be fetched
-        under: its own id, and — for tables — each row's tuple id."""
-        self._evict_payload(instance.instance_id)
-        if isinstance(instance, Table):
-            for row in instance.iter_rows():
-                self._evict_payload(row.instance_id)
-
-    def _evict_payload(self, instance_id: str) -> None:
-        """Drop one instance's cached serialization (coherence with
-        remove/update; a miss is fine)."""
-        with self._payload_lock:
-            self._payload_cache.pop(instance_id, None)
-            entries = len(self._payload_cache)
-        self._metrics.gauge("indexer.payload_cache.entries").set(entries)
 
     # ------------------------------------------------------------------
     # search
@@ -505,30 +460,8 @@ class IndexerModule:
         return self._semantic.get(modality)
 
     def fetch_payload(self, instance_id: str) -> str:
-        """Serialized payload of any indexed instance, LRU-cached.
-
-        Cache entries are evicted on :meth:`remove_instance` /
-        :meth:`update_instance`, so a removed instance raises the
-        lake's ``KeyError`` and an updated one serializes fresh."""
-        with self._payload_lock:
-            payload = self._payload_cache.get(instance_id)
-            if payload is not None:
-                self.payload_cache_hits += 1
-                self._payload_cache.move_to_end(instance_id)
-        if payload is not None:
-            self._metrics.counter("indexer.payload_cache.hits").inc()
-            return payload
-        payload = serialize_instance(self.lake.instance(instance_id))
-        with self._payload_lock:
-            self.payload_cache_misses += 1
-            self._payload_cache[instance_id] = payload
-            self._payload_cache.move_to_end(instance_id)
-            _sanitizer.note_write(
-                self, "_payload_cache", lock=self._payload_lock
-            )
-            while len(self._payload_cache) > PAYLOAD_CACHE_SIZE:
-                self._payload_cache.popitem(last=False)
-            entries = len(self._payload_cache)
-        self._metrics.counter("indexer.payload_cache.misses").inc()
-        self._metrics.gauge("indexer.payload_cache.entries").set(entries)
-        return payload
+        """Serialized payload of any indexed instance, rendered from the
+        lake as it is now (a removed instance raises the lake's
+        ``KeyError``).  Not memoised: a render costs less than an LRU's
+        bookkeeping (docs/performance.md, "Evidence text: no cache")."""
+        return serialize_instance(self.lake.instance(instance_id))

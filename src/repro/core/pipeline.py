@@ -338,7 +338,7 @@ class BatchReport:
 
     ``stats`` (a :class:`repro.core.batch.BatchStats`) is attached by
     the batch engine: per-stage wall time plus retrieval/verifier/
-    payload/analysis cache counters for the run.
+    analysis cache counters for the run.
     """
 
     reports: List[VerificationReport]

@@ -43,11 +43,12 @@ class RerankerModule:
         """The reranker for this pair type."""
         if isinstance(obj, ClaimObject) and modality is Modality.TABLE:
             return self.text_table
-        if isinstance(obj, ClaimObject) and modality is Modality.TEXT:
-            return self.text_text
         if isinstance(obj, TupleObject) and modality is Modality.TUPLE:
             return self.tuple_tuple
-        if isinstance(obj, TupleObject) and modality is Modality.TEXT:
+        if (
+            isinstance(obj, (ClaimObject, TupleObject))
+            and modality is Modality.TEXT
+        ):
             return self.text_text
         return self.fallback
 

@@ -115,7 +115,10 @@ class VerifierModule:
         evidence: DataInstance,
     ) -> Tuple[VerificationOutcome, bool]:
         """(outcome, served-from-cache) for one pair; ``object_key`` is
-        ``_key_of(obj)``, computed once for a pool."""
+        ``_key_of(obj)``, computed once for a pool.  The one cache over
+        evidence text the campaign path keeps, for a hosted model; what
+        it costs the simulated one is in docs/performance.md ("Evidence
+        text: no cache")."""
         if object_key is None:
             return self.agent.verify(obj, evidence), False
         # rendered once per pair: the text the key digests is the text

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance, serialize_row
 from repro.datalake.types import Modality, Source, Table
 from repro.embed.vectorizers import HashingVectorizer
 from repro.experiments.setup import ExperimentContext
-from repro.experiments.table1 import claim_table_runs, tuple_text_runs
+from repro.experiments.table1 import tuple_text_runs
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.hnsw import HNSWIndex
 from repro.index.inverted import InvertedIndex
@@ -35,7 +34,7 @@ from repro.metrics.evaluation import macro_recall_at_k
 from repro.obs.clock import Clock, MonotonicClock
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.table import TableReranker
-from repro.trust.model import Observation, TrustModel, weighted_vote
+from repro.trust.model import weighted_vote
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import TupleObject
 from repro.verify.verdict import Verdict
@@ -298,7 +297,6 @@ def run_coverage_sensitivity(
     motivating observation is a statement about how much of the corpus
     the model memorized.
     """
-    from repro.experiments.setup import GeneratedTuple
     from repro.claims.engine import TableQueryEngine
     from repro.llm.knowledge import WorldKnowledge
     from repro.llm.model import SimulatedLLM

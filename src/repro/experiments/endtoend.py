@@ -16,7 +16,7 @@ for two Agent configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI

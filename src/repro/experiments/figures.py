@@ -111,7 +111,6 @@ def run_figure4(context: ExperimentContext) -> Figure4Result:
     """Reproduce the Figure 4 scenario: a false aggregation claim refuted
     by one retrieved table while same-family tables of other years are
     explained as not related."""
-    from repro.claims.generator import ClaimGenerator
 
     # find an olympics table and build a false total-gold claim on it
     for table in context.bundle.tables:

@@ -26,7 +26,6 @@ from repro.experiments.headline import run_headline
 from repro.experiments.setup import ExperimentContext
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
-from repro.metrics.tables import format_table
 
 
 def _markdown_table(headers, rows) -> str:

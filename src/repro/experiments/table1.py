@@ -14,7 +14,7 @@ the tuple; a claim's relevant evidence is its source table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.datalake.serialize import serialize_row
 from repro.datalake.types import Modality

@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(frozen=True, order=True)

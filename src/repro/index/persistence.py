@@ -1,19 +1,16 @@
 """Index persistence.
 
 Rebuilding a BM25 index over a large lake on every process start is the
-dominant cold-start cost; these helpers snapshot an
-:class:`~repro.index.inverted.InvertedIndex` to JSON and restore it
-without re-analyzing the corpus.
+dominant cold-start cost; these helpers snapshot an index and restore
+it without re-analyzing the corpus.  Two persistence families live
+here:
 
-Sharded indexes (:class:`~repro.index.shard.ShardedInvertedIndex`)
-snapshot as one manifest file per logical index plus one payload per
-shard.  A removal edits the postings at once, so a snapshot never
-carries a removed document.
-
-Two persistence families live here:
-
-* the **JSON snapshots** above — the *write-path* (dict) form, fully
-  mutable after load;
+* the **JSON snapshots** — an
+  :class:`~repro.index.inverted.InvertedIndex` in its *write-path*
+  (dict) form, fully mutable after load; a
+  :class:`~repro.index.shard.ShardedInvertedIndex` as one manifest file
+  per logical index plus one payload per shard.  A removal edits the
+  postings at once, so a snapshot never carries a removed document;
 * the **sealed memmap snapshots** — the compiled read form's flat
   contiguous arrays written as raw binaries next to a versioned
   ``manifest.json``.  :func:`attach_sealed_index` re-creates the index

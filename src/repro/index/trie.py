@@ -8,7 +8,7 @@ names in the examples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.index.base import SearchHit, SearchIndex
 from repro.text import normalize

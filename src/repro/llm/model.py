@@ -23,6 +23,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, T
 from repro.analysis import sanitizer as _sanitizer
 from repro.claims.model import ClaimSpec
 from repro.claims.parser import ClaimParser
+from repro.datalake.serialize import parse_row, parse_table
 from repro.datalake.types import Table
 from repro.llm.knowledge import WorldKnowledge, rng_for
 from repro.llm.profile import LLMProfile
@@ -35,7 +36,7 @@ from repro.llm.prompts import (
 )
 from repro.llm.reasoning import NoisyClaimReasoner
 from repro.text import analyze, normalize, sentences
-from repro.text.numbers import numbers_in, parse_number
+from repro.text.numbers import numbers_in, parse_number, years_in
 from repro.text.similarity import jaccard
 
 VERIFIED = "Verified"
@@ -43,39 +44,15 @@ REFUTED = "Refuted"
 NOT_RELATED = "Not Related"
 
 
-def _years_in(text: str) -> set:
-    """Plausible calendar years mentioned in ``text``."""
-    return {int(n) for n in numbers_in(text) if 1900 <= n <= 2100 and n == int(n)}
-
-
-def _parse_tuple_payload(payload: str) -> Optional[Dict[str, str]]:
-    """Parse 'col: v ; col: v' back into a mapping; None if not a tuple."""
-    if ": " not in payload or "\n" in payload.strip():
-        return None
-    fields: Dict[str, str] = {}
-    for part in payload.split(" ; "):
-        column, sep, value = part.partition(": ")
-        if not sep:
-            return None
-        fields[column.strip()] = value.strip()
-    return fields if fields else None
-
-
 def _parse_table_payload(payload: str) -> Optional[Table]:
-    """Parse 'caption \\n header \\n rows...' back into a Table."""
+    """Read a serialised table back into a :class:`Table`: blank lines
+    skipped, at least three lines, rows of another width than the
+    header dropped; None if no row is left."""
     lines = [line for line in payload.splitlines() if line.strip()]
     if len(lines) < 3:
         return None
-    pipe_lines = [line for line in lines if " | " in line]
-    if len(pipe_lines) < 2:
-        return None
-    caption = lines[0] if " | " not in lines[0] else ""
-    header = tuple(cell.strip() for cell in pipe_lines[0].split(" | "))
-    rows: List[Tuple[str, ...]] = []
-    for line in pipe_lines[1:]:
-        cells = tuple(cell.strip() for cell in line.split(" | "))
-        if len(cells) == len(header):
-            rows.append(cells)
+    caption, header, body = parse_table("\n".join(lines))
+    rows = [row for row in body if len(row) == len(header)]
     if not rows:
         return None
     return Table(
@@ -110,7 +87,7 @@ class _Evidence(NamedTuple):
 
 
 def _read_evidence(text: str) -> _Evidence:
-    fields = _parse_tuple_payload(text)
+    fields = parse_row(text)
     if fields is not None:
         tokens = frozenset(analyze(" ".join(fields.values())))
         return _Evidence(text, fields, None, tokens, set(), "", "")
@@ -118,7 +95,7 @@ def _read_evidence(text: str) -> _Evidence:
     if table is not None:
         return _Evidence(
             text, None, table, frozenset(analyze(table.caption)),
-            _years_in(table.caption), "", "",
+            years_in(table.caption), "", "",
         )
     return _Evidence(
         text, None, None, frozenset(analyze(text)), set(),
@@ -144,12 +121,12 @@ class _Object(NamedTuple):
 def _read_object(
     data: str, attribute: Optional[str], context: Optional[str]
 ) -> _Object:
-    fields = _parse_tuple_payload(data)
+    fields = parse_row(data)
     if fields is None:
         scope = context or data
         return _Object(
             data, "", None, _PARSER.parse(data), frozenset(analyze(scope)),
-            _years_in(scope), frozenset(), (),
+            years_in(scope), frozenset(), (),
         )
     target = normalize(attribute or "")
     identity = [

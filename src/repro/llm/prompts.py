@@ -13,6 +13,8 @@ import ast
 import re
 from typing import List, Optional, Tuple
 
+from repro.datalake.serialize import parse_table
+
 COMPLETION_MARKER = "Please fill the missing values, annotated by NaN."
 VERIFICATION_MARKER = "Please use the evidence below to validate the generative data."
 CLAIM_QA_MARKER = "Answer with true or false."
@@ -63,14 +65,7 @@ def tuple_revision_prompt(
     """
     if iteration < 1:
         raise ValueError(f"iteration must be >= 1, got {iteration}")
-    lines = [
-        "Question:",
-        f"Table name: {caption}",
-        " | ".join(columns),
-    ]
-    lines.extend(" | ".join(row) for row in rows)
-    lines.append(COMPLETION_MARKER)
-    lines.append(FEEDBACK_MARKER)
+    lines = [tuple_completion_prompt(caption, columns, rows), FEEDBACK_MARKER]
     for column, stated, note in feedback:
         if stated is not None:
             lines.append(
@@ -162,16 +157,10 @@ def parse_completed_table(
     text: str,
 ) -> Optional[Tuple[Tuple[str, ...], List[Tuple[str, ...]]]]:
     """Parse a completed table (header + pipe-separated rows) from a
-    completion response; None when no table is found."""
-    lines = [line.strip() for line in text.splitlines() if " | " in line]
-    if len(lines) < 2:
-        return None
-    header = tuple(cell.strip() for cell in lines[0].split(" | "))
-    rows: List[Tuple[str, ...]] = []
-    for line in lines[1:]:
-        cells = tuple(cell.strip() for cell in line.split(" | "))
-        if len(cells) == len(header):
-            rows.append(cells)
+    completion response, rows of another width than the header dropped;
+    None when no table is found."""
+    _, header, body = parse_table(text)
+    rows = [row for row in body if len(row) == len(header)]
     if not rows:
         return None
     return header, rows

@@ -16,7 +16,7 @@ false — the asymmetry seen in practice.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.claims.engine import ExecutionResult, TableQueryEngine
 from repro.claims.model import Aggregate, ClaimOp, ClaimSpec, Comparison

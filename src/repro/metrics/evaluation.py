@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Sequence, Set, Tuple
 
 
 def recall_at_k(retrieved: Sequence[str], relevant: Iterable[str], k: int) -> float:

@@ -14,8 +14,9 @@ provenance store answers *what evidence was used*; this package answers
   and the sampling stack profiler (opt-in; default traces unchanged);
 * :mod:`repro.obs.events` — the serve flight recorder, a bounded ring
   of structured events behind ``GET /debug/events``;
-* :mod:`repro.obs.benchdiff` — the benchmark regression gate comparing
-  two BENCH_*.json snapshots (``repro bench diff``).
+* :mod:`repro.obs.benchdiff` — ``repro bench diff``: compares two
+  pytest-benchmark JSON snapshots.  Nothing in the repository writes
+  one any more; timing is ``python3 -m bench.run`` (bench/README.md).
 
 Export lives in :mod:`repro.obs.export` (stable JSON) and
 :mod:`repro.obs.render` (human-readable tree); the full model is

@@ -2,7 +2,8 @@
 
 A reranker scores (query, candidate payload) pairs; payload resolution
 from instance ids happens through a caller-supplied fetch function so
-rerankers stay storage-agnostic.
+rerankers stay storage-agnostic (``IndexerModule.fetch_payload``, the
+pipeline's, renders afresh on every call and keeps nothing).
 
 Scoring is split into what depends on the query alone, what depends on
 the payload alone, and the comparison of the two.  :meth:`Reranker.rerank`

@@ -13,19 +13,12 @@ against a serialized table by mixing four signals:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, NamedTuple, Set, Tuple
+from typing import FrozenSet, NamedTuple, Set, Tuple
 
+from repro.datalake.serialize import parse_table
 from repro.rerank.base import Reranker
 from repro.text import analyze
-from repro.text.numbers import numbers_in
-
-
-def _years(tokens_source: str) -> Set[int]:
-    return {
-        int(n)
-        for n in numbers_in(tokens_source)
-        if 1900 <= n <= 2100 and n == int(n)
-    }
+from repro.text.numbers import years_in
 
 
 #: a read claim: its tokens and the years it names
@@ -61,27 +54,22 @@ class TableReranker(Reranker):
         self.year_penalty = year_penalty
 
     def _read_query(self, query: str) -> _Claim:
-        return frozenset(analyze(query)), _years(query)
+        return frozenset(analyze(query)), years_in(query)
 
     def _read_payload(self, payload: str) -> _Table:
-        """Read a serialized table (caption\\nheader\\nrows)."""
-        lines = payload.splitlines()
-        caption = lines[0] if lines and " | " not in lines[0] else ""
-        header = ""
-        body_lines: List[str] = []
-        for line in lines[1:] if caption else lines:
-            if " | " in line and not header:
-                header = line
-            elif " | " in line:
-                body_lines.append(line)
+        """Read a serialized table: every body row's tokens count,
+        whatever its width."""
+        caption, header, rows = parse_table(payload)
         caption_tokens = frozenset(analyze(caption))
-        header_tokens = frozenset(analyze(header))
-        cell_tokens = frozenset(analyze(" ".join(body_lines)))
+        header_tokens = frozenset(analyze(" ".join(header)))
+        cell_tokens = frozenset(
+            analyze(" ".join(cell for row in rows for cell in row))
+        )
         return _Table(
             caption_tokens,
             header_tokens,
             cell_tokens | caption_tokens | header_tokens,
-            _years(caption),
+            years_in(caption),
         )
 
     def _score(self, query: _Claim, payload: _Table) -> float:

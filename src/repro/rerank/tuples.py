@@ -11,23 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
+from repro.datalake.serialize import parse_row
 from repro.rerank.base import Reranker
 from repro.text import analyze, normalize
 from repro.text.numbers import parse_number
 from repro.text.similarity import jaccard, levenshtein_ratio
-
-
-def parse_serialized_tuple(payload: str) -> Optional[Dict[str, str]]:
-    """Parse 'col: v ; col: v' into a mapping (None if not that shape)."""
-    if ": " not in payload:
-        return None
-    fields: Dict[str, str] = {}
-    for part in payload.split(" ; "):
-        column, sep, value = part.partition(": ")
-        if not sep:
-            return None
-        fields[column.strip()] = value.strip()
-    return fields or None
 
 
 #: a cell as it is compared: its number, if it is one, and its
@@ -49,7 +37,7 @@ class _Tuple(NamedTuple):
 def _read_tuple(text: str) -> _Tuple:
     fields = tuple(
         (normalize(column), (parse_number(value), normalize(value)))
-        for column, value in (parse_serialized_tuple(text) or {}).items()
+        for column, value in (parse_row(text) or {}).items()
     )
     return _Tuple(frozenset(analyze(text)), fields, dict(fields))
 

@@ -10,8 +10,9 @@ The wire shapes (see docs/serving.md):
 
 (a tuple request without ``value`` verifies the cell the lake already
 holds; with ``value`` it verifies the imputed replacement, exactly like
-``repro verify-tuple``).  ``object_id`` is optional everywhere — the
-server assigns a deterministic ``req-NNNNNN`` id when absent.
+``repro verify-tuple``; see :func:`replaced_row` for the values that
+are refused).  ``object_id`` is optional everywhere — the server assigns
+a deterministic ``req-NNNNNN`` id when absent.
 
 ``POST /verify-batch`` body::
 
@@ -28,6 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.pipeline import VerificationReport
 from repro.datalake.lake import DataLake
+from repro.datalake.serialize import is_representable
+from repro.datalake.types import Row
 from repro.verify.objects import ClaimObject, DataObject, TupleObject
 
 
@@ -47,6 +50,21 @@ def _optional_str(payload: Dict, key: str, default: str = "") -> str:
     if not isinstance(value, str):
         raise BadRequest(f"field {key!r} must be a string")
     return value
+
+
+def replaced_row(row: Row, column: str, value: str) -> Row:
+    """``row`` with ``column`` set to a client's ``value``, or
+    :class:`BadRequest`: the verifier reads the row back from its
+    unescaped ``col: v ; col: v`` rendering, where ``"wrong ; votes:
+    <the lake's value>"`` is two fields and the later, true one wins.
+    Rows of the lake itself are the operator's input and not checked."""
+    replaced = row.replace_value(column, value)
+    if not is_representable(replaced):
+        raise BadRequest(
+            f"field 'value' {value!r} cannot be carried by the evidence "
+            "form 'col: v ; col: v' (' ; ', line break or outer blank)"
+        )
+    return replaced
 
 
 def parse_object(
@@ -86,7 +104,7 @@ def parse_object(
             )
         row = table.row(row_index)
         if "value" in payload:
-            row = row.replace_value(column, _require_str(payload, "value"))
+            row = replaced_row(row, column, _require_str(payload, "value"))
         return TupleObject(object_id, row, attribute=column)
     raise BadRequest("field 'kind' must be 'claim' or 'tuple'")
 

@@ -7,7 +7,7 @@ appear with different surface forms ("1,234" vs "1234" vs "1234.0").
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List, Optional, Set
 
 _NUMBER_RE = re.compile(r"[+-]?\d[\d,]*(?:\.\d+)?")
 
@@ -39,6 +39,13 @@ def parse_number(token: str) -> Optional[float]:
 def numbers_in(text: str) -> List[float]:
     """All numbers appearing anywhere in ``text``, in order."""
     return [float(match.group(0).replace(",", "")) for match in _NUMBER_RE.finditer(text)]
+
+
+def years_in(text: str) -> Set[int]:
+    """Plausible calendar years mentioned in ``text``."""
+    return {
+        int(n) for n in numbers_in(text) if 1900 <= n <= 2100 and n == int(n)
+    }
 
 
 def numbers_equal(a: float, b: float, rel_tol: float = 1e-6) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.datalake.types import DataInstance, instance_id_of
 from repro.verify.objects import DataObject

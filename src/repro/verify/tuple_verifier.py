@@ -14,7 +14,7 @@ Like its neural counterpart it is binary at heart; a relatedness gate
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -6,7 +6,7 @@ to obtain a corpus with ground-truth relevance structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.datalake.lake import DataLake

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.datalake.types import Source, Table
 from repro.workloads.vocab import (
     CHARACTER_ROLES,
     COUNTRIES,
-    DIRECTOR_STYLES,
     ELECTION_RESULTS,
     FILM_GENRES,
     NATIONS,

@@ -8,9 +8,8 @@ distinct entities without repetition.
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List
 
 FIRST_NAMES = [
     "james", "mary", "robert", "patricia", "john", "jennifer", "michael",
@@ -126,8 +125,6 @@ NATIONS = [
     "lowfield", "oakenshire", "pinemere", "willowbrook", "frosthaven",
     "sunmere", "rainholm", "windermoor",
 ]
-
-DIRECTOR_STYLES = ["acclaimed", "veteran", "independent", "award-winning"]
 
 
 class EntityNamer:

@@ -93,6 +93,19 @@ class TestVerifyTuple:
         assert code == 0
         assert "Verified" in capsys.readouterr().out
 
+    def test_value_the_evidence_form_cannot_carry_exit_two(
+        self, lake_path, capsys
+    ):
+        code = main([
+            "verify-tuple", "--lake", lake_path,
+            "--table-id", "t-ohio-1950", "--row", "0",
+            "--column", "votes", "--value", "55,000 ; votes: 102,000",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "field 'value'" in captured.err
+        assert "Verified" not in captured.out
+
 
 class TestVerifyBatch:
     def test_batch_summary_printed(self, lake_path, capsys):

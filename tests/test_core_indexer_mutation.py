@@ -197,7 +197,9 @@ class TestIndexerPostSealMutation:
 
 
 # ---------------------------------------------------------------------------
-# payload-cache coherence
+# payload coherence: fetch_payload renders from the lake and keeps
+# nothing, so these hold with no eviction code (each was once a bug of
+# the LRU that used to sit there — the class keeps its name)
 # ---------------------------------------------------------------------------
 class TestPayloadCacheCoherence:
     def test_fetch_after_update_returns_new_payload(self):
@@ -219,7 +221,7 @@ class TestPayloadCacheCoherence:
         lake = build_lake(LakeConfig(num_tables=8, seed=44)).lake
         system = VerifAI(lake).build_indexes()
         doc = lake.documents()[0]
-        system.indexer.fetch_payload(doc.doc_id)  # cache it
+        system.indexer.fetch_payload(doc.doc_id)  # fetched while present
         system.remove_instance(doc.doc_id)
         with pytest.raises(KeyError):
             system.indexer.fetch_payload(doc.doc_id)
@@ -242,9 +244,9 @@ class TestPayloadCacheCoherence:
         assert system.indexer.fetch_payload(row_id) != stale
 
     def test_unbuilt_update_still_evicts_cached_payload(self):
-        """Regression: eviction used to be skipped entirely when the
-        indexes weren't built yet, so a fetch_payload() before build()
-        could pin a stale payload across an update forever."""
+        """Regression (of the LRU): eviction used to be skipped when
+        the indexes weren't built yet, so a fetch_payload() before
+        build() pinned a stale payload across an update forever."""
         lake = build_lake(LakeConfig(num_tables=8, seed=47)).lake
         indexer = IndexerModule(lake, VerifAIConfig())  # never built
         doc = lake.documents()[0]
@@ -265,18 +267,8 @@ class TestPayloadCacheCoherence:
         indexer = IndexerModule(lake, VerifAIConfig())  # never built
         table = lake.tables()[0]
         row_id = f"{table.table_id}#r0"
-        indexer.fetch_payload(row_id)  # cache a row of the table
+        indexer.fetch_payload(row_id)  # a row of the table, while present
         lake.remove_instance(table.table_id)
         indexer.remove_instance(table)
         with pytest.raises(KeyError):
             indexer.fetch_payload(row_id)
-
-    def test_hit_counters_still_work(self):
-        lake = build_lake(LakeConfig(num_tables=6, seed=46)).lake
-        indexer = IndexerModule(lake, VerifAIConfig()).build()
-        doc_id = lake.documents()[0].doc_id
-        indexer.fetch_payload(doc_id)
-        misses = indexer.payload_cache_misses
-        indexer.fetch_payload(doc_id)
-        assert indexer.payload_cache_hits >= 1
-        assert indexer.payload_cache_misses == misses

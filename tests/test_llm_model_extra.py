@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.datalake.serialize import serialize_row, serialize_table
-from repro.llm.model import SimulatedLLM, _parse_table_payload, _parse_tuple_payload
+from repro.datalake.serialize import parse_row, serialize_row, serialize_table
+from repro.llm.model import SimulatedLLM, _parse_table_payload
 from repro.llm.prompts import parse_verification_response, verification_prompt
 
 
@@ -14,13 +14,13 @@ def verifier(quiet_profile):
 
 class TestPayloadDetection:
     def test_tuple_payload(self):
-        assert _parse_tuple_payload("a: 1 ; b: 2") == {"a": "1", "b": "2"}
+        assert parse_row("a: 1 ; b: 2") == {"a": "1", "b": "2"}
 
     def test_multiline_not_tuple(self):
-        assert _parse_tuple_payload("a: 1\nb: 2") is None
+        assert parse_row("a: 1\nb: 2") is None
 
     def test_plain_text_not_tuple(self):
-        assert _parse_tuple_payload("just a sentence") is None
+        assert parse_row("just a sentence") is None
 
     def test_table_payload(self, medal_table):
         parsed = _parse_table_payload(serialize_table(medal_table))

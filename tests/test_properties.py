@@ -142,12 +142,12 @@ class TestSerializationInverses:
     @slow
     @given(st.integers(min_value=0, max_value=10_000))
     def test_row_serialization_parses_back(self, seed):
-        from repro.rerank.tuples import parse_serialized_tuple
+        from repro.datalake.serialize import parse_row
 
         tables = WebTableGenerator(seed=seed).generate(2)
         for table in tables:
             for row in table.iter_rows():
-                parsed = parse_serialized_tuple(serialize_row(row))
+                parsed = parse_row(serialize_row(row))
                 assert parsed == row.as_dict()
 
     @slow

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.datalake.serialize import serialize_row, serialize_table
+from repro.datalake.serialize import parse_row, serialize_row, serialize_table
 from repro.datalake.types import Row
 from repro.index.base import SearchHit
 from repro.rerank.base import rerank_hits
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
-from repro.rerank.tuples import TupleReranker, parse_serialized_tuple
+from repro.rerank.tuples import TupleReranker
 
 
 class TestLateInteraction:
@@ -118,9 +118,9 @@ class TestTupleReranker:
         assert score == pytest.approx(1.0)
 
     def test_parse_serialized_tuple(self):
-        assert parse_serialized_tuple("a: 1 ; b: two") == {"a": "1", "b": "two"}
-        assert parse_serialized_tuple("no separator") is None
-        assert parse_serialized_tuple("") is None
+        assert parse_row("a: 1 ; b: two") == {"a": "1", "b": "two"}
+        assert parse_row("no separator") is None
+        assert parse_row("") is None
 
 
 class TestFeatureReranker:

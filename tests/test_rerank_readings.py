@@ -30,7 +30,7 @@ from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.core.reranker import RerankerModule
 from repro.datalake.lake import DataLake
-from repro.datalake.serialize import serialize_instance
+from repro.datalake.serialize import parse_row, serialize_instance
 from repro.datalake.types import Modality
 from repro.embed import token_embed, vectorizers
 from repro.embed.token_embed import TokenEmbedder, _feature_vector
@@ -51,10 +51,10 @@ from repro.obs.metrics import get_registry
 from repro.rerank import base as rerank_base
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
-from repro.rerank.table import TableReranker, _years
-from repro.rerank.tuples import TupleReranker, parse_serialized_tuple
+from repro.rerank.table import TableReranker
+from repro.rerank.tuples import TupleReranker
 from repro.text import analyze, normalize
-from repro.text.numbers import numbers_in, parse_number
+from repro.text.numbers import numbers_in, parse_number, years_in
 from repro.text.similarity import (
     jaccard,
     levenshtein,
@@ -170,8 +170,8 @@ def reference_value_similarity(a, b):
 
 
 def reference_tuple_pair(query, payload, aligned_weight=0.7, bag_weight=0.3):
-    query_fields = parse_serialized_tuple(query)
-    payload_fields = parse_serialized_tuple(payload)
+    query_fields = parse_row(query)
+    payload_fields = parse_row(payload)
     bag_score = jaccard(analyze(query), analyze(payload))
     if not query_fields or not payload_fields:
         return bag_score
@@ -219,8 +219,8 @@ def reference_opentfv(query, payload):
         / len(claim_tokens)
     )
     score = 0.4 * caption_score + 0.2 * schema_score + 0.4 * grounding
-    claim_years = _years(query)
-    caption_years = _years(caption)
+    claim_years = years_in(query)
+    caption_years = years_in(caption)
     if claim_years and caption_years and not claim_years & caption_years:
         score -= 0.5
     return score

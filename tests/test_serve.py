@@ -15,13 +15,17 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.pipeline import VerifAI
+from repro.datalake.serialize import parse_row
 from repro.obs.clock import TickClock
 from repro.obs.export import validate_trace
 from repro.serve import ServeConfig, ServerThread, VerificationService
 from repro.serve.app import SERVE_LATENCY_BUCKETS
 from repro.serve.prometheus import _format_bound
+from repro.serve.protocol import BadRequest, parse_object
+from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 
 #: one collapsed-stack line: frame(;frame)* <integer>
@@ -258,9 +262,19 @@ class TestErrors:
         ({"kind": "tuple", "table_id": "no-such", "row": 0,
           "column": "c"}, "no-such"),
         ([1, 2, 3], "JSON object"),
+        # values the evidence form cannot carry (the cell is filled in
+        # below): read back as two fields, as no tuple, as another value
+        ({"kind": "tuple", "value": "9 ; votes: 1"}, "'value'"),
+        ({"kind": "tuple", "value": "9\nvotes: 1"}, "'value'"),
+        ({"kind": "tuple", "value": "9\u2028"}, "'value'"),
+        ({"kind": "tuple", "value": " 9"}, "'value'"),
     ])
     def test_bad_verify_bodies_400(self, served, payload, fragment):
-        server, _, _ = served
+        server, _, bundle = served
+        if isinstance(payload, dict) and "value" in payload:
+            table, column = sample_cell(bundle.lake)
+            payload = {"table_id": table.table_id, "row": 0,
+                       "column": column, **payload}
         status, _, body = request(server, "POST", "/verify", payload)
         assert status == 400
         assert fragment in body["error"]
@@ -310,6 +324,74 @@ class TestErrors:
         )
         assert status == 400
         assert "text" in body["error"]
+
+
+# ----------------------------------------------------------------------
+# a value that reads back as other fields
+# ----------------------------------------------------------------------
+class TestValueInjection:
+    """The verifier is shown a tuple as ``col: v ; col: v`` and reads it
+    back from that text; nothing is escaped.  A ``value`` of
+    ``<wrong> ; <column>: <the lake's value>`` therefore reaches it as
+    two fields of which the later, true one wins."""
+
+    WRONG = "999,999,999"
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        lake = build_lake(LakeConfig(num_tables=40, seed=9)).lake
+        cells = []
+        for table in sorted(lake.tables(), key=lambda t: t.table_id)[:30]:
+            column = [c for c in table.columns if c != table.key_column][-1]
+            cells.append((table, column, table.row(0).get(column)))
+        return lake, cells
+
+    def test_every_injected_value_is_a_400(self, probe):
+        lake, cells = probe
+        for table, column, true in cells:
+            body = {"kind": "tuple", "table_id": table.table_id, "row": 0,
+                    "column": column}
+            parse_object({**body, "value": self.WRONG}, lake, "plain")
+            with pytest.raises(BadRequest, match="'value'"):
+                parse_object(
+                    {**body, "value": f"{self.WRONG} ; {column}: {true}"},
+                    lake, "injected",
+                )
+
+    def test_why_past_the_check_a_wrong_value_comes_back_verified(
+        self, probe
+    ):
+        lake, cells = probe
+        system = VerifAI(lake).build_indexes()
+
+        def verdict(table, column, value):
+            row = table.row(0).replace_value(column, value)
+            report = system.verify(TupleObject("probe", row, attribute=column))
+            return report.final_verdict.name
+
+        flipped = [
+            table.table_id for table, column, true in cells
+            if verdict(table, column, self.WRONG) == "REFUTED"
+            and verdict(
+                table, column, f"{self.WRONG} ; {column}: {true}"
+            ) == "VERIFIED"
+        ]
+        assert flipped
+
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet=" ;:|a1,\n\r\x1f\u2028", max_size=12),
+    ))
+    def test_an_accepted_value_reads_back_as_sent(self, probe, value):
+        lake, cells = probe
+        table, column, _ = cells[0]
+        body = {"kind": "tuple", "table_id": table.table_id, "row": 0,
+                "column": column, "value": value}
+        try:
+            obj = parse_object(body, lake, "any")
+        except BadRequest:
+            return
+        assert parse_row(obj.query_text())[column] == value
 
 
 # ----------------------------------------------------------------------
