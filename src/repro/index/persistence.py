@@ -484,7 +484,10 @@ def _attach_vector(directory: Path, manifest: dict) -> FlatVectorIndex:
         )
     index._ids = ids
     index._id_set = set(ids)
-    index._matrix = flat.reshape(len(ids), index.dim)
+    # the row-major snapshot read as the column-major table's transposed
+    # view: no copy, and the norms wait for the first search
+    index._columns = flat.reshape(len(ids), index.dim).T
+    index._row_norms, index._count = None, len(ids)
     index._attached = True
     return index
 

@@ -1,15 +1,16 @@
 """Exact (flat) vector index — the semantic-based index baseline.
 
 ``FlatVectorIndex`` is the pgvector/Faiss ``IndexFlat`` equivalent:
-brute-force cosine or L2 search over a dense matrix.  It also defines the
-``VectorIndex`` interface the approximate indexes implement.
+brute-force cosine or L2 search over every stored vector.  It also
+defines the ``VectorIndex`` interface the approximate indexes implement.
 """
 
 from __future__ import annotations
 
 import abc
+import mmap
 import threading
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,20 @@ def top_hits(
         SearchHit(score=-negated, instance_id=instance_id, index_name=index_name)
         for negated, instance_id in ranked[:k]
     ]
+
+
+#: rows a flat index stages before one block copy into its table
+_STAGE_ROWS = 256
+
+
+def _grown(array: np.ndarray, count: int, capacity: int) -> np.ndarray:
+    """``array`` regrown to ``capacity`` along its last axis, on anonymous
+    pages (numpy's own big blocks ask for huge pages and come in whole)."""
+    shape = array.shape[:-1] + (capacity,)
+    pages = mmap.mmap(-1, 8 * int(np.prod(shape)), access=mmap.ACCESS_COPY)
+    grown = np.frombuffer(pages, dtype=np.float64).reshape(shape)
+    grown[..., :count] = array[..., :count]
+    return grown
 
 
 class VectorIndex(SearchIndex):
@@ -149,13 +164,22 @@ class VectorIndex(SearchIndex):
             norms = row_norms * (np.linalg.norm(vector) or 1.0)
             norms[norms == 0] = 1.0
             return (matrix @ vector) / norms
-        # l2: negate distance so that larger is better
-        diff = matrix - vector
+        # l2: negate distance so that larger is better (row-major
+        # whatever ``matrix`` views: the sum rounds the same everywhere)
+        diff = np.subtract(matrix, vector, order="C")
         return -np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 class FlatVectorIndex(VectorIndex):
-    """Brute-force exact nearest-neighbour search (Faiss IndexFlat)."""
+    """Brute-force exact nearest-neighbour search (Faiss IndexFlat).
+
+    Every vector is held once, in a column-major table (``dim x
+    capacity``, doubling) with the row norms beside it: hashed
+    embeddings are sparse, so a cosine query reads only the columns of
+    its non-zero buckets, and a row's score is a function of that row
+    and the query alone — the same bits from ``search``, a batch, a
+    shard or an attached snapshot, on any BLAS build.
+    """
 
     def __init__(
         self,
@@ -165,14 +189,17 @@ class FlatVectorIndex(VectorIndex):
         name: str = "flat",
     ) -> None:
         super().__init__(dim, encoder=encoder, metric=metric, name=name)
-        self._rows: List[np.ndarray] = []
-        self._matrix: Optional[np.ndarray] = None
-        #: L2 norm of every row of ``_matrix``, computed on the first
-        #: cosine search after a stacking and dropped with the matrix
-        self._norms: Optional[np.ndarray] = None
-        # serializes the lazy vstack in _get_matrix(): vector shards
-        # are searched from a thread pool, and two searchers hitting
-        # an invalidated cache must not build (and publish) twice
+        #: ``_columns[b, i]``, ``i < _count``: bucket ``b`` of ``_ids[i]``
+        self._columns = np.zeros((dim, 0), dtype=np.float64)
+        #: L2 norm of every row (a snapshot's: ``None`` until searched)
+        self._row_norms: Optional[np.ndarray] = np.zeros(0, dtype=np.float64)
+        self._count = 0
+        #: the ``_staged`` vectors of ``_ids[_count:]``; the first read
+        #: after a write moves them into the table
+        self._stage = np.zeros((_STAGE_ROWS, dim), dtype=np.float64)
+        self._staged = 0
+        # guards table and stage: shards are searched from a thread pool,
+        # and two first searches after a write must not both flush
         self._matrix_lock = threading.Lock()
         #: True for an index memmap-attached from a persisted snapshot
         #: (read-only: the matrix is a shared on-disk artifact)
@@ -197,79 +224,87 @@ class FlatVectorIndex(VectorIndex):
         super().add_vector(instance_id, vector)
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
-        self._rows.append(vector)
-        self._invalidate()
+        if self._staged == _STAGE_ROWS:
+            self._flush()
+        with self._matrix_lock:
+            self._stage[self._staged] = vector
+            self._staged += 1
+            _sanitizer.note_write(self, "_staged")
+
+    def _flush(self) -> None:
+        """Move the staged rows into the table: one transposed block copy
+        and the block's norms (a snapshot: its norms, on the first read)."""
+        with self._matrix_lock:
+            block = self._stage[: self._staged]
+            count, end = self._count, self._count + self._staged
+            if end > self._columns.shape[1]:
+                capacity = max(2 * self._columns.shape[1], _STAGE_ROWS)
+                self._columns = _grown(self._columns, count, capacity)
+                self._row_norms = _grown(self._row_norms, count, capacity)
+            if self._row_norms is None:
+                self._row_norms = np.linalg.norm(self._columns.T, axis=1)
+            elif end > count:
+                self._columns[:, count:end] = block.T
+                self._row_norms[count:end] = np.linalg.norm(block, axis=1)
+            self._count, self._staged = end, 0
+            _sanitizer.note_write(self, "_staged")
 
     def remove_vector(self, instance_id: str) -> None:
         """Evict one vector and its id (KeyError when absent).
 
-        O(n) — the flat index is a dense list; fine for the live-
-        mutation rates the indexer sees (bulk churn goes through a
-        rebuild)."""
+        O(n) — the table closes the gap; fine for the live-mutation
+        rates the indexer sees (bulk churn goes through a rebuild)."""
         self._forbid_attached_mutation("remove")
-        try:
-            index = self._ids.index(instance_id)
-        except ValueError:
-            raise KeyError(
-                f"no vector with id {instance_id!r} in {self.name!r}"
-            ) from None
+        index = self._position(instance_id)
         del self._ids[index]
-        del self._rows[index]
         self._id_set.discard(instance_id)
-        self._invalidate()
-
-    def _invalidate(self) -> None:
+        self._flush()
         with self._matrix_lock:
-            self._matrix = None
-            self._norms = None
+            count = self._count = self._count - 1
+            for table in (self._columns, self._row_norms):
+                table[..., index:count] = table[..., index + 1:count + 1]
+            _sanitizer.note_write(self, "_count")
+
+    def _position(self, instance_id: str) -> int:
+        if instance_id not in self._id_set:
+            raise KeyError(f"no vector with id {instance_id!r} in {self.name!r}")
+        return self._ids.index(instance_id)
+
+    def _table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dim, n)`` columns and ``n`` row norms, the first read after
+        a write flushing the stage (or taking a snapshot's norms)."""
+        if self._staged or self._row_norms is None:
+            self._flush()
+        return self._columns[:, :self._count], self._row_norms[:self._count]
 
     def _get_matrix(self) -> np.ndarray:
-        matrix = self._matrix
-        if matrix is None:
-            with self._matrix_lock:
-                matrix = self._matrix
-                if matrix is None:
-                    matrix = (
-                        np.vstack(self._rows)
-                        if self._rows
-                        else np.zeros((0, self.dim), dtype=np.float64)
-                    )
-                    self._matrix = matrix
-                    _sanitizer.note_write(
-                        self, "_matrix", lock=self._matrix_lock
-                    )
-        return matrix
+        """The stored vectors as an ``(n, dim)`` view of the table."""
+        return self._table()[0].T
 
-    def _get_norms(self) -> Optional[np.ndarray]:
-        """Row norms of the stacked matrix (cosine only), computed once
-        per stacking — an attached snapshot's on its first search."""
+    def _scores(
+        self, columns: np.ndarray, row_norms: np.ndarray, vector: np.ndarray
+    ) -> np.ndarray:
+        """Cosine as the sum over the query's non-zero buckets in bucket
+        order (plain multiply-adds, no BLAS); L2 on the row view."""
         if self.metric != "cosine":
-            return None
-        norms = self._norms
-        if norms is None:
-            matrix = self._get_matrix()
-            with self._matrix_lock:
-                norms = self._norms
-                if norms is None:
-                    norms = np.linalg.norm(matrix, axis=1)
-                    self._norms = norms
-                    _sanitizer.note_write(
-                        self, "_norms", lock=self._matrix_lock
-                    )
-        return norms
+            return self._scores_against(columns.T, vector)
+        dots = np.zeros(columns.shape[1], dtype=np.float64)
+        for bucket in np.flatnonzero(vector).tolist():
+            dots += vector[bucket] * columns[bucket]
+        norms = row_norms * (np.linalg.norm(vector) or 1.0)
+        norms[norms == 0] = 1.0
+        return dots / norms
 
     def _search_vectors(
         self, vectors: Sequence[np.ndarray], k: int
     ) -> List[List[SearchHit]]:
-        """Top-k of every query vector against one reading of the
-        matrix and its norms."""
-        matrix = self._get_matrix()
-        if matrix.shape[0] == 0 or k <= 0:
+        """Top-k of every query vector against one reading of the table."""
+        columns, row_norms = self._table()
+        if columns.shape[1] == 0 or k <= 0:
             return [[] for _ in vectors]
-        norms = self._get_norms()
         return [
             top_hits(
-                self._scores_against(matrix, vector, norms),
+                self._scores(columns, row_norms, vector),
                 self._ids, k, self.name,
             )
             for vector in vectors
@@ -282,16 +317,11 @@ class FlatVectorIndex(VectorIndex):
         self, queries: List[str], k: int = 10
     ) -> List[List[SearchHit]]:
         """Encode every query, then score them against one reading of
-        the matrix and its norms; hit-for-hit the per-query loop."""
+        the table; hit-for-hit the per-query loop."""
         return self._search_vectors(
             [self._check_vector(self.encode(query)) for query in queries], k
         )
 
     def vector_of(self, instance_id: str) -> np.ndarray:
         """Stored vector of an instance (for tests and rerankers)."""
-        index = self._ids.index(instance_id)
-        # attached indexes have no per-row list; read the (memmapped)
-        # matrix instead — same values either way
-        if self._rows:
-            return self._rows[index]
-        return np.asarray(self._get_matrix()[index])
+        return np.array(self._table()[0][:, self._position(instance_id)])

@@ -62,5 +62,7 @@ class TestRelated:
         assert all(hit.instance_id != "page-valoria" for hit in hits)
 
     def test_unknown_instance(self, index):
-        with pytest.raises(ValueError):
+        """A ``KeyError`` naming the id, as from ``DataLake.instance`` —
+        it used to be ``list.index``'s ``ValueError``."""
+        with pytest.raises(KeyError, match="missing-id"):
             index.related("missing-id")

@@ -1,12 +1,18 @@
 """Flat, IVF, and HNSW vector indexes."""
 
+import random
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.embed.vectorizers import HashingVectorizer
+from repro.index.executor import EXECUTOR_MODES
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
+from repro.index.persistence import attach_vector_index, save_vector_index
+from repro.index.shard import ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 
 
@@ -69,6 +75,10 @@ class TestFlatVectorIndex:
         vec = np.array([1.0, 2.0, 3.0])
         index.add_vector("a", vec)
         assert np.allclose(index.vector_of("a"), vec)
+        with pytest.raises(KeyError, match="no vector with id 'nope' in 'flat'"):
+            index.vector_of("nope")
+        with pytest.raises(KeyError, match="'nope'"):
+            index.remove_vector("nope")
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
@@ -171,3 +181,154 @@ class TestHNSWIndex:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             HNSWIndex(dim=4, m=0)
+
+
+# ---------------------------------------------------------------------------
+# the flat index's table: a row's score is a function of that row and the
+# query alone, so every way of asking returns the same bits
+# ---------------------------------------------------------------------------
+def pairs(hits):
+    return [(hit.instance_id, hit.score) for hit in hits]
+
+
+def seeded_rows(count, dim, seed, sparse):
+    """``count`` vectors — hashed-embedding sparse (a few non-zero
+    buckets, repeated rows, an all-zero row) or dense."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, dim))
+    if sparse:
+        rows *= rng.random((count, dim)) < 0.15
+        rows[rng.integers(count)] = 0.0
+        rows[rng.integers(count)] = rows[0]
+    return rows
+
+
+class TestOneScorePerRow:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        count=st.integers(min_value=1, max_value=70),
+        dim=st.sampled_from([3, 16, 40]),
+        sparse=st.booleans(),
+        metric=st.sampled_from(["cosine", "l2"]),
+        num_shards=st.integers(min_value=1, max_value=7),
+        batch=st.integers(min_value=1, max_value=6),
+        k=st.sampled_from([1, 5, 100]),
+    )
+    def test_search_batch_shards_and_snapshot_agree_to_the_bit(
+        self, seed, count, dim, sparse, metric, num_shards, batch, k
+    ):
+        rows = seeded_rows(count, dim, seed, sparse)
+        queries = list(seeded_rows(6, dim, seed + 1, sparse)) + [rows[0]]
+        by_text = {f"q{i}": query for i, query in enumerate(queries)}
+        ids = [f"v{(i * 37) % count:03d}-{i}" for i in range(count)]
+        index = FlatVectorIndex(
+            dim, encoder=by_text.__getitem__, metric=metric, name="one"
+        )
+        # any split of the rows, not just the routing rule's
+        sharded = ShardedVectorIndex(
+            num_shards, dim, encoder=by_text.__getitem__, metric=metric,
+            name="one",
+        )
+        split = np.random.default_rng(seed + 2).integers(num_shards, size=count)
+        for instance_id, row, shard_no in zip(ids, rows, split):
+            index.add_vector(instance_id, row)
+            sharded.shards[shard_no].add_vector(instance_id, row)
+        expected = [pairs(index.search_vector(query, k)) for query in queries]
+
+        texts = list(by_text)
+        batched = []
+        for start in range(0, len(texts), batch):
+            batched += index.search_batch(texts[start:start + batch], k)
+        assert [pairs(hits) for hits in batched] == expected
+        assert [
+            pairs(hits) for hits in sharded.search_batch(texts, k)
+        ] == expected
+        with tempfile.TemporaryDirectory() as directory:
+            attached = attach_vector_index(save_vector_index(index, directory))
+            assert [
+                pairs(attached.search_vector(query, k)) for query in queries
+            ] == expected
+            del attached  # the memmap, before its file goes
+
+    @pytest.mark.parametrize("num_shards", [1, 4, 7])
+    def test_every_executor_mode_returns_the_monolithic_bits(self, num_shards):
+        rows = seeded_rows(120, 32, 5, sparse=True)
+        queries = list(seeded_rows(5, 32, 6, sparse=True))
+        by_text = {f"q{i}": query for i, query in enumerate(queries)}
+        index = FlatVectorIndex(32, name="one")
+        for position, row in enumerate(rows):
+            index.add_vector(f"v{position:03d}", row)
+        expected = [pairs(index.search_vector(query, 9)) for query in queries]
+        for mode in EXECUTOR_MODES:
+            sharded = ShardedVectorIndex(
+                num_shards, 32, encoder=by_text.__getitem__, name="one",
+                executor=mode,
+            )
+            for position, row in enumerate(rows):
+                instance_id = f"v{position:03d}"
+                sharded.shard_for(instance_id).add_vector(instance_id, row)
+            assert [
+                pairs(hits) for hits in sharded.search_batch(list(by_text), 9)
+            ] == expected, mode
+
+
+class TestTableAgainstAListOfVectors:
+    """The staging block (256 rows) and the doubling table behind
+    ``add_vector`` / ``remove_vector``, against the model the index used
+    to be: a list of vectors."""
+
+    @pytest.mark.parametrize("size", [255, 256, 257, 1025])
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_adds_removes_and_searches_interleaved(self, size, metric):
+        rng = np.random.default_rng(size)
+        pyrandom = random.Random(size)
+        index = FlatVectorIndex(8, metric=metric)
+        model = []  # (id, vector), in the index's order
+        query = rng.standard_normal(8)
+
+        def check():
+            assert index._ids == [instance_id for instance_id, _ in model]
+            assert len(index) == len(model)
+            matrix = index._get_matrix()
+            assert matrix.shape == (len(model), 8)
+            assert matrix.tolist() == [vector.tolist() for _, vector in model]
+            fresh = FlatVectorIndex(8, metric=metric)
+            for instance_id, vector in model:
+                fresh.add_vector(instance_id, vector)
+            assert pairs(index.search_vector(query, 12)) == pairs(
+                fresh.search_vector(query, 12)
+            )
+            for instance_id, vector in pyrandom.sample(model, min(3, len(model))):
+                assert index.vector_of(instance_id).tolist() == vector.tolist()
+
+        added = 0
+        while len(model) < size:
+            vector = rng.standard_normal(8) * (rng.random(8) < 0.5)
+            index.add_vector(f"v{added:04d}", vector)
+            model.append((f"v{added:04d}", vector))
+            added += 1
+            # removals with rows staged and with none: the first row, a
+            # table row, the last (staged) row
+            if added % 97 == 0:
+                for position in (0, len(model) // 2, -1):
+                    instance_id, _ = model.pop(position)
+                    index.remove_vector(instance_id)
+                    assert instance_id not in index
+            if added % 131 == 0 or len(model) in (255, 256, 257, size):
+                check()
+        assert index._columns.shape[1] >= size > index._columns.shape[1] // 2
+        for instance_id, _ in list(model):
+            index.remove_vector(instance_id)
+        model.clear()
+        assert index.search_vector(query, 3) == []
+        check()
+
+    def test_a_remove_between_searches_of_an_unflushed_stage(self):
+        index = FlatVectorIndex(2)
+        for position in range(300):
+            index.add_vector(f"v{position}", np.array([1.0, position]))
+        index.remove_vector("v299")  # staged, never searched
+        index.remove_vector("v0")    # in the table
+        assert len(index._get_matrix()) == 298
+        assert index.search_vector(np.array([0.0, 1.0]), 1)[0].instance_id == "v298"

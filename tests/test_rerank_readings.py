@@ -3,15 +3,16 @@
 ``Reranker.rerank`` reads its query once and each payload once (a
 bounded per-reranker LRU keyed on the payload text), ``TokenEmbedder``
 embeds each token once into a vocabulary matrix, ``FlatVectorIndex``
-keeps its row norms with the stacked matrix, every vector index selects
-its top-k through one ``argpartition`` helper, the vectorizers digest a
-token once, and ``levenshtein`` strips shared ends.  None of that may
-move one hit or the last bit of one score: every test here compares with
-an oracle that does the work the slow way — the per-pair ``score()``
-bodies, the per-call token sums, the dict + ``top_k`` vector search and
-the ``min()`` edit-distance table as they stood at 7d8a447, kept below —
-and with a digest of a whole campaign's stage lists pinned at that
-commit.
+keeps its row norms beside its column-major table, every vector index
+selects its top-k through one ``argpartition`` helper, the vectorizers
+digest a token once, and ``levenshtein`` strips shared ends.  None of
+that may move one hit or the last bit of one score: every test here
+compares with an oracle that does the work the slow way — the per-pair
+``score()`` bodies, the per-call token sums, the dict + ``top_k`` vector
+search and the ``min()`` edit-distance table as they stood at 7d8a447,
+kept below (the flat index's cosine as restated for ISSUE 23, with the
+old expression beside it as a bound) — and with a digest of a whole
+campaign's stage lists.
 """
 
 import contextlib
@@ -66,13 +67,21 @@ from repro.workloads.claimwl import build_claim_workload
 from repro.workloads.tuplecomp import build_tuple_workload
 
 #: sha256 over the coarse + rerank stage lists (ids and ``float.hex``
-#: scores) of ``run_campaign(small_bundle)``, recorded at 7d8a447 — the
-#: last commit that re-read the query per candidate and re-ranked the
-#: whole vector index through a dict.  It moves only if the lake or
-#: workload generators, an index, the Combiner or a reranker changes a
-#: hit; regenerate with ``stage_digest(*run_campaign(small_bundle))``.
+#: scores) of ``run_campaign(small_bundle)``.  It moves only if the lake
+#: or workload generators, an index, the Combiner or a reranker changes
+#: a hit; regenerate with ``stage_digest(*run_campaign(small_bundle))``.
+#: Recorded at 7d8a447 (the last commit that re-read the query per
+#: candidate and re-ranked the whole vector index through a dict) as
+#: ``1d072a85...``, which pinned the last bits of that host's
+#: ``matrix @ vector`` kernel; re-pinned once, for ISSUE 23, when the
+#: flat index's cosine became the fixed-order sum of
+#: ``reference_scores``.  Measured scope of that move on this campaign's
+#: 480 stage lists: semantic scores by <= 1e-15, so the coarse lists
+#: change order inside groups of equal cosines on 104 of 240 and
+#: membership across the cut on 8; all 240 rerank lists and all 100
+#: verdicts are identical (on the bench: reranked top-3 on 0 of 200).
 PARENT_DIGEST = (
-    "1d072a8590df5a05845e2682491a13204fd2ee9919fd5414a4c13a423fe3a1d9"
+    "bb2f0afef82bdbca0249d7ec2a073fef6b2b429bd571c468766a19db132389a7"
 )
 
 
@@ -554,25 +563,75 @@ class TestVectorizerMemo:
 # ----------------------------------------------------------------------
 # the vector indexes
 # ----------------------------------------------------------------------
-def reference_scores(metric, matrix, vector):
+#: how far a cosine may sit from the ``matrix @ vector`` it used to be
+GEMV_BOUND = 1e-15
+
+
+def cosine_norms(matrix, vector):
+    norms = np.linalg.norm(matrix, axis=1) * (np.linalg.norm(vector) or 1.0)
+    norms[norms == 0] = 1.0
+    return norms
+
+
+def helper_scores(metric, matrix, vector):
     """``VectorIndex._scores_against`` as it was: row norms recomputed
-    for every query."""
+    for every query.  The IVF index's oracle; for the flat index's
+    cosine, a bound (``assert_within_the_gemv_bound``)."""
     if metric == "cosine":
-        norms = np.linalg.norm(matrix, axis=1) * (np.linalg.norm(vector) or 1.0)
-        norms[norms == 0] = 1.0
-        return (matrix @ vector) / norms
+        return (matrix @ vector) / cosine_norms(matrix, vector)
     diff = matrix - vector
     return -np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def reference_scores(metric, matrix, vector):
+    """What a row of the row-major ``matrix`` scores in the flat index.
+    Cosine, since ISSUE 23: the pure-Python sum ``((q[b0]*m[b0]) +
+    q[b1]*m[b1]) + ...`` over the query's non-zero buckets in ascending
+    order, over the norm expression the index always used — a function
+    of one row and the query, so no BLAS build, batch or shard can move
+    a bit of it.  L2: the helper, as ever."""
+    if metric == "cosine":
+        weights = vector.tolist()
+        buckets = [bucket for bucket, weight in enumerate(weights) if weight]
+        columns = {bucket: matrix[:, bucket].tolist() for bucket in buckets}
+        dots = []
+        for row in range(matrix.shape[0]):
+            total = 0.0
+            for bucket in buckets:
+                total = total + weights[bucket] * columns[bucket][row]
+            dots.append(total)
+        return np.array(dots) / cosine_norms(matrix, vector)
+    return helper_scores(metric, matrix, vector)
+
+
+def assert_within_the_gemv_bound(ids, matrix, vector, scores):
+    """The cosine as it was until ISSUE 23 — ``matrix @ vector``, whose
+    last bits are the BLAS kernel's — kept as a *bound*: every score
+    within ``GEMV_BOUND`` of it, and the full ranking the same ids up to
+    permutation inside runs of scores that agree to that tolerance."""
+    gemv = helper_scores("cosine", matrix, vector)
+    assert np.abs(scores - gemv).max() <= GEMV_BOUND
+    ranked = sorted(zip((-scores).tolist(), ids))
+    was = sorted(zip((-gemv).tolist(), ids))
+    start = 0
+    for end in range(1, len(was) + 1):
+        if end == len(was) or was[end][0] - was[end - 1][0] > GEMV_BOUND:
+            assert {i for _, i in ranked[start:end]} == {
+                i for _, i in was[start:end]
+            }
+            start = end
+
+
 def reference_flat(index, vector, k):
-    """``FlatVectorIndex.search_vector`` as it was: an id -> score dict
-    over the whole index, then ``top_k``."""
+    """``FlatVectorIndex.search_vector`` the slow way: an id -> score
+    dict over the whole index as a row-major matrix, then ``top_k``."""
     vector = index._check_vector(vector)
-    matrix = index._get_matrix()
+    matrix = np.ascontiguousarray(index._get_matrix())
     if matrix.shape[0] == 0 or k <= 0:
         return []
     scores = reference_scores(index.metric, matrix, vector)
+    if index.metric == "cosine":
+        assert_within_the_gemv_bound(index._ids, matrix, vector, scores)
     score_map = {
         index._ids[i]: float(scores[i]) for i in range(len(index._ids))
     }
@@ -592,7 +651,7 @@ def reference_ivf(index, vector, k):
     if not candidate_rows:
         return []
     matrix = np.vstack([index._rows[i] for i in candidate_rows])
-    scores = reference_scores(index.metric, matrix, vector)
+    scores = helper_scores(index.metric, matrix, vector)
     score_map = {
         index._ids[row]: float(scores[pos])
         for pos, row in enumerate(candidate_rows)
@@ -678,9 +737,9 @@ class TestVectorSearchEqualsTheDictAndHeap:
 
     def test_sharded(self, metric):
         """Every shard against its own oracle, gathered the way
-        ``ShardedVectorIndex`` gathers.  (Not against one monolithic
-        matrix: BLAS may round a row's dot product differently in a
-        30-row and in a 90-row ``matrix @ vector``.)"""
+        ``ShardedVectorIndex`` gathers — and, a row's score being a
+        function of that row and the query alone, against the oracle of
+        one monolithic index."""
         vectors, queries = seeded_vectors()
         by_text = {f"q{i}": query for i, query in enumerate(queries)}
         sharded = ShardedVectorIndex(
@@ -688,6 +747,9 @@ class TestVectorSearchEqualsTheDictAndHeap:
         )
         for instance_id, vector in vectors:
             sharded.shard_for(instance_id).add_vector(instance_id, vector)
+        whole = filled(
+            FlatVectorIndex(dim=12, metric=metric, name="vec"), vectors
+        )
         for k in DEPTHS:
             batch = sharded.search_batch(list(by_text), k)
             for text, hits in zip(by_text, batch):
@@ -699,6 +761,9 @@ class TestVectorSearchEqualsTheDictAndHeap:
                     k, "vec",
                 )
                 assert as_pairs(hits) == as_pairs(expected), k
+                assert as_pairs(hits) == as_pairs(
+                    reference_flat(whole, by_text[text], k)
+                ), k
                 assert as_pairs(sharded.search(text, k)) == as_pairs(hits)
 
     def test_norms_follow_the_matrix(self, metric):
@@ -724,7 +789,7 @@ class TestVectorSearchEqualsTheDictAndHeap:
         vectors, queries = seeded_vectors()
         index = filled(FlatVectorIndex(dim=12, metric=metric), vectors)
         attached = attach_vector_index(save_vector_index(index, tmp_path))
-        assert attached.is_attached and attached._norms is None
+        assert attached.is_attached and attached._row_norms is None
         for query in queries:
             for k in (1, 7, 95):
                 hits = as_pairs(attached.search_vector(query, k))
@@ -1043,6 +1108,61 @@ class TestThreadHammer:
             range(len(embedder._vocabulary))
         )
 
+    def test_concurrent_first_searches_after_a_write(self, tmp_path):
+        """Every write leaves staged rows (and an attach leaves the norms
+        untaken) for the first reader to move under ``_matrix_lock``;
+        eight first readers at once get one flush and the oracle's bits."""
+        vectors, queries = seeded_vectors(count=700, seed=4)
+        index = FlatVectorIndex(dim=12)
+        oracle = FlatVectorIndex(dim=12)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def first_search(target, expected):
+            try:
+                barrier.wait(timeout=30)
+                for position, query in enumerate(queries):
+                    assert as_pairs(
+                        target.search_vector(query, 9)
+                    ) == expected[position]
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def hammer(target):
+            expected = [as_pairs(oracle.search_vector(q, 9)) for q in queries]
+            threads = [
+                threading.Thread(target=first_search, args=(target, expected))
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # rounds end inside the stage, on its edge (256, 512) and
+            # past a doubling of the table
+            added = 0
+            for size in (100, 256, 300, 512, 513, 700):
+                for instance_id, vector in vectors[added:size]:
+                    index.add_vector(instance_id, vector)
+                    oracle.add_vector(instance_id, vector)
+                added = size
+                if size == 300:
+                    index.remove_vector(vectors[7][0])
+                    oracle.remove_vector(vectors[7][0])
+                hammer(index)
+                assert index._staged == 0 and len(index._get_matrix()) == len(oracle)
+            attached = attach_vector_index(save_vector_index(index, tmp_path))
+            assert attached._row_norms is None
+            hammer(attached)
+        finally:
+            sys.setswitchinterval(previous)
+
     @pytest.mark.parametrize("mutant", [False, True])
     def test_dropping_a_lock_is_what_the_sanitizer_flags(self, mutant):
         if sanitizer.is_enabled():
@@ -1050,14 +1170,18 @@ class TestThreadHammer:
         with sanitizer.sanitized() as found:
             reranker = LateInteractionReranker()
             vectorizer = HashingVectorizer(dim=8)
+            flat = FlatVectorIndex(dim=8, encoder=vectorizer.transform)
             if mutant:
                 reranker._readings_lock = contextlib.nullcontext()
                 reranker.embedder._lock = contextlib.nullcontext()
                 vectorizer._slots_lock = contextlib.nullcontext()
+                flat._matrix_lock = contextlib.nullcontext()
 
             def work(text):
                 reranker.score("ohio election", text)
                 vectorizer.transform(text)
+                flat.add(text, text)
+                flat.search(text, 1)
 
             first_done = threading.Event()
             second_done = threading.Event()
@@ -1085,6 +1209,7 @@ class TestThreadHammer:
                 ("LateInteractionReranker", "_readings"),
                 ("TokenEmbedder", "_vocabulary"),
                 ("HashingVectorizer", "_slots"),
+                ("FlatVectorIndex", "_staged"),
             }
         else:
             assert not flagged
