@@ -50,8 +50,9 @@ trace-demo:
 # index (dict form, compile, patch), the sharded indexes and their one
 # scatter (the process worker's entry is called in-process), the text
 # layer's analysis and similarity, the campaign path's glue (prompt
-# splitting and response parsing, the verifier module, the combiner)
-# and the evidence form's writers and readers in a fresh interpreter
+# splitting and response parsing, the verifier module, the combiner and
+# the ranking type it fuses) and the evidence form's writers and readers
+# in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -68,6 +69,7 @@ coverage:
 		--target src/repro/llm/prompts.py \
 		--target src/repro/core/verifier.py \
 		--target src/repro/index/combiner.py \
+		--target src/repro/index/base.py \
 		--target src/repro/datalake/serialize.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
@@ -79,7 +81,7 @@ coverage:
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
 		tests/test_verdict_glue.py tests/test_index_sharding.py \
 		tests/test_index_executor.py tests/test_executor_lifecycle.py \
-		tests/test_datalake_serialize.py
+		tests/test_datalake_serialize.py tests/test_index_ranking.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -92,7 +94,8 @@ loop-demo:
 
 # the concurrency suites (and the thread hammers on the simulated LLM's
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
-# a seal, and on the text layer's word table while it fills) under the
+# a seal, on the text layer's word table while it fills, and on the token
+# embedder's vocabulary read lock-free while it grows) under the
 # Eraser-style lockset race sanitizer (see docs/static_analysis.md);
 # exit status 3 = races found
 sanitize:
@@ -100,7 +103,7 @@ sanitize:
 		tests/test_batch_faults.py tests/test_index_executor.py \
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
-		tests/test_text_tokenize.py
+		tests/test_text_tokenize.py tests/test_index_ranking.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

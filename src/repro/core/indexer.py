@@ -38,7 +38,7 @@ from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Modality, Table, TextDocument
 from repro.embed.chunker import chunk_document
 from repro.embed.vectorizers import HashingVectorizer
-from repro.index.base import SearchHit, SearchIndex
+from repro.index.base import Ranking, SearchHit, SearchIndex, top_k
 from repro.index.combiner import Combiner
 from repro.index.executor import validate_executor_mode
 from repro.index.inverted import InvertedIndex
@@ -65,21 +65,21 @@ _INDEXED_MODALITIES = (
 _ShardTiming = Tuple[int, float, float, int]
 
 
-def _fold_chunks_to_documents(hits: List[SearchHit], k: int) -> List[SearchHit]:
-    """Collapse chunk hits (``doc#cN``) onto their parent documents,
-    keeping each document's best chunk score.  Documents are re-ranked
-    by ``(-score, instance_id)`` afterwards: a document whose best chunk
-    appears late in the chunk ranking must not be stuck at the position
-    of its first (weaker) chunk."""
-    best: Dict[str, SearchHit] = {}
-    for hit in hits:
-        doc_id = hit.instance_id.split("#c", 1)[0]
+def _fold_chunks_to_documents(
+    ranking: Ranking, k: int, index_name: str
+) -> List[SearchHit]:
+    """Collapse a chunk ranking (``doc#cN`` ids) onto the parent
+    documents, keeping each document's best chunk score.  Documents are
+    re-ranked by ``(-score, instance_id)`` afterwards: a document whose
+    best chunk appears late in the chunk ranking must not be stuck at the
+    position of its first (weaker) chunk."""
+    best: Dict[str, float] = {}
+    for chunk_id, score in zip(*ranking):
+        doc_id = chunk_id.split("#c", 1)[0]
         current = best.get(doc_id)
-        if current is None or hit.score > current.score:
-            best[doc_id] = SearchHit(hit.score, doc_id, hit.index_name)
-    return sorted(
-        best.values(), key=lambda hit: (-hit.score, hit.instance_id)
-    )[:k]
+        if current is None or score > current:
+            best[doc_id] = score
+    return top_k(best, k, index_name)
 
 
 def _entries_missing_from(
@@ -417,11 +417,13 @@ class IndexerModule:
     ) -> List[List[SearchHit]]:
         """Coarse top-k for a whole query batch against one modality.
 
-        Every underlying index scores the batch in one call, then each
-        query's rankings are fused and (for chunked text) folded back
-        to documents.  With shards configured this is a scatter-gather:
-        every shard answers, the merged ranking is provably identical
-        to the monolithic index's.
+        Every underlying index ranks the batch in one call, each
+        query's rankings are fused in columns and (for chunked text)
+        folded back to documents, and the ``k`` survivors are
+        materialized here, once: the coarse list is a provenance stage.
+        With shards configured this is a scatter-gather: every shard
+        answers, the merged ranking is provably identical to the
+        monolithic index's.
         """
         queries = list(queries)
         if not queries:
@@ -438,9 +440,9 @@ class IndexerModule:
         depth = k if k is not None else self.config.k_coarse
         combiner = self._combiners[modality]
         if modality is Modality.TEXT and self.config.chunk_text:
-            raw_lists = combiner.search_batch(queries, depth * 3)
             return [
-                _fold_chunks_to_documents(raw, depth) for raw in raw_lists
+                _fold_chunks_to_documents(raw, depth, combiner.name)
+                for raw in combiner.rank_batch(queries, depth * 3)
             ]
         return combiner.search_batch(queries, depth)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +50,12 @@ def _feature_vector(feature: str, dim: int, salt: str) -> np.ndarray:
 class TokenEmbedder:
     """Character n-gram token embedder over a per-embedder vocabulary.
 
-    One lock guards the vocabulary, its matrix and the feature cache:
-    the embedder is shared by ``verify_batch`` workers and the serving
-    threads.  The vocabulary grows with the distinct tokens embedded and
-    is never evicted (cached row ids point into it); the matrix is
-    allocated on first use.
+    One lock guards every write to the vocabulary, its matrix and the
+    feature cache (known tokens are read without it, see
+    :meth:`token_rows`): the embedder is shared by ``verify_batch``
+    workers and the serving threads.  The vocabulary grows with the
+    distinct tokens embedded and is never evicted (cached row ids point
+    into it); the matrix is allocated on first use.
     """
 
     def __init__(self, dim: int = 64, min_n: int = 3, max_n: int = 4, salt: str = "tok") -> None:
@@ -87,13 +88,14 @@ class TokenEmbedder:
 
     def _compose(self, token: str) -> np.ndarray:
         """Unit vector for one token: mean of its n-gram feature vectors
-        plus a whole-token feature (so exact matches dominate)."""
-        features: List[str] = [f"<{token}>"]
-        for n in range(self.min_n, self.max_n + 1):
-            features.extend(sorted(ngrams(token, n)))
+        plus a whole-token feature (so exact matches dominate).  The
+        whole-token feature is read this once — a token is composed
+        once — so it stays out of the LRU the n-grams share."""
         acc = np.zeros(self.dim, dtype=np.float64)
-        for feature in features:
-            acc += self._feature(feature)
+        acc += _feature_vector(f"<{token}>", self.dim, self.salt)
+        for n in range(self.min_n, self.max_n + 1):
+            for feature in sorted(ngrams(token, n)):
+                acc += self._feature(feature)
         norm = np.linalg.norm(acc)
         if norm > 0:
             acc /= norm
@@ -122,9 +124,19 @@ class TokenEmbedder:
         return row
 
     def token_rows(self, tokens: Sequence[str]) -> np.ndarray:
-        """``int32`` vocabulary row ids of ``tokens``, in order."""
-        with self._lock:
-            rows = [self._row(token) for token in tokens]
+        """``int32`` vocabulary row ids of ``tokens``, in order.
+
+        Known tokens are read without the lock, which is taken only when
+        a token is new: :meth:`_row` writes a row before it publishes
+        its id and assigns a regrown table after the copy, so an id a
+        reader finds is filled in whichever table it then loads."""
+        rows = list(map(self._vocabulary.get, tokens))
+        if None in rows:
+            with self._lock:
+                rows = [
+                    self._row(token) if row is None else row
+                    for token, row in zip(tokens, rows)
+                ]
         return np.array(rows, dtype=np.int32)
 
     def vectors(self, rows: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import abc
 import heapq
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -26,6 +27,25 @@ class SearchHit:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SearchHit({self.instance_id!r}, {self.score:.4f}, {self.index_name})"
+
+
+#: one query's ranking between stages: ids and their scores, two parallel
+#: columns in ``(-score, id)`` order.  Hits are built where a stage ends.
+Ranking = Tuple[List[str], List[float]]
+
+
+def hits_of(rankings: Iterable[Ranking], index_name: str) -> List[List[SearchHit]]:
+    """Materialize rankings as hit lists, one per ranking."""
+    return [
+        [SearchHit(score, instance_id, index_name)
+         for instance_id, score in zip(ids, scores)]
+        for ids, scores in rankings
+    ]
+
+
+def ranking_of(hits: Sequence[SearchHit]) -> Ranking:
+    """The columns of one hit list."""
+    return [hit.instance_id for hit in hits], [hit.score for hit in hits]
 
 
 class SearchIndex(abc.ABC):
@@ -59,25 +79,34 @@ class SearchIndex(abc.ABC):
         """
         return [self.search(query, k) for query in queries]
 
+    def rank_batch(self, queries: List[str], k: int = 10) -> List[Ranking]:
+        """Top-k of every query as :data:`Ranking` columns.
 
-def top_k(scores: Dict[str, float], k: int, index_name: str = "") -> List[SearchHit]:
-    """Materialize the k best (score, id) pairs as hits, deterministically.
+        The default splits :meth:`search_batch`'s hits; an index that
+        ranks natively overrides this and materializes in
+        ``search_batch`` instead (``hits_of(rank_batch(...))``).
+        """
+        return [ranking_of(hits) for hits in self.search_batch(queries, k)]
+
+
+def rank_top_k(scores: Dict[str, float], k: int) -> Ranking:
+    """The k best (score, id) pairs as columns, deterministically.
 
     Ties are broken by instance id so that runs are reproducible.  When
     ``k`` is much smaller than the candidate set a bounded heap selects
     the winners in O(n log k) instead of sorting everything; both paths
-    order by ``(-score, instance_id)`` and return identical hits.
+    order by ``(-score, instance_id)`` and return identical columns.
     """
     if k <= 0:
-        return []
+        return [], []
+    pairs = zip(map(operator.neg, scores.values()), scores)
     if 4 * k < len(scores):
-        smallest = heapq.nsmallest(
-            k, ((-score, instance_id) for instance_id, score in scores.items())
-        )
-        ranked = [(instance_id, -neg_score) for neg_score, instance_id in smallest]
+        ranked = heapq.nsmallest(k, pairs)
     else:
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
-    return [
-        SearchHit(score=score, instance_id=instance_id, index_name=index_name)
-        for instance_id, score in ranked
-    ]
+        ranked = sorted(pairs)[:k]
+    return [i for _, i in ranked], [-negated for negated, _ in ranked]
+
+
+def top_k(scores: Dict[str, float], k: int, index_name: str = "") -> List[SearchHit]:
+    """:func:`rank_top_k`, materialized as hits."""
+    return hits_of([rank_top_k(scores, k)], index_name)[0]

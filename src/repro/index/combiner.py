@@ -17,7 +17,9 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, List, Sequence
 
-from repro.index.base import SearchHit, SearchIndex, top_k
+from repro.index.base import (
+    Ranking, SearchHit, SearchIndex, hits_of, rank_top_k, ranking_of,
+)
 
 
 class FusionMethod(enum.Enum):
@@ -27,15 +29,14 @@ class FusionMethod(enum.Enum):
     MAX = "max"
 
 
-def _normalize_scores(hits: Sequence[SearchHit]) -> Dict[str, float]:
-    """Min-max normalize one index's scores into [0, 1]."""
-    if not hits:
-        return {}
-    scores = [hit.score for hit in hits]
+def _normalize_scores(scores: Sequence[float]) -> List[float]:
+    """Min-max normalize one index's score column into [0, 1]."""
+    if not scores:
+        return []
     lo, hi = min(scores), max(scores)
     if hi == lo:
-        return {hit.instance_id: 1.0 for hit in hits}
-    return {hit.instance_id: (hit.score - lo) / (hi - lo) for hit in hits}
+        return [1.0] * len(scores)
+    return [(score - lo) / (hi - lo) for score in scores]
 
 
 class Combiner:
@@ -79,10 +80,16 @@ class Combiner:
     def search_batch(
         self, queries: List[str], k: int = 10, per_index_k: int = 0
     ) -> List[List[SearchHit]]:
-        """Query every index with the whole batch in one call, then fuse
-        each query's rankings.
+        """:meth:`rank_batch`, materialized as hits."""
+        return hits_of(self.rank_batch(queries, k, per_index_k), self.name)
 
-        ``per_index_k`` controls how many hits each index contributes
+    def rank_batch(
+        self, queries: List[str], k: int = 10, per_index_k: int = 0
+    ) -> List[Ranking]:
+        """Rank the whole batch on every index in one call each, then
+        fuse each query's rankings — in columns, no hit is built.
+
+        ``per_index_k`` controls how many ids each index contributes
         before fusion (default: see :meth:`_fan_out`).
         """
         queries = list(queries)
@@ -91,24 +98,29 @@ class Combiner:
         fan_out = self._fan_out(k, per_index_k)
         # [index][query] -> ranking
         per_index = [
-            index.search_batch(queries, fan_out) for index in self.indexes
+            index.rank_batch(queries, fan_out) for index in self.indexes
         ]
-        return [self.fuse(rankings, k) for rankings in zip(*per_index)]
+        return [self._fuse(rankings, k) for rankings in zip(*per_index)]
 
     def fuse(self, rankings: Iterable[Sequence[SearchHit]], k: int) -> List[SearchHit]:
-        """Fuse pre-computed per-index rankings into a single top-k."""
+        """Fuse pre-computed per-index hit lists into a single top-k."""
+        fused = self._fuse([ranking_of(hits) for hits in rankings], k)
+        return hits_of([fused], self.name)[0]
+
+    def _fuse(self, rankings: Iterable[Ranking], k: int) -> Ranking:
+        """Fuse per-index rankings into a single top-k.  RRF reads ranks
+        alone; MAX normalizes the score column."""
         fused: Dict[str, float] = {}
         if self.method is FusionMethod.RRF:
-            for ranking in rankings:
-                for rank, hit in enumerate(ranking):
-                    fused[hit.instance_id] = fused.get(hit.instance_id, 0.0) + 1.0 / (
+            for ids, _ in rankings:
+                for rank, instance_id in enumerate(ids):
+                    fused[instance_id] = fused.get(instance_id, 0.0) + 1.0 / (
                         self.rrf_k + rank + 1
                     )
         elif self.method is FusionMethod.MAX:
-            for ranking in rankings:
-                normalized = _normalize_scores(list(ranking))
-                for instance_id, score in normalized.items():
+            for ids, scores in rankings:
+                for instance_id, score in zip(ids, _normalize_scores(scores)):
                     fused[instance_id] = max(fused.get(instance_id, 0.0), score)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown fusion method: {self.method}")
-        return top_k(fused, k, self.name)
+        return rank_top_k(fused, k)

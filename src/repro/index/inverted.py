@@ -17,9 +17,10 @@ The index has two forms:
   ranking; an index with no seal is an empty index.
 
 Every read is a batch — ``search(q)`` is ``search_batch([q])[0]`` — and
-a batch is plan -> rank -> hits: :meth:`InvertedIndex.plan_matrix`
-analyzes the queries once, ``_score_matrix`` ranks the plan against one
-seal, and the hits read their ids off that seal.  Two kernels fill the
+a batch is plan -> rank -> ids (``rank_batch``; ``search_batch`` builds
+hits from its columns): :meth:`InvertedIndex.plan_matrix` analyzes the
+queries once, ``_score_matrix`` ranks the plan against one seal, and the
+ranking reads its ids off that seal.  Two kernels fill the
 queries x documents score matrix, and ``_score_matrix`` is the one place
 that chooses between them, by the number of queries in the plan:
 
@@ -89,7 +90,9 @@ from typing import (
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.index.base import SearchHit, SearchIndex, top_k
+from repro.index.base import (
+    Ranking, SearchHit, SearchIndex, hits_of, top_k,
+)
 from repro.obs.metrics import get_registry
 from repro.text import analyze
 
@@ -835,21 +838,15 @@ class InvertedIndex(SearchIndex):
             sealed = self.seal()._sealed
         return sealed
 
-    def _hits_from_ranked(
-        self, sealed: Optional[_SealedPostings], ranked: Ranked
-    ) -> List[SearchHit]:
-        """One query's ranking as hits, ids read from the seal that
+    @staticmethod
+    def _ranking(sealed: Optional[_SealedPostings], ranked: Ranked) -> Ranking:
+        """One query's ranking with its ids read from the seal that
         ranked it."""
         positions, scores = ranked
         if not positions:  # also the empty index, which has no seal
-            return []
+            return [], []
         doc_ids = sealed.doc_ids
-        return [
-            SearchHit(
-                score=score, instance_id=doc_ids[i], index_name=self.name
-            )
-            for i, score in zip(positions, scores)
-        ]
+        return [doc_ids[i] for i in positions], scores
 
     def rank_planned(
         self, plan: "MatrixPlan", k: int = 10
@@ -863,17 +860,22 @@ class InvertedIndex(SearchIndex):
         and reads the ids off its own seal."""
         return self._score_matrix(self._current_seal(), plan, k)
 
-    def search_batch(
+    def rank_batch(
         self, queries: Sequence[str], k: int = 10
-    ) -> List[List[SearchHit]]:
-        """Plan the queries, rank the plan, materialise the hits."""
+    ) -> List[Ranking]:
+        """Plan the queries, rank the plan, read the ids."""
         sealed = self._current_seal()
         return [
-            self._hits_from_ranked(sealed, ranked)
+            self._ranking(sealed, ranked)
             for ranked in self._score_matrix(
                 sealed, self.plan_matrix(queries), k
             )
         ]
+
+    def search_batch(
+        self, queries: Sequence[str], k: int = 10
+    ) -> List[List[SearchHit]]:
+        return hits_of(self.rank_batch(queries, k), self.name)
 
     def search(self, query: str, k: int = 10) -> List[SearchHit]:
         return self.search_batch([query], k)[0]

@@ -39,11 +39,13 @@ never a single hit or score.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.index.base import SearchHit, SearchIndex
+from repro.index.base import (
+    Ranking, SearchHit, SearchIndex, hits_of, rank_top_k,
+)
 from repro.index.executor import ShardSpool, scatter, validate_executor_mode
 from repro.index.inverted import CorpusStats, InvertedIndex, MatrixPlan
 from repro.index.vector import FlatVectorIndex
@@ -108,6 +110,20 @@ def merge_shard_hits(
     ]
 
 
+def merge_rankings(rankings: Iterable[Ranking], k: int) -> Ranking:
+    """:func:`merge_shard_hits` in columns: the global top-k of
+    per-shard rankings (an id lives in one shard), by the one selection
+    every dict of scores goes through; nothing is materialized."""
+    return rank_top_k(
+        {
+            instance_id: score
+            for ids, scores in rankings
+            for instance_id, score in zip(ids, scores)
+        },
+        k,
+    )
+
+
 class GlobalBM25Stats(CorpusStats):
     """Corpus statistics aggregated across every shard of one index.
 
@@ -136,7 +152,8 @@ class _ShardedIndex(SearchIndex):
     A subclass brings how a shard is made (``new_shard(name)``) and
     snapshotted (``save``), the module-level task a shard runs
     (``_task``), what the task is handed for a query batch
-    (``_prepare``) and how one shard's result becomes hits (``_hits``).
+    (``_prepare``) and, where the task ships something leaner, how one
+    shard's result becomes rankings (``_rankings``).
     """
 
     def __init__(
@@ -176,11 +193,15 @@ class _ShardedIndex(SearchIndex):
     def search_batch(
         self, queries: List[str], k: int = 10
     ) -> List[List[SearchHit]]:
-        """Scatter a whole query batch to every shard, gather-merge.
+        return hits_of(self.rank_batch(queries, k), self.name)
+
+    def rank_batch(self, queries: List[str], k: int = 10) -> List[Ranking]:
+        """Scatter a whole query batch to every shard, gather-merge the
+        shards' columns.
 
         The batch is prepared once, in this process; how the fan-out
         runs is :attr:`search_executor` (``serial`` / ``thread`` /
-        ``process``) and never changes a hit or a score.
+        ``process``) and never changes an id or a score.
         """
         queries = list(queries)
         if not queries:
@@ -189,14 +210,17 @@ class _ShardedIndex(SearchIndex):
             self.shards, self.search_executor, self._spool, self._save,
             self._task, self._prepare(queries), k,
         )
-        per_shard = [  # [shard][query] -> hits
-            self._hits(shard, result)
+        per_shard = [  # [shard][query] -> ranking
+            self._rankings(shard, result)
             for shard, result in zip(self.shards, results)
         ]
         return [
-            merge_shard_hits(per_query, k, self.name)
-            for per_query in zip(*per_shard)
+            merge_rankings(per_query, k) for per_query in zip(*per_shard)
         ]
+
+    def _rankings(self, shard, result) -> List[Ranking]:
+        """One shard's task result as rankings (by default it is)."""
+        return result
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -247,10 +271,8 @@ class ShardedInvertedIndex(_ShardedIndex):
         # every shard shares the analyzer settings: analyze once
         return self.shards[0].plan_matrix(queries)
 
-    def _hits(self, shard, result) -> List[List[SearchHit]]:
-        return [
-            shard._hits_from_ranked(shard._sealed, ranked) for ranked in result
-        ]
+    def _rankings(self, shard, result) -> List[Ranking]:
+        return [shard._ranking(shard._sealed, ranked) for ranked in result]
 
     def _written(self) -> None:
         """Global statistics changed: every shard's compiled form is
@@ -278,20 +300,6 @@ class ShardedInvertedIndex(_ShardedIndex):
         return bool(populated) and all(s.is_sealed for s in populated)
 
 
-def _rank_vectors(
-    shard: FlatVectorIndex, vectors: List["np.ndarray"], k: int
-) -> List[Tuple[List[float], List[str]]]:
-    """A vector shard's task: per query vector, the scores and the ids
-    of its top k — columns, like :data:`repro.index.inverted.Ranked`."""
-    ranked = []
-    for vector in vectors:
-        hits = shard.search_vector(vector, k)
-        ranked.append(
-            ([hit.score for hit in hits], [hit.instance_id for hit in hits])
-        )
-    return ranked
-
-
 class ShardedVectorIndex(_ShardedIndex):
     """N flat vector shards behind one :class:`SearchIndex` face.
 
@@ -301,7 +309,7 @@ class ShardedVectorIndex(_ShardedIndex):
     dense vectors — and scattered as vectors.
     """
 
-    _task = staticmethod(_rank_vectors)
+    _task = staticmethod(FlatVectorIndex.rank_vectors)
 
     def __init__(
         self,
@@ -333,10 +341,4 @@ class ShardedVectorIndex(_ShardedIndex):
         return [
             np.asarray(self._encoder(query), dtype=np.float64)
             for query in queries
-        ]
-
-    def _hits(self, shard, result) -> List[List[SearchHit]]:
-        return [
-            [SearchHit(score, id_, shard.name) for score, id_ in zip(*ranked)]
-            for ranked in result
         ]

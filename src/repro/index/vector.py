@@ -15,17 +15,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.index.base import SearchHit, SearchIndex
+from repro.index.base import Ranking, SearchHit, SearchIndex, hits_of
 
 
-def top_hits(
+def top_ranked(
     scores: np.ndarray,
     ids: Sequence[str],
     k: int,
-    index_name: str,
     rows: Optional[Sequence[int]] = None,
-) -> List[SearchHit]:
-    """The ``k`` best of ``scores`` as hits, ordered by ``(-score, id)``.
+) -> Ranking:
+    """The ``k`` best of ``scores`` as columns, ordered by ``(-score, id)``.
 
     ``scores[i]`` belongs to ``ids[i]``, or to ``ids[rows[i]]`` when the
     scores cover a subset of the index.  One ``np.partition`` (the
@@ -36,7 +35,7 @@ def top_hits(
     """
     count = scores.shape[0]
     if k <= 0 or count == 0:
-        return []
+        return [], []
     if k < count:
         kth = np.partition(scores, count - k)[count - k]
         positions = np.nonzero(scores >= kth)[0]
@@ -46,11 +45,19 @@ def top_hits(
         positions = range(count)
     if rows is not None:
         positions = [rows[i] for i in positions]
-    ranked = sorted(zip((-scores).tolist(), [ids[i] for i in positions]))
-    return [
-        SearchHit(score=-negated, instance_id=instance_id, index_name=index_name)
-        for negated, instance_id in ranked[:k]
-    ]
+    ranked = sorted(zip((-scores).tolist(), [ids[i] for i in positions]))[:k]
+    return [i for _, i in ranked], [-negated for negated, _ in ranked]
+
+
+def top_hits(
+    scores: np.ndarray,
+    ids: Sequence[str],
+    k: int,
+    index_name: str,
+    rows: Optional[Sequence[int]] = None,
+) -> List[SearchHit]:
+    """:func:`top_ranked`, materialized as hits."""
+    return hits_of([top_ranked(scores, ids, k, rows)], index_name)[0]
 
 
 #: rows a flat index stages before one block copy into its table
@@ -295,32 +302,34 @@ class FlatVectorIndex(VectorIndex):
         norms[norms == 0] = 1.0
         return dots / norms
 
-    def _search_vectors(
+    def rank_vectors(
         self, vectors: Sequence[np.ndarray], k: int
-    ) -> List[List[SearchHit]]:
-        """Top-k of every query vector against one reading of the table."""
+    ) -> List[Ranking]:
+        """Top-k of every query vector against one reading of the table
+        (also a vector shard's task: columns cross the pipe as they are)."""
+        vectors = [self._check_vector(vector) for vector in vectors]
         columns, row_norms = self._table()
         if columns.shape[1] == 0 or k <= 0:
-            return [[] for _ in vectors]
+            return [([], []) for _ in vectors]
         return [
-            top_hits(
-                self._scores(columns, row_norms, vector),
-                self._ids, k, self.name,
+            top_ranked(
+                self._scores(columns, row_norms, vector), self._ids, k
             )
             for vector in vectors
         ]
 
     def search_vector(self, vector: np.ndarray, k: int = 10) -> List[SearchHit]:
-        return self._search_vectors([self._check_vector(vector)], k)[0]
+        return hits_of(self.rank_vectors([vector], k), self.name)[0]
+
+    def rank_batch(self, queries: List[str], k: int = 10) -> List[Ranking]:
+        """Encode every query, then rank them against one reading of
+        the table; id-for-id and bit-for-bit the per-query loop."""
+        return self.rank_vectors([self.encode(query) for query in queries], k)
 
     def search_batch(
         self, queries: List[str], k: int = 10
     ) -> List[List[SearchHit]]:
-        """Encode every query, then score them against one reading of
-        the table; hit-for-hit the per-query loop."""
-        return self._search_vectors(
-            [self._check_vector(self.encode(query)) for query in queries], k
-        )
+        return hits_of(self.rank_batch(queries, k), self.name)
 
     def vector_of(self, instance_id: str) -> np.ndarray:
         """Stored vector of an instance (for tests and rerankers)."""

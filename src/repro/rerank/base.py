@@ -87,17 +87,20 @@ class Reranker(abc.ABC):
 
         ``fetch`` maps an instance id to its serialized payload.
         """
+        if k <= 0 or not candidates:
+            return []
         read = self._read_query(query)
-        scored = [
-            SearchHit(
-                score=self._score(read, self._reading(fetch(hit.instance_id))),
-                instance_id=hit.instance_id,
-                index_name=self.name,
-            )
-            for hit in candidates
+        ids = [hit.instance_id for hit in candidates]
+        scores = [
+            self._score(read, self._reading(fetch(instance_id)))
+            for instance_id in ids
         ]
-        scored.sort(key=lambda hit: (-hit.score, hit.instance_id))
-        return scored[: max(k, 0)]
+        # plain (-score, id) tuples; a float's negation is exact both ways
+        ranked = sorted(zip([-score for score in scores], ids))[:k]
+        return [
+            SearchHit(-negated, instance_id, self.name)
+            for negated, instance_id in ranked
+        ]
 
 
 def rerank_hits(
