@@ -81,7 +81,8 @@ coverage:
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
 		tests/test_verdict_glue.py tests/test_index_sharding.py \
 		tests/test_index_executor.py tests/test_executor_lifecycle.py \
-		tests/test_datalake_serialize.py tests/test_index_ranking.py
+		tests/test_datalake_serialize.py tests/test_index_ranking.py \
+		tests/test_rerank_vocabulary.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -95,7 +96,8 @@ loop-demo:
 # the concurrency suites (and the thread hammers on the simulated LLM's
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
 # a seal, on the text layer's word table while it fills, and on the token
-# embedder's vocabulary read lock-free while it grows) under the
+# embedder's vocabulary read lock-free while it grows, from first touches
+# and from the build pass) under the
 # Eraser-style lockset race sanitizer (see docs/static_analysis.md);
 # exit status 3 = races found
 sanitize:
@@ -103,7 +105,8 @@ sanitize:
 		tests/test_batch_faults.py tests/test_index_executor.py \
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
-		tests/test_text_tokenize.py tests/test_index_ranking.py
+		tests/test_text_tokenize.py tests/test_index_ranking.py \
+		tests/test_rerank_vocabulary.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

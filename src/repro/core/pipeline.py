@@ -140,8 +140,20 @@ class VerifAI:
     # pipeline stages
     # ------------------------------------------------------------------
     def build_indexes(self) -> "VerifAI":
-        """Build all lake indexes up front (otherwise lazy on first use)."""
+        """Build all lake indexes up front and, with ``config.use_reranker``
+        on, embed the distinct tokens of every TEXT payload into the
+        ColBERT reranker's vocabulary: its document side, encoded when
+        the corpus is indexed, so no rerank embeds a lake token.  Only
+        the call that builds the indexes makes that pass.  Without it the
+        indexes are built by the first search and a token is embedded by
+        the first rerank that meets it."""
+        encode = self.config.use_reranker and not self.indexer.is_built
         self.indexer.build()
+        if encode:
+            self.reranker.text_text.encode_documents(
+                self.indexer.fetch_payload(document.instance_id)
+                for document in self.lake.iter_instances(Modality.TEXT)
+            )
         return self
 
     def next_trace_id(self) -> str:

@@ -25,13 +25,16 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.text import analyze
 from repro.text.similarity import ngrams
 
 #: n-gram feature vectors kept per embedder (LRU, ~0.7 KB each at the
 #: default dim, ~5.5 MB full).  Only a token new to the vocabulary reads
-#: them: embedding the 1,200-table lake's 5,055 tokens takes 0.8 s at
-#: this bound or twice it, 1.0 s at half of it and 2.2 s with none.
+#: them: the build pass (``LateInteractionReranker.encode_documents``),
+#: then a word met later.  On a 2-core host the pass over the 1,200-table
+#: lake's 5,053 TEXT tokens (12,602 distinct n-grams) takes 0.44 s at
+#: this bound, 0.43 s at twice it, 0.49 s at half of it and 1.5 s with
+#: none; the same tokens touched lazily in lake order 0.47, 0.45, 0.60
+#: and 1.6 s.
 FEATURES_SIZE = 8192
 
 #: rows the vocabulary matrix starts with; it doubles when full
@@ -61,6 +64,8 @@ class TokenEmbedder:
     def __init__(self, dim: int = 64, min_n: int = 3, max_n: int = 4, salt: str = "tok") -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
+        if min_n < 1:
+            raise ValueError(f"min_n must be positive, got {min_n}")
         if min_n > max_n:
             raise ValueError(f"min_n ({min_n}) must be <= max_n ({max_n})")
         self.dim = dim
@@ -153,7 +158,3 @@ class TokenEmbedder:
     def embed_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         """(len(tokens), dim) matrix of token embeddings."""
         return self.vectors(self.token_rows(tokens))
-
-    def embed_text(self, text: str) -> np.ndarray:
-        """Token-embedding matrix of raw text under the analysis chain."""
-        return self.embed_tokens(analyze(text))

@@ -13,7 +13,7 @@ k' (e.g. 5) by a task-aware scorer:
 * :class:`FeatureReranker` — a generic feature-mixture cross-scorer.
 """
 
-from repro.rerank.base import Reranker, rerank_hits
+from repro.rerank.base import Reranker
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
@@ -25,5 +25,4 @@ __all__ = [
     "Reranker",
     "TableReranker",
     "TupleReranker",
-    "rerank_hits",
 ]

@@ -101,14 +101,3 @@ class Reranker(abc.ABC):
             SearchHit(-negated, instance_id, self.name)
             for negated, instance_id in ranked
         ]
-
-
-def rerank_hits(
-    reranker: Reranker,
-    query: str,
-    candidates: Sequence[SearchHit],
-    fetch: Callable[[str], str],
-    k: int = 5,
-) -> List[SearchHit]:
-    """Functional convenience wrapper around :meth:`Reranker.rerank`."""
-    return reranker.rerank(query, candidates, fetch, k)

@@ -9,7 +9,7 @@ surface forms interact strongly while unrelated tokens stay near zero.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,15 @@ class LateInteractionReranker(Reranker):
         self.embedder = embedder or TokenEmbedder(dim=64)
         self.normalize_by_query_length = normalize_by_query_length
         self.token_weight = token_weight
+
+    def encode_documents(self, payloads: Iterable[str]) -> None:
+        """ColBERT's document side, at index time: embed the distinct
+        tokens of ``payloads`` in one call, in sorted order, so a rerank
+        over them embeds nothing.  It is the call a first touch makes,
+        so every vector has the bits a lazy embedding gives it; a token
+        met later is embedded by the rerank that meets it."""
+        vocabulary = {token for payload in payloads for token in analyze(payload)}
+        self.embedder.token_rows(sorted(vocabulary))
 
     def _read_query(self, query: str) -> _Query:
         tokens = analyze(query)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.embed.token_embed import TokenEmbedder
+from repro.text import analyze
 
 token_strategy = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
                          min_size=1, max_size=12)
@@ -40,7 +41,7 @@ class TestTokenEmbedder:
         assert TokenEmbedder(dim=32).embed_tokens([]).shape == (0, 32)
 
     def test_embed_text_analyzes(self):
-        matrix = TokenEmbedder(dim=32).embed_text("the elections")
+        matrix = TokenEmbedder(dim=32).embed_tokens(analyze("the elections"))
         # stopword removed, one token remains
         assert matrix.shape[0] == 1
 
@@ -49,6 +50,12 @@ class TestTokenEmbedder:
             TokenEmbedder(dim=0)
         with pytest.raises(ValueError):
             TokenEmbedder(min_n=4, max_n=3)
+
+    @pytest.mark.parametrize("min_n", [0, -1])
+    def test_min_n_must_be_positive(self, min_n):
+        # it used to construct and then fail at the first token embedded
+        with pytest.raises(ValueError, match="min_n must be positive"):
+            TokenEmbedder(min_n=min_n)
 
     @given(token_strategy, token_strategy)
     def test_cosine_bounded(self, a, b):

@@ -5,7 +5,6 @@ import pytest
 from repro.datalake.serialize import parse_row, serialize_row, serialize_table
 from repro.datalake.types import Row
 from repro.index.base import SearchHit
-from repro.rerank.base import rerank_hits
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
@@ -54,8 +53,8 @@ class TestLateInteraction:
             "bad": "unrelated basketball content",
         }
         hits = [SearchHit(1.0, "bad"), SearchHit(0.9, "good")]
-        ranked = rerank_hits(
-            reranker, "tom jenkins", hits, payloads.__getitem__, k=2
+        ranked = reranker.rerank(
+            "tom jenkins", hits, payloads.__getitem__, k=2
         )
         assert ranked[0].instance_id == "good"
 
