@@ -47,8 +47,7 @@ trace-demo:
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers (with their readings memo), the
 # rerankers, the token embedder, the flat vector index, the inverted
-# index (dict form, compile, patch), the sharded indexes and their one
-# scatter (the process worker's entry is called in-process), the text
+# index (dict form, compile, patch), the sharded indexes, the text
 # layer's analysis and similarity, the campaign path's glue (prompt
 # splitting and response parsing, the verifier module, the combiner and
 # the ranking type it fuses) and the evidence form's writers and readers
@@ -63,7 +62,6 @@ coverage:
 		--target src/repro/index/vector.py \
 		--target src/repro/index/inverted.py \
 		--target src/repro/index/shard.py \
-		--target src/repro/index/executor.py \
 		--target src/repro/text/tokenize.py \
 		--target src/repro/text/similarity.py \
 		--target src/repro/llm/prompts.py \
@@ -80,7 +78,6 @@ coverage:
 		tests/test_text_similarity.py tests/test_llm_prompts.py \
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
 		tests/test_verdict_glue.py tests/test_index_sharding.py \
-		tests/test_index_executor.py tests/test_executor_lifecycle.py \
 		tests/test_datalake_serialize.py tests/test_index_ranking.py \
 		tests/test_rerank_vocabulary.py
 
@@ -97,12 +94,12 @@ loop-demo:
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
 # a seal, on the text layer's word table while it fills, and on the token
 # embedder's vocabulary read lock-free while it grows, from first touches
-# and from the build pass) under the
-# Eraser-style lockset race sanitizer (see docs/static_analysis.md);
+# and from the build pass, and on the sharded indexes read by batch
+# workers) under the Eraser-style lockset race sanitizer (see docs/static_analysis.md);
 # exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
-		tests/test_batch_faults.py tests/test_index_executor.py \
+		tests/test_batch_faults.py tests/test_index_sharding.py \
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \

@@ -11,7 +11,6 @@ Subcommands::
                        [--trace out.json]
     repro profile     --lake lake.json --sample 50 [--out stacks.txt]
     repro profile     -- verify-batch --lake lake.json --sample 20
-    repro bench diff  OLD NEW [--threshold PCT] [--metric mean] [--json]
     repro trace       out.json [--json]
     repro serve       --lake lake.json [--port 8080] [--concurrency 4]
                       [--queue 16] [--demo N]
@@ -67,10 +66,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _system_for(args: argparse.Namespace) -> VerifAI:
     lake = load_lake(args.lake)
-    config = VerifAIConfig(
-        num_shards=getattr(args, "shards", 1),
-        shard_search_executor=getattr(args, "shard_executor", "serial"),
-    )
+    config = VerifAIConfig(num_shards=getattr(args, "shards", 1))
     return VerifAI(lake, config=config).build_indexes()
 
 
@@ -220,28 +216,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.obs.benchdiff import BenchDiffError, compare_paths
-
-    try:
-        report = compare_paths(
-            args.old, args.new,
-            threshold_pct=args.threshold, metric=args.metric,
-        )
-    except BenchDiffError as exc:
-        print(f"bench diff: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json_module.dumps(
-            report.to_dict(), indent=2, sort_keys=True
-        ))
-    else:
-        print(report.table())
-    return 0 if report.passed else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         LoadGenerator,
@@ -253,11 +227,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     lake = load_lake(args.lake)
-    config = VerifAIConfig(
-        num_shards=args.shards,
-        shard_search_executor=args.shard_executor,
-    )
-    system = VerifAI(lake, config=config)
+    system = VerifAI(lake, config=VerifAIConfig(num_shards=args.shards))
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -533,6 +503,31 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {minimum}, got {value}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: a bad one is a usage error (exit 2)
+    before any lake is loaded."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count that may be 0 (see _positive_int)."""
+    return _int_at_least(text, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="VerifAI: verified generative AI"
@@ -555,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", default="")
     p.add_argument("--explain", action="store_true")
     p.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="index shard count (1 = monolithic; results are identical)",
     )
     p.set_defaults(func=_cmd_verify_claim)
@@ -568,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="index shard count (1 = monolithic; results are identical)",
     )
     p.set_defaults(func=_cmd_verify_tuple)
@@ -577,15 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-batch", help="verify a sampled batch of lake tuples"
     )
     p.add_argument("--lake", required=True)
-    p.add_argument("--sample", type=int, default=20)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--sample", type=_positive_int, default=20)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--fail-fast", action="store_true",
         help="abort on the first per-object fault instead of reporting it",
     )
     p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_non_negative_int, default=None, metavar="N",
         help="extra attempts per faulted object "
              "(default: config batch_max_retries)",
     )
@@ -595,15 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(stable JSON; inspect with `repro trace PATH`)",
     )
     p.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="index shard count (1 = monolithic; results are identical)",
-    )
-    p.add_argument(
-        "--shard-executor", default="serial",
-        choices=["serial", "thread", "process"],
-        help="how scatter-gather search fans out across shards "
-             "(process = memmap-attached workers; results are identical "
-             "for all three)",
     )
     p.set_defaults(func=_cmd_verify_batch)
 
@@ -616,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lake", default=None,
         help="campaign mode: lake to sample a verify-batch from",
     )
-    p.add_argument("--sample", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--sample", type=_positive_int, default=50)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--cpu", action="store_true",
@@ -639,30 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
-        "bench", help="benchmark snapshot tooling (see `repro bench diff`)"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    d = bench_sub.add_parser(
-        "diff",
-        help="compare two BENCH_*.json snapshots (files or directories) "
-             "and fail on regressions",
-    )
-    d.add_argument("old", help="baseline BENCH_*.json file or directory")
-    d.add_argument("new", help="candidate BENCH_*.json file or directory")
-    d.add_argument(
-        "--threshold", type=float, default=25.0, metavar="PCT",
-        help="noise tolerance: NEW may be up to PCT%% slower (default 25)",
-    )
-    d.add_argument(
-        "--metric", default="mean",
-        help="stats field to compare (default: mean)",
-    )
-    d.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    d.set_defaults(func=_cmd_bench_diff)
-
-    p = sub.add_parser(
         "serve", help="run the verification service over a lake"
     )
     p.add_argument("--lake", required=True)
@@ -672,11 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 = pick a free one)",
     )
     p.add_argument(
-        "--concurrency", type=int, default=4,
+        "--concurrency", type=_positive_int, default=4,
         help="verifies in flight at once (admission semaphore width)",
     )
     p.add_argument(
-        "--queue", type=int, default=16,
+        "--queue", type=_non_negative_int, default=16,
         help="requests allowed to wait for a slot before 429s",
     )
     p.add_argument(
@@ -686,13 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="demo mix seed")
     p.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="index shard count (1 = monolithic; results are identical)",
-    )
-    p.add_argument(
-        "--shard-executor", default="serial",
-        choices=["serial", "thread", "process"],
-        help="how scatter-gather search fans out across shards",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -798,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-iters", type=int, default=4)
     p.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="verify_batch workers (the trail bytes do not depend on this)",
     )
     p.add_argument(

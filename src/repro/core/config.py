@@ -44,13 +44,7 @@ class VerifAIConfig:
       index into this many shards by stable hash of the instance id's
       root (1 = the monolithic index).  Scatter-gather search is
       proven hit-for-hit identical to the unsharded build
-      (tests/test_index_sharding.py), so this is purely a scale knob;
-    * ``shard_search_executor`` — how scatter-gather search fans out
-      across shards: ``"serial"`` (default), ``"thread"``, or
-      ``"process"`` (workers memmap-attach shard snapshots and return
-      positions and scores — no corpus pickling).  Purely a
-      wall-clock knob: all three produce identical hits, scores, and
-      traces (see :mod:`repro.index.executor`).
+      (tests/test_index_sharding.py), so this is purely a scale knob.
     """
 
     k_coarse: int = 50
@@ -67,7 +61,6 @@ class VerifAIConfig:
     batch_max_workers: int = 1
     batch_max_retries: int = 0
     num_shards: int = 1
-    shard_search_executor: str = "serial"
 
     def fine_k(self, modality: Modality) -> int:
         """Shortlist size for one modality."""

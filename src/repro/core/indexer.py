@@ -40,7 +40,6 @@ from repro.embed.chunker import chunk_document
 from repro.embed.vectorizers import HashingVectorizer
 from repro.index.base import Ranking, SearchHit, SearchIndex, top_k
 from repro.index.combiner import Combiner
-from repro.index.executor import validate_executor_mode
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import (
     ShardedInvertedIndex,
@@ -107,7 +106,6 @@ class IndexerModule:
             raise ValueError(
                 f"num_shards must be >= 1, got {self.config.num_shards}"
             )
-        validate_executor_mode(self.config.shard_search_executor)
         self.clock: Clock = clock or MonotonicClock()
         self._content: Dict[Modality, SearchIndex] = {}
         self._semantic: Dict[Modality, SearchIndex] = {}
@@ -150,7 +148,6 @@ class IndexerModule:
             return ShardedInvertedIndex(
                 self.config.num_shards,
                 name=f"bm25-{modality.value}",
-                executor=self.config.shard_search_executor,
             )
         return InvertedIndex(name=f"bm25-{modality.value}")
 
@@ -163,7 +160,6 @@ class IndexerModule:
                 dim=self.config.embedding_dim,
                 encoder=self._vectorizer.transform,
                 name=f"vec-{modality.value}",
-                executor=self.config.shard_search_executor,
             )
         return FlatVectorIndex(
             dim=self.config.embedding_dim,

@@ -118,8 +118,7 @@ def _bm25_idf(num_docs: int, df: int) -> float:
 
 
 #: one query's ranking: positions in the seal's document order, and
-#: their scores.  Two columns, not k ``(position, score)`` tuples: what a
-#: shard worker ships back the parent's collector then need not track
+#: their scores, as two columns
 Ranked = Tuple[List[int], List[float]]
 
 
@@ -247,8 +246,7 @@ class _SealedPostings:
 class MatrixPlan(NamedTuple):
     """A campaign of queries analyzed once.
 
-    Shard-independent, and all of a campaign that crosses the pipe to
-    a shard worker: ``terms`` holds, per query, its sorted
+    Shard-independent: ``terms`` holds, per query, its sorted
     ``(token, count)`` list.  Built by :meth:`InvertedIndex.plan_matrix`,
     consumed by :meth:`InvertedIndex.rank_planned` on every shard.
     """
@@ -850,27 +848,23 @@ class InvertedIndex(SearchIndex):
 
     def rank_planned(
         self, plan: "MatrixPlan", k: int = 10
-    ) -> List[Ranked]:
-        """Rank a pre-analyzed plan against this index: per query, the
-        positions (in the seal's document order) and scores of its top k.
+    ) -> List[Ranking]:
+        """Rank a pre-analyzed plan against this index, each ranking's
+        ids read off the seal that ranked it.
 
         The shard seam: a sharded index plans once (:meth:`plan_matrix`)
-        and calls this on every shard — in process, or in a worker on a
-        memmap attachment, whose columns cross the pipe as they are —
-        and reads the ids off its own seal."""
-        return self._score_matrix(self._current_seal(), plan, k)
+        and calls this on every shard."""
+        sealed = self._current_seal()
+        return [
+            self._ranking(sealed, ranked)
+            for ranked in self._score_matrix(sealed, plan, k)
+        ]
 
     def rank_batch(
         self, queries: Sequence[str], k: int = 10
     ) -> List[Ranking]:
-        """Plan the queries, rank the plan, read the ids."""
-        sealed = self._current_seal()
-        return [
-            self._ranking(sealed, ranked)
-            for ranked in self._score_matrix(
-                sealed, self.plan_matrix(queries), k
-            )
-        ]
+        """Plan the queries, rank the plan."""
+        return self.rank_planned(self.plan_matrix(queries), k)
 
     def search_batch(
         self, queries: Sequence[str], k: int = 10

@@ -15,8 +15,8 @@ here:
   contiguous arrays written as raw binaries next to a versioned
   ``manifest.json``.  :func:`attach_sealed_index` re-creates the index
   **zero-copy**: the arrays are ``np.memmap``-attached read-only, so N
-  worker processes share one set of OS page-cache pages instead of N
-  pickled copies of the corpus, and cold start skips tokenization,
+  processes attaching one snapshot share one set of OS page-cache pages
+  instead of N copies of the corpus, and cold start skips tokenization,
   BM25 statistics, and sealing entirely.  Attached indexes refuse
   mutation; rankings are bit-identical to the in-memory sealed index
   the snapshot was written from.
@@ -65,7 +65,7 @@ def _snapshot_error(message: str) -> Exception:
     return VerificationError(f"sealed index snapshot: {message}")
 
 
-def _load_manifest(path: Path, *expected_kinds: str) -> dict:
+def _load_manifest(path: Path, expected_kind: str) -> dict:
     """Read and validate a sealed-snapshot manifest, failing with a
     clean :class:`VerificationError` on any malformation."""
     if not path.is_file():
@@ -79,10 +79,10 @@ def _load_manifest(path: Path, *expected_kinds: str) -> dict:
         ) from None
     if not isinstance(manifest, dict):
         raise _snapshot_error(f"manifest at {path} is not an object")
-    if manifest.get("kind") not in expected_kinds:
+    if manifest.get("kind") != expected_kind:
         raise _snapshot_error(
             f"manifest at {path} has kind {manifest.get('kind')!r}, "
-            f"expected {' or '.join(map(repr, expected_kinds))}"
+            f"expected {expected_kind!r}"
         )
     if manifest.get("version") != _SEALED_FORMAT_VERSION:
         raise _snapshot_error(
@@ -283,12 +283,6 @@ def attach_sealed_index(
     """
     directory = Path(directory)
     manifest = _load_manifest(directory / "manifest.json", _SEALED_KIND)
-    return _attach_sealed(directory, manifest, name)
-
-
-def _attach_sealed(
-    directory: Path, manifest: dict, name: Optional[str] = None
-) -> InvertedIndex:
     try:
         doc_ids = list(manifest["doc_ids"])
         doc_lengths = [int(n) for n in manifest["doc_lengths"]]
@@ -460,10 +454,6 @@ def attach_vector_index(directory: Union[str, Path]) -> FlatVectorIndex:
     manifest = _load_manifest(
         directory / "manifest.json", _SEALED_VECTOR_KIND
     )
-    return _attach_vector(directory, manifest)
-
-
-def _attach_vector(directory: Path, manifest: dict) -> FlatVectorIndex:
     try:
         ids: List[str] = list(manifest["ids"])
         index = FlatVectorIndex(
@@ -490,17 +480,3 @@ def _attach_vector(directory: Path, manifest: dict) -> FlatVectorIndex:
     index._row_norms, index._count = None, len(ids)
     index._attached = True
     return index
-
-
-def attach_snapshot(
-    directory: Union[str, Path]
-) -> Union[InvertedIndex, FlatVectorIndex]:
-    """Attach whichever single-index snapshot ``directory`` holds, going
-    by its manifest's ``kind`` — what a shard worker calls: it is handed
-    a directory, not told what its parent spooled there."""
-    directory = Path(directory)
-    attach = {
-        _SEALED_KIND: _attach_sealed, _SEALED_VECTOR_KIND: _attach_vector,
-    }
-    manifest = _load_manifest(directory / "manifest.json", *attach)
-    return attach[manifest["kind"]](directory, manifest)

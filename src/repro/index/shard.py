@@ -26,14 +26,11 @@ Two properties make that exact rather than approximate:
   subset of the union of local top-ks, so merging and truncating
   loses nothing and reorders nothing.
 
-Both sharded indexes are one base class (routing, the spool, one
+Both sharded indexes are one base class (routing, one
 scatter-gather-merge) plus what differs: BM25 shards carry the global
 statistics, and a write to one invalidates *every* shard's sealed read
 form (the statistics changed); vector shards encode the batch once.
-How the scatter *runs* is selected per index by ``executor=`` and is
-one function, :func:`repro.index.executor.scatter`: the same task on
-the same arrays in every mode, so the choice affects wall-clock only,
-never a single hit or score.
+The scatter ranks the shards one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import numpy as np
 from repro.index.base import (
     Ranking, SearchHit, SearchIndex, hits_of, rank_top_k,
 )
-from repro.index.executor import ShardSpool, scatter, validate_executor_mode
 from repro.index.inverted import CorpusStats, InvertedIndex, MatrixPlan
 from repro.index.vector import FlatVectorIndex
 
@@ -146,36 +142,29 @@ class GlobalBM25Stats(CorpusStats):
 
 
 class _ShardedIndex(SearchIndex):
-    """What the two sharded indexes share: routing by :func:`shard_of`,
-    the spool process workers attach, and scatter-gather-merge.
+    """What the two sharded indexes share: routing by :func:`shard_of`
+    and scatter-gather-merge.
 
-    A subclass brings how a shard is made (``new_shard(name)``) and
-    snapshotted (``save``), the module-level task a shard runs
-    (``_task``), what the task is handed for a query batch
-    (``_prepare``) and, where the task ships something leaner, how one
-    shard's result becomes rankings (``_rankings``).
+    A subclass brings how a shard is made (``new_shard(name)``), the
+    method a shard ranks a prepared batch with (``_task``) and what that
+    method is handed for a query batch (``_prepare``).
     """
 
     def __init__(
-        self, num_shards: int, name: str, executor: str,
-        new_shard: Callable, save: Callable,
+        self, num_shards: int, name: str, new_shard: Callable
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.name = name
         self.num_shards = num_shards
-        self.search_executor = validate_executor_mode(executor)
-        self._spool = ShardSpool(prefix=f"repro-{name}-")
         self.shards = [new_shard(f"{name}/s{i}") for i in range(num_shards)]
-        self._save = save
 
     def shard_for(self, instance_id: str):
         """The shard an instance id lives in."""
         return self.shards[shard_of(instance_id, self.num_shards)]
 
     def _written(self) -> None:
-        """After every write: the spooled snapshots are stale."""
-        self._spool.invalidate()
+        """After every write: what a subclass must invalidate."""
 
     def add(self, instance_id: str, payload: str) -> None:
         self.shard_for(instance_id).add(instance_id, payload)
@@ -196,31 +185,18 @@ class _ShardedIndex(SearchIndex):
         return hits_of(self.rank_batch(queries, k), self.name)
 
     def rank_batch(self, queries: List[str], k: int = 10) -> List[Ranking]:
-        """Scatter a whole query batch to every shard, gather-merge the
-        shards' columns.
-
-        The batch is prepared once, in this process; how the fan-out
-        runs is :attr:`search_executor` (``serial`` / ``thread`` /
-        ``process``) and never changes an id or a score.
-        """
+        """Prepare the batch once, rank it on every shard in turn,
+        gather-merge the shards' columns."""
         queries = list(queries)
         if not queries:
             return []
-        results = scatter(
-            self.shards, self.search_executor, self._spool, self._save,
-            self._task, self._prepare(queries), k,
-        )
+        prepared = self._prepare(queries)
         per_shard = [  # [shard][query] -> ranking
-            self._rankings(shard, result)
-            for shard, result in zip(self.shards, results)
+            self._task(shard, prepared, k) for shard in self.shards
         ]
         return [
             merge_rankings(per_query, k) for per_query in zip(*per_shard)
         ]
-
-    def _rankings(self, shard, result) -> List[Ranking]:
-        """One shard's task result as rankings (by default it is)."""
-        return result
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -236,9 +212,7 @@ class ShardedInvertedIndex(_ShardedIndex):
     hit-for-hit identical to a single :class:`InvertedIndex` over the
     same corpus.  The batch is planned once
     (:meth:`InvertedIndex.plan_matrix`) and every shard ranks the plan
-    (:meth:`InvertedIndex.rank_planned`) into positions and scores — all
-    a process worker ships back; the ids are read here, off the shard's
-    own seal, which is the one the worker's snapshot was written from.
+    (:meth:`InvertedIndex.rank_planned`).
     """
 
     _task = staticmethod(InvertedIndex.rank_planned)
@@ -251,17 +225,13 @@ class ShardedInvertedIndex(_ShardedIndex):
         b: float = 0.75,
         remove_stopwords: bool = True,
         stemming: bool = True,
-        executor: str = "serial",
     ) -> None:
-        from repro.index.persistence import save_sealed_index  # imports us
-
         super().__init__(
-            num_shards, name, executor,
+            num_shards, name,
             lambda shard_name: InvertedIndex(
                 name=shard_name, k1=k1, b=b,
                 remove_stopwords=remove_stopwords, stemming=stemming,
             ),
-            save_sealed_index,
         )
         stats = GlobalBM25Stats(self.shards)
         for shard in self.shards:
@@ -271,15 +241,11 @@ class ShardedInvertedIndex(_ShardedIndex):
         # every shard shares the analyzer settings: analyze once
         return self.shards[0].plan_matrix(queries)
 
-    def _rankings(self, shard, result) -> List[Ranking]:
-        return [shard._ranking(shard._sealed, ranked) for ranked in result]
-
     def _written(self) -> None:
         """Global statistics changed: every shard's compiled form is
-        stale, not just the mutated one's — and so is the spool."""
+        stale, not just the mutated one's."""
         for shard in self.shards:
             shard.invalidate_seal()
-        super()._written()
 
     def update(self, instance_id: str, payload: str) -> None:
         """Replace one document's payload (remove + add)."""
@@ -305,8 +271,7 @@ class ShardedVectorIndex(_ShardedIndex):
 
     Vector similarity is per-document local (no corpus statistics), so
     sharding only needs the routing rule and the exact merge.  The
-    batch is encoded once, in this process — a worker only ever sees
-    dense vectors — and scattered as vectors.
+    batch is encoded once and scattered as vectors.
     """
 
     _task = staticmethod(FlatVectorIndex.rank_vectors)
@@ -318,16 +283,12 @@ class ShardedVectorIndex(_ShardedIndex):
         encoder: Optional[Callable[[str], "np.ndarray"]] = None,
         metric: str = "cosine",
         name: str = "vec-sharded",
-        executor: str = "serial",
     ) -> None:
-        from repro.index.persistence import save_vector_index  # imports us
-
         super().__init__(
-            num_shards, name, executor,
+            num_shards, name,
             lambda shard_name: FlatVectorIndex(
                 dim=dim, encoder=encoder, metric=metric, name=shard_name
             ),
-            save_vector_index,
         )
         self.dim = dim
         self._encoder = encoder

@@ -306,7 +306,7 @@ class FlatVectorIndex(VectorIndex):
         self, vectors: Sequence[np.ndarray], k: int
     ) -> List[Ranking]:
         """Top-k of every query vector against one reading of the table
-        (also a vector shard's task: columns cross the pipe as they are)."""
+        (also what a vector shard ranks a prepared batch with)."""
         vectors = [self._check_vector(vector) for vector in vectors]
         columns, row_norms = self._table()
         if columns.shape[1] == 0 or k <= 0:

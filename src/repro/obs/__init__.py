@@ -13,10 +13,7 @@ provenance store answers *what evidence was used*; this package answers
 * :mod:`repro.obs.profile` — per-stage wall/CPU self-time attribution
   and the sampling stack profiler (opt-in; default traces unchanged);
 * :mod:`repro.obs.events` — the serve flight recorder, a bounded ring
-  of structured events behind ``GET /debug/events``;
-* :mod:`repro.obs.benchdiff` — ``repro bench diff``: compares two
-  pytest-benchmark JSON snapshots.  Nothing in the repository writes
-  one any more; timing is ``python3 -m bench.run`` (bench/README.md).
+  of structured events behind ``GET /debug/events``.
 
 Export lives in :mod:`repro.obs.export` (stable JSON) and
 :mod:`repro.obs.render` (human-readable tree); the full model is

@@ -22,8 +22,7 @@ Design rules:
   not need to know whether it is running under serve.
 
 The current-log pointer is module state held in a dict mutated under a
-lock (the :mod:`repro.index.executor` pool pattern) — never ``global``
-rebinding, which repro-lint CON003 flags.
+lock — never ``global`` rebinding, which repro-lint CON003 flags.
 """
 
 from __future__ import annotations
@@ -177,7 +176,7 @@ class _NullEventLog(EventLog):
 
     Keeps ``get_event_log().emit(...)`` an unconditional one-liner at
     every call site — no ``if log is not None`` forks in the batch
-    engine or the executor.
+    engine.
     """
 
     def __init__(self) -> None:
@@ -190,7 +189,7 @@ class _NullEventLog(EventLog):
 NULL_EVENT_LOG = _NullEventLog()
 
 # Module state: the currently installed recorder.  A dict mutated under
-# a lock (not a rebindable global) — the executor-pool pattern.
+# a lock (not a rebindable global).
 _CURRENT: Dict[str, EventLog] = {"log": NULL_EVENT_LOG}
 _CURRENT_LOCK = threading.Lock()
 

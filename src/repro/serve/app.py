@@ -22,11 +22,6 @@ never exceed the configured width.  Each request's verification runs
 under a fresh metrics :class:`~repro.obs.metrics.Scope` and records a
 span tree whose trace id lands in the provenance record (and the
 response), closing the request → trace → record loop.
-
-Startup order matters on purpose: the shard process pool is configured
-and (when the system scatters to processes) warmed **before** the first
-request thread exists — forking after threads is the hazard the
-executor lifecycle API exists to avoid.
 """
 
 from __future__ import annotations
@@ -39,10 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
 from repro.core.pipeline import VerifAI
-from repro.index.executor import (
-    configure_process_pool,
-    shutdown_process_pool,
-)
 from repro.obs.clock import Clock
 from repro.obs.events import (
     EventLog,
@@ -53,7 +44,7 @@ from repro.obs.export import trace_to_dict
 from repro.obs.metrics import Histogram, get_registry
 from repro.obs.profile import StackSampler
 from repro.serve.admission import AdmissionController, ServiceOverloaded
-from repro.serve.config import ServeConfig, default_pool_start_method
+from repro.serve.config import ServeConfig
 from repro.serve.http import (
     ConnectionClosed,
     HttpError,
@@ -143,16 +134,9 @@ class VerificationService:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Configure the process pool, build indexes, take what was
-        built out of the collector's reach, open the socket.  A start
-        that fails part-way stops what it had started."""
-        # warm eagerly only when searches will actually scatter to
-        # processes; otherwise just record the server-safe config for a
-        # later opt-in without paying worker startup now
-        warm = self.system.config.shard_search_executor == "process"
-        configure_process_pool(
-            start_method=default_pool_start_method(), warm=warm
-        )
+        """Build indexes, take what was built out of the collector's
+        reach, open the socket.  A start that fails part-way stops what
+        it had started."""
         self.system.build_indexes()
         # The lake and its indexes live as long as the service does;
         # moved to the permanent generation, they are not walked again
@@ -172,8 +156,8 @@ class VerificationService:
             raise
 
     async def stop(self) -> None:
-        """Close the socket, drain workers, tear down the process pool,
-        hand the frozen objects back to the collector."""
+        """Close the socket, drain workers, hand the frozen objects back
+        to the collector."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -190,7 +174,6 @@ class VerificationService:
             self._executor.shutdown(wait=True)
             self._executor = None
         uninstall_event_log(self.events)
-        shutdown_process_pool()
         gc.unfreeze()
 
     @property

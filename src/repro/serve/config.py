@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.clock import Clock
-
-
-def default_pool_start_method() -> Optional[str]:
-    """The start method a long-lived threaded server should use for the
-    shard process pool.
-
-    ``fork`` — the one-shot CLI default — is unsafe once the server's
-    request threads exist (a post-crash respawn would fork a threaded
-    parent), so prefer ``forkserver`` (forks from a clean single-thread
-    helper) and fall back to ``spawn``.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "forkserver" in methods:
-        return "forkserver"
-    if "spawn" in methods:
-        return "spawn"
-    return None  # pragma: no cover - every CPython platform has spawn
 
 
 @dataclass

@@ -1,6 +1,5 @@
 """Command-line interface."""
 
-import json
 import re
 
 import pytest
@@ -324,51 +323,62 @@ class TestProfile:
         assert "required" in capsys.readouterr().err
 
 
-class TestBenchDiff:
-    @staticmethod
-    def write_snapshot(path, mean):
-        payload = {"benchmarks": [{
-            "name": "fast",
-            "fullname": "t::fast",
-            "stats": {"mean": mean},
-        }]}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return str(path)
+class TestCountFlags:
+    """A bad count is a usage error — exit 2 and argparse's usage line —
+    before any lake is read: the lake below does not exist."""
 
-    def test_self_compare_exits_zero(self, tmp_path, capsys):
-        old = self.write_snapshot(tmp_path / "old.json", 0.10)
-        assert main(["bench", "diff", old, old]) == 0
-        assert "OK" in capsys.readouterr().out
+    LAKE = ["--lake", "absent-lake.json"]
+    #: every subcommand, with its required arguments, by count flag
+    COMMANDS = {
+        "verify-claim": ["verify-claim", *LAKE, "--text", "x"],
+        "verify-tuple": [
+            "verify-tuple", *LAKE, "--table-id", "t", "--row", "0",
+            "--column", "c", "--value", "v",
+        ],
+        "verify-batch": ["verify-batch", *LAKE],
+        "profile": ["profile", *LAKE],
+        "serve": ["serve", *LAKE],
+        "orchestrate": ["orchestrate"],
+    }
 
-    def test_regression_exits_one_and_names_the_benchmark(
-        self, tmp_path, capsys
-    ):
-        old = self.write_snapshot(tmp_path / "old.json", 0.10)
-        new = self.write_snapshot(tmp_path / "new.json", 0.12)  # +20%
-        code = main(["bench", "diff", old, new, "--threshold", "15"])
-        assert code == 1
-        output = capsys.readouterr().out
-        assert "REGRESSION" in output
-        assert "t::fast" in output
+    def assert_rejected(self, capsys, flag, values, commands):
+        for command in commands:
+            for value in values:
+                with pytest.raises(SystemExit) as exited:
+                    main(self.COMMANDS[command] + [flag, value])
+                assert exited.value.code == 2, (command, value)
+                err = capsys.readouterr().err
+                assert err.startswith("usage:"), err
+                assert f"argument {flag}: " in err, err
 
-    def test_threshold_tolerates_noise(self, tmp_path, capsys):
-        old = self.write_snapshot(tmp_path / "old.json", 0.10)
-        new = self.write_snapshot(tmp_path / "new.json", 0.12)
-        assert main(
-            ["bench", "diff", old, new, "--threshold", "25"]
-        ) == 0
+    def test_shards(self, capsys):
+        self.assert_rejected(
+            capsys, "--shards", ["0", "-2", "two"],
+            ["verify-claim", "verify-tuple", "verify-batch", "serve"],
+        )
 
-    def test_json_output_is_parseable(self, tmp_path, capsys):
-        old = self.write_snapshot(tmp_path / "old.json", 0.10)
-        new = self.write_snapshot(tmp_path / "new.json", 0.12)
-        code = main([
-            "bench", "diff", old, new, "--threshold", "15", "--json",
-        ])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["deltas"][0]["status"] == "regression"
+    def test_workers(self, capsys):
+        self.assert_rejected(
+            capsys, "--workers", ["0", "-1"],
+            ["verify-batch", "profile", "orchestrate"],
+        )
 
-    def test_missing_snapshot_is_a_usage_error(self, tmp_path, capsys):
-        absent = str(tmp_path / "absent.json")
-        assert main(["bench", "diff", absent, absent]) == 2
-        assert "bench diff" in capsys.readouterr().err
+    def test_sample(self, capsys):
+        self.assert_rejected(
+            capsys, "--sample", ["0", "-3"], ["verify-batch", "profile"]
+        )
+
+    def test_concurrency(self, capsys):
+        self.assert_rejected(capsys, "--concurrency", ["0"], ["serve"])
+
+    def test_retries(self, capsys):
+        self.assert_rejected(capsys, "--retries", ["-1"], ["verify-batch"])
+        assert build_parser().parse_args(
+            self.COMMANDS["verify-batch"] + ["--retries", "0"]
+        ).retries == 0
+
+    def test_queue(self, capsys):
+        self.assert_rejected(capsys, "--queue", ["-1", "1.5"], ["serve"])
+        assert build_parser().parse_args(
+            self.COMMANDS["serve"] + ["--queue", "0"]
+        ).queue == 0

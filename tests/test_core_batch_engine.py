@@ -95,12 +95,16 @@ def report_fingerprint(batch):
 
 class TestParallelEquivalence:
     def test_parallel_matches_serial(self, bundle, workload):
-        serial_system = make_system(bundle)
-        parallel_system = make_system(bundle)
-        serial = serial_system.verify_batch(workload, max_workers=1)
-        parallel = parallel_system.verify_batch(workload, max_workers=4)
-        assert report_fingerprint(serial) == report_fingerprint(parallel)
-        assert len(serial_system.provenance) == len(parallel_system.provenance)
+        for config_kwargs in ({}, {"num_shards": 2}):
+            serial_system = make_system(bundle, **config_kwargs)
+            parallel_system = make_system(bundle, **config_kwargs)
+            serial = serial_system.verify_batch(workload, max_workers=1)
+            parallel = parallel_system.verify_batch(workload, max_workers=4)
+            assert report_fingerprint(serial) == report_fingerprint(parallel)
+            assert (
+                len(serial_system.provenance)
+                == len(parallel_system.provenance)
+            )
 
     def test_provenance_records_complete(self, bundle, workload):
         system = make_system(bundle)

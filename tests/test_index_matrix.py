@@ -25,7 +25,6 @@ from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index import inverted
-from repro.index.executor import EXECUTOR_MODES, shutdown_process_pool
 from repro.index.inverted import InvertedIndex
 from repro.index.persistence import attach_sealed_index, save_sealed_index
 from repro.index.shard import ShardedInvertedIndex
@@ -177,52 +176,27 @@ class TestOneOfEach:
         save_sealed_index(oracle, snap)
         assert_one_answer(attach_sealed_index(snap), oracle, queries, docs)
         for num_shards in (2, 4):
-            for mode in ("serial", "thread"):
-                sharded = ShardedInvertedIndex(
-                    num_shards, name="ties", executor=mode
-                )
-                assert_one_answer(
-                    tie_fill(sharded, docs), oracle, queries, docs
-                )
+            sharded = ShardedInvertedIndex(num_shards, name="ties")
+            assert_one_answer(tie_fill(sharded, docs), oracle, queries, docs)
 
-    @settings(max_examples=6, deadline=None)
-    @given(docs=tie_docs, queries=tie_queries)
-    def test_process_shards_agree_on_tie_heavy_corpora(self, docs, queries):
-        oracle = tie_fill(InvertedIndex(name="ties"), docs)
-        try:
-            for num_shards in (2, 4):
-                sharded = ShardedInvertedIndex(
-                    num_shards, name="ties", executor="process"
-                )
-                assert_one_answer(
-                    tie_fill(sharded, docs), oracle, queries, docs
-                )
-        finally:
-            shutdown_process_pool()
-
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_an_empty_index_answers_nothing(self, mode):
+    def test_an_empty_index_answers_nothing(self):
         for index in (
             InvertedIndex(name="void"),
-            ShardedInvertedIndex(2, name="void", executor=mode),
+            ShardedInvertedIndex(2, name="void"),
         ):
             assert_one_answer(index, InvertedIndex(), ["kax", ""], [])
             assert index.search_batch([], 3) == []
-        shutdown_process_pool()
 
-    @pytest.mark.parametrize("shards,mode", [
-        (1, None), (2, "serial"), (4, "serial"), (2, "thread"), (4, "thread"),
-    ])
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_only_a_batch_of_two_builds_contrib_flat(
-        self, monkeypatch, shards, mode
+        self, monkeypatch, shards
     ):
-        if mode is None:
+        if shards == 1:
             index = fill(InvertedIndex(name="solo"), docs=60)
             members = [index]
         else:
             index = fill(
-                ShardedInvertedIndex(shards, name="solo", executor=mode),
-                docs=60,
+                ShardedInvertedIndex(shards, name="solo"), docs=60
             )
             members = index.shards
         built = []
@@ -340,11 +314,9 @@ class TestTiles:
         tiles = counter("tiles")
         ranked = attached.rank_planned(attached.plan_matrix(EDGE_QUERIES), 3)
         assert counter("tiles") - tiles >= 4
-        doc_ids = attached._sealed.doc_ids
-        assert [
-            [(doc_ids[i], score) for i, score in zip(positions, scores)]
-            for positions, scores in ranked
-        ] == [pairs(index.search(q, 3)) for q in EDGE_QUERIES]
+        assert [list(zip(*ranking)) for ranking in ranked] == [
+            pairs(index.search(q, 3)) for q in EDGE_QUERIES
+        ]
 
     def test_no_pass_is_handed_more_than_the_budget(self, monkeypatch):
         index = fill(InvertedIndex(name="tiles")).seal()

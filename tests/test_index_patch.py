@@ -369,13 +369,9 @@ class TestNamedCases:
     def test_write_between_two_planned_matrix_searches(self):
         pair = self.small()
         def ranked(index):
-            """The plan ranked on one seal: ids read off it, and it."""
-            columns = index.rank_planned(plan, 5)
-            sealed = index._sealed
-            return sealed, [
-                [(sealed.doc_ids[i], s) for i, s in zip(positions, scores)]
-                for positions, scores in columns
-            ]
+            """The plan ranked on one seal, and that seal."""
+            rankings = index.rank_planned(plan, 5)
+            return index._sealed, [list(zip(*ranking)) for ranking in rankings]
 
         queries = ["kax tox", "mix", "rax"]
         plan = pair.live.plan_matrix(queries)

@@ -5,14 +5,19 @@ any shard count — answers every query hit-for-hit identically, ids AND
 scores, to the monolithic index over the same corpus.  These tests
 compare full ``(instance_id, score)`` tuples, never just id sets, for
 shard counts {1, 2, 3, 4, 7} across the BM25, semantic, and
-chunked-text fold paths.
+chunked-text fold paths.  The shards of one search are ranked one after
+another on the calling thread; ``make sanitize`` runs this file under
+the lockset sanitizer, with the batch engine's workers reading the
+sharded indexes.
 """
 
 import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
+from repro.core.pipeline import VerifAI
 from repro.datalake.types import Modality
+from repro.embed.vectorizers import HashingVectorizer
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import (
     GlobalBM25Stats,
@@ -24,6 +29,9 @@ from repro.index.shard import (
     shard_of,
 )
 from repro.index.base import SearchHit
+from repro.llm.model import SimulatedLLM
+from repro.obs.clock import TickClock
+from repro.verify.objects import TupleObject
 
 SHARD_COUNTS = [1, 2, 3, 4, 7]
 
@@ -320,3 +328,48 @@ class TestIndexerShardWiring:
         for shard_no, shard in enumerate(index.shards):
             for instance_id in shard._doc_length:
                 assert shard_of(instance_id, 4) == shard_no
+
+
+# ---------------------------------------------------------------------------
+# the one fan-out: a search is the batch of one, and a campaign prefills
+# ---------------------------------------------------------------------------
+SCATTER_QUERIES = ["quick brown fox", "lazy meadow", "hound dusk", "", "absent"]
+
+
+def pairs(hits):
+    return [(h.instance_id, h.score) for h in hits]
+
+
+class TestScatter:
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_search_is_search_batch_of_one(self, num_shards):
+        bm25 = ShardedInvertedIndex(num_shards, name="scatter")
+        vectors = ShardedVectorIndex(
+            num_shards, dim=32, encoder=HashingVectorizer(dim=32).transform,
+            name="scatter",
+        )
+        for index in (bm25, vectors):
+            for doc_id, text in DOCS:
+                index.add(doc_id, text)
+            batched = [
+                pairs(hits) for hits in index.search_batch(SCATTER_QUERIES, 8)
+            ]
+            assert batched == [
+                pairs(index.search(q, 8)) for q in SCATTER_QUERIES
+            ]
+            assert any(batched)
+
+    def test_a_sharded_traced_campaign_prefills_by_matrix(self, small_bundle):
+        workload = [
+            TupleObject(f"obj-{i}", table.row(0), attribute=table.columns[1])
+            for i, table in enumerate(small_bundle.tables[:5])
+        ]
+        system = VerifAI(
+            small_bundle.lake,
+            llm=SimulatedLLM(knowledge=None, seed=26),
+            config=VerifAIConfig(num_shards=2),
+            clock=TickClock(),
+        ).build_indexes()
+        batch = system.verify_batch(workload, max_workers=4, trace=True)
+        assert batch.stats.matrix_batches > 0
+        assert "matrix batches" in batch.stats.summary()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.embed.vectorizers import HashingVectorizer
-from repro.index.executor import EXECUTOR_MODES
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.persistence import attach_vector_index, save_vector_index
@@ -252,7 +251,7 @@ class TestOneScorePerRow:
             del attached  # the memmap, before its file goes
 
     @pytest.mark.parametrize("num_shards", [1, 4, 7])
-    def test_every_executor_mode_returns_the_monolithic_bits(self, num_shards):
+    def test_every_shard_count_returns_the_monolithic_bits(self, num_shards):
         rows = seeded_rows(120, 32, 5, sparse=True)
         queries = list(seeded_rows(5, 32, 6, sparse=True))
         by_text = {f"q{i}": query for i, query in enumerate(queries)}
@@ -260,17 +259,15 @@ class TestOneScorePerRow:
         for position, row in enumerate(rows):
             index.add_vector(f"v{position:03d}", row)
         expected = [pairs(index.search_vector(query, 9)) for query in queries]
-        for mode in EXECUTOR_MODES:
-            sharded = ShardedVectorIndex(
-                num_shards, 32, encoder=by_text.__getitem__, name="one",
-                executor=mode,
-            )
-            for position, row in enumerate(rows):
-                instance_id = f"v{position:03d}"
-                sharded.shard_for(instance_id).add_vector(instance_id, row)
-            assert [
-                pairs(hits) for hits in sharded.search_batch(list(by_text), 9)
-            ] == expected, mode
+        sharded = ShardedVectorIndex(
+            num_shards, 32, encoder=by_text.__getitem__, name="one"
+        )
+        for position, row in enumerate(rows):
+            instance_id = f"v{position:03d}"
+            sharded.shard_for(instance_id).add_vector(instance_id, row)
+        assert [
+            pairs(hits) for hits in sharded.search_batch(list(by_text), 9)
+        ] == expected
 
 
 class TestTableAgainstAListOfVectors:

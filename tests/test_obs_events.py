@@ -152,7 +152,7 @@ class TestInstallation:
         uninstall_event_log(get_event_log())  # ensure pristine
         sink = get_event_log()
         assert sink is NULL_EVENT_LOG
-        event = sink.emit("executor.pool_broken")
+        event = sink.emit("batch.object_failed")
         assert event.seq == 0
         assert len(sink) == 0
 
@@ -161,7 +161,7 @@ class TestInstallation:
         install_event_log(log)
         try:
             assert get_event_log() is log
-            get_event_log().emit("executor.pool_broken")
+            get_event_log().emit("batch.object_failed")
             assert len(log) == 1
         finally:
             uninstall_event_log(log)
