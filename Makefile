@@ -92,7 +92,8 @@ loop-demo:
 
 # the concurrency suites (and the thread hammers on the simulated LLM's
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
-# a seal, on the text layer's word table while it fills, and on the token
+# a seal, on solo readers racing to build a fresh seal's contribution
+# table, on the text layer's word table while it fills, and on the token
 # embedder's vocabulary read lock-free while it grows, from first touches
 # and from the build pass, and on the sharded indexes read by batch
 # workers) under the Eraser-style lockset race sanitizer (see docs/static_analysis.md);
@@ -103,7 +104,7 @@ sanitize:
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \
-		tests/test_rerank_vocabulary.py
+		tests/test_rerank_vocabulary.py tests/test_index_matrix.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

@@ -20,19 +20,19 @@ Every read is a batch — ``search(q)`` is ``search_batch([q])[0]`` — and
 a batch is plan -> rank -> ids (``rank_batch``; ``search_batch`` builds
 hits from its columns): :meth:`InvertedIndex.plan_matrix` analyzes the
 queries once, ``_score_matrix`` ranks the plan against one seal, and the
-ranking reads its ids off that seal.  Two kernels fill the
-queries x documents score matrix, and ``_score_matrix`` is the one place
-that chooses between them, by the number of queries in the plan:
+ranking reads its ids off that seal.  Both kernels that fill the
+queries x documents score matrix read ``contrib_flat``, a per-posting
+table built by the first read of a seal, and ``_score_matrix`` is the
+one place that chooses between them, by the number of queries in the
+plan:
 
-* **one query**: the per-token kernel adds a token's postings at a time
-  into a single row, and needs nothing beyond the seal itself — what a
-  read that follows a write wants;
+* **one query**: the per-token kernel adds a token's block of the table
+  at a time into a single row;
 * **otherwise**: the tiled matrix kernel lays a tile of consecutive
   queries' postings out as one flat stream, query by query and token by
   token, and a single ``np.bincount`` folds the stream into the tile's
-  score matrix.  It reads ``contrib_flat``, a per-posting table built
-  the first time a seal is scored this way; the tile size
-  (:data:`_TILE_BUDGET`) only bounds how much memory one pass touches.
+  score matrix; the tile size (:data:`_TILE_BUDGET`) only bounds how
+  much memory one pass touches.
 
 Token contributions accumulate in **sorted token order** in both kernels
 (``bincount`` adds in stream order and a cell belongs to one query) and
@@ -178,9 +178,7 @@ class _SealedPostings:
     (sorted), ``tok_start`` offsets, concatenated ``doc_idx`` /
     ``tf_flat`` postings — plus per-doc ``norm`` and per-token
     ``idf_flat``.  The flat arrays are the persistence unit
-    (:mod:`repro.index.persistence` memmaps them directly);
-    :meth:`posting` slices one token's row out of them, zero-copy, for
-    the per-token kernel.
+    (:mod:`repro.index.persistence` memmaps them directly).
     """
 
     __slots__ = (
@@ -217,30 +215,10 @@ class _SealedPostings:
             else dict(zip(tokens, range(len(tokens))))
         )
         #: per-posting BM25 contribution for qtf = 1, built by the
-        #: query-matrix kernel the first time it scores against this
-        #: seal (derived data: never persisted, and not carried across a
-        #: patch — every write moves ``norm``, so every value changes)
+        #: first read of this seal (derived data: never persisted, and
+        #: not carried across a patch — every write moves ``norm``, so
+        #: every value changes)
         self.contrib_flat: Optional["np.ndarray"] = None
-
-    def posting(
-        self, token: str
-    ) -> Optional[Tuple["np.ndarray", "np.ndarray", float]]:
-        """``(doc index slice, tf slice, idf)`` for one token, or None.
-
-        Sliced on demand rather than pre-built per token: a memmap
-        attach must stay O(1) in vocabulary size — touching every
-        token's offsets at construction would page in the whole
-        snapshot and erase the cold-attach advantage the persistence
-        layer exists for."""
-        i = self.tok_pos.get(token)
-        if i is None:
-            return None
-        start, end = int(self.tok_start[i]), int(self.tok_start[i + 1])
-        return (
-            self.doc_idx[start:end],
-            self.tf_flat[start:end],
-            float(self.idf_flat[i]),
-        )
 
 
 class MatrixPlan(NamedTuple):
@@ -661,21 +639,22 @@ class InvertedIndex(SearchIndex):
         self, sealed: _SealedPostings, terms: List[Tuple[str, int]]
     ) -> "np.ndarray":
         """One query's scores as a one-row matrix, a token at a time —
-        the per-token kernel.  ``terms`` arrive in sorted token order:
-        the canonical accumulation order shared with search_dict and
-        the tiled kernel, so all three produce identical float64 sums."""
+        the per-token kernel: each known token adds its CSR block of
+        :meth:`_contrib_flat` times its query count into the row.
+        ``terms`` arrive in sorted token order: the canonical
+        accumulation order shared with search_dict and the tiled
+        kernel, so all three produce identical float64 sums."""
+        contrib_flat = self._contrib_flat(sealed)
+        tok_start, doc_idx = sealed.tok_start, sealed.doc_idx
         scores = np.zeros((1, len(sealed.doc_ids)), dtype=np.float64)
         row = scores[0]
         for token, query_count in terms:
-            entry = sealed.posting(token)
-            if entry is None:
-                continue
-            idx, tf, idf = entry
-            # identical arithmetic (and evaluation order) to the dict path
-            row[idx] += (
-                idf * (tf * (self.k1 + 1)) / (tf + sealed.norm[idx])
-                * query_count
-            )
+            i = sealed.tok_pos.get(token)
+            if i is not None:
+                start, end = int(tok_start[i]), int(tok_start[i + 1])
+                row[doc_idx[start:end]] += (
+                    contrib_flat[start:end] * query_count
+                )
         return scores
 
     def _score_matrix(
@@ -684,21 +663,21 @@ class InvertedIndex(SearchIndex):
         """Rank every query of a plan against one seal: per query, the
         positions (in the seal's document order) and scores of its top k.
 
-        The one place a kernel is chosen.  A plan of one query takes the
-        per-token kernel (:meth:`_score_tokens`): a one-row matrix pays
-        the stream assembly for no sharing, and ``contrib_flat`` for a
-        seal the next write may drop before a second read.  Any other
-        plan is scored a tile of consecutive queries at a time (rows =
-        the tile's queries, columns = documents).
+        The one place a kernel is chosen; both read the seal's
+        :meth:`_contrib_flat`.  A plan of one query takes the per-token
+        kernel (:meth:`_score_tokens`): a one-row matrix would pay the
+        stream assembly for no sharing.  Any other plan is scored a tile
+        of consecutive queries at a time (rows = the tile's queries,
+        columns = documents).
 
         A tile is cut where one more query would take it past
         :data:`_TILE_BUDGET` elements, a query costing its postings
         plus its score row; a query that alone costs more is a tile of
         one.  Cutting changes no sum: a cell belongs to one query, whose
-        postings arrive in sorted token order with the exact per-token
-        arithmetic of :meth:`_score_tokens`, so scores — and therefore
-        rankings — are bit-identical between the kernels wherever the
-        cuts fall."""
+        postings arrive in sorted token order with the same table values
+        times the same query counts as in :meth:`_score_tokens`, so
+        scores — and therefore rankings — are bit-identical between the
+        kernels wherever the cuts fall."""
         if sealed is None or not sealed.doc_ids or k <= 0:
             return [([], []) for _ in plan.terms]
         if len(plan.terms) == 1:
@@ -770,19 +749,21 @@ class InvertedIndex(SearchIndex):
     def _contrib_flat(self, sealed: _SealedPostings) -> "np.ndarray":
         """Per-posting BM25 contribution at query term frequency 1 —
         ``idf * (tf * (k1 + 1)) / (tf + norm[doc])`` over the whole CSR
-        layout, exactly the per-query path's token term.  Derived from
-        the sealed arrays on first use and cached on the seal (works for
-        memmap attachments too; never persisted)."""
+        layout, elementwise in the dict scorer's operation order (the
+        denominator's one addition commutes exactly).  Built by the
+        first read of a seal, in three stream-length arrays, and cached
+        on it (works for memmap attachments too; never persisted)."""
         if sealed.contrib_flat is None:
             with self._seal_lock:
                 if sealed.contrib_flat is None:
-                    idf_rep = np.repeat(
+                    table = np.repeat(
                         sealed.idf_flat, np.diff(sealed.tok_start)
                     )
-                    sealed.contrib_flat = (
-                        idf_rep * (sealed.tf_flat * (self.k1 + 1))
-                        / (sealed.tf_flat + sealed.norm[sealed.doc_idx])
-                    )
+                    table *= sealed.tf_flat * (self.k1 + 1)
+                    denominator = sealed.norm[sealed.doc_idx]
+                    denominator += sealed.tf_flat
+                    table /= denominator
+                    sealed.contrib_flat = table
                     _sanitizer.note_write(
                         sealed, "contrib_flat", lock=self._seal_lock
                     )

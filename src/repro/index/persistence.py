@@ -276,6 +276,9 @@ def attach_sealed_index(
     The flat arrays are ``np.memmap``-attached read-only — no corpus
     pickling, no re-analysis, no BM25 recomputation — so N processes
     attaching the same snapshot share one set of page-cache pages.
+    Attaching derives nothing per posting (it only bounds-checks
+    ``doc_idx``); the first read builds the seal's ``contrib_flat``
+    table, as the first read of any seal does.
     The returned index ranks bit-identically to the index the snapshot
     was written from and refuses mutation.  A corrupted, truncated, or
     version-skewed snapshot raises

@@ -16,11 +16,14 @@ no single ``np.bincount`` pass is handed more than the budget allows.
 """
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import sanitizer
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
@@ -74,6 +77,32 @@ def build_index():
     for doc_id, text in DOCS:
         index.add(doc_id, text)
     return index
+
+
+class BuildSpy:
+    """Records the seal of every ``contrib_flat`` build, at the build's
+    one publication: ``note_write(seal, "contrib_flat")`` under the
+    seal lock."""
+
+    def __init__(self, monkeypatch):
+        self.seals = []
+        self._note_write = sanitizer.note_write
+        monkeypatch.setattr(sanitizer, "note_write", self)
+
+    def __call__(self, owner, field_name, lock=None):
+        if field_name == "contrib_flat":
+            self.seals.append(owner)
+        self._note_write(owner, field_name, lock=lock)
+
+
+def same_objects(got, expected):
+    return len(got) == len(expected) and all(
+        a is b for a, b in zip(got, expected)
+    )
+
+
+def seal_counter(name):
+    return get_registry().counter(f"index.seal.{name}").value
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +217,7 @@ class TestOneOfEach:
             assert index.search_batch([], 3) == []
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_only_a_batch_of_two_builds_contrib_flat(
+    def test_the_first_read_of_a_seal_builds_contrib_flat_once(
         self, monkeypatch, shards
     ):
         if shards == 1:
@@ -199,20 +228,24 @@ class TestOneOfEach:
                 ShardedInvertedIndex(shards, name="solo"), docs=60
             )
             members = index.shards
-        built = []
-        real = InvertedIndex._contrib_flat
-        monkeypatch.setattr(
-            InvertedIndex, "_contrib_flat",
-            lambda self, sealed: built.append(self.name) or real(self, sealed),
-        )
+        spy = BuildSpy(monkeypatch)
         query, other = campaign(2)
-        assert index.search(query, 5) == index.search_batch([query], 5)[0]
         assert index.search(query, 5)
-        assert built == []
-        assert all(m._sealed.contrib_flat is None for m in members)
+        seals = [member._sealed for member in members]
+        assert same_objects(spy.seals, seals)  # once per member seal
+        assert index.search(query, 5) == index.search_batch([query], 5)[0]
         index.search_batch([query, other], 5)
-        assert sorted(built) == sorted(m.name for m in members)
-        assert all(m._sealed.contrib_flat is not None for m in members)
+        assert same_objects(spy.seals, seals)  # and never again
+        # a write publishes new seals: a patch on one index, a compile of
+        # every shard after invalidate_seal() on a sharded one
+        kind = "patched" if shards == 1 else "compiled"
+        published = seal_counter(kind)
+        index.update("doc0007", "kakax memex")
+        assert index.search(query, 5)
+        assert seal_counter(kind) == published + shards
+        fresh = [member._sealed for member in members]
+        assert all(new is not old for new, old in zip(fresh, seals))
+        assert same_objects(spy.seals, seals + fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +464,59 @@ class TestIndexerBatch:
             pairs(h)
             for h in indexer.search_batch(QUERIES, Modality.TABLE, 10)
         ] == [pairs(indexer.search(q, Modality.TABLE, 10)) for q in QUERIES]
+
+
+# ---------------------------------------------------------------------------
+# solo readers racing to build a fresh seal's contribution table
+# ---------------------------------------------------------------------------
+class TestSoloReadHammer:
+    """``make sanitize`` runs this under the lockset sanitizer: four
+    threads issue one-query reads on a freshly published seal, race to
+    build its ``contrib_flat`` through the double-checked seal lock, and
+    exactly one of them builds it."""
+
+    def test_four_solo_readers_build_one_table_per_seal(self, monkeypatch):
+        index = fill(InvertedIndex(name="hammer"), docs=300)
+        queries = campaign(4, seed=13)
+        rng = random.Random(17)
+        spy = BuildSpy(monkeypatch)
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_no in range(6):
+                index.update(f"doc{round_no * 7:04d}", corpus_text(rng))
+                sealed = index.seal()._sealed  # published, no table yet
+                assert sealed.contrib_flat is None
+                expected = [pairs(index.search_dict(q, 7)) for q in queries]
+                results = {}
+                barrier = threading.Barrier(4)
+
+                def reader(reader_no):
+                    try:
+                        barrier.wait(timeout=10)
+                        # each thread starts on a different query
+                        order = queries[reader_no:] + queries[:reader_no]
+                        got = {q: pairs(index.search(q, 7)) for q in order}
+                        results[reader_no] = [got[q] for q in queries]
+                    except Exception as error:  # surfaced below
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=reader, args=(number,))
+                    for number in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert [results[number] for number in range(4)] == [
+                    expected
+                ] * 4
+                assert index._sealed is sealed
+                assert len(spy.seals) == round_no + 1
+                assert spy.seals[-1] is sealed
+        finally:
+            sys.setswitchinterval(previous)

@@ -247,6 +247,41 @@ class TestSeededInterleavings:
         assert compiled_count() - compiled == 120 // burst + 3
 
 
+class TestSoloReadsAcrossWrites:
+    def test_a_solo_read_after_every_write_is_the_dict_and_the_batch(self):
+        """Patch on patch, the first read after each write is a one-query
+        read, scored from the new seal's freshly built ``contrib_flat``:
+        it must be the dict walk's ranking and the same query's row of a
+        three-query batch, by ids and by every score's bits."""
+        pair, rng = seeded_pair(31, docs=80)
+        index = pair.live
+        index.seal()
+        fresh_ids = iter(range(10_000, 20_000))
+
+        def exact(hits):
+            return [(hit.instance_id, hit.score.hex()) for hit in hits]
+
+        patched = patched_count()
+        for step in range(50):
+            alive = pair.ids()
+            roll = rng.random()
+            text = payload(rng, vocabulary=rng.choice([20, 600, 3000]))
+            if roll < 0.35 or len(alive) < 3:
+                index.add(f"new{next(fresh_ids)}", text)
+            elif roll < 0.65:
+                index.remove(rng.choice(alive))
+            else:
+                index.update(rng.choice(alive), text)
+            query = payload(rng, vocabulary=40)
+            solo = exact(index.search(query, 7))
+            assert index._sealed.contrib_flat is not None, step
+            assert solo, step
+            assert solo == exact(index.search_dict(query, 7)), step
+            batch = [payload(rng), query, payload(rng, vocabulary=20)]
+            assert solo == exact(index.search_batch(batch, 7)[1]), step
+        assert patched_count() == patched + 50
+
+
 # ---------------------------------------------------------------------------
 # the cases worth naming
 # ---------------------------------------------------------------------------
