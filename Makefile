@@ -50,8 +50,8 @@ trace-demo:
 # index (dict form, compile, patch), the sharded indexes, the text
 # layer's analysis and similarity, the campaign path's glue (prompt
 # splitting and response parsing, the verifier module, the combiner and
-# the ranking type it fuses) and the evidence form's writers and readers
-# in a fresh interpreter
+# the ranking type it fuses), the evidence form's writers and readers and
+# the indexer's build-on-first-read lifecycle in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -68,7 +68,8 @@ coverage:
 		--target src/repro/core/verifier.py \
 		--target src/repro/index/combiner.py \
 		--target src/repro/index/base.py \
-		--target src/repro/datalake/serialize.py -- -q \
+		--target src/repro/datalake/serialize.py \
+		--target src/repro/core/indexer.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -79,7 +80,8 @@ coverage:
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
 		tests/test_verdict_glue.py tests/test_index_sharding.py \
 		tests/test_datalake_serialize.py tests/test_index_ranking.py \
-		tests/test_rerank_vocabulary.py
+		tests/test_rerank_vocabulary.py tests/test_indexer_lazy.py \
+		tests/test_core_indexer.py tests/test_core_indexer_extensions.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -95,8 +97,8 @@ loop-demo:
 # a seal, on solo readers racing to build a fresh seal's contribution
 # table, on the text layer's word table while it fills, and on the token
 # embedder's vocabulary read lock-free while it grows, from first touches
-# and from the build pass, and on the sharded indexes read by batch
-# workers) under the Eraser-style lockset race sanitizer (see docs/static_analysis.md);
+# and from the build pass, on the sharded indexes read by batch
+# workers, and on first readers racing to build a modality) under the Eraser-style lockset race sanitizer (see docs/static_analysis.md);
 # exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
@@ -104,7 +106,8 @@ sanitize:
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \
-		tests/test_rerank_vocabulary.py tests/test_index_matrix.py
+		tests/test_rerank_vocabulary.py tests/test_index_matrix.py \
+		tests/test_indexer_lazy.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

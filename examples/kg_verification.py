@@ -47,10 +47,14 @@ def main() -> None:
         print(f"\nclaim: {claim_text}")
         print(f"  [{outcome.verifier}] {outcome.verdict}: {outcome.explanation}")
 
-    # KG entities are also retrievable through the ordinary Indexer path
-    indexer = IndexerModule(lake).build()
+    # KG entities are also retrievable through the ordinary Indexer path;
+    # no default route reads them, so the first KG search builds their
+    # index, and only theirs
+    indexer = IndexerModule(lake)
     hits = indexer.search(entity.name, Modality.KG_ENTITY, 1)
-    print(f"\nindexer retrieval of the entity: {hits[0].instance_id}")
+    assert indexer.built_modalities == {Modality.KG_ENTITY}
+    print(f"\nindexer retrieval of the entity: {hits[0].instance_id} "
+          f"(index built by this search)")
 
 
 if __name__ == "__main__":

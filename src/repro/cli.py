@@ -65,9 +65,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _system_for(args: argparse.Namespace) -> VerifAI:
+    """The system over ``--lake``, unbuilt: a one-object command's
+    campaign builds only the modalities it reads."""
     lake = load_lake(args.lake)
     config = VerifAIConfig(num_shards=getattr(args, "shards", 1))
-    return VerifAI(lake, config=config).build_indexes()
+    return VerifAI(lake, config=config)
 
 
 def _cmd_verify_claim(args: argparse.Namespace) -> int:
@@ -130,7 +132,7 @@ def _sample_objects(system: VerifAI, sample: int, seed: int, command: str):
 
 
 def _cmd_verify_batch(args: argparse.Namespace) -> int:
-    system = _system_for(args)
+    system = _system_for(args).build_indexes()
     objects = _sample_objects(system, args.sample, args.seed, "verify-batch")
     if objects is None:
         return 2
@@ -198,7 +200,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    system = _system_for(args)
+    system = _system_for(args).build_indexes()
     objects = _sample_objects(system, args.sample, args.seed, "profile")
     if objects is None:
         return 2

@@ -38,7 +38,8 @@ object's ``verify`` span *is* the trace root instead of a child of
   :class:`~repro.core.pipeline.BatchReport` reflects *this* campaign's
   cache traffic even when other campaigns interleave in the same
   process.  ``trace=True`` additionally records a span tree
-  (``verify_batch`` → ``index.build:*`` on a cold system,
+  (``verify_batch`` → ``index.build:*`` for each modality the campaign
+  reads that was not built yet,
   ``retrieve:prefill:*``, then per-object ``verify`` → retrieval stages
   → ``verify_pool`` → per-evidence ``verdict``) whose export is
   byte-identical for serial and parallel runs under a deterministic
@@ -396,10 +397,14 @@ class Campaign:
 def run_campaign(campaign: Campaign) -> List[VerificationReport]:
     """plan → prefill → attempt every object → finalize."""
     system = campaign.system
-    # build (and seal) indexes up front so worker threads never race on
-    # the lazy build path; build cost is not attributed to the campaign
-    # scope.  A traced cold build hangs its spans under the root.
-    system.indexer.build(branch=campaign.setup_branch, parent=campaign.root)
+    # build (and seal) the indexes the campaign reads up front so worker
+    # threads never race on the lazy build path; build cost is not
+    # attributed to the campaign scope.  A traced cold build hangs its
+    # spans under the root.
+    system.indexer.build(
+        {modality for route in campaign.modalities for modality in route},
+        branch=campaign.setup_branch, parent=campaign.root,
+    )
     with system.metrics.activate(campaign.scope):
         campaign.start = system.clock.now()
         plan(campaign)

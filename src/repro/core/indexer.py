@@ -18,12 +18,18 @@ proven hit-for-hit identical — ids *and* scores — to the monolithic
 build (tests/test_index_sharding.py), so downstream modules never know
 shards exist.
 
+A modality's indexes and Combiner are built together, by
+:meth:`build` or by the first read that needs them, and published only
+once filled and sealed: a modality no caller reads (the KG entities,
+under the default routes) is never built.
+
 The module supports the full incremental lifecycle: instances added to
-the lake after :meth:`build` fold in with :meth:`add_instance`, and
-lake churn flows through :meth:`remove_instance` /
-:meth:`update_instance` (postings removed at once, the sealed form
-patched on the next read, vector eviction) — no full rebuild required;
-an update re-indexes only the entries whose payload changed.
+the lake after a build fold in with :meth:`add_instance`, and lake
+churn flows through :meth:`remove_instance` / :meth:`update_instance`
+(postings removed at once, the sealed form patched on the next read,
+vector eviction) — no full rebuild required; an update re-indexes only
+the entries whose payload changed.  A write changes only the modalities
+already built; one built later reads the already-written lake.
 Mutations are single-writer: do not interleave them with concurrent
 searches.
 """
@@ -31,7 +37,7 @@ searches.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance
@@ -111,15 +117,15 @@ class IndexerModule:
         self._semantic: Dict[Modality, SearchIndex] = {}
         self._combiners: Dict[Modality, Combiner] = {}
         self._vectorizer = HashingVectorizer(dim=self.config.embedding_dim)
-        self._built = False
-        # guards the lazy build: search()/verify paths may race to build
-        # from the batch engine's worker threads
+        # guards the lazy builds: readers on several threads may race to
+        # build the same modality
         self._build_lock = threading.Lock()
         self._metrics = get_registry()
 
     @property
-    def is_built(self) -> bool:
-        return self._built
+    def built_modalities(self) -> FrozenSet[Modality]:
+        """The modalities whose indexes are built."""
+        return frozenset(self._combiners)
 
     @property
     def num_shards(self) -> int:
@@ -171,10 +177,12 @@ class IndexerModule:
         self, instance: DataInstance
     ) -> Dict[Modality, Dict[str, str]]:
         """Every ``index id -> payload`` entry one lake instance is
-        indexed under, per modality: a table is a TABLE entry plus a
-        TUPLE entry per row (matching :meth:`build`'s coverage)."""
+        indexed under, per built modality: a table is a TABLE entry plus
+        a TUPLE entry per row (matching :meth:`build`'s coverage).  A
+        modality not built yet reads the already-written lake when it
+        is built, so a write leaves it out."""
         if isinstance(instance, Table):
-            return {
+            entries = {
                 Modality.TABLE: dict(self._payload_entries(instance)),
                 Modality.TUPLE: {
                     index_id: payload
@@ -182,11 +190,16 @@ class IndexerModule:
                     for index_id, payload in self._payload_entries(row)
                 },
             }
-        modality = (
-            Modality.TEXT if isinstance(instance, TextDocument)
-            else Modality.TUPLE
-        )
-        return {modality: dict(self._payload_entries(instance))}
+        else:
+            modality = (
+                Modality.TEXT if isinstance(instance, TextDocument)
+                else Modality.TUPLE
+            )
+            entries = {modality: dict(self._payload_entries(instance))}
+        return {
+            modality: by_id for modality, by_id in entries.items()
+            if modality in self._combiners
+        }
 
     def _index_entries(
         self, modality: Modality, entries: Dict[str, str]
@@ -222,44 +235,52 @@ class IndexerModule:
             entries.extend(self._payload_entries(instance))
         return entries
 
-    def build(self, branch=None, parent=None) -> "IndexerModule":
-        """Index every instance of every modality (idempotent, and safe
-        to race: the first caller builds under the lock, later callers
-        see the completed indexes).
+    def build(
+        self,
+        modalities: Iterable[Modality] = _INDEXED_MODALITIES,
+        branch=None,
+        parent=None,
+    ) -> "IndexerModule":
+        """Index every instance of each named modality not built yet,
+        in :class:`Modality` order (idempotent, and safe to race: the
+        first caller builds a modality under the lock, later callers
+        see it completed).
 
         A tracing ``branch`` (plus ``parent`` span) emits one
-        ``index.build:<modality>`` span per modality with per-shard
-        children when the build is sharded.
+        ``index.build:<modality>`` span per modality this call builds,
+        with per-shard children when the build is sharded.
         """
-        if self._built:
+        missing = {
+            modality for modality in modalities
+            if modality not in self._combiners
+        }
+        if not missing:
             return self
+        branch = branch or NULL_BRANCH
         with self._build_lock:
-            if self._built:
-                return self
-            self._build_locked(branch=branch or NULL_BRANCH, parent=parent)
+            for modality in _INDEXED_MODALITIES:
+                if modality not in missing or modality in self._combiners:
+                    continue
+                with branch.span(
+                    f"index.build:{modality.value}",
+                    parent=parent,
+                    attributes={
+                        "modality": modality.value,
+                        "shards": self.config.num_shards,
+                    },
+                ) as build_span:
+                    self._build_modality(modality, branch, build_span)
+            self._metrics.gauge("indexer.shard.count").set(
+                self.config.num_shards
+            )
         return self
 
-    def _build_locked(self, branch=NULL_BRANCH, parent=None) -> None:
-        for modality in _INDEXED_MODALITIES:
-            with branch.span(
-                f"index.build:{modality.value}",
-                parent=parent,
-                attributes={
-                    "modality": modality.value,
-                    "shards": self.config.num_shards,
-                },
-            ) as build_span:
-                self._build_modality(modality, branch, build_span)
-        self._metrics.gauge("indexer.shard.count").set(self.config.num_shards)
-        self._built = True
-
     def _build_modality(self, modality: Modality, branch, build_span) -> None:
-        """Fill, seal and wire up one modality's indexes."""
+        """Fill, seal and wire up one modality's indexes, then publish
+        them: the Combiner last, because its presence is what tells a
+        reader the modality is built."""
         content = self._new_content_index(modality)
-        self._content[modality] = content
         semantic = self._new_semantic_index(modality)
-        if semantic is not None:
-            self._semantic[modality] = semantic
         entries = self._modality_entries(modality)
         if self.config.num_shards > 1:
             timings = self._build_shards(content, semantic, entries)
@@ -273,6 +294,8 @@ class IndexerModule:
         indexes: List[SearchIndex] = [content]
         if semantic is not None:
             indexes.append(semantic)
+            self._semantic[modality] = semantic
+        self._content[modality] = content
         self._combiners[modality] = Combiner(
             indexes,
             method=self.config.fusion,
@@ -343,9 +366,6 @@ class IndexerModule:
         Tables also index each of their tuples (matching :meth:`build`'s
         coverage).  The instance must already be registered in the lake.
         """
-        if not self._built:
-            self.build()
-            return
         for modality, entries in self._instance_entries(instance).items():
             self._index_entries(modality, entries)
         self._metrics.counter("indexer.mutations.added").inc()
@@ -357,11 +377,8 @@ class IndexerModule:
         :meth:`DataLake.remove_instance` returns) because its derived
         index entries — a table's tuples, a chunked document's chunks —
         are recomputed from it.  Content postings and vector entries go
-        at once.  Before :meth:`build` there is nothing to do: the next
-        build reads the already-mutated lake.
+        at once.
         """
-        if not self._built:
-            return
         for modality, entries in self._instance_entries(instance).items():
             self._unindex_entries(modality, entries)
         self._metrics.counter("indexer.mutations.removed").inc()
@@ -383,8 +400,6 @@ class IndexerModule:
                 f"update must keep the instance id: "
                 f"{old.instance_id!r} != {new.instance_id!r}"
             )
-        if not self._built:
-            return
         before = self._instance_entries(old)
         after = self._instance_entries(new)
         for modality, entries in before.items():
@@ -424,8 +439,7 @@ class IndexerModule:
         queries = list(queries)
         if not queries:
             return []
-        if not self._built:
-            self.build()
+        self.build((modality,))
         self._metrics.counter(f"indexer.search.{modality.value}").inc(
             len(queries)
         )
@@ -447,14 +461,12 @@ class IndexerModule:
 
         An :class:`InvertedIndex`, or a :class:`ShardedInvertedIndex`
         when ``config.num_shards > 1``."""
-        if not self._built:
-            self.build()
+        self.build((modality,))
         return self._content[modality]
 
     def semantic_index(self, modality: Modality) -> Optional[SearchIndex]:
         """Direct access to one modality's vector index, if enabled."""
-        if not self._built:
-            self.build()
+        self.build((modality,))
         return self._semantic.get(modality)
 
     def fetch_payload(self, instance_id: str) -> str:

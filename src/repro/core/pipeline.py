@@ -140,15 +140,24 @@ class VerifAI:
     # pipeline stages
     # ------------------------------------------------------------------
     def build_indexes(self) -> "VerifAI":
-        """Build all lake indexes up front and, with ``config.use_reranker``
-        on, embed the distinct tokens of every TEXT payload into the
-        ColBERT reranker's vocabulary: its document side, encoded when
-        the corpus is indexed, so no rerank embeds a lake token.  Only
-        the call that builds the indexes makes that pass.  Without it the
-        indexes are built by the first search and a token is embedded by
-        the first rerank that meets it."""
-        encode = self.config.use_reranker and not self.indexer.is_built
-        self.indexer.build()
+        """Build the indexes of every modality a default route reads:
+        the union of ``DEFAULT_MODALITIES``' values, TUPLE, TEXT and
+        TABLE.  Any other modality (the KG entities) is built by its
+        first search; without this call, so is every modality.
+
+        With ``config.use_reranker`` on, the call that builds TEXT also
+        embeds the distinct tokens of every TEXT payload into the ColBERT
+        reranker's vocabulary: its document side, encoded when the corpus
+        is indexed, so no rerank embeds a lake token.  Without that pass
+        a token is embedded by the first rerank that meets it."""
+        encode = (
+            self.config.use_reranker
+            and Modality.TEXT not in self.indexer.built_modalities
+        )
+        self.indexer.build(
+            modality for route in DEFAULT_MODALITIES.values()
+            for modality in route
+        )
         if encode:
             self.reranker.text_text.encode_documents(
                 self.indexer.fetch_payload(document.instance_id)

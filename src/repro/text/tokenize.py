@@ -26,8 +26,10 @@ from repro.text.stopwords import is_stopword
 #: the committed lake's 27 tokens a payload (it was ~1.8 KB while every
 #: analysis held private strings), not counting the key's text, which
 #: the lake or the caller holds anyway.  The smallest power of two that
-#: holds the ~24k payloads ``build_indexes()`` analyses on the committed
-#: 1,200-table lake, so the build no longer evicts what the rerankers
+#: holds the 17,025 payloads ``build_indexes()`` analyses on the committed
+#: 1,200-table lake (8,519 tuples, 1,200 tables, 7,306 text files; the
+#: KG entities are built by their first search, which no default route
+#: makes), so the build does not evict what the rerankers
 #: and the LLM's evidence readings ask for next; 65,536 and 131,072
 #: measure the same hit ratio and the same RSS (the sweep is in
 #: docs/performance.md, "The analysis path: each word once").

@@ -5,7 +5,12 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.datalake.persistence import save_lake
+from repro.core.indexer import IndexerModule
+from repro.core.pipeline import VerifAI
+from repro.datalake.persistence import load_lake, save_lake
+from repro.datalake.types import Modality
+from repro.serve.protocol import replaced_row
+from repro.verify.objects import ClaimObject, TupleObject
 
 COLLAPSED_LINE = re.compile(r"^[^ ;]+(;[^ ;]+)* \d+$")
 
@@ -104,6 +109,53 @@ class TestVerifyTuple:
         captured = capsys.readouterr()
         assert "field 'value'" in captured.err
         assert "Verified" not in captured.out
+
+
+class TestOneShotCommandsBuildWhatTheyRead:
+    """``verify-claim`` / ``verify-tuple`` build only the modalities
+    their campaign of one reads, and print the report a system built
+    up front by ``build_indexes()`` prints."""
+
+    CASES = [
+        (
+            ["verify-claim", "--text", "the gold of valoria is 10",
+             "--context", "1960 summer games in lakeview medal table"],
+            lambda lake: ClaimObject(
+                "cli-claim", "the gold of valoria is 10",
+                context="1960 summer games in lakeview medal table",
+            ),
+            [Modality.TABLE],
+        ),
+        (
+            ["verify-tuple", "--table-id", "t-ohio-1950", "--row", "0",
+             "--column", "votes", "--value", "55,000"],
+            lambda lake: TupleObject(
+                "cli-tuple",
+                replaced_row(lake.table("t-ohio-1950").row(0), "votes", "55,000"),
+                attribute="votes",
+            ),
+            [Modality.TUPLE, Modality.TEXT],
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, make_object, reads", CASES)
+    def test_report_unchanged_and_only_reads_built(
+        self, lake_path, capsys, monkeypatch, argv, make_object, reads
+    ):
+        built = []
+        build = IndexerModule._build_modality
+        monkeypatch.setattr(
+            IndexerModule, "_build_modality",
+            lambda self, modality, *rest: (
+                built.append(modality) or build(self, modality, *rest)
+            ),
+        )
+        main([argv[0], "--lake", lake_path, *argv[1:], "--explain"])
+        printed = capsys.readouterr().out
+        assert built == reads
+        system = VerifAI(load_lake(lake_path)).build_indexes()
+        report = system.verify(make_object(system.lake))
+        assert printed == f"{report.summary()}\n{system.explain(report)}\n"
 
 
 class TestVerifyBatch:

@@ -20,9 +20,9 @@ class TestBuild:
 
     def test_lazy_build_on_search(self, tiny_lake):
         indexer = IndexerModule(tiny_lake)
-        assert not indexer.is_built
+        assert indexer.built_modalities == frozenset()
         indexer.search("tom jenkins", Modality.TUPLE, 1)
-        assert indexer.is_built
+        assert indexer.built_modalities == {Modality.TUPLE}
 
     def test_counts_per_modality(self, built, tiny_lake):
         stats = tiny_lake.stats()

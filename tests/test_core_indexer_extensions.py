@@ -88,11 +88,11 @@ class TestIncrementalUpdates:
         indexer.add_instance(doc)
         assert indexer.search("citrus", Modality.TEXT, 1)[0].instance_id == "d1"
 
-    def test_add_before_build_just_builds(self):
+    def test_add_before_build_builds_nothing(self):
         lake = self.make_lake()
         indexer = IndexerModule(lake)
         indexer.add_instance(lake.table("t0"))
-        assert indexer.is_built
+        assert indexer.built_modalities == frozenset()
         assert indexer.search("apples", Modality.TABLE, 1)
 
 
