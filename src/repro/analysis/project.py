@@ -102,8 +102,8 @@ class ModuleInfo:
     tree: ast.Module
     ctx: LintContext
     #: local alias -> dotted target (``persistence`` ->
-    #: ``repro.index.persistence``; ``save_sealed_index`` ->
-    #: ``repro.index.persistence.save_sealed_index``)
+    #: ``repro.datalake.persistence``; ``save_lake`` ->
+    #: ``repro.datalake.persistence.save_lake``)
     imports: Dict[str, str] = field(default_factory=dict)
     #: names defined at module top level (functions, classes, constants)
     top_level: Dict[str, str] = field(default_factory=dict)

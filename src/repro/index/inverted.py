@@ -41,13 +41,6 @@ form that tests compare against, so all three replay the same float64
 sums bit for bit; one selection, ``_rank_matrix``, then takes every
 row's top k under the ``(-score, id)`` total order.
 
-Because the sealed form is a handful of flat arrays, it is also the
-**persistence unit**: :mod:`repro.index.persistence` writes the arrays
-as raw binaries plus a versioned manifest, and a fresh process can
-``np.memmap``-attach them read-only — zero-copy, no corpus pickling,
-no re-analysis — producing the exact same rankings (see
-``attach_sealed_index``).  An attached index refuses mutation.
-
 Two extensions support the sharded deployment
 (:mod:`repro.index.shard`):
 
@@ -83,9 +76,7 @@ import threading
 from bisect import bisect_right, insort
 from collections import Counter, defaultdict
 from itertools import chain, compress
-from typing import (
-    Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -177,8 +168,7 @@ class _SealedPostings:
     Storage is four flat contiguous arrays in CSR layout — ``tokens``
     (sorted), ``tok_start`` offsets, concatenated ``doc_idx`` /
     ``tf_flat`` postings — plus per-doc ``norm`` and per-token
-    ``idf_flat``.  The flat arrays are the persistence unit
-    (:mod:`repro.index.persistence` memmaps them directly).
+    ``idf_flat``.
     """
 
     __slots__ = (
@@ -215,9 +205,8 @@ class _SealedPostings:
             else dict(zip(tokens, range(len(tokens))))
         )
         #: per-posting BM25 contribution for qtf = 1, built by the
-        #: first read of this seal (derived data: never persisted, and
-        #: not carried across a patch — every write moves ``norm``, so
-        #: every value changes)
+        #: first read of this seal (derived data, not carried across a
+        #: patch — every write moves ``norm``, so every value changes)
         self.contrib_flat: Optional["np.ndarray"] = None
 
 
@@ -274,10 +263,6 @@ class InvertedIndex(SearchIndex):
         #: Recorded only while there is a base; reset at each publication
         self._dead: Set[str] = set()
         self._fresh: Dict[str, None] = {}
-        #: True for an index memmap-attached from a persisted sealed
-        #: snapshot: its dict postings are absent, so mutation (which
-        #: would silently lose the corpus) is refused
-        self._attached = False
         #: statistics provider BM25 scores against; ``None`` = this
         #: index's own postings.  The sharded layer assigns a global
         #: aggregating view here.
@@ -293,18 +278,7 @@ class InvertedIndex(SearchIndex):
             stemming=self.stemming,
         )
 
-    def _forbid_attached_mutation(self, action: str) -> None:
-        if self._attached:
-            from repro.verify.base import VerificationError
-
-            raise VerificationError(
-                f"cannot {action} on a memmap-attached index "
-                f"({self.name!r}): attached snapshots are read-only; "
-                "mutate the writable index and re-persist"
-            )
-
     def add(self, instance_id: str, payload: str) -> None:
-        self._forbid_attached_mutation("add")
         if instance_id in self._doc_length:
             raise ValueError(f"duplicate instance id: {instance_id}")
         tokens = self._analyze(payload)
@@ -326,7 +300,6 @@ class InvertedIndex(SearchIndex):
         last carrier of is dropped) are all corrected before this
         returns.  Raises ``KeyError`` for an unknown id.
         """
-        self._forbid_attached_mutation("remove")
         length = self._doc_length.pop(instance_id)  # KeyError when absent
         self._total_length -= length
         for token in self._doc_tokens.pop(instance_id):
@@ -346,32 +319,6 @@ class InvertedIndex(SearchIndex):
         self.remove(instance_id)
         self.add(instance_id, payload)
 
-    def _restore(
-        self,
-        doc_length: Mapping[str, int],
-        postings: Mapping[str, Mapping[str, int]],
-    ) -> None:
-        """Fill this (empty) index from a snapshot's dict form — the
-        one place outside :meth:`add` that builds write-side state, so
-        a loaded index has every record a later ``remove`` needs."""
-        self._doc_length = {
-            doc_id: int(length) for doc_id, length in doc_length.items()
-        }
-        self._total_length = sum(self._doc_length.values())
-        records: Dict[str, List[str]] = {doc_id: [] for doc_id in doc_length}
-        for token, row in postings.items():
-            if not row:
-                continue
-            token = sys.intern(token)
-            self._postings[token] = {
-                doc_id: int(count) for doc_id, count in row.items()
-            }
-            for doc_id in row:
-                records[doc_id].append(token)
-        self._doc_tokens = {
-            doc_id: tuple(record) for doc_id, record in records.items()
-        }
-
     def invalidate_seal(self) -> None:
         """Drop the compiled read form *and* the base a patch would
         start from: the next seal compiles from nothing.
@@ -381,7 +328,6 @@ class InvertedIndex(SearchIndex):
         compiled idf/norm tables are stale even though its own postings
         did not move.
         """
-        self._forbid_attached_mutation("invalidate the seal")
         self._sealed = None
         self._base = None
 
@@ -414,11 +360,6 @@ class InvertedIndex(SearchIndex):
     @property
     def is_sealed(self) -> bool:
         return self._sealed is not None
-
-    @property
-    def is_attached(self) -> bool:
-        """True for a read-only memmap attachment of a persisted seal."""
-        return self._attached
 
     def seal(self) -> "InvertedIndex":
         """Bring the flat vectorized read form up to date.
@@ -752,7 +693,7 @@ class InvertedIndex(SearchIndex):
         layout, elementwise in the dict scorer's operation order (the
         denominator's one addition commutes exactly).  Built by the
         first read of a seal, in three stream-length arrays, and cached
-        on it (works for memmap attachments too; never persisted)."""
+        on it."""
         if sealed.contrib_flat is None:
             with self._seal_lock:
                 if sealed.contrib_flat is None:

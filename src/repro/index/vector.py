@@ -184,8 +184,8 @@ class FlatVectorIndex(VectorIndex):
     capacity``, doubling) with the row norms beside it: hashed
     embeddings are sparse, so a cosine query reads only the columns of
     its non-zero buckets, and a row's score is a function of that row
-    and the query alone — the same bits from ``search``, a batch, a
-    shard or an attached snapshot, on any BLAS build.
+    and the query alone — the same bits from ``search``, a batch or a
+    shard, on any BLAS build.
     """
 
     def __init__(
@@ -198,8 +198,8 @@ class FlatVectorIndex(VectorIndex):
         super().__init__(dim, encoder=encoder, metric=metric, name=name)
         #: ``_columns[b, i]``, ``i < _count``: bucket ``b`` of ``_ids[i]``
         self._columns = np.zeros((dim, 0), dtype=np.float64)
-        #: L2 norm of every row (a snapshot's: ``None`` until searched)
-        self._row_norms: Optional[np.ndarray] = np.zeros(0, dtype=np.float64)
+        #: L2 norm of every row
+        self._row_norms = np.zeros(0, dtype=np.float64)
         self._count = 0
         #: the ``_staged`` vectors of ``_ids[_count:]``; the first read
         #: after a write moves them into the table
@@ -208,27 +208,6 @@ class FlatVectorIndex(VectorIndex):
         # guards table and stage: shards are searched from a thread pool,
         # and two first searches after a write must not both flush
         self._matrix_lock = threading.Lock()
-        #: True for an index memmap-attached from a persisted snapshot
-        #: (read-only: the matrix is a shared on-disk artifact)
-        self._attached = False
-
-    @property
-    def is_attached(self) -> bool:
-        """True for a read-only memmap attachment of a persisted matrix."""
-        return self._attached
-
-    def _forbid_attached_mutation(self, action: str) -> None:
-        if self._attached:
-            from repro.verify.base import VerificationError
-
-            raise VerificationError(
-                f"cannot {action} on a memmap-attached vector index "
-                f"({self.name!r}): attached snapshots are read-only"
-            )
-
-    def add_vector(self, instance_id: str, vector: np.ndarray) -> None:
-        self._forbid_attached_mutation("add")
-        super().add_vector(instance_id, vector)
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
         if self._staged == _STAGE_ROWS:
@@ -240,7 +219,7 @@ class FlatVectorIndex(VectorIndex):
 
     def _flush(self) -> None:
         """Move the staged rows into the table: one transposed block copy
-        and the block's norms (a snapshot: its norms, on the first read)."""
+        and the block's norms."""
         with self._matrix_lock:
             block = self._stage[: self._staged]
             count, end = self._count, self._count + self._staged
@@ -248,11 +227,8 @@ class FlatVectorIndex(VectorIndex):
                 capacity = max(2 * self._columns.shape[1], _STAGE_ROWS)
                 self._columns = _grown(self._columns, count, capacity)
                 self._row_norms = _grown(self._row_norms, count, capacity)
-            if self._row_norms is None:
-                self._row_norms = np.linalg.norm(self._columns.T, axis=1)
-            elif end > count:
-                self._columns[:, count:end] = block.T
-                self._row_norms[count:end] = np.linalg.norm(block, axis=1)
+            self._columns[:, count:end] = block.T
+            self._row_norms[count:end] = np.linalg.norm(block, axis=1)
             self._count, self._staged = end, 0
             _sanitizer.note_write(self, "_staged")
 
@@ -261,7 +237,6 @@ class FlatVectorIndex(VectorIndex):
 
         O(n) — the table closes the gap; fine for the live-mutation
         rates the indexer sees (bulk churn goes through a rebuild)."""
-        self._forbid_attached_mutation("remove")
         index = self._position(instance_id)
         del self._ids[index]
         self._id_set.discard(instance_id)
@@ -279,8 +254,8 @@ class FlatVectorIndex(VectorIndex):
 
     def _table(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(dim, n)`` columns and ``n`` row norms, the first read after
-        a write flushing the stage (or taking a snapshot's norms)."""
-        if self._staged or self._row_norms is None:
+        a write flushing the stage."""
+        if self._staged:
             self._flush()
         return self._columns[:, :self._count], self._row_norms[:self._count]
 

@@ -29,7 +29,6 @@ from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index import inverted
 from repro.index.inverted import InvertedIndex
-from repro.index.persistence import attach_sealed_index, save_sealed_index
 from repro.index.shard import ShardedInvertedIndex
 from repro.obs.metrics import get_registry
 
@@ -197,13 +196,10 @@ class TestOneOfEach:
     @settings(max_examples=60, deadline=None)
     @given(docs=tie_docs, queries=tie_queries)
     def test_solo_batch_and_dict_agree_on_tie_heavy_corpora(
-        self, docs, queries, tmp_path_factory
+        self, docs, queries
     ):
         oracle = tie_fill(InvertedIndex(name="ties"), docs)
         assert_one_answer(oracle, oracle, queries, docs)
-        snap = tmp_path_factory.mktemp("ties")
-        save_sealed_index(oracle, snap)
-        assert_one_answer(attach_sealed_index(snap), oracle, queries, docs)
         for num_shards in (2, 4):
             sharded = ShardedInvertedIndex(num_shards, name="ties")
             assert_one_answer(tie_fill(sharded, docs), oracle, queries, docs)
@@ -339,13 +335,11 @@ class TestTiles:
         if k == 1000:  # k beyond the matches: every matched document
             assert 0 < len(got[5]) < 40
 
-    def test_worker_arrays_are_tiled_the_same(self, monkeypatch, tmp_path):
+    def test_worker_arrays_are_tiled_the_same(self, monkeypatch):
         index = fill(InvertedIndex(name="tiles"), docs=40)
-        save_sealed_index(index, tmp_path / "snap")
-        attached = attach_sealed_index(tmp_path / "snap")
         monkeypatch.setattr(inverted, "_TILE_BUDGET", EDGE_BUDGET)
         tiles = counter("tiles")
-        ranked = attached.rank_planned(attached.plan_matrix(EDGE_QUERIES), 3)
+        ranked = index.rank_planned(index.plan_matrix(EDGE_QUERIES), 3)
         assert counter("tiles") - tiles >= 4
         assert [list(zip(*ranking)) for ranking in ranked] == [
             pairs(index.search(q, 3)) for q in EDGE_QUERIES

@@ -5,7 +5,7 @@ The contract under test: an index ranks into :data:`Ranking` columns
 in a list — and a ``SearchHit`` is built only where a stage ends.  None
 of that may move an id, a score or a tie: every ``search_batch`` is
 ``hits_of(rank_batch(...))`` and every ``search`` the batch of one, on
-every index, snapshot and shard count; the Combiner's columns
+every index and shard count; the Combiner's columns
 and ``Reranker.rerank`` are held against the bodies they replaced, kept
 here as oracles.
 
@@ -30,12 +30,6 @@ from repro.embed.vectorizers import HashingVectorizer
 from repro.index.base import SearchHit, SearchIndex, hits_of
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.inverted import InvertedIndex
-from repro.index.persistence import (
-    attach_sealed_index,
-    attach_vector_index,
-    save_sealed_index,
-    save_vector_index,
-)
 from repro.index.shard import ShardedInvertedIndex, ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 from repro.rerank.base import Reranker
@@ -98,25 +92,14 @@ def assert_columns_are_the_hits(index, queries, k, expected):
     ] == expected
 
 
-def bm25_family(docs, tmp_path=None):
+def bm25_family(docs):
     yield tie_fill(InvertedIndex(name="ties"), docs)
-    if tmp_path is not None:
-        oracle = tie_fill(InvertedIndex(name="ties"), docs)
-        save_sealed_index(oracle, tmp_path / "bm25")
-        yield attach_sealed_index(tmp_path / "bm25")
     for num_shards in (2, 4):
         yield tie_fill(ShardedInvertedIndex(num_shards, name="ties"), docs)
 
 
-def vector_family(docs, tmp_path=None):
+def vector_family(docs):
     yield tie_fill(FlatVectorIndex(dim=8, encoder=ENCODER, name="ties"), docs)
-    if tmp_path is not None and docs:
-        saved = tie_fill(FlatVectorIndex(dim=8, name="ties", encoder=ENCODER), docs)
-        attached = attach_vector_index(
-            save_vector_index(saved, tmp_path / "vec")
-        )
-        attached._encoder = ENCODER
-        yield attached
     for num_shards in (2, 4):
         yield tie_fill(
             ShardedVectorIndex(num_shards, dim=8, encoder=ENCODER, name="ties"),
@@ -124,7 +107,7 @@ def vector_family(docs, tmp_path=None):
         )
 
 
-def assert_every_index_agrees(docs, queries, tmp_path=None):
+def assert_every_index_agrees(docs, queries):
     bm25 = tie_fill(InvertedIndex(name="ties"), docs)
     flat = tie_fill(FlatVectorIndex(dim=8, encoder=ENCODER, name="ties"), docs)
     for k in depths(bm25, queries, docs):
@@ -132,25 +115,21 @@ def assert_every_index_agrees(docs, queries, tmp_path=None):
             [(h.instance_id, h.score) for h in bm25.search_dict(q, k)]
             for q in queries
         ]
-        for index in bm25_family(docs, tmp_path):
+        for index in bm25_family(docs):
             assert_columns_are_the_hits(index, queries, k, expected)
         expected = [
             [(h.instance_id, h.score) for h in flat.search(q, k)]
             for q in queries
         ]
-        for index in vector_family(docs, tmp_path):
+        for index in vector_family(docs):
             assert_columns_are_the_hits(index, queries, k, expected)
 
 
 class TestRankBatchIsSearchBatch:
     @settings(max_examples=40, deadline=None)
     @given(docs=tie_docs, queries=tie_queries)
-    def test_on_every_index_snapshot_and_shard_count(
-        self, docs, queries, tmp_path_factory
-    ):
-        assert_every_index_agrees(
-            docs, queries, tmp_path_factory.mktemp("ranking")
-        )
+    def test_on_every_index_snapshot_and_shard_count(self, docs, queries):
+        assert_every_index_agrees(docs, queries)
 
     def test_empty_index_empty_batch_and_zero_match_queries(self):
         for index in (

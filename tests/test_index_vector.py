@@ -1,7 +1,6 @@
 """Flat, IVF, and HNSW vector indexes."""
 
 import random
-import tempfile
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.embed.vectorizers import HashingVectorizer
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
-from repro.index.persistence import attach_vector_index, save_vector_index
 from repro.index.shard import ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 
@@ -243,12 +241,6 @@ class TestOneScorePerRow:
         assert [
             pairs(hits) for hits in sharded.search_batch(texts, k)
         ] == expected
-        with tempfile.TemporaryDirectory() as directory:
-            attached = attach_vector_index(save_vector_index(index, directory))
-            assert [
-                pairs(attached.search_vector(query, k)) for query in queries
-            ] == expected
-            del attached  # the memmap, before its file goes
 
     @pytest.mark.parametrize("num_shards", [1, 4, 7])
     def test_every_shard_count_returns_the_monolithic_bits(self, num_shards):

@@ -43,7 +43,6 @@ from repro.embed.vectorizers import (
 from repro.index.base import SearchHit, top_k
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
-from repro.index.persistence import attach_vector_index, save_vector_index
 from repro.index.shard import ShardedVectorIndex, merge_shard_hits
 from repro.index.vector import FlatVectorIndex, top_hits
 from repro.llm.model import SimulatedLLM
@@ -785,17 +784,6 @@ class TestVectorSearchEqualsTheDictAndHeap:
             )
             assert len(index._get_matrix()) == len(live)
 
-    def test_memmap_attached_snapshot(self, metric, tmp_path):
-        vectors, queries = seeded_vectors()
-        index = filled(FlatVectorIndex(dim=12, metric=metric), vectors)
-        attached = attach_vector_index(save_vector_index(index, tmp_path))
-        assert attached.is_attached and attached._row_norms is None
-        for query in queries:
-            for k in (1, 7, 95):
-                hits = as_pairs(attached.search_vector(query, k))
-                assert hits == as_pairs(reference_flat(attached, query, k))
-                assert hits == as_pairs(index.search_vector(query, k))
-
 
 class TestVectorEdges:
     def test_empty_index(self):
@@ -1108,10 +1096,10 @@ class TestThreadHammer:
             range(len(embedder._vocabulary))
         )
 
-    def test_concurrent_first_searches_after_a_write(self, tmp_path):
-        """Every write leaves staged rows (and an attach leaves the norms
-        untaken) for the first reader to move under ``_matrix_lock``;
-        eight first readers at once get one flush and the oracle's bits."""
+    def test_concurrent_first_searches_after_a_write(self):
+        """Every write leaves staged rows for the first reader to move
+        under ``_matrix_lock``; eight first readers at once get one flush
+        and the oracle's bits."""
         vectors, queries = seeded_vectors(count=700, seed=4)
         index = FlatVectorIndex(dim=12)
         oracle = FlatVectorIndex(dim=12)
@@ -1157,9 +1145,6 @@ class TestThreadHammer:
                     oracle.remove_vector(vectors[7][0])
                 hammer(index)
                 assert index._staged == 0 and len(index._get_matrix()) == len(oracle)
-            attached = attach_vector_index(save_vector_index(index, tmp_path))
-            assert attached._row_norms is None
-            hammer(attached)
         finally:
             sys.setswitchinterval(previous)
 
