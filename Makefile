@@ -45,13 +45,14 @@ trace-demo:
 
 # the stdlib line-coverage gate (no coverage.py in the image): rerun
 # the suites that exercise the orchestration loop, the repairer, the
-# simulated LLM's prompt handlers (with their readings memo), the
+# simulated LLM's prompt handlers (with their readings memos), the
 # rerankers, the token embedder, the flat vector index, the inverted
 # index (dict form, compile, patch), the sharded indexes, the text
 # layer's analysis and similarity, the campaign path's glue (prompt
 # splitting and response parsing, the verifier module, the combiner and
-# the ranking type it fuses), the evidence form's writers and readers and
-# the indexer's build-on-first-read lifecycle in a fresh interpreter
+# the ranking type it fuses, the data objects), the evidence form's
+# writers and readers and the indexer's build-on-first-read lifecycle
+# in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -69,6 +70,7 @@ coverage:
 		--target src/repro/index/combiner.py \
 		--target src/repro/index/base.py \
 		--target src/repro/datalake/serialize.py \
+		--target src/repro/verify/objects.py \
 		--target src/repro/core/indexer.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
@@ -98,7 +100,9 @@ loop-demo:
 # table, on the text layer's word table while it fills, and on the token
 # embedder's vocabulary read lock-free while it grows, from first touches
 # and from the build pass, on the sharded indexes read by batch
-# workers, and on first readers racing to build a modality) under the Eraser-style lockset race sanitizer (see docs/static_analysis.md);
+# workers, on first readers racing to build a modality, and on the
+# verifier's digest-keyed outcome cache) under the Eraser-style lockset
+# race sanitizer (see docs/static_analysis.md);
 # exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
@@ -107,7 +111,7 @@ sanitize:
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \
 		tests/test_rerank_vocabulary.py tests/test_index_matrix.py \
-		tests/test_indexer_lazy.py
+		tests/test_indexer_lazy.py tests/test_core_verifier_module.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

@@ -37,7 +37,7 @@ from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.datalake.persistence import load_lake, save_lake
 from repro.datalake.types import Modality
-from repro.verify.objects import ClaimObject, TupleObject
+from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 
 
@@ -73,8 +73,14 @@ def _system_for(args: argparse.Namespace) -> VerifAI:
 
 
 def _cmd_verify_claim(args: argparse.Namespace) -> int:
+    from repro.serve.protocol import BadRequest, claim_object
+
+    try:
+        obj = claim_object("cli-claim", args.text, args.context or "")
+    except BadRequest as exc:
+        print(f"verify-claim: {exc}", file=sys.stderr)
+        return 2
     system = _system_for(args)
-    obj = ClaimObject("cli-claim", args.text, context=args.context or "")
     report = system.verify(obj)
     print(report.summary())
     if args.explain:

@@ -13,6 +13,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Row
@@ -25,9 +26,27 @@ from repro.verify.objects import DataObject
 from repro.verify.verdict import Verdict
 
 
-def _object_key(obj: DataObject) -> tuple:
-    """The object half of a cache key: its *content*, not its identity."""
-    return (
+def _feed(digest, *fields: Optional[str]):
+    """``digest`` updated with ``fields``, each framed so that no two
+    lists of fields feed it the same bytes: ``None`` is ``-``; a string
+    is the length of its UTF-8 in decimal, ``:``, then the UTF-8
+    (``surrogatepass``: any ``str`` encodes).  A separator inside a
+    claim cannot move a boundary, and ``None`` is not ``"None"``."""
+    for field in fields:
+        if field is None:
+            digest.update(b"-")
+            continue
+        data = field.encode("utf-8", "surrogatepass")
+        digest.update(b"%d:" % len(data))
+        digest.update(data)
+    return digest
+
+
+def _object_key(obj: DataObject):
+    """The object half of a cache key, a digest each pair continues: its
+    *content* (type, query text, attribute, context), not its identity."""
+    return _feed(
+        hashlib.blake2b(digest_size=16),
         type(obj).__name__,
         obj.query_text(),
         getattr(obj, "attribute", None),
@@ -35,17 +54,14 @@ def _object_key(obj: DataObject) -> tuple:
     )
 
 
-def _evidence_key(evidence: DataInstance, evidence_text: str) -> tuple:
-    """The evidence half: the instance's id and a digest of what it
-    says now (``evidence_text``, its rendering), so a verdict on what
-    it said before a write to the lake is never served again (a digest,
-    not the text: the cache holds tens of thousands of keys)."""
-    return (
-        evidence.instance_id,
-        hashlib.blake2b(
-            evidence_text.encode("utf-8"), digest_size=8
-        ).digest(),
-    )
+def _pair_key(object_key, evidence: DataInstance, evidence_text: str) -> bytes:
+    """One pair's cache key: 16 bytes of blake2b over the object's four
+    fields, the evidence's id and what it says now (``evidence_text``,
+    its rendering), so a verdict on what it said before a write to the
+    lake is never served again.  A digest, not the fields: the cache
+    holds tens of thousands of keys."""
+    digest = _feed(object_key.copy(), evidence.instance_id, evidence_text)
+    return digest.digest()
 
 
 class VerifierModule:
@@ -72,7 +88,7 @@ class VerifierModule:
         self.agent = agent
         self.lake = lake
         self.source_trust: Dict[str, float] = dict(source_trust or {})
-        self._cache: Optional["OrderedDict[tuple, VerificationOutcome]"] = (
+        self._cache: Optional["OrderedDict[bytes, VerificationOutcome]"] = (
             OrderedDict() if cache else None
         )
         self._cache_lock = threading.Lock()
@@ -93,7 +109,7 @@ class VerifierModule:
         self._count(1, int(hit))
         return outcome
 
-    def _key_of(self, obj: DataObject) -> Optional[tuple]:
+    def _key_of(self, obj: DataObject):
         return _object_key(obj) if self._cache is not None else None
 
     def _count(self, pairs: int, hits: int) -> None:
@@ -110,7 +126,7 @@ class VerifierModule:
 
     def _verify_pair(
         self,
-        object_key: Optional[tuple],
+        object_key,
         obj: DataObject,
         evidence: DataInstance,
     ) -> Tuple[VerificationOutcome, bool]:
@@ -124,12 +140,13 @@ class VerifierModule:
         # rendered once per pair: the text the key digests is the text
         # a text-reading verifier is handed
         evidence_text = serialize_instance(evidence)
-        key = object_key + _evidence_key(evidence, evidence_text)
+        key = _pair_key(object_key, evidence, evidence_text)
         with self._cache_lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
                 self._cache.move_to_end(key)
+                _sanitizer.note_write(self, "_cache")
                 return cached, True
         # verify outside the lock; a concurrent duplicate recomputes the
         # same deterministic outcome, which is cheaper than serializing
@@ -137,6 +154,7 @@ class VerifierModule:
         outcome = self.agent.verify(obj, evidence, evidence_text)
         with self._cache_lock:
             self._cache[key] = outcome  # a new key lands at the recent end
+            _sanitizer.note_write(self, "_cache")
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
         return outcome, False

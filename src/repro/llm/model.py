@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.claims.model import ClaimSpec
@@ -64,8 +64,9 @@ def _parse_table_payload(payload: str) -> Optional[Table]:
     )
 
 
-#: readings kept per model: an Evidence section's parsed table and
-#: row index cost ~6 KB, so the memo stays under ~6 MB
+#: evidence readings kept per model: an Evidence section's parsed table
+#: and row index cost ~6 KB, so the memo stays under ~6 MB.  Object
+#: readings are not counted here (see ``SimulatedLLM._object_reading``)
 READINGS_SIZE = 1024
 
 _PARSER = ClaimParser(strict=False)
@@ -159,8 +160,11 @@ class SimulatedLLM:
         self.seed = seed
         self._reasoner = NoisyClaimReasoner(profile)
         self.num_calls = 0
-        self._readings: "OrderedDict[tuple, NamedTuple]" = OrderedDict()
+        self._readings: "OrderedDict[str, _Evidence]" = OrderedDict()
         self._readings_lock = threading.Lock()
+        #: per thread, the last object read: ``((data, attribute,
+        #: context), reading)``
+        self._last_object = threading.local()
 
     # ------------------------------------------------------------------
     # public API
@@ -295,8 +299,8 @@ class SimulatedLLM:
         rng = rng_for(
             self.seed, "verify", evidence_text, data, attribute or "", context or ""
         )
-        evidence = self._reading(_read_evidence, evidence_text)
-        obj = self._reading(_read_object, data, attribute, context)
+        evidence = self._reading(evidence_text)
+        obj = self._object_reading(data, attribute, context)
         if obj.fields is not None:
             if evidence.fields is not None:
                 verdict, why = self._verify_tuple_vs_tuple(
@@ -315,25 +319,40 @@ class SimulatedLLM:
                 verdict, why = self._verify_claim_vs_text(obj, evidence, rng)
         return f"Result: {verdict}\nExplanation: {why}"
 
-    def _reading(self, read: Callable, *sections: Optional[str]):
-        """``read(*sections)``, computed once per distinct section text
-        and kept in a bounded LRU.  The key is the text the model was
-        shown, so a memoized answer is the answer a fresh reading of
-        the same prompt would give."""
-        key = (read, *sections)
+    def _reading(self, text: str) -> _Evidence:
+        """``_read_evidence(text)``, computed once per distinct Evidence
+        section and kept in a bounded LRU.  The key is the text the
+        model was shown, so a memoized answer is the answer a fresh
+        reading of the same prompt would give."""
         with self._readings_lock:
-            reading = self._readings.get(key)
+            reading = self._readings.get(text)
             if reading is not None:
-                self._readings.move_to_end(key)
+                self._readings.move_to_end(text)
                 return reading
         # read outside the lock: a concurrent duplicate computes the
         # same pure value
-        reading = read(*sections)
+        reading = _read_evidence(text)
         with self._readings_lock:
-            self._readings[key] = reading
+            self._readings[text] = reading
             _sanitizer.note_write(self, "_readings", lock=self._readings_lock)
             while len(self._readings) > READINGS_SIZE:
                 self._readings.popitem(last=False)
+        return reading
+
+    def _object_reading(
+        self, data: str, attribute: Optional[str], context: Optional[str]
+    ) -> _Object:
+        """``_read_object(data, attribute, context)``, kept until this
+        thread reads another object.  A pool's k' pairs are verified one
+        after another by one thread, so each pool reads its object once;
+        an object is rarely asked about again once its pool is done, so
+        it never takes an evidence reading's place in the LRU."""
+        key = (data, attribute, context)
+        last = getattr(self._last_object, "reading", None)
+        if last is not None and last[0] == key:
+            return last[1]
+        reading = _read_object(data, attribute, context)
+        self._last_object.reading = (key, reading)
         return reading
 
     # -- helpers --------------------------------------------------------

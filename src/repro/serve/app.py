@@ -43,6 +43,7 @@ from repro.obs.events import (
 from repro.obs.export import trace_to_dict
 from repro.obs.metrics import Histogram, get_registry
 from repro.obs.profile import StackSampler
+from repro.obs.trace import Trace
 from repro.serve.admission import AdmissionController, ServiceOverloaded
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
@@ -125,9 +126,11 @@ class VerificationService:
         #: instead of letting loop teardown cancel them mid-request
         self._conn_tasks: set = set()
         self._conn_writers: set = set()
-        #: trace id -> exported trace dict of a served request, bounded
-        #: FIFO (oldest evicted); backs ``GET /trace/<trace_id>``
-        self._traces: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        #: trace id -> finished trace of a served request, bounded FIFO
+        #: (oldest evicted); backs ``GET /trace/<trace_id>``, which
+        #: exports it, so a request that is never asked about pays no
+        #: export
+        self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._request_counter = 0
 
     # ------------------------------------------------------------------
@@ -313,9 +316,8 @@ class VerificationService:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}")
 
-    def _remember_trace(self, trace) -> str:
-        exported = trace_to_dict(trace)
-        self._traces[trace.trace_id] = exported
+    def _remember_trace(self, trace: Trace) -> str:
+        self._traces[trace.trace_id] = trace
         while len(self._traces) > self.config.trace_cache_size:
             self._traces.popitem(last=False)
         return trace.trace_id
@@ -393,10 +395,10 @@ class VerificationService:
 
     async def _handle_trace(self, request: Request) -> Response:
         trace_id = request.path[len("/trace/"):]
-        exported = self._traces.get(trace_id)
-        if exported is None:
+        trace = self._traces.get(trace_id)
+        if trace is None:
             return _error_response(404, f"unknown trace {trace_id!r}")
-        return _json_response(200, exported)
+        return _json_response(200, trace_to_dict(trace))
 
     async def _handle_metrics(self, request: Request) -> Response:
         body = render_prometheus(self.registry).encode("utf-8")

@@ -11,8 +11,9 @@ The wire shapes (see docs/serving.md):
 (a tuple request without ``value`` verifies the cell the lake already
 holds; with ``value`` it verifies the imputed replacement, exactly like
 ``repro verify-tuple``; see :func:`replaced_row` for the values that
-are refused).  ``object_id`` is optional everywhere — the server assigns
-a deterministic ``req-NNNNNN`` id when absent.
+are refused; a claim's ``text`` and ``context`` are one line each, see
+:func:`claim_object`).  ``object_id`` is optional everywhere — the
+server assigns a deterministic ``req-NNNNNN`` id when absent.
 
 ``POST /verify-batch`` body::
 
@@ -67,6 +68,21 @@ def replaced_row(row: Row, column: str, value: str) -> Row:
     return replaced
 
 
+def claim_object(object_id: str, text: str, context: str = "") -> ClaimObject:
+    """A client's claim, or :class:`BadRequest`: ``text`` and
+    ``context`` are pasted into the verification prompt as lines of
+    their own, so a line break in either would begin lines the model
+    reads as another section (more evidence, say).  Claims of the lake's
+    own generators are not checked."""
+    for key, value in (("text", text), ("context", context)):
+        if value.splitlines() not in ([], [value]):
+            raise BadRequest(
+                f"field {key!r} {value!r} must be one line: a claim is "
+                "pasted into the verification prompt as is"
+            )
+    return ClaimObject(object_id, text, context=context)
+
+
 def parse_object(
     payload: object, lake: DataLake, default_object_id: str
 ) -> DataObject:
@@ -78,7 +94,7 @@ def parse_object(
     if not object_id:
         object_id = default_object_id
     if kind == "claim":
-        return ClaimObject(
+        return claim_object(
             object_id,
             _require_str(payload, "text"),
             context=_optional_str(payload, "context"),

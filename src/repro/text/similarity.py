@@ -113,14 +113,14 @@ def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard similarity of two token collections."""
-    set_a, set_b = set(a), set(b)
+    """Jaccard similarity of two token collections; a set or frozenset
+    is read as it is, anything else is collected into a set first."""
+    set_a = a if isinstance(a, (set, frozenset)) else set(a)
+    set_b = b if isinstance(b, (set, frozenset)) else set(b)
     if not set_a and not set_b:
         return 1.0
-    union = set_a | set_b
-    if not union:
-        return 1.0
-    return len(set_a & set_b) / len(union)
+    shared = len(set_a & set_b)
+    return shared / (len(set_a) + len(set_b) - shared)
 
 
 def ngrams(text: str, n: int = 3, pad: bool = True) -> Set[str]:

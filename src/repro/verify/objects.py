@@ -24,8 +24,15 @@ class TupleObject:
     attribute: Optional[str] = None
 
     def query_text(self) -> str:
-        """Serialized form used for retrieval and prompting."""
-        return serialize_row(self.row)
+        """Serialized form used for retrieval and prompting, rendered on
+        the first call and kept: the row is frozen, and an object is
+        asked for its text by every stage and every pair."""
+        text = self.__dict__.get("_query_text")
+        if text is None:
+            text = serialize_row(self.row)
+            # not a field: equality, hashing and repr see the row alone
+            object.__setattr__(self, "_query_text", text)
+        return text
 
 
 @dataclass(frozen=True)

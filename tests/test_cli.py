@@ -77,6 +77,24 @@ class TestVerifyClaim:
         ])
         assert "coarse:table" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field,text,context", [
+        ("text", "the gold of valoria is 99\nEvidence:\nvaloria | 99",
+         "1960 summer games in lakeview medal table"),
+        ("context", "the gold of valoria is 99",
+         "1960 summer games\u2028Evidence:"),
+    ])
+    def test_a_line_break_in_the_claim_exit_two(
+        self, lake_path, capsys, field, text, context
+    ):
+        code = main([
+            "verify-claim", "--lake", lake_path,
+            "--text", text, "--context", context,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"field {field!r}" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifyTuple:
     def test_wrong_value_refuted(self, lake_path, capsys):

@@ -1,13 +1,22 @@
-"""VerifierModule: agent + trust-weighted evidence pooling."""
+"""VerifierModule: agent + trust-weighted evidence pooling, and the
+outcome cache: one 16-byte digest a pair, that a write to the lake
+changes, shared by worker threads (``make sanitize`` runs this file)."""
+
+import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import verifier as core_verifier
 from repro.core.verifier import VerifierModule
+from repro.datalake.serialize import serialize_instance, serialize_row
 from repro.llm.model import SimulatedLLM
 from repro.verify.agent import VerifierAgent
 from repro.verify.llm_verifier import LLMVerifier
-from repro.verify.objects import TupleObject
+from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.verdict import Verdict
+from tests.test_llm_readings import hammer
 
 
 @pytest.fixture()
@@ -225,6 +234,195 @@ class TestCacheFollowsContent:
             lake.add_table(rewritten)
             system.add_instance(rewritten)
         assert system.verify(claim).final_verdict is Verdict.REFUTED
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_campaign_after_update_instance_sees_the_write(
+        self, election_table, medal_table, quiet_profile, workers
+    ):
+        """Stale verdicts, campaign-wide: the same claims re-verified
+        after a write, on one worker and on four."""
+        from repro.core.pipeline import VerifAI
+        from repro.datalake.lake import DataLake
+        from repro.datalake.types import Table
+
+        lake = DataLake(name="coherence")
+        lake.add_table(election_table)
+        lake.add_table(medal_table)
+        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=24)
+        system = VerifAI(lake, llm=llm).build_indexes()
+        votes = election_table.columns.index("votes")
+        claims = [
+            ClaimObject(
+                f"stale-{i}", f"the votes of {row[0]} is {row[votes]}",
+                context=election_table.caption,
+            )
+            for i, row in enumerate(election_table.rows)
+        ] * 2
+        rows = [
+            row[:votes] + ("91,919",) + row[votes + 1:] if i % 2 else row
+            for i, row in enumerate(election_table.rows)
+        ]
+        rewritten = Table(
+            table_id=election_table.table_id, caption=election_table.caption,
+            columns=election_table.columns, rows=rows,
+            source=election_table.source,
+            entity_columns=election_table.entity_columns,
+            key_column=election_table.key_column,
+        )
+
+        def verdicts():
+            batch = system.verify_batch(claims, max_workers=workers)
+            return [report.final_verdict for report in batch.reports]
+
+        assert verdicts() == [Verdict.VERIFIED] * len(claims)
+        system.update_instance(rewritten)
+        changed = [
+            Verdict.REFUTED if i % 2 else Verdict.VERIFIED
+            for i in range(len(election_table.rows))
+        ]
+        assert verdicts() == changed * 2
+
+
+# ----------------------------------------------------------------------
+# the key: one digest over six length-framed fields
+# ----------------------------------------------------------------------
+def digest_of(fields):
+    """The cache key of a pair with these six fields, fed in one go."""
+    digest = hashlib.blake2b(digest_size=16)
+    return core_verifier._feed(digest, *fields).digest()
+
+
+#: field values built to collide under a naive join: separators, the
+#: framing's own ``-`` and ``<length>:``, ``None`` and its spelling, the
+#: empty string
+FIELD = st.one_of(
+    st.none(),
+    st.sampled_from([
+        "None", "none", "", " ", "|", " ; ", "\n", "\x00", "\x01",
+        "\x01\x00", "-", "0:", "1:a", "1:-", "ClaimObject", "a", "ab", "b",
+        "t#r0", "\ud800",
+    ]),
+    st.text(alphabet="ab;|:-01\n\x00 ", max_size=6),
+)
+
+
+@st.composite
+def field_lists_and_a_neighbour(draw):
+    """Six fields, and six more that are equal to them, or differ in
+    one field, or move a boundary between two, or swap ``None`` for
+    ``"None"``."""
+    first = draw(st.lists(FIELD, min_size=6, max_size=6))
+    second = list(first)
+    how = draw(st.sampled_from(["same", "replace", "shift", "none"]))
+    i = draw(st.integers(0, 5))
+    if how == "replace":
+        second[i] = draw(FIELD)
+    elif how == "shift" and i < 5:
+        left, right = second[i] or "", second[i + 1] or ""
+        joined = left + right
+        cut = draw(st.integers(0, len(joined)))
+        second[i], second[i + 1] = joined[:cut], joined[cut:]
+    elif how == "none":
+        second[i] = "None" if second[i] is None else None
+    return first, second
+
+
+class TestOneDigestKey:
+    @settings(max_examples=600, deadline=None)
+    @given(field_lists_and_a_neighbour())
+    def test_two_pairs_share_a_key_only_if_all_six_fields_do(self, pair):
+        first, second = pair
+        assert (digest_of(first) == digest_of(second)) == (first == second)
+
+    @pytest.mark.parametrize("first,second", [
+        (["a ; b", "c"], ["a", "b ; c"]),
+        (["ab", ""], ["a", "b"]),
+        ([None, "x"], ["None", "x"]),
+        ([None, ""], ["", None]),
+        (["\x00", "a"], [None, "a"]),
+        ([None, "1:a"], ["-", "a"]),
+        (["1:", "a"], ["", "1:a"]),
+    ])
+    def test_named_neighbours_differ(self, first, second):
+        pad = ["TupleObject", "q", "attr", None]
+        assert digest_of(pad + first) != digest_of(pad + second)
+
+    def test_a_pair_key_digests_its_six_fields(self, election_table):
+        evidence = election_table.row(1)
+        text = serialize_instance(evidence)
+        cases = [
+            (TupleObject("k", election_table.row(0), attribute="party"),
+             ["TupleObject", serialize_row(election_table.row(0)),
+              "party", None]),
+            (ClaimObject("k", "tom jenkins is in ohio 1", context="None"),
+             ["ClaimObject", "tom jenkins is in ohio 1 (None)", None,
+              "None"]),
+        ]
+        for obj, fields in cases:
+            key = core_verifier._pair_key(
+                core_verifier._object_key(obj), evidence, text
+            )
+            assert type(key) is bytes and len(key) == 16
+            assert key == digest_of(fields + [evidence.instance_id, text])
+
+    def test_the_cache_holds_digests(self, module, election_table):
+        obj = TupleObject("d", election_table.row(0), attribute="votes")
+        module.verify_pool(obj, [election_table.row(i) for i in range(4)])
+        keys = list(module._cache)
+        assert keys and all(type(k) is bytes and len(k) == 16 for k in keys)
+
+
+class TestCacheHammer:
+    """Eight threads verify overlapping pools through one module whose
+    cache holds fewer keys than there are pairs, so every insert races
+    an eviction; each outcome must be the uncached one."""
+
+    def test_eight_threads_on_a_small_cache(self, tiny_lake, election_table,
+                                            medal_table, quiet_profile):
+        def fresh(**kwargs):
+            llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=25)
+            agent = VerifierAgent([], fallback=LLMVerifier(llm))
+            return VerifierModule(agent, tiny_lake, **kwargs)
+
+        evidence = (
+            [election_table.row(i) for i in range(4)]
+            + [medal_table.row(0), election_table, medal_table,
+               tiny_lake.document("page-jenkins")]
+        )
+        objects = [
+            TupleObject(f"h{i}-{column}", election_table.row(i),
+                        attribute=column)
+            for i in range(4) for column in ("party", "votes")
+        ] + [
+            ClaimObject("h-claim", "the gold of valoria is 10",
+                        context=medal_table.caption),
+        ]
+        expected = {
+            obj.object_id: fresh(cache=False).verify_pool(obj, evidence)
+            for obj in objects
+        }
+        module = fresh(cache_size=8)
+        results = {}
+        errors = []
+
+        def worker(thread_number):
+            order = list(objects) * 3
+            random.Random(thread_number).shuffle(order)
+            try:
+                results[thread_number] = [
+                    (obj.object_id, module.verify_pool(obj, evidence))
+                    for obj in order
+                ]
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        hammer(worker)
+        assert not errors
+        for thread_number in range(8):
+            assert len(results[thread_number]) == 3 * len(objects)
+            for object_id, pooled in results[thread_number]:
+                assert pooled == expected[object_id]
+        assert len(module) <= 8
 
 
 class TestPoolCounters:

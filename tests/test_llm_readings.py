@@ -23,6 +23,7 @@ import pytest
 
 from repro.claims.engine import TableQueryEngine
 from repro.claims.generator import ClaimGenerator
+from repro.core.pipeline import VerifAI
 from repro.datalake.serialize import serialize_instance, serialize_row
 from repro.datalake.types import Table
 from repro.llm import model as llm_model
@@ -30,6 +31,7 @@ from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import verification_prompt
 from repro.text import analyze, normalize
 from repro.text.similarity import jaccard
+from repro.verify.objects import ClaimObject
 
 HANDLERS = (
     "_verify_tuple_vs_tuple",
@@ -113,10 +115,11 @@ def corpus(small_bundle):
 
 @pytest.fixture(scope="module")
 def reference(corpus):
-    """Every response with the memo bypassed: each section re-read on
-    each call, as before the memo existed."""
+    """Every response with both memos bypassed: each section re-read on
+    each call, as before the memos existed."""
     llm = fresh_llm()
-    llm._reading = lambda read, *sections: read(*sections)
+    llm._reading = llm_model._read_evidence
+    llm._object_reading = llm_model._read_object
     responses = chat_all(llm, corpus)
     assert not llm._readings
     return responses
@@ -166,16 +169,62 @@ class TestChatIsByteIdentical:
         ) as parse_table:
             chat_all(llm, corpus)
             chat_all(llm, corpus)
-        sections = {
-            key[1] for key in llm._readings
-            if key[0] is llm_model._read_evidence
-        }
-        assert parse_table.call_count <= len(sections) < len(corpus) // 10
+        assert parse_table.call_count <= len(llm._readings) < len(corpus) // 10
 
     def test_readings_are_per_model(self, corpus):
         a, b = fresh_llm(), fresh_llm()
         chat_all(a, corpus[:5])
         assert a._readings and not b._readings
+
+
+class TestEvidenceReadingsStay:
+    """Object readings are kept per thread, for the pairs of one pool,
+    and never in the evidence LRU: a claim campaign over evidence that
+    fits ``READINGS_SIZE`` reads each Evidence section once, however
+    many claims pass through."""
+
+    @staticmethod
+    def claims(bundle):
+        generator = ClaimGenerator(seed=8, variation_rate=0.3)
+        made = [
+            made.claim
+            for table in bundle.tables[:40]
+            for made in generator.generate_for_table(table, 6)
+        ]
+        return [
+            ClaimObject(f"spy-{i:04d}", claim.text, context=claim.context)
+            for i, claim in enumerate(made)
+        ]
+
+    @staticmethod
+    def evidence_read(bundle, claims, monkeypatch):
+        """Every Evidence text ``_read_evidence`` was handed over one
+        serial claim campaign, and the model's calls."""
+        texts = []
+        real = llm_model._read_evidence
+
+        def spy(text):
+            texts.append(text)
+            return real(text)
+
+        monkeypatch.setattr(llm_model, "_read_evidence", spy)
+        llm = fresh_llm()
+        system = VerifAI(bundle.lake, llm=llm)
+        system.verify_batch(claims, max_workers=1)
+        monkeypatch.setattr(llm_model, "_read_evidence", real)
+        return texts, llm.num_calls
+
+    def test_one_reading_per_distinct_text(self, small_bundle, monkeypatch):
+        claims = self.claims(small_bundle)
+        texts, _ = self.evidence_read(small_bundle, claims, monkeypatch)
+        distinct = set(texts)
+        # as many readings kept as there are texts, and more claims than
+        # that: one object reading a pool in the LRU would evict them
+        monkeypatch.setattr(llm_model, "READINGS_SIZE", len(distinct))
+        assert len(claims) > len(distinct)
+        texts, calls = self.evidence_read(small_bundle, claims, monkeypatch)
+        assert calls > 2 * len(distinct)
+        assert sorted(texts) == sorted(distinct)
 
 
 def hammer(worker, threads=8):

@@ -10,10 +10,12 @@ oracle: ``split_sections`` and ``parse_verification_response`` over
 hostile text and over the seeded prompt corpus, the one-index RRF
 ``Combiner`` at its new depth against a fuse of twice that depth, the
 shared candidate ordering against the ``sorted(..., key=lambda)`` it
-replaced, and a counter showing an evidence instance is rendered once
-per verified pair.
+replaced, ``jaccard`` on sets as they are against the body that copied
+them, and counters showing an evidence instance is rendered once per
+verified pair and a tuple object once per campaign.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -21,7 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import verifier as core_verifier
+from repro.core.config import VerifAIConfig
+from repro.core.pipeline import VerifAI
 from repro.core.verifier import VerifierModule
+from repro.datalake.serialize import serialize_row
 from repro.index.base import SearchIndex
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.inverted import InvertedIndex, _order_candidates
@@ -32,7 +37,9 @@ from repro.llm.prompts import (
     split_sections,
     verification_prompt,
 )
+from repro.text.similarity import jaccard
 from repro.verify import llm_verifier
+from repro.verify import objects as verify_objects
 from repro.verify.agent import VerifierAgent
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import ClaimObject, TupleObject
@@ -100,6 +107,17 @@ def from_string_oracle(text):
         "unrelated": Verdict.NOT_RELATED,
     }
     return mapping.get(text.strip().lower())
+
+
+def jaccard_oracle(a, b):
+    """``jaccard`` at db82edc: both arguments copied into new sets."""
+    set_a, set_b = set(a), set(b)
+    if not set_a and not set_b:
+        return 1.0
+    union = set_a | set_b
+    if not union:
+        return 1.0
+    return len(set_a & set_b) / len(union)
 
 
 def order_oracle(doc_ids, row, candidates, k):
@@ -252,6 +270,80 @@ class TestParseVerificationResponse:
                 parse_verification_response(response)
                 == parse_verification_response_oracle(response)
             )
+
+
+class TestJaccard:
+    TOKENS = st.lists(
+        st.sampled_from(["ohio", "tom", "1994", "", "a", "b", "votes"]),
+        max_size=8,
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(TOKENS, TOKENS)
+    def test_every_form_equals_the_copying_body(self, a, b):
+        expected = jaccard_oracle(a, b)
+        for form_a in (list, set, frozenset, tuple):
+            for form_b in (list, set, frozenset, iter):
+                assert jaccard(form_a(a), form_b(b)) == expected
+
+    def test_a_set_is_read_not_changed(self):
+        a, b = {"x", "y"}, frozenset({"y", "z"})
+        assert jaccard(a, b) == 1 / 3
+        assert a == {"x", "y"} and b == frozenset({"y", "z"})
+
+    def test_the_corpus_answers_as_with_the_copying_body(
+        self, corpus, monkeypatch
+    ):
+        """The model's caption test calls ``jaccard`` on two frozensets
+        for every claim-vs-table pair."""
+        from repro.llm import model as llm_model
+
+        expected = chat_all(fresh_llm(), corpus)
+        monkeypatch.setattr(llm_model, "jaccard", jaccard_oracle)
+        assert chat_all(fresh_llm(), corpus) == expected
+
+
+class TestOneRenderPerTuple:
+    def test_query_text_is_serialize_row(self, small_bundle):
+        for table in small_bundle.tables[:20]:
+            for row in table.iter_rows():
+                obj = TupleObject("q", row, attribute=table.columns[-1])
+                text = obj.query_text()
+                assert text == serialize_row(row)
+                assert obj.query_text() is text
+
+    def test_the_kept_text_is_no_part_of_the_value(self, election_table):
+        rendered = TupleObject("q", election_table.row(0), attribute="votes")
+        rendered.query_text()
+        fresh = TupleObject("q", election_table.row(0), attribute="votes")
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh)
+        moved = dataclasses.replace(rendered, row=election_table.row(1))
+        assert moved.query_text() == serialize_row(election_table.row(1))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_campaign_renders_each_tuple_once(
+        self, small_bundle, monkeypatch, workers
+    ):
+        rendered = []
+        real = verify_objects.serialize_row
+        monkeypatch.setattr(
+            verify_objects, "serialize_row",
+            lambda row: rendered.append(row) or real(row),
+        )
+        objects = [
+            TupleObject(f"r{i}", row, attribute=table.columns[-1])
+            for i, (table, row) in enumerate(
+                (table, table.row(j))
+                for table in small_bundle.tables[:12] for j in range(2)
+            )
+        ]
+        system = VerifAI(
+            small_bundle.lake, config=VerifAIConfig(use_reranker=True)
+        )
+        batch = system.verify_batch(objects, max_workers=workers)
+        assert batch.failed == 0
+        assert rendered == [obj.row for obj in objects]
 
 
 class TestVerdictFromString:
