@@ -51,8 +51,8 @@ trace-demo:
 # layer's analysis and similarity, the campaign path's glue (prompt
 # splitting and response parsing, the verifier module, the combiner and
 # the ranking type it fuses, the data objects), the evidence form's
-# writers and readers and the indexer's build-on-first-read lifecycle
-# in a fresh interpreter
+# writers and readers, the indexer's build-on-first-read lifecycle and
+# the cross-modal discovery index in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -71,7 +71,8 @@ coverage:
 		--target src/repro/index/base.py \
 		--target src/repro/datalake/serialize.py \
 		--target src/repro/verify/objects.py \
-		--target src/repro/core/indexer.py -- -q \
+		--target src/repro/core/indexer.py \
+		--target src/repro/discovery/crossmodal.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -83,7 +84,8 @@ coverage:
 		tests/test_verdict_glue.py tests/test_index_sharding.py \
 		tests/test_datalake_serialize.py tests/test_index_ranking.py \
 		tests/test_rerank_vocabulary.py tests/test_indexer_lazy.py \
-		tests/test_core_indexer.py tests/test_core_indexer_extensions.py
+		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
+		tests/test_discovery.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro

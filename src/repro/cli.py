@@ -89,16 +89,18 @@ def _cmd_verify_claim(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_tuple(args: argparse.Namespace) -> int:
-    from repro.serve.protocol import BadRequest, replaced_row
+    from repro.serve.protocol import BadRequest, parse_object
 
     system = _system_for(args)
-    table = system.lake.table(args.table_id)
+    body = {
+        "kind": "tuple", "table_id": args.table_id, "row": args.row,
+        "column": args.column, "value": args.value,
+    }
     try:
-        row = replaced_row(table.row(args.row), args.column, args.value)
+        obj = parse_object(body, system.lake, "cli-tuple")
     except BadRequest as exc:
         print(f"verify-tuple: {exc}", file=sys.stderr)
         return 2
-    obj = TupleObject("cli-tuple", row, attribute=args.column)
     report = system.verify(obj)
     print(report.summary())
     if args.explain:
@@ -543,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-lake", help="generate a synthetic lake")
-    p.add_argument("--tables", type=int, default=300)
+    p.add_argument("--tables", type=_non_negative_int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_lake)
@@ -676,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="cross-modal discovery query")
     p.add_argument("--lake", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument(
         "--modality", choices=[m.value for m in Modality], default=None
     )
@@ -763,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", default=None,
         help="run a single named scenario from the default mix",
     )
-    p.add_argument("--max-iters", type=int, default=4)
+    p.add_argument("--max-iters", type=_positive_int, default=4)
     p.add_argument(
         "--workers", type=_positive_int, default=1,
         help="verify_batch workers (the trail bytes do not depend on this)",

@@ -107,6 +107,8 @@ class CrossModalIndex:
         """Post-filter hits by modality, escalating the fetch depth when
         the wanted modality is rare in the neighbourhood."""
         assert self._index is not None
+        if k <= 0:
+            return []
         depth = k if wanted is None else k * 6
         while True:
             out: List[CrossModalHit] = []

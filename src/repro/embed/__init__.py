@@ -7,28 +7,19 @@ vector out, where cosine similarity tracks lexical-semantic overlap.
 
 * :class:`HashingVectorizer` — sparse-to-dense feature hashing (signed).
 * :class:`TfidfVectorizer`   — corpus-fit TF-IDF projected by hashing.
-* :class:`CooccurrenceEmbedder` — PPMI co-occurrence statistics projected
-  to a dense space, giving distributional ("semantic") similarity.
 * :class:`TokenEmbedder`     — per-token vectors from character n-grams,
   used by the ColBERT-style late-interaction reranker.
-* :func:`embed_row` / :func:`embed_text` — tuple2vec / text2vec facades.
 """
 
 from repro.embed.chunker import Chunk, chunk_document, chunk_text
-from repro.embed.cooccurrence import CooccurrenceEmbedder
 from repro.embed.token_embed import TokenEmbedder
-from repro.embed.tuple2vec import embed_row, embed_table, embed_text
 from repro.embed.vectorizers import HashingVectorizer, TfidfVectorizer
 
 __all__ = [
     "Chunk",
-    "CooccurrenceEmbedder",
     "HashingVectorizer",
     "TfidfVectorizer",
     "TokenEmbedder",
     "chunk_document",
     "chunk_text",
-    "embed_row",
-    "embed_table",
-    "embed_text",
 ]

@@ -3,8 +3,7 @@
 Two families, per Section 3.1:
 
 * content-based — :class:`InvertedIndex` (Okapi BM25, the Elasticsearch
-  stand-in), :class:`TrigramIndex` (pg_trgm-style string similarity), and
-  :class:`Trie` (prefix search; the paper mentions tries/suffix trees).
+  stand-in).
 * semantic-based — :class:`FlatVectorIndex` (exact), :class:`IVFFlatIndex`
   and :class:`HNSWIndex` (approximate; the Faiss stand-ins).
 
@@ -29,10 +28,7 @@ from repro.index.shard import (
     shard_key,
     shard_of,
 )
-from repro.index.suffix import SuffixAutomatonIndex
 from repro.index.ivf import IVFFlatIndex
-from repro.index.trie import Trie
-from repro.index.trigram import TrigramIndex
 from repro.index.vector import FlatVectorIndex, VectorIndex
 
 __all__ = [
@@ -48,9 +44,6 @@ __all__ = [
     "SearchIndex",
     "ShardedInvertedIndex",
     "ShardedVectorIndex",
-    "SuffixAutomatonIndex",
-    "Trie",
-    "TrigramIndex",
     "VectorIndex",
     "merge_shard_hits",
     "shard_key",

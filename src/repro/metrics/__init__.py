@@ -1,21 +1,15 @@
 """Evaluation metrics and experiment harness utilities."""
 
 from repro.metrics.evaluation import (
-    ConfusionMatrix,
     accuracy,
     macro_recall_at_k,
-    mean_reciprocal_rank,
-    precision_recall_f1,
     recall_at_k,
 )
 from repro.metrics.tables import format_table
 
 __all__ = [
-    "ConfusionMatrix",
     "accuracy",
     "format_table",
     "macro_recall_at_k",
-    "mean_reciprocal_rank",
-    "precision_recall_f1",
     "recall_at_k",
 ]

@@ -6,11 +6,9 @@ off-the-shelf analyzers that the VerifAI paper delegates to Elasticsearch
 and BERT tokenizers.
 """
 
-from repro.text.numbers import is_numeric_token, parse_number, numbers_in
+from repro.text.numbers import parse_number, numbers_in
 from repro.text.similarity import (
-    cosine_token_similarity,
     jaccard,
-    jaro_winkler,
     levenshtein,
     levenshtein_ratio,
     ngrams,
@@ -19,27 +17,21 @@ from repro.text.similarity import (
 from repro.text.stem import stem
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.tokenize import (
-    Token,
     analyze,
     analyze_cache_clear,
     analyze_cache_info,
     normalize,
     sentences,
     tokenize,
-    tokenize_with_spans,
 )
 
 __all__ = [
     "STOPWORDS",
-    "Token",
     "analyze",
     "analyze_cache_clear",
     "analyze_cache_info",
-    "cosine_token_similarity",
-    "is_numeric_token",
     "is_stopword",
     "jaccard",
-    "jaro_winkler",
     "levenshtein",
     "levenshtein_ratio",
     "ngrams",
@@ -49,6 +41,5 @@ __all__ = [
     "sentences",
     "stem",
     "tokenize",
-    "tokenize_with_spans",
     "trigram_similarity",
 ]

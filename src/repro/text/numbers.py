@@ -12,11 +12,6 @@ from typing import List, Optional, Set
 _NUMBER_RE = re.compile(r"[+-]?\d[\d,]*(?:\.\d+)?")
 
 
-def is_numeric_token(token: str) -> bool:
-    """True when the whole token is a number (allowing , separators)."""
-    return bool(_NUMBER_RE.fullmatch(token))
-
-
 def parse_number(token: str) -> Optional[float]:
     """Parse a numeric token to float; None if it is not a number.
 

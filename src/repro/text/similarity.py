@@ -1,15 +1,13 @@
 """String and token-set similarity measures.
 
-These are the content-based building blocks the Indexer's string-similarity
-path uses (the paper cites Elasticsearch, tries, and suffix trees as
-examples of this family).
+The rerankers, the simulated LLM and the claim engine compare a query
+with a candidate through these: edit distance and its ratio, token-set
+Jaccard, and character n-gram sets.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Set
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -67,51 +65,6 @@ def levenshtein_ratio(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
-def jaro(a: str, b: str) -> float:
-    """Jaro similarity in [0, 1]."""
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    matched_b = [False] * len(b)
-    matches = 0
-    matched_a_chars: List[str] = []
-    for i, ch in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len(b), i + window + 1)
-        for j in range(lo, hi):
-            if not matched_b[j] and b[j] == ch:
-                matched_b[j] = True
-                matches += 1
-                matched_a_chars.append(ch)
-                break
-    if matches == 0:
-        return 0.0
-    matched_b_chars = [b[j] for j in range(len(b)) if matched_b[j]]
-    transpositions = sum(
-        1 for x, y in zip(matched_a_chars, matched_b_chars) if x != y
-    )
-    transpositions //= 2
-    return (
-        matches / len(a)
-        + matches / len(b)
-        + (matches - transpositions) / matches
-    ) / 3.0
-
-
-def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
-    """Jaro-Winkler similarity: Jaro boosted by common prefix length (<= 4)."""
-    base = jaro(a, b)
-    prefix = 0
-    for ch_a, ch_b in zip(a, b):
-        if ch_a != ch_b or prefix == 4:
-            break
-        prefix += 1
-    return base + prefix * prefix_scale * (1.0 - base)
-
-
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     """Jaccard similarity of two token collections; a set or frozenset
     is read as it is, anything else is collected into a set first."""
@@ -141,23 +94,3 @@ def ngrams(text: str, n: int = 3, pad: bool = True) -> Set[str]:
 def trigram_similarity(a: str, b: str) -> float:
     """Jaccard similarity over character trigrams (pg_trgm semantics)."""
     return jaccard(ngrams(a, 3), ngrams(b, 3))
-
-
-def cosine_token_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """Cosine similarity of token multiset frequency vectors."""
-    count_a, count_b = Counter(a), Counter(b)
-    if not count_a or not count_b:
-        return 0.0
-    dot = sum(count_a[token] * count_b[token] for token in count_a)
-    norm_a = math.sqrt(sum(value * value for value in count_a.values()))
-    norm_b = math.sqrt(sum(value * value for value in count_b.values()))
-    return dot / (norm_a * norm_b)
-
-
-def token_overlap(a: Iterable[str], b: Iterable[str]) -> Tuple[int, float]:
-    """Return (count, fraction-of-a) of ``a``'s distinct tokens found in ``b``."""
-    set_a, set_b = set(a), set(b)
-    if not set_a:
-        return 0, 0.0
-    shared = len(set_a & set_b)
-    return shared, shared / len(set_a)

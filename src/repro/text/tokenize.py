@@ -13,8 +13,7 @@ import sys
 import threading
 import unicodedata
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.obs.metrics import get_registry
@@ -54,15 +53,6 @@ _TOKEN_RE = re.compile(
 _WHITESPACE_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A token with its character span in the source text."""
-
-    text: str
-    start: int
-    end: int
-
-
 def normalize(text: str) -> str:
     """Lowercase, strip accents, and collapse whitespace.
 
@@ -86,15 +76,6 @@ def tokenize(text: str) -> List[str]:
     ['meagan', 'good', '1,234', 'votes', '51.2']
     """
     return _TOKEN_RE.findall(normalize(text))  # the pattern has no groups
-
-
-def tokenize_with_spans(text: str) -> List[Token]:
-    """Tokenize while preserving character offsets into the normalized text."""
-    normalized = normalize(text)
-    return [
-        Token(match.group(0), match.start(), match.end())
-        for match in _TOKEN_RE.finditer(normalized)
-    ]
 
 
 #: the shared analysis LRU.  Hand-rolled (OrderedDict + lock) rather
@@ -251,16 +232,3 @@ def sentences(text: str) -> List[str]:
     if not text:
         return []
     return [part.strip() for part in _SENTENCE_RE.split(text) if part.strip()]
-
-
-def shingle(tokens: Iterable[str], size: int) -> List[str]:
-    """Produce contiguous token shingles (w-shingles) of ``size`` tokens."""
-    if size <= 0:
-        raise ValueError(f"shingle size must be positive, got {size}")
-    token_list = list(tokens)
-    if len(token_list) < size:
-        return [" ".join(token_list)] if token_list else []
-    return [
-        " ".join(token_list[i : i + size])
-        for i in range(len(token_list) - size + 1)
-    ]

@@ -1,14 +1,12 @@
 """Source-trust estimation (challenge C3).
 
 The paper points to Knowledge-Based Trust (Dong et al., VLDB 2015) for
-estimating the reliability of web sources; :class:`TrustModel` is the
-same fixed-point idea adapted to lake sources: source trust and fact
-truth are estimated jointly from agreement among verification outcomes.
+estimating the reliability of web sources; :class:`ValueTrustModel` is
+the same fixed-point idea adapted to lake sources: source trust and fact
+truth are estimated jointly from which values the sources agree on.
 """
 
 from repro.trust.model import (
-    Observation,
-    TrustModel,
     TrustScores,
     ValueClaim,
     ValueTrustModel,
@@ -16,8 +14,6 @@ from repro.trust.model import (
 )
 
 __all__ = [
-    "Observation",
-    "TrustModel",
     "TrustScores",
     "ValueClaim",
     "ValueTrustModel",

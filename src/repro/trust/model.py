@@ -1,12 +1,11 @@
-"""Iterative joint estimation of source trust and object truth.
+"""Source trust from value agreement, and the trust-weighted vote.
 
-Each observation says: *source s's evidence led the verifier to verdict
-v about object o*.  Sources that often agree with the consensus earn
-trust; consensus is recomputed with trust-weighted votes — the classic
-truth-discovery fixed point (Knowledge-Based Trust, TruthFinder).
-
-NOT_RELATED observations are excluded from voting: unrelated evidence
-says nothing about either the object or the source's reliability on it.
+Sources claim values for facts; a source whose values other sources
+corroborate earns trust — the truth-discovery fixed point of
+Knowledge-Based Trust and TruthFinder.  :func:`weighted_vote` pools a
+verifier's per-evidence verdicts with those trusts; NOT_RELATED
+verdicts abstain, since unrelated evidence says nothing about the
+object.
 """
 
 from __future__ import annotations
@@ -17,98 +16,16 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from repro.verify.verdict import Verdict
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (source, object, verdict) vote."""
-
-    source: str
-    object_id: str
-    verdict: Verdict
-
-
 @dataclass
 class TrustScores:
     """Result of trust estimation."""
 
     source_trust: Dict[str, float]
-    object_truth: Dict[str, float]  # P(object is verified)
+    object_truth: Dict[str, float]  # confidence in each fact's best value
     iterations: int
 
     def trust_of(self, source: str, default: float = 0.5) -> float:
         return self.source_trust.get(source, default)
-
-
-class TrustModel:
-    """Fixed-point truth discovery over verification observations."""
-
-    def __init__(
-        self,
-        max_iterations: int = 50,
-        tolerance: float = 1e-6,
-        prior_trust: float = 0.7,
-        smoothing: float = 1.0,
-    ) -> None:
-        if max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if not 0.0 < prior_trust < 1.0:
-            raise ValueError("prior_trust must be in (0, 1)")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.prior_trust = prior_trust
-        self.smoothing = smoothing
-
-    def fit(self, observations: Iterable[Observation]) -> TrustScores:
-        """Estimate source trust and object truth from observations."""
-        votes: List[Observation] = [
-            obs for obs in observations if obs.verdict is not Verdict.NOT_RELATED
-        ]
-        sources = sorted({obs.source for obs in votes})
-        objects = sorted({obs.object_id for obs in votes})
-        trust: Dict[str, float] = {source: self.prior_trust for source in sources}
-        truth: Dict[str, float] = {obj: 0.5 for obj in objects}
-        if not votes:
-            return TrustScores(trust, truth, iterations=0)
-
-        by_object: Dict[str, List[Observation]] = {}
-        by_source: Dict[str, List[Observation]] = {}
-        for obs in votes:
-            by_object.setdefault(obs.object_id, []).append(obs)
-            by_source.setdefault(obs.source, []).append(obs)
-
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            # E-step: object truth from trust-weighted votes
-            new_truth: Dict[str, float] = {}
-            for obj, obs_list in by_object.items():
-                support = sum(
-                    trust[o.source] for o in obs_list if o.verdict is Verdict.VERIFIED
-                )
-                against = sum(
-                    trust[o.source] for o in obs_list if o.verdict is Verdict.REFUTED
-                )
-                total = support + against
-                new_truth[obj] = support / total if total > 0 else 0.5
-            # M-step: source trust = smoothed agreement with consensus
-            new_trust: Dict[str, float] = {}
-            for source, obs_list in by_source.items():
-                agreement = 0.0
-                for obs in obs_list:
-                    p_true = new_truth[obs.object_id]
-                    if obs.verdict is Verdict.VERIFIED:
-                        agreement += p_true
-                    else:
-                        agreement += 1.0 - p_true
-                new_trust[source] = (agreement + self.smoothing * self.prior_trust) / (
-                    len(obs_list) + self.smoothing
-                )
-            delta = max(
-                [abs(new_trust[s] - trust[s]) for s in sources]
-                + [abs(new_truth[o] - truth[o]) for o in objects]
-            )
-            trust, truth = new_trust, new_truth
-            if delta < self.tolerance:
-                break
-        return TrustScores(source_trust=trust, object_truth=truth, iterations=iterations)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,26 @@ class TestVerifyTuple:
         assert "field 'value'" in captured.err
         assert "Verified" not in captured.out
 
+    @pytest.mark.parametrize("table_id,row,column,message", [
+        ("t-ohio-1950", "-1", "votes", "row -1 out of range"),
+        ("t-ohio-1950", "999", "votes", "row 999 out of range"),
+        ("t-absent", "0", "votes", "unknown table 't-absent'"),
+        ("t-ohio-1950", "0", "seats", "unknown column 'seats'"),
+    ])
+    def test_a_cell_the_table_does_not_have_exit_two(
+        self, lake_path, capsys, table_id, row, column, message
+    ):
+        """The object is built as ``POST /verify`` builds it, so what
+        the service answers with a 400 exits 2 here, with its message."""
+        code = main([
+            "verify-tuple", "--lake", lake_path, "--table-id", table_id,
+            "--row", row, "--column", column, "--value", "55,000",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"verify-tuple: {message}")
+        assert captured.out == ""
+
 
 class TestOneShotCommandsBuildWhatTheyRead:
     """``verify-claim`` / ``verify-tuple`` build only the modalities
@@ -395,7 +415,7 @@ class TestProfile:
 
 class TestCountFlags:
     """A bad count is a usage error — exit 2 and argparse's usage line —
-    before any lake is read: the lake below does not exist."""
+    before any lake is read or written: the lake below does not exist."""
 
     LAKE = ["--lake", "absent-lake.json"]
     #: every subcommand, with its required arguments, by count flag
@@ -409,6 +429,8 @@ class TestCountFlags:
         "profile": ["profile", *LAKE],
         "serve": ["serve", *LAKE],
         "orchestrate": ["orchestrate"],
+        "build-lake": ["build-lake", "--out", "absent-dir/lake.json"],
+        "discover": ["discover", *LAKE, "--query", "x"],
     }
 
     def assert_rejected(self, capsys, flag, values, commands):
@@ -452,3 +474,17 @@ class TestCountFlags:
         assert build_parser().parse_args(
             self.COMMANDS["serve"] + ["--queue", "0"]
         ).queue == 0
+
+    def test_tables(self, capsys):
+        self.assert_rejected(capsys, "--tables", ["-3"], ["build-lake"])
+        assert build_parser().parse_args(
+            self.COMMANDS["build-lake"] + ["--tables", "0"]
+        ).tables == 0
+
+    def test_max_iters(self, capsys):
+        self.assert_rejected(
+            capsys, "--max-iters", ["0", "-1"], ["orchestrate"]
+        )
+
+    def test_k(self, capsys):
+        self.assert_rejected(capsys, "--k", ["0", "-1"], ["discover"])

@@ -1,5 +1,7 @@
 """Cross-modal discovery over a homogeneous vector space."""
 
+import threading
+
 import pytest
 
 from repro.datalake.types import Modality
@@ -66,3 +68,27 @@ class TestRelated:
         it used to be ``list.index``'s ``ValueError``."""
         with pytest.raises(KeyError, match="missing-id"):
             index.related("missing-id")
+
+
+class TestNonPositiveK:
+    """``k <= 0`` asks for nothing, as from every ``SearchIndex``: the
+    modality filter's fetch depth starts at ``k`` and must not be grown
+    from 0 (or below) for ever, so each call runs in a daemon thread and
+    a hang fails the test instead of the run."""
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("modalities", [None, [Modality.TEXT]])
+    @pytest.mark.parametrize("read", ["search", "related"])
+    def test_returns_nothing(self, index, read, modalities, k):
+        query = "valoria gold medals" if read == "search" else "page-valoria"
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(
+                getattr(index, read)(query, k, modalities=modalities)
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), f"{read}(k={k}) did not return"
+        assert result == [[]]

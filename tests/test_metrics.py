@@ -4,11 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics.evaluation import (
-    ConfusionMatrix,
     accuracy,
     macro_recall_at_k,
-    mean_reciprocal_rank,
-    precision_recall_f1,
     recall_at_k,
 )
 from repro.metrics.tables import format_table
@@ -41,20 +38,6 @@ class TestRecallAtK:
         assert 0.0 <= recall_at_k(retrieved, relevant, k) <= 1.0
 
 
-class TestMRR:
-    def test_first_hit(self):
-        assert mean_reciprocal_rank([(["a", "b"], ["a"])]) == 1.0
-
-    def test_second_hit(self):
-        assert mean_reciprocal_rank([(["x", "a"], ["a"])]) == 0.5
-
-    def test_no_hit(self):
-        assert mean_reciprocal_rank([(["x", "y"], ["a"])]) == 0.0
-
-    def test_empty(self):
-        assert mean_reciprocal_rank([]) == 0.0
-
-
 class TestAccuracy:
     def test_basic(self):
         assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
@@ -65,45 +48,6 @@ class TestAccuracy:
 
     def test_empty(self):
         assert accuracy([], []) == 0.0
-
-
-class TestPRF:
-    def test_perfect(self):
-        p, r, f = precision_recall_f1([1, 0], [1, 0], positive=1)
-        assert (p, r, f) == (1.0, 1.0, 1.0)
-
-    def test_no_predictions_of_class(self):
-        p, r, f = precision_recall_f1([0, 0], [1, 0], positive=1)
-        assert p == 0.0 and r == 0.0 and f == 0.0
-
-    def test_precision_vs_recall(self):
-        # one true positive, one false positive, one false negative
-        p, r, f = precision_recall_f1([1, 1, 0], [1, 0, 1], positive=1)
-        assert p == 0.5 and r == 0.5
-
-
-class TestConfusionMatrix:
-    def test_accuracy(self):
-        cm = ConfusionMatrix()
-        cm.add("a", "a")
-        cm.add("a", "b")
-        cm.add("b", "b")
-        assert cm.accuracy == pytest.approx(2 / 3)
-        assert cm.total == 3
-
-    def test_labels_union(self):
-        cm = ConfusionMatrix()
-        cm.add("x", "y")
-        assert cm.labels() == ["x", "y"]
-
-    def test_render(self):
-        cm = ConfusionMatrix()
-        cm.add("gold", "pred")
-        rendered = cm.render()
-        assert "gold" in rendered and "pred" in rendered
-
-    def test_empty(self):
-        assert ConfusionMatrix().accuracy == 0.0
 
 
 class TestFormatTable:

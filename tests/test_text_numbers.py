@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.text.numbers import (
     format_number,
-    is_numeric_token,
     numbers_equal,
     numbers_in,
     parse_number,
@@ -41,17 +40,6 @@ class TestParseNumber:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_comma_format_round_trip(self, value):
         assert parse_number(f"{value:,}") == float(value)
-
-
-class TestIsNumericToken:
-    def test_plain(self):
-        assert is_numeric_token("123")
-
-    def test_word(self):
-        assert not is_numeric_token("votes")
-
-    def test_empty(self):
-        assert not is_numeric_token("")
 
 
 class TestNumbersIn:

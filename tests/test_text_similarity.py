@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.text import (
-    cosine_token_similarity,
     jaccard,
-    jaro_winkler,
     levenshtein,
     levenshtein_ratio,
     ngrams,
     trigram_similarity,
 )
-from repro.text.similarity import jaro, token_overlap
 
 short_text = st.text(max_size=25)
 #: few letters, so long strings share runs and the distance is far from
@@ -140,28 +137,6 @@ class TestLevenshteinRatio:
         assert 0.0 <= levenshtein_ratio(a, b) <= 1.0
 
 
-class TestJaroWinkler:
-    def test_identical(self):
-        assert jaro_winkler("martha", "martha") == 1.0
-
-    def test_classic_example(self):
-        assert jaro("martha", "marhta") == pytest.approx(0.9444, abs=1e-3)
-
-    def test_prefix_boost(self):
-        assert jaro_winkler("prefixed", "prefixes") > jaro("prefixed", "prefixes")
-
-    def test_disjoint(self):
-        assert jaro_winkler("abc", "xyz") == 0.0
-
-    @given(short_text, short_text)
-    def test_range(self, a, b):
-        assert 0.0 <= jaro_winkler(a, b) <= 1.0 + 1e-12
-
-    @given(short_text, short_text)
-    def test_symmetric(self, a, b):
-        assert jaro(a, b) == pytest.approx(jaro(b, a))
-
-
 class TestJaccard:
     def test_identical_sets(self):
         assert jaccard(["a", "b"], ["b", "a"]) == 1.0
@@ -208,28 +183,3 @@ class TestTrigramSimilarity:
     @given(short_text, short_text)
     def test_range(self, a, b):
         assert 0.0 <= trigram_similarity(a, b) <= 1.0
-
-
-class TestCosineTokens:
-    def test_identical(self):
-        assert cosine_token_similarity(["a", "b"], ["a", "b"]) == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert cosine_token_similarity([], ["a"]) == 0.0
-
-    def test_orthogonal(self):
-        assert cosine_token_similarity(["a"], ["b"]) == 0.0
-
-    @given(st.lists(st.sampled_from("abcde"), max_size=10),
-           st.lists(st.sampled_from("abcde"), max_size=10))
-    def test_range(self, a, b):
-        assert -1e-9 <= cosine_token_similarity(a, b) <= 1.0 + 1e-9
-
-
-class TestTokenOverlap:
-    def test_full(self):
-        count, fraction = token_overlap(["a", "b"], ["a", "b", "c"])
-        assert count == 2 and fraction == 1.0
-
-    def test_empty_query(self):
-        assert token_overlap([], ["a"]) == (0, 0.0)

@@ -1,4 +1,4 @@
-"""Tokenization, normalization, sentence splitting, shingling."""
+"""Tokenization, normalization, analysis and sentence splitting."""
 
 import random
 import sys
@@ -16,11 +16,10 @@ from repro.text import (
     normalize,
     sentences,
     tokenize,
-    tokenize_with_spans,
 )
 from repro.text.stem import stem
 from repro.text.stopwords import is_stopword
-from repro.text.tokenize import _TOKEN_RE, shingle
+from repro.text.tokenize import _TOKEN_RE
 
 # ``repro.text.tokenize`` the attribute is the function; this is the module
 tokenize_module = sys.modules["repro.text.tokenize"]
@@ -117,18 +116,6 @@ class TestTokenize:
         normalized = normalize(text)
         for token in tokenize(text):
             assert token in normalized
-
-
-class TestTokenizeWithSpans:
-    def test_spans_index_normalized_text(self):
-        text = "Tom Jenkins 1950"
-        normalized = normalize(text)
-        for token in tokenize_with_spans(text):
-            assert normalized[token.start:token.end] == token.text
-
-    def test_matches_plain_tokenize(self):
-        text = "ohio 1 district, 102,000 votes"
-        assert [t.text for t in tokenize_with_spans(text)] == tokenize(text)
 
 
 class TestAnalyze:
@@ -367,18 +354,3 @@ class TestSentences:
         assert sentences("no terminal punctuation") == [
             "no terminal punctuation"
         ]
-
-
-class TestShingle:
-    def test_basic(self):
-        assert shingle(["a", "b", "c"], 2) == ["a b", "b c"]
-
-    def test_short_input(self):
-        assert shingle(["a"], 3) == ["a"]
-
-    def test_empty(self):
-        assert shingle([], 2) == []
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            shingle(["a"], 0)

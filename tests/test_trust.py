@@ -3,61 +3,11 @@
 import pytest
 
 from repro.trust.model import (
-    Observation,
-    TrustModel,
     ValueClaim,
     ValueTrustModel,
     weighted_vote,
 )
 from repro.verify.verdict import Verdict
-
-
-class TestTrustModel:
-    def test_unanimous_sources_fully_trusted(self):
-        observations = [
-            Observation("s1", f"o{i}", Verdict.VERIFIED) for i in range(10)
-        ] + [
-            Observation("s2", f"o{i}", Verdict.VERIFIED) for i in range(10)
-        ]
-        scores = TrustModel().fit(observations)
-        assert scores.trust_of("s1") > 0.9
-        assert scores.trust_of("s2") > 0.9
-        assert all(p > 0.9 for p in scores.object_truth.values())
-
-    def test_contrarian_source_downweighted(self):
-        observations = []
-        for i in range(20):
-            observations.append(Observation("good-a", f"o{i}", Verdict.VERIFIED))
-            observations.append(Observation("good-b", f"o{i}", Verdict.VERIFIED))
-            observations.append(Observation("bad", f"o{i}", Verdict.REFUTED))
-        scores = TrustModel().fit(observations)
-        assert scores.trust_of("bad") < scores.trust_of("good-a") - 0.2
-
-    def test_not_related_excluded(self):
-        observations = [
-            Observation("s", "o1", Verdict.NOT_RELATED),
-        ]
-        scores = TrustModel().fit(observations)
-        assert scores.object_truth == {}
-
-    def test_empty(self):
-        scores = TrustModel().fit([])
-        assert scores.iterations == 0
-        assert scores.trust_of("unknown") == 0.5
-
-    def test_converges(self):
-        observations = [
-            Observation("a", "o1", Verdict.VERIFIED),
-            Observation("b", "o1", Verdict.REFUTED),
-        ]
-        scores = TrustModel(max_iterations=100).fit(observations)
-        assert scores.iterations < 100
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            TrustModel(max_iterations=0)
-        with pytest.raises(ValueError):
-            TrustModel(prior_trust=1.0)
 
 
 class TestValueTrustModel:
@@ -96,6 +46,11 @@ class TestValueTrustModel:
         ]
         scores = ValueTrustModel().fit(claims)
         assert scores.object_truth["f1"] > 0.5
+
+    def test_empty(self):
+        scores = ValueTrustModel().fit([])
+        assert scores.source_trust == {} and scores.object_truth == {}
+        assert scores.trust_of("unknown") == 0.5
 
 
 class TestWeightedVote:
