@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -411,6 +412,40 @@ class TestProfile:
     def test_neither_mode_is_a_usage_error(self, capsys):
         assert main(["profile"]) == 2
         assert "required" in capsys.readouterr().err
+
+
+class TestOrchestrate:
+    SCENARIO = ["orchestrate", "--scenario", "hazy-sparse-lake",
+                "--max-iters", "2"]
+
+    def test_an_unknown_scenario_exits_two_naming_the_mix(self, capsys):
+        assert main(["orchestrate", "--scenario", "no-such"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scenario 'no-such'" in err
+        assert "hazy-sparse-lake" in err
+
+    def test_text_and_json_report_the_same_rounds_and_trail(
+        self, tmp_path, capsys
+    ):
+        text_trail = tmp_path / "text.jsonl"
+        assert main(self.SCENARIO + ["--trail", str(text_trail)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote trail: {text_trail}"
+        rounds = [line for line in lines if line.startswith("  round ")]
+        json_trail = tmp_path / "json.jsonl"
+        assert main(self.SCENARIO + ["--json", "--trail",
+                                     str(json_trail)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (scenario,) = report["scenarios"]
+        assert scenario["name"] == "hazy-sparse-lake"
+        assert len(scenario["rounds"]) == len(rounds) <= 2
+        assert rounds[0].startswith(
+            f"  round 1: {scenario['rounds'][0]['active']} active -> "
+            f"{scenario['rounds'][0]['verified']} verified"
+        )
+        assert json_trail.read_bytes() == text_trail.read_bytes()
+        first = json.loads(text_trail.read_text().splitlines()[0])
+        assert (first["kind"], first["max_iters"]) == ("start", 2)
 
 
 class TestCountFlags:

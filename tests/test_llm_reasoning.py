@@ -113,3 +113,68 @@ class TestUnknownCells:
                          value="10")
         result = reasoner.execute(spec, self.table_with_unknown(), rng())
         assert result.verdict is True
+
+
+class TestNotExecutable:
+    """A spec the table cannot ground comes back with no verdict and
+    the reason it could not be executed."""
+
+    def table(self):
+        return Table(
+            "t-mixed", "medal table with a text column",
+            ("nation", "gold", "host city"),
+            [("valoria", "10", "port east"), ("norwind", "7", "mill ford")],
+            key_column="nation",
+        )
+
+    @pytest.mark.parametrize("spec,reason", [
+        (ClaimSpec(op=ClaimOp.LOOKUP, column="gold", subject="atlantis",
+                   value="1"), "no row mentioning 'atlantis'"),
+        (ClaimSpec(op=ClaimOp.COMPARE, column="population", subject="valoria",
+                   subject_b="norwind", comparison=Comparison.HIGHER),
+         "no column matching 'population'"),
+        (ClaimSpec(op=ClaimOp.COMPARE, column="gold", subject="valoria",
+                   subject_b="atlantis", comparison=Comparison.LOWER),
+         "no row mentioning 'atlantis'"),
+        (ClaimSpec(op=ClaimOp.COMPARE, column="host city", subject="valoria",
+                   subject_b="norwind", comparison=Comparison.HIGHER),
+         "column 'host city' is not numeric"),
+        (ClaimSpec(op=ClaimOp.AGGREGATE, column="population",
+                   aggregate=Aggregate.SUM, value="17"),
+         "no column matching 'population'"),
+        (ClaimSpec(op=ClaimOp.AGGREGATE, column="host city",
+                   aggregate=Aggregate.MAX, value="17"),
+         "column 'host city' is not numeric"),
+        (ClaimSpec(op=ClaimOp.AGGREGATE, column="gold",
+                   aggregate=Aggregate.SUM, value="seventeen"),
+         "claimed value 'seventeen' is not numeric"),
+        (ClaimSpec(op=ClaimOp.SUPERLATIVE, column="population",
+                   subject="valoria", comparison=Comparison.HIGHER),
+         "no column matching 'population'"),
+        (ClaimSpec(op=ClaimOp.SUPERLATIVE, column="gold", subject="atlantis",
+                   comparison=Comparison.HIGHER),
+         "no row mentioning 'atlantis'"),
+        (ClaimSpec(op=ClaimOp.SUPERLATIVE, column="host city",
+                   subject="valoria", comparison=Comparison.LOWER),
+         "'host city' is not numeric"),
+        (ClaimSpec(op=ClaimOp.COUNT, column="population", value="1",
+                   count=1), "no column matching 'population'"),
+    ], ids=[
+        "lookup-row", "compare-column", "compare-row", "compare-text",
+        "aggregate-column", "aggregate-text", "aggregate-claimed-text",
+        "superlative-column", "superlative-row", "superlative-text",
+        "count-column",
+    ])
+    def test_no_verdict_and_the_reason(self, quiet_profile, spec, reason):
+        result = NoisyClaimReasoner(quiet_profile).execute(
+            spec, self.table(), rng()
+        )
+        assert result.verdict is None
+        assert any(reason in step for step in result.trace), result.trace
+
+    def test_the_exact_engine_agrees_it_cannot_execute(self, quiet_profile):
+        engine = TableQueryEngine()
+        spec = ClaimSpec(op=ClaimOp.COMPARE, column="host city",
+                         subject="valoria", subject_b="norwind",
+                         comparison=Comparison.HIGHER)
+        assert engine.execute(spec, self.table()).verdict is None

@@ -63,3 +63,12 @@ class TestFormatTable:
     def test_no_title(self):
         rendered = format_table(["x"], [["1"]])
         assert rendered.splitlines()[0].startswith("x")
+
+    def test_columns_pad_to_the_widest_cell(self):
+        rendered = format_table(["a", "long"], [["xyz", 1.5], ["b", "c"]])
+        assert rendered.splitlines() == [
+            "a   | long",
+            "----+-----",
+            "xyz | 1.50",
+            "b   | c   ",
+        ]

@@ -15,6 +15,7 @@ from repro.obs.export import (
     TRACE_FORMAT_VERSION,
     load_trace,
     render_trace_json,
+    span_to_dict,
     trace_to_dict,
     validate_trace,
     write_trace,
@@ -23,6 +24,8 @@ from repro.obs.render import render_tree
 from repro.obs.trace import (
     NULL_BRANCH,
     SPAN_FAILED,
+    Span,
+    Trace,
     Tracer,
     span_id_for,
 )
@@ -324,6 +327,33 @@ class TestExport:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(ValueError):
             load_trace(path)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"trace_id": ""}, "missing a trace_id"),
+        ({"trace_id": 7}, "missing a trace_id"),
+        ({"spans": None}, "missing its spans list"),
+        ({"spans": ["span"], "span_count": 1}, "span #0 is not an object"),
+        ({"spans": [{"span_id": "s", "name": "n"}], "span_count": 1},
+         "span #0 is missing key(s): parent_id, index, path"),
+    ], ids=["empty-id", "int-id", "no-spans", "string-span", "short-span"])
+    def test_validate_names_what_is_wrong(self, change, message):
+        payload = {"version": TRACE_FORMAT_VERSION, "trace_id": "t",
+                   "span_count": 0, "spans": [], **change}
+        with pytest.raises(ValueError) as caught:
+            validate_trace(payload)
+        assert message in str(caught.value)
+
+    def test_cpu_stamps_are_exported_only_when_profiled(self):
+        plain = Span("t", "s1", "", "root", 0, "root", 1.0, end=3.0)
+        assert "cpu_duration" not in span_to_dict(plain)
+        profiled = Span("t", "s1", "", "root", 0, "root", 1.0, end=3.0,
+                        cpu_start=0.5, cpu_end=1.25)
+        payload = span_to_dict(profiled)
+        assert (payload["cpu_start"], payload["cpu_end"],
+                payload["cpu_duration"]) == (0.5, 1.25, 0.75)
+        assert payload["duration"] == 2.0
+        exported = trace_to_dict(Trace("t", (profiled,)))
+        assert validate_trace(exported)["spans"][0]["cpu_duration"] == 0.75
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.text.numbers import (
     numbers_equal,
     numbers_in,
     parse_number,
+    years_in,
 )
 
 
@@ -79,3 +80,17 @@ class TestFormatNumber:
     @given(st.integers(min_value=-10**6, max_value=10**6))
     def test_int_round_trip(self, value):
         assert parse_number(format_number(float(value))) == float(value)
+
+
+class TestYearsIn:
+    def test_finds_each_year_once(self):
+        assert years_in("elected in 1946, re-elected in 1950 and 1946") == {
+            1946, 1950
+        }
+
+    def test_range_bounds_are_inclusive(self):
+        assert years_in("from 1900 to 2100") == {1900, 2100}
+        assert years_in("from 1899 to 2101") == set()
+
+    def test_fractions_and_small_numbers_are_not_years(self):
+        assert years_in("1950.5 votes in district 12") == set()

@@ -51,6 +51,24 @@ class TestValueTrustModel:
         scores = ValueTrustModel().fit([])
         assert scores.source_trust == {} and scores.object_truth == {}
         assert scores.trust_of("unknown") == 0.5
+        assert scores.trust_of("unknown", default=0.25) == 0.25
+
+    def test_stops_at_the_fixed_point_or_the_iteration_cap(self):
+        claims = [
+            ValueClaim(source, f"f{i}", "v" if source != "c" else f"x{i}")
+            for i in range(10) for source in ("a", "b", "c")
+        ]
+        converged = ValueTrustModel().fit(claims)
+        assert 1 < converged.iterations < 50
+        capped = ValueTrustModel(max_iterations=1).fit(claims)
+        assert capped.iterations == 1
+        assert capped.trust_of("a") < converged.trust_of("a")
+
+    def test_zero_prior_trust_corroborates_nobody(self):
+        claims = [ValueClaim("a", "f1", "v"), ValueClaim("b", "f1", "v")]
+        scores = ValueTrustModel(prior_trust=0.0).fit(claims)
+        assert scores.source_trust == {"a": 0.0, "b": 0.0}
+        assert scores.object_truth == {"f1": 0.0}
 
 
 class TestWeightedVote:
