@@ -5,16 +5,14 @@ This is the content-based index the paper's experiments actually use
 files..."), so its ranking function matches ES defaults: BM25 with
 k1 = 1.2, b = 0.75.
 
-The index has two forms:
-
-* the **dict form** — token -> ``{instance_id: tf}`` postings — is the
-  write path: ``add`` / ``remove`` are cheap and incremental;
-* the **sealed form** is the read path: one flat contiguous CSR-style
-  postings layout (sorted token table, ``tok_start`` offsets into
-  concatenated document-index + term-frequency arrays) with precomputed
-  idf and length-normalization arrays.  A read compiles or patches it
-  lazily and any write un-publishes it, so callers never see a stale
-  ranking; an index with no seal is an empty index.
+Postings live in one form, the **seal**: one flat contiguous CSR-style
+layout (sorted token table, ``tok_start`` offsets into concatenated
+document-index + term-frequency arrays) with precomputed idf and
+length-normalization arrays.  Beside it the index keeps per-document
+lengths and one token -> document-frequency table; a document's
+analysed tokens are kept only until a seal carries it.  A read brings
+the seal up to date lazily and any write un-publishes it, so callers
+never see a stale ranking; an index with no seal is an empty index.
 
 Every read is a batch — ``search(q)`` is ``search_batch([q])[0]`` — and
 a batch is plan -> rank -> ids (``rank_batch``; ``search_batch`` builds
@@ -36,10 +34,10 @@ plan:
 
 Token contributions accumulate in **sorted token order** in both kernels
 (``bincount`` adds in stream order and a cell belongs to one query) and
-in :meth:`InvertedIndex.search_dict`, the reference scorer over the dict
-form that tests compare against, so all three replay the same float64
-sums bit for bit; one selection, ``_rank_matrix``, then takes every
-row's top k under the ``(-score, id)`` total order.
+in the tests' reference scorer over token -> ``{id: tf}`` postings, so
+all three replay the same float64 sums bit for bit; one selection,
+``_rank_matrix``, then takes every row's top k under the ``(-score,
+id)`` total order.
 
 Two extensions support the sharded deployment
 (:mod:`repro.index.shard`):
@@ -52,20 +50,18 @@ Two extensions support the sharded deployment
   external :class:`CorpusStats` view instead, which is how N shards
   of one logical index all rank with *global* statistics and stay
   score-identical to the unsharded build;
-* **live mutation** — :meth:`add` and :meth:`remove` edit the dict
-  form at once, in O(the document's distinct tokens): each document
-  keeps a record of its tokens, so a removal deletes exactly its own
-  postings (and drops a row it empties) without walking anyone
-  else's.  :meth:`update` is remove + add, which moves the document to
-  the end of the document order.  A write un-publishes the sealed form
-  but keeps it as the *base* the next :meth:`seal` patches: the net
-  removals and additions since the base are folded into its CSR arrays
-  in a fixed number of numpy passes, with Python only over the
-  postings that were added, and ``norm`` / ``idf_flat`` — which every
-  write moves — are re-derived from the integer statistics.  The
-  patched arrays are byte-identical to a compile from nothing
-  (``tests/test_index_patch.py``); with no base (first seal,
-  :meth:`invalidate_seal`, the bulk build) ``seal`` compiles.
+* **live mutation** — :meth:`add` records the document's distinct
+  tokens and counts until a seal carries it; :meth:`remove` corrects
+  the statistics at once, reading a sealed document's tokens off the
+  seal's postings.  :meth:`update` is remove + add, which moves the
+  document to the end of the document order.  A write un-publishes the
+  seal but keeps it as the *base* the next :meth:`seal` patches: the
+  net removals and additions since the base are folded into its CSR
+  arrays in a fixed number of numpy passes, and ``norm`` / ``idf_flat``
+  — which every write moves — are re-derived from the integer
+  statistics.  The first seal is the same fold over an empty base, and
+  a patched seal is byte-identical to a fresh index's over the
+  surviving payloads (``tests/test_index_patch.py``).
 """
 
 from __future__ import annotations
@@ -73,8 +69,8 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from bisect import bisect_right, insort
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import Counter
 from itertools import chain, compress
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -82,7 +78,7 @@ import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import (
-    Ranking, SearchHit, SearchIndex, hits_of, top_k,
+    Ranking, SearchHit, SearchIndex, hits_of,
 )
 from repro.obs.metrics import get_registry
 from repro.text import analyze
@@ -241,13 +237,11 @@ class InvertedIndex(SearchIndex):
         self.b = b
         self.remove_stopwords = remove_stopwords
         self.stemming = stemming
-        self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
         self._doc_length: Dict[str, int] = {}
-        #: document -> its distinct tokens (the postings dict's own
-        #: interned key objects, so the record costs pointers, not
-        #: strings): what lets remove() delete exactly its own postings
-        self._doc_tokens: Dict[str, Tuple[str, ...]] = {}
         self._total_length = 0
+        #: token -> number of documents carrying it: the vocabulary, and
+        #: what local_df(), idf() and the sharded statistics read
+        self._df: Counter = Counter()
         self._sealed: Optional[_SealedPostings] = None
         # serializes what readers build lazily — the seal itself
         # (compile or patch, in seal()) and a seal's contrib_flat: the
@@ -255,14 +249,16 @@ class InvertedIndex(SearchIndex):
         # threads, and two of them must not both build and publish
         self._seal_lock = threading.Lock()
         #: the last published seal, kept across writes so the next
-        #: seal() patches it; ``None`` = nothing to patch, compile
+        #: seal() patches it; ``None`` = nothing published yet, compile
         self._base: Optional[_SealedPostings] = None
         #: the net writes since ``_base``: its documents removed since,
-        #: and the documents added since, in order.  An updated
-        #: document is in both: its old version dead, its new one fresh.
-        #: Recorded only while there is a base; reset at each publication
+        #: and the documents added since, in order, each with its
+        #: distinct tokens (interned) and their counts — the only
+        #: per-document record, held until a seal carries the document.
+        #: An updated document is in both: its old version dead, its new
+        #: one fresh.  Reset at each publication
         self._dead: Set[str] = set()
-        self._fresh: Dict[str, None] = {}
+        self._fresh: Dict[str, Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
         #: statistics provider BM25 scores against; ``None`` = this
         #: index's own postings.  The sharded layer assigns a global
         #: aggregating view here.
@@ -283,36 +279,44 @@ class InvertedIndex(SearchIndex):
             raise ValueError(f"duplicate instance id: {instance_id}")
         tokens = self._analyze(payload)
         self._sealed = None  # any write un-publishes the compiled form
-        if self._base is not None:
-            self._fresh[instance_id] = None
         self._doc_length[instance_id] = len(tokens)
         self._total_length += len(tokens)
         counts = Counter(tokens)
         distinct = tuple(map(sys.intern, counts))
-        for token, count in zip(distinct, counts.values()):
-            self._postings[token][instance_id] = count
-        self._doc_tokens[instance_id] = distinct
+        self._fresh[instance_id] = (distinct, tuple(counts.values()))
+        self._df.update(distinct)
 
     def remove(self, instance_id: str) -> None:
-        """Delete one document's postings, in O(its distinct tokens).
+        """Delete one document, in O(its distinct tokens) when no seal
+        carries it yet and one scan of the seal's postings when one
+        does.
 
-        Statistics, postings and vocabulary (a row the document was the
-        last carrier of is dropped) are all corrected before this
-        returns.  Raises ``KeyError`` for an unknown id.
+        Statistics and vocabulary (a token the document was the last
+        carrier of is dropped) are corrected before this returns; the
+        postings go at the next seal.  Raises ``KeyError`` for an
+        unknown id.
         """
         length = self._doc_length.pop(instance_id)  # KeyError when absent
         self._total_length -= length
-        for token in self._doc_tokens.pop(instance_id):
-            row = self._postings[token]
-            del row[instance_id]
-            if not row:
-                del self._postings[token]
-        self._sealed = None  # any write un-publishes the compiled form
-        if self._base is not None:
-            if instance_id in self._fresh:
-                del self._fresh[instance_id]
+        record = self._fresh.pop(instance_id, None)
+        if record is None:  # the base carries it: read its row off it
+            base = self._base
+            position = base.doc_ids.index(instance_id)
+            rows = np.searchsorted(
+                base.tok_start, np.flatnonzero(base.doc_idx == position),
+                side="right",
+            ) - 1
+            distinct = [base.tokens[row] for row in rows.tolist()]
+            self._dead.add(instance_id)
+        else:
+            distinct = record[0]
+        df = self._df
+        for token in distinct:
+            if df[token] == 1:
+                del df[token]
             else:
-                self._dead.add(instance_id)
+                df[token] -= 1
+        self._sealed = None  # any write un-publishes the compiled form
 
     def update(self, instance_id: str, payload: str) -> None:
         """Replace one document's payload (remove + add)."""
@@ -320,16 +324,16 @@ class InvertedIndex(SearchIndex):
         self.add(instance_id, payload)
 
     def invalidate_seal(self) -> None:
-        """Drop the compiled read form *and* the base a patch would
-        start from: the next seal compiles from nothing.
+        """Un-publish the read form although no posting moved: the next
+        seal re-derives ``norm`` / ``idf_flat`` from the integer
+        statistics (and folds in any writes since the base).
 
         The sharded layer calls this on *every* shard when *any* shard
         mutates: global corpus statistics changed, so every shard's
-        compiled idf/norm tables are stale even though its own postings
-        did not move.
+        idf/norm tables are stale even though its own postings did not
+        move.
         """
         self._sealed = None
-        self._base = None
 
     def __len__(self) -> int:
         return len(self._doc_length)
@@ -338,8 +342,8 @@ class InvertedIndex(SearchIndex):
         return instance_id in self._doc_length
 
     def local_df(self, token: str) -> int:
-        """Document frequency of ``token`` in *this* index's postings."""
-        return len(self._postings.get(token, ()))
+        """Document frequency of ``token`` in *this* index's documents."""
+        return self._df[token]
 
     @property
     def avg_doc_length(self) -> float:
@@ -365,64 +369,53 @@ class InvertedIndex(SearchIndex):
         """Bring the flat vectorized read form up to date.
 
         Idempotent; every read calls it lazily.  The next write
-        un-publishes the compiled form.  One
-        rule picks the work: a base exists (a seal was published and
-        only ``add`` / ``remove`` happened since) -> patch it; no base
-        -> compile from the dict form.  Safe under concurrent readers:
-        either runs under a lock and publishes a *new* seal, so a
-        second searching thread blocks instead of publishing a
-        duplicate, and a reader still holding the previous seal keeps
-        a consistent one.
+        un-publishes the compiled form.  One fold does the work: it
+        patches the last published seal (the *base*) with the writes
+        since, and the first seal is that fold over an empty base — a
+        compile from the fresh records.  Safe under concurrent readers:
+        it runs under a lock and publishes a *new* seal, so a second
+        searching thread blocks instead of publishing a duplicate, and a
+        reader still holding the previous seal keeps a consistent one.
         """
         if self._sealed is not None:
             return self
         with self._seal_lock:
             if self._sealed is None:
-                if self._base is None:
-                    self._compile_locked()
-                else:
-                    self._patch_locked()
+                self._fold_locked()
         return self
 
-    def _compile_locked(self) -> None:
-        """Compile the dict form from nothing; caller holds
-        ``_seal_lock``."""
-        doc_ids = list(self._doc_length)
-        doc_pos = dict(zip(doc_ids, range(len(doc_ids))))
-        tokens = sorted(self._postings)
-        rows = [self._postings[token] for token in tokens]
-        tok_start = np.zeros(len(tokens) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
-            out=tok_start[1:],
-        )
-        total = int(tok_start[-1])
-        # each row in its dict (= document) order, rows in token order
-        doc_idx = np.fromiter(
-            map(doc_pos.__getitem__, chain.from_iterable(rows)),
-            dtype=np.int64, count=total,
-        )
-        tf_flat = np.fromiter(
-            chain.from_iterable(map(dict.values, rows)),
-            dtype=np.float64, count=total,
-        )
-        self._publish_locked(doc_ids, tokens, tok_start, doc_idx, tf_flat)
-        get_registry().counter("index.seal.compiled").inc()
-
-    def _patch_locked(self) -> None:
+    def _fold_locked(self) -> None:
         """Fold the writes since ``_base`` into its CSR arrays; caller
         holds ``_seal_lock``.
 
-        Produces, array for array and byte for byte, what
-        :meth:`_compile_locked` would: documents in ``_doc_length``
-        order (the base's survivors, then the fresh ones), every row in
-        document order (its surviving postings, then the fresh ones),
-        rows in sorted token order (emptied rows dropped, first-seen
-        tokens inserted in place).  The base's arrays are only read.
+        Produces, array for array and byte for byte, the one layout of
+        the index's documents: documents in ``_doc_length`` order (the
+        base's survivors, then the fresh ones), every row in document
+        order (its surviving postings, then the fresh ones), rows in
+        sorted token order (emptied rows dropped, first-seen tokens
+        inserted in place).  The base's arrays are only read; with no
+        write since (:meth:`invalidate_seal`) they are published again
+        under new statistics.
         """
-        # a patch that fails half way leaves no base: next seal compiles
-        base, self._base = self._base, None
-        dead, fresh = self._dead, list(self._fresh)
+        # the base stays referenced until the new seal is published: its
+        # arrays are the only copy of its documents' postings, so a fold
+        # that fails leaves the index as it was
+        base, dead, fresh = self._base, self._dead, self._fresh
+        if base is None:
+            published = get_registry().counter("index.seal.compiled")
+            base = _SealedPostings(
+                [], np.empty(0), [], np.zeros(1, dtype=np.int64),
+                np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), {},
+            )
+        else:
+            published = get_registry().counter("index.seal.patched")
+        if not (dead or fresh):
+            self._publish_locked(
+                base.doc_ids, base.tokens, base.tok_start, base.doc_idx,
+                base.tf_flat, base.tok_pos,
+            )
+            published.inc()
+            return
         if dead:
             keep_doc = ~np.fromiter(
                 map(dead.__contains__, base.doc_ids),
@@ -449,28 +442,43 @@ class InvertedIndex(SearchIndex):
             kept_len = np.diff(base.tok_start)
             kept_docs, kept_tf = base.doc_idx, base.tf_flat
 
-        # the fresh documents' postings, document by document
-        first_fresh = len(base.doc_ids) - len(dead)
-        add_tokens: List[str] = []
-        add_docs: List[int] = []
-        add_tf: List[int] = []
-        for offset, doc_id in enumerate(fresh):
-            record = self._doc_tokens[doc_id]
-            add_tokens.extend(record)
-            add_docs.extend([first_fresh + offset] * len(record))
-            add_tf.extend([self._postings[t][doc_id] for t in record])
-
         # vocabulary: a base row lives on if a posting survived or a
-        # fresh one lands in it; first-seen tokens are inserted in order
-        touched = dict.fromkeys(add_tokens)
+        # fresh one lands in it; first-seen tokens are sorted in
+        records = list(fresh.values())
+        touched = dict.fromkeys(
+            chain.from_iterable(distinct for distinct, _ in records)
+        )
+        tok_pos = base.tok_pos
         alive = kept_len > 0
-        alive[[base.tok_pos[t] for t in touched if t in base.tok_pos]] = True
-        tokens = list(compress(base.tokens, alive.tolist()))
-        first_seen = [t for t in touched if t not in base.tok_pos]
-        for token in first_seen:
-            insort(tokens, token)
+        alive[[tok_pos[t] for t in touched if t in tok_pos]] = True
+        first_seen = [t for t in touched if t not in tok_pos]
+        tokens = sorted(
+            chain(compress(base.tokens, alive.tolist()), first_seen)
+        )
         tok_pos = dict(zip(tokens, range(len(tokens))))
-        del base  # nothing below reads it: let its arrays go first
+
+        # the fresh documents' postings, document by document, as flat
+        # arrays each allocated once at its final size
+        lengths = np.fromiter(
+            (len(distinct) for distinct, _ in records),
+            dtype=np.int64, count=len(records),
+        )
+        total = int(lengths.sum())
+        add_rows = np.fromiter(
+            map(tok_pos.__getitem__, chain.from_iterable(
+                distinct for distinct, _ in records
+            )),
+            dtype=np.int64, count=total,
+        )
+        add_tf = np.fromiter(
+            chain.from_iterable(counts for _, counts in records),
+            dtype=np.float64, count=total,
+        )
+        first_fresh = len(base.doc_ids) - len(dead)
+        add_docs = np.repeat(
+            np.arange(first_fresh, first_fresh + len(records)), lengths
+        )
+        del records
 
         # row lengths: the surviving base rows keep their order around
         # the first-seen rows, then every row grows by its additions
@@ -479,10 +487,6 @@ class InvertedIndex(SearchIndex):
         from_base[[tok_pos[t] for t in first_seen]] = False
         kept_end[from_base] = kept_len[alive]
         np.cumsum(kept_end, out=kept_end)
-        add_rows = np.fromiter(
-            map(tok_pos.__getitem__, add_tokens),
-            dtype=np.int64, count=len(add_tokens),
-        )
         tok_start = np.zeros(len(tokens) + 1, dtype=np.int64)
         tok_start[1:] = kept_end + np.cumsum(
             np.bincount(add_rows, minlength=len(tokens))
@@ -495,24 +499,23 @@ class InvertedIndex(SearchIndex):
         survivor[at] = False
         doc_idx = np.empty(survivor.size, dtype=np.int64)
         doc_idx[survivor] = kept_docs
-        doc_idx[at] = np.array(add_docs, dtype=np.int64)[order]
-        del kept_docs
+        doc_idx[at] = add_docs[order]
+        del kept_docs, add_docs
         tf_flat = np.empty(survivor.size, dtype=np.float64)
         tf_flat[survivor] = kept_tf
-        tf_flat[at] = np.array(add_tf, dtype=np.float64)[order]
-        del kept_tf
+        tf_flat[at] = add_tf[order]
+        del kept_tf, add_tf
         self._publish_locked(
             list(self._doc_length), tokens, tok_start, doc_idx, tf_flat,
             tok_pos,
         )
-        get_registry().counter("index.seal.patched").inc()
+        published.inc()
 
     def _scoring_tables(
         self, tokens: List[str], tok_start: "np.ndarray"
     ) -> Tuple["np.ndarray", "np.ndarray"]:
         """``(norm, idf_flat)`` from the integer statistics — the one
-        derivation both :meth:`_compile_locked` and
-        :meth:`_patch_locked` publish, replaying the dict scorer's
+        derivation every seal carries, replaying the reference scorer's
         scalar arithmetic (same operations, same order, same doubles).
         """
         lengths = np.fromiter(
@@ -521,7 +524,7 @@ class InvertedIndex(SearchIndex):
         )
         avg_len = self.avg_doc_length
         if avg_len:
-            # exactly the dict scorer's denominator term, hoisted per doc
+            # exactly the reference scorer's denominator, hoisted per doc
             norm = self.k1 * (1 - self.b + self.b * lengths / avg_len)
         else:
             norm = np.full(lengths.size, self.k1 * 1.0)
@@ -583,7 +586,7 @@ class InvertedIndex(SearchIndex):
         the per-token kernel: each known token adds its CSR block of
         :meth:`_contrib_flat` times its query count into the row.
         ``terms`` arrive in sorted token order: the canonical
-        accumulation order shared with search_dict and the tiled
+        accumulation order shared with the reference scorer and the tiled
         kernel, so all three produce identical float64 sums."""
         contrib_flat = self._contrib_flat(sealed)
         tok_start, doc_idx = sealed.tok_start, sealed.doc_idx
@@ -690,7 +693,7 @@ class InvertedIndex(SearchIndex):
     def _contrib_flat(self, sealed: _SealedPostings) -> "np.ndarray":
         """Per-posting BM25 contribution at query term frequency 1 —
         ``idf * (tf * (k1 + 1)) / (tf + norm[doc])`` over the whole CSR
-        layout, elementwise in the dict scorer's operation order (the
+        layout, elementwise in the reference scorer's operation order (the
         denominator's one addition commutes exactly).  Built by the
         first read of a seal, in three stream-length arrays, and cached
         on it."""
@@ -795,31 +798,3 @@ class InvertedIndex(SearchIndex):
 
     def search(self, query: str, k: int = 10) -> List[SearchHit]:
         return self.search_batch([query], k)[0]
-
-    def search_dict(self, query: str, k: int = 10) -> List[SearchHit]:
-        """Reference scorer over the dict postings (the original path).
-
-        Kept as the differential-testing oracle for the sealed form;
-        no read path calls it.
-        """
-        tokens = self._analyze(query)
-        if not tokens or not self._doc_length:
-            return []
-        avg_len = self.avg_doc_length
-        scores: Dict[str, float] = defaultdict(float)
-        # sorted token order — see _score_tokens: one canonical
-        # accumulation order across all scoring paths
-        for token, query_count in sorted(Counter(tokens).items()):
-            postings = self._postings.get(token)
-            if not postings:
-                continue
-            idf = self.idf(token)
-            for instance_id, tf in postings.items():
-                doc_len = self._doc_length[instance_id]
-                denom = tf + self.k1 * (
-                    1 - self.b + self.b * doc_len / avg_len if avg_len else 1.0
-                )
-                scores[instance_id] += (
-                    idf * (tf * (self.k1 + 1)) / denom * query_count
-                )
-        return top_k(scores, k, self.name)

@@ -138,6 +138,7 @@ class GlobalBM25Stats(CorpusStats):
         return sum(shard._total_length for shard in self._shards)
 
     def df(self, token: str) -> int:
+        # each shard's df table, current between seals
         return sum(shard.local_df(token) for shard in self._shards)
 
 
@@ -242,8 +243,9 @@ class ShardedInvertedIndex(_ShardedIndex):
         return self.shards[0].plan_matrix(queries)
 
     def _written(self) -> None:
-        """Global statistics changed: every shard's compiled form is
-        stale, not just the mutated one's."""
+        """Global statistics changed: every shard's idf/norm tables are
+        stale, not just the mutated one's, so every shard re-derives
+        them on its next read (the mutated one folding its write in)."""
         for shard in self.shards:
             shard.invalidate_seal()
 
@@ -253,7 +255,7 @@ class ShardedInvertedIndex(_ShardedIndex):
         self._written()
 
     def seal(self) -> "ShardedInvertedIndex":
-        """Compile every shard's read form."""
+        """Bring every populated shard's read form up to date."""
         for shard in self.shards:
             if len(shard):
                 shard.seal()

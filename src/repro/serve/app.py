@@ -328,6 +328,9 @@ class VerificationService:
         return self.system.verify(obj, trace=True)
 
     def _run_verify_batch(self, objects, max_workers, fail_fast):
+        """Worker-thread body: one traced campaign on ``max_workers``
+        threads, capped at ``ServeConfig.batch_max_workers`` (1: the
+        worker this request's admission slot holds)."""
         return self.system.verify_batch(
             objects, max_workers=max_workers,
             fail_fast=fail_fast, trace=True,

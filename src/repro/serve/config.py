@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.obs.clock import Clock
 
@@ -21,8 +21,6 @@ class ServeConfig:
     * ``retry_after_seconds`` — the backoff hint shed responses carry;
     * ``max_body_bytes`` / ``max_batch_objects`` — request-size guards
       (``413`` / ``400``);
-    * ``batch_max_workers`` — cap on the per-request ``max_workers`` a
-      ``/verify-batch`` body may ask for;
     * ``trace_cache_size`` — finished request traces kept for
       ``GET /trace/<trace_id>`` (oldest evicted first);
     * ``event_log_size`` — flight-recorder ring capacity (the last N
@@ -40,11 +38,16 @@ class ServeConfig:
     retry_after_seconds: float = 1.0
     max_body_bytes: int = 1 << 20
     max_batch_objects: int = 256
-    batch_max_workers: int = 4
     trace_cache_size: int = 512
     event_log_size: int = 512
     debug_profile_max_seconds: float = 10.0
     clock: Optional[Clock] = None
+
+    #: workers one admitted ``/verify-batch`` runs on: the one its
+    #: admission slot grants, so ``max_concurrency`` bounds the verifies
+    #: in flight whatever the batches.  Not a knob; a body's
+    #: ``max_workers`` is an upper bound the server always meets
+    batch_max_workers: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
@@ -66,11 +69,6 @@ class ServeConfig:
             raise ValueError(
                 f"max_batch_objects must be >= 1, "
                 f"got {self.max_batch_objects}"
-            )
-        if self.batch_max_workers < 1:
-            raise ValueError(
-                f"batch_max_workers must be >= 1, "
-                f"got {self.batch_max_workers}"
             )
         if self.trace_cache_size < 1:
             raise ValueError(

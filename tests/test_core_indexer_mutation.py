@@ -82,19 +82,24 @@ class TestInvertedIndexSealLifecycle:
                 (h.instance_id, h.score) for h in index.search(query, 5)
             ] == [(h.instance_id, h.score) for h in fresh.search(query, 5)]
 
-    def test_dict_path_compacts_tombstones(self):
-        index = InvertedIndex(name="dict")
-        index.add("a", "shared token alpha")
-        index.add("b", "shared token beta")
-        index.remove("a")
-        # the removal is complete before any read: "a" is unreachable
-        # and the token only it carried is out of the vocabulary
-        assert index.local_df("alpha") == 0
-        assert index.local_df("token") == 1
-        hits = index.search_dict("shared token", 5)
-        assert [h.instance_id for h in hits] == ["b"]
-        assert index.search_dict("alpha", 5) == []
-        assert not index.is_sealed  # the oracle reads the dict form alone
+    def test_removal_done_before_any_read(self):
+        for sealed in (False, True):
+            index = InvertedIndex(name="dict")
+            index.add("a", "shared token alpha")
+            index.add("b", "shared token beta")
+            if sealed:  # the removal reads "a"'s tokens off the seal
+                index.seal()
+            index.remove("a")
+            # the statistics move before any read, and the token only
+            # "a" carried is out of the vocabulary
+            assert not index.is_sealed
+            assert index.local_df("alpha") == 0
+            assert index.local_df("token") == 1
+            assert index.avg_doc_length == 3.0
+            hits = index.search("shared token", 5)
+            assert [h.instance_id for h in hits] == ["b"]
+            assert index.search("alpha", 5) == []
+            assert "alpha" not in index._sealed.tok_pos
 
     def test_remove_then_readd_same_id(self):
         index = self.build()

@@ -1,6 +1,7 @@
 """Differential tests: the sealed (vectorized) BM25 path must return
-byte-identical hit lists to the dict reference scorer, including on the
-seeded medium experiment workload."""
+byte-identical hit lists to the dict reference scorer
+(``tests/bm25_oracle.py``), including on the seeded medium experiment
+workload."""
 
 import random
 import string
@@ -11,6 +12,7 @@ from repro.datalake.serialize import serialize_row
 from repro.datalake.types import Modality
 from repro.experiments import get_context
 from repro.index.inverted import InvertedIndex
+from tests.bm25_oracle import DictOracle
 
 
 def as_tuples(hits):
@@ -37,7 +39,10 @@ class TestSealedLifecycle:
         index.add("d2", "alpha alpha alpha")
         assert not index.is_sealed
         hits = index.search("alpha", 5)
-        assert as_tuples(hits) == as_tuples(index.search_dict("alpha", 5))
+        oracle = DictOracle.like(
+            index, [("d1", "alpha beta"), ("d2", "alpha alpha alpha")]
+        )
+        assert as_tuples(hits) == as_tuples(oracle.search("alpha", 5))
         assert hits[0].instance_id == "d2"
 
     def test_seal_is_idempotent(self):
@@ -64,14 +69,16 @@ class TestDifferentialRandom:
             for _ in range(250)
         ]
         index = InvertedIndex()
+        oracle = DictOracle.like(index)
         for i in range(400):
             payload = " ".join(rng.choices(vocab, k=rng.randint(2, 50)))
             index.add(f"doc-{i:04d}", payload)
+            oracle.add(f"doc-{i:04d}", payload)
         for _ in range(100):
             query = " ".join(rng.choices(vocab, k=rng.randint(1, 6)))
             k = rng.choice([1, 2, 5, 20, 500])
             assert as_tuples(index.search(query, k)) == as_tuples(
-                index.search_dict(query, k)
+                oracle.search(query, k)
             )
 
 
@@ -81,7 +88,9 @@ class TestDifferentialMediumWorkload:
     @pytest.mark.parametrize("modality", [Modality.TUPLE, Modality.TABLE,
                                           Modality.TEXT])
     def test_bit_identical_hits(self, medium_context, modality):
-        index = medium_context.system.indexer.content_index(modality)
+        indexer = medium_context.system.indexer
+        index = indexer.content_index(modality)
+        oracle = DictOracle.like(index, indexer._modality_entries(modality))
         queries = [
             serialize_row(
                 medium_context.bundle.lake.table(g.table_id).row(g.row_index)
@@ -91,5 +100,5 @@ class TestDifferentialMediumWorkload:
         for query in queries:
             for k in (3, 10, 50):
                 assert as_tuples(index.search(query, k)) == as_tuples(
-                    index.search_dict(query, k)
+                    oracle.search(query, k)
                 ), f"sealed/dict divergence on {modality} k={k}"

@@ -4,7 +4,8 @@ The contract under test (src/repro/index/inverted.py): scoring a whole
 campaign of queries against a sealed shard in one vectorized pass
 (``search_batch``) returns, query for query, the
 bit-identical ``(instance_id, score)`` rankings of the per-query paths
-— the sealed single-query kernel AND the original dict walk.  Equality
+— the sealed single-query kernel AND the dict walk of
+``tests/bm25_oracle.py``.  Equality
 is exact float64 equality, never approx: both paths accumulate
 contributions in the same canonical sorted-token order, so IEEE
 addition order matches and the scores agree to the last bit.
@@ -31,6 +32,7 @@ from repro.index import inverted
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import ShardedInvertedIndex
 from repro.obs.metrics import get_registry
+from tests.bm25_oracle import DictOracle
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -110,9 +112,8 @@ def seal_counter(name):
 class TestMatrixKernel:
     def test_matrix_matches_sealed_and_dict_paths_bitwise(self):
         index = build_index()
-        expected_dict = [
-            pairs(index.search_dict(q, 5)) for q in MICRO_QUERIES
-        ]
+        oracle = DictOracle.like(index, DOCS)
+        expected_dict = [pairs(oracle.search(q, 5)) for q in MICRO_QUERIES]
         index.seal()
         expected_sealed = [pairs(index.search(q, 5)) for q in MICRO_QUERIES]
         got = [pairs(hits) for hits in index.search_batch(MICRO_QUERIES, 5)]
@@ -181,11 +182,11 @@ def tie_fill(index, docs):
 def assert_one_answer(index, oracle, queries, docs):
     """``search`` ≡ ``search_batch`` rows ≡ the oracle's dict walk, at
     every k around each query's match count."""
-    matches = [len(oracle.search_dict(q, len(docs) + 1)) for q in queries]
+    matches = [len(oracle.search(q, len(docs) + 1)) for q in queries]
     for k in sorted({0, 1, len(docs), len(docs) + 5}.union(
         *({m - 1, m, m + 1} for m in matches)
     )):
-        expected = [pairs(oracle.search_dict(q, k)) for q in queries]
+        expected = [pairs(oracle.search(q, k)) for q in queries]
         assert [pairs(index.search(q, k)) for q in queries] == expected, k
         assert [
             pairs(hits) for hits in index.search_batch(queries, k)
@@ -198,8 +199,9 @@ class TestOneOfEach:
     def test_solo_batch_and_dict_agree_on_tie_heavy_corpora(
         self, docs, queries
     ):
-        oracle = tie_fill(InvertedIndex(name="ties"), docs)
-        assert_one_answer(oracle, oracle, queries, docs)
+        oracle = tie_fill(DictOracle(name="ties"), docs)
+        solo = tie_fill(InvertedIndex(name="ties"), docs)
+        assert_one_answer(solo, oracle, queries, docs)
         for num_shards in (2, 4):
             sharded = ShardedInvertedIndex(num_shards, name="ties")
             assert_one_answer(tie_fill(sharded, docs), oracle, queries, docs)
@@ -209,7 +211,7 @@ class TestOneOfEach:
             InvertedIndex(name="void"),
             ShardedInvertedIndex(2, name="void"),
         ):
-            assert_one_answer(index, InvertedIndex(), ["kax", ""], [])
+            assert_one_answer(index, DictOracle(), ["kax", ""], [])
             assert index.search_batch([], 3) == []
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -232,13 +234,13 @@ class TestOneOfEach:
         assert index.search(query, 5) == index.search_batch([query], 5)[0]
         index.search_batch([query, other], 5)
         assert same_objects(spy.seals, seals)  # and never again
-        # a write publishes new seals: a patch on one index, a compile of
-        # every shard after invalidate_seal() on a sharded one
-        kind = "patched" if shards == 1 else "compiled"
-        published = seal_counter(kind)
+        # a write publishes new seals: a patch of every member, the
+        # written one's folding the write, the other shards' re-deriving
+        # their statistics after invalidate_seal()
+        published = seal_counter("patched")
         index.update("doc0007", "kakax memex")
         assert index.search(query, 5)
-        assert seal_counter(kind) == published + shards
+        assert seal_counter("patched") == published + shards
         fresh = [member._sealed for member in members]
         assert all(new is not old for new, old in zip(fresh, seals))
         assert same_objects(spy.seals, seals + fresh)
@@ -308,8 +310,9 @@ EDGE_QUERIES = [
 class TestTiles:
     def test_a_multi_tile_campaign_equals_the_per_query_paths(self):
         index = fill(InvertedIndex(name="tiles"))
+        oracle = fill(DictOracle(name="tiles"))
         queries = campaign()
-        expected = [pairs(index.search_dict(q, 5)) for q in queries]
+        expected = [pairs(oracle.search(q, 5)) for q in queries]
         tiles = counter("tiles")
         got = [pairs(hits) for hits in index.search_batch(queries, 5)]
         assert counter("tiles") - tiles >= 3
@@ -471,6 +474,7 @@ class TestSoloReadHammer:
 
     def test_four_solo_readers_build_one_table_per_seal(self, monkeypatch):
         index = fill(InvertedIndex(name="hammer"), docs=300)
+        oracle = fill(DictOracle(name="hammer"), docs=300)
         queries = campaign(4, seed=13)
         rng = random.Random(17)
         spy = BuildSpy(monkeypatch)
@@ -479,10 +483,12 @@ class TestSoloReadHammer:
         sys.setswitchinterval(1e-5)
         try:
             for round_no in range(6):
-                index.update(f"doc{round_no * 7:04d}", corpus_text(rng))
+                text = corpus_text(rng)
+                index.update(f"doc{round_no * 7:04d}", text)
+                oracle.update(f"doc{round_no * 7:04d}", text)
                 sealed = index.seal()._sealed  # published, no table yet
                 assert sealed.contrib_flat is None
-                expected = [pairs(index.search_dict(q, 7)) for q in queries]
+                expected = [pairs(oracle.search(q, 7)) for q in queries]
                 results = {}
                 barrier = threading.Barrier(4)
 

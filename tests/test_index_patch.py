@@ -1,16 +1,16 @@
 """A patched seal is a compiled seal, byte for byte.
 
 ``InvertedIndex.seal()`` after a write folds the net removals and
-additions into the last published seal instead of compiling the dict
-form from nothing.  Everything else in the index stack — dict ≡ sealed ≡
+additions into the last published seal; the seal is the only form the
+postings live in.  Everything else in the index stack — dict ≡ sealed ≡
 matrix ≡ sharded — rests on one property, proved here: after any
 sequence of writes the seven sealed arrays (``doc_ids``, ``norm``,
 ``tokens``, ``tok_start``, ``doc_idx``, ``tf_flat``, ``idf_flat``) of
-the patched seal equal, as bytes, those of ``invalidate_seal(); seal()``
-over the same dict form.
+the patched seal equal, as bytes, those of a *mirror*: a fresh index
+fed the surviving payloads, which compiles once and never patches.
+Rankings are checked against the dict oracle of
+``tests/bm25_oracle.py``, which shares no state with either index.
 
-The index under test chains patch on patch; a *mirror* index receives
-the same writes and always compiles, so the two never share a seal.
 ``make sanitize`` runs this file under the lockset sanitizer, and it is
 one of ``make coverage``'s suites for ``index/inverted.py``.
 """
@@ -19,16 +19,20 @@ import hashlib
 import random
 import sys
 import threading
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality, Table
 from repro.index.inverted import InvertedIndex
+from repro.index.shard import GlobalBM25Stats, ShardedInvertedIndex
 from repro.obs.metrics import get_registry
 from repro.workloads.builder import LakeConfig, build_lake
+from tests.bm25_oracle import DictOracle
 
 SEVEN = (
     "doc_ids", "norm", "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat"
@@ -105,45 +109,80 @@ def pairs(hits):
 
 
 class Pair:
-    """The index under test and its always-compiling mirror."""
+    """The index under test and the payloads that survive in it, in its
+    document order: what the mirror and the oracle are built from."""
 
     def __init__(self, **kwargs):
+        self.kwargs = kwargs
         self.live = InvertedIndex(name="pair", **kwargs)
-        self.mirror = InvertedIndex(name="pair", **kwargs)
+        self.payloads = {}
+        #: pairs whose documents the live index's statistics also span
+        self.others = []
+        self.mirror = None
 
     def add(self, doc_id, text):
         self.live.add(doc_id, text)
-        self.mirror.add(doc_id, text)
+        self.payloads[doc_id] = text
 
     def remove(self, doc_id):
         self.live.remove(doc_id)
-        self.mirror.remove(doc_id)
+        del self.payloads[doc_id]
 
     def update(self, doc_id, text):
         self.live.update(doc_id, text)
-        self.mirror.update(doc_id, text)
+        del self.payloads[doc_id]  # an update moves it to the end
+        self.payloads[doc_id] = text
+
+    def __contains__(self, doc_id):
+        return doc_id in self.payloads
 
     def ids(self):
         return list(self.live._doc_length)
 
+    def fresh(self):
+        """A fresh index fed the surviving payloads, sealed: a compile
+        from nothing, never a patch."""
+        index = InvertedIndex(name="pair", **self.kwargs)
+        for doc_id, text in self.payloads.items():
+            index.add(doc_id, text)
+        if self.others:
+            index.corpus_stats = GlobalBM25Stats(
+                [index] + [other.live for other in self.others]
+            )
+        return index.seal()
+
+    def oracle(self):
+        """The dict oracle over the surviving payloads (and the other
+        pairs' when the statistics span them)."""
+        return DictOracle(
+            chain(self.payloads.items(), *(
+                other.payloads.items() for other in self.others
+            )),
+            name="pair", **self.kwargs,
+        )
+
+    def expected(self, queries, k):
+        oracle = self.oracle()
+        among = set(self.payloads) if self.others else None
+        return [pairs(oracle.search(q, k, among=among)) for q in queries]
+
     def check(self, queries=("kax tox", "mix"), k=10, context=None):
-        """Seal the live index (a patch, when it has a base), compile
-        the mirror from nothing, and demand equal bytes and equal hits
-        on every scoring path."""
+        """Seal the live index (a patch, when it has a base), compile a
+        fresh mirror, and demand equal bytes, and the oracle's hits on
+        every scoring path."""
         self.live.seal()
-        self.mirror.invalidate_seal()
-        self.mirror.seal()
+        self.mirror = self.fresh()
         assert first_difference(
             seven(self.live), seven(self.mirror)
         ) is None, context
         queries = list(queries)
-        expected = [pairs(self.mirror.search_dict(q, k)) for q in queries]
+        expected = self.expected(queries, k)
         assert [pairs(self.live.search(q, k)) for q in queries] == expected
         assert [
             pairs(hits) for hits in self.live.search_batch(queries, k)
         ] == expected, context
         assert [
-            pairs(self.live.search_dict(q, k)) for q in queries
+            pairs(self.mirror.search(q, k)) for q in queries
         ] == expected, context
 
 
@@ -159,7 +198,7 @@ def churn_for_the_pin(index, rng):
     for number in range(0, 400, 7):
         index.remove(f"doc{number}")
     for number in range(3, 400, 11):
-        if f"doc{number}" in index._doc_length:
+        if f"doc{number}" in index:
             index.update(f"doc{number}", payload(rng))
     for number in range(0, 400, 21):
         index.add(f"doc{number}", payload(rng))
@@ -179,13 +218,9 @@ def compiled_count():
 class TestCompileIsPinned:
     def test_compiled_arrays_are_the_parents(self):
         pair, rng = seeded_pair(14, docs=400)
-        index = pair.mirror
-        index.seal()
-        assert digest(seven(index)) == PINNED_BUILT
-        churn_for_the_pin(index, rng)
-        index.invalidate_seal()
-        index.seal()
-        assert digest(seven(index)) == PINNED_CHURNED
+        assert digest(seven(pair.fresh())) == PINNED_BUILT
+        churn_for_the_pin(pair, rng)
+        assert digest(seven(pair.fresh())) == PINNED_CHURNED
 
     def test_patching_reaches_the_pinned_bytes_too(self):
         pair, rng = seeded_pair(14, docs=400)
@@ -241,7 +276,7 @@ class TestSeededInterleavings:
                 context=(seed, burst, round_no),
             )
             assert patched_count() == before + 1
-        # the live index never compiled again (the mirror did, always)
+        # the live index never compiled again (each fresh mirror did)
         assert compiled_count() - compiled == 120 // burst + 3
 
 
@@ -249,8 +284,8 @@ class TestSoloReadsAcrossWrites:
     def test_a_solo_read_after_every_write_is_the_dict_and_the_batch(self):
         """Patch on patch, the first read after each write is a one-query
         read, scored from the new seal's freshly built ``contrib_flat``:
-        it must be the dict walk's ranking and the same query's row of a
-        three-query batch, by ids and by every score's bits."""
+        it must be the dict oracle's ranking and the same query's row of
+        a three-query batch, by ids and by every score's bits."""
         pair, rng = seeded_pair(31, docs=80)
         index = pair.live
         index.seal()
@@ -265,16 +300,16 @@ class TestSoloReadsAcrossWrites:
             roll = rng.random()
             text = payload(rng, vocabulary=rng.choice([20, 600, 3000]))
             if roll < 0.35 or len(alive) < 3:
-                index.add(f"new{next(fresh_ids)}", text)
+                pair.add(f"new{next(fresh_ids)}", text)
             elif roll < 0.65:
-                index.remove(rng.choice(alive))
+                pair.remove(rng.choice(alive))
             else:
-                index.update(rng.choice(alive), text)
+                pair.update(rng.choice(alive), text)
             query = payload(rng, vocabulary=40)
             solo = exact(index.search(query, 7))
             assert index._sealed.contrib_flat is not None, step
             assert solo, step
-            assert solo == exact(index.search_dict(query, 7)), step
+            assert solo == exact(pair.oracle().search(query, 7)), step
             batch = [payload(rng), query, payload(rng, vocabulary=20)]
             assert solo == exact(index.search_batch(batch, 7)[1]), step
         assert patched_count() == patched + 50
@@ -330,9 +365,8 @@ class TestNamedCases:
         pair.add("a", "pox dax")
         pair.check(queries=["pox", "kax"])
         assert pair.live._sealed.doc_ids == ["b", "c", "d", "a"]
-        assert pairs(pair.live.search("mix", 5)) == pairs(
-            pair.mirror.search_dict("mix", 5)
-        )
+        [expected] = pair.expected(["mix"], 5)
+        assert pairs(pair.live.search("mix", 5)) == expected
         assert "a" not in [h.instance_id for h in pair.live.search("mix", 5)]
 
     def test_readd_then_remove_again_inside_one_burst(self):
@@ -375,17 +409,20 @@ class TestNamedCases:
         for k in (4, 5, 100):
             pair.check(queries=["kax tox mix", "sox"], k=k)
 
-    def test_unsealed_index_answers_from_the_dict_form(self):
+    def test_unsealed_index_statistics_are_current(self):
         pair = Pair()
         pair.add("a", "kax tox")
         pair.add("b", "tox mix")
         pair.remove("a")
-        assert pairs(pair.live.search_dict("tox", 5)) == [
-            ("b", pair.mirror.search("tox", 5)[0].score)
-        ]
         assert not pair.live.is_sealed
-        assert pair.live.idf("tox") == pair.mirror.idf("tox")
+        oracle = pair.oracle()
+        assert pair.live.idf("tox") == oracle.idf("tox")
+        assert pair.live.local_df("tox") == 1
+        assert pair.live.local_df("kax") == 0
+        assert pair.live.avg_doc_length == oracle.avg_doc_length
         assert InvertedIndex().idf("tox") == 0.0
+        [expected] = pair.expected(["tox"], 5)
+        assert pairs(pair.live.search("tox", 5)) == expected
 
     def test_external_corpus_stats_are_read_per_token(self):
         pair = self.small()
@@ -393,7 +430,7 @@ class TestNamedCases:
         from repro.index.shard import GlobalBM25Stats
 
         pair.live.corpus_stats = GlobalBM25Stats([pair.live, other.live])
-        pair.mirror.corpus_stats = GlobalBM25Stats([pair.mirror, other.live])
+        pair.others = [other]
         pair.live.invalidate_seal()
         pair.check()
         pair.update("a", "kax pox")
@@ -416,12 +453,9 @@ class TestNamedCases:
         # one seal a planned call: the write's patch, published once
         assert second_seal is not first_seal
         assert second_seal is pair.live._sealed
-        pair.mirror.invalidate_seal()
-        assert second == ranked(pair.mirror)[1]
+        assert second == ranked(pair.fresh())[1]
         assert second != first
-        assert second == [
-            pairs(pair.mirror.search_dict(q, 5)) for q in queries
-        ]
+        assert second == pair.expected(queries, 5)
 
     def test_the_base_arrays_are_never_written(self):
         pair = self.small()
@@ -435,14 +469,22 @@ class TestNamedCases:
         assert first_difference(seven_of(held), before) is None
         assert np.array_equal(held.contrib_flat, held_contrib)
 
-    def test_invalidate_seal_still_means_compile(self):
+    def test_invalidate_seal_patches_and_rederives(self):
         pair = self.small()
-        pair.add("e", "pox")
+        held = pair.live._sealed
         pair.live.invalidate_seal()
         patched, compiled = patched_count(), compiled_count()
         pair.live.seal()
-        assert patched_count() == patched
-        assert compiled_count() == compiled + 1
+        # nothing was written: the same postings under new statistics
+        again = pair.live._sealed
+        assert again is not held
+        assert again.doc_idx is held.doc_idx and again.tokens is held.tokens
+        assert first_difference(seven_of(held), seven(pair.live)) is None
+        pair.add("e", "pox")
+        pair.live.invalidate_seal()
+        pair.live.seal()
+        assert patched_count() == patched + 2
+        assert compiled_count() == compiled
         pair.check()
 
 
@@ -520,12 +562,25 @@ class TestThroughTheIndexer:
                 assert pairs(indexer.search(query, modality, 8)) == pairs(
                     rebuilt.search(query, modality, 8)
                 ), (modality, query)
-            for index in inverted_indexes(indexer.content_index(modality)):
-                index.seal()
-                live = seven(index)
-                index.invalidate_seal()
-                index.seal()
-                assert first_difference(live, seven(index)) is None
+            # a fresh index fed the lake's payloads in the live document
+            # order: every shard compiles what the live one patched to
+            content = indexer.content_index(modality)
+            entries = dict(indexer._modality_entries(modality))
+            fresh = (
+                InvertedIndex(name=content.name) if num_shards == 1
+                else ShardedInvertedIndex(num_shards, name=content.name)
+            )
+            live_shards = inverted_indexes(content)
+            for shard in live_shards:
+                for doc_id in shard._doc_length:
+                    fresh.add(doc_id, entries.pop(doc_id))
+            assert entries == {}
+            for live, compiled in zip(live_shards, inverted_indexes(fresh)):
+                live.seal()
+                compiled.seal()
+                assert first_difference(
+                    seven(live), seven(compiled)
+                ) is None, modality
 
     def test_one_cell_costs_one_row_and_the_table(self):
         lake = build_lake(LakeConfig(num_tables=6, seed=29)).lake
@@ -565,6 +620,116 @@ class TestThroughTheIndexer:
 
 
 # ---------------------------------------------------------------------------
+# any write sequence, sealed at any points, on one index or on shards
+# ---------------------------------------------------------------------------
+#: low ranks recur, high ranks are mostly seen once: first-seen tokens
+#: and a token's last carrier come up on their own
+write_text = st.lists(
+    st.one_of(st.integers(0, 5), st.integers(0, 400)).map(word), max_size=6
+).map(" ".join)
+write_op = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 9), write_text),
+    st.tuples(st.just("remove"), st.integers(0, 99)),
+    st.tuples(st.just("update"), st.integers(0, 99), write_text),
+    st.tuples(st.just("seal")),
+    st.tuples(st.just("invalidate")),
+)
+
+
+def members(index):
+    """The inverted indexes that hold the postings of ``index``."""
+    return getattr(index, "shards", [index])
+
+
+def fresh_index(num_shards, payloads):
+    index = (
+        InvertedIndex(name="ops") if num_shards == 1
+        else ShardedInvertedIndex(num_shards, name="ops")
+    )
+    for doc_id, text in payloads.items():
+        index.add(doc_id, text)
+    return index
+
+
+def assert_as_fresh(index, num_shards, payloads, written):
+    """Statistics before the seal, then the seven arrays after it, equal
+    member for member to a fresh index over the surviving payloads."""
+    fresh = fresh_index(num_shards, payloads)
+    analyzed = members(index)[0]._analyze(written)
+    tokens = sorted(set(analyzed) | {"absentx"})
+    for live, compiled in zip(members(index), members(fresh)):
+        assert len(live) == len(compiled)
+        assert live.avg_doc_length == compiled.avg_doc_length
+        assert [live.local_df(t) for t in tokens] == [
+            compiled.local_df(t) for t in tokens
+        ]
+        assert [live.idf(t) for t in tokens] == [
+            compiled.idf(t) for t in tokens
+        ]
+    for live, compiled in zip(members(index), members(fresh)):
+        live.seal()
+        compiled.seal()
+        assert first_difference(seven(live), seven(compiled)) is None
+
+
+class TestAnyWriteSequence:
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(write_op, max_size=40))
+    # one document updated twice between seals
+    @example(ops=[
+        ("add", 0, "kax tox"), ("add", 1, "tox mix"), ("seal",),
+        ("update", 0, "rax"), ("update", 0, "kax kax"), ("seal",),
+    ])
+    # a token's last carrier removed, from the seal and since it
+    @example(ops=[
+        ("add", 0, "kax tox"), ("add", 1, "mix"), ("seal",), ("remove", 0),
+        ("add", 2, "rarex"), ("remove", 1),
+    ])
+    # first-seen tokens before the first and after the last
+    @example(ops=[
+        ("add", 0, "kax"), ("seal",), ("add", 1, "aax zzzx"), ("seal",),
+    ])
+    # a document added since the last seal removed before the next
+    @example(ops=[
+        ("add", 0, "kax"), ("seal",), ("add", 1, "tox kax"), ("remove", 1),
+        ("seal",), ("add", 2, "mix"), ("update", 1, "tox"), ("remove", 1),
+    ])
+    # invalidate_seal() with nothing written, and with writes pending
+    @example(ops=[
+        ("add", 0, "kax"), ("add", 3, "tox"), ("seal",), ("invalidate",),
+        ("seal",), ("add", 1, "tox"), ("invalidate",), ("remove", 0),
+        ("seal",),
+    ])
+    def test_patched_seals_equal_a_fresh_index(self, num_shards, ops):
+        index = fresh_index(num_shards, {})
+        payloads = {}
+        written = []
+        for op in ops:
+            kind = op[0]
+            alive = list(payloads)
+            if kind == "add" and f"d{op[1]}" not in payloads:
+                index.add(f"d{op[1]}", op[2])
+                payloads[f"d{op[1]}"] = op[2]
+                written.append(op[2])
+            elif kind in ("remove", "update") and alive:
+                doc_id = alive[op[1] % len(alive)]
+                del payloads[doc_id]
+                if kind == "remove":
+                    index.remove(doc_id)
+                else:
+                    index.update(doc_id, op[2])
+                    payloads[doc_id] = op[2]
+                    written.append(op[2])
+            elif kind == "seal":
+                assert_as_fresh(index, num_shards, payloads, " ".join(written))
+            elif kind == "invalidate":
+                for member in members(index):
+                    member.invalidate_seal()
+        assert_as_fresh(index, num_shards, payloads, " ".join(written))
+
+
+# ---------------------------------------------------------------------------
 # readers racing to seal after a write
 # ---------------------------------------------------------------------------
 class TestReadHammer:
@@ -584,10 +749,7 @@ class TestReadHammer:
                 victim = pair.ids()[round_no * 5]
                 pair.update(victim, payload(rng, vocabulary=3000))
                 pair.add(f"hammer{round_no}", payload(rng))
-                pair.mirror.invalidate_seal()
-                expected = [
-                    pairs(pair.mirror.search_dict(q, 7)) for q in queries
-                ]
+                expected = pair.expected(queries, 7)
                 results = {}
                 barrier = threading.Barrier(8)
 

@@ -39,6 +39,7 @@ from repro.rerank.table import TableReranker
 from repro.rerank.tuples import TupleReranker
 from repro.text import analyze
 from repro.text.similarity import ngrams
+from tests.bm25_oracle import DictOracle
 
 #: three words over short documents: most scores tie, so the boundary of
 #: every selection is where answers would move (``TestOneOfEach``)
@@ -70,7 +71,7 @@ def tie_fill(index, docs):
 
 def depths(oracle, queries, docs):
     """0, 1, around every query's match count, and past the corpus."""
-    matches = [len(oracle.search_dict(q, len(docs) + 1)) for q in queries]
+    matches = [len(oracle.search(q, len(docs) + 1)) for q in queries]
     return sorted({0, 1, len(docs) + 5}.union(
         *({m - 1, m, m + 1} for m in matches)
     ) - {-1})
@@ -108,11 +109,11 @@ def vector_family(docs):
 
 
 def assert_every_index_agrees(docs, queries):
-    bm25 = tie_fill(InvertedIndex(name="ties"), docs)
+    bm25 = tie_fill(DictOracle(name="ties"), docs)
     flat = tie_fill(FlatVectorIndex(dim=8, encoder=ENCODER, name="ties"), docs)
     for k in depths(bm25, queries, docs):
         expected = [
-            [(h.instance_id, h.score) for h in bm25.search_dict(q, k)]
+            [(h.instance_id, h.score) for h in bm25.search(q, k)]
             for q in queries
         ]
         for index in bm25_family(docs):

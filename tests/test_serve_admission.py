@@ -13,6 +13,7 @@ Three layers:
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -250,6 +251,56 @@ class TestBoundedConcurrency:
         assert 1 <= peak <= 2
         assert get_registry().gauge("serve.inflight_peak").value == peak
         assert get_registry().gauge("serve.inflight").value == 0
+
+    def test_admitted_batches_verify_within_the_width(
+        self, width2_served, monkeypatch
+    ):
+        """Four concurrent ``/verify-batch`` bodies asking for four
+        workers each, on a width-2 server: no more than two
+        ``verify_pool`` calls are ever running at once."""
+        server, service, bundle = width2_served
+        verifier = service.system.verifier
+        original = verifier.verify_pool
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+
+        def spy(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.02)  # hold the pool long enough to overlap
+                return original(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(verifier, "verify_pool", spy)
+        table = max(bundle.lake.tables(), key=lambda t: t.num_rows)
+        column = next(c for c in table.columns if c != table.key_column)
+        body = {
+            "objects": [
+                {"kind": "tuple", "table_id": table.table_id,
+                 "row": row, "column": column}
+                for row in range(4)
+            ],
+            "max_workers": 4,
+        }
+        barrier = threading.Barrier(4)
+        statuses = []
+
+        def call():
+            barrier.wait(timeout=30)
+            statuses.append(request(server, "POST", "/verify-batch", body)[0])
+
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+        assert statuses == [200] * 4
+        assert 1 <= peak[0] <= 2
 
     def test_open_loop_round_trip(self, width2_served):
         server, _, bundle = width2_served

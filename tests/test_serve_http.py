@@ -191,7 +191,6 @@ class TestServeConfig:
         ("retry_after_seconds", 0.0),
         ("max_body_bytes", 0),
         ("max_batch_objects", 0),
-        ("batch_max_workers", 0),
         ("trace_cache_size", 0),
         ("event_log_size", 0),
         ("debug_profile_max_seconds", 0.0),

@@ -30,7 +30,7 @@ from repro.datalake.serialize import serialize_row
 from repro.index.base import SearchIndex
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.inverted import InvertedIndex, _order_candidates
-from repro.index.shard import ShardedInvertedIndex
+from repro.index.shard import ShardedInvertedIndex, shard_of
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import (
     parse_verification_response,
@@ -44,6 +44,7 @@ from repro.verify.agent import VerifierAgent
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.verdict import Verdict
+from tests.bm25_oracle import DictOracle
 from tests.test_llm_readings import build_corpus, chat_all, fresh_llm
 
 
@@ -503,17 +504,24 @@ class TestOrderCandidates:
     @pytest.mark.parametrize("num_shards", (1, 2, 4))
     def test_search_and_search_batch_agree_with_search_dict(self, num_shards):
         """The ordering is reached from both selections: per query and
-        query-matrix; the dict scorer shares neither."""
+        query-matrix; the dict scorer shares neither, and scores each
+        shard's documents with the whole corpus's statistics."""
         index = build_index(num_shards)
         shards = [index] if num_shards == 1 else index.shards
+        oracle = fill(DictOracle())
         for k in DEPTHS:
             batched = index.search_batch(QUERIES, k)
             for query, hits in zip(QUERIES, batched):
                 assert pairs(hits) == pairs(index.search(query, k))
-            for shard in shards:
+            for shard_no, shard in enumerate(shards):
+                oracle.name = shard.name
+                among = {
+                    doc_id for doc_id in oracle.lengths
+                    if shard_of(doc_id, num_shards) == shard_no
+                }
                 for query in QUERIES:
                     assert pairs(shard.search(query, k)) == pairs(
-                        shard.search_dict(query, k)
+                        oracle.search(query, k, among=among)
                     )
 
 
