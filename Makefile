@@ -47,12 +47,13 @@ trace-demo:
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers (with their readings memos), the
 # rerankers, the token embedder, the flat vector index, the inverted
-# index (dict form, compile, patch), the sharded indexes, the text
-# layer's analysis and similarity, the campaign path's glue (prompt
-# splitting and response parsing, the verifier module, the combiner and
-# the ranking type it fuses, the data objects), the evidence form's
-# writers and readers, the indexer's build-on-first-read lifecycle and
-# the cross-modal discovery index in a fresh interpreter
+# index (compile, patch), the sharded indexes, the text layer's
+# analysis and similarity, the campaign path's glue (prompt splitting
+# and response parsing, the verifier module, the combiner and the
+# ranking type it fuses, the data objects), the evidence form's writers
+# and readers, the indexer's build-on-first-read lifecycle, the
+# cross-modal discovery index, the knowledge graph and the corpus
+# generator's name and page draws in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -72,7 +73,10 @@ coverage:
 		--target src/repro/datalake/serialize.py \
 		--target src/repro/verify/objects.py \
 		--target src/repro/core/indexer.py \
-		--target src/repro/discovery/crossmodal.py -- -q \
+		--target src/repro/discovery/crossmodal.py \
+		--target src/repro/datalake/kg.py \
+		--target src/repro/workloads/vocab.py \
+		--target src/repro/workloads/textgen.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -85,7 +89,8 @@ coverage:
 		tests/test_datalake_serialize.py tests/test_index_ranking.py \
 		tests/test_rerank_vocabulary.py tests/test_indexer_lazy.py \
 		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
-		tests/test_discovery.py
+		tests/test_discovery.py tests/test_datalake_kg.py \
+		tests/test_workloads.py tests/test_workloads_textgen_kinds.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro

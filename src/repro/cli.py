@@ -39,10 +39,15 @@ from repro.datalake.persistence import load_lake, save_lake
 from repro.datalake.types import Modality
 from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
+from repro.workloads.tables import ScopeExhausted
 
 
 def _cmd_build_lake(args: argparse.Namespace) -> int:
-    bundle = build_lake(LakeConfig(num_tables=args.tables, seed=args.seed))
+    try:
+        bundle = build_lake(LakeConfig(num_tables=args.tables, seed=args.seed))
+    except ScopeExhausted as exc:
+        print(f"build-lake: {exc}", file=sys.stderr)
+        return 2
     save_lake(bundle.lake, args.out)
     stats = bundle.lake.stats()
     print(

@@ -9,16 +9,23 @@ entities serialize into the same indexing path as tuples and text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
 class KGTriple:
     """A (subject, predicate, object) fact."""
 
+    # by hand: ``dataclass(slots=True)`` needs Python 3.10
+    __slots__ = ("subject", "predicate", "obj")
+
     subject: str
     predicate: str
     obj: str
+
+    def __reduce__(self):
+        # a frozen slotted instance cannot take its state back by setattr
+        return (KGTriple, (self.subject, self.predicate, self.obj))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.subject}, {self.predicate}, {self.obj})"
@@ -43,25 +50,32 @@ class KGEntity:
 
 
 class KnowledgeGraph:
-    """A tiny in-memory triple store with entity-centric access."""
+    """A tiny in-memory triple store with entity-centric access.
+
+    Each triple is held once, in its subject's list; lookups scan that
+    list, which holds a handful of triples per entity.
+    """
 
     def __init__(self) -> None:
-        self._triples: List[KGTriple] = []
         self._by_subject: Dict[str, List[KGTriple]] = {}
-        self._triple_set: Set[Tuple[str, str, str]] = set()
         self._slug_to_subject: Dict[str, str] = {}
+        self._num_triples = 0
 
     def add(self, subject: str, predicate: str, obj: str) -> KGTriple:
-        """Add one triple (idempotent); returns the stored triple."""
-        key = (subject.lower(), predicate.lower(), obj.lower())
+        """Add one triple (idempotent, case-insensitive); returns the
+        stored triple, which for a duplicate is the one added first."""
+        key = subject.lower()
+        triples = self._by_subject.get(key)
+        if triples is None:
+            triples = self._by_subject[key] = []
+            self._slug_to_subject.setdefault(key.replace(" ", "_"), subject)
+        else:
+            stored = _find(triples, predicate, obj)
+            if stored is not None:
+                return stored
         triple = KGTriple(subject, predicate, obj)
-        if key in self._triple_set:
-            return triple
-        self._triple_set.add(key)
-        self._triples.append(triple)
-        self._by_subject.setdefault(subject.lower(), []).append(triple)
-        slug = subject.lower().replace(" ", "_")
-        self._slug_to_subject.setdefault(slug, subject)
+        triples.append(triple)
+        self._num_triples += 1
         return triple
 
     def entity_by_id(self, instance_id: str) -> Optional[KGEntity]:
@@ -89,8 +103,9 @@ class KnowledgeGraph:
         ]
 
     def has(self, subject: str, predicate: str, obj: str) -> bool:
-        """Membership test, case-insensitive."""
-        return (subject.lower(), predicate.lower(), obj.lower()) in self._triple_set
+        """Membership test, case-insensitive; scans the subject's triples."""
+        triples = self._by_subject.get(subject.lower(), [])
+        return _find(triples, predicate, obj) is not None
 
     def entities(self) -> Iterator[KGEntity]:
         """All entities that appear as subjects."""
@@ -103,4 +118,13 @@ class KnowledgeGraph:
 
     @property
     def num_triples(self) -> int:
-        return len(self._triples)
+        return self._num_triples
+
+
+def _find(triples: List[KGTriple], predicate: str, obj: str) -> Optional[KGTriple]:
+    """The triple of ``triples`` matching (predicate, obj) in any case."""
+    predicate, obj = predicate.lower(), obj.lower()
+    for triple in triples:
+        if triple.predicate.lower() == predicate and triple.obj.lower() == obj:
+            return triple
+    return None

@@ -19,9 +19,11 @@ from repro.workloads.textgen import EntityPageGenerator
 class LakeConfig:
     """Knobs of the synthetic corpus.
 
-    ``num_tables=300`` yields roughly 2,000 tuples and 1,500 entity pages
-    — a scaled-down version of the paper's 19,498-table lake with the
-    same relevance structure.  Increase for paper-scale runs.
+    ``num_tables=300`` (seed 0) yields 2,148 tuples and 1,888 entity
+    pages — a scaled-down version of the paper's 19,498-table lake with
+    the same relevance structure.  The paper's scale is out of reach:
+    the generator runs out of unique captions near 2,900 tables and
+    raises :class:`~repro.workloads.tables.ScopeExhausted`.
     """
 
     seed: int = 0

@@ -41,6 +41,11 @@ DOMAINS = ("elections", "films", "sports", "music", "geography", "olympics")
 EXTENDED_DOMAINS = ("aviation", "books")
 
 
+class ScopeExhausted(RuntimeError):
+    """No fresh caption scope is left: the lake asked for more tables
+    than the vocabulary can caption uniquely (about 2,900 at seed 3)."""
+
+
 @dataclass
 class Entity:
     """A real-world entity appearing in one or more table cells.
@@ -128,8 +133,9 @@ class WebTableGenerator:
             if key not in self._used_scopes:
                 self._used_scopes.add(key)
                 return scope
-        raise RuntimeError(
-            f"could not find a fresh {kind} scope; increase the vocabulary"
+        raise ScopeExhausted(
+            f"could not find a fresh {kind} scope after {self._counter} "
+            f"tables; ask for fewer tables"
         )
 
     @property

@@ -240,6 +240,18 @@ class EntityPageGenerator:
         mention_pool: Optional[Sequence[str]] = None,
     ) -> TextDocument:
         """Render one entity's page."""
+        pool = mention_pool or []
+        return self._page(entity, doc_id, pool, _positions(pool))
+
+    def _page(
+        self,
+        entity: Entity,
+        doc_id: str,
+        mention_pool: Sequence[str],
+        positions: Dict[str, List[int]],
+    ) -> TextDocument:
+        """One page; ``positions`` maps each lowered pool name to where
+        it stands in ``mention_pool``."""
         sentences: List[str] = []
         for facts in entity.appearances[: self.max_appearances]:
             sentences.extend(_fact_sentences(entity, facts))
@@ -255,9 +267,15 @@ class EntityPageGenerator:
             and mention_pool
             and self._rng.random() < self.cross_mention_rate
         ):
-            others = [m for m in mention_pool if m.lower() != entity.name.lower()]
-            if others:
-                mention = self._rng.choice(others)
+            # choice() over the pool less the entity's own name, drawn by
+            # position without building that list: the same random stream
+            own = positions.get(entity.name.lower(), [])
+            if len(mention_pool) > len(own):
+                pick = self._rng.choice(range(len(mention_pool) - len(own)))
+                for position in own:
+                    if position <= pick:
+                        pick += 1
+                mention = mention_pool[pick]
                 sentences.append(f"See also {mention.title()}.")
         return TextDocument(
             doc_id=doc_id,
@@ -271,10 +289,18 @@ class EntityPageGenerator:
     def generate(self, entities: Dict[str, Entity]) -> List[TextDocument]:
         """Pages for every entity, ids assigned in deterministic order."""
         names = [entity.name for entity in entities.values()]
+        positions = _positions(names)
         docs: List[TextDocument] = []
         for index, key in enumerate(sorted(entities)):
-            entity = entities[key]
             docs.append(
-                self.page_for(entity, doc_id=f"page-{index:05d}", mention_pool=names)
+                self._page(entities[key], f"page-{index:05d}", names, positions)
             )
         return docs
+
+
+def _positions(pool: Sequence[str]) -> Dict[str, List[int]]:
+    """Lowered name -> its ascending positions in ``pool``."""
+    positions: Dict[str, List[int]] = {}
+    for position, name in enumerate(pool):
+        positions.setdefault(name.lower(), []).append(position)
+    return positions

@@ -9,7 +9,7 @@ distinct entities without repetition.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 FIRST_NAMES = [
     "james", "mary", "robert", "patricia", "john", "jennifer", "michael",
@@ -126,6 +126,13 @@ NATIONS = [
     "sunmere", "rainholm", "windermoor",
 ]
 
+_CITY_PREFIXES = ["north", "south", "east", "west", "new", "old", "upper", "lower"]
+
+_CITY_SUFFIXES = [
+    "heights", "falls", "grove", "junction", "park", "valley", "ridge",
+    "springs",
+]
+
 
 class EntityNamer:
     """Yields globally unique person-like names, deterministically.
@@ -171,51 +178,50 @@ class Vocabulary:
         self._rng = random.Random(seed)
         self._used: Dict[str, set] = {}
 
-    def _unique(self, kind: str, candidates_factory) -> str:
+    def _unique(self, kind: str, prefix: str, pools: Sequence[List[str]]) -> str:
+        """An unused ``prefix`` + one word from each pool, space-joined.
+
+        Each word is drawn as ``random.choice`` draws it, so the stream
+        matches: ``getrandbits(n.bit_length())`` until below ``n``.
+        """
         used = self._used.setdefault(kind, set())
+        getrandbits = self._rng.getrandbits
+        sized = [(pool, len(pool), len(pool).bit_length()) for pool in pools]
+
+        def draw() -> str:
+            words = []
+            for pool, n, bits in sized:
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                words.append(pool[r])
+            return prefix + " ".join(words)
+
         for _ in range(1000):
-            candidate = candidates_factory()
+            candidate = draw()
             if candidate not in used:
                 used.add(candidate)
                 return candidate
         # fall back to a numbered variant (pool exhausted)
-        candidate = f"{candidates_factory()} {len(used)}"
+        candidate = f"{draw()} {len(used)}"
         used.add(candidate)
         return candidate
 
     def film_title(self) -> str:
         """A unique film title like 'the crimson harbor'."""
-        return self._unique(
-            "film",
-            lambda: f"the {self._rng.choice(ADJECTIVES)} {self._rng.choice(NOUNS)}",
-        )
+        return self._unique("film", "the ", (ADJECTIVES, NOUNS))
 
     def album_title(self) -> str:
         """A unique album title like 'velvet echo'."""
-        return self._unique(
-            "album",
-            lambda: f"{self._rng.choice(ADJECTIVES)} {self._rng.choice(NOUNS)}",
-        )
+        return self._unique("album", "", (ADJECTIVES, NOUNS))
 
     def team_name(self) -> str:
         """A unique team name like 'springfield hawks'."""
-        return self._unique(
-            "team",
-            lambda: f"{self._rng.choice(TEAM_CITIES)} {self._rng.choice(TEAM_MASCOTS)}",
-        )
+        return self._unique("team", "", (TEAM_CITIES, TEAM_MASCOTS))
 
     def city_name(self) -> str:
         """A unique synthetic city name like 'east dover heights'."""
-        prefixes = ["north", "south", "east", "west", "new", "old", "upper", "lower"]
-        suffixes = ["heights", "falls", "grove", "junction", "park", "valley",
-                    "ridge", "springs"]
-        return self._unique(
-            "city",
-            lambda: (
-                f"{self._rng.choice(prefixes)} {self._rng.choice(TEAM_CITIES)} "
-                f"{self._rng.choice(suffixes)}"
-            ),
-        )
+        return self._unique("city", "", (_CITY_PREFIXES, TEAM_CITIES, _CITY_SUFFIXES))
 
     def choice(self, pool: List[str]) -> str:
         """Seeded draw from a static pool (with replacement)."""

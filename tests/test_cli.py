@@ -41,6 +41,29 @@ class TestBuildLake:
         assert out.exists()
         assert "10 tables" in capsys.readouterr().out
 
+    def test_too_many_tables_exits_two_with_the_message(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every draw names the same scope, so a domain's second table
+        # finds no fresh one: the ceiling near 2,900 tables, reached at once
+        from repro.workloads.tables import WebTableGenerator
+
+        fresh_scope = WebTableGenerator._fresh_scope
+        monkeypatch.setattr(
+            WebTableGenerator, "_fresh_scope",
+            lambda self, kind, draw: fresh_scope(self, kind, lambda: ("ohio", 1950)),
+        )
+        out = tmp_path / "generated.json"
+        code = main(["build-lake", "--tables", "20", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"build-lake: could not find a fresh [a-z]+ scope after \d+ "
+            r"tables; ask for fewer tables\n",
+            err,
+        ), err
+
 
 class TestStats:
     def test_prints_counts(self, lake_path, capsys):

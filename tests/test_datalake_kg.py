@@ -1,6 +1,13 @@
 """Knowledge-graph modality prototype."""
 
+import copy
+import pickle
+import tracemalloc
+
 from repro.datalake.kg import KGEntity, KGTriple, KnowledgeGraph
+from repro.datalake.lake import DataLake
+from repro.datalake.persistence import load_lake, save_lake
+from repro.workloads.builder import _populate_kg
 
 
 class TestKnowledgeGraph:
@@ -43,6 +50,62 @@ class TestKnowledgeGraph:
         names = {e.name for e in self.make().entities()}
         assert names == {"tom jenkins", "bill hess"}
 
+    def test_a_duplicate_returns_the_stored_triple(self):
+        kg = KnowledgeGraph()
+        stored = kg.add("tom jenkins", "party", "republican")
+        duplicate = kg.add("Tom Jenkins", "PARTY", "Republican")
+        assert duplicate is stored
+        assert duplicate.subject == "tom jenkins"
+        assert kg.num_triples == 1
+        assert kg.entity("tom jenkins").triples == [stored]
+
+    def test_has_is_case_insensitive_after_load(self, tmp_path):
+        lake = DataLake(name="kg")
+        lake.kg.add("Tom Jenkins", "Party", "Republican")
+        save_lake(lake, tmp_path / "lake.json")
+        loaded = load_lake(tmp_path / "lake.json").kg
+        assert loaded.has("TOM JENKINS", "party", "REPUBLICAN")
+        assert loaded.has("tom jenkins", "Party", "republican")
+        assert not loaded.has("tom jenkins", "party", "democratic")
+        assert not loaded.has("bill hess", "party", "republican")
+        assert loaded.num_triples == 1
+
+    def test_the_first_subject_spelling_wins_the_slug(self):
+        kg = KnowledgeGraph()
+        kg.add("Tom Jenkins", "party", "republican")
+        kg.add("tom jenkins", "district", "ohio 1")
+        entity = kg.entity_by_id("kg:tom_jenkins")
+        assert entity.name == "Tom Jenkins"
+        assert len(entity.triples) == 2
+        assert [e.name for e in kg.entities()] == ["Tom Jenkins"]
+        assert kg.entity_by_id("kg:bill_hess") is None
+        assert kg.entity_by_id("tom_jenkins") is None
+
+    def test_entities_keep_insertion_order(self):
+        kg = KnowledgeGraph()
+        for subject in ["bill hess", "anne clark", "tom jenkins"]:
+            kg.add(subject, "instance of", "politician")
+        kg.add("Anne Clark", "party", "democratic")
+        kg.add("bill hess", "instance of", "politician")
+        entities = list(kg.entities())
+        assert [e.name for e in entities] == ["bill hess", "anne clark", "tom jenkins"]
+        assert [len(e.triples) for e in entities] == [1, 2, 1]
+        assert kg.num_entities == 3
+        assert kg.num_triples == 4
+
+    def test_a_lake_kg_holds_each_triple_once(self, small_bundle):
+        # a second list of triples and a set of lowered string copies
+        # took 437 B a triple on this lake; one list takes about 104
+        lake = DataLake(name="kg")
+        tracemalloc.start()
+        try:
+            _populate_kg(lake, small_bundle.entities)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lake.kg.num_triples == small_bundle.lake.kg.num_triples
+        assert allocated / lake.kg.num_triples < 160
+
 
 class TestKGEntity:
     def test_serialize(self):
@@ -53,6 +116,13 @@ class TestKGEntity:
         rendered = entity.serialize()
         assert rendered.splitlines()[0] == "tom jenkins"
         assert "party: republican" in rendered
+
+    def test_triple_has_slots_and_survives_copy_and_pickle(self):
+        triple = KGTriple("tom jenkins", "party", "republican")
+        assert not hasattr(triple, "__dict__")
+        assert copy.copy(triple) == triple
+        assert pickle.loads(pickle.dumps(triple)) == triple
+        assert hash(KGTriple("tom jenkins", "party", "republican")) == hash(triple)
 
     def test_instance_id(self):
         assert KGEntity("Tom Jenkins").instance_id == "kg:tom_jenkins"

@@ -1,14 +1,25 @@
 """Synthetic corpus generation: tables, pages, bundles, workloads."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datalake.persistence import save_lake
 from repro.workloads.builder import LakeConfig, build_lake
 from repro.workloads.claimwl import build_claim_workload
-from repro.workloads.tables import DOMAINS, WebTableGenerator
+from repro.workloads.tables import DOMAINS, Entity, WebTableGenerator
 from repro.workloads.textgen import EntityPageGenerator
 from repro.workloads.tuplecomp import build_tuple_workload
-from repro.workloads.vocab import EntityNamer, Vocabulary
+from repro.workloads.vocab import (
+    ADJECTIVES,
+    NOUNS,
+    TEAM_CITIES,
+    TEAM_MASCOTS,
+    EntityNamer,
+    Vocabulary,
+)
 
 
 class TestEntityNamer:
@@ -40,6 +51,50 @@ class TestVocabulary:
         assert [a.team_name() for _ in range(10)] == [
             b.team_name() for _ in range(10)
         ]
+
+    @staticmethod
+    def choice_unique(vocab, kind, candidates_factory):
+        """The rejection loop as it was written over ``random.choice``
+        lambdas: the oracle for the stream ``getrandbits`` now draws."""
+        used = vocab._used.setdefault(kind, set())
+        for _ in range(1000):
+            candidate = candidates_factory()
+            if candidate not in used:
+                used.add(candidate)
+                return candidate
+        candidate = f"{candidates_factory()} {len(used)}"
+        used.add(candidate)
+        return candidate
+
+    @pytest.mark.parametrize("kind,method,calls", [
+        ("film", "film_title", 950), ("album", "album_title", 1000),
+        ("team", "team_name", 450), ("city", "city_name", 1400),
+    ])
+    def test_draws_match_random_choice_past_the_pool(self, kind, method, calls):
+        # pools of 900, 900, 400 and 1,280 names: the last calls find
+        # them used up and fall back to numbered names
+        prefixes = ["north", "south", "east", "west", "new", "old", "upper", "lower"]
+        suffixes = ["heights", "falls", "grove", "junction", "park", "valley",
+                    "ridge", "springs"]
+        vocab, oracle = Vocabulary(seed=5), Vocabulary(seed=5)
+        rng = oracle._rng
+        factory = {
+            "film": lambda: f"the {rng.choice(ADJECTIVES)} {rng.choice(NOUNS)}",
+            "album": lambda: f"{rng.choice(ADJECTIVES)} {rng.choice(NOUNS)}",
+            "team": lambda: f"{rng.choice(TEAM_CITIES)} {rng.choice(TEAM_MASCOTS)}",
+            "city": lambda: (
+                f"{rng.choice(prefixes)} {rng.choice(TEAM_CITIES)} "
+                f"{rng.choice(suffixes)}"
+            ),
+        }[kind]
+        numbered = 0
+        for call in range(calls):
+            name = getattr(vocab, method)()
+            assert name == self.choice_unique(oracle, kind, factory), call
+            assert vocab._rng.getstate() == rng.getstate(), call
+            numbered += name.rsplit(" ", 1)[-1].isdigit()
+        assert numbered > 0
+        assert len(vocab._used[kind]) == calls
 
 
 class TestWebTableGenerator:
@@ -137,6 +192,35 @@ class TestEntityPageGenerator:
             len(p.text) for p in bare_pages
         )
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cross_mention_draw_matches_the_filtered_list(self, seed):
+        # the entity's own name stands twice in the pool, in two cases;
+        # the draw must skip both, as choice() over the filtered list does
+        pool = ["Anne Clark", "Tom Jenkins", "bill hess", "carl may",
+                "tom jenkins", "dora lee", "ed stone"]
+        entity = Entity("tom jenkins", "politician", True)
+        generator = EntityPageGenerator(seed=seed, cross_mention_rate=0.9)
+        oracle = random.Random(seed)
+        page = generator.page_for(entity, doc_id="p0", mention_pool=pool)
+        if oracle.random() < 0.9:
+            others = [m for m in pool if m.lower() != entity.name.lower()]
+            mention = oracle.choice(others)
+            assert page.text.endswith(f"See also {mention.title()}.")
+        else:
+            assert "See also" not in page.text
+        assert generator._rng.getstate() == oracle.getstate()
+
+    def test_a_pool_of_only_the_entity_mentions_nobody(self):
+        entity = Entity("tom jenkins", "politician", True)
+        generator = EntityPageGenerator(seed=0, cross_mention_rate=1.0)
+        oracle = random.Random(0)
+        page = generator.page_for(
+            entity, doc_id="p0", mention_pool=["Tom Jenkins", "tom jenkins"]
+        )
+        oracle.random()
+        assert "See also" not in page.text
+        assert generator._rng.getstate() == oracle.getstate()
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             EntityPageGenerator(boilerplate_level=-1)
@@ -169,6 +253,17 @@ class TestBuildLake:
         b = build_lake(LakeConfig(num_tables=10, seed=3))
         assert [t.caption for t in a.tables] == [t.caption for t in b.tables]
         assert sorted(a.entity_page) == sorted(b.entity_page)
+
+    @pytest.mark.parametrize("seed,num_tables,digest", [
+        (11, 60, "0637c5f99c4f79c1c49b7dbe4d54a92ee52a5dbcb835061a1f253ac0cb5849d3"),
+        # large enough that album and city pools run out
+        (3, 1200, "9217e1ff5ad9f443b266d4edc106f0118dad7a0a7aea0151e11e9050057b3eab"),
+    ], ids=["seed11-60", "seed3-1200"])
+    def test_saved_lake_bytes_are_pinned(self, tmp_path, seed, num_tables, digest):
+        bundle = build_lake(LakeConfig(seed=seed, num_tables=num_tables))
+        save_lake(bundle.lake, tmp_path / "lake.json")
+        saved = (tmp_path / "lake.json").read_bytes()
+        assert hashlib.sha256(saved).hexdigest() == digest
 
     def test_kg_optional(self):
         bundle = build_lake(LakeConfig(num_tables=5, seed=3, build_kg=False))
