@@ -12,20 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KGTriple:
     """A (subject, predicate, object) fact."""
-
-    # by hand: ``dataclass(slots=True)`` needs Python 3.10
-    __slots__ = ("subject", "predicate", "obj")
 
     subject: str
     predicate: str
     obj: str
-
-    def __reduce__(self):
-        # a frozen slotted instance cannot take its state back by setattr
-        return (KGTriple, (self.subject, self.predicate, self.obj))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.subject}, {self.predicate}, {self.obj})"

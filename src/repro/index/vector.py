@@ -8,7 +8,7 @@ defines the ``VectorIndex`` interface the approximate indexes implement.
 from __future__ import annotations
 
 import abc
-import mmap
+import bisect
 import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -60,18 +60,17 @@ def top_hits(
     return hits_of([top_ranked(scores, ids, k, rows)], index_name)[0]
 
 
-#: rows a flat index stages before one block copy into its table
+#: rows a flat index stages before one block moves into its buckets
 _STAGE_ROWS = 256
 
 
-def _grown(array: np.ndarray, count: int, capacity: int) -> np.ndarray:
-    """``array`` regrown to ``capacity`` along its last axis, on anonymous
-    pages (numpy's own big blocks ask for huge pages and come in whole)."""
-    shape = array.shape[:-1] + (capacity,)
-    pages = mmap.mmap(-1, 8 * int(np.prod(shape)), access=mmap.ACCESS_COPY)
-    grown = np.frombuffer(pages, dtype=np.float64).reshape(shape)
-    grown[..., :count] = array[..., :count]
-    return grown
+def _span_of(rows: np.ndarray, row: int) -> Tuple[int, int]:
+    """Where ``row`` sits in a bucket's ascending ``rows``: ``(at, at +
+    1)`` when held, ``(at, at)`` at its insertion point when not (a
+    bisect over the array's buffer: no numpy call per bucket)."""
+    held = memoryview(rows)
+    at = bisect.bisect_left(held, row)
+    return at, at + (at < len(held) and held[at] == row)
 
 
 class VectorIndex(SearchIndex):
@@ -111,6 +110,9 @@ class VectorIndex(SearchIndex):
             raise ValueError(
                 f"expected vector of dim {self.dim}, got shape {vector.shape}"
             )
+        if not np.isfinite(vector).all():
+            # a NaN score would escape top_ranked's partition cut
+            raise ValueError("expected a finite vector, got NaN or infinity")
         return vector
 
     # -- SearchIndex interface -----------------------------------------
@@ -180,12 +182,13 @@ class VectorIndex(SearchIndex):
 class FlatVectorIndex(VectorIndex):
     """Brute-force exact nearest-neighbour search (Faiss IndexFlat).
 
-    Every vector is held once, in a column-major table (``dim x
-    capacity``, doubling) with the row norms beside it: hashed
-    embeddings are sparse, so a cosine query reads only the columns of
-    its non-zero buckets, and a row's score is a function of that row
-    and the query alone — the same bits from ``search``, a batch or a
-    shard, on any BLAS build.
+    Every vector is held once, as its non-zeros: for each of the ``dim``
+    buckets, the rows with a non-zero value there (``int32``, ascending)
+    and those values, with the row norms beside them.  Hashed embeddings
+    are sparse, so a cosine reads only the entries of its query's
+    non-zero buckets, and a row's score is a function of that row and
+    the query alone — the same bits from ``search``, a batch or a shard,
+    on any BLAS build.
     """
 
     def __init__(
@@ -196,55 +199,85 @@ class FlatVectorIndex(VectorIndex):
         name: str = "flat",
     ) -> None:
         super().__init__(dim, encoder=encoder, metric=metric, name=name)
-        #: ``_columns[b, i]``, ``i < _count``: bucket ``b`` of ``_ids[i]``
-        self._columns = np.zeros((dim, 0), dtype=np.float64)
+        #: ``_rows[b]``: the rows non-zero in bucket ``b``, ascending;
+        #: ``_values[b]``: their values there
+        self._rows: List[np.ndarray] = [np.zeros(0, dtype=np.int32)] * dim
+        self._values: List[np.ndarray] = [np.zeros(0)] * dim
         #: L2 norm of every row
-        self._row_norms = np.zeros(0, dtype=np.float64)
+        self._row_norms = np.zeros(0)
+        #: rows moved out of the stage: into the buckets, or into
+        #: ``_blocks``, ``(norms, rows, values)`` of one staged block each,
+        #: split by bucket, which the next read joins into the buckets
         self._count = 0
-        #: the ``_staged`` vectors of ``_ids[_count:]``; the first read
-        #: after a write moves them into the table
+        self._blocks: List[Tuple[np.ndarray, ...]] = []
+        #: the ``_staged`` vectors of ``_ids[_count:]``
         self._stage = np.zeros((_STAGE_ROWS, dim), dtype=np.float64)
         self._staged = 0
-        # guards table and stage: shards are searched from a thread pool,
-        # and two first searches after a write must not both flush
-        self._matrix_lock = threading.Lock()
+        # guards buckets, blocks and stage: shards are searched from a
+        # thread pool, and two first searches after a write must not
+        # both move the stage (reentrant: a write or a removal that
+        # holds it moves the stage too)
+        self._matrix_lock = threading.RLock()
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
-        if self._staged == _STAGE_ROWS:
-            self._flush()
         with self._matrix_lock:
+            if self._staged == _STAGE_ROWS:
+                self._unstage()
             self._stage[self._staged] = vector
             self._staged += 1
             _sanitizer.note_write(self, "_staged")
 
-    def _flush(self) -> None:
-        """Move the staged rows into the table: one transposed block copy
-        and the block's norms."""
+    def _unstage(self) -> None:
+        """Move the staged rows into ``_blocks``: the block's norms and
+        its non-zeros."""
         with self._matrix_lock:
             block = self._stage[: self._staged]
-            count, end = self._count, self._count + self._staged
-            if end > self._columns.shape[1]:
-                capacity = max(2 * self._columns.shape[1], _STAGE_ROWS)
-                self._columns = _grown(self._columns, count, capacity)
-                self._row_norms = _grown(self._row_norms, count, capacity)
-            self._columns[:, count:end] = block.T
-            self._row_norms[count:end] = np.linalg.norm(block, axis=1)
-            self._count, self._staged = end, 0
+            buckets, rows = np.nonzero(block.T)
+            cuts = np.searchsorted(buckets, np.arange(1, self.dim))
+            self._blocks.append((
+                np.linalg.norm(block, axis=1),
+                np.split((rows + self._count).astype(np.int32), cuts),
+                np.split(block.T[buckets, rows], cuts),
+            ))
+            self._count += self._staged
+            self._staged = 0
             _sanitizer.note_write(self, "_staged")
+
+    def _table(self) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+        """The buckets' rows and values and the row norms, the first read
+        after a write moving the stage and the blocks into them."""
+        with self._matrix_lock:
+            if self._staged:
+                self._unstage()
+            if self._blocks:
+                norms, rows, values = zip(*self._blocks)
+                self._rows = [np.concatenate(p) for p in zip(self._rows, *rows)]
+                self._values = [
+                    np.concatenate(p) for p in zip(self._values, *values)
+                ]
+                self._row_norms = np.concatenate((self._row_norms,) + norms)
+                self._blocks = []
+            return self._rows, self._values, self._row_norms
 
     def remove_vector(self, instance_id: str) -> None:
         """Evict one vector and its id (KeyError when absent).
 
-        O(n) — the table closes the gap; fine for the live-mutation
-        rates the indexer sees (bulk churn goes through a rebuild)."""
+        O(non-zeros) — every bucket drops the row and renumbers the rows
+        after it; fine for the live-mutation rates the indexer sees (bulk
+        churn goes through a rebuild)."""
         index = self._position(instance_id)
         del self._ids[index]
         self._id_set.discard(instance_id)
-        self._flush()
         with self._matrix_lock:
-            count = self._count = self._count - 1
-            for table in (self._columns, self._row_norms):
-                table[..., index:count] = table[..., index + 1:count + 1]
+            all_rows, all_values, row_norms = self._table()
+            # fresh lists: a search holding the old ones reads them whole
+            self._rows, self._values = list(all_rows), list(all_values)
+            for b, (rows, values) in enumerate(zip(all_rows, all_values)):
+                at, end = _span_of(rows, index)
+                self._rows[b] = np.concatenate((rows[:at], rows[end:] - 1))
+                self._values[b] = np.concatenate((values[:at], values[end:]))
+            self._row_norms = np.delete(row_norms, index)
+            self._count -= 1
             _sanitizer.note_write(self, "_count")
 
     def _position(self, instance_id: str) -> int:
@@ -252,27 +285,34 @@ class FlatVectorIndex(VectorIndex):
             raise KeyError(f"no vector with id {instance_id!r} in {self.name!r}")
         return self._ids.index(instance_id)
 
-    def _table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(dim, n)`` columns and ``n`` row norms, the first read after
-        a write flushing the stage."""
-        if self._staged:
-            self._flush()
-        return self._columns[:, :self._count], self._row_norms[:self._count]
-
     def _get_matrix(self) -> np.ndarray:
-        """The stored vectors as an ``(n, dim)`` view of the table."""
-        return self._table()[0].T
+        """The stored vectors as a row-major ``(n, dim)`` array."""
+        rows, values, row_norms = self._table()
+        matrix = np.zeros((len(row_norms), self.dim))
+        for bucket, (bucket_rows, bucket_values) in enumerate(zip(rows, values)):
+            matrix[bucket_rows, bucket] = bucket_values
+        return matrix
 
-    def _scores(
-        self, columns: np.ndarray, row_norms: np.ndarray, vector: np.ndarray
+    @staticmethod
+    def _cosines(
+        rows: List[np.ndarray],
+        values: List[np.ndarray],
+        row_norms: np.ndarray,
+        vector: np.ndarray,
     ) -> np.ndarray:
-        """Cosine as the sum over the query's non-zero buckets in bucket
-        order (plain multiply-adds, no BLAS); L2 on the row view."""
-        if self.metric != "cosine":
-            return self._scores_against(columns.T, vector)
-        dots = np.zeros(columns.shape[1], dtype=np.float64)
-        for bucket in np.flatnonzero(vector).tolist():
-            dots += vector[bucket] * columns[bucket]
+        """Cosine as one ``bincount`` over the entries of the query's
+        non-zero buckets, in bucket order: each row sums the products the
+        dense ``dots += q[b] * column[b]`` loop adds, in the same order,
+        less exact zeros (plain multiply-adds, no BLAS)."""
+        buckets = np.flatnonzero(vector).tolist()
+        if buckets:
+            dots = np.bincount(
+                np.concatenate([rows[b] for b in buckets]),
+                weights=np.concatenate([vector[b] * values[b] for b in buckets]),
+                minlength=len(row_norms),
+            )
+        else:
+            dots = np.zeros(len(row_norms))
         norms = row_norms * (np.linalg.norm(vector) or 1.0)
         norms[norms == 0] = 1.0
         return dots / norms
@@ -283,15 +323,18 @@ class FlatVectorIndex(VectorIndex):
         """Top-k of every query vector against one reading of the table
         (also what a vector shard ranks a prepared batch with)."""
         vectors = [self._check_vector(vector) for vector in vectors]
-        columns, row_norms = self._table()
-        if columns.shape[1] == 0 or k <= 0:
+        rows, values, row_norms = self._table()
+        if len(row_norms) == 0 or k <= 0:
             return [([], []) for _ in vectors]
-        return [
-            top_ranked(
-                self._scores(columns, row_norms, vector), self._ids, k
+        if self.metric == "cosine":
+            scores = (
+                self._cosines(rows, values, row_norms, vector)
+                for vector in vectors
             )
-            for vector in vectors
-        ]
+        else:
+            matrix = self._get_matrix()
+            scores = (self._scores_against(matrix, vector) for vector in vectors)
+        return [top_ranked(row_scores, self._ids, k) for row_scores in scores]
 
     def search_vector(self, vector: np.ndarray, k: int = 10) -> List[SearchHit]:
         return hits_of(self.rank_vectors([vector], k), self.name)[0]
@@ -307,5 +350,12 @@ class FlatVectorIndex(VectorIndex):
         return hits_of(self.rank_batch(queries, k), self.name)
 
     def vector_of(self, instance_id: str) -> np.ndarray:
-        """Stored vector of an instance (for tests and rerankers)."""
-        return np.array(self._table()[0][:, self._position(instance_id)])
+        """Stored vector of an instance (for tests and rerankers), read
+        from its entries in the buckets."""
+        position = self._position(instance_id)
+        vector = np.zeros(self.dim)
+        for bucket, (rows, values) in enumerate(zip(*self._table()[:2])):
+            at, end = _span_of(rows, position)
+            if end > at:
+                vector[bucket] = values[at]
+        return vector

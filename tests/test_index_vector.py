@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.embed.vectorizers import HashingVectorizer
+from repro.embed.vectorizers import HashingVectorizer, TfidfVectorizer
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.shard import ShardedVectorIndex
@@ -76,6 +76,30 @@ class TestFlatVectorIndex:
             index.vector_of("nope")
         with pytest.raises(KeyError, match="'nope'"):
             index.remove_vector("nope")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            FlatVectorIndex,
+            lambda dim: IVFFlatIndex(dim=dim, nlist=2, nprobe=2),
+            HNSWIndex,
+        ],
+        ids=["flat", "ivf", "hnsw"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_vector_is_refused_stored_and_queried(
+        self, build, bad
+    ):
+        index = build(dim=4)
+        for i, vec in enumerate(random_vectors(10, 4, seed=11)):
+            index.add_vector(f"v{i}", vec)
+        with pytest.raises(ValueError, match="finite"):
+            index.add_vector("bad", np.array([bad, 1.0, 0.0, 0.0]))
+        assert "bad" not in index and len(index) == 10
+        with pytest.raises(ValueError, match="finite"):
+            index.search_vector(np.array([bad, 0.0, 0.0, 1.0]), 3)
+        # the refused row took nothing with it: a search still fills k
+        assert len(index.search_vector(random_vectors(1, 4, 12)[0], 3)) == 3
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
@@ -263,7 +287,7 @@ class TestOneScorePerRow:
 
 
 class TestTableAgainstAListOfVectors:
-    """The staging block (256 rows) and the doubling table behind
+    """The staging block (256 rows) and the per-bucket non-zeros behind
     ``add_vector`` / ``remove_vector``, against the model the index used
     to be: a list of vectors."""
 
@@ -306,7 +330,14 @@ class TestTableAgainstAListOfVectors:
                     assert instance_id not in index
             if added % 131 == 0 or len(model) in (255, 256, 257, size):
                 check()
-        assert index._columns.shape[1] >= size > index._columns.shape[1] // 2
+        # the buckets hold the model's non-zeros and nothing else
+        rows, values, _ = index._table()
+        assert [len(bucket) for bucket in rows] == [
+            len(bucket) for bucket in values
+        ]
+        assert sum(len(bucket) for bucket in rows) == sum(
+            np.count_nonzero(vector) for _, vector in model
+        )
         for instance_id, _ in list(model):
             index.remove_vector(instance_id)
         model.clear()
@@ -321,3 +352,128 @@ class TestTableAgainstAListOfVectors:
         index.remove_vector("v0")    # in the table
         assert len(index._get_matrix()) == 298
         assert index.search_vector(np.array([0.0, 1.0]), 1)[0].instance_id == "v298"
+
+
+# ---------------------------------------------------------------------------
+# the flat index's non-zeros against the dense table they replaced
+# ---------------------------------------------------------------------------
+#: exact in binary: sums of their products cancel to exactly 0.0 often
+DYADIC = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+def dense_table_ranking(model, vector, k):
+    """The ``k`` best of ``model`` (``(id, row)`` pairs in index order)
+    as the dense column-major table ranked them: ``dots += q[b] *
+    columns[b]`` over the query's non-zero buckets in ascending order,
+    over ``row_norms * (|q| or 1)``, ordered by ``(-score, id)`` — as
+    ``(id, score.hex())``, so that ``==`` compares bits."""
+    if not model or k <= 0:
+        return []
+    ids = [instance_id for instance_id, _ in model]
+    matrix = np.array([row for _, row in model])
+    columns = matrix.T
+    dots = np.zeros(len(model))
+    for bucket in np.flatnonzero(vector).tolist():
+        dots += vector[bucket] * columns[bucket]
+    norms = np.linalg.norm(matrix, axis=1) * (np.linalg.norm(vector) or 1.0)
+    norms[norms == 0] = 1.0
+    ranked = sorted(zip((-(dots / norms)).tolist(), ids))[:k]
+    return [(instance_id, (-negated).hex()) for negated, instance_id in ranked]
+
+
+def bits(hits):
+    return [(hit.instance_id, hit.score.hex()) for hit in hits]
+
+
+class TestNonZerosAgainstTheDenseTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        count=st.sampled_from([1, 9, 60, 255, 256, 257]),
+        dim=st.sampled_from([4, 16, 40]),
+        dense=st.booleans(),
+        num_shards=st.sampled_from([1, 2, 4]),
+        removals=st.integers(min_value=0, max_value=6),
+        k=st.sampled_from([1, 7, 300]),
+    )
+    def test_ids_and_score_bits_are_the_dense_loops(
+        self, seed, count, dim, dense, num_shards, removals, k
+    ):
+        rng = np.random.default_rng(seed)
+
+        def draw(n):
+            if dense:  # every bucket non-zero
+                return rng.standard_normal((n, dim))
+            return rng.choice(DYADIC, (n, dim)) * (rng.random((n, dim)) < 0.3)
+
+        rows = draw(count)
+        queries = list(draw(5)) + [rows[0], np.zeros(dim)]
+        by_text = {f"q{i}": query for i, query in enumerate(queries)}
+        index = FlatVectorIndex(dim, encoder=by_text.__getitem__, name="one")
+        sharded = ShardedVectorIndex(
+            num_shards, dim, encoder=by_text.__getitem__, name="one"
+        )
+        model = []
+        added = iter(range(10**4))
+
+        def add(rows_to_add):
+            for row in rows_to_add:
+                # unique, and not in insertion order: ties go by id
+                instance_id = f"v{next(added) * 7919 % 10007:05d}"
+                index.add_vector(instance_id, row)
+                sharded.shard_for(instance_id).add_vector(instance_id, row)
+                model.append((instance_id, row))
+
+        def check():
+            expected = [dense_table_ranking(model, q, k) for q in queries]
+            texts = list(by_text)
+            assert [bits(index.search_vector(q, k)) for q in queries] == expected
+            assert [bits(hits) for hits in index.search_batch(texts, k)] == expected
+            assert [
+                bits(hits) for hits in sharded.search_batch(texts, k)
+            ] == expected
+
+        add(rows)
+        check()
+        # removals between searches, then rows staged on top of them
+        for position in rng.permutation(len(model))[:removals].tolist():
+            instance_id = model[position][0]
+            index.remove_vector(instance_id)
+            sharded.remove(instance_id)
+        model[:] = [entry for entry in model if entry[0] in index]
+        check()
+        add(draw(3))
+        check()
+
+
+class TestTheIndexHoldsItsNonZeros:
+    def test_bytes_held_by_a_tfidf_index(self):
+        """At most 16 B per non-zero (an ``int32`` row and a ``float64``
+        value) and 16 B per row, beside the fixed 256-row stage; the
+        dense table held 2 KB a row."""
+        pyrandom = random.Random(5)
+        words = [f"w{i}" for i in range(3000)]
+        texts = [
+            " ".join(pyrandom.choices(words, k=pyrandom.randint(4, 30)))
+            for _ in range(3000)
+        ]
+        vectorizer = TfidfVectorizer(dim=256).fit(texts)
+        index = FlatVectorIndex(256, encoder=vectorizer.transform)
+        non_zeros = 0
+        for position, text in enumerate(texts):
+            index.add(f"t{position}", text)
+            non_zeros += np.count_nonzero(vectorizer.transform(text))
+        assert index.search(texts[0], 1)[0].instance_id == "t0"
+
+        def nbytes(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, (list, tuple)):
+                return sum(nbytes(item) for item in value)
+            return 0
+
+        held = sum(
+            nbytes(value) for name, value in vars(index).items()
+            if name != "_stage"
+        )
+        assert held <= 16 * non_zeros + 16 * len(texts)
