@@ -52,8 +52,9 @@ trace-demo:
 # and response parsing, the verifier module, the combiner and the
 # ranking type it fuses, the data objects), the evidence form's writers
 # and readers, the indexer's build-on-first-read lifecycle, the
-# cross-modal discovery index, the knowledge graph and the corpus
-# generator's name and page draws in a fresh interpreter
+# cross-modal discovery index, the knowledge graph, the corpus
+# generator's name and page draws, and the trust model with its pooling
+# rule in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -76,7 +77,8 @@ coverage:
 		--target src/repro/discovery/crossmodal.py \
 		--target src/repro/datalake/kg.py \
 		--target src/repro/workloads/vocab.py \
-		--target src/repro/workloads/textgen.py -- -q \
+		--target src/repro/workloads/textgen.py \
+		--target src/repro/trust/model.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -90,7 +92,8 @@ coverage:
 		tests/test_rerank_vocabulary.py tests/test_indexer_lazy.py \
 		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
 		tests/test_discovery.py tests/test_datalake_kg.py \
-		tests/test_workloads.py tests/test_workloads_textgen_kinds.py
+		tests/test_workloads.py tests/test_workloads_textgen_kinds.py \
+		tests/test_trust.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro

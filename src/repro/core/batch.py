@@ -41,7 +41,7 @@ object's ``verify`` span *is* the trace root instead of a child of
   (``verify_batch`` → ``index.build:*`` for each modality the campaign
   reads that was not built yet,
   ``retrieve:prefill:*``, then per-object ``verify`` → retrieval stages
-  → ``verify_pool`` → per-evidence ``verdict``) whose export is
+  → ``verify_pool`` → a ``verdict`` per verified pair) whose export is
   byte-identical for serial and parallel runs under a deterministic
   clock.
 
@@ -576,6 +576,20 @@ def attempt(
                 pool_span.set("verdict", final.name)
             obj_span.set("verdict", final.name)
             verify_end = clock.now()
+            # the chain succeeded: record it once, inside the object's
+            # span, so a profile charges the bookkeeping to the object
+            for stages in retrieved:
+                for stage_name, hits in stages:
+                    record.add_stage(stage_name, hits)
+            record.record_outcomes(outcomes)
+            record.finalize(final, margin)
+            registry = system.metrics
+            registry.histogram("pipeline.retrieve_seconds").observe(
+                verify_start - retrieve_start
+            )
+            registry.histogram("pipeline.verify_seconds").observe(
+                verify_end - verify_start
+            )
     except Exception:
         # the failed attempt's spans (each marked FAILED on unwind) are
         # the record of what happened — but only if no retry will
@@ -586,24 +600,12 @@ def attempt(
             branch.discard()
         raise
     branch.commit()
-    for stages in retrieved:
-        for stage_name, hits in stages:
-            record.add_stage(stage_name, hits)
-    record.record_outcomes(outcomes)
-    record.finalize(final, margin)
-    registry = system.metrics
-    registry.histogram("pipeline.retrieve_seconds").observe(
-        verify_start - retrieve_start
-    )
-    registry.histogram("pipeline.verify_seconds").observe(
-        verify_end - verify_start
-    )
     return VerificationReport(
         object_id=obj.object_id,
         final_verdict=final,
         margin=margin,
         outcomes=outcomes,
-        evidence_ids=[o.evidence_id for o in outcomes],
+        evidence_ids=[instance.instance_id for instance in evidence],
         record_id=record.record_id,
     )
 

@@ -64,7 +64,11 @@ class VerificationReport:
     object_id: str
     final_verdict: Verdict
     margin: float
+    #: the pairs the Verifier verified: a prefix of ``evidence_ids``,
+    #: read in order until the pooling rule was decided
     outcomes: List[VerificationOutcome] = field(default_factory=list)
+    #: the shortlist handed to the Verifier: every resolved instance,
+    #: in evidence order
     evidence_ids: List[str] = field(default_factory=list)
     record_id: str = ""
     status: str = STATUS_OK
@@ -259,8 +263,8 @@ class VerifAI:
         ``report.trace``.  Its root is the object's ``verify`` span
         (where a campaign's root is ``verify_batch``); under it sit one
         ``retrieve:prefill:<modality>`` span per modality, the replayed
-        retrieval stages, and a ``verify_pool`` span with per-evidence
-        ``verdict`` children.  The root span carries ``record_id`` and
+        retrieval stages, and a ``verify_pool`` span with a ``verdict``
+        child per verified pair.  The root span carries ``record_id`` and
         the record carries the trace id.
         """
         from repro.core.batch import BatchEngine, Campaign, run_campaign

@@ -1,9 +1,11 @@
 """The Verifier module: Agent dispatch plus evidence pooling.
 
 Multiple retrieved instances may verify or refute the same object
-(Section 3.3's remark); the module pools per-evidence verdicts into a
-final decision with a trust-weighted vote, where each vote carries the
-trust of the lake source that supplied the evidence.
+(Section 3.3's remark); the module reads the Reranker's shortlist in
+rank order and pools per-evidence verdicts with
+:func:`~repro.trust.model.weighted_vote`: the first decisive verdict
+from the most trusted lake source decides, so verification stops as soon
+as no pair still to come could overrule it.
 """
 
 from __future__ import annotations
@@ -175,23 +177,37 @@ class VerifierModule:
         branch=None,
         parent=None,
     ) -> Tuple[List[VerificationOutcome], Verdict, float]:
-        """Verify against every instance and pool into a final verdict.
+        """Verify the shortlist in evidence order, only as far as the
+        pooling rule needs, and pool into a final verdict.
 
-        Returns (per-evidence outcomes, final verdict, vote margin).
+        Returns (outcomes of the verified prefix, final verdict, vote
+        margin).  :func:`~repro.trust.model.weighted_vote` lets the most
+        trusted decisive vote, earliest first, decide, so the pool stops
+        once it holds a decisive vote and no remaining pair's source is
+        trusted more than the one that decided: the verdict and margin
+        are then what ``weighted_vote`` over every pair's vote would be.
         When a tracing ``branch`` (and ``parent`` span) is supplied, one
-        ``verdict`` span is emitted per evidence instance.  Span
-        attributes stay deterministic per input — whether a pair was
-        served from the outcome cache is a runtime race under thread
-        parallelism, so that lives in the ``verifier.cache.*`` metrics,
-        not on the span.
+        ``verdict`` span is emitted per verified pair.  Span attributes
+        stay deterministic per input — whether a pair was served from
+        the outcome cache is a runtime race under thread parallelism, so
+        that lives in the ``verifier.cache.*`` metrics, not on the span.
         """
         if branch is None:
             branch = NULL_BRANCH
+        sources = [self.source_of(evidence) for evidence in evidence_list]
+        # ahead[i]: the highest trust among the pairs after pair i
+        ahead = [float("-inf")] * len(sources)
+        for i in range(len(sources) - 2, -1, -1):
+            ahead[i] = max(
+                ahead[i + 1], self.source_trust.get(sources[i + 1], 1.0)
+            )
         outcomes: List[VerificationOutcome] = []
+        votes: List[Tuple[str, Verdict]] = []
+        final, margin = Verdict.NOT_RELATED, 0.0
         object_key = self._key_of(obj)
         started = hits = 0
         try:
-            for evidence in evidence_list:
+            for evidence, source, rest in zip(evidence_list, sources, ahead):
                 started += 1
                 with branch.span(
                     "verdict",
@@ -203,12 +219,13 @@ class VerifierModule:
                     span.set("verdict", outcome.verdict.name)
                 hits += hit
                 outcomes.append(outcome)
+                votes.append((source, outcome.verdict))
+                final, margin = weighted_vote(
+                    votes, self.source_trust, default_trust=1.0
+                )
+                if final is not Verdict.NOT_RELATED and rest <= margin:
+                    break
         finally:
             # a pair that raised was counted (as a miss) before it ran
             self._count(started, hits)
-        votes = [
-            (self.source_of(evidence), outcome.verdict)
-            for evidence, outcome in zip(evidence_list, outcomes)
-        ]
-        final, margin = weighted_vote(votes, self.source_trust, default_trust=1.0)
         return outcomes, final, margin

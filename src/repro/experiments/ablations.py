@@ -469,8 +469,9 @@ def _build_dirty_lake(
 ) -> DataLake:
     """A lake where every table exists four times: the original, a clean
     mirror (curated data is commonly mirrored across sites), and two
-    independently corrupted scrapes.  Under uniform voting the two dirty
-    copies tie the two clean ones; truth discovery breaks the tie."""
+    independently corrupted scrapes.  A vote over every copy would see
+    the two dirty ones tie the two clean ones; pooling reads the hits in
+    rank order, and truth discovery ranks the sources by trust."""
     from repro.llm.knowledge import rng_for
 
     lake = DataLake(name="lake-with-dirty-sources")

@@ -7,7 +7,7 @@ ground truth?*  This experiment measures that for both object types and
 for two Agent configurations:
 
 * **generic** — the paper's default: every pair goes to the LLM verifier,
-  evidence pooled by vote;
+  and the first decisive pair in rank order decides;
 * **local** — `prefer_local` with the PASTA verifier behind an
   aggressive reranker (k' = 1 table), the configuration the paper's
   privacy discussion motivates.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.datalake.types import modality_of
 from repro.experiments.ablations import (
     run_arithmetic_sensitivity,
     run_combiner_ablation,
@@ -74,17 +75,27 @@ def render_table2(context: ExperimentContext) -> str:
     )
 
 
+def _instances(context: ExperimentContext, outcomes, kind: str) -> str:
+    """``"1 refuting instance: tuple"``: how many, and their modalities."""
+    modalities = sorted({
+        modality_of(context.system.lake.instance(o.evidence_id)).value
+        for o in outcomes
+    })
+    plural = "" if len(outcomes) == 1 else "s"
+    return f"{len(outcomes)} {kind} instance{plural}: {', '.join(modalities)}"
+
+
 def render_figures(context: ExperimentContext) -> str:
     fig1 = run_figure1(context)
     fig4 = run_figure4(context)
+    verified, refuted = fig1.verified_report, fig1.refuted_report
     lines = [
         "### Figure 1 (case studies)",
         "",
-        f"* correct imputation: **{fig1.verified_report.final_verdict}** "
-        f"({len(fig1.verified_report.supporting)} supporting instances)",
-        f"* wrong imputation: **{fig1.refuted_report.final_verdict}** "
-        f"({len(fig1.refuted_report.refuting)} refuting instances, tuple "
-        "and text)",
+        f"* correct imputation: **{verified.final_verdict}** "
+        f"({_instances(context, verified.supporting, 'supporting')})",
+        f"* wrong imputation: **{refuted.final_verdict}** "
+        f"({_instances(context, refuted.refuting, 'refuting')})",
         f"* wrong generated text: **{fig1.text_report.final_verdict}**",
         "",
         "### Figure 4 (aggregation refutation)",
@@ -139,6 +150,16 @@ def render_ablations(context: ExperimentContext) -> str:
     parts.append(_markdown_table(
         ["metric", "value"], [[k, v] for k, v in trust.items()]
     ))
+    parts.append(
+        "\nBoth rows pool the same ranked tuple hits with `weighted_vote`: "
+        "the first decisive verdict in rank order, among the sources with "
+        "the highest trust, decides (uniform: every source trusted alike). "
+        "Reading the hits in rank order recovers most of what the dirty "
+        "sources cost a vote over every hit on its own, so the trust "
+        "weights have little left to win here. Which job trust should do "
+        "in the pipeline is left open in ROADMAP.md (\"Trust runs through "
+        "the pipeline, not beside it\")."
+    )
 
     comparison = run_tuple_verifier_comparison(context)
     parts.append(

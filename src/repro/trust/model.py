@@ -3,9 +3,9 @@
 Sources claim values for facts; a source whose values other sources
 corroborate earns trust — the truth-discovery fixed point of
 Knowledge-Based Trust and TruthFinder.  :func:`weighted_vote` pools a
-verifier's per-evidence verdicts with those trusts; NOT_RELATED
-verdicts abstain, since unrelated evidence says nothing about the
-object.
+verifier's per-evidence verdicts with those trusts: the most trusted
+decisive verdict, earliest in rank order, decides; NOT_RELATED verdicts
+abstain, since unrelated evidence says nothing about the object.
 """
 
 from __future__ import annotations
@@ -127,28 +127,20 @@ def weighted_vote(
     source_trust: Mapping[str, float],
     default_trust: float = 0.5,
 ) -> Tuple[Verdict, float]:
-    """Trust-weighted aggregation of per-evidence verdicts into a final
-    decision: (verdict, margin in [0, 1]).
+    """Pool per-evidence verdicts, given in evidence (rank) order, into
+    a final decision: (verdict, margin).
 
-    NOT_RELATED outcomes abstain; with no votes — or an exact
-    support/against tie, which carries no signal either way — the
-    result is (NOT_RELATED, 0.0).
+    NOT_RELATED outcomes abstain.  Among the decisive ones (VERIFIED or
+    REFUTED), those whose source has the highest trust decide, and the
+    first of them in evidence order wins; the margin is that vote's
+    trust.  With no decisive vote the result is (NOT_RELATED, 0.0).
+    Under an empty ``source_trust`` this is the first decisive pair.
     """
-    support = 0.0
-    against = 0.0
-    for source, verdict in outcomes:
-        weight = source_trust.get(source, default_trust)
-        if verdict is Verdict.VERIFIED:
-            support += weight
-        elif verdict is Verdict.REFUTED:
-            against += weight
-        else:  # Verdict.NOT_RELATED abstains from the vote
+    verdict, margin = Verdict.NOT_RELATED, 0.0
+    for source, vote in outcomes:
+        if vote is Verdict.NOT_RELATED:
             continue
-    total = support + against
-    if total <= 0.0:
-        return Verdict.NOT_RELATED, 0.0
-    if support > against:
-        return Verdict.VERIFIED, (support - against) / total
-    if against > support:
-        return Verdict.REFUTED, (against - support) / total
-    return Verdict.NOT_RELATED, 0.0
+        trust = source_trust.get(source, default_trust)
+        if verdict is Verdict.NOT_RELATED or trust > margin:
+            verdict, margin = vote, trust
+    return verdict, margin

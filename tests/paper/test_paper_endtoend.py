@@ -2,19 +2,21 @@
 
 Without evidence the generator is right about half the time (the
 headline); with the full Indexer → Reranker → Verifier pipeline, the
-final pooled verdict is right on about three quarters of all objects
-and on ~0.9 of the objects it decides — the quantitative version of the
-paper's thesis.
+final pooled verdict is right on about nine in ten tuples and three in
+four claims — the quantitative version of the paper's thesis.
 
 The tuple floors were written for the seed (0.91 accurate, nothing
-undecided at ``medium``).  Commit ``c269d80`` (PR 3) made an exact
-support/against tie in ``trust.weighted_vote`` abstain instead of
-resolving to VERIFIED, which moved a sixth of the tuples from
-"verified" to NOT_RELATED: 0.78 accurate / 0.17 undecided at
-``medium``, 0.75 / 0.14 at ``paper``.  The tie rule is right (a tie is
-not support) and stays; the floors below are re-derived from those two
-runs, each at least 0.05 clear of the worse one, and the accuracy over
-*decided* tuples (0.94 / 0.87) is asserted so the gap stays explained.
+undecided at ``medium``).  Commit ``c269d80`` made an exact
+support/against tie in ``trust.weighted_vote`` abstain, which moved a
+sixth of the tuples to NOT_RELATED (0.78 accurate / 0.17 undecided at
+``medium``, 0.75 / 0.14 at ``paper``), and the floors followed.  The
+pool no longer votes: the first decisive pair in rank order decides, so
+a tie between modalities cannot arise and a lower-ranked neighbour
+cannot outvote the counterpart tuple.  At ``medium`` and at ``paper``
+the generic configuration now reads 0.94 accurate with nothing
+undecided.  The floors below are re-derived from those two runs by the
+same rule, each at least 0.05 clear of the worse one, and the accuracy
+over *decided* tuples is still asserted.
 """
 
 from repro.experiments.endtoend import run_end_to_end
@@ -43,13 +45,12 @@ def test_end_to_end(context):
     # no-evidence baseline for both object types
     assert generic.tuple_accuracy >= headline.completion_accuracy + 0.15
     assert generic.claim_accuracy >= headline.claim_accuracy + 0.15
-    assert generic.tuple_accuracy >= 0.7
-    # a tied vote abstains, so what is lost to the tie rule is coverage,
-    # not correctness: of the tuples that get a verdict, few are wrong
+    assert generic.tuple_accuracy >= 0.85
+    # of the tuples that get a verdict, few are wrong
     decided = 1.0 - generic.tuple_undecided
-    assert generic.tuple_accuracy / decided >= 0.8
+    assert generic.tuple_accuracy / decided >= 0.85
     # the local configuration is competitive (the privacy trade costs
     # little when the reranker feeds it only the best table)
     assert local.claim_accuracy >= generic.claim_accuracy - 0.05
-    # most objects find evidence that does not tie
-    assert generic.tuple_undecided <= 0.25
+    # almost every tuple finds a decisive pair on its shortlist
+    assert generic.tuple_undecided <= 0.05

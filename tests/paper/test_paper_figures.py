@@ -31,6 +31,11 @@ def test_figure4(context):
         print("  E2:", explanation)
     # the claim is refuted via an aggregation over the evidence table
     assert result.report.final_verdict is Verdict.REFUTED
+    # the Verifier stopped at that table, its first decisive pair
+    verdicts = [o.verdict for o in result.report.outcomes]
+    assert verdicts[-1] is Verdict.REFUTED
+    assert set(verdicts[:-1]) <= {Verdict.NOT_RELATED}
+    assert len(verdicts) < len(result.report.evidence_ids)
     assert any("total" in e for e in result.refuting_explanations)
     # and other retrieved tables are explained away (by year mismatch —
     # the paper's E2 — or by scope mismatch)

@@ -54,14 +54,19 @@ class TestVerifyTuple:
         assert report.final_verdict is Verdict.VERIFIED
         assert report.supporting
 
-    def test_wrong_value_refuted_by_tuple_and_text(self, system, election_table):
+    def test_wrong_value_refuted_by_the_counterpart_tuple(
+        self, system, election_table
+    ):
         wrong = election_table.row(0).replace_value("votes", "55,000")
         obj = TupleObject("o2", wrong, attribute="votes")
         report = system.verify(obj)
         assert report.final_verdict is Verdict.REFUTED
-        refuting_ids = {o.evidence_id for o in report.refuting}
-        assert "t-ohio-1950#r0" in refuting_ids   # the counterpart tuple
-        assert "page-jenkins" in refuting_ids     # the entity page
+        # the top-ranked tuple decides; the entity page is on the
+        # shortlist but is never verified
+        assert [o.evidence_id for o in report.refuting] == ["t-ohio-1950#r0"]
+        assert report.outcomes == report.refuting
+        assert report.evidence_ids[0] == "t-ohio-1950#r0"
+        assert "page-jenkins" in report.evidence_ids
 
     def test_report_summary_readable(self, system, election_table):
         obj = TupleObject("o3", election_table.row(1), attribute="party")

@@ -1,18 +1,24 @@
-"""VerifierModule: agent + trust-weighted evidence pooling, and the
+"""VerifierModule: agent + evidence pooling with its early exit, and the
 outcome cache: one 16-byte digest a pair, that a write to the lake
 changes, shared by worker threads (``make sanitize`` runs this file)."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import verifier as core_verifier
+from repro.core.pipeline import VerifAI
 from repro.core.verifier import VerifierModule
+from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance, serialize_row
+from repro.datalake.types import Source, Table, TextDocument
 from repro.llm.model import SimulatedLLM
+from repro.trust.model import weighted_vote
 from repro.verify.agent import VerifierAgent
+from repro.verify.base import VerificationOutcome
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.verdict import Verdict
@@ -40,17 +46,20 @@ class TestSourceOf:
 
 
 class TestVerifyPool:
-    def test_pool_aggregates_majority(self, module, election_table, tiny_lake):
+    def test_pool_reads_to_the_first_decisive_pair(self, module,
+                                                   election_table, tiny_lake):
         obj = TupleObject("p1", election_table.row(0), attribute="party")
         evidence = [
-            election_table.row(0),                 # verifies
-            tiny_lake.document("page-jenkins"),    # verifies (page says republican)
             election_table.row(3),                 # unrelated entity
+            election_table.row(0),                 # verifies
+            tiny_lake.document("page-jenkins"),    # never read
         ]
         outcomes, final, margin = module.verify_pool(obj, evidence)
-        assert len(outcomes) == 3
+        assert [o.verdict for o in outcomes] == [
+            Verdict.NOT_RELATED, Verdict.VERIFIED,
+        ]
         assert final is Verdict.VERIFIED
-        assert margin == 1.0  # the unrelated outcome abstains
+        assert margin == 1.0  # the deciding vote's default trust
 
     def test_trust_weights_change_decision(self, tiny_lake, election_table,
                                            quiet_profile):
@@ -441,10 +450,11 @@ class TestPoolCounters:
             ]
 
         obj = TupleObject("n1", election_table.row(0), attribute="party")
-        evidence = [election_table.row(i) for i in range(3)]
+        # two pairs that abstain, then the one that decides
+        evidence = [election_table.row(i) for i in (1, 2, 0)]
         before = counts()
         module.verify_pool(obj, evidence)
-        module.verify_pool(obj, evidence + [election_table.row(3)])
+        module.verify_pool(obj, [election_table.row(3)] + evidence)
         delta = [after - b for after, b in zip(counts(), before)]
         assert delta == [7.0, 3.0, 4.0]
         assert get_registry().snapshot()["verifier.cache.entries"] == len(module)
@@ -467,3 +477,158 @@ class TestPoolCounters:
         after = get_registry().snapshot()
         for name in ("verifier.verifications", "verifier.cache.misses"):
             assert after[name] - before.get(name, 0.0) == 1.0
+
+
+# ----------------------------------------------------------------------
+# the early exit against the pooling rule
+# ----------------------------------------------------------------------
+SOURCES = ("s0", "s1", "s2", "s3", "s4", "s5")
+
+#: any trust map over the lake's sources, ties and ``{}`` included
+#: (a source left out takes the default trust, 1.0)
+TRUST = st.one_of(
+    st.just({}),
+    st.dictionaries(
+        st.sampled_from(SOURCES), st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    ),
+)
+VERDICTS = st.lists(st.sampled_from(list(Verdict)), min_size=8, max_size=8)
+
+
+class ScriptedAgent:
+    """Hands out ``verdicts`` in call order and records which evidence
+    it was asked about."""
+
+    def __init__(self, verdicts):
+        self.verdicts = list(verdicts)
+        self.asked = []
+
+    def verify(self, obj, evidence, evidence_text=None):
+        self.asked.append(evidence.instance_id)
+        return VerificationOutcome(
+            verdict=self.verdicts[len(self.asked) - 1], explanation="",
+            verifier="scripted", evidence_id=evidence.instance_id,
+        )
+
+
+def needed_prefix(votes, trust):
+    """The fewest leading votes that fix ``weighted_vote`` over all of
+    them, whatever the later pairs (same sources) would say."""
+    for known in range(len(votes) + 1):
+        later = [source for source, _ in votes[known:]]
+        results = {
+            weighted_vote(
+                votes[:known] + list(zip(later, verdicts)), trust,
+                default_trust=1.0,
+            )
+            for verdicts in itertools.product(Verdict, repeat=len(later))
+        }
+        if len(results) == 1:
+            return known
+    raise AssertionError("the whole pool always fixes the vote")
+
+
+@pytest.fixture(scope="module")
+def sources_lake():
+    """Four tables and two pages that all speak of one election, each
+    from its own source."""
+    lake = DataLake(name="sources")
+    for i in range(4):
+        lake.add_table(Table(
+            table_id=f"t-s{i}",
+            caption=f"ohio house elections 1950 as reported by s{i}",
+            columns=("district", "incumbent", "party"),
+            rows=[("ohio 1", "tom jenkins", "republican"),
+                  ("ohio 2", "ann lee", "democratic")],
+            source=Source(f"s{i}"),
+            entity_columns=("incumbent",), key_column="district",
+        ))
+    for i in (4, 5):
+        lake.add_document(TextDocument(
+            doc_id=f"page-s{i}", title="Tom Jenkins",
+            text="Tom Jenkins of ohio 1 is a republican, elected in 1950.",
+            source=Source(f"s{i}"), entity="tom jenkins",
+        ))
+    return lake
+
+
+@pytest.fixture(scope="module")
+def sources_system(sources_lake):
+    return VerifAI(sources_lake).build_indexes()
+
+
+class TestTheExitKeepsTheRule:
+    """``verify_pool`` stops early, but decides what ``weighted_vote``
+    over every pair of the shortlist decides, and the agent is asked
+    about exactly the pairs that rule needs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 13), max_size=8),
+        verdicts=VERDICTS,
+        trust=TRUST,
+    )
+    def test_the_pool_asks_for_the_prefix_the_rule_needs(
+        self, sources_lake, picks, verdicts, trust
+    ):
+        instances = [
+            table.row(i) for table in sources_lake.tables() for i in (0, 1)
+        ] + list(sources_lake.tables()) + list(sources_lake.documents())
+        evidence = [instances[pick] for pick in picks]
+        agent = ScriptedAgent(verdicts)
+        module = VerifierModule(
+            agent, sources_lake, source_trust=trust, cache=False
+        )
+        obj = ClaimObject("x", "tom jenkins is a republican", context="")
+        outcomes, final, margin = module.verify_pool(obj, evidence)
+        votes = [
+            (module.source_of(instance), verdict)
+            for instance, verdict in zip(evidence, verdicts)
+        ]
+        assert (final, margin) == weighted_vote(
+            votes, trust, default_trust=1.0
+        )
+        needed = needed_prefix(votes, trust)
+        assert agent.asked == [i.instance_id for i in evidence[:needed]]
+        assert [o.evidence_id for o in outcomes] == agent.asked
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.integers(0, 3),
+        verdicts=VERDICTS,
+        trust=TRUST,
+    )
+    def test_a_report_lists_the_shortlist_and_the_verified_prefix(
+        self, sources_lake, sources_system, which, verdicts, trust
+    ):
+        table = sources_lake.table(f"t-s{which}")
+        obj = TupleObject("t", table.row(which % 2), attribute="party")
+        # an agent that always abstains is asked about every pair: the
+        # whole shortlist, in order
+        listing = ScriptedAgent([Verdict.NOT_RELATED] * 8)
+        sources_system.verifier = VerifierModule(
+            listing, sources_lake, cache=False
+        )
+        sources_system.verify_batch([obj], max_workers=1)
+        shortlist = listing.asked
+        assert len(shortlist) > 1
+
+        sources_system.verifier = VerifierModule(
+            ScriptedAgent(verdicts), sources_lake, source_trust=trust,
+            cache=False,
+        )
+        report = sources_system.verify_batch([obj], max_workers=1).reports[0]
+        votes = [
+            (sources_system.verifier.source_of(
+                sources_lake.instance(instance_id)), verdict)
+            for instance_id, verdict in zip(shortlist, verdicts)
+        ]
+        needed = needed_prefix(votes, trust)
+        assert report.evidence_ids == shortlist
+        assert [o.evidence_id for o in report.outcomes] == shortlist[:needed]
+        assert (report.final_verdict, report.margin) == weighted_vote(
+            votes, trust, default_trust=1.0
+        )
+        record = sources_system.provenance.get(report.record_id)
+        assert [o[0] for o in record.outcomes] == shortlist[:needed]
+        assert set(record.evidence_ids()) == set(shortlist)

@@ -72,53 +72,85 @@ class TestValueTrustModel:
 
 
 class TestWeightedVote:
-    def test_uniform_majority(self):
+    """The pooling rule: the first decisive vote (in evidence order)
+    among the most trusted sources decides; its trust is the margin."""
+
+    def test_first_decisive_vote_wins(self):
+        # a majority behind it does not matter: rank order does
         verdict, margin = weighted_vote(
-            [("s1", Verdict.VERIFIED), ("s2", Verdict.VERIFIED),
-             ("s3", Verdict.REFUTED)],
+            [("s0", Verdict.NOT_RELATED), ("s1", Verdict.REFUTED),
+             ("s2", Verdict.VERIFIED), ("s3", Verdict.VERIFIED)],
             {},
             default_trust=1.0,
         )
-        assert verdict is Verdict.VERIFIED
-        assert margin == pytest.approx(1 / 3)
+        assert verdict is Verdict.REFUTED
+        assert margin == 1.0
 
-    def test_trust_flips_outcome(self):
+    def test_trust_takes_precedence_over_rank(self):
         votes = [
-            ("trusted", Verdict.VERIFIED),
             ("junk-a", Verdict.REFUTED),
+            ("trusted", Verdict.VERIFIED),
             ("junk-b", Verdict.REFUTED),
         ]
         uniform, _ = weighted_vote(votes, {}, default_trust=1.0)
-        weighted, _ = weighted_vote(
+        weighted, margin = weighted_vote(
             votes, {"trusted": 0.9, "junk-a": 0.1, "junk-b": 0.1}
         )
         assert uniform is Verdict.REFUTED
         assert weighted is Verdict.VERIFIED
+        assert margin == 0.9
+
+    def test_an_unknown_source_takes_the_default_trust(self):
+        votes = [("known", Verdict.REFUTED), ("unknown", Verdict.VERIFIED)]
+        assert weighted_vote(votes, {"known": 0.4})[0] is Verdict.VERIFIED
+        assert weighted_vote(
+            votes, {"known": 0.4}, default_trust=0.3
+        ) == (Verdict.REFUTED, 0.4)
+
+    def test_equal_trust_goes_to_the_earliest_vote(self):
+        trust = {"a": 0.7, "b": 0.7, "low": 0.2}
+        assert weighted_vote(
+            [("low", Verdict.VERIFIED), ("a", Verdict.REFUTED),
+             ("b", Verdict.VERIFIED)],
+            trust,
+        ) == (Verdict.REFUTED, 0.7)
+        assert weighted_vote(
+            [("low", Verdict.REFUTED), ("b", Verdict.VERIFIED),
+             ("a", Verdict.REFUTED)],
+            trust,
+        ) == (Verdict.VERIFIED, 0.7)
 
     def test_abstentions_only(self):
         verdict, margin = weighted_vote(
-            [("s", Verdict.NOT_RELATED)], {}, default_trust=1.0
+            [("s", Verdict.NOT_RELATED), ("t", Verdict.NOT_RELATED)],
+            {"s": 0.9}, default_trust=1.0,
         )
         assert verdict is Verdict.NOT_RELATED
         assert margin == 0.0
 
     def test_empty(self):
-        assert weighted_vote([], {})[0] is Verdict.NOT_RELATED
+        assert weighted_vote([], {}) == (Verdict.NOT_RELATED, 0.0)
 
-    def test_exact_tie_abstains(self):
-        # a perfect support/against tie carries no signal either way:
-        # the vote must abstain rather than default to VERIFIED
+    def test_an_abstaining_source_cannot_outrank_a_decisive_one(self):
         verdict, margin = weighted_vote(
-            [("a", Verdict.VERIFIED), ("b", Verdict.REFUTED)], {},
-            default_trust=1.0,
+            [("trusted", Verdict.NOT_RELATED), ("junk", Verdict.REFUTED)],
+            {"trusted": 0.9, "junk": 0.1},
         )
-        assert verdict is Verdict.NOT_RELATED
-        assert margin == 0.0
+        assert verdict is Verdict.REFUTED
+        assert margin == 0.1
 
-    def test_weighted_tie_abstains(self):
-        verdict, _ = weighted_vote(
-            [("heavy", Verdict.VERIFIED),
-             ("light-a", Verdict.REFUTED), ("light-b", Verdict.REFUTED)],
-            {"heavy": 0.8, "light-a": 0.4, "light-b": 0.4},
-        )
-        assert verdict is Verdict.NOT_RELATED
+    def test_the_margin_is_the_deciding_votes_trust(self):
+        # and no other vote's: the same decider, more votes around it
+        trust = {"d": 0.6, "x": 0.2, "y": 0.6}
+        decider = [("d", Verdict.VERIFIED)]
+        for votes in (
+            decider,
+            [("x", Verdict.REFUTED)] + decider,
+            decider + [("y", Verdict.REFUTED), ("x", Verdict.VERIFIED)],
+        ):
+            assert weighted_vote(votes, trust) == (Verdict.VERIFIED, 0.6)
+
+    def test_a_zero_trust_source_still_decides_alone(self):
+        assert weighted_vote(
+            [("zero", Verdict.REFUTED)], {"zero": 0.0}
+        ) == (Verdict.REFUTED, 0.0)

@@ -552,7 +552,8 @@ class TestOneRenderPerPair:
         self, tiny_lake, election_table, renders
     ):
         module = self.module(tiny_lake)
-        evidence = [election_table.row(i) for i in range(3)] + [election_table]
+        # three rows that abstain, then the table that decides
+        evidence = [election_table.row(i) for i in (1, 2, 3)] + [election_table]
         obj = TupleObject("g1", election_table.row(0), attribute="party")
         module.verify_pool(obj, evidence)
         assert renders == [e.instance_id for e in evidence]
@@ -564,7 +565,9 @@ class TestOneRenderPerPair:
     ):
         claim = ClaimObject("c1", "tom jenkins is in ohio 1", context="")
         obj = TupleObject("g2", election_table.row(1), attribute="party")
-        evidence = [election_table.row(i) for i in range(3)] + [election_table]
+        evidence = [election_table.row(i) for i in (2, 3, 0, 1)] + [
+            election_table
+        ]
         for generated in (claim, obj):
             handed, _, _ = self.module(tiny_lake).verify_pool(
                 generated, evidence
@@ -572,10 +575,13 @@ class TestOneRenderPerPair:
             uncached, _, _ = self.module(tiny_lake, cache=False).verify_pool(
                 generated, evidence
             )
+            # the pool reads up to its first decisive pair, the same
+            # prefix whoever renders
             direct = [
                 LLMVerifier(SimulatedLLM(seed=3)).verify(generated, e)
-                for e in evidence
+                for e in evidence[:len(handed)]
             ]
+            assert len(handed) > 2
             assert handed == uncached == direct
 
     def test_a_two_argument_verify_is_called_with_two(
