@@ -545,10 +545,17 @@ def retrieve_object(
 def attempt(
     campaign: Campaign, position: int, final_attempt: bool
 ) -> VerificationReport:
-    """One guarded attempt at one object; only mutates the provenance
-    record after the full chain succeeded, so retries never duplicate
-    stages or outcomes.  Spans follow the same rule: committed on
-    success or on the final failure, discarded on a retried attempt."""
+    """One guarded attempt at one object.
+
+    The provenance record is written only once retrieval and the
+    verifier pool have succeeded, so a fault there never leaves stages
+    or outcomes behind for a retry to duplicate.  Those writes and the
+    two ``pipeline.*_seconds`` observations run inside the object's
+    ``verify`` span: the span's duration covers the object's own
+    bookkeeping, and a profile charges that cost to the object instead
+    of leaving it unattributed.  Spans are committed on success or on
+    the final failure and discarded on a retried attempt — a fault in
+    the bookkeeping itself included."""
     system = campaign.system
     clock = system.clock
     obj = campaign.objects[position]
@@ -577,7 +584,7 @@ def attempt(
             obj_span.set("verdict", final.name)
             verify_end = clock.now()
             # the chain succeeded: record it once, inside the object's
-            # span, so a profile charges the bookkeeping to the object
+            # span (see the docstring)
             for stages in retrieved:
                 for stage_name, hits in stages:
                     record.add_stage(stage_name, hits)

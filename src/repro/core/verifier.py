@@ -4,8 +4,8 @@ Multiple retrieved instances may verify or refute the same object
 (Section 3.3's remark); the module reads the Reranker's shortlist in
 rank order and pools per-evidence verdicts with
 :func:`~repro.trust.model.weighted_vote`: the first decisive verdict
-from the most trusted lake source decides, so verification stops as soon
-as no pair still to come could overrule it.
+from a trusted lake source decides, so verification stops as soon as no
+pair still to come could overrule it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Row
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
-from repro.trust.model import weighted_vote
+from repro.trust.model import deciding_vote, vote_is_settled, weighted_vote
 from repro.verify.agent import VerifierAgent
 from repro.verify.base import VerificationOutcome
 from repro.verify.objects import DataObject
@@ -64,6 +64,11 @@ def _pair_key(object_key, evidence: DataInstance, evidence_text: str) -> bytes:
     holds tens of thousands of keys."""
     digest = _feed(object_key.copy(), evidence.instance_id, evidence_text)
     return digest.digest()
+
+
+#: The trust of a source the trust map does not score: fully trusted, so
+#: an empty map pools by rank order alone.
+UNSCORED_TRUST = 1.0
 
 
 class VerifierModule:
@@ -181,11 +186,11 @@ class VerifierModule:
         pooling rule needs, and pool into a final verdict.
 
         Returns (outcomes of the verified prefix, final verdict, vote
-        margin).  :func:`~repro.trust.model.weighted_vote` lets the most
-        trusted decisive vote, earliest first, decide, so the pool stops
-        once it holds a decisive vote and no remaining pair's source is
-        trusted more than the one that decided: the verdict and margin
-        are then what ``weighted_vote`` over every pair's vote would be.
+        margin).  Every pair's source is known before any pair is
+        verified, so the pool stops as soon as
+        :func:`~repro.trust.model.vote_is_settled` says no pair still to
+        come can change the vote: the verdict and margin are then what
+        ``weighted_vote`` over every pair's vote would be.
         When a tracing ``branch`` (and ``parent`` span) is supplied, one
         ``verdict`` span is emitted per verified pair.  Span attributes
         stay deterministic per input — whether a pair was served from
@@ -195,19 +200,12 @@ class VerifierModule:
         if branch is None:
             branch = NULL_BRANCH
         sources = [self.source_of(evidence) for evidence in evidence_list]
-        # ahead[i]: the highest trust among the pairs after pair i
-        ahead = [float("-inf")] * len(sources)
-        for i in range(len(sources) - 2, -1, -1):
-            ahead[i] = max(
-                ahead[i + 1], self.source_trust.get(sources[i + 1], 1.0)
-            )
         outcomes: List[VerificationOutcome] = []
         votes: List[Tuple[str, Verdict]] = []
-        final, margin = Verdict.NOT_RELATED, 0.0
         object_key = self._key_of(obj)
         started = hits = 0
         try:
-            for evidence, source, rest in zip(evidence_list, sources, ahead):
+            for evidence, source in zip(evidence_list, sources):
                 started += 1
                 with branch.span(
                     "verdict",
@@ -220,12 +218,28 @@ class VerifierModule:
                 hits += hit
                 outcomes.append(outcome)
                 votes.append((source, outcome.verdict))
-                final, margin = weighted_vote(
-                    votes, self.source_trust, default_trust=1.0
-                )
-                if final is not Verdict.NOT_RELATED and rest <= margin:
+                if vote_is_settled(
+                    votes, sources[started:], self.source_trust,
+                    UNSCORED_TRUST,
+                ):
                     break
         finally:
             # a pair that raised was counted (as a miss) before it ran
             self._count(started, hits)
+        final, margin = weighted_vote(
+            votes, self.source_trust, UNSCORED_TRUST
+        )
         return outcomes, final, margin
+
+    def deciding_outcome(
+        self, outcomes: Sequence[VerificationOutcome]
+    ) -> Optional[VerificationOutcome]:
+        """The outcome whose vote decided a pool over ``outcomes`` (see
+        :func:`~repro.trust.model.deciding_vote`), or None when every
+        outcome abstained."""
+        votes = [
+            (self.source_of(self.lake.instance(o.evidence_id)), o.verdict)
+            for o in outcomes
+        ]
+        decider = deciding_vote(votes, self.source_trust, UNSCORED_TRUST)
+        return None if decider is None else outcomes[decider[0]]

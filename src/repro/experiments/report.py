@@ -152,13 +152,14 @@ def render_ablations(context: ExperimentContext) -> str:
     ))
     parts.append(
         "\nBoth rows pool the same ranked tuple hits with `weighted_vote`: "
-        "the first decisive verdict in rank order, among the sources with "
-        "the highest trust, decides (uniform: every source trusted alike). "
-        "Reading the hits in rank order recovers most of what the dirty "
-        "sources cost a vote over every hit on its own, so the trust "
-        "weights have little left to win here. Which job trust should do "
-        "in the pipeline is left open in ROADMAP.md (\"Trust runs through "
-        "the pipeline, not beside it\")."
+        "the first decisive verdict in rank order from a trusted source "
+        "decides (uniform: every source trusted alike; trust-weighted: the "
+        "fitted trusts, where a source below 0.5 decides only when no "
+        "trusted source is decisive). Reading the hits in rank order alone "
+        "recovers most of what the dirty sources cost a vote over every "
+        "hit, so passing over the distrusted sources has little left to "
+        "win here. Fitting trust inside the pipeline is left to ROADMAP.md "
+        "(\"Trust runs through the pipeline, not beside it\")."
     )
 
     comparison = run_tuple_verifier_comparison(context)

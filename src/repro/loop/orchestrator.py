@@ -3,7 +3,7 @@
 Single-pass repair (:mod:`repro.repair`) patches a refuted value from
 evidence and stops.  This module instead *re-generates*: refuted or
 unrelated drafts go back to the generator as revision prompts carrying
-the strongest refuter's stated value (the same
+the deciding refuter's stated value (the same
 :func:`repro.repair.strongest_refuter` semantics repair uses), and the
 loop iterates until every draft verifies or ``max_iters`` rounds are
 spent.

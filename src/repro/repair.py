@@ -6,8 +6,9 @@ by *repairing* values from retrieved evidence.  :class:`Repairer` runs
 that loop over imputed tuples:
 
 * VERIFIED values are accepted;
-* REFUTED values are replaced by the value stated by the strongest
-  refuting tuple evidence (the lake counterpart), when one exists;
+* REFUTED values are replaced by the value stated by the tuple
+  evidence whose verdict refuted them (the lake counterpart), when
+  there is one;
 * everything else is left unresolved for human review.
 
 The quickstart measurement: a generator imputing at ~0.52 accuracy ends
@@ -85,36 +86,24 @@ class RepairReport:
 def strongest_refuter(
     system: VerifAI, report, column: str
 ) -> Optional[tuple]:
-    """(value, evidence_id) stated by the strongest refuting tuple.
-
-    "Strongest" means highest source trust (the same trust scores the
-    verifier's vote uses, default 1.0), with evidence_id as a
-    deterministic tie-break — so repairs prefer values from trusted
-    sources rather than whichever refuter happened to come first in
-    evidence order.  None when no refuting tuple states a value for
-    ``column``.
+    """(value, evidence_id) stated by the tuple whose REFUTED verdict
+    decided ``report`` — the vote the verifier's pooling rule took (see
+    :meth:`~repro.core.verifier.VerifierModule.deciding_outcome`), so a
+    repair quotes the evidence that refuted the draft.  None when the
+    report was not decided by a refuting row that states ``column``.
 
     Shared between single-pass repair (:class:`Repairer`) and the
     orchestrate-until-pass loop (:mod:`repro.loop`), which quotes the
     value back to the generator instead of patching it in place.
     """
-    verifier = system.verifier
-    candidates = []
-    for outcome in report.refuting:
-        evidence = system.lake.instance(outcome.evidence_id)
-        if isinstance(evidence, Row):
-            value = evidence.get(column)
-            if value is not None:
-                trust = verifier.source_trust.get(
-                    verifier.source_of(evidence), 1.0
-                )
-                candidates.append(
-                    (-trust, outcome.evidence_id, value)
-                )
-    if not candidates:
+    decider = system.verifier.deciding_outcome(report.outcomes)
+    if decider is None or decider.verdict is not Verdict.REFUTED:
         return None
-    _, evidence_id, value = min(candidates)
-    return value, evidence_id
+    evidence = system.lake.instance(decider.evidence_id)
+    value = evidence.get(column) if isinstance(evidence, Row) else None
+    if value is None:
+        return None
+    return value, decider.evidence_id
 
 
 class Repairer:

@@ -7,15 +7,21 @@ truth are estimated jointly from which values the sources agree on.
 """
 
 from repro.trust.model import (
+    TRUSTED,
     TrustScores,
     ValueClaim,
     ValueTrustModel,
+    deciding_vote,
+    vote_is_settled,
     weighted_vote,
 )
 
 __all__ = [
+    "TRUSTED",
     "TrustScores",
     "ValueClaim",
     "ValueTrustModel",
+    "deciding_vote",
+    "vote_is_settled",
     "weighted_vote",
 ]

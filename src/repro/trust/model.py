@@ -3,15 +3,17 @@
 Sources claim values for facts; a source whose values other sources
 corroborate earns trust — the truth-discovery fixed point of
 Knowledge-Based Trust and TruthFinder.  :func:`weighted_vote` pools a
-verifier's per-evidence verdicts with those trusts: the most trusted
-decisive verdict, earliest in rank order, decides; NOT_RELATED verdicts
-abstain, since unrelated evidence says nothing about the object.
+verifier's per-evidence verdicts with those trusts: the first decisive
+verdict in rank order from a trusted source decides, and a source
+trusted less than :data:`TRUSTED` only when no trusted one is decisive;
+NOT_RELATED verdicts abstain, since unrelated evidence says nothing
+about the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.verify.verdict import Verdict
 
@@ -122,6 +124,38 @@ class ValueTrustModel:
         )
 
 
+#: A source trusted at least this much is more often right than wrong:
+#: its decisive verdicts are read in rank order.  A source below it
+#: decides only when no trusted source gives a decisive verdict.
+TRUSTED = 0.5
+
+
+def deciding_vote(
+    votes: Sequence[Tuple[str, Verdict]],
+    source_trust: Mapping[str, float],
+    default_trust: float = 0.5,
+) -> Optional[Tuple[int, float]]:
+    """(position, trust) of the vote that decides ``votes``, given as
+    (source, verdict) in evidence (rank) order, or None when every vote
+    abstains.
+
+    NOT_RELATED abstains.  The first decisive vote (VERIFIED or REFUTED)
+    from a source trusted at least :data:`TRUSTED` decides; with none,
+    the first decisive vote does.  A source missing from
+    ``source_trust`` takes ``default_trust``.
+    """
+    fallback = None
+    for position, (source, vote) in enumerate(votes):
+        if vote is Verdict.NOT_RELATED:
+            continue
+        trust = source_trust.get(source, default_trust)
+        if trust >= TRUSTED:
+            return position, trust
+        if fallback is None:
+            fallback = position, trust
+    return fallback
+
+
 def weighted_vote(
     outcomes: Iterable[Tuple[str, Verdict]],
     source_trust: Mapping[str, float],
@@ -130,17 +164,32 @@ def weighted_vote(
     """Pool per-evidence verdicts, given in evidence (rank) order, into
     a final decision: (verdict, margin).
 
-    NOT_RELATED outcomes abstain.  Among the decisive ones (VERIFIED or
-    REFUTED), those whose source has the highest trust decide, and the
-    first of them in evidence order wins; the margin is that vote's
-    trust.  With no decisive vote the result is (NOT_RELATED, 0.0).
-    Under an empty ``source_trust`` this is the first decisive pair.
+    The :func:`deciding_vote` decides, and the margin is its source's
+    trust; with no decisive vote the result is (NOT_RELATED, 0.0).
+    When every source is trusted — an empty ``source_trust`` at the
+    default trust included — this is the first decisive vote.
     """
-    verdict, margin = Verdict.NOT_RELATED, 0.0
-    for source, vote in outcomes:
-        if vote is Verdict.NOT_RELATED:
-            continue
-        trust = source_trust.get(source, default_trust)
-        if verdict is Verdict.NOT_RELATED or trust > margin:
-            verdict, margin = vote, trust
-    return verdict, margin
+    votes = list(outcomes)
+    decider = deciding_vote(votes, source_trust, default_trust)
+    if decider is None:
+        return Verdict.NOT_RELATED, 0.0
+    position, trust = decider
+    return votes[position][1], trust
+
+
+def vote_is_settled(
+    votes: Sequence[Tuple[str, Verdict]],
+    later_sources: Iterable[str],
+    source_trust: Mapping[str, float],
+    default_trust: float = 0.5,
+) -> bool:
+    """Whether :func:`weighted_vote` over ``votes`` stays what it is
+    whatever the pairs still to come, from ``later_sources``, vote: a
+    vote decides, and it is trusted or no later source is."""
+    decider = deciding_vote(votes, source_trust, default_trust)
+    if decider is None:
+        return False
+    return decider[1] >= TRUSTED or all(
+        source_trust.get(source, default_trust) < TRUSTED
+        for source in later_sources
+    )

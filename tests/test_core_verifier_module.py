@@ -489,7 +489,8 @@ SOURCES = ("s0", "s1", "s2", "s3", "s4", "s5")
 TRUST = st.one_of(
     st.just({}),
     st.dictionaries(
-        st.sampled_from(SOURCES), st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        st.sampled_from(SOURCES),
+        st.sampled_from([0.0, 0.25, 0.4, 0.5, 0.75, 1.0]),
     ),
 )
 VERDICTS = st.lists(st.sampled_from(list(Verdict)), min_size=8, max_size=8)

@@ -51,30 +51,30 @@ class TestRepairValue:
         assert record.object_id == "r4"
 
 
+def _conflicting_repairer(source_trust, quiet_profile):
+    """Two sources that disagree on one district's votes."""
+    from repro.datalake.lake import DataLake
+    from repro.datalake.types import Source, Table
+
+    lake = DataLake("conflicting")
+    lake.add_table(Table(
+        "t-curated", "ohio election results curated",
+        ("district", "votes"), [("ohio 9", "111,000")],
+        source=Source("curated"), key_column="district",
+    ))
+    lake.add_table(Table(
+        "t-scraped", "ohio election results scraped",
+        ("district", "votes"), [("ohio 9", "222,000")],
+        source=Source("scraped"), key_column="district",
+    ))
+    llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=30)
+    system = VerifAI(lake, llm=llm, source_trust=source_trust).build_indexes()
+    return Repairer(system)
+
+
 class TestRepairPrefersTrustedSources:
-    def _make_repairer(self, source_trust, quiet_profile):
-        from repro.datalake.lake import DataLake
-        from repro.datalake.types import Source, Table
-
-        lake = DataLake("conflicting")
-        lake.add_table(Table(
-            "t-curated", "ohio election results curated",
-            ("district", "votes"), [("ohio 9", "111,000")],
-            source=Source("curated"), key_column="district",
-        ))
-        lake.add_table(Table(
-            "t-scraped", "ohio election results scraped",
-            ("district", "votes"), [("ohio 9", "222,000")],
-            source=Source("scraped"), key_column="district",
-        ))
-        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=30)
-        system = VerifAI(
-            lake, llm=llm, source_trust=source_trust
-        ).build_indexes()
-        return Repairer(system)
-
     def test_strongest_refuter_wins(self, quiet_profile):
-        repairer = self._make_repairer(
+        repairer = _conflicting_repairer(
             {"curated": 0.9, "scraped": 0.1}, quiet_profile
         )
         row = repairer.system.lake.table("t-curated").row(0).replace_value(
@@ -86,7 +86,7 @@ class TestRepairPrefersTrustedSources:
         assert result.evidence_id == "t-curated#r0"
 
     def test_trust_flips_the_repair(self, quiet_profile):
-        repairer = self._make_repairer(
+        repairer = _conflicting_repairer(
             {"curated": 0.1, "scraped": 0.9}, quiet_profile
         )
         row = repairer.system.lake.table("t-curated").row(0).replace_value(
@@ -118,71 +118,77 @@ class TestRepairBatch:
         assert report.summary().startswith("0 values")
 
 
-def _refuting_report(*evidence_ids):
-    """A minimal stand-in report carrying only refuting outcomes."""
+def _report(*votes):
+    """A minimal stand-in report: (evidence_id, verdict) outcomes in
+    evidence order."""
     return SimpleNamespace(
-        refuting=[
+        outcomes=[
             VerificationOutcome(
-                verdict=Verdict.REFUTED,
+                verdict=verdict,
                 explanation="",
                 verifier="test",
                 evidence_id=evidence_id,
             )
-            for evidence_id in evidence_ids
+            for evidence_id, verdict in votes
         ]
     )
 
 
+REFUTED = Verdict.REFUTED
+
+
 class TestStrongestRefuter:
-    """The shared repair/loop evidence-selection helper."""
+    """The shared repair/loop evidence-selection helper: the refuting
+    row whose vote decided the report."""
 
     def test_empty_report_yields_none(self, repairer):
-        assert strongest_refuter(
-            repairer.system, _refuting_report(), "votes"
-        ) is None
+        assert strongest_refuter(repairer.system, _report(), "votes") is None
 
     def test_evidence_row_lacking_the_column_is_skipped(self, repairer):
         # the medal table has no "votes" column, so its row cannot
         # state a repair value even though it refuted the draft
-        report = _refuting_report("t-games-1960#r0")
+        report = _report(("t-games-1960#r0", REFUTED))
         assert strongest_refuter(repairer.system, report, "votes") is None
 
-    def test_non_row_evidence_is_skipped(self, repairer):
-        # a document id resolves to a text file, not a Row
-        report = _refuting_report("page-jenkins", "t-ohio-1950#r0")
-        value, evidence_id = strongest_refuter(
-            repairer.system, report, "votes"
-        )
-        assert evidence_id == "t-ohio-1950#r0"
-        assert value == "102,000"
+    def test_non_row_evidence_states_no_value(self, repairer):
+        # a document id resolves to a text file, not a Row: when it
+        # decides, there is no value to quote, and a later refuting row
+        # did not decide
+        report = _report(("page-jenkins", REFUTED), ("t-ohio-1950#r0", REFUTED))
+        assert strongest_refuter(repairer.system, report, "votes") is None
 
-    def test_trust_tie_breaks_on_evidence_id_not_order(
-        self, quiet_profile
+    def test_the_deciding_row_states_the_value(self, repairer):
+        report = _report(
+            ("page-jenkins", Verdict.NOT_RELATED), ("t-ohio-1950#r0", REFUTED)
+        )
+        assert strongest_refuter(repairer.system, report, "votes") == (
+            "102,000", "t-ohio-1950#r0"
+        )
+
+    def test_a_verified_report_has_no_refuter(self, repairer):
+        report = _report(
+            ("t-ohio-1950#r0", Verdict.VERIFIED), ("t-ohio-1950#r1", REFUTED)
+        )
+        assert strongest_refuter(repairer.system, report, "votes") is None
+
+    @pytest.mark.parametrize(
+        "trust, expected",
+        [
+            # both trusted: the earlier refuter decided
+            ({"curated": 0.9, "scraped": 0.6}, ("222,000", "t-scraped#r0")),
+            # the earlier one is distrusted: the trusted one decided
+            ({"curated": 0.9, "scraped": 0.1}, ("111,000", "t-curated#r0")),
+        ],
+    )
+    def test_the_pooling_rule_picks_the_refuter(
+        self, quiet_profile, trust, expected
     ):
-        from repro.datalake.lake import DataLake
-        from repro.datalake.types import Source, Table
-
-        lake = DataLake("tied")
-        for table_id, votes in (
-            ("t-beta", "222,000"), ("t-alpha", "111,000"),
-        ):
-            lake.add_table(Table(
-                table_id, f"ohio election results {table_id}",
-                ("district", "votes"), [("ohio 9", votes)],
-                source=Source("web"), key_column="district",
-            ))
-        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=30)
-        system = VerifAI(lake, llm=llm).build_indexes()
-        forward = _refuting_report("t-alpha#r0", "t-beta#r0")
-        backward = _refuting_report("t-beta#r0", "t-alpha#r0")
-        assert (
-            strongest_refuter(system, forward, "votes")
-            == strongest_refuter(system, backward, "votes")
-            == ("111,000", "t-alpha#r0")
-        )
+        system = _conflicting_repairer(trust, quiet_profile).system
+        report = _report(("t-scraped#r0", REFUTED), ("t-curated#r0", REFUTED))
+        assert strongest_refuter(system, report, "votes") == expected
 
     def test_repairer_method_delegates(self, repairer):
-        report = _refuting_report("t-ohio-1950#r0")
+        report = _report(("t-ohio-1950#r0", REFUTED))
         assert repairer._evidence_value(report, "votes") == (
             strongest_refuter(repairer.system, report, "votes")
         )

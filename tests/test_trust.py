@@ -3,8 +3,11 @@
 import pytest
 
 from repro.trust.model import (
+    TRUSTED,
     ValueClaim,
     ValueTrustModel,
+    deciding_vote,
+    vote_is_settled,
     weighted_vote,
 )
 from repro.verify.verdict import Verdict
@@ -73,7 +76,8 @@ class TestValueTrustModel:
 
 class TestWeightedVote:
     """The pooling rule: the first decisive vote (in evidence order)
-    among the most trusted sources decides; its trust is the margin."""
+    from a trusted source decides — from any source when no trusted one
+    is decisive — and its trust is the margin."""
 
     def test_first_decisive_vote_wins(self):
         # a majority behind it does not matter: rank order does
@@ -99,6 +103,28 @@ class TestWeightedVote:
         assert uniform is Verdict.REFUTED
         assert weighted is Verdict.VERIFIED
         assert margin == 0.9
+
+    def test_among_trusted_sources_rank_beats_trust(self):
+        assert weighted_vote(
+            [("fair", Verdict.REFUTED), ("best", Verdict.VERIFIED)],
+            {"fair": 0.6, "best": 0.95},
+        ) == (Verdict.REFUTED, 0.6)
+
+    def test_among_distrusted_sources_rank_beats_trust(self):
+        # with no trusted decisive vote, trust does not rank the rest:
+        # a near-tie of low trusts would otherwise decide on noise
+        assert weighted_vote(
+            [("worst", Verdict.VERIFIED), ("poor", Verdict.REFUTED),
+             ("good", Verdict.NOT_RELATED)],
+            {"worst": 0.1, "poor": 0.4, "good": 0.9},
+        ) == (Verdict.VERIFIED, 0.1)
+
+    def test_a_source_at_the_trusted_mark_is_trusted(self):
+        below = TRUSTED - 0.01
+        assert weighted_vote(
+            [("below", Verdict.REFUTED), ("at", Verdict.VERIFIED)],
+            {"below": below, "at": TRUSTED},
+        ) == (Verdict.VERIFIED, TRUSTED)
 
     def test_an_unknown_source_takes_the_default_trust(self):
         votes = [("known", Verdict.REFUTED), ("unknown", Verdict.VERIFIED)]
@@ -154,3 +180,43 @@ class TestWeightedVote:
         assert weighted_vote(
             [("zero", Verdict.REFUTED)], {"zero": 0.0}
         ) == (Verdict.REFUTED, 0.0)
+
+
+class TestDecidingVote:
+    def test_the_position_and_trust_of_the_decider(self):
+        votes = [
+            ("a", Verdict.NOT_RELATED), ("low", Verdict.VERIFIED),
+            ("a", Verdict.REFUTED),
+        ]
+        # "a" is unscored: distrusted at 0.3, trusted at 0.8
+        assert deciding_vote(votes, {"low": 0.2}, default_trust=0.3) == (
+            1, 0.2
+        )
+        assert deciding_vote(votes, {"low": 0.2}, default_trust=0.8) == (
+            2, 0.8
+        )
+
+    def test_no_decisive_vote(self):
+        assert deciding_vote([("a", Verdict.NOT_RELATED)], {}) is None
+
+
+class TestVoteIsSettled:
+    """The early exit's predicate: no later vote can change the pool."""
+
+    TRUST = {"low": 0.2, "high": 0.9}
+
+    def test_undecided_is_never_settled(self):
+        assert not vote_is_settled(
+            [("high", Verdict.NOT_RELATED)], [], self.TRUST
+        )
+
+    def test_a_trusted_decider_is_settled(self):
+        assert vote_is_settled(
+            [("high", Verdict.REFUTED)], ["high", "low"], self.TRUST
+        )
+
+    def test_a_distrusted_decider_waits_for_trusted_sources(self):
+        votes = [("low", Verdict.REFUTED)]
+        assert not vote_is_settled(votes, ["low", "high"], self.TRUST)
+        assert vote_is_settled(votes, ["low", "low"], self.TRUST)
+        assert vote_is_settled(votes, [], self.TRUST)
