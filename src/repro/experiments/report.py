@@ -24,6 +24,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.figures import run_figure1, run_figure4
 from repro.experiments.headline import run_headline
+from repro.experiments.routes import run_rerank_routes
 from repro.experiments.setup import ExperimentContext
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
@@ -135,6 +136,27 @@ def render_ablations(context: ExperimentContext) -> str:
         ["configuration", "recall@3"],
         [[k, v] for k, v in text_reranker.items()],
     ))
+
+    routes = run_rerank_routes(context)
+    parts.append("\n### Rerank routes, arm by arm (full pipeline)\n")
+    parts.append(_markdown_table(
+        ["route", "arm", "precision@1", "recall@k'", "accuracy", "undecided"],
+        [[r.route, r.arm] + [
+            f"{value:.3f}" for value in
+            (r.precision_at_1, r.recall, r.accuracy, r.undecided)
+        ] for r in routes],
+    ))
+    parts.append(
+        "\nOne coarse list of depth `k_coarse` (BM25 and the vector index "
+        "fused by RRF) per object and route; coarse is its first k', "
+        "rerank the route's reranker over it, rrf the two lists fused by "
+        "reciprocal rank. End to end, the arm applies to the route judged "
+        "and the object's other routes read coarse, pooled by the first "
+        "decisive pair. A route with the coarse arm only has no reranker: "
+        "docs/performance.md (\"The tuple routes stop reranking\") has the "
+        "rule, committed first, and the arms at three seeds that retired "
+        "it."
+    )
 
     vectors = run_vector_index_ablation(context)
     parts.append("\n### Vector indexes (Faiss trade-off)\n")

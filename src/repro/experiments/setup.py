@@ -58,6 +58,7 @@ class ExperimentContext:
     """Everything Section 4 needs, built for one scale profile."""
 
     scale: str
+    seed: int
     bundle: LakeBundle
     tuple_workload: TupleCompletionWorkload
     claim_workload: ClaimWorkload
@@ -138,6 +139,7 @@ def get_context(
     ).build_indexes()
     context = ExperimentContext(
         scale=scale,
+        seed=seed,
         bundle=bundle,
         tuple_workload=tuple_workload,
         claim_workload=claim_workload,

@@ -215,6 +215,7 @@ def tiny_experiment_context():
     system = VerifAI(bundle.lake, llm=verifier_llm).build_indexes()
     return ExperimentContext(
         scale="tiny",
+        seed=21,
         bundle=bundle,
         tuple_workload=tuple_workload,
         claim_workload=claim_workload,
