@@ -46,7 +46,8 @@ trace-demo:
 # the stdlib line-coverage gate (no coverage.py in the image): rerun
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers (with their readings memos), the
-# rerankers, the token embedder, the flat vector index, the inverted
+# rerankers and the module that routes to them, the pipeline config's
+# validation, the token embedder, the flat vector index, the inverted
 # index (compile, patch), the sharded indexes, the text layer's
 # analysis and similarity, the campaign path's glue (prompt splitting
 # and response parsing, the verifier module, the combiner and the
@@ -69,6 +70,8 @@ coverage:
 		--target src/repro/text/similarity.py \
 		--target src/repro/llm/prompts.py \
 		--target src/repro/core/verifier.py \
+		--target src/repro/core/reranker.py \
+		--target src/repro/core/config.py \
 		--target src/repro/index/combiner.py \
 		--target src/repro/index/base.py \
 		--target src/repro/datalake/serialize.py \
@@ -93,7 +96,7 @@ coverage:
 		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
 		tests/test_discovery.py tests/test_datalake_kg.py \
 		tests/test_workloads.py tests/test_workloads_textgen_kinds.py \
-		tests/test_trust.py
+		tests/test_trust.py tests/test_core_pipeline.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -108,8 +111,8 @@ loop-demo:
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
 # a seal, on solo readers racing to build a fresh seal's contribution
 # table, on the text layer's word table while it fills, and on the token
-# embedder's vocabulary read lock-free while it grows, from first touches
-# and from the build pass, on the sharded indexes read by batch
+# embedder's vocabulary read lock-free while first touches grow it, on
+# the sharded indexes read by batch
 # workers, on first readers racing to build a modality, and on the
 # verifier's digest-keyed outcome cache) under the Eraser-style lockset
 # race sanitizer (see docs/static_analysis.md);
@@ -120,8 +123,8 @@ sanitize:
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \
-		tests/test_rerank_vocabulary.py tests/test_index_matrix.py \
-		tests/test_indexer_lazy.py tests/test_core_verifier_module.py
+		tests/test_index_matrix.py tests/test_indexer_lazy.py \
+		tests/test_core_verifier_module.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

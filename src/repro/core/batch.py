@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import require_at_least
 from repro.core.pipeline import (
     DEFAULT_MODALITIES,
     STATUS_FAILED,
@@ -228,14 +229,12 @@ class BatchEngine:
         fail_fast: bool = False,
         max_retries: Optional[int] = None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        require_at_least("max_workers", max_workers, 1)
         retries = (
             max_retries if max_retries is not None
             else system.config.batch_max_retries
         )
-        if retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {retries}")
+        require_at_least("max_retries", retries, 0)
         self.system = system
         self.max_workers = max_workers
         self.fail_fast = fail_fast
@@ -308,6 +307,9 @@ class Campaign:
         profile: bool = False,
         solo: bool = False,
     ) -> None:
+        for name, depth in (("k_coarse", k_coarse), ("k_fine", k_fine)):
+            if depth is not None:
+                require_at_least(name, depth, 1)
         system = engine.system
         self.engine = engine
         self.system = system

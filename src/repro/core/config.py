@@ -17,6 +17,12 @@ PAPER_FINE_K = {
 }
 
 
+def require_at_least(name: str, value: int, floor: int) -> None:
+    """Refuse ``value`` below ``floor``, naming the field."""
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+
+
 @dataclass
 class VerifAIConfig:
     """Knobs of the end-to-end pipeline.
@@ -45,6 +51,10 @@ class VerifAIConfig:
       root (1 = the monolithic index).  Scatter-gather search is
       proven hit-for-hit identical to the unsharded build
       (tests/test_index_sharding.py), so this is purely a scale knob.
+
+    A depth, size or count below its floor (1; 0 for
+    ``batch_max_retries``) is refused at construction with a
+    ``ValueError`` naming the field.
     """
 
     k_coarse: int = 50
@@ -61,6 +71,16 @@ class VerifAIConfig:
     batch_max_workers: int = 1
     batch_max_retries: int = 0
     num_shards: int = 1
+
+    def __post_init__(self) -> None:
+        for name in (
+            "k_coarse", "embedding_dim", "chunk_max_tokens",
+            "batch_max_workers", "num_shards",
+        ):
+            require_at_least(name, getattr(self, name), 1)
+        for modality, depth in self.k_fine.items():
+            require_at_least(f"k_fine[{modality.value}]", depth, 1)
+        require_at_least("batch_max_retries", self.batch_max_retries, 0)
 
     def fine_k(self, modality: Modality) -> int:
         """Shortlist size for one modality."""

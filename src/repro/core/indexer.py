@@ -108,10 +108,6 @@ class IndexerModule:
     ) -> None:
         self.lake = lake
         self.config = config or VerifAIConfig()
-        if self.config.num_shards < 1:
-            raise ValueError(
-                f"num_shards must be >= 1, got {self.config.num_shards}"
-            )
         self.clock: Clock = clock or MonotonicClock()
         self._content: Dict[Modality, SearchIndex] = {}
         self._semantic: Dict[Modality, SearchIndex] = {}

@@ -147,26 +147,13 @@ class VerifAI:
         """Build the indexes of every modality a default route reads:
         the union of ``DEFAULT_MODALITIES``' values, TUPLE, TEXT and
         TABLE.  Any other modality (the KG entities) is built by its
-        first search; without this call, so is every modality.
-
-        With ``config.use_reranker`` on, the call that builds TEXT also
-        embeds the distinct tokens of every TEXT payload into the ColBERT
-        reranker's vocabulary: its document side, encoded when the corpus
-        is indexed, so no rerank embeds a lake token.  Without that pass
-        a token is embedded by the first rerank that meets it."""
-        encode = (
-            self.config.use_reranker
-            and Modality.TEXT not in self.indexer.built_modalities
-        )
+        first search; without this call, so is every modality.  Nothing
+        else is prepared: a reranker reads a payload, and embeds its
+        tokens, when a rerank first meets it."""
         self.indexer.build(
             modality for route in DEFAULT_MODALITIES.values()
             for modality in route
         )
-        if encode:
-            self.reranker.text_text.encode_documents(
-                self.indexer.fetch_payload(document.instance_id)
-                for document in self.lake.iter_instances(Modality.TEXT)
-            )
         return self
 
     def next_trace_id(self) -> str:

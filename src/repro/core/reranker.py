@@ -1,9 +1,12 @@
 """The Reranker module: task-specific rerouting of coarse hits.
 
-Routing follows Section 3.2: (text, text) pairs go to the ColBERT-style
-late-interaction scorer, (text, table) to the OpenTFV-style scorer, and
-(tuple, tuple) to the tuple-pair scorer; anything else falls back to the
-generic feature mixture.
+Routing follows Section 3.2 where a route earns its reranker: (text,
+table) pairs go to the OpenTFV-style scorer and (text, text) to the
+ColBERT-style late-interaction scorer; any other pair falls back to
+the generic feature mixture.  A tuple's routes (tuple,
+tuple) and (tuple, text) have no reranker: its shortlist is the head
+of the coarse list, because no rerank arm beat it on end-to-end
+accuracy (docs/performance.md, "The tuple routes stop reranking").
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from repro.rerank.base import Reranker
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
-from repro.rerank.tuples import TupleReranker
 from repro.verify.objects import ClaimObject, DataObject, TupleObject
 
 
@@ -29,26 +31,24 @@ class RerankerModule:
         self,
         text_text: Optional[Reranker] = None,
         text_table: Optional[Reranker] = None,
-        tuple_tuple: Optional[Reranker] = None,
         fallback: Optional[Reranker] = None,
         clock: Optional[Clock] = None,
     ) -> None:
         self.text_text = text_text or LateInteractionReranker()
         self.text_table = text_table or TableReranker()
-        self.tuple_tuple = tuple_tuple or TupleReranker()
         self.fallback = fallback or FeatureReranker()
         self.clock: Clock = clock or MonotonicClock()
 
-    def route(self, obj: DataObject, modality: Modality) -> Reranker:
-        """The reranker for this pair type."""
+    def route(self, obj: DataObject, modality: Modality) -> Optional[Reranker]:
+        """The reranker for this pair type, or None where the coarse
+        order stands."""
+        if isinstance(obj, TupleObject) and modality in (
+            Modality.TUPLE, Modality.TEXT,
+        ):
+            return None
         if isinstance(obj, ClaimObject) and modality is Modality.TABLE:
             return self.text_table
-        if isinstance(obj, TupleObject) and modality is Modality.TUPLE:
-            return self.tuple_tuple
-        if (
-            isinstance(obj, (ClaimObject, TupleObject))
-            and modality is Modality.TEXT
-        ):
+        if isinstance(obj, ClaimObject) and modality is Modality.TEXT:
             return self.text_text
         return self.fallback
 
@@ -60,8 +60,11 @@ class RerankerModule:
         fetch: Callable[[str], str],
         k: int,
     ) -> List[SearchHit]:
-        """Re-score coarse candidates down to the fine shortlist."""
+        """Re-score coarse candidates down to the fine shortlist: the
+        first ``k`` as they came where the route has no reranker."""
         reranker = self.route(obj, modality)
+        if reranker is None:
+            return list(candidates[:max(k, 0)])
         metrics = get_registry()
         metrics.counter("reranker.calls").inc()
         metrics.histogram(

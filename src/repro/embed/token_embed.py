@@ -29,12 +29,10 @@ from repro.text.similarity import ngrams
 
 #: n-gram feature vectors kept per embedder (LRU, ~0.7 KB each at the
 #: default dim, ~5.5 MB full).  Only a token new to the vocabulary reads
-#: them: the build pass (``LateInteractionReranker.encode_documents``),
-#: then a word met later.  On a 2-core host the pass over the 1,200-table
-#: lake's 5,053 TEXT tokens (12,602 distinct n-grams) takes 0.44 s at
-#: this bound, 0.43 s at twice it, 0.49 s at half of it and 1.5 s with
-#: none; the same tokens touched lazily in lake order 0.47, 0.45, 0.60
-#: and 1.6 s.
+#: them, when the first rerank that meets it embeds it.  On a 2-core
+#: host the 1,200-table lake's 5,053 TEXT tokens (12,602 distinct
+#: n-grams), touched in lake order, take 0.47 s at this bound, 0.45 s at
+#: twice it, 0.60 s at half of it and 1.6 s with none.
 FEATURES_SIZE = 8192
 
 #: rows the vocabulary matrix starts with; it doubles when full

@@ -26,8 +26,9 @@ from repro.index.base import SearchHit
 #: payload readings kept per reranker: at k = 50 the candidates of ~80
 #: rerank calls, which is where the miss count of a campaign over the
 #: 1,200-table lake stops falling.  A ColBERT reading is ~0.3 KB, a
-#: tuple's ~3 KB, a table's ~6 KB and the fallback's ~20 KB (200
-#: character trigrams), so full memos hold ~1 / 12 / 25 / 80 MB.
+#: table's ~6 KB and the fallback's ~20 KB (200 character trigrams), so
+#: full memos hold ~1 / 25 / 80 MB.  Tuples are not reranked, so no
+#: campaign over the default routes fills the ColBERT or fallback memo.
 READINGS_SIZE = 4096
 
 

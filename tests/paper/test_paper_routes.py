@@ -4,7 +4,10 @@ For each route the full pipeline reranks, the coarse head, the
 reranked head and their RRF fusion are scored on retrieval and end to
 end.  claim→table earns its reranker: the source table reaches the top
 of the shortlist far more often, and the first decisive pair is right
-more often with fewer claims left undecided.
+more often with fewer claims left undecided.  The tuple routes did not
+(docs/performance.md, "The tuple routes stop reranking"), so they have
+the coarse arm alone: a tuple's shortlist is the head of its coarse
+list.
 """
 
 from repro.experiments.routes import run_rerank_routes
@@ -29,6 +32,9 @@ def test_rerank_routes(context):
     assert reranked.recall >= coarse.recall
     assert reranked.accuracy >= coarse.accuracy
     assert reranked.undecided <= coarse.undecided
+    assert {arm for route, arm in arms if route != "claim→table"} == {
+        "coarse"
+    }
     # a tuple's counterpart row heads its coarse list
     assert arms["tuple→tuple", "coarse"].precision_at_1 >= 0.95
     assert arms["tuple→tuple", "coarse"].accuracy >= 0.85

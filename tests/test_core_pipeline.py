@@ -8,11 +8,12 @@ from repro.core.reranker import RerankerModule
 from repro.datalake.types import Modality
 from repro.llm.model import SimulatedLLM
 from repro.rerank.colbert import LateInteractionReranker
+from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
-from repro.rerank.tuples import TupleReranker
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.pasta import PastaVerifier
 from repro.verify.verdict import Verdict
+from repro.workloads.tuplecomp import build_tuple_workload
 
 
 @pytest.fixture(scope="module")
@@ -32,19 +33,121 @@ class TestConfig:
         assert VerifAIConfig().fine_k(Modality.KG_ENTITY) == 5
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("k_coarse", 0), ("k_coarse", -1), ("embedding_dim", 0),
+        ("chunk_max_tokens", 0), ("batch_max_workers", 0),
+        ("batch_max_retries", -1), ("num_shards", 0),
+    ])
+    def test_a_value_below_the_floor_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= "):
+            VerifAIConfig(**{field: value})
+
+    def test_a_shortlist_below_one_is_refused(self):
+        with pytest.raises(ValueError, match=r"^k_fine\[text\] must be >= 1"):
+            VerifAIConfig(k_fine={Modality.TUPLE: 3, Modality.TEXT: 0})
+
+    def test_the_floors_are_accepted(self):
+        config = VerifAIConfig(
+            k_coarse=1, k_fine={Modality.TUPLE: 1}, batch_max_workers=1,
+            batch_max_retries=0, num_shards=1,
+        )
+        assert config.fine_k(Modality.TUPLE) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("k_coarse", -1), ("k_coarse", 0), ("k_fine", -2), ("k_fine", 0),
+    ])
+    def test_a_per_call_depth_below_one_is_refused(
+        self, system, election_table, field, value
+    ):
+        obj = TupleObject("o", election_table.row(0), attribute="party")
+        records = len(system.provenance)
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1"):
+            system.verify(obj, **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1"):
+            system.verify_batch([obj], **{field: value})
+        assert len(system.provenance) == records
+
+
 class TestRerankerRouting:
-    def test_routes(self):
+    def test_the_tuple_routes_have_no_reranker(self):
         from repro.datalake.types import Row
 
         module = RerankerModule()
         claim = ClaimObject("c", "x")
         tuple_obj = TupleObject("t", Row("t", 0, ("a",), ("1",)))
+        assert module.route(tuple_obj, Modality.TUPLE) is None
+        assert module.route(tuple_obj, Modality.TEXT) is None
         assert isinstance(module.route(claim, Modality.TABLE), TableReranker)
         assert isinstance(module.route(claim, Modality.TEXT),
                           LateInteractionReranker)
-        assert isinstance(module.route(tuple_obj, Modality.TUPLE), TupleReranker)
-        assert isinstance(module.route(tuple_obj, Modality.TEXT),
-                          LateInteractionReranker)
+        assert isinstance(module.route(tuple_obj, Modality.TABLE),
+                          FeatureReranker)
+        assert isinstance(module.route(claim, Modality.TUPLE),
+                          FeatureReranker)
+
+    def test_a_route_without_a_reranker_fetches_reads_and_counts_nothing(
+        self,
+    ):
+        from repro.datalake.types import Row
+        from repro.index.base import SearchHit
+        from repro.obs.metrics import get_registry
+
+        def fetch(instance_id):
+            raise AssertionError(f"fetched {instance_id}")
+
+        module = RerankerModule()
+        tuple_obj = TupleObject("t", Row("t", 0, ("a",), ("1",)))
+        candidates = [
+            SearchHit(1.0 / (n + 1), f"t#r{n}", "combined") for n in range(6)
+        ]
+        calls = get_registry().counter("reranker.calls")
+        before = calls.value
+        for modality in (Modality.TUPLE, Modality.TEXT):
+            for k in (0, 3, 10):
+                shortlist = module.rerank(
+                    tuple_obj, modality, candidates, fetch, k
+                )
+                assert shortlist == candidates[:k]
+                assert all(a is b for a, b in zip(shortlist, candidates))
+        assert calls.value == before
+        assert not module.text_text._readings
+        assert module.text_text.embedder._table is None
+
+    def test_a_tuple_shortlist_is_the_head_of_its_coarse_list(
+        self, small_bundle
+    ):
+        system = VerifAI(
+            small_bundle.lake, llm=SimulatedLLM(knowledge=None, seed=7),
+            config=VerifAIConfig(use_semantic_index=True, use_reranker=True),
+        ).build_indexes()
+        embedder = system.reranker.text_text.embedder
+        assert embedder._table is None  # the build embeds no token
+        tasks = build_tuple_workload(small_bundle, num_tasks=30, seed=5)
+        objs = [
+            TupleObject(task.task_id, task.row, attribute=task.column)
+            for task in tasks
+        ]
+        config = system.config
+        for obj, report in zip(objs, system.verify_batch(objs)):
+            query = obj.query_text()
+            stages = {
+                step.stage: [instance_id for instance_id, _ in step.hits]
+                for step in system.provenance.get(report.record_id).retrieval
+            }
+            shortlist = []
+            for modality in (Modality.TUPLE, Modality.TEXT):
+                coarse = [
+                    hit.instance_id for hit in system.indexer.search(
+                        query, modality, config.k_coarse
+                    )
+                ]
+                head = coarse[:config.fine_k(modality)]
+                assert stages[f"coarse:{modality.value}"] == coarse
+                assert stages[f"rerank:{modality.value}"] == head
+                shortlist += head
+            assert report.evidence_ids == shortlist
+        assert embedder._table is None
 
 
 class TestVerifyTuple:

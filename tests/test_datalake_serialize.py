@@ -6,12 +6,11 @@ module that reads it back.  The first half checks the writers.  The
 second proves the readers: ``parse_row`` / ``parse_table`` invert
 ``serialize_row`` / ``serialize_table`` exactly on cells that hold no
 separator, and over hostile text each caller built on them computes
-what the body it replaced computed — the five bodies at b56d1cc are
-kept below as the oracles.  Three readings were narrowed on purpose,
-and each is asserted as what it now is rather than left out:
+what the body it replaced computed — four of the five bodies at
+b56d1cc are kept below as the oracles (the fifth, the tuple reranker's
+parser, went with the reranker).  Two readings were narrowed on
+purpose, and each is asserted as what it now is rather than left out:
 
-* a tuple is one line for the reranker too (its parser used to read a
-  multi-line text as fields when every `` ; `` part held a ``: ``);
 * a line break is whatever ``str.splitlines`` breaks on, as in the
   prompt the text is pasted into, not ``"\\n"`` alone;
 * a `` | `` line is split as written, so a blank first or last cell of a
@@ -35,9 +34,8 @@ from repro.datalake.types import Row, Table, TextDocument
 from repro.llm import model as llm_model
 from repro.llm.prompts import parse_completed_table
 from repro.rerank.table import TableReranker, _Table
-from repro.rerank.tuples import _read_tuple
-from repro.text import analyze, normalize
-from repro.text.numbers import numbers_in, parse_number
+from repro.text import analyze
+from repro.text.numbers import numbers_in
 from tests.test_verdict_glue import LINE_BREAKS, OUTER_SPACE
 
 
@@ -142,6 +140,8 @@ class TestInverses:
         assert not is_representable(Row("t", 0, ("a", "b"), ("1", value)))
 
     def test_a_row_is_one_line(self):
+        assert parse_row("no separator") is None
+        assert parse_row("") is None
         assert parse_row("a: 1\nb: 2") is None
         assert parse_row("a: 1 ; b: 2\n") == {"a": "1", "b": "2"}
 
@@ -156,7 +156,7 @@ class TestInverses:
 
 
 # ----------------------------------------------------------------------
-# oracles: the five bodies at b56d1cc, before the form had one reader
+# oracles: the bodies at b56d1cc, before the form had one reader
 # ----------------------------------------------------------------------
 def llm_tuple_oracle(payload):
     """``llm/model.py:_parse_tuple_payload``"""
@@ -169,19 +169,6 @@ def llm_tuple_oracle(payload):
             return None
         fields[column.strip()] = value.strip()
     return fields if fields else None
-
-
-def rerank_tuple_oracle(payload):
-    """``rerank/tuples.py:parse_serialized_tuple``"""
-    if ": " not in payload:
-        return None
-    fields = {}
-    for part in payload.split(" ; "):
-        column, sep, value = part.partition(": ")
-        if not sep:
-            return None
-        fields[column.strip()] = value.strip()
-    return fields or None
 
 
 def llm_table_oracle(payload):
@@ -285,13 +272,6 @@ def evidence_like(draw):
 hostile_text = st.one_of(evidence_like(), st.text(max_size=60))
 
 
-def as_the_reranker_reads(fields):
-    return tuple(
-        (normalize(column), (parse_number(value), normalize(value)))
-        for column, value in (fields or {}).items()
-    )
-
-
 def newlines_only(text):
     """``text`` as the prompt's line walk hands it to the model."""
     return "\n".join(text.splitlines())
@@ -306,17 +286,6 @@ class TestCallersAgainstTheBodiesTheyReplaced:
         assert parse_row(text) == fields  # every line break is one
         assert llm_model._read_evidence(shown).fields == fields
         assert llm_model._read_object(shown, None, None).fields == fields
-
-    @given(hostile_text)
-    def test_the_reranker_reads_a_tuple(self, text):
-        reading = _read_tuple(text)
-        if len(text.strip().splitlines()) > 1:
-            assert reading.fields == ()
-        else:
-            assert reading.fields == as_the_reranker_reads(
-                rerank_tuple_oracle(text)
-            )
-        assert reading.by_column == dict(reading.fields)
 
     @given(hostile_text)
     def test_the_model_reads_a_table(self, text):
@@ -348,7 +317,7 @@ class TestCallersAgainstTheBodiesTheyReplaced:
 
     def test_every_payload_of_a_lake(self, small_bundle):
         """No narrowing is reachable from a generated lake: on every
-        payload all five callers read what they read before."""
+        payload all four callers read what they read before."""
         lake = small_bundle.lake
         reranker = TableReranker()
         for table in lake.tables():
@@ -369,4 +338,3 @@ class TestCallersAgainstTheBodiesTheyReplaced:
                 text = serialize_instance(instance)
                 fields = llm_tuple_oracle(text)
                 assert parse_row(text) == fields
-                assert fields == rerank_tuple_oracle(text)

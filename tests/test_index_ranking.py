@@ -36,7 +36,6 @@ from repro.rerank.base import Reranker
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
-from repro.rerank.tuples import TupleReranker
 from repro.text import analyze
 from repro.text.similarity import ngrams
 from tests.bm25_oracle import DictOracle
@@ -411,13 +410,6 @@ def bits(hits):
     ]
 
 
-TUPLE_PAYLOADS = {
-    "t#r0": "name: tom jenkins ; state: ohio ; votes: 102,000",
-    "t#r1": "name: tom jenkins ; state: ohio ; votes: 102,000",  # a twin
-    "t#r2": "name: ada brook ; state: iowa ; votes: 98,500",
-    "t#r3": "name: tom jenks ; state: ohio ; votes: 12",
-    "t#r4": "city: lakeview ; area: 40",
-}
 TABLE_PAYLOADS = {
     "m1": "1960 summer games medal table\nnation | gold | total\nvaloria | 19 | 40\nborduria | 7 | 22",
     "m2": "1960 summer games medal table\nnation | gold | total\nvaloria | 19 | 40\nborduria | 7 | 22",
@@ -435,10 +427,6 @@ TEXT_PAYLOADS = {
 RERANK_CASES = [
     (LateInteractionReranker, "tom jenkins ohio election", TEXT_PAYLOADS),
     (FeatureReranker, "tom jenkins ohio election", TEXT_PAYLOADS),
-    (
-        TupleReranker, "name: tom jenkins ; state: ohio ; votes: 102,000",
-        TUPLE_PAYLOADS,
-    ),
     (
         TableReranker, "valoria won 19 gold in the 1960 summer games",
         TABLE_PAYLOADS,

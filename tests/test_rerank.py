@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.datalake.serialize import parse_row, serialize_row, serialize_table
-from repro.datalake.types import Row
+from repro.datalake.serialize import serialize_table
 from repro.index.base import SearchHit
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
-from repro.rerank.tuples import TupleReranker
 
 
 class TestLateInteraction:
@@ -90,36 +88,6 @@ class TestTableReranker:
     def test_empty_inputs(self):
         assert TableReranker().score("claim", "") == 0.0
         assert TableReranker().score("", "caption\na | b\n1 | 2") == 0.0
-
-
-class TestTupleReranker:
-    def test_identical_tuples_near_one(self):
-        row = Row("t", 0, ("a", "b"), ("x", "42"))
-        payload = serialize_row(row)
-        assert TupleReranker().score(payload, payload) == pytest.approx(1.0, abs=0.05)
-
-    def test_value_disagreement_lowers_score(self):
-        query = "district: ohio 1 ; votes: 102,000"
-        same = "district: ohio 1 ; votes: 102,000"
-        different = "district: ohio 1 ; votes: 9"
-        reranker = TupleReranker()
-        assert reranker.score(query, same) > reranker.score(query, different)
-
-    def test_numeric_closeness_graded(self):
-        reranker = TupleReranker()
-        query = "votes: 100"
-        close = "votes: 101"
-        far = "votes: 1000"
-        assert reranker.score(query, close) > reranker.score(query, far)
-
-    def test_non_tuple_falls_back_to_bag(self):
-        score = TupleReranker().score("plain words here", "plain words here")
-        assert score == pytest.approx(1.0)
-
-    def test_parse_serialized_tuple(self):
-        assert parse_row("a: 1 ; b: two") == {"a": "1", "b": "two"}
-        assert parse_row("no separator") is None
-        assert parse_row("") is None
 
 
 class TestFeatureReranker:

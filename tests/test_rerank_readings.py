@@ -31,7 +31,7 @@ from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.core.reranker import RerankerModule
 from repro.datalake.lake import DataLake
-from repro.datalake.serialize import parse_row, serialize_instance
+from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import Modality
 from repro.embed import token_embed, vectorizers
 from repro.embed.token_embed import TokenEmbedder, _feature_vector
@@ -52,9 +52,8 @@ from repro.rerank import base as rerank_base
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
-from repro.rerank.tuples import TupleReranker
-from repro.text import analyze, normalize
-from repro.text.numbers import numbers_in, parse_number, years_in
+from repro.text import analyze
+from repro.text.numbers import numbers_in, years_in
 from repro.text.similarity import (
     jaccard,
     levenshtein,
@@ -79,8 +78,12 @@ from repro.workloads.tuplecomp import build_tuple_workload
 #: change order inside groups of equal cosines on 104 of 240 and
 #: membership across the cut on 8; all 240 rerank lists and all 100
 #: verdicts are identical (on the bench: reranked top-3 on 0 of 200).
+#: Re-pinned again (was ``bb2f0afe...``) when the tuple routes stopped
+#: reranking: the 60 tuples' ``rerank:tuple`` and ``rerank:text`` stages
+#: became the head of their coarse lists; every coarse list, all 120
+#: claim stage lists and all 100 verdicts are identical.
 PARENT_DIGEST = (
-    "bb2f0afef82bdbca0249d7ec2a073fef6b2b429bd571c468766a19db132389a7"
+    "b2a0cb354f484f8374807df4dc6713c3e73a4a97db3518cbdfb8d2f17d00e90a"
 )
 
 
@@ -106,12 +109,6 @@ def reference_levenshtein(a, b):
             )
         previous = current
     return previous[-1]
-
-
-def reference_levenshtein_ratio(a, b):
-    if not a and not b:
-        return 1.0
-    return 1.0 - reference_levenshtein(a, b) / max(len(a), len(b))
 
 
 class ReferenceEmbedder:
@@ -165,35 +162,6 @@ def reference_colbert(embedder, token_weight=None, normalize_by_length=True):
         return total / denom if normalize_by_length else total
 
     return score
-
-
-def reference_value_similarity(a, b):
-    num_a, num_b = parse_number(a), parse_number(b)
-    if num_a is not None and num_b is not None:
-        if num_a == num_b:
-            return 1.0
-        denom = max(abs(num_a), abs(num_b), 1.0)
-        return max(0.0, 1.0 - abs(num_a - num_b) / denom)
-    return reference_levenshtein_ratio(normalize(a), normalize(b))
-
-
-def reference_tuple_pair(query, payload, aligned_weight=0.7, bag_weight=0.3):
-    query_fields = parse_row(query)
-    payload_fields = parse_row(payload)
-    bag_score = jaccard(analyze(query), analyze(payload))
-    if not query_fields or not payload_fields:
-        return bag_score
-    payload_by_norm = {
-        normalize(column): value for column, value in payload_fields.items()
-    }
-    sims = []
-    for column, value in query_fields.items():
-        other = payload_by_norm.get(normalize(column))
-        if other is None:
-            continue
-        sims.append(reference_value_similarity(value, other))
-    aligned_score = sum(sims) / len(sims) if sims else 0.0
-    return aligned_weight * aligned_score + bag_weight * bag_score
 
 
 def reference_opentfv(query, payload):
@@ -324,7 +292,6 @@ CASES = {
             ReferenceEmbedder(), idf_like, normalize_by_length=False
         ),
     ),
-    "tuple-pair": (TupleReranker, lambda: reference_tuple_pair),
     "opentfv": (TableReranker, lambda: reference_opentfv),
     "features": (FeatureReranker, lambda: reference_features),
 }
@@ -992,23 +959,20 @@ class TestFullPipeline:
         assert module.text_text.embedder._table is None
         assert not module.text_text.embedder._feature_cache
         for reranker in (
-            module.text_text, module.text_table, module.tuple_tuple,
-            module.fallback,
+            module.text_text, module.text_table, module.fallback,
         ):
             assert not reranker._readings
         assert system.indexer.semantic_index(Modality.TUPLE) is None
 
-    def test_rerank_time_lands_in_a_named_histogram(self, campaign):
+    def test_rerank_time_lands_in_a_named_histogram(self, campaign, small_bundle):
         system, _ = campaign
         module = RerankerModule(clock=TickClock(step=0.25))
-        histogram = get_registry().histogram("reranker.seconds.tuple-pair")
+        histogram = get_registry().histogram("reranker.seconds.opentfv")
         count, total = histogram.count, histogram.sum
-        obj = TupleObject(
-            "h1", next(iter(system.lake.tables())).row(0), attribute=None
-        )
-        coarse = system.indexer.search(obj.query_text(), Modality.TUPLE)
+        _, claims = campaign_objects(small_bundle)
+        coarse = system.indexer.search(claims[0].query_text(), Modality.TABLE)
         module.rerank(
-            obj, Modality.TUPLE, coarse, system.indexer.fetch_payload, 3
+            claims[0], Modality.TABLE, coarse, system.indexer.fetch_payload, 5
         )
         assert histogram.count == count + 1
         assert histogram.sum == pytest.approx(total + 0.25)
@@ -1086,8 +1050,7 @@ class TestThreadHammer:
             results[i] == dict(enumerate(expected)) for i in range(8)
         )
         for reranker in (
-            module.text_text, module.text_table, module.tuple_tuple,
-            module.fallback,
+            module.text_text, module.text_table, module.fallback,
         ):
             assert 0 < len(reranker._readings) <= 8
         embedder = module.text_text.embedder
