@@ -1,12 +1,12 @@
 """The Reranker module: task-specific rerouting of coarse hits.
 
 Routing follows Section 3.2 where a route earns its reranker: (text,
-table) pairs go to the OpenTFV-style scorer and (text, text) to the
-ColBERT-style late-interaction scorer; any other pair falls back to
-the generic feature mixture.  A tuple's routes (tuple,
-tuple) and (tuple, text) have no reranker: its shortlist is the head
-of the coarse list, because no rerank arm beat it on end-to-end
-accuracy (docs/performance.md, "The tuple routes stop reranking").
+table) pairs go to the OpenTFV-style scorer, (text, text) to the
+ColBERT-style late-interaction scorer, and any other pair but a
+tuple's to the generic feature mixture.  (tuple, tuple) and (tuple,
+text) have no reranker: their shortlist is the head of the coarse list,
+which no rerank arm beat on end-to-end accuracy (docs/performance.md,
+"The tuple routes stop reranking").
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ from repro.verify.objects import ClaimObject, DataObject, TupleObject
 class RerankerModule:
     """Route (object type, evidence modality) to the right reranker."""
 
-    def __init__(
-        self,
-        text_text: Optional[Reranker] = None,
-        text_table: Optional[Reranker] = None,
-        fallback: Optional[Reranker] = None,
-        clock: Optional[Clock] = None,
-    ) -> None:
-        self.text_text = text_text or LateInteractionReranker()
-        self.text_table = text_table or TableReranker()
-        self.fallback = fallback or FeatureReranker()
+    def __init__(self, clock: Optional[Clock] = None) -> None:
+        self.text_text = LateInteractionReranker()
+        self.text_table = TableReranker()
+        self.fallback = FeatureReranker()
         self.clock: Clock = clock or MonotonicClock()
 
     def route(self, obj: DataObject, modality: Modality) -> Optional[Reranker]:

@@ -4,9 +4,6 @@
   improve when we expand the number of retrieved files";
 * combiner — content-only vs semantic-only vs combined (Section 3.1:
   "combining these two approaches can enhance recall");
-* reranker — coarse top-k' vs coarse top-K reranked down to k'
-  (Section 3.2: after reranking "we only need to focus on a limited
-  number of top-k' retrieved results");
 * vector index — flat vs IVF vs HNSW recall/latency (the Faiss
   trade-off);
 * trust — trust-weighted evidence pooling vs uniform voting when the
@@ -32,8 +29,6 @@ from repro.index.ivf import IVFFlatIndex
 from repro.index.vector import FlatVectorIndex
 from repro.metrics.evaluation import macro_recall_at_k
 from repro.obs.clock import Clock, MonotonicClock
-from repro.rerank.colbert import LateInteractionReranker
-from repro.rerank.table import TableReranker
 from repro.trust.model import weighted_vote
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import TupleObject
@@ -98,83 +93,6 @@ def run_combiner_ablation(
         "semantic-only": recall_with(lambda q: semantic.search(q, k)),
         "combined-max": recall_with(lambda q: combined_max.search(q, k)),
         "combined-rrf": recall_with(lambda q: combined_rrf.search(q, k)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# reranker ablation
-# ---------------------------------------------------------------------------
-def run_reranker_ablation(
-    context: ExperimentContext,
-    k_fine: int = 5,
-    k_coarse: int = 100,
-) -> Dict[str, float]:
-    """claim→table recall at k': raw coarse top-k' vs reranked top-K."""
-    indexer = context.system.indexer
-    reranker = TableReranker()
-    coarse_runs = []
-    reranked_runs = []
-    for task in context.claim_workload:
-        query = task.claim.full_text
-        coarse_small = indexer.search(task.claim.text, Modality.TABLE, k_fine)
-        coarse_large = indexer.search(task.claim.text, Modality.TABLE, k_coarse)
-        shortlist = reranker.rerank(
-            query, coarse_large, indexer.fetch_payload, k_fine
-        )
-        coarse_runs.append(
-            ([h.instance_id for h in coarse_small], [task.table_id])
-        )
-        reranked_runs.append(
-            ([h.instance_id for h in shortlist], [task.table_id])
-        )
-    return {
-        f"coarse@{k_fine}": macro_recall_at_k(coarse_runs, k_fine),
-        f"rerank({k_coarse}->{k_fine})": macro_recall_at_k(reranked_runs, k_fine),
-    }
-
-
-def run_text_reranker_ablation(
-    context: ExperimentContext,
-    k_fine: int = 3,
-    k_coarse: int = 50,
-) -> Dict[str, float]:
-    """tuple→text recall at k': raw coarse top-k' vs ColBERT-style rerank.
-
-    Two reranker variants are measured: plain MaxSim, and MaxSim with
-    BM25-idf query-token weighting (ColBERT's learned down-weighting of
-    uninformative tokens, supplied analytically).
-    """
-    indexer = context.system.indexer
-    content = indexer.content_index(Modality.TEXT)
-    plain = LateInteractionReranker()
-    weighted = LateInteractionReranker(token_weight=content.idf)
-    coarse_runs = []
-    plain_runs = []
-    weighted_runs = []
-    for generated in context.generated:
-        table = context.bundle.lake.table(generated.table_id)
-        row = table.row(generated.row_index)
-        query = serialize_row(row)
-        relevant = context.bundle.relevant_pages_for_row(row)
-        if not relevant:
-            continue
-        coarse_small = indexer.search(query, Modality.TEXT, k_fine)
-        coarse_large = indexer.search(query, Modality.TEXT, k_coarse)
-        plain_list = plain.rerank(
-            query, coarse_large, indexer.fetch_payload, k_fine
-        )
-        weighted_list = weighted.rerank(
-            query, coarse_large, indexer.fetch_payload, k_fine
-        )
-        coarse_runs.append(([h.instance_id for h in coarse_small], relevant))
-        plain_runs.append(([h.instance_id for h in plain_list], relevant))
-        weighted_runs.append(([h.instance_id for h in weighted_list], relevant))
-    return {
-        f"coarse@{k_fine}": macro_recall_at_k(coarse_runs, k_fine),
-        f"maxsim({k_coarse}->{k_fine})": macro_recall_at_k(plain_runs, k_fine),
-        f"maxsim+idf({k_coarse}->{k_fine})": macro_recall_at_k(
-            weighted_runs, k_fine
-        ),
     }
 
 

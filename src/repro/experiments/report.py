@@ -15,9 +15,7 @@ from repro.experiments.ablations import (
     run_combiner_ablation,
     run_coverage_sensitivity,
     run_k_sweep,
-    run_reranker_ablation,
     run_text_fact_checking,
-    run_text_reranker_ablation,
     run_trust_ablation,
     run_tuple_verifier_comparison,
     run_vector_index_ablation,
@@ -124,19 +122,6 @@ def render_ablations(context: ExperimentContext) -> str:
         ["configuration", "recall@3"], [[k, v] for k, v in combiner.items()]
     ))
 
-    reranker = run_reranker_ablation(context)
-    parts.append("\n### Reranker (claim→table)\n")
-    parts.append(_markdown_table(
-        ["configuration", "recall@5"], [[k, v] for k, v in reranker.items()]
-    ))
-
-    text_reranker = run_text_reranker_ablation(context)
-    parts.append("\n### Reranker (tuple→text, ColBERT-style)\n")
-    parts.append(_markdown_table(
-        ["configuration", "recall@3"],
-        [[k, v] for k, v in text_reranker.items()],
-    ))
-
     routes = run_rerank_routes(context)
     parts.append("\n### Rerank routes, arm by arm (full pipeline)\n")
     parts.append(_markdown_table(
@@ -147,15 +132,13 @@ def render_ablations(context: ExperimentContext) -> str:
         ] for r in routes],
     ))
     parts.append(
-        "\nOne coarse list of depth `k_coarse` (BM25 and the vector index "
-        "fused by RRF) per object and route; coarse is its first k', "
-        "rerank the route's reranker over it, rrf the two lists fused by "
-        "reciprocal rank. End to end, the arm applies to the route judged "
-        "and the object's other routes read coarse, pooled by the first "
-        "decisive pair. A route with the coarse arm only has no reranker: "
-        "docs/performance.md (\"The tuple routes stop reranking\") has the "
-        "rule, committed first, and the arms at three seeds that retired "
-        "it."
+        "\nCoarse is the head of the full pipeline's coarse list (`k_coarse` "
+        "50), rerank the modality's scorer over it (ColBERT on text, "
+        "OpenTFV-style on tables), rrf the two fused by reciprocal rank; end "
+        "to end, the other routes read coarse. Only claim→table keeps its "
+        "reranker: docs/performance.md (\"The tuple routes stop "
+        "reranking\") has the rule, committed first, and the arms at three "
+        "seeds that retired the tuple routes and the tuple-pair scorer."
     )
 
     vectors = run_vector_index_ablation(context)

@@ -1,48 +1,37 @@
 """Rerank routes, arm by arm: does a route earn its reranker?
 
-Section 3.2 reranks a deep coarse list down to a small k'.  For every
-route the full pipeline (``use_semantic_index`` + ``use_reranker``)
-reranks, three shortlists are cut from one coarse list of depth
-``k_coarse``:
-
-* **coarse** — its first k';
-* **rerank** — the route's reranker over the whole list, first k';
-* **rrf** — the coarse and reranked lists fused by reciprocal rank
-  (the :class:`~repro.index.combiner.Combiner`'s RRF), first k'.
-
-Each arm is scored on retrieval (precision@1 and recall@k' against the
-Table 1 relevance) and end to end: the object's evidence, the arm on the
-route judged and coarse on the object's other routes, pooled by
-``VerifierModule.verify_pool``, against the object's gold verdict.  A
-route the Reranker no longer serves (``RerankerModule.route`` is None)
-has the coarse arm only.  The rule that retired the tuple routes, and
-the arms it was judged on, are in docs/performance.md ("The tuple
-routes stop reranking").
+From one coarse list of depth ``k_coarse`` under the full pipeline's
+configuration, three shortlists of k': coarse (its head), rerank (the
+evidence modality's scorer over it) and rrf (the two fused by
+reciprocal rank).  Each is scored on retrieval against the Table 1
+relevance and end to end, the object's other routes reading coarse,
+pooled by ``VerifierModule.verify_pool``.  The rule these arms decided
+by is in docs/performance.md ("The tuple routes stop reranking").
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.datalake.types import Modality
 from repro.experiments.setup import ExperimentContext
-from repro.index.base import SearchHit
-from repro.index.combiner import Combiner, FusionMethod
+from repro.index.combiner import Combiner
 from repro.metrics.evaluation import macro_recall_at_k
+from repro.rerank.colbert import LateInteractionReranker
+from repro.rerank.table import TableReranker
 from repro.verify.objects import ClaimObject, DataObject, TupleObject
 from repro.verify.verdict import Verdict
 from repro.workloads.builder import LakeBundle
 from repro.workloads.tuplecomp import build_tuple_workload
 
-ARMS = ("coarse", "rerank", "rrf")
+#: each modality's rerank arm (the tuple-pair scorer went with its route)
+SCORERS = {Modality.TEXT: LateInteractionReranker, Modality.TABLE: TableReranker}
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One labelled object and its relevant instances per modality."""
 
     obj: DataObject
@@ -50,8 +39,7 @@ class Case:
     relevant: Dict[Modality, FrozenSet[str]]
 
 
-@dataclass(frozen=True)
-class ArmResult:
+class ArmResult(NamedTuple):
     """One arm of one route."""
 
     route: str
@@ -63,8 +51,7 @@ class ArmResult:
 
 
 def _corrupt_digits(value: str, rng: random.Random) -> str:
-    """One digit changed to a different digit, or an ``x`` appended
-    when there is none (the bench tuple stream's corruption)."""
+    """The bench tuple stream's corruption: one digit changed, or ``x``."""
     digits = [i for i, ch in enumerate(value) if ch.isdigit()]
     if not digits:
         return value + "x"
@@ -74,10 +61,9 @@ def _corrupt_digits(value: str, rng: random.Random) -> str:
 
 
 def labelled_tuples(bundle: LakeBundle, count: int, seed: int) -> List[Case]:
-    """The first ``count`` objects of the bench's tuple stream over
-    ``bundle`` (``bench.workloads.tuple_stream`` at ``seed``): rows of
-    ``build_tuple_workload``, the true value and a digit-corrupted one in
-    turn, each distinct object once."""
+    """The first ``count`` objects of ``bench.workloads.tuple_stream``
+    over ``bundle`` at ``seed``: rows of ``build_tuple_workload``, the
+    true value and a digit-corrupted one in turn, each object once."""
     tasks = build_tuple_workload(
         bundle, num_tasks=sum(t.num_rows for t in bundle.tables),
         seed=seed + 1,
@@ -98,21 +84,85 @@ def labelled_tuples(bundle: LakeBundle, count: int, seed: int) -> List[Case]:
             continue
         seen.add(key)
         cases.append(Case(
-            obj,
-            Verdict.REFUTED if corrupted else Verdict.VERIFIED,
+            obj, Verdict.REFUTED if corrupted else Verdict.VERIFIED,
             {
-                Modality.TUPLE: frozenset(
-                    [f"{row.table_id}#r{row.row_index}"]
-                ),
+                Modality.TUPLE: frozenset([f"{row.table_id}#r{row.row_index}"]),
                 Modality.TEXT: frozenset(bundle.relevant_pages_for_row(row)),
             },
         ))
     return cases
 
 
-def labelled_claims(context: ExperimentContext, count: int) -> List[Case]:
-    """The first ``count`` claims of the context's claim workload."""
-    return [
+def run_route_arms(
+    system: VerifAI, cases: Sequence[Case], modalities: Sequence[Modality]
+) -> List[ArmResult]:
+    """Every arm of every route of ``cases``, one object type whose
+    evidence is read in ``modalities`` order."""
+    indexer = system.indexer
+    kind = "tuple" if isinstance(cases[0].obj, TupleObject) else "claim"
+    shortlists: Dict[Modality, List[Dict[str, list]]] = {}
+    for modality in modalities:
+        k = system.config.fine_k(modality)
+        scorer = SCORERS[modality]() if modality in SCORERS else None
+        fuser = Combiner([indexer.content_index(modality)])  # fuse() only
+        shortlists[modality] = []
+        coarse_lists = indexer.search_batch(
+            [case.obj.query_text() for case in cases], modality, None
+        )
+        for case, coarse in zip(cases, coarse_lists):
+            arms = {"coarse": coarse[:k]}
+            if scorer is not None:
+                ranked = scorer.rerank(
+                    case.obj.query_text(), coarse, indexer.fetch_payload,
+                    len(coarse),
+                )
+                arms.update(rerank=ranked[:k], rrf=fuser.fuse([coarse, ranked], k))
+            shortlists[modality].append(arms)
+
+    def pool(judged: Modality, arm: str) -> Tuple[float, float]:
+        finals = []
+        for index, case in enumerate(cases):
+            hits = [
+                hit for m in modalities
+                for hit in shortlists[m][index][arm if m is judged else "coarse"]
+            ]
+            finals.append(
+                system.verifier.verify_pool(case.obj, system.resolve(hits))[1]
+            )
+        return (
+            sum(f is case.gold for f, case in zip(finals, cases)) / len(cases),
+            finals.count(Verdict.NOT_RELATED) / len(cases),
+        )
+
+    baseline = pool(modalities[0], "coarse")
+    results = []
+    for modality in modalities:
+        for arm in shortlists[modality][0]:
+            runs = [
+                ([hit.instance_id for hit in arms[arm]], case.relevant[modality])
+                for arms, case in zip(shortlists[modality], cases)
+                if case.relevant[modality]
+            ]
+            first = sum(bool(ids) and ids[0] in rel for ids, rel in runs)
+            results.append(ArmResult(
+                f"{kind}→{modality.value}", arm, first / (len(runs) or 1),
+                macro_recall_at_k(runs, system.config.fine_k(modality)),
+                *(baseline if arm == "coarse" else pool(modality, arm)),
+            ))
+    return results
+
+
+def run_rerank_routes(
+    context: ExperimentContext, count: int = 600
+) -> List[ArmResult]:
+    """The route table: tuple routes over the first ``count`` objects of
+    the bench tuple stream, claim→table over the first ``count`` claims
+    of the context's workload."""
+    system = VerifAI(
+        context.bundle.lake, llm=context.verifier_llm,
+        config=VerifAIConfig(use_semantic_index=True, use_reranker=True),
+    ).build_indexes()
+    claims = [
         Case(
             ClaimObject(
                 f"route-{task.claim.claim_id}", task.claim.text,
@@ -123,105 +173,7 @@ def labelled_claims(context: ExperimentContext, count: int) -> List[Case]:
         )
         for task in list(context.claim_workload)[:count]
     ]
-
-
-def _shortlists(
-    system: VerifAI, cases: Sequence[Case], modality: Modality
-) -> Tuple[List[Dict[str, List[SearchHit]]], bool]:
-    """Every case's shortlist per arm against one modality, and whether
-    the route has a reranker."""
-    indexer = system.indexer
-    k = system.config.fine_k(modality)
-    fuser = Combiner([indexer.content_index(modality)], FusionMethod.RRF)
-    coarse_lists = indexer.search_batch(
-        [case.obj.query_text() for case in cases], modality, None
-    )
-    reranker = system.reranker.route(cases[0].obj, modality)
-    shortlists = []
-    for case, coarse in zip(cases, coarse_lists):
-        arms = {"coarse": coarse[:k]}
-        if reranker is not None:
-            ranked = reranker.rerank(
-                case.obj.query_text(), coarse, indexer.fetch_payload,
-                len(coarse),
-            )
-            arms["rerank"] = ranked[:k]
-            arms["rrf"] = fuser.fuse([coarse, ranked], k)
-        shortlists.append(arms)
-    return shortlists, reranker is not None
-
-
-def _pool(system: VerifAI, cases, evidence_of) -> Tuple[float, float]:
-    """(accuracy, undecided share) of pooling each case's evidence."""
-    correct = undecided = 0
-    for index, case in enumerate(cases):
-        evidence = system.resolve(evidence_of(index))
-        _, final, _ = system.verifier.verify_pool(case.obj, evidence)
-        correct += final is case.gold
-        undecided += final is Verdict.NOT_RELATED
-    return correct / len(cases), undecided / len(cases)
-
-
-def run_route_arms(
-    system: VerifAI,
-    cases: Sequence[Case],
-    modalities: Sequence[Modality],
-    names: Dict[Modality, str],
-) -> List[ArmResult]:
-    """Every arm of every route of ``cases`` (one object type, its
-    evidence read in ``modalities`` order)."""
-    per_modality = {m: _shortlists(system, cases, m) for m in modalities}
-
-    def evidence(judged: Modality, arm: str):
-        return lambda index: [
-            hit
-            for m in modalities
-            for hit in per_modality[m][0][index][arm if m is judged else "coarse"]
-        ]
-
-    baseline = _pool(system, cases, evidence(modalities[0], "coarse"))
-    results: List[ArmResult] = []
-    for modality in modalities:
-        shortlists, reranked = per_modality[modality]
-        judged = [
-            (shortlist, case.relevant[modality])
-            for shortlist, case in zip(shortlists, cases)
-            if case.relevant[modality]
-        ]
-        k = system.config.fine_k(modality)
-        for arm in ARMS if reranked else ARMS[:1]:
-            runs = [
-                ([hit.instance_id for hit in arms[arm]], relevant)
-                for arms, relevant in judged
-            ]
-            accuracy, undecided = (
-                baseline if arm == "coarse"
-                else _pool(system, cases, evidence(modality, arm))
-            )
-            results.append(ArmResult(
-                names[modality], arm,
-                sum(bool(ids) and ids[0] in rel for ids, rel in runs)
-                / len(runs),
-                macro_recall_at_k(runs, k), accuracy, undecided,
-            ))
-    return results
-
-
-def run_rerank_routes(
-    context: ExperimentContext, count: int = 600
-) -> List[ArmResult]:
-    """The route table under the full pipeline's configuration: tuple
-    routes over the first ``count`` objects of the bench tuple stream,
-    claim→table over the first ``count`` claims."""
-    system = VerifAI(
-        context.bundle.lake, llm=context.verifier_llm,
-        config=VerifAIConfig(use_semantic_index=True, use_reranker=True),
-    ).build_indexes()
-    tuples = labelled_tuples(context.bundle, count, context.seed)
-    claims = labelled_claims(context, count)
     return run_route_arms(
-        system, tuples, (Modality.TUPLE, Modality.TEXT),
-        {Modality.TUPLE: "tuple→tuple", Modality.TEXT: "tuple→text"},
-    ) + run_route_arms(
-        system, claims, (Modality.TABLE,), {Modality.TABLE: "claim→table"}
-    )
+        system, labelled_tuples(context.bundle, count, context.seed),
+        (Modality.TUPLE, Modality.TEXT),
+    ) + run_route_arms(system, claims, (Modality.TABLE,))

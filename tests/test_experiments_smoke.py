@@ -12,12 +12,12 @@ from repro.core.pipeline import VerifAI
 from repro.experiments.ablations import (
     run_combiner_ablation,
     run_k_sweep,
-    run_reranker_ablation,
     run_trust_ablation,
     run_vector_index_ablation,
 )
 from repro.experiments.figures import run_figure1, run_figure4
 from repro.experiments.headline import run_headline
+from repro.experiments.routes import run_rerank_routes
 from repro.experiments.setup import SCALES, ExperimentContext, get_context
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
@@ -88,8 +88,18 @@ class TestRunners:
         }
 
     def test_reranker(self, tiny_context):
-        results = run_reranker_ablation(tiny_context, k_coarse=20)
-        assert len(results) == 2
+        results = run_rerank_routes(tiny_context, count=20)
+        assert [(r.route, r.arm) for r in results] == [
+            ("tuple→tuple", "coarse"),
+            ("tuple→text", "coarse"), ("tuple→text", "rerank"),
+            ("tuple→text", "rrf"),
+            ("claim→table", "coarse"), ("claim→table", "rerank"),
+            ("claim→table", "rrf"),
+        ]
+        for result in results:
+            for value in (result.precision_at_1, result.recall,
+                          result.accuracy, result.undecided):
+                assert 0.0 <= value <= 1.0
 
     def test_vector_index(self, tiny_context):
         results = run_vector_index_ablation(tiny_context, num_queries=5)
