@@ -12,24 +12,40 @@ interaction cannot add recall), and the tuple-pair scorer went with its
 route, so tuple→tuple has the coarse arm alone.
 """
 
+import pytest
+
 from repro.experiments.routes import run_rerank_routes
 from repro.metrics.tables import format_table
 
 COUNT = 300
 
 
-def test_rerank_routes(context):
-    results = run_rerank_routes(context, count=COUNT)
+@pytest.fixture(scope="module")
+def arms(context):
+    """Every arm of every route, keyed ``(route, arm)``."""
+    return {(r.route, r.arm): r for r in run_rerank_routes(context, count=COUNT)}
+
+
+def test_rerank_routes(arms):
     print()
     print(
         format_table(
             ["route", "arm", "p@1", "recall@k'", "accuracy", "undecided"],
             [[r.route, r.arm, r.precision_at_1, r.recall, r.accuracy,
-              r.undecided] for r in results],
+              r.undecided] for r in arms.values()],
             title="Rerank routes, arm by arm",
         )
     )
-    arms = {(r.route, r.arm): r for r in results}
+    assert list(arms) == [
+        ("tuple→tuple", "coarse"),
+        ("tuple→text", "coarse"), ("tuple→text", "rerank"),
+        ("tuple→text", "rrf"),
+        ("claim→table", "coarse"), ("claim→table", "rerank"),
+        ("claim→table", "rrf"),
+    ]
+
+
+def test_claim_table_earns_its_reranker(arms):
     coarse = arms["claim→table", "coarse"]
     reranked = arms["claim→table", "rerank"]
     assert reranked.precision_at_1 >= coarse.precision_at_1 + 0.1
@@ -37,11 +53,15 @@ def test_rerank_routes(context):
     assert reranked.accuracy >= coarse.accuracy
     assert reranked.undecided <= coarse.undecided
 
+
+def test_tuple_tuple_has_the_coarse_arm_alone(arms):
     assert [arm for route, arm in arms if route == "tuple→tuple"] == ["coarse"]
     # a tuple's counterpart row heads its coarse list
     assert arms["tuple→tuple", "coarse"].precision_at_1 >= 0.95
     assert arms["tuple→tuple", "coarse"].accuracy >= 0.85
 
+
+def test_tuple_text_reranking_does_not_earn_its_route(arms):
     text = arms["tuple→text", "coarse"]
     maxsim = arms["tuple→text", "rerank"]
     assert maxsim.precision_at_1 < text.precision_at_1
