@@ -54,8 +54,10 @@ trace-demo:
 # ranking type it fuses, the data objects), the evidence form's writers
 # and readers, the indexer's build-on-first-read lifecycle, the
 # cross-modal discovery index, the knowledge graph, the corpus
-# generator's name and page draws, and the trust model with its pooling
-# rule in a fresh interpreter
+# generator's name and page draws, the trust model with its pooling
+# rule, and the experiment runners that verify through the system (the
+# labelled cases, the end-to-end and trust campaigns, Table 2, the
+# figures, the headline; on the tiny context) in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -81,7 +83,13 @@ coverage:
 		--target src/repro/datalake/kg.py \
 		--target src/repro/workloads/vocab.py \
 		--target src/repro/workloads/textgen.py \
-		--target src/repro/trust/model.py -- -q \
+		--target src/repro/trust/model.py \
+		--target src/repro/experiments/setup.py \
+		--target src/repro/experiments/endtoend.py \
+		--target src/repro/experiments/ablations.py \
+		--target src/repro/experiments/table2.py \
+		--target src/repro/experiments/figures.py \
+		--target src/repro/experiments/headline.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -96,7 +104,8 @@ coverage:
 		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
 		tests/test_discovery.py tests/test_datalake_kg.py \
 		tests/test_workloads.py tests/test_workloads_textgen_kinds.py \
-		tests/test_trust.py tests/test_core_pipeline.py
+		tests/test_trust.py tests/test_core_pipeline.py \
+		tests/test_experiments_smoke.py tests/test_experiments_harness.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro

@@ -1,37 +1,66 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the design choices DESIGN.md calls out, and the
+sensitivity sweeps and extensions beside them.
 
-* retrieval-depth sweep — the paper anticipates tuple→text recall "will
-  improve when we expand the number of retrieved files";
-* combiner — content-only vs semantic-only vs combined (Section 3.1:
-  "combining these two approaches can enhance recall");
-* vector index — flat vs IVF vs HNSW recall/latency (the Faiss
-  trade-off);
-* trust — trust-weighted evidence pooling vs uniform voting when the
-  lake contains an unreliable source (Section 5 / challenge C3).
+* :func:`run_k_sweep` — retrieval depth: the paper anticipates
+  tuple→text recall "will improve when we expand the number of
+  retrieved files";
+* :func:`run_combiner_ablation` — content-only vs semantic-only vs
+  combined (Section 3.1: "combining these two approaches can enhance
+  recall");
+* :func:`run_vector_index_ablation` — flat vs IVF vs HNSW recall and
+  latency (the Faiss trade-off);
+* :func:`run_arithmetic_sensitivity` — (text, relevant table) accuracy
+  as the LLM's arithmetic slips grow;
+* :func:`run_coverage_sensitivity` — no-evidence imputation accuracy as
+  the generator's parametric coverage grows;
+* :func:`run_tuple_verifier_comparison` — the trained local (tuple,
+  tuple) classifier vs the LLM;
+* :func:`run_text_fact_checking` — (text, text) fact checking, the pair
+  type the paper declares viable and skips;
+* :func:`run_trust_ablation` — trust-weighted evidence pooling vs
+  uniform voting when the lake contains unreliable sources (Section 5 /
+  challenge C3): two ``VerifAI`` runs that differ only in
+  ``source_trust``.
+
+Every verification goes through a ``VerifAI`` system's Verifier (its
+Agent) unless a local verifier is the subject of the row, and every
+accuracy through :func:`repro.metrics.evaluation.accuracy`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import VerifAI
+from repro.core.pipeline import BatchReport, VerifAI
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance, serialize_row
 from repro.datalake.types import Modality, Source, Table
-from repro.embed.vectorizers import HashingVectorizer
-from repro.experiments.setup import ExperimentContext
-from repro.experiments.table1 import tuple_text_runs
+from repro.embed.vectorizers import HashingVectorizer, TfidfVectorizer
+from repro.experiments.setup import (
+    Case,
+    ExperimentContext,
+    generate_completions,
+    gold_of,
+    pair_accuracy,
+)
+from repro.experiments.table1 import retrieval_runs
+from repro.experiments.table2 import tuple_pairs
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.hnsw import HNSWIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.vector import FlatVectorIndex
-from repro.metrics.evaluation import macro_recall_at_k
+from repro.llm.knowledge import WorldKnowledge, rng_for
+from repro.llm.model import SimulatedLLM
+from repro.llm.profile import LLMProfile
+from repro.metrics.evaluation import accuracy, macro_recall_at_k
 from repro.obs.clock import Clock, MonotonicClock
-from repro.trust.model import weighted_vote
-from repro.verify.llm_verifier import LLMVerifier
-from repro.verify.objects import TupleObject
+from repro.text.numbers import format_number, parse_number
+from repro.trust.model import TrustScores, ValueClaim, ValueTrustModel
+from repro.verify.objects import ClaimObject
+from repro.verify.tuple_verifier import TupleVerifier, training_pairs_from_tables
 from repro.verify.verdict import Verdict
 
 
@@ -42,10 +71,12 @@ def run_k_sweep(
     context: ExperimentContext, ks: Sequence[int] = (1, 3, 5, 10, 20)
 ) -> List[Tuple[int, float]]:
     """tuple→text recall as the number of retrieved files grows."""
-    out = []
-    for k in ks:
-        out.append((k, macro_recall_at_k(tuple_text_runs(context, k), k)))
-    return out
+    return [
+        (k, macro_recall_at_k(
+            retrieval_runs(context, context.tuple_cases, Modality.TEXT, k), k
+        ))
+        for k in ks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +91,6 @@ def run_combiner_ablation(
     encoder); fusion uses max-of-normalized-scores, which preserves each
     index's confident hits (RRF is also reported for comparison).
     """
-    from repro.embed.vectorizers import TfidfVectorizer
-
     content = InvertedIndex(name="bm25")
     payloads = [
         (doc.doc_id, serialize_instance(doc))
@@ -178,29 +207,22 @@ def run_arithmetic_sensitivity(
     Demonstrates that the Table 2 row-2 number is a smooth function of
     one mechanism knob, not a tuned constant: exact reasoning tops out
     near the gold engine, and accuracy falls as per-item slips rise.
+    One system per slip; its Verifier is asked pair by pair, so it
+    never searches and never builds an index.
     """
-    from repro.llm.model import SimulatedLLM
-    from repro.llm.profile import LLMProfile
-    from repro.verify.objects import ClaimObject
-
-    tasks = list(context.claim_workload)[:num_claims]
+    lake = context.bundle.lake
+    pairs = [
+        (case.obj, lake.table(table_id), case.gold)
+        for case in context.claim_cases[:num_claims]
+        for table_id in case.relevant[Modality.TABLE]
+    ]
     out: List[Tuple[float, float]] = []
     for slip in slips:
-        profile = LLMProfile(arithmetic_slip=slip)
-        verifier = LLMVerifier(SimulatedLLM(knowledge=None, profile=profile,
-                                            seed=61))
-        correct = 0
-        for task in tasks:
-            table = context.bundle.lake.table(task.table_id)
-            obj = ClaimObject(
-                object_id=task.claim.claim_id,
-                text=task.claim.text,
-                context=task.claim.context,
-            )
-            gold = Verdict.VERIFIED if task.label else Verdict.REFUTED
-            if verifier.verify(obj, table).verdict is gold:
-                correct += 1
-        out.append((slip, correct / len(tasks) if tasks else 0.0))
+        llm = SimulatedLLM(
+            knowledge=None, profile=LLMProfile(arithmetic_slip=slip), seed=61
+        )
+        system = VerifAI(lake, llm=llm)
+        out.append((slip, pair_accuracy(system.verifier.verify_one, pairs)))
     return out
 
 
@@ -215,11 +237,6 @@ def run_coverage_sensitivity(
     motivating observation is a statement about how much of the corpus
     the model memorized.
     """
-    from repro.claims.engine import TableQueryEngine
-    from repro.llm.knowledge import WorldKnowledge
-    from repro.llm.model import SimulatedLLM
-    from repro.llm.prompts import parse_completed_table, tuple_completion_prompt
-
     tasks = list(context.tuple_workload)[:num_tasks]
     out: List[Tuple[float, float]] = []
     for coverage in coverages:
@@ -229,25 +246,12 @@ def run_coverage_sensitivity(
             wrong_rate=min(0.2, 1.0 - coverage),
             seed=62,
         )
-        generator = SimulatedLLM(knowledge=knowledge, seed=63)
-        correct = 0
-        for task in tasks:
-            masked = task.masked_row()
-            table = context.bundle.lake.table(task.row.table_id)
-            parsed = parse_completed_table(
-                generator.chat(
-                    tuple_completion_prompt(
-                        table.caption, masked.columns, [masked.values]
-                    )
-                )
-            )
-            if parsed is None:
-                continue
-            header, rows = parsed
-            value = dict(zip(header, rows[0])).get(task.column, "")
-            if TableQueryEngine.values_match(value, task.true_value):
-                correct += 1
-        out.append((coverage, correct / len(tasks) if tasks else 0.0))
+        generated = generate_completions(
+            context.bundle, tasks, SimulatedLLM(knowledge=knowledge, seed=63)
+        )
+        out.append((coverage, accuracy(
+            [g.is_correct for g in generated], [True] * len(generated)
+        )))
     return out
 
 
@@ -267,38 +271,13 @@ def run_tuple_verifier_comparison(
     follows Section 4 (the original counterpart supports/refutes, every
     other tuple is not related).
     """
-    from repro.experiments.table2 import gold_tuple_verdict
-    from repro.verify.tuple_verifier import (
-        TupleVerifier,
-        training_pairs_from_tables,
-    )
-
-    llm_verifier = LLMVerifier(context.verifier_llm)
     local = TupleVerifier(seed=31).train(
         training_pairs_from_tables(context.bundle.tables, num_pairs=400, seed=32)
     )
-    llm_correct = local_correct = total = 0
-    for generated in context.generated:
-        table = context.bundle.lake.table(generated.table_id)
-        row = table.row(generated.row_index).replace_value(
-            generated.column, generated.generated_value or "NaN"
-        )
-        obj = TupleObject(
-            object_id=generated.task_id, row=row, attribute=generated.column
-        )
-        hits = context.system.indexer.search(obj.query_text(), Modality.TUPLE, k)
-        for hit in hits:
-            evidence = context.bundle.lake.instance(hit.instance_id)
-            gold = gold_tuple_verdict(context, generated, evidence)
-            if llm_verifier.verify(obj, evidence).verdict is gold:
-                llm_correct += 1
-            if local.verify(obj, evidence).verdict is gold:
-                local_correct += 1
-            total += 1
-    total = total or 1
+    pairs = tuple_pairs(context, ((Modality.TUPLE, k),))
     return {
-        "llm_accuracy": llm_correct / total,
-        "local_accuracy": local_correct / total,
+        "llm_accuracy": pair_accuracy(context.system.verifier.verify_one, pairs),
+        "local_accuracy": pair_accuracy(local.verify, pairs),
     }
 
 
@@ -317,13 +296,7 @@ def run_text_fact_checking(
     by the LLM.  Reports retrieval recall@k and per-pair verifier
     accuracy.
     """
-    import random
-
-    from repro.verify.objects import ClaimObject
-    from repro.verify.verdict import Verdict as V
-
     rng = random.Random(71)
-    llm_verifier = LLMVerifier(context.verifier_llm)
     cases = []
     for table in context.bundle.tables:
         if len(cases) >= num_claims:
@@ -353,29 +326,26 @@ def run_text_fact_checking(
                 continue
             value = rng.choice(alternatives)
         claim_text = f"the {column} of {entity} is {value}"
-        cases.append((claim_text, positive, context.bundle.pages_of(entity)))
-
-    recall_hits = 0
-    verifier_correct = 0
-    pair_total = 0
-    for claim_text, positive, gold_page in cases:
         obj = ClaimObject(object_id=claim_text[:40], text=claim_text)
-        hits = context.system.indexer.search(claim_text, Modality.TEXT, k)
+        cases.append((obj, positive, context.bundle.pages_of(entity)))
+
+    runs, pairs = [], []
+    for obj, positive, gold_page in cases:
+        hits = context.system.indexer.search(obj.text, Modality.TEXT, k)
         retrieved_ids = [h.instance_id for h in hits]
-        if gold_page in retrieved_ids:
-            recall_hits += 1
-        for instance_id in retrieved_ids:
-            page = context.bundle.lake.document(instance_id)
-            gold = V.NOT_RELATED
-            if instance_id == gold_page:
-                gold = V.VERIFIED if positive else V.REFUTED
-            if llm_verifier.verify(obj, page).verdict is gold:
-                verifier_correct += 1
-            pair_total += 1
+        runs.append((retrieved_ids, [gold_page]))
+        pairs.extend(
+            (obj, context.bundle.lake.document(instance_id),
+             gold_of(positive) if instance_id == gold_page
+             else Verdict.NOT_RELATED)
+            for instance_id in retrieved_ids
+        )
     return {
         "num_claims": float(len(cases)),
-        "retrieval_recall": recall_hits / len(cases) if cases else 0.0,
-        "verifier_accuracy": verifier_correct / pair_total if pair_total else 0.0,
+        "retrieval_recall": macro_recall_at_k(runs, k),
+        "verifier_accuracy": pair_accuracy(
+            context.system.verifier.verify_one, pairs
+        ),
     }
 
 
@@ -390,8 +360,6 @@ def _build_dirty_lake(
     independently corrupted scrapes.  A vote over every copy would see
     the two dirty ones tie the two clean ones; pooling reads the hits in
     rank order, and truth discovery ranks the sources by trust."""
-    from repro.llm.knowledge import rng_for
-
     lake = DataLake(name="lake-with-dirty-sources")
     for table in context.bundle.tables:
         lake.add_table(table)
@@ -417,8 +385,6 @@ def _build_dirty_lake(
                         continue
                     if rng.random() >= 0.9:
                         continue
-                    from repro.text.numbers import format_number, parse_number
-
                     number = parse_number(cells[index])
                     if number is None or abs(number) <= 4:
                         # corrupt numeric cells only: the scrape keeps
@@ -449,22 +415,9 @@ def _build_dirty_lake(
     return lake
 
 
-def run_trust_ablation(context: ExperimentContext, num_objects: int = 60):
-    """Final-verdict accuracy with uniform vs trust-weighted pooling when
-    unreliable sources pollute the lake.
-
-    Source trust is estimated *without labels* by value-level truth
-    discovery (the Knowledge-Based-Trust setting the paper cites):
-    sources that keep agreeing with somebody earn trust, independent
-    corruptions disagree even with each other.
-    """
-    from repro.trust.model import ValueClaim, ValueTrustModel
-
-    lake = _build_dirty_lake(context)
-    system = VerifAI(lake, llm=context.verifier_llm).build_indexes()
-    verifier = LLMVerifier(context.verifier_llm)
-
-    # phase 1: estimate source trust from the lake's value agreements
+def _fit_source_trust(lake: DataLake) -> TrustScores:
+    """Source trust estimated from the lake's value agreements alone: one
+    claim per (source, base table, key, column) cell."""
     claims: List[ValueClaim] = []
     for table in lake.tables():
         prefix = f"{table.source.name}-"
@@ -490,37 +443,51 @@ def run_trust_ablation(context: ExperimentContext, num_objects: int = 60):
                         value=value,
                     )
                 )
-    scores = ValueTrustModel().fit(claims)
+    return ValueTrustModel().fit(claims)
 
-    # phase 2: verify generated tuples against the polluted lake and pool
-    uniform_correct = weighted_correct = 0
-    total = 0
-    for generated in context.generated[:num_objects]:
-        table = lake.table(generated.table_id)
-        row = table.row(generated.row_index).replace_value(
-            generated.column, generated.generated_value or "NaN"
-        )
-        obj = TupleObject(
-            object_id=generated.task_id, row=row, attribute=generated.column
-        )
-        hits = system.indexer.search(obj.query_text(), Modality.TUPLE, 8)
-        votes = []
-        for hit in hits:
-            evidence = lake.instance(hit.instance_id)
-            outcome = verifier.verify(obj, evidence)
-            votes.append((system.verifier.source_of(evidence), outcome.verdict))
-        gold = Verdict.VERIFIED if generated.is_correct else Verdict.REFUTED
-        uniform, _ = weighted_vote(votes, {}, default_trust=1.0)
-        weighted, _ = weighted_vote(votes, scores.source_trust)
-        if uniform is gold:
-            uniform_correct += 1
-        if weighted is gold:
-            weighted_correct += 1
-        total += 1
-    total = total or 1
+
+def _trust_runs(
+    context: ExperimentContext,
+    lake: DataLake,
+    cases: Sequence[Case],
+    fitted: Dict[str, float],
+) -> Dict[str, BatchReport]:
+    """Two ``VerifAI`` campaigns over ``lake``'s depth-8 tuple evidence
+    for ``cases`` that differ only in ``source_trust``: ``uniform`` (no
+    trust map, every source trusted alike) and ``trust_weighted``
+    (``fitted``)."""
     return {
-        "uniform_accuracy": uniform_correct / total,
-        "trust_weighted_accuracy": weighted_correct / total,
+        name: VerifAI(
+            lake, llm=context.verifier_llm, source_trust=trust
+        ).verify_batch(
+            [case.obj for case in cases],
+            modalities=(Modality.TUPLE,), k_fine=8,
+        )
+        for name, trust in (("uniform", None), ("trust_weighted", fitted))
+    }
+
+
+def run_trust_ablation(context: ExperimentContext, num_objects: int = 60):
+    """Final-verdict accuracy with uniform vs trust-weighted pooling when
+    unreliable sources pollute the lake.
+
+    Source trust is estimated *without labels* by value-level truth
+    discovery (the Knowledge-Based-Trust setting the paper cites):
+    sources that keep agreeing with somebody earn trust, independent
+    corruptions disagree even with each other.
+    """
+    lake = _build_dirty_lake(context)
+    scores = _fit_source_trust(lake)
+    cases = context.tuple_cases[:num_objects]
+    runs = _trust_runs(context, lake, cases, scores.source_trust)
+    gold = [case.gold for case in cases]
+    return {
+        **{
+            f"{name}_accuracy": accuracy(
+                [report.final_verdict for report in batch], gold
+            )
+            for name, batch in runs.items()
+        },
         "trust_clean": scores.trust_of("webtables"),
         "trust_dirty_a": scores.trust_of("scrape-a"),
         "trust_dirty_b": scores.trust_of("scrape-b"),

@@ -21,7 +21,7 @@ from typing import List, Optional
 from repro.core.pipeline import VerificationReport
 from repro.datalake.types import Modality
 from repro.experiments.setup import ExperimentContext, GeneratedTuple
-from repro.verify.objects import ClaimObject, TupleObject
+from repro.verify.objects import ClaimObject
 from repro.verify.verdict import Verdict
 
 
@@ -46,35 +46,25 @@ class Figure4Result:
     unrelated_explanations: List[str]
 
 
-def _first_case(
-    context: ExperimentContext, want_correct: bool
-) -> Optional[GeneratedTuple]:
-    for generated in context.generated:
+def _first_case(context: ExperimentContext, want_correct: bool) -> Optional[int]:
+    """Position of the first generated tuple whose imputation is (not)
+    correct."""
+    for position, generated in enumerate(context.generated):
         if generated.is_correct == want_correct and generated.generated_value:
-            return generated
+            return position
     return None
-
-
-def _object_for(context: ExperimentContext, generated: GeneratedTuple) -> TupleObject:
-    table = context.bundle.lake.table(generated.table_id)
-    row = table.row(generated.row_index).replace_value(
-        generated.column, generated.generated_value
-    )
-    return TupleObject(
-        object_id=f"fig1-{generated.task_id}", row=row, attribute=generated.column
-    )
 
 
 def run_figure1(context: ExperimentContext) -> Figure1Result:
     """Reproduce both Figure 1 case studies on the synthetic lake."""
-    verified_case = _first_case(context, want_correct=True)
-    refuted_case = _first_case(context, want_correct=False)
-    if verified_case is None or refuted_case is None:
+    verified = _first_case(context, want_correct=True)
+    refuted = _first_case(context, want_correct=False)
+    if verified is None or refuted is None:
         raise RuntimeError(
             "the generated workload lacks a correct or incorrect imputation"
         )
-    verified_report = context.system.verify(_object_for(context, verified_case))
-    refuted_report = context.system.verify(_object_for(context, refuted_case))
+    verified_report = context.system.verify(context.tuple_cases[verified].obj)
+    refuted_report = context.system.verify(context.tuple_cases[refuted].obj)
 
     # panel (b): generated text asserting a wrong fact about an entity
     # with a text page (the "Meagan Good / Stomp the Yard" analogue)
@@ -105,8 +95,8 @@ def run_figure1(context: ExperimentContext) -> Figure1Result:
         verified_report=verified_report,
         refuted_report=refuted_report,
         text_report=text_report,
-        verified_case=verified_case,
-        refuted_case=refuted_case,
+        verified_case=context.generated[verified],
+        refuted_case=context.generated[refuted],
     )
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.experiments.setup import ExperimentContext
 from repro.llm.prompts import claim_question_prompt, parse_boolean_response
+from repro.metrics.evaluation import accuracy
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,15 @@ def run_headline(context: ExperimentContext) -> HeadlineResult:
     Claims are judged from the claim text alone (the TabFact setting: no
     table, no scope hint), mirroring how the paper prompted ChatGPT.
     """
-    correct = 0
-    for task in context.claim_workload:
-        response = context.generator.chat(claim_question_prompt(task.claim.text))
-        answer = parse_boolean_response(response)
-        if answer == task.label:
-            correct += 1
-    claim_accuracy = (
-        correct / len(context.claim_workload) if len(context.claim_workload) else 0.0
-    )
+    answers = [
+        parse_boolean_response(
+            context.generator.chat(claim_question_prompt(task.claim.text))
+        )
+        for task in context.claim_workload
+    ]
     return HeadlineResult(
         completion_accuracy=context.completion_accuracy,
-        claim_accuracy=claim_accuracy,
+        claim_accuracy=accuracy(
+            answers, [task.label for task in context.claim_workload]
+        ),
     )

@@ -20,6 +20,7 @@ from repro.experiments.ablations import (
     run_tuple_verifier_comparison,
     run_vector_index_ablation,
 )
+from repro.experiments.endtoend import run_end_to_end
 from repro.experiments.figures import run_figure1, run_figure4
 from repro.experiments.headline import run_headline
 from repro.experiments.routes import run_rerank_routes
@@ -156,15 +157,17 @@ def render_ablations(context: ExperimentContext) -> str:
         ["metric", "value"], [[k, v] for k, v in trust.items()]
     ))
     parts.append(
-        "\nBoth rows pool the same ranked tuple hits with `weighted_vote`: "
-        "the first decisive verdict in rank order from a trusted source "
-        "decides (uniform: every source trusted alike; trust-weighted: the "
-        "fitted trusts, where a source below 0.5 decides only when no "
-        "trusted source is decisive). Reading the hits in rank order alone "
-        "recovers most of what the dirty sources cost a vote over every "
-        "hit, so passing over the distrusted sources has little left to "
-        "win here. Fitting trust inside the pipeline is left to ROADMAP.md "
-        "(\"Trust runs through the pipeline, not beside it\")."
+        "\nBoth rows are `VerifAI` runs over the dirty lake that differ "
+        "only in `source_trust`: each verifies the same objects against "
+        "their depth-8 tuple evidence, and the first decisive verdict in "
+        "rank order from a trusted source decides (uniform: no trust map, "
+        "every source trusted alike; trust-weighted: the fitted trusts, "
+        "where a source below 0.5 decides only when no trusted source is "
+        "decisive). Reading the hits in rank order alone recovers most of "
+        "what the dirty sources cost a vote over every hit, so passing "
+        "over the distrusted sources has little left to win here. Fitting "
+        "trust inside the pipeline is left to ROADMAP.md (\"Trust runs "
+        "through the pipeline, not beside it\")."
     )
 
     comparison = run_tuple_verifier_comparison(context)
@@ -186,8 +189,6 @@ def render_ablations(context: ExperimentContext) -> str:
     parts.append(_markdown_table(
         ["metric", "value"], [[k, v] for k, v in text_fc.items()]
     ))
-
-    from repro.experiments.endtoend import run_end_to_end
 
     end_to_end = run_end_to_end(context)
     parts.append("\n### End-to-end final-verdict accuracy (full pipeline)\n")

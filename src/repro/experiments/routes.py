@@ -12,31 +12,22 @@ by is in docs/performance.md ("The tuple routes stop reranking").
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.datalake.types import Modality
-from repro.experiments.setup import ExperimentContext
+from repro.experiments.setup import Case, ExperimentContext, gold_of, score
 from repro.index.combiner import Combiner
 from repro.metrics.evaluation import macro_recall_at_k
 from repro.rerank.colbert import LateInteractionReranker
 from repro.rerank.table import TableReranker
-from repro.verify.objects import ClaimObject, DataObject, TupleObject
-from repro.verify.verdict import Verdict
+from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeBundle
 from repro.workloads.tuplecomp import build_tuple_workload
 
 #: each modality's rerank arm (the tuple-pair scorer went with its route)
 SCORERS = {Modality.TEXT: LateInteractionReranker, Modality.TABLE: TableReranker}
-
-
-class Case(NamedTuple):
-    """One labelled object and its relevant instances per modality."""
-
-    obj: DataObject
-    gold: Verdict
-    relevant: Dict[Modality, FrozenSet[str]]
 
 
 class ArmResult(NamedTuple):
@@ -84,7 +75,7 @@ def labelled_tuples(bundle: LakeBundle, count: int, seed: int) -> List[Case]:
             continue
         seen.add(key)
         cases.append(Case(
-            obj, Verdict.REFUTED if corrupted else Verdict.VERIFIED,
+            obj, gold_of(not corrupted),
             {
                 Modality.TUPLE: frozenset([f"{row.table_id}#r{row.row_index}"]),
                 Modality.TEXT: frozenset(bundle.relevant_pages_for_row(row)),
@@ -129,10 +120,7 @@ def run_route_arms(
             finals.append(
                 system.verifier.verify_pool(case.obj, system.resolve(hits))[1]
             )
-        return (
-            sum(f is case.gold for f, case in zip(finals, cases)) / len(cases),
-            finals.count(Verdict.NOT_RELATED) / len(cases),
-        )
+        return score(finals, [case.gold for case in cases])
 
     baseline = pool(modalities[0], "coarse")
     results = []
@@ -162,18 +150,7 @@ def run_rerank_routes(
         context.bundle.lake, llm=context.verifier_llm,
         config=VerifAIConfig(use_semantic_index=True, use_reranker=True),
     ).build_indexes()
-    claims = [
-        Case(
-            ClaimObject(
-                f"route-{task.claim.claim_id}", task.claim.text,
-                context=task.claim.context,
-            ),
-            Verdict.VERIFIED if task.label else Verdict.REFUTED,
-            {Modality.TABLE: frozenset([task.table_id])},
-        )
-        for task in list(context.claim_workload)[:count]
-    ]
     return run_route_arms(
         system, labelled_tuples(context.bundle, count, context.seed),
         (Modality.TUPLE, Modality.TEXT),
-    ) + run_route_arms(system, claims, (Modality.TABLE,))
+    ) + run_route_arms(system, context.claim_cases[:count], (Modality.TABLE,))

@@ -2,8 +2,10 @@
 
 Everything the Section 4 experiments need — the lake, the workloads, the
 generator LLM with noisy parametric knowledge, the evidence-grounded
-verifier LLM, and the generated tuples — built once per scale profile
-and cached in-process.
+verifier LLM, the generated tuples, and the labelled objects built from
+them and from the claims — built once per scale profile and cached
+in-process; and the one way the experiments score verdicts against
+gold (:func:`score`, :func:`pair_accuracy`).
 
 Scale profiles
 --------------
@@ -15,17 +17,33 @@ Scale profiles
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.claims.engine import TableQueryEngine
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
+from repro.datalake.types import DataInstance, Modality
 from repro.llm.knowledge import WorldKnowledge
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import parse_completed_table, tuple_completion_prompt
+from repro.metrics.evaluation import accuracy
+from repro.verify.base import VerificationOutcome
+from repro.verify.objects import ClaimObject, DataObject, TupleObject
+from repro.verify.verdict import Verdict
 from repro.workloads.builder import LakeBundle, LakeConfig, build_lake
 from repro.workloads.claimwl import ClaimWorkload, build_claim_workload
 from repro.workloads.tuplecomp import (
+    TupleCompletionTask,
     TupleCompletionWorkload,
     build_tuple_workload,
 )
@@ -53,9 +71,51 @@ class GeneratedTuple:
         return TableQueryEngine.values_match(self.generated_value, self.true_value)
 
 
+class Case(NamedTuple):
+    """One labelled object and its relevant instances per modality."""
+
+    obj: DataObject
+    gold: Verdict
+    relevant: Dict[Modality, FrozenSet[str]]
+
+
+def gold_of(correct: bool) -> Verdict:
+    """The gold final verdict of an object that is (not) correct."""
+    return Verdict.VERIFIED if correct else Verdict.REFUTED
+
+
+def score(
+    predictions: Sequence[Verdict], gold: Sequence[Verdict]
+) -> Tuple[float, float]:
+    """(accuracy, undecided share): how many ``predictions`` equal their
+    gold verdict, and how many are NOT_RELATED."""
+    undecided = list(predictions).count(Verdict.NOT_RELATED)
+    return accuracy(predictions, gold), undecided / (len(gold) or 1)
+
+
+def pair_accuracy(
+    verify: Callable[[DataObject, DataInstance], VerificationOutcome],
+    pairs: Sequence[Tuple[DataObject, DataInstance, Verdict]],
+) -> float:
+    """Accuracy of ``verify(obj, evidence).verdict`` over (object,
+    evidence, gold) ``pairs``."""
+    return accuracy(
+        [verify(obj, evidence).verdict for obj, evidence, _ in pairs],
+        [gold for _, _, gold in pairs],
+    )
+
+
 @dataclass
 class ExperimentContext:
-    """Everything Section 4 needs, built for one scale profile."""
+    """Everything Section 4 needs, built for one scale profile.
+
+    ``tuple_cases`` (one per generated tuple, in order: the row with the
+    generated value, ``NaN`` where none was generated, its original the
+    relevant tuple and its entities' pages the relevant text) and
+    ``claim_cases`` (one per claim task, its gold table the relevant
+    TABLE instance) are the labelled objects every experiment verifies,
+    built once with the context.
+    """
 
     scale: str
     seed: int
@@ -66,27 +126,64 @@ class ExperimentContext:
     verifier_llm: SimulatedLLM     # evidence-grounded, no knowledge needed
     system: VerifAI
     generated: List[GeneratedTuple] = field(default_factory=list)
+    tuple_cases: List[Case] = field(init=False)
+    claim_cases: List[Case] = field(init=False)
+
+    def __post_init__(self) -> None:
+        lake = self.bundle.lake
+        self.tuple_cases = []
+        for generated in self.generated:
+            row = lake.table(generated.table_id).row(generated.row_index)
+            self.tuple_cases.append(Case(
+                TupleObject(
+                    object_id=generated.task_id,
+                    row=row.replace_value(
+                        generated.column, generated.generated_value or "NaN"
+                    ),
+                    attribute=generated.column,
+                ),
+                gold_of(generated.is_correct),
+                {
+                    Modality.TUPLE: frozenset([row.instance_id]),
+                    Modality.TEXT: frozenset(
+                        self.bundle.relevant_pages_for_row(row)
+                    ),
+                },
+            ))
+        self.claim_cases = [
+            Case(
+                ClaimObject(
+                    object_id=task.claim.claim_id,
+                    text=task.claim.text,
+                    context=task.claim.context,
+                ),
+                gold_of(task.label),
+                {Modality.TABLE: frozenset([task.table_id])},
+            )
+            for task in self.claim_workload
+        ]
 
     @property
     def completion_accuracy(self) -> float:
         """No-evidence imputation accuracy of the generator."""
-        if not self.generated:
-            return 0.0
-        return sum(1 for g in self.generated if g.is_correct) / len(self.generated)
+        return accuracy(
+            [g.is_correct for g in self.generated], [True] * len(self.generated)
+        )
 
 
 _CACHE: Dict[Tuple[str, int], ExperimentContext] = {}
 
 
-def _generate_completions(
+def generate_completions(
     context_bundle: LakeBundle,
-    workload: TupleCompletionWorkload,
+    tasks: Iterable[TupleCompletionTask],
     generator: SimulatedLLM,
 ) -> List[GeneratedTuple]:
-    """Ask the generator to impute every blanked cell (batched per table,
-    as the paper's prompt template batches same-schema tuples)."""
+    """Ask the generator to impute every blanked cell of ``tasks``
+    (batched per table, as the paper's prompt template batches
+    same-schema tuples); a response that does not parse imputes ``""``."""
     generated: List[GeneratedTuple] = []
-    for task in workload:
+    for task in tasks:
         masked = task.masked_row()
         table = context_bundle.lake.table(task.row.table_id)
         prompt = tuple_completion_prompt(
@@ -146,7 +243,7 @@ def get_context(
         generator=generator,
         verifier_llm=verifier_llm,
         system=system,
-        generated=_generate_completions(bundle, tuple_workload, generator),
+        generated=generate_completions(bundle, tuple_workload, generator),
     )
     if config is None:
         _CACHE[cache_key] = context

@@ -14,12 +14,12 @@ the tuple; a claim's relevant evidence is its source table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-from repro.datalake.serialize import serialize_row
 from repro.datalake.types import Modality
-from repro.experiments.setup import ExperimentContext
+from repro.experiments.setup import Case, ExperimentContext
 from repro.metrics.evaluation import macro_recall_at_k
+from repro.verify.objects import ClaimObject
 
 
 @dataclass(frozen=True)
@@ -33,56 +33,25 @@ class Table1Row:
     paper_recall: float
 
 
-def _query_row_for(context: ExperimentContext, generated) -> str:
-    """The retrieval query: the generated tuple (with its imputed value)."""
-    table = context.bundle.lake.table(generated.table_id)
-    row = table.row(generated.row_index).replace_value(
-        generated.column, generated.generated_value or "NaN"
-    )
-    return serialize_row(row)
-
-
-def tuple_tuple_runs(
-    context: ExperimentContext, k: int
-) -> List[Tuple[List[str], List[str]]]:
-    """(retrieved ids, relevant ids) per tuple query against the tuple index."""
+def retrieval_runs(
+    context: ExperimentContext, cases: Sequence[Case], modality: Modality, k: int
+) -> List[Tuple[List[str], FrozenSet[str]]]:
+    """(retrieved ids, relevant ids) per case with a relevant instance of
+    ``modality``.  A tuple's query is the generated tuple, with its
+    imputed value; a claim's is its text alone (the TabFact setting:
+    claims are self-contained sentences, not annotated with their
+    table)."""
     runs = []
-    for generated in context.generated:
-        query = _query_row_for(context, generated)
-        hits = context.system.indexer.search(query, Modality.TUPLE, k)
-        relevant = [f"{generated.table_id}#r{generated.row_index}"]
-        runs.append(([h.instance_id for h in hits], relevant))
-    return runs
-
-
-def tuple_text_runs(
-    context: ExperimentContext, k: int
-) -> List[Tuple[List[str], List[str]]]:
-    """(retrieved ids, relevant page ids) per tuple query against text."""
-    runs = []
-    for generated in context.generated:
-        query = _query_row_for(context, generated)
-        hits = context.system.indexer.search(query, Modality.TEXT, k)
-        row = context.bundle.lake.table(generated.table_id).row(
-            generated.row_index
-        )
-        relevant = context.bundle.relevant_pages_for_row(row)
+    for case in cases:
+        relevant = case.relevant[modality]
         if not relevant:
             continue
+        query = (
+            case.obj.text if isinstance(case.obj, ClaimObject)
+            else case.obj.query_text()
+        )
+        hits = context.system.indexer.search(query, modality, k)
         runs.append(([h.instance_id for h in hits], relevant))
-    return runs
-
-
-def claim_table_runs(
-    context: ExperimentContext, k: int
-) -> List[Tuple[List[str], List[str]]]:
-    """(retrieved ids, relevant table id) per claim query against tables."""
-    runs = []
-    for task in context.claim_workload:
-        # the claim text alone is the query (the TabFact setting: claims
-        # are self-contained sentences, not annotated with their table)
-        hits = context.system.indexer.search(task.claim.text, Modality.TABLE, k)
-        runs.append(([h.instance_id for h in hits], [task.table_id]))
     return runs
 
 
@@ -93,20 +62,17 @@ def run_table1(
     k_table: int = 5,
 ) -> List[Table1Row]:
     """Reproduce all three rows of Table 1."""
+    rows = (
+        ("tuple", "tuple", context.tuple_cases, Modality.TUPLE, k_tuple, 0.99),
+        ("tuple", "text", context.tuple_cases, Modality.TEXT, k_text, 0.58),
+        ("textual claim", "table", context.claim_cases, Modality.TABLE,
+         k_table, 0.88),
+    )
     return [
         Table1Row(
-            "tuple", "tuple", k_tuple,
-            macro_recall_at_k(tuple_tuple_runs(context, k_tuple), k_tuple),
-            paper_recall=0.99,
-        ),
-        Table1Row(
-            "tuple", "text", k_text,
-            macro_recall_at_k(tuple_text_runs(context, k_text), k_text),
-            paper_recall=0.58,
-        ),
-        Table1Row(
-            "textual claim", "table", k_table,
-            macro_recall_at_k(claim_table_runs(context, k_table), k_table),
-            paper_recall=0.88,
-        ),
+            generated, retrieved, k,
+            macro_recall_at_k(retrieval_runs(context, cases, modality, k), k),
+            paper_recall=paper,
+        )
+        for generated, retrieved, cases, modality, k, paper in rows
     ]

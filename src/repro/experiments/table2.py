@@ -16,14 +16,16 @@ correct when it answers "false" on unrelated evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.datalake.types import Modality, Row, Table, TextDocument
-from repro.experiments.setup import ExperimentContext, GeneratedTuple
+from repro.experiments.setup import (
+    ExperimentContext,
+    GeneratedTuple,
+    pair_accuracy,
+)
 from repro.text import analyze, normalize
 from repro.text.numbers import numbers_in, parse_number
-from repro.verify.llm_verifier import LLMVerifier
-from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.pasta import PastaVerifier
 from repro.verify.verdict import Verdict
 
@@ -86,98 +88,73 @@ def gold_tuple_verdict(
 # ---------------------------------------------------------------------------
 # row 1: (tuple, tuple+text) with the LLM verifier
 # ---------------------------------------------------------------------------
+def tuple_pairs(context: ExperimentContext, depths) -> list:
+    """(object, evidence, gold) for every retrieved pair of every tuple
+    case: the top-k of each (modality, k) in ``depths``, in order."""
+    pairs = []
+    for generated, case in zip(context.generated, context.tuple_cases):
+        for modality, k in depths:
+            for hit in context.system.indexer.search(
+                case.obj.query_text(), modality, k
+            ):
+                evidence = context.bundle.lake.instance(hit.instance_id)
+                pairs.append((
+                    case.obj, evidence,
+                    gold_tuple_verdict(context, generated, evidence),
+                ))
+    return pairs
+
+
 def run_tuple_row(context: ExperimentContext) -> float:
     """Accuracy of the LLM verifier over all retrieved (tuple, evidence)
     pairs: top-3 tuples plus top-3 text files per generated tuple."""
-    verifier = LLMVerifier(context.verifier_llm)
-    correct = 0
-    total = 0
-    for generated in context.generated:
-        table = context.bundle.lake.table(generated.table_id)
-        row = table.row(generated.row_index).replace_value(
-            generated.column, generated.generated_value or "NaN"
-        )
-        obj = TupleObject(
-            object_id=generated.task_id, row=row, attribute=generated.column
-        )
-        evidence_hits = []
-        for modality, k in ((Modality.TUPLE, 3), (Modality.TEXT, 3)):
-            evidence_hits.extend(
-                context.system.indexer.search(obj.query_text(), modality, k)
-            )
-        for hit in evidence_hits:
-            evidence = context.bundle.lake.instance(hit.instance_id)
-            gold = gold_tuple_verdict(context, generated, evidence)
-            outcome = verifier.verify(obj, evidence)
-            if outcome.verdict is gold:
-                correct += 1
-            total += 1
-    return correct / total if total else 0.0
+    return pair_accuracy(
+        context.system.verifier.verify_one,
+        tuple_pairs(context, ((Modality.TUPLE, 3), (Modality.TEXT, 3))),
+    )
 
 
 # ---------------------------------------------------------------------------
 # rows 2 and 3: (text, table) with ChatGPT and PASTA
 # ---------------------------------------------------------------------------
-def _pasta_correct(predicted: Verdict, gold: Verdict) -> bool:
-    """The paper's rule (3): PASTA answering 'false' on unrelated
-    evidence counts as correct."""
-    if gold is Verdict.NOT_RELATED:
-        return predicted is Verdict.REFUTED
-    return predicted is gold
+def _pasta_gold(gold: Verdict) -> Verdict:
+    """The paper's rule (3) as a gold mapping: the binary PASTA answering
+    'false' on unrelated evidence counts as correct."""
+    return Verdict.REFUTED if gold is Verdict.NOT_RELATED else gold
+
+
+def _table_row(context: ExperimentContext, pairs) -> Tuple[float, float]:
+    """(LLM accuracy, PASTA accuracy) over (claim, table, gold) pairs."""
+    return (
+        pair_accuracy(context.system.verifier.verify_one, pairs),
+        pair_accuracy(PastaVerifier().verify, [
+            (obj, table, _pasta_gold(gold)) for obj, table, gold in pairs
+        ]),
+    )
 
 
 def run_relevant_table_row(context: ExperimentContext):
     """(text, relevant table): gold table supplied as evidence."""
-    llm_verifier = LLMVerifier(context.verifier_llm)
-    pasta = PastaVerifier()
-    llm_correct = pasta_correct = total = 0
-    for task in context.claim_workload:
-        table = context.bundle.lake.table(task.table_id)
-        obj = ClaimObject(
-            object_id=task.claim.claim_id,
-            text=task.claim.text,
-            context=task.claim.context,
-        )
-        gold = Verdict.VERIFIED if task.label else Verdict.REFUTED
-        if llm_verifier.verify(obj, table).verdict is gold:
-            llm_correct += 1
-        if pasta.verify(obj, table).verdict is gold:
-            pasta_correct += 1
-        total += 1
-    return (
-        llm_correct / total if total else 0.0,
-        pasta_correct / total if total else 0.0,
-    )
+    lake = context.bundle.lake
+    return _table_row(context, [
+        (case.obj, lake.table(table_id), case.gold)
+        for case in context.claim_cases
+        for table_id in case.relevant[Modality.TABLE]
+    ])
 
 
 def run_retrieved_table_row(context: ExperimentContext, k: int = 5):
     """(text, retrieved table): every top-k retrieved table is a pair."""
-    llm_verifier = LLMVerifier(context.verifier_llm)
-    pasta = PastaVerifier()
-    llm_correct = pasta_correct = total = 0
-    for task in context.claim_workload:
-        obj = ClaimObject(
-            object_id=task.claim.claim_id,
-            text=task.claim.text,
-            context=task.claim.context,
-        )
-        hits = context.system.indexer.search(task.claim.text, Modality.TABLE, k)
-        for hit in hits:
+    pairs = []
+    for case in context.claim_cases:
+        for hit in context.system.indexer.search(case.obj.text, Modality.TABLE, k):
             table = context.bundle.lake.instance(hit.instance_id)
             assert isinstance(table, Table)
-            if table.table_id == task.table_id:
-                gold = Verdict.VERIFIED if task.label else Verdict.REFUTED
-            else:
-                gold = Verdict.NOT_RELATED
-            if llm_verifier.verify(obj, table).verdict is gold:
-                llm_correct += 1
-            if _pasta_correct(pasta.verify(obj, table).verdict, gold):
-                pasta_correct += 1
-            total += 1
-    return (
-        llm_correct / total if total else 0.0,
-        pasta_correct / total if total else 0.0,
-    )
+            related = table.table_id in case.relevant[Modality.TABLE]
+            pairs.append(
+                (case.obj, table, case.gold if related else Verdict.NOT_RELATED)
+            )
+    return _table_row(context, pairs)
 
 
 def run_table2(context: ExperimentContext) -> List[Table2Row]:

@@ -200,7 +200,7 @@ def small_bundle():
 def tiny_experiment_context():
     """A miniature experiment context shared by integration tests."""
     from repro.core.pipeline import VerifAI
-    from repro.experiments.setup import ExperimentContext, _generate_completions
+    from repro.experiments.setup import ExperimentContext, generate_completions
     from repro.llm.knowledge import WorldKnowledge
     from repro.llm.model import SimulatedLLM
     from repro.workloads.claimwl import build_claim_workload
@@ -222,7 +222,7 @@ def tiny_experiment_context():
         generator=generator,
         verifier_llm=verifier_llm,
         system=system,
-        generated=_generate_completions(bundle, tuple_workload, generator),
+        generated=generate_completions(bundle, tuple_workload, generator),
     )
 
 

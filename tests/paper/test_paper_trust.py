@@ -2,7 +2,9 @@
 
 When unreliable scraped copies pollute the lake, label-free value-level
 truth discovery assigns them low trust, and trust-weighted evidence
-pooling beats uniform voting.
+pooling does not lose to uniform voting: the two are ``VerifAI`` runs
+that differ only in ``source_trust``, and since pooling reads the hits
+in rank order both read 0.98 at the paper scale.
 """
 
 from repro.experiments.ablations import run_trust_ablation

@@ -9,12 +9,16 @@ import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
+from repro.datalake.types import Modality
 from repro.experiments.ablations import (
+    run_arithmetic_sensitivity,
     run_combiner_ablation,
+    run_coverage_sensitivity,
     run_k_sweep,
     run_trust_ablation,
     run_vector_index_ablation,
 )
+from repro.experiments.endtoend import run_end_to_end
 from repro.experiments.figures import run_figure1, run_figure4
 from repro.experiments.headline import run_headline
 from repro.experiments.routes import run_rerank_routes
@@ -23,6 +27,7 @@ from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.llm.knowledge import WorldKnowledge
 from repro.llm.model import SimulatedLLM
+from repro.verify.verdict import Verdict
 from repro.workloads.builder import LakeConfig, build_lake
 from repro.workloads.claimwl import build_claim_workload
 from repro.workloads.tuplecomp import build_tuple_workload
@@ -45,6 +50,39 @@ class TestSetup:
     def test_completions_populated(self, tiny_context):
         assert len(tiny_context.generated) == 15
         assert 0.0 <= tiny_context.completion_accuracy <= 1.0
+
+    def test_a_context_is_built_once_per_scale(self):
+        context = get_context("small")
+        assert get_context("small") is context
+        assert get_context("small", config=VerifAIConfig()) is not context
+
+    def test_tuple_cases_are_the_generated_tuples(self, tiny_context):
+        cases = tiny_context.tuple_cases
+        assert len(cases) == len(tiny_context.generated)
+        for generated, case in zip(tiny_context.generated, cases):
+            assert case.obj.object_id == generated.task_id
+            assert case.obj.attribute == generated.column
+            assert case.obj.row.get(generated.column) == (
+                generated.generated_value or "NaN"
+            )
+            assert case.gold is (
+                Verdict.VERIFIED if generated.is_correct else Verdict.REFUTED
+            )
+            assert case.relevant[Modality.TUPLE] == frozenset(
+                [f"{generated.table_id}#r{generated.row_index}"]
+            )
+
+    def test_claim_cases_are_the_claim_tasks(self, tiny_context):
+        tasks = list(tiny_context.claim_workload)
+        cases = tiny_context.claim_cases
+        assert len(cases) == len(tasks)
+        for task, case in zip(tasks, cases):
+            assert case.obj.object_id == task.claim.claim_id
+            assert case.obj.query_text().startswith(task.claim.text)
+            assert case.gold is (
+                Verdict.VERIFIED if task.label else Verdict.REFUTED
+            )
+            assert case.relevant == {Modality.TABLE: frozenset([task.table_id])}
 
 
 class TestRunners:
@@ -123,3 +161,29 @@ class TestRunners:
         results = run_text_fact_checking(tiny_context, num_claims=15)
         assert results["num_claims"] > 0
         assert 0.0 <= results["verifier_accuracy"] <= 1.0
+
+    def test_end_to_end(self, tiny_context):
+        results = run_end_to_end(tiny_context, claim_limit=10)
+        assert [r.configuration.split()[0] for r in results] == [
+            "generic", "local",
+        ]
+        for result in results:
+            for value in (result.tuple_accuracy, result.claim_accuracy,
+                          result.tuple_undecided, result.claim_undecided):
+                assert 0.0 <= value <= 1.0
+            assert result.tuple_accuracy + result.tuple_undecided <= 1.0
+            assert result.claim_accuracy + result.claim_undecided <= 1.0
+
+    def test_arithmetic_sensitivity(self, tiny_context):
+        results = run_arithmetic_sensitivity(
+            tiny_context, slips=(0.0, 0.3), num_claims=20
+        )
+        assert [slip for slip, _ in results] == [0.0, 0.3]
+        assert all(0.0 <= accuracy <= 1.0 for _, accuracy in results)
+
+    def test_coverage_sensitivity(self, tiny_context):
+        results = run_coverage_sensitivity(
+            tiny_context, coverages=(0.2, 0.8), num_tasks=10
+        )
+        assert [coverage for coverage, _ in results] == [0.2, 0.8]
+        assert all(0.0 <= accuracy <= 1.0 for _, accuracy in results)

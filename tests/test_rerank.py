@@ -32,18 +32,6 @@ class TestLateInteraction:
     def test_empty_query(self):
         assert LateInteractionReranker().score("", "anything") == 0.0
 
-    def test_token_weighting(self):
-        weights = {"jenkins": 5.0, "ohio": 0.1}
-        reranker = LateInteractionReranker(
-            token_weight=lambda t: weights.get(t, 1.0)
-        )
-        doc_name_only = "jenkins something else entirely"
-        doc_state_only = "ohio something else entirely"
-        query = "jenkins ohio"
-        assert reranker.score(query, doc_name_only) > reranker.score(
-            query, doc_state_only
-        )
-
     def test_rerank_interface(self):
         reranker = LateInteractionReranker()
         payloads = {

@@ -144,22 +144,14 @@ class ReferenceEmbedder:
         return np.vstack([self.embed_token(token) for token in tokens])
 
 
-def reference_colbert(embedder, token_weight=None, normalize_by_length=True):
+def reference_colbert(embedder):
     def score(query, payload):
-        query_tokens = analyze(query)
-        query_matrix = embedder.embed_tokens(query_tokens)
+        query_matrix = embedder.embed_tokens(analyze(query))
         doc_matrix = embedder.embed_tokens(analyze(payload))
         if query_matrix.shape[0] == 0 or doc_matrix.shape[0] == 0:
             return 0.0
         max_sims = (query_matrix @ doc_matrix.T).max(axis=1)
-        if token_weight is not None:
-            weights = np.array([token_weight(token) for token in query_tokens])
-            total = float((max_sims * weights).sum())
-            denom = float(weights.sum()) or 1.0
-        else:
-            total = float(max_sims.sum())
-            denom = float(query_matrix.shape[0])
-        return total / denom if normalize_by_length else total
+        return float(max_sims.sum()) / float(query_matrix.shape[0])
 
     return score
 
@@ -275,22 +267,10 @@ def texts(small_bundle):
     return queries, payloads
 
 
-def idf_like(token):
-    return 1.0 + len(token) % 4
-
-
 CASES = {
     "colbert": (
         LateInteractionReranker,
         lambda: reference_colbert(ReferenceEmbedder()),
-    ),
-    "colbert-weighted": (
-        lambda: LateInteractionReranker(
-            token_weight=idf_like, normalize_by_query_length=False
-        ),
-        lambda: reference_colbert(
-            ReferenceEmbedder(), idf_like, normalize_by_length=False
-        ),
     ),
     "opentfv": (TableReranker, lambda: reference_opentfv),
     "features": (FeatureReranker, lambda: reference_features),
