@@ -55,9 +55,10 @@ trace-demo:
 # and readers, the indexer's build-on-first-read lifecycle, the
 # cross-modal discovery index, the knowledge graph, the corpus
 # generator's name and page draws, the trust model with its pooling
-# rule, and the experiment runners that verify through the system (the
+# rule, the experiment runners that verify through the system (the
 # labelled cases, the end-to-end and trust campaigns, Table 2, the
-# figures, the headline; on the tiny context) in a fresh interpreter
+# figures, the headline; on the tiny context), and the provenance store
+# the campaigns write their stages into, in a fresh interpreter
 # under the settrace tracer, failing (exit 4) if any measured file dips
 # below the committed 90% floor
 coverage:
@@ -89,7 +90,8 @@ coverage:
 		--target src/repro/experiments/ablations.py \
 		--target src/repro/experiments/table2.py \
 		--target src/repro/experiments/figures.py \
-		--target src/repro/experiments/headline.py -- -q \
+		--target src/repro/experiments/headline.py \
+		--target src/repro/provenance/store.py -- -q \
 		tests/test_loop.py tests/test_repair.py tests/test_llm_model.py \
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
@@ -105,7 +107,8 @@ coverage:
 		tests/test_discovery.py tests/test_datalake_kg.py \
 		tests/test_workloads.py tests/test_workloads_textgen_kinds.py \
 		tests/test_trust.py tests/test_core_pipeline.py \
-		tests/test_experiments_smoke.py tests/test_experiments_harness.py
+		tests/test_experiments_smoke.py tests/test_experiments_harness.py \
+		tests/test_provenance.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -119,8 +122,10 @@ loop-demo:
 # the concurrency suites (and the thread hammers on the simulated LLM's
 # readings memo and call count, on a shared RerankerModule, on readers racing to patch
 # a seal, on solo readers racing to build a fresh seal's contribution
-# table, on the text layer's word table while it fills, and on the token
-# embedder's vocabulary read lock-free while first touches grow it, on
+# table, on first readers racing to fold a fresh seal's ordinal table
+# and to build a vector index's, on the text layer's word table while
+# it fills, and on the token embedder's vocabulary read lock-free while
+# first touches grow it, on
 # the sharded indexes read by batch
 # workers, on first readers racing to build a modality, and on the
 # verifier's digest-keyed outcome cache) under the Eraser-style lockset

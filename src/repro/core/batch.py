@@ -74,12 +74,13 @@ from repro.core.pipeline import (
     DEFAULT_MODALITIES,
     STATUS_FAILED,
     BatchReport,
+    Retrieval,
+    Stage,
     VerifAI,
     VerificationReport,
     format_error,
 )
 from repro.datalake.types import DataInstance, Modality
-from repro.index.base import SearchHit
 from repro.obs.events import get_event_log
 from repro.obs.profile import StageProfile
 from repro.obs.trace import (
@@ -94,9 +95,6 @@ from repro.obs.trace import (
 from repro.verify.objects import DataObject
 from repro.verify.verdict import Verdict
 
-#: a cached retrieval: the provenance stages of one (object type, query,
-#: modality, depths) execution; the last stage holds the shortlist
-_Stages = List[Tuple[str, List[SearchHit]]]
 
 #: setup spans (cold index build, matrix prefill: at most one of each
 #: per modality) take sibling indexes counting up from here, so they
@@ -361,7 +359,7 @@ class Campaign:
         self.start = 0.0
         self.total_seconds = 0.0
         self.trace: Optional[Trace] = None
-        self._retrievals: Dict[tuple, _Stages] = {}
+        self._retrievals: Dict[tuple, Retrieval] = {}
         self._retrievals_lock = threading.Lock()
 
     def retrieval_key(
@@ -371,15 +369,17 @@ class Campaign:
             type(obj).__name__, query, modality, self.k_coarse, self.k_fine
         )
 
-    def cached(self, key: tuple) -> Optional[_Stages]:
+    def cached(self, key: tuple) -> Optional[Retrieval]:
         with self._retrievals_lock:
             return self._retrievals.get(key)
 
-    def store(self, key: tuple, stages: _Stages) -> _Stages:
-        """Cache one retrieval.  A concurrent miss recomputes the same
-        deterministic stages; first writer wins, results are equal."""
+    def store(self, key: tuple, retrieval: Retrieval) -> Retrieval:
+        """Cache one retrieval: the provenance stages of one (object
+        type, query, modality, depths) execution and its shortlist.  A
+        concurrent miss recomputes the same deterministic retrieval;
+        first writer wins, results are equal."""
         with self._retrievals_lock:
-            return self._retrievals.setdefault(key, stages)
+            return self._retrievals.setdefault(key, retrieval)
 
     def object_span(self, branch, position: int) -> ContextManager[Span]:
         """The ``verify`` span of one attempt at one object: a child of
@@ -457,7 +457,7 @@ def prefill(campaign: Campaign) -> None:
                 parent=campaign.root,
                 attributes=attributes,
             ):
-                stage_lists = system.retrieval_stages_batch(
+                retrievals = system.retrieval_stages_batch(
                     [campaign.objects[campaign.plan_first[k]] for k in keys],
                     modality, campaign.k_coarse, campaign.k_fine,
                 )
@@ -469,8 +469,8 @@ def prefill(campaign: Campaign) -> None:
                 queries=len(keys),
             )
             continue
-        for key, stages in zip(keys, stage_lists):
-            campaign.store(key, stages)
+        for key, retrieval in zip(keys, retrievals):
+            campaign.store(key, retrieval)
         registry.counter("batch.matrix_batches").inc()
     registry.histogram("pipeline.retrieve_seconds").observe(
         system.clock.now() - prefill_start
@@ -480,7 +480,7 @@ def prefill(campaign: Campaign) -> None:
 
 def replay_stage_spans(
     campaign: Campaign, branch, parent,
-    stages: _Stages, modality: Modality, deduped: bool,
+    stages: List[Stage], modality: Modality, deduped: bool,
 ) -> None:
     """Emit one span per retrieval stage.  Spans are always replayed
     from the stage list (whoever executed the retrieval), so the trace
@@ -494,7 +494,7 @@ def replay_stage_spans(
         campaign.k_coarse if campaign.k_coarse is not None
         else config.k_coarse
     )
-    for stage_name, hits in stages:
+    for stage_name, (ids, _) in stages:
         if stage_name.startswith("coarse:"):
             span_name = f"retrieve:{stage_name}"
             # a lone coarse stage retrieves at fine depth
@@ -508,7 +508,7 @@ def replay_stage_spans(
             attributes={
                 "modality": modality.value,
                 "k": depth,
-                "hits": len(hits),
+                "hits": len(ids),
                 "dedup": deduped,
             },
         ):
@@ -517,30 +517,30 @@ def replay_stage_spans(
 
 def retrieve_object(
     campaign: Campaign, position: int, branch, obj_span
-) -> List[_Stages]:
-    """One object's retrievals, a stage list per modality, with their
+) -> List[Retrieval]:
+    """One object's retrievals, one per modality, with their stages'
     spans replayed under ``obj_span``.  The prefill normally seeded
     every one; a cold key (its prefill faulted, or the plan could not
     ask this object) runs the same retrieval over this object alone,
     inside its own error boundary."""
     obj = campaign.objects[position]
     query = obj.query_text()
-    retrieved: List[_Stages] = []
+    retrieved: List[Retrieval] = []
     for modality in campaign.modalities[position]:
         key = campaign.retrieval_key(obj, query, modality)
-        stages = campaign.cached(key)
-        if stages is None:
-            stages = campaign.store(
+        retrieval = campaign.cached(key)
+        if retrieval is None:
+            retrieval = campaign.store(
                 key,
                 campaign.system.retrieval_stages_batch(
                     [obj], modality, campaign.k_coarse, campaign.k_fine
                 )[0],
             )
         replay_stage_spans(
-            campaign, branch, obj_span, stages, modality,
+            campaign, branch, obj_span, retrieval[0], modality,
             deduped=campaign.plan_first.get(key, position) != position,
         )
-        retrieved.append(stages)
+        retrieved.append(retrieval)
     return retrieved
 
 
@@ -571,8 +571,8 @@ def attempt(
             retrieve_start = clock.now()
             retrieved = retrieve_object(campaign, position, branch, obj_span)
             evidence: List[DataInstance] = []
-            for stages in retrieved:
-                evidence.extend(system.resolve(stages[-1][1]))
+            for _, shortlist in retrieved:
+                evidence.extend(system.resolve(shortlist))
             verify_start = clock.now()
             with branch.span(
                 "verify_pool",
@@ -587,9 +587,9 @@ def attempt(
             verify_end = clock.now()
             # the chain succeeded: record it once, inside the object's
             # span (see the docstring)
-            for stages in retrieved:
-                for stage_name, hits in stages:
-                    record.add_stage(stage_name, hits)
+            for stages, _ in retrieved:
+                for stage_name, (ids, scores) in stages:
+                    record.add_ranking(stage_name, ids, scores)
             record.record_outcomes(outcomes)
             record.finalize(final, margin)
             registry = system.metrics

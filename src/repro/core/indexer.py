@@ -44,7 +44,9 @@ from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Modality, Table, TextDocument
 from repro.embed.chunker import chunk_document
 from repro.embed.vectorizers import HashingVectorizer
-from repro.index.base import Ranking, SearchHit, SearchIndex, top_k
+from repro.index.base import (
+    Ranking, SearchHit, SearchIndex, hits_of, rank_top_k,
+)
 from repro.index.combiner import Combiner
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import (
@@ -70,9 +72,7 @@ _INDEXED_MODALITIES = (
 _ShardTiming = Tuple[int, float, float, int]
 
 
-def _fold_chunks_to_documents(
-    ranking: Ranking, k: int, index_name: str
-) -> List[SearchHit]:
+def _fold_chunks_to_documents(ranking: Ranking, k: int) -> Ranking:
     """Collapse a chunk ranking (``doc#cN`` ids) onto the parent
     documents, keeping each document's best chunk score.  Documents are
     re-ranked by ``(-score, instance_id)`` afterwards: a document whose
@@ -84,7 +84,7 @@ def _fold_chunks_to_documents(
         current = best.get(doc_id)
         if current is None or score > current:
             best[doc_id] = score
-    return top_k(best, k, index_name)
+    return rank_top_k(best, k)
 
 
 def _entries_missing_from(
@@ -295,7 +295,7 @@ class IndexerModule:
         self._combiners[modality] = Combiner(
             indexes,
             method=self.config.fusion,
-            name=f"combined-{modality.value}",
+            name=self.index_name(modality),
         )
 
     def _build_shards(
@@ -422,15 +422,22 @@ class IndexerModule:
     def search_batch(
         self, queries: List[str], modality: Modality, k: Optional[int] = None
     ) -> List[List[SearchHit]]:
-        """Coarse top-k for a whole query batch against one modality.
+        """:meth:`rank_batch`, materialized as hits."""
+        return hits_of(
+            self.rank_batch(queries, modality, k), self.index_name(modality)
+        )
+
+    def rank_batch(
+        self, queries: List[str], modality: Modality, k: Optional[int] = None
+    ) -> List[Ranking]:
+        """Coarse top-k for a whole query batch against one modality, as
+        :data:`Ranking` columns.
 
         Every underlying index ranks the batch in one call, each
         query's rankings are fused in columns and (for chunked text)
-        folded back to documents, and the ``k`` survivors are
-        materialized here, once: the coarse list is a provenance stage.
-        With shards configured this is a scatter-gather: every shard
-        answers, the merged ranking is provably identical to the
-        monolithic index's.
+        folded back to documents; no hit is built here.  With shards
+        configured this is a scatter-gather: every shard answers, the
+        merged ranking is provably identical to the monolithic index's.
         """
         queries = list(queries)
         if not queries:
@@ -447,10 +454,15 @@ class IndexerModule:
         combiner = self._combiners[modality]
         if modality is Modality.TEXT and self.config.chunk_text:
             return [
-                _fold_chunks_to_documents(raw, depth, combiner.name)
+                _fold_chunks_to_documents(raw, depth)
                 for raw in combiner.rank_batch(queries, depth * 3)
             ]
-        return combiner.search_batch(queries, depth)
+        return combiner.rank_batch(queries, depth)
+
+    @staticmethod
+    def index_name(modality: Modality) -> str:
+        """The name a coarse hit of ``modality`` carries."""
+        return f"combined-{modality.value}"
 
     def content_index(self, modality: Modality) -> SearchIndex:
         """Direct access to one modality's BM25 index (for ablations).

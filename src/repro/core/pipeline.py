@@ -18,7 +18,7 @@ from repro.core.reranker import RerankerModule
 from repro.core.verifier import VerifierModule
 from repro.datalake.lake import DataLake
 from repro.datalake.types import DataInstance, Modality
-from repro.index.base import SearchHit
+from repro.index.base import Ranking, SearchHit, hits_of, ranking_of
 from repro.llm.model import SimulatedLLM
 from repro.obs.clock import Clock, MonotonicClock, ThreadCpuClock
 from repro.obs.metrics import get_registry
@@ -38,6 +38,13 @@ DEFAULT_MODALITIES = {
     TupleObject: (Modality.TUPLE, Modality.TEXT),
     ClaimObject: (Modality.TABLE,),
 }
+
+#: one retrieval stage as the provenance record keeps it: its name and
+#: its ranking's columns
+Stage = Tuple[str, Ranking]
+#: one object's retrieval against one modality: its stages, and the
+#: evidence shortlist the last one names, as hits
+Retrieval = Tuple[List[Stage], List[SearchHit]]
 
 #: report statuses: the pipeline ran to completion vs. the per-object
 #: error boundary caught a fault (see ``VerificationReport.status``)
@@ -170,39 +177,55 @@ class VerifAI:
         modality: Modality,
         k_coarse: Optional[int] = None,
         k_fine: Optional[int] = None,
-    ) -> List[List[Tuple[str, List[SearchHit]]]]:
+    ) -> List[Retrieval]:
         """Coarse retrieval + optional reranking for each object against
-        one modality, as named provenance stages; the last stage's hits
-        are the evidence shortlist.
+        one modality: its named provenance stages, in columns, and the
+        evidence shortlist the last stage names, as hits.
 
         The coarse step scores every object's query in **one
         query-matrix pass** per index (hit-for-hit identical to
         ``indexer.search`` per query — the kernel is differential-tested
         against it); a single object is a matrix of one row.  Reranking
         stays per-object (it is object-specific by design) and consumes
-        the batched coarse lists.  Results depend only on each object's
-        query text, type, and the depths, which is what lets a campaign
-        dedupe identical retrievals.  Emits no spans: the campaign core
-        replays them from the stage lists.
+        the batched coarse columns.  A hit is built only for what a
+        reranker or the Verifier reads: every coarse candidate on a
+        route that rescores them, the shortlist's head on one that does
+        not.  Results depend only on each object's query text, type,
+        and the depths, which is what lets a campaign dedupe identical
+        retrievals.  Emits no spans: the campaign core replays them from
+        the stages.
         """
         objs = list(objs)
         queries = [obj.query_text() for obj in objs]
         fine = k_fine if k_fine is not None else self.config.fine_k(modality)
         coarse_name = f"coarse:{modality.value}"
+        index_name = self.indexer.index_name(modality)
         if not self.config.use_reranker:
-            hit_lists = self.indexer.search_batch(queries, modality, fine)
-            return [[(coarse_name, hits)] for hits in hit_lists]
+            rankings = self.indexer.rank_batch(queries, modality, fine)
+            return [
+                ([(coarse_name, ranking)], shortlist)
+                for ranking, shortlist in zip(
+                    rankings, hits_of(rankings, index_name)
+                )
+            ]
         rerank_name = f"rerank:{modality.value}"
-        stage_lists = []
-        coarse_lists = self.indexer.search_batch(queries, modality, k_coarse)
+        retrievals: List[Retrieval] = []
+        coarse_lists = self.indexer.rank_batch(queries, modality, k_coarse)
         for obj, coarse in zip(objs, coarse_lists):
+            ids, scores = coarse
+            read = (
+                coarse if self.reranker.route(obj, modality) is not None
+                else (ids[:fine], scores[:fine])
+            )
             shortlist = self.reranker.rerank(
-                obj, modality, coarse, self.indexer.fetch_payload, fine
+                obj, modality, hits_of([read], index_name)[0],
+                self.indexer.fetch_payload, fine,
             )
-            stage_lists.append(
-                [(coarse_name, coarse), (rerank_name, shortlist)]
-            )
-        return stage_lists
+            retrievals.append((
+                [(coarse_name, coarse), (rerank_name, ranking_of(shortlist))],
+                shortlist,
+            ))
+        return retrievals
 
     def retrieve(
         self,
@@ -213,10 +236,9 @@ class VerifAI:
     ) -> List[SearchHit]:
         """Coarse retrieval + optional task-specific reranking: the
         evidence shortlist for one object against one modality."""
-        stages = self.retrieval_stages_batch(
+        return self.retrieval_stages_batch(
             [obj], modality, k_coarse, k_fine
-        )[0]
-        return stages[-1][1]
+        )[0][1]
 
     def resolve(self, hits: Sequence[SearchHit]) -> List[DataInstance]:
         """Instance ids back to lake instances."""

@@ -13,6 +13,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 
 @dataclass(frozen=True, order=True)
 class SearchHit:
@@ -46,6 +48,41 @@ def hits_of(rankings: Iterable[Ranking], index_name: str) -> List[List[SearchHit
 def ranking_of(hits: Sequence[SearchHit]) -> Ranking:
     """The columns of one hit list."""
     return [hit.instance_id for hit in hits], [hit.score for hit in hits]
+
+
+def ordinals_of(ids: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """An id list's order, as the selection reads it: ``ordinal[i]`` is
+    the rank of ``ids[i]`` in sorted id order, and ``by_ordinal`` holds
+    the ids in that order (an object array).  Ids are unique, so
+    ``(-score, ordinal)`` is the same total order as ``(-score, id)``."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ordinal = np.empty(len(ids), dtype=np.int64)
+    ordinal[order] = np.arange(len(ids))
+    by_ordinal = np.empty(len(ids), dtype=object)
+    by_ordinal[:] = [ids[i] for i in order]
+    return ordinal, by_ordinal
+
+
+def select_ranked(
+    ordinal: np.ndarray,
+    by_ordinal: np.ndarray,
+    scores: np.ndarray,
+    candidates: np.ndarray,
+    k: int,
+) -> Ranking:
+    """The first ``k`` of ``candidates`` (positions into an index's id
+    list, whose :func:`ordinals_of` are ``ordinal`` and ``by_ordinal``;
+    ``scores[j]`` is the score of ``candidates[j]``) under the
+    ``(-score, id)`` total order, as :data:`Ranking` columns.
+
+    The one ordering an index's selection ends in: a single
+    ``lexsort`` keyed by the negated score, then the id's ordinal, and
+    the ids read off ``by_ordinal`` by those ordinals.  No id string is
+    compared, and a float's negation is exact, so the scores come back
+    as they went in."""
+    keys = ordinal[candidates]
+    order = np.lexsort((keys, -scores))[:k]
+    return by_ordinal[keys[order]].tolist(), scores[order].tolist()
 
 
 class SearchIndex(abc.ABC):

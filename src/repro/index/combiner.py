@@ -51,6 +51,10 @@ class Combiner:
     ) -> None:
         if not indexes:
             raise ValueError("Combiner needs at least one index")
+        if rrf_k < 0:
+            # -1 divides by zero at the first rank; below that the
+            # weights turn negative and one list's id outranks a shared one
+            raise ValueError(f"rrf_k must be >= 0, got {rrf_k}")
         self.indexes = list(indexes)
         self.method = method
         self.rrf_k = rrf_k

@@ -146,5 +146,6 @@ class HNSWIndex(VectorIndex):
         distances = np.array([dist for dist, _ in found])
         scores = 1.0 - distances if self.metric == "cosine" else -distances
         return top_hits(
-            scores, self._ids, k, self.name, rows=[node for _, node in found]
+            scores, *self._ordinals(), k, self.name,
+            rows=[node for _, node in found],
         )

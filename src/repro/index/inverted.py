@@ -37,7 +37,8 @@ Token contributions accumulate in **sorted token order** in both kernels
 in the tests' reference scorer over token -> ``{id: tf}`` postings, so
 all three replay the same float64 sums bit for bit; one selection,
 ``_rank_matrix``, then takes every row's top k under the ``(-score,
-id)`` total order.
+id)`` total order, read as ``(-score, ordinal)`` off the seal's ordinal
+table (:func:`~repro.index.base.select_ranked`).
 
 Two extensions support the sharded deployment
 (:mod:`repro.index.shard`):
@@ -57,11 +58,13 @@ Two extensions support the sharded deployment
   document to the end of the document order.  A write un-publishes the
   seal but keeps it as the *base* the next :meth:`seal` patches: the
   net removals and additions since the base are folded into its CSR
-  arrays in a fixed number of numpy passes, and ``norm`` / ``idf_flat``
-  — which every write moves — are re-derived from the integer
-  statistics.  The first seal is the same fold over an empty base, and
-  a patched seal is byte-identical to a fresh index's over the
-  surviving payloads (``tests/test_index_patch.py``).
+  arrays in a fixed number of numpy passes, the base's ordinal table
+  is carried across, and ``norm`` / ``idf_flat`` are re-derived from
+  the integer statistics (a write moves all of ``norm`` only when it
+  moves the document count or the total length).  The first seal is
+  the same fold over an empty base, and a patched seal is
+  byte-identical to a fresh index's over the surviving payloads
+  (``tests/test_index_patch.py``).
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import (
-    Ranking, SearchHit, SearchIndex, hits_of,
+    Ranking, SearchHit, SearchIndex, hits_of, ordinals_of, select_ranked,
 )
 from repro.obs.metrics import get_registry
 from repro.text import analyze
@@ -104,32 +107,52 @@ def _bm25_idf(num_docs: int, df: int) -> float:
     return max(raw, 1e-6)
 
 
-#: one query's ranking: positions in the seal's document order, and
-#: their scores, as two columns
-Ranked = Tuple[List[int], List[float]]
+def _fold_ordinals(
+    base: "_SealedPostings",
+    keep_doc: Optional["np.ndarray"],
+    fresh_ids: List[str],
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """The ordinal table and the sorted ids of a fold's seal, carried
+    from the base's: its survivors keep their order, closed up over the
+    dead (``keep_doc`` is ``None`` when none died), and the fresh ids
+    are sorted into it.  Equal, element for element, to
+    :func:`~repro.index.base.ordinals_of` the folded document order (the
+    survivors, then ``fresh_ids``) and to those ids sorted, in numpy
+    passes over the base's arrays instead of a sort of every id.
 
-
-def _order_candidates(
-    doc_ids: Sequence[str],
-    scores: "np.ndarray",
-    candidates: "np.ndarray",
-    k: int,
-) -> Ranked:
-    """The first ``k`` of ``candidates`` (document indexes into
-    ``doc_ids``; ``scores[j]`` is the score of ``candidates[j]``) under
-    the ``(-score, id)`` total order, as :data:`Ranked` columns.
-
-    The one ordering every selection ends in.  It reads the arrays
-    once, as lists, and sorts plain ``(-score, id, index)`` tuples: ids
-    are unique, so the index is never compared, and a float's negation
-    is exact both ways."""
-    indexes = candidates.tolist()
-    ordered = sorted(
-        zip((-scores).tolist(), [doc_ids[i] for i in indexes], indexes)
-    )[:k]
-    return (
-        [i for _, _, i in ordered], [-negated for negated, _, _ in ordered]
-    )
+    When the writes were updates alone — the dead ids are the fresh ones
+    — the sorted ids are the base's and only the rewritten documents'
+    places move: two passes, where the closing up and sorting in would
+    copy every id twice (most folds of a live lake: an updated table or
+    tuple keeps its id)."""
+    ordinal, by_ordinal = base.ordinal, base.by_ordinal
+    if keep_doc is not None:
+        gone = np.flatnonzero(~keep_doc)
+        rank_of = dict(zip(
+            [base.doc_ids[i] for i in gone.tolist()], ordinal[gone].tolist()
+        ))
+        if rank_of.keys() == set(fresh_ids):
+            return np.concatenate((
+                ordinal[keep_doc],
+                np.array([rank_of[i] for i in fresh_ids], dtype=np.int64),
+            )), by_ordinal
+        dead = np.zeros(len(by_ordinal), dtype=bool)
+        dead[ordinal[gone]] = True
+        ordinal = ordinal[keep_doc]
+        ordinal -= np.cumsum(dead)[ordinal]
+        by_ordinal = by_ordinal[~dead]
+    if fresh_ids:
+        fresh_rank, added = ordinals_of(fresh_ids)
+        # below[j]: the survivors sorting before the j-th fresh id; a
+        # survivor of rank r moves back past every fresh id with
+        # below <= r, a fresh id past the fresh ones before it
+        below = np.searchsorted(by_ordinal, added)
+        ordinal = np.concatenate((
+            ordinal + np.searchsorted(below, ordinal, side="right"),
+            below[fresh_rank] + fresh_rank,
+        ))
+        by_ordinal = np.insert(by_ordinal, below, added)
+    return ordinal, by_ordinal
 
 
 class CorpusStats:
@@ -164,13 +187,15 @@ class _SealedPostings:
     Storage is four flat contiguous arrays in CSR layout — ``tokens``
     (sorted), ``tok_start`` offsets, concatenated ``doc_idx`` /
     ``tf_flat`` postings — plus per-doc ``norm`` and per-token
-    ``idf_flat``.
+    ``idf_flat``, and the document order's ``ordinal`` table (what a
+    ranking breaks ties by) with ``by_ordinal``, the ids in sorted
+    order, from which the next fold carries it.
     """
 
     __slots__ = (
         "doc_ids", "norm",
         "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat",
-        "tok_pos", "contrib_flat",
+        "ordinal", "by_ordinal", "tok_pos", "contrib_flat",
         # lets the race sanitizer tell this seal from a collected one
         # whose address it reuses
         "__weakref__",
@@ -185,6 +210,8 @@ class _SealedPostings:
         doc_idx: "np.ndarray",
         tf_flat: "np.ndarray",
         idf_flat: "np.ndarray",
+        ordinal: "np.ndarray",
+        by_ordinal: "np.ndarray",
         tok_pos: Optional[Dict[str, int]] = None,
     ) -> None:
         self.doc_ids = doc_ids
@@ -194,6 +221,13 @@ class _SealedPostings:
         self.doc_idx = doc_idx      # concatenated doc-index postings
         self.tf_flat = tf_flat      # concatenated term frequencies
         self.idf_flat = idf_flat    # per-token BM25+ idf, token order
+        #: ``ordinal[i]``: the rank of ``doc_ids[i]`` in sorted id order
+        #: (:func:`~repro.index.base.ordinals_of`), and ``by_ordinal``
+        #: the ids in that order — derived data, carried through a fold
+        #: (:func:`_fold_ordinals`) because sorting every id again at
+        #: each seal would cost a write-heavy index more than its reads
+        self.ordinal = ordinal
+        self.by_ordinal = by_ordinal
         #: token -> position in the sorted vocabulary (CSR row index);
         #: a patch has already built it to place its additions
         self.tok_pos: Dict[str, int] = (
@@ -202,7 +236,10 @@ class _SealedPostings:
         )
         #: per-posting BM25 contribution for qtf = 1, built by the
         #: first read of this seal (derived data, not carried across a
-        #: patch — every write moves ``norm``, so every value changes)
+        #: fold: a fold moves postings and re-derives ``norm`` and
+        #: ``idf_flat``; a write changes every value only when it moves
+        #: the document count or the total length, which an update of
+        #: the same length does not)
         self.contrib_flat: Optional["np.ndarray"] = None
 
 
@@ -405,17 +442,19 @@ class InvertedIndex(SearchIndex):
             published = get_registry().counter("index.seal.compiled")
             base = _SealedPostings(
                 [], np.empty(0), [], np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), {},
+                np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=object), {},
             )
         else:
             published = get_registry().counter("index.seal.patched")
         if not (dead or fresh):
             self._publish_locked(
                 base.doc_ids, base.tokens, base.tok_start, base.doc_idx,
-                base.tf_flat, base.tok_pos,
+                base.tf_flat, base.ordinal, base.by_ordinal, base.tok_pos,
             )
             published.inc()
             return
+        keep_doc = None
         if dead:
             keep_doc = ~np.fromiter(
                 map(dead.__contains__, base.doc_ids),
@@ -437,7 +476,7 @@ class InvertedIndex(SearchIndex):
                 mode="clip",
             )
             kept_tf = base.tf_flat[keep]
-            del keep, keep_doc
+            del keep
         else:
             kept_len = np.diff(base.tok_start)
             kept_docs, kept_tf = base.doc_idx, base.tf_flat
@@ -505,9 +544,10 @@ class InvertedIndex(SearchIndex):
         tf_flat[survivor] = kept_tf
         tf_flat[at] = add_tf[order]
         del kept_tf, add_tf
+        ordinal, by_ordinal = _fold_ordinals(base, keep_doc, list(fresh))
         self._publish_locked(
             list(self._doc_length), tokens, tok_start, doc_idx, tf_flat,
-            tok_pos,
+            ordinal, by_ordinal, tok_pos,
         )
         published.inc()
 
@@ -552,6 +592,8 @@ class InvertedIndex(SearchIndex):
         tok_start: "np.ndarray",
         doc_idx: "np.ndarray",
         tf_flat: "np.ndarray",
+        ordinal: "np.ndarray",
+        by_ordinal: "np.ndarray",
         tok_pos: Optional[Dict[str, int]] = None,
     ) -> None:
         """Publish one new seal and make it the base of the writes to
@@ -561,7 +603,7 @@ class InvertedIndex(SearchIndex):
         self._fresh = {}
         self._base = self._sealed = _SealedPostings(
             doc_ids, norm, tokens, tok_start, doc_idx, tf_flat, idf_flat,
-            tok_pos,
+            ordinal, by_ordinal, tok_pos,
         )
         _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
 
@@ -603,9 +645,9 @@ class InvertedIndex(SearchIndex):
 
     def _score_matrix(
         self, sealed: Optional[_SealedPostings], plan: "MatrixPlan", k: int
-    ) -> List[Ranked]:
+    ) -> List[Ranking]:
         """Rank every query of a plan against one seal: per query, the
-        positions (in the seal's document order) and scores of its top k.
+        ids and scores of its top k, the ids read off that seal.
 
         The one place a kernel is chosen; both read the seal's
         :meth:`_contrib_flat`.  A plan of one query takes the per-token
@@ -659,7 +701,7 @@ class InvertedIndex(SearchIndex):
         registry = get_registry()
         tiles = registry.counter("index.matrix.tiles")
         stream_postings = registry.counter("index.matrix.stream_postings")
-        ranked: List[Ranked] = []
+        ranked: List[Ranking] = []
         first = first_pair = spent = 0
         while first < len(cost):
             stop = max(
@@ -715,7 +757,7 @@ class InvertedIndex(SearchIndex):
 
     def _rank_matrix(
         self, sealed: _SealedPostings, scores: "np.ndarray", k: int
-    ) -> List[Ranked]:
+    ) -> List[Ranking]:
         """Per-row top-k of a score matrix under the ``(-score, id)``
         total order, finding every row's k-th score with one
         ``partition``.
@@ -734,18 +776,17 @@ class InvertedIndex(SearchIndex):
         # (selecting ``num_docs - k`` of ``scores`` itself, which needs
         # no negated copy, is 5x slower on these tie-heavy rows)
         kth = (-np.partition(-scores, at, axis=1)[:, at]).tolist()
-        ranked: List[Ranked] = []
+        ranked: List[Ranking] = []
         for qi in range(num_queries):
             row = scores[qi]
             if kth[qi] > 0.0:
                 candidates = np.nonzero(row >= kth[qi])[0]
             else:  # fewer than k matches: keep every matched doc
                 candidates = np.nonzero(row > 0.0)[0]
-            ranked.append(
-                _order_candidates(
-                    sealed.doc_ids, row[candidates], candidates, k
-                )
-            )
+            ranked.append(select_ranked(
+                sealed.ordinal, sealed.by_ordinal, row[candidates],
+                candidates, k,
+            ))
         return ranked
 
     # ------------------------------------------------------------------
@@ -761,16 +802,6 @@ class InvertedIndex(SearchIndex):
             sealed = self.seal()._sealed
         return sealed
 
-    @staticmethod
-    def _ranking(sealed: Optional[_SealedPostings], ranked: Ranked) -> Ranking:
-        """One query's ranking with its ids read from the seal that
-        ranked it."""
-        positions, scores = ranked
-        if not positions:  # also the empty index, which has no seal
-            return [], []
-        doc_ids = sealed.doc_ids
-        return [doc_ids[i] for i in positions], scores
-
     def rank_planned(
         self, plan: "MatrixPlan", k: int = 10
     ) -> List[Ranking]:
@@ -779,11 +810,7 @@ class InvertedIndex(SearchIndex):
 
         The shard seam: a sharded index plans once (:meth:`plan_matrix`)
         and calls this on every shard."""
-        sealed = self._current_seal()
-        return [
-            self._ranking(sealed, ranked)
-            for ranked in self._score_matrix(sealed, plan, k)
-        ]
+        return self._score_matrix(self._current_seal(), plan, k)
 
     def rank_batch(
         self, queries: Sequence[str], k: int = 10

@@ -126,5 +126,6 @@ class IVFFlatIndex(VectorIndex):
             self._data[candidate_rows], vector, self._norms[candidate_rows]
         )
         return top_hits(
-            scores, self._ids, k, self.name, rows=candidate_rows.tolist()
+            scores, *self._ordinals(), k, self.name,
+            rows=candidate_rows,
         )

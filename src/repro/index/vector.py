@@ -15,23 +15,29 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.index.base import Ranking, SearchHit, SearchIndex, hits_of
+from repro.index.base import (
+    Ranking, SearchHit, SearchIndex, hits_of, ordinals_of, select_ranked,
+)
 
 
 def top_ranked(
     scores: np.ndarray,
-    ids: Sequence[str],
+    ordinal: np.ndarray,
+    by_ordinal: np.ndarray,
     k: int,
     rows: Optional[Sequence[int]] = None,
 ) -> Ranking:
     """The ``k`` best of ``scores`` as columns, ordered by ``(-score, id)``.
 
-    ``scores[i]`` belongs to ``ids[i]``, or to ``ids[rows[i]]`` when the
-    scores cover a subset of the index.  One ``np.partition`` (the
-    selection behind ``argpartition``) finds the k-th best score;
-    everything tied with it stays in the running, so the id order
-    decides across the boundary exactly as a full sort would (the
-    ``_rank_matrix`` rule of :mod:`repro.index.inverted`).
+    ``scores[i]`` belongs to the index's ``i``-th id, or to its
+    ``rows[i]``-th when the scores cover a subset of the index;
+    ``ordinal`` and ``by_ordinal`` are
+    :func:`~repro.index.base.ordinals_of` its id list.  One
+    ``np.partition`` (the selection behind ``argpartition``) finds the
+    k-th best score; everything tied with it stays in the running, so
+    the id order decides across the boundary exactly as a full sort
+    would, in the ordering every index shares
+    (:func:`~repro.index.base.select_ranked`).
     """
     count = scores.shape[0]
     if k <= 0 or count == 0:
@@ -40,24 +46,25 @@ def top_ranked(
         kth = np.partition(scores, count - k)[count - k]
         positions = np.nonzero(scores >= kth)[0]
         scores = scores[positions]
-        positions = positions.tolist()
     else:
-        positions = range(count)
+        positions = np.arange(count)
     if rows is not None:
-        positions = [rows[i] for i in positions]
-    ranked = sorted(zip((-scores).tolist(), [ids[i] for i in positions]))[:k]
-    return [i for _, i in ranked], [-negated for negated, _ in ranked]
+        positions = np.asarray(rows, dtype=np.int64)[positions]
+    return select_ranked(ordinal, by_ordinal, scores, positions, k)
 
 
 def top_hits(
     scores: np.ndarray,
-    ids: Sequence[str],
+    ordinal: np.ndarray,
+    by_ordinal: np.ndarray,
     k: int,
     index_name: str,
     rows: Optional[Sequence[int]] = None,
 ) -> List[SearchHit]:
     """:func:`top_ranked`, materialized as hits."""
-    return hits_of([top_ranked(scores, ids, k, rows)], index_name)[0]
+    return hits_of(
+        [top_ranked(scores, ordinal, by_ordinal, k, rows)], index_name
+    )[0]
 
 
 #: rows a flat index stages before one block moves into its buckets
@@ -93,6 +100,13 @@ class VectorIndex(SearchIndex):
         self._encoder = encoder
         self._ids: List[str] = []
         self._id_set: set = set()
+        #: :func:`ordinals_of` the id list: built by the first read of
+        #: one generation of it, dropped by every write to it
+        self._ordinal: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # guards the id list's writes and the build of its ordinals:
+        # readers searching from a thread pool must not both build
+        # them, nor one build from a list a writer is changing
+        self._ids_lock = threading.Lock()
 
     # -- encoding -------------------------------------------------------
     def encode(self, text: str) -> np.ndarray:
@@ -140,8 +154,10 @@ class VectorIndex(SearchIndex):
         if instance_id in self._id_set:
             raise ValueError(f"duplicate instance id: {instance_id}")
         vector = self._check_vector(vector)
-        self._id_set.add(instance_id)
-        self._ids.append(instance_id)
+        with self._ids_lock:
+            self._id_set.add(instance_id)
+            self._ids.append(instance_id)
+            self._ordinal = None
         self._store(instance_id, vector)
 
     def remove_vector(self, instance_id: str) -> None:
@@ -149,6 +165,20 @@ class VectorIndex(SearchIndex):
         raise NotImplementedError(
             f"{type(self).__name__} does not support removal"
         )
+
+    def _ordinals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`ordinals_of` the current id list, built once per
+        generation of it (derived data: a write drops it)."""
+        ordinals = self._ordinal
+        if ordinals is None:
+            with self._ids_lock:
+                ordinals = self._ordinal
+                if ordinals is None:
+                    ordinals = self._ordinal = ordinals_of(self._ids)
+                    _sanitizer.note_write(
+                        self, "_ordinal", lock=self._ids_lock
+                    )
+        return ordinals
 
     @abc.abstractmethod
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
@@ -266,8 +296,10 @@ class FlatVectorIndex(VectorIndex):
         after it; fine for the live-mutation rates the indexer sees (bulk
         churn goes through a rebuild)."""
         index = self._position(instance_id)
-        del self._ids[index]
-        self._id_set.discard(instance_id)
+        with self._ids_lock:
+            del self._ids[index]
+            self._id_set.discard(instance_id)
+            self._ordinal = None
         with self._matrix_lock:
             all_rows, all_values, row_norms = self._table()
             # fresh lists: a search holding the old ones reads them whole
@@ -334,7 +366,11 @@ class FlatVectorIndex(VectorIndex):
         else:
             matrix = self._get_matrix()
             scores = (self._scores_against(matrix, vector) for vector in vectors)
-        return [top_ranked(row_scores, self._ids, k) for row_scores in scores]
+        ordinal, by_ordinal = self._ordinals()
+        return [
+            top_ranked(row_scores, ordinal, by_ordinal, k)
+            for row_scores in scores
+        ]
 
     def search_vector(self, vector: np.ndarray, k: int = 10) -> List[SearchHit]:
         return hits_of(self.rank_vectors([vector], k), self.name)[0]

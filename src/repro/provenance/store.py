@@ -14,7 +14,7 @@ import json
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.snapshot import write_json
 from repro.verify.verdict import Verdict
@@ -52,13 +52,18 @@ class VerificationRecord:
     #: record's id back, so lineage and timing cross-link both ways
     trace_id: str = ""
 
-    def add_stage(self, stage: str, hits) -> None:
-        """Record one retrieval/rerank stage."""
+    def add_ranking(
+        self, stage: str, ids: Sequence[str], scores: Sequence[float]
+    ) -> None:
+        """Record one retrieval/rerank stage from its ranking's columns."""
         self.retrieval.append(
-            RetrievalStep(
-                stage=stage,
-                hits=tuple((hit.instance_id, float(hit.score)) for hit in hits),
-            )
+            RetrievalStep(stage=stage, hits=tuple(zip(ids, map(float, scores))))
+        )
+
+    def add_stage(self, stage: str, hits) -> None:
+        """Record one retrieval/rerank stage from its hits."""
+        self.add_ranking(
+            stage, [hit.instance_id for hit in hits], [hit.score for hit in hits]
         )
 
     def add_outcome(

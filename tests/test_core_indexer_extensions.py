@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule, _fold_chunks_to_documents
+from repro.index.base import hits_of
 from repro.datalake.lake import DataLake
 from repro.datalake.types import Modality, Source, Table, TextDocument
 
@@ -26,7 +27,7 @@ class TestChunkedText:
 
     def test_fold_keeps_best_score(self):
         ranking = (["d1#c0", "d1#c2", "d2#c0"], [0.5, 0.9, 0.7])
-        folded = _fold_chunks_to_documents(ranking, 5, "chunks")
+        folded = hits_of([_fold_chunks_to_documents(ranking, 5)], "chunks")[0]
         by_id = {h.instance_id: h.score for h in folded}
         assert by_id == {"d1": 0.9, "d2": 0.7}
         assert {h.index_name for h in folded} == {"chunks"}
@@ -35,20 +36,20 @@ class TestChunkedText:
         ranking = (
             [f"d{i}#c0" for i in range(5)], [1.0 - i * 0.1 for i in range(5)]
         )
-        assert len(_fold_chunks_to_documents(ranking, 2, "")) == 2
+        assert len(_fold_chunks_to_documents(ranking, 2)[0]) == 2
 
     def test_fold_reranks_late_best_chunk(self):
         # d2's best chunk appears after d1's first chunk; d2 must still
         # outrank d1 because its best-chunk score is higher
         ranking = (["d1#c0", "d2#c0", "d2#c7"], [0.6, 0.5, 0.9])
-        folded = _fold_chunks_to_documents(ranking, 5, "")
+        folded = hits_of([_fold_chunks_to_documents(ranking, 5)], "")[0]
         assert [(h.instance_id, h.score) for h in folded] == [
             ("d2", 0.9), ("d1", 0.6),
         ]
 
     def test_fold_breaks_score_ties_by_id(self):
         ranking = (["dz#c0", "da#c0"], [0.5, 0.5])
-        folded = _fold_chunks_to_documents(ranking, 5, "")
+        folded = hits_of([_fold_chunks_to_documents(ranking, 5)], "")[0]
         assert [h.instance_id for h in folded] == ["da", "dz"]
 
     def test_other_modalities_unaffected(self, chunked, tiny_lake):

@@ -64,6 +64,23 @@ class TestFusion:
         with pytest.raises(ValueError):
             Combiner([])
 
+    @pytest.mark.parametrize("rrf_k", (-1, -5))
+    def test_refuses_a_negative_rrf_k(self, rrf_k):
+        """-1 divided by zero at the first fuse; -5 weighted an id in one
+        list above an id in both."""
+        with pytest.raises(ValueError, match="rrf_k"):
+            Combiner([InvertedIndex()], rrf_k=rrf_k)
+
+    def test_rrf_k_zero_still_rewards_agreement(self):
+        combiner = Combiner([InvertedIndex()], rrf_k=0)
+        fused = combiner.fuse(
+            [[hit(top, 2.0), hit("b", 1.0)] for top in ("a", "c", "d")],
+            k=4,
+        )
+        assert [(h.instance_id, h.score) for h in fused] == [
+            ("b", 1.5), ("a", 1.0), ("c", 1.0), ("d", 1.0),
+        ]
+
 
 class TestEndToEnd:
     def test_search_unions_index_families(self):

@@ -9,9 +9,15 @@ every index and shard count; the Combiner's columns
 and ``Reranker.rerank`` are held against the bodies they replaced, kept
 here as oracles.
 
+The ordinal selection — one ``lexsort`` by ``(-score, ordinal)`` in
+BM25's ``_rank_matrix`` and the vector indexes' ``top_ranked`` — is held
+against the ``(-score, id, index)`` tuple sorts it replaced, after
+seeded bursts of writes, and its ordinal tables against first readers
+racing to build them.
+
 The file also carries the token embedder's oracle (its ``_compose`` and
-``token_rows`` as they were) and its eight-thread first-touch hammer,
-which ``make sanitize`` runs under the lockset sanitizer.
+``token_rows`` as they were) and its eight-thread first-touch hammer;
+``make sanitize`` runs every hammer here under the lockset sanitizer.
 """
 
 import math
@@ -24,12 +30,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import sanitizer
 from repro.embed import token_embed
 from repro.embed.token_embed import TokenEmbedder
 from repro.embed.vectorizers import HashingVectorizer
-from repro.index.base import SearchHit, SearchIndex, hits_of
+from repro.index import hnsw, ivf
+from repro.index.base import (
+    SearchHit, SearchIndex, hits_of, ordinals_of, ranking_of,
+)
 from repro.index.combiner import Combiner, FusionMethod
+from repro.index.hnsw import HNSWIndex
 from repro.index.inverted import InvertedIndex
+from repro.index.ivf import IVFFlatIndex
 from repro.index.shard import ShardedInvertedIndex, ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 from repro.rerank.base import Reranker
@@ -173,6 +185,358 @@ class TestRankBatchIsSearchBatch:
         fused = Combiner([index]).search_batch(["x", "y"], 2)
         assert [[h.instance_id for h in hits] for hits in fused] == [["a", "b"]] * 2
         assert index.calls == 2
+
+
+# ---------------------------------------------------------------------------
+# the ordinal selection, against the tuple sorts it replaced
+# ---------------------------------------------------------------------------
+def parent_order_candidates(doc_ids, scores, candidates, k):
+    """BM25's ``_order_candidates`` as it was: ``(-score, id, index)``
+    tuples, sorted."""
+    indexes = candidates.tolist()
+    ordered = sorted(
+        zip((-scores).tolist(), [doc_ids[i] for i in indexes], indexes)
+    )[:k]
+    return (
+        [i for _, _, i in ordered], [-negated for negated, _, _ in ordered]
+    )
+
+
+def parent_top_ranked(scores, ids, k, rows=None):
+    """The vector indexes' ``top_ranked`` as it was."""
+    count = scores.shape[0]
+    if k <= 0 or count == 0:
+        return [], []
+    if k < count:
+        kth = np.partition(scores, count - k)[count - k]
+        positions = np.nonzero(scores >= kth)[0]
+        scores = scores[positions]
+        positions = positions.tolist()
+    else:
+        positions = range(count)
+    if rows is not None:
+        positions = [rows[i] for i in positions]
+    ranked = sorted(zip((-scores).tolist(), [ids[i] for i in positions]))[:k]
+    return [i for _, i in ranked], [-negated for negated, _ in ranked]
+
+
+def exact(ranking):
+    """A ranking's ids with its scores' bits."""
+    ids, scores = ranking
+    return [(i, float(score).hex()) for i, score in zip(ids, scores)]
+
+
+def parent_bm25(index, query, k):
+    """One query's BM25 ranking as the parent selected it: every matched
+    document of the per-token kernel's row, tuple-sorted."""
+    sealed = index._current_seal()
+    if sealed is None or k <= 0:
+        return [], []
+    row = index._score_tokens(sealed, index.plan_matrix([query]).terms[0])[0]
+    candidates = np.nonzero(row > 0.0)[0]
+    positions, scores = parent_order_candidates(
+        sealed.doc_ids, row[candidates], candidates, k
+    )
+    return [sealed.doc_ids[i] for i in positions], scores
+
+
+#: ids whose string order is not their insertion order nor their
+#: numeric one (``t10`` < ``t2``), with shared prefixes and both cases
+ORDINAL_IDS = (
+    [f"t{n}" for n in range(24)] + ["T5", "t1#r0", "t1#r10", "t1#r2", "a", ""]
+)
+ordinal_texts = st.lists(
+    st.sampled_from(TIE_WORDS), min_size=1, max_size=3
+).map(" ".join)
+
+
+@st.composite
+def shuffled_corpus(draw):
+    """A tie-heavy corpus whose ids arrive out of id order."""
+    names = draw(st.lists(
+        st.sampled_from(ORDINAL_IDS), unique=True, max_size=18,
+    ))
+    return [(name, draw(ordinal_texts)) for name in names]
+
+
+def ordinal_depths(matches, size):
+    """k ∈ {1, 3, every match count ± 1, 100, corpus + 5}."""
+    return sorted({1, 3, 100, size + 5}.union(
+        *({m - 1, m, m + 1} for m in matches)
+    ) - {-1, 0})
+
+
+def burst(rng, index, live, writes):
+    """Up to six seeded writes — add, remove, update — mirrored in
+    ``live``; ``writes`` names the kinds this index takes."""
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(writes) if live else "add"
+        if kind == "add":
+            free = [name for name in ORDINAL_IDS if name not in live]
+            if not free:
+                continue
+            name = rng.choice(free)
+            live[name] = " ".join(rng.choices(TIE_WORDS, k=rng.randint(1, 3)))
+            index.add(name, live[name])
+        elif kind == "remove":
+            name = rng.choice(sorted(live))
+            del live[name]
+            index.remove(name)
+        else:
+            name = rng.choice(sorted(live))
+            live[name] = " ".join(rng.choices(TIE_WORDS, k=rng.randint(1, 3)))
+            index.update(name, live[name])
+
+
+def assert_bm25_selects_as_the_parent(index, queries):
+    sealed = index.seal()._sealed
+    if sealed is not None:  # the carried table is the one a sort builds
+        ordinal, by_ordinal = ordinals_of(sealed.doc_ids)
+        assert sealed.ordinal.tolist() == ordinal.tolist()
+        assert sealed.by_ordinal.tolist() == by_ordinal.tolist()
+        assert by_ordinal.tolist() == sorted(sealed.doc_ids)
+    matches = [len(parent_bm25(index, q, len(index) + 1)[0]) for q in queries]
+    for k in ordinal_depths(matches, len(index)):
+        expected = [exact(parent_bm25(index, q, k)) for q in queries]
+        # a plan of several queries takes the tiled kernel, one the
+        # per-token kernel: both end in the one selection
+        assert [exact(r) for r in index.rank_batch(queries, k)] == expected
+        assert [
+            exact(index.rank_batch([q], k)[0]) for q in queries
+        ] == expected
+
+
+def assert_flat_selects_as_the_parent(index, queries):
+    assert [a.tolist() for a in index._ordinals()] == [
+        a.tolist() for a in ordinals_of(index._ids)
+    ]
+    table = index._table()
+    scores = [
+        FlatVectorIndex._cosines(*table, index.encode(q)) for q in queries
+    ]
+    matches = [int(np.count_nonzero(row)) for row in scores]
+    for k in ordinal_depths(matches, len(index)):
+        assert [exact(r) for r in index.rank_batch(queries, k)] == [
+            exact(parent_top_ranked(row, list(index._ids), k))
+            for row in scores
+        ]
+
+
+class TestOrdinalSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=shuffled_corpus(), queries=tie_queries,
+           seed=st.integers(0, 2**16))
+    def test_bm25_after_every_burst_of_writes(self, corpus, queries, seed):
+        index = InvertedIndex(name="ordinal")
+        live = dict(corpus)
+        for name, text in corpus:
+            index.add(name, text)
+        rng = random.Random(seed)
+        assert_bm25_selects_as_the_parent(index, queries)
+        for _ in range(4):
+            burst(rng, index, live, ("add", "remove", "update"))
+            assert_bm25_selects_as_the_parent(index, queries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(corpus=shuffled_corpus(), queries=tie_queries,
+           seed=st.integers(0, 2**16))
+    def test_flat_vector_after_every_burst_of_writes(
+        self, corpus, queries, seed
+    ):
+        index = FlatVectorIndex(dim=8, encoder=ENCODER, name="ordinal")
+        live = dict(corpus)
+        for name, text in corpus:
+            index.add(name, text)
+        rng = random.Random(seed)
+        assert_flat_selects_as_the_parent(index, queries)
+        for _ in range(4):
+            burst(rng, index, live, ("add", "remove"))
+            assert_flat_selects_as_the_parent(index, queries)
+
+    @pytest.mark.parametrize("module, make", [
+        (ivf, lambda: IVFFlatIndex(dim=8, nlist=3, nprobe=2, encoder=ENCODER)),
+        (hnsw, lambda: HNSWIndex(dim=8, m=4, ef_search=8, encoder=ENCODER)),
+    ], ids=["ivf", "hnsw"])
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=shuffled_corpus(), queries=tie_queries)
+    def test_approximate_indexes_share_the_selection(
+        self, module, make, corpus, queries
+    ):
+        """IVF and HNSW rank their probed candidates through
+        ``top_hits``: each call equals the parent's body on its
+        arguments."""
+        calls = []
+        real = module.top_hits
+
+        def checked(scores, ordinal, by_ordinal, k, index_name, rows=None):
+            hits = real(scores, ordinal, by_ordinal, k, index_name, rows)
+            ids = by_ordinal[ordinal].tolist()  # in the index's order
+            assert ids == index._ids
+            assert exact(ranking_of(hits)) == exact(parent_top_ranked(
+                scores, ids, k, None if rows is None else list(rows)
+            ))
+            calls.append(k)
+            return hits
+
+        index = make()
+        for name, text in corpus:
+            index.add(name, text)
+        original, module.top_hits = module.top_hits, checked
+        try:
+            for k in ordinal_depths([], len(index)):
+                for query in queries:
+                    index.search(query, k)
+        finally:
+            module.top_hits = original
+        assert bool(calls) == bool(corpus)
+
+    def test_the_selection_is_the_id_order_not_the_insertion_order(self):
+        index = InvertedIndex(name="ordinal")
+        for name in ("t2", "t10", "T5", "t1#r0", "a"):
+            index.add(name, "kax")
+        index.seal()
+        index.remove("t10")
+        index.seal()
+        index.add("t10", "kax")
+        index.update("t2", "kax")
+        assert index.rank_batch(["kax"], 4)[0][0] == ["T5", "a", "t1#r0", "t10"]
+        sealed = index._sealed
+        assert sealed.doc_ids == ["T5", "t1#r0", "a", "t10", "t2"]
+        assert sealed.ordinal.tolist() == [0, 2, 1, 3, 4]
+
+
+class OrdinalSpy:
+    """Counts the publications of BM25 seals and the builds of vector
+    ordinal tables, at their one ``note_write`` each."""
+
+    def __init__(self, monkeypatch):
+        self.seals = 0
+        self.ordinals = 0
+        self._note_write = sanitizer.note_write
+        monkeypatch.setattr(sanitizer, "note_write", self)
+
+    def __call__(self, owner, field_name, lock=None):
+        if field_name == "_sealed":
+            self.seals += 1
+        elif field_name == "_ordinal":
+            self.ordinals += 1
+        self._note_write(owner, field_name, lock=lock)
+
+
+def race(readers, read):
+    """``readers`` threads released together, each calling ``read``
+    with its number; returns their results in reader order."""
+    results, errors = {}, []
+    barrier = threading.Barrier(readers)
+
+    def reader(number):
+        try:
+            barrier.wait(timeout=10)
+            results[number] = read(number)
+        except Exception as error:  # surfaced below
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(n,)) for n in range(readers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return [results[n] for n in range(readers)]
+
+
+class TestOrdinalHammer:
+    """Four first readers race on every fresh generation; ``make
+    sanitize`` runs these under the lockset sanitizer."""
+
+    QUERIES = ["kax tox", "mix", "tox", "kax mix tox"]
+
+    def corpus(self, rng, size):
+        names = [f"d{n}" for n in range(size)]
+        rng.shuffle(names)
+        return [
+            (name, " ".join(rng.choices(TIE_WORDS, k=rng.randint(1, 3))))
+            for name in names
+        ]
+
+    def test_first_readers_of_a_fresh_seal_fold_one_ordinal_table(
+        self, monkeypatch
+    ):
+        rng = random.Random(23)
+        index = InvertedIndex(name="hammer")
+        oracle = DictOracle(name="hammer")
+        for name, text in self.corpus(rng, 120):
+            index.add(name, text)
+            oracle.add(name, text)
+        spy = OrdinalSpy(monkeypatch)
+        for round_no in range(6):
+            if round_no:  # the first round races the compile
+                updated, removed = rng.sample(sorted(index._doc_length), 2)
+                text = " ".join(rng.choices(TIE_WORDS, k=2))
+                index.update(updated, text)
+                oracle.update(updated, text)
+                if round_no % 2:  # else an update-only fold
+                    index.remove(removed)
+                    oracle.remove(removed)
+            assert index._sealed is None
+            expected = [
+                [(h.instance_id, h.score) for h in oracle.search(q, 9)]
+                for q in self.QUERIES
+            ]
+
+            def read(number):
+                order = self.QUERIES[number:] + self.QUERIES[:number]
+                got = {
+                    q: [(h.instance_id, h.score) for h in index.search(q, 9)]
+                    for q in order
+                }
+                return [got[q] for q in self.QUERIES]
+
+            assert race(4, read) == [expected] * 4
+            assert spy.seals == round_no + 1
+            sealed = index._sealed
+            assert sealed.ordinal.tolist() == (
+                ordinals_of(sealed.doc_ids)[0].tolist()
+            )
+
+    def test_first_readers_of_a_fresh_vector_table_build_one_ordinal_table(
+        self, monkeypatch
+    ):
+        rng = random.Random(29)
+        index = FlatVectorIndex(dim=8, encoder=ENCODER, name="hammer")
+        for name, text in self.corpus(rng, 120):
+            index.add(name, text)
+        spy = OrdinalSpy(monkeypatch)
+        for round_no in range(6):
+            if round_no % 2:
+                index.remove(rng.choice(sorted(index._id_set)))
+            else:
+                index.add(f"e{round_no}", rng.choice(TIE_WORDS))
+            assert index._ordinal is None
+            table = index._table()
+            expected = [
+                exact(parent_top_ranked(
+                    FlatVectorIndex._cosines(*table, index.encode(q)),
+                    list(index._ids), 9,
+                ))
+                for q in self.QUERIES
+            ]
+            got = race(4, lambda number: [
+                exact(r) for r in index.rank_batch(self.QUERIES, 9)
+            ])
+            assert got == [expected] * 4
+            assert spy.ordinals == round_no + 1
+            assert index._ordinal[0].tolist() == (
+                ordinals_of(index._ids)[0].tolist()
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Verification lineage and generation logging."""
 
+import hashlib
+
 import pytest
 
-from repro.index.base import SearchHit
+from repro.core.config import VerifAIConfig
+from repro.core.pipeline import DEFAULT_MODALITIES, VerifAI
+from repro.datalake.types import Modality, Row
+from repro.index.base import SearchHit, hits_of
+from repro.llm.model import SimulatedLLM
 from repro.provenance.generation import GenerationLog
 from repro.provenance.store import ProvenanceStore
+from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.verdict import Verdict
 
 
@@ -101,3 +108,167 @@ class TestGenerationLog:
         log.log("p1", "r1")
         log.log("p2", "r2")
         assert len(log.records()) == 2
+
+
+# ----------------------------------------------------------------------
+# the full pipeline's records: stages written from columns
+# ----------------------------------------------------------------------
+#: ``campaign_digest`` of the full-pipeline campaign on the tiny lake,
+#: taken before the coarse stage stayed in columns up to the record;
+#: every report and every stage of every record is unchanged since
+TINY_FULL_DIGEST = (
+    "742368219f123ab18149b331cc6241fc55a762f8de5ca2505340cd8cd4cbbe8e"
+)
+
+#: claims asked of every modality reach all three rerankers: OpenTFV
+#: (TABLE), ColBERT (TEXT) and the feature mixture (TUPLE)
+CLAIM_MODALITIES = (Modality.TABLE, Modality.TEXT, Modality.TUPLE)
+
+
+def tiny_objects(tables):
+    """Every row's last cell as it is and corrupted, and six claims."""
+    tuples = []
+    for table in tables:
+        for row in table.iter_rows():
+            value = row.values[-1]
+            for tag, cell in (("true", value), ("false", f"{value} 7")):
+                tuples.append(TupleObject(
+                    f"{row.instance_id}-{tag}",
+                    Row(row.table_id, row.row_index, row.columns,
+                        row.values[:-1] + (cell,)),
+                    attribute=row.columns[-1],
+                ))
+    medals, election = tables[1].caption, tables[0].caption
+    claims = [
+        ClaimObject("c-gold", "the gold of valoria is 10", context=medals),
+        ClaimObject(
+            "c-total", f"the total gold in {medals} is 99", context=medals
+        ),
+        ClaimObject("c-votes", "the votes of ohio 3 is 70,250",
+                    context=election),
+        ClaimObject("c-party", "the party of bill hess is democratic",
+                    context=election),
+        ClaimObject("c-elected", "tom jenkins was first elected in 1946"),
+        ClaimObject(
+            "c-atlantis", "the population of atlantis is 1,000,000",
+            context="cities of atlantis census",
+        ),
+    ]
+    return tuples, claims
+
+
+def campaign_digest(system, reports):
+    """sha256 over every report (verdict, margin, evidence, outcomes)
+    and every stage of its record (name, then ``(id, score)`` pairs)."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(repr((
+            report.object_id, report.final_verdict.name,
+            float(report.margin).hex(), report.evidence_ids,
+            [
+                (o.evidence_id, o.verifier, o.verdict.name, o.explanation)
+                for o in report.outcomes
+            ],
+        )).encode())
+        for step in system.provenance.get(report.record_id).retrieval:
+            digest.update(repr((
+                step.stage, [(i, float(score).hex()) for i, score in step.hits]
+            )).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def full_campaign(tiny_lake, election_table, medal_table):
+    system = VerifAI(
+        tiny_lake,
+        llm=SimulatedLLM(knowledge=None, seed=7),
+        config=VerifAIConfig(use_semantic_index=True, use_reranker=True),
+    ).build_indexes()
+    tuples, claims = tiny_objects((election_table, medal_table))
+    reports = list(system.verify_batch(tuples + claims))
+    reports += list(system.verify_batch(claims, modalities=CLAIM_MODALITIES))
+    return system, tuples, claims, reports
+
+
+class TestFullPipelineRecords:
+    def test_reports_and_records_are_pinned(self, full_campaign):
+        system, _, _, reports = full_campaign
+        assert len(reports) == 26
+        assert {
+            step.stage for report in reports
+            for step in system.provenance.get(report.record_id).retrieval
+        } == {
+            f"{kind}:{modality.value}" for kind in ("coarse", "rerank")
+            for modality in CLAIM_MODALITIES
+        }
+        assert campaign_digest(system, reports) == TINY_FULL_DIGEST
+
+    def test_columns_and_hits_record_equal_steps(self, full_campaign):
+        """``add_ranking`` from a retrieval's columns and ``add_stage``
+        from the same stage's hits write equal steps."""
+        system, tuples, claims, _ = full_campaign
+        from_columns = system.provenance.new_record("columns", "q")
+        from_hits = system.provenance.new_record("hits", "q")
+        for objs, modalities in (
+            (tuples, DEFAULT_MODALITIES[TupleObject]),
+            (claims, CLAIM_MODALITIES),
+        ):
+            for modality in modalities:
+                for stages, shortlist in system.retrieval_stages_batch(
+                    objs, modality
+                ):
+                    for name, (ids, scores) in stages:
+                        from_columns.add_ranking(name, ids, scores)
+                        from_hits.add_stage(
+                            name, hits_of([(ids, scores)], name)[0]
+                        )
+                    # the shortlist the Verifier reads is the last stage
+                    from_hits.add_stage("shortlist", shortlist)
+                    from_columns.add_ranking("shortlist", *stages[-1][1])
+        assert len(from_columns.retrieval) == 3 * (
+            len(tuples) * 2 + len(claims) * 3
+        )
+        assert from_columns.retrieval == from_hits.retrieval
+
+    def test_records_equal_the_hits_composition(self, full_campaign):
+        """Every record's stages are what the public hit-returning calls
+        compose to: ``indexer.search`` at the coarse depth, then
+        ``reranker.rerank`` over those hits."""
+        system, tuples, claims, reports = full_campaign
+        runs = [
+            (obj, DEFAULT_MODALITIES[type(obj)]) for obj in tuples + claims
+        ] + [(obj, CLAIM_MODALITIES) for obj in claims]
+        assert len(runs) == len(reports)
+        for (obj, modalities), report in zip(runs, reports):
+            expected = system.provenance.new_record(obj.object_id, "replay")
+            for modality in modalities:
+                coarse = system.indexer.search(obj.query_text(), modality)
+                expected.add_stage(f"coarse:{modality.value}", coarse)
+                expected.add_stage(
+                    f"rerank:{modality.value}",
+                    system.reranker.rerank(
+                        obj, modality, coarse, system.indexer.fetch_payload,
+                        system.config.fine_k(modality),
+                    ),
+                )
+            got = system.provenance.get(report.record_id).retrieval
+            assert got == expected.retrieval, obj.object_id
+
+    def test_stage_spans_count_the_recorded_candidates(self, full_campaign):
+        """A replayed stage span's ``hits`` is its stage's length: the
+        coarse candidates, then the shortlist."""
+        system, tuples, claims, _ = full_campaign
+        batch = system.verify_batch(tuples + claims, trace=True)
+        seen = 0
+        for span in batch.trace.spans_named("verify"):
+            record = system.provenance.get(span.record_id)
+            stages = [
+                child for child in batch.trace.children_of(span)
+                if child.name != "verify_pool"
+            ]
+            assert [
+                (child.name.replace("retrieve:", ""), child.attributes["hits"])
+                for child in stages
+            ] == [(step.stage, len(step.hits)) for step in record.retrieval]
+            seen += len(stages)
+        assert seen == 2 * (2 * len(tuples) + len(claims))

@@ -40,7 +40,7 @@ from repro.embed.vectorizers import (
     TfidfVectorizer,
     _hash_index_sign,
 )
-from repro.index.base import SearchHit, top_k
+from repro.index.base import SearchHit, ordinals_of, top_k
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.shard import ShardedVectorIndex, merge_shard_hits
@@ -757,12 +757,13 @@ class TestVectorEdges:
     def test_top_hits_over_a_subset_names_the_right_rows(self):
         scores = np.array([0.5, 0.9, 0.5, 0.1])
         ids = ["a", "b", "c", "d", "e", "f"]
-        hits = top_hits(scores, ids, 3, "sub", rows=[5, 0, 2, 1])
+        ordinals = ordinals_of(ids)
+        hits = top_hits(scores, *ordinals, 3, "sub", rows=[5, 0, 2, 1])
         assert as_pairs(hits) == [
             ("a", 0.9, "sub"), ("c", 0.5, "sub"), ("f", 0.5, "sub"),
         ]
-        assert top_hits(scores, ids, 0, "sub") == []
-        assert top_hits(np.array([]), [], 3, "sub") == []
+        assert top_hits(scores, *ordinals, 0, "sub") == []
+        assert top_hits(np.array([]), *ordinals_of([]), 3, "sub") == []
 
     def test_search_batch_is_the_per_query_loop(self, small_bundle):
         vectorizer = HashingVectorizer(dim=64)

@@ -29,7 +29,8 @@ from repro.core.verifier import VerifierModule
 from repro.datalake.serialize import serialize_row
 from repro.index.base import SearchIndex
 from repro.index.combiner import Combiner, FusionMethod
-from repro.index.inverted import InvertedIndex, _order_candidates
+from repro.index.base import ordinals_of, select_ranked
+from repro.index.inverted import InvertedIndex
 from repro.index.shard import ShardedInvertedIndex, shard_of
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import (
@@ -492,13 +493,14 @@ class TestOrderCandidates:
             dtype=np.int64,
         )
         k = data.draw(st.integers(0, num_docs + 2))
-        positions, scores = _order_candidates(
-            doc_ids, row[candidates], candidates, k
+        ids, scores = select_ranked(
+            *ordinals_of(doc_ids), row[candidates], candidates, k
         )
-        assert list(zip(positions, scores)) == order_oracle(
-            doc_ids, row, candidates, k
-        )
-        assert all(type(i) is int for i in positions)
+        assert list(zip(ids, scores)) == [
+            (doc_ids[i], score)
+            for i, score in order_oracle(doc_ids, row, candidates, k)
+        ]
+        assert all(type(i) is str for i in ids)
         assert all(type(score) is float for score in scores)
 
     @pytest.mark.parametrize("num_shards", (1, 2, 4))
