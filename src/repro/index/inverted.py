@@ -18,27 +18,19 @@ Every read is a batch — ``search(q)`` is ``search_batch([q])[0]`` — and
 a batch is plan -> rank -> ids (``rank_batch``; ``search_batch`` builds
 hits from its columns): :meth:`InvertedIndex.plan_matrix` analyzes the
 queries once, ``_score_matrix`` ranks the plan against one seal, and the
-ranking reads its ids off that seal.  Both kernels that fill the
-queries x documents score matrix read ``contrib_flat``, a per-posting
-table built by the first read of a seal, and ``_score_matrix`` is the
-one place that chooses between them, by the number of queries in the
-plan:
+ranking reads its ids off that seal.  One kernel scores every plan, a
+query a pass: the query's known tokens' blocks of ``doc_idx`` and of
+``contrib_flat`` (a per-posting table built by the first read of a
+seal) are concatenated into one stream, and a single ``np.bincount``
+folds the stream into the query's score row.  A token's two blocks are
+views cached on the seal by the token's first read there.
 
-* **one query**: the per-token kernel adds a token's block of the table
-  at a time into a single row;
-* **otherwise**: the tiled matrix kernel lays a tile of consecutive
-  queries' postings out as one flat stream, query by query and token by
-  token, and a single ``np.bincount`` folds the stream into the tile's
-  score matrix; the tile size (:data:`_TILE_BUDGET`) only bounds how
-  much memory one pass touches.
-
-Token contributions accumulate in **sorted token order** in both kernels
-(``bincount`` adds in stream order and a cell belongs to one query) and
-in the tests' reference scorer over token -> ``{id: tf}`` postings, so
-all three replay the same float64 sums bit for bit; one selection,
-``_rank_matrix``, then takes every row's top k under the ``(-score,
-id)`` total order, read as ``(-score, ordinal)`` off the seal's ordinal
-table (:func:`~repro.index.base.select_ranked`).
+Token contributions accumulate in **sorted token order** in the kernel
+(``bincount`` adds in stream order) and in the tests' reference scorer
+over token -> ``{id: tf}`` postings, so both replay the same float64
+sums bit for bit; one selection, ``_rank_row``, then takes the row's top
+k under the ``(-score, id)`` total order, read as ``(-score, ordinal)``
+off the seal's ordinal table (:func:`~repro.index.base.select_ranked`).
 
 Two extensions support the sharded deployment
 (:mod:`repro.index.shard`):
@@ -72,7 +64,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from bisect import bisect_right
 from collections import Counter
 from itertools import chain, compress
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -85,18 +76,6 @@ from repro.index.base import (
 )
 from repro.obs.metrics import get_registry
 from repro.text import analyze
-
-
-#: Most elements — postings in the stream plus cells in the score matrix
-#: — one tile of the query-matrix kernel may hold.  Every temporary of a
-#: tile is one of those two lengths, so this bounds the kernel's working
-#: set whatever the campaign size.  Chosen from the sweep in
-#: docs/performance.md ("The query-matrix kernel"): from 48k to 96k a
-#: warm 50-query prefill inside a campaign is at its fastest and takes
-#: no page faults; from 128k up the allocator returns the temporaries to
-#: the OS after every call and maps them in again, and at the untiled
-#: size a query costs 2.5 times as much.
-_TILE_BUDGET = 48_000
 
 
 def _bm25_idf(num_docs: int, df: int) -> float:
@@ -155,6 +134,34 @@ def _fold_ordinals(
     return ordinal, by_ordinal
 
 
+def _rank_row(
+    sealed: "_SealedPostings", scores: "np.ndarray", k: int
+) -> Ranking:
+    """The top k of one query's score row under the ``(-score, id)``
+    total order, finding the k-th score with one ``partition``.
+
+    The one selection.  Matched docs are exactly those with score > 0
+    (every BM25 contribution is strictly positive — idf is floored at
+    1e-6, tf >= 1, qc >= 1 — so a matched sum cannot be 0.0), and the
+    k-th largest score over all docs equals the k-th largest over
+    matched docs whenever at least k docs matched, with ties kept on
+    both sides of the cut.
+    """
+    at = min(k, scores.size) - 1
+    # the k-th largest is the k-th smallest of the negation, and numpy
+    # selects a position that near the front with one scan (selecting
+    # ``num_docs - k`` of ``scores`` itself, which needs no negated
+    # copy, is 5x slower on these tie-heavy rows)
+    kth = -np.partition(-scores, at)[at]
+    if kth > 0.0:
+        candidates = np.flatnonzero(scores >= kth)
+    else:  # fewer than k matches: keep every matched doc
+        candidates = np.flatnonzero(scores > 0.0)
+    return select_ranked(
+        sealed.ordinal, sealed.by_ordinal, scores[candidates], candidates, k
+    )
+
+
 class CorpusStats:
     """Corpus-wide aggregates BM25 scoring depends on.
 
@@ -189,13 +196,14 @@ class _SealedPostings:
     ``tf_flat`` postings — plus per-doc ``norm`` and per-token
     ``idf_flat``, and the document order's ``ordinal`` table (what a
     ranking breaks ties by) with ``by_ordinal``, the ids in sorted
-    order, from which the next fold carries it.
+    order, from which the next fold carries it.  ``contrib_flat`` and
+    ``spans`` are derived data its reads fill.
     """
 
     __slots__ = (
         "doc_ids", "norm",
         "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat",
-        "ordinal", "by_ordinal", "tok_pos", "contrib_flat",
+        "ordinal", "by_ordinal", "tok_pos", "contrib_flat", "spans",
         # lets the race sanitizer tell this seal from a collected one
         # whose address it reuses
         "__weakref__",
@@ -241,6 +249,11 @@ class _SealedPostings:
         #: the document count or the total length, which an update of
         #: the same length does not)
         self.contrib_flat: Optional["np.ndarray"] = None
+        #: token -> its CSR blocks of ``doc_idx`` and ``contrib_flat``,
+        #: two views filled by the token's first read of this seal
+        #: (:meth:`InvertedIndex._span`); a write publishes a new seal,
+        #: and with it an empty cache
+        self.spans: Dict[str, Tuple["np.ndarray", "np.ndarray"]] = {}
 
 
 class MatrixPlan(NamedTuple):
@@ -608,7 +621,7 @@ class InvertedIndex(SearchIndex):
         _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
 
     # ------------------------------------------------------------------
-    # scoring a plan: the per-token kernel and the tiled matrix kernel
+    # scoring a plan: one query a pass
     # ------------------------------------------------------------------
     def plan_matrix(self, queries: Sequence[str]) -> "MatrixPlan":
         """Analyze a campaign once into a shard-independent plan.
@@ -621,116 +634,68 @@ class InvertedIndex(SearchIndex):
             [sorted(Counter(self._analyze(q)).items()) for q in queries]
         )
 
-    def _score_tokens(
-        self, sealed: _SealedPostings, terms: List[Tuple[str, int]]
-    ) -> "np.ndarray":
-        """One query's scores as a one-row matrix, a token at a time —
-        the per-token kernel: each known token adds its CSR block of
-        :meth:`_contrib_flat` times its query count into the row.
-        ``terms`` arrive in sorted token order: the canonical
-        accumulation order shared with the reference scorer and the tiled
-        kernel, so all three produce identical float64 sums."""
-        contrib_flat = self._contrib_flat(sealed)
-        tok_start, doc_idx = sealed.tok_start, sealed.doc_idx
-        scores = np.zeros((1, len(sealed.doc_ids)), dtype=np.float64)
-        row = scores[0]
-        for token, query_count in terms:
-            i = sealed.tok_pos.get(token)
-            if i is not None:
-                start, end = int(tok_start[i]), int(tok_start[i + 1])
-                row[doc_idx[start:end]] += (
-                    contrib_flat[start:end] * query_count
-                )
-        return scores
-
     def _score_matrix(
         self, sealed: Optional[_SealedPostings], plan: "MatrixPlan", k: int
     ) -> List[Ranking]:
         """Rank every query of a plan against one seal: per query, the
         ids and scores of its top k, the ids read off that seal.
 
-        The one place a kernel is chosen; both read the seal's
-        :meth:`_contrib_flat`.  A plan of one query takes the per-token
-        kernel (:meth:`_score_tokens`): a one-row matrix would pay the
-        stream assembly for no sharing.  Any other plan is scored a tile
-        of consecutive queries at a time (rows = the tile's queries,
-        columns = documents).
-
-        A tile is cut where one more query would take it past
-        :data:`_TILE_BUDGET` elements, a query costing its postings
-        plus its score row; a query that alone costs more is a tile of
-        one.  Cutting changes no sum: a cell belongs to one query, whose
-        postings arrive in sorted token order with the same table values
-        times the same query counts as in :meth:`_score_tokens`, so
-        scores — and therefore rankings — are bit-identical between the
-        kernels wherever the cuts fall."""
+        The one kernel, a query a pass.  The query's stream is its known
+        tokens' blocks (:meth:`_span`) laid end to end in sorted token
+        order — the canonical accumulation order — with each block of
+        :meth:`_contrib_flat` times the token's query count when that is
+        not 1.  One ``np.bincount`` folds the stream into the query's
+        score row, adding in stream order, so every cell is the
+        reference scorer's sum bit for bit (``contrib * qc`` is the same
+        product whichever operand comes first).  A query this seal knows
+        no token of matches nothing and makes no pass."""
         if sealed is None or not sealed.doc_ids or k <= 0:
             return [([], []) for _ in plan.terms]
-        if len(plan.terms) == 1:
-            return self._rank_matrix(
-                sealed, self._score_tokens(sealed, plan.terms[0]), k
-            )
         num_docs = len(sealed.doc_ids)
-        contrib_flat = self._contrib_flat(sealed)
-        # One (CSR row, query row, query count) triple per query token
-        # this seal knows: query-major, a query's tokens in sorted
-        # order — the canonical accumulation order.
-        tok_pos = sealed.tok_pos
-        pair_tok: List[int] = []
-        pair_row: List[int] = []
-        pair_qc: List[int] = []
-        pair_end: List[int] = []  # per query, where its pairs end
-        for row, terms in enumerate(plan.terms):
-            for token, query_count in terms:
-                position = tok_pos.get(token)
-                if position is not None:
-                    pair_tok.append(position)
-                    pair_row.append(row)
-                    pair_qc.append(query_count)
-            pair_end.append(len(pair_tok))
-        tok_arr = np.asarray(pair_tok, dtype=np.int64)
-        starts = sealed.tok_start[tok_arr]
-        lengths = sealed.tok_start[tok_arr + 1] - starts
-        rows = np.asarray(pair_row, dtype=np.int64)
-        counts = np.asarray(pair_qc, dtype=np.float64)
-        # cost[q]: elements queries 0..q hold between them
-        stream_end = np.concatenate(([0], np.cumsum(lengths)))[pair_end]
-        cost = (
-            stream_end + num_docs * np.arange(1, len(pair_end) + 1)
-        ).tolist()
-        registry = get_registry()
-        tiles = registry.counter("index.matrix.tiles")
-        stream_postings = registry.counter("index.matrix.stream_postings")
+        self._contrib_flat(sealed)  # the blocks are views of it
+        spans = sealed.spans
         ranked: List[Ranking] = []
-        first = first_pair = spent = 0
-        while first < len(cost):
-            stop = max(
-                first + 1, bisect_right(cost, spent + _TILE_BUDGET, first)
-            )
-            pairs = slice(first_pair, pair_end[stop - 1])
-            # Lay the tile's pairs out as one flat stream: pair (t, q)
-            # contributes qc * contrib_flat[block of t] to the cells
-            # q * num_docs + doc_idx[block of t].  ``np.bincount`` folds
-            # the stream into the score matrix in a single C pass,
-            # adding in stream order (and qc * contrib == contrib * qc
-            # bit for bit: IEEE multiplication commutes).
-            lens = lengths[pairs]
-            total = int(lens.sum())
-            # gather[j] walks each pair's CSR block: start + 0..len-1
-            gather = np.repeat(starts[pairs] - np.cumsum(lens) + lens, lens)
-            gather += np.arange(total)
-            values = contrib_flat[gather]
-            values *= np.repeat(counts[pairs], lens)
-            cells = sealed.doc_idx[gather]
-            cells += np.repeat((rows[pairs] - first) * num_docs, lens)
-            scores = np.bincount(
-                cells, weights=values, minlength=(stop - first) * num_docs
-            ).reshape(stop - first, num_docs)
-            ranked.extend(self._rank_matrix(sealed, scores, k))
-            tiles.inc()
-            stream_postings.inc(total)
-            first, first_pair, spent = stop, pairs.stop, cost[stop - 1]
+        postings = 0
+        for terms in plan.terms:
+            cells, values = [], []
+            for token, query_count in terms:
+                span = spans.get(token) or self._span(sealed, token)
+                if span is not None:
+                    cells.append(span[0])
+                    values.append(
+                        span[1] if query_count == 1
+                        else span[1] * query_count
+                    )
+            if not cells:
+                ranked.append(([], []))
+                continue
+            stream = np.concatenate(cells)
+            postings += stream.size
+            ranked.append(_rank_row(sealed, np.bincount(
+                stream, weights=np.concatenate(values), minlength=num_docs
+            ), k))
+        get_registry().counter("index.matrix.stream_postings").inc(postings)
         return ranked
+
+    def _span(
+        self, sealed: _SealedPostings, token: str
+    ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+        """``token``'s CSR blocks of the seal's ``doc_idx`` and
+        ``contrib_flat`` (built already), cached in ``sealed.spans`` by
+        the token's first read of the seal; ``None`` for a token the
+        seal does not know, which is not cached."""
+        position = sealed.tok_pos.get(token)
+        if position is None:
+            return None
+        with self._seal_lock:
+            span = sealed.spans.get(token)
+            if span is None:
+                start, end = sealed.tok_start[position:position + 2].tolist()
+                span = sealed.spans[token] = (
+                    sealed.doc_idx[start:end], sealed.contrib_flat[start:end]
+                )
+                _sanitizer.note_write(sealed, "spans", lock=self._seal_lock)
+        return span
 
     def _contrib_flat(self, sealed: _SealedPostings) -> "np.ndarray":
         """Per-posting BM25 contribution at query term frequency 1 —
@@ -754,40 +719,6 @@ class InvertedIndex(SearchIndex):
                         sealed, "contrib_flat", lock=self._seal_lock
                     )
         return sealed.contrib_flat
-
-    def _rank_matrix(
-        self, sealed: _SealedPostings, scores: "np.ndarray", k: int
-    ) -> List[Ranking]:
-        """Per-row top-k of a score matrix under the ``(-score, id)``
-        total order, finding every row's k-th score with one
-        ``partition``.
-
-        The one selection, for both kernels' scores.  Matched docs are
-        exactly those with score > 0 (every BM25 contribution is
-        strictly positive — idf is floored at 1e-6, tf >= 1, qc >= 1 —
-        so a matched sum cannot be 0.0), and the k-th largest score over
-        all docs equals the k-th largest over matched docs whenever at
-        least k docs matched, with ties kept on both sides of the cut.
-        """
-        num_queries, num_docs = scores.shape
-        at = min(k, num_docs) - 1
-        # the k-th largest is the k-th smallest of the negation, and
-        # numpy selects a position that near the front with one scan
-        # (selecting ``num_docs - k`` of ``scores`` itself, which needs
-        # no negated copy, is 5x slower on these tie-heavy rows)
-        kth = (-np.partition(-scores, at, axis=1)[:, at]).tolist()
-        ranked: List[Ranking] = []
-        for qi in range(num_queries):
-            row = scores[qi]
-            if kth[qi] > 0.0:
-                candidates = np.nonzero(row >= kth[qi])[0]
-            else:  # fewer than k matches: keep every matched doc
-                candidates = np.nonzero(row > 0.0)[0]
-            ranked.append(select_ranked(
-                sealed.ordinal, sealed.by_ordinal, row[candidates],
-                candidates, k,
-            ))
-        return ranked
 
     # ------------------------------------------------------------------
     # search

@@ -1,24 +1,29 @@
-"""Differential proof of the query-matrix BM25 kernel.
+"""Differential proof of the BM25 kernel.
 
 The contract under test (src/repro/index/inverted.py): scoring a whole
-campaign of queries against a sealed shard in one vectorized pass
+campaign of queries against a sealed shard in one call
 (``search_batch``) returns, query for query, the
 bit-identical ``(instance_id, score)`` rankings of the per-query paths
-— the sealed single-query kernel AND the dict walk of
+— a batch of one AND the dict walk of
 ``tests/bm25_oracle.py``.  Equality
 is exact float64 equality, never approx: both paths accumulate
 contributions in the same canonical sorted-token order, so IEEE
 addition order matches and the scores agree to the last bit.
 
-The kernel scores a campaign in tiles of consecutive queries, cut where
-one more query would pass ``inverted._TILE_BUDGET`` elements
-(``TestTiles``): wherever the cuts fall the rankings do not move, and
-no single ``np.bincount`` pass is handed more than the budget allows.
+The kernel scores a query a pass: its known tokens' blocks laid end to
+end in sorted token order, one ``np.bincount`` into its score row.  The
+parent's kernels — the tiled query-matrix kernel and the per-token one —
+are kept here as oracles: wherever the parent cut a campaign into tiles
+(``TestTiles``), on any corpus, at every k around the match counts and
+after bursts of writes (``TestOneQueryAPass``) the rankings are theirs,
+ids and score bits.  ``TestSpanHammer`` races first readers filling a
+fresh seal's span cache and proves no superseded seal's view is read.
 """
 
 import random
 import sys
 import threading
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -28,11 +33,12 @@ from repro.analysis import sanitizer
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
-from repro.index import inverted
+from repro.index.base import select_ranked
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import ShardedInvertedIndex
 from repro.obs.metrics import get_registry
 from tests.bm25_oracle import DictOracle
+from tests.test_index_ranking import race
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -155,8 +161,7 @@ class TestMatrixKernel:
 
 
 # ---------------------------------------------------------------------------
-# one of each: a query is a batch of one, one selection ranks both
-# kernels, and the kernel is chosen in one place
+# one of each: a query is a batch of one, and one kernel scores both
 # ---------------------------------------------------------------------------
 #: three words over short documents: most scores tie, so the selection's
 #: boundary (ties on both sides of the k-th score) is where answers go
@@ -247,7 +252,139 @@ class TestOneOfEach:
 
 
 # ---------------------------------------------------------------------------
-# tiles: wherever a campaign is cut, the rankings do not move
+# the parent's kernels, kept as oracles: the tiled query-matrix kernel, the
+# per-token kernel it took for a plan of one query, and the 2-D selection
+# both ended in — as they were before one kernel scored a query a pass
+# ---------------------------------------------------------------------------
+#: the most elements — postings in the stream plus cells in the score
+#: matrix — one tile of the parent's kernel held
+PARENT_TILE_BUDGET = 48_000
+
+
+def parent_rank_matrix(sealed, scores, k):
+    """Per-row top k of a score matrix, one ``partition`` for all rows."""
+    num_queries, num_docs = scores.shape
+    at = min(k, num_docs) - 1
+    kth = (-np.partition(-scores, at, axis=1)[:, at]).tolist()
+    ranked = []
+    for qi in range(num_queries):
+        row = scores[qi]
+        if kth[qi] > 0.0:
+            candidates = np.nonzero(row >= kth[qi])[0]
+        else:
+            candidates = np.nonzero(row > 0.0)[0]
+        ranked.append(select_ranked(
+            sealed.ordinal, sealed.by_ordinal, row[candidates], candidates, k,
+        ))
+    return ranked
+
+
+def parent_score_tokens(index, sealed, terms):
+    """One query's scores as a one-row matrix, a token's block at a
+    time."""
+    contrib_flat = index._contrib_flat(sealed)
+    tok_start, doc_idx = sealed.tok_start, sealed.doc_idx
+    scores = np.zeros((1, len(sealed.doc_ids)), dtype=np.float64)
+    row = scores[0]
+    for token, query_count in terms:
+        i = sealed.tok_pos.get(token)
+        if i is not None:
+            start, end = int(tok_start[i]), int(tok_start[i + 1])
+            row[doc_idx[start:end]] += contrib_flat[start:end] * query_count
+    return scores
+
+
+def parent_score_matrix(
+    index, sealed, plan, k, budget=PARENT_TILE_BUDGET, cuts=None
+):
+    """The parent's ``_score_matrix``: a plan of one query through the
+    per-token kernel, any other in tiles of consecutive queries cut at
+    ``budget`` elements, each tile's postings one flat stream folded by
+    one 2-D ``np.bincount``.  ``cuts``, when a list, receives each
+    tile's ``(first, stop)`` query range."""
+    if sealed is None or not sealed.doc_ids or k <= 0:
+        return [([], []) for _ in plan.terms]
+    if len(plan.terms) == 1:
+        return parent_rank_matrix(
+            sealed, parent_score_tokens(index, sealed, plan.terms[0]), k
+        )
+    num_docs = len(sealed.doc_ids)
+    contrib_flat = index._contrib_flat(sealed)
+    pair_tok, pair_row, pair_qc, pair_end = [], [], [], []
+    for row, terms in enumerate(plan.terms):
+        for token, query_count in terms:
+            position = sealed.tok_pos.get(token)
+            if position is not None:
+                pair_tok.append(position)
+                pair_row.append(row)
+                pair_qc.append(query_count)
+        pair_end.append(len(pair_tok))
+    tok_arr = np.asarray(pair_tok, dtype=np.int64)
+    starts = sealed.tok_start[tok_arr]
+    lengths = sealed.tok_start[tok_arr + 1] - starts
+    rows = np.asarray(pair_row, dtype=np.int64)
+    counts = np.asarray(pair_qc, dtype=np.float64)
+    stream_end = np.concatenate(([0], np.cumsum(lengths)))[pair_end]
+    cost = (
+        stream_end + num_docs * np.arange(1, len(pair_end) + 1)
+    ).tolist()
+    ranked = []
+    first = first_pair = spent = 0
+    while first < len(cost):
+        stop = max(first + 1, bisect_right(cost, spent + budget, first))
+        pairs = slice(first_pair, pair_end[stop - 1])
+        lens = lengths[pairs]
+        total = int(lens.sum())
+        gather = np.repeat(starts[pairs] - np.cumsum(lens) + lens, lens)
+        gather += np.arange(total)
+        values = contrib_flat[gather]
+        values *= np.repeat(counts[pairs], lens)
+        cells = sealed.doc_idx[gather]
+        cells += np.repeat((rows[pairs] - first) * num_docs, lens)
+        scores = np.bincount(
+            cells, weights=values, minlength=(stop - first) * num_docs
+        ).reshape(stop - first, num_docs)
+        ranked.extend(parent_rank_matrix(sealed, scores, k))
+        if cuts is not None:
+            cuts.append((first, stop))
+        first, first_pair, spent = stop, pairs.stop, cost[stop - 1]
+    return ranked
+
+
+def exact(rankings):
+    """Rankings as ids with their scores' bits."""
+    return [
+        [(i, float(score).hex()) for i, score in zip(ids, scores)]
+        for ids, scores in rankings
+    ]
+
+
+def members_of(index):
+    """The indexes that rank a plan: the shards, or the index itself."""
+    return getattr(index, "shards", [index])
+
+
+def assert_as_the_parent(index, queries, k, budget=PARENT_TILE_BUDGET):
+    """Every member ranks the plan, bit for bit, as the parent's tiled
+    kernel at ``budget`` and its per-token kernel query by query did;
+    returns the tiles the parent cut."""
+    plan = members_of(index)[0].plan_matrix(queries)
+    cuts = []
+    for member in members_of(index):
+        sealed = member._current_seal()
+        got = exact(member.rank_planned(plan, k))
+        assert got == exact(
+            parent_score_matrix(member, sealed, plan, k, budget, cuts)
+        ), k
+        assert got == [
+            exact(parent_score_matrix(member, sealed, one, k))[0]
+            for one in (type(plan)([terms]) for terms in plan.terms)
+        ], k
+    return cuts
+
+
+# ---------------------------------------------------------------------------
+# the parent's tiles: wherever it cut a campaign, the rankings do not move
 # ---------------------------------------------------------------------------
 def pseudo_word(rank):
     return "".join("kmrtv"[d] + "aeo"[d % 3] for d in divmod(rank, 5)) + "x"
@@ -277,7 +414,7 @@ def counter(name):
 
 
 class BincountSpy:
-    """Records ``(stream length, minlength)`` of every ``np.bincount``
+    """Records ``(stream, weights, minlength)`` of every ``np.bincount``
     pass the kernel makes."""
 
     def __init__(self, monkeypatch):
@@ -286,13 +423,34 @@ class BincountSpy:
         monkeypatch.setattr(np, "bincount", self)
 
     def __call__(self, cells, weights=None, minlength=0):
-        self.calls.append((len(cells), minlength))
+        self.calls.append((np.array(cells), np.array(weights), minlength))
         return self._bincount(cells, weights=weights, minlength=minlength)
 
+    def shapes(self):
+        """``(stream length, minlength)`` of every pass."""
+        return [(len(cells), minlength) for cells, _, minlength in self.calls]
 
-#: with the budget forced to ``EDGE_BUDGET`` over ``fill(docs=40)``: a
-#: query that alone costs more than the budget, empty and absent-token
-#: queries where tiles begin and end, and one query landing in two tiles
+
+def query_stream(index, query):
+    """The postings a query's pass folds: its known tokens' CSR blocks
+    of ``doc_idx`` and of the contribution table (times the query
+    count), in sorted token order."""
+    sealed = index._current_seal()
+    contrib_flat = index._contrib_flat(sealed)
+    cells, weights = [], []
+    for token, query_count in index.plan_matrix([query]).terms[0]:
+        i = sealed.tok_pos.get(token)
+        if i is not None:
+            block = slice(*sealed.tok_start[i:i + 2].tolist())
+            cells.extend(sealed.doc_idx[block].tolist())
+            weights.extend((contrib_flat[block] * query_count).tolist())
+    return cells, weights
+
+
+#: over ``fill(docs=40)`` with the parent's budget forced to
+#: ``EDGE_BUDGET``: a query that alone costs more than the budget, empty
+#: and absent-token queries where its tiles began and ended, and one
+#: query landing in two tiles
 EDGE_BUDGET = 160
 EDGE_QUERIES = [
     "",
@@ -308,42 +466,42 @@ EDGE_QUERIES = [
 
 
 class TestTiles:
+    """The parent scored a campaign in tiles of consecutive queries, cut
+    at a budget of elements; the kernel now scores a query a pass.
+    Wherever the parent's cuts fell — its own budget, forced edges, one
+    query over the budget — every ranking is the parent's, bit for
+    bit."""
+
     def test_a_multi_tile_campaign_equals_the_per_query_paths(self):
         index = fill(InvertedIndex(name="tiles"))
         oracle = fill(DictOracle(name="tiles"))
         queries = campaign()
+        assert len(assert_as_the_parent(index, queries, 5)) >= 3
         expected = [pairs(oracle.search(q, 5)) for q in queries]
-        tiles = counter("tiles")
         got = [pairs(hits) for hits in index.search_batch(queries, 5)]
-        assert counter("tiles") - tiles >= 3
         assert got == expected
         assert got == [pairs(index.search(q, 5)) for q in queries]
         assert sum(map(bool, got)) > 50, "vacuous: most queries matched nothing"
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("k", [0, 1, 3, 1000])
-    def test_cuts_on_every_edge_change_nothing(
-        self, monkeypatch, num_shards, k
-    ):
+    def test_cuts_on_every_edge_change_nothing(self, num_shards, k):
         budget = EDGE_BUDGET // num_shards  # a shard holds 1/n of it all
-        monkeypatch.setattr(inverted, "_TILE_BUDGET", budget)
         sharded = fill(ShardedInvertedIndex(num_shards, name="tiles"), docs=40)
-        spy = BincountSpy(monkeypatch)
-        got = [pairs(hits) for hits in sharded.search_batch(EDGE_QUERIES, k)]
+        cuts = assert_as_the_parent(sharded, EDGE_QUERIES, k, budget)
         if k:
-            assert len(spy.calls) >= 3 * num_shards
-            assert max(map(sum, spy.calls)) > budget
+            assert len(cuts) >= 3 * num_shards
+        got = [pairs(hits) for hits in sharded.search_batch(EDGE_QUERIES, k)]
         assert got == [pairs(sharded.search(q, k)) for q in EDGE_QUERIES]
         assert got[4] == got[7]
         if k == 1000:  # k beyond the matches: every matched document
             assert 0 < len(got[5]) < 40
 
-    def test_worker_arrays_are_tiled_the_same(self, monkeypatch):
+    def test_worker_arrays_are_tiled_the_same(self):
         index = fill(InvertedIndex(name="tiles"), docs=40)
-        monkeypatch.setattr(inverted, "_TILE_BUDGET", EDGE_BUDGET)
-        tiles = counter("tiles")
+        cuts = assert_as_the_parent(index, EDGE_QUERIES, 3, EDGE_BUDGET)
+        assert len(cuts) >= 4
         ranked = index.rank_planned(index.plan_matrix(EDGE_QUERIES), 3)
-        assert counter("tiles") - tiles >= 4
         assert [list(zip(*ranking)) for ranking in ranked] == [
             pairs(index.search(q, 3)) for q in EDGE_QUERIES
         ]
@@ -356,31 +514,27 @@ class TestTiles:
             sum(index.local_df(token) for token in set(index._analyze(q)))
             for q in queries
         ]
-        budget = inverted._TILE_BUDGET
+        budget = PARENT_TILE_BUDGET
+        # the parent cut this campaign, and no query alone was over
         assert max(streams) + docs < budget < sum(streams) + 50 * docs
-        tiles, postings = counter("tiles"), counter("stream_postings")
+        postings = counter("stream_postings")
         spy = BincountSpy(monkeypatch)
         index.search_batch(queries, 3)
-        assert len(spy.calls) >= 3
-        for stream, cells in spy.calls:
-            assert stream + cells <= budget
-            assert cells % docs == 0
-        # every query scored once, and the counters say how it was cut
-        assert sum(stream for stream, _ in spy.calls) == sum(streams)
-        assert sum(cells for _, cells in spy.calls) == 50 * docs
-        assert counter("tiles") - tiles == len(spy.calls)
+        # a pass a query that matches: one query's stream and one row
+        assert spy.shapes() == [
+            (stream, docs) for stream in streams if stream
+        ]
         assert counter("stream_postings") - postings == sum(streams)
 
     def test_an_oversize_query_is_a_tile_of_one(self, monkeypatch):
         index = fill(InvertedIndex(name="tiles"), docs=40).seal()
-        monkeypatch.setattr(inverted, "_TILE_BUDGET", EDGE_BUDGET)
+        cuts = assert_as_the_parent(index, EDGE_QUERIES, 3, EDGE_BUDGET)
+        assert (1, 2) in cuts  # the parent scored it alone...
         spy = BincountSpy(monkeypatch)
         index.search_batch(EDGE_QUERIES, 3)
-        longest = max(stream for stream, _ in spy.calls)
-        assert longest + 40 > EDGE_BUDGET  # alone over the budget...
-        assert (longest, 40) in spy.calls  # ...so scored alone
-        for stream, cells in spy.calls:
-            assert stream + cells <= EDGE_BUDGET or cells == 40
+        longest = max(stream for stream, _ in spy.shapes())
+        assert longest + 40 > EDGE_BUDGET  # ...being over the budget
+        assert spy.shapes()[0] == (longest, 40)  # and so is it now
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +674,312 @@ class TestSoloReadHammer:
                 assert spy.seals[-1] is sealed
         finally:
             sys.setswitchinterval(previous)
+
+
+# ---------------------------------------------------------------------------
+# one kernel, a query a pass: the parent's rankings, bit for bit
+# ---------------------------------------------------------------------------
+#: a few words over short documents with repeats: query counts above 1,
+#: ties, and tokens some shard does not carry
+PASS_WORDS = TIE_WORDS + ["rud", "pel"]
+pass_docs = st.lists(
+    st.lists(
+        st.sampled_from(PASS_WORDS), min_size=0, max_size=5
+    ).map(" ".join),
+    min_size=0, max_size=16,
+)
+pass_queries = st.lists(
+    st.lists(
+        st.sampled_from(PASS_WORDS + ["absent"]), min_size=0, max_size=5
+    ).map(" ".join),
+    min_size=1, max_size=5,
+)
+#: what the burst tests read after every burst: repeated tokens, an
+#: empty query, an absent token, a duplicate query
+BURST_QUERIES = [
+    "kax tox", "mix mix mix rud", "", "absent", "pel kax pel", "kax tox",
+]
+
+
+def new_index(num_shards, name="pass"):
+    if num_shards == 1:
+        return InvertedIndex(name=name)
+    return ShardedInvertedIndex(num_shards, name=name)
+
+
+def assert_one_pass(index, oracle, queries):
+    """At k ∈ {0, 1, 3, every match count ± 1, corpus + 5}: every
+    member ranks as the parent's kernels did — at the parent's budget
+    and cut to a tile a query — and the merged rows are the reference
+    scorer's."""
+    size = len(oracle.lengths)
+    matches = [len(oracle.search(q, size + 1)) for q in queries]
+    for k in sorted({0, 1, 3, size + 5}.union(
+        *({m - 1, m, m + 1} for m in matches)
+    ) - {-1}):
+        assert_as_the_parent(index, queries, k)
+        assert_as_the_parent(index, queries, k, budget=1)
+        assert [pairs(hits) for hits in index.search_batch(queries, k)] == [
+            pairs(oracle.search(q, k)) for q in queries
+        ], k
+
+
+def write_burst(rng, indexes, live):
+    """Up to five seeded writes — add, remove, update — applied to every
+    one of ``indexes`` and mirrored in ``live``."""
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(["add", "remove", "update"]) if live else "add"
+        text = " ".join(rng.choices(PASS_WORDS, k=rng.randint(1, 5)))
+        if kind == "add":
+            name = f"w{rng.randrange(10**6):06d}"
+            if name in live:
+                continue
+            live[name] = text
+            for index in indexes:
+                index.add(name, text)
+        elif kind == "remove":
+            name = rng.choice(sorted(live))
+            del live[name]
+            for index in indexes:
+                index.remove(name)
+        else:
+            name = rng.choice(sorted(live))
+            live[name] = text
+            for index in indexes:
+                index.update(name, text)
+
+
+class TestOneQueryAPass:
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @settings(max_examples=30, deadline=None)
+    @given(docs=pass_docs, queries=pass_queries)
+    def test_equals_the_parent_kernels_on_any_corpus(
+        self, num_shards, docs, queries
+    ):
+        oracle = tie_fill(DictOracle(name="pass"), docs)
+        index = tie_fill(new_index(num_shards), docs)
+        assert_one_pass(index, oracle, queries)
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_equals_the_parent_after_bursts_of_writes(self, num_shards):
+        rng = random.Random(31 + num_shards)
+        oracle = DictOracle(name="pass")
+        index = new_index(num_shards)
+        texts = [" ".join(rng.choices(PASS_WORDS, k=3)) for _ in range(10)]
+        tie_fill(index, texts)
+        tie_fill(oracle, texts)
+        live = {f"doc{n:02d}": text for n, text in enumerate(texts)}
+        for _ in range(12):  # every burst folds into the last seal
+            write_burst(rng, [index, oracle], live)
+            assert_one_pass(index, oracle, BURST_QUERIES)
+        assert len(live) > 3, "vacuous: the bursts emptied the index"
+
+    @pytest.mark.parametrize(
+        "depth", ["0", "1", "3", "m-1", "m", "m+1", "corpus+5"]
+    )
+    def test_k_around_the_match_count(self, depth):
+        index = fill(InvertedIndex(name="pass"), docs=40)
+        oracle = fill(DictOracle(name="pass"), docs=40)
+        queries = campaign(12, seed=19)
+        for query in queries:
+            m = len(oracle.search(query, 41))
+            k = {
+                "0": 0, "1": 1, "3": 3, "m-1": m - 1, "m": m, "m+1": m + 1,
+                "corpus+5": 45,
+            }[depth]
+            assert_as_the_parent(index, [query], k)
+            assert_as_the_parent(index, queries, k)
+            assert pairs(index.search(query, k)) == pairs(
+                oracle.search(query, k)
+            )
+
+    def test_repeated_query_tokens_scale_their_block(self, monkeypatch):
+        index = build_index().seal()
+        sealed = index._sealed
+        contrib_flat = index._contrib_flat(sealed)
+        spy = BincountSpy(monkeypatch)
+        ranked = index.rank_batch(["dog dog dog fox"], 5)
+        (cells, weights, minlength), = spy.calls
+        assert minlength == len(DOCS)
+        blocks = []
+        for token in ("dog", "fox"):  # sorted token order
+            i = sealed.tok_pos[token]
+            blocks.append(slice(sealed.tok_start[i], sealed.tok_start[i + 1]))
+        dog, fox = blocks
+        assert cells.tolist() == (
+            sealed.doc_idx[dog].tolist() + sealed.doc_idx[fox].tolist()
+        )
+        # three times the dog block, the fox block as the table has it
+        assert [w.hex() for w in weights.tolist()] == [
+            w.hex() for w in (contrib_flat[dog] * 3).tolist()
+            + contrib_flat[fox].tolist()
+        ]
+        assert exact(ranked) == exact(parent_score_matrix(
+            index, sealed, index.plan_matrix(["dog dog dog fox"]), 5
+        ))
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_empty_and_absent_queries_make_no_pass(
+        self, monkeypatch, num_shards
+    ):
+        index = fill(new_index(num_shards), docs=40).seal()
+        spy = BincountSpy(monkeypatch)
+        nothing = ["", "absent tokens only", "the of and"]
+        assert index.rank_batch(nothing, 3) == [([], [])] * 3
+        assert spy.calls == []
+        ranked = index.rank_batch(nothing + ["kamex"], 3)
+        assert ranked[:3] == [([], [])] * 3 and ranked[3][0]
+        carriers = [m for m in members_of(index) if m.local_df("kamex")]
+        assert len(spy.calls) == len(carriers) >= 1
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_one_pass_per_query_each_over_its_postings(
+        self, monkeypatch, num_shards
+    ):
+        index = fill(new_index(num_shards), docs=40).seal()
+        queries = campaign(12, seed=23) + EDGE_QUERIES
+        expected = []
+        for member in members_of(index):  # shards rank in turn
+            for query in queries:
+                cells, weights = query_stream(member, query)
+                if cells:
+                    expected.append((cells, weights, len(member)))
+        spy = BincountSpy(monkeypatch)
+        index.rank_batch(queries, 3)
+        assert [
+            (cells.tolist(), weights.tolist(), minlength)
+            for cells, weights, minlength in spy.calls
+        ] == expected
+        assert len(expected) > 12, "vacuous: few queries matched"
+
+    def test_stream_postings_are_counted_once_per_call(self, monkeypatch):
+        index = fill(ShardedInvertedIndex(2, name="pass"), docs=40).seal()
+        queries = campaign(12, seed=29)
+        amounts = []
+        postings = get_registry().counter("index.matrix.stream_postings")
+        real_inc = postings.inc
+        monkeypatch.setattr(
+            postings, "inc",
+            lambda amount=1: (amounts.append(amount), real_inc(amount)),
+        )
+        index.rank_batch(queries, 3)
+        assert len(amounts) == 2  # one call on each shard
+        assert sum(amounts) == sum(
+            len(query_stream(member, q)[0])
+            for member in index.shards for q in queries
+        )
+        assert "index.matrix.tiles" not in get_registry().instruments()
+
+    def test_spans_are_views_the_first_read_fills(self, monkeypatch):
+        index = fill(InvertedIndex(name="pass"), docs=40).seal()
+        sealed = index._sealed
+        assert sealed.spans == {}
+        spy = SpanSpy(monkeypatch)
+        index.search("kamex kamex rotax absent", 3)
+        assert sorted(sealed.spans) == ["kamex", "rotax"]  # not "absent"
+        assert spy.fills == {id(sealed): 2}
+        contrib_flat = sealed.contrib_flat
+        for token, (cells, values) in sealed.spans.items():
+            i = sealed.tok_pos[token]
+            block = slice(sealed.tok_start[i], sealed.tok_start[i + 1])
+            assert np.shares_memory(cells, sealed.doc_idx)
+            assert np.shares_memory(values, contrib_flat)
+            assert cells.tolist() == sealed.doc_idx[block].tolist()
+            assert values.tolist() == contrib_flat[block].tolist()
+        index.search_batch(["rotax kamex", "kamex"], 3)
+        assert spy.fills == {id(sealed): 2}  # filled once a seal
+        index.update("doc0003", "rotax merox")
+        assert index.seal()._sealed.spans == {}  # a new seal, a new cache
+        assert sorted(sealed.spans) == ["kamex", "rotax"]
+
+
+# ---------------------------------------------------------------------------
+# the span cache under racing first readers and between writes
+# ---------------------------------------------------------------------------
+class SpanSpy:
+    """Counts, per seal, the span entries filled, at each fill's one
+    ``note_write(seal, "spans")`` under the seal lock."""
+
+    def __init__(self, monkeypatch):
+        self.fills = {}
+        self._note_write = sanitizer.note_write
+        monkeypatch.setattr(sanitizer, "note_write", self)
+
+    def __call__(self, owner, field_name, lock=None):
+        if field_name == "spans":
+            self.fills[id(owner)] = self.fills.get(id(owner), 0) + 1
+        self._note_write(owner, field_name, lock=lock)
+
+
+def known_tokens(index, queries):
+    sealed = index._sealed
+    return sorted({
+        token for terms in index.plan_matrix(queries).terms
+        for token, _ in terms if token in sealed.tok_pos
+    })
+
+
+class TestSpanHammer:
+    """``make sanitize`` runs these under the lockset sanitizer."""
+
+    def test_first_readers_of_a_fresh_seal_fill_each_span_once(
+        self, monkeypatch
+    ):
+        index = fill(InvertedIndex(name="spans"), docs=300)
+        oracle = fill(DictOracle(name="spans"), docs=300)
+        queries = campaign(6, seed=37)
+        rng = random.Random(41)
+        spy = SpanSpy(monkeypatch)
+        for round_no in range(6):
+            text = corpus_text(rng)
+            index.update(f"doc{round_no * 11:04d}", text)
+            oracle.update(f"doc{round_no * 11:04d}", text)
+            sealed = index.seal()._sealed  # published, no span yet
+            assert sealed.spans == {}
+            expected = [pairs(oracle.search(q, 7)) for q in queries]
+
+            def read(number):
+                # each reader starts on another query, so first reads of
+                # one token happen on several threads
+                order = queries[number:] + queries[:number]
+                got = dict(zip(order, index.search_batch(order, 7)))
+                return [pairs(got[q]) for q in queries]
+
+            assert race(4, read) == [expected] * 4
+            assert index._sealed is sealed
+            tokens = known_tokens(index, queries)
+            assert sorted(sealed.spans) == tokens
+            assert spy.fills[id(sealed)] == len(tokens)  # once a token
+            for cells, values in sealed.spans.values():
+                assert np.shares_memory(cells, sealed.doc_idx)
+                assert np.shares_memory(values, sealed.contrib_flat)
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_no_view_of_a_superseded_seal_is_read(self, num_shards):
+        """write -> read -> write -> read: after each write the
+        superseded seals' cached views and tables are poisoned with
+        NaN, so a read of any of them could not equal the reference
+        scorer."""
+        index = fill(new_index(num_shards, "stale"), docs=60)
+        oracle = fill(DictOracle(name="stale"), docs=60)
+        queries = campaign(8, seed=43) + ["kamex kamex rotax"]
+        rng = random.Random(47)
+        for step in range(8):
+            if step:
+                held = [m._sealed for m in members_of(index) if m._sealed]
+                write_burst(rng, [index, oracle], {
+                    name: "" for name in oracle.lengths
+                })
+                for sealed in held:  # superseded: poison what it derived
+                    assert all(
+                        sealed is not m._sealed for m in members_of(index)
+                    )
+                    sealed.contrib_flat[:] = np.nan
+                    for cells, values in sealed.spans.values():
+                        values[:] = np.nan
+            assert [pairs(h) for h in index.search_batch(queries, 5)] == [
+                pairs(oracle.search(q, 5)) for q in queries
+            ], step
+            assert [pairs(index.search(q, 5)) for q in queries] == [
+                pairs(oracle.search(q, 5)) for q in queries
+            ], step

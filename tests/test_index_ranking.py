@@ -10,7 +10,7 @@ and ``Reranker.rerank`` are held against the bodies they replaced, kept
 here as oracles.
 
 The ordinal selection — one ``lexsort`` by ``(-score, ordinal)`` in
-BM25's ``_rank_matrix`` and the vector indexes' ``top_ranked`` — is held
+BM25's ``_rank_row`` and the vector indexes' ``top_ranked`` — is held
 against the ``(-score, id, index)`` tuple sorts it replaced, after
 seeded bursts of writes, and its ordinal tables against first readers
 racing to build them.
@@ -228,11 +228,19 @@ def exact(ranking):
 
 def parent_bm25(index, query, k):
     """One query's BM25 ranking as the parent selected it: every matched
-    document of the per-token kernel's row, tuple-sorted."""
+    document of the per-token kernel's row, tuple-sorted.  The kernel as
+    it was: each known token adds its CSR block of the contribution
+    table times its query count into the row, in sorted token order."""
     sealed = index._current_seal()
     if sealed is None or k <= 0:
         return [], []
-    row = index._score_tokens(sealed, index.plan_matrix([query]).terms[0])[0]
+    contrib_flat = index._contrib_flat(sealed)
+    row = np.zeros(len(sealed.doc_ids), dtype=np.float64)
+    for token, query_count in index.plan_matrix([query]).terms[0]:
+        i = sealed.tok_pos.get(token)
+        if i is not None:
+            block = slice(*sealed.tok_start[i:i + 2].tolist())
+            row[sealed.doc_idx[block]] += contrib_flat[block] * query_count
     candidates = np.nonzero(row > 0.0)[0]
     positions, scores = parent_order_candidates(
         sealed.doc_ids, row[candidates], candidates, k
@@ -298,8 +306,8 @@ def assert_bm25_selects_as_the_parent(index, queries):
     matches = [len(parent_bm25(index, q, len(index) + 1)[0]) for q in queries]
     for k in ordinal_depths(matches, len(index)):
         expected = [exact(parent_bm25(index, q, k)) for q in queries]
-        # a plan of several queries takes the tiled kernel, one the
-        # per-token kernel: both end in the one selection
+        # a plan of several queries and a plan of one take the same
+        # kernel, a query a pass, and end in the one selection
         assert [exact(r) for r in index.rank_batch(queries, k)] == expected
         assert [
             exact(index.rank_batch([q], k)[0]) for q in queries
