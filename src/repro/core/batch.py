@@ -122,7 +122,6 @@ class BatchStats:
     verifier_cache_hits: int = 0
     verifier_cache_entries: int = 0
     verifier_cache_size: int = 0
-    analyze_cache_hits: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
@@ -145,7 +144,6 @@ class BatchStats:
             verifier_cache_hits=int(scope.value("verifier.cache.hits")),
             verifier_cache_entries=len(verifier),
             verifier_cache_size=verifier.cache_size,
-            analyze_cache_hits=int(scope.value("text.analyze_cache.hits")),
             stage_seconds={
                 "retrieve": scope.value("pipeline.retrieve_seconds.sum"),
                 "verify": scope.value("pipeline.verify_seconds.sum"),
@@ -172,7 +170,6 @@ class BatchStats:
         """Stable JSON-shaped view (the ``/verify-batch`` response body
         carries this); keys sorted, nested dicts sorted too."""
         return {
-            "analyze_cache_hits": self.analyze_cache_hits,
             "failed": self.failed,
             "matrix_batches": self.matrix_batches,
             "max_workers": self.max_workers,
@@ -206,8 +203,7 @@ class BatchStats:
             f"{self.unique_retrievals} unique retrievals "
             f"({self.retrieval_cache_hits} deduped, "
             f"{self.matrix_batches} matrix batches); cache hits: "
-            f"{self.verifier_cache_hits} verifier, "
-            f"{self.analyze_cache_hits} analyze"
+            f"{self.verifier_cache_hits} verifier"
         )
 
 

@@ -59,6 +59,7 @@ from repro.core.config import VerifAIConfig
 from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
+from repro.text import analyze
 
 _INDEXED_MODALITIES = (
     Modality.TUPLE,
@@ -197,15 +198,26 @@ class IndexerModule:
             if modality in self._combiners
         }
 
+    def _index_entry(
+        self, content, semantic, index_id: str, payload: str
+    ) -> None:
+        """Analyse one payload once and hand its terms to the BM25 index
+        and, when there is one, the vector index: both analyse with the
+        default chain, so each gets what its own ``add`` would have."""
+        terms = analyze(payload)
+        content.add_tokens(index_id, terms)
+        if semantic is not None:
+            semantic.add_vector(
+                index_id, self._vectorizer.transform_tokens(terms)
+            )
+
     def _index_entries(
         self, modality: Modality, entries: Dict[str, str]
     ) -> None:
         content = self._content[modality]
         semantic = self._semantic.get(modality)
         for index_id, payload in entries.items():
-            content.add(index_id, payload)
-            if semantic is not None:
-                semantic.add(index_id, payload)
+            self._index_entry(content, semantic, index_id, payload)
 
     def _unindex_entries(
         self, modality: Modality, entries: Dict[str, str]
@@ -283,9 +295,7 @@ class IndexerModule:
             self._record_shard_build(branch, build_span, timings)
         else:
             for index_id, payload in entries:
-                content.add(index_id, payload)
-                if semantic is not None:
-                    semantic.add(index_id, payload)
+                self._index_entry(content, semantic, index_id, payload)
         content.seal()
         indexes: List[SearchIndex] = [content]
         if semantic is not None:
@@ -322,9 +332,9 @@ class IndexerModule:
                 semantic.shards[shard_no] if semantic is not None else None
             )
             for index_id, payload in bucket:
-                content_shard.add(index_id, payload)
-                if semantic_shard is not None:
-                    semantic_shard.add(index_id, payload)
+                self._index_entry(
+                    content_shard, semantic_shard, index_id, payload
+                )
             timings.append((shard_no, start, self.clock.now(), len(bucket)))
         return timings
 

@@ -371,8 +371,8 @@ class BatchReport:
     """Aggregate view of a verification campaign.
 
     ``stats`` (a :class:`repro.core.batch.BatchStats`) is attached by
-    the batch engine: per-stage wall time plus retrieval/verifier/
-    analysis cache counters for the run.
+    the batch engine: per-stage wall time plus retrieval/verifier
+    cache counters for the run.
     """
 
     reports: List[VerificationReport]

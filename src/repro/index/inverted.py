@@ -43,20 +43,20 @@ Two extensions support the sharded deployment
   external :class:`CorpusStats` view instead, which is how N shards
   of one logical index all rank with *global* statistics and stay
   score-identical to the unsharded build;
-* **live mutation** — :meth:`add` records the document's distinct
-  tokens and counts until a seal carries it; :meth:`remove` corrects
-  the statistics at once, reading a sealed document's tokens off the
-  seal's postings.  :meth:`update` is remove + add, which moves the
-  document to the end of the document order.  A write un-publishes the
-  seal but keeps it as the *base* the next :meth:`seal` patches: the
-  net removals and additions since the base are folded into its CSR
-  arrays in a fixed number of numpy passes, the base's ordinal table
-  is carried across, and ``norm`` / ``idf_flat`` are re-derived from
-  the integer statistics (a write moves all of ``norm`` only when it
-  moves the document count or the total length).  The first seal is
-  the same fold over an empty base, and a patched seal is
-  byte-identical to a fresh index's over the surviving payloads
-  (``tests/test_index_patch.py``).
+* **live mutation** — :meth:`add` (analyse, then :meth:`add_tokens`)
+  records the document's distinct tokens and counts until a seal
+  carries it; :meth:`remove` corrects the statistics at once, reading
+  a sealed document's tokens off the seal's postings.  :meth:`update`
+  is remove + add, which moves the document to the end of the document
+  order.  A write un-publishes the seal but keeps it as the *base* the
+  next :meth:`seal` patches: the net removals and additions since the
+  base are folded into its CSR arrays in a fixed number of numpy
+  passes, the base's ordinal table is carried across, and ``norm`` /
+  ``idf_flat`` are re-derived from the integer statistics (a write
+  moves all of ``norm`` only when it moves the document count or the
+  total length).  The first seal is the same fold over an empty base,
+  and a patched seal is byte-identical to a fresh index's over the
+  surviving payloads (``tests/test_index_patch.py``).
 """
 
 from __future__ import annotations
@@ -325,9 +325,15 @@ class InvertedIndex(SearchIndex):
         )
 
     def add(self, instance_id: str, payload: str) -> None:
+        self.add_tokens(instance_id, self._analyze(payload))
+
+    def add_tokens(self, instance_id: str, tokens: Sequence[str]) -> None:
+        """Index one document by its analysed tokens: what :meth:`add`
+        does after analysing, for a caller that analysed the payload
+        under this index's settings and hands the terms to other
+        indexes too."""
         if instance_id in self._doc_length:
             raise ValueError(f"duplicate instance id: {instance_id}")
-        tokens = self._analyze(payload)
         self._sealed = None  # any write un-publishes the compiled form
         self._doc_length[instance_id] = len(tokens)
         self._total_length += len(tokens)

@@ -36,7 +36,7 @@ The scatter ranks the shards one after another on the calling thread.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -242,6 +242,12 @@ class ShardedInvertedIndex(_ShardedIndex):
         # every shard shares the analyzer settings: analyze once
         return self.shards[0].plan_matrix(queries)
 
+    def add_tokens(self, instance_id: str, tokens: Sequence[str]) -> None:
+        """Route an analysed document to its shard (see
+        :meth:`InvertedIndex.add_tokens`)."""
+        self.shard_for(instance_id).add_tokens(instance_id, tokens)
+        self._written()
+
     def _written(self) -> None:
         """Global statistics changed: every shard's idf/norm tables are
         stale, not just the mutated one's, so every shard re-derives
@@ -294,6 +300,10 @@ class ShardedVectorIndex(_ShardedIndex):
         )
         self.dim = dim
         self._encoder = encoder
+
+    def add_vector(self, instance_id: str, vector: "np.ndarray") -> None:
+        """Route an encoded document to its shard."""
+        self.shard_for(instance_id).add_vector(instance_id, vector)
 
     def _prepare(self, queries: List[str]) -> List["np.ndarray"]:
         if self._encoder is None:

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, and histograms.
 
-Every pipeline module (Indexer, Reranker, Verifier, the analysis cache,
-the batch engine) reports into one named registry instead of keeping
+Every pipeline module (Indexer, Reranker, Verifier, the word table, the
+batch engine) reports into one named registry instead of keeping
 hand-rolled counter attributes.  Two properties matter:
 
 * **thread safety** — all instruments take their own lock; the batch

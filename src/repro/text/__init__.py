@@ -18,8 +18,6 @@ from repro.text.stem import stem
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.tokenize import (
     analyze,
-    analyze_cache_clear,
-    analyze_cache_info,
     normalize,
     sentences,
     tokenize,
@@ -28,8 +26,6 @@ from repro.text.tokenize import (
 __all__ = [
     "STOPWORDS",
     "analyze",
-    "analyze_cache_clear",
-    "analyze_cache_info",
     "is_stopword",
     "jaccard",
     "levenshtein",

@@ -1,10 +1,21 @@
 """IndexerModule: per-modality retrieval over a lake."""
 
+import dataclasses
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
+from repro.index.inverted import InvertedIndex
+from repro.index.shard import ShardedInvertedIndex, ShardedVectorIndex
+from repro.index.vector import FlatVectorIndex
+from repro.workloads.builder import LakeConfig, build_lake
+
+# ``repro.text.tokenize`` the attribute is the function; this is the module
+tokenize_module = sys.modules["repro.text.tokenize"]
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +70,174 @@ class TestSearch:
     def test_fetch_payload(self, built):
         payload = built.fetch_payload("t-ohio-1950#r0")
         assert "tom jenkins" in payload
+
+
+# ---------------------------------------------------------------------------
+# each indexed payload is analysed once, for both of its indexes
+# ---------------------------------------------------------------------------
+class AnalyzeSpy:
+    """Counts the texts ``analyze`` is called on, wherever it was
+    imported: every module attribute bound to the function is patched."""
+
+    def __init__(self, monkeypatch):
+        self.texts = Counter()
+        real = tokenize_module.analyze
+
+        def spy(text, *args, **kwargs):
+            self.texts[text] += 1
+            return real(text, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "analyze", None) is real:
+                monkeypatch.setattr(module, "analyze", spy)
+
+
+SHARDED = [1, 2]
+QUERIES = ["ohio republican votes", "gold medals nation", "district 1950"]
+SEAL_ARRAYS = (
+    "norm", "tok_start", "doc_idx", "tf_flat", "idf_flat", "ordinal",
+)
+
+
+def semantic_config(num_shards):
+    return VerifAIConfig(
+        use_semantic_index=True, embedding_dim=64, num_shards=num_shards
+    )
+
+
+def members(index):
+    return getattr(index, "shards", [index])
+
+
+def public_indexes(indexer, modality):
+    """The modality's two indexes filled through the public
+    ``add(id, payload)``, in the order the indexer adds its entries."""
+    config = indexer.config
+    encoder = indexer._vectorizer.transform
+    if config.num_shards > 1:
+        content = ShardedInvertedIndex(config.num_shards)
+        semantic = ShardedVectorIndex(
+            config.num_shards, dim=config.embedding_dim, encoder=encoder
+        )
+    else:
+        content = InvertedIndex()
+        semantic = FlatVectorIndex(dim=config.embedding_dim, encoder=encoder)
+    for index_id, payload in indexer._modality_entries(modality):
+        content.add(index_id, payload)
+        semantic.add(index_id, payload)
+    return content, semantic
+
+
+def assert_same_indexes(indexer, modality, content, semantic):
+    """Seal bytes, vector bits and rankings equal the reference's."""
+    built = indexer.content_index(modality).seal()
+    content.seal()
+    for got, want in zip(members(built), members(content)):
+        got, want = got._sealed, want._sealed
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert got.doc_ids == want.doc_ids
+        assert got.tokens == want.tokens
+        assert got.by_ordinal.tolist() == want.by_ordinal.tolist()
+        for name in SEAL_ARRAYS:
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
+    vectors = indexer.semantic_index(modality)
+    for index_id, _ in indexer._modality_entries(modality):
+        assert vector_of(vectors, index_id).tobytes() == (
+            vector_of(semantic, index_id).tobytes()
+        )
+    assert built.rank_batch(QUERIES, 5) == content.rank_batch(QUERIES, 5)
+    assert vectors.rank_batch(QUERIES, 5) == semantic.rank_batch(QUERIES, 5)
+
+
+def vector_of(index, index_id):
+    member = index.shard_for(index_id) if hasattr(index, "shards") else index
+    return member.vector_of(index_id)
+
+
+class TestAnalyseOnce:
+    @pytest.fixture()
+    def lake(self):
+        return build_lake(LakeConfig(num_tables=8, seed=41)).lake
+
+    @pytest.mark.parametrize("num_shards", SHARDED)
+    def test_the_build_analyses_each_entry_once(
+        self, lake, monkeypatch, num_shards
+    ):
+        indexer = IndexerModule(lake, semantic_config(num_shards))
+        entries = {
+            modality: indexer._modality_entries(modality)
+            for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT)
+        }
+        spy = AnalyzeSpy(monkeypatch)
+        indexer.build(tuple(entries))
+        assert spy.texts == Counter(
+            payload for listed in entries.values() for _, payload in listed
+        )
+        assert sum(spy.texts.values()) == sum(map(len, entries.values()))
+
+    @pytest.mark.parametrize("num_shards", SHARDED)
+    def test_a_write_analyses_each_changed_entry_once(
+        self, lake, monkeypatch, num_shards
+    ):
+        indexer = IndexerModule(lake, semantic_config(num_shards)).build(
+            (Modality.TUPLE, Modality.TABLE)
+        )
+        table = lake.tables()[0]
+        rows = list(table.rows)
+        rows[0] = rows[0][:-1] + ("987,654",)
+        new = dataclasses.replace(table, rows=rows)
+        old = lake.update_instance(new)
+        spy = AnalyzeSpy(monkeypatch)
+        indexer.update_instance(old, new)
+        # the table's entry and its first row's: nothing else changed
+        changed = [
+            indexer._payload_entries(new)[0][1],
+            indexer._payload_entries(new.iter_rows()[0])[0][1],
+        ]
+        assert spy.texts == Counter(changed)
+
+    @pytest.mark.parametrize("num_shards", SHARDED)
+    def test_the_indexes_equal_ones_filled_through_add(
+        self, lake, num_shards
+    ):
+        indexer = IndexerModule(lake, semantic_config(num_shards)).build()
+        for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT):
+            assert_same_indexes(
+                indexer, modality, *public_indexes(indexer, modality)
+            )
+
+    @pytest.mark.parametrize("num_shards", SHARDED)
+    def test_after_a_write_they_equal_the_same_writes_through_add(
+        self, lake, num_shards
+    ):
+        indexer = IndexerModule(lake, semantic_config(num_shards)).build(
+            (Modality.TUPLE,)
+        )
+        content, semantic = public_indexes(indexer, Modality.TUPLE)
+        table = lake.tables()[1]
+        rows = list(table.rows)
+        rows[-1] = rows[-1][:-1] + ("13 votes",)
+        new = dataclasses.replace(table, rows=rows)
+        indexer.update_instance(lake.update_instance(new), new)
+        row = new.iter_rows()[-1]
+        payload = indexer._payload_entries(row)[0][1]
+        for index in (content, semantic):
+            index.remove(row.instance_id)
+            index.add(row.instance_id, payload)
+        assert_same_indexes(indexer, Modality.TUPLE, content, semantic)
+
+    def test_add_tokens_records_what_add_records(self):
+        payload = "The Ohio elections of 1950: 1,234 votes"
+        handed = InvertedIndex()
+        handed.add_tokens("a", tokenize_module.analyze(payload))
+        added = InvertedIndex()
+        added.add("a", payload)
+        assert handed._fresh == added._fresh
+        assert handed._df == added._df
+        assert handed._doc_length == added._doc_length == {"a": 5}
+        with pytest.raises(ValueError, match="duplicate"):
+            handed.add_tokens("a", [])

@@ -877,7 +877,7 @@ class TestOneQueryAPass:
         spy = SpanSpy(monkeypatch)
         index.search("kamex kamex rotax absent", 3)
         assert sorted(sealed.spans) == ["kamex", "rotax"]  # not "absent"
-        assert spy.fills == {id(sealed): 2}
+        assert spy.seals == [[sealed, 2]]
         contrib_flat = sealed.contrib_flat
         for token, (cells, values) in sealed.spans.items():
             i = sealed.tok_pos[token]
@@ -887,7 +887,7 @@ class TestOneQueryAPass:
             assert cells.tolist() == sealed.doc_idx[block].tolist()
             assert values.tolist() == contrib_flat[block].tolist()
         index.search_batch(["rotax kamex", "kamex"], 3)
-        assert spy.fills == {id(sealed): 2}  # filled once a seal
+        assert spy.seals == [[sealed, 2]]  # filled once a seal
         index.update("doc0003", "rotax merox")
         assert index.seal()._sealed.spans == {}  # a new seal, a new cache
         assert sorted(sealed.spans) == ["kamex", "rotax"]
@@ -898,17 +898,30 @@ class TestOneQueryAPass:
 # ---------------------------------------------------------------------------
 class SpanSpy:
     """Counts, per seal, the span entries filled, at each fill's one
-    ``note_write(seal, "spans")`` under the seal lock."""
+    ``note_write(seal, "spans")`` under the seal lock.
+
+    Holds every seal it counts and tells them apart by identity, not by
+    ``id()``: a seal collected in one round could hand its address to
+    the next round's, and the two counts would add up."""
 
     def __init__(self, monkeypatch):
-        self.fills = {}
+        self.seals = []  # [seal, fills] per seal, in first-fill order
         self._note_write = sanitizer.note_write
         monkeypatch.setattr(sanitizer, "note_write", self)
 
     def __call__(self, owner, field_name, lock=None):
         if field_name == "spans":
-            self.fills[id(owner)] = self.fills.get(id(owner), 0) + 1
+            for entry in self.seals:
+                if entry[0] is owner:
+                    entry[1] += 1
+                    break
+            else:
+                self.seals.append([owner, 1])
         self._note_write(owner, field_name, lock=lock)
+
+    def fills(self, seal):
+        """Span entries filled on ``seal``."""
+        return sum(count for owner, count in self.seals if owner is seal)
 
 
 def known_tokens(index, queries):
@@ -949,7 +962,7 @@ class TestSpanHammer:
             assert index._sealed is sealed
             tokens = known_tokens(index, queries)
             assert sorted(sealed.spans) == tokens
-            assert spy.fills[id(sealed)] == len(tokens)  # once a token
+            assert spy.fills(sealed) == len(tokens)  # once a token
             for cells, values in sealed.spans.values():
                 assert np.shares_memory(cells, sealed.doc_idx)
                 assert np.shares_memory(values, sealed.contrib_flat)

@@ -24,6 +24,9 @@ from repro.index.vector import FlatVectorIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.text.tokenize import analyze
 
+# ``repro.text.tokenize`` the attribute is the function; this is the module
+tokenize_module = sys.modules["repro.text.tokenize"]
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -381,12 +384,21 @@ def test_metrics_registry_concurrent_get_or_create_is_guarded():
 
 
 def test_tokenize_analyze_cache_is_guarded():
+    """Two threads fill the word table — its one write, under the table
+    lock — each with words no analysis has seen yet."""
+    table = tokenize_module._WORD_TABLES[True, True]
+    fresh = [
+        word for word in (f"lockset{number}" for number in range(10_000))
+        if word not in table
+    ][:4]
+
+    def fill(words):
+        def analyse():
+            text = f"the {words[0]} and {words[1]}"
+            assert analyze(text) == analyze(text) == words
+        return analyse
+
     with sanitizer.sanitized() as found:
-
-        def tokenize():
-            assert analyze("the quick brown fox jumps") == analyze(
-                "the quick brown fox jumps"
-            )
-
-        run_pair(tokenize, tokenize)
+        run_pair(fill(fresh[:2]), fill(fresh[2:]))
     assert found == []
+    assert all(word in table for word in fresh)

@@ -1,22 +1,17 @@
 """Tokenization, normalization, analysis and sentence splitting."""
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import sanitizer
 from repro.obs.metrics import get_registry
-from repro.text import (
-    analyze,
-    analyze_cache_clear,
-    analyze_cache_info,
-    normalize,
-    sentences,
-    tokenize,
-)
+from repro.text import analyze, normalize, sentences, tokenize
 from repro.text.stem import stem
 from repro.text.stopwords import is_stopword
 from repro.text.tokenize import _TOKEN_RE
@@ -42,8 +37,7 @@ def per_occurrence_analyze(text, remove_stopwords=True, stemming=True):
 
 
 def forget_everything():
-    """Empty the analysis LRU *and* the word tables (a cold process)."""
-    analyze_cache_clear()
+    """Empty the word tables (a cold process)."""
     for table in tokenize_module._WORD_TABLES.values():
         table.clear()
 
@@ -134,9 +128,9 @@ class TestAnalyze:
 
 
 class TestAnalyzeEqualsPerOccurrence:
-    """The table walk returns, tuple for tuple, what stop-checking and
-    stemming every occurrence returns — whatever the table and the LRU
-    already hold."""
+    """The table walk returns, list for list, what stop-checking and
+    stemming every occurrence returns — whatever the table already
+    holds."""
 
     @pytest.mark.parametrize("remove_stopwords, stemming", OPTION_PAIRS)
     @given(text=analysed_text)
@@ -144,10 +138,9 @@ class TestAnalyzeEqualsPerOccurrence:
         expected = per_occurrence_analyze(text, remove_stopwords, stemming)
         forget_everything()
         cold = analyze(text, remove_stopwords, stemming)
-        lru_hit = analyze(text, remove_stopwords, stemming)
-        analyze_cache_clear()  # the table stays: every word is a table hit
+        # every word of the second call is a table hit
         table_hit = analyze(text, remove_stopwords, stemming)
-        assert cold == lru_hit == table_hit == expected
+        assert cold == table_hit == expected
 
     @pytest.mark.parametrize("remove_stopwords, stemming", OPTION_PAIRS)
     @given(texts=st.lists(analysed_text, min_size=2, max_size=5))
@@ -172,7 +165,6 @@ class TestAnalyzeEqualsPerOccurrence:
                 assert analyze(
                     text, remove_stopwords, stemming
                 ) == per_occurrence_analyze(text, remove_stopwords, stemming)
-                analyze_cache_clear()
                 assert all(
                     len(table) <= 4
                     for table in tokenize_module._WORD_TABLES.values()
@@ -197,45 +189,86 @@ class TestAnalyzeEqualsPerOccurrence:
         first.append("intruder")
         first[0] = "vandal"
         assert analyze(text) == expected
-        analyze_cache_clear()
-        assert analyze(text) == expected
 
     def test_every_holder_of_a_word_holds_one_object(self):
         forget_everything()
         first = analyze("the elections were running")
-        analyze_cache_clear()
         second = analyze("an election; he runs")
         assert first == second == ["election", "run"]
         assert first[0] is second[0] is sys.intern("election")
         assert first[1] is second[1] is sys.intern("run")
 
 
-class TestAnalyzeCache:
-    def test_clear_empties_the_lru_and_keeps_the_lifetime_counters(self):
-        analyze("a payload only this test analyses")
-        before = analyze_cache_info()
-        assert before.currsize >= 1
-        assert before.maxsize == tokenize_module.ANALYZE_CACHE_SIZE
-        analyze_cache_clear()
-        cleared = analyze_cache_info()
-        assert cleared.currsize == 0
-        assert (cleared.hits, cleared.misses) == (before.hits, before.misses)
-        analyze("a payload only this test analyses")
-        analyze("a payload only this test analyses")
-        after = analyze_cache_info()
-        assert after.currsize == 1
-        assert after.misses == before.misses + 1
-        assert after.hits == before.hits + 1
+def retained_bytes(work):
+    """Bytes still allocated after ``work()`` returns, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        work()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return sum(
+        max(stat.size_diff, 0)
+        for stat in after.compare_to(before, "filename")
+    )
 
-    def test_the_lru_evicts_at_its_size(self, monkeypatch):
-        monkeypatch.setattr(tokenize_module, "ANALYZE_CACHE_SIZE", 3)
-        analyze_cache_clear()
-        for number in range(10):
-            analyze(f"payload number {number}")
-            assert analyze_cache_info().currsize <= 3
-        before = analyze_cache_info().misses
-        assert analyze("payload number 0") == ["payload", "number", "0"]
-        assert analyze_cache_info().misses == before + 1
+
+class TestNoPayloadOutlivesItsCall:
+    """Nothing is memoised per payload: analysing a stream of fresh
+    payloads over a fixed vocabulary retains what the word table learns
+    and nothing else.  A payload cache would hold each payload's text
+    and analysis (~0.5 KB here), ~1 MB for the 2,000 below."""
+
+    VOCABULARY = [
+        "elections", "district", "running", "party", "votes", "the", "of",
+        "candidate", "incumbent", "cities", "o'brien", "1,234", "-3.5",
+        "Café", "won", "lost", "seat", "county", "turnout", "51.2",
+    ]
+
+    def fresh_payloads(self, seed):
+        rng = random.Random(seed)
+        payloads = [
+            " ".join(rng.choices(self.VOCABULARY, k=27)) for _ in range(2000)
+        ]
+        assert len(set(payloads)) == 2000
+        return payloads
+
+    def analyse_all(self, payloads):
+        def work():
+            for text in payloads:
+                analyze(text)
+        return work
+
+    def test_a_warm_table_retains_nothing_per_payload(self):
+        analyze(" ".join(self.VOCABULARY))  # every word in the table
+        words = sum(map(len, tokenize_module._WORD_TABLES.values()))
+        grown = retained_bytes(self.analyse_all(self.fresh_payloads(7)))
+        assert sum(map(len, tokenize_module._WORD_TABLES.values())) == words
+        assert grown < 16 * 1024, grown
+
+    def test_retained_growth_is_bounded_by_the_word_table(self):
+        forget_everything()
+        grown = retained_bytes(self.analyse_all(self.fresh_payloads(11)))
+        words = sum(map(len, tokenize_module._WORD_TABLES.values()))
+        assert words == len(self.VOCABULARY)
+        # a table entry is a dict slot, an interned key and its form
+        assert grown < 16 * 1024 + words * 512, (grown, words)
+
+    def test_every_call_returns_a_fresh_list(self):
+        text = "running elections in 1,234 cities"
+        first, second = analyze(text), analyze(text)
+        assert first == second == ["run", "election", "1,234", "city"]
+        assert first is not second
+        assert type(first) is list
+
+    def test_no_payload_cache_counter_is_emitted(self):
+        analyze("a payload only this test analyses")
+        analyze("a payload only this test analyses")
+        names = get_registry().instruments()
+        assert not [name for name in names if "analyze_cache" in name]
 
 
 class TestWordTableInstruments:
@@ -248,7 +281,6 @@ class TestWordTableInstruments:
         analyze("zebra zebra zebra quagga the the")
         assert misses.value == before + 3  # zebra, quagga, the
         assert entries.value == 3
-        analyze_cache_clear()
         analyze("zebra zebra zebra quagga the the")
         analyze("the quagga")
         assert misses.value == before + 3
@@ -296,9 +328,8 @@ class TestThreadHammer:
             for pair in OPTION_PAIRS
         }
         # 88 distinct words: each table fills part-way through the run
-        # and is full for the rest of it; the LRU evicts all along
+        # and is full for the rest of it
         monkeypatch.setattr(tokenize_module, "WORD_TABLE_SIZE", 64)
-        monkeypatch.setattr(tokenize_module, "ANALYZE_CACHE_SIZE", 16)
         forget_everything()
         wrong = []
         errors = []
@@ -335,7 +366,6 @@ class TestThreadHammer:
         assert found == []
         sizes = [len(t) for t in tokenize_module._WORD_TABLES.values()]
         assert sizes == [64, 64, 64, 64]
-        assert analyze_cache_info().currsize <= 16
 
 
 class TestSentences:
