@@ -45,8 +45,8 @@ trace-demo:
 
 # the stdlib line-coverage gate (no coverage.py in the image): rerun
 # the suites that exercise the orchestration loop, the repairer, the
-# simulated LLM's prompt handlers (with their readings memos), the
-# rerankers and the module that routes to them, the pipeline config's
+# simulated LLM's prompt handlers, the rerankers and the module that
+# routes to them, the Agent and the LLM verifier, the pipeline config's
 # validation, the token embedder, the flat vector index, the inverted
 # index (compile, patch), the sharded indexes, the text layer's
 # analysis and similarity, the campaign path's glue (prompt splitting
@@ -73,6 +73,8 @@ coverage:
 		--target src/repro/text/similarity.py \
 		--target src/repro/llm/prompts.py \
 		--target src/repro/core/verifier.py \
+		--target src/repro/verify/agent.py \
+		--target src/repro/verify/llm_verifier.py \
 		--target src/repro/core/reranker.py \
 		--target src/repro/core/config.py \
 		--target src/repro/index/combiner.py \
@@ -108,7 +110,8 @@ coverage:
 		tests/test_workloads.py tests/test_workloads_textgen_kinds.py \
 		tests/test_trust.py tests/test_core_pipeline.py \
 		tests/test_experiments_smoke.py tests/test_experiments_harness.py \
-		tests/test_provenance.py
+		tests/test_provenance.py tests/test_verify_verifiers.py \
+		tests/test_memos.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
@@ -120,17 +123,17 @@ loop-demo:
 	PYTHONPATH=src python -m repro.cli orchestrate --max-iters 4
 
 # the concurrency suites (and the thread hammers on the simulated LLM's
-# readings memo and call count, on a shared RerankerModule, on readers racing to patch
-# a seal, on solo readers racing to build a fresh seal's contribution
-# table, on first readers racing to fold a fresh seal's ordinal table
-# and to build a vector index's, on the text layer's word table while
-# it fills, and on the token embedder's vocabulary read lock-free while
-# first touches grow it, on
-# the sharded indexes read by batch
-# workers, on first readers racing to build a modality, and on the
-# verifier's digest-keyed outcome cache) under the Eraser-style lockset
-# race sanitizer (see docs/static_analysis.md);
-# exit status 3 = races found
+# call count, on the three lru_cache memos (evidence readings, payload
+# readings, n-gram features), on a shared RerankerModule, on readers
+# racing to patch a seal, on solo readers racing to build a fresh
+# seal's contribution table, on first readers racing to fold a fresh
+# seal's ordinal table and to build a vector index's, on the text
+# layer's word table while it fills, and on the token embedder's
+# vocabulary read lock-free while first touches grow it, on the sharded
+# indexes read by batch workers, on first readers racing to build a
+# modality, and on verifier pools sharing one module and one model)
+# under the Eraser-style lockset race sanitizer (see
+# docs/static_analysis.md); exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
 		tests/test_batch_faults.py tests/test_index_sharding.py \
@@ -138,7 +141,7 @@ sanitize:
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \
 		tests/test_index_matrix.py tests/test_indexer_lazy.py \
-		tests/test_core_verifier_module.py
+		tests/test_core_verifier_module.py tests/test_memos.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

@@ -27,16 +27,16 @@ object's ``verify`` span *is* the trace root instead of a child of
   it;
 * **thread parallelism** — a ``ThreadPoolExecutor`` fans objects out to
   ``max_workers`` threads (1 = the serial path, the default).  Every
-  shared structure the workers touch (verifier outcome cache, the
-  campaign's retrieval cache, provenance records pre-created in input
-  order) is either lock-protected or owned by exactly one
+  shared structure the workers touch (the model's and rerankers' memos,
+  the campaign's retrieval cache, provenance records pre-created in
+  input order) is either thread-safe or owned by exactly one
   worker, and all components are deterministic per input, so the
   parallel run is report-for-report identical to the serial one;
 * **observability** — the campaign activates a per-run metrics
   :class:`~repro.obs.metrics.Scope` on every thread that works for it,
   so the :class:`BatchStats` attached to the
   :class:`~repro.core.pipeline.BatchReport` reflects *this* campaign's
-  cache traffic even when other campaigns interleave in the same
+  traffic even when other campaigns interleave in the same
   process.  ``trace=True`` additionally records a span tree
   (``verify_batch`` → ``index.build:*`` for each modality the campaign
   reads that was not built yet,
@@ -105,10 +105,10 @@ _SETUP_FIRST_INDEX = -2 * len(Modality)
 
 @dataclass
 class BatchStats:
-    """What one ``verify_batch`` run cost and what the caches saved.
+    """What one ``verify_batch`` run cost and what its dedup saved.
 
     Built from the campaign's metrics :class:`~repro.obs.metrics.Scope`
-    (see :meth:`from_campaign`), so cache counters attribute to *this*
+    (see :meth:`from_campaign`), so counters attribute to *this*
     campaign's threads rather than to process-wide deltas.
     """
 
@@ -119,18 +119,13 @@ class BatchStats:
     unique_retrievals: int = 0
     retrieval_cache_hits: int = 0
     matrix_batches: int = 0
-    verifier_cache_hits: int = 0
-    verifier_cache_entries: int = 0
-    verifier_cache_size: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def from_campaign(cls, campaign: "Campaign") -> "BatchStats":
         """Assemble stats from a finished campaign: its scope, plus the
-        plan-derived values the scope cannot know (dedup plan, cache
-        geometry)."""
+        plan-derived values the scope cannot know (the dedup plan)."""
         scope = campaign.scope
-        verifier = campaign.system.verifier
         return cls(
             objects=len(campaign.objects),
             max_workers=campaign.engine.max_workers,
@@ -141,9 +136,6 @@ class BatchStats:
                 campaign.planned_refs - len(campaign.plan_first)
             ),
             matrix_batches=int(scope.value("batch.matrix_batches")),
-            verifier_cache_hits=int(scope.value("verifier.cache.hits")),
-            verifier_cache_entries=len(verifier),
-            verifier_cache_size=verifier.cache_size,
             stage_seconds={
                 "retrieve": scope.value("pipeline.retrieve_seconds.sum"),
                 "verify": scope.value("pipeline.verify_seconds.sum"),
@@ -182,9 +174,6 @@ class BatchStats:
                 for name in sorted(self.stage_seconds)
             },
             "unique_retrievals": self.unique_retrievals,
-            "verifier_cache_entries": self.verifier_cache_entries,
-            "verifier_cache_hits": self.verifier_cache_hits,
-            "verifier_cache_size": self.verifier_cache_size,
         }
 
     def summary(self) -> str:
@@ -202,8 +191,7 @@ class BatchStats:
             f"{self.failed} failed, {self.retries} retries; "
             f"{self.unique_retrievals} unique retrievals "
             f"({self.retrieval_cache_hits} deduped, "
-            f"{self.matrix_batches} matrix batches); cache hits: "
-            f"{self.verifier_cache_hits} verifier"
+            f"{self.matrix_batches} matrix batches)"
         )
 
 

@@ -418,7 +418,7 @@ class BatchReport:
         return [r for r in self.reports if r.status == STATUS_FAILED]
 
     def summary(self) -> str:
-        """One-line campaign summary (plus cache stats when present)."""
+        """One-line campaign summary (plus batch stats when present)."""
         line = (
             f"{len(self.reports)} objects: {self.verified} verified, "
             f"{self.refuted} refuted, {self.unresolved} unresolved"
@@ -429,10 +429,5 @@ class BatchReport:
             line += (
                 f"; {self.stats.failed} failed, "
                 f"{self.stats.retries} retries"
-            )
-            line += (
-                f"; verifier cache: {self.stats.verifier_cache_hits} hits, "
-                f"{self.stats.verifier_cache_entries}/"
-                f"{self.stats.verifier_cache_size} entries"
             )
         return line

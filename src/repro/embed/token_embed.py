@@ -17,9 +17,9 @@ on demand.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -51,12 +51,14 @@ def _feature_vector(feature: str, dim: int, salt: str) -> np.ndarray:
 class TokenEmbedder:
     """Character n-gram token embedder over a per-embedder vocabulary.
 
-    One lock guards every write to the vocabulary, its matrix and the
-    feature cache (known tokens are read without it, see
-    :meth:`token_rows`): the embedder is shared by ``verify_batch``
-    workers and the serving threads.  The vocabulary grows with the
-    distinct tokens embedded and is never evicted (cached row ids point
-    into it); the matrix is allocated on first use.
+    One lock guards every write to the vocabulary and its matrix (known
+    tokens are read without it, see :meth:`token_rows`): the embedder is
+    shared by ``verify_batch`` workers and the serving threads.  The
+    n-gram feature vectors are kept in a per-embedder
+    ``functools.lru_cache`` of ``FEATURES_SIZE`` entries.  The
+    vocabulary grows with the distinct tokens embedded and is never
+    evicted (cached row ids point into it); the matrix is allocated on
+    first use.
     """
 
     def __init__(self, dim: int = 64, min_n: int = 3, max_n: int = 4, salt: str = "tok") -> None:
@@ -71,23 +73,14 @@ class TokenEmbedder:
         self.max_n = max_n
         self.salt = salt
         self._lock = threading.Lock()
-        self._feature_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        #: one n-gram's vector, through the LRU
+        self._feature_cache = functools.lru_cache(maxsize=FEATURES_SIZE)(
+            functools.partial(_feature_vector, dim=dim, salt=salt)
+        )
         self._vocabulary: Dict[str, int] = {}
         #: row ``i`` is the vector of the token with id ``i``; rows at
         #: and past ``len(self._vocabulary)`` are unwritten capacity
         self._table: Optional[np.ndarray] = None
-
-    def _feature(self, feature: str) -> np.ndarray:
-        """One n-gram's vector, through the LRU (caller holds the lock)."""
-        vec = self._feature_cache.get(feature)
-        if vec is not None:
-            self._feature_cache.move_to_end(feature)
-            return vec
-        vec = _feature_vector(feature, self.dim, self.salt)
-        self._feature_cache[feature] = vec
-        while len(self._feature_cache) > FEATURES_SIZE:
-            self._feature_cache.popitem(last=False)
-        return vec
 
     def _compose(self, token: str) -> np.ndarray:
         """Unit vector for one token: mean of its n-gram feature vectors
@@ -98,7 +91,7 @@ class TokenEmbedder:
         acc += _feature_vector(f"<{token}>", self.dim, self.salt)
         for n in range(self.min_n, self.max_n + 1):
             for feature in sorted(ngrams(token, n)):
-                acc += self._feature(feature)
+                acc += self._feature_cache(feature)
         norm = np.linalg.norm(acc)
         if norm > 0:
             acc /= norm

@@ -15,9 +15,9 @@ would.  Its behaviour is fully mechanistic:
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
-from collections import OrderedDict
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
@@ -160,8 +160,13 @@ class SimulatedLLM:
         self.seed = seed
         self._reasoner = NoisyClaimReasoner(profile)
         self.num_calls = 0
-        self._readings: "OrderedDict[str, _Evidence]" = OrderedDict()
-        self._readings_lock = threading.Lock()
+        self._calls_lock = threading.Lock()
+        #: ``_read_evidence(text)``, once per distinct Evidence section
+        #: while the LRU holds it: the key is the text the model was
+        #: shown, so a kept reading is the one a fresh read would give
+        self._readings = functools.lru_cache(maxsize=READINGS_SIZE)(
+            _read_evidence
+        )
         #: per thread, the last object read: ``((data, attribute,
         #: context), reading)``
         self._last_object = threading.local()
@@ -172,9 +177,9 @@ class SimulatedLLM:
     def chat(self, prompt: str) -> str:
         """Answer one prompt; identical prompts yield identical answers."""
         # worker threads share one model: an unguarded += loses updates
-        with self._readings_lock:
+        with self._calls_lock:
             self.num_calls += 1
-            _sanitizer.note_write(self, "num_calls", lock=self._readings_lock)
+            _sanitizer.note_write(self, "num_calls", lock=self._calls_lock)
         if COMPLETION_MARKER in prompt:
             return self._handle_completion(prompt)
         if VERIFICATION_MARKER in prompt:
@@ -299,7 +304,7 @@ class SimulatedLLM:
         rng = rng_for(
             self.seed, "verify", evidence_text, data, attribute or "", context or ""
         )
-        evidence = self._reading(evidence_text)
+        evidence = self._readings(evidence_text)
         obj = self._object_reading(data, attribute, context)
         if obj.fields is not None:
             if evidence.fields is not None:
@@ -318,26 +323,6 @@ class SimulatedLLM:
             else:
                 verdict, why = self._verify_claim_vs_text(obj, evidence, rng)
         return f"Result: {verdict}\nExplanation: {why}"
-
-    def _reading(self, text: str) -> _Evidence:
-        """``_read_evidence(text)``, computed once per distinct Evidence
-        section and kept in a bounded LRU.  The key is the text the
-        model was shown, so a memoized answer is the answer a fresh
-        reading of the same prompt would give."""
-        with self._readings_lock:
-            reading = self._readings.get(text)
-            if reading is not None:
-                self._readings.move_to_end(text)
-                return reading
-        # read outside the lock: a concurrent duplicate computes the
-        # same pure value
-        reading = _read_evidence(text)
-        with self._readings_lock:
-            self._readings[text] = reading
-            _sanitizer.note_write(self, "_readings", lock=self._readings_lock)
-            while len(self._readings) > READINGS_SIZE:
-                self._readings.popitem(last=False)
-        return reading
 
     def _object_reading(
         self, data: str, attribute: Optional[str], context: Optional[str]

@@ -9,10 +9,10 @@ hand-rolled counter attributes.  Two properties matter:
 * **scoped attribution** — a :class:`Scope` captures the increments made
   *by the threads that activated it*, not process-wide deltas.  Two
   interleaved verification campaigns each activate their own scope on
-  their own worker threads, so neither sees the other's cache hits
+  their own worker threads, so neither sees the other's counts
   (the bug the old ``BatchStats`` delta arithmetic had).
 
-Instrument names are dotted lowercase (``verifier.cache.hits``); the
+Instrument names are dotted lowercase (``verifier.verifications``); the
 catalogue lives in docs/observability.md.
 """
 

@@ -16,11 +16,9 @@ one-candidate case of the same code.
 from __future__ import annotations
 
 import abc
-import threading
-from collections import OrderedDict
+import functools
 from typing import Any, Callable, List, Sequence
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import SearchHit
 
 #: payload readings kept per reranker: at k = 50 the candidates of ~80
@@ -33,13 +31,23 @@ READINGS_SIZE = 4096
 
 
 class Reranker(abc.ABC):
-    """Scores a query against candidate payloads; higher is better."""
+    """Scores a query against candidate payloads; higher is better.
+
+    A payload's reading is kept in a per-reranker
+    ``functools.lru_cache`` of ``READINGS_SIZE`` entries, which is
+    thread-safe: ``verify_batch`` workers and ``serve``'s threads share
+    one reranker, and a miss reads outside any lock (two threads missing
+    on one text both compute the same pure value).
+    """
 
     name: str = "reranker"
 
     def __init__(self) -> None:
-        self._readings: "OrderedDict[str, Any]" = OrderedDict()
-        self._readings_lock = threading.Lock()
+        #: ``_read_payload(payload)``, once per distinct text while the
+        #: LRU holds it
+        self._readings = functools.lru_cache(maxsize=READINGS_SIZE)(
+            self._read_payload
+        )
 
     @abc.abstractmethod
     def _read_query(self, query: str) -> Any:
@@ -47,35 +55,17 @@ class Reranker(abc.ABC):
 
     @abc.abstractmethod
     def _read_payload(self, payload: str) -> Any:
-        """What scoring needs of one payload, whatever the query (never
-        ``None``).  Shared by every thread that scores the payload, so
-        nothing may write to it."""
+        """What scoring needs of one payload, whatever the query.
+        Shared by every thread that scores the payload, so nothing may
+        write to it."""
 
     @abc.abstractmethod
     def _score(self, query: Any, payload: Any) -> float:
         """Fine-grained relevance of a read payload to a read query."""
 
-    def _reading(self, payload: str) -> Any:
-        """``_read_payload(payload)``, computed once per distinct text
-        while the LRU holds it."""
-        with self._readings_lock:
-            reading = self._readings.get(payload)
-            if reading is not None:
-                self._readings.move_to_end(payload)
-                return reading
-        # read outside the lock: a concurrent duplicate computes the
-        # same pure value
-        reading = self._read_payload(payload)
-        with self._readings_lock:
-            self._readings[payload] = reading
-            _sanitizer.note_write(self, "_readings")
-            while len(self._readings) > READINGS_SIZE:
-                self._readings.popitem(last=False)
-        return reading
-
     def score(self, query: str, payload: str) -> float:
         """Fine-grained relevance of ``payload`` to ``query``."""
-        return self._score(self._read_query(query), self._reading(payload))
+        return self._score(self._read_query(query), self._readings(payload))
 
     def rerank(
         self,
@@ -93,7 +83,7 @@ class Reranker(abc.ABC):
         read = self._read_query(query)
         ids = [hit.instance_id for hit in candidates]
         scores = [
-            self._score(read, self._reading(fetch(instance_id)))
+            self._score(read, self._readings(fetch(instance_id)))
             for instance_id in ids
         ]
         # plain (-score, id) tuples; a float's negation is exact both ways

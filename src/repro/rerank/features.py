@@ -61,7 +61,7 @@ class FeatureReranker(Reranker):
 
     def features(self, query: str, payload: str) -> Dict[str, float]:
         """The raw feature values for a pair (useful for inspection)."""
-        return self._features(self._read_query(query), self._reading(payload))
+        return self._features(self._read_query(query), self._readings(payload))
 
     def _features(self, query: _Text, payload: _Text) -> Dict[str, float]:
         coverage = (

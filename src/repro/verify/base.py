@@ -40,17 +40,6 @@ class VerificationOutcome:
         return self.verdict is Verdict.REFUTED
 
 
-def reads_evidence_text(verify):
-    """Declare that a ``verify`` method also accepts the evidence
-    already rendered: ``verify(self, obj, evidence, evidence_text=None)``,
-    where ``evidence_text`` is ``serialize_instance(evidence)`` when a
-    caller that has it passes it on.  The mark sits on the function, so
-    a subclass overriding ``verify(self, obj, evidence)`` is called with
-    two arguments again."""
-    verify.reads_evidence_text = True
-    return verify
-
-
 class Verifier(abc.ABC):
     """Maps a (data object, data instance) pair to a ternary verdict."""
 

@@ -9,17 +9,11 @@ arithmetic.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import parse_verification_response, verification_prompt
-from repro.verify.base import (
-    VerificationOutcome,
-    Verifier,
-    reads_evidence_text,
-)
+from repro.verify.base import VerificationOutcome, Verifier
 from repro.verify.objects import ClaimObject, DataObject, TupleObject
 from repro.verify.verdict import Verdict
 
@@ -36,15 +30,10 @@ class LLMVerifier(Verifier):
         """The generic model accepts every pair type."""
         return True
 
-    @reads_evidence_text
     def verify(
-        self,
-        obj: DataObject,
-        evidence: DataInstance,
-        evidence_text: Optional[str] = None,
+        self, obj: DataObject, evidence: DataInstance
     ) -> VerificationOutcome:
-        if evidence_text is None:
-            evidence_text = serialize_instance(evidence)
+        evidence_text = serialize_instance(evidence)
         if isinstance(obj, TupleObject):
             prompt = verification_prompt(
                 evidence=evidence_text,

@@ -111,7 +111,7 @@ class TestRerankerRouting:
                 assert shortlist == candidates[:k]
                 assert all(a is b for a, b in zip(shortlist, candidates))
         assert calls.value == before
-        assert not module.text_text._readings
+        assert module.text_text._readings.cache_info().currsize == 0
         assert module.text_text.embedder._table is None
 
     def test_a_tuple_shortlist_is_the_head_of_its_coarse_list(

@@ -1,21 +1,22 @@
-"""VerifierModule: agent + evidence pooling with its early exit, and the
-outcome cache: one 16-byte digest a pair, that a write to the lake
-changes, shared by worker threads (``make sanitize`` runs this file)."""
+"""VerifierModule: agent + evidence pooling with its early exit, one
+agent call per verified pair and no per-pair memory, shared by worker
+threads (``make sanitize`` runs this file)."""
 
-import hashlib
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import verifier as core_verifier
 from repro.core.pipeline import VerifAI
 from repro.core.verifier import VerifierModule
 from repro.datalake.lake import DataLake
-from repro.datalake.serialize import serialize_instance, serialize_row
 from repro.datalake.types import Source, Table, TextDocument
+from repro.llm import model as llm_model
 from repro.llm.model import SimulatedLLM
+from repro.obs.metrics import get_registry
 from repro.trust.model import weighted_vote
 from repro.verify.agent import VerifierAgent
 from repro.verify.base import VerificationOutcome
@@ -95,99 +96,107 @@ class TestVerifyPool:
         assert final is Verdict.NOT_RELATED
 
 
-class TestCache:
-    def test_repeated_pairs_hit_cache(self, module, election_table):
+class CountingAgent(VerifierAgent):
+    """The LLM agent, counting the pairs it is asked to verify."""
+
+    def __init__(self, llm):
+        super().__init__([], fallback=LLMVerifier(llm))
+        self.asked = []
+
+    def verify(self, obj, evidence):
+        self.asked.append((obj.object_id, evidence.instance_id))
+        return super().verify(obj, evidence)
+
+
+@pytest.fixture()
+def counting(tiny_lake, quiet_profile):
+    agent = CountingAgent(
+        SimulatedLLM(knowledge=None, profile=quiet_profile, seed=22)
+    )
+    return agent, VerifierModule(agent, tiny_lake)
+
+
+class TestOneAgentCallPerPair:
+    def test_repeated_pairs_call_the_agent_each_time(self, counting,
+                                                     election_table):
+        agent, module = counting
         obj = TupleObject("c1", election_table.row(0), attribute="party")
         evidence = election_table.row(0)
-        before = module.cache_hits
         first = module.verify_one(obj, evidence)
         second = module.verify_one(obj, evidence)
-        assert module.cache_hits == before + 1
+        assert agent.asked == [("c1", evidence.instance_id)] * 2
         assert first == second
 
-    def test_same_content_different_object_id_hits(self, module,
-                                                   election_table):
+    def test_same_content_different_object_id_same_outcome(self, counting,
+                                                           election_table):
+        agent, module = counting
         evidence = election_table.row(1)
         a = TupleObject("idA", election_table.row(1), attribute="party")
         b = TupleObject("idB", election_table.row(1), attribute="party")
-        module.verify_one(a, evidence)
-        before = module.cache_hits
-        module.verify_one(b, evidence)
-        assert module.cache_hits == before + 1
+        assert module.verify_one(a, evidence) == module.verify_one(b, evidence)
+        assert [object_id for object_id, _ in agent.asked] == ["idA", "idB"]
 
-    def test_different_attribute_misses(self, module, election_table):
-        evidence = election_table.row(2)
-        a = TupleObject("x", election_table.row(2), attribute="party")
-        b = TupleObject("x", election_table.row(2), attribute="votes")
-        module.verify_one(a, evidence)
-        before = module.cache_hits
-        module.verify_one(b, evidence)
-        assert module.cache_hits == before
-
-    def test_cache_disabled(self, tiny_lake, quiet_profile, election_table):
-        from repro.llm.model import SimulatedLLM
-        from repro.verify.agent import VerifierAgent
-        from repro.verify.llm_verifier import LLMVerifier
-
-        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=22)
-        module = VerifierModule(
-            VerifierAgent([], fallback=LLMVerifier(llm)), tiny_lake,
-            cache=False,
-        )
-        obj = TupleObject("c2", election_table.row(0), attribute="party")
-        module.verify_one(obj, election_table.row(0))
-        module.verify_one(obj, election_table.row(0))
-        assert module.cache_hits == 0
-
-
-class TestCacheBound:
-    def make_module(self, tiny_lake, quiet_profile, cache_size):
-        from repro.llm.model import SimulatedLLM
-        from repro.verify.agent import VerifierAgent
-        from repro.verify.llm_verifier import LLMVerifier
-
-        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=23)
-        return VerifierModule(
-            VerifierAgent([], fallback=LLMVerifier(llm)), tiny_lake,
-            cache_size=cache_size,
-        )
-
-    def test_cache_never_exceeds_bound(self, tiny_lake, quiet_profile,
-                                       election_table):
-        module = self.make_module(tiny_lake, quiet_profile, cache_size=2)
-        for i in range(4):
-            obj = TupleObject("b", election_table.row(i), attribute="party")
-            module.verify_one(obj, election_table.row(i))
-        assert len(module) == 2
-
-    def test_lru_evicts_oldest_first(self, tiny_lake, quiet_profile,
-                                     election_table):
-        module = self.make_module(tiny_lake, quiet_profile, cache_size=2)
-        objs = [
-            TupleObject("b", election_table.row(i), attribute="party")
-            for i in range(3)
+    def test_a_pool_asks_the_agent_once_per_verified_pair(self, counting,
+                                                          election_table):
+        agent, module = counting
+        obj = TupleObject("c3", election_table.row(0), attribute="party")
+        # two rows that abstain, then the one that decides
+        evidence = [election_table.row(i) for i in (1, 2, 0)]
+        for _ in range(2):
+            outcomes, _, _ = module.verify_pool(obj, evidence)
+        assert [o.evidence_id for o in outcomes] == [
+            e.instance_id for e in evidence
         ]
-        module.verify_one(objs[0], election_table.row(0))
-        module.verify_one(objs[1], election_table.row(1))
-        # touch 0 so 1 becomes the eviction victim
-        module.verify_one(objs[0], election_table.row(0))
-        module.verify_one(objs[2], election_table.row(2))  # evicts 1
-        before = module.cache_hits
-        module.verify_one(objs[0], election_table.row(0))
-        assert module.cache_hits == before + 1
-        module.verify_one(objs[1], election_table.row(1))  # was evicted
-        assert module.cache_hits == before + 1
-
-    def test_invalid_cache_size_rejected(self, tiny_lake, quiet_profile):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            self.make_module(tiny_lake, quiet_profile, cache_size=0)
+        assert [pair[1] for pair in agent.asked] == 2 * [
+            e.instance_id for e in evidence
+        ]
 
 
-class TestCacheFollowsContent:
-    """Regression: outcomes were keyed on the evidence's instance id, so
-    a claim re-verified after its table changed got the old verdict."""
+class Abstaining:
+    """An agent that says NOT_RELATED to every pair, from one outcome."""
+
+    def verify(self, obj, evidence):
+        return VerificationOutcome(
+            verdict=Verdict.NOT_RELATED, explanation="", verifier="stub",
+            evidence_id="e",
+        )
+
+
+class TestNoPerPairMemory:
+    def test_two_thousand_distinct_pairs_leave_nothing_behind(
+        self, tiny_lake, election_table
+    ):
+        """The old outcome cache kept a 16-byte key and an outcome per
+        distinct pair; the module now keeps nothing a pair could grow."""
+        module = VerifierModule(Abstaining(), tiny_lake)
+        rows = [election_table.row(i) for i in range(4)]
+
+        def verify(start, stop):
+            for i in range(start, stop):
+                claim = ClaimObject(f"m{i}", f"claim number {i} is true")
+                module.verify_one(claim, rows[i % 4])
+                module.verify_pool(claim, rows)
+
+        verify(0, 100)  # the counters exist before the measure
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verify(100, 2_100)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 2_000 * 16, grown
+        assert vars(module).keys() == {
+            "agent", "lake", "source_trust", "_metrics",
+        }
+
+
+class TestReverifyFollowsContent:
+    """Regression: outcomes were once keyed on the evidence's instance
+    id, so a claim re-verified after its table changed got the old
+    verdict.  Every pair is verified afresh now; these keep the check."""
 
     @staticmethod
     def claim_and_rewrite(table):
@@ -214,13 +223,10 @@ class TestCacheFollowsContent:
                                                     election_table):
         claim, rewritten = self.claim_and_rewrite(election_table)
         assert module.verify_one(claim, election_table).verdict is Verdict.VERIFIED
-        hits = module.cache_hits
         assert module.verify_one(claim, rewritten).verdict is Verdict.REFUTED
-        assert module.cache_hits == hits
         # each version of the table keeps its own verdict
         assert module.verify_one(claim, election_table).verdict is Verdict.VERIFIED
         assert module.verify_one(claim, rewritten).verdict is Verdict.REFUTED
-        assert module.cache_hits == hits + 2
 
     @pytest.mark.parametrize("how", ["update", "remove_add"])
     def test_reverify_after_a_write_sees_the_write(self, election_table,
@@ -292,106 +298,19 @@ class TestCacheFollowsContent:
         assert verdicts() == changed * 2
 
 
-# ----------------------------------------------------------------------
-# the key: one digest over six length-framed fields
-# ----------------------------------------------------------------------
-def digest_of(fields):
-    """The cache key of a pair with these six fields, fed in one go."""
-    digest = hashlib.blake2b(digest_size=16)
-    return core_verifier._feed(digest, *fields).digest()
+class TestPoolHammer:
+    """Eight threads verify overlapping pools through one module and one
+    model, whose readings memo holds fewer texts than the pools show, so
+    every read races an eviction; each pool must pool what a module of
+    its own pools."""
 
-
-#: field values built to collide under a naive join: separators, the
-#: framing's own ``-`` and ``<length>:``, ``None`` and its spelling, the
-#: empty string
-FIELD = st.one_of(
-    st.none(),
-    st.sampled_from([
-        "None", "none", "", " ", "|", " ; ", "\n", "\x00", "\x01",
-        "\x01\x00", "-", "0:", "1:a", "1:-", "ClaimObject", "a", "ab", "b",
-        "t#r0", "\ud800",
-    ]),
-    st.text(alphabet="ab;|:-01\n\x00 ", max_size=6),
-)
-
-
-@st.composite
-def field_lists_and_a_neighbour(draw):
-    """Six fields, and six more that are equal to them, or differ in
-    one field, or move a boundary between two, or swap ``None`` for
-    ``"None"``."""
-    first = draw(st.lists(FIELD, min_size=6, max_size=6))
-    second = list(first)
-    how = draw(st.sampled_from(["same", "replace", "shift", "none"]))
-    i = draw(st.integers(0, 5))
-    if how == "replace":
-        second[i] = draw(FIELD)
-    elif how == "shift" and i < 5:
-        left, right = second[i] or "", second[i + 1] or ""
-        joined = left + right
-        cut = draw(st.integers(0, len(joined)))
-        second[i], second[i + 1] = joined[:cut], joined[cut:]
-    elif how == "none":
-        second[i] = "None" if second[i] is None else None
-    return first, second
-
-
-class TestOneDigestKey:
-    @settings(max_examples=600, deadline=None)
-    @given(field_lists_and_a_neighbour())
-    def test_two_pairs_share_a_key_only_if_all_six_fields_do(self, pair):
-        first, second = pair
-        assert (digest_of(first) == digest_of(second)) == (first == second)
-
-    @pytest.mark.parametrize("first,second", [
-        (["a ; b", "c"], ["a", "b ; c"]),
-        (["ab", ""], ["a", "b"]),
-        ([None, "x"], ["None", "x"]),
-        ([None, ""], ["", None]),
-        (["\x00", "a"], [None, "a"]),
-        ([None, "1:a"], ["-", "a"]),
-        (["1:", "a"], ["", "1:a"]),
-    ])
-    def test_named_neighbours_differ(self, first, second):
-        pad = ["TupleObject", "q", "attr", None]
-        assert digest_of(pad + first) != digest_of(pad + second)
-
-    def test_a_pair_key_digests_its_six_fields(self, election_table):
-        evidence = election_table.row(1)
-        text = serialize_instance(evidence)
-        cases = [
-            (TupleObject("k", election_table.row(0), attribute="party"),
-             ["TupleObject", serialize_row(election_table.row(0)),
-              "party", None]),
-            (ClaimObject("k", "tom jenkins is in ohio 1", context="None"),
-             ["ClaimObject", "tom jenkins is in ohio 1 (None)", None,
-              "None"]),
-        ]
-        for obj, fields in cases:
-            key = core_verifier._pair_key(
-                core_verifier._object_key(obj), evidence, text
-            )
-            assert type(key) is bytes and len(key) == 16
-            assert key == digest_of(fields + [evidence.instance_id, text])
-
-    def test_the_cache_holds_digests(self, module, election_table):
-        obj = TupleObject("d", election_table.row(0), attribute="votes")
-        module.verify_pool(obj, [election_table.row(i) for i in range(4)])
-        keys = list(module._cache)
-        assert keys and all(type(k) is bytes and len(k) == 16 for k in keys)
-
-
-class TestCacheHammer:
-    """Eight threads verify overlapping pools through one module whose
-    cache holds fewer keys than there are pairs, so every insert races
-    an eviction; each outcome must be the uncached one."""
-
-    def test_eight_threads_on_a_small_cache(self, tiny_lake, election_table,
-                                            medal_table, quiet_profile):
-        def fresh(**kwargs):
+    def test_eight_threads_share_one_module(self, tiny_lake, election_table,
+                                            medal_table, quiet_profile,
+                                            monkeypatch):
+        def fresh():
             llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=25)
             agent = VerifierAgent([], fallback=LLMVerifier(llm))
-            return VerifierModule(agent, tiny_lake, **kwargs)
+            return VerifierModule(agent, tiny_lake)
 
         evidence = (
             [election_table.row(i) for i in range(4)]
@@ -407,10 +326,11 @@ class TestCacheHammer:
                         context=medal_table.caption),
         ]
         expected = {
-            obj.object_id: fresh(cache=False).verify_pool(obj, evidence)
+            obj.object_id: fresh().verify_pool(obj, evidence)
             for obj in objects
         }
-        module = fresh(cache_size=8)
+        monkeypatch.setattr(llm_model, "READINGS_SIZE", 4)
+        module = fresh()
         results = {}
         errors = []
 
@@ -431,38 +351,30 @@ class TestCacheHammer:
             assert len(results[thread_number]) == 3 * len(objects)
             for object_id, pooled in results[thread_number]:
                 assert pooled == expected[object_id]
-        assert len(module) <= 8
+        readings = module.agent.fallback.llm._readings.cache_info()
+        assert readings.maxsize == 4 and readings.currsize <= 4
+
+
+def verifications():
+    return get_registry().snapshot().get("verifier.verifications", 0.0)
 
 
 class TestPoolCounters:
     def test_a_pool_reports_its_pairs_once_with_the_per_pair_totals(
         self, module, election_table
     ):
-        from repro.obs.metrics import get_registry
-
-        def counts():
-            snapshot = get_registry().snapshot()
-            return [
-                snapshot.get(name, 0.0) for name in (
-                    "verifier.verifications", "verifier.cache.hits",
-                    "verifier.cache.misses",
-                )
-            ]
-
         obj = TupleObject("n1", election_table.row(0), attribute="party")
         # two pairs that abstain, then the one that decides
         evidence = [election_table.row(i) for i in (1, 2, 0)]
-        before = counts()
+        before = verifications()
         module.verify_pool(obj, evidence)
         module.verify_pool(obj, [election_table.row(3)] + evidence)
-        delta = [after - b for after, b in zip(counts(), before)]
-        assert delta == [7.0, 3.0, 4.0]
-        assert get_registry().snapshot()["verifier.cache.entries"] == len(module)
+        assert verifications() - before == 7.0
+        snapshot = get_registry().snapshot()
+        assert not [name for name in snapshot if "verifier.cache" in name]
 
     def test_a_pair_that_raises_is_still_counted(self, tiny_lake,
                                                  election_table):
-        from repro.obs.metrics import get_registry
-
         class Exploding(LLMVerifier):
             def verify(self, obj, evidence):
                 raise RuntimeError("boom")
@@ -471,12 +383,33 @@ class TestPoolCounters:
             VerifierAgent([], fallback=Exploding(None)), tiny_lake
         )
         obj = TupleObject("n2", election_table.row(0), attribute="party")
-        before = get_registry().snapshot()
+        before = verifications()
         with pytest.raises(RuntimeError):
             module.verify_pool(obj, [election_table.row(0)])
-        after = get_registry().snapshot()
-        for name in ("verifier.verifications", "verifier.cache.misses"):
-            assert after[name] - before.get(name, 0.0) == 1.0
+        assert verifications() - before == 1.0
+
+    def test_a_campaign_counts_one_verification_per_model_call(
+        self, small_bundle
+    ):
+        """``verifier.verifications`` is the model's call count: every
+        verified pair is one ``chat``, none is answered from memory."""
+        llm = SimulatedLLM(knowledge=None, seed=7)
+        system = VerifAI(small_bundle.lake, llm=llm).build_indexes()
+        tables = small_bundle.tables[:6]
+        objects = [
+            TupleObject(f"v{i}", table.row(0), attribute=table.columns[1])
+            for i, table in enumerate(tables)
+        ] + [
+            ClaimObject(f"vc{i}", f"{table.row(0).values[0]} appears in "
+                        f"{table.caption}")
+            for i, table in enumerate(tables)
+        ]
+        objects += objects[:3]  # repeated content is verified again
+        before, calls = verifications(), llm.num_calls
+        batch = system.verify_batch(objects, max_workers=2)
+        pairs = sum(len(report.outcomes) for report in batch.reports)
+        assert verifications() - before == llm.num_calls - calls == pairs
+        assert pairs > len(objects)
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +437,7 @@ class ScriptedAgent:
         self.verdicts = list(verdicts)
         self.asked = []
 
-    def verify(self, obj, evidence, evidence_text=None):
+    def verify(self, obj, evidence):
         self.asked.append(evidence.instance_id)
         return VerificationOutcome(
             verdict=self.verdicts[len(self.asked) - 1], explanation="",
@@ -577,9 +510,7 @@ class TestTheExitKeepsTheRule:
         ] + list(sources_lake.tables()) + list(sources_lake.documents())
         evidence = [instances[pick] for pick in picks]
         agent = ScriptedAgent(verdicts)
-        module = VerifierModule(
-            agent, sources_lake, source_trust=trust, cache=False
-        )
+        module = VerifierModule(agent, sources_lake, source_trust=trust)
         obj = ClaimObject("x", "tom jenkins is a republican", context="")
         outcomes, final, margin = module.verify_pool(obj, evidence)
         votes = [
@@ -607,16 +538,13 @@ class TestTheExitKeepsTheRule:
         # an agent that always abstains is asked about every pair: the
         # whole shortlist, in order
         listing = ScriptedAgent([Verdict.NOT_RELATED] * 8)
-        sources_system.verifier = VerifierModule(
-            listing, sources_lake, cache=False
-        )
+        sources_system.verifier = VerifierModule(listing, sources_lake)
         sources_system.verify_batch([obj], max_workers=1)
         shortlist = listing.asked
         assert len(shortlist) > 1
 
         sources_system.verifier = VerifierModule(
             ScriptedAgent(verdicts), sources_lake, source_trust=trust,
-            cache=False,
         )
         report = sources_system.verify_batch([obj], max_workers=1).reports[0]
         votes = [

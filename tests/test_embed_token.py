@@ -66,6 +66,7 @@ class TestTokenEmbedder:
     def test_cache_reused(self):
         emb = TokenEmbedder(dim=32)
         emb.embed_token("ohio")
-        cached_before = len(emb._feature_cache)
+        before = emb._feature_cache.cache_info()
         emb.embed_token("ohio")
-        assert len(emb._feature_cache) == cached_before
+        assert emb._feature_cache.cache_info() == before
+        assert before.currsize > 0

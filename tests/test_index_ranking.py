@@ -24,7 +24,6 @@ import math
 import random
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -763,7 +762,7 @@ def parent_rerank(reranker, query, candidates, fetch, k=5):
     scored = [
         SearchHit(
             score=reranker._score(
-                read, reranker._reading(fetch(hit.instance_id))
+                read, reranker._readings(fetch(hit.instance_id))
             ),
             instance_id=hit.instance_id,
             index_name=reranker.name,
@@ -884,7 +883,7 @@ class TestRerankColumns:
 
         candidates = [SearchHit(1.0, i, "coarse") for i in payloads] if some else []
         assert reranker.rerank(query, candidates, fetch, k) == []
-        assert read == [] and len(reranker._readings) == 0
+        assert read == [] and reranker._readings.cache_info().currsize == 0
         # and the spy does see a rerank that has something to return
         reranker.rerank(query, [SearchHit(1.0, i) for i in payloads],
                         payloads.__getitem__, 1)
@@ -904,7 +903,7 @@ class ParentEmbedder(TokenEmbedder):
             features.extend(sorted(ngrams(token, n)))
         acc = np.zeros(self.dim, dtype=np.float64)
         for feature in features:
-            acc += self._feature(feature)
+            acc += self._feature_cache(feature)
         norm = np.linalg.norm(acc)
         if norm > 0:
             acc /= norm
@@ -931,16 +930,22 @@ def lake_texts(small_bundle):
     ]
 
 
-def count_feature_vectors(monkeypatch, embedder, texts):
+def feature_vectors_read(monkeypatch, make, texts):
+    """An embedder from ``make()``, the rows it gives ``texts``, and
+    every feature it computed a vector for, in order.  The spy is in
+    place before construction: the n-gram memo wraps the function."""
     calls = []
     real = token_embed._feature_vector
     monkeypatch.setattr(
         token_embed, "_feature_vector",
-        lambda *args: calls.append(args[0]) or real(*args),
+        lambda feature, *args, **kwargs: (
+            calls.append(feature) or real(feature, *args, **kwargs)
+        ),
     )
+    embedder = make()
     rows = [embedder.token_rows(tokens) for tokens in texts]
     monkeypatch.setattr(token_embed, "_feature_vector", real)
-    return rows, len(calls)
+    return embedder, rows, calls
 
 
 class TestTokenEmbedder:
@@ -951,19 +956,25 @@ class TestTokenEmbedder:
         # an LRU the lake overflows, so what is kept in it matters
         monkeypatch.setattr(token_embed, "FEATURES_SIZE", 512)
         monkeypatch.setattr(token_embed, "_INITIAL_ROWS", 64)  # regrows
-        parent, change = ParentEmbedder(), TokenEmbedder()
-        parent_rows, parent_calls = count_feature_vectors(
-            monkeypatch, parent, lake_texts
+        parent, parent_rows, parent_calls = feature_vectors_read(
+            monkeypatch, ParentEmbedder, lake_texts
         )
-        rows, calls = count_feature_vectors(monkeypatch, change, lake_texts)
+        change, rows, calls = feature_vectors_read(
+            monkeypatch, TokenEmbedder, lake_texts
+        )
         assert all(map(np.array_equal, rows, parent_rows))
         assert change._vocabulary == parent._vocabulary
         assert len(change._vocabulary) > 500
         size = len(change._vocabulary)
         assert np.array_equal(change._table[:size], parent._table[:size])
-        assert calls <= parent_calls, (calls, parent_calls)
-        assert not any(f.startswith("<") for f in change._feature_cache)
-        assert any(f.startswith("<") for f in parent._feature_cache)
+        assert len(calls) <= len(parent_calls), (len(calls), len(parent_calls))
+        # the whole-token feature is read once a token, beside the memo;
+        # every other vector computed is an n-gram memo miss
+        wholes = [f for f in calls if f.startswith("<")]
+        assert len(wholes) == size
+        memo = change._feature_cache.cache_info()
+        assert memo.misses == len(calls) - size
+        assert parent._feature_cache.cache_info().misses == len(parent_calls)
 
     def test_a_known_token_is_read_without_the_lock(self):
         embedder = TokenEmbedder()
@@ -1019,5 +1030,5 @@ class TestTokenEmbedder:
         assert sorted(embedder._vocabulary.values()) == list(
             range(len(embedder._vocabulary))
         )
-        assert len(embedder._feature_cache) <= 64
-        assert isinstance(embedder._feature_cache, OrderedDict)
+        memo = embedder._feature_cache.cache_info()
+        assert memo.maxsize == 64 and memo.currsize <= 64

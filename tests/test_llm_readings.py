@@ -98,6 +98,11 @@ def chat_all(llm, prompts):
     return [llm.chat(prompt) for prompt in prompts]
 
 
+def kept(llm):
+    """Evidence readings the model's memo holds."""
+    return llm._readings.cache_info().currsize
+
+
 def responses_digest(responses):
     return hashlib.sha256("\x1e".join(responses).encode("utf-8")).hexdigest()
 
@@ -118,11 +123,9 @@ def reference(corpus):
     """Every response with both memos bypassed: each section re-read on
     each call, as before the memos existed."""
     llm = fresh_llm()
-    llm._reading = llm_model._read_evidence
+    llm._readings = llm_model._read_evidence
     llm._object_reading = llm_model._read_object
-    responses = chat_all(llm, corpus)
-    assert not llm._readings
-    return responses
+    return chat_all(llm, corpus)
 
 
 class TestChatIsByteIdentical:
@@ -145,7 +148,7 @@ class TestChatIsByteIdentical:
     def test_cold_equals_warm_equals_bypassed(self, corpus, reference):
         llm = fresh_llm()
         cold = chat_all(llm, corpus)
-        assert 0 < len(llm._readings) <= llm_model.READINGS_SIZE
+        assert 0 < kept(llm) <= llm_model.READINGS_SIZE
         warm = chat_all(llm, corpus)
         assert cold == reference
         assert warm == reference
@@ -157,7 +160,7 @@ class TestChatIsByteIdentical:
         monkeypatch.setattr(llm_model, "READINGS_SIZE", 3)
         llm = fresh_llm()
         assert chat_all(llm, corpus) == reference
-        assert len(llm._readings) == 3
+        assert kept(llm) == 3
         # an evicted section is read again, to the same reading
         assert chat_all(llm, corpus) == reference
 
@@ -169,12 +172,12 @@ class TestChatIsByteIdentical:
         ) as parse_table:
             chat_all(llm, corpus)
             chat_all(llm, corpus)
-        assert parse_table.call_count <= len(llm._readings) < len(corpus) // 10
+        assert parse_table.call_count <= kept(llm) < len(corpus) // 10
 
     def test_readings_are_per_model(self, corpus):
         a, b = fresh_llm(), fresh_llm()
         chat_all(a, corpus[:5])
-        assert a._readings and not b._readings
+        assert kept(a) and not kept(b)
 
 
 class TestEvidenceReadingsStay:
@@ -270,11 +273,11 @@ class TestThreadHammer:
         assert not errors
         expected = {position: reference[position] for position in sample}
         assert all(results[i] == expected for i in range(8))
-        assert len(llm._readings) <= 8
+        assert kept(llm) <= 8
         assert llm.num_calls == 8 * len(sample)
 
     def test_num_calls_loses_no_update(self):
-        """``chat`` counts itself under ``_readings_lock``: eight threads
+        """``chat`` counts itself under ``_calls_lock``: eight threads
         behind a barrier must leave the exact total (an unguarded ``+=``
         is a read-modify-write; the sanitizer flags it when the lock is
         taken away)."""

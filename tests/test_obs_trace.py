@@ -6,6 +6,8 @@ byte-identical stable-JSON traces (including an object that FAILs), and
 every span↔provenance-record reference resolves in both directions.
 """
 
+import threading
+
 import pytest
 
 from repro.core.pipeline import VerifAI
@@ -378,21 +380,39 @@ class TestStatsSurface:
         assert "1 failed" in batch.stats.summary()
 
     def test_interleaved_campaigns_do_not_pollute_each_other(self, bundle):
-        """Two campaigns on one system: the second one's verifier-cache
-        hits must count only its own traffic, not campaign one's."""
+        """Two campaigns at once on one system: each one's scoped counts
+        (its matrix batches, one per modality it prefilled) are its own
+        traffic, not the other's."""
         system = make_system(bundle)
-        obj = TupleObject(
-            "warm", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        first = system.verify_batch([obj, obj])
-        assert first.stats.verifier_cache_hits > 0
-        other = TupleObject(
-            "cold", bundle.tables[1].row(0),
-            attribute=bundle.tables[1].columns[1],
-        )
-        second = system.verify_batch([other])
-        assert second.stats.verifier_cache_hits == 0
+        objects = [
+            [TupleObject(
+                f"{name}-{i}", bundle.tables[i].row(0),
+                attribute=bundle.tables[i].columns[1],
+            ) for i in indexes]
+            for name, indexes in (("warm", (0, 0)), ("cold", (1,)))
+        ]
+        together = threading.Barrier(2)
+        batches = {}
+
+        def campaign(position):
+            together.wait(timeout=30)
+            batches[position] = system.verify_batch(
+                objects[position], max_workers=2
+            )
+
+        threads = [
+            threading.Thread(target=campaign, args=(i,)) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        alone = make_system(bundle).verify_batch(objects[1])
+        for position in range(2):
+            stats = batches[position].stats
+            assert stats.objects == len(objects[position])
+            # a tuple prefills TUPLE and TEXT
+            assert stats.matrix_batches == alone.stats.matrix_batches == 2
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,11 @@ def reference_levenshtein(a, b):
     return previous[-1]
 
 
+def kept(memo):
+    """Entries a ``functools.lru_cache`` memo holds."""
+    return memo.cache_info().currsize
+
+
 class ReferenceEmbedder:
     """``TokenEmbedder`` as it was: every call of ``embed_token`` sums
     the token's n-gram feature vectors again."""
@@ -310,7 +315,7 @@ class TestRerankEqualsThePerPairLoop:
         make, _, hits, fetch, expected = case
         reranker = make()
         assert rerank_all(reranker, hits, fetch, expected) == expected
-        assert 0 < len(reranker._readings) <= rerank_base.READINGS_SIZE
+        assert 0 < kept(reranker._readings) <= rerank_base.READINGS_SIZE
         assert rerank_all(reranker, hits, fetch, expected) == expected
 
     def test_after_eviction(self, case, monkeypatch):
@@ -318,7 +323,7 @@ class TestRerankEqualsThePerPairLoop:
         monkeypatch.setattr(rerank_base, "READINGS_SIZE", 3)
         reranker = make()
         assert rerank_all(reranker, hits, fetch, expected) == expected
-        assert len(reranker._readings) == 3
+        assert kept(reranker._readings) == 3
         # an evicted payload is read again, to the same reading
         assert rerank_all(reranker, hits, fetch, expected) == expected
 
@@ -341,14 +346,16 @@ class TestRerankEqualsThePerPairLoop:
         }
         assert len(scores) > len(hits)
 
-    def test_a_payload_is_read_once(self, case, texts):
+    def test_a_payload_is_read_once(self, case, texts, monkeypatch):
         make, _, hits, fetch, expected = case
-        reranker = make()
+        kind = type(make())
         read = []
-        original = reranker._read_payload
-        reranker._read_payload = lambda payload: (
-            read.append(payload), original(payload)
-        )[1]
+        original = kind._read_payload
+        # on the class, before construction: the memo wraps the method
+        monkeypatch.setattr(kind, "_read_payload", lambda self, payload: (
+            read.append(payload), original(self, payload)
+        )[1])
+        reranker = make()
         rerank_all(reranker, hits, fetch, expected)
         assert sorted(read) == sorted(set(texts[1]))
 
@@ -356,7 +363,7 @@ class TestRerankEqualsThePerPairLoop:
         make, _, hits, fetch, _ = case
         a, b = make(), make()
         a.rerank("ada", hits[:4], fetch, 2)
-        assert a._readings and not b._readings
+        assert kept(a._readings) and not kept(b._readings)
 
     def test_features_reads_through_the_same_code(self, texts):
         queries, payloads = texts
@@ -427,7 +434,7 @@ class TestTokenEmbedder:
             embedder.embed_tokens(tokens).tolist()
             == reference.embed_tokens(tokens).tolist()
         )
-        assert len(embedder._feature_cache) == 4
+        assert kept(embedder._feature_cache) == 4
 
     def test_callers_cannot_write_to_the_vocabulary(self):
         embedder = TokenEmbedder(dim=8)
@@ -938,11 +945,11 @@ class TestFullPipeline:
         system.verify_batch(tuples[:5], max_workers=1)
         module = system.reranker
         assert module.text_text.embedder._table is None
-        assert not module.text_text.embedder._feature_cache
+        assert not kept(module.text_text.embedder._feature_cache)
         for reranker in (
             module.text_text, module.text_table, module.fallback,
         ):
-            assert not reranker._readings
+            assert not kept(reranker._readings)
         assert system.indexer.semantic_index(Modality.TUPLE) is None
 
     def test_rerank_time_lands_in_a_named_histogram(self, campaign, small_bundle):
@@ -1033,9 +1040,9 @@ class TestThreadHammer:
         for reranker in (
             module.text_text, module.text_table, module.fallback,
         ):
-            assert 0 < len(reranker._readings) <= 8
+            assert 0 < kept(reranker._readings) <= 8
         embedder = module.text_text.embedder
-        assert len(embedder._feature_cache) <= 32
+        assert kept(embedder._feature_cache) <= 32
         assert sorted(embedder._vocabulary.values()) == list(
             range(len(embedder._vocabulary))
         )
@@ -1101,7 +1108,6 @@ class TestThreadHammer:
             vectorizer = HashingVectorizer(dim=8)
             flat = FlatVectorIndex(dim=8, encoder=vectorizer.transform)
             if mutant:
-                reranker._readings_lock = contextlib.nullcontext()
                 reranker.embedder._lock = contextlib.nullcontext()
                 vectorizer._slots_lock = contextlib.nullcontext()
                 flat._matrix_lock = contextlib.nullcontext()
@@ -1135,7 +1141,6 @@ class TestThreadHammer:
         flagged = {(race.type_name, race.field_name) for race in found}
         if mutant:
             assert flagged == {
-                ("LateInteractionReranker", "_readings"),
                 ("TokenEmbedder", "_vocabulary"),
                 ("HashingVectorizer", "_slots"),
                 ("FlatVectorIndex", "_staged"),

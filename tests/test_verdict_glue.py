@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import verifier as core_verifier
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.core.verifier import VerifierModule
@@ -540,15 +539,14 @@ class TestOneRenderPerPair:
             calls.append(instance.instance_id)
             return real(instance)
 
-        real = core_verifier.serialize_instance
-        monkeypatch.setattr(core_verifier, "serialize_instance", counting)
+        real = llm_verifier.serialize_instance
         monkeypatch.setattr(llm_verifier, "serialize_instance", counting)
         return calls
 
     @staticmethod
-    def module(lake, cache=True):
+    def module(lake):
         agent = VerifierAgent(fallback=LLMVerifier(SimulatedLLM(seed=3)))
-        return VerifierModule(agent, lake, cache=cache)
+        return VerifierModule(agent, lake)
 
     def test_default_path_renders_each_evidence_once(
         self, tiny_lake, election_table, renders
@@ -559,8 +557,8 @@ class TestOneRenderPerPair:
         obj = TupleObject("g1", election_table.row(0), attribute="party")
         module.verify_pool(obj, evidence)
         assert renders == [e.instance_id for e in evidence]
-        module.verify_pool(obj, evidence)  # served from the cache
-        assert len(renders) == 2 * len(evidence)
+        module.verify_pool(obj, evidence)  # every pair verified again
+        assert renders == 2 * [e.instance_id for e in evidence]
 
     def test_outcomes_do_not_depend_on_who_rendered(
         self, tiny_lake, election_table, renders
@@ -574,9 +572,6 @@ class TestOneRenderPerPair:
             handed, _, _ = self.module(tiny_lake).verify_pool(
                 generated, evidence
             )
-            uncached, _, _ = self.module(tiny_lake, cache=False).verify_pool(
-                generated, evidence
-            )
             # the pool reads up to its first decisive pair, the same
             # prefix whoever renders
             direct = [
@@ -584,7 +579,7 @@ class TestOneRenderPerPair:
                 for e in evidence[:len(handed)]
             ]
             assert len(handed) > 2
-            assert handed == uncached == direct
+            assert handed == direct
 
     def test_a_two_argument_verify_is_called_with_two(
         self, tiny_lake, election_table

@@ -66,6 +66,21 @@ class TestLLMVerifier:
         assert outcome.verdict is Verdict.REFUTED
         assert outcome.is_refuted
 
+    @pytest.mark.parametrize("response", [
+        "gibberish", "Result: maybe\nExplanation: unsure", "",
+    ])
+    def test_an_unparseable_response_is_not_related(self, medal_table,
+                                                   response):
+        class Scripted:
+            def chat(self, prompt):
+                return response
+
+        claim = ClaimObject("c", "the gold of valoria is 10")
+        outcome = LLMVerifier(Scripted()).verify(claim, medal_table)
+        assert outcome.verdict is Verdict.NOT_RELATED
+        assert outcome.explanation == f"unparseable response: {response}"
+        assert outcome.evidence_id == medal_table.instance_id
+
     def test_claim_against_table(self, llm_verifier, medal_table):
         obj = ClaimObject("c", "the gold of valoria is 10",
                           context=medal_table.caption)
@@ -152,6 +167,19 @@ class TestVerifierAgent:
         claim = ClaimObject("c", "the gold of valoria is 10")
         assert agent.choose(claim, medal_table) is llm_verifier
 
+    def test_a_local_verifier_is_the_last_resort(self, medal_table):
+        class Declines(LLMVerifier):
+            def supports(self, obj, evidence):
+                return False
+
+        pasta = PastaVerifier()
+        agent = VerifierAgent(
+            [pasta], fallback=Declines(None), prefer_local=False
+        )
+        claim = ClaimObject("c", "the gold of valoria is 10")
+        assert agent.choose(claim, medal_table) is pasta
+        assert agent.verify(claim, medal_table).verifier == pasta.name
+
     def test_requires_some_verifier(self):
         with pytest.raises(ValueError):
             VerifierAgent([], fallback=None)
@@ -163,9 +191,13 @@ class TestVerifierAgent:
         with pytest.raises(LookupError):
             agent.choose(tuple_obj, medal_table.row(0))
 
-    def test_verify_all(self, medal_table, llm_verifier):
+    def test_verify_each_evidence(self, medal_table, llm_verifier):
         agent = VerifierAgent([], fallback=llm_verifier)
         claim = ClaimObject("c", "the gold of valoria is 10",
                             context=medal_table.caption)
-        outcomes = agent.verify_all(claim, [medal_table, medal_table.row(0)])
-        assert len(outcomes) == 2
+        evidence = [medal_table, medal_table.row(0)]
+        outcomes = [agent.verify(claim, e) for e in evidence]
+        assert [o.evidence_id for o in outcomes] == [
+            e.instance_id for e in evidence
+        ]
+        assert all(o.verifier == llm_verifier.name for o in outcomes)
