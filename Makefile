@@ -48,7 +48,7 @@ trace-demo:
 # simulated LLM's prompt handlers, the rerankers and the module that
 # routes to them, the Agent and the LLM verifier, the pipeline config's
 # validation, the token embedder, the flat vector index, the inverted
-# index (compile, patch), the sharded indexes, the text layer's
+# index (compile, view, compaction), the sharded indexes, the text layer's
 # analysis and similarity, the campaign path's glue (prompt splitting
 # and response parsing, the verifier module, the combiner and the
 # ranking type it fuses, the data objects), the evidence form's writers
@@ -98,6 +98,7 @@ coverage:
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
+		tests/test_index_view.py \
 		tests/test_index_matrix.py tests/test_index_churn.py \
 		tests/test_core_indexer_mutation.py tests/test_text_tokenize.py \
 		tests/test_text_similarity.py tests/test_llm_prompts.py \
@@ -141,7 +142,8 @@ sanitize:
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \
 		tests/test_index_matrix.py tests/test_indexer_lazy.py \
-		tests/test_core_verifier_module.py tests/test_memos.py
+		tests/test_core_verifier_module.py tests/test_memos.py \
+		tests/test_index_view.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

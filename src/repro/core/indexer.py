@@ -26,12 +26,12 @@ under the default routes) is never built.
 The module supports the full incremental lifecycle: instances added to
 the lake after a build fold in with :meth:`add_instance`, and lake
 churn flows through :meth:`remove_instance` / :meth:`update_instance`
-(postings removed at once, the sealed form patched on the next read,
-vector eviction) — no full rebuild required; an update re-indexes only
-the entries whose payload changed.  A write changes only the modalities
-already built; one built later reads the already-written lake.
-Mutations are single-writer: do not interleave them with concurrent
-searches.
+(statistics corrected at once, the next read scoring a view of the last
+seal plus the writes since, vector eviction) — no full rebuild
+required; an update re-indexes only the entries whose payload changed.
+A write changes only the modalities already built; one built later
+reads the already-written lake.  Mutations are single-writer: do not
+interleave them with concurrent searches.
 """
 
 from __future__ import annotations
@@ -222,11 +222,13 @@ class IndexerModule:
     def _unindex_entries(
         self, modality: Modality, entries: Dict[str, str]
     ) -> None:
-        """Drop entries from the content index and the vector index."""
+        """Drop entries from the content index and the vector index,
+        handing the BM25 index each payload's terms (the mirror of
+        :meth:`_index_entry`), so a removal costs what the entry holds."""
         content = self._content[modality]
         semantic = self._semantic.get(modality)
-        for index_id in entries:
-            content.remove(index_id)
+        for index_id, payload in entries.items():
+            content.remove(index_id, analyze(payload))
             if semantic is not None:
                 semantic.remove(index_id)
 

@@ -10,7 +10,7 @@ statistics for the trust model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.datalake.kg import KnowledgeGraph
 from repro.datalake.types import (
@@ -42,7 +42,10 @@ class DataLake:
         self._tables: Dict[str, Table] = {}
         self._documents: Dict[str, TextDocument] = {}
         self._kg = KnowledgeGraph()
-        self._entity_docs: Dict[str, str] = {}  # entity name -> doc_id
+        #: entity name -> the id of the one document about it, or the
+        #: ids of the several, in ``_documents`` order: the first is the
+        #: entity's page (a list only where one is needed)
+        self._entity_docs: Dict[str, Union[str, List[str]]] = {}
 
     # ------------------------------------------------------------------
     # ingestion
@@ -59,7 +62,14 @@ class DataLake:
             raise ValueError(f"duplicate document id: {doc.doc_id}")
         self._documents[doc.doc_id] = doc
         if doc.entity:
-            self._entity_docs.setdefault(doc.entity.lower(), doc.doc_id)
+            entity = doc.entity.lower()
+            ids = self._entity_docs.get(entity)
+            if ids is None:
+                self._entity_docs[entity] = doc.doc_id
+            elif isinstance(ids, str):
+                self._entity_docs[entity] = [ids, doc.doc_id]
+            else:
+                ids.append(doc.doc_id)
 
     @property
     def kg(self) -> KnowledgeGraph:
@@ -79,20 +89,22 @@ class DataLake:
     def remove_document(self, doc_id: str) -> TextDocument:
         """Deregister a text document; returns it (KeyError when absent).
 
-        If the document was the page for its entity, the entity slot is
-        reassigned to the earliest remaining document with the same
-        entity — exactly what rebuilding the mapping from the remaining
-        documents would produce.
+        If the document was the page for its entity, the entity's page is
+        now the earliest remaining document with the same entity —
+        exactly what rebuilding the mapping from the remaining documents
+        would produce — read off the entity's own id list, not found by
+        a walk of every document.
         """
         doc = self._documents.pop(doc_id)
         if doc.entity:
             entity = doc.entity.lower()
-            if self._entity_docs.get(entity) == doc_id:
+            ids = self._entity_docs[entity]
+            if isinstance(ids, str):
                 del self._entity_docs[entity]
-                for other in self._documents.values():
-                    if other.entity and other.entity.lower() == entity:
-                        self._entity_docs[entity] = other.doc_id
-                        break
+            else:
+                ids.remove(doc_id)
+                if len(ids) == 1:
+                    self._entity_docs[entity] = ids[0]
         return doc
 
     def remove_instance(self, instance_id: str) -> DataInstance:
@@ -155,8 +167,10 @@ class DataLake:
 
     def entity_page(self, entity: str) -> Optional[TextDocument]:
         """The text page whose subject is ``entity``, if one exists."""
-        doc_id = self._entity_docs.get(entity.lower())
-        return self._documents[doc_id] if doc_id else None
+        ids = self._entity_docs.get(entity.lower())
+        if ids is None:
+            return None
+        return self._documents[ids if isinstance(ids, str) else ids[0]]
 
     def instance(self, instance_id: str) -> DataInstance:
         """Resolve any instance id: table id, ``table#rN`` tuple id, doc

@@ -28,8 +28,9 @@ Two properties make that exact rather than approximate:
 
 Both sharded indexes are one base class (routing, one
 scatter-gather-merge) plus what differs: BM25 shards carry the global
-statistics, and a write to one invalidates *every* shard's sealed read
-form (the statistics changed); vector shards encode the batch once.
+statistics, and a write to one un-publishes *every* shard's read form
+(the statistics changed: each shard's next read publishes a view under
+them); vector shards encode the batch once.
 The scatter ranks the shards one after another on the calling thread.
 """
 
@@ -141,6 +142,13 @@ class GlobalBM25Stats(CorpusStats):
         # each shard's df table, current between seals
         return sum(shard.local_df(token) for shard in self._shards)
 
+    def note_moved(self, tokens, step: int) -> None:
+        """A write to one shard moved the global document frequency of
+        ``tokens`` by ``step``: every shard's next view re-derives their
+        rows."""
+        for shard in self._shards:
+            shard._note_moved(tokens, step)
+
 
 class _ShardedIndex(SearchIndex):
     """What the two sharded indexes share: routing by :func:`shard_of`
@@ -250,10 +258,19 @@ class ShardedInvertedIndex(_ShardedIndex):
 
     def _written(self) -> None:
         """Global statistics changed: every shard's idf/norm tables are
-        stale, not just the mutated one's, so every shard re-derives
-        them on its next read (the mutated one folding its write in)."""
+        stale, not just the mutated one's, so every shard publishes a
+        view under the global statistics on its next read (the mutated
+        one's carrying the write)."""
         for shard in self.shards:
             shard.invalidate_seal()
+
+    def remove(
+        self, instance_id: str, tokens: Optional[Sequence[str]] = None
+    ) -> None:
+        """Remove one instance (KeyError when absent); ``tokens`` as
+        :meth:`InvertedIndex.remove` takes them."""
+        self.shard_for(instance_id).remove(instance_id, tokens)
+        self._written()
 
     def update(self, instance_id: str, payload: str) -> None:
         """Replace one document's payload (remove + add)."""
@@ -261,7 +278,7 @@ class ShardedInvertedIndex(_ShardedIndex):
         self._written()
 
     def seal(self) -> "ShardedInvertedIndex":
-        """Bring every populated shard's read form up to date."""
+        """Compact every populated shard (:meth:`InvertedIndex.seal`)."""
         for shard in self.shards:
             if len(shard):
                 shard.seal()
@@ -269,7 +286,7 @@ class ShardedInvertedIndex(_ShardedIndex):
 
     @property
     def is_sealed(self) -> bool:
-        """True when every non-empty shard has a compiled read form."""
+        """True when every non-empty shard has a published read form."""
         populated = [shard for shard in self.shards if len(shard)]
         return bool(populated) and all(s.is_sealed for s in populated)
 

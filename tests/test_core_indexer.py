@@ -193,10 +193,12 @@ class TestAnalyseOnce:
         old = lake.update_instance(new)
         spy = AnalyzeSpy(monkeypatch)
         indexer.update_instance(old, new)
-        # the table's entry and its first row's: nothing else changed
+        # the table's entry and its first row's: nothing else changed.
+        # Each is analysed once as it was, for the removal's terms, and
+        # once as it is, for the addition's
         changed = [
-            indexer._payload_entries(new)[0][1],
-            indexer._payload_entries(new.iter_rows()[0])[0][1],
+            indexer._payload_entries(version)[0][1]
+            for version in (old, new, old.iter_rows()[0], new.iter_rows()[0])
         ]
         assert spy.texts == Counter(changed)
 

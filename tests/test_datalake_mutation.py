@@ -1,5 +1,7 @@
 """DataLake mutation: remove/update semantics and entity remapping."""
 
+import random
+
 import pytest
 
 from repro.datalake.lake import DataLake
@@ -111,3 +113,66 @@ class TestUpdate:
         lake.add_table(removed)
         assert "t1" in lake
         assert "t1#r0" in lake
+
+
+# ---------------------------------------------------------------------------
+# the entity page after any sequence of writes
+# ---------------------------------------------------------------------------
+def rebuilt_pages(lake):
+    """The entity -> page-id mapping a lake rebuilt from its remaining
+    documents would hold: each entity's earliest document."""
+    pages = {}
+    for document in lake.documents():
+        if document.entity:
+            pages.setdefault(document.entity.lower(), document.doc_id)
+    return pages
+
+
+ENTITIES = [
+    "Ada Lovelace", "ada lovelace", "Alan Turing", "Grace Hopper", None,
+]
+
+
+class TestEntityPageAfterWrites:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_writes_keep_the_rebuilt_mapping(self, seed):
+        rng = random.Random(seed)
+        lake = DataLake(name="pages")
+        numbers = iter(range(10_000))
+        for step in range(120):
+            alive = [d.doc_id for d in lake.documents()]
+            roll = rng.random()
+            if roll < 0.4 or not alive:
+                lake.add_document(
+                    doc(f"d{next(numbers)}", rng.choice(ENTITIES))
+                )
+            elif roll < 0.6:
+                lake.remove_instance(rng.choice(alive))
+            elif roll < 0.85:  # an update, possibly moving the entity
+                lake.update_instance(
+                    doc(rng.choice(alive), rng.choice(ENTITIES))
+                )
+            else:  # remove, then re-add the same id
+                doc_id = rng.choice(alive)
+                removed = lake.remove_instance(doc_id)
+                lake.add_document(doc(doc_id, removed.entity))
+            pages = rebuilt_pages(lake)
+            for entity in ENTITIES[:4] + ["nobody"]:
+                page = lake.entity_page(entity)
+                expected = pages.get(entity.lower())
+                assert (page.doc_id if page else None) == expected, (
+                    seed, step,
+                )
+
+    def test_a_shared_entity_falls_to_the_next_earliest_page(self):
+        lake = DataLake(name="pages")
+        for doc_id in ("p1", "p2", "p3"):
+            lake.add_document(doc(doc_id, "Grace Hopper"))
+        lake.update_instance(doc("p1", "Grace Hopper"))  # p1 moves last
+        assert lake.entity_page("grace hopper").doc_id == "p2"
+        lake.remove_instance("p2")
+        assert lake.entity_page("GRACE HOPPER").doc_id == "p3"
+        lake.remove_instance("p3")
+        assert lake.entity_page("grace hopper").doc_id == "p1"
+        lake.remove_instance("p1")
+        assert lake.entity_page("grace hopper") is None

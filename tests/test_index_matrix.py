@@ -239,13 +239,13 @@ class TestOneOfEach:
         assert index.search(query, 5) == index.search_batch([query], 5)[0]
         index.search_batch([query, other], 5)
         assert same_objects(spy.seals, seals)  # and never again
-        # a write publishes new seals: a patch of every member, the
-        # written one's folding the write, the other shards' re-deriving
+        # a write publishes new read forms: a view of every member, the
+        # written one's carrying the write, the other shards' re-deriving
         # their statistics after invalidate_seal()
-        published = seal_counter("patched")
+        published = seal_counter("viewed")
         index.update("doc0007", "kakax memex")
         assert index.search(query, 5)
-        assert seal_counter("patched") == published + shards
+        assert seal_counter("viewed") == published + shards
         fresh = [member._sealed for member in members]
         assert all(new is not old for new, old in zip(fresh, seals))
         assert same_objects(spy.seals, seals + fresh)
@@ -724,6 +724,16 @@ def assert_one_pass(index, oracle, queries):
         ], k
 
 
+def member_rankings(index, queries, depths):
+    """Every member's rankings of the queries at each depth, by score
+    bits."""
+    plan = members_of(index)[0].plan_matrix(queries)
+    return [
+        exact(member.rank_planned(plan, k))
+        for k in depths for member in members_of(index)
+    ]
+
+
 def write_burst(rng, indexes, live):
     """Up to five seeded writes — add, remove, update — applied to every
     one of ``indexes`` and mirrored in ``live``."""
@@ -769,9 +779,17 @@ class TestOneQueryAPass:
         tie_fill(index, texts)
         tie_fill(oracle, texts)
         live = {f"doc{n:02d}": text for n, text in enumerate(texts)}
-        for _ in range(12):  # every burst folds into the last seal
+        for _ in range(12):
             write_burst(rng, [index, oracle], live)
+            # read through the burst's views, then compacted: the parent's
+            # kernels read a seal's CSR arrays
+            depths = range(len(live) + 6)
+            through_views = member_rankings(index, BURST_QUERIES, depths)
+            index.seal()
             assert_one_pass(index, oracle, BURST_QUERIES)
+            assert member_rankings(
+                index, BURST_QUERIES, depths
+            ) == through_views
         assert len(live) > 3, "vacuous: the bursts emptied the index"
 
     @pytest.mark.parametrize(

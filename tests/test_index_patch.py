@@ -212,6 +212,10 @@ def compiled_count():
     return get_registry().counter("index.seal.compiled").value
 
 
+def viewed_count():
+    return get_registry().counter("index.seal.viewed").value
+
+
 # ---------------------------------------------------------------------------
 # the compile itself did not move
 # ---------------------------------------------------------------------------
@@ -282,8 +286,8 @@ class TestSeededInterleavings:
 
 class TestSoloReadsAcrossWrites:
     def test_a_solo_read_after_every_write_is_the_dict_and_the_batch(self):
-        """Patch on patch, the first read after each write is a one-query
-        read, scored from the new seal's freshly built ``contrib_flat``:
+        """View on view, the first read after each write is a one-query
+        read, scored from the new view's freshly derived ``contrib_flat``:
         it must be the dict oracle's ranking and the same query's row of
         a three-query batch, by ids and by every score's bits."""
         pair, rng = seeded_pair(31, docs=80)
@@ -294,7 +298,7 @@ class TestSoloReadsAcrossWrites:
         def exact(hits):
             return [(hit.instance_id, hit.score.hex()) for hit in hits]
 
-        patched = patched_count()
+        viewed = viewed_count()
         for step in range(50):
             alive = pair.ids()
             roll = rng.random()
@@ -306,13 +310,15 @@ class TestSoloReadsAcrossWrites:
             else:
                 pair.update(rng.choice(alive), text)
             query = payload(rng, vocabulary=40)
+            folds = patched_count()
             solo = exact(index.search(query, 7))
+            assert patched_count() == folds, step  # no read folds
             assert index._sealed.contrib_flat is not None, step
             assert solo, step
             assert solo == exact(pair.oracle().search(query, 7)), step
             batch = [payload(rng), query, payload(rng, vocabulary=20)]
             assert solo == exact(index.search_batch(batch, 7)[1]), step
-        assert patched_count() == patched + 50
+        assert viewed_count() == viewed + 50  # one view a read after a write
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +486,11 @@ class TestNamedCases:
         assert again is not held
         assert again.doc_idx is held.doc_idx and again.tokens is held.tokens
         assert first_difference(seven_of(held), seven(pair.live)) is None
-        pair.add("e", "pox")
+        pair.add("e", "pox")  # one write outgrows a four-document base
         pair.live.invalidate_seal()
         pair.live.seal()
-        assert patched_count() == patched + 2
+        # the add compacted, and the seal re-derived what it compacted
+        assert patched_count() == patched + 3
         assert compiled_count() == compiled
         pair.check()
 
@@ -611,12 +618,13 @@ class TestThroughTheIndexer:
         for name, value in counts.items():
             counter = registry.counter(f"indexer.mutations.{name}")
             assert counter.value == value + 1, name
-        before = patched_count()
+        before, viewed = patched_count(), viewed_count()
         assert row_ids[0] in [
             hit.instance_id
             for hit in indexer.search("patchmark", Modality.TUPLE, 3)
         ]
-        assert patched_count() == before + 1
+        # the read publishes one view and folds nothing
+        assert (patched_count(), viewed_count()) == (before, viewed + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +743,7 @@ class TestAnyWriteSequence:
 class TestReadHammer:
     """``make sanitize`` runs this under the lockset sanitizer: eight
     readers find the index unsealed after a write, exactly one of them
-    patches, and all of them read the new generation."""
+    publishes a view, and all of them read the new generation."""
 
     def test_eight_readers_across_a_patch(self):
         pair, rng = seeded_pair(9, docs=80)
@@ -764,7 +772,7 @@ class TestReadHammer:
                     except Exception as error:  # surfaced below
                         errors.append(error)
 
-                before = patched_count()
+                before, viewed = patched_count(), viewed_count()
                 threads = [
                     threading.Thread(target=reader, args=(number,))
                     for number in range(8)
@@ -775,7 +783,9 @@ class TestReadHammer:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
                 assert errors == []
-                assert patched_count() == before + 1
+                assert (patched_count(), viewed_count()) == (
+                    before, viewed + 1
+                )
                 assert [results[number] for number in range(8)] == [
                     expected
                 ] * 8

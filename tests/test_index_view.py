@@ -1,0 +1,605 @@
+"""Reads after a write score a view: the last seal plus the writes since.
+
+After a write, the next read of an :class:`InvertedIndex` publishes a
+*view*: the last compacted seal (the base, never written), the base
+documents removed since (zeroed in every score row) and the documents
+added since (scored from their records).  It re-derives only the
+contribution rows whose statistics moved.  The property proved here:
+after every write, at 1, 2 and 4 shards, a read through the view ranks
+exactly as a fresh compile of the surviving payloads and as the dict
+oracle of ``tests/bm25_oracle.py`` — the same ids, and every score's
+``float.hex``.
+
+Most tests set ``_COMPACT_SHARE`` to infinity, so that no write
+compacts and every read after a write reads a view; the compaction
+cases put it back.
+
+``make sanitize`` runs this file under the lockset sanitizer, and it is
+one of ``make coverage``'s suites for ``index/inverted.py``.
+"""
+
+import random
+import sys
+import threading
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.config import VerifAIConfig
+from repro.core.indexer import IndexerModule
+from repro.datalake.types import Modality
+from repro.index import inverted
+from repro.index.inverted import InvertedIndex, _View
+from repro.index.shard import GlobalBM25Stats, ShardedInvertedIndex
+from repro.obs.metrics import get_registry
+from repro.text import analyze
+from repro.workloads.builder import LakeConfig, build_lake
+from tests.bm25_oracle import DictOracle
+
+SHARDS = [1, 2, 4]
+
+WORDS = [
+    "kax", "tox", "mix", "rax", "nex", "sox", "lux", "vix", "dax", "pox",
+]
+
+
+@contextmanager
+def compact_share(share):
+    """Run with ``_COMPACT_SHARE`` at ``share``."""
+    with mock.patch.object(inverted, "_COMPACT_SHARE", share):
+        yield
+
+
+@pytest.fixture
+def no_compaction():
+    """No write compacts: every read after a write reads a view."""
+    with compact_share(float("inf")):
+        yield
+
+
+def members(index):
+    return getattr(index, "shards", [index])
+
+
+def new_index(num_shards, name="view"):
+    if num_shards == 1:
+        return InvertedIndex(name=name)
+    return ShardedInvertedIndex(num_shards, name=name)
+
+
+def exact(hits):
+    return [(hit.instance_id, hit.score.hex()) for hit in hits]
+
+
+def seal_count(name):
+    return get_registry().counter(f"index.seal.{name}").value
+
+
+def text(rng, vocabulary=WORDS, low=1, high=8):
+    return " ".join(
+        rng.choice(vocabulary) for _ in range(rng.randint(low, high))
+    )
+
+
+class Live:
+    """An index under writes, the payloads that survive in it, and the
+    dict oracle over them."""
+
+    def __init__(self, num_shards, docs=(), seal=True):
+        self.num_shards = num_shards
+        self.index = new_index(num_shards)
+        self.oracle = DictOracle(name="view")
+        self.payloads = {}
+        for doc_id, payload in docs:
+            self.add(doc_id, payload)
+        if seal:
+            self.index.seal()
+
+    def add(self, doc_id, payload):
+        self.index.add(doc_id, payload)
+        self.oracle.add(doc_id, payload)
+        self.payloads[doc_id] = payload
+
+    def remove(self, doc_id):
+        self.index.remove(doc_id)
+        self.oracle.remove(doc_id)
+        del self.payloads[doc_id]
+
+    def update(self, doc_id, payload):
+        self.index.update(doc_id, payload)
+        self.oracle.update(doc_id, payload)
+        del self.payloads[doc_id]  # an update moves it to the end
+        self.payloads[doc_id] = payload
+
+    def compiled(self):
+        """A fresh index fed the surviving payloads, compiled once."""
+        fresh = new_index(self.num_shards)
+        for doc_id, payload in self.payloads.items():
+            fresh.add(doc_id, payload)
+        return fresh.seal()
+
+    def check(self, queries, k=7):
+        """A batch and solo reads: as the compile and the oracle rank,
+        by ids and score bits.  No read folds but a member's first
+        compile."""
+        compiles = sum(
+            1 for m in members(self.index) if len(m) and m._base is None
+        )
+        folds = seal_count("patched") + seal_count("compiled")
+        got = [exact(hits) for hits in self.index.search_batch(queries, k)]
+        assert [exact(self.index.search(q, k)) for q in queries] == got
+        assert seal_count("patched") + seal_count("compiled") == (
+            folds + compiles
+        )
+        compiled = self.compiled()
+        assert got == [
+            exact(hits) for hits in compiled.search_batch(queries, k)
+        ]
+        assert got == [exact(self.oracle.search(q, k)) for q in queries]
+        return got
+
+
+def seeded(num_shards, seed, docs=40):
+    rng = random.Random(seed)
+    return Live(num_shards, [
+        (f"doc{number:03d}", text(rng)) for number in range(docs)
+    ]), rng
+
+
+def queries_of(rng, count=6):
+    return [text(rng, WORDS + ["newx", "absentx"], 1, 4) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# the oracle: after every write, every read
+# ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("no_compaction")
+class TestEveryWrite:
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reads_after_every_write_are_the_compile_and_the_oracle(
+        self, num_shards, seed
+    ):
+        live, rng = seeded(num_shards, seed)
+        fresh_ids = iter(range(10_000, 20_000))
+        for step in range(40):
+            alive = list(live.payloads)
+            roll = rng.random()
+            vocabulary = WORDS + [f"rare{step}x"]
+            if roll < 0.35 or len(alive) < 3:
+                live.add(f"new{next(fresh_ids)}", text(rng, vocabulary))
+            elif roll < 0.6:
+                live.remove(rng.choice(alive))
+            else:
+                live.update(rng.choice(alive), text(rng, vocabulary))
+            assert not live.index.is_sealed
+            viewed = seal_count("viewed")
+            live.check(queries_of(rng) + [f"rare{step}x"], k=5)
+            populated = [m for m in members(live.index) if len(m)]
+            # one view a populated member, published by the first read
+            assert seal_count("viewed") == viewed + len(populated), step
+            assert all(isinstance(m._sealed, _View) for m in populated)
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_every_depth_around_the_match_counts(self, num_shards):
+        live, rng = seeded(num_shards, 7, docs=25)
+        for step in range(6):
+            live.update(f"doc{step * 3:03d}", text(rng))
+            live.add(f"extra{step}", text(rng))
+            live.remove(f"doc{step * 3 + 1:03d}")
+            queries = queries_of(rng)
+            size = len(live.payloads)
+            for k in range(size + 3):
+                live.check(queries, k)
+
+
+# ---------------------------------------------------------------------------
+# the cases worth naming
+# ---------------------------------------------------------------------------
+def small(num_shards=1):
+    return Live(num_shards, [
+        ("a", "kax tox mix"), ("b", "tox rax rax nex"), ("c", "mix sox lux"),
+        ("d", "kax kax vix"), ("e", "tox mix lux"), ("f", "sox sox kax"),
+    ])
+
+
+def tied(num_shards=1, docs=8):
+    """``docs`` documents with one payload: every query ties them all."""
+    return Live(num_shards, [
+        (f"t{number}", "kax tox") for number in range(docs)
+    ])
+
+
+@pytest.mark.usefixtures("no_compaction")
+class TestNamedCases:
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_token_first_seen_in_the_delta(self, num_shards):
+        live = small(num_shards)
+        live.add("g", "aax zzzx tox")  # before the first and after the last
+        live.check(["aax", "zzzx tox", "zzzx aax kax"])
+        if num_shards == 1:
+            view = live.index._sealed
+            assert set(view.first_seen) == {"aax", "zzzx"}
+            assert "aax" not in view.tok_pos
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_last_carrier_of_a_token_removed(self, num_shards):
+        live = small(num_shards)
+        live.remove("b")  # the only document with rax and nex
+        assert live.index.search("rax nex", 5) == []
+        live.check(["rax nex", "tox", "rax tox"])
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_remove_then_readd_of_one_id(self, num_shards):
+        live = small(num_shards)
+        live.remove("a")
+        live.add("a", "pox dax")
+        live.check(["pox", "kax", "kax tox mix"])
+        assert "a" not in [h.instance_id for h in live.index.search("mix", 9)]
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_an_updated_id_keeps_its_rank_among_ties(self, num_shards):
+        live = tied(num_shards)
+        live.update("t3", "kax tox")  # same payload: it moves last
+        live.remove("t5")
+        live.add("t5", "kax tox")  # and back, as a new document
+        live.add("t10", "kax tox")  # sorts between t1 and t2
+        got = live.check(["kax", "tox kax"], k=20)
+        assert [i for i, _ in got[0]] == sorted(live.payloads)
+
+    def test_update_with_an_identical_payload_rederives_nothing(self):
+        live = small()
+        live.update("c", "mix sox lux")  # first view: one full pass
+        live.check(["mix", "sox lux"])
+        derived = live.index._derived
+        contrib = derived.contrib.copy()
+        live.update("b", "tox rax rax nex")
+        live.check(["rax", "tox"])
+        # the same statistics: the tables were not re-derived at all
+        assert live.index._derived is derived
+        assert derived.contrib.tobytes() == contrib.tobytes()
+
+    def test_a_changed_cell_rederives_its_rows_only(self):
+        live = small()
+        live.update("a", "kax tox mix")
+        live.check(["kax"])
+        derived = live.index._derived
+        before = derived.contrib.copy()
+        live.update("d", "kax lux vix")  # same length, df of lux moves
+        live.check(["kax", "lux vix", "mix"])
+        assert live.index._derived is derived
+        base = live.index._base
+        row = base.tok_pos["lux"]
+        moved = set(range(*base.tok_start[row:row + 2].tolist()))
+        changed = {
+            int(i) for i in (derived.contrib != before).nonzero()[0]
+        }
+        assert changed and changed <= moved
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_a_total_length_change(self, num_shards):
+        live = small(num_shards)
+        live.check(["kax"])
+        live.update("c", "mix sox lux lux pox kax")
+        live.check(["lux", "kax pox", "mix sox"])
+        assert len(live.index) == 6
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_a_document_count_change(self, num_shards):
+        live = small(num_shards)
+        live.check(["kax"])
+        live.add("g", "kax")
+        live.check(["kax", "tox"])
+        live.remove("e")
+        live.check(["kax", "tox", "lux"])
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_a_write_to_another_shard(self, num_shards):
+        live = Live(num_shards, [
+            (f"doc{number:02d}", f"kax tox {WORDS[number % 10]}")
+            for number in range(24)
+        ])
+        live.check(["kax", "tox mix"])
+        written = live.index.shard_for("doc05")
+        live.update("doc05", "kax kax kax tox rax")
+        live.check(["kax", "tox mix", "rax"])
+        for member in members(live.index):
+            view = member._sealed
+            assert isinstance(view, _View)
+            if member is not written:  # only statistics moved here
+                assert view.dead is None and view.delta_cells.size == 0
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_an_index_emptied_and_refilled(self, num_shards):
+        live = small(num_shards)
+        for doc_id in list(live.payloads):
+            live.remove(doc_id)
+        assert len(live.index) == 0
+        assert live.index.search("kax", 5) == []
+        live.add("z", "kax pox")
+        live.add("y", "pox")
+        live.check(["kax pox", "pox", "tox"])
+
+    def test_a_document_without_tokens(self):
+        live = small()
+        live.add("empty", "")
+        live.check(["kax", ""])
+        live.remove("empty")
+        live.check(["kax"])
+
+    def test_a_fresh_document_removed_again(self):
+        live = small()
+        live.update("a", "pox dax")
+        live.check(["pox"])
+        live.update("a", "rax")  # the fresh version goes, not the base's
+        live.check(["pox", "rax", "kax"])
+
+    def test_the_base_arrays_are_never_written(self):
+        live = small()
+        base = live.index._base
+        before = {
+            name: getattr(base, name).tobytes()
+            for name in ("norm", "tok_start", "doc_idx", "tf_flat", "idf_flat")
+        }
+        rng = random.Random(3)
+        for step in range(10):
+            live.update(rng.choice(list(live.payloads)), text(rng))
+            live.add(f"n{step}", text(rng))
+            live.check(["kax tox", "mix"])
+        assert live.index._base is base
+        for name, data in before.items():
+            assert getattr(base, name).tobytes() == data, name
+
+    def test_a_read_after_new_corpus_stats_compacts(self):
+        live = small()
+        other = InvertedIndex(name="other")
+        other.add("x", "kax kax")
+        live.index.corpus_stats = GlobalBM25Stats([live.index, other])
+        live.index.invalidate_seal()
+        patched = seal_count("patched")
+        hits = live.index.search("kax", 3)
+        assert seal_count("patched") == patched + 1
+        assert live.index._sealed is live.index._base
+        assert [h.instance_id for h in hits] == ["d", "a", "f"]
+
+
+# ---------------------------------------------------------------------------
+# compaction
+# ---------------------------------------------------------------------------
+class TestCompaction:
+    def test_a_write_that_outgrows_the_share_compacts(self):
+        with compact_share(0.25):
+            live = Live(1, [(f"d{n}", f"kax {WORDS[n]}") for n in range(8)])
+            base = live.index._base
+            live.update("d1", "tox")  # 2 written of the 2 allowed
+            assert live.index._base is base
+            live.check(["kax", "tox"])
+            patched = seal_count("patched")
+            live.add("d9", "mix")  # 3 of 8: over the share
+            assert seal_count("patched") == patched + 1
+            assert live.index._base is not base
+            assert not live.index.is_sealed
+            assert live.index._delta is None and live.index._fresh == {}
+            live.check(["kax", "tox", "mix"])
+            assert isinstance(live.index._sealed, _View)
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_compactions_landing_mid_sequence(self, num_shards):
+        live, rng = seeded(num_shards, 11, docs=30)
+        with compact_share(0.1):
+            for step in range(30):
+                alive = list(live.payloads)
+                if step % 3 == 0:
+                    live.add(f"m{step}", text(rng))
+                elif step % 3 == 1:
+                    live.remove(rng.choice(alive))
+                else:
+                    live.update(rng.choice(alive), text(rng))
+                if step == 17:
+                    live.index.seal()  # an explicit compaction too
+                    assert all(
+                        m._sealed is m._base for m in members(live.index)
+                        if len(m)
+                    )
+                live.check(queries_of(rng))
+
+    def test_seal_compacts_a_published_view(self, no_compaction):
+        live = small()
+        live.update("a", "pox")
+        live.check(["pox"])
+        view = live.index._sealed
+        assert isinstance(view, _View)
+        live.index.seal()
+        assert live.index._sealed is live.index._base
+        assert live.index._sealed is not view
+        live.check(["pox", "kax"])
+
+
+# ---------------------------------------------------------------------------
+# any write sequence, read at any point, with or without compaction
+# ---------------------------------------------------------------------------
+view_text = st.lists(
+    st.one_of(st.sampled_from(WORDS[:4]), st.integers(0, 60).map(
+        lambda rank: f"w{rank}x"
+    )),
+    max_size=6,
+).map(" ".join)
+view_op = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 19), view_text),
+    st.tuples(st.just("remove"), st.integers(0, 99)),
+    st.tuples(st.just("update"), st.integers(0, 99), view_text),
+    st.tuples(st.just("read"), view_text),
+    st.tuples(st.just("seal")),
+)
+
+
+class TestAnyWriteSequence:
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ops=st.lists(view_op, max_size=30),
+        share=st.sampled_from([float("inf"), 0.2, 0.0]),
+    )
+    # a token first seen, its last carrier removed, and re-added
+    @example(ops=[
+        ("add", 0, "kax tox"), ("add", 1, "mix"), ("seal",),
+        ("add", 2, "w7x kax"), ("read", "w7x"), ("remove", 2),
+        ("read", "w7x kax"), ("add", 2, "w7x"), ("read", "w7x"),
+    ], share=float("inf"))
+    # an index emptied and refilled between two reads
+    @example(ops=[
+        ("add", 0, "kax"), ("add", 1, "tox"), ("seal",), ("remove", 0),
+        ("remove", 0), ("read", "kax"), ("add", 3, "kax kax"),
+        ("read", "kax tox"),
+    ], share=float("inf"))
+    def test_reads_through_views_are_the_compile(self, num_shards, ops, share):
+        with compact_share(share):
+            live = Live(num_shards)
+            for op in ops:
+                kind, alive = op[0], list(live.payloads)
+                if kind == "add" and f"d{op[1]}" not in live.payloads:
+                    live.add(f"d{op[1]}", op[2])
+                elif kind in ("remove", "update") and alive:
+                    doc_id = alive[op[1] % len(alive)]
+                    if kind == "remove":
+                        live.remove(doc_id)
+                    else:
+                        live.update(doc_id, op[2])
+                elif kind == "read":
+                    live.check([op[1], "kax tox"], k=4)
+                elif kind == "seal":
+                    live.index.seal()
+            live.check(["kax", "tox mix", "w7x"], k=6)
+
+
+# ---------------------------------------------------------------------------
+# is_sealed: False from a write until a read publishes the view
+# ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("no_compaction")
+class TestIsSealed:
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_a_write_unpublishes_and_the_next_read_publishes(
+        self, num_shards
+    ):
+        live = small(num_shards)
+        assert live.index.is_sealed
+        live.update("a", "pox dax")
+        assert not live.index.is_sealed
+        live.index.search("pox", 3)
+        assert live.index.is_sealed
+        views = [m._sealed for m in members(live.index)]
+        live.index.search_batch(["kax", "mix"], 3)  # a steady read
+        assert [m._sealed for m in members(live.index)] == views
+        live.remove("b")
+        assert not live.index.is_sealed
+        live.index.rank_batch(["tox"], 3)
+        assert live.index.is_sealed
+        live.index.seal()
+        assert live.index.is_sealed
+
+
+# ---------------------------------------------------------------------------
+# removal by the indexer's tokens
+# ---------------------------------------------------------------------------
+class TestRemoveByTokens:
+    def test_tokens_reach_the_same_statistics_as_the_scan(
+        self, no_compaction
+    ):
+        scanned, handed = small().index, small().index
+        tokens = analyze("tox rax rax nex")
+        scanned.remove("b")
+        handed.remove("b", tokens)
+        assert handed._delta.dead == scanned._delta.dead
+        for token in ("tox", "rax", "nex", "kax"):
+            assert handed.local_df(token) == scanned.local_df(token)
+        assert handed.avg_doc_length == scanned.avg_doc_length
+        assert exact(handed.search("tox rax", 5)) == exact(
+            scanned.search("tox rax", 5)
+        )
+
+    def test_tokens_of_another_length_change_nothing(self):
+        index = small().index
+        with pytest.raises(ValueError, match="holds 4 tokens"):
+            index.remove("b", ["tox"])
+        assert "b" in index and index.local_df("rax") == 1
+        with pytest.raises(KeyError):
+            index.remove("ghost", ["tox"])
+
+    def test_the_indexer_hands_over_the_old_payloads_terms(
+        self, monkeypatch
+    ):
+        lake = build_lake(LakeConfig(num_tables=4, seed=5)).lake
+        indexer = IndexerModule(lake, VerifAIConfig()).build()
+        content = indexer.content_index(Modality.TABLE)
+        handed = []
+        original = content.remove
+        monkeypatch.setattr(
+            content, "remove",
+            lambda doc_id, tokens=None: (
+                handed.append((doc_id, tokens)), original(doc_id, tokens)
+            ),
+        )
+        table = lake.tables()[0]
+        payload = indexer.fetch_payload(table.table_id)
+        indexer.remove_instance(lake.remove_instance(table.table_id))
+        assert handed == [(table.table_id, analyze(payload))]
+
+
+# ---------------------------------------------------------------------------
+# readers racing to publish the view after a write
+# ---------------------------------------------------------------------------
+class TestViewHammer:
+    """``make sanitize`` runs this under the lockset sanitizer: eight
+    readers find the index unpublished after a write, exactly one of
+    them publishes each member's view, and all of them read it."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_eight_readers_across_writes(self, num_shards, no_compaction):
+        live, rng = seeded(num_shards, 19, docs=60)
+        queries = queries_of(rng)
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_no in range(5):
+                live.update(f"doc{round_no * 7:03d}", text(rng))
+                live.add(f"hammer{round_no}", text(rng))
+                live.remove(f"doc{round_no * 7 + 1:03d}")
+                expected = [
+                    exact(live.oracle.search(q, 6)) for q in queries
+                ]
+                results = {}
+                barrier = threading.Barrier(8)
+
+                def reader(number):
+                    try:
+                        barrier.wait(timeout=10)
+                        if number % 2:
+                            got = live.index.search_batch(queries, 6)
+                        else:
+                            got = [live.index.search(q, 6) for q in queries]
+                        results[number] = [exact(hits) for hits in got]
+                    except Exception as error:  # surfaced below
+                        errors.append(error)
+
+                viewed = seal_count("viewed")
+                folds = seal_count("patched") + seal_count("compiled")
+                threads = [
+                    threading.Thread(target=reader, args=(number,))
+                    for number in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert seal_count("viewed") == viewed + num_shards
+                assert seal_count("patched") + seal_count(
+                    "compiled"
+                ) == folds
+                assert [results[n] for n in range(8)] == [expected] * 8
+        finally:
+            sys.setswitchinterval(previous)
