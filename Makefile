@@ -18,12 +18,13 @@ check: lint test test-shard sanitize coverage
 test:
 	PYTHONPATH=src pytest tests/ -q
 
-# the slow soak of the sharding equivalence + churn differential suite
-# that tier-1 deselects (-m slow overrides the default -m "not slow"
-# addopts; the non-slow half of both files runs in `test`)
+# the slow tests tier-1 deselects: the soak of the sharding equivalence
+# + churn differential suite, and the 2,400-table lake's byte pin (-m
+# slow overrides the default -m "not slow" addopts; the non-slow rest of
+# these files runs in `test`)
 test-shard:
 	PYTHONPATH=src pytest tests/test_index_sharding.py tests/test_index_churn.py \
-		-m slow -q
+		tests/test_workloads.py -m slow -q
 
 # serve a small lake, replay a seeded load mix against ourselves,
 # print the p50/p95/p99 + shed report, and exit

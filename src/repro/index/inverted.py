@@ -185,7 +185,8 @@ class _SealedPostings:
     ``idf_flat``, and the document order's ``ordinal`` table (what a
     ranking breaks ties by) with ``by_ordinal``, the ids in sorted
     order.  ``contrib_flat`` and ``spans`` are derived data its reads
-    fill.
+    fill while it is published, and which it drops when a view of it is
+    published: from then on only views read it.
     """
 
     __slots__ = (
@@ -241,12 +242,13 @@ class _SealedPostings:
         self.stats_source = stats_source
         #: per-posting BM25 contribution for qtf = 1, built by the
         #: first read of this seal (derived data, never carried: a view
-        #: of this seal derives its own)
+        #: of this seal derives its own, and its publication drops this)
         self.contrib_flat: Optional["np.ndarray"] = None
         #: token -> its CSR blocks of ``doc_idx`` and ``contrib_flat``,
         #: two views filled by the token's first read of this seal
         #: (:meth:`InvertedIndex._span`); a write publishes a new read
-        #: form, and with it an empty cache
+        #: form, and with it an empty cache, and a view of this seal
+        #: drops this one with ``contrib_flat``
         self.spans: Dict[str, Tuple["np.ndarray", "np.ndarray"]] = {}
 
     def select(
@@ -260,15 +262,16 @@ class _SealedPostings:
         )
 
     def block(
-        self, token: str
+        self, token: str, contrib_flat: "np.ndarray"
     ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-        """``token``'s CSR blocks of ``doc_idx`` and ``contrib_flat``
-        (built already); ``None`` for a token the seal does not know."""
+        """``token``'s CSR blocks of ``doc_idx`` and of ``contrib_flat``
+        (this seal's, the caller's reference to it); ``None`` for a
+        token the seal does not know."""
         position = self.tok_pos.get(token)
         if position is None:
             return None
         start, end = self.tok_start[position:position + 2].tolist()
-        return self.doc_idx[start:end], self.contrib_flat[start:end]
+        return self.doc_idx[start:end], contrib_flat[start:end]
 
 
 class _View:
@@ -340,10 +343,11 @@ class _View:
         ], scores[order].tolist()
 
     def block(
-        self, token: str
+        self, token: str, contrib_flat: "np.ndarray"
     ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
         """``token``'s base block, then its block of the added
-        documents; ``None`` for a token neither carries."""
+        documents; ``None`` for a token neither carries.
+        ``contrib_flat`` is this view's."""
         base = self.base
         position = base.tok_pos.get(token)
         if position is None:  # first seen since the base, or unknown
@@ -355,13 +359,13 @@ class _View:
         start, end = base.tok_start[position:position + 2].tolist()
         low, high = self.delta_start[position:position + 2].tolist()
         if low == high:
-            return base.doc_idx[start:end], self.contrib_flat[start:end]
+            return base.doc_idx[start:end], contrib_flat[start:end]
         return (
             np.concatenate((
                 base.doc_idx[start:end], self.delta_cells[low:high]
             )),
             np.concatenate((
-                self.contrib_flat[start:end], self.delta_values[low:high]
+                contrib_flat[start:end], self.delta_values[low:high]
             )),
         )
 
@@ -965,8 +969,13 @@ class InvertedIndex(SearchIndex):
         statistics moved (every row, in one elementwise pass, when the
         document count or the average length moved), one pass over the
         delta's postings and one copy of the base's contribution table:
-        each write already merged its postings and ranked its id."""
+        each write already merged its postings and ranked its id.
+
+        First the base drops what its own reads built: only views read
+        it from here on, and a reader that took it earlier scores from
+        its own reference (:meth:`_score_matrix`)."""
         base, delta = self._base, self._delta
+        base.contrib_flat, base.spans = None, {}
         stats = self._stats()
         num_docs = stats.doc_count()
         avg_len = self.avg_doc_length
@@ -1086,14 +1095,20 @@ class InvertedIndex(SearchIndex):
         if sealed is None or not sealed.num_docs or k <= 0:
             return [([], []) for _ in plan.terms]
         num_docs = sealed.num_docs
-        self._contrib_flat(sealed)  # the blocks are views of it
-        spans, dead = sealed.spans, sealed.dead
+        contrib_flat = self._contrib_flat(sealed)  # the blocks slice it
+        with self._seal_lock:  # its span cache, unless it was dropped
+            spans = (
+                sealed.spans if sealed.contrib_flat is contrib_flat else {}
+            )
+        dead = sealed.dead
         ranked: List[Ranking] = []
         postings = 0
         for terms in plan.terms:
             cells, values = [], []
             for token, query_count in terms:
-                span = spans.get(token) or self._span(sealed, token)
+                span = spans.get(token) or self._span(
+                    sealed, token, contrib_flat, spans
+                )
                 if span is not None:
                     cells.append(span[0])
                     values.append(
@@ -1115,18 +1130,24 @@ class InvertedIndex(SearchIndex):
         return ranked
 
     def _span(
-        self, sealed: _ReadForm, token: str
+        self,
+        sealed: _ReadForm,
+        token: str,
+        contrib_flat: "np.ndarray",
+        spans: Dict[str, Tuple["np.ndarray", "np.ndarray"]],
     ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-        """``token``'s block of the read form (its ``block``), cached in
-        ``sealed.spans`` by the token's first read of it; ``None`` for a
-        token the read form does not know, which is not cached."""
-        block = sealed.block(token)
+        """``token``'s block of the read form (its ``block`` of
+        ``contrib_flat``), cached in ``spans`` — ``sealed.spans``, or
+        the read's own when the seal dropped its cache — by the token's
+        first read of it; ``None`` for a token the read form does not
+        know, which is not cached."""
+        block = sealed.block(token, contrib_flat)
         if block is None:
             return None
         with self._seal_lock:
-            span = sealed.spans.get(token)
+            span = spans.get(token)
             if span is None:
-                span = sealed.spans[token] = block
+                span = spans[token] = block
                 _sanitizer.note_write(sealed, "spans", lock=self._seal_lock)
         return span
 
@@ -1135,18 +1156,24 @@ class InvertedIndex(SearchIndex):
         the read form's base postings (:meth:`_contrib`).  A view
         carries its own from its publication; a seal's is built by its
         first read, two stream-length arrays alive at once, and cached
-        on it."""
-        if sealed.contrib_flat is None:
+        on it while it is published.  A reader still holding a seal that
+        a view superseded gets one built for it alone, so the seal keeps
+        nothing."""
+        contrib_flat = sealed.contrib_flat
+        if contrib_flat is None:
             with self._seal_lock:
-                if sealed.contrib_flat is None:
-                    sealed.contrib_flat = self._contrib(
+                contrib_flat = sealed.contrib_flat
+                if contrib_flat is None:
+                    contrib_flat = self._contrib(
                         np.repeat(sealed.idf_flat, np.diff(sealed.tok_start)),
                         sealed.tf_flat, sealed.norm, sealed.doc_idx,
                     )
-                    _sanitizer.note_write(
-                        sealed, "contrib_flat", lock=self._seal_lock
-                    )
-        return sealed.contrib_flat
+                    if sealed is self._sealed:
+                        sealed.contrib_flat = contrib_flat
+                        _sanitizer.note_write(
+                            sealed, "contrib_flat", lock=self._seal_lock
+                        )
+        return contrib_flat
 
     # ------------------------------------------------------------------
     # search

@@ -603,3 +603,117 @@ class TestViewHammer:
                 assert [results[n] for n in range(8)] == [expected] * 8
         finally:
             sys.setswitchinterval(previous)
+
+
+# ---------------------------------------------------------------------------
+# a base a view superseded keeps no table of its own reads
+# ---------------------------------------------------------------------------
+def exact_ranking(ranking):
+    ids, scores = ranking
+    return [(doc_id, score.hex()) for doc_id, score in zip(ids, scores)]
+
+
+@pytest.mark.usefixtures("no_compaction")
+class TestSupersededBase:
+    """Once a view of a base is published only views read the base, so
+    it drops the ``contrib_flat`` and ``spans`` its own reads built.  A
+    reader that took the base earlier still scores it bit for bit, from
+    a table built for that read alone."""
+
+    @pytest.mark.parametrize("num_shards", SHARDS)
+    def test_a_view_drops_the_base_tables(self, num_shards):
+        live, rng = seeded(num_shards, 23)
+        queries = queries_of(rng)
+        live.check(queries)
+        bases = [m._base for m in members(live.index)]
+        assert all(base is m._sealed for base, m in zip(
+            bases, members(live.index)
+        ))
+        assert all(base.contrib_flat is not None for base in bases)
+        assert any(base.spans for base in bases)
+        for step in range(3):
+            live.update(f"doc{step:03d}", text(rng))
+            live.add(f"new{step}", text(rng))
+            live.check(queries)
+            for base, member in zip(bases, members(live.index)):
+                assert member._base is base
+                assert isinstance(member._sealed, _View)
+                assert base.contrib_flat is None
+                assert base.spans == {}
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_a_reader_holding_the_base_scores_it_after(self, read_first):
+        live, rng = seeded(1, 29)
+        index = live.index
+        queries = queries_of(rng)
+        plan = index.plan_matrix(queries)
+        held = index._sealed
+        expected = [exact(live.oracle.search(q, 6)) for q in queries]
+        if read_first:  # the base's own table and spans, then dropped
+            assert [
+                exact_ranking(r) for r in index._score_matrix(held, plan, 6)
+            ] == expected
+        live.update("doc003", text(rng))
+        live.check(queries)
+        assert held.contrib_flat is None
+        got = index._score_matrix(held, plan, 6)
+        assert [exact_ranking(r) for r in got] == expected
+        # built for that read alone
+        assert held.contrib_flat is None
+        assert held.spans == {}
+
+    def test_readers_across_view_publication(self):
+        """``make sanitize`` runs this under the lockset sanitizer: four
+        readers score a base they took while the base is published, then
+        superseded and dropped, and every ranking is the one the base
+        gave before any write."""
+        live, rng = seeded(1, 31, docs=80)
+        index = live.index
+        queries = queries_of(rng, 8)
+        plan = index.plan_matrix(queries)
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_no in range(4):
+                held = index.seal()._sealed  # a fresh base, no table yet
+                assert held.contrib_flat is None
+                expected = [exact(live.oracle.search(q, 6)) for q in queries]
+                results = {}
+                barrier = threading.Barrier(5)
+
+                def reader(number):
+                    try:
+                        barrier.wait(timeout=10)
+                        results[number] = [
+                            [
+                                exact_ranking(r)
+                                for r in index._score_matrix(held, plan, 6)
+                            ]
+                            for _ in range(20)
+                        ]
+                    except Exception as error:  # surfaced below
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=reader, args=(number,))
+                    for number in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                barrier.wait(timeout=10)
+                for step in range(6):  # each write-read publishes a view
+                    live.update(f"doc{round_no * 9 + step:03d}", text(rng))
+                    index.search_batch(queries, 6)
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert [results[n] for n in range(4)] == [
+                    [expected] * 20
+                ] * 4
+                assert index._base is held
+                assert held.contrib_flat is None
+                assert held.spans == {}
+        finally:
+            sys.setswitchinterval(previous)

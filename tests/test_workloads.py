@@ -1,10 +1,11 @@
 """Synthetic corpus generation: tables, pages, bundles, workloads."""
 
 import hashlib
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.datalake.persistence import save_lake
 from repro.workloads.builder import LakeConfig, build_lake
@@ -19,6 +20,7 @@ from repro.workloads.vocab import (
     TEAM_MASCOTS,
     EntityNamer,
     Vocabulary,
+    _skip_draws,
 )
 
 
@@ -95,6 +97,96 @@ class TestVocabulary:
             numbered += name.rsplit(" ", 1)[-1].isdigit()
         assert numbered > 0
         assert len(vocab._used[kind]) == calls
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@st.composite
+def small_pools(draw):
+    """1-3 pools of 1-40 words whose product stays small enough to use
+    up: powers of two beside other sizes, so the pools' acceptance
+    limits mix, as the city pools' (8, 20, 8) do."""
+    sizes, room = [], 120
+    for _ in range(draw(st.integers(1, 3))):
+        top = min(40, room)
+        size = draw(st.one_of(
+            st.sampled_from([n for n in (1, 2, 4, 8, 16, 32) if n <= top]),
+            st.integers(1, top),
+        ))
+        sizes.append(size)
+        room = max(1, room // size)
+    return [[f"p{i}w{j}" for j in range(size)] for i, size in enumerate(sizes)]
+
+
+class TestUsedUpPools:
+    """A used-up pool skips its certain-to-fail draws in bulk: the names
+    and the generator state stay those of the 1,000 literal draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pools=small_pools(), seed=st.integers(0, 2**32 - 1),
+           share=st.floats(0.0, 2.0))
+    @example(pools=[["a"]], seed=0, share=2.0)
+    @example(pools=[[f"w{j}" for j in range(n)] for n in (8, 5, 2)],
+             seed=3, share=2.0)
+    def test_each_call_matches_choice_unique(self, pools, seed, share):
+        capacity = math.prod(len(pool) for pool in pools)
+        vocab, oracle = Vocabulary(seed), Vocabulary(seed)
+        rng = oracle._rng
+
+        def factory():
+            return " ".join(rng.choice(pool) for pool in pools)
+
+        for call in range(max(1, round(share * capacity))):
+            name = vocab._unique("k", "", pools)
+            assert name == TestVocabulary.choice_unique(
+                oracle, "k", factory
+            ), call
+            assert vocab._rng.getstate() == rng.getstate(), call
+
+    @settings(max_examples=40, deadline=None)
+    @given(pools=small_pools(), seed=st.integers(0, 2**32 - 1),
+           draws=st.integers(1, 300), block=st.integers(1, 3000))
+    def test_skip_consumes_the_words_of_the_draws(
+        self, pools, seed, draws, block
+    ):
+        # any first block, too short or long, ends where the draws do
+        skipped, drawn = random.Random(seed), random.Random(seed)
+        limits = [
+            len(pool) << (32 - len(pool).bit_length()) for pool in pools
+        ]
+        _skip_draws(skipped, limits, draws, block)
+        for _ in range(draws):
+            for pool in pools:
+                drawn.choice(pool)
+        assert skipped.getstate() == drawn.getstate()
+
+    @pytest.mark.parametrize("kind,method,capacity", [
+        ("city", "city_name", 1280), ("album", "album_title", 900),
+        ("team", "team_name", 400),
+    ])
+    def test_a_used_up_pool_makes_a_handful_of_calls(
+        self, kind, method, capacity
+    ):
+        vocab = Vocabulary(seed=5)
+        vocab._rng = counting = CountingRandom(5)
+        draw = getattr(vocab, method)
+        while vocab._plain[kind] < capacity:
+            draw()
+        for _ in range(5):
+            counting.calls = 0
+            assert draw().rsplit(" ", 1)[-1].isdigit()
+            # read ahead, consume, and the numbered name's own draw:
+            # 1,000 literal draws made thousands (about 5,600 on city)
+            assert counting.calls < 40
+        assert vocab._plain[kind] == capacity
 
 
 class TestWebTableGenerator:
@@ -258,7 +350,13 @@ class TestBuildLake:
         (11, 60, "0637c5f99c4f79c1c49b7dbe4d54a92ee52a5dbcb835061a1f253ac0cb5849d3"),
         # large enough that album and city pools run out
         (3, 1200, "9217e1ff5ad9f443b266d4edc106f0118dad7a0a7aea0151e11e9050057b3eab"),
-    ], ids=["seed11-60", "seed3-1200"])
+        # past half the names drawn from a used-up pool
+        pytest.param(
+            3, 2400,
+            "5b36394c4b5f2470e2f6ff180a24a3cd49c7e947c042fe12b8f916a5b418bbd9",
+            marks=pytest.mark.slow,
+        ),
+    ], ids=["seed11-60", "seed3-1200", "seed3-2400"])
     def test_saved_lake_bytes_are_pinned(self, tmp_path, seed, num_tables, digest):
         bundle = build_lake(LakeConfig(seed=seed, num_tables=num_tables))
         save_lake(bundle.lake, tmp_path / "lake.json")
