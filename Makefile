@@ -1,6 +1,6 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-shard serve-demo trace-demo loop-demo experiments examples lint sanitize coverage
+.PHONY: install check test test-slow serve-demo trace-demo loop-demo experiments examples lint sanitize coverage
 
 install:
 	pip install -e . --no-build-isolation
@@ -10,7 +10,7 @@ install:
 # under the lockset race sanitizer, and the coverage floor.  A target
 # stays in this file only if `check` depends on it or it runs something
 # no single pytest path does; timing is `python3 -m bench.run`
-check: lint test test-shard sanitize coverage
+check: lint test test-slow sanitize coverage
 
 # tests/ includes tests/paper/, the paper's tables, figures and
 # ablations as shape assertions at the medium scale (REPRO_SCALE=paper
@@ -18,13 +18,13 @@ check: lint test test-shard sanitize coverage
 test:
 	PYTHONPATH=src pytest tests/ -q
 
-# the slow tests tier-1 deselects: the soak of the sharding equivalence
-# + churn differential suite, and the 2,400-table lake's byte pin (-m
-# slow overrides the default -m "not slow" addopts; the non-slow rest of
-# these files runs in `test`)
-test-shard:
-	PYTHONPATH=src pytest tests/test_index_sharding.py tests/test_index_churn.py \
-		tests/test_workloads.py -m slow -q
+# the slow tests tier-1 deselects: the soak of the churn differential
+# suite, and the 2,400-table lake's byte pin (-m slow overrides the
+# default -m "not slow" addopts; the non-slow rest of these files runs
+# in `test`)
+test-slow:
+	PYTHONPATH=src pytest tests/test_index_churn.py tests/test_workloads.py \
+		-m slow -q
 
 # serve a small lake, replay a seeded load mix against ourselves,
 # print the p50/p95/p99 + shed report, and exit
@@ -49,7 +49,7 @@ trace-demo:
 # simulated LLM's prompt handlers, the rerankers and the module that
 # routes to them, the Agent and the LLM verifier, the pipeline config's
 # validation, the token embedder, the flat vector index, the inverted
-# index (compile, view, compaction), the sharded indexes, the text layer's
+# index (compile, view, compaction), the text layer's
 # analysis and similarity, the campaign path's glue (prompt splitting
 # and response parsing, the verifier module, the combiner and the
 # ranking type it fuses, the data objects), the evidence form's writers
@@ -69,7 +69,6 @@ coverage:
 		--target src/repro/embed/token_embed.py \
 		--target src/repro/index/vector.py \
 		--target src/repro/index/inverted.py \
-		--target src/repro/index/shard.py \
 		--target src/repro/text/tokenize.py \
 		--target src/repro/text/similarity.py \
 		--target src/repro/llm/prompts.py \
@@ -104,7 +103,7 @@ coverage:
 		tests/test_core_indexer_mutation.py tests/test_text_tokenize.py \
 		tests/test_text_similarity.py tests/test_llm_prompts.py \
 		tests/test_core_verifier_module.py tests/test_index_combiner.py \
-		tests/test_verdict_glue.py tests/test_index_sharding.py \
+		tests/test_verdict_glue.py \
 		tests/test_datalake_serialize.py tests/test_index_ranking.py \
 		tests/test_rerank_vocabulary.py tests/test_indexer_lazy.py \
 		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
@@ -131,14 +130,14 @@ loop-demo:
 # seal's contribution table, on first readers racing to fold a fresh
 # seal's ordinal table and to build a vector index's, on the text
 # layer's word table while it fills, and on the token embedder's
-# vocabulary read lock-free while first touches grow it, on the sharded
-# indexes read by batch workers, on first readers racing to build a
-# modality, and on verifier pools sharing one module and one model)
+# vocabulary read lock-free while first touches grow it, on first
+# readers racing to build a modality, and on verifier pools sharing one
+# module and one model)
 # under the Eraser-style lockset race sanitizer (see
 # docs/static_analysis.md); exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
-		tests/test_batch_faults.py tests/test_index_sharding.py \
+		tests/test_batch_faults.py \
 		tests/test_index_churn.py tests/test_llm_readings.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
 		tests/test_text_tokenize.py tests/test_index_ranking.py \

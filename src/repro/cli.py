@@ -72,9 +72,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _system_for(args: argparse.Namespace) -> VerifAI:
     """The system over ``--lake``, unbuilt: a one-object command's
     campaign builds only the modalities it reads."""
-    lake = load_lake(args.lake)
-    config = VerifAIConfig(num_shards=getattr(args, "shards", 1))
-    return VerifAI(lake, config=config)
+    return VerifAI(load_lake(args.lake), config=VerifAIConfig())
 
 
 def _cmd_verify_claim(args: argparse.Namespace) -> int:
@@ -242,7 +240,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     lake = load_lake(args.lake)
-    system = VerifAI(lake, config=VerifAIConfig(num_shards=args.shards))
+    system = VerifAI(lake, config=VerifAIConfig())
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -564,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--context", default="")
     p.add_argument("--explain", action="store_true")
-    p.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="index shard count (1 = monolithic; results are identical)",
-    )
     p.set_defaults(func=_cmd_verify_claim)
 
     p = sub.add_parser("verify-tuple", help="verify one imputed cell")
@@ -577,10 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", required=True)
     p.add_argument("--value", required=True)
     p.add_argument("--explain", action="store_true")
-    p.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="index shard count (1 = monolithic; results are identical)",
-    )
     p.set_defaults(func=_cmd_verify_tuple)
 
     p = sub.add_parser(
@@ -603,10 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="record a span trace of the campaign and write it to PATH "
              "(stable JSON; inspect with `repro trace PATH`)",
-    )
-    p.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="index shard count (1 = monolithic; results are identical)",
     )
     p.set_defaults(func=_cmd_verify_batch)
 
@@ -664,10 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
              "print the load report, and exit",
     )
     p.add_argument("--seed", type=int, default=0, help="demo mix seed")
-    p.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="index shard count (1 = monolithic; results are identical)",
-    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -428,18 +428,13 @@ def prefill(campaign: Campaign) -> None:
         by_modality.setdefault(key[2], []).append(key)
     prefill_start = system.clock.now()
     for modality, keys in by_modality.items():
-        attributes: Dict[str, object] = {
-            "modality": modality.value, "queries": len(keys),
-        }
-        # the fan-out is stamped only when sharding is on, so
-        # default-config traces carry no shard attribute at all
-        if system.config.num_shards > 1:
-            attributes["shards"] = system.config.num_shards
         try:
             with campaign.setup_branch.span(
                 f"retrieve:prefill:{modality.value}",
                 parent=campaign.root,
-                attributes=attributes,
+                attributes={
+                    "modality": modality.value, "queries": len(keys),
+                },
             ):
                 retrievals = system.retrieval_stages_batch(
                     [campaign.objects[campaign.plan_first[k]] for k in keys],

@@ -45,12 +45,7 @@ class VerifAIConfig:
       :meth:`VerifAI.verify_batch` and :meth:`VerifAI.verify` (the
       campaign of one), so both honour it.
       Retries are immediate and deterministic — no sleeps or jitter —
-      so serial and parallel runs stay report-for-report identical;
-    * ``num_shards`` — partition every modality's content + semantic
-      index into this many shards by stable hash of the instance id's
-      root (1 = the monolithic index).  Scatter-gather search is
-      proven hit-for-hit identical to the unsharded build
-      (tests/test_index_sharding.py), so this is purely a scale knob.
+      so serial and parallel runs stay report-for-report identical.
 
     A depth, size or count below its floor (1; 0 for
     ``batch_max_retries``) is refused at construction with a
@@ -70,12 +65,11 @@ class VerifAIConfig:
     chunk_max_tokens: int = 64
     batch_max_workers: int = 1
     batch_max_retries: int = 0
-    num_shards: int = 1
 
     def __post_init__(self) -> None:
         for name in (
             "k_coarse", "embedding_dim", "chunk_max_tokens",
-            "batch_max_workers", "num_shards",
+            "batch_max_workers",
         ):
             require_at_least(name, getattr(self, name), 1)
         for modality, depth in self.k_fine.items():

@@ -10,14 +10,6 @@ Text documents may be indexed as sentence-aligned chunks
 longer drown a single relevant sentence in length normalization — and
 chunk hits are folded back to their parent documents.
 
-With ``config.num_shards > 1`` every modality's content + semantic
-index is partitioned into N shards by stable hash of the instance id's
-root (chunks co-locate with their parent document, tuples with their
-parent table), and ``search()`` runs scatter-gather.  Shard results are
-proven hit-for-hit identical — ids *and* scores — to the monolithic
-build (tests/test_index_sharding.py), so downstream modules never know
-shards exist.
-
 A modality's indexes and Combiner are built together, by
 :meth:`build` or by the first read that needs them, and published only
 once filled and sealed: a modality no caller reads (the KG entities,
@@ -37,7 +29,7 @@ interleave them with concurrent searches.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance
@@ -49,14 +41,8 @@ from repro.index.base import (
 )
 from repro.index.combiner import Combiner
 from repro.index.inverted import InvertedIndex
-from repro.index.shard import (
-    ShardedInvertedIndex,
-    ShardedVectorIndex,
-    shard_of,
-)
 from repro.index.vector import FlatVectorIndex
 from repro.core.config import VerifAIConfig
-from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
 from repro.text import analyze
@@ -67,10 +53,6 @@ _INDEXED_MODALITIES = (
     Modality.TEXT,
     Modality.KG_ENTITY,
 )
-
-#: (shard number, build start, build end, entries built) timings the
-#: sharded build reports for metrics and spans
-_ShardTiming = Tuple[int, float, float, int]
 
 
 def _fold_chunks_to_documents(ranking: Ranking, k: int) -> Ranking:
@@ -105,13 +87,11 @@ class IndexerModule:
         self,
         lake: DataLake,
         config: Optional[VerifAIConfig] = None,
-        clock: Optional[Clock] = None,
     ) -> None:
         self.lake = lake
         self.config = config or VerifAIConfig()
-        self.clock: Clock = clock or MonotonicClock()
-        self._content: Dict[Modality, SearchIndex] = {}
-        self._semantic: Dict[Modality, SearchIndex] = {}
+        self._content: Dict[Modality, InvertedIndex] = {}
+        self._semantic: Dict[Modality, FlatVectorIndex] = {}
         self._combiners: Dict[Modality, Combiner] = {}
         self._vectorizer = HashingVectorizer(dim=self.config.embedding_dim)
         # guards the lazy builds: readers on several threads may race to
@@ -123,11 +103,6 @@ class IndexerModule:
     def built_modalities(self) -> FrozenSet[Modality]:
         """The modalities whose indexes are built."""
         return frozenset(self._combiners)
-
-    @property
-    def num_shards(self) -> int:
-        """Configured shard count (1 = monolithic indexes)."""
-        return self.config.num_shards
 
     # ------------------------------------------------------------------
     # construction
@@ -146,24 +121,11 @@ class IndexerModule:
                 return [(chunk.chunk_id, chunk.text) for chunk in chunks]
         return [(instance.instance_id, serialize_instance(instance))]
 
-    def _new_content_index(self, modality: Modality) -> SearchIndex:
-        if self.config.num_shards > 1:
-            return ShardedInvertedIndex(
-                self.config.num_shards,
-                name=f"bm25-{modality.value}",
-            )
-        return InvertedIndex(name=f"bm25-{modality.value}")
-
-    def _new_semantic_index(self, modality: Modality) -> Optional[SearchIndex]:
+    def _new_semantic_index(
+        self, modality: Modality
+    ) -> Optional[FlatVectorIndex]:
         if not self.config.use_semantic_index:
             return None
-        if self.config.num_shards > 1:
-            return ShardedVectorIndex(
-                self.config.num_shards,
-                dim=self.config.embedding_dim,
-                encoder=self._vectorizer.transform,
-                name=f"vec-{modality.value}",
-            )
         return FlatVectorIndex(
             dim=self.config.embedding_dim,
             encoder=self._vectorizer.transform,
@@ -257,8 +219,7 @@ class IndexerModule:
         see it completed).
 
         A tracing ``branch`` (plus ``parent`` span) emits one
-        ``index.build:<modality>`` span per modality this call builds,
-        with per-shard children when the build is sharded.
+        ``index.build:<modality>`` span per modality this call builds.
         """
         missing = {
             modality for modality in modalities
@@ -274,30 +235,19 @@ class IndexerModule:
                 with branch.span(
                     f"index.build:{modality.value}",
                     parent=parent,
-                    attributes={
-                        "modality": modality.value,
-                        "shards": self.config.num_shards,
-                    },
-                ) as build_span:
-                    self._build_modality(modality, branch, build_span)
-            self._metrics.gauge("indexer.shard.count").set(
-                self.config.num_shards
-            )
+                    attributes={"modality": modality.value},
+                ):
+                    self._build_modality(modality)
         return self
 
-    def _build_modality(self, modality: Modality, branch, build_span) -> None:
+    def _build_modality(self, modality: Modality) -> None:
         """Fill, seal and wire up one modality's indexes, then publish
         them: the Combiner last, because its presence is what tells a
         reader the modality is built."""
-        content = self._new_content_index(modality)
+        content = InvertedIndex(name=f"bm25-{modality.value}")
         semantic = self._new_semantic_index(modality)
-        entries = self._modality_entries(modality)
-        if self.config.num_shards > 1:
-            timings = self._build_shards(content, semantic, entries)
-            self._record_shard_build(branch, build_span, timings)
-        else:
-            for index_id, payload in entries:
-                self._index_entry(content, semantic, index_id, payload)
+        for index_id, payload in self._modality_entries(modality):
+            self._index_entry(content, semantic, index_id, payload)
         content.seal()
         indexes: List[SearchIndex] = [content]
         if semantic is not None:
@@ -309,61 +259,6 @@ class IndexerModule:
             method=self.config.fusion,
             name=self.index_name(modality),
         )
-
-    def _build_shards(
-        self,
-        content: ShardedInvertedIndex,
-        semantic: Optional[ShardedVectorIndex],
-        entries: Sequence[Tuple[str, str]],
-    ) -> List[_ShardTiming]:
-        """Partition the entries and build every shard, one after
-        another (pure-Python ``add`` holds the GIL: threads lost).
-
-        Entries are added to shard sub-indexes directly, skipping the
-        wrapper's per-add seal invalidation (nothing is sealed yet).
-        """
-        num_shards = self.config.num_shards
-        buckets: List[List[Tuple[str, str]]] = [[] for _ in range(num_shards)]
-        for entry in entries:
-            buckets[shard_of(entry[0], num_shards)].append(entry)
-        timings: List[_ShardTiming] = []
-        for shard_no, bucket in enumerate(buckets):
-            start = self.clock.now()
-            content_shard = content.shards[shard_no]
-            semantic_shard = (
-                semantic.shards[shard_no] if semantic is not None else None
-            )
-            for index_id, payload in bucket:
-                self._index_entry(
-                    content_shard, semantic_shard, index_id, payload
-                )
-            timings.append((shard_no, start, self.clock.now(), len(bucket)))
-        return timings
-
-    def _record_shard_build(
-        self, branch, build_span, timings: List[_ShardTiming]
-    ) -> None:
-        """Report per-shard build metrics, and one span per shard under
-        the modality's build span when tracing.
-
-        Spans are emitted after the build, start/end backfilled from
-        the times measured around each shard."""
-        build_seconds = self._metrics.histogram("indexer.shard.build_seconds")
-        for _, start, end, _ in timings:
-            build_seconds.observe(end - start)
-        self._metrics.counter("indexer.shard.builds").inc(len(timings))
-        if branch is NULL_BRANCH:
-            return
-        for shard_no, start, end, entry_count in timings:
-            with branch.span(
-                "index.build.shard",
-                parent=build_span,
-                index=shard_no,
-                attributes={"shard": shard_no, "entries": entry_count},
-            ) as shard_span:
-                pass
-            shard_span.start = start
-            shard_span.end = end
 
     # ------------------------------------------------------------------
     # incremental updates
@@ -447,9 +342,7 @@ class IndexerModule:
 
         Every underlying index ranks the batch in one call, each
         query's rankings are fused in columns and (for chunked text)
-        folded back to documents; no hit is built here.  With shards
-        configured this is a scatter-gather: every shard answers, the
-        merged ranking is provably identical to the monolithic index's.
+        folded back to documents; no hit is built here.
         """
         queries = list(queries)
         if not queries:
@@ -458,10 +351,6 @@ class IndexerModule:
         self._metrics.counter(f"indexer.search.{modality.value}").inc(
             len(queries)
         )
-        if self.config.num_shards > 1:
-            self._metrics.counter("indexer.shard.search.fanout").inc(
-                self.config.num_shards * len(queries)
-            )
         depth = k if k is not None else self.config.k_coarse
         combiner = self._combiners[modality]
         if modality is Modality.TEXT and self.config.chunk_text:
@@ -476,15 +365,14 @@ class IndexerModule:
         """The name a coarse hit of ``modality`` carries."""
         return f"combined-{modality.value}"
 
-    def content_index(self, modality: Modality) -> SearchIndex:
-        """Direct access to one modality's BM25 index (for ablations).
-
-        An :class:`InvertedIndex`, or a :class:`ShardedInvertedIndex`
-        when ``config.num_shards > 1``."""
+    def content_index(self, modality: Modality) -> InvertedIndex:
+        """Direct access to one modality's BM25 index (for ablations)."""
         self.build((modality,))
         return self._content[modality]
 
-    def semantic_index(self, modality: Modality) -> Optional[SearchIndex]:
+    def semantic_index(
+        self, modality: Modality
+    ) -> Optional[FlatVectorIndex]:
         """Direct access to one modality's vector index, if enabled."""
         self.build((modality,))
         return self._semantic.get(modality)

@@ -136,7 +136,7 @@ class VerifAI:
         # the verifier LLM needs no parametric knowledge: it reasons over
         # the evidence in the prompt
         self.llm = llm or SimulatedLLM(knowledge=None)
-        self.indexer = IndexerModule(lake, self.config, clock=self.clock)
+        self.indexer = IndexerModule(lake, self.config)
         self.reranker = RerankerModule(clock=self.clock)
         agent = VerifierAgent(
             local_verifiers=local_verifiers,

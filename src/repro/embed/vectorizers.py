@@ -51,7 +51,7 @@ class _SignedHashing:
         self.dim = dim
         self.salt = salt
         self._slots: Dict[str, Tuple[int, float]] = {}
-        # shard builds and serving threads encode through one vectorizer
+        # index builds and serving threads encode through one vectorizer
         self._slots_lock = threading.Lock()
 
     def _slot(self, token: str) -> Tuple[int, float]:

@@ -34,40 +34,28 @@ sums bit for bit; one selection, ``_rank_row``, then takes the row's top
 k under the ``(-score, id)`` total order, read as ``(-score, ordinal)``
 off the seal's ordinal table (:func:`~repro.index.base.select_ranked`).
 
-Two extensions support the sharded deployment
-(:mod:`repro.index.shard`):
-
-* **pluggable corpus statistics** — BM25's idf and length
-  normalization depend on corpus-wide aggregates (document count,
-  total token length, per-token document frequency).  By default an
-  index scores against its own postings; assigning
-  :attr:`InvertedIndex.corpus_stats` makes it score against an
-  external :class:`CorpusStats` view instead, which is how N shards
-  of one logical index all rank with *global* statistics and stay
-  score-identical to the unsharded build;
-* **live mutation** — :meth:`add` (analyse, then :meth:`add_tokens`)
-  records the document's distinct tokens and counts until a seal
-  carries it; :meth:`remove` corrects the statistics at once, from the
-  tokens its caller analysed (or, without them, from one scan of the
-  seal's postings).  :meth:`update` is remove + add, which moves the
-  document to the end of the document order.  A write keeps the last
-  seal as the *base*, and the next read publishes a **view** of it
-  (:class:`_View`): the base, whose arrays are never written; the base
-  documents removed since, whose cells every score row zeroes; and the
-  documents added since, scored from their records.  A view re-derives
-  only what the writes moved: the contribution rows of the tokens whose
-  document frequency moved, or every row in one elementwise pass when
-  the document count or the average length moved.  It carries the
-  base's ordinal table, an updated id keeping its rank, so it ranks as
-  the compacted seal of the same documents, ids and score bits
-  (``tests/test_index_view.py``).  :meth:`seal` is the **compaction**:
-  it folds the net removals and additions into the base's CSR arrays in
-  a fixed number of numpy passes and re-derives ``norm`` / ``idf_flat``
-  from the integer statistics.  It runs when called, and when a write
-  leaves more documents written since the base than ``_COMPACT_SHARE``
-  of it.  The first seal is the same fold over an empty base, and a
-  compacted seal is byte-identical to a fresh index's over the
-  surviving payloads (``tests/test_index_patch.py``).
+**Live mutation** — :meth:`add` (analyse, then :meth:`add_tokens`)
+records the document's distinct tokens and counts until a seal carries
+it; :meth:`remove` corrects the statistics at once, from the tokens its
+caller analysed (or, without them, from one scan of the seal's
+postings).  :meth:`update` is remove + add, which moves the document to
+the end of the document order.  A write keeps the last seal as the
+*base*, and the next read publishes a **view** of it (:class:`_View`):
+the base, whose arrays are never written; the base documents removed
+since, whose cells every score row zeroes; and the documents added
+since, scored from their records.  A view re-derives only what the
+writes moved: the contribution rows of the tokens whose document
+frequency moved, or every row in one elementwise pass when the document
+count or the average length moved.  It carries the base's ordinal
+table, an updated id keeping its rank, so it ranks as the compacted seal
+of the same documents, ids and score bits (``tests/test_index_view.py``).
+:meth:`seal` is the **compaction**: it folds the net removals and
+additions into the base's CSR arrays in a fixed number of numpy passes
+and re-derives ``norm`` / ``idf_flat`` from the integer statistics.  It
+runs when called, and when a write leaves more documents written since
+the base than ``_COMPACT_SHARE`` of it.  The first seal is the same fold
+over an empty base, and a compacted seal is byte-identical to a fresh
+index's over the surviving payloads (``tests/test_index_patch.py``).
 """
 
 from __future__ import annotations
@@ -143,38 +131,6 @@ def _rank_row(sealed: "_ReadForm", scores: "np.ndarray", k: int) -> Ranking:
     return sealed.select(scores[candidates], candidates, k)
 
 
-class CorpusStats:
-    """Corpus-wide aggregates BM25 scoring depends on.
-
-    The base implementation mirrors a single index's own postings; the
-    sharded layer substitutes an aggregating view so every shard scores
-    with the statistics of the *whole* logical corpus.  All three
-    quantities are integers, so aggregation across shards reproduces
-    the unsharded values exactly (no float summation-order drift).
-    """
-
-    def __init__(self, index: "InvertedIndex") -> None:
-        self._index = index
-
-    def doc_count(self) -> int:
-        """Number of documents."""
-        return len(self._index._doc_length)
-
-    def total_token_length(self) -> int:
-        """Sum of document lengths (for average length)."""
-        return self._index._total_length
-
-    def df(self, token: str) -> int:
-        """Number of documents containing ``token``."""
-        return self._index.local_df(token)
-
-    def note_moved(self, tokens: Iterable[str], step: int) -> None:
-        """A write moved the document frequency of each of ``tokens`` by
-        ``step`` (+1 or -1): tell every index that scores with these
-        statistics."""
-        self._index._note_moved(tokens, step)
-
-
 class _SealedPostings:
     """Compiled, read-only form of one index generation: the base of
     the views between two compactions.
@@ -192,7 +148,7 @@ class _SealedPostings:
     __slots__ = (
         "doc_ids", "norm",
         "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat",
-        "ordinal", "by_ordinal", "tok_pos", "num_docs", "stats_source",
+        "ordinal", "by_ordinal", "tok_pos", "num_docs",
         "contrib_flat", "spans",
         # lets the race sanitizer tell this seal from a collected one
         # whose address it reuses
@@ -214,7 +170,6 @@ class _SealedPostings:
         ordinal: "np.ndarray",
         by_ordinal: "np.ndarray",
         tok_pos: Optional[Dict[str, int]] = None,
-        stats_source: Optional[CorpusStats] = None,
     ) -> None:
         self.doc_ids = doc_ids
         self.num_docs = len(doc_ids)
@@ -237,9 +192,6 @@ class _SealedPostings:
             tok_pos if tok_pos is not None
             else dict(zip(tokens, range(len(tokens))))
         )
-        #: the ``corpus_stats`` the tables were derived under: a view of
-        #: this seal scores with the same provider or not at all
-        self.stats_source = stats_source
         #: per-posting BM25 contribution for qtf = 1, built by the
         #: first read of this seal (derived data, never carried: a view
         #: of this seal derives its own, and its publication drops this)
@@ -479,11 +431,10 @@ _ReadForm = Union[_SealedPostings, _View]
 
 
 class MatrixPlan(NamedTuple):
-    """A campaign of queries analyzed once.
-
-    Shard-independent: ``terms`` holds, per query, its sorted
-    ``(token, count)`` list.  Built by :meth:`InvertedIndex.plan_matrix`,
-    consumed by :meth:`InvertedIndex.rank_planned` on every shard.
+    """A campaign of queries analyzed once: ``terms`` holds, per query,
+    its sorted ``(token, count)`` list.  Built by
+    :meth:`InvertedIndex.plan_matrix`, consumed by
+    :meth:`InvertedIndex.rank_planned`.
     """
 
     terms: List[List[Tuple[str, int]]]
@@ -512,15 +463,15 @@ class InvertedIndex(SearchIndex):
         self._doc_length: Dict[str, int] = {}
         self._total_length = 0
         #: token -> number of documents carrying it: the vocabulary, and
-        #: what local_df(), idf() and the sharded statistics read
+        #: what local_df(), idf() and a view's first-seen tokens read
         self._df: Counter = Counter()
         #: the published read form: the compacted seal, or a view of it
         #: after a write; ``None`` from a write until the next read
         self._sealed: Optional[_ReadForm] = None
         # serializes what readers build lazily — the read form itself (a
         # view, or the first compile) and a seal's contrib_flat — and
-        # each compaction: the scatter paths and the batch engine search
-        # from several threads, and two of them must not both build and
+        # each compaction: batch workers and serving threads search from
+        # several threads, and two of them must not both build and
         # publish
         self._seal_lock = threading.Lock()
         #: the last compacted seal, which every view reads and the next
@@ -543,13 +494,6 @@ class InvertedIndex(SearchIndex):
         #: the base's scoring tables under the last view's statistics;
         #: ``None`` until the first view of a base
         self._derived: Optional[_Derived] = None
-        #: statistics provider BM25 scores against; ``None`` = this
-        #: index's own postings.  The sharded layer assigns a global
-        #: aggregating view here.
-        self.corpus_stats: Optional[CorpusStats] = None
-
-    def _stats(self) -> CorpusStats:
-        return self.corpus_stats or CorpusStats(self)
 
     def _analyze(self, text: str) -> List[str]:
         return analyze(
@@ -577,7 +521,7 @@ class InvertedIndex(SearchIndex):
         if self._base is not None:
             self._writes().add(instance_id, *record, len(tokens))
         self._df.update(distinct)
-        self._stats().note_moved(distinct, 1)
+        self._note_moved(distinct, 1)
         self._compact_if_outgrown()
 
     def remove(
@@ -627,7 +571,7 @@ class InvertedIndex(SearchIndex):
                 del df[token]
             else:
                 df[token] -= 1
-        self._stats().note_moved(distinct, -1)
+        self._note_moved(distinct, -1)
         self._sealed = None  # any write un-publishes the read form
         self._compact_if_outgrown()
 
@@ -638,14 +582,10 @@ class InvertedIndex(SearchIndex):
 
     def invalidate_seal(self) -> None:
         """Un-publish the read form although no posting moved: the next
-        read publishes a view re-derived under the statistics then (and
-        :meth:`seal` compacts under them).
+        read publishes a view of the base (and :meth:`seal` compacts).
 
-        The sharded layer calls this on *every* shard when *any* shard
-        mutates: global corpus statistics changed, so every shard's
-        idf/norm tables are stale even though its own postings did not
-        move (the write's tokens reached every shard's ``_moved``
-        through :meth:`CorpusStats.note_moved`).
+        ``bench/replay.py``'s ``seal_ms`` calls this to time the read
+        form's publication apart from any write.
         """
         self._sealed = None
 
@@ -680,16 +620,14 @@ class InvertedIndex(SearchIndex):
 
     @property
     def avg_doc_length(self) -> float:
-        stats = self._stats()
-        num_docs = stats.doc_count()
+        num_docs = len(self._doc_length)
         if not num_docs:
             return 0.0
-        return stats.total_token_length() / num_docs
+        return self._total_length / num_docs
 
     def idf(self, token: str) -> float:
         """BM25+ style idf, floored at a small positive value."""
-        stats = self._stats()
-        return _bm25_idf(stats.doc_count(), stats.df(token))
+        return _bm25_idf(len(self._doc_length), self._df[token])
 
     # ------------------------------------------------------------------
     # the read form: the compacted seal, or a view of it
@@ -745,8 +683,7 @@ class InvertedIndex(SearchIndex):
         order (its surviving postings, then the fresh ones), rows in
         sorted token order (emptied rows dropped, first-seen tokens
         inserted in place).  The base's arrays are only read; with no
-        write since (:meth:`invalidate_seal`) they are published again
-        under new statistics.
+        write since (:meth:`invalidate_seal`) they are published again.
         """
         # the base stays referenced until the new one replaces it: its
         # arrays are the only copy of its documents' postings, so a fold
@@ -914,21 +851,9 @@ class InvertedIndex(SearchIndex):
         return _SealedPostings(
             doc_ids, self._norm(lengths, self.avg_doc_length), tokens,
             tok_start, doc_idx, tf_flat,
-            _idf_table(
-                self._stats().doc_count(), self._df_of(tokens, tok_start)
-            ),
-            ordinal, by_ordinal, tok_pos, self.corpus_stats,
-        )
-
-    def _df_of(
-        self, tokens: List[str], tok_start: "np.ndarray"
-    ) -> "np.ndarray":
-        """The document frequency now of each of a seal's tokens."""
-        if self.corpus_stats is None:
-            return np.diff(tok_start)  # own postings: df is the row length
-        return np.fromiter(
-            map(self.corpus_stats.df, tokens),
-            dtype=np.int64, count=len(tokens),
+            # a seal's df is its row lengths
+            _idf_table(len(self._doc_length), np.diff(tok_start)),
+            ordinal, by_ordinal, tok_pos,
         )
 
     def _norm(self, lengths: "np.ndarray", avg_len: float) -> "np.ndarray":
@@ -976,14 +901,13 @@ class InvertedIndex(SearchIndex):
         its own reference (:meth:`_score_matrix`)."""
         base, delta = self._base, self._delta
         base.contrib_flat, base.spans = None, {}
-        stats = self._stats()
-        num_docs = stats.doc_count()
+        num_docs = len(self._doc_length)
         avg_len = self.avg_doc_length
-        derived = self._derive_locked(base, stats, num_docs, avg_len)
+        derived = self._derive_locked(base, num_docs, avg_len)
         norm = self._norm(np.array(delta.lengths, dtype=np.float64), avg_len)
         cells = delta.cells
         idf = np.concatenate((derived.idf, [
-            _bm25_idf(num_docs, stats.df(token))
+            _bm25_idf(num_docs, self._df[token])
             for token in delta.first_seen
         ]))
         view = _View(
@@ -1001,7 +925,6 @@ class InvertedIndex(SearchIndex):
     def _derive_locked(
         self,
         base: _SealedPostings,
-        stats: CorpusStats,
         num_docs: int,
         avg_len: float,
     ) -> _Derived:
@@ -1024,9 +947,8 @@ class InvertedIndex(SearchIndex):
             map(moved.__getitem__, tokens), dtype=np.int64, count=len(tokens)
         )
         if derived is None:  # the df now, and the base documents' lengths
-            df = self._df_of(base.tokens, base.tok_start)
-            if self.corpus_stats is None:  # the row lengths: moved since
-                df[rows] += steps
+            df = np.diff(base.tok_start)  # the row lengths: moved since
+            df[rows] += steps
             lengths = np.fromiter(
                 map(self._doc_length.get, base.doc_ids, repeat(0)),
                 dtype=np.float64, count=len(base.doc_ids),
@@ -1067,12 +989,11 @@ class InvertedIndex(SearchIndex):
     # scoring a plan: one query a pass
     # ------------------------------------------------------------------
     def plan_matrix(self, queries: Sequence[str]) -> "MatrixPlan":
-        """Analyze a campaign once into a shard-independent plan.
+        """Analyze a campaign once into a plan.
 
         The plan depends only on the queries and the analyzer settings,
-        never on any shard's postings.  A sharded index therefore plans
-        once and ranks the same plan against every shard
-        (:meth:`rank_planned`)."""
+        never on the postings, so one plan can be ranked against the
+        index again after writes (:meth:`rank_planned`)."""
         return MatrixPlan(
             [sorted(Counter(self._analyze(q)).items()) for q in queries]
         )
@@ -1181,8 +1102,8 @@ class InvertedIndex(SearchIndex):
     def _current_seal(self) -> Optional[_ReadForm]:
         """The read form one call reads from start to end, published
         first when a write un-published it: a view of the base, or the
-        compile when there is no base yet (or the base was derived under
-        another ``corpus_stats``); ``None`` = the index is empty.  Every
+        compile when there is no base yet; ``None`` = the index is
+        empty.  Every
         read takes it once and passes it down, so a call never mixes two
         generations' arrays."""
         sealed = self._sealed
@@ -1192,10 +1113,7 @@ class InvertedIndex(SearchIndex):
             with self._seal_lock:
                 sealed = self._sealed
                 if sealed is None:
-                    base = self._base
-                    if base is None or base.stats_source is not (
-                        self.corpus_stats
-                    ):
+                    if self._base is None:
                         sealed = self._fold_locked()
                     else:
                         sealed = self._view_locked()
@@ -1205,11 +1123,8 @@ class InvertedIndex(SearchIndex):
     def rank_planned(
         self, plan: "MatrixPlan", k: int = 10
     ) -> List[Ranking]:
-        """Rank a pre-analyzed plan against this index, each ranking's
-        ids read off the seal that ranked it.
-
-        The shard seam: a sharded index plans once (:meth:`plan_matrix`)
-        and calls this on every shard."""
+        """Rank a pre-analyzed plan (:meth:`plan_matrix`) against this
+        index, each ranking's ids read off the seal that ranked it."""
         return self._score_matrix(self._current_seal(), plan, k)
 
     def rank_batch(

@@ -217,8 +217,8 @@ class FlatVectorIndex(VectorIndex):
     and those values, with the row norms beside them.  Hashed embeddings
     are sparse, so a cosine reads only the entries of its query's
     non-zero buckets, and a row's score is a function of that row and
-    the query alone — the same bits from ``search``, a batch or a shard,
-    on any BLAS build.
+    the query alone — the same bits from ``search`` or a batch, on any
+    BLAS build.
     """
 
     def __init__(
@@ -243,9 +243,9 @@ class FlatVectorIndex(VectorIndex):
         #: the ``_staged`` vectors of ``_ids[_count:]``
         self._stage = np.zeros((_STAGE_ROWS, dim), dtype=np.float64)
         self._staged = 0
-        # guards buckets, blocks and stage: shards are searched from a
-        # thread pool, and two first searches after a write must not
-        # both move the stage (reentrant: a write or a removal that
+        # guards buckets, blocks and stage: batch workers and serving
+        # threads search one index, and two first searches after a write
+        # must not both move the stage (reentrant: a write or a removal that
         # holds it moves the stage too)
         self._matrix_lock = threading.RLock()
 
@@ -352,8 +352,8 @@ class FlatVectorIndex(VectorIndex):
     def rank_vectors(
         self, vectors: Sequence[np.ndarray], k: int
     ) -> List[Ranking]:
-        """Top-k of every query vector against one reading of the table
-        (also what a vector shard ranks a prepared batch with)."""
+        """Top-k of every query vector against one reading of the
+        table."""
         vectors = [self._check_vector(vector) for vector in vectors]
         rows, values, row_norms = self._table()
         if len(row_norms) == 0 or k <= 0:

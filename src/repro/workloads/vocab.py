@@ -146,10 +146,22 @@ _CITY_SUFFIXES = [
 ]
 
 
+def _bijective_base26(number: int) -> str:
+    """``number`` (>= 1) in bijective base 26 over ``a``-``z``: 1 is
+    ``a``, 26 is ``z``, 27 is ``aa``."""
+    letters = []
+    while number:
+        number, digit = divmod(number - 1, 26)
+        letters.append(chr(ord("a") + digit))
+    return "".join(reversed(letters))
+
+
 class EntityNamer:
     """Yields globally unique person-like names, deterministically.
 
-    Base pool is first x last; once exhausted, a middle initial is added.
+    Base pool is first x last; once exhausted, a middle initial is added:
+    ``a.`` to ``z.``, then ``aa.``, ``ab.``, ... (bijective base 26), so
+    no name repeats however many are drawn.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -162,7 +174,6 @@ class EntityNamer:
         rng.shuffle(base)
         self._base = base
         self._cursor = 0
-        self._suffix_cycle = 0
 
     def next_name(self) -> str:
         """The next unique name."""
@@ -170,10 +181,11 @@ class EntityNamer:
             name = self._base[self._cursor]
             self._cursor += 1
             return name
-        # exhausted: recycle with middle initials a., b., ...
+        # exhausted: recycle with middle initials a., b., ..., z., aa., ...
         index = self._cursor - len(self._base)
-        initial = chr(ord("a") + (index // len(self._base)) % 26)
-        name = self._base[index % len(self._base)]
+        cycle, at = divmod(index, len(self._base))
+        initial = _bijective_base26(cycle + 1)
+        name = self._base[at]
         first, _, last = name.partition(" ")
         self._cursor += 1
         return f"{first} {initial}. {last}"

@@ -85,12 +85,8 @@ class DictOracle:
         df = self.df(token)
         return max(math.log((num_docs - df + 0.5) / (df + 0.5) + 1.0), 1e-6)
 
-    def search(self, query, k=10, among=None):
-        """Top-k hits under the ``(-score, id)`` order.
-
-        ``among`` restricts the ranking to a set of ids while the
-        statistics stay the whole corpus's: what one shard of a
-        sharded index answers."""
+    def search(self, query, k=10):
+        """Top-k hits under the ``(-score, id)`` order."""
         tokens = self._analyze(query)
         if not tokens or not self.lengths or k <= 0:
             return []
@@ -102,8 +98,6 @@ class DictOracle:
                 continue
             idf = self.idf(token)
             for instance_id, tf in postings.items():
-                if among is not None and instance_id not in among:
-                    continue
                 doc_len = self.lengths[instance_id]
                 denom = tf + self.k1 * (
                     1 - self.b + self.b * doc_len / avg_len if avg_len else 1.0

@@ -1,7 +1,7 @@
 """Shared test fixtures: a tiny hand-written lake and a small synthetic
 bundle (both session-scoped; construction is deterministic), plus the
-seeded churn-sequence generator the sharding/churn differential tests
-drive lake mutation with."""
+seeded churn-sequence generator the churn differential tests drive lake
+mutation with."""
 
 import random
 
@@ -110,7 +110,7 @@ def _churn_ops(lake, seed, steps):
 @pytest.fixture(scope="session")
 def churn_ops():
     """The seeded churn-sequence generator (see :func:`_churn_ops`);
-    shared by the sharding and churn differential test modules."""
+    shared by the churn differential tests."""
     return _churn_ops
 
 

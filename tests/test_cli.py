@@ -359,39 +359,6 @@ class TestDiscover:
         assert "[text" not in output
 
 
-class TestShardsFlag:
-    def test_sharded_claim_matches_monolithic(self, lake_path, capsys):
-        argv = [
-            "verify-claim", "--lake", lake_path,
-            "--text", "the gold of valoria is 10",
-            "--context", "1960 summer games in lakeview medal table",
-        ]
-        assert main(argv) == 0
-        mono_out = capsys.readouterr().out
-        assert main(argv + ["--shards", "3"]) == 0
-        assert capsys.readouterr().out == mono_out
-
-    def test_sharded_batch_matches_monolithic(self, lake_path, capsys):
-        argv = [
-            "verify-batch", "--lake", lake_path,
-            "--sample", "4", "--seed", "3",
-        ]
-
-        def verdict_lines(output):
-            # drop the stats line's timings: wall time legitimately
-            # differs between build layouts; verdicts and counts do not
-            return [
-                re.sub(r"\(retrieve [^)]*\)", "", line)
-                for line in output.splitlines()
-            ]
-
-        assert main(argv) == 0
-        mono_out = verdict_lines(capsys.readouterr().out)
-        assert main(argv + ["--shards", "2"]) == 0
-        assert verdict_lines(capsys.readouterr().out) == mono_out
-        assert mono_out  # sanity: something was compared
-
-
 class TestProfile:
     def test_campaign_mode_prints_stage_table_and_stacks(
         self, lake_path, capsys
@@ -500,12 +467,6 @@ class TestCountFlags:
                 err = capsys.readouterr().err
                 assert err.startswith("usage:"), err
                 assert f"argument {flag}: " in err, err
-
-    def test_shards(self, capsys):
-        self.assert_rejected(
-            capsys, "--shards", ["0", "-2", "two"],
-            ["verify-claim", "verify-tuple", "verify-batch", "serve"],
-        )
 
     def test_workers(self, capsys):
         self.assert_rejected(

@@ -95,16 +95,15 @@ def report_fingerprint(batch):
 
 class TestParallelEquivalence:
     def test_parallel_matches_serial(self, bundle, workload):
-        for config_kwargs in ({}, {"num_shards": 2}):
-            serial_system = make_system(bundle, **config_kwargs)
-            parallel_system = make_system(bundle, **config_kwargs)
-            serial = serial_system.verify_batch(workload, max_workers=1)
-            parallel = parallel_system.verify_batch(workload, max_workers=4)
-            assert report_fingerprint(serial) == report_fingerprint(parallel)
-            assert (
-                len(serial_system.provenance)
-                == len(parallel_system.provenance)
-            )
+        serial_system = make_system(bundle)
+        parallel_system = make_system(bundle)
+        serial = serial_system.verify_batch(workload, max_workers=1)
+        parallel = parallel_system.verify_batch(workload, max_workers=4)
+        assert report_fingerprint(serial) == report_fingerprint(parallel)
+        assert (
+            len(serial_system.provenance)
+            == len(parallel_system.provenance)
+        )
 
     def test_provenance_records_complete(self, bundle, workload):
         system = make_system(bundle)
@@ -120,10 +119,9 @@ class TestParallelEquivalence:
         "config_kwargs",
         [
             {},
-            {"num_shards": 2},
             {"use_reranker": True, "use_semantic_index": True},
         ],
-        ids=["default", "sharded", "full"],
+        ids=["default", "full"],
     )
     def test_serial_verify_and_batch_produce_identical_records(
         self, bundle, workload, config_kwargs

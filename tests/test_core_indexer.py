@@ -10,7 +10,6 @@ from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index.inverted import InvertedIndex
-from repro.index.shard import ShardedInvertedIndex, ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 from repro.workloads.builder import LakeConfig, build_lake
 
@@ -92,36 +91,24 @@ class AnalyzeSpy:
                 monkeypatch.setattr(module, "analyze", spy)
 
 
-SHARDED = [1, 2]
 QUERIES = ["ohio republican votes", "gold medals nation", "district 1950"]
 SEAL_ARRAYS = (
     "norm", "tok_start", "doc_idx", "tf_flat", "idf_flat", "ordinal",
 )
 
 
-def semantic_config(num_shards):
-    return VerifAIConfig(
-        use_semantic_index=True, embedding_dim=64, num_shards=num_shards
-    )
-
-
-def members(index):
-    return getattr(index, "shards", [index])
+def semantic_config():
+    return VerifAIConfig(use_semantic_index=True, embedding_dim=64)
 
 
 def public_indexes(indexer, modality):
     """The modality's two indexes filled through the public
     ``add(id, payload)``, in the order the indexer adds its entries."""
-    config = indexer.config
-    encoder = indexer._vectorizer.transform
-    if config.num_shards > 1:
-        content = ShardedInvertedIndex(config.num_shards)
-        semantic = ShardedVectorIndex(
-            config.num_shards, dim=config.embedding_dim, encoder=encoder
-        )
-    else:
-        content = InvertedIndex()
-        semantic = FlatVectorIndex(dim=config.embedding_dim, encoder=encoder)
+    content = InvertedIndex()
+    semantic = FlatVectorIndex(
+        dim=indexer.config.embedding_dim,
+        encoder=indexer._vectorizer.transform,
+    )
     for index_id, payload in indexer._modality_entries(modality):
         content.add(index_id, payload)
         semantic.add(index_id, payload)
@@ -132,11 +119,9 @@ def assert_same_indexes(indexer, modality, content, semantic):
     """Seal bytes, vector bits and rankings equal the reference's."""
     built = indexer.content_index(modality).seal()
     content.seal()
-    for got, want in zip(members(built), members(content)):
-        got, want = got._sealed, want._sealed
-        assert (got is None) == (want is None)
-        if got is None:
-            continue
+    got, want = built._sealed, content._sealed
+    assert (got is None) == (want is None)
+    if got is not None:
         assert got.doc_ids == want.doc_ids
         assert got.tokens == want.tokens
         assert got.by_ordinal.tolist() == want.by_ordinal.tolist()
@@ -146,16 +131,11 @@ def assert_same_indexes(indexer, modality, content, semantic):
             assert mine.tobytes() == theirs.tobytes(), name
     vectors = indexer.semantic_index(modality)
     for index_id, _ in indexer._modality_entries(modality):
-        assert vector_of(vectors, index_id).tobytes() == (
-            vector_of(semantic, index_id).tobytes()
+        assert vectors.vector_of(index_id).tobytes() == (
+            semantic.vector_of(index_id).tobytes()
         )
     assert built.rank_batch(QUERIES, 5) == content.rank_batch(QUERIES, 5)
     assert vectors.rank_batch(QUERIES, 5) == semantic.rank_batch(QUERIES, 5)
-
-
-def vector_of(index, index_id):
-    member = index.shard_for(index_id) if hasattr(index, "shards") else index
-    return member.vector_of(index_id)
 
 
 class TestAnalyseOnce:
@@ -163,11 +143,11 @@ class TestAnalyseOnce:
     def lake(self):
         return build_lake(LakeConfig(num_tables=8, seed=41)).lake
 
-    @pytest.mark.parametrize("num_shards", SHARDED)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_the_build_analyses_each_entry_once(
         self, lake, monkeypatch, num_shards
     ):
-        indexer = IndexerModule(lake, semantic_config(num_shards))
+        indexer = IndexerModule(lake, semantic_config())
         entries = {
             modality: indexer._modality_entries(modality)
             for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT)
@@ -179,11 +159,11 @@ class TestAnalyseOnce:
         )
         assert sum(spy.texts.values()) == sum(map(len, entries.values()))
 
-    @pytest.mark.parametrize("num_shards", SHARDED)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_a_write_analyses_each_changed_entry_once(
         self, lake, monkeypatch, num_shards
     ):
-        indexer = IndexerModule(lake, semantic_config(num_shards)).build(
+        indexer = IndexerModule(lake, semantic_config()).build(
             (Modality.TUPLE, Modality.TABLE)
         )
         table = lake.tables()[0]
@@ -202,21 +182,21 @@ class TestAnalyseOnce:
         ]
         assert spy.texts == Counter(changed)
 
-    @pytest.mark.parametrize("num_shards", SHARDED)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_the_indexes_equal_ones_filled_through_add(
         self, lake, num_shards
     ):
-        indexer = IndexerModule(lake, semantic_config(num_shards)).build()
+        indexer = IndexerModule(lake, semantic_config()).build()
         for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT):
             assert_same_indexes(
                 indexer, modality, *public_indexes(indexer, modality)
             )
 
-    @pytest.mark.parametrize("num_shards", SHARDED)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_after_a_write_they_equal_the_same_writes_through_add(
         self, lake, num_shards
     ):
-        indexer = IndexerModule(lake, semantic_config(num_shards)).build(
+        indexer = IndexerModule(lake, semantic_config()).build(
             (Modality.TUPLE,)
         )
         content, semantic = public_indexes(indexer, Modality.TUPLE)

@@ -37,7 +37,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("k_coarse", 0), ("k_coarse", -1), ("embedding_dim", 0),
         ("chunk_max_tokens", 0), ("batch_max_workers", 0),
-        ("batch_max_retries", -1), ("num_shards", 0),
+        ("batch_max_retries", -1),
     ])
     def test_a_value_below_the_floor_is_refused(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be >= "):
@@ -50,7 +50,7 @@ class TestConfigValidation:
     def test_the_floors_are_accepted(self):
         config = VerifAIConfig(
             k_coarse=1, k_fine={Modality.TUPLE: 1}, batch_max_workers=1,
-            batch_max_retries=0, num_shards=1,
+            batch_max_retries=0,
         )
         assert config.fine_k(Modality.TUPLE) == 1
 

@@ -5,7 +5,7 @@ Seeded random add/remove/update interleavings run against a live
 burst the mutated indexes must answer every probe query hit-for-hit
 identically — ids and scores — to a brand-new build of the lake's final
 state.  The longer soak lives behind the ``slow`` marker (excluded from
-tier-1; run with ``pytest -m slow`` or ``make test-shard``).
+tier-1; run with ``pytest -m slow`` or ``make test-slow``).
 """
 
 import pytest
@@ -70,8 +70,8 @@ def assert_matches_rebuild(lake, indexer, config, context):
             assert got == expected, (context, modality.value, query)
 
 
-def run_churn(churn_ops, seed, num_shards, steps, burst, config=None):
-    config = config or VerifAIConfig(num_shards=num_shards)
+def run_churn(churn_ops, seed, steps, burst, config=None):
+    config = config or VerifAIConfig()
     lake = fresh_lake(seed)
     indexer = IndexerModule(lake, config).build()
     applied = 0
@@ -89,32 +89,26 @@ def run_churn(churn_ops, seed, num_shards, steps, burst, config=None):
 
 
 class TestChurnEqualsRebuild:
-    # 3 seeds x 2 shard configs x 35 steps = 210 verified mutation steps
+    # 3 seeds x 35 steps = 105 verified mutation steps
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("num_shards", [1])
     def test_bursts_match_rebuild(self, churn_ops, seed, num_shards):
-        run_churn(churn_ops, seed, num_shards, steps=35, burst=12)
+        run_churn(churn_ops, seed, steps=35, burst=12)
 
     def test_chunked_text_churn(self, churn_ops):
-        config = VerifAIConfig(
-            num_shards=2, chunk_text=True, chunk_max_tokens=24
-        )
-        run_churn(churn_ops, seed=5, num_shards=2, steps=24, burst=12,
-                  config=config)
+        config = VerifAIConfig(chunk_text=True, chunk_max_tokens=24)
+        run_churn(churn_ops, seed=5, steps=24, burst=12, config=config)
 
     @pytest.mark.slow
     def test_soak(self, churn_ops):
-        """Long interleaving across both the sharded and the monolithic
-        deployment (not tier-1; ``make test-shard`` runs it)."""
-        for num_shards in (1, 4):
-            run_churn(churn_ops, seed=9, num_shards=num_shards,
-                      steps=200, burst=40)
+        """Long interleaving (not tier-1; ``make test-slow`` runs it)."""
+        run_churn(churn_ops, seed=9, steps=200, burst=40)
 
 
 class TestPipelineChurn:
     def test_verifai_mutation_flows_to_indexes(self, churn_ops):
         lake = fresh_lake(31)
-        system = VerifAI(lake, config=VerifAIConfig(num_shards=3))
+        system = VerifAI(lake, config=VerifAIConfig())
         system.build_indexes()
         for op in churn_ops(lake, 31, 20):
             kind = op[0]

@@ -1,7 +1,7 @@
 """Differential proof of the BM25 kernel.
 
 The contract under test (src/repro/index/inverted.py): scoring a whole
-campaign of queries against a sealed shard in one call
+campaign of queries against a sealed index in one call
 (``search_batch``) returns, query for query, the
 bit-identical ``(instance_id, score)`` rankings of the per-query paths
 — a batch of one AND the dict walk of
@@ -35,12 +35,9 @@ from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index.base import select_ranked
 from repro.index.inverted import InvertedIndex
-from repro.index.shard import ShardedInvertedIndex
 from repro.obs.metrics import get_registry
 from tests.bm25_oracle import DictOracle
 from tests.test_index_ranking import race
-
-SHARD_COUNTS = [1, 2, 4]
 
 QUERIES = [
     "largest cities by population",
@@ -207,47 +204,32 @@ class TestOneOfEach:
         oracle = tie_fill(DictOracle(name="ties"), docs)
         solo = tie_fill(InvertedIndex(name="ties"), docs)
         assert_one_answer(solo, oracle, queries, docs)
-        for num_shards in (2, 4):
-            sharded = ShardedInvertedIndex(num_shards, name="ties")
-            assert_one_answer(tie_fill(sharded, docs), oracle, queries, docs)
 
     def test_an_empty_index_answers_nothing(self):
-        for index in (
-            InvertedIndex(name="void"),
-            ShardedInvertedIndex(2, name="void"),
-        ):
-            assert_one_answer(index, DictOracle(), ["kax", ""], [])
-            assert index.search_batch([], 3) == []
+        index = InvertedIndex(name="void")
+        assert_one_answer(index, DictOracle(), ["kax", ""], [])
+        assert index.search_batch([], 3) == []
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("shards", [1])
     def test_the_first_read_of_a_seal_builds_contrib_flat_once(
         self, monkeypatch, shards
     ):
-        if shards == 1:
-            index = fill(InvertedIndex(name="solo"), docs=60)
-            members = [index]
-        else:
-            index = fill(
-                ShardedInvertedIndex(shards, name="solo"), docs=60
-            )
-            members = index.shards
+        index = fill(InvertedIndex(name="solo"), docs=60)
         spy = BuildSpy(monkeypatch)
         query, other = campaign(2)
         assert index.search(query, 5)
-        seals = [member._sealed for member in members]
-        assert same_objects(spy.seals, seals)  # once per member seal
+        seals = [index._sealed]
+        assert same_objects(spy.seals, seals)  # once a seal
         assert index.search(query, 5) == index.search_batch([query], 5)[0]
         index.search_batch([query, other], 5)
         assert same_objects(spy.seals, seals)  # and never again
-        # a write publishes new read forms: a view of every member, the
-        # written one's carrying the write, the other shards' re-deriving
-        # their statistics after invalidate_seal()
+        # a write publishes a new read form: a view carrying the write
         published = seal_counter("viewed")
         index.update("doc0007", "kakax memex")
         assert index.search(query, 5)
-        assert seal_counter("viewed") == published + shards
-        fresh = [member._sealed for member in members]
-        assert all(new is not old for new, old in zip(fresh, seals))
+        assert seal_counter("viewed") == published + 1
+        fresh = [index._sealed]
+        assert fresh[0] is not seals[0]
         assert same_objects(spy.seals, seals + fresh)
 
 
@@ -359,27 +341,21 @@ def exact(rankings):
     ]
 
 
-def members_of(index):
-    """The indexes that rank a plan: the shards, or the index itself."""
-    return getattr(index, "shards", [index])
-
-
 def assert_as_the_parent(index, queries, k, budget=PARENT_TILE_BUDGET):
-    """Every member ranks the plan, bit for bit, as the parent's tiled
+    """The index ranks the plan, bit for bit, as the parent's tiled
     kernel at ``budget`` and its per-token kernel query by query did;
     returns the tiles the parent cut."""
-    plan = members_of(index)[0].plan_matrix(queries)
+    plan = index.plan_matrix(queries)
     cuts = []
-    for member in members_of(index):
-        sealed = member._current_seal()
-        got = exact(member.rank_planned(plan, k))
-        assert got == exact(
-            parent_score_matrix(member, sealed, plan, k, budget, cuts)
-        ), k
-        assert got == [
-            exact(parent_score_matrix(member, sealed, one, k))[0]
-            for one in (type(plan)([terms]) for terms in plan.terms)
-        ], k
+    sealed = index._current_seal()
+    got = exact(index.rank_planned(plan, k))
+    assert got == exact(
+        parent_score_matrix(index, sealed, plan, k, budget, cuts)
+    ), k
+    assert got == [
+        exact(parent_score_matrix(index, sealed, one, k))[0]
+        for one in (type(plan)([terms]) for terms in plan.terms)
+    ], k
     return cuts
 
 
@@ -483,16 +459,15 @@ class TestTiles:
         assert got == [pairs(index.search(q, 5)) for q in queries]
         assert sum(map(bool, got)) > 50, "vacuous: most queries matched nothing"
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     @pytest.mark.parametrize("k", [0, 1, 3, 1000])
     def test_cuts_on_every_edge_change_nothing(self, num_shards, k):
-        budget = EDGE_BUDGET // num_shards  # a shard holds 1/n of it all
-        sharded = fill(ShardedInvertedIndex(num_shards, name="tiles"), docs=40)
-        cuts = assert_as_the_parent(sharded, EDGE_QUERIES, k, budget)
+        index = fill(InvertedIndex(name="tiles"), docs=40)
+        cuts = assert_as_the_parent(index, EDGE_QUERIES, k, EDGE_BUDGET)
         if k:
-            assert len(cuts) >= 3 * num_shards
-        got = [pairs(hits) for hits in sharded.search_batch(EDGE_QUERIES, k)]
-        assert got == [pairs(sharded.search(q, k)) for q in EDGE_QUERIES]
+            assert len(cuts) >= 3
+        got = [pairs(hits) for hits in index.search_batch(EDGE_QUERIES, k)]
+        assert got == [pairs(index.search(q, k)) for q in EDGE_QUERIES]
         assert got[4] == got[7]
         if k == 1000:  # k beyond the matches: every matched document
             assert 0 < len(got[5]) < 40
@@ -538,34 +513,12 @@ class TestTiles:
 
 
 # ---------------------------------------------------------------------------
-# sharded scatter-gather over the matrix kernel
-# ---------------------------------------------------------------------------
-class TestShardedBatch:
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_search_batch_matches_per_query(self, num_shards):
-        sharded = ShardedInvertedIndex(num_shards, name="micro")
-        for doc_id, text in DOCS:
-            sharded.add(doc_id, text)
-        per_query = [pairs(sharded.search(q, 6)) for q in MICRO_QUERIES]
-        batched = [
-            pairs(h) for h in sharded.search_batch(MICRO_QUERIES, 6)
-        ]
-        assert batched == per_query
-
-    def test_search_batch_empty(self):
-        sharded = ShardedInvertedIndex(2, name="micro")
-        assert sharded.search_batch([], 5) == []
-
-
-# ---------------------------------------------------------------------------
 # the full indexer surface: every modality, every retrieval path
 # ---------------------------------------------------------------------------
 class TestIndexerBatch:
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_all_modalities_identical(self, small_bundle, num_shards):
-        indexer = IndexerModule(
-            small_bundle.lake, VerifAIConfig(num_shards=num_shards)
-        ).build()
+        indexer = IndexerModule(small_bundle.lake, VerifAIConfig()).build()
         for modality in MODALITIES:
             per_query = [
                 pairs(indexer.search(q, modality, 10)) for q in QUERIES
@@ -574,9 +527,7 @@ class TestIndexerBatch:
                 pairs(h)
                 for h in indexer.search_batch(QUERIES, modality, 10)
             ]
-            assert batched == per_query, (
-                f"shards={num_shards} {modality.value}"
-            )
+            assert batched == per_query, modality.value
             assert any(per_query), (
                 f"vacuous comparison: {modality.value} matched nothing"
             )
@@ -584,7 +535,7 @@ class TestIndexerBatch:
     def test_semantic_fusion_batch_identical(self, small_bundle):
         indexer = IndexerModule(
             small_bundle.lake,
-            VerifAIConfig(use_semantic_index=True, num_shards=2),
+            VerifAIConfig(use_semantic_index=True),
         ).build()
         for modality in MODALITIES:
             assert [
@@ -597,7 +548,7 @@ class TestIndexerBatch:
     def test_chunked_text_fold_batch_identical(self, small_bundle):
         indexer = IndexerModule(
             small_bundle.lake,
-            VerifAIConfig(chunk_text=True, chunk_max_tokens=24, num_shards=2),
+            VerifAIConfig(chunk_text=True, chunk_max_tokens=24),
         ).build()
         assert [
             pairs(h)
@@ -605,9 +556,7 @@ class TestIndexerBatch:
         ] == [pairs(indexer.search(q, Modality.TEXT, 10)) for q in QUERIES]
 
     def test_batch_after_live_mutation_identical(self, small_bundle):
-        indexer = IndexerModule(
-            small_bundle.lake, VerifAIConfig(num_shards=2)
-        ).build()
+        indexer = IndexerModule(small_bundle.lake, VerifAIConfig()).build()
         indexer.search_batch(QUERIES, Modality.TUPLE, 10)  # warm/seal
         victim = small_bundle.tables[0]
         indexer.remove_instance(victim)
@@ -680,7 +629,7 @@ class TestSoloReadHammer:
 # one kernel, a query a pass: the parent's rankings, bit for bit
 # ---------------------------------------------------------------------------
 #: a few words over short documents with repeats: query counts above 1,
-#: ties, and tokens some shard does not carry
+#: ties, and tokens no document carries
 PASS_WORDS = TIE_WORDS + ["rud", "pel"]
 pass_docs = st.lists(
     st.lists(
@@ -701,17 +650,10 @@ BURST_QUERIES = [
 ]
 
 
-def new_index(num_shards, name="pass"):
-    if num_shards == 1:
-        return InvertedIndex(name=name)
-    return ShardedInvertedIndex(num_shards, name=name)
-
-
 def assert_one_pass(index, oracle, queries):
-    """At k ∈ {0, 1, 3, every match count ± 1, corpus + 5}: every
-    member ranks as the parent's kernels did — at the parent's budget
-    and cut to a tile a query — and the merged rows are the reference
-    scorer's."""
+    """At k ∈ {0, 1, 3, every match count ± 1, corpus + 5}: the index
+    ranks as the parent's kernels did — at the parent's budget and cut
+    to a tile a query — and its rows are the reference scorer's."""
     size = len(oracle.lengths)
     matches = [len(oracle.search(q, size + 1)) for q in queries]
     for k in sorted({0, 1, 3, size + 5}.union(
@@ -725,13 +667,10 @@ def assert_one_pass(index, oracle, queries):
 
 
 def member_rankings(index, queries, depths):
-    """Every member's rankings of the queries at each depth, by score
+    """The index's rankings of the queries at each depth, by score
     bits."""
-    plan = members_of(index)[0].plan_matrix(queries)
-    return [
-        exact(member.rank_planned(plan, k))
-        for k in depths for member in members_of(index)
-    ]
+    plan = index.plan_matrix(queries)
+    return [exact(index.rank_planned(plan, k)) for k in depths]
 
 
 def write_burst(rng, indexes, live):
@@ -760,21 +699,21 @@ def write_burst(rng, indexes, live):
 
 
 class TestOneQueryAPass:
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     @settings(max_examples=30, deadline=None)
     @given(docs=pass_docs, queries=pass_queries)
     def test_equals_the_parent_kernels_on_any_corpus(
         self, num_shards, docs, queries
     ):
         oracle = tie_fill(DictOracle(name="pass"), docs)
-        index = tie_fill(new_index(num_shards), docs)
+        index = tie_fill(InvertedIndex(name="pass"), docs)
         assert_one_pass(index, oracle, queries)
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_equals_the_parent_after_bursts_of_writes(self, num_shards):
         rng = random.Random(31 + num_shards)
         oracle = DictOracle(name="pass")
-        index = new_index(num_shards)
+        index = InvertedIndex(name="pass")
         texts = [" ".join(rng.choices(PASS_WORDS, k=3)) for _ in range(10)]
         tie_fill(index, texts)
         tie_fill(oracle, texts)
@@ -836,32 +775,31 @@ class TestOneQueryAPass:
             index, sealed, index.plan_matrix(["dog dog dog fox"]), 5
         ))
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_empty_and_absent_queries_make_no_pass(
         self, monkeypatch, num_shards
     ):
-        index = fill(new_index(num_shards), docs=40).seal()
+        index = fill(InvertedIndex(name="pass"), docs=40).seal()
         spy = BincountSpy(monkeypatch)
         nothing = ["", "absent tokens only", "the of and"]
         assert index.rank_batch(nothing, 3) == [([], [])] * 3
         assert spy.calls == []
         ranked = index.rank_batch(nothing + ["kamex"], 3)
         assert ranked[:3] == [([], [])] * 3 and ranked[3][0]
-        carriers = [m for m in members_of(index) if m.local_df("kamex")]
-        assert len(spy.calls) == len(carriers) >= 1
+        assert index.local_df("kamex") >= 1
+        assert len(spy.calls) == 1
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_one_pass_per_query_each_over_its_postings(
         self, monkeypatch, num_shards
     ):
-        index = fill(new_index(num_shards), docs=40).seal()
+        index = fill(InvertedIndex(name="pass"), docs=40).seal()
         queries = campaign(12, seed=23) + EDGE_QUERIES
         expected = []
-        for member in members_of(index):  # shards rank in turn
-            for query in queries:
-                cells, weights = query_stream(member, query)
-                if cells:
-                    expected.append((cells, weights, len(member)))
+        for query in queries:
+            cells, weights = query_stream(index, query)
+            if cells:
+                expected.append((cells, weights, len(index)))
         spy = BincountSpy(monkeypatch)
         index.rank_batch(queries, 3)
         assert [
@@ -871,7 +809,7 @@ class TestOneQueryAPass:
         assert len(expected) > 12, "vacuous: few queries matched"
 
     def test_stream_postings_are_counted_once_per_call(self, monkeypatch):
-        index = fill(ShardedInvertedIndex(2, name="pass"), docs=40).seal()
+        index = fill(InvertedIndex(name="pass"), docs=40).seal()
         queries = campaign(12, seed=29)
         amounts = []
         postings = get_registry().counter("index.matrix.stream_postings")
@@ -881,11 +819,9 @@ class TestOneQueryAPass:
             lambda amount=1: (amounts.append(amount), real_inc(amount)),
         )
         index.rank_batch(queries, 3)
-        assert len(amounts) == 2  # one call on each shard
-        assert sum(amounts) == sum(
-            len(query_stream(member, q)[0])
-            for member in index.shards for q in queries
-        )
+        assert amounts == [
+            sum(len(query_stream(index, q)[0]) for q in queries)
+        ]
         assert "index.matrix.tiles" not in get_registry().instruments()
 
     def test_spans_are_views_the_first_read_fills(self, monkeypatch):
@@ -985,26 +921,24 @@ class TestSpanHammer:
                 assert np.shares_memory(cells, sealed.doc_idx)
                 assert np.shares_memory(values, sealed.contrib_flat)
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_no_view_of_a_superseded_seal_is_read(self, num_shards):
         """write -> read -> write -> read: after each write the
         superseded seals' cached views and tables are poisoned with
         NaN, so a read of any of them could not equal the reference
         scorer."""
-        index = fill(new_index(num_shards, "stale"), docs=60)
+        index = fill(InvertedIndex(name="stale"), docs=60)
         oracle = fill(DictOracle(name="stale"), docs=60)
         queries = campaign(8, seed=43) + ["kamex kamex rotax"]
         rng = random.Random(47)
         for step in range(8):
             if step:
-                held = [m._sealed for m in members_of(index) if m._sealed]
+                held = [index._sealed] if index._sealed else []
                 write_burst(rng, [index, oracle], {
                     name: "" for name in oracle.lengths
                 })
                 for sealed in held:  # superseded: poison what it derived
-                    assert all(
-                        sealed is not m._sealed for m in members_of(index)
-                    )
+                    assert sealed is not index._sealed
                     sealed.contrib_flat[:] = np.nan
                     for cells, values in sealed.spans.values():
                         values[:] = np.nan

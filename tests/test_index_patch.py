@@ -3,7 +3,7 @@
 ``InvertedIndex.seal()`` after a write folds the net removals and
 additions into the last published seal; the seal is the only form the
 postings live in.  Everything else in the index stack — dict ≡ sealed ≡
-matrix ≡ sharded — rests on one property, proved here: after any
+matrix — rests on one property, proved here: after any
 sequence of writes the seven sealed arrays (``doc_ids``, ``norm``,
 ``tokens``, ``tok_start``, ``doc_idx``, ``tf_flat``, ``idf_flat``) of
 the patched seal equal, as bytes, those of a *mirror*: a fresh index
@@ -19,7 +19,6 @@ import hashlib
 import random
 import sys
 import threading
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality, Table
 from repro.index.inverted import InvertedIndex
-from repro.index.shard import GlobalBM25Stats, ShardedInvertedIndex
 from repro.obs.metrics import get_registry
 from repro.workloads.builder import LakeConfig, build_lake
 from tests.bm25_oracle import DictOracle
@@ -116,8 +114,6 @@ class Pair:
         self.kwargs = kwargs
         self.live = InvertedIndex(name="pair", **kwargs)
         self.payloads = {}
-        #: pairs whose documents the live index's statistics also span
-        self.others = []
         self.mirror = None
 
     def add(self, doc_id, text):
@@ -145,26 +141,15 @@ class Pair:
         index = InvertedIndex(name="pair", **self.kwargs)
         for doc_id, text in self.payloads.items():
             index.add(doc_id, text)
-        if self.others:
-            index.corpus_stats = GlobalBM25Stats(
-                [index] + [other.live for other in self.others]
-            )
         return index.seal()
 
     def oracle(self):
-        """The dict oracle over the surviving payloads (and the other
-        pairs' when the statistics span them)."""
-        return DictOracle(
-            chain(self.payloads.items(), *(
-                other.payloads.items() for other in self.others
-            )),
-            name="pair", **self.kwargs,
-        )
+        """The dict oracle over the surviving payloads."""
+        return DictOracle(self.payloads.items(), name="pair", **self.kwargs)
 
     def expected(self, queries, k):
         oracle = self.oracle()
-        among = set(self.payloads) if self.others else None
-        return [pairs(oracle.search(q, k, among=among)) for q in queries]
+        return [pairs(oracle.search(q, k)) for q in queries]
 
     def check(self, queries=("kax tox", "mix"), k=10, context=None):
         """Seal the live index (a patch, when it has a base), compile a
@@ -430,18 +415,6 @@ class TestNamedCases:
         [expected] = pair.expected(["tox"], 5)
         assert pairs(pair.live.search("tox", 5)) == expected
 
-    def test_external_corpus_stats_are_read_per_token(self):
-        pair = self.small()
-        other, _ = seeded_pair(3, docs=20)
-        from repro.index.shard import GlobalBM25Stats
-
-        pair.live.corpus_stats = GlobalBM25Stats([pair.live, other.live])
-        pair.others = [other]
-        pair.live.invalidate_seal()
-        pair.check()
-        pair.update("a", "kax pox")
-        pair.check(queries=["kax pox"])
-
     def test_write_between_two_planned_matrix_searches(self):
         pair = self.small()
         def ranked(index):
@@ -534,10 +507,6 @@ def one_cell_changed(table, marker):
     )
 
 
-def inverted_indexes(content):
-    return getattr(content, "shards", [content])
-
-
 PROBES = [
     "largest cities by population",
     "gold silver bronze medal total",
@@ -547,13 +516,11 @@ PROBES = [
 
 class TestThroughTheIndexer:
     @pytest.mark.parametrize("semantic", [False, True])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("num_shards", [1])
     def test_update_instance_patches_to_rebuilt_answers(
         self, num_shards, semantic
     ):
-        config = VerifAIConfig(
-            num_shards=num_shards, use_semantic_index=semantic
-        )
+        config = VerifAIConfig(use_semantic_index=semantic)
         lake = build_lake(LakeConfig(num_tables=10, seed=23)).lake
         indexer = IndexerModule(lake, config).build()
         for step, table in enumerate(lake.tables()[:3]):
@@ -570,24 +537,18 @@ class TestThroughTheIndexer:
                     rebuilt.search(query, modality, 8)
                 ), (modality, query)
             # a fresh index fed the lake's payloads in the live document
-            # order: every shard compiles what the live one patched to
-            content = indexer.content_index(modality)
+            # order compiles what the live one patched to
+            live = indexer.content_index(modality)
             entries = dict(indexer._modality_entries(modality))
-            fresh = (
-                InvertedIndex(name=content.name) if num_shards == 1
-                else ShardedInvertedIndex(num_shards, name=content.name)
-            )
-            live_shards = inverted_indexes(content)
-            for shard in live_shards:
-                for doc_id in shard._doc_length:
-                    fresh.add(doc_id, entries.pop(doc_id))
+            compiled = InvertedIndex(name=live.name)
+            for doc_id in live._doc_length:
+                compiled.add(doc_id, entries.pop(doc_id))
             assert entries == {}
-            for live, compiled in zip(live_shards, inverted_indexes(fresh)):
-                live.seal()
-                compiled.seal()
-                assert first_difference(
-                    seven(live), seven(compiled)
-                ) is None, modality
+            live.seal()
+            compiled.seal()
+            assert first_difference(
+                seven(live), seven(compiled)
+            ) is None, modality
 
     def test_one_cell_costs_one_row_and_the_table(self):
         lake = build_lake(LakeConfig(num_tables=6, seed=29)).lake
@@ -628,7 +589,7 @@ class TestThroughTheIndexer:
 
 
 # ---------------------------------------------------------------------------
-# any write sequence, sealed at any points, on one index or on shards
+# any write sequence, sealed at any points
 # ---------------------------------------------------------------------------
 #: low ranks recur, high ranks are mostly seen once: first-seen tokens
 #: and a token's last carrier come up on their own
@@ -644,44 +605,33 @@ write_op = st.one_of(
 )
 
 
-def members(index):
-    """The inverted indexes that hold the postings of ``index``."""
-    return getattr(index, "shards", [index])
-
-
-def fresh_index(num_shards, payloads):
-    index = (
-        InvertedIndex(name="ops") if num_shards == 1
-        else ShardedInvertedIndex(num_shards, name="ops")
-    )
+def fresh_index(payloads):
+    index = InvertedIndex(name="ops")
     for doc_id, text in payloads.items():
         index.add(doc_id, text)
     return index
 
 
-def assert_as_fresh(index, num_shards, payloads, written):
+def assert_as_fresh(live, payloads, written):
     """Statistics before the seal, then the seven arrays after it, equal
-    member for member to a fresh index over the surviving payloads."""
-    fresh = fresh_index(num_shards, payloads)
-    analyzed = members(index)[0]._analyze(written)
-    tokens = sorted(set(analyzed) | {"absentx"})
-    for live, compiled in zip(members(index), members(fresh)):
-        assert len(live) == len(compiled)
-        assert live.avg_doc_length == compiled.avg_doc_length
-        assert [live.local_df(t) for t in tokens] == [
-            compiled.local_df(t) for t in tokens
-        ]
-        assert [live.idf(t) for t in tokens] == [
-            compiled.idf(t) for t in tokens
-        ]
-    for live, compiled in zip(members(index), members(fresh)):
-        live.seal()
-        compiled.seal()
-        assert first_difference(seven(live), seven(compiled)) is None
+    to a fresh index's over the surviving payloads."""
+    compiled = fresh_index(payloads)
+    tokens = sorted(set(live._analyze(written)) | {"absentx"})
+    assert len(live) == len(compiled)
+    assert live.avg_doc_length == compiled.avg_doc_length
+    assert [live.local_df(t) for t in tokens] == [
+        compiled.local_df(t) for t in tokens
+    ]
+    assert [live.idf(t) for t in tokens] == [
+        compiled.idf(t) for t in tokens
+    ]
+    live.seal()
+    compiled.seal()
+    assert first_difference(seven(live), seven(compiled)) is None
 
 
 class TestAnyWriteSequence:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("num_shards", [1])
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(write_op, max_size=40))
     # one document updated twice between seals
@@ -710,7 +660,7 @@ class TestAnyWriteSequence:
         ("seal",),
     ])
     def test_patched_seals_equal_a_fresh_index(self, num_shards, ops):
-        index = fresh_index(num_shards, {})
+        index = fresh_index({})
         payloads = {}
         written = []
         for op in ops:
@@ -730,11 +680,10 @@ class TestAnyWriteSequence:
                     payloads[doc_id] = op[2]
                     written.append(op[2])
             elif kind == "seal":
-                assert_as_fresh(index, num_shards, payloads, " ".join(written))
+                assert_as_fresh(index, payloads, " ".join(written))
             elif kind == "invalidate":
-                for member in members(index):
-                    member.invalidate_seal()
-        assert_as_fresh(index, num_shards, payloads, " ".join(written))
+                index.invalidate_seal()
+        assert_as_fresh(index, payloads, " ".join(written))
 
 
 # ---------------------------------------------------------------------------

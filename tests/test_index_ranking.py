@@ -5,7 +5,7 @@ The contract under test: an index ranks into :data:`Ranking` columns
 in a list — and a ``SearchHit`` is built only where a stage ends.  None
 of that may move an id, a score or a tie: every ``search_batch`` is
 ``hits_of(rank_batch(...))`` and every ``search`` the batch of one, on
-every index and shard count; the Combiner's columns
+every index; the Combiner's columns
 and ``Reranker.rerank`` are held against the bodies they replaced, kept
 here as oracles.
 
@@ -41,7 +41,6 @@ from repro.index.combiner import Combiner, FusionMethod
 from repro.index.hnsw import HNSWIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.ivf import IVFFlatIndex
-from repro.index.shard import ShardedInvertedIndex, ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 from repro.rerank.base import Reranker
 from repro.rerank.colbert import LateInteractionReranker
@@ -103,19 +102,12 @@ def assert_columns_are_the_hits(index, queries, k, expected):
     ] == expected
 
 
-def bm25_family(docs):
-    yield tie_fill(InvertedIndex(name="ties"), docs)
-    for num_shards in (2, 4):
-        yield tie_fill(ShardedInvertedIndex(num_shards, name="ties"), docs)
+def bm25_index(docs):
+    return tie_fill(InvertedIndex(name="ties"), docs)
 
 
-def vector_family(docs):
-    yield tie_fill(FlatVectorIndex(dim=8, encoder=ENCODER, name="ties"), docs)
-    for num_shards in (2, 4):
-        yield tie_fill(
-            ShardedVectorIndex(num_shards, dim=8, encoder=ENCODER, name="ties"),
-            docs,
-        )
+def vector_index(docs):
+    return tie_fill(FlatVectorIndex(dim=8, encoder=ENCODER, name="ties"), docs)
 
 
 def assert_every_index_agrees(docs, queries):
@@ -126,14 +118,12 @@ def assert_every_index_agrees(docs, queries):
             [(h.instance_id, h.score) for h in bm25.search(q, k)]
             for q in queries
         ]
-        for index in bm25_family(docs):
-            assert_columns_are_the_hits(index, queries, k, expected)
+        assert_columns_are_the_hits(bm25_index(docs), queries, k, expected)
         expected = [
             [(h.instance_id, h.score) for h in flat.search(q, k)]
             for q in queries
         ]
-        for index in vector_family(docs):
-            assert_columns_are_the_hits(index, queries, k, expected)
+        assert_columns_are_the_hits(vector_index(docs), queries, k, expected)
 
 
 class TestRankBatchIsSearchBatch:
@@ -143,10 +133,7 @@ class TestRankBatchIsSearchBatch:
         assert_every_index_agrees(docs, queries)
 
     def test_empty_index_empty_batch_and_zero_match_queries(self):
-        for index in (
-            *bm25_family([]),
-            *vector_family([]),
-        ):
+        for index in (bm25_index([]), vector_index([])):
             assert index.rank_batch([], 3) == []
             assert index.rank_batch(["kax", ""], 3) == [([], []), ([], [])]
             assert index.search_batch(["kax", ""], 3) == [[], []]
@@ -710,19 +697,13 @@ class TestCombinerColumns:
             ))
         assert Combiner([void]).rank_batch([], 3) == []
 
-    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("shards", [1])
     def test_search_batch_never_asks_a_real_member_for_hits(
         self, monkeypatch, shards
     ):
         docs = ["kax tox", "tox mix", "mix", "kax kax mix", "tox"]
-        if shards == 1:
-            content = InvertedIndex(name="bm25")
-            semantic = FlatVectorIndex(dim=8, encoder=ENCODER, name="vec")
-        else:
-            content = ShardedInvertedIndex(shards, name="bm25")
-            semantic = ShardedVectorIndex(
-                shards, dim=8, encoder=ENCODER, name="vec"
-            )
+        content = InvertedIndex(name="bm25")
+        semantic = FlatVectorIndex(dim=8, encoder=ENCODER, name="vec")
         tie_fill(content, docs), tie_fill(semantic, docs)
         combiner = Combiner([content, semantic], name="fused")
         queries = ["kax", "tox mix", ""]
@@ -742,9 +723,7 @@ class TestCombinerColumns:
             SearchHit, "__init__",
             lambda self, *a, **kw: built.append(1) or real_init(self, *a, **kw),
         )
-        for cls in {
-            type(content), type(semantic), InvertedIndex, FlatVectorIndex,
-        }:
+        for cls in (InvertedIndex, FlatVectorIndex):
             for method in ("search", "search_batch", "search_vector"):
                 if hasattr(cls, method):
                     monkeypatch.setattr(cls, method, refuse)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.embed.vectorizers import HashingVectorizer, TfidfVectorizer
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
-from repro.index.shard import ShardedVectorIndex
 from repro.index.vector import FlatVectorIndex
 
 
@@ -232,12 +231,11 @@ class TestOneScorePerRow:
         dim=st.sampled_from([3, 16, 40]),
         sparse=st.booleans(),
         metric=st.sampled_from(["cosine", "l2"]),
-        num_shards=st.integers(min_value=1, max_value=7),
         batch=st.integers(min_value=1, max_value=6),
         k=st.sampled_from([1, 5, 100]),
     )
     def test_search_batch_shards_and_snapshot_agree_to_the_bit(
-        self, seed, count, dim, sparse, metric, num_shards, batch, k
+        self, seed, count, dim, sparse, metric, batch, k
     ):
         rows = seeded_rows(count, dim, seed, sparse)
         queries = list(seeded_rows(6, dim, seed + 1, sparse)) + [rows[0]]
@@ -246,15 +244,8 @@ class TestOneScorePerRow:
         index = FlatVectorIndex(
             dim, encoder=by_text.__getitem__, metric=metric, name="one"
         )
-        # any split of the rows, not just the routing rule's
-        sharded = ShardedVectorIndex(
-            num_shards, dim, encoder=by_text.__getitem__, metric=metric,
-            name="one",
-        )
-        split = np.random.default_rng(seed + 2).integers(num_shards, size=count)
-        for instance_id, row, shard_no in zip(ids, rows, split):
+        for instance_id, row in zip(ids, rows):
             index.add_vector(instance_id, row)
-            sharded.shards[shard_no].add_vector(instance_id, row)
         expected = [pairs(index.search_vector(query, k)) for query in queries]
 
         texts = list(by_text)
@@ -262,28 +253,6 @@ class TestOneScorePerRow:
         for start in range(0, len(texts), batch):
             batched += index.search_batch(texts[start:start + batch], k)
         assert [pairs(hits) for hits in batched] == expected
-        assert [
-            pairs(hits) for hits in sharded.search_batch(texts, k)
-        ] == expected
-
-    @pytest.mark.parametrize("num_shards", [1, 4, 7])
-    def test_every_shard_count_returns_the_monolithic_bits(self, num_shards):
-        rows = seeded_rows(120, 32, 5, sparse=True)
-        queries = list(seeded_rows(5, 32, 6, sparse=True))
-        by_text = {f"q{i}": query for i, query in enumerate(queries)}
-        index = FlatVectorIndex(32, name="one")
-        for position, row in enumerate(rows):
-            index.add_vector(f"v{position:03d}", row)
-        expected = [pairs(index.search_vector(query, 9)) for query in queries]
-        sharded = ShardedVectorIndex(
-            num_shards, 32, encoder=by_text.__getitem__, name="one"
-        )
-        for position, row in enumerate(rows):
-            instance_id = f"v{position:03d}"
-            sharded.shard_for(instance_id).add_vector(instance_id, row)
-        assert [
-            pairs(hits) for hits in sharded.search_batch(list(by_text), 9)
-        ] == expected
 
 
 class TestTableAgainstAListOfVectors:
@@ -392,12 +361,11 @@ class TestNonZerosAgainstTheDenseTable:
         count=st.sampled_from([1, 9, 60, 255, 256, 257]),
         dim=st.sampled_from([4, 16, 40]),
         dense=st.booleans(),
-        num_shards=st.sampled_from([1, 2, 4]),
         removals=st.integers(min_value=0, max_value=6),
         k=st.sampled_from([1, 7, 300]),
     )
     def test_ids_and_score_bits_are_the_dense_loops(
-        self, seed, count, dim, dense, num_shards, removals, k
+        self, seed, count, dim, dense, removals, k
     ):
         rng = np.random.default_rng(seed)
 
@@ -410,9 +378,6 @@ class TestNonZerosAgainstTheDenseTable:
         queries = list(draw(5)) + [rows[0], np.zeros(dim)]
         by_text = {f"q{i}": query for i, query in enumerate(queries)}
         index = FlatVectorIndex(dim, encoder=by_text.__getitem__, name="one")
-        sharded = ShardedVectorIndex(
-            num_shards, dim, encoder=by_text.__getitem__, name="one"
-        )
         model = []
         added = iter(range(10**4))
 
@@ -421,7 +386,6 @@ class TestNonZerosAgainstTheDenseTable:
                 # unique, and not in insertion order: ties go by id
                 instance_id = f"v{next(added) * 7919 % 10007:05d}"
                 index.add_vector(instance_id, row)
-                sharded.shard_for(instance_id).add_vector(instance_id, row)
                 model.append((instance_id, row))
 
         def check():
@@ -429,9 +393,6 @@ class TestNonZerosAgainstTheDenseTable:
             texts = list(by_text)
             assert [bits(index.search_vector(q, k)) for q in queries] == expected
             assert [bits(hits) for hits in index.search_batch(texts, k)] == expected
-            assert [
-                bits(hits) for hits in sharded.search_batch(texts, k)
-            ] == expected
 
         add(rows)
         check()
@@ -439,7 +400,6 @@ class TestNonZerosAgainstTheDenseTable:
         for position in rng.permutation(len(model))[:removals].tolist():
             instance_id = model[position][0]
             index.remove_vector(instance_id)
-            sharded.remove(instance_id)
         model[:] = [entry for entry in model if entry[0] in index]
         check()
         add(draw(3))

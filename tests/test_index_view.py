@@ -5,8 +5,7 @@ After a write, the next read of an :class:`InvertedIndex` publishes a
 documents removed since (zeroed in every score row) and the documents
 added since (scored from their records).  It re-derives only the
 contribution rows whose statistics moved.  The property proved here:
-after every write, at 1, 2 and 4 shards, a read through the view ranks
-exactly as a fresh compile of the surviving payloads and as the dict
+after every write, a read through the view ranks exactly as a fresh compile of the surviving payloads and as the dict
 oracle of ``tests/bm25_oracle.py`` — the same ids, and every score's
 ``float.hex``.
 
@@ -32,13 +31,10 @@ from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index import inverted
 from repro.index.inverted import InvertedIndex, _View
-from repro.index.shard import GlobalBM25Stats, ShardedInvertedIndex
 from repro.obs.metrics import get_registry
 from repro.text import analyze
 from repro.workloads.builder import LakeConfig, build_lake
 from tests.bm25_oracle import DictOracle
-
-SHARDS = [1, 2, 4]
 
 WORDS = [
     "kax", "tox", "mix", "rax", "nex", "sox", "lux", "vix", "dax", "pox",
@@ -59,16 +55,6 @@ def no_compaction():
         yield
 
 
-def members(index):
-    return getattr(index, "shards", [index])
-
-
-def new_index(num_shards, name="view"):
-    if num_shards == 1:
-        return InvertedIndex(name=name)
-    return ShardedInvertedIndex(num_shards, name=name)
-
-
 def exact(hits):
     return [(hit.instance_id, hit.score.hex()) for hit in hits]
 
@@ -87,9 +73,8 @@ class Live:
     """An index under writes, the payloads that survive in it, and the
     dict oracle over them."""
 
-    def __init__(self, num_shards, docs=(), seal=True):
-        self.num_shards = num_shards
-        self.index = new_index(num_shards)
+    def __init__(self, docs=(), seal=True):
+        self.index = InvertedIndex(name="view")
         self.oracle = DictOracle(name="view")
         self.payloads = {}
         for doc_id, payload in docs:
@@ -115,18 +100,15 @@ class Live:
 
     def compiled(self):
         """A fresh index fed the surviving payloads, compiled once."""
-        fresh = new_index(self.num_shards)
+        fresh = InvertedIndex(name="view")
         for doc_id, payload in self.payloads.items():
             fresh.add(doc_id, payload)
         return fresh.seal()
 
     def check(self, queries, k=7):
         """A batch and solo reads: as the compile and the oracle rank,
-        by ids and score bits.  No read folds but a member's first
-        compile."""
-        compiles = sum(
-            1 for m in members(self.index) if len(m) and m._base is None
-        )
+        by ids and score bits.  No read folds but the first compile."""
+        compiles = int(bool(len(self.index)) and self.index._base is None)
         folds = seal_count("patched") + seal_count("compiled")
         got = [exact(hits) for hits in self.index.search_batch(queries, k)]
         assert [exact(self.index.search(q, k)) for q in queries] == got
@@ -141,9 +123,9 @@ class Live:
         return got
 
 
-def seeded(num_shards, seed, docs=40):
+def seeded(seed, docs=40):
     rng = random.Random(seed)
-    return Live(num_shards, [
+    return Live([
         (f"doc{number:03d}", text(rng)) for number in range(docs)
     ]), rng
 
@@ -157,12 +139,12 @@ def queries_of(rng, count=6):
 # ---------------------------------------------------------------------------
 @pytest.mark.usefixtures("no_compaction")
 class TestEveryWrite:
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reads_after_every_write_are_the_compile_and_the_oracle(
         self, num_shards, seed
     ):
-        live, rng = seeded(num_shards, seed)
+        live, rng = seeded(seed)
         fresh_ids = iter(range(10_000, 20_000))
         for step in range(40):
             alive = list(live.payloads)
@@ -177,14 +159,13 @@ class TestEveryWrite:
             assert not live.index.is_sealed
             viewed = seal_count("viewed")
             live.check(queries_of(rng) + [f"rare{step}x"], k=5)
-            populated = [m for m in members(live.index) if len(m)]
-            # one view a populated member, published by the first read
-            assert seal_count("viewed") == viewed + len(populated), step
-            assert all(isinstance(m._sealed, _View) for m in populated)
+            # one view, published by the first read
+            assert seal_count("viewed") == viewed + 1, step
+            assert isinstance(live.index._sealed, _View)
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_every_depth_around_the_match_counts(self, num_shards):
-        live, rng = seeded(num_shards, 7, docs=25)
+        live, rng = seeded(7, docs=25)
         for step in range(6):
             live.update(f"doc{step * 3:03d}", text(rng))
             live.add(f"extra{step}", text(rng))
@@ -198,50 +179,49 @@ class TestEveryWrite:
 # ---------------------------------------------------------------------------
 # the cases worth naming
 # ---------------------------------------------------------------------------
-def small(num_shards=1):
-    return Live(num_shards, [
+def small():
+    return Live([
         ("a", "kax tox mix"), ("b", "tox rax rax nex"), ("c", "mix sox lux"),
         ("d", "kax kax vix"), ("e", "tox mix lux"), ("f", "sox sox kax"),
     ])
 
 
-def tied(num_shards=1, docs=8):
+def tied(docs=8):
     """``docs`` documents with one payload: every query ties them all."""
-    return Live(num_shards, [
+    return Live([
         (f"t{number}", "kax tox") for number in range(docs)
     ])
 
 
 @pytest.mark.usefixtures("no_compaction")
 class TestNamedCases:
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_token_first_seen_in_the_delta(self, num_shards):
-        live = small(num_shards)
+        live = small()
         live.add("g", "aax zzzx tox")  # before the first and after the last
         live.check(["aax", "zzzx tox", "zzzx aax kax"])
-        if num_shards == 1:
-            view = live.index._sealed
-            assert set(view.first_seen) == {"aax", "zzzx"}
-            assert "aax" not in view.tok_pos
+        view = live.index._sealed
+        assert set(view.first_seen) == {"aax", "zzzx"}
+        assert "aax" not in view.tok_pos
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_last_carrier_of_a_token_removed(self, num_shards):
-        live = small(num_shards)
+        live = small()
         live.remove("b")  # the only document with rax and nex
         assert live.index.search("rax nex", 5) == []
         live.check(["rax nex", "tox", "rax tox"])
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_remove_then_readd_of_one_id(self, num_shards):
-        live = small(num_shards)
+        live = small()
         live.remove("a")
         live.add("a", "pox dax")
         live.check(["pox", "kax", "kax tox mix"])
         assert "a" not in [h.instance_id for h in live.index.search("mix", 9)]
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_an_updated_id_keeps_its_rank_among_ties(self, num_shards):
-        live = tied(num_shards)
+        live = tied()
         live.update("t3", "kax tox")  # same payload: it moves last
         live.remove("t5")
         live.add("t5", "kax tox")  # and back, as a new document
@@ -278,42 +258,26 @@ class TestNamedCases:
         }
         assert changed and changed <= moved
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_a_total_length_change(self, num_shards):
-        live = small(num_shards)
+        live = small()
         live.check(["kax"])
         live.update("c", "mix sox lux lux pox kax")
         live.check(["lux", "kax pox", "mix sox"])
         assert len(live.index) == 6
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_a_document_count_change(self, num_shards):
-        live = small(num_shards)
+        live = small()
         live.check(["kax"])
         live.add("g", "kax")
         live.check(["kax", "tox"])
         live.remove("e")
         live.check(["kax", "tox", "lux"])
 
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_a_write_to_another_shard(self, num_shards):
-        live = Live(num_shards, [
-            (f"doc{number:02d}", f"kax tox {WORDS[number % 10]}")
-            for number in range(24)
-        ])
-        live.check(["kax", "tox mix"])
-        written = live.index.shard_for("doc05")
-        live.update("doc05", "kax kax kax tox rax")
-        live.check(["kax", "tox mix", "rax"])
-        for member in members(live.index):
-            view = member._sealed
-            assert isinstance(view, _View)
-            if member is not written:  # only statistics moved here
-                assert view.dead is None and view.delta_cells.size == 0
-
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_an_index_emptied_and_refilled(self, num_shards):
-        live = small(num_shards)
+        live = small()
         for doc_id in list(live.payloads):
             live.remove(doc_id)
         assert len(live.index) == 0
@@ -352,26 +316,13 @@ class TestNamedCases:
         for name, data in before.items():
             assert getattr(base, name).tobytes() == data, name
 
-    def test_a_read_after_new_corpus_stats_compacts(self):
-        live = small()
-        other = InvertedIndex(name="other")
-        other.add("x", "kax kax")
-        live.index.corpus_stats = GlobalBM25Stats([live.index, other])
-        live.index.invalidate_seal()
-        patched = seal_count("patched")
-        hits = live.index.search("kax", 3)
-        assert seal_count("patched") == patched + 1
-        assert live.index._sealed is live.index._base
-        assert [h.instance_id for h in hits] == ["d", "a", "f"]
-
-
 # ---------------------------------------------------------------------------
 # compaction
 # ---------------------------------------------------------------------------
 class TestCompaction:
     def test_a_write_that_outgrows_the_share_compacts(self):
         with compact_share(0.25):
-            live = Live(1, [(f"d{n}", f"kax {WORDS[n]}") for n in range(8)])
+            live = Live([(f"d{n}", f"kax {WORDS[n]}") for n in range(8)])
             base = live.index._base
             live.update("d1", "tox")  # 2 written of the 2 allowed
             assert live.index._base is base
@@ -385,9 +336,9 @@ class TestCompaction:
             live.check(["kax", "tox", "mix"])
             assert isinstance(live.index._sealed, _View)
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_compactions_landing_mid_sequence(self, num_shards):
-        live, rng = seeded(num_shards, 11, docs=30)
+        live, rng = seeded(11, docs=30)
         with compact_share(0.1):
             for step in range(30):
                 alive = list(live.payloads)
@@ -399,10 +350,7 @@ class TestCompaction:
                     live.update(rng.choice(alive), text(rng))
                 if step == 17:
                     live.index.seal()  # an explicit compaction too
-                    assert all(
-                        m._sealed is m._base for m in members(live.index)
-                        if len(m)
-                    )
+                    assert live.index._sealed is live.index._base
                 live.check(queries_of(rng))
 
     def test_seal_compacts_a_published_view(self, no_compaction):
@@ -436,7 +384,7 @@ view_op = st.one_of(
 
 
 class TestAnyWriteSequence:
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     @settings(max_examples=30, deadline=None)
     @given(
         ops=st.lists(view_op, max_size=30),
@@ -456,7 +404,7 @@ class TestAnyWriteSequence:
     ], share=float("inf"))
     def test_reads_through_views_are_the_compile(self, num_shards, ops, share):
         with compact_share(share):
-            live = Live(num_shards)
+            live = Live()
             for op in ops:
                 kind, alive = op[0], list(live.payloads)
                 if kind == "add" and f"d{op[1]}" not in live.payloads:
@@ -479,19 +427,19 @@ class TestAnyWriteSequence:
 # ---------------------------------------------------------------------------
 @pytest.mark.usefixtures("no_compaction")
 class TestIsSealed:
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_a_write_unpublishes_and_the_next_read_publishes(
         self, num_shards
     ):
-        live = small(num_shards)
+        live = small()
         assert live.index.is_sealed
         live.update("a", "pox dax")
         assert not live.index.is_sealed
         live.index.search("pox", 3)
         assert live.index.is_sealed
-        views = [m._sealed for m in members(live.index)]
+        view = live.index._sealed
         live.index.search_batch(["kax", "mix"], 3)  # a steady read
-        assert [m._sealed for m in members(live.index)] == views
+        assert live.index._sealed is view
         live.remove("b")
         assert not live.index.is_sealed
         live.index.rank_batch(["tox"], 3)
@@ -553,11 +501,11 @@ class TestRemoveByTokens:
 class TestViewHammer:
     """``make sanitize`` runs this under the lockset sanitizer: eight
     readers find the index unpublished after a write, exactly one of
-    them publishes each member's view, and all of them read it."""
+    them publishes the view, and all of them read it."""
 
-    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("num_shards", [1])
     def test_eight_readers_across_writes(self, num_shards, no_compaction):
-        live, rng = seeded(num_shards, 19, docs=60)
+        live, rng = seeded(19, docs=60)
         queries = queries_of(rng)
         errors = []
         previous = sys.getswitchinterval()
@@ -596,7 +544,7 @@ class TestViewHammer:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
                 assert errors == []
-                assert seal_count("viewed") == viewed + num_shards
+                assert seal_count("viewed") == viewed + 1
                 assert seal_count("patched") + seal_count(
                     "compiled"
                 ) == folds
@@ -620,30 +568,27 @@ class TestSupersededBase:
     reader that took the base earlier still scores it bit for bit, from
     a table built for that read alone."""
 
-    @pytest.mark.parametrize("num_shards", SHARDS)
+    @pytest.mark.parametrize("num_shards", [1])
     def test_a_view_drops_the_base_tables(self, num_shards):
-        live, rng = seeded(num_shards, 23)
+        live, rng = seeded(23)
         queries = queries_of(rng)
         live.check(queries)
-        bases = [m._base for m in members(live.index)]
-        assert all(base is m._sealed for base, m in zip(
-            bases, members(live.index)
-        ))
-        assert all(base.contrib_flat is not None for base in bases)
-        assert any(base.spans for base in bases)
+        base = live.index._base
+        assert base is live.index._sealed
+        assert base.contrib_flat is not None
+        assert base.spans
         for step in range(3):
             live.update(f"doc{step:03d}", text(rng))
             live.add(f"new{step}", text(rng))
             live.check(queries)
-            for base, member in zip(bases, members(live.index)):
-                assert member._base is base
-                assert isinstance(member._sealed, _View)
-                assert base.contrib_flat is None
-                assert base.spans == {}
+            assert live.index._base is base
+            assert isinstance(live.index._sealed, _View)
+            assert base.contrib_flat is None
+            assert base.spans == {}
 
     @pytest.mark.parametrize("read_first", [True, False])
     def test_a_reader_holding_the_base_scores_it_after(self, read_first):
-        live, rng = seeded(1, 29)
+        live, rng = seeded(29)
         index = live.index
         queries = queries_of(rng)
         plan = index.plan_matrix(queries)
@@ -667,7 +612,7 @@ class TestSupersededBase:
         readers score a base they took while the base is published, then
         superseded and dropped, and every ranking is the one the base
         gave before any write."""
-        live, rng = seeded(1, 31, docs=80)
+        live, rng = seeded(31, docs=80)
         index = live.index
         queries = queries_of(rng, 8)
         plan = index.plan_matrix(queries)

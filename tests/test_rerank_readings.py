@@ -43,7 +43,6 @@ from repro.embed.vectorizers import (
 from repro.index.base import SearchHit, ordinals_of, top_k
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
-from repro.index.shard import ShardedVectorIndex, merge_shard_hits
 from repro.index.vector import FlatVectorIndex, top_hits
 from repro.llm.model import SimulatedLLM
 from repro.obs.clock import TickClock
@@ -541,8 +540,8 @@ def reference_scores(metric, matrix, vector):
     Cosine, since ISSUE 23: the pure-Python sum ``((q[b0]*m[b0]) +
     q[b1]*m[b1]) + ...`` over the query's non-zero buckets in ascending
     order, over the norm expression the index always used — a function
-    of one row and the query, so no BLAS build, batch or shard can move
-    a bit of it.  L2: the helper, as ever."""
+    of one row and the query, so no BLAS build or batch can move a bit
+    of it.  L2: the helper, as ever."""
     if metric == "cosine":
         weights = vector.tolist()
         buckets = [bucket for bucket, weight in enumerate(weights) if weight]
@@ -687,37 +686,6 @@ class TestVectorSearchEqualsTheDictAndHeap:
                 assert as_pairs(index.search_vector(query, k)) == as_pairs(
                     reference_hnsw(index, query, k)
                 ), k
-
-    def test_sharded(self, metric):
-        """Every shard against its own oracle, gathered the way
-        ``ShardedVectorIndex`` gathers — and, a row's score being a
-        function of that row and the query alone, against the oracle of
-        one monolithic index."""
-        vectors, queries = seeded_vectors()
-        by_text = {f"q{i}": query for i, query in enumerate(queries)}
-        sharded = ShardedVectorIndex(
-            3, dim=12, encoder=by_text.__getitem__, metric=metric, name="vec"
-        )
-        for instance_id, vector in vectors:
-            sharded.shard_for(instance_id).add_vector(instance_id, vector)
-        whole = filled(
-            FlatVectorIndex(dim=12, metric=metric, name="vec"), vectors
-        )
-        for k in DEPTHS:
-            batch = sharded.search_batch(list(by_text), k)
-            for text, hits in zip(by_text, batch):
-                expected = merge_shard_hits(
-                    [
-                        reference_flat(shard, by_text[text], k)
-                        for shard in sharded.shards
-                    ],
-                    k, "vec",
-                )
-                assert as_pairs(hits) == as_pairs(expected), k
-                assert as_pairs(hits) == as_pairs(
-                    reference_flat(whole, by_text[text], k)
-                ), k
-                assert as_pairs(sharded.search(text, k)) == as_pairs(hits)
 
     def test_norms_follow_the_matrix(self, metric):
         vectors, queries = seeded_vectors()

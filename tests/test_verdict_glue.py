@@ -30,7 +30,6 @@ from repro.index.base import SearchIndex
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.base import ordinals_of, select_ranked
 from repro.index.inverted import InvertedIndex
-from repro.index.shard import ShardedInvertedIndex, shard_of
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import (
     parse_verification_response,
@@ -385,10 +384,8 @@ def pairs(hits):
     return [(hit.instance_id, hit.score, hit.index_name) for hit in hits]
 
 
-def build_index(num_shards):
-    if num_shards == 1:
-        return fill(InvertedIndex(name="glue"))
-    return fill(ShardedInvertedIndex(num_shards, name="glue"))
+def build_index():
+    return fill(InvertedIndex(name="glue"))
 
 
 class SpyIndex(SearchIndex):
@@ -416,10 +413,10 @@ class SpyIndex(SearchIndex):
 
 
 class TestOneIndexCombiner:
-    @pytest.mark.parametrize("num_shards", (1, 2, 4))
+    @pytest.mark.parametrize("num_shards", (1,))
     @pytest.mark.parametrize("k", DEPTHS)
     def test_equals_the_fuse_of_twice_the_depth(self, num_shards, k):
-        index = build_index(num_shards)
+        index = build_index()
         combiner = Combiner([index], name="combined-glue")
         expected = [
             pairs(combiner.fuse([index.search(query, 2 * k)], k))
@@ -433,7 +430,7 @@ class TestOneIndexCombiner:
     def test_scores_tie_across_the_cut(self):
         """The corpus does what ``fill`` says: at every depth some query
         has its k-th and (k+1)-th hits on one score."""
-        index = build_index(1)
+        index = build_index()
         for k in (1, 3, 5):
             tied = []
             for query in QUERIES:
@@ -463,7 +460,7 @@ class TestOneIndexCombiner:
     def test_max_fusion_reads_the_tail(self):
         """Why MAX keeps ``2 * k``: its normalisation depends on the
         lowest score in the list."""
-        index = build_index(1)
+        index = build_index()
         combiner = Combiner([index], method=FusionMethod.MAX)
         expected = pairs(combiner.fuse([index.search("ohio senate", 10)], 5))
         assert pairs(combiner.search("ohio senate", 5)) == expected
@@ -502,28 +499,18 @@ class TestOrderCandidates:
         assert all(type(i) is str for i in ids)
         assert all(type(score) is float for score in scores)
 
-    @pytest.mark.parametrize("num_shards", (1, 2, 4))
+    @pytest.mark.parametrize("num_shards", (1,))
     def test_search_and_search_batch_agree_with_search_dict(self, num_shards):
         """The ordering is reached from both selections: per query and
-        query-matrix; the dict scorer shares neither, and scores each
-        shard's documents with the whole corpus's statistics."""
-        index = build_index(num_shards)
-        shards = [index] if num_shards == 1 else index.shards
+        query-matrix; the dict scorer shares neither."""
+        index = build_index()
         oracle = fill(DictOracle())
+        oracle.name = index.name
         for k in DEPTHS:
             batched = index.search_batch(QUERIES, k)
             for query, hits in zip(QUERIES, batched):
                 assert pairs(hits) == pairs(index.search(query, k))
-            for shard_no, shard in enumerate(shards):
-                oracle.name = shard.name
-                among = {
-                    doc_id for doc_id in oracle.lengths
-                    if shard_of(doc_id, num_shards) == shard_no
-                }
-                for query in QUERIES:
-                    assert pairs(shard.search(query, k)) == pairs(
-                        oracle.search(query, k, among=among)
-                    )
+                assert pairs(hits) == pairs(oracle.search(query, k))
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,25 @@ class TestEntityNamer:
         assert len(set(names)) == base_size + 5
         assert any(". " in name for name in names[-5:])
 
+    def test_no_name_repeats_past_26_initials(self):
+        namer = EntityNamer(seed=0)
+        names = namer.take(172_810)
+        assert len(set(names)) == 172_810
+        base = namer._base
+
+        def single_initial(i):
+            """The one-letter formula every name before 172,800 used."""
+            if i < len(base):
+                return base[i]
+            index = i - len(base)
+            first, _, last = base[index % len(base)].partition(" ")
+            initial = chr(ord("a") + (index // len(base)) % 26)
+            return f"{first} {initial}. {last}"
+
+        assert names[:172_800] == [single_initial(i) for i in range(172_800)]
+        first, _, last = base[0].partition(" ")
+        assert names[172_800] == f"{first} aa. {last}"
+
 
 class TestVocabulary:
     def test_film_titles_unique(self):
