@@ -20,6 +20,7 @@ from repro.workloads.vocab import (
     TEAM_MASCOTS,
     EntityNamer,
     Vocabulary,
+    _bijective_base26,
     _skip_draws,
 )
 
@@ -58,6 +59,19 @@ class TestEntityNamer:
         assert names[:172_800] == [single_initial(i) for i in range(172_800)]
         first, _, last = base[0].partition(" ")
         assert names[172_800] == f"{first} aa. {last}"
+
+    @pytest.mark.parametrize("number, letters", [
+        (1, "a"), (2, "b"), (26, "z"), (27, "aa"), (52, "az"), (53, "ba"),
+        (702, "zz"), (703, "aaa"), (18_278, "zzz"), (18_279, "aaaa"),
+    ])
+    def test_initials_count_in_bijective_base_26(self, number, letters):
+        assert _bijective_base26(number) == letters
+
+    def test_initials_never_repeat_and_run_in_length_then_letter_order(self):
+        initials = [_bijective_base26(n) for n in range(1, 20_000)]
+        assert len(set(initials)) == len(initials)
+        assert initials == sorted(initials, key=lambda s: (len(s), s))
+        assert set("".join(initials)) == set("abcdefghijklmnopqrstuvwxyz")
 
 
 class TestVocabulary:
