@@ -49,7 +49,8 @@ trace-demo:
 # simulated LLM's prompt handlers, the rerankers and the module that
 # routes to them, the Agent and the LLM verifier, the pipeline config's
 # validation, the token embedder, the flat vector index, the inverted
-# index (compile, view, compaction), the text layer's
+# index (compile, view, compaction, seeded churn against the dict
+# oracle), the text layer's
 # analysis and similarity, the campaign path's glue (prompt splitting
 # and response parsing, the verifier module, the combiner and the
 # ranking type it fuses, the data objects), the evidence form's writers
@@ -98,7 +99,7 @@ coverage:
 		tests/test_llm_readings.py tests/test_rerank.py \
 		tests/test_embed_token.py tests/test_index_vector.py \
 		tests/test_rerank_readings.py tests/test_index_patch.py \
-		tests/test_index_view.py \
+		tests/test_index_view.py tests/test_index_one_per_modality.py \
 		tests/test_index_matrix.py tests/test_index_churn.py \
 		tests/test_core_indexer_mutation.py tests/test_text_tokenize.py \
 		tests/test_text_similarity.py tests/test_llm_prompts.py \
@@ -126,8 +127,9 @@ loop-demo:
 # the concurrency suites (and the thread hammers on the simulated LLM's
 # call count, on the three lru_cache memos (evidence readings, payload
 # readings, n-gram features), on a shared RerankerModule, on readers
-# racing to patch a seal, on solo readers racing to build a fresh
-# seal's contribution table, on first readers racing to fold a fresh
+# racing to patch a seal, on solo readers racing to derive one token's
+# span on a fresh seal (and on readers whose superseded views a write
+# poisons), on first readers racing to fold a fresh
 # seal's ordinal table and to build a vector index's, on the text
 # layer's word table while it fills, and on the token embedder's
 # vocabulary read lock-free while first touches grow it, on first

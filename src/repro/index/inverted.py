@@ -5,57 +5,36 @@ This is the content-based index the paper's experiments actually use
 files..."), so its ranking function matches ES defaults: BM25 with
 k1 = 1.2, b = 0.75.
 
-Postings live in one form, the **seal**: one flat contiguous CSR-style
-layout (sorted token table, ``tok_start`` offsets into concatenated
-document-index + term-frequency arrays) with precomputed idf and
-length-normalization arrays.  Beside it the index keeps per-document
-lengths and one token -> document-frequency table; a document's
-analysed tokens are kept only until a seal carries it.  Any write
-un-publishes the read form and the next read publishes a current one,
-so callers never see a stale ranking; an index with no document is an
-empty index.
+Postings live in one form, the **base** (:class:`_Postings`): flat
+contiguous CSR arrays, never written once built.  Beside it the index
+keeps per-document lengths and one token -> document-frequency table.
+Every read scores one read form, a **view** (:class:`_View`): the base,
+the writes since it (:class:`_Delta`) and the statistics when it was
+published; the seal a compaction publishes is a view with no writes.
+Any write un-publishes the view and the next read publishes a current
+one, so callers never see a stale ranking.
 
 Every read is a batch — ``search(q)`` is ``search_batch([q])[0]`` — and
-a batch is plan -> rank -> ids (``rank_batch``; ``search_batch`` builds
-hits from its columns): :meth:`InvertedIndex.plan_matrix` analyzes the
-queries once, ``_score_matrix`` ranks the plan against one read form
-(the seal, or a view of it), and the ranking reads its ids off that
-read form.  One kernel scores every plan, a query a pass: the query's
-known tokens' blocks of ``doc_idx`` and of ``contrib_flat`` (a
-per-posting table built by the first read of a seal) are concatenated
-into one stream, and a single ``np.bincount`` folds the stream into the
-query's score row.  A token's two blocks are cached on the read form by
-the token's first read there.
+a batch is plan -> rank -> ids: :meth:`InvertedIndex.plan_matrix`
+analyzes the queries once, ``_score_matrix`` ranks the plan against one
+view, and the ranking reads its ids off that view.  One kernel scores a
+query a pass: its known tokens' **spans** — a token's cells and their
+contributions at query count 1 — are concatenated in sorted token order
+and one ``np.bincount`` folds them into the query's score row, so every
+cell replays the tests' reference scorer's float64 sum bit for bit.  A
+read derives the spans it lacks in one elementwise pass and caches them
+on the view; a view inherits every span of the one before it that the
+writes between them did not move (none when they moved the document
+count or the average length).  No index holds a table of every
+posting's contribution.
 
-Token contributions accumulate in **sorted token order** in the kernel
-(``bincount`` adds in stream order) and in the tests' reference scorer
-over token -> ``{id: tf}`` postings, so both replay the same float64
-sums bit for bit; one selection, ``_rank_row``, then takes the row's top
-k under the ``(-score, id)`` total order, read as ``(-score, ordinal)``
-off the seal's ordinal table (:func:`~repro.index.base.select_ranked`).
-
-**Live mutation** — :meth:`add` (analyse, then :meth:`add_tokens`)
-records the document's distinct tokens and counts until a seal carries
-it; :meth:`remove` corrects the statistics at once, from the tokens its
-caller analysed (or, without them, from one scan of the seal's
-postings).  :meth:`update` is remove + add, which moves the document to
-the end of the document order.  A write keeps the last seal as the
-*base*, and the next read publishes a **view** of it (:class:`_View`):
-the base, whose arrays are never written; the base documents removed
-since, whose cells every score row zeroes; and the documents added
-since, scored from their records.  A view re-derives only what the
-writes moved: the contribution rows of the tokens whose document
-frequency moved, or every row in one elementwise pass when the document
-count or the average length moved.  It carries the base's ordinal
-table, an updated id keeping its rank, so it ranks as the compacted seal
-of the same documents, ids and score bits (``tests/test_index_view.py``).
-:meth:`seal` is the **compaction**: it folds the net removals and
-additions into the base's CSR arrays in a fixed number of numpy passes
-and re-derives ``norm`` / ``idf_flat`` from the integer statistics.  It
-runs when called, and when a write leaves more documents written since
-the base than ``_COMPACT_SHARE`` of it.  The first seal is the same fold
-over an empty base, and a compacted seal is byte-identical to a fresh
-index's over the surviving payloads (``tests/test_index_patch.py``).
+:meth:`InvertedIndex.seal` is the **compaction**: it folds the writes
+since the base into new CSR arrays in a fixed number of numpy passes,
+when called and when a write leaves more documents written since the
+base than ``_COMPACT_SHARE`` of it.  A view ranks as the compacted seal
+of the same documents, ids and score bits (``tests/test_index_view.py``),
+and a compacted seal is byte-identical to a fresh index's over the
+surviving payloads (``tests/test_index_patch.py``).
 """
 
 from __future__ import annotations
@@ -65,9 +44,9 @@ import sys
 import threading
 from bisect import bisect_right, insort_right
 from collections import Counter
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import (
-    Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -79,6 +58,9 @@ from repro.index.base import (
 from repro.obs.metrics import get_registry
 from repro.text import analyze
 
+
+#: a token's cells as views, never copies: its base block, its delta block
+_Cells = Tuple["np.ndarray", ...]
 
 #: a write that leaves more writes since the base (each document added,
 #: and each removed) than this share of the base's document count
@@ -95,19 +77,7 @@ def _bm25_idf(num_docs: int, df: int) -> float:
     return max(raw, 1e-6)
 
 
-def _idf_table(num_docs: int, df: "np.ndarray") -> "np.ndarray":
-    """:func:`_bm25_idf` of every entry of ``df``, calling ``math.log``
-    once per distinct df (a few hundred values), so each idf is the
-    very float :meth:`InvertedIndex.idf` returns."""
-    distinct, inverse = np.unique(df, return_inverse=True)
-    idf_of = np.array(
-        [_bm25_idf(num_docs, n) for n in distinct.tolist()],
-        dtype=np.float64,
-    )
-    return idf_of[inverse]
-
-
-def _rank_row(sealed: "_ReadForm", scores: "np.ndarray", k: int) -> Ranking:
+def _rank_row(sealed: "_View", scores: "np.ndarray", k: int) -> Ranking:
     """The top k of one query's score row under the ``(-score, id)``
     total order, finding the k-th score with one ``partition``.
 
@@ -131,161 +101,106 @@ def _rank_row(sealed: "_ReadForm", scores: "np.ndarray", k: int) -> Ranking:
     return sealed.select(scores[candidates], candidates, k)
 
 
-class _SealedPostings:
-    """Compiled, read-only form of one index generation: the base of
-    the views between two compactions.
+class _Postings(NamedTuple):
+    """The postings of one compaction, the base of every view until the
+    next: never written after the fold that made it.
 
     Storage is four flat contiguous arrays in CSR layout — ``tokens``
     (sorted), ``tok_start`` offsets, concatenated ``doc_idx`` /
-    ``tf_flat`` postings — plus per-doc ``norm`` and per-token
-    ``idf_flat``, and the document order's ``ordinal`` table (what a
-    ranking breaks ties by) with ``by_ordinal``, the ids in sorted
-    order.  ``contrib_flat`` and ``spans`` are derived data its reads
-    fill while it is published, and which it drops when a view of it is
-    published: from then on only views read it.
+    ``tf_flat`` postings — plus per-doc ``lengths``, and the document
+    order's ``ordinal`` table (what a ranking breaks ties by) with
+    ``by_ordinal``, the ids in sorted order.
+    """
+
+    doc_ids: List[str]
+    lengths: "np.ndarray"      # per-doc token count, as float64
+    tokens: List[str]          # sorted vocabulary
+    tok_start: "np.ndarray"    # CSR offsets, len(tokens) + 1
+    doc_idx: "np.ndarray"      # concatenated doc-index postings
+    tf_flat: "np.ndarray"      # concatenated term frequencies
+    #: ``ordinal[i]``: the rank of ``doc_ids[i]`` in sorted id order
+    #: (:func:`~repro.index.base.ordinals_of`), and ``by_ordinal`` the ids
+    #: in that order — derived data, carried into the views and the
+    #: compaction (:class:`_Delta`) because sorting every id again would
+    #: cost a write-heavy index more than its reads
+    ordinal: "np.ndarray"
+    by_ordinal: "np.ndarray"
+    #: token -> position in the sorted vocabulary (CSR row index), which
+    #: the fold has already built to place its additions
+    tok_pos: Dict[str, int]
+
+
+class _View:
+    """The one read form: a base, the writes since it (none, for a
+    compaction's seal) and the statistics when it was published.
+
+    Positions ``0 .. B-1`` are the base's documents, dead or alive, and
+    ``B ..`` the added ones; ``dead`` holds the removed positions, which
+    every score row zeroes, ``ordinal`` ranks every position's id
+    (:class:`_Delta`) and ``norm`` is every position's ``k1 * (1 - b +
+    b * len / avg)``.  A token's block is its base block followed by its
+    block of the added documents (``delta_*``, grouped by token key: its
+    base row, or its ``first_seen`` key past them), so a cell adds its
+    contributions in sorted token order, as the compacted seal's does.
+    ``df`` holds the document frequency of every token a write moved
+    since the base (any other token's is its row length).  Nothing is
+    written after publication but ``spans``, and nothing of the base.
     """
 
     __slots__ = (
-        "doc_ids", "norm",
-        "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat",
-        "ordinal", "by_ordinal", "tok_pos", "num_docs",
-        "contrib_flat", "spans",
-        # lets the race sanitizer tell this seal from a collected one
-        # whose address it reuses
-        "__weakref__",
+        "base", "tok_pos", "fresh_ids", "size", "doc_count", "avg_len",
+        "ordinal", "dead", "norm", "df", "first_seen", "delta_start",
+        "delta_cells", "delta_tf", "spans", "__weakref__",
     )
-
-    #: a seal has no removed document to zero (see :class:`_View`)
-    dead = None
 
     def __init__(
         self,
-        doc_ids: List[str],
+        base: _Postings,
+        delta: Optional["_Delta"],
+        doc_count: int,
+        avg_len: float,
         norm: "np.ndarray",
-        tokens: List[str],
-        tok_start: "np.ndarray",
-        doc_idx: "np.ndarray",
-        tf_flat: "np.ndarray",
-        idf_flat: "np.ndarray",
-        ordinal: "np.ndarray",
-        by_ordinal: "np.ndarray",
-        tok_pos: Optional[Dict[str, int]] = None,
+        df: Dict[str, int],
+        spans: Dict[str, Tuple[_Cells, "np.ndarray"]],
     ) -> None:
-        self.doc_ids = doc_ids
-        self.num_docs = len(doc_ids)
-        self.norm = norm            # per-doc k1 * (1 - b + b * len/avg)
-        self.tokens = tokens        # sorted vocabulary
-        self.tok_start = tok_start  # CSR offsets, len(tokens) + 1
-        self.doc_idx = doc_idx      # concatenated doc-index postings
-        self.tf_flat = tf_flat      # concatenated term frequencies
-        self.idf_flat = idf_flat    # per-token BM25+ idf, token order
-        #: ``ordinal[i]``: the rank of ``doc_ids[i]`` in sorted id order
-        #: (:func:`~repro.index.base.ordinals_of`), and ``by_ordinal``
-        #: the ids in that order — derived data, carried into the views
-        #: and the compaction (:class:`_Delta`) because sorting every id
-        #: again would cost a write-heavy index more than its reads
-        self.ordinal = ordinal
-        self.by_ordinal = by_ordinal
-        #: token -> position in the sorted vocabulary (CSR row index);
-        #: a fold has already built it to place its additions
-        self.tok_pos: Dict[str, int] = (
-            tok_pos if tok_pos is not None
-            else dict(zip(tokens, range(len(tokens))))
-        )
-        #: per-posting BM25 contribution for qtf = 1, built by the
-        #: first read of this seal (derived data, never carried: a view
-        #: of this seal derives its own, and its publication drops this)
-        self.contrib_flat: Optional["np.ndarray"] = None
-        #: token -> its CSR blocks of ``doc_idx`` and ``contrib_flat``,
-        #: two views filled by the token's first read of this seal
-        #: (:meth:`InvertedIndex._span`); a write publishes a new read
-        #: form, and with it an empty cache, and a view of this seal
-        #: drops this one with ``contrib_flat``
-        self.spans: Dict[str, Tuple["np.ndarray", "np.ndarray"]] = {}
+        self.base = base
+        self.tok_pos = base.tok_pos
+        self.size = norm.size       # positions, a dead one's included
+        self.doc_count = doc_count  # live documents: the idf's N
+        self.avg_len = avg_len
+        self.norm = norm
+        self.df = df
+        #: token -> its cells and their contributions at query count 1,
+        #: derived by the first read that asks for it (``_derive``) or
+        #: inherited from the view before
+        self.spans = spans
+        if delta is None:  # a seal: no write since the base
+            self.fresh_ids: List[str] = []
+            self.ordinal, self.dead = base.ordinal, None
+            self.first_seen: Dict[str, int] = {}
+            self.delta_start = None
+        else:  # the delta's arrays are replaced, never written
+            self.fresh_ids = list(delta.ids)
+            self.ordinal = delta.ordinal
+            self.dead = (
+                np.array(delta.dead, dtype=np.int64) if delta.dead else None
+            )
+            self.first_seen = dict(delta.first_seen)
+            self.delta_start = delta.start  # per token key, into the delta
+            self.delta_cells, self.delta_tf = delta.cells, delta.tf
 
     def select(
         self, scores: "np.ndarray", candidates: "np.ndarray", k: int
     ) -> Ranking:
         """The first ``k`` of ``candidates`` (positions; ``scores[j]`` is
-        the score of ``candidates[j]``) under the ``(-score, id)`` order
-        (:func:`~repro.index.base.select_ranked`)."""
-        return select_ranked(
-            self.ordinal, self.by_ordinal, scores, candidates, k
-        )
-
-    def block(
-        self, token: str, contrib_flat: "np.ndarray"
-    ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-        """``token``'s CSR blocks of ``doc_idx`` and of ``contrib_flat``
-        (this seal's, the caller's reference to it); ``None`` for a
-        token the seal does not know."""
-        position = self.tok_pos.get(token)
-        if position is None:
-            return None
-        start, end = self.tok_start[position:position + 2].tolist()
-        return self.doc_idx[start:end], contrib_flat[start:end]
-
-
-class _View:
-    """The read form between two compactions: a base seal, the base
-    documents removed since it and the documents added since.
-
-    Positions ``0 .. B-1`` are the base's documents, dead or alive, and
-    ``B ..`` the added ones, in order; ``dead`` holds the removed
-    positions, which every score row zeroes; ``ordinal`` ranks every
-    position's id (:class:`_Delta`).  A token's block is its
-    base block — the base's ``doc_idx`` rows and this view's own
-    ``contrib_flat`` (the base's contributions under the view's
-    statistics) — followed by its block of the added documents'
-    postings: ``delta_cells`` / ``delta_values``, grouped by token key,
-    which is the token's base row or, for a token first seen since the
-    base, its ``first_seen`` key past them.  Each document sits in one
-    of the two blocks, so a cell adds its contributions in sorted token
-    order, as the compacted seal's does.  Nothing is written after
-    publication but the ``spans`` cache, and nothing of the base at all.
-    """
-
-    __slots__ = (
-        "base", "tok_pos", "fresh_ids", "num_docs", "ordinal", "dead",
-        "contrib_flat", "first_seen", "delta_start", "delta_cells",
-        "delta_values", "spans", "__weakref__",
-    )
-
-    def __init__(
-        self,
-        base: _SealedPostings,
-        fresh_ids: List[str],
-        ordinal: "np.ndarray",
-        dead: Optional["np.ndarray"],
-        contrib_flat: "np.ndarray",
-        first_seen: Dict[str, int],
-        delta_start: "np.ndarray",
-        delta_cells: "np.ndarray",
-        delta_values: "np.ndarray",
-    ) -> None:
-        self.base = base
-        self.tok_pos = base.tok_pos
-        self.fresh_ids = fresh_ids
-        self.num_docs = len(base.doc_ids) + len(fresh_ids)
-        self.ordinal = ordinal
-        self.dead = dead
-        self.contrib_flat = contrib_flat
-        self.first_seen = first_seen
-        self.delta_start = delta_start  # per token key, into the delta
-        self.delta_cells = delta_cells
-        self.delta_values = delta_values
-        self.spans: Dict[str, Tuple["np.ndarray", "np.ndarray"]] = {}
-
-    @property
-    def doc_ids(self) -> List[str]:
-        """The id at each position, a dead position's included."""
-        return self.base.doc_ids + self.fresh_ids
-
-    def select(
-        self, scores: "np.ndarray", candidates: "np.ndarray", k: int
-    ) -> Ranking:
-        """:meth:`_SealedPostings.select`, the ids read off the positions
-        (a view ranks its positions but keeps no id table)."""
+        the score of ``candidates[j]``) under the ``(-score, id)`` order:
+        :func:`~repro.index.base.select_ranked` over the base's id table
+        while no document was added since it, else one ``lexsort`` and
+        the ids read off the positions one by one."""
+        if not self.fresh_ids:
+            return select_ranked(
+                self.ordinal, self.base.by_ordinal, scores, candidates, k
+            )
         order = np.lexsort((self.ordinal[candidates], -scores))[:k]
         ids, fresh = self.base.doc_ids, self.fresh_ids
         first = len(ids)
@@ -294,49 +209,29 @@ class _View:
             for p in candidates[order].tolist()
         ], scores[order].tolist()
 
-    def block(
-        self, token: str, contrib_flat: "np.ndarray"
-    ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-        """``token``'s base block, then its block of the added
-        documents; ``None`` for a token neither carries.
-        ``contrib_flat`` is this view's."""
+    def block(self, token: str) -> Optional[Tuple[_Cells, "np.ndarray", int]]:
+        """``token``'s cells (:data:`_Cells`), their term frequencies and
+        its document frequency; ``None`` for a token neither the base nor
+        the added documents carry."""
         base = self.base
-        position = base.tok_pos.get(token)
+        position = self.tok_pos.get(token)
         if position is None:  # first seen since the base, or unknown
             key = self.first_seen.get(token)
             if key is None:
                 return None
             low, high = self.delta_start[key:key + 2].tolist()
-            return self.delta_cells[low:high], self.delta_values[low:high]
+            return (
+                (self.delta_cells[low:high],), self.delta_tf[low:high],
+                self.df[token],
+            )
         start, end = base.tok_start[position:position + 2].tolist()
-        low, high = self.delta_start[position:position + 2].tolist()
-        if low == high:
-            return base.doc_idx[start:end], contrib_flat[start:end]
-        return (
-            np.concatenate((
-                base.doc_idx[start:end], self.delta_cells[low:high]
-            )),
-            np.concatenate((
-                contrib_flat[start:end], self.delta_values[low:high]
-            )),
-        )
-
-
-class _Derived(NamedTuple):
-    """A base's scoring tables under the statistics of its last view:
-    per-posting ``contrib``, per-token ``df`` and ``idf``, per-document
-    ``lengths`` (a removed document's may be anything) and ``norm``, and
-    the document count and average length they were taken at.  Private
-    to the index, which brings the arrays up to date in place; a view
-    scores from a copy of ``contrib``."""
-
-    contrib: "np.ndarray"
-    df: "np.ndarray"
-    idf: "np.ndarray"
-    lengths: "np.ndarray"
-    norm: "np.ndarray"
-    num_docs: int
-    avg_len: float
+        cells, tf = (base.doc_idx[start:end],), base.tf_flat[start:end]
+        if self.delta_start is not None:
+            low, high = self.delta_start[position:position + 2].tolist()
+            if low < high:
+                cells += (self.delta_cells[low:high],)
+                tf = np.concatenate((tf, self.delta_tf[low:high]))
+        return cells, tf, self.df.get(token, end - start)
 
 
 class _Delta:
@@ -360,7 +255,7 @@ class _Delta:
     ``position[r]`` is the base document of rank ``r``, which is how a
     removal finds a base document's place without a scan.  Every array
     is replaced, never written, so a view holding one keeps it.  A base
-    gets its delta with its first write (or view).
+    gets its delta with its first write.
     """
 
     __slots__ = (
@@ -368,7 +263,7 @@ class _Delta:
         "tf", "start", "first_seen", "dead", "slot_of", "position",
     )
 
-    def __init__(self, base: _SealedPostings) -> None:
+    def __init__(self, base: _Postings) -> None:
         self.base = base
         self.position = np.empty_like(base.ordinal)
         self.position[base.ordinal] = np.arange(base.ordinal.size)
@@ -426,10 +321,6 @@ class _Delta:
         )
 
 
-#: what one read reads from start to end
-_ReadForm = Union[_SealedPostings, _View]
-
-
 class MatrixPlan(NamedTuple):
     """A campaign of queries analyzed once: ``terms`` holds, per query,
     its sorted ``(token, count)`` list.  Built by
@@ -463,20 +354,18 @@ class InvertedIndex(SearchIndex):
         self._doc_length: Dict[str, int] = {}
         self._total_length = 0
         #: token -> number of documents carrying it: the vocabulary, and
-        #: what local_df(), idf() and a view's first-seen tokens read
+        #: what local_df(), idf() and a view's ``df`` read
         self._df: Counter = Counter()
-        #: the published read form: the compacted seal, or a view of it
-        #: after a write; ``None`` from a write until the next read
-        self._sealed: Optional[_ReadForm] = None
-        # serializes what readers build lazily — the read form itself (a
-        # view, or the first compile) and a seal's contrib_flat — and
-        # each compaction: batch workers and serving threads search from
-        # several threads, and two of them must not both build and
-        # publish
+        #: the published view; ``None`` from a write until the next read
+        self._sealed: Optional[_View] = None
+        # serializes what readers build lazily — the view itself (or the
+        # first compile) and its spans — and each compaction: batch
+        # workers and serving threads search from several threads, and
+        # two of them must not both build and publish
         self._seal_lock = threading.Lock()
-        #: the last compacted seal, which every view reads and the next
-        #: compaction folds into; ``None`` = nothing compiled yet
-        self._base: Optional[_SealedPostings] = None
+        #: the last compaction's postings, which every view reads and the
+        #: next compaction folds into; ``None`` = nothing compiled yet
+        self._base: Optional[_Postings] = None
         #: the documents added since ``_base``, in order, each with its
         #: distinct tokens (interned) and their counts — the only
         #: per-document record, held until a compaction carries the
@@ -485,15 +374,15 @@ class InvertedIndex(SearchIndex):
         #: the writes since ``_base`` as its views read them: the added
         #: documents' postings and the removed documents' positions, an
         #: updated document in both (``None`` until the base's first
-        #: write or view)
+        #: write)
         self._delta: Optional[_Delta] = None
-        #: token -> the net move of its document frequency since
-        #: ``_derived`` was brought up to date (kept only while there is a
-        #: base): the rows the next view re-derives are the nonzero ones
-        self._moved: Counter = Counter()
-        #: the base's scoring tables under the last view's statistics;
-        #: ``None`` until the first view of a base
-        self._derived: Optional[_Derived] = None
+        #: the last view of ``_base`` published, whose ``df`` and spans
+        #: the next view starts from; ``None`` until the base's first view
+        self._viewed: Optional[_View] = None
+        #: the tokens whose document frequency or postings a write moved
+        #: since ``_viewed`` (kept only while there is a base): the
+        #: spans the next view does not inherit
+        self._touched: Set[str] = set()
 
     def _analyze(self, text: str) -> List[str]:
         return analyze(
@@ -520,17 +409,17 @@ class InvertedIndex(SearchIndex):
         record = self._fresh[instance_id] = (distinct, tuple(counts.values()))
         if self._base is not None:
             self._writes().add(instance_id, *record, len(tokens))
+            self._touched.update(distinct)
         self._df.update(distinct)
-        self._note_moved(distinct, 1)
         self._compact_if_outgrown()
 
     def remove(
         self, instance_id: str, tokens: Optional[Sequence[str]] = None
     ) -> None:
         """Delete one document in O(its tokens): read off its record
-        when no seal carries it yet, else off ``tokens`` — its analysed
+        when no base carries it yet, else off ``tokens`` — its analysed
         tokens as :meth:`add_tokens` took them, which the indexer hands
-        over — or, without them, off one scan of the seal's postings.
+        over — or, without them, off one scan of the base's postings.
 
         Statistics and vocabulary (a token the document was the last
         carrier of is dropped) are corrected before this returns; the
@@ -571,7 +460,8 @@ class InvertedIndex(SearchIndex):
                 del df[token]
             else:
                 df[token] -= 1
-        self._note_moved(distinct, -1)
+        if self._base is not None:
+            self._touched.update(distinct)
         self._sealed = None  # any write un-publishes the read form
         self._compact_if_outgrown()
 
@@ -591,22 +481,12 @@ class InvertedIndex(SearchIndex):
 
     def _writes(self) -> _Delta:
         """The writes since the base (which exists), begun by the first
-        of them or the first view; the caller does not hold
-        ``_seal_lock``."""
+        of them; the caller does not hold ``_seal_lock``."""
         if self._delta is None:
             with self._seal_lock:
                 if self._delta is None:
                     self._delta = _Delta(self._base)
         return self._delta
-
-    def _note_moved(self, tokens: Iterable[str], step: int) -> None:
-        """A write moved the document frequency of ``tokens`` by
-        ``step``."""
-        if self._base is not None:
-            if step > 0:
-                self._moved.update(tokens)
-            else:
-                self._moved.subtract(tokens)
 
     def __len__(self) -> int:
         return len(self._doc_length)
@@ -630,7 +510,7 @@ class InvertedIndex(SearchIndex):
         return _bm25_idf(len(self._doc_length), self._df[token])
 
     # ------------------------------------------------------------------
-    # the read form: the compacted seal, or a view of it
+    # the read form: a view of the base
     # ------------------------------------------------------------------
     @property
     def is_sealed(self) -> bool:
@@ -640,24 +520,24 @@ class InvertedIndex(SearchIndex):
 
     def seal(self) -> "InvertedIndex":
         """Compact: fold the writes since the base into a new base, and
-        publish it.
+        publish its seal, a view with no writes.
 
-        Idempotent: a published compacted seal is kept.  Reads do not
-        call this; they publish a view (:meth:`_current_seal`).  A write
-        calls the fold when the writes since the base outgrow
+        Idempotent: a published seal with no write since is kept.  Reads
+        do not call this; they publish a view (:meth:`_current_seal`).  A
+        write calls the fold when the writes since the base outgrow
         ``_COMPACT_SHARE`` of it.  The first seal is the fold over an
         empty base, a compile from the fresh records.  Safe under
         concurrent readers: it runs under a lock and publishes a *new*
-        seal, so a second thread blocks instead of publishing a
-        duplicate, and a reader still holding the previous read form
-        keeps a consistent one.
+        view, so a second thread blocks instead of publishing a
+        duplicate, and a reader still holding the previous view keeps a
+        consistent one.
         """
-        sealed = self._sealed
-        if sealed is not None and sealed is self._base:
+        if self._sealed is not None and self._delta is None:
             return self
         with self._seal_lock:
-            if self._sealed is None or self._sealed is not self._base:
-                self._publish_locked(self._fold_locked())
+            if self._sealed is None or self._delta is not None:
+                self._fold_locked()
+                self._publish_locked(self._view_locked())
         return self
 
     def _compact_if_outgrown(self) -> None:
@@ -673,7 +553,7 @@ class InvertedIndex(SearchIndex):
             with self._seal_lock:
                 self._fold_locked()
 
-    def _fold_locked(self) -> _SealedPostings:
+    def _fold_locked(self) -> None:
         """Fold the writes since ``_base`` into its CSR arrays and make
         the result the base; caller holds ``_seal_lock``.
 
@@ -683,7 +563,7 @@ class InvertedIndex(SearchIndex):
         order (its surviving postings, then the fresh ones), rows in
         sorted token order (emptied rows dropped, first-seen tokens
         inserted in place).  The base's arrays are only read; with no
-        write since (:meth:`invalidate_seal`) they are published again.
+        write since (:meth:`invalidate_seal`) the base stays.
         """
         # the base stays referenced until the new one replaces it: its
         # arrays are the only copy of its documents' postings, so a fold
@@ -695,32 +575,27 @@ class InvertedIndex(SearchIndex):
         ]
         if base is None:
             published = get_registry().counter("index.seal.compiled")
-            base = _SealedPostings(
+            base = _Postings(
                 [], np.empty(0), [], np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
+                np.empty(0, dtype=np.int64), np.empty(0),
                 np.empty(0, dtype=np.int64), np.empty(0, dtype=object), {},
             )
         else:
             published = get_registry().counter("index.seal.patched")
-        if not (dead or fresh):
-            folded = self._new_seal(
-                base.doc_ids, base.tokens, base.tok_start, base.doc_idx,
-                base.tf_flat, base.ordinal, base.by_ordinal, base.tok_pos,
-            )
-        else:
-            folded = self._fold_writes_locked(base, dead, fresh)
-        self._base = folded
+        if dead or fresh:
+            base = self._fold_writes_locked(base, dead, fresh)
+        self._base = base
         self._fresh, self._delta = {}, None
-        self._moved, self._derived = Counter(), None
+        self._viewed, self._touched = None, set()
         published.inc()
-        return folded
+
 
     def _fold_writes_locked(
         self,
-        base: _SealedPostings,
+        base: _Postings,
         dead: List[int],
         fresh: Dict[str, Tuple[Tuple[str, ...], Tuple[int, ...]]],
-    ) -> _SealedPostings:
+    ) -> _Postings:
         """:meth:`_fold_locked` when something was written: ``dead``
         holds the positions of the base documents removed since."""
         if dead:
@@ -825,36 +700,14 @@ class InvertedIndex(SearchIndex):
                 ordinal = (np.cumsum(used) - 1)[ordinal]
             by_ordinal = np.empty(ordinal.size, dtype=object)
             by_ordinal[ordinal] = doc_ids
-        return self._new_seal(
-            doc_ids, tokens, tok_start, doc_idx, tf_flat, ordinal,
+        lengths = np.fromiter(
+            self._doc_length.values(), dtype=np.float64, count=len(doc_ids)
+        )
+        return _Postings(
+            doc_ids, lengths, tokens, tok_start, doc_idx, tf_flat, ordinal,
             by_ordinal, tok_pos,
         )
 
-    def _new_seal(
-        self,
-        doc_ids: List[str],
-        tokens: List[str],
-        tok_start: "np.ndarray",
-        doc_idx: "np.ndarray",
-        tf_flat: "np.ndarray",
-        ordinal: "np.ndarray",
-        by_ordinal: "np.ndarray",
-        tok_pos: Optional[Dict[str, int]] = None,
-    ) -> _SealedPostings:
-        """A seal of these postings with its scoring tables derived from
-        the integer statistics: the reference scorer's scalar arithmetic
-        (same operations, same order, same doubles)."""
-        lengths = np.fromiter(
-            self._doc_length.values(),
-            dtype=np.float64, count=len(self._doc_length),
-        )
-        return _SealedPostings(
-            doc_ids, self._norm(lengths, self.avg_doc_length), tokens,
-            tok_start, doc_idx, tf_flat,
-            # a seal's df is its row lengths
-            _idf_table(len(self._doc_length), np.diff(tok_start)),
-            ordinal, by_ordinal, tok_pos,
-        )
 
     def _norm(self, lengths: "np.ndarray", avg_len: float) -> "np.ndarray":
         """Per-document ``k1 * (1 - b + b * len / avg)``: exactly the
@@ -868,122 +721,52 @@ class InvertedIndex(SearchIndex):
         idf: "np.ndarray",
         tf: "np.ndarray",
         norm: "np.ndarray",
-        docs: "np.ndarray",
+        cells: "np.ndarray",
     ) -> "np.ndarray":
-        """Per-posting BM25 contribution at query term frequency 1 —
-        ``idf * (tf * (k1 + 1)) / (tf + norm[doc])``, elementwise in the
-        reference scorer's operation order (the denominator's one
-        addition commutes exactly).  ``idf`` is a per-posting array of
-        the caller's, written in place; ``norm`` is per document and
-        ``docs`` per posting.  Two stream-length arrays are alive at
-        once, the result and one temporary."""
-        idf *= tf * (self.k1 + 1)
-        denominator = norm[docs]
+        """BM25 contributions at query term frequency 1 —
+        ``idf * (tf * (k1 + 1)) / (norm[cell] + tf)``, elementwise in the
+        reference scorer's operation order (a product and the
+        denominator's one addition commute exactly).  ``norm`` is per
+        position; ``idf``, ``tf`` and ``cells`` are per posting."""
+        values = tf * (self.k1 + 1)
+        values *= idf
+        denominator = norm[cells]
         denominator += tf
-        idf /= denominator
-        return idf
+        values /= denominator
+        return values
 
-    def _publish_locked(self, sealed: _ReadForm) -> None:
+    def _publish_locked(self, sealed: _View) -> None:
         """Publish one read form; caller holds ``_seal_lock``."""
         self._sealed = sealed
         _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
 
     def _view_locked(self) -> _View:
         """The base, the writes since it and the statistics now as one
-        read form; caller holds ``_seal_lock``.  Costs the rows whose
-        statistics moved (every row, in one elementwise pass, when the
-        document count or the average length moved), one pass over the
-        delta's postings and one copy of the base's contribution table:
-        each write already merged its postings and ranked its id.
-
-        First the base drops what its own reads built: only views read
-        it from here on, and a reader that took it earlier scores from
-        its own reference (:meth:`_score_matrix`)."""
-        base, delta = self._base, self._delta
-        base.contrib_flat, base.spans = None, {}
-        num_docs = len(self._doc_length)
-        avg_len = self.avg_doc_length
-        derived = self._derive_locked(base, num_docs, avg_len)
-        norm = self._norm(np.array(delta.lengths, dtype=np.float64), avg_len)
-        cells = delta.cells
-        idf = np.concatenate((derived.idf, [
-            _bm25_idf(num_docs, self._df[token])
-            for token in delta.first_seen
-        ]))
-        view = _View(
-            base, list(delta.ids), delta.ordinal,
-            np.array(delta.dead, dtype=np.int64) if delta.dead else None,
-            derived.contrib.copy(), dict(delta.first_seen), delta.start,
-            cells, self._contrib(
-                idf[delta.keys], delta.tf, norm, cells - len(base.doc_ids)
-            ),
+        view; caller holds ``_seal_lock``.  Costs one pass over the
+        documents' lengths for ``norm``.  It starts from the last view of
+        this base: its ``df``, the tokens written since brought up to
+        date, and, unless the document count or the average length
+        moved, every span the writes since did not touch."""
+        base, delta, prior = self._base, self._delta, self._viewed
+        doc_count, avg_len = len(self._doc_length), self.avg_doc_length
+        lengths = base.lengths if delta is None else np.concatenate(
+            (base.lengths, delta.lengths)
         )
-        _sanitizer.note_write(view, "contrib_flat", lock=self._seal_lock)
-        get_registry().counter("index.seal.viewed").inc()
+        df: Dict[str, int] = {} if prior is None else dict(prior.df)
+        spans: Dict[str, Tuple[_Cells, "np.ndarray"]] = {}
+        if prior is not None and (
+            prior.doc_count == doc_count and prior.avg_len == avg_len
+        ):
+            spans = dict(prior.spans)
+        for token in self._touched:
+            df[token] = self._df[token]
+            spans.pop(token, None)
+        view = self._viewed = _View(
+            base, delta, doc_count, avg_len, self._norm(lengths, avg_len),
+            df, spans,
+        )
+        self._touched = set()
         return view
-
-    def _derive_locked(
-        self,
-        base: _SealedPostings,
-        num_docs: int,
-        avg_len: float,
-    ) -> _Derived:
-        """The base's scoring tables under the statistics now, brought up
-        to date from the last view's by the net df moves since: the rows
-        of the tokens whose df moved re-derived, or every row in one
-        elementwise pass when the document count or the average length
-        moved, or when no view of this base was derived yet; caller
-        holds ``_seal_lock``."""
-        derived, moved = self._derived, self._moved
-        tokens = [
-            token for token, step in moved.items()
-            if step and token in base.tok_pos
-        ]
-        rows = np.fromiter(
-            map(base.tok_pos.__getitem__, tokens),
-            dtype=np.int64, count=len(tokens),
-        )
-        steps = np.fromiter(
-            map(moved.__getitem__, tokens), dtype=np.int64, count=len(tokens)
-        )
-        if derived is None:  # the df now, and the base documents' lengths
-            df = np.diff(base.tok_start)  # the row lengths: moved since
-            df[rows] += steps
-            lengths = np.fromiter(
-                map(self._doc_length.get, base.doc_ids, repeat(0)),
-                dtype=np.float64, count=len(base.doc_ids),
-            )
-        elif derived.num_docs != num_docs or derived.avg_len != avg_len:
-            df, lengths = derived.df.copy(), derived.lengths
-            df[rows] += steps
-        else:
-            lengths = None
-        if lengths is not None:
-            idf = _idf_table(num_docs, df)
-            norm = self._norm(lengths, avg_len)
-            derived = self._derived = _Derived(
-                self._contrib(
-                    np.repeat(idf, np.diff(base.tok_start)), base.tf_flat,
-                    norm, base.doc_idx,
-                ),
-                df, idf, lengths, norm, num_docs, avg_len,
-            )
-        elif rows.size:
-            df = derived.df[rows] + steps
-            starts = base.tok_start[rows]
-            lens = base.tok_start[rows + 1] - starts
-            at = np.repeat(starts - np.cumsum(lens) + lens, lens)
-            at += np.arange(at.size)
-            idf = np.array([_bm25_idf(num_docs, n) for n in df.tolist()])
-            derived.contrib[at] = self._contrib(
-                np.repeat(idf, lens), base.tf_flat[at], derived.norm,
-                base.doc_idx[at],
-            )
-            # df last: a row whose df is stale is re-derived again
-            derived.idf[rows] = idf
-            derived.df[rows] = df
-        self._moved = Counter()
-        return derived
 
     # ------------------------------------------------------------------
     # scoring a plan: one query a pass
@@ -999,39 +782,33 @@ class InvertedIndex(SearchIndex):
         )
 
     def _score_matrix(
-        self, sealed: Optional[_ReadForm], plan: "MatrixPlan", k: int
+        self, sealed: Optional[_View], plan: "MatrixPlan", k: int
     ) -> List[Ranking]:
-        """Rank every query of a plan against one seal: per query, the
-        ids and scores of its top k, the ids read off that seal.
+        """Rank every query of a plan against one view: per query, the
+        ids and scores of its top k, the ids read off that view.
 
         The one kernel, a query a pass.  The query's stream is its known
-        tokens' blocks (:meth:`_span`) laid end to end in sorted token
-        order — the canonical accumulation order — with each block of
-        :meth:`_contrib_flat` times the token's query count when that is
-        not 1.  One ``np.bincount`` folds the stream into the query's
-        score row, adding in stream order, so every cell is the
-        reference scorer's sum bit for bit (``contrib * qc`` is the same
-        product whichever operand comes first).  A query this seal knows
-        no token of matches nothing and makes no pass."""
-        if sealed is None or not sealed.num_docs or k <= 0:
+        tokens' spans (:meth:`_derive`) laid end to end in sorted token
+        order — the canonical accumulation order — with each span's
+        contributions times the token's query count when that is not 1.
+        One ``np.bincount`` folds the stream into the query's score row,
+        adding in stream order, so every cell is the reference scorer's
+        sum bit for bit (``contrib * qc`` is the same product whichever
+        operand comes first).  A query this view knows no token of
+        matches nothing and makes no pass."""
+        if sealed is None or not sealed.size or k <= 0:
             return [([], []) for _ in plan.terms]
-        num_docs = sealed.num_docs
-        contrib_flat = self._contrib_flat(sealed)  # the blocks slice it
-        with self._seal_lock:  # its span cache, unless it was dropped
-            spans = (
-                sealed.spans if sealed.contrib_flat is contrib_flat else {}
-            )
-        dead = sealed.dead
+        spans, size, dead = sealed.spans, sealed.size, sealed.dead
+        unseen = [t for q in plan.terms for t, _ in q if t not in spans]
+        self._derive(sealed, unseen)
         ranked: List[Ranking] = []
         postings = 0
         for terms in plan.terms:
             cells, values = [], []
             for token, query_count in terms:
-                span = spans.get(token) or self._span(
-                    sealed, token, contrib_flat, spans
-                )
+                span = spans.get(token)
                 if span is not None:
-                    cells.append(span[0])
+                    cells.extend(span[0])
                     values.append(
                         span[1] if query_count == 1
                         else span[1] * query_count
@@ -1042,81 +819,62 @@ class InvertedIndex(SearchIndex):
             stream = np.concatenate(cells)
             postings += stream.size
             scores = np.bincount(
-                stream, weights=np.concatenate(values), minlength=num_docs
+                stream, weights=np.concatenate(values), minlength=size
             )
-            if dead is not None:  # a view: its removed documents' cells
+            if dead is not None:  # its removed documents' cells
                 scores[dead] = 0.0
             ranked.append(_rank_row(sealed, scores, k))
         get_registry().counter("index.matrix.stream_postings").inc(postings)
         return ranked
 
-    def _span(
-        self,
-        sealed: _ReadForm,
-        token: str,
-        contrib_flat: "np.ndarray",
-        spans: Dict[str, Tuple["np.ndarray", "np.ndarray"]],
-    ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-        """``token``'s block of the read form (its ``block`` of
-        ``contrib_flat``), cached in ``spans`` — ``sealed.spans``, or
-        the read's own when the seal dropped its cache — by the token's
-        first read of it; ``None`` for a token the read form does not
-        know, which is not cached."""
-        block = sealed.block(token, contrib_flat)
-        if block is None:
-            return None
+    def _derive(self, sealed: _View, tokens: Iterable[str]) -> None:
+        """Cache the span of each of ``tokens`` the view carries and has
+        no span of, at its idf and norms, in one :meth:`_contrib` pass
+        over their blocks laid end to end, each span a copy of its piece
+        (an inherited span keeps no batch alive).  Under ``_seal_lock``,
+        so each span is derived once however many readers race to it; a
+        token the view does not know is not cached."""
         with self._seal_lock:
-            span = spans.get(token)
-            if span is None:
-                span = spans[token] = block
+            spans, blocks = sealed.spans, {}
+            for token in tokens:
+                if token not in spans and token not in blocks:
+                    block = sealed.block(token)
+                    if block is not None:
+                        blocks[token] = block
+            if not blocks:
+                return
+            cells, tf, df = zip(*blocks.values())
+            sizes = [block_tf.size for block_tf in tf]
+            values = self._contrib(
+                np.repeat([_bm25_idf(sealed.doc_count, n) for n in df], sizes),
+                np.concatenate(tf), sealed.norm,
+                np.concatenate([part for parts in cells for part in parts]),
+            )
+            end = 0
+            for token, parts, size in zip(blocks, cells, sizes):
+                spans[token] = (parts, values[end:end + size].copy())
+                end += size
                 _sanitizer.note_write(sealed, "spans", lock=self._seal_lock)
-        return span
-
-    def _contrib_flat(self, sealed: _ReadForm) -> "np.ndarray":
-        """Per-posting BM25 contribution at query term frequency 1 over
-        the read form's base postings (:meth:`_contrib`).  A view
-        carries its own from its publication; a seal's is built by its
-        first read, two stream-length arrays alive at once, and cached
-        on it while it is published.  A reader still holding a seal that
-        a view superseded gets one built for it alone, so the seal keeps
-        nothing."""
-        contrib_flat = sealed.contrib_flat
-        if contrib_flat is None:
-            with self._seal_lock:
-                contrib_flat = sealed.contrib_flat
-                if contrib_flat is None:
-                    contrib_flat = self._contrib(
-                        np.repeat(sealed.idf_flat, np.diff(sealed.tok_start)),
-                        sealed.tf_flat, sealed.norm, sealed.doc_idx,
-                    )
-                    if sealed is self._sealed:
-                        sealed.contrib_flat = contrib_flat
-                        _sanitizer.note_write(
-                            sealed, "contrib_flat", lock=self._seal_lock
-                        )
-        return contrib_flat
 
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _current_seal(self) -> Optional[_ReadForm]:
-        """The read form one call reads from start to end, published
-        first when a write un-published it: a view of the base, or the
-        compile when there is no base yet; ``None`` = the index is
-        empty.  Every
-        read takes it once and passes it down, so a call never mixes two
-        generations' arrays."""
+    def _current_seal(self) -> Optional[_View]:
+        """The view one call reads from start to end, published first
+        when a write un-published it (after the compile, when there is
+        no base yet); ``None`` = the index is empty.  Every read takes it
+        once and passes it down, so a call never mixes two generations'
+        arrays."""
         sealed = self._sealed
         if sealed is None and self._doc_length:
-            if self._base is not None:
-                self._writes()  # a view reads them, none made or not
             with self._seal_lock:
                 sealed = self._sealed
                 if sealed is None:
                     if self._base is None:
-                        sealed = self._fold_locked()
+                        self._fold_locked()
                     else:
-                        sealed = self._view_locked()
+                        get_registry().counter("index.seal.viewed").inc()
+                    sealed = self._view_locked()
                     self._publish_locked(sealed)
         return sealed
 
@@ -1124,7 +882,7 @@ class InvertedIndex(SearchIndex):
         self, plan: "MatrixPlan", k: int = 10
     ) -> List[Ranking]:
         """Rank a pre-analyzed plan (:meth:`plan_matrix`) against this
-        index, each ranking's ids read off the seal that ranked it."""
+        index, each ranking's ids read off the view that ranked it."""
         return self._score_matrix(self._current_seal(), plan, k)
 
     def rank_batch(

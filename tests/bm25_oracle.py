@@ -7,12 +7,48 @@ sorted token order: the canonical accumulation order the sealed
 per-token kernel and the tiled matrix kernel share, so all three
 produce the same float64 sums bit for bit.  It shares no state with
 the index it checks: the test feeds it the same payloads.
+
+``seal_idf`` and ``contrib_table`` rebuild, from a seal's integer
+postings, the per-token idf and the per-posting contribution table the
+index no longer keeps, in the oracle's own arithmetic: the parent
+kernels kept as oracles read them.
 """
 
 import math
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from repro.index.base import SearchHit
+
+
+def bm25_idf(num_docs, df):
+    """BM25+ idf of a token in ``df`` of ``num_docs`` documents, floored
+    at 1e-6."""
+    if num_docs == 0:
+        return 0.0
+    return max(math.log((num_docs - df + 0.5) / (df + 0.5) + 1.0), 1e-6)
+
+
+def seal_idf(seal):
+    """Per-token idf of a seal (a view with no writes) in its token
+    order: a token's document frequency is its row length."""
+    assert seal.delta_start is None, "a view with writes"
+    df = np.diff(seal.base.tok_start).tolist()
+    return np.array([bm25_idf(seal.doc_count, n) for n in df], dtype=float)
+
+
+def contrib_table(index, seal):
+    """Every posting's BM25 contribution at query count 1 over a seal's
+    CSR arrays, elementwise as :meth:`DictOracle.search` adds it."""
+    base, k1, b = seal.base, index.k1, index.b
+    idf = np.repeat(seal_idf(seal), np.diff(base.tok_start))
+    tf, lengths = base.tf_flat, base.lengths[base.doc_idx]
+    if seal.avg_len:
+        denom = tf + k1 * (1 - b + b * lengths / seal.avg_len)
+    else:
+        denom = tf + k1 * 1.0
+    return idf * (tf * (k1 + 1)) / denom
 from repro.text import analyze
 
 
@@ -79,11 +115,7 @@ class DictOracle:
 
     def idf(self, token):
         """BM25+ idf over this corpus, floored at 1e-6."""
-        num_docs = len(self.lengths)
-        if num_docs == 0:
-            return 0.0
-        df = self.df(token)
-        return max(math.log((num_docs - df + 0.5) / (df + 0.5) + 1.0), 1e-6)
+        return bm25_idf(len(self.lengths), self.df(token))
 
     def search(self, query, k=10):
         """Top-k hits under the ``(-score, id)`` order."""

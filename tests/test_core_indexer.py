@@ -92,9 +92,8 @@ class AnalyzeSpy:
 
 
 QUERIES = ["ohio republican votes", "gold medals nation", "district 1950"]
-SEAL_ARRAYS = (
-    "norm", "tok_start", "doc_idx", "tf_flat", "idf_flat", "ordinal",
-)
+#: the base's arrays a seal scores from, beside its own ``norm``
+SEAL_ARRAYS = ("lengths", "tok_start", "doc_idx", "tf_flat", "ordinal")
 
 
 def semantic_config():
@@ -122,11 +121,12 @@ def assert_same_indexes(indexer, modality, content, semantic):
     got, want = built._sealed, content._sealed
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.doc_ids == want.doc_ids
-        assert got.tokens == want.tokens
-        assert got.by_ordinal.tolist() == want.by_ordinal.tolist()
+        assert got.base.doc_ids == want.base.doc_ids
+        assert got.base.tokens == want.base.tokens
+        assert got.base.by_ordinal.tolist() == want.base.by_ordinal.tolist()
+        assert got.norm.tobytes() == want.norm.tobytes()
         for name in SEAL_ARRAYS:
-            mine, theirs = getattr(got, name), getattr(want, name)
+            mine, theirs = getattr(got.base, name), getattr(want.base, name)
             assert mine.dtype == theirs.dtype, name
             assert mine.tobytes() == theirs.tobytes(), name
     vectors = indexer.semantic_index(modality)
@@ -143,9 +143,8 @@ class TestAnalyseOnce:
     def lake(self):
         return build_lake(LakeConfig(num_tables=8, seed=41)).lake
 
-    @pytest.mark.parametrize("num_shards", [1])
     def test_the_build_analyses_each_entry_once(
-        self, lake, monkeypatch, num_shards
+        self, lake, monkeypatch
     ):
         indexer = IndexerModule(lake, semantic_config())
         entries = {
@@ -159,9 +158,8 @@ class TestAnalyseOnce:
         )
         assert sum(spy.texts.values()) == sum(map(len, entries.values()))
 
-    @pytest.mark.parametrize("num_shards", [1])
     def test_a_write_analyses_each_changed_entry_once(
-        self, lake, monkeypatch, num_shards
+        self, lake, monkeypatch
     ):
         indexer = IndexerModule(lake, semantic_config()).build(
             (Modality.TUPLE, Modality.TABLE)
@@ -182,9 +180,8 @@ class TestAnalyseOnce:
         ]
         assert spy.texts == Counter(changed)
 
-    @pytest.mark.parametrize("num_shards", [1])
     def test_the_indexes_equal_ones_filled_through_add(
-        self, lake, num_shards
+        self, lake
     ):
         indexer = IndexerModule(lake, semantic_config()).build()
         for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT):
@@ -192,9 +189,8 @@ class TestAnalyseOnce:
                 indexer, modality, *public_indexes(indexer, modality)
             )
 
-    @pytest.mark.parametrize("num_shards", [1])
     def test_after_a_write_they_equal_the_same_writes_through_add(
-        self, lake, num_shards
+        self, lake
     ):
         indexer = IndexerModule(lake, semantic_config()).build(
             (Modality.TUPLE,)

@@ -91,8 +91,7 @@ def run_churn(churn_ops, seed, steps, burst, config=None):
 class TestChurnEqualsRebuild:
     # 3 seeds x 35 steps = 105 verified mutation steps
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_bursts_match_rebuild(self, churn_ops, seed, num_shards):
+    def test_bursts_match_rebuild(self, churn_ops, seed):
         run_churn(churn_ops, seed, steps=35, burst=12)
 
     def test_chunked_text_churn(self, churn_ops):

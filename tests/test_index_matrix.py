@@ -16,8 +16,11 @@ parent's kernels — the tiled query-matrix kernel and the per-token one —
 are kept here as oracles: wherever the parent cut a campaign into tiles
 (``TestTiles``), on any corpus, at every k around the match counts and
 after bursts of writes (``TestOneQueryAPass``) the rankings are theirs,
-ids and score bits.  ``TestSpanHammer`` races first readers filling a
-fresh seal's span cache and proves no superseded seal's view is read.
+ids and score bits; they read the contribution table
+``tests/bm25_oracle.py`` rebuilds from a seal's postings.
+``TestSoloReadHammer`` and ``TestSpanHammer`` race first readers
+deriving a fresh seal's spans and prove no span a write moved is read
+from a superseded view.
 """
 
 import random
@@ -36,7 +39,7 @@ from repro.datalake.types import Modality
 from repro.index.base import select_ranked
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import get_registry
-from tests.bm25_oracle import DictOracle
+from tests.bm25_oracle import DictOracle, contrib_table
 from tests.test_index_ranking import race
 
 QUERIES = [
@@ -81,32 +84,6 @@ def build_index():
     for doc_id, text in DOCS:
         index.add(doc_id, text)
     return index
-
-
-class BuildSpy:
-    """Records the seal of every ``contrib_flat`` build, at the build's
-    one publication: ``note_write(seal, "contrib_flat")`` under the
-    seal lock."""
-
-    def __init__(self, monkeypatch):
-        self.seals = []
-        self._note_write = sanitizer.note_write
-        monkeypatch.setattr(sanitizer, "note_write", self)
-
-    def __call__(self, owner, field_name, lock=None):
-        if field_name == "contrib_flat":
-            self.seals.append(owner)
-        self._note_write(owner, field_name, lock=lock)
-
-
-def same_objects(got, expected):
-    return len(got) == len(expected) and all(
-        a is b for a, b in zip(got, expected)
-    )
-
-
-def seal_counter(name):
-    return get_registry().counter(f"index.seal.{name}").value
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +187,6 @@ class TestOneOfEach:
         assert_one_answer(index, DictOracle(), ["kax", ""], [])
         assert index.search_batch([], 3) == []
 
-    @pytest.mark.parametrize("shards", [1])
-    def test_the_first_read_of_a_seal_builds_contrib_flat_once(
-        self, monkeypatch, shards
-    ):
-        index = fill(InvertedIndex(name="solo"), docs=60)
-        spy = BuildSpy(monkeypatch)
-        query, other = campaign(2)
-        assert index.search(query, 5)
-        seals = [index._sealed]
-        assert same_objects(spy.seals, seals)  # once a seal
-        assert index.search(query, 5) == index.search_batch([query], 5)[0]
-        index.search_batch([query, other], 5)
-        assert same_objects(spy.seals, seals)  # and never again
-        # a write publishes a new read form: a view carrying the write
-        published = seal_counter("viewed")
-        index.update("doc0007", "kakax memex")
-        assert index.search(query, 5)
-        assert seal_counter("viewed") == published + 1
-        fresh = [index._sealed]
-        assert fresh[0] is not seals[0]
-        assert same_objects(spy.seals, seals + fresh)
-
 
 # ---------------------------------------------------------------------------
 # the parent's kernels, kept as oracles: the tiled query-matrix kernel, the
@@ -256,7 +211,8 @@ def parent_rank_matrix(sealed, scores, k):
         else:
             candidates = np.nonzero(row > 0.0)[0]
         ranked.append(select_ranked(
-            sealed.ordinal, sealed.by_ordinal, row[candidates], candidates, k,
+            sealed.base.ordinal, sealed.base.by_ordinal, row[candidates],
+            candidates, k,
         ))
     return ranked
 
@@ -264,9 +220,9 @@ def parent_rank_matrix(sealed, scores, k):
 def parent_score_tokens(index, sealed, terms):
     """One query's scores as a one-row matrix, a token's block at a
     time."""
-    contrib_flat = index._contrib_flat(sealed)
-    tok_start, doc_idx = sealed.tok_start, sealed.doc_idx
-    scores = np.zeros((1, len(sealed.doc_ids)), dtype=np.float64)
+    contrib_flat = contrib_table(index, sealed)
+    tok_start, doc_idx = sealed.base.tok_start, sealed.base.doc_idx
+    scores = np.zeros((1, sealed.size), dtype=np.float64)
     row = scores[0]
     for token, query_count in terms:
         i = sealed.tok_pos.get(token)
@@ -284,14 +240,15 @@ def parent_score_matrix(
     ``budget`` elements, each tile's postings one flat stream folded by
     one 2-D ``np.bincount``.  ``cuts``, when a list, receives each
     tile's ``(first, stop)`` query range."""
-    if sealed is None or not sealed.doc_ids or k <= 0:
+    if sealed is None or not sealed.size or k <= 0:
         return [([], []) for _ in plan.terms]
     if len(plan.terms) == 1:
         return parent_rank_matrix(
             sealed, parent_score_tokens(index, sealed, plan.terms[0]), k
         )
-    num_docs = len(sealed.doc_ids)
-    contrib_flat = index._contrib_flat(sealed)
+    num_docs = sealed.size
+    base = sealed.base
+    contrib_flat = contrib_table(index, sealed)
     pair_tok, pair_row, pair_qc, pair_end = [], [], [], []
     for row, terms in enumerate(plan.terms):
         for token, query_count in terms:
@@ -302,8 +259,8 @@ def parent_score_matrix(
                 pair_qc.append(query_count)
         pair_end.append(len(pair_tok))
     tok_arr = np.asarray(pair_tok, dtype=np.int64)
-    starts = sealed.tok_start[tok_arr]
-    lengths = sealed.tok_start[tok_arr + 1] - starts
+    starts = base.tok_start[tok_arr]
+    lengths = base.tok_start[tok_arr + 1] - starts
     rows = np.asarray(pair_row, dtype=np.int64)
     counts = np.asarray(pair_qc, dtype=np.float64)
     stream_end = np.concatenate(([0], np.cumsum(lengths)))[pair_end]
@@ -321,7 +278,7 @@ def parent_score_matrix(
         gather += np.arange(total)
         values = contrib_flat[gather]
         values *= np.repeat(counts[pairs], lens)
-        cells = sealed.doc_idx[gather]
+        cells = base.doc_idx[gather]
         cells += np.repeat((rows[pairs] - first) * num_docs, lens)
         scores = np.bincount(
             cells, weights=values, minlength=(stop - first) * num_docs
@@ -412,13 +369,14 @@ def query_stream(index, query):
     of ``doc_idx`` and of the contribution table (times the query
     count), in sorted token order."""
     sealed = index._current_seal()
-    contrib_flat = index._contrib_flat(sealed)
+    base = sealed.base
+    contrib_flat = contrib_table(index, sealed)
     cells, weights = [], []
     for token, query_count in index.plan_matrix([query]).terms[0]:
         i = sealed.tok_pos.get(token)
         if i is not None:
-            block = slice(*sealed.tok_start[i:i + 2].tolist())
-            cells.extend(sealed.doc_idx[block].tolist())
+            block = slice(*base.tok_start[i:i + 2].tolist())
+            cells.extend(base.doc_idx[block].tolist())
             weights.extend((contrib_flat[block] * query_count).tolist())
     return cells, weights
 
@@ -459,9 +417,8 @@ class TestTiles:
         assert got == [pairs(index.search(q, 5)) for q in queries]
         assert sum(map(bool, got)) > 50, "vacuous: most queries matched nothing"
 
-    @pytest.mark.parametrize("num_shards", [1])
     @pytest.mark.parametrize("k", [0, 1, 3, 1000])
-    def test_cuts_on_every_edge_change_nothing(self, num_shards, k):
+    def test_cuts_on_every_edge_change_nothing(self, k):
         index = fill(InvertedIndex(name="tiles"), docs=40)
         cuts = assert_as_the_parent(index, EDGE_QUERIES, k, EDGE_BUDGET)
         if k:
@@ -516,8 +473,7 @@ class TestTiles:
 # the full indexer surface: every modality, every retrieval path
 # ---------------------------------------------------------------------------
 class TestIndexerBatch:
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_all_modalities_identical(self, small_bundle, num_shards):
+    def test_all_modalities_identical(self, small_bundle):
         indexer = IndexerModule(small_bundle.lake, VerifAIConfig()).build()
         for modality in MODALITIES:
             per_query = [
@@ -567,62 +523,41 @@ class TestIndexerBatch:
 
 
 # ---------------------------------------------------------------------------
-# solo readers racing to build a fresh seal's contribution table
+# solo readers racing to derive a fresh seal's spans
 # ---------------------------------------------------------------------------
 class TestSoloReadHammer:
     """``make sanitize`` runs this under the lockset sanitizer: four
-    threads issue one-query reads on a freshly published seal, race to
-    build its ``contrib_flat`` through the double-checked seal lock, and
-    exactly one of them builds it."""
+    threads issue one-query reads on a freshly published seal, all of
+    them first reading one token, race to derive its span through the
+    double-checked seal lock, and each span is derived once."""
 
-    def test_four_solo_readers_build_one_table_per_seal(self, monkeypatch):
+    def test_four_solo_readers_derive_each_span_once(self, monkeypatch):
         index = fill(InvertedIndex(name="hammer"), docs=300)
         oracle = fill(DictOracle(name="hammer"), docs=300)
-        queries = campaign(4, seed=13)
+        queries = ["kamex"] + campaign(4, seed=13)
         rng = random.Random(17)
-        spy = BuildSpy(monkeypatch)
-        errors = []
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for round_no in range(6):
-                text = corpus_text(rng)
-                index.update(f"doc{round_no * 7:04d}", text)
-                oracle.update(f"doc{round_no * 7:04d}", text)
-                sealed = index.seal()._sealed  # published, no table yet
-                assert sealed.contrib_flat is None
-                expected = [pairs(oracle.search(q, 7)) for q in queries]
-                results = {}
-                barrier = threading.Barrier(4)
+        spy = SpanSpy(monkeypatch)
+        for round_no in range(6):
+            text = corpus_text(rng)
+            index.update(f"doc{round_no * 7:04d}", text)
+            oracle.update(f"doc{round_no * 7:04d}", text)
+            sealed = index.seal()._sealed  # published, no span yet
+            assert sealed.spans == {}
+            expected = [pairs(oracle.search(q, 7)) for q in queries]
 
-                def reader(reader_no):
-                    try:
-                        barrier.wait(timeout=10)
-                        # each thread starts on a different query
-                        order = queries[reader_no:] + queries[:reader_no]
-                        got = {q: pairs(index.search(q, 7)) for q in order}
-                        results[reader_no] = [got[q] for q in queries]
-                    except Exception as error:  # surfaced below
-                        errors.append(error)
+            def read(number):
+                # one token first on every thread, then each on another
+                rest = queries[1:]
+                order = queries[:1] + rest[number:] + rest[:number]
+                got = {q: pairs(index.search(q, 7)) for q in order}
+                return [got[q] for q in queries]
 
-                threads = [
-                    threading.Thread(target=reader, args=(number,))
-                    for number in range(4)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                assert errors == []
-                assert [results[number] for number in range(4)] == [
-                    expected
-                ] * 4
-                assert index._sealed is sealed
-                assert len(spy.seals) == round_no + 1
-                assert spy.seals[-1] is sealed
-        finally:
-            sys.setswitchinterval(previous)
+            assert race(4, read) == [expected] * 4
+            assert index._sealed is sealed
+            tokens = known_tokens(index, queries)
+            assert "kamex" in tokens
+            assert sorted(sealed.spans) == tokens
+            assert spy.fills(sealed) == len(tokens)  # once a token
 
 
 # ---------------------------------------------------------------------------
@@ -699,19 +634,17 @@ def write_burst(rng, indexes, live):
 
 
 class TestOneQueryAPass:
-    @pytest.mark.parametrize("num_shards", [1])
     @settings(max_examples=30, deadline=None)
     @given(docs=pass_docs, queries=pass_queries)
     def test_equals_the_parent_kernels_on_any_corpus(
-        self, num_shards, docs, queries
+        self, docs, queries
     ):
         oracle = tie_fill(DictOracle(name="pass"), docs)
         index = tie_fill(InvertedIndex(name="pass"), docs)
         assert_one_pass(index, oracle, queries)
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_equals_the_parent_after_bursts_of_writes(self, num_shards):
-        rng = random.Random(31 + num_shards)
+    def test_equals_the_parent_after_bursts_of_writes(self):
+        rng = random.Random(32)
         oracle = DictOracle(name="pass")
         index = InvertedIndex(name="pass")
         texts = [" ".join(rng.choices(PASS_WORDS, k=3)) for _ in range(10)]
@@ -753,7 +686,8 @@ class TestOneQueryAPass:
     def test_repeated_query_tokens_scale_their_block(self, monkeypatch):
         index = build_index().seal()
         sealed = index._sealed
-        contrib_flat = index._contrib_flat(sealed)
+        base = sealed.base
+        contrib_flat = contrib_table(index, sealed)
         spy = BincountSpy(monkeypatch)
         ranked = index.rank_batch(["dog dog dog fox"], 5)
         (cells, weights, minlength), = spy.calls
@@ -761,10 +695,10 @@ class TestOneQueryAPass:
         blocks = []
         for token in ("dog", "fox"):  # sorted token order
             i = sealed.tok_pos[token]
-            blocks.append(slice(sealed.tok_start[i], sealed.tok_start[i + 1]))
+            blocks.append(slice(base.tok_start[i], base.tok_start[i + 1]))
         dog, fox = blocks
         assert cells.tolist() == (
-            sealed.doc_idx[dog].tolist() + sealed.doc_idx[fox].tolist()
+            base.doc_idx[dog].tolist() + base.doc_idx[fox].tolist()
         )
         # three times the dog block, the fox block as the table has it
         assert [w.hex() for w in weights.tolist()] == [
@@ -775,9 +709,8 @@ class TestOneQueryAPass:
             index, sealed, index.plan_matrix(["dog dog dog fox"]), 5
         ))
 
-    @pytest.mark.parametrize("num_shards", [1])
     def test_empty_and_absent_queries_make_no_pass(
-        self, monkeypatch, num_shards
+        self, monkeypatch
     ):
         index = fill(InvertedIndex(name="pass"), docs=40).seal()
         spy = BincountSpy(monkeypatch)
@@ -789,9 +722,8 @@ class TestOneQueryAPass:
         assert index.local_df("kamex") >= 1
         assert len(spy.calls) == 1
 
-    @pytest.mark.parametrize("num_shards", [1])
     def test_one_pass_per_query_each_over_its_postings(
-        self, monkeypatch, num_shards
+        self, monkeypatch
     ):
         index = fill(InvertedIndex(name="pass"), docs=40).seal()
         queries = campaign(12, seed=23) + EDGE_QUERIES
@@ -824,24 +756,28 @@ class TestOneQueryAPass:
         ]
         assert "index.matrix.tiles" not in get_registry().instruments()
 
-    def test_spans_are_views_the_first_read_fills(self, monkeypatch):
+    def test_a_span_is_derived_by_its_first_read(self, monkeypatch):
         index = fill(InvertedIndex(name="pass"), docs=40).seal()
         sealed = index._sealed
+        base = sealed.base
         assert sealed.spans == {}
         spy = SpanSpy(monkeypatch)
         index.search("kamex kamex rotax absent", 3)
         assert sorted(sealed.spans) == ["kamex", "rotax"]  # not "absent"
         assert spy.seals == [[sealed, 2]]
-        contrib_flat = sealed.contrib_flat
-        for token, (cells, values) in sealed.spans.items():
+        table = contrib_table(index, sealed)
+        for token, ((cells,), values) in sealed.spans.items():
             i = sealed.tok_pos[token]
-            block = slice(sealed.tok_start[i], sealed.tok_start[i + 1])
-            assert np.shares_memory(cells, sealed.doc_idx)
-            assert np.shares_memory(values, contrib_flat)
-            assert cells.tolist() == sealed.doc_idx[block].tolist()
-            assert values.tolist() == contrib_flat[block].tolist()
+            block = slice(base.tok_start[i], base.tok_start[i + 1])
+            assert np.shares_memory(cells, base.doc_idx)  # a view
+            assert cells.tolist() == base.doc_idx[block].tolist()
+            # the token's own contributions, as the oracle's table has them
+            assert values.size == cells.size
+            assert [v.hex() for v in values.tolist()] == [
+                v.hex() for v in table[block].tolist()
+            ]
         index.search_batch(["rotax kamex", "kamex"], 3)
-        assert spy.seals == [[sealed, 2]]  # filled once a seal
+        assert spy.seals == [[sealed, 2]]  # derived once a seal
         index.update("doc0003", "rotax merox")
         assert index.seal()._sealed.spans == {}  # a new seal, a new cache
         assert sorted(sealed.spans) == ["kamex", "rotax"]
@@ -917,34 +853,48 @@ class TestSpanHammer:
             tokens = known_tokens(index, queries)
             assert sorted(sealed.spans) == tokens
             assert spy.fills(sealed) == len(tokens)  # once a token
-            for cells, values in sealed.spans.values():
-                assert np.shares_memory(cells, sealed.doc_idx)
-                assert np.shares_memory(values, sealed.contrib_flat)
+            for (cells,), _ in sealed.spans.values():
+                assert np.shares_memory(cells, sealed.base.doc_idx)
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_no_view_of_a_superseded_seal_is_read(self, num_shards):
-        """write -> read -> write -> read: after each write the
-        superseded seals' cached views and tables are poisoned with
-        NaN, so a read of any of them could not equal the reference
-        scorer."""
+    def test_no_span_a_write_moved_is_read_from_a_superseded_view(self):
+        """write -> read -> write -> read: after each write the next view
+        is published, and every span of the superseded views that it
+        does not share is poisoned with NaN, so a read of any of them
+        could not equal the reference scorer.  Every other write keeps
+        the document count and the total length, so the next view
+        inherits what the write did not touch."""
         index = fill(InvertedIndex(name="stale"), docs=60)
         oracle = fill(DictOracle(name="stale"), docs=60)
         queries = campaign(8, seed=43) + ["kamex kamex rotax"]
         rng = random.Random(47)
+        held = []  # every view published so far
+        inherited = 0
         for step in range(8):
-            if step:
-                held = [index._sealed] if index._sealed else []
+            if step % 2:  # a same-length update: the statistics stay
+                name = sorted(oracle.lengths)[step]
+                text = " ".join(
+                    pseudo_word(rng.randrange(25))
+                    for _ in range(oracle.lengths[name])
+                )
+                index.update(name, text)
+                oracle.update(name, text)
+            elif step:
                 write_burst(rng, [index, oracle], {
                     name: "" for name in oracle.lengths
                 })
-                for sealed in held:  # superseded: poison what it derived
-                    assert sealed is not index._sealed
-                    sealed.contrib_flat[:] = np.nan
-                    for cells, values in sealed.spans.values():
+            current = index._current_seal()
+            shared = {id(values) for _, values in current.spans.values()}
+            inherited += len(shared)
+            for sealed in held:  # superseded: poison what it alone holds
+                assert sealed is not current
+                for _, values in sealed.spans.values():
+                    if id(values) not in shared:
                         values[:] = np.nan
+            held.append(current)
             assert [pairs(h) for h in index.search_batch(queries, 5)] == [
                 pairs(oracle.search(q, 5)) for q in queries
             ], step
             assert [pairs(index.search(q, 5)) for q in queries] == [
                 pairs(oracle.search(q, 5)) for q in queries
             ], step
+        assert inherited, "vacuous: no view inherited a span"

@@ -1,13 +1,15 @@
 """A patched seal is a compiled seal, byte for byte.
 
 ``InvertedIndex.seal()`` after a write folds the net removals and
-additions into the last published seal; the seal is the only form the
-postings live in.  Everything else in the index stack — dict ≡ sealed ≡
-matrix — rests on one property, proved here: after any
-sequence of writes the seven sealed arrays (``doc_ids``, ``norm``,
-``tokens``, ``tok_start``, ``doc_idx``, ``tf_flat``, ``idf_flat``) of
-the patched seal equal, as bytes, those of a *mirror*: a fresh index
-fed the surviving payloads, which compiles once and never patches.
+additions into the base's CSR arrays, the only form the postings live
+in, and publishes the seal: a view of the new base with no writes.
+Everything else in the index stack — dict ≡ sealed ≡ matrix — rests on
+one property, proved here: after any sequence of writes the seven
+arrays a seal scores from (the base's ``doc_ids``, ``tokens``,
+``tok_start``, ``doc_idx`` and ``tf_flat``, the seal's ``norm``, and
+``idf_flat``, the idf of its row lengths) equal, as bytes, those of a
+*mirror*: a fresh index fed the surviving payloads, which compiles once
+and never patches.
 Rankings are checked against the dict oracle of
 ``tests/bm25_oracle.py``, which shares no state with either index.
 
@@ -30,7 +32,7 @@ from repro.datalake.types import Modality, Table
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import get_registry
 from repro.workloads.builder import LakeConfig, build_lake
-from tests.bm25_oracle import DictOracle
+from tests.bm25_oracle import DictOracle, seal_idf
 
 SEVEN = (
     "doc_ids", "norm", "tokens", "tok_start", "doc_idx", "tf_flat", "idf_flat"
@@ -75,14 +77,15 @@ def seven(index):
 
 
 def seven_of(sealed):
+    base = sealed.base
     return {
-        "doc_ids": "\n".join(sealed.doc_ids).encode(),
+        "doc_ids": "\n".join(base.doc_ids).encode(),
         "norm": sealed.norm.tobytes(),
-        "tokens": "\n".join(sealed.tokens).encode(),
-        "tok_start": sealed.tok_start.tobytes(),
-        "doc_idx": sealed.doc_idx.tobytes(),
-        "tf_flat": sealed.tf_flat.tobytes(),
-        "idf_flat": sealed.idf_flat.tobytes(),
+        "tokens": "\n".join(base.tokens).encode(),
+        "tok_start": base.tok_start.tobytes(),
+        "doc_idx": base.doc_idx.tobytes(),
+        "tf_flat": base.tf_flat.tobytes(),
+        "idf_flat": seal_idf(sealed).tobytes(),
     }
 
 
@@ -272,7 +275,7 @@ class TestSeededInterleavings:
 class TestSoloReadsAcrossWrites:
     def test_a_solo_read_after_every_write_is_the_dict_and_the_batch(self):
         """View on view, the first read after each write is a one-query
-        read, scored from the new view's freshly derived ``contrib_flat``:
+        read, scored from the spans it derives on the new view:
         it must be the dict oracle's ranking and the same query's row of
         a three-query batch, by ids and by every score's bits."""
         pair, rng = seeded_pair(31, docs=80)
@@ -298,7 +301,7 @@ class TestSoloReadsAcrossWrites:
             folds = patched_count()
             solo = exact(index.search(query, 7))
             assert patched_count() == folds, step  # no read folds
-            assert index._sealed.contrib_flat is not None, step
+            assert index._sealed.spans, step
             assert solo, step
             assert solo == exact(pair.oracle().search(query, 7)), step
             batch = [payload(rng), query, payload(rng, vocabulary=20)]
@@ -323,8 +326,8 @@ class TestNamedCases:
         pair = self.small()
         pair.add("e", "aax zzzx tox")  # before the first and after the last
         pair.check(queries=["aax", "zzzx tox"])
-        assert pair.live._sealed.tokens[0] == "aax"
-        assert pair.live._sealed.tokens[-1] == "zzzx"
+        assert pair.live._base.tokens[0] == "aax"
+        assert pair.live._base.tokens[-1] == "zzzx"
 
     def test_last_carrier_of_a_token_removed(self):
         pair = self.small()
@@ -339,7 +342,7 @@ class TestNamedCases:
         pair.check()
         pair.remove("d")
         pair.check()
-        assert pair.live._sealed.doc_ids == ["b", "c"]
+        assert pair.live._base.doc_ids == ["b", "c"]
 
     def test_add_then_remove_inside_one_burst(self):
         pair = self.small()
@@ -355,7 +358,7 @@ class TestNamedCases:
         pair.remove("a")
         pair.add("a", "pox dax")
         pair.check(queries=["pox", "kax"])
-        assert pair.live._sealed.doc_ids == ["b", "c", "d", "a"]
+        assert pair.live._base.doc_ids == ["b", "c", "d", "a"]
         [expected] = pair.expected(["mix"], 5)
         assert pairs(pair.live.search("mix", 5)) == expected
         assert "a" not in [h.instance_id for h in pair.live.search("mix", 5)]
@@ -366,14 +369,14 @@ class TestNamedCases:
         pair.remove("a")
         pair.add("e", "kax benx")
         pair.check(queries=["pox", "kax"])
-        assert pair.live._sealed.doc_ids == ["b", "c", "d", "e"]
+        assert pair.live._base.doc_ids == ["b", "c", "d", "e"]
 
     def test_update_with_an_identical_payload(self):
         pair = self.small()
         pair.update("b", "tox rax rax nex")
         pair.check(queries=["rax", "tox"])
         # same statistics, but the document moved to the end
-        assert pair.live._sealed.doc_ids == ["a", "c", "d", "b"]
+        assert pair.live._base.doc_ids == ["a", "c", "d", "b"]
 
     def test_index_emptied_and_refilled(self):
         pair = self.small()
@@ -381,7 +384,7 @@ class TestNamedCases:
             pair.remove(doc_id)
         pair.check()
         assert len(pair.live) == 0
-        assert pair.live._sealed.tokens == []
+        assert pair.live._base.tokens == []
         assert pair.live.search("kax", 5) == []
         pair.add("z", "kax pox")
         pair.add("y", "pox")
@@ -425,7 +428,7 @@ class TestNamedCases:
         queries = ["kax tox", "mix", "rax"]
         plan = pair.live.plan_matrix(queries)
         first_seal, first = ranked(pair.live)
-        assert first_seal.contrib_flat is not None
+        assert first_seal.spans
         pair.update("b", "kax mix mix")
         assert not pair.live.is_sealed
         second_seal, second = ranked(pair.live)
@@ -440,13 +443,20 @@ class TestNamedCases:
         pair = self.small()
         held = pair.live._sealed  # a reader still on the old generation
         before = seven(pair.live)
-        held_contrib = pair.live._contrib_flat(held).copy()
+        held_spans = {
+            token: (np.concatenate(cells), values.copy())
+            for token, (cells, values) in held.spans.items()
+        }
+        assert held_spans
         pair.remove("a")
         pair.add("e", "tox zzzx")
         pair.check()
         assert pair.live._sealed is not held
         assert first_difference(seven_of(held), before) is None
-        assert np.array_equal(held.contrib_flat, held_contrib)
+        assert held.spans.keys() == held_spans.keys()
+        for token, (cells, values) in held.spans.items():
+            assert np.array_equal(np.concatenate(cells), held_spans[token][0])
+            assert values.tobytes() == held_spans[token][1].tobytes()
 
     def test_invalidate_seal_patches_and_rederives(self):
         pair = self.small()
@@ -457,7 +467,8 @@ class TestNamedCases:
         # nothing was written: the same postings under new statistics
         again = pair.live._sealed
         assert again is not held
-        assert again.doc_idx is held.doc_idx and again.tokens is held.tokens
+        assert again.base.doc_idx is held.base.doc_idx
+        assert again.base.tokens is held.base.tokens
         assert first_difference(seven_of(held), seven(pair.live)) is None
         pair.add("e", "pox")  # one write outgrows a four-document base
         pair.live.invalidate_seal()
@@ -481,12 +492,15 @@ class TestPersistenceAfterAPatch:
         pair.check()
         patched, compiled = pair.live._sealed, pair.mirror._sealed
         assert patched is not compiled
-        for name in ("norm", "tok_start", "doc_idx", "tf_flat", "idf_flat"):
-            left, right = getattr(patched, name), getattr(compiled, name)
-            assert left.dtype == right.dtype, name
-            assert left.tobytes() == right.tobytes(), name
-        assert patched.tokens == compiled.tokens
-        assert patched.doc_ids == compiled.doc_ids
+        arrays = [(patched.norm, compiled.norm)] + [
+            (getattr(patched.base, name), getattr(compiled.base, name))
+            for name in ("lengths", "tok_start", "doc_idx", "tf_flat")
+        ]
+        for number, (left, right) in enumerate(arrays):
+            assert left.dtype == right.dtype, number
+            assert left.tobytes() == right.tobytes(), number
+        assert patched.base.tokens == compiled.base.tokens
+        assert patched.base.doc_ids == compiled.base.doc_ids
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +530,8 @@ PROBES = [
 
 class TestThroughTheIndexer:
     @pytest.mark.parametrize("semantic", [False, True])
-    @pytest.mark.parametrize("num_shards", [1])
     def test_update_instance_patches_to_rebuilt_answers(
-        self, num_shards, semantic
+        self, semantic
     ):
         config = VerifAIConfig(use_semantic_index=semantic)
         lake = build_lake(LakeConfig(num_tables=10, seed=23)).lake
@@ -631,7 +644,6 @@ def assert_as_fresh(live, payloads, written):
 
 
 class TestAnyWriteSequence:
-    @pytest.mark.parametrize("num_shards", [1])
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(write_op, max_size=40))
     # one document updated twice between seals
@@ -659,7 +671,7 @@ class TestAnyWriteSequence:
         ("seal",), ("add", 1, "tox"), ("invalidate",), ("remove", 0),
         ("seal",),
     ])
-    def test_patched_seals_equal_a_fresh_index(self, num_shards, ops):
+    def test_patched_seals_equal_a_fresh_index(self, ops):
         index = fresh_index({})
         payloads = {}
         written = []

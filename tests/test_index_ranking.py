@@ -48,7 +48,7 @@ from repro.rerank.features import FeatureReranker
 from repro.rerank.table import TableReranker
 from repro.text import analyze
 from repro.text.similarity import ngrams
-from tests.bm25_oracle import DictOracle
+from tests.bm25_oracle import DictOracle, contrib_table
 
 #: three words over short documents: most scores tie, so the boundary of
 #: every selection is where answers would move (``TestOneOfEach``)
@@ -220,18 +220,18 @@ def parent_bm25(index, query, k):
     sealed = index._current_seal()
     if sealed is None or k <= 0:
         return [], []
-    contrib_flat = index._contrib_flat(sealed)
-    row = np.zeros(len(sealed.doc_ids), dtype=np.float64)
+    base, contrib_flat = sealed.base, contrib_table(index, sealed)
+    row = np.zeros(sealed.size, dtype=np.float64)
     for token, query_count in index.plan_matrix([query]).terms[0]:
         i = sealed.tok_pos.get(token)
         if i is not None:
-            block = slice(*sealed.tok_start[i:i + 2].tolist())
-            row[sealed.doc_idx[block]] += contrib_flat[block] * query_count
+            block = slice(*base.tok_start[i:i + 2].tolist())
+            row[base.doc_idx[block]] += contrib_flat[block] * query_count
     candidates = np.nonzero(row > 0.0)[0]
     positions, scores = parent_order_candidates(
-        sealed.doc_ids, row[candidates], candidates, k
+        base.doc_ids, row[candidates], candidates, k
     )
-    return [sealed.doc_ids[i] for i in positions], scores
+    return [base.doc_ids[i] for i in positions], scores
 
 
 #: ids whose string order is not their insertion order nor their
@@ -285,10 +285,10 @@ def burst(rng, index, live, writes):
 def assert_bm25_selects_as_the_parent(index, queries):
     sealed = index.seal()._sealed
     if sealed is not None:  # the carried table is the one a sort builds
-        ordinal, by_ordinal = ordinals_of(sealed.doc_ids)
+        ordinal, by_ordinal = ordinals_of(sealed.base.doc_ids)
         assert sealed.ordinal.tolist() == ordinal.tolist()
-        assert sealed.by_ordinal.tolist() == by_ordinal.tolist()
-        assert by_ordinal.tolist() == sorted(sealed.doc_ids)
+        assert sealed.base.by_ordinal.tolist() == by_ordinal.tolist()
+        assert by_ordinal.tolist() == sorted(sealed.base.doc_ids)
     matches = [len(parent_bm25(index, q, len(index) + 1)[0]) for q in queries]
     for k in ordinal_depths(matches, len(index)):
         expected = [exact(parent_bm25(index, q, k)) for q in queries]
@@ -395,7 +395,7 @@ class TestOrdinalSelection:
         index.update("t2", "kax")
         assert index.rank_batch(["kax"], 4)[0][0] == ["T5", "a", "t1#r0", "t10"]
         sealed = index._sealed
-        assert sealed.doc_ids == ["T5", "t1#r0", "a", "t10", "t2"]
+        assert sealed.base.doc_ids == ["T5", "t1#r0", "a", "t10", "t2"]
         assert sealed.ordinal.tolist() == [0, 2, 1, 3, 4]
 
 
@@ -498,7 +498,7 @@ class TestOrdinalHammer:
             assert spy.seals == round_no + 1
             sealed = index._sealed
             assert sealed.ordinal.tolist() == (
-                ordinals_of(sealed.doc_ids)[0].tolist()
+                ordinals_of(sealed.base.doc_ids + sealed.fresh_ids)[0].tolist()
             )
 
     def test_first_readers_of_a_fresh_vector_table_build_one_ordinal_table(
@@ -697,9 +697,8 @@ class TestCombinerColumns:
             ))
         assert Combiner([void]).rank_batch([], 3) == []
 
-    @pytest.mark.parametrize("shards", [1])
     def test_search_batch_never_asks_a_real_member_for_hits(
-        self, monkeypatch, shards
+        self, monkeypatch
     ):
         docs = ["kax tox", "tox mix", "mix", "kax kax mix", "tox"]
         content = InvertedIndex(name="bm25")

@@ -1,10 +1,11 @@
 """Reads after a write score a view: the last seal plus the writes since.
 
 After a write, the next read of an :class:`InvertedIndex` publishes a
-*view*: the last compacted seal (the base, never written), the base
-documents removed since (zeroed in every score row) and the documents
-added since (scored from their records).  It re-derives only the
-contribution rows whose statistics moved.  The property proved here:
+*view*: the last compaction's postings (the base, never written), the
+base documents removed since (zeroed in every score row) and the
+documents added since.  A token's contributions are derived by its
+first read of a view, and a view inherits every span of the one before
+it that the writes between them did not move.  The property proved here:
 after every write, a read through the view ranks exactly as a fresh compile of the surviving payloads and as the dict
 oracle of ``tests/bm25_oracle.py`` — the same ids, and every score's
 ``float.hex``.
@@ -23,6 +24,7 @@ import threading
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -61,6 +63,15 @@ def exact(hits):
 
 def seal_count(name):
     return get_registry().counter(f"index.seal.{name}").value
+
+
+def is_seal(index):
+    """The published view is the seal of the current base: no writes."""
+    sealed = index._sealed
+    return (
+        sealed is not None and sealed.base is index._base
+        and sealed.delta_start is None
+    )
 
 
 def text(rng, vocabulary=WORDS, low=1, high=8):
@@ -139,10 +150,9 @@ def queries_of(rng, count=6):
 # ---------------------------------------------------------------------------
 @pytest.mark.usefixtures("no_compaction")
 class TestEveryWrite:
-    @pytest.mark.parametrize("num_shards", [1])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reads_after_every_write_are_the_compile_and_the_oracle(
-        self, num_shards, seed
+        self, seed
     ):
         live, rng = seeded(seed)
         fresh_ids = iter(range(10_000, 20_000))
@@ -163,8 +173,7 @@ class TestEveryWrite:
             assert seal_count("viewed") == viewed + 1, step
             assert isinstance(live.index._sealed, _View)
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_every_depth_around_the_match_counts(self, num_shards):
+    def test_every_depth_around_the_match_counts(self):
         live, rng = seeded(7, docs=25)
         for step in range(6):
             live.update(f"doc{step * 3:03d}", text(rng))
@@ -195,8 +204,7 @@ def tied(docs=8):
 
 @pytest.mark.usefixtures("no_compaction")
 class TestNamedCases:
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_token_first_seen_in_the_delta(self, num_shards):
+    def test_token_first_seen_in_the_delta(self):
         live = small()
         live.add("g", "aax zzzx tox")  # before the first and after the last
         live.check(["aax", "zzzx tox", "zzzx aax kax"])
@@ -204,23 +212,20 @@ class TestNamedCases:
         assert set(view.first_seen) == {"aax", "zzzx"}
         assert "aax" not in view.tok_pos
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_last_carrier_of_a_token_removed(self, num_shards):
+    def test_last_carrier_of_a_token_removed(self):
         live = small()
         live.remove("b")  # the only document with rax and nex
         assert live.index.search("rax nex", 5) == []
         live.check(["rax nex", "tox", "rax tox"])
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_remove_then_readd_of_one_id(self, num_shards):
+    def test_remove_then_readd_of_one_id(self):
         live = small()
         live.remove("a")
         live.add("a", "pox dax")
         live.check(["pox", "kax", "kax tox mix"])
         assert "a" not in [h.instance_id for h in live.index.search("mix", 9)]
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_an_updated_id_keeps_its_rank_among_ties(self, num_shards):
+    def test_an_updated_id_keeps_its_rank_among_ties(self):
         live = tied()
         live.update("t3", "kax tox")  # same payload: it moves last
         live.remove("t5")
@@ -229,45 +234,49 @@ class TestNamedCases:
         got = live.check(["kax", "tox kax"], k=20)
         assert [i for i, _ in got[0]] == sorted(live.payloads)
 
-    def test_update_with_an_identical_payload_rederives_nothing(self):
+    def test_update_with_an_identical_payload_keeps_the_other_spans(self):
         live = small()
-        live.update("c", "mix sox lux")  # first view: one full pass
-        live.check(["mix", "sox lux"])
-        derived = live.index._derived
-        contrib = derived.contrib.copy()
+        live.update("c", "mix sox lux")
+        live.check(["mix", "sox lux", "kax tox"])
+        before = live.index._sealed
         live.update("b", "tox rax rax nex")
-        live.check(["rax", "tox"])
-        # the same statistics: the tables were not re-derived at all
-        assert live.index._derived is derived
-        assert derived.contrib.tobytes() == contrib.tobytes()
+        live.check(["rax", "tox", "kax mix"])
+        view = live.index._sealed
+        # the same statistics: only the moved document's tokens derive
+        assert (view.doc_count, view.avg_len) == (
+            before.doc_count, before.avg_len
+        )
+        derived = {
+            token for token, span in view.spans.items()
+            if before.spans.get(token) is not span
+        }
+        assert derived == {"rax", "tox"}
+        assert view.spans["kax"] is before.spans["kax"]
 
-    def test_a_changed_cell_rederives_its_rows_only(self):
+    def test_a_changed_cell_rederives_its_tokens_only(self):
         live = small()
         live.update("a", "kax tox mix")
-        live.check(["kax"])
-        derived = live.index._derived
-        before = derived.contrib.copy()
+        live.check(["kax", "lux", "mix sox"])
+        before = live.index._sealed
         live.update("d", "kax lux vix")  # same length, df of lux moves
         live.check(["kax", "lux vix", "mix"])
-        assert live.index._derived is derived
-        base = live.index._base
-        row = base.tok_pos["lux"]
-        moved = set(range(*base.tok_start[row:row + 2].tolist()))
-        changed = {
-            int(i) for i in (derived.contrib != before).nonzero()[0]
+        view = live.index._sealed
+        derived = {
+            token for token, span in view.spans.items()
+            if before.spans.get(token) is not span
         }
-        assert changed and changed <= moved
+        # d's old and new tokens, as far as the reads asked for them
+        assert derived == {"kax", "lux", "vix"}
+        assert view.spans["mix"] is before.spans["mix"]
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_a_total_length_change(self, num_shards):
+    def test_a_total_length_change(self):
         live = small()
         live.check(["kax"])
         live.update("c", "mix sox lux lux pox kax")
         live.check(["lux", "kax pox", "mix sox"])
         assert len(live.index) == 6
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_a_document_count_change(self, num_shards):
+    def test_a_document_count_change(self):
         live = small()
         live.check(["kax"])
         live.add("g", "kax")
@@ -275,8 +284,7 @@ class TestNamedCases:
         live.remove("e")
         live.check(["kax", "tox", "lux"])
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_an_index_emptied_and_refilled(self, num_shards):
+    def test_an_index_emptied_and_refilled(self):
         live = small()
         for doc_id in list(live.payloads):
             live.remove(doc_id)
@@ -305,7 +313,7 @@ class TestNamedCases:
         base = live.index._base
         before = {
             name: getattr(base, name).tobytes()
-            for name in ("norm", "tok_start", "doc_idx", "tf_flat", "idf_flat")
+            for name in ("lengths", "tok_start", "doc_idx", "tf_flat", "ordinal")
         }
         rng = random.Random(3)
         for step in range(10):
@@ -336,8 +344,7 @@ class TestCompaction:
             live.check(["kax", "tox", "mix"])
             assert isinstance(live.index._sealed, _View)
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_compactions_landing_mid_sequence(self, num_shards):
+    def test_compactions_landing_mid_sequence(self):
         live, rng = seeded(11, docs=30)
         with compact_share(0.1):
             for step in range(30):
@@ -350,7 +357,7 @@ class TestCompaction:
                     live.update(rng.choice(alive), text(rng))
                 if step == 17:
                     live.index.seal()  # an explicit compaction too
-                    assert live.index._sealed is live.index._base
+                    assert is_seal(live.index)
                 live.check(queries_of(rng))
 
     def test_seal_compacts_a_published_view(self, no_compaction):
@@ -360,8 +367,8 @@ class TestCompaction:
         view = live.index._sealed
         assert isinstance(view, _View)
         live.index.seal()
-        assert live.index._sealed is live.index._base
-        assert live.index._sealed is not view
+        assert is_seal(live.index)
+        assert live.index._base is not view.base
         live.check(["pox", "kax"])
 
 
@@ -384,7 +391,6 @@ view_op = st.one_of(
 
 
 class TestAnyWriteSequence:
-    @pytest.mark.parametrize("num_shards", [1])
     @settings(max_examples=30, deadline=None)
     @given(
         ops=st.lists(view_op, max_size=30),
@@ -402,7 +408,7 @@ class TestAnyWriteSequence:
         ("remove", 0), ("read", "kax"), ("add", 3, "kax kax"),
         ("read", "kax tox"),
     ], share=float("inf"))
-    def test_reads_through_views_are_the_compile(self, num_shards, ops, share):
+    def test_reads_through_views_are_the_compile(self, ops, share):
         with compact_share(share):
             live = Live()
             for op in ops:
@@ -427,9 +433,8 @@ class TestAnyWriteSequence:
 # ---------------------------------------------------------------------------
 @pytest.mark.usefixtures("no_compaction")
 class TestIsSealed:
-    @pytest.mark.parametrize("num_shards", [1])
     def test_a_write_unpublishes_and_the_next_read_publishes(
-        self, num_shards
+        self
     ):
         live = small()
         assert live.index.is_sealed
@@ -503,8 +508,7 @@ class TestViewHammer:
     readers find the index unpublished after a write, exactly one of
     them publishes the view, and all of them read it."""
 
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_eight_readers_across_writes(self, num_shards, no_compaction):
+    def test_eight_readers_across_writes(self, no_compaction):
         live, rng = seeded(19, docs=60)
         queries = queries_of(rng)
         errors = []
@@ -554,7 +558,7 @@ class TestViewHammer:
 
 
 # ---------------------------------------------------------------------------
-# a base a view superseded keeps no table of its own reads
+# a reader holding a superseded view scores it from its own spans
 # ---------------------------------------------------------------------------
 def exact_ranking(ranking):
     ids, scores = ranking
@@ -562,56 +566,42 @@ def exact_ranking(ranking):
 
 
 @pytest.mark.usefixtures("no_compaction")
-class TestSupersededBase:
-    """Once a view of a base is published only views read the base, so
-    it drops the ``contrib_flat`` and ``spans`` its own reads built.  A
-    reader that took the base earlier still scores it bit for bit, from
-    a table built for that read alone."""
-
-    @pytest.mark.parametrize("num_shards", [1])
-    def test_a_view_drops_the_base_tables(self, num_shards):
-        live, rng = seeded(23)
-        queries = queries_of(rng)
-        live.check(queries)
-        base = live.index._base
-        assert base is live.index._sealed
-        assert base.contrib_flat is not None
-        assert base.spans
-        for step in range(3):
-            live.update(f"doc{step:03d}", text(rng))
-            live.add(f"new{step}", text(rng))
-            live.check(queries)
-            assert live.index._base is base
-            assert isinstance(live.index._sealed, _View)
-            assert base.contrib_flat is None
-            assert base.spans == {}
+class TestHeldViews:
+    """A view's spans are derived under its own statistics and never
+    dropped or rewritten, so a reader that took a view before a write
+    keeps scoring it bit for bit after the next view is published."""
 
     @pytest.mark.parametrize("read_first", [True, False])
-    def test_a_reader_holding_the_base_scores_it_after(self, read_first):
+    def test_a_reader_holding_a_view_scores_it_after(self, read_first):
         live, rng = seeded(29)
         index = live.index
         queries = queries_of(rng)
         plan = index.plan_matrix(queries)
         held = index._sealed
         expected = [exact(live.oracle.search(q, 6)) for q in queries]
-        if read_first:  # the base's own table and spans, then dropped
+        if read_first:  # its spans derived before the write
             assert [
                 exact_ranking(r) for r in index._score_matrix(held, plan, 6)
             ] == expected
+        spans = dict(held.spans)
         live.update("doc003", text(rng))
         live.check(queries)
-        assert held.contrib_flat is None
+        assert index._sealed is not held
         got = index._score_matrix(held, plan, 6)
         assert [exact_ranking(r) for r in got] == expected
-        # built for that read alone
-        assert held.contrib_flat is None
-        assert held.spans == {}
+        # the spans derived before the write stay, and the rest were
+        # derived on the held view, under its own statistics
+        assert all(held.spans[token] is span for token, span in spans.items())
+        assert sorted(held.spans) == sorted({
+            token for terms in plan.terms for token, _ in terms
+            if held.block(token) is not None
+        })
 
     def test_readers_across_view_publication(self):
         """``make sanitize`` runs this under the lockset sanitizer: four
-        readers score a base they took while the base is published, then
-        superseded and dropped, and every ranking is the one the base
-        gave before any write."""
+        readers score a seal they took, deriving its spans, while writes
+        supersede it view after view, and every ranking is the one the
+        seal gave before any write."""
         live, rng = seeded(31, docs=80)
         index = live.index
         queries = queries_of(rng, 8)
@@ -621,8 +611,8 @@ class TestSupersededBase:
         sys.setswitchinterval(1e-5)
         try:
             for round_no in range(4):
-                held = index.seal()._sealed  # a fresh base, no table yet
-                assert held.contrib_flat is None
+                held = index.seal()._sealed  # a fresh seal, no span yet
+                assert held.spans == {}
                 expected = [exact(live.oracle.search(q, 6)) for q in queries]
                 results = {}
                 barrier = threading.Barrier(5)
@@ -657,8 +647,132 @@ class TestSupersededBase:
                 assert [results[n] for n in range(4)] == [
                     [expected] * 20
                 ] * 4
-                assert index._base is held
-                assert held.contrib_flat is None
-                assert held.spans == {}
+                assert index._base is held.base
+                assert index._sealed is not held
+                # what the readers derived, once a token, on the held seal
+                assert sorted(held.spans) == sorted({
+                    token for terms in plan.terms for token, _ in terms
+                    if held.block(token) is not None
+                })
         finally:
             sys.setswitchinterval(previous)
+
+
+# ---------------------------------------------------------------------------
+# a read derives the spans it reads, and only those a write moved
+# ---------------------------------------------------------------------------
+class DeriveSpy:
+    """Records the postings of every derivation pass one index makes
+    (each ``_contrib`` call on it)."""
+
+    def __init__(self, monkeypatch, index):
+        self.sizes = []
+        real = InvertedIndex._contrib
+
+        def contrib(owner, idf, tf, norm, cells):
+            if owner is index:
+                self.sizes.append(cells.size)
+            return real(owner, idf, tf, norm, cells)
+
+        monkeypatch.setattr(InvertedIndex, "_contrib", contrib)
+
+
+def lake_entries(modality, num_tables=8, seed=3):
+    """A generated lake's ``(id, payload)`` entries of one modality, in
+    the order the indexer adds them."""
+    lake = build_lake(LakeConfig(num_tables=num_tables, seed=seed)).lake
+    indexer = IndexerModule(lake, VerifAIConfig())
+    return list(indexer._modality_entries(modality))
+
+
+def known(view, queries, index):
+    """The tokens of ``queries`` that ``view`` carries."""
+    return {
+        token for terms in index.plan_matrix(queries).terms
+        for token, _ in terms if view.block(token) is not None
+    }
+
+
+@pytest.mark.usefixtures("no_compaction")
+class TestDerivedPerToken:
+    def test_a_text_write_derives_the_blocks_it_reads_only(
+        self, monkeypatch
+    ):
+        rng = random.Random(3)
+        entries = lake_entries(Modality.TEXT)
+        live = Live(entries)
+        payloads = [payload for _, payload in entries]
+        queries = [
+            " ".join(rng.sample(payload.split(), 3))
+            for payload in rng.sample(payloads, 6)
+        ]
+        live.check(queries)  # the seal's spans
+        seal = live.index._sealed
+        # a document twice as long as the longest: the average moves
+        written = " ".join(max(payloads, key=len).split() * 2)
+        live.add("written", written)
+        queries = queries[:3] + [
+            " ".join(rng.sample(written.split(), 3)) for _ in range(3)
+        ]
+        spy = DeriveSpy(monkeypatch, live.index)
+        live.check(queries)  # rankings as the compile's, by score bits
+        view = live.index._sealed
+        assert view.avg_len != seal.avg_len
+        tokens = known(view, queries, live.index)
+        assert sorted(view.spans) == sorted(tokens)
+        # one pass over the blocks the read reads, none over any other
+        # posting (the solo reads after the batch derive nothing)
+        assert spy.sizes == [sum(
+            part.size for token in tokens for part in view.block(token)[0]
+        )]
+        postings = int(view.base.tok_start[-1]) + view.delta_cells.size
+        assert sum(spy.sizes) < postings / 4
+
+    def test_a_one_cell_tuple_write_rederives_what_it_moved_only(
+        self, monkeypatch
+    ):
+        entries = lake_entries(Modality.TUPLE)
+        payloads = dict(entries)
+        live = Live(entries)
+        row_id, other, third = entries[5][0], entries[20][0], entries[40][0]
+        queries = [payloads[row_id], payloads[other], payloads[third]]
+        live.check(queries)
+        before = live.index._sealed
+        # one cell's value replaced by another of one token: the row's
+        # length, so the document count and the average length, stay
+        cell = payloads[row_id].rsplit(" ; ", 1)
+        value = cell[1].split(": ", 1)[1]
+        assert len(analyze(value)) == 1, value
+        changed = f"{cell[0]} ; {cell[1].split(': ', 1)[0]}: patchmarkx"
+        spy = DeriveSpy(monkeypatch, live.index)
+        live.update(row_id, changed)
+        live.check(queries + [changed])
+        view = live.index._sealed
+        assert (view.doc_count, view.avg_len) == (
+            before.doc_count, before.avg_len
+        )
+        # every token of the row moved: its df or its postings (the row
+        # moved to the end of the document order)
+        moved = set(analyze(payloads[row_id])) | set(analyze(changed))
+        derived = {
+            token for token, span in view.spans.items()
+            if before.spans.get(token) is not span
+        }
+        read = known(view, queries + [changed], live.index)
+        assert derived == read & moved
+        assert sum(spy.sizes) == sum(
+            part.size for token in derived for part in view.block(token)[0]
+        )
+        inherited = read - moved
+        assert inherited, "vacuous: every token read was moved"
+        for token in inherited:
+            assert view.spans[token] is before.spans[token]
+        # a span's cells are views of the base's and the delta's arrays,
+        # and its values its own: an inherited span keeps no batch alive
+        assert any(len(parts) == 2 for parts, _ in view.spans.values())
+        for parts, values in view.spans.values():
+            assert values.base is None
+            for part in parts:
+                assert np.shares_memory(part, view.base.doc_idx) or (
+                    np.shares_memory(part, view.delta_cells)
+                )

@@ -75,8 +75,7 @@ class TestWhatBuildIndexesBuilds:
         assert indexer.built_modalities == {Modality.TABLE, Modality.TEXT}
 
 
-@pytest.mark.parametrize("num_shards", [1])
-def test_kg_hits_equal_an_eager_build(small_bundle, num_shards):
+def test_kg_hits_equal_an_eager_build(small_bundle):
     config = VerifAIConfig(use_semantic_index=True)
     eager = IndexerModule(small_bundle.lake, config).build()
     lazy = VerifAI(small_bundle.lake, config=config).build_indexes().indexer

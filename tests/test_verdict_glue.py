@@ -413,9 +413,8 @@ class SpyIndex(SearchIndex):
 
 
 class TestOneIndexCombiner:
-    @pytest.mark.parametrize("num_shards", (1,))
     @pytest.mark.parametrize("k", DEPTHS)
-    def test_equals_the_fuse_of_twice_the_depth(self, num_shards, k):
+    def test_equals_the_fuse_of_twice_the_depth(self, k):
         index = build_index()
         combiner = Combiner([index], name="combined-glue")
         expected = [
@@ -499,8 +498,7 @@ class TestOrderCandidates:
         assert all(type(i) is str for i in ids)
         assert all(type(score) is float for score in scores)
 
-    @pytest.mark.parametrize("num_shards", (1,))
-    def test_search_and_search_batch_agree_with_search_dict(self, num_shards):
+    def test_search_and_search_batch_agree_with_search_dict(self):
         """The ordering is reached from both selections: per query and
         query-matrix; the dict scorer shares neither."""
         index = build_index()
