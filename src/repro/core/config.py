@@ -16,6 +16,9 @@ PAPER_FINE_K = {
     Modality.TABLE: 5,
 }
 
+#: width of the hashing embedder behind the semantic index
+EMBEDDING_DIM = 256
+
 
 def require_at_least(name: str, value: int, floor: int) -> None:
     """Refuse ``value`` below ``floor``, naming the field."""
@@ -37,8 +40,6 @@ class VerifAIConfig:
       paper's Section 4 setting, which evaluates raw index retrieval);
     * ``prefer_local`` — Agent policy: route to local verifiers when one
       supports the pair, else the LLM;
-    * ``batch_max_workers`` — default worker-thread count for
-      :meth:`VerifAI.verify_batch` (1 = serial);
     * ``batch_max_retries`` — extra attempts the per-object error
       boundary grants an object whose retrieve/rerank/verify raised
       (0 = fail on the first error).  One boundary serves
@@ -59,18 +60,13 @@ class VerifAIConfig:
     use_semantic_index: bool = False
     use_reranker: bool = False
     fusion: FusionMethod = FusionMethod.RRF
-    embedding_dim: int = 256
     prefer_local: bool = False
     chunk_text: bool = False
     chunk_max_tokens: int = 64
-    batch_max_workers: int = 1
     batch_max_retries: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "k_coarse", "embedding_dim", "chunk_max_tokens",
-            "batch_max_workers",
-        ):
+        for name in ("k_coarse", "chunk_max_tokens"):
             require_at_least(name, getattr(self, name), 1)
         for modality, depth in self.k_fine.items():
             require_at_least(f"k_fine[{modality.value}]", depth, 1)

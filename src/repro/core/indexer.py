@@ -42,7 +42,7 @@ from repro.index.base import (
 from repro.index.combiner import Combiner
 from repro.index.inverted import InvertedIndex
 from repro.index.vector import FlatVectorIndex
-from repro.core.config import VerifAIConfig
+from repro.core.config import EMBEDDING_DIM, VerifAIConfig
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
 from repro.text import analyze
@@ -93,7 +93,7 @@ class IndexerModule:
         self._content: Dict[Modality, InvertedIndex] = {}
         self._semantic: Dict[Modality, FlatVectorIndex] = {}
         self._combiners: Dict[Modality, Combiner] = {}
-        self._vectorizer = HashingVectorizer(dim=self.config.embedding_dim)
+        self._vectorizer = HashingVectorizer(dim=EMBEDDING_DIM)
         # guards the lazy builds: readers on several threads may race to
         # build the same modality
         self._build_lock = threading.Lock()
@@ -127,7 +127,7 @@ class IndexerModule:
         if not self.config.use_semantic_index:
             return None
         return FlatVectorIndex(
-            dim=self.config.embedding_dim,
+            dim=EMBEDDING_DIM,
             encoder=self._vectorizer.transform,
             name=f"vec-{modality.value}",
         )

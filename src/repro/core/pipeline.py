@@ -290,7 +290,7 @@ class VerifAI:
         self,
         objects: Sequence[DataObject],
         modalities: Optional[Sequence[Modality]] = None,
-        max_workers: Optional[int] = None,
+        max_workers: int = 1,
         k_coarse: Optional[int] = None,
         k_fine: Optional[int] = None,
         fail_fast: bool = False,
@@ -302,9 +302,8 @@ class VerifAI:
 
         Delegates to the batch engine: identical retrieval queries are
         computed once, retrieval+rerank+verify runs on up to
-        ``max_workers`` threads (default ``config.batch_max_workers``,
-        1 = the serial path), and report order always matches input
-        order.  Each object runs inside an error boundary: a fault
+        ``max_workers`` threads (1 = the serial path), and report order
+        always matches input order.  Each object runs inside an error boundary: a fault
         yields a ``FAILED`` report (after ``max_retries`` extra
         attempts, default ``config.batch_max_retries``) instead of
         aborting the campaign; ``fail_fast=True`` restores
@@ -323,12 +322,8 @@ class VerifAI:
         """
         from repro.core.batch import BatchEngine
 
-        workers = (
-            max_workers if max_workers is not None
-            else self.config.batch_max_workers
-        )
         engine = BatchEngine(
-            self, max_workers=workers,
+            self, max_workers=max_workers,
             fail_fast=fail_fast, max_retries=max_retries,
         )
         return engine.run(

@@ -413,13 +413,11 @@ class InvertedIndex(SearchIndex):
         self._df.update(distinct)
         self._compact_if_outgrown()
 
-    def remove(
-        self, instance_id: str, tokens: Optional[Sequence[str]] = None
-    ) -> None:
+    def remove(self, instance_id: str, tokens: Sequence[str]) -> None:
         """Delete one document in O(its tokens): read off its record
         when no base carries it yet, else off ``tokens`` — its analysed
         tokens as :meth:`add_tokens` took them, which the indexer hands
-        over — or, without them, off one scan of the base's postings.
+        over.
 
         Statistics and vocabulary (a token the document was the last
         carrier of is dropped) are corrected before this returns; the
@@ -428,7 +426,7 @@ class InvertedIndex(SearchIndex):
         for ``tokens`` of another length than the document's.
         """
         length = self._doc_length[instance_id]  # KeyError when absent
-        if tokens is not None and len(tokens) != length:
+        if len(tokens) != length:
             raise ValueError(
                 f"{instance_id!r} holds {length} tokens, not {len(tokens)}"
             )
@@ -442,18 +440,10 @@ class InvertedIndex(SearchIndex):
                 delta.dead.append(delta.slot_of.pop(instance_id))
         else:  # the base carries it
             base, delta = self._base, self._writes()
-            position = int(delta.position[
+            delta.dead.append(int(delta.position[
                 np.searchsorted(base.by_ordinal, instance_id)
-            ])
-            delta.dead.append(position)
-            if tokens is not None:
-                distinct = set(tokens)
-            else:
-                rows = np.searchsorted(
-                    base.tok_start, np.flatnonzero(base.doc_idx == position),
-                    side="right",
-                ) - 1
-                distinct = [base.tokens[row] for row in rows.tolist()]
+            ]))
+            distinct = set(tokens)
         df = self._df
         for token in distinct:
             if df[token] == 1:
@@ -464,11 +454,6 @@ class InvertedIndex(SearchIndex):
             self._touched.update(distinct)
         self._sealed = None  # any write un-publishes the read form
         self._compact_if_outgrown()
-
-    def update(self, instance_id: str, payload: str) -> None:
-        """Replace one document's payload (remove + add)."""
-        self.remove(instance_id)
-        self.add(instance_id, payload)
 
     def invalidate_seal(self) -> None:
         """Un-publish the read form although no posting moved: the next

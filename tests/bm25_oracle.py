@@ -104,6 +104,14 @@ class DictOracle:
         self.remove(instance_id)
         self.add(instance_id, payload)
 
+    def tokens(self, instance_id):
+        """The analysed tokens of one document it holds, by token:
+        what ``InvertedIndex.remove`` takes for that document."""
+        return [
+            token for token, row in sorted(self.postings.items())
+            for _ in range(row.get(instance_id, 0))
+        ]
+
     def df(self, token):
         return len(self.postings.get(token, ()))
 

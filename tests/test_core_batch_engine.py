@@ -223,8 +223,7 @@ class TestEngineEdges:
         with pytest.raises(ValueError):
             BatchEngine(system, max_workers=0)
 
-    def test_config_default_workers_used(self, bundle, workload):
+    def test_default_is_one_worker(self, bundle, workload):
         system = make_system(bundle)
-        system.config.batch_max_workers = 3
         batch = system.verify_batch(workload[:2])
-        assert batch.stats.max_workers == 3
+        assert batch.stats.max_workers == 1

@@ -25,7 +25,6 @@ def full_system(tiny_lake, quiet_profile):
         chunk_text=True,
         chunk_max_tokens=24,
         k_coarse=20,
-        embedding_dim=128,
         prefer_local=True,
     )
     return VerifAI(

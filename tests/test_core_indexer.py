@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.config import VerifAIConfig
+from repro.core.config import EMBEDDING_DIM, VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index.inverted import InvertedIndex
@@ -45,7 +45,7 @@ class TestBuild:
 
     def test_semantic_enabled(self, tiny_lake):
         indexer = IndexerModule(
-            tiny_lake, VerifAIConfig(use_semantic_index=True, embedding_dim=64)
+            tiny_lake, VerifAIConfig(use_semantic_index=True)
         ).build()
         assert indexer.semantic_index(Modality.TUPLE) is not None
 
@@ -97,7 +97,7 @@ SEAL_ARRAYS = ("lengths", "tok_start", "doc_idx", "tf_flat", "ordinal")
 
 
 def semantic_config():
-    return VerifAIConfig(use_semantic_index=True, embedding_dim=64)
+    return VerifAIConfig(use_semantic_index=True)
 
 
 def public_indexes(indexer, modality):
@@ -105,7 +105,7 @@ def public_indexes(indexer, modality):
     ``add(id, payload)``, in the order the indexer adds its entries."""
     content = InvertedIndex()
     semantic = FlatVectorIndex(
-        dim=indexer.config.embedding_dim,
+        dim=EMBEDDING_DIM,
         encoder=indexer._vectorizer.transform,
     )
     for index_id, payload in indexer._modality_entries(modality):
@@ -203,8 +203,10 @@ class TestAnalyseOnce:
         indexer.update_instance(lake.update_instance(new), new)
         row = new.iter_rows()[-1]
         payload = indexer._payload_entries(row)[0][1]
+        old_payload = indexer._payload_entries(table.iter_rows()[-1])[0][1]
+        content.remove(row.instance_id, content._analyze(old_payload))
+        semantic.remove(row.instance_id)
         for index in (content, semantic):
-            index.remove(row.instance_id)
             index.add(row.instance_id, payload)
         assert_same_indexes(indexer, Modality.TUPLE, content, semantic)
 

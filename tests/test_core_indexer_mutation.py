@@ -44,12 +44,22 @@ def lake_and_indexer():
 # the raw index: seal lifecycle under mutation
 # ---------------------------------------------------------------------------
 class TestInvertedIndexSealLifecycle:
+    DOCS = {
+        "a": "red apples in the orchard",
+        "b": "green apples and red pears",
+        "c": "the orchard gate is green",
+    }
+
     def build(self):
         index = InvertedIndex(name="seal-test")
-        index.add("a", "red apples in the orchard")
-        index.add("b", "green apples and red pears")
-        index.add("c", "the orchard gate is green")
+        for doc_id, text in self.DOCS.items():
+            index.add(doc_id, text)
         return index
+
+    def remove(self, index, doc_id):
+        """Remove a document of :attr:`DOCS` the way the indexer
+        does: handing over the analysed tokens of what it indexed."""
+        index.remove(doc_id, index._analyze(self.DOCS[doc_id]))
 
     def test_add_after_search_invalidates_and_reseals(self):
         index = self.build()
@@ -65,14 +75,15 @@ class TestInvertedIndexSealLifecycle:
         index = self.build()
         index.search("apples", 5)
         assert index.is_sealed
-        index.remove("a")
+        self.remove(index, "a")
         assert not index.is_sealed
         assert [h.instance_id for h in index.search("orchard", 5)] == ["c"]
 
     def test_update_after_search_matches_fresh_build(self):
         index = self.build()
         index.search("apples", 5)
-        index.update("b", "yellow bananas and red pears")
+        self.remove(index, "b")
+        index.add("b", "yellow bananas and red pears")
         fresh = InvertedIndex(name="seal-test")
         fresh.add("a", "red apples in the orchard")
         fresh.add("b", "yellow bananas and red pears")
@@ -87,9 +98,9 @@ class TestInvertedIndexSealLifecycle:
             index = InvertedIndex(name="dict")
             index.add("a", "shared token alpha")
             index.add("b", "shared token beta")
-            if sealed:  # the removal reads "a"'s tokens off the seal
+            if sealed:  # the base carries "a": its tokens are handed over
                 index.seal()
-            index.remove("a")
+            index.remove("a", index._analyze("shared token alpha"))
             # the statistics move before any read, and the token only
             # "a" carried is out of the vocabulary
             assert not index.is_sealed
@@ -103,7 +114,7 @@ class TestInvertedIndexSealLifecycle:
 
     def test_remove_then_readd_same_id(self):
         index = self.build()
-        index.remove("a")
+        self.remove(index, "a")
         index.add("a", "completely new words about plums")
         hits = index.search("plums", 5)
         assert [h.instance_id for h in hits] == ["a"]
@@ -115,13 +126,13 @@ class TestInvertedIndexSealLifecycle:
     def test_remove_unknown_raises_and_changes_nothing(self):
         index = self.build()
         with pytest.raises(KeyError):
-            index.remove("ghost")
+            index.remove("ghost", ())
         assert len(index) == 3
 
     def test_stats_corrected_before_compaction(self):
         index = self.build()
         before = index.avg_doc_length
-        index.remove("a")
+        self.remove(index, "a")
         # every statistic reflects the removal at once, before any read
         assert not index.is_sealed
         assert len(index) == 2

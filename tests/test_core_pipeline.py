@@ -35,8 +35,7 @@ class TestConfig:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("k_coarse", 0), ("k_coarse", -1), ("embedding_dim", 0),
-        ("chunk_max_tokens", 0), ("batch_max_workers", 0),
+        ("k_coarse", 0), ("k_coarse", -1), ("chunk_max_tokens", 0),
         ("batch_max_retries", -1),
     ])
     def test_a_value_below_the_floor_is_refused(self, field, value):
@@ -49,8 +48,7 @@ class TestConfigValidation:
 
     def test_the_floors_are_accepted(self):
         config = VerifAIConfig(
-            k_coarse=1, k_fine={Modality.TUPLE: 1}, batch_max_workers=1,
-            batch_max_retries=0,
+            k_coarse=1, k_fine={Modality.TUPLE: 1}, batch_max_retries=0,
         )
         assert config.fine_k(Modality.TUPLE) == 1
 
@@ -257,7 +255,7 @@ class TestRerankedPipeline:
         llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=7)
         system = VerifAI(
             tiny_lake, llm=llm,
-            config=VerifAIConfig(use_semantic_index=True, embedding_dim=64),
+            config=VerifAIConfig(use_semantic_index=True),
         ).build_indexes()
         obj = TupleObject(
             "o", tiny_lake.table("t-ohio-1950").row(0), attribute="party"

@@ -121,8 +121,10 @@ class TestMatrixKernel:
     def test_matrix_after_mutation_reseals_correctly(self):
         index = build_index()
         index.search_batch(MICRO_QUERIES, 5)  # seals
-        index.remove("d1")
-        index.update("d3", "sunny mornings in the green meadow")
+        payloads = dict(DOCS)
+        index.remove("d1", index._analyze(payloads["d1"]))
+        index.remove("d3", index._analyze(payloads["d3"]))
+        index.add("d3", "sunny mornings in the green meadow")
         got = [pairs(h) for h in index.search_batch(MICRO_QUERIES, 5)]
         oracle = InvertedIndex(name="micro")
         for doc_id, text in DOCS:
@@ -539,8 +541,7 @@ class TestSoloReadHammer:
         spy = SpanSpy(monkeypatch)
         for round_no in range(6):
             text = corpus_text(rng)
-            index.update(f"doc{round_no * 7:04d}", text)
-            oracle.update(f"doc{round_no * 7:04d}", text)
+            replace(index, oracle, f"doc{round_no * 7:04d}", text)
             sealed = index.seal()._sealed  # published, no span yet
             assert sealed.spans == {}
             expected = [pairs(oracle.search(q, 7)) for q in queries]
@@ -608,9 +609,17 @@ def member_rankings(index, queries, depths):
     return [exact(index.rank_planned(plan, k)) for k in depths]
 
 
-def write_burst(rng, indexes, live):
-    """Up to five seeded writes — add, remove, update — applied to every
-    one of ``indexes`` and mirrored in ``live``."""
+def replace(index, oracle, name, text):
+    """Replace one document's payload in ``index`` and ``oracle``: the
+    removal hands the index the terms the oracle analysed."""
+    index.remove(name, oracle.tokens(name))
+    index.add(name, text)
+    oracle.update(name, text)
+
+
+def write_burst(rng, index, oracle, live):
+    """Up to five seeded writes — add, remove, update — applied to
+    ``index`` and ``oracle`` and mirrored in ``live``."""
     for _ in range(rng.randint(1, 5)):
         kind = rng.choice(["add", "remove", "update"]) if live else "add"
         text = " ".join(rng.choices(PASS_WORDS, k=rng.randint(1, 5)))
@@ -619,18 +628,17 @@ def write_burst(rng, indexes, live):
             if name in live:
                 continue
             live[name] = text
-            for index in indexes:
-                index.add(name, text)
+            index.add(name, text)
+            oracle.add(name, text)
         elif kind == "remove":
             name = rng.choice(sorted(live))
             del live[name]
-            for index in indexes:
-                index.remove(name)
+            index.remove(name, oracle.tokens(name))
+            oracle.remove(name)
         else:
             name = rng.choice(sorted(live))
             live[name] = text
-            for index in indexes:
-                index.update(name, text)
+            replace(index, oracle, name, text)
 
 
 class TestOneQueryAPass:
@@ -652,7 +660,7 @@ class TestOneQueryAPass:
         tie_fill(oracle, texts)
         live = {f"doc{n:02d}": text for n, text in enumerate(texts)}
         for _ in range(12):
-            write_burst(rng, [index, oracle], live)
+            write_burst(rng, index, oracle, live)
             # read through the burst's views, then compacted: the parent's
             # kernels read a seal's CSR arrays
             depths = range(len(live) + 6)
@@ -758,6 +766,7 @@ class TestOneQueryAPass:
 
     def test_a_span_is_derived_by_its_first_read(self, monkeypatch):
         index = fill(InvertedIndex(name="pass"), docs=40).seal()
+        oracle = fill(DictOracle(name="pass"), docs=40)
         sealed = index._sealed
         base = sealed.base
         assert sealed.spans == {}
@@ -778,7 +787,7 @@ class TestOneQueryAPass:
             ]
         index.search_batch(["rotax kamex", "kamex"], 3)
         assert spy.seals == [[sealed, 2]]  # derived once a seal
-        index.update("doc0003", "rotax merox")
+        replace(index, oracle, "doc0003", "rotax merox")
         assert index.seal()._sealed.spans == {}  # a new seal, a new cache
         assert sorted(sealed.spans) == ["kamex", "rotax"]
 
@@ -835,8 +844,7 @@ class TestSpanHammer:
         spy = SpanSpy(monkeypatch)
         for round_no in range(6):
             text = corpus_text(rng)
-            index.update(f"doc{round_no * 11:04d}", text)
-            oracle.update(f"doc{round_no * 11:04d}", text)
+            replace(index, oracle, f"doc{round_no * 11:04d}", text)
             sealed = index.seal()._sealed  # published, no span yet
             assert sealed.spans == {}
             expected = [pairs(oracle.search(q, 7)) for q in queries]
@@ -876,10 +884,9 @@ class TestSpanHammer:
                     pseudo_word(rng.randrange(25))
                     for _ in range(oracle.lengths[name])
                 )
-                index.update(name, text)
-                oracle.update(name, text)
+                replace(index, oracle, name, text)
             elif step:
-                write_burst(rng, [index, oracle], {
+                write_burst(rng, index, oracle, {
                     name: "" for name in oracle.lengths
                 })
             current = index._current_seal()

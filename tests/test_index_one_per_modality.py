@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.core.config import VerifAIConfig
+from repro.core.config import EMBEDDING_DIM, VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.embed.vectorizers import HashingVectorizer
@@ -172,16 +172,15 @@ class TestFusionPaths:
         built = {
             method: Built(
                 small_bundle.lake,
-                VerifAIConfig(
-                    use_semantic_index=True, embedding_dim=64, fusion=method
-                ),
+                VerifAIConfig(use_semantic_index=True, fusion=method),
             )
             for method in FusionMethod
         }
         vectors = {}
         for modality, entries in built[FusionMethod.RRF].entries.items():
             index = FlatVectorIndex(
-                64, encoder=HashingVectorizer(dim=64).transform
+                EMBEDDING_DIM,
+                encoder=HashingVectorizer(dim=EMBEDDING_DIM).transform,
             )
             for instance_id, payload in entries:
                 index.add(instance_id, payload)
@@ -295,15 +294,14 @@ class TestStatistics:
             payload = " ".join(rng.choices(WORDS, k=rng.randint(1, 6)))
             if live and roll < 0.3:
                 doc_id = rng.choice(live)
-                # the indexer's removal hands over the terms; a bare
-                # removal scans the seal for them
-                tokens = analyze(payloads.pop(doc_id))
-                index.remove(doc_id, tokens if rng.random() < 0.5 else None)
+                # the removal hands over the terms, as the indexer's does
+                index.remove(doc_id, analyze(payloads.pop(doc_id)))
                 oracle.remove(doc_id)
             elif live and roll < 0.5:
                 doc_id = rng.choice(live)
+                index.remove(doc_id, analyze(payloads[doc_id]))
+                index.add(doc_id, payload)
                 payloads[doc_id] = payload
-                index.update(doc_id, payload)
                 oracle.update(doc_id, payload)
             else:
                 doc_id = f"d{step:02d}"
@@ -333,9 +331,12 @@ class TestRemoval:
             index.add(doc_id, text)
         return index
 
+    def remove(self, index, doc_id):
+        index.remove(doc_id, analyze(dict(self.DOCS)[doc_id]))
+
     def test_len_and_contains_follow_a_removal_before_any_seal(self):
         index = self.filled()
-        index.remove("d2")
+        self.remove(index, "d2")
         assert len(index) == len(self.DOCS) - 1
         assert "d2" not in index and "d1" in index
         assert "d2" not in [h.instance_id for h in index.search("dog", 10)]
@@ -345,7 +346,7 @@ class TestRemoval:
 
     def test_a_removal_from_a_seal_equals_a_fresh_index(self):
         index = self.filled().seal()
-        index.remove("d1")
+        self.remove(index, "d1")
         fresh = InvertedIndex(name="removal")
         for doc_id, text in self.DOCS[1:]:
             fresh.add(doc_id, text)
@@ -356,7 +357,8 @@ class TestRemoval:
 
     def test_an_update_equals_a_rebuild(self):
         index = self.filled().seal()
-        index.update("d3", "sunny mornings in the green meadow")
+        self.remove(index, "d3")
+        index.add("d3", "sunny mornings in the green meadow")
         rebuilt = DictOracle.like(index, [
             (doc_id, "sunny mornings in the green meadow"
              if doc_id == "d3" else text)
@@ -373,7 +375,7 @@ class TestRemoval:
         if sealed:
             index.seal()
         with pytest.raises(KeyError):
-            index.remove("ghost")
+            index.remove("ghost", ())
         assert len(index) == len(self.DOCS)
         assert_same_as(index, DictOracle.like(index, self.DOCS))
 

@@ -124,13 +124,12 @@ class Pair:
         self.payloads[doc_id] = text
 
     def remove(self, doc_id):
-        self.live.remove(doc_id)
-        del self.payloads[doc_id]
+        text = self.payloads.pop(doc_id)
+        self.live.remove(doc_id, self.live._analyze(text))
 
     def update(self, doc_id, text):
-        self.live.update(doc_id, text)
-        del self.payloads[doc_id]  # an update moves it to the end
-        self.payloads[doc_id] = text
+        self.remove(doc_id)  # an update moves it to the end
+        self.add(doc_id, text)
 
     def __contains__(self, doc_id):
         return doc_id in self.payloads
@@ -182,14 +181,14 @@ def seeded_pair(seed, docs=60, **kwargs):
     return pair, rng
 
 
-def churn_for_the_pin(index, rng):
+def churn_for_the_pin(pair, rng):
     for number in range(0, 400, 7):
-        index.remove(f"doc{number}")
+        pair.remove(f"doc{number}")
     for number in range(3, 400, 11):
-        if f"doc{number}" in index:
-            index.update(f"doc{number}", payload(rng))
+        if f"doc{number}" in pair:
+            pair.update(f"doc{number}", payload(rng))
     for number in range(0, 400, 21):
-        index.add(f"doc{number}", payload(rng))
+        pair.add(f"doc{number}", payload(rng))
 
 
 def patched_count():
@@ -218,7 +217,7 @@ class TestCompileIsPinned:
         pair, rng = seeded_pair(14, docs=400)
         index = pair.live
         index.seal()
-        churn_for_the_pin(index, rng)
+        churn_for_the_pin(pair, rng)
         before = patched_count()
         index.seal()
         assert patched_count() == before + 1
@@ -684,11 +683,9 @@ class TestAnyWriteSequence:
                 written.append(op[2])
             elif kind in ("remove", "update") and alive:
                 doc_id = alive[op[1] % len(alive)]
-                del payloads[doc_id]
-                if kind == "remove":
-                    index.remove(doc_id)
-                else:
-                    index.update(doc_id, op[2])
+                index.remove(doc_id, index._analyze(payloads.pop(doc_id)))
+                if kind == "update":
+                    index.add(doc_id, op[2])
                     payloads[doc_id] = op[2]
                     written.append(op[2])
             elif kind == "seal":

@@ -272,14 +272,18 @@ def burst(rng, index, live, writes):
             name = rng.choice(free)
             live[name] = " ".join(rng.choices(TIE_WORDS, k=rng.randint(1, 3)))
             index.add(name, live[name])
-        elif kind == "remove":
-            name = rng.choice(sorted(live))
-            del live[name]
-            index.remove(name)
         else:
             name = rng.choice(sorted(live))
-            live[name] = " ".join(rng.choices(TIE_WORDS, k=rng.randint(1, 3)))
-            index.update(name, live[name])
+            old = live.pop(name)
+            if isinstance(index, InvertedIndex):
+                index.remove(name, index._analyze(old))
+            else:
+                index.remove(name)
+            if kind == "update":
+                live[name] = " ".join(
+                    rng.choices(TIE_WORDS, k=rng.randint(1, 3))
+                )
+                index.add(name, live[name])
 
 
 def assert_bm25_selects_as_the_parent(index, queries):
@@ -389,10 +393,11 @@ class TestOrdinalSelection:
         for name in ("t2", "t10", "T5", "t1#r0", "a"):
             index.add(name, "kax")
         index.seal()
-        index.remove("t10")
+        index.remove("t10", ["kax"])
         index.seal()
         index.add("t10", "kax")
-        index.update("t2", "kax")
+        index.remove("t2", ["kax"])
+        index.add("t2", "kax")
         assert index.rank_batch(["kax"], 4)[0][0] == ["T5", "a", "t1#r0", "t10"]
         sealed = index._sealed
         assert sealed.base.doc_ids == ["T5", "t1#r0", "a", "t10", "t2"]
@@ -475,10 +480,11 @@ class TestOrdinalHammer:
             if round_no:  # the first round races the compile
                 updated, removed = rng.sample(sorted(index._doc_length), 2)
                 text = " ".join(rng.choices(TIE_WORDS, k=2))
-                index.update(updated, text)
+                index.remove(updated, oracle.tokens(updated))
+                index.add(updated, text)
                 oracle.update(updated, text)
                 if round_no % 2:  # else an update-only fold
-                    index.remove(removed)
+                    index.remove(removed, oracle.tokens(removed))
                     oracle.remove(removed)
             assert index._sealed is None
             expected = [
