@@ -116,7 +116,7 @@ coverage:
 		tests/test_memos.py
 
 lint:
-	PYTHONPATH=src python -m repro.cli lint --baseline lint_baseline.json src/repro
+	PYTHONPATH=src python -m repro.cli lint src/repro
 
 # orchestrate-until-pass demo: run the default convergence mix and
 # print per-round verdict deltas plus the mix summary (write audit

@@ -6,12 +6,10 @@ checks those invariants syntactically on every commit.  See
 docs/static_analysis.md for the rule catalogue.
 """
 
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.linter import (
     Finding,
     Linter,
     LintRun,
-    ParseCache,
     ProjectRule,
     Rule,
     all_project_rules,
@@ -23,16 +21,13 @@ from repro.analysis.linter import (
 from repro.analysis.report import render_json, render_text
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintRun",
     "Linter",
-    "ParseCache",
     "ProjectRule",
     "Rule",
     "all_project_rules",
     "all_rules",
-    "fingerprint",
     "known_rule_ids",
     "register",
     "register_project",

@@ -31,6 +31,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
+from repro.analysis.linter import dotted_name
 from repro.analysis.project import (
     FunctionInfo,
     ModuleInfo,
@@ -46,23 +47,10 @@ class CallSite:
     callee: str              #: qualname, ``external:<dotted>``, or ``param:<n>``
     node: ast.Call
     module: str
-    via_fallback: bool = False
 
     @property
     def is_param(self) -> bool:
         return self.callee.startswith("param:")
-
-
-def dotted(node: ast.AST) -> str:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 class CallGraph:
@@ -204,7 +192,7 @@ class CallGraph:
         node: ast.Call,
         func: ast.Attribute,
     ) -> Iterator[CallSite]:
-        chain = dotted(func)
+        chain = dotted_name(func)
         attr = func.attr
         if chain.startswith("self.") and fn.class_name is not None:
             cls = self.project.classes.get(f"{mod.name}.{fn.class_name}")
@@ -247,13 +235,7 @@ class CallGraph:
             yield self._site(fn, mod, node, f"external:.{method_name}")
             return
         for candidate in candidates:
-            yield CallSite(
-                caller=fn.qualname,
-                callee=candidate.qualname,
-                node=node,
-                module=mod.name,
-                via_fallback=True,
-            )
+            yield self._site(fn, mod, node, candidate.qualname)
 
     def _resolve_dotted(self, target: str) -> Optional[str]:
         """Map a fully expanded dotted name to a project symbol:
@@ -290,7 +272,9 @@ class CallGraph:
             returns = getattr(fn.node, "returns", None)
             rendered = ""
             if returns is not None:
-                rendered = dotted(returns) or getattr(returns, "value", "")
+                rendered = dotted_name(returns) or getattr(
+                    returns, "value", ""
+                )
                 rendered = str(rendered)
             if "Process" in rendered or "process_pool" in fn.name:
                 factories.add(qualname)
@@ -304,7 +288,7 @@ class CallGraph:
         mod = self.project.modules[fn.module]
 
         def classify_call(call: ast.Call) -> Optional[str]:
-            name = dotted(call.func)
+            name = dotted_name(call.func)
             if not name:
                 return None
             head = name.split(".")[0]
@@ -365,7 +349,7 @@ class CallGraph:
                 return self._resolve_dotted(target)
             return None
         if isinstance(node, ast.Attribute):
-            chain = dotted(node)
+            chain = dotted_name(node)
             if chain.startswith("self.") and fn.class_name is not None:
                 cls = self.project.classes.get(
                     f"{mod.name}.{fn.class_name}"
@@ -389,7 +373,7 @@ class CallGraph:
                     continue
                 func = node.func
                 # threading.Thread(target=worker)
-                chain = dotted(func)
+                chain = dotted_name(func)
                 head = chain.split(".")[0] if chain else ""
                 expanded = chain
                 if head and head in mod.imports:

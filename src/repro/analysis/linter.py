@@ -8,39 +8,32 @@ Linting runs in **two phases**:
 2. *whole-program* — the per-file contexts are lifted into a
    :class:`~repro.analysis.project.Project` (module + symbol tables, a
    conservative call graph) and every registered :class:`ProjectRule`
-   runs once over it.  This is where the interprocedural families live:
-   lock-order cycles (IPC), cross-call determinism taint (IPD), escape
-   analysis for pool-shared state (IPE), and the stale-pragma audit
-   (META001), which needs both phases' raw findings to decide whether a
+   runs once over it.  This is where the interprocedural rules live:
+   blocking calls under a lock (IPC002), escape analysis for
+   pool-shared state (IPE001), and the stale-pragma audit (META001),
+   which needs both phases' raw findings to decide whether a
    suppression still suppresses anything.
 
 Findings from both phases are filtered through inline ``# repro-lint:
-disable=RULE`` pragmas before being returned.  An mtime-keyed
-:class:`ParseCache` can skip phase 1 for unchanged files (the
-whole-program phase always runs fresh — it is cross-file by nature).
+disable=RULE`` pragmas — the one way to suppress a finding — before
+being returned.
 
-The rules themselves live in :mod:`repro.analysis.rules` and encode the
-reproduction's two load-bearing invariants (see docs/static_analysis.md):
-every code path must be seeded-deterministic, and every verifier must
-stay inside the closed ternary ``Verdict`` space — plus the concurrency
-discipline the batched engine introduced in PR 1.
+The rules themselves live in :mod:`repro.analysis.rules`; each one
+stays only while it has caught a real defect (the keep rule in
+docs/static_analysis.md).
 """
 
 from __future__ import annotations
 
 import ast
-import pickle
 import re
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type,
+)
 
-#: bumped whenever rule semantics or the cache payload shape changes;
-#: part of the cache signature so stale caches self-invalidate
-ENGINE_VERSION = 2
-
-#: matches trailing ``disable=DET001`` / ``disable-file=DET001,CTR003``
+#: matches trailing ``disable=DET003`` / ``disable-file=DET003,CTR003``
 #: suppression comments (introduced by a hash and the tool name)
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\s]+)"
@@ -103,7 +96,7 @@ class ProjectRule(Rule):
     Runs once per lint invocation over the assembled
     :class:`~repro.analysis.project.Project` instead of per AST node;
     findings anchor in whichever file holds the offending node, so
-    pragmas and the baseline apply exactly as for per-file rules.
+    pragmas apply exactly as for per-file rules.
     """
 
     node_types: Tuple[type, ...] = (ast.Module,)  # satisfies Rule contract
@@ -226,71 +219,12 @@ def _annotate_parents(tree: ast.AST) -> None:
             child._repro_parent = parent  # type: ignore[attr-defined]
 
 
-class ParseCache:
-    """An mtime-keyed cache of phase-1 results.
-
-    Keyed by ``(mtime_ns, size, rules signature)`` per file; a hit skips
-    parsing-and-dispatching that file's per-file rules and replays the
-    cached raw findings + pragma tables.  The whole-program phase still
-    re-parses hit files (it needs every AST fresh), which is cheap —
-    rule dispatch, not parsing, dominates a cold run.
-    """
-
-    def __init__(self, path: Path, signature: str) -> None:
-        self.path = Path(path)
-        self.signature = signature
-        self.hits = 0
-        self.misses = 0
-        self._entries: Dict[str, dict] = {}
-        self._dirty = False
-        if self.path.is_file():
-            try:
-                with self.path.open("rb") as handle:
-                    payload = pickle.load(handle)
-                if payload.get("signature") == signature:
-                    self._entries = payload.get("entries", {})
-            except Exception:
-                self._entries = {}  # a corrupt cache is just a cold cache
-
-    def get(self, rel_path: str, file_path: Path) -> Optional[tuple]:
-        entry = self._entries.get(rel_path)
-        if entry is None:
-            self.misses += 1
-            return None
-        stat = file_path.stat()
-        if entry["mtime_ns"] != stat.st_mtime_ns or entry["size"] != stat.st_size:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry["payload"]
-
-    def put(self, rel_path: str, file_path: Path, payload: tuple) -> None:
-        stat = file_path.stat()
-        self._entries[rel_path] = {
-            "mtime_ns": stat.st_mtime_ns,
-            "size": stat.st_size,
-            "payload": payload,
-        }
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        blob = pickle.dumps(
-            {"signature": self.signature, "entries": self._entries}
-        )
-        self.path.write_bytes(blob)
-        self._dirty = False
-
-
 @dataclass
 class LintRun:
     """The result of one two-phase lint invocation."""
 
     findings: List[Finding]
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 class Linter:
@@ -312,22 +246,13 @@ class Linter:
             for node_type in rule.node_types:
                 self._dispatch.setdefault(node_type, []).append(rule)
 
-    def cache_signature(self) -> str:
-        """Cache key component tying entries to the active rule set."""
-        digest = blake2b(digest_size=12)
-        digest.update(f"engine:{ENGINE_VERSION}".encode())
-        for rule in self.rules:
-            digest.update(rule.rule_id.encode())
-        return digest.hexdigest()
-
     # ------------------------------------------------------------------
     # phase 1: per-file
     # ------------------------------------------------------------------
-    def _make_context(self, source: str, path: str) -> Optional[LintContext]:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            return None
+    def _make_context(self, source: str, path: str) -> LintContext:
+        """Parse one file (``SyntaxError`` propagates) and read its
+        pragmas."""
+        tree = ast.parse(source, filename=path)
         lines = source.splitlines()
         line_pragmas, file_pragmas = _parse_pragmas(lines)
         parts = Path(path).parts
@@ -351,22 +276,16 @@ class Linter:
         """Phase-1 raw findings (pre-pragma) for one source string."""
         try:
             ctx = self._make_context(source, path)
-        except SyntaxError:  # pragma: no cover - _make_context catches
-            ctx = None
-        if ctx is None:
-            try:
-                ast.parse(source, filename=path)
-            except SyntaxError as error:
-                return None, [
-                    Finding(
-                        rule_id="E001",
-                        path=path,
-                        line=error.lineno or 1,
-                        col=error.offset or 0,
-                        message=f"syntax error: {error.msg}",
-                    )
-                ]
-            return None, []  # pragma: no cover - unreachable
+        except SyntaxError as error:
+            return None, [
+                Finding(
+                    rule_id="E001",
+                    path=path,
+                    line=error.lineno or 1,
+                    col=error.offset or 0,
+                    message=f"syntax error: {error.msg}",
+                )
+            ]
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
             for rule in self._dispatch.get(type(node), ()):
@@ -376,9 +295,7 @@ class Linter:
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
-    def lint_source(
-        self, source: str, path: str = "<string>", root: Optional[Path] = None
-    ) -> List[Finding]:
+    def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
         """Lint one source string with the per-file rules only;
         ``path`` is used for reporting only.  (Whole-program rules need
         a project — see :meth:`run_paths` or
@@ -392,25 +309,13 @@ class Linter:
     def lint_paths(
         self, paths: Iterable[Path], root: Optional[Path] = None
     ) -> List[Finding]:
-        """Two-phase lint of every ``.py`` file under each path; see
-        :meth:`run_paths` for cache / diff-scoped variants."""
+        """Two-phase lint of every ``.py`` file under each path."""
         return self.run_paths(paths, root=root).findings
 
     def run_paths(
-        self,
-        paths: Iterable[Path],
-        root: Optional[Path] = None,
-        cache: Optional[ParseCache] = None,
-        changed: Optional[Set[str]] = None,
+        self, paths: Iterable[Path], root: Optional[Path] = None
     ) -> LintRun:
-        """Lint ``paths`` through both phases.
-
-        ``cache`` replays phase-1 results for unchanged files;
-        ``changed`` (a set of repo-relative paths) restricts *reported*
-        findings to those files while the whole-program phase still
-        sees the full tree — diff-scoped lint must not lose cross-file
-        context.
-        """
+        """Lint ``paths`` through both phases."""
         from repro.analysis.project import Project, module_info
 
         contexts: List[LintContext] = []
@@ -420,26 +325,10 @@ class Linter:
         for file_path in self._iter_files(paths):
             files += 1
             rel = _rel_path(file_path, root)
-            cached = cache.get(rel, file_path) if cache is not None else None
-            if cached is not None:
-                file_findings, line_pragmas, file_pragmas = cached
-                source = file_path.read_text(encoding="utf-8")
-                ctx = self._make_context(source, rel)
-                if ctx is not None:
-                    ctx.line_pragmas = line_pragmas
-                    ctx.file_pragmas = file_pragmas
-                    contexts.append(ctx)
-            else:
-                source = file_path.read_text(encoding="utf-8")
-                ctx, file_findings = self._lint_module(source, rel)
-                if ctx is not None:
-                    contexts.append(ctx)
-                    if cache is not None:
-                        cache.put(
-                            rel, file_path,
-                            (file_findings, ctx.line_pragmas,
-                             ctx.file_pragmas),
-                        )
+            source = file_path.read_text(encoding="utf-8")
+            ctx, file_findings = self._lint_module(source, rel)
+            if ctx is not None:
+                contexts.append(ctx)
             raw.extend(file_findings)
             raw_by_file.setdefault(rel, []).extend(file_findings)
 
@@ -466,17 +355,8 @@ class Linter:
             if ctx is not None and ctx.suppressed(finding):
                 continue
             findings.append(finding)
-        if changed is not None:
-            findings = [f for f in findings if f.path in changed]
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        if cache is not None:
-            cache.save()
-        return LintRun(
-            findings=findings,
-            files=files,
-            cache_hits=cache.hits if cache is not None else 0,
-            cache_misses=cache.misses if cache is not None else 0,
-        )
+        return LintRun(findings=findings, files=files)
 
     @staticmethod
     def _iter_files(paths: Iterable[Path]) -> Iterator[Path]:

@@ -1,8 +1,8 @@
 """The whole-program project model behind the interprocedural rules.
 
 The per-file rule engine (:mod:`repro.analysis.linter`) sees one AST at
-a time; lock-order cycles, cross-call determinism taint, and
-escaped-to-a-thread-pool state are invisible to it.  This module builds
+a time; blocking calls under a lock and escaped-to-a-thread-pool state
+are invisible to it.  This module builds
 the shared substrate those analyses need:
 
 * a **module table** — every ``.py`` file under the linted roots, keyed
@@ -46,10 +46,6 @@ class FunctionInfo:
     name: str                #: unqualified name (``build``, ``<lambda:12>``)
     node: ast.AST            #: FunctionDef / AsyncFunctionDef / Lambda
     class_name: Optional[str] = None  #: owning class, if a method
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
 
     def body_nodes(self) -> Iterator[ast.AST]:
         """Walk this function's own body, NOT descending into nested
@@ -168,7 +164,7 @@ class Project:
         self.classes: Dict[str, ClassInfo] = {}
         #: dynamic-dispatch fallback table: method name -> defining methods
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
-        #: per-file raw findings (pre-pragma, pre-baseline), set by the
+        #: per-file raw findings (pre-pragma), set by the
         #: linter before the whole-program phase so META001 can audit
         #: pragma liveness against what actually fired
         self.file_findings: Dict[str, List[Finding]] = {}

@@ -8,18 +8,15 @@ diff two runs byte-for-byte.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.linter import Finding, LintRun, Rule
+from repro.analysis.linter import Finding, Rule
 
 
-def render_text(
-    findings: Sequence[Finding], suppressed: int = 0
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report, one line per finding, grouped by file."""
     if not findings:
-        tail = f" ({suppressed} baselined)" if suppressed else ""
-        return f"repro-lint: clean{tail}"
+        return "repro-lint: clean"
     lines: List[str] = []
     current_path = None
     for finding in findings:
@@ -38,35 +35,22 @@ def render_text(
     summary = ", ".join(
         f"{rule} x{count}" for rule, count in sorted(by_rule.items())
     )
-    tail = f"; {suppressed} baselined" if suppressed else ""
-    lines.append(f"repro-lint: {len(findings)} finding(s) ({summary}){tail}")
+    lines.append(f"repro-lint: {len(findings)} finding(s) ({summary})")
     return "\n".join(lines)
 
 
 def render_json(
-    findings: Sequence[Finding],
-    rules: Sequence[Rule] = (),
-    suppressed: int = 0,
-    run: Optional[LintRun] = None,
+    findings: Sequence[Finding], rules: Sequence[Rule] = (), files: int = 0
 ) -> str:
     """Machine-readable report for CI diffing.
 
     Byte-stable by construction: sorted keys, sorted findings, no
-    wall-clock and no absolute paths.  The ``cache`` block reports the
-    parse cache's hit/miss counters when a :class:`LintRun` is given;
-    with the cache disabled (the CI default) it is all zeros, so two
-    consecutive runs stay byte-identical.
+    wall-clock and no absolute paths.
     """
     payload = {
-        "version": 2,
+        "version": 3,
         "count": len(findings),
-        "suppressed": suppressed,
-        "cache": {
-            "enabled": run is not None and (run.cache_hits + run.cache_misses) > 0,
-            "hits": run.cache_hits if run is not None else 0,
-            "misses": run.cache_misses if run is not None else 0,
-        },
-        "files": run.files if run is not None else 0,
+        "files": files,
         "rules": [
             {
                 "id": rule.rule_id,

@@ -2,10 +2,8 @@
 
 The paper's ``verify(g, x)`` contract is a closed ternary: every
 verifier maps into ``Verdict.{VERIFIED, REFUTED, NOT_RELATED}`` and
-every consumer must handle all three.  These rules enforce that, plus
-two generic correctness contracts (no float ``==`` in scoring code, no
-mutable default arguments) and one observability contract (no silently
-swallowed exceptions).
+every consumer must handle all three.  CTR002 enforces that on every
+verdict dispatch; CTR003 keeps float ``==`` out of scoring code.
 """
 
 from __future__ import annotations
@@ -42,46 +40,6 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         yield node
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             stack.extend(ast.iter_child_nodes(node))
-
-
-@register
-class VerdictReturnRule(Rule):
-    rule_id = "CTR001"
-    name = "verdict-return-type"
-    category = "contracts"
-    description = (
-        "A function annotated -> Verdict must return Verdict members on "
-        "every path — not ints, strings, or an implicit None."
-    )
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        if node.returns is None:
-            return
-        annotation = ast.unparse(node.returns)
-        if "Verdict" not in annotation:
-            return
-        allows_none = "Optional" in annotation or "None" in annotation
-        for sub in _own_nodes(node):
-            if not isinstance(sub, ast.Return):
-                continue
-            value = sub.value
-            if value is None or (
-                isinstance(value, ast.Constant) and value.value is None
-            ):
-                if not allows_none:
-                    yield self.finding(
-                        ctx, sub,
-                        f"{node.name}() is annotated -> {annotation} but "
-                        "returns None; return an explicit Verdict member",
-                    )
-            elif isinstance(value, ast.Constant):
-                yield self.finding(
-                    ctx, sub,
-                    f"{node.name}() is annotated -> {annotation} but "
-                    f"returns the bare constant {value.value!r}; return a "
-                    "Verdict member",
-                )
 
 
 @register
@@ -246,76 +204,3 @@ class FloatEqualityRule(Rule):
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
             return expr.func.id == "float"
         return False
-
-
-@register
-class MutableDefaultRule(Rule):
-    rule_id = "CTR004"
-    name = "mutable-default-arg"
-    category = "contracts"
-    description = (
-        "A mutable default ([] / {} / set()) is created once and shared "
-        "across calls (and threads); default to None and construct inside."
-    )
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in ("list", "dict", "set", "defaultdict")
-            ):
-                yield self.finding(
-                    ctx, default,
-                    f"mutable default argument in {node.name}(); use None "
-                    "and construct inside the body",
-                )
-
-
-@register
-class SilentExceptRule(Rule):
-    rule_id = "CTR005"
-    name = "silent-except"
-    category = "contracts"
-    description = (
-        "A bare except, or a broad except whose body only passes, "
-        "swallows failures the verdict pipeline should surface; catch "
-        "the specific exception or handle/re-raise."
-    )
-    node_types = (ast.ExceptHandler,)
-
-    _BROAD = {"Exception", "BaseException"}
-
-    def visit(self, node: ast.ExceptHandler, ctx: LintContext) -> Iterator[Finding]:
-        if node.type is None:
-            yield self.finding(
-                ctx, node,
-                "bare except: catches everything including KeyboardInterrupt;"
-                " name the exception type",
-            )
-            return
-        names = []
-        if isinstance(node.type, (ast.Name, ast.Attribute)):
-            names = [dotted_name(node.type)]
-        elif isinstance(node.type, ast.Tuple):
-            names = [dotted_name(el) for el in node.type.elts]
-        if not any(name.split(".")[-1] in self._BROAD for name in names):
-            return
-        if all(self._is_noop(stmt) for stmt in node.body):
-            yield self.finding(
-                ctx, node,
-                "broad except swallows the failure without re-raising, "
-                "returning, or logging",
-            )
-
-    @staticmethod
-    def _is_noop(stmt: ast.AST) -> bool:
-        if isinstance(stmt, (ast.Pass, ast.Continue, ast.Break)):
-            return True
-        return isinstance(stmt, ast.Expr) and isinstance(
-            stmt.value, ast.Constant
-        )

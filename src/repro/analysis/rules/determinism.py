@@ -1,9 +1,9 @@
 """Determinism rules (DET*).
 
 DESIGN.md replaces the paper's ChatGPT calls with a seeded
-``SimulatedLLM`` precisely so every run is reproducible; these rules
-keep hidden entropy sources — unseeded RNGs, wall-clock reads, set
-iteration order — out of the tree.
+``SimulatedLLM`` precisely so every run is reproducible; DET003 keeps
+one hidden entropy source — set iteration order, hash-randomized
+across processes — out of the tree.
 """
 
 from __future__ import annotations
@@ -11,103 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.linter import (
-    Finding,
-    LintContext,
-    Rule,
-    dotted_name,
-    register,
-)
-
-#: stdlib ``random`` module-level functions that draw from the hidden
-#: global RNG (shared, unseeded process state)
-_GLOBAL_RANDOM_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "betavariate",
-    "seed", "getrandbits", "triangular",
-}
-
-#: legacy numpy global-RNG entry points (``np.random.<fn>``)
-_NUMPY_GLOBAL_FNS = {
-    "rand", "randn", "randint", "random", "choice", "shuffle", "seed",
-    "permutation", "normal", "uniform", "random_sample",
-}
-
-_WALL_CLOCK_CALLS = {
-    "time.time", "time.time_ns",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today", "date.today",
-}
-
-
-@register
-class UnseededRngRule(Rule):
-    rule_id = "DET001"
-    name = "unseeded-rng"
-    category = "determinism"
-    description = (
-        "RNGs must be constructed with an explicit seed; the module-level "
-        "random/np.random entry points draw from hidden global state."
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
-        name = dotted_name(node.func)
-        if not name:
-            return
-        if name in ("random.Random", "random.SystemRandom") and not (
-            node.args or node.keywords
-        ):
-            yield self.finding(
-                ctx, node, f"{name}() constructed without an explicit seed"
-            )
-        elif name.endswith("random.default_rng") and not (
-            node.args or node.keywords
-        ):
-            yield self.finding(
-                ctx, node, f"{name}() called without an explicit seed"
-            )
-        elif name.startswith("random.") and name.count(".") == 1:
-            fn = name.split(".", 1)[1]
-            if fn in _GLOBAL_RANDOM_FNS:
-                yield self.finding(
-                    ctx, node,
-                    f"{name}() uses the hidden module-level RNG; thread a "
-                    "seeded random.Random instance instead",
-                )
-        elif (
-            name.startswith(("np.random.", "numpy.random."))
-            and name.rsplit(".", 1)[1] in _NUMPY_GLOBAL_FNS
-        ):
-            yield self.finding(
-                ctx, node,
-                f"{name}() uses numpy's legacy global RNG; use "
-                "np.random.default_rng(seed)",
-            )
-
-
-@register
-class WallClockRule(Rule):
-    rule_id = "DET002"
-    name = "wall-clock"
-    category = "determinism"
-    description = (
-        "Wall-clock reads (time.time, datetime.now) leak real time into "
-        "outputs; only benchmark modules may time themselves, and then "
-        "with time.perf_counter."
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.is_benchmark:
-            return
-        name = dotted_name(node.func)
-        if name in _WALL_CLOCK_CALLS:
-            yield self.finding(
-                ctx, node,
-                f"{name}() reads the wall clock in a non-benchmark module",
-            )
+from repro.analysis.linter import Finding, LintContext, Rule, register
 
 
 @register
@@ -154,30 +58,4 @@ class SetIterationRule(Rule):
                 ctx, node,
                 f"{node.func.id}() materializes a set in arbitrary order; "
                 "use sorted(...) instead",
-            )
-
-
-@register
-class PopitemRule(Rule):
-    rule_id = "DET004"
-    name = "popitem"
-    category = "determinism"
-    description = (
-        "dict.popitem() with no argument pops an implementation-defined "
-        "end; spell the direction out (OrderedDict.popitem(last=...)) or "
-        "pop an explicit key."
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "popitem"
-            and not node.args
-            and not node.keywords
-        ):
-            yield self.finding(
-                ctx, node,
-                "popitem() without an explicit direction; pass last=True/"
-                "False (OrderedDict) or pop a named key",
             )

@@ -1,22 +1,14 @@
-"""Whole-program rule families: lock order, taint, escape analysis.
+"""Whole-program rules: blocking under a lock, escape analysis.
 
 These are the rules the per-file engine structurally cannot express —
 each one needs the :class:`~repro.analysis.project.Project` symbol
 tables and the conservative :class:`~repro.analysis.callgraph.CallGraph`:
 
-* **IPC001** — lock-order cycles.  Builds a lock graph (edge ``A -> B``
-  when some code path acquires ``B`` while holding ``A``, directly or
-  transitively through calls) and flags every edge that participates in
-  a cycle: two threads taking the same pair of locks in opposite order
-  is a potential deadlock no test will reliably reproduce.
 * **IPC002** — blocking or unknown code under a lock: ``time.sleep``,
   zero-argument ``.join()`` / ``.result()`` / ``.wait()``, and calls to
   *injected callables* (function parameters) while a lock is held.
   Arbitrary code under a lock is a latency cliff at best and a deadlock
   ingredient at worst.
-* **IPD001** — determinism taint: wall-clock / unseeded-RNG values
-  flowing through returns and arguments into the trace, provenance, or
-  verdict layers (see :mod:`repro.analysis.taint`).
 * **IPE001** — escape analysis: unsynchronized check-then-act lazy
   initialization (``if self._x is None: self._x = ...``, including the
   guard-return form and ``if key not in CACHE: CACHE[key] = ...``) in
@@ -25,25 +17,27 @@ tables and the conservative :class:`~repro.analysis.callgraph.CallGraph`:
   publish a half-built structure at worst.
 
 Precision choices (documented in docs/static_analysis.md): lock
-identities are name-qualified, so the lock graph only tracks locks the
-code names lock-ishly; transitive lock acquisition does not follow
-dynamic-dispatch fallback edges (too many false cycles); self-loops are
-not reported (``RLock`` re-entry is legal and identity cannot tell the
-two apart — the runtime sanitizer covers that case).
+identities are name-qualified, so only locks the code names lock-ishly
+count as held; reachability follows dynamic-dispatch fallback edges.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.callgraph import CallGraph, dotted
-from repro.analysis.linter import Finding, ProjectRule, register_project
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.linter import (
+    Finding,
+    ProjectRule,
+    dotted_name,
+    register_project,
+)
 from repro.analysis.project import FunctionInfo, ModuleInfo, Project
 
 
 # ----------------------------------------------------------------------
-# shared, memoized per-project analyses
+# the call graph, built once per project and shared by both rules
 # ----------------------------------------------------------------------
 def _graph(project: Project) -> CallGraph:
     graph = getattr(project, "_callgraph", None)
@@ -51,14 +45,6 @@ def _graph(project: Project) -> CallGraph:
         graph = CallGraph(project)
         project._callgraph = graph  # type: ignore[attr-defined]
     return graph
-
-
-def _lock_model(project: Project) -> "_LockModel":
-    model = getattr(project, "_lockmodel", None)
-    if model is None:
-        model = _LockModel(project, _graph(project))
-        project._lockmodel = model  # type: ignore[attr-defined]
-    return model
 
 
 def _body_walk(node: ast.AST) -> Iterator[ast.AST]:
@@ -82,7 +68,7 @@ def _lock_identity(
     None when the expression is not lock-ish.  ``self._lock`` ->
     ``module.Class._lock``; module-global ``_LOCK`` -> ``module._LOCK``;
     anything else lock-ish is scoped to the function."""
-    name = dotted(expr)
+    name = dotted_name(expr)
     if not name or "lock" not in name.lower():
         return None
     if name.startswith("self.") and fn.class_name is not None:
@@ -95,12 +81,10 @@ def _lock_identity(
 
 
 class _LockModel:
-    """Which locks each function acquires, directly and transitively,
-    plus the held-while-acquiring edges between lock identities."""
+    """Which locks each function acquires, and where (its ``with``
+    statements on lock-ish expressions)."""
 
-    def __init__(self, project: Project, graph: CallGraph) -> None:
-        self.project = project
-        self.graph = graph
+    def __init__(self, project: Project) -> None:
         #: qualname -> [(lock id, With node)]
         self.acquisitions: Dict[str, List[Tuple[str, ast.With]]] = {}
         for qualname in sorted(project.functions):
@@ -114,107 +98,6 @@ class _LockModel:
                         if lock is not None:
                             acquired.append((lock, node))
             self.acquisitions[qualname] = acquired
-        self.transitive = self._fixpoint()
-        self.edges = self._edges()
-
-    def _fixpoint(self) -> Dict[str, Set[str]]:
-        acquired = {
-            q: {lock for lock, _ in acqs}
-            for q, acqs in self.acquisitions.items()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(acquired):
-                for site in self.graph.callees(qualname):
-                    if site.via_fallback or site.callee not in acquired:
-                        continue
-                    extra = acquired[site.callee] - acquired[qualname]
-                    if extra:
-                        acquired[qualname] |= extra
-                        changed = True
-        return acquired
-
-    def _edges(self) -> List[Tuple[str, str, str, ast.AST, str]]:
-        """(held, acquired, module, anchor node, description) tuples."""
-        edges: List[Tuple[str, str, str, ast.AST, str]] = []
-        for qualname in sorted(self.acquisitions):
-            fn = self.project.functions[qualname]
-            mod = self.project.modules[fn.module]
-            for held, with_node in self.acquisitions[qualname]:
-                body = list(_body_walk(with_node))
-                body_ids = {id(n) for n in body}
-                for node in body:
-                    if isinstance(node, ast.With):
-                        for item in node.items:
-                            inner = _lock_identity(item.context_expr, fn, mod)
-                            if inner is not None and inner != held:
-                                edges.append((
-                                    held, inner, mod.name, node,
-                                    f"{qualname} acquires {inner} "
-                                    f"while holding {held}",
-                                ))
-                for site in self.graph.callees(qualname):
-                    if id(site.node) not in body_ids:
-                        continue
-                    if site.via_fallback:
-                        continue
-                    inner_locks = self.transitive.get(site.callee, set())
-                    for inner in sorted(inner_locks - {held}):
-                        edges.append((
-                            held, inner, mod.name, site.node,
-                            f"{qualname} holds {held} across a call to "
-                            f"{site.callee}, which acquires {inner}",
-                        ))
-        return edges
-
-
-# ----------------------------------------------------------------------
-# IPC001: lock-order cycles
-# ----------------------------------------------------------------------
-@register_project
-class LockOrderCycle(ProjectRule):
-    rule_id = "IPC001"
-    name = "lock-order-cycle"
-    category = "concurrency"
-    description = (
-        "Two locks are acquired in opposite orders on different code "
-        "paths — a potential deadlock."
-    )
-
-    def visit_project(self, project: Project) -> Iterator[Finding]:
-        model = _lock_model(project)
-        adjacency: Dict[str, Set[str]] = {}
-        for held, acquired, *_ in model.edges:
-            adjacency.setdefault(held, set()).add(acquired)
-
-        def reaches(src: str, dst: str) -> bool:
-            seen: Set[str] = set()
-            stack = [src]
-            while stack:
-                current = stack.pop()
-                if current == dst:
-                    return True
-                if current in seen:
-                    continue
-                seen.add(current)
-                stack.extend(sorted(adjacency.get(current, ())))
-            return False
-
-        reported: Set[Tuple[str, str, int]] = set()
-        for held, acquired, mod_name, node, description in model.edges:
-            if not reaches(acquired, held):
-                continue
-            mod = project.modules[mod_name]
-            key = (held, acquired, getattr(node, "lineno", 0))
-            if key in reported:
-                continue
-            reported.add(key)
-            yield project.finding(
-                self, mod, node,
-                f"lock-order cycle: {description}; another path acquires "
-                f"these locks in the opposite order",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +119,7 @@ class BlockingUnderLock(ProjectRule):
 
     def visit_project(self, project: Project) -> Iterator[Finding]:
         graph = _graph(project)
-        model = _lock_model(project)
+        model = _LockModel(project)
         for qualname in sorted(model.acquisitions):
             fn = project.functions[qualname]
             mod = project.modules[fn.module]
@@ -264,13 +147,13 @@ class BlockingUnderLock(ProjectRule):
                         yield project.finding(
                             self, mod, node,
                             f"blocking call "
-                            f"'{dotted(node.func) or node.func.attr}' "
+                            f"'{dotted_name(node.func) or node.func.attr}' "
                             f"while holding {held}",
                         )
 
     @staticmethod
     def _is_blocking(node: ast.Call, mod: ModuleInfo) -> bool:
-        chain = dotted(node.func)
+        chain = dotted_name(node.func)
         if chain:
             head = chain.split(".")[0]
             expanded = chain
@@ -288,32 +171,6 @@ class BlockingUnderLock(ProjectRule):
             and not node.args
             and not node.keywords
         )
-
-
-# ----------------------------------------------------------------------
-# IPD001: determinism taint reaching a sink
-# ----------------------------------------------------------------------
-@register_project
-class DeterminismTaintToSink(ProjectRule):
-    rule_id = "IPD001"
-    name = "determinism-taint"
-    category = "determinism"
-    description = (
-        "A wall-clock / unseeded-RNG value flows (possibly across "
-        "calls) into the trace, provenance, or verdict layer."
-    )
-
-    def visit_project(self, project: Project) -> Iterator[Finding]:
-        from repro.analysis.taint import TaintAnalysis
-
-        taint = TaintAnalysis(project, _graph(project))
-        for violation in taint.sink_violations():
-            mod = project.modules[violation.module]
-            yield project.finding(
-                self, mod, violation.node,
-                f"nondeterministic value (from {violation.source_hint}) "
-                f"reaches determinism-sensitive sink {violation.sink}",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +348,7 @@ def _under_lock(mod: ModuleInfo, node: ast.AST, fn_node: ast.AST) -> bool:
             return False
         if isinstance(ancestor, ast.With):
             for item in ancestor.items:
-                name = dotted(item.context_expr)
+                name = dotted_name(item.context_expr)
                 if name and "lock" in name.lower():
                     return True
     return False

@@ -4,18 +4,11 @@ The observability layer routes every timing read through an injectable
 :class:`repro.obs.clock.Clock` so tests can freeze time and export
 byte-stable traces.  A stray ``time.monotonic()`` in pipeline code
 bypasses that seam and silently re-introduces wall-clock nondeterminism.
-
-OBS002 guards the other observability contract: metric names.  The
-catalogue in docs/observability.md is greppable only because every
-``counter()/gauge()/histogram()`` call site names its instrument with a
-dotted-lowercase string literal; a computed name hides the instrument
-from the catalogue and from the Prometheus exposition's reviewers.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import PurePosixPath
 from typing import Iterator
 
@@ -65,91 +58,3 @@ class DirectClockReadRule(Rule):
                 f"{name}() reads the process clock directly; inject a "
                 "repro.obs.clock.Clock and call .now() instead",
             )
-
-
-#: a full metric name: dotted lowercase, at least two segments
-_METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
-#: a literal prefix an f-string name may open with (``serve.responses.``)
-_METRIC_PREFIX = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]*)+\.$")
-#: characters any other literal f-string fragment may contribute
-_METRIC_FRAGMENT = re.compile(r"^[a-z0-9_.]*$")
-
-#: registry accessor methods whose first argument is a metric name
-_INSTRUMENT_METHODS = {"counter", "gauge", "histogram"}
-
-
-def _fstring_name_ok(node: ast.JoinedStr) -> bool:
-    """An f-string name is fine when its shape is still greppable: it
-    opens with a literal ``component.`` prefix and every other literal
-    fragment stays inside metric-name characters
-    (``f"serve.responses.{status}"``)."""
-    if not node.values:
-        return False
-    head = node.values[0]
-    if not (
-        isinstance(head, ast.Constant)
-        and isinstance(head.value, str)
-        and _METRIC_PREFIX.match(head.value)
-    ):
-        return False
-    for value in node.values[1:]:
-        if isinstance(value, ast.Constant):
-            if not (
-                isinstance(value.value, str)
-                and _METRIC_FRAGMENT.match(value.value)
-            ):
-                return False
-    return True
-
-
-@register
-class MetricNameRule(Rule):
-    rule_id = "OBS002"
-    name = "computed-metric-name"
-    category = "observability"
-    description = (
-        "counter()/gauge()/histogram() must name their instrument with "
-        "a dotted-lowercase string literal (component.name) — or an "
-        "f-string opening with such a literal prefix — so the metric "
-        "catalogue in docs/observability.md stays greppable."
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in _INSTRUMENT_METHODS
-        ):
-            return
-        if not node.args:
-            return
-        name_arg = node.args[0]
-        if isinstance(name_arg, ast.Constant):
-            if (
-                isinstance(name_arg.value, str)
-                and _METRIC_NAME.match(name_arg.value)
-            ):
-                return
-            yield self.finding(
-                ctx, node,
-                f".{func.attr}() metric name {name_arg.value!r} does "
-                "not match the dotted-lowercase component.name pattern",
-            )
-            return
-        if isinstance(name_arg, ast.JoinedStr):
-            if _fstring_name_ok(name_arg):
-                return
-            yield self.finding(
-                ctx, node,
-                f".{func.attr}() f-string metric name must open with a "
-                "literal dotted-lowercase prefix ending in '.' "
-                "(like f\"serve.responses.{status}\")",
-            )
-            return
-        yield self.finding(
-            ctx, node,
-            f".{func.attr}() metric name is computed; use a "
-            "dotted-lowercase string literal so the catalogue in "
-            "docs/observability.md stays greppable",
-        )

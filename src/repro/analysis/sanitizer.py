@@ -307,7 +307,7 @@ def enable(prefixes: Tuple[str, ...] = ("repro",)) -> None:
         return
     # the on/off gate is main-thread lifecycle state, not worker data:
     # enable/disable run at session start/end, never from workers
-    _STATE = _State(prefixes=tuple(prefixes))  # repro-lint: disable=CON003
+    _STATE = _State(prefixes=tuple(prefixes))
     threading.Lock = _make_factory(_ORIG_LOCK, reentrant=False)
     threading.RLock = _make_factory(_ORIG_RLOCK, reentrant=True)
 
@@ -316,7 +316,7 @@ def disable() -> List[Race]:
     """Stop tracking, restore the real factories, return the races."""
     global _STATE
     state = _STATE
-    _STATE = None  # repro-lint: disable=CON003  (main-thread lifecycle)
+    _STATE = None
     threading.Lock = _ORIG_LOCK
     threading.RLock = _ORIG_RLOCK
     return list(state.races) if state is not None else []

@@ -16,8 +16,7 @@ Subcommands::
                       [--queue 16] [--demo N]
     repro discover    --lake lake.json --query "..." [--modality text]
     repro experiment  --name table1 [--scale small]
-    repro lint        [--json] [--baseline lint_baseline.json]
-                      [--changed] [--cache] [paths...]
+    repro lint        [--json] [--root DIR] [paths...]
     repro sanitize    -- [pytest args...]
     repro coverage    [--floor 0.9] [--target PATH ...] -- [pytest args...]
     repro orchestrate [--scenario NAME] [--max-iters 4] [--workers 1]
@@ -311,45 +310,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_paths(root) -> Optional[set]:
-    """Repo-relative ``.py`` paths touched per git (staged, unstaged,
-    and untracked); None when git is unavailable."""
-    import subprocess
-
-    changed: set = set()
-    ran_any = False
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                cmd, cwd=root, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            continue
-        ran_any = True
-        changed.update(
-            line.strip()
-            for line in result.stdout.splitlines()
-            if line.strip()
-        )
-    if not ran_any:
-        return None
-    return {p for p in changed if p.endswith(".py")}
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis import (
-        Baseline,
-        Linter,
-        ParseCache,
-        known_rule_ids,
-        render_json,
-        render_text,
-    )
+    from repro.analysis import Linter, render_json, render_text
 
     linter = Linter()
     root = Path(args.root) if args.root else Path.cwd()
@@ -358,59 +322,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro-lint: no such path(s): {', '.join(map(str, missing))}")
         return 2
-    cache = None
-    if args.cache:
-        cache = ParseCache(Path(args.cache_file), linter.cache_signature())
-    changed = None
-    if args.changed:
-        changed = _changed_paths(root)
-        if changed is None:
-            print(
-                "repro-lint: --changed needs git; linting everything",
-                file=sys.stderr,
-            )
-    run = linter.run_paths(paths, root=root, cache=cache, changed=changed)
-    findings = run.findings
-
-    if args.write_baseline:
-        Baseline.from_findings(findings, rules=known_rule_ids()).save(
-            args.write_baseline
-        )
-        print(
-            f"repro-lint: wrote {len(findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    suppressed = 0
-    baseline_path = args.baseline
-    if baseline_path is None and Path("lint_baseline.json").is_file():
-        baseline_path = "lint_baseline.json"
-    if baseline_path:
-        baseline = Baseline.load(baseline_path)
-        stale = baseline.stale_rules(known_rule_ids())
-        if stale:
-            print(
-                f"repro-lint: baseline references unknown rule(s): "
-                f"{', '.join(stale)} (rewrite with --write-baseline)",
-                file=sys.stderr,
-            )
-        findings, suppressed = baseline.filter(findings)
-    all_rules_for_report = sorted(
-        [*linter.rules, *linter.project_rules], key=lambda r: r.rule_id
-    )
+    run = linter.run_paths(paths, root=root)
     if args.json:
-        print(
-            render_json(
-                findings,
-                rules=all_rules_for_report,
-                suppressed=suppressed,
-                run=run,
-            )
+        rules = sorted(
+            [*linter.rules, *linter.project_rules], key=lambda r: r.rule_id
         )
+        print(render_json(run.findings, rules=rules, files=run.files))
     else:
-        print(render_text(findings, suppressed=suppressed))
-    return 1 if findings else 0
+        print(render_text(run.findings))
+    return 1 if run.findings else 0
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
@@ -685,30 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", help="files/dirs (default: src/repro)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
-        "--baseline", default=None,
-        help="baseline file (default: ./lint_baseline.json if present)",
-    )
-    p.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="write current findings as the new baseline and exit 0",
-    )
-    p.add_argument(
         "--root", default=None,
         help="directory findings paths are reported relative to",
-    )
-    p.add_argument(
-        "--changed", action="store_true",
-        help="report findings only for git-changed files (the "
-             "whole-program phase still analyzes the full tree)",
-    )
-    p.add_argument(
-        "--cache", action="store_true",
-        help="reuse per-file results for files unchanged since the "
-             "last --cache run (hit/miss counters appear in --json)",
-    )
-    p.add_argument(
-        "--cache-file", default=".repro-lint-cache", metavar="PATH",
-        help="where the parse cache lives (default: .repro-lint-cache)",
     )
     p.set_defaults(func=_cmd_lint)
 

@@ -302,16 +302,17 @@ class VerifAI:
 
         Delegates to the batch engine: identical retrieval queries are
         computed once, retrieval+rerank+verify runs on up to
-        ``max_workers`` threads (1 = the serial path), and report order
-        always matches input order.  Each object runs inside an error boundary: a fault
-        yields a ``FAILED`` report (after ``max_retries`` extra
-        attempts, default ``config.batch_max_retries``) instead of
-        aborting the campaign; ``fail_fast=True`` restores
-        raise-on-first-error.  The returned :class:`BatchReport` carries
-        stage timings, cache-hit, failure, and retry counters in
-        ``stats``; ``trace=True`` additionally attaches a campaign-wide
-        span tree (``report.trace``) whose export is byte-identical for
-        serial and parallel runs under a deterministic clock.
+        ``max_workers`` threads (default 1, the serial path), and report
+        order always matches input order.  Each object runs inside an
+        error boundary: a fault yields a ``FAILED`` report (after
+        ``max_retries`` extra attempts, default
+        ``config.batch_max_retries``) instead of aborting the campaign;
+        ``fail_fast=True`` restores raise-on-first-error.  The returned
+        :class:`BatchReport` carries stage timings, cache-hit, failure,
+        and retry counters in ``stats``; ``trace=True`` additionally
+        attaches a campaign-wide span tree (``report.trace``) whose
+        export is byte-identical for serial and parallel runs under a
+        deterministic clock.
 
         ``profile=True`` (implies tracing) additionally stamps every
         span with thread-CPU readings and attaches a

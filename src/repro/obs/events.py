@@ -22,7 +22,7 @@ Design rules:
   not need to know whether it is running under serve.
 
 The current-log pointer is module state held in a dict mutated under a
-lock — never ``global`` rebinding, which repro-lint CON003 flags.
+lock — never ``global`` rebinding from a worker thread.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fire/quiet pairs for the whole-program rule families.
+"""Fire/quiet pairs for the whole-program rules.
 
 Each rule gets at least one fixture that must fire and one structurally
 close fixture that must stay quiet — the quiet twin is what keeps the
@@ -7,85 +7,17 @@ conservative analyses honest about false positives.
 
 from pathlib import Path
 
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.linter import Linter
 from repro.analysis.project import Project
 from repro.analysis.rules.interprocedural import (
     BlockingUnderLock,
-    DeterminismTaintToSink,
     EscapedLazyInit,
-    LockOrderCycle,
 )
-from repro.analysis.taint import TaintAnalysis
 
 
 def findings_for(rule_cls, sources):
     project = Project.from_sources(sources)
     return list(rule_cls().visit_project(project))
-
-
-# ----------------------------------------------------------------------
-# IPC001: lock-order cycles
-# ----------------------------------------------------------------------
-def test_ipc001_fires_on_opposite_acquisition_order():
-    found = findings_for(LockOrderCycle, {
-        "src/repro/m.py": (
-            "import threading\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n"
-            "def forward():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_B:\n"
-            "            pass\n"
-            "def backward():\n"
-            "    with LOCK_B:\n"
-            "        with LOCK_A:\n"
-            "            pass\n"
-        ),
-    })
-    assert len(found) >= 2  # both edges of the cycle are reported
-    assert all(f.rule_id == "IPC001" for f in found)
-    assert any("opposite order" in f.message for f in found)
-
-
-def test_ipc001_sees_transitive_acquisition_through_calls():
-    found = findings_for(LockOrderCycle, {
-        "src/repro/m.py": (
-            "import threading\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n"
-            "def take_b():\n"
-            "    with LOCK_B:\n"
-            "        pass\n"
-            "def forward():\n"
-            "    with LOCK_A:\n"
-            "        take_b()\n"
-            "def backward():\n"
-            "    with LOCK_B:\n"
-            "        with LOCK_A:\n"
-            "            pass\n"
-        ),
-    })
-    assert any("take_b" in f.message for f in found)
-
-
-def test_ipc001_quiet_on_consistent_order():
-    found = findings_for(LockOrderCycle, {
-        "src/repro/m.py": (
-            "import threading\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n"
-            "def one():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_B:\n"
-            "            pass\n"
-            "def two():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_B:\n"
-            "            pass\n"
-        ),
-    })
-    assert found == []
 
 
 # ----------------------------------------------------------------------
@@ -137,85 +69,6 @@ def test_ipc002_quiet_outside_lock_and_for_str_join():
         ),
     })
     assert found == []
-
-
-# ----------------------------------------------------------------------
-# IPD001: determinism taint reaching a sink
-# ----------------------------------------------------------------------
-def test_ipd001_fires_on_wall_clock_through_helper_into_sink():
-    found = findings_for(DeterminismTaintToSink, {
-        "src/repro/obs/trace.py": (
-            "def record_span(name, started_at):\n"
-            "    return (name, started_at)\n"
-        ),
-        "src/repro/core/run.py": (
-            "import time\n"
-            "from repro.obs.trace import record_span\n"
-            "def now_ms():\n"
-            "    return time.time() * 1000.0\n"
-            "def emit(name):\n"
-            "    started = now_ms()\n"
-            "    return record_span(name, started)\n"
-        ),
-    })
-    assert len(found) == 1
-    assert found[0].rule_id == "IPD001"
-    assert found[0].path == "src/repro/core/run.py"
-    assert "time.time" in found[0].message
-    assert "record_span" in found[0].message
-
-
-def test_ipd001_quiet_when_clock_comes_through_sanctioned_seam():
-    found = findings_for(DeterminismTaintToSink, {
-        "src/repro/obs/clock.py": (
-            "import time\n"
-            "def now():\n"
-            "    return time.time()\n"
-        ),
-        "src/repro/obs/trace.py": (
-            "def record_span(name, started_at):\n"
-            "    return (name, started_at)\n"
-        ),
-        "src/repro/core/run.py": (
-            "from repro.obs.clock import now\n"
-            "from repro.obs.trace import record_span\n"
-            "def emit(name):\n"
-            "    return record_span(name, now())\n"
-        ),
-    })
-    assert found == []
-
-
-def test_ipd001_quiet_when_taint_is_neutralized_by_len():
-    found = findings_for(DeterminismTaintToSink, {
-        "src/repro/obs/trace.py": (
-            "def record_span(name, width):\n"
-            "    return (name, width)\n"
-        ),
-        "src/repro/core/run.py": (
-            "import os\n"
-            "from repro.obs.trace import record_span\n"
-            "def emit(name):\n"
-            "    blob = os.urandom(8)\n"
-            "    return record_span(name, len(blob))\n"
-        ),
-    })
-    assert found == []
-
-
-def test_taint_tracks_argument_flow_into_callee_params():
-    project = Project.from_sources({
-        "src/repro/m.py": (
-            "import time\n"
-            "def caller():\n"
-            "    return passthrough(time.time())\n"
-            "def passthrough(value):\n"
-            "    return value\n"
-        ),
-    })
-    taint = TaintAnalysis(project, CallGraph(project))
-    assert taint.returns_tainted("repro.m.passthrough")
-    assert taint.returns_tainted("repro.m.caller")
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +182,8 @@ def lint_source(tmp_path, source):
 def test_meta001_flags_stale_and_unknown_pragmas(tmp_path):
     found = lint_source(
         tmp_path,
-        "live = cache.popitem()  # repro-lint: disable=DET004\n"
-        "stale = 1  # repro-lint: disable=DET004\n"
+        "live = list(set(items))  # repro-lint: disable=DET003\n"
+        "stale = 1  # repro-lint: disable=DET003\n"
         "unknown = 2  # repro-lint: disable=NOPE001\n",
     )
     meta = [f for f in found if f.rule_id == "META001"]
@@ -338,14 +191,14 @@ def test_meta001_flags_stale_and_unknown_pragmas(tmp_path):
     assert {f.line for f in meta} == {2, 3}
     assert any("stale pragma" in f.message for f in meta)
     assert any("unknown rule NOPE001" in f.message for f in meta)
-    # the live pragma on line 1 both suppressed DET004 and stayed quiet
-    assert not any(f.rule_id == "DET004" for f in found)
+    # the live pragma on line 1 both suppressed DET003 and stayed quiet
+    assert not any(f.rule_id == "DET003" for f in found)
 
 
 def test_meta001_flags_stale_file_pragma(tmp_path):
     found = lint_source(
         tmp_path,
-        "# repro-lint: disable-file=DET004\n"
+        "# repro-lint: disable-file=DET003\n"
         "x = 1\n",
     )
     assert [f.rule_id for f in found] == ["META001"]

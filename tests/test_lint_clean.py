@@ -1,25 +1,25 @@
 """Tier-1 gate: the tree itself must satisfy repro-lint.
 
-``src/repro`` is linted against the committed ``lint_baseline.json``;
-any new determinism / concurrency / contract violation fails the suite
-with the same report a developer sees from ``make lint``.
+``src/repro`` must lint clean — an inline pragma is the one way to
+suppress a finding — so any new determinism / concurrency / contract
+violation fails the suite with the same report a developer sees from
+``make lint``.
 """
 
 import json
 from pathlib import Path
 
-from repro.analysis import Baseline, Linter, render_text
+import pytest
+
+from repro.analysis import Linter, render_text
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint_baseline.json"
 
 
-def test_src_repro_lints_clean_against_committed_baseline():
+def test_src_repro_lints_clean():
     findings = Linter().lint_paths([SRC], root=REPO_ROOT)
-    assert BASELINE.is_file(), "lint_baseline.json must be committed"
-    findings, _ = Baseline.load(BASELINE).filter(findings)
     assert findings == [], "\n" + render_text(findings)
 
 
@@ -33,9 +33,9 @@ def test_benchmarks_and_examples_parse_cleanly():
 
 def test_cli_lint_exit_codes(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("entry = cache.popitem()\n", encoding="utf-8")
+    dirty.write_text("ordered = list(set(items))\n", encoding="utf-8")
     clean = tmp_path / "clean.py"
-    clean.write_text("entry = cache.pop('key')\n", encoding="utf-8")
+    clean.write_text("ordered = sorted(set(items))\n", encoding="utf-8")
 
     assert cli_main(["lint", str(clean)]) == 0
     assert cli_main(["lint", str(dirty)]) == 1
@@ -46,29 +46,15 @@ def test_cli_lint_exit_codes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload_exit == 1
     assert payload["count"] == 1
-    assert payload["findings"][0]["rule"] == "DET004"
-
-
-def test_cli_lint_write_then_apply_baseline(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("entry = cache.popitem()\n", encoding="utf-8")
-    baseline = tmp_path / "baseline.json"
-
-    assert cli_main(
-        ["lint", "--write-baseline", str(baseline), str(dirty)]
-    ) == 0
-    assert baseline.is_file()
-    assert cli_main(["lint", "--baseline", str(baseline), str(dirty)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
+    assert payload["findings"][0]["rule"] == "DET003"
 
 
 def test_cli_lint_json_is_byte_identical_across_runs(tmp_path, capsys):
     (tmp_path / "a.py").write_text(
-        "entry = cache.popitem()\n", encoding="utf-8"
+        "ordered = list(set(items))\n", encoding="utf-8"
     )
     (tmp_path / "b.py").write_text(
-        "import time\nstamp = time.time()\n", encoding="utf-8"
+        "import time\nstamp = time.perf_counter()\n", encoding="utf-8"
     )
     outputs = []
     for _ in range(2):
@@ -76,90 +62,21 @@ def test_cli_lint_json_is_byte_identical_across_runs(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0])
+    assert payload["files"] == 2
     # whole-program rules appear in the catalogue alongside per-file ones
     ids = {rule["id"] for rule in payload["rules"]}
-    assert {"IPC001", "IPC002", "IPD001", "IPE001", "META001"} <= ids
+    assert {"IPC002", "IPE001", "META001", "DET003", "OBS001"} <= ids
 
 
-def test_cli_lint_cache_cold_then_warm(tmp_path, capsys):
-    (tmp_path / "mod.py").write_text(
-        "entry = cache.popitem()\n", encoding="utf-8"
-    )
-    cache_file = tmp_path / "lint-cache.json"
-    base = [
-        "lint", "--json", "--cache", "--cache-file", str(cache_file),
-        "--root", str(tmp_path), str(tmp_path),
-    ]
-
-    cli_main(base)
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["cache"] == {"enabled": True, "hits": 0, "misses": 1}
-
-    cli_main(base)
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["cache"] == {"enabled": True, "hits": 1, "misses": 0}
-    assert warm["findings"] == cold["findings"]
-
-    # touching the file invalidates its entry
-    (tmp_path / "mod.py").write_text(
-        "entry = cache.popitem()\nx = 1\n", encoding="utf-8"
-    )
-    cli_main(base)
-    dirty = json.loads(capsys.readouterr().out)
-    assert dirty["cache"]["misses"] == 1
-
-
-def test_cli_lint_changed_scopes_findings_to_git_diff(tmp_path, capsys):
-    import subprocess
-
-    def git(*argv):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *argv],
-            cwd=tmp_path, check=True, capture_output=True,
-        )
-
-    committed = tmp_path / "committed.py"
-    committed.write_text("old = cache.popitem()\n", encoding="utf-8")
-    git("init", "-q")
-    git("add", "committed.py")
-    git("commit", "-q", "-m", "seed")
-    fresh = tmp_path / "fresh.py"
-    fresh.write_text("new = cache.popitem()\n", encoding="utf-8")
-
-    exit_code = cli_main(
-        ["lint", "--json", "--changed", "--root", str(tmp_path),
-         str(tmp_path)]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert exit_code == 1
-    # the committed finding is outside the diff; only fresh.py reports
-    assert [f["path"] for f in payload["findings"]] == ["fresh.py"]
-
-
-def test_cli_lint_warns_on_stale_baseline_rules(tmp_path, capsys):
-    target = tmp_path / "clean.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    stale = tmp_path / "baseline.json"
-    stale.write_text(json.dumps({
-        "version": 2,
-        "rules": ["DET004", "ZZZ999"],
-        "entries": [{
-            "rule": "ZZZ999",
-            "path": "clean.py",
-            "snippet": "x = 1",
-            "count": 1,
-            "reason": "retired rule",
-        }],
-    }), encoding="utf-8")
-
-    assert cli_main(["lint", "--baseline", str(stale), str(target)]) == 0
-    err = capsys.readouterr().err
-    assert "unknown rule(s): ZZZ999" in err
-
-
-def test_committed_baseline_is_v2_with_the_full_rule_universe():
-    payload = json.loads(BASELINE.read_text(encoding="utf-8"))
-    assert payload["version"] == 2
-    assert payload["entries"] == []  # every finding is fixed, not waived
-    assert "IPE001" in payload["rules"]
-    assert "META001" in payload["rules"]
+@pytest.mark.parametrize("option", [
+    "--baseline", "--write-baseline", "--changed", "--cache", "--cache-file",
+])
+def test_cli_lint_has_one_way_to_suppress(tmp_path, capsys, option):
+    # a pragma is the only suppression: no baseline file, no diff- or
+    # cache-scoped run
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["lint", option, str(clean)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
