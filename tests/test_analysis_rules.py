@@ -9,8 +9,6 @@ in this tree's history are replayed in tests/test_analysis_corpus.py.
 import json
 import textwrap
 
-import pytest
-
 from repro.analysis import Linter, all_rules, render_json, render_text
 
 
