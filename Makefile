@@ -5,9 +5,9 @@
 install:
 	pip install -e . --no-build-isolation
 
-# the default CI gate, each test file once: static analysis, the whole
-# of tests/, the slow soak tier-1 deselects, the concurrency suites
-# under the lockset race sanitizer, and the coverage floor.  A target
+# the default CI gate: static analysis, the whole of tests/, the slow
+# soak tier-1 deselects, the suites that start threads under the
+# lockset race sanitizer, and the coverage floor.  A target
 # stays in this file only if `check` depends on it or it runs something
 # no single pytest path does; timing is `python3 -m bench.run`
 check: lint test test-slow sanitize coverage
@@ -40,7 +40,7 @@ trace-demo:
 	PYTHONPATH=src python -m repro.cli build-lake --tables 40 \
 		--out /tmp/repro-trace-lake.json
 	PYTHONPATH=src python -m repro.cli verify-batch \
-		--lake /tmp/repro-trace-lake.json --sample 8 --workers 4 \
+		--lake /tmp/repro-trace-lake.json --sample 8 \
 		--trace /tmp/repro-trace.json
 	PYTHONPATH=src python -m repro.cli trace /tmp/repro-trace.json
 
@@ -124,28 +124,15 @@ lint:
 loop-demo:
 	PYTHONPATH=src python -m repro.cli orchestrate --max-iters 4
 
-# the concurrency suites (and the thread hammers on the simulated LLM's
-# call count, on the three lru_cache memos (evidence readings, payload
-# readings, n-gram features), on a shared RerankerModule, on readers
-# racing to patch a seal, on solo readers racing to derive one token's
-# span on a fresh seal (and on readers whose superseded views a write
-# poisons), on first readers racing to fold a fresh
-# seal's ordinal table and to build a vector index's, on the text
-# layer's word table while it fills, and on the token embedder's
-# vocabulary read lock-free while first touches grow it, on first
-# readers racing to build a modality, and on verifier pools sharing one
-# module and one model)
-# under the Eraser-style lockset race sanitizer (see
+# the suites that still start threads — the metrics and flight-recorder
+# hammers, and the service (its event loop beside its one verifying
+# thread) — under the Eraser-style lockset race sanitizer (see
 # docs/static_analysis.md); exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
-		tests/test_batch_faults.py \
-		tests/test_index_churn.py tests/test_llm_readings.py \
-		tests/test_rerank_readings.py tests/test_index_patch.py \
-		tests/test_text_tokenize.py tests/test_index_ranking.py \
-		tests/test_index_matrix.py tests/test_indexer_lazy.py \
-		tests/test_core_verifier_module.py tests/test_memos.py \
-		tests/test_index_view.py
+		tests/test_obs_clock_metrics.py tests/test_obs_events.py \
+		tests/test_serve.py tests/test_serve_admission.py \
+		tests/test_serve_http.py tests/test_one_thread.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

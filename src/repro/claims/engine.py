@@ -9,11 +9,9 @@ verifier discovers that evidence is NOT_RELATED to a claim.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.claims.model import Aggregate, ClaimOp, ClaimSpec, Comparison
 from repro.datalake.types import Row, Table
 from repro.text import analyze, normalize
@@ -42,26 +40,21 @@ def _not_related(reason: str) -> ExecutionResult:
     return ExecutionResult(verdict=None, trace=(reason,))
 
 
-_ROW_INDEX_LOCK = threading.Lock()
-
-
 def _index_rows(table: Table) -> Dict[str, int]:
     """Build (once per table) ``normalize(cell)`` -> index of the first
     row holding such a cell, over the cells ``Row.get`` can reach: the
     first column of each name."""
-    with _ROW_INDEX_LOCK:
-        index = table._row_by_cell
-        if index is None:
-            reachable = sorted({table.columns.index(c) for c in table.columns})
-            index = {}
-            for row_index, row in enumerate(table.rows):
-                for position in reachable:
-                    cell = row[position]
-                    key = normalize(cell)
-                    # an already-normal cell is its own key: no second copy
-                    index.setdefault(cell if key == cell else key, row_index)
-            table._row_by_cell = index
-            _sanitizer.note_write(table, "_row_by_cell", lock=_ROW_INDEX_LOCK)
+    index = table._row_by_cell
+    if index is None:
+        reachable = sorted({table.columns.index(c) for c in table.columns})
+        index = {}
+        for row_index, row in enumerate(table.rows):
+            for position in reachable:
+                cell = row[position]
+                key = normalize(cell)
+                # an already-normal cell is its own key: no second copy
+                index.setdefault(cell if key == cell else key, row_index)
+        table._row_by_cell = index
     return index
 
 

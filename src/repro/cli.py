@@ -7,20 +7,19 @@ Subcommands::
     repro verify-claim --lake lake.json --text "..." [--context "..."]
     repro verify-tuple --lake lake.json --table-id T --row 0 \
                        --column votes --value "123,456"
-    repro verify-batch --lake lake.json --sample 50 --workers 4 \
-                       [--trace out.json]
+    repro verify-batch --lake lake.json --sample 50 [--trace out.json]
     repro profile     --lake lake.json --sample 50 [--out stacks.txt]
     repro profile     -- verify-batch --lake lake.json --sample 20
     repro trace       out.json [--json]
-    repro serve       --lake lake.json [--port 8080] [--concurrency 4]
-                      [--queue 16] [--demo N]
+    repro serve       --lake lake.json [--port 8080] [--queue 16]
+                      [--demo N]
     repro discover    --lake lake.json --query "..." [--modality text]
     repro experiment  --name table1 [--scale small]
     repro lint        [--json] [--root DIR] [paths...]
     repro sanitize    -- [pytest args...]
     repro coverage    [--floor 0.9] [--target PATH ...] -- [pytest args...]
-    repro orchestrate [--scenario NAME] [--max-iters 4] [--workers 1]
-                      [--trail PATH] [--json]
+    repro orchestrate [--scenario NAME] [--max-iters 4] [--trail PATH]
+                      [--json]
 
 Installed as ``python -m repro.cli`` (no console-script entry point to
 keep the package dependency-free).
@@ -148,7 +147,6 @@ def _cmd_verify_batch(args: argparse.Namespace) -> int:
         return 2
     batch = system.verify_batch(
         objects,
-        max_workers=args.workers,
         fail_fast=args.fail_fast,
         max_retries=args.retries,
         trace=args.trace is not None,
@@ -214,9 +212,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     objects = _sample_objects(system, args.sample, args.seed, "profile")
     if objects is None:
         return 2
-    batch = system.verify_batch(
-        objects, max_workers=args.workers, profile=True
-    )
+    batch = system.verify_batch(objects, profile=True)
     print(batch.profile.table())
     collapsed = batch.profile.collapsed(cpu=args.cpu)
     if args.out:
@@ -243,7 +239,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,
-        max_concurrency=args.concurrency,
         max_queue=args.queue,
     )
     service = VerificationService(system, serve_config)
@@ -408,9 +403,7 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             return 2
     report = MixReport()
     for scenario in scenarios:
-        result = run_scenario(
-            scenario, max_iters=args.max_iters, max_workers=args.workers
-        )
+        result = run_scenario(scenario, max_iters=args.max_iters)
         report.results.append(result)
         if args.trail is not None:
             if len(scenarios) == 1:
@@ -498,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lake", required=True)
     p.add_argument("--sample", type=_positive_int, default=20)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--fail-fast", action="store_true",
@@ -526,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign mode: lake to sample a verify-batch from",
     )
     p.add_argument("--sample", type=_positive_int, default=50)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--cpu", action="store_true",
@@ -557,12 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 = pick a free one)",
     )
     p.add_argument(
-        "--concurrency", type=_positive_int, default=4,
-        help="verifies in flight at once (admission semaphore width)",
-    )
-    p.add_argument(
         "--queue", type=_non_negative_int, default=16,
-        help="requests allowed to wait for a slot before 429s",
+        help="requests allowed to wait while one verifies, before 429s",
     )
     p.add_argument(
         "--demo", type=int, default=0, metavar="N",
@@ -651,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a single named scenario from the default mix",
     )
     p.add_argument("--max-iters", type=_positive_int, default=4)
-    p.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="verify_batch workers (the trail bytes do not depend on this)",
-    )
     p.add_argument(
         "--trail", default=None, metavar="PATH",
         help="write the JSONL audit trail (a file for one scenario, a "

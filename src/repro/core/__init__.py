@@ -14,7 +14,7 @@ plus cross-cutting provenance (every verification leaves a full lineage
 record) and generation logging.
 """
 
-from repro.core.batch import BatchEngine, BatchStats
+from repro.core.batch import BatchStats
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.core.pipeline import BatchReport, VerifAI, VerificationReport
@@ -22,7 +22,6 @@ from repro.core.reranker import RerankerModule
 from repro.core.verifier import VerifierModule
 
 __all__ = [
-    "BatchEngine",
     "BatchReport",
     "BatchStats",
     "IndexerModule",

@@ -14,40 +14,35 @@ object's ``verify`` span *is* the trace root instead of a child of
   execution; each object still gets the full stage list replayed into
   its own provenance record.  The dedup plan is computed up front from
   the inputs alone, so the reported dedup counters (and the ``dedup``
-  span attribute) are deterministic regardless of which worker happens
-  to run first;
+  span attribute) depend on the inputs and nothing else;
 * **query-matrix retrieval** — the deduplicated queries of each
   modality are scored as *one* query-matrix BM25 pass per index
   (:meth:`VerifAI.retrieval_stages_batch`) that prefills the retrieval
-  cache before workers start, under a ``retrieve:prefill:<modality>``
+  cache before any object runs, under a ``retrieve:prefill:<modality>``
   span.  Object spans are always replayed from the cached stage lists.
   A prefill fault leaves that modality's cache cold: each object then
   runs the same retrieval function over itself alone, inside its own
   error boundary, which attributes the fault to the object that caused
   it;
-* **thread parallelism** — a ``ThreadPoolExecutor`` fans objects out to
-  ``max_workers`` threads (1 = the serial path, the default).  Every
-  shared structure the workers touch (the model's and rerankers' memos,
-  the campaign's retrieval cache, provenance records pre-created in
-  input order) is either thread-safe or owned by exactly one
-  worker, and all components are deterministic per input, so the
-  parallel run is report-for-report identical to the serial one;
+* **one thread** — objects run in input order on the calling thread.
+  Verifying is pure Python under the GIL with short numpy calls, and
+  worker threads bought nothing at any committed scale
+  (docs/performance.md, "One verifying thread"), so nothing a campaign
+  touches takes a lock;
 * **observability** — the campaign activates a per-run metrics
-  :class:`~repro.obs.metrics.Scope` on every thread that works for it,
-  so the :class:`BatchStats` attached to the
+  :class:`~repro.obs.metrics.Scope` while it runs, so the
+  :class:`BatchStats` attached to the
   :class:`~repro.core.pipeline.BatchReport` reflects *this* campaign's
-  traffic even when other campaigns interleave in the same
-  process.  ``trace=True`` additionally records a span tree
+  traffic, not that of what else the process ran.  ``trace=True`` additionally records a span tree
   (``verify_batch`` → ``index.build:*`` for each modality the campaign
   reads that was not built yet,
   ``retrieve:prefill:*``, then per-object ``verify`` → retrieval stages
   → ``verify_pool`` → a ``verdict`` per verified pair) whose export is
-  byte-identical for serial and parallel runs under a deterministic
-  clock.
+  byte-identical from run to run under a deterministic clock.
 
 Every object runs inside a **per-object error boundary**: a fault
 anywhere in its retrieve→rerank→verify chain never propagates out of
-the pool.  The object gets ``max_retries`` extra attempts (immediate
+the campaign.  The object gets ``max_retries`` extra attempts (immediate
 and deterministic — no sleeps or jitter), and if they are exhausted its
 report comes back with ``status="FAILED"``, the error string, and
 ``final_verdict=NOT_RELATED``, while its provenance record is finalized
@@ -56,17 +51,14 @@ with the same failure (never left dangling).  Stage and outcome writes
 for the last time, so retried attempts never duplicate provenance or
 trace spans.  ``fail_fast=True`` restores raise-on-first-error for
 callers that prefer a crash (the failing object's record is still
-finalized before the raise; records of other in-flight objects may
-remain open because the campaign aborted).
+finalized before the raise; the records of the objects after it stay
+open because the campaign aborted).
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import require_at_least
@@ -109,11 +101,10 @@ class BatchStats:
 
     Built from the campaign's metrics :class:`~repro.obs.metrics.Scope`
     (see :meth:`from_campaign`), so counters attribute to *this*
-    campaign's threads rather than to process-wide deltas.
+    campaign rather than to process-wide deltas.
     """
 
     objects: int = 0
-    max_workers: int = 1
     failed: int = 0
     retries: int = 0
     unique_retrievals: int = 0
@@ -128,7 +119,6 @@ class BatchStats:
         scope = campaign.scope
         return cls(
             objects=len(campaign.objects),
-            max_workers=campaign.engine.max_workers,
             failed=int(scope.value("batch.failed")),
             retries=int(scope.value("batch.retries")),
             unique_retrievals=len(campaign.plan_first),
@@ -164,7 +154,6 @@ class BatchStats:
         return {
             "failed": self.failed,
             "matrix_batches": self.matrix_batches,
-            "max_workers": self.max_workers,
             "objects": self.objects,
             "per_object_seconds": self.per_object_seconds(),
             "retries": self.retries,
@@ -186,70 +175,11 @@ class BatchStats:
             for name, seconds in sorted(self.stage_seconds.items())
         )
         return (
-            f"{self.objects} objects on {self.max_workers} workers "
-            f"({stages}); "
+            f"{self.objects} objects ({stages}); "
             f"{self.failed} failed, {self.retries} retries; "
             f"{self.unique_retrievals} unique retrievals "
             f"({self.retrieval_cache_hits} deduped, "
             f"{self.matrix_batches} matrix batches)"
-        )
-
-
-class BatchEngine:
-    """The execution policy of a campaign over a ``VerifAI`` system.
-
-    ``fail_fast`` re-raises the first per-object fault instead of
-    reporting it; ``max_retries`` (default
-    ``system.config.batch_max_retries``) grants each object that many
-    extra attempts before it is reported FAILED.
-    """
-
-    def __init__(
-        self,
-        system: VerifAI,
-        max_workers: int = 1,
-        fail_fast: bool = False,
-        max_retries: Optional[int] = None,
-    ) -> None:
-        require_at_least("max_workers", max_workers, 1)
-        retries = (
-            max_retries if max_retries is not None
-            else system.config.batch_max_retries
-        )
-        require_at_least("max_retries", retries, 0)
-        self.system = system
-        self.max_workers = max_workers
-        self.fail_fast = fail_fast
-        self.max_retries = retries
-
-    def run(
-        self,
-        objects: Sequence[DataObject],
-        modalities: Optional[Sequence[Modality]] = None,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
-        trace: bool = False,
-        profile: bool = False,
-    ) -> BatchReport:
-        """Verify every object; reports come back in input order.
-
-        ``profile=True`` (implies ``trace``) stamps spans with
-        thread-CPU readings and attaches a
-        :class:`~repro.obs.profile.StageProfile` to the report; the
-        default path builds byte-identical traces to an unprofiled run.
-        """
-        campaign = Campaign(
-            self, objects, modalities, k_coarse, k_fine,
-            trace=trace or profile, profile=profile,
-        )
-        reports = run_campaign(campaign)
-        return BatchReport(
-            reports=reports,
-            stats=BatchStats.from_campaign(campaign),
-            trace=campaign.trace,
-            profile=(
-                StageProfile.from_trace(campaign.trace) if profile else None
-            ),
         )
 
 
@@ -267,20 +197,24 @@ def _plan_query(obj: DataObject) -> Optional[str]:
 class Campaign:
     """The explicit state of one campaign, shared by its stages.
 
-    Opening one allocates the provenance records (serially, in input
-    order, so record ids are deterministic regardless of worker
-    scheduling), the metrics scope, and — traced — the tracer and its
-    root.  ``solo`` (exactly one object) roots the trace at that
-    object's ``verify`` span; otherwise the root is ``verify_batch``,
-    which deliberately carries no worker-count attribute: serial and
-    parallel runs of one campaign must export the same bytes.
-    :func:`plan` fills the dedup plan; the retrieval cache is the one
-    field worker threads write, through :meth:`store`, under its lock.
+    Opening one allocates the provenance records (in input order, so
+    record ids are deterministic), the metrics scope, and — traced — the
+    tracer and its root.  ``solo`` (exactly one object) roots the trace
+    at that object's ``verify`` span; otherwise the root is
+    ``verify_batch``.  :func:`plan` fills the dedup plan and
+    :func:`prefill` the retrieval cache, which an object whose key is
+    cold fills for itself.
+
+    ``fail_fast`` re-raises the first per-object fault instead of
+    reporting it; ``max_retries`` (default
+    ``system.config.batch_max_retries``) grants each object that many
+    extra attempts before it is reported FAILED.  ``profile`` (with
+    ``trace``) stamps spans with thread-CPU readings.
     """
 
     def __init__(
         self,
-        engine: BatchEngine,
+        system: VerifAI,
         objects: Sequence[DataObject],
         modalities: Optional[Sequence[Modality]] = None,
         k_coarse: Optional[int] = None,
@@ -288,12 +222,17 @@ class Campaign:
         trace: bool = False,
         profile: bool = False,
         solo: bool = False,
+        fail_fast: bool = False,
+        max_retries: Optional[int] = None,
     ) -> None:
         for name, depth in (("k_coarse", k_coarse), ("k_fine", k_fine)):
             if depth is not None:
                 require_at_least(name, depth, 1)
-        system = engine.system
-        self.engine = engine
+        if max_retries is None:
+            max_retries = system.config.batch_max_retries
+        require_at_least("max_retries", max_retries, 0)
+        self.fail_fast = fail_fast
+        self.max_retries = max_retries
         self.system = system
         self.objects = list(objects)
         #: each object's ``query_text()``; ``None`` where it raised
@@ -313,6 +252,7 @@ class Campaign:
         ]
         self.scope = system.metrics.scope()
         self.solo = solo
+        self.profile = profile
         self.tracer: Optional[Tracer] = None
         self.root: Optional[Span] = None
         #: staging for the cold-build and prefill spans under ``root``
@@ -343,8 +283,9 @@ class Campaign:
         self.start = 0.0
         self.total_seconds = 0.0
         self.trace: Optional[Trace] = None
-        self._retrievals: Dict[tuple, Retrieval] = {}
-        self._retrievals_lock = threading.Lock()
+        #: retrieval key -> the provenance stages of one (object type,
+        #: query, modality, depths) execution and its shortlist
+        self.retrievals: Dict[tuple, Retrieval] = {}
 
     def retrieval_key(
         self, obj: DataObject, query: str, modality: Modality
@@ -352,18 +293,6 @@ class Campaign:
         return (
             type(obj).__name__, query, modality, self.k_coarse, self.k_fine
         )
-
-    def cached(self, key: tuple) -> Optional[Retrieval]:
-        with self._retrievals_lock:
-            return self._retrievals.get(key)
-
-    def store(self, key: tuple, retrieval: Retrieval) -> Retrieval:
-        """Cache one retrieval: the provenance stages of one (object
-        type, query, modality, depths) execution and its shortlist.  A
-        concurrent miss recomputes the same deterministic retrieval;
-        first writer wins, results are equal."""
-        with self._retrievals_lock:
-            return self._retrievals.setdefault(key, retrieval)
 
     def object_span(self, branch, position: int) -> ContextManager[Span]:
         """The ``verify`` span of one attempt at one object: a child of
@@ -380,13 +309,27 @@ class Campaign:
         )
 
 
+def run_batch(campaign: Campaign) -> BatchReport:
+    """Run a campaign: its reports in input order, its stats, its trace
+    and, profiled, its :class:`~repro.obs.profile.StageProfile`."""
+    reports = run_campaign(campaign)
+    return BatchReport(
+        reports=reports,
+        stats=BatchStats.from_campaign(campaign),
+        trace=campaign.trace,
+        profile=(
+            StageProfile.from_trace(campaign.trace)
+            if campaign.profile else None
+        ),
+    )
+
+
 def run_campaign(campaign: Campaign) -> List[VerificationReport]:
     """plan → prefill → attempt every object → finalize."""
     system = campaign.system
-    # build (and seal) the indexes the campaign reads up front so worker
-    # threads never race on the lazy build path; build cost is not
-    # attributed to the campaign scope.  A traced cold build hangs its
-    # spans under the root.
+    # build (and seal) the indexes the campaign reads up front; build
+    # cost is not attributed to the campaign scope.  A traced cold build
+    # hangs its spans under the root.
     system.indexer.build(
         {modality for route in campaign.modalities for modality in route},
         branch=campaign.setup_branch, parent=campaign.root,
@@ -403,7 +346,7 @@ def run_campaign(campaign: Campaign) -> List[VerificationReport]:
 def plan(campaign: Campaign) -> None:
     """The dedup plan: which position first issues each retrieval key.
     Computed from the inputs alone, so dedup counters and span
-    attributes never depend on worker interleaving."""
+    attributes depend on nothing else."""
     for position, obj in enumerate(campaign.objects):
         query = campaign.queries[position]
         if query is None:
@@ -417,7 +360,7 @@ def plan(campaign: Campaign) -> None:
 
 def prefill(campaign: Campaign) -> None:
     """Score each modality's deduplicated campaign queries in one matrix
-    pass and seed the retrieval cache, so workers only ever hit.  A
+    pass and seed the retrieval cache, so the objects only ever hit.  A
     fault leaves that modality's cache cold (its span FAILED): each
     object then retrieves for itself inside its own error boundary,
     which reports the fault against the object that caused it."""
@@ -448,8 +391,7 @@ def prefill(campaign: Campaign) -> None:
                 queries=len(keys),
             )
             continue
-        for key, retrieval in zip(keys, retrievals):
-            campaign.store(key, retrieval)
+        campaign.retrievals.update(zip(keys, retrievals))
         registry.counter("batch.matrix_batches").inc()
     registry.histogram("pipeline.retrieve_seconds").observe(
         system.clock.now() - prefill_start
@@ -507,13 +449,12 @@ def retrieve_object(
     retrieved: List[Retrieval] = []
     for modality in campaign.modalities[position]:
         key = campaign.retrieval_key(obj, query, modality)
-        retrieval = campaign.cached(key)
+        retrieval = campaign.retrievals.get(key)
         if retrieval is None:
-            retrieval = campaign.store(
-                key,
+            retrieval = campaign.retrievals[key] = (
                 campaign.system.retrieval_stages_batch(
                     [obj], modality, campaign.k_coarse, campaign.k_fine
-                )[0],
+                )[0]
             )
         replay_stage_spans(
             campaign, branch, obj_span, retrieval[0], modality,
@@ -599,66 +540,55 @@ def attempt(
 
 
 def run_object(campaign: Campaign, position: int) -> VerificationReport:
-    """The per-object error boundary around :func:`attempt`.
-
-    Re-activates the campaign scope so worker-thread cache traffic
-    attributes to this campaign (a no-op on the thread that opened it,
-    where the scope is already active)."""
-    engine = campaign.engine
+    """The per-object error boundary around :func:`attempt`."""
     registry = campaign.system.metrics
     obj = campaign.objects[position]
-    with registry.activate(campaign.scope):
-        registry.counter("pipeline.verify_calls").inc()
-        attempts = engine.max_retries + 1
-        for number in range(1, attempts + 1):
-            try:
-                return attempt(campaign, position, number == attempts)
-            except Exception as exc:
-                if number < attempts:
-                    registry.counter("batch.retries").inc()
-                    get_event_log().emit(
-                        "batch.retry",
-                        object_id=obj.object_id,
-                        attempt=number,
-                    )
-                    continue
-                record = campaign.records[position]
-                error = format_error(exc)
-                record.mark_failed(error)
-                registry.counter("batch.failed").inc()
+    registry.counter("pipeline.verify_calls").inc()
+    attempts = campaign.max_retries + 1
+    for number in range(1, attempts + 1):
+        try:
+            return attempt(campaign, position, number == attempts)
+        except Exception as exc:
+            if number < attempts:
+                registry.counter("batch.retries").inc()
                 get_event_log().emit(
-                    "batch.object_failed",
+                    "batch.retry",
                     object_id=obj.object_id,
-                    error=error,
+                    attempt=number,
                 )
-                if engine.fail_fast:
-                    raise
-                return VerificationReport(
-                    object_id=obj.object_id,
-                    final_verdict=Verdict.NOT_RELATED,
-                    margin=0.0,
-                    record_id=record.record_id,
-                    status=STATUS_FAILED,
-                    error=error,
-                )
+                continue
+            record = campaign.records[position]
+            error = format_error(exc)
+            record.mark_failed(error)
+            registry.counter("batch.failed").inc()
+            get_event_log().emit(
+                "batch.object_failed",
+                object_id=obj.object_id,
+                error=error,
+            )
+            if campaign.fail_fast:
+                raise
+            return VerificationReport(
+                object_id=obj.object_id,
+                final_verdict=Verdict.NOT_RELATED,
+                margin=0.0,
+                record_id=record.record_id,
+                status=STATUS_FAILED,
+                error=error,
+            )
 
 
 def run_objects(campaign: Campaign) -> List[VerificationReport]:
-    """Every object through its boundary, serially or on the pool;
-    reports come back in input order either way."""
-    positions = range(len(campaign.objects))
-    run_one = partial(run_object, campaign)
-    if campaign.engine.max_workers == 1 or len(positions) <= 1:
-        return [run_one(position) for position in positions]
-    with ThreadPoolExecutor(
-        max_workers=campaign.engine.max_workers
-    ) as pool:
-        return list(pool.map(run_one, positions))
+    """Every object through its boundary, in input order."""
+    return [
+        run_object(campaign, position)
+        for position in range(len(campaign.objects))
+    ]
 
 
 def finalize(campaign: Campaign, reports: List[VerificationReport]) -> None:
-    """Link the generation log (append-order-sensitive: once, serially,
-    in input order), stamp the total, close the root and snapshot the
+    """Link the generation log (append-order-sensitive: once, in input
+    order), stamp the total, close the root and snapshot the
     trace."""
     system = campaign.system
     for obj, report in zip(campaign.objects, reports):

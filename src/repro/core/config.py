@@ -46,7 +46,7 @@ class VerifAIConfig:
       :meth:`VerifAI.verify_batch` and :meth:`VerifAI.verify` (the
       campaign of one), so both honour it.
       Retries are immediate and deterministic — no sleeps or jitter —
-      so serial and parallel runs stay report-for-report identical.
+      so two runs stay report-for-report identical.
 
     A depth, size or count below its floor (1; 0 for
     ``batch_max_retries``) is refused at construction with a

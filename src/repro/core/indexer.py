@@ -22,13 +22,11 @@ churn flows through :meth:`remove_instance` / :meth:`update_instance`
 seal plus the writes since, vector eviction) — no full rebuild
 required; an update re-indexes only the entries whose payload changed.
 A write changes only the modalities already built; one built later
-reads the already-written lake.  Mutations are single-writer: do not
-interleave them with concurrent searches.
+reads the already-written lake.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.datalake.lake import DataLake
@@ -94,9 +92,6 @@ class IndexerModule:
         self._semantic: Dict[Modality, FlatVectorIndex] = {}
         self._combiners: Dict[Modality, Combiner] = {}
         self._vectorizer = HashingVectorizer(dim=EMBEDDING_DIM)
-        # guards the lazy builds: readers on several threads may race to
-        # build the same modality
-        self._build_lock = threading.Lock()
         self._metrics = get_registry()
 
     @property
@@ -214,9 +209,7 @@ class IndexerModule:
         parent=None,
     ) -> "IndexerModule":
         """Index every instance of each named modality not built yet,
-        in :class:`Modality` order (idempotent, and safe to race: the
-        first caller builds a modality under the lock, later callers
-        see it completed).
+        in :class:`Modality` order (idempotent).
 
         A tracing ``branch`` (plus ``parent`` span) emits one
         ``index.build:<modality>`` span per modality this call builds.
@@ -228,10 +221,8 @@ class IndexerModule:
         if not missing:
             return self
         branch = branch or NULL_BRANCH
-        with self._build_lock:
-            for modality in _INDEXED_MODALITIES:
-                if modality not in missing or modality in self._combiners:
-                    continue
+        for modality in _INDEXED_MODALITIES:
+            if modality in missing:
                 with branch.span(
                     f"index.build:{modality.value}",
                     parent=parent,

@@ -8,7 +8,6 @@ for replay/debugging.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -132,7 +131,6 @@ class VerifAI:
         self.cpu_clock: Clock = cpu_clock or ThreadCpuClock()
         self.metrics = get_registry()
         self._trace_counter = 0
-        self._trace_lock = threading.Lock()
         # the verifier LLM needs no parametric knowledge: it reasons over
         # the evidence in the prompt
         self.llm = llm or SimulatedLLM(knowledge=None)
@@ -166,10 +164,8 @@ class VerifAI:
     def next_trace_id(self) -> str:
         """Sequential trace id — deterministic, unlike uuid4, so traced
         runs replay byte-identically."""
-        with self._trace_lock:
-            self._trace_counter += 1
-            count = self._trace_counter
-        return f"trace-{count:06d}"
+        self._trace_counter += 1
+        return f"trace-{self._trace_counter:06d}"
 
     def retrieval_stages_batch(
         self,
@@ -276,11 +272,11 @@ class VerifAI:
         child per verified pair.  The root span carries ``record_id`` and
         the record carries the trace id.
         """
-        from repro.core.batch import BatchEngine, Campaign, run_campaign
+        from repro.core.batch import Campaign, run_campaign
 
         campaign = Campaign(
-            BatchEngine(self, fail_fast=fail_fast), [obj],
-            modalities, k_coarse, k_fine, trace=trace, solo=True,
+            self, [obj], modalities, k_coarse, k_fine,
+            trace=trace, solo=True, fail_fast=fail_fast,
         )
         report = run_campaign(campaign)[0]
         report.trace = campaign.trace
@@ -301,9 +297,11 @@ class VerifAI:
         """Verify many objects and summarize the campaign.
 
         Delegates to the batch engine: identical retrieval queries are
-        computed once, retrieval+rerank+verify runs on up to
-        ``max_workers`` threads (default 1, the serial path), and report
-        order always matches input order.  Each object runs inside an
+        computed once, retrieval+rerank+verify runs for each object in
+        input order on the calling thread, and report order matches
+        input order.  ``max_workers`` must be 1 (anything else raises
+        ``ValueError``): it stays only for callers written when the
+        campaign could fan out to threads.  Each object runs inside an
         error boundary: a fault yields a ``FAILED`` report (after
         ``max_retries`` extra attempts, default
         ``config.batch_max_retries``) instead of aborting the campaign;
@@ -311,8 +309,8 @@ class VerifAI:
         :class:`BatchReport` carries stage timings, cache-hit, failure,
         and retry counters in ``stats``; ``trace=True`` additionally
         attaches a campaign-wide span tree (``report.trace``) whose
-        export is byte-identical for serial and parallel runs under a
-        deterministic clock.
+        export is byte-identical from run to run under a deterministic
+        clock.
 
         ``profile=True`` (implies tracing) additionally stamps every
         span with thread-CPU readings and attaches a
@@ -321,16 +319,18 @@ class VerifAI:
         Profiling is strictly opt-in: the default path builds the exact
         trace bytes it always has.
         """
-        from repro.core.batch import BatchEngine
+        from repro.core.batch import Campaign, run_batch
 
-        engine = BatchEngine(
-            self, max_workers=max_workers,
+        if max_workers != 1:
+            raise ValueError(
+                f"max_workers must be 1 (one verifying thread), "
+                f"got {max_workers}"
+            )
+        return run_batch(Campaign(
+            self, objects, modalities, k_coarse, k_fine,
+            trace=trace or profile, profile=profile,
             fail_fast=fail_fast, max_retries=max_retries,
-        )
-        return engine.run(
-            objects, modalities=modalities, k_coarse=k_coarse,
-            k_fine=k_fine, trace=trace or profile, profile=profile,
-        )
+        ))
 
     def add_instance(self, instance) -> None:
         """Fold a newly ingested lake instance into the live indexes

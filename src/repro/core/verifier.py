@@ -33,8 +33,7 @@ class VerifierModule:
 
     Each verified pair is one call to the Agent: nothing is memoised, so
     a write to the lake is seen by the next pair that reads it.  The
-    module keeps no per-pair state, and the batch engine's worker
-    threads share it.
+    module keeps no per-pair state.
     """
 
     def __init__(

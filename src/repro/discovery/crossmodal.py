@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -46,8 +45,6 @@ class CrossModalIndex:
         self._vectorizer = TfidfVectorizer(dim=dim)
         self._index: Optional[FlatVectorIndex] = None
         self._modality_of_id: Dict[str, Modality] = {}
-        # build() is lazily triggered; server threads may race to it
-        self._build_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # construction
@@ -65,26 +62,20 @@ class CrossModalIndex:
                 yield entity
 
     def build(self) -> "CrossModalIndex":
-        """Fit the shared encoder and embed every instance (idempotent,
-        and safe to race: concurrent callers serialize on a lock)."""
-        with self._build_lock:
-            if self._index is not None:
-                return self
-            instances = list(self._corpus())
-            payloads = [
-                serialize_instance(instance) for instance in instances
-            ]
-            self._vectorizer.fit(payloads)
-            index = FlatVectorIndex(
-                dim=self.dim, encoder=self._vectorizer.transform,
-                name="crossmodal",
-            )
-            for instance, payload in zip(instances, payloads):
-                index.add(instance.instance_id, payload)
-                self._modality_of_id[instance.instance_id] = modality_of(
-                    instance
-                )
-            self._index = index
+        """Fit the shared encoder and embed every instance (idempotent)."""
+        if self._index is not None:
+            return self
+        instances = list(self._corpus())
+        payloads = [serialize_instance(instance) for instance in instances]
+        self._vectorizer.fit(payloads)
+        index = FlatVectorIndex(
+            dim=self.dim, encoder=self._vectorizer.transform,
+            name="crossmodal",
+        )
+        for instance, payload in zip(instances, payloads):
+            index.add(instance.instance_id, payload)
+            self._modality_of_id[instance.instance_id] = modality_of(instance)
+        self._index = index
         return self
 
     @property

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import threading
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.text.similarity import ngrams
 
 #: n-gram feature vectors kept per embedder (LRU, ~0.7 KB each at the
@@ -51,10 +49,7 @@ def _feature_vector(feature: str, dim: int, salt: str) -> np.ndarray:
 class TokenEmbedder:
     """Character n-gram token embedder over a per-embedder vocabulary.
 
-    One lock guards every write to the vocabulary and its matrix (known
-    tokens are read without it, see :meth:`token_rows`): the embedder is
-    shared by ``verify_batch`` workers and the serving threads.  The
-    n-gram feature vectors are kept in a per-embedder
+    The n-gram feature vectors are kept in a per-embedder
     ``functools.lru_cache`` of ``FEATURES_SIZE`` entries.  The
     vocabulary grows with the distinct tokens embedded and is never
     evicted (cached row ids point into it); the matrix is allocated on
@@ -72,7 +67,6 @@ class TokenEmbedder:
         self.min_n = min_n
         self.max_n = max_n
         self.salt = salt
-        self._lock = threading.Lock()
         #: one n-gram's vector, through the LRU
         self._feature_cache = functools.lru_cache(maxsize=FEATURES_SIZE)(
             functools.partial(_feature_vector, dim=dim, salt=salt)
@@ -98,8 +92,7 @@ class TokenEmbedder:
         return acc
 
     def _row(self, token: str) -> int:
-        """Row id of ``token``, embedding it first if it is new (caller
-        holds the lock)."""
+        """Row id of ``token``, embedding it first if it is new."""
         row = self._vocabulary.get(token)
         if row is not None:
             return row
@@ -111,28 +104,20 @@ class TokenEmbedder:
             )
             if table is not None:
                 grown[:row] = table
-            # readers gather from whichever matrix they loaded: every
-            # row id handed out so far is filled in both
             self._table = table = grown
         table[row] = self._compose(token)
         self._vocabulary[token] = row
-        _sanitizer.note_write(self, "_vocabulary")
         return row
 
     def token_rows(self, tokens: Sequence[str]) -> np.ndarray:
-        """``int32`` vocabulary row ids of ``tokens``, in order.
-
-        Known tokens are read without the lock, which is taken only when
-        a token is new: :meth:`_row` writes a row before it publishes
-        its id and assigns a regrown table after the copy, so an id a
-        reader finds is filled in whichever table it then loads."""
+        """``int32`` vocabulary row ids of ``tokens``, in order; a new
+        token is embedded first (:meth:`_row`)."""
         rows = list(map(self._vocabulary.get, tokens))
         if None in rows:
-            with self._lock:
-                rows = [
-                    self._row(token) if row is None else row
-                    for token, row in zip(tokens, rows)
-                ]
+            rows = [
+                self._row(token) if row is None else row
+                for token, row in zip(tokens, rows)
+            ]
         return np.array(rows, dtype=np.int32)
 
     def vectors(self, rows: np.ndarray) -> np.ndarray:

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from collections import Counter
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.text import analyze
 
 #: tokens whose (bucket, sign) a vectorizer keeps (~150 B each); a token
@@ -51,17 +49,13 @@ class _SignedHashing:
         self.dim = dim
         self.salt = salt
         self._slots: Dict[str, Tuple[int, float]] = {}
-        # index builds and serving threads encode through one vectorizer
-        self._slots_lock = threading.Lock()
 
     def _slot(self, token: str) -> Tuple[int, float]:
         slot = self._slots.get(token)
         if slot is None:
             slot = _hash_index_sign(token, self.dim, self.salt)
-            with self._slots_lock:
-                if len(self._slots) < HASH_MEMO_SIZE:
-                    self._slots[token] = slot
-                    _sanitizer.note_write(self, "_slots")
+            if len(self._slots) < HASH_MEMO_SIZE:
+                self._slots[token] = slot
         return slot
 
 

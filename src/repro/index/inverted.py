@@ -51,7 +51,6 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import (
     Ranking, SearchHit, SearchIndex, hits_of, ordinals_of, select_ranked,
 )
@@ -150,7 +149,7 @@ class _View:
     __slots__ = (
         "base", "tok_pos", "fresh_ids", "size", "doc_count", "avg_len",
         "ordinal", "dead", "norm", "df", "first_seen", "delta_start",
-        "delta_cells", "delta_tf", "spans", "__weakref__",
+        "delta_cells", "delta_tf", "spans",
     )
 
     def __init__(
@@ -358,10 +357,10 @@ class InvertedIndex(SearchIndex):
         self._df: Counter = Counter()
         #: the published view; ``None`` from a write until the next read
         self._sealed: Optional[_View] = None
-        # serializes what readers build lazily — the view itself (or the
-        # first compile) and its spans — and each compaction: batch
-        # workers and serving threads search from several threads, and
-        # two of them must not both build and publish
+        # guards only :meth:`_writes`' lazy start: one thread owns the
+        # index, but IPE001 reaches that start from the serving loop
+        # through an over-approximate call edge, and the lock stays
+        # until the rule is re-scored (ROADMAP item 13)
         self._seal_lock = threading.Lock()
         #: the last compaction's postings, which every view reads and the
         #: next compaction folds into; ``None`` = nothing compiled yet
@@ -466,11 +465,10 @@ class InvertedIndex(SearchIndex):
 
     def _writes(self) -> _Delta:
         """The writes since the base (which exists), begun by the first
-        of them; the caller does not hold ``_seal_lock``."""
+        of them."""
         if self._delta is None:
             with self._seal_lock:
-                if self._delta is None:
-                    self._delta = _Delta(self._base)
+                self._delta = _Delta(self._base)
         return self._delta
 
     def __len__(self) -> int:
@@ -511,18 +509,13 @@ class InvertedIndex(SearchIndex):
         do not call this; they publish a view (:meth:`_current_seal`).  A
         write calls the fold when the writes since the base outgrow
         ``_COMPACT_SHARE`` of it.  The first seal is the fold over an
-        empty base, a compile from the fresh records.  Safe under
-        concurrent readers: it runs under a lock and publishes a *new*
-        view, so a second thread blocks instead of publishing a
-        duplicate, and a reader still holding the previous view keeps a
+        empty base, a compile from the fresh records.  It publishes a
+        *new* view, so a caller still holding the previous view keeps a
         consistent one.
         """
-        if self._sealed is not None and self._delta is None:
-            return self
-        with self._seal_lock:
-            if self._sealed is None or self._delta is not None:
-                self._fold_locked()
-                self._publish_locked(self._view_locked())
+        if self._sealed is None or self._delta is not None:
+            self._fold()
+            self._sealed = self._view()
         return self
 
     def _compact_if_outgrown(self) -> None:
@@ -535,12 +528,11 @@ class InvertedIndex(SearchIndex):
             len(delta.ids) + len(delta.dead)
             > _COMPACT_SHARE * len(delta.base.doc_ids)
         ):
-            with self._seal_lock:
-                self._fold_locked()
+            self._fold()
 
-    def _fold_locked(self) -> None:
+    def _fold(self) -> None:
         """Fold the writes since ``_base`` into its CSR arrays and make
-        the result the base; caller holds ``_seal_lock``.
+        the result the base.
 
         Produces, array for array and byte for byte, the one layout of
         the index's documents: documents in ``_doc_length`` order (the
@@ -568,20 +560,20 @@ class InvertedIndex(SearchIndex):
         else:
             published = get_registry().counter("index.seal.patched")
         if dead or fresh:
-            base = self._fold_writes_locked(base, dead, fresh)
+            base = self._fold_writes(base, dead, fresh)
         self._base = base
         self._fresh, self._delta = {}, None
         self._viewed, self._touched = None, set()
         published.inc()
 
 
-    def _fold_writes_locked(
+    def _fold_writes(
         self,
         base: _Postings,
         dead: List[int],
         fresh: Dict[str, Tuple[Tuple[str, ...], Tuple[int, ...]]],
     ) -> _Postings:
-        """:meth:`_fold_locked` when something was written: ``dead``
+        """:meth:`_fold` when something was written: ``dead``
         holds the positions of the base documents removed since."""
         if dead:
             keep_doc = np.ones(len(base.doc_ids), dtype=bool)
@@ -720,14 +712,9 @@ class InvertedIndex(SearchIndex):
         values /= denominator
         return values
 
-    def _publish_locked(self, sealed: _View) -> None:
-        """Publish one read form; caller holds ``_seal_lock``."""
-        self._sealed = sealed
-        _sanitizer.note_write(self, "_sealed", lock=self._seal_lock)
-
-    def _view_locked(self) -> _View:
+    def _view(self) -> _View:
         """The base, the writes since it and the statistics now as one
-        view; caller holds ``_seal_lock``.  Costs one pass over the
+        view.  Costs one pass over the
         documents' lengths for ``norm``.  It starts from the last view of
         this base: its ``df``, the tokens written since brought up to
         date, and, unless the document count or the average length
@@ -816,30 +803,27 @@ class InvertedIndex(SearchIndex):
         """Cache the span of each of ``tokens`` the view carries and has
         no span of, at its idf and norms, in one :meth:`_contrib` pass
         over their blocks laid end to end, each span a copy of its piece
-        (an inherited span keeps no batch alive).  Under ``_seal_lock``,
-        so each span is derived once however many readers race to it; a
-        token the view does not know is not cached."""
-        with self._seal_lock:
-            spans, blocks = sealed.spans, {}
-            for token in tokens:
-                if token not in spans and token not in blocks:
-                    block = sealed.block(token)
-                    if block is not None:
-                        blocks[token] = block
-            if not blocks:
-                return
-            cells, tf, df = zip(*blocks.values())
-            sizes = [block_tf.size for block_tf in tf]
-            values = self._contrib(
-                np.repeat([_bm25_idf(sealed.doc_count, n) for n in df], sizes),
-                np.concatenate(tf), sealed.norm,
-                np.concatenate([part for parts in cells for part in parts]),
-            )
-            end = 0
-            for token, parts, size in zip(blocks, cells, sizes):
-                spans[token] = (parts, values[end:end + size].copy())
-                end += size
-                _sanitizer.note_write(sealed, "spans", lock=self._seal_lock)
+        (an inherited span keeps no batch alive).  A token the view does
+        not know is not cached."""
+        spans, blocks = sealed.spans, {}
+        for token in tokens:
+            if token not in spans and token not in blocks:
+                block = sealed.block(token)
+                if block is not None:
+                    blocks[token] = block
+        if not blocks:
+            return
+        cells, tf, df = zip(*blocks.values())
+        sizes = [block_tf.size for block_tf in tf]
+        values = self._contrib(
+            np.repeat([_bm25_idf(sealed.doc_count, n) for n in df], sizes),
+            np.concatenate(tf), sealed.norm,
+            np.concatenate([part for parts in cells for part in parts]),
+        )
+        end = 0
+        for token, parts, size in zip(blocks, cells, sizes):
+            spans[token] = (parts, values[end:end + size].copy())
+            end += size
 
     # ------------------------------------------------------------------
     # search
@@ -852,15 +836,11 @@ class InvertedIndex(SearchIndex):
         arrays."""
         sealed = self._sealed
         if sealed is None and self._doc_length:
-            with self._seal_lock:
-                sealed = self._sealed
-                if sealed is None:
-                    if self._base is None:
-                        self._fold_locked()
-                    else:
-                        get_registry().counter("index.seal.viewed").inc()
-                    sealed = self._view_locked()
-                    self._publish_locked(sealed)
+            if self._base is None:
+                self._fold()
+            else:
+                get_registry().counter("index.seal.viewed").inc()
+            sealed = self._sealed = self._view()
         return sealed
 
     def rank_planned(

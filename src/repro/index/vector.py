@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import abc
 import bisect
-import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.index.base import (
     Ranking, SearchHit, SearchIndex, hits_of, ordinals_of, select_ranked,
 )
@@ -103,10 +101,6 @@ class VectorIndex(SearchIndex):
         #: :func:`ordinals_of` the id list: built by the first read of
         #: one generation of it, dropped by every write to it
         self._ordinal: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # guards the id list's writes and the build of its ordinals:
-        # readers searching from a thread pool must not both build
-        # them, nor one build from a list a writer is changing
-        self._ids_lock = threading.Lock()
 
     # -- encoding -------------------------------------------------------
     def encode(self, text: str) -> np.ndarray:
@@ -154,10 +148,9 @@ class VectorIndex(SearchIndex):
         if instance_id in self._id_set:
             raise ValueError(f"duplicate instance id: {instance_id}")
         vector = self._check_vector(vector)
-        with self._ids_lock:
-            self._id_set.add(instance_id)
-            self._ids.append(instance_id)
-            self._ordinal = None
+        self._id_set.add(instance_id)
+        self._ids.append(instance_id)
+        self._ordinal = None
         self._store(instance_id, vector)
 
     def remove_vector(self, instance_id: str) -> None:
@@ -169,16 +162,9 @@ class VectorIndex(SearchIndex):
     def _ordinals(self) -> Tuple[np.ndarray, np.ndarray]:
         """:func:`ordinals_of` the current id list, built once per
         generation of it (derived data: a write drops it)."""
-        ordinals = self._ordinal
-        if ordinals is None:
-            with self._ids_lock:
-                ordinals = self._ordinal
-                if ordinals is None:
-                    ordinals = self._ordinal = ordinals_of(self._ids)
-                    _sanitizer.note_write(
-                        self, "_ordinal", lock=self._ids_lock
-                    )
-        return ordinals
+        if self._ordinal is None:
+            self._ordinal = ordinals_of(self._ids)
+        return self._ordinal
 
     @abc.abstractmethod
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
@@ -243,51 +229,41 @@ class FlatVectorIndex(VectorIndex):
         #: the ``_staged`` vectors of ``_ids[_count:]``
         self._stage = np.zeros((_STAGE_ROWS, dim), dtype=np.float64)
         self._staged = 0
-        # guards buckets, blocks and stage: batch workers and serving
-        # threads search one index, and two first searches after a write
-        # must not both move the stage (reentrant: a write or a removal that
-        # holds it moves the stage too)
-        self._matrix_lock = threading.RLock()
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
-        with self._matrix_lock:
-            if self._staged == _STAGE_ROWS:
-                self._unstage()
-            self._stage[self._staged] = vector
-            self._staged += 1
-            _sanitizer.note_write(self, "_staged")
+        if self._staged == _STAGE_ROWS:
+            self._unstage()
+        self._stage[self._staged] = vector
+        self._staged += 1
 
     def _unstage(self) -> None:
         """Move the staged rows into ``_blocks``: the block's norms and
         its non-zeros."""
-        with self._matrix_lock:
-            block = self._stage[: self._staged]
-            buckets, rows = np.nonzero(block.T)
-            cuts = np.searchsorted(buckets, np.arange(1, self.dim))
-            self._blocks.append((
-                np.linalg.norm(block, axis=1),
-                np.split((rows + self._count).astype(np.int32), cuts),
-                np.split(block.T[buckets, rows], cuts),
-            ))
-            self._count += self._staged
-            self._staged = 0
-            _sanitizer.note_write(self, "_staged")
+        block = self._stage[: self._staged]
+        buckets, rows = np.nonzero(block.T)
+        cuts = np.searchsorted(buckets, np.arange(1, self.dim))
+        self._blocks.append((
+            np.linalg.norm(block, axis=1),
+            np.split((rows + self._count).astype(np.int32), cuts),
+            np.split(block.T[buckets, rows], cuts),
+        ))
+        self._count += self._staged
+        self._staged = 0
 
     def _table(self) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
         """The buckets' rows and values and the row norms, the first read
         after a write moving the stage and the blocks into them."""
-        with self._matrix_lock:
-            if self._staged:
-                self._unstage()
-            if self._blocks:
-                norms, rows, values = zip(*self._blocks)
-                self._rows = [np.concatenate(p) for p in zip(self._rows, *rows)]
-                self._values = [
-                    np.concatenate(p) for p in zip(self._values, *values)
-                ]
-                self._row_norms = np.concatenate((self._row_norms,) + norms)
-                self._blocks = []
-            return self._rows, self._values, self._row_norms
+        if self._staged:
+            self._unstage()
+        if self._blocks:
+            norms, rows, values = zip(*self._blocks)
+            self._rows = [np.concatenate(p) for p in zip(self._rows, *rows)]
+            self._values = [
+                np.concatenate(p) for p in zip(self._values, *values)
+            ]
+            self._row_norms = np.concatenate((self._row_norms,) + norms)
+            self._blocks = []
+        return self._rows, self._values, self._row_norms
 
     def remove_vector(self, instance_id: str) -> None:
         """Evict one vector and its id (KeyError when absent).
@@ -296,21 +272,16 @@ class FlatVectorIndex(VectorIndex):
         after it; fine for the live-mutation rates the indexer sees (bulk
         churn goes through a rebuild)."""
         index = self._position(instance_id)
-        with self._ids_lock:
-            del self._ids[index]
-            self._id_set.discard(instance_id)
-            self._ordinal = None
-        with self._matrix_lock:
-            all_rows, all_values, row_norms = self._table()
-            # fresh lists: a search holding the old ones reads them whole
-            self._rows, self._values = list(all_rows), list(all_values)
-            for b, (rows, values) in enumerate(zip(all_rows, all_values)):
-                at, end = _span_of(rows, index)
-                self._rows[b] = np.concatenate((rows[:at], rows[end:] - 1))
-                self._values[b] = np.concatenate((values[:at], values[end:]))
-            self._row_norms = np.delete(row_norms, index)
-            self._count -= 1
-            _sanitizer.note_write(self, "_count")
+        del self._ids[index]
+        self._id_set.discard(instance_id)
+        self._ordinal = None
+        all_rows, all_values, row_norms = self._table()
+        for b, (rows, values) in enumerate(zip(all_rows, all_values)):
+            at, end = _span_of(rows, index)
+            all_rows[b] = np.concatenate((rows[:at], rows[end:] - 1))
+            all_values[b] = np.concatenate((values[:at], values[end:]))
+        self._row_norms = np.delete(row_norms, index)
+        self._count -= 1
 
     def _position(self, instance_id: str) -> int:
         if instance_id not in self._id_set:

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import functools
 import random
-import threading
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.claims.model import ClaimSpec
 from repro.claims.parser import ClaimParser
 from repro.datalake.serialize import parse_row, parse_table
@@ -160,26 +158,22 @@ class SimulatedLLM:
         self.seed = seed
         self._reasoner = NoisyClaimReasoner(profile)
         self.num_calls = 0
-        self._calls_lock = threading.Lock()
         #: ``_read_evidence(text)``, once per distinct Evidence section
         #: while the LRU holds it: the key is the text the model was
         #: shown, so a kept reading is the one a fresh read would give
         self._readings = functools.lru_cache(maxsize=READINGS_SIZE)(
             _read_evidence
         )
-        #: per thread, the last object read: ``((data, attribute,
-        #: context), reading)``
-        self._last_object = threading.local()
+        #: the last object read: ``((data, attribute, context),
+        #: reading)``, or ``None`` before the first
+        self._last_object: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def chat(self, prompt: str) -> str:
         """Answer one prompt; identical prompts yield identical answers."""
-        # worker threads share one model: an unguarded += loses updates
-        with self._calls_lock:
-            self.num_calls += 1
-            _sanitizer.note_write(self, "num_calls", lock=self._calls_lock)
+        self.num_calls += 1
         if COMPLETION_MARKER in prompt:
             return self._handle_completion(prompt)
         if VERIFICATION_MARKER in prompt:
@@ -327,17 +321,17 @@ class SimulatedLLM:
     def _object_reading(
         self, data: str, attribute: Optional[str], context: Optional[str]
     ) -> _Object:
-        """``_read_object(data, attribute, context)``, kept until this
-        thread reads another object.  A pool's k' pairs are verified one
-        after another by one thread, so each pool reads its object once;
+        """``_read_object(data, attribute, context)``, kept until the
+        model reads another object.  A pool's k' pairs are verified one
+        after another, so each pool reads its object once;
         an object is rarely asked about again once its pool is done, so
         it never takes an evidence reading's place in the LRU."""
         key = (data, attribute, context)
-        last = getattr(self._last_object, "reading", None)
+        last = self._last_object
         if last is not None and last[0] == key:
             return last[1]
         reading = _read_object(data, attribute, context)
-        self._last_object.reading = (key, reading)
+        self._last_object = (key, reading)
         return reading
 
     # -- helpers --------------------------------------------------------

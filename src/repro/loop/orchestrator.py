@@ -19,11 +19,11 @@ State machine per task::
 All verification runs through :meth:`VerifAI.verify_batch`, one batch
 per round, so the loop inherits the batch engine's dedupe, error
 boundary, and — crucially — its determinism: report order matches
-input order and record/trace ids are allocated serially.  Every
+input order and record/trace ids are allocated in input order.  Every
 decision lands in an :class:`~repro.loop.trail.AuditTrail` entry
 cross-linking the provenance ``record_id`` and trace id of the verdict
-it acted on; under a frozen TickClock the trail is byte-identical for
-serial and parallel runs of the same seed.
+it acted on; under a frozen TickClock the trail is byte-identical from
+run to run of the same seed.
 """
 
 from __future__ import annotations
@@ -198,13 +198,10 @@ class LoopConfig:
     """Knobs of the orchestrate-until-pass loop.
 
     ``max_iters`` counts *verification rounds* — a task that passes on
-    its first draft consumed 1 iteration.  ``max_workers`` is handed to
-    ``verify_batch`` (1 = the serial path); the audit trail is
-    byte-identical either way under a frozen clock.
+    its first draft consumed 1 iteration.
     """
 
     max_iters: int = 4
-    max_workers: int = 1
     seed: Optional[int] = None   # stamped into the trail header only
 
     def __post_init__(self) -> None:
@@ -329,9 +326,7 @@ class LoopOrchestrator:
                 )
                 for i in active
             ]
-            batch = self.system.verify_batch(
-                objects, max_workers=config.max_workers, trace=True
-            )
+            batch = self.system.verify_batch(objects, trace=True)
             self.metrics.counter("loop.rounds").inc()
 
             verified = refuted = unresolved = 0

@@ -219,7 +219,6 @@ def build_scenario_system(
 def run_scenario(
     scenario: Scenario,
     max_iters: int = 4,
-    max_workers: int = 1,
     clock: Optional[Clock] = None,
 ) -> ScenarioResult:
     """Build the scenario's world and orchestrate it to convergence."""
@@ -227,11 +226,7 @@ def run_scenario(
     orchestrator = LoopOrchestrator(
         system,
         generator,
-        LoopConfig(
-            max_iters=max_iters,
-            max_workers=max_workers,
-            seed=scenario.seed,
-        ),
+        LoopConfig(max_iters=max_iters, seed=scenario.seed),
     )
     return ScenarioResult(scenario=scenario, result=orchestrator.run(specs))
 
@@ -239,12 +234,11 @@ def run_scenario(
 def run_mix(
     scenarios: Optional[List[Scenario]] = None,
     max_iters: int = 4,
-    max_workers: int = 1,
 ) -> MixReport:
     """Run a scenario mix (the default acceptance campaign when None)."""
     report = MixReport()
     for scenario in scenarios if scenarios is not None else DEFAULT_MIX:
         report.results.append(
-            run_scenario(scenario, max_iters=max_iters, max_workers=max_workers)
+            run_scenario(scenario, max_iters=max_iters)
         )
     return report

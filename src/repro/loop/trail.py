@@ -7,11 +7,10 @@ the provenance ``record_id`` and trace id it cross-links to), each
 task's terminal state, and the run summary.
 
 Determinism contract: under a frozen
-:class:`~repro.obs.clock.TickClock`, two runs of the same seeded loop —
-serial or parallel — serialize to **byte-identical** JSONL.  That is
-why entries carry nothing run-shape-dependent (no worker counts, no
-wall-clock durations) and why serialization pins key order and
-separators.
+:class:`~repro.obs.clock.TickClock`, two runs of the same seeded loop
+serialize to **byte-identical** JSONL.  That is why entries carry
+nothing run-shape-dependent (no wall-clock durations) and why
+serialization pins key order and separators.
 """
 
 from __future__ import annotations

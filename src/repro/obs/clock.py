@@ -54,10 +54,10 @@ class TickClock(Clock):
 
     ``now()`` returns the current value; the clock only moves when the
     test calls :meth:`advance` (or when constructed with a non-zero
-    ``step``, which advances it on every read).  The default — a frozen
-    clock — is what keeps serial and parallel runs of the same campaign
-    byte-identical: a stepping clock's readings depend on how many
-    ``now()`` calls interleave across threads, a frozen clock's do not.
+    ``step``, which advances it on every read).  A frozen clock — the
+    default — keeps two runs of the same campaign byte-identical
+    whatever else reads it meanwhile: a stepping clock's readings depend
+    on how many ``now()`` calls came before, a frozen clock's do not.
     """
 
     def __init__(self, start: float = 0.0, step: float = 0.0) -> None:

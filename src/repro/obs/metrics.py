@@ -4,13 +4,13 @@ Every pipeline module (Indexer, Reranker, Verifier, the word table, the
 batch engine) reports into one named registry instead of keeping
 hand-rolled counter attributes.  Two properties matter:
 
-* **thread safety** — all instruments take their own lock; the batch
-  engine's worker threads increment freely;
+* **thread safety** — all instruments take their own lock; the
+  service's event loop and its verifying thread increment freely;
 * **scoped attribution** — a :class:`Scope` captures the increments made
-  *by the threads that activated it*, not process-wide deltas.  Two
-  interleaved verification campaigns each activate their own scope on
-  their own worker threads, so neither sees the other's counts
-  (the bug the old ``BatchStats`` delta arithmetic had).
+  *by the thread that activated it*, not process-wide deltas: a
+  campaign's scope sees neither an earlier campaign's counts nor the
+  serving loop's (the bug the old ``BatchStats`` delta arithmetic
+  had).
 
 Instrument names are dotted lowercase (``verifier.verifications``); the
 catalogue lives in docs/observability.md.
@@ -37,25 +37,23 @@ class Scope:
     While active on a thread (``registry.activate(scope)``), every
     counter increment and histogram observation made from that thread is
     mirrored into the scope.  Values are keyed by instrument name
-    (histograms mirror ``<name>.count`` and ``<name>.sum``).
+    (histograms mirror ``<name>.count`` and ``<name>.sum``).  A scope is
+    active on the one thread that runs its campaign, so it takes no
+    lock.
     """
 
     def __init__(self) -> None:
         self._values: Dict[str, float] = {}
-        self._lock = threading.Lock()
 
     def add(self, name: str, amount: float) -> None:
-        with self._lock:
-            self._values[name] = self._values.get(name, 0.0) + amount
+        self._values[name] = self._values.get(name, 0.0) + amount
 
     def value(self, name: str, default: float = 0.0) -> float:
-        with self._lock:
-            return self._values.get(name, default)
+        return self._values.get(name, default)
 
     def snapshot(self) -> Dict[str, float]:
         """Name -> accumulated value, sorted by name."""
-        with self._lock:
-            return {name: self._values[name] for name in sorted(self._values)}
+        return {name: self._values[name] for name in sorted(self._values)}
 
 
 class Counter:
@@ -237,7 +235,7 @@ class MetricsRegistry:
     # scopes
     # ------------------------------------------------------------------
     def scope(self) -> Scope:
-        """A fresh, inactive scope (activate it per thread)."""
+        """A fresh, inactive scope."""
         return Scope()
 
     def active_scopes(self) -> Tuple[Scope, ...]:
@@ -246,19 +244,11 @@ class MetricsRegistry:
 
     @contextmanager
     def activate(self, scope: Scope) -> Iterator[Scope]:
-        """Mirror this thread's increments into ``scope`` while active.
-
-        Re-activating a scope already active on this thread is a no-op
-        (no double counting), so engines can wrap both their main-thread
-        body and every worker task uniformly.
-        """
+        """Mirror this thread's increments into ``scope`` while active."""
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = []
             self._local.stack = stack
-        if scope in stack:
-            yield scope
-            return
         stack.append(scope)
         try:
             yield scope

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -280,14 +279,6 @@ class StackSampler:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    def sample_for(self, seconds: float) -> "StackSampler":
-        """Run for ``seconds`` of wall time, blocking, then stop."""
-        if seconds <= 0:
-            raise ValueError(f"seconds must be > 0, got {seconds}")
-        self.start()
-        time.sleep(seconds)
-        return self.stop()
 
     # ------------------------------------------------------------------
     # sampling

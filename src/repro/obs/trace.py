@@ -8,8 +8,8 @@ execution did: ``verify_batch`` → per-object ``verify`` →
 
 * **deterministic ids** — a span's id is a digest of
   ``(trace id, path)`` where the path encodes each ancestor's name and
-  sibling index.  The same campaign produces the same span ids whether
-  it ran serially or on four workers;
+  sibling index, so the same campaign produces the same span ids on
+  every run;
 * **injectable time** — all timestamps come from the tracer's
   :class:`~repro.obs.clock.Clock`; under a frozen
   :class:`~repro.obs.clock.TickClock` the whole trace is byte-stable;
@@ -20,15 +20,14 @@ execution did: ``verify_batch`` → per-object ``verify`` →
 
 Span attributes are restricted to values that are deterministic per
 input (object ids, depths, hit counts, verdicts, planned dedup).
-Quantities that depend on runtime interleaving — actual cache hit
-tallies, worker counts — belong in :mod:`repro.obs.metrics` instead, so
-serial and parallel runs of one campaign export identical traces.
+Quantities that depend on the run — actual cache hit tallies — belong
+in :mod:`repro.obs.metrics` instead, so two runs of one campaign export
+identical traces.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -128,7 +127,7 @@ class Trace:
 
 
 class Tracer:
-    """Builds one trace; thread-safe against concurrent branch commits.
+    """Builds one trace, on the thread that runs its campaign.
 
     ``cpu_clock`` is the profiling opt-in: when set, every span is
     additionally stamped with thread-CPU readings on open and close
@@ -147,7 +146,6 @@ class Tracer:
         self.clock = clock or MonotonicClock()
         self.cpu_clock = cpu_clock
         self._spans: List[Span] = []
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # span construction
@@ -196,8 +194,7 @@ class Tracer:
             name, parent=None, index=0,
             attributes=attributes, record_id=record_id,
         )
-        with self._lock:
-            self._spans.append(span)
+        self._spans.append(span)
         return span
 
     def close(self, span: Span, status: str = SPAN_OK, error: str = "") -> None:
@@ -218,16 +215,14 @@ class Tracer:
 
     def extend(self, spans: List[Span]) -> None:
         """Register finished spans (called by branch commits)."""
-        with self._lock:
-            self._spans.extend(spans)
+        self._spans.extend(spans)
 
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
     def trace(self) -> Trace:
         """Snapshot the registered spans as a depth-first-ordered Trace."""
-        with self._lock:
-            spans = tuple(sorted(self._spans, key=lambda s: s.sort_key))
+        spans = tuple(sorted(self._spans, key=lambda s: s.sort_key))
         return Trace(trace_id=self.trace_id, spans=spans)
 
 
@@ -237,8 +232,7 @@ class SpanBranch:
     Spans opened through a branch are invisible to the tracer until
     :meth:`commit`; a retried attempt calls :meth:`discard` instead, so
     the final trace never carries spans from attempts that were thrown
-    away.  A branch is single-threaded by construction (one attempt, one
-    worker), so it needs no lock.
+    away.
     """
 
     def __init__(self, tracer: Tracer, first_index: int = 0) -> None:

@@ -11,7 +11,6 @@ reranking disagree?".
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -118,22 +117,17 @@ class ProvenanceStore:
         self._records: Dict[str, VerificationRecord] = {}
         self._by_object: Dict[str, List[str]] = {}
         self._counter = 0
-        # concurrent server requests open records from different
-        # threads; an unguarded ``_counter += 1`` would hand two
-        # requests the same record id
-        self._lock = threading.Lock()
 
     def new_record(self, object_id: str, query: str) -> VerificationRecord:
-        """Open a record for one verification run (thread-safe)."""
-        with self._lock:
-            self._counter += 1
-            record = VerificationRecord(
-                record_id=f"rec-{self._counter:06d}",
-                object_id=object_id,
-                query=query,
-            )
-            self._records[record.record_id] = record
-            self._by_object.setdefault(object_id, []).append(record.record_id)
+        """Open a record for one verification run."""
+        self._counter += 1
+        record = VerificationRecord(
+            record_id=f"rec-{self._counter:06d}",
+            object_id=object_id,
+            query=query,
+        )
+        self._records[record.record_id] = record
+        self._by_object.setdefault(object_id, []).append(record.record_id)
         return record
 
     def get(self, record_id: str) -> VerificationRecord:

@@ -34,10 +34,7 @@ class Reranker(abc.ABC):
     """Scores a query against candidate payloads; higher is better.
 
     A payload's reading is kept in a per-reranker
-    ``functools.lru_cache`` of ``READINGS_SIZE`` entries, which is
-    thread-safe: ``verify_batch`` workers and ``serve``'s threads share
-    one reranker, and a miss reads outside any lock (two threads missing
-    on one text both compute the same pure value).
+    ``functools.lru_cache`` of ``READINGS_SIZE`` entries.
     """
 
     name: str = "reranker"
@@ -56,8 +53,8 @@ class Reranker(abc.ABC):
     @abc.abstractmethod
     def _read_payload(self, payload: str) -> Any:
         """What scoring needs of one payload, whatever the query.
-        Shared by every thread that scores the payload, so nothing may
-        write to it."""
+        Shared by every score of the payload, so nothing may write to
+        it."""
 
     @abc.abstractmethod
     def _score(self, query: Any, payload: Any) -> float:

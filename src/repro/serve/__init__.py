@@ -7,10 +7,10 @@ stdlib-``asyncio`` HTTP server exposes the pipeline
 (``GET /explain/<record_id>``, ``GET /trace/<trace_id>``), and its
 operational surface (``GET /metrics`` in Prometheus text exposition,
 ``GET /healthz``).  Requests flow through an admission controller — a
-bounded FIFO queue feeding semaphore-bounded concurrency over a worker
-pool — so overload sheds deterministically with ``429`` +
-``Retry-After`` instead of collapsing, and every request's verification
-is traced end to end (span tree ↔ provenance record, both ways).
+bounded FIFO queue in front of the one thread that verifies — so
+overload sheds deterministically with ``429`` + ``Retry-After`` instead
+of collapsing, and every request's verification is traced end to end
+(span tree ↔ provenance record, both ways).
 
 ``repro.serve.loadgen`` is the matching deterministic load harness:
 seeded request mixes, open- and closed-loop arrival patterns, and

@@ -1,11 +1,11 @@
-"""Admission control: bounded queueing in front of bounded concurrency.
+"""Admission control: a bounded FIFO in front of the one verifying thread.
 
 The service's load-shedding story in one class.  A request that wants
 pipeline time must :meth:`~AdmissionController.admit` first:
 
-* if a concurrency slot is free it runs immediately;
-* if all ``max_concurrency`` slots are busy it waits in a FIFO queue —
-  but only ``max_queue`` requests may wait;
+* if no verify is running it runs immediately;
+* if one is, it waits in a FIFO queue — but only ``max_queue``
+  requests may wait;
 * beyond that the request is **shed**: :class:`ServiceOverloaded`
   carries the ``Retry-After`` hint and the server answers ``429``.
 
@@ -15,11 +15,11 @@ of queueing without limit ("millions of users" behind a finite box).
 
 Every transition is mirrored into the metrics registry:
 ``serve.inflight`` / ``serve.queue_depth`` gauges (plus
-``serve.inflight_peak``, which the bounded-concurrency tests assert
-never exceeds the configured width), and ``serve.admitted`` /
-``serve.shed`` counters.  The controller lives on the event loop —
-single-threaded by construction — so its own counters need no locks;
-the pipeline work itself happens on worker threads *after* admission.
+``serve.inflight_peak``, which reads 1 once anything was admitted),
+and ``serve.admitted`` / ``serve.shed`` counters.  The controller lives
+on the event loop — single-threaded by construction — so its own
+counters need no locks; the pipeline work itself happens on the
+service's verifying thread *after* admission.
 """
 
 from __future__ import annotations
@@ -44,24 +44,18 @@ class ServiceOverloaded(Exception):
 
 
 class AdmissionController:
-    """Bounded FIFO queue + semaphore-bounded concurrency."""
+    """Bounded FIFO queue in front of one verify at a time."""
 
     def __init__(
         self,
-        max_concurrency: int,
         max_queue: int,
         registry: MetricsRegistry,
         retry_after_seconds: float = 1.0,
         clock: Optional[Clock] = None,
         events: Optional[EventLog] = None,
     ) -> None:
-        if max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {max_concurrency}"
-            )
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        self.max_concurrency = max_concurrency
         self.max_queue = max_queue
         self.retry_after_seconds = retry_after_seconds
         self._registry = registry
@@ -70,9 +64,9 @@ class AdmissionController:
         # the explicitly passed one, else whichever is installed
         self._clock = clock or MonotonicClock()
         self._events = events
-        # asyncio.Semaphore wakes waiters in acquisition order: the
-        # wait line really is FIFO
-        self._semaphore = asyncio.Semaphore(max_concurrency)
+        # asyncio.Lock wakes waiters in acquisition order: the wait
+        # line really is FIFO
+        self._turn = asyncio.Lock()
         self._inflight = 0
         self._queued = 0
         self._peak_inflight = 0
@@ -90,8 +84,8 @@ class AdmissionController:
 
     @property
     def peak_inflight(self) -> int:
-        """High-water mark of concurrent admissions (also exported as
-        the ``serve.inflight_peak`` gauge)."""
+        """High-water mark of admissions in flight: 1 once anything was
+        admitted (also exported as the ``serve.inflight_peak`` gauge)."""
         return self._peak_inflight
 
     # ------------------------------------------------------------------
@@ -104,13 +98,14 @@ class AdmissionController:
 
     @asynccontextmanager
     async def admit(self) -> AsyncIterator[None]:
-        """Hold one concurrency slot for the ``async with`` body.
+        """Hold the verifying turn for the ``async with`` body.
 
-        Raises :class:`ServiceOverloaded` (without waiting) when every
-        slot is busy and the wait line is already ``max_queue`` deep.
+        Raises :class:`ServiceOverloaded` (without waiting) when a
+        verify is running and the wait line is already ``max_queue``
+        deep.
         """
         events = self._events if self._events is not None else get_event_log()
-        if self._semaphore.locked() and self._queued >= self.max_queue:
+        if self._turn.locked() and self._queued >= self.max_queue:
             self._registry.counter("serve.shed").inc()
             events.emit(
                 "admission.shed",
@@ -124,7 +119,7 @@ class AdmissionController:
         self._set_gauges()
         admitted = False
         try:
-            async with self._semaphore:
+            async with self._turn:
                 self._queued -= 1
                 admitted = True
                 self._inflight += 1

@@ -14,11 +14,12 @@ VerifAI` system behind the HTTP surface in docs/serving.md:
 ``GET /debug/profile``    sample stacks for ``?seconds=N``, collapsed
 ========================  =============================================
 
-Concurrency model: the event loop owns parsing, routing, and admission;
-actual pipeline work runs on a thread pool exactly ``max_concurrency``
-wide, entered only through the :class:`AdmissionController`.  The two
-bounds agree by construction, so the ``serve.inflight_peak`` gauge can
-never exceed the configured width.  Each request's verification runs
+Concurrency model: the event loop owns parsing, routing, admission and
+the trace cache; one verifying thread owns the ``VerifAI`` — every
+verify, every batch and every ``/explain`` runs there, one at a time,
+so nothing the pipeline touches needs a lock.  Verifies reach it only
+through the :class:`AdmissionController`, a FIFO one wide that sheds
+with ``429`` past ``max_queue``.  Each request's verification runs
 under a fresh metrics :class:`~repro.obs.metrics.Scope` and records a
 span tree whose trace id lands in the provenance record (and the
 response), closing the request → trace → record loop.
@@ -29,9 +30,11 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import queue
+import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional
+from concurrent.futures import Future
+from typing import Callable, Dict, Optional
 
 from repro.core.pipeline import VerifAI
 from repro.obs.clock import Clock
@@ -89,6 +92,43 @@ def _error_response(status: int, message: str, **headers: str) -> Response:
                           **headers)
 
 
+class _VerifyingThread:
+    """The one thread that runs every call into the ``VerifAI``, in the
+    order the calls were submitted."""
+
+    def __init__(self) -> None:
+        self._calls: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._run, name="serve-verify", daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            call = self._calls.get()
+            if call is None:
+                return
+            future, fn, args = call
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                result = fn(*args)
+            except BaseException as exc:
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        self._calls.put((future, fn, args))
+        return future
+
+    def shutdown(self) -> None:
+        """Finish the calls already submitted, then end the thread."""
+        self._calls.put(None)
+        self._thread.join()
+
+
 class VerificationService:
     """One VerifAI system served over asyncio (see module docstring)."""
 
@@ -113,7 +153,6 @@ class VerificationService:
             "serve.request_seconds", buckets=SERVE_LATENCY_BUCKETS
         )
         self.admission = AdmissionController(
-            self.config.max_concurrency,
             self.config.max_queue,
             self.registry,
             retry_after_seconds=self.config.retry_after_seconds,
@@ -121,7 +160,7 @@ class VerificationService:
             events=self.events,
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._verifier: Optional[_VerifyingThread] = None
         #: open connections, so stop() can drain them cooperatively
         #: instead of letting loop teardown cancel them mid-request
         self._conn_tasks: set = set()
@@ -137,20 +176,19 @@ class VerificationService:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Build indexes, take what was built out of the collector's
-        reach, open the socket.  A start that fails part-way stops what
-        it had started."""
-        self.system.build_indexes()
-        # The lake and its indexes live as long as the service does;
-        # moved to the permanent generation, they are not walked again
-        # by every full collection the requests' garbage sets off.
-        gc.freeze()
+        """Start the verifying thread and build the indexes on it, take
+        what was built out of the collector's reach, open the socket.  A
+        start that fails part-way stops what it had started."""
+        self._verifier = _VerifyingThread()
         try:
+            # the verifying thread owns the system from its first build
+            await self._on_verifying_thread(self.system.build_indexes)
+            # The lake and its indexes live as long as the service does;
+            # moved to the permanent generation, they are not walked
+            # again by every full collection the requests' garbage sets
+            # off.
+            gc.freeze()
             install_event_log(self.events)
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.max_concurrency,
-                thread_name_prefix="serve-verify",
-            )
             self._server = await asyncio.start_server(
                 self._serve_connection, self.config.host, self.config.port
             )
@@ -159,8 +197,8 @@ class VerificationService:
             raise
 
     async def stop(self) -> None:
-        """Close the socket, drain workers, hand the frozen objects back
-        to the collector."""
+        """Close the socket, drain the verifying thread, hand the frozen
+        objects back to the collector."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -173,9 +211,9 @@ class VerificationService:
             await asyncio.gather(
                 *self._conn_tasks, return_exceptions=True
             )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        if self._verifier is not None:
+            self._verifier.shutdown()
+            self._verifier = None
         uninstall_event_log(self.events)
         gc.unfreeze()
 
@@ -322,18 +360,20 @@ class VerificationService:
             self._traces.popitem(last=False)
         return trace.trace_id
 
+    async def _on_verifying_thread(self, fn: Callable, *args):
+        """Run ``fn(*args)`` on the verifying thread; the loop serves
+        other connections meanwhile."""
+        return await asyncio.wrap_future(self._verifier.submit(fn, *args))
+
     def _run_verify(self, obj):
-        """Worker-thread body: one traced verify (the campaign of one
+        """Verifying-thread body: one traced verify (the campaign of one
         scopes its own metrics)."""
         return self.system.verify(obj, trace=True)
 
-    def _run_verify_batch(self, objects, max_workers, fail_fast):
-        """Worker-thread body: one traced campaign on ``max_workers``
-        threads, capped at ``ServeConfig.batch_max_workers`` (1: the
-        worker this request's admission slot holds)."""
+    def _run_verify_batch(self, objects, fail_fast):
+        """Verifying-thread body: one traced campaign."""
         return self.system.verify_batch(
-            objects, max_workers=max_workers,
-            fail_fast=fail_fast, trace=True,
+            objects, fail_fast=fail_fast, trace=True
         )
 
     async def _handle_verify(self, request: Request) -> Response:
@@ -343,10 +383,7 @@ class VerificationService:
             self._next_request_id(),
         )
         async with self.admission.admit():
-            loop = asyncio.get_running_loop()
-            report = await loop.run_in_executor(
-                self._executor, self._run_verify, obj
-            )
+            report = await self._on_verifying_thread(self._run_verify, obj)
         trace_id = self._remember_trace(report.trace)
         return _json_response(
             200, report_to_dict(report, trace_id),
@@ -356,7 +393,7 @@ class VerificationService:
     async def _handle_verify_batch(self, request: Request) -> Response:
         payload = self._parse_json(request)
         request_id = self._next_request_id()
-        objects, workers, fail_fast = parse_batch(
+        objects, fail_fast = parse_batch(
             payload,
             self.system.lake,
             request_id,
@@ -364,11 +401,8 @@ class VerificationService:
             self.config.batch_max_workers,
         )
         async with self.admission.admit():
-            loop = asyncio.get_running_loop()
-            batch = await loop.run_in_executor(
-                self._executor,
-                self._run_verify_batch,
-                objects, workers, fail_fast,
+            batch = await self._on_verifying_thread(
+                self._run_verify_batch, objects, fail_fast
             )
         trace_id = self._remember_trace(batch.trace)
         body = {
@@ -389,7 +423,10 @@ class VerificationService:
     async def _handle_explain(self, request: Request) -> Response:
         record_id = request.path[len("/explain/"):]
         try:
-            lineage = self.system.provenance.explain(record_id)
+            # the records are the verifying thread's: read them there
+            lineage = await self._on_verifying_thread(
+                self.system.provenance.explain, record_id
+            )
         except KeyError:
             return _error_response(404, f"unknown record {record_id!r}")
         return _json_response(
@@ -457,21 +494,17 @@ class VerificationService:
         if seconds <= 0:
             raise BadRequest(f"seconds must be > 0, got {seconds:g}")
         seconds = min(seconds, self.config.debug_profile_max_seconds)
-
-        def sample() -> tuple:
-            sampler = StackSampler()
-            sampler.sample_for(seconds)
-            return sampler.collapsed(), sampler.sample_count
-
-        # sampling sleeps for the full window — run it on a worker
-        # thread (it occupies one verify slot), never the event loop
-        loop = asyncio.get_running_loop()
-        collapsed, samples = await loop.run_in_executor(
-            self._executor, sample
-        )
+        # the sampler runs on its own thread; the loop only waits out
+        # the window, so verifies keep flowing and are what it samples
+        sampler = StackSampler().start()
+        try:
+            await asyncio.sleep(seconds)
+        finally:
+            sampler.stop()
+        samples = sampler.sample_count
         return Response(
             200,
-            collapsed.encode("utf-8"),
+            sampler.collapsed().encode("utf-8"),
             content_type="text/plain; charset=utf-8",
             headers={
                 "X-Profile-Samples": str(samples),
@@ -485,6 +518,5 @@ class VerificationService:
             "lake": self.system.lake.name,
             "inflight": self.admission.inflight,
             "queued": self.admission.queued,
-            "max_concurrency": self.config.max_concurrency,
             "max_queue": self.config.max_queue,
         })

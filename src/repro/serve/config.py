@@ -12,10 +12,8 @@ from repro.obs.clock import Clock
 class ServeConfig:
     """Knobs of the verification service.
 
-    * ``max_concurrency`` — verifies allowed in flight at once (the
-      admission semaphore's width AND the worker-pool size; the
-      ``serve.inflight`` gauge never exceeds it);
-    * ``max_queue`` — requests allowed to wait for a slot; a request
+    * ``max_queue`` — requests allowed to wait while one verifies (the
+      service verifies one request at a time); a request
       arriving with the queue full is shed with ``429`` and
       ``Retry-After: retry_after_seconds``;
     * ``retry_after_seconds`` — the backoff hint shed responses carry;
@@ -33,7 +31,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    max_concurrency: int = 4
     max_queue: int = 16
     retry_after_seconds: float = 1.0
     max_body_bytes: int = 1 << 20
@@ -43,17 +40,12 @@ class ServeConfig:
     debug_profile_max_seconds: float = 10.0
     clock: Optional[Clock] = None
 
-    #: workers one admitted ``/verify-batch`` runs on: the one its
-    #: admission slot grants, so ``max_concurrency`` bounds the verifies
-    #: in flight whatever the batches.  Not a knob; a body's
-    #: ``max_workers`` is an upper bound the server always meets
+    #: the cap ``parse_batch`` takes; the server verifies a batch on its
+    #: one verifying thread whatever the body asks.  Kept only for
+    #: ``bench/serve.py``'s call (ROADMAP item 1(e))
     batch_max_workers: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {self.max_concurrency}"
-            )
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
         if self.retry_after_seconds <= 0:

@@ -20,6 +20,9 @@ server assigns a deterministic ``req-NNNNNN`` id when absent.
     {"objects": [<verify bodies>...], "max_workers": 2?,
      "fail_fast": false?}
 
+(``max_workers`` is checked — an integer >= 1 — and ignored: the server
+verifies every request on its one verifying thread).
+
 Anything malformed raises :class:`BadRequest`, which the server maps to
 a ``400`` with the message in the JSON error body.
 """
@@ -131,8 +134,12 @@ def parse_batch(
     id_prefix: str,
     max_objects: int,
     max_workers_cap: int,
-) -> Tuple[List[DataObject], int, bool]:
-    """``/verify-batch`` body -> (objects, max_workers, fail_fast)."""
+) -> Tuple[List[DataObject], bool]:
+    """``/verify-batch`` body -> (objects, fail_fast).
+
+    The body's ``max_workers`` is validated and then ignored, and so is
+    ``max_workers_cap``: both stay only for the callers and request
+    mixes written when a batch could run on several threads."""
     if not isinstance(payload, dict):
         raise BadRequest("request body must be a JSON object")
     entries = payload.get("objects")
@@ -152,11 +159,10 @@ def parse_batch(
         raise BadRequest("field 'max_workers' must be an integer")
     if workers < 1:
         raise BadRequest(f"max_workers must be >= 1, got {workers}")
-    workers = min(workers, max_workers_cap)
     fail_fast = payload.get("fail_fast", False)
     if not isinstance(fail_fast, bool):
         raise BadRequest("field 'fail_fast' must be a boolean")
-    return objects, workers, fail_fast
+    return objects, fail_fast
 
 
 def report_to_dict(

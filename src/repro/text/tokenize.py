@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import re
 import sys
-import threading
 import unicodedata
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.obs.metrics import get_registry
 from repro.text.stem import stem
 from repro.text.stopwords import is_stopword
@@ -63,14 +61,11 @@ def tokenize(text: str) -> List[str]:
     return _TOKEN_RE.findall(normalize(text))  # the pattern has no groups
 
 
-_WORD_TABLE_LOCK = threading.Lock()
-
 #: word -> analysed form (``""`` = dropped stop word), one table per
 #: ``(remove_stopwords, stemming)`` pair.  Keys and forms are
 #: ``sys.intern``-ed, so every analysis, the inverted index's postings
 #: keys and the vectorizers' slot memos hold the same object per word.
-#: Read without a lock; written under ``_WORD_TABLE_LOCK``; never
-#: evicted, and full at ``WORD_TABLE_SIZE``.
+#: Never evicted, and full at ``WORD_TABLE_SIZE``.
 _WORD_TABLES: Dict[Tuple[bool, bool], Dict[str, str]] = {
     (remove_stopwords, stemming): {}
     for remove_stopwords in (False, True)
@@ -106,12 +101,8 @@ def _fill_forms(
         if form is None:
             misses += 1
             form = _analyze_word(word, remove_stopwords, stemming)
-            with _WORD_TABLE_LOCK:
-                if len(table) < WORD_TABLE_SIZE:
-                    form = table.setdefault(sys.intern(word), sys.intern(form))
-                    _sanitizer.note_write(
-                        table, "entries", lock=_WORD_TABLE_LOCK
-                    )
+            if len(table) < WORD_TABLE_SIZE:
+                form = table[sys.intern(word)] = sys.intern(form)
         forms[position] = form
     registry = get_registry()
     registry.counter("text.word_table.misses").inc(misses)

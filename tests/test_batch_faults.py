@@ -107,7 +107,7 @@ def fingerprint(batch):
 class TestPoisonedBatch:
     def test_campaign_survives_poisoned_objects(self, bundle, mixed_workload):
         system = make_system(bundle)
-        batch = system.verify_batch(mixed_workload, max_workers=1)
+        batch = system.verify_batch(mixed_workload)
         assert len(batch) == 50
         assert batch.failed == 5
         statuses = [r.status for r in batch.reports]
@@ -128,33 +128,20 @@ class TestPoisonedBatch:
             assert not report.ok
             assert "FAILED" in report.summary()
 
-    def test_serial_and_parallel_identical(self, bundle, mixed_workload):
-        serial = make_system(bundle).verify_batch(
-            mixed_workload, max_workers=1
-        )
-        parallel = make_system(bundle).verify_batch(
-            mixed_workload, max_workers=4
-        )
-        assert fingerprint(serial) == fingerprint(parallel)
-        assert [r.object_id for r in serial.reports] == [
-            o.object_id for o in mixed_workload
-        ]
-
     def test_no_dangling_provenance_records(self, bundle, mixed_workload):
-        for workers in (1, 4):
-            system = make_system(bundle)
-            batch = system.verify_batch(mixed_workload, max_workers=workers)
-            assert len(system.provenance) == len(mixed_workload)
-            assert system.provenance.open_records() == []
-            for report in batch.reports:
-                record = system.provenance.get(report.record_id)
-                if report.ok:
-                    assert record.status == RECORD_FINALIZED
-                    assert record.error == ""
-                else:
-                    assert record.status == RECORD_FAILED
-                    assert record.error == report.error
-                    assert record.final_verdict == int(Verdict.NOT_RELATED)
+        system = make_system(bundle)
+        batch = system.verify_batch(mixed_workload)
+        assert len(system.provenance) == len(mixed_workload)
+        assert system.provenance.open_records() == []
+        for report in batch.reports:
+            record = system.provenance.get(report.record_id)
+            if report.ok:
+                assert record.status == RECORD_FINALIZED
+                assert record.error == ""
+            else:
+                assert record.status == RECORD_FAILED
+                assert record.error == report.error
+                assert record.final_verdict == int(Verdict.NOT_RELATED)
 
     def test_failed_record_explain_mentions_failure(self, bundle,
                                                     mixed_workload):
@@ -219,11 +206,11 @@ class TestRetries:
         assert batch.failed == 0
         assert batch.stats.retries == 1
 
-    def test_negative_retries_rejected(self, bundle):
-        from repro.core.batch import BatchEngine
-
-        with pytest.raises(ValueError):
-            BatchEngine(make_system(bundle), max_retries=-1)
+    def test_negative_retries_rejected(self, bundle, mixed_workload):
+        system = make_system(bundle)
+        with pytest.raises(ValueError, match="max_retries"):
+            system.verify_batch(mixed_workload[:2], max_retries=-1)
+        assert len(system.provenance) == 0  # refused before any record
 
 
 class TestFailFast:
@@ -338,7 +325,7 @@ class TestPrefillFault:
 
     CULPRIT = "obj-02"
 
-    def campaign(self, bundle, mixed_workload, workers=1, choke=True):
+    def campaign(self, bundle, mixed_workload, choke=True):
         system = VerifAI(
             bundle.lake,
             llm=SimulatedLLM(knowledge=None, seed=26),
@@ -354,9 +341,7 @@ class TestPrefillFault:
 
         if choke:
             system.reranker.rerank = choking_rerank
-        batch = system.verify_batch(
-            mixed_workload[:5], max_workers=workers, trace=True
-        )
+        batch = system.verify_batch(mixed_workload[:5], trace=True)
         return system, batch
 
     def test_prefill_fault_is_pinned_on_its_object(
@@ -400,15 +385,15 @@ class TestPrefillFault:
                 clean_system.provenance.get(expected.record_id).retrieval
             )
 
-    def test_fallback_traces_are_identical_serial_and_parallel(
+    def test_fallback_traces_are_identical_run_to_run(
         self, bundle, mixed_workload
     ):
-        _, serial = self.campaign(bundle, mixed_workload, workers=1)
-        _, parallel = self.campaign(bundle, mixed_workload, workers=4)
-        assert render_trace_json(serial.trace) == render_trace_json(
-            parallel.trace
+        _, first = self.campaign(bundle, mixed_workload)
+        _, second = self.campaign(bundle, mixed_workload)
+        assert render_trace_json(first.trace) == render_trace_json(
+            second.trace
         )
-        assert fingerprint(serial) == fingerprint(parallel)
+        assert fingerprint(first) == fingerprint(second)
 
 
 class TestFailedRecordPersistence:

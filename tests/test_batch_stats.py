@@ -7,16 +7,13 @@ produces into everyday traffic:
   per-object means must come back well-formed, with no division by
   zero, no dangling provenance records, and no campaign Scope left
   active on any thread;
-* **concurrent campaigns** — two requests verifying at the same time
-  must each get a stats view of *their own* work (their own matrix
-  prefill, their own failure counters), never a shared Scope.
+* **successive campaigns** — requests verified one after another must
+  each get a stats view of *their own* work (their own matrix prefill,
+  their own failure counters), never a shared Scope.
 
-Plus the id-allocation race a threaded server exposes: concurrent
-``ProvenanceStore.new_record`` calls must never hand out duplicate
-record ids.
+Plus record ids: ``ProvenanceStore.new_record`` hands them out counting
+up in the order the records are opened.
 """
-
-import threading
 
 import pytest
 
@@ -88,59 +85,29 @@ class TestEmptyCampaign:
         assert stats.to_dict()["objects"] == 0
 
 
-class TestConcurrentCampaigns:
-    def test_concurrent_campaigns_do_not_share_a_scope(self, system):
-        """Two interleaved campaigns each see exactly their own matrix
-        prefill (1 batch each) and their own object/failure counts —
-        a shared Scope would double both."""
-        barrier = threading.Barrier(2)
+class TestSuccessiveCampaigns:
+    def test_successive_campaigns_do_not_share_a_scope(self, system):
+        """Two campaigns in a row each see exactly their own matrix
+        prefill (1 batch each) and their own object/failure counts — a
+        scope left active by the first would double the second's."""
         results = {}
-
-        def run(name, text):
+        for name, text in (
+            ("a", "Tokyo has the largest population"),
+            ("b", "the team won the gold medal total"),
+        ):
             objs = [ClaimObject(f"{name}-{i}", text) for i in range(6)]
-            barrier.wait()
-            results[name] = system.verify_batch(objs, max_workers=2)
-
-        threads = [
-            threading.Thread(
-                target=run, args=("a", "Tokyo has the largest population")
-            ),
-            threading.Thread(
-                target=run, args=("b", "the team won the gold medal total")
-            ),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            results[name] = system.verify_batch(objs)
+            assert get_registry().active_scopes() == ()
 
         for name in ("a", "b"):
             stats = results[name].stats
             assert stats.objects == 6
             assert stats.matrix_batches == 1, name
             assert stats.failed == 0
-        assert get_registry().active_scopes() == ()
 
-    def test_concurrent_record_ids_never_collide(self):
+    def test_record_ids_count_up_in_opening_order(self):
         store = ProvenanceStore()
-        barrier = threading.Barrier(8)
-        ids = []
-        lock = threading.Lock()
-
-        def open_records():
-            barrier.wait()
-            mine = [
-                store.new_record(f"obj-{i}", "q").record_id
-                for i in range(50)
-            ]
-            with lock:
-                ids.extend(mine)
-
-        threads = [threading.Thread(target=open_records) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(ids) == 8 * 50
-        assert len(set(ids)) == 8 * 50, "duplicate record ids handed out"
-        assert len(store) == 8 * 50
+        ids = [store.new_record(f"obj-{i}", "q").record_id for i in range(50)]
+        assert ids == [f"rec-{n:06d}" for n in range(1, 51)]
+        assert len(store) == 50
+        assert store.records_for_object("obj-7")[0].record_id == "rec-000008"

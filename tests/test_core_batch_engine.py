@@ -1,8 +1,8 @@
-"""The batch engine: parallel == serial, retrieval dedup, and stats."""
+"""The batch engine: one thread, retrieval dedup, and stats."""
 
 import pytest
 
-from repro.core.batch import BatchEngine, BatchStats
+from repro.core.batch import BatchStats
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.llm.model import SimulatedLLM
@@ -79,7 +79,7 @@ def object_subtree(trace):
 
 
 def report_fingerprint(batch):
-    """Everything that must match between serial and parallel runs."""
+    """Everything that must match between two runs of one campaign."""
     return [
         (
             r.object_id,
@@ -93,21 +93,18 @@ def report_fingerprint(batch):
     ]
 
 
-class TestParallelEquivalence:
-    def test_parallel_matches_serial(self, bundle, workload):
-        serial_system = make_system(bundle)
-        parallel_system = make_system(bundle)
-        serial = serial_system.verify_batch(workload, max_workers=1)
-        parallel = parallel_system.verify_batch(workload, max_workers=4)
-        assert report_fingerprint(serial) == report_fingerprint(parallel)
-        assert (
-            len(serial_system.provenance)
-            == len(parallel_system.provenance)
-        )
+class TestCampaignEquivalence:
+    def test_fresh_systems_give_identical_reports(self, bundle, workload):
+        first_system = make_system(bundle)
+        second_system = make_system(bundle)
+        first = first_system.verify_batch(workload)
+        second = second_system.verify_batch(workload, max_workers=1)
+        assert report_fingerprint(first) == report_fingerprint(second)
+        assert len(first_system.provenance) == len(second_system.provenance)
 
     def test_provenance_records_complete(self, bundle, workload):
         system = make_system(bundle)
-        batch = system.verify_batch(workload, max_workers=4)
+        batch = system.verify_batch(workload)
         assert len(system.provenance) == len(workload)
         for report in batch.reports:
             record = system.provenance.get(report.record_id)
@@ -167,7 +164,7 @@ class TestParallelEquivalence:
 
     def test_report_order_matches_input_order(self, bundle, workload):
         system = make_system(bundle)
-        batch = system.verify_batch(workload, max_workers=4)
+        batch = system.verify_batch(workload)
         assert [r.object_id for r in batch.reports] == [
             o.object_id for o in workload
         ]
@@ -184,15 +181,18 @@ class TestDedupAndStats:
 
     def test_stats_populated(self, bundle, workload):
         system = make_system(bundle)
-        batch = system.verify_batch(workload, max_workers=2)
+        batch = system.verify_batch(workload)
         stats = batch.stats
         assert isinstance(stats, BatchStats)
         assert stats.objects == len(workload)
-        assert stats.max_workers == 2
         assert set(stats.stage_seconds) == {"retrieve", "verify", "total"}
         assert stats.stage_seconds["total"] > 0
-        assert "workers" in stats.summary()
-        assert not [key for key in stats.to_dict() if "verifier" in key]
+        assert stats.summary().startswith(f"{len(workload)} objects (")
+        assert "workers" not in stats.summary()
+        assert not [
+            key for key in stats.to_dict()
+            if "verifier" in key or "workers" in key
+        ]
 
     def test_duplicate_object_is_verified_again(self, bundle, workload):
         system = make_system(bundle)
@@ -214,16 +214,16 @@ class TestDedupAndStats:
 class TestEngineEdges:
     def test_empty_batch(self, bundle):
         system = make_system(bundle)
-        batch = system.verify_batch([], max_workers=4)
+        batch = system.verify_batch([])
         assert len(batch) == 0
         assert batch.stats.objects == 0
 
-    def test_bad_worker_count_rejected(self, bundle):
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_any_worker_count_but_one_is_rejected(
+        self, bundle, workload, workers
+    ):
         system = make_system(bundle)
-        with pytest.raises(ValueError):
-            BatchEngine(system, max_workers=0)
-
-    def test_default_is_one_worker(self, bundle, workload):
-        system = make_system(bundle)
-        batch = system.verify_batch(workload[:2])
-        assert batch.stats.max_workers == 1
+        with pytest.raises(ValueError, match="max_workers"):
+            system.verify_batch(workload, max_workers=workers)
+        # refused before any record was opened
+        assert len(system.provenance) == 0

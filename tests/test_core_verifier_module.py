@@ -1,10 +1,8 @@
 """VerifierModule: agent + evidence pooling with its early exit, one
-agent call per verified pair and no per-pair memory, shared by worker
-threads (``make sanitize`` runs this file)."""
+agent call per verified pair and no per-pair memory."""
 
 import gc
 import itertools
-import random
 import tracemalloc
 
 import pytest
@@ -14,7 +12,6 @@ from repro.core.pipeline import VerifAI
 from repro.core.verifier import VerifierModule
 from repro.datalake.lake import DataLake
 from repro.datalake.types import Source, Table, TextDocument
-from repro.llm import model as llm_model
 from repro.llm.model import SimulatedLLM
 from repro.obs.metrics import get_registry
 from repro.trust.model import weighted_vote
@@ -23,7 +20,6 @@ from repro.verify.base import VerificationOutcome
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.verdict import Verdict
-from tests.test_llm_readings import hammer
 
 
 @pytest.fixture()
@@ -250,12 +246,11 @@ class TestReverifyFollowsContent:
             system.add_instance(rewritten)
         assert system.verify(claim).final_verdict is Verdict.REFUTED
 
-    @pytest.mark.parametrize("workers", [1, 4])
     def test_a_campaign_after_update_instance_sees_the_write(
-        self, election_table, medal_table, quiet_profile, workers
+        self, election_table, medal_table, quiet_profile
     ):
         """Stale verdicts, campaign-wide: the same claims re-verified
-        after a write, on one worker and on four."""
+        after a write."""
         from repro.core.pipeline import VerifAI
         from repro.datalake.lake import DataLake
         from repro.datalake.types import Table
@@ -286,7 +281,7 @@ class TestReverifyFollowsContent:
         )
 
         def verdicts():
-            batch = system.verify_batch(claims, max_workers=workers)
+            batch = system.verify_batch(claims)
             return [report.final_verdict for report in batch.reports]
 
         assert verdicts() == [Verdict.VERIFIED] * len(claims)
@@ -296,63 +291,6 @@ class TestReverifyFollowsContent:
             for i in range(len(election_table.rows))
         ]
         assert verdicts() == changed * 2
-
-
-class TestPoolHammer:
-    """Eight threads verify overlapping pools through one module and one
-    model, whose readings memo holds fewer texts than the pools show, so
-    every read races an eviction; each pool must pool what a module of
-    its own pools."""
-
-    def test_eight_threads_share_one_module(self, tiny_lake, election_table,
-                                            medal_table, quiet_profile,
-                                            monkeypatch):
-        def fresh():
-            llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=25)
-            agent = VerifierAgent([], fallback=LLMVerifier(llm))
-            return VerifierModule(agent, tiny_lake)
-
-        evidence = (
-            [election_table.row(i) for i in range(4)]
-            + [medal_table.row(0), election_table, medal_table,
-               tiny_lake.document("page-jenkins")]
-        )
-        objects = [
-            TupleObject(f"h{i}-{column}", election_table.row(i),
-                        attribute=column)
-            for i in range(4) for column in ("party", "votes")
-        ] + [
-            ClaimObject("h-claim", "the gold of valoria is 10",
-                        context=medal_table.caption),
-        ]
-        expected = {
-            obj.object_id: fresh().verify_pool(obj, evidence)
-            for obj in objects
-        }
-        monkeypatch.setattr(llm_model, "READINGS_SIZE", 4)
-        module = fresh()
-        results = {}
-        errors = []
-
-        def worker(thread_number):
-            order = list(objects) * 3
-            random.Random(thread_number).shuffle(order)
-            try:
-                results[thread_number] = [
-                    (obj.object_id, module.verify_pool(obj, evidence))
-                    for obj in order
-                ]
-            except Exception as error:  # surfaced by the assert below
-                errors.append(error)
-
-        hammer(worker)
-        assert not errors
-        for thread_number in range(8):
-            assert len(results[thread_number]) == 3 * len(objects)
-            for object_id, pooled in results[thread_number]:
-                assert pooled == expected[object_id]
-        readings = module.agent.fallback.llm._readings.cache_info()
-        assert readings.maxsize == 4 and readings.currsize <= 4
 
 
 def verifications():
@@ -406,7 +344,7 @@ class TestPoolCounters:
         ]
         objects += objects[:3]  # repeated content is verified again
         before, calls = verifications(), llm.num_calls
-        batch = system.verify_batch(objects, max_workers=2)
+        batch = system.verify_batch(objects)
         pairs = sum(len(report.outcomes) for report in batch.reports)
         assert verifications() - before == llm.num_calls - calls == pairs
         assert pairs > len(objects)
@@ -539,14 +477,14 @@ class TestTheExitKeepsTheRule:
         # whole shortlist, in order
         listing = ScriptedAgent([Verdict.NOT_RELATED] * 8)
         sources_system.verifier = VerifierModule(listing, sources_lake)
-        sources_system.verify_batch([obj], max_workers=1)
+        sources_system.verify_batch([obj])
         shortlist = listing.asked
         assert len(shortlist) > 1
 
         sources_system.verifier = VerifierModule(
             ScriptedAgent(verdicts), sources_lake, source_trust=trust,
         )
-        report = sources_system.verify_batch([obj], max_workers=1).reports[0]
+        report = sources_system.verify_batch([obj]).reports[0]
         votes = [
             (sources_system.verifier.source_of(
                 sources_lake.instance(instance_id)), verdict)

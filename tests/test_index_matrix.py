@@ -18,21 +18,17 @@ are kept here as oracles: wherever the parent cut a campaign into tiles
 after bursts of writes (``TestOneQueryAPass``) the rankings are theirs,
 ids and score bits; they read the contribution table
 ``tests/bm25_oracle.py`` rebuilds from a seal's postings.
-``TestSoloReadHammer`` and ``TestSpanHammer`` race first readers
-deriving a fresh seal's spans and prove no span a write moved is read
-from a superseded view.
+``TestSpanCache`` proves no span a write moved is read from a
+superseded view.
 """
 
 import random
-import sys
-import threading
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import sanitizer
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
@@ -40,7 +36,6 @@ from repro.index.base import select_ranked
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import get_registry
 from tests.bm25_oracle import DictOracle, contrib_table
-from tests.test_index_ranking import race
 
 QUERIES = [
     "largest cities by population",
@@ -525,43 +520,6 @@ class TestIndexerBatch:
 
 
 # ---------------------------------------------------------------------------
-# solo readers racing to derive a fresh seal's spans
-# ---------------------------------------------------------------------------
-class TestSoloReadHammer:
-    """``make sanitize`` runs this under the lockset sanitizer: four
-    threads issue one-query reads on a freshly published seal, all of
-    them first reading one token, race to derive its span through the
-    double-checked seal lock, and each span is derived once."""
-
-    def test_four_solo_readers_derive_each_span_once(self, monkeypatch):
-        index = fill(InvertedIndex(name="hammer"), docs=300)
-        oracle = fill(DictOracle(name="hammer"), docs=300)
-        queries = ["kamex"] + campaign(4, seed=13)
-        rng = random.Random(17)
-        spy = SpanSpy(monkeypatch)
-        for round_no in range(6):
-            text = corpus_text(rng)
-            replace(index, oracle, f"doc{round_no * 7:04d}", text)
-            sealed = index.seal()._sealed  # published, no span yet
-            assert sealed.spans == {}
-            expected = [pairs(oracle.search(q, 7)) for q in queries]
-
-            def read(number):
-                # one token first on every thread, then each on another
-                rest = queries[1:]
-                order = queries[:1] + rest[number:] + rest[:number]
-                got = {q: pairs(index.search(q, 7)) for q in order}
-                return [got[q] for q in queries]
-
-            assert race(4, read) == [expected] * 4
-            assert index._sealed is sealed
-            tokens = known_tokens(index, queries)
-            assert "kamex" in tokens
-            assert sorted(sealed.spans) == tokens
-            assert spy.fills(sealed) == len(tokens)  # once a token
-
-
-# ---------------------------------------------------------------------------
 # one kernel, a query a pass: the parent's rankings, bit for bit
 # ---------------------------------------------------------------------------
 #: a few words over short documents with repeats: query counts above 1,
@@ -770,10 +728,18 @@ class TestOneQueryAPass:
         sealed = index._sealed
         base = sealed.base
         assert sealed.spans == {}
-        spy = SpanSpy(monkeypatch)
+        fills = []
+        derive = index._derive
+
+        def counting(view, tokens):
+            before = len(view.spans)
+            derive(view, tokens)
+            fills.append((view, len(view.spans) - before))
+
+        monkeypatch.setattr(index, "_derive", counting)
         index.search("kamex kamex rotax absent", 3)
         assert sorted(sealed.spans) == ["kamex", "rotax"]  # not "absent"
-        assert spy.seals == [[sealed, 2]]
+        assert [(view is sealed, n) for view, n in fills] == [(True, 2)]
         table = contrib_table(index, sealed)
         for token, ((cells,), values) in sealed.spans.items():
             i = sealed.tok_pos[token]
@@ -786,84 +752,16 @@ class TestOneQueryAPass:
                 v.hex() for v in table[block].tolist()
             ]
         index.search_batch(["rotax kamex", "kamex"], 3)
-        assert spy.seals == [[sealed, 2]]  # derived once a seal
+        assert sum(n for _, n in fills) == 2  # derived once a seal
         replace(index, oracle, "doc0003", "rotax merox")
         assert index.seal()._sealed.spans == {}  # a new seal, a new cache
         assert sorted(sealed.spans) == ["kamex", "rotax"]
 
 
 # ---------------------------------------------------------------------------
-# the span cache under racing first readers and between writes
+# the span cache between writes
 # ---------------------------------------------------------------------------
-class SpanSpy:
-    """Counts, per seal, the span entries filled, at each fill's one
-    ``note_write(seal, "spans")`` under the seal lock.
-
-    Holds every seal it counts and tells them apart by identity, not by
-    ``id()``: a seal collected in one round could hand its address to
-    the next round's, and the two counts would add up."""
-
-    def __init__(self, monkeypatch):
-        self.seals = []  # [seal, fills] per seal, in first-fill order
-        self._note_write = sanitizer.note_write
-        monkeypatch.setattr(sanitizer, "note_write", self)
-
-    def __call__(self, owner, field_name, lock=None):
-        if field_name == "spans":
-            for entry in self.seals:
-                if entry[0] is owner:
-                    entry[1] += 1
-                    break
-            else:
-                self.seals.append([owner, 1])
-        self._note_write(owner, field_name, lock=lock)
-
-    def fills(self, seal):
-        """Span entries filled on ``seal``."""
-        return sum(count for owner, count in self.seals if owner is seal)
-
-
-def known_tokens(index, queries):
-    sealed = index._sealed
-    return sorted({
-        token for terms in index.plan_matrix(queries).terms
-        for token, _ in terms if token in sealed.tok_pos
-    })
-
-
-class TestSpanHammer:
-    """``make sanitize`` runs these under the lockset sanitizer."""
-
-    def test_first_readers_of_a_fresh_seal_fill_each_span_once(
-        self, monkeypatch
-    ):
-        index = fill(InvertedIndex(name="spans"), docs=300)
-        oracle = fill(DictOracle(name="spans"), docs=300)
-        queries = campaign(6, seed=37)
-        rng = random.Random(41)
-        spy = SpanSpy(monkeypatch)
-        for round_no in range(6):
-            text = corpus_text(rng)
-            replace(index, oracle, f"doc{round_no * 11:04d}", text)
-            sealed = index.seal()._sealed  # published, no span yet
-            assert sealed.spans == {}
-            expected = [pairs(oracle.search(q, 7)) for q in queries]
-
-            def read(number):
-                # each reader starts on another query, so first reads of
-                # one token happen on several threads
-                order = queries[number:] + queries[:number]
-                got = dict(zip(order, index.search_batch(order, 7)))
-                return [pairs(got[q]) for q in queries]
-
-            assert race(4, read) == [expected] * 4
-            assert index._sealed is sealed
-            tokens = known_tokens(index, queries)
-            assert sorted(sealed.spans) == tokens
-            assert spy.fills(sealed) == len(tokens)  # once a token
-            for (cells,), _ in sealed.spans.values():
-                assert np.shares_memory(cells, sealed.base.doc_idx)
-
+class TestSpanCache:
     def test_no_span_a_write_moved_is_read_from_a_superseded_view(self):
         """write -> read -> write -> read: after each write the next view
         is published, and every span of the superseded views that it

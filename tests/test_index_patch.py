@@ -13,14 +13,11 @@ and never patches.
 Rankings are checked against the dict oracle of
 ``tests/bm25_oracle.py``, which shares no state with either index.
 
-``make sanitize`` runs this file under the lockset sanitizer, and it is
-one of ``make coverage``'s suites for ``index/inverted.py``.
+It is one of ``make coverage``'s suites for ``index/inverted.py``.
 """
 
 import hashlib
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -693,60 +690,3 @@ class TestAnyWriteSequence:
             elif kind == "invalidate":
                 index.invalidate_seal()
         assert_as_fresh(index, payloads, " ".join(written))
-
-
-# ---------------------------------------------------------------------------
-# readers racing to seal after a write
-# ---------------------------------------------------------------------------
-class TestReadHammer:
-    """``make sanitize`` runs this under the lockset sanitizer: eight
-    readers find the index unsealed after a write, exactly one of them
-    publishes a view, and all of them read the new generation."""
-
-    def test_eight_readers_across_a_patch(self):
-        pair, rng = seeded_pair(9, docs=80)
-        pair.check()
-        queries = [payload(rng, 40) for _ in range(6)]
-        errors = []
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for round_no in range(6):
-                victim = pair.ids()[round_no * 5]
-                pair.update(victim, payload(rng, vocabulary=3000))
-                pair.add(f"hammer{round_no}", payload(rng))
-                expected = pair.expected(queries, 7)
-                results = {}
-                barrier = threading.Barrier(8)
-
-                def reader(reader_no):
-                    try:
-                        barrier.wait(timeout=10)
-                        if reader_no % 2:
-                            got = pair.live.search_batch(queries, 7)
-                        else:
-                            got = [pair.live.search(q, 7) for q in queries]
-                        results[reader_no] = [pairs(hits) for hits in got]
-                    except Exception as error:  # surfaced below
-                        errors.append(error)
-
-                before, viewed = patched_count(), viewed_count()
-                threads = [
-                    threading.Thread(target=reader, args=(number,))
-                    for number in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                assert errors == []
-                assert (patched_count(), viewed_count()) == (
-                    before, viewed + 1
-                )
-                assert [results[number] for number in range(8)] == [
-                    expected
-                ] * 8
-                pair.check(queries=queries[:2])
-        finally:
-            sys.setswitchinterval(previous)

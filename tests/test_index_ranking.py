@@ -12,24 +12,19 @@ here as oracles.
 The ordinal selection — one ``lexsort`` by ``(-score, ordinal)`` in
 BM25's ``_rank_row`` and the vector indexes' ``top_ranked`` — is held
 against the ``(-score, id, index)`` tuple sorts it replaced, after
-seeded bursts of writes, and its ordinal tables against first readers
-racing to build them.
+seeded bursts of writes.
 
 The file also carries the token embedder's oracle (its ``_compose`` and
-``token_rows`` as they were) and its eight-thread first-touch hammer;
-``make sanitize`` runs every hammer here under the lockset sanitizer.
+``token_rows`` as they were).
 """
 
 import math
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import sanitizer
 from repro.embed import token_embed
 from repro.embed.token_embed import TokenEmbedder
 from repro.embed.vectorizers import HashingVectorizer
@@ -404,141 +399,6 @@ class TestOrdinalSelection:
         assert sealed.ordinal.tolist() == [0, 2, 1, 3, 4]
 
 
-class OrdinalSpy:
-    """Counts the publications of BM25 seals and the builds of vector
-    ordinal tables, at their one ``note_write`` each."""
-
-    def __init__(self, monkeypatch):
-        self.seals = 0
-        self.ordinals = 0
-        self._note_write = sanitizer.note_write
-        monkeypatch.setattr(sanitizer, "note_write", self)
-
-    def __call__(self, owner, field_name, lock=None):
-        if field_name == "_sealed":
-            self.seals += 1
-        elif field_name == "_ordinal":
-            self.ordinals += 1
-        self._note_write(owner, field_name, lock=lock)
-
-
-def race(readers, read):
-    """``readers`` threads released together, each calling ``read``
-    with its number; returns their results in reader order."""
-    results, errors = {}, []
-    barrier = threading.Barrier(readers)
-
-    def reader(number):
-        try:
-            barrier.wait(timeout=10)
-            results[number] = read(number)
-        except Exception as error:  # surfaced below
-            errors.append(error)
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [
-            threading.Thread(target=reader, args=(n,)) for n in range(readers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    return [results[n] for n in range(readers)]
-
-
-class TestOrdinalHammer:
-    """Four first readers race on every fresh generation; ``make
-    sanitize`` runs these under the lockset sanitizer."""
-
-    QUERIES = ["kax tox", "mix", "tox", "kax mix tox"]
-
-    def corpus(self, rng, size):
-        names = [f"d{n}" for n in range(size)]
-        rng.shuffle(names)
-        return [
-            (name, " ".join(rng.choices(TIE_WORDS, k=rng.randint(1, 3))))
-            for name in names
-        ]
-
-    def test_first_readers_of_a_fresh_seal_fold_one_ordinal_table(
-        self, monkeypatch
-    ):
-        rng = random.Random(23)
-        index = InvertedIndex(name="hammer")
-        oracle = DictOracle(name="hammer")
-        for name, text in self.corpus(rng, 120):
-            index.add(name, text)
-            oracle.add(name, text)
-        spy = OrdinalSpy(monkeypatch)
-        for round_no in range(6):
-            if round_no:  # the first round races the compile
-                updated, removed = rng.sample(sorted(index._doc_length), 2)
-                text = " ".join(rng.choices(TIE_WORDS, k=2))
-                index.remove(updated, oracle.tokens(updated))
-                index.add(updated, text)
-                oracle.update(updated, text)
-                if round_no % 2:  # else an update-only fold
-                    index.remove(removed, oracle.tokens(removed))
-                    oracle.remove(removed)
-            assert index._sealed is None
-            expected = [
-                [(h.instance_id, h.score) for h in oracle.search(q, 9)]
-                for q in self.QUERIES
-            ]
-
-            def read(number):
-                order = self.QUERIES[number:] + self.QUERIES[:number]
-                got = {
-                    q: [(h.instance_id, h.score) for h in index.search(q, 9)]
-                    for q in order
-                }
-                return [got[q] for q in self.QUERIES]
-
-            assert race(4, read) == [expected] * 4
-            assert spy.seals == round_no + 1
-            sealed = index._sealed
-            assert sealed.ordinal.tolist() == (
-                ordinals_of(sealed.base.doc_ids + sealed.fresh_ids)[0].tolist()
-            )
-
-    def test_first_readers_of_a_fresh_vector_table_build_one_ordinal_table(
-        self, monkeypatch
-    ):
-        rng = random.Random(29)
-        index = FlatVectorIndex(dim=8, encoder=ENCODER, name="hammer")
-        for name, text in self.corpus(rng, 120):
-            index.add(name, text)
-        spy = OrdinalSpy(monkeypatch)
-        for round_no in range(6):
-            if round_no % 2:
-                index.remove(rng.choice(sorted(index._id_set)))
-            else:
-                index.add(f"e{round_no}", rng.choice(TIE_WORDS))
-            assert index._ordinal is None
-            table = index._table()
-            expected = [
-                exact(parent_top_ranked(
-                    FlatVectorIndex._cosines(*table, index.encode(q)),
-                    list(index._ids), 9,
-                ))
-                for q in self.QUERIES
-            ]
-            got = race(4, lambda number: [
-                exact(r) for r in index.rank_batch(self.QUERIES, 9)
-            ])
-            assert got == [expected] * 4
-            assert spy.ordinals == round_no + 1
-            assert index._ordinal[0].tolist() == (
-                ordinals_of(index._ids)[0].tolist()
-            )
-
-
 # ---------------------------------------------------------------------------
 # the Combiner, against the fuse-over-hits body it replaced
 # ---------------------------------------------------------------------------
@@ -875,11 +735,12 @@ class TestRerankColumns:
 
 
 # ---------------------------------------------------------------------------
-# the token embedder: same vectors, fewer LRU entries, a lock-free read
+# the token embedder: same vectors, fewer LRU entries
 # ---------------------------------------------------------------------------
 class ParentEmbedder(TokenEmbedder):
     """``_compose`` and ``token_rows`` as they were: the whole-token
-    feature goes through the n-gram LRU, every read takes the lock."""
+    feature goes through the n-gram LRU, every token is looked up one
+    at a time."""
 
     def _compose(self, token):
         features = [f"<{token}>"]
@@ -894,8 +755,7 @@ class ParentEmbedder(TokenEmbedder):
         return acc
 
     def token_rows(self, tokens):
-        with self._lock:
-            rows = [self._row(token) for token in tokens]
+        rows = [self._row(token) for token in tokens]
         return np.array(rows, dtype=np.int32)
 
 
@@ -960,59 +820,12 @@ class TestTokenEmbedder:
         assert memo.misses == len(calls) - size
         assert parent._feature_cache.cache_info().misses == len(parent_calls)
 
-    def test_a_known_token_is_read_without_the_lock(self):
+    def test_token_ids_follow_the_first_touch(self):
         embedder = TokenEmbedder()
         first = embedder.token_rows(["ohio", "senate", "ohio"])
         assert first.tolist() == [0, 1, 0] and first.dtype == np.int32
-        with embedder._lock:  # held: a locking read would deadlock
-            again = embedder.token_rows(["senate", "ohio"])
+        again = embedder.token_rows(["senate", "ohio"])
         assert again.tolist() == [1, 0]
         assert embedder.token_rows([]).tolist() == []
         assert embedder.token_rows(["new", "ohio", "new"]).tolist() == [2, 0, 2]
 
-    def test_eight_threads_first_touch_one_vocabulary(
-        self, lake_texts, monkeypatch
-    ):
-        """Readers race writers from the first token on: lock-free reads
-        of the vocabulary while it grows, the table while it regrows and
-        the LRU while it evicts.  ``make sanitize`` runs this."""
-        texts = lake_texts[:400]
-        reference = ParentEmbedder()
-        expected = [reference.embed_tokens(tokens) for tokens in texts]
-        monkeypatch.setattr(token_embed, "FEATURES_SIZE", 64)
-        monkeypatch.setattr(token_embed, "_INITIAL_ROWS", 4)
-        embedder = TokenEmbedder()
-        together = threading.Barrier(8)
-        errors = []
-
-        def worker(worker_id):
-            order = list(range(len(texts)))
-            random.Random(worker_id).shuffle(order)
-            try:
-                together.wait(timeout=30)
-                for position in order:
-                    got = embedder.embed_tokens(texts[position])
-                    assert np.array_equal(got, expected[position]), position
-            except Exception as error:  # surfaced by the assert below
-                errors.append(error)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert set(embedder._vocabulary) == set(reference._vocabulary)
-        assert sorted(embedder._vocabulary.values()) == list(
-            range(len(embedder._vocabulary))
-        )
-        memo = embedder._feature_cache.cache_info()
-        assert memo.maxsize == 64 and memo.currsize <= 64

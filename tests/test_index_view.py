@@ -14,13 +14,10 @@ Most tests set ``_COMPACT_SHARE`` to infinity, so that no write
 compacts and every read after a write reads a view; the compaction
 cases put it back.
 
-``make sanitize`` runs this file under the lockset sanitizer, and it is
-one of ``make coverage``'s suites for ``index/inverted.py``.
+It is one of ``make coverage``'s suites for ``index/inverted.py``.
 """
 
 import random
-import sys
-import threading
 from contextlib import contextmanager
 from unittest import mock
 
@@ -496,63 +493,6 @@ class TestRemoveByTokens:
 
 
 # ---------------------------------------------------------------------------
-# readers racing to publish the view after a write
-# ---------------------------------------------------------------------------
-class TestViewHammer:
-    """``make sanitize`` runs this under the lockset sanitizer: eight
-    readers find the index unpublished after a write, exactly one of
-    them publishes the view, and all of them read it."""
-
-    def test_eight_readers_across_writes(self, no_compaction):
-        live, rng = seeded(19, docs=60)
-        queries = queries_of(rng)
-        errors = []
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for round_no in range(5):
-                live.update(f"doc{round_no * 7:03d}", text(rng))
-                live.add(f"hammer{round_no}", text(rng))
-                live.remove(f"doc{round_no * 7 + 1:03d}")
-                expected = [
-                    exact(live.oracle.search(q, 6)) for q in queries
-                ]
-                results = {}
-                barrier = threading.Barrier(8)
-
-                def reader(number):
-                    try:
-                        barrier.wait(timeout=10)
-                        if number % 2:
-                            got = live.index.search_batch(queries, 6)
-                        else:
-                            got = [live.index.search(q, 6) for q in queries]
-                        results[number] = [exact(hits) for hits in got]
-                    except Exception as error:  # surfaced below
-                        errors.append(error)
-
-                viewed = seal_count("viewed")
-                folds = seal_count("patched") + seal_count("compiled")
-                threads = [
-                    threading.Thread(target=reader, args=(number,))
-                    for number in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                assert errors == []
-                assert seal_count("viewed") == viewed + 1
-                assert seal_count("patched") + seal_count(
-                    "compiled"
-                ) == folds
-                assert [results[n] for n in range(8)] == [expected] * 8
-        finally:
-            sys.setswitchinterval(previous)
-
-
-# ---------------------------------------------------------------------------
 # a reader holding a superseded view scores it from its own spans
 # ---------------------------------------------------------------------------
 def exact_ranking(ranking):
@@ -591,67 +531,6 @@ class TestHeldViews:
             token for terms in plan.terms for token, _ in terms
             if held.block(token) is not None
         })
-
-    def test_readers_across_view_publication(self):
-        """``make sanitize`` runs this under the lockset sanitizer: four
-        readers score a seal they took, deriving its spans, while writes
-        supersede it view after view, and every ranking is the one the
-        seal gave before any write."""
-        live, rng = seeded(31, docs=80)
-        index = live.index
-        queries = queries_of(rng, 8)
-        plan = index.plan_matrix(queries)
-        errors = []
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for round_no in range(4):
-                held = index.seal()._sealed  # a fresh seal, no span yet
-                assert held.spans == {}
-                expected = [exact(live.oracle.search(q, 6)) for q in queries]
-                results = {}
-                barrier = threading.Barrier(5)
-
-                def reader(number):
-                    try:
-                        barrier.wait(timeout=10)
-                        results[number] = [
-                            [
-                                exact_ranking(r)
-                                for r in index._score_matrix(held, plan, 6)
-                            ]
-                            for _ in range(20)
-                        ]
-                    except Exception as error:  # surfaced below
-                        errors.append(error)
-
-                threads = [
-                    threading.Thread(target=reader, args=(number,))
-                    for number in range(4)
-                ]
-                for thread in threads:
-                    thread.start()
-                barrier.wait(timeout=10)
-                for step in range(6):  # each write-read publishes a view
-                    live.update(f"doc{round_no * 9 + step:03d}", text(rng))
-                    index.search_batch(queries, 6)
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                assert errors == []
-                assert [results[n] for n in range(4)] == [
-                    [expected] * 20
-                ] * 4
-                assert index._base is held.base
-                assert index._sealed is not held
-                # what the readers derived, once a token, on the held seal
-                assert sorted(held.spans) == sorted({
-                    token for terms in plan.terms for token, _ in terms
-                    if held.block(token) is not None
-                })
-        finally:
-            sys.setswitchinterval(previous)
-
 
 # ---------------------------------------------------------------------------
 # a read derives the spans it reads, and only those a write moved

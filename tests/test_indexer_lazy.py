@@ -4,15 +4,11 @@
 (TUPLE, TEXT, TABLE); anything else — the KG entities — is built,
 content index, semantic index and Combiner together, by its first
 search, and published only once filled and sealed.  What must hold: a
-lazily built index ranks to the bit like an eager one; racing first
-readers build once and never read a half-filled
-index; a write changes only what is built, and a modality built after
-writes ranks like one built from the written lake; a campaign builds
-exactly the modalities it reads.  ``make sanitize`` runs the race.
+lazily built index ranks to the bit like an eager one; the first
+reader builds it once and publishes it whole; a write changes only what
+is built, and a modality built after writes ranks like one built from
+the written lake; a campaign builds exactly the modalities it reads.
 """
-
-import sys
-import threading
 
 import pytest
 
@@ -94,10 +90,11 @@ def test_kg_hits_equal_an_eager_build(small_bundle):
     ]
 
 
-def test_four_threads_race_the_first_kg_search(small_bundle, monkeypatch):
-    """Four readers ask for KG hits at once while a fifth watches what
-    is published: one of them builds, all get the same hits, and a
-    published KG index is always whole and sealed."""
+def test_the_first_kg_search_builds_it_once_whole_and_sealed(
+    small_bundle, monkeypatch
+):
+    """The first KG read builds the modality, later reads find it
+    built, and what is published is whole and sealed."""
     lake = small_bundle.lake
     indexer = IndexerModule(lake, VerifAIConfig(use_semantic_index=True))
     entities = lake.kg.num_entities
@@ -108,56 +105,16 @@ def test_four_threads_race_the_first_kg_search(small_bundle, monkeypatch):
         lambda modality, *rest: built.append(modality) or build(modality, *rest),
     )
     query = kg_queries(lake, 1)[0]
-    together = threading.Barrier(5)
-    done = threading.Event()
-    hits, errors, seen = [], [], []
-
-    def read():
-        together.wait(timeout=30)
-        hits.append(pairs(indexer.search(query, Modality.KG_ENTITY, 5)))
-
-    def watch():
-        together.wait(timeout=30)
-        while True:
-            # read before the check: once the readers are done, the
-            # index is published, so a starved watcher still looks once
-            readers_done = done.is_set()
-            if Modality.KG_ENTITY in indexer.built_modalities:
-                content = indexer._content[Modality.KG_ENTITY]
-                semantic = indexer._semantic[Modality.KG_ENTITY]
-                seen.append(
-                    (len(content), content.is_sealed, len(semantic))
-                )
-                return
-            if readers_done:
-                return
-
-    def guarded(work):
-        try:
-            work()
-        except Exception as error:  # surfaced by the assert below
-            errors.append(error)
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        watcher = threading.Thread(target=guarded, args=(watch,))
-        readers = [
-            threading.Thread(target=guarded, args=(read,)) for _ in range(4)
-        ]
-        for thread in [watcher, *readers]:
-            thread.start()
-        for thread in readers:
-            thread.join(timeout=120)
-        done.set()
-        watcher.join(timeout=30)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in [watcher, *readers])
-    assert not errors
+    hits = [
+        pairs(indexer.search(query, Modality.KG_ENTITY, 5)) for _ in range(4)
+    ]
     assert built == [Modality.KG_ENTITY]
-    assert len(hits) == 4 and all(h == hits[0] for h in hits) and hits[0]
-    assert seen == [(entities, True, entities)]
+    assert all(h == hits[0] for h in hits) and hits[0]
+    content = indexer._content[Modality.KG_ENTITY]
+    semantic = indexer._semantic[Modality.KG_ENTITY]
+    assert (len(content), content.is_sealed, len(semantic)) == (
+        entities, True, entities
+    )
 
 
 def test_writes_touch_only_built_modalities():
@@ -206,21 +163,21 @@ def claims_of(bundle, count=6):
     ]
 
 
-def traced_cold_campaign(bundle, objects, workers):
+def traced_cold_campaign(bundle, objects):
     system = VerifAI(
         bundle.lake, llm=SimulatedLLM(knowledge=None, seed=26),
         clock=TickClock(),
     )
-    batch = system.verify_batch(objects, max_workers=workers, trace=True)
+    batch = system.verify_batch(objects, trace=True)
     return system, batch
 
 
 class TestACampaignBuildsWhatItReads:
     def test_a_cold_claim_campaign_builds_only_table(self, small_bundle):
         exports = []
-        for workers in (1, 4):
+        for _ in range(2):
             system, batch = traced_cold_campaign(
-                small_bundle, claims_of(small_bundle), workers
+                small_bundle, claims_of(small_bundle)
             )
             assert system.indexer.built_modalities == {Modality.TABLE}
             assert [

@@ -14,8 +14,6 @@ existed.
 import hashlib
 import random
 import re
-import sys
-import threading
 import unicodedata
 from unittest import mock
 
@@ -213,7 +211,7 @@ class TestEvidenceReadingsStay:
         monkeypatch.setattr(llm_model, "_read_evidence", spy)
         llm = fresh_llm()
         system = VerifAI(bundle.lake, llm=llm)
-        system.verify_batch(claims, max_workers=1)
+        system.verify_batch(claims)
         monkeypatch.setattr(llm_model, "_read_evidence", real)
         return texts, llm.num_calls
 
@@ -228,70 +226,6 @@ class TestEvidenceReadingsStay:
         texts, calls = self.evidence_read(small_bundle, claims, monkeypatch)
         assert calls > 2 * len(distinct)
         assert sorted(texts) == sorted(distinct)
-
-
-def hammer(worker, threads=8):
-    """Run ``worker(thread number)`` on ``threads`` threads under a
-    shortened switch interval; every thread must finish."""
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        running = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for thread in running:
-            thread.start()
-        for thread in running:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in running)
-
-
-class TestThreadHammer:
-    """The memo is shared by ``verify_batch`` workers and ``serve``'s
-    four; ``make sanitize`` runs this file under the lockset sanitizer."""
-
-    def test_concurrent_chats_with_evictions(self, corpus, reference, monkeypatch):
-        monkeypatch.setattr(llm_model, "READINGS_SIZE", 8)
-        llm = fresh_llm()
-        sample = list(range(0, len(corpus), 3))
-        results = {}
-        errors = []
-
-        def worker(worker_id):
-            order = list(sample)
-            random.Random(worker_id).shuffle(order)
-            try:
-                results[worker_id] = {
-                    position: llm.chat(corpus[position]) for position in order
-                }
-            except Exception as error:  # surfaced by the assert below
-                errors.append(error)
-
-        hammer(worker)
-        assert not errors
-        expected = {position: reference[position] for position in sample}
-        assert all(results[i] == expected for i in range(8))
-        assert kept(llm) <= 8
-        assert llm.num_calls == 8 * len(sample)
-
-    def test_num_calls_loses_no_update(self):
-        """``chat`` counts itself under ``_calls_lock``: eight threads
-        behind a barrier must leave the exact total (an unguarded ``+=``
-        is a read-modify-write; the sanitizer flags it when the lock is
-        taken away)."""
-        llm = fresh_llm()
-        per_thread = 2_000
-        barrier = threading.Barrier(8)
-
-        def worker(thread_number):
-            barrier.wait(timeout=30)
-            for _ in range(per_thread):
-                llm.chat("neither a completion nor a verification prompt")
-
-        hammer(worker)
-        assert llm.num_calls == 8 * per_thread
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,10 @@
 ``SimulatedLLM._readings`` (an Evidence section's reading),
 ``Reranker._readings`` (a payload's reading) and
 ``TokenEmbedder._feature_cache`` (an n-gram's vector) are bounded by
-their module's constant, evict the least recently used key, belong to
-one instance, and hand eight threads what a serial read hands one
-(``make sanitize`` runs this file).
+their module's constant, evict the least recently used key, and belong
+to one instance.
 """
 
-import random
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -21,7 +19,6 @@ from repro.llm.model import SimulatedLLM
 from repro.rerank import base as rerank_base
 from repro.rerank import features as rerank_features
 from repro.rerank.features import FeatureReranker
-from tests.test_llm_readings import hammer
 
 
 class Memo(NamedTuple):
@@ -90,24 +87,3 @@ class TestTheMemos:
         assert memo_of(memo, a).cache_info().currsize == 1
         assert memo_of(memo, b).cache_info().currsize == 0
 
-    def test_eight_threads_read_what_one_reads(self, memo, monkeypatch):
-        """A memo smaller than the keys, so every miss races an
-        eviction."""
-        keys = [memo.key(i) for i in range(48)]
-        expected = [memo.reference(key) for key in keys]
-        monkeypatch.setattr(memo.module, memo.constant, 8)
-        read = memo_of(memo, memo.make())
-        wrong = []
-
-        def worker(thread_number):
-            order = list(range(len(keys))) * 3
-            random.Random(thread_number).shuffle(order)
-            for position in order:
-                if not memo.same(read(keys[position]), expected[position]):
-                    wrong.append((thread_number, keys[position]))
-
-        hammer(worker)
-        assert not wrong
-        info = read.cache_info()
-        assert info.currsize == 8
-        assert info.hits + info.misses == 8 * 3 * len(keys)

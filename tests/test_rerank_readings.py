@@ -15,18 +15,14 @@ old expression beside it as a bound) — and with a digest of a whole
 campaign's stage lists.
 """
 
-import contextlib
 import hashlib
 import math
 import random
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.core.reranker import RerankerModule
@@ -801,9 +797,9 @@ CLAIM_MODALITIES = (Modality.TABLE, Modality.TEXT, Modality.TUPLE)
 def run_campaign(bundle):
     system = full_system(bundle.lake)
     tuples, claims = campaign_objects(bundle)
-    reports = list(system.verify_batch(tuples, max_workers=1))
+    reports = list(system.verify_batch(tuples))
     reports += list(
-        system.verify_batch(claims, modalities=CLAIM_MODALITIES, max_workers=1)
+        system.verify_batch(claims, modalities=CLAIM_MODALITIES)
     )
     return system, reports
 
@@ -910,7 +906,7 @@ class TestFullPipeline:
             small_bundle.lake, llm=SimulatedLLM(knowledge=None, seed=7)
         ).build_indexes()
         tuples, _ = campaign_objects(small_bundle)
-        system.verify_batch(tuples[:5], max_workers=1)
+        system.verify_batch(tuples[:5])
         module = system.reranker
         assert module.text_text.embedder._table is None
         assert not kept(module.text_text.embedder._feature_cache)
@@ -935,183 +931,30 @@ class TestFullPipeline:
 
 
 # ----------------------------------------------------------------------
-# concurrency
+# the rows a write leaves staged
 # ----------------------------------------------------------------------
-def rerank_tasks(system, bundle):
-    tuples, claims = campaign_objects(bundle)
-    tasks = []
-    for obj in tuples[:8]:
-        for modality in (Modality.TUPLE, Modality.TEXT):
-            tasks.append((obj, modality))
-    for obj in claims[:4]:
-        for modality in CLAIM_MODALITIES:
-            tasks.append((obj, modality))
-    return [
-        (obj, modality, system.indexer.search(obj.query_text(), modality, 20))
-        for obj, modality in tasks
-    ]
-
-
-class TestThreadHammer:
-    """One ``RerankerModule`` is shared by ``verify_batch`` workers and
-    ``serve``'s four; ``make sanitize`` runs this file under the lockset
-    sanitizer."""
-
-    def test_concurrent_reranks_with_evictions_and_growth(
-        self, campaign, small_bundle, monkeypatch
-    ):
-        system, _ = campaign
-        tasks = rerank_tasks(system, small_bundle)
-        fetch = system.indexer.fetch_payload
-        reference = RerankerModule()
-        expected = [
-            as_pairs(reference.rerank(obj, modality, coarse, fetch, 5))
-            for obj, modality, coarse in tasks
-        ]
-        monkeypatch.setattr(rerank_base, "READINGS_SIZE", 8)
-        monkeypatch.setattr(token_embed, "FEATURES_SIZE", 32)
-        monkeypatch.setattr(token_embed, "_INITIAL_ROWS", 4)
-        module = RerankerModule()
-        results = {}
-        errors = []
-
-        def worker(worker_id):
-            order = list(range(len(tasks)))
-            random.Random(worker_id).shuffle(order)
-            try:
-                results[worker_id] = {
-                    position: as_pairs(
-                        module.rerank(*tasks[position], fetch, 5)
-                    )
-                    for position in order
-                }
-            except Exception as error:  # surfaced by the assert below
-                errors.append(error)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert all(
-            results[i] == dict(enumerate(expected)) for i in range(8)
-        )
-        for reranker in (
-            module.text_text, module.text_table, module.fallback,
-        ):
-            assert 0 < kept(reranker._readings) <= 8
-        embedder = module.text_text.embedder
-        assert kept(embedder._feature_cache) <= 32
-        assert sorted(embedder._vocabulary.values()) == list(
-            range(len(embedder._vocabulary))
-        )
-
-    def test_concurrent_first_searches_after_a_write(self):
-        """Every write leaves staged rows for the first reader to move
-        under ``_matrix_lock``; eight first readers at once get one flush
-        and the oracle's bits."""
+class TestStagedRows:
+    def test_first_searches_after_a_write(self):
+        """Every write leaves staged rows for the first reader to move;
+        after rounds that end inside the stage, on its edge (256, 512)
+        and past a doubling of the table, the reads get the oracle's
+        bits and leave nothing staged."""
         vectors, queries = seeded_vectors(count=700, seed=4)
         index = FlatVectorIndex(dim=12)
         oracle = FlatVectorIndex(dim=12)
-        barrier = threading.Barrier(8)
-        errors = []
-
-        def first_search(target, expected):
-            try:
-                barrier.wait(timeout=30)
-                for position, query in enumerate(queries):
-                    assert as_pairs(
-                        target.search_vector(query, 9)
-                    ) == expected[position]
-            except Exception as error:  # surfaced by the assert below
-                errors.append(error)
-
-        def hammer(target):
+        added = 0
+        for size in (100, 256, 300, 512, 513, 700):
+            for instance_id, vector in vectors[added:size]:
+                index.add_vector(instance_id, vector)
+                oracle.add_vector(instance_id, vector)
+            added = size
+            if size == 300:
+                index.remove_vector(vectors[7][0])
+                oracle.remove_vector(vectors[7][0])
             expected = [as_pairs(oracle.search_vector(q, 9)) for q in queries]
-            threads = [
-                threading.Thread(target=first_search, args=(target, expected))
-                for _ in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert not errors
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            # rounds end inside the stage, on its edge (256, 512) and
-            # past a doubling of the table
-            added = 0
-            for size in (100, 256, 300, 512, 513, 700):
-                for instance_id, vector in vectors[added:size]:
-                    index.add_vector(instance_id, vector)
-                    oracle.add_vector(instance_id, vector)
-                added = size
-                if size == 300:
-                    index.remove_vector(vectors[7][0])
-                    oracle.remove_vector(vectors[7][0])
-                hammer(index)
-                assert index._staged == 0 and len(index._get_matrix()) == len(oracle)
-        finally:
-            sys.setswitchinterval(previous)
-
-    @pytest.mark.parametrize("mutant", [False, True])
-    def test_dropping_a_lock_is_what_the_sanitizer_flags(self, mutant):
-        if sanitizer.is_enabled():
-            pytest.skip("a deliberate race would fail the sanitized run")
-        with sanitizer.sanitized() as found:
-            reranker = LateInteractionReranker()
-            vectorizer = HashingVectorizer(dim=8)
-            flat = FlatVectorIndex(dim=8, encoder=vectorizer.transform)
-            if mutant:
-                reranker.embedder._lock = contextlib.nullcontext()
-                vectorizer._slots_lock = contextlib.nullcontext()
-                flat._matrix_lock = contextlib.nullcontext()
-
-            def work(text):
-                reranker.score("ohio election", text)
-                vectorizer.transform(text)
-                flat.add(text, text)
-                flat.search(text, 1)
-
-            first_done = threading.Event()
-            second_done = threading.Event()
-
-            def first():
-                work("tom jenkins of ohio")
-                first_done.set()
-                second_done.wait(5)
-
-            def second():
-                first_done.wait(5)
-                work("bill hess of kentucky")
-                second_done.set()
-
-            threads = [
-                threading.Thread(target=first), threading.Thread(target=second)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(5)
-        flagged = {(race.type_name, race.field_name) for race in found}
-        if mutant:
-            assert flagged == {
-                ("TokenEmbedder", "_vocabulary"),
-                ("HashingVectorizer", "_slots"),
-                ("FlatVectorIndex", "_staged"),
-            }
-        else:
-            assert not flagged
+            for _ in range(2):  # the first read moves the stage
+                assert [
+                    as_pairs(index.search_vector(q, 9)) for q in queries
+                ] == expected
+            assert index._staged == 0
+            assert len(index._get_matrix()) == len(oracle)

@@ -102,13 +102,9 @@ def stage_view(system, reports):
     ]
 
 
-def run_claims(system, bundle, max_workers):
+def run_claims(system, bundle):
     _, claims = campaign_objects(bundle)
-    return list(
-        system.verify_batch(
-            claims, modalities=CLAIM_MODALITIES, max_workers=max_workers
-        )
-    )
+    return list(system.verify_batch(claims, modalities=CLAIM_MODALITIES))
 
 
 def recording_compose(embedder, monkeypatch):
@@ -129,7 +125,7 @@ class TestALazyCampaign:
         system = full_system(twin_lake)
         composed = recording_compose(embedder_of(system), monkeypatch)
         tuples, _ = campaign_objects(small_bundle)
-        assert len(list(system.verify_batch(tuples, max_workers=1))) == 60
+        assert len(list(system.verify_batch(tuples))) == 60
         assert composed == []
         assert embedder_of(system)._table is None
 
@@ -138,7 +134,7 @@ class TestALazyCampaign:
     ):
         system = full_system(twin_lake)
         composed = recording_compose(embedder_of(system), monkeypatch)
-        reports = run_claims(system, small_bundle, max_workers=1)
+        reports = run_claims(system, small_bundle)
         _, claims = campaign_objects(small_bundle)
         read = {token for claim in claims for token in analyze(claim.query_text())}
         for report in reports:
@@ -158,7 +154,7 @@ class TestALazyCampaign:
         self, twin_lake, small_bundle
     ):
         system = full_system(twin_lake)
-        run_claims(system, small_bundle, max_workers=1)
+        run_claims(system, small_bundle)
         embedder = embedder_of(system)
         tokens = list(embedder._vocabulary)
         lazy = embedder.embed_tokens(tokens)
@@ -168,9 +164,8 @@ class TestALazyCampaign:
             assert list(reference._vocabulary) != tokens
             assert reference.embed_tokens(tokens).tobytes() == lazy.tobytes()
 
-    @pytest.mark.parametrize("max_workers", [1, 4])
     def test_reports_and_rerank_scores_do_not_move(
-        self, twin_lake, small_bundle, max_workers
+        self, twin_lake, small_bundle
     ):
         """A campaign over a lazy vocabulary reads what one over a
         vocabulary filled beforehand with the lake's tokens, in sorted
@@ -180,7 +175,7 @@ class TestALazyCampaign:
             system = full_system(twin_lake)
             if prefill:
                 embedder_of(system).token_rows(sorted(lake_tokens(system)))
-            reports = run_claims(system, small_bundle, max_workers)
+            reports = run_claims(system, small_bundle)
             seen.append(
                 ([report_view(r) for r in reports], stage_view(system, reports))
             )

@@ -13,6 +13,7 @@ import json
 import re
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,7 +43,6 @@ def served():
     system = VerifAI(bundle.lake, clock=clock)
     config = ServeConfig(
         port=0,
-        max_concurrency=2,
         max_queue=8,
         max_body_bytes=64 * 1024,
         max_batch_objects=8,
@@ -109,7 +109,7 @@ class TestEndpoints:
         assert status == 200
         assert body["status"] == "ok"
         assert body["lake"] == "synthetic-lake"
-        assert body["max_concurrency"] == 2
+        assert "max_concurrency" not in body
         assert body["max_queue"] == 8
 
     def test_verify_claim(self, served):
@@ -193,6 +193,32 @@ class TestEndpoints:
         assert status == 200
         assert trace["trace_id"] == body["trace_id"]
 
+    def test_a_batch_body_asking_for_workers_reads_the_same(self, served):
+        """``max_workers`` is validated and ignored: a body asking for
+        two gets the verdicts and evidence of one that asks for none,
+        and the stats name no worker count."""
+        server, _, bundle = served
+        table, column = sample_cell(bundle.lake)
+        objects = [
+            {"kind": "tuple", "table_id": table.table_id,
+             "row": i, "column": column, "value": value}
+            for i in range(min(3, table.num_rows))
+            for value in ("999,999,999", table.row(i).get(column))
+        ]
+        seen = []
+        for extra in ({}, {"max_workers": 2}):
+            status, _, body = request(
+                server, "POST", "/verify-batch", {"objects": objects, **extra}
+            )
+            assert status == 200
+            assert "max_workers" not in body["stats"]
+            seen.append([
+                (report["verdict"], report["evidence_ids"])
+                for report in body["reports"]
+            ])
+        assert seen[0] == seen[1]
+        assert len({verdict for verdict, _ in seen[0]}) > 1
+
     def test_batch_of_zero_objects(self, served):
         """The empty-campaign hardening, over the wire."""
         server, _, _ = served
@@ -249,7 +275,7 @@ class TestLineage:
         ]
         system = VerifAI(bundle.lake, clock=TickClock(step=0.001))
         service = VerificationService(system, ServeConfig(
-            port=0, max_concurrency=1, clock=TickClock(step=0.001),
+            port=0, clock=TickClock(step=0.001),
         ))
         exported = []
         with ServerThread(service) as server:
@@ -726,6 +752,54 @@ class TestDebugEndpoints:
         assert status == 200
         assert headers["x-profile-seconds"] == "0.2"
 
+    def test_a_verify_inside_a_profile_window_is_answered_inside_it(
+        self, served, monkeypatch
+    ):
+        """The window holds no verify turn: a ``/verify`` sent while
+        the sampler runs is answered before the window closes, and the
+        stacks the window returns hold that verify's frames on the
+        verifying thread."""
+        server, service, _ = served
+        pool = service.system.verifier.verify_pool
+
+        def slow_pool(*args, **kwargs):
+            time.sleep(0.05)  # long enough to be sampled
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(service.system.verifier, "verify_pool", slow_pool)
+        answered = {}
+
+        def profile():
+            answered["profile"] = request(
+                server, "GET", "/debug/profile?seconds=0.2"
+            )
+            answered["profile_at"] = time.monotonic()
+
+        profiler = threading.Thread(target=profile)
+        profiler.start()
+        deadline = time.monotonic() + 30
+        while not any(
+            thread.name == "repro-stack-sampler"
+            for thread in threading.enumerate()
+        ):
+            assert time.monotonic() < deadline, "the window never opened"
+            time.sleep(0.001)
+        status, _, _ = request(
+            server, "POST", "/verify",
+            {"kind": "claim", "text": "the gold of valoria is 10"},
+        )
+        verified_at = time.monotonic()
+        profiler.join(30)
+        assert status == 200
+        assert verified_at < answered["profile_at"]
+        status, _, stacks = answered["profile"]
+        assert status == 200
+        assert any(
+            "repro.serve.app._run;repro.serve.app._run_verify;"
+            "repro.core.pipeline.verify;" in line
+            for line in stacks.decode("utf-8").splitlines()
+        )
+
 
 class TestConcurrentLoad:
     def test_metrics_and_events_stay_consistent_under_load(self, served):
@@ -796,7 +870,7 @@ class TestCollectorLifecycle:
     def _service(port):
         bundle = build_lake(LakeConfig(num_tables=4, seed=5))
         return VerificationService(
-            VerifAI(bundle.lake), ServeConfig(port=port, max_concurrency=1)
+            VerifAI(bundle.lake), ServeConfig(port=port)
         )
 
     def test_frozen_while_serving_released_on_stop(self):
@@ -812,4 +886,4 @@ class TestCollectorLifecycle:
             with pytest.raises(OSError):
                 ServerThread(service).start()
         assert gc.get_freeze_count() == 0
-        assert service._executor is None
+        assert service._verifier is None

@@ -3,9 +3,9 @@
 Three layers:
 
 * the :class:`AdmissionController` alone, on a bare event loop —
-  slot accounting, FIFO waiting, shed-without-waiting;
+  turn accounting, FIFO waiting, shed-without-waiting;
 * a real served system under contention — queue-full 429s with
-  ``Retry-After``, bounded concurrency proven through the
+  ``Retry-After``, one verify at a time proven through the
   ``serve.inflight_peak`` gauge, the 500 error boundary;
 * the deterministic load generator — byte-stable seeded mixes,
   nearest-rank percentiles, report arithmetic.
@@ -43,21 +43,20 @@ from tests.test_serve import request
 class TestAdmissionController:
     def test_admits_when_free(self):
         async def main():
-            ctrl = AdmissionController(2, 0, MetricsRegistry())
-            async with ctrl.admit():
-                assert ctrl.inflight == 1
+            ctrl = AdmissionController(0, MetricsRegistry())
+            assert ctrl.peak_inflight == 0
+            for _ in range(3):
                 async with ctrl.admit():
-                    assert ctrl.inflight == 2
-            assert ctrl.inflight == 0
-            assert ctrl.peak_inflight == 2
+                    assert ctrl.inflight == 1
+                assert ctrl.inflight == 0
+            assert ctrl.peak_inflight == 1
 
         asyncio.run(main())
 
     def test_sheds_without_waiting_when_queue_full(self):
         async def main():
             registry = MetricsRegistry()
-            ctrl = AdmissionController(1, 0, registry,
-                                       retry_after_seconds=3.0)
+            ctrl = AdmissionController(0, registry, retry_after_seconds=3.0)
             async with ctrl.admit():
                 with pytest.raises(ServiceOverloaded) as info:
                     async with ctrl.admit():
@@ -75,7 +74,7 @@ class TestAdmissionController:
     def test_queue_holds_then_sheds_beyond_depth(self):
         async def main():
             registry = MetricsRegistry()
-            ctrl = AdmissionController(1, 1, registry)
+            ctrl = AdmissionController(1, registry)
             release = asyncio.Event()
             entered = asyncio.Event()
 
@@ -108,7 +107,7 @@ class TestAdmissionController:
 
     def test_waiters_admitted_fifo(self):
         async def main():
-            ctrl = AdmissionController(1, 8, MetricsRegistry())
+            ctrl = AdmissionController(8, MetricsRegistry())
             release = asyncio.Event()
             entered = asyncio.Event()
             order = []
@@ -136,10 +135,8 @@ class TestAdmissionController:
         asyncio.run(main())
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionController(0, 1, MetricsRegistry())
-        with pytest.raises(ValueError):
-            AdmissionController(1, -1, MetricsRegistry())
+        with pytest.raises(ValueError, match="max_queue"):
+            AdmissionController(-1, MetricsRegistry())
 
 
 # ----------------------------------------------------------------------
@@ -151,8 +148,7 @@ def tiny_served():
     clock = TickClock(step=0.001)
     system = VerifAI(bundle.lake, clock=clock)
     config = ServeConfig(
-        port=0, max_concurrency=1, max_queue=0,
-        retry_after_seconds=2.0, clock=clock,
+        port=0, max_queue=0, retry_after_seconds=2.0, clock=clock,
     )
     service = VerificationService(system, config)
     with ServerThread(service) as server:
@@ -223,42 +219,90 @@ class TestOverload:
 
 
 @pytest.fixture()
-def width2_served():
+def queued_served():
     bundle = build_lake(LakeConfig(num_tables=6, seed=3))
     clock = TickClock(step=0.001)
     system = VerifAI(bundle.lake, clock=clock)
-    config = ServeConfig(
-        port=0, max_concurrency=2, max_queue=16, clock=clock
-    )
+    config = ServeConfig(port=0, max_queue=16, clock=clock)
     service = VerificationService(system, config)
     with ServerThread(service) as server:
         yield server, service, bundle
 
 
-class TestBoundedConcurrency:
-    def test_inflight_never_exceeds_width(self, width2_served):
-        """Six closed-loop clients hammer a width-2 server; the
-        ``serve.inflight_peak`` gauge proves admission really bounded
-        the pipeline concurrency."""
-        server, service, bundle = width2_served
+class TestOneVerifyAtATime:
+    def test_inflight_never_exceeds_one(self, queued_served):
+        """Six closed-loop clients hammer the server; the
+        ``serve.inflight_peak`` gauge proves admission let one verify
+        run at a time."""
+        server, service, bundle = queued_served
         host, port = server.address
         mix = build_request_mix(bundle.lake, 18, seed=7)
         report = LoadGenerator(host, port).run_closed(mix, clients=6)
         assert report.total == 18
         assert report.ok == 18  # queue of 16 >= 6 clients: nothing shed
         assert report.shed == 0
-        peak = service.admission.peak_inflight
-        assert 1 <= peak <= 2
-        assert get_registry().gauge("serve.inflight_peak").value == peak
+        assert service.admission.peak_inflight == 1
+        assert get_registry().gauge("serve.inflight_peak").value == 1
         assert get_registry().gauge("serve.inflight").value == 0
 
-    def test_admitted_batches_verify_within_the_width(
-        self, width2_served, monkeypatch
+    def test_verifies_on_two_connections_never_overlap_and_run_fifo(
+        self, queued_served, monkeypatch
+    ):
+        """A ``/verify`` held on the verifying thread, then two more on
+        their own connections: they wait in line, run one at a time in
+        the order they arrived, and are answered in that order."""
+        server, service, _ = queued_served
+        release = threading.Event()
+        entered = threading.Event()
+        original = service._run_verify
+        ran = []
+
+        def tracked(obj):
+            ran.append(obj.text)
+            if obj.text == "held":
+                entered.set()
+                assert release.wait(60)
+            else:  # answers far enough apart to arrive in order
+                time.sleep(0.05)
+            return original(obj)
+
+        monkeypatch.setattr(service, "_run_verify", tracked)
+        answered = []
+
+        def call(text):
+            status, _, _ = request(
+                server, "POST", "/verify", {"kind": "claim", "text": text}
+            )
+            answered.append((text, status))
+
+        holder = threading.Thread(target=call, args=("held",))
+        holder.start()
+        assert entered.wait(60)
+        waiters = []
+        for position, text in enumerate(("first", "second")):
+            waiter = threading.Thread(target=call, args=(text,))
+            waiter.start()
+            waiters.append(waiter)
+            deadline = time.monotonic() + 30
+            while service.admission.queued < position + 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        assert service.admission.inflight == 1
+        release.set()
+        for thread in (holder, *waiters):
+            thread.join(60)
+        assert ran == ["held", "first", "second"]
+        assert answered == [
+            ("held", 200), ("first", 200), ("second", 200)
+        ]
+        assert service.admission.peak_inflight == 1
+
+    def test_admitted_batches_verify_one_at_a_time(
+        self, queued_served, monkeypatch
     ):
         """Four concurrent ``/verify-batch`` bodies asking for four
-        workers each, on a width-2 server: no more than two
-        ``verify_pool`` calls are ever running at once."""
-        server, service, bundle = width2_served
+        workers each: no two ``verify_pool`` calls ever run at once."""
+        server, service, bundle = queued_served
         verifier = service.system.verifier
         original = verifier.verify_pool
         lock = threading.Lock()
@@ -300,10 +344,10 @@ class TestBoundedConcurrency:
         for caller in callers:
             caller.join(120)
         assert statuses == [200] * 4
-        assert 1 <= peak[0] <= 2
+        assert peak[0] == 1
 
-    def test_open_loop_round_trip(self, width2_served):
-        server, _, bundle = width2_served
+    def test_open_loop_round_trip(self, queued_served):
+        server, _, bundle = queued_served
         host, port = server.address
         mix = build_request_mix(bundle.lake, 6, seed=9)
         report = LoadGenerator(host, port).run_open(mix, rate=200.0)
@@ -313,11 +357,11 @@ class TestBoundedConcurrency:
         assert report.mode == "open[200/s]"
 
     def test_per_endpoint_breakdown_partitions_latencies(
-        self, width2_served
+        self, queued_served
     ):
         """The per-route breakdown accounts for every timed request,
         keyed by the actual paths in the mix."""
-        server, _, bundle = width2_served
+        server, _, bundle = queued_served
         host, port = server.address
         mix = build_request_mix(bundle.lake, 18, seed=7)
         report = LoadGenerator(host, port).run_closed(mix, clients=4)

@@ -186,7 +186,7 @@ class TestResponses:
 # ----------------------------------------------------------------------
 class TestServeConfig:
     @pytest.mark.parametrize("field,value", [
-        ("max_concurrency", 0),
+        ("retry_after_seconds", -1.0),
         ("max_queue", -1),
         ("retry_after_seconds", 0.0),
         ("max_body_bytes", 0),
@@ -200,8 +200,8 @@ class TestServeConfig:
             ServeConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("max_concurrency", 1),
         ("max_queue", 0),
+        ("max_batch_objects", 1),
         ("max_body_bytes", 1),
         ("trace_cache_size", 1),
     ])

@@ -99,17 +99,20 @@ class TestParseBatch:
         return parse_batch(payload, lake, "b", max_objects, cap)
 
     def test_entries_get_positional_default_ids(self, lake, cell):
-        objects, workers, fail_fast = self.parse(
+        objects, fail_fast = self.parse(
             lake, {"objects": [CLAIM, cell, {**CLAIM, "object_id": "x"}]}
         )
         assert [o.object_id for o in objects] == ["b-0000", "b-0001", "x"]
-        assert (workers, fail_fast) == (1, False)
+        assert fail_fast is False
 
-    def test_workers_are_capped_and_fail_fast_is_read(self, lake):
-        _, workers, fail_fast = self.parse(
-            lake, {"objects": [], "max_workers": 9, "fail_fast": True}
-        )
-        assert (workers, fail_fast) == (2, True)
+    def test_workers_are_ignored_and_fail_fast_is_read(self, lake, cell):
+        body = {"objects": [CLAIM, cell], "fail_fast": True}
+        plain, plain_fail_fast = self.parse(lake, body)
+        asked, asked_fail_fast = self.parse(lake, {**body, "max_workers": 9})
+        assert plain_fail_fast is asked_fail_fast is True
+        assert [(o.object_id, o.query_text()) for o in asked] == [
+            (o.object_id, o.query_text()) for o in plain
+        ]
 
     @pytest.mark.parametrize("payload,fragment", [
         ([CLAIM], "request body must be a JSON object"),

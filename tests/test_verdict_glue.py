@@ -321,9 +321,8 @@ class TestOneRenderPerTuple:
         moved = dataclasses.replace(rendered, row=election_table.row(1))
         assert moved.query_text() == serialize_row(election_table.row(1))
 
-    @pytest.mark.parametrize("workers", [1, 4])
     def test_a_campaign_renders_each_tuple_once(
-        self, small_bundle, monkeypatch, workers
+        self, small_bundle, monkeypatch
     ):
         rendered = []
         real = verify_objects.serialize_row
@@ -341,7 +340,7 @@ class TestOneRenderPerTuple:
         system = VerifAI(
             small_bundle.lake, config=VerifAIConfig(use_reranker=True)
         )
-        batch = system.verify_batch(objects, max_workers=workers)
+        batch = system.verify_batch(objects)
         assert batch.failed == 0
         assert rendered == [obj.row for obj in objects]
 
