@@ -33,10 +33,10 @@ object's ``verify`` span *is* the trace root instead of a child of
   :class:`~repro.obs.metrics.Scope` while it runs, so the
   :class:`BatchStats` attached to the
   :class:`~repro.core.pipeline.BatchReport` reflects *this* campaign's
-  traffic, not that of what else the process ran.  ``trace=True`` additionally records a span tree
-  (``verify_batch`` → ``index.build:*`` for each modality the campaign
-  reads that was not built yet,
-  ``retrieve:prefill:*``, then per-object ``verify`` → retrieval stages
+  traffic, not that of what else the process ran.  ``trace=True``
+  additionally records a span tree (``verify_batch`` →
+  ``index.build:*`` for each modality the campaign reads that was not
+  built yet, ``retrieve:prefill:*``, then per-object ``verify`` → retrieval stages
   → ``verify_pool`` → a ``verdict`` per verified pair) whose export is
   byte-identical from run to run under a deterministic clock.
 

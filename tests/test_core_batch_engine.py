@@ -218,12 +218,12 @@ class TestEngineEdges:
         assert len(batch) == 0
         assert batch.stats.objects == 0
 
-    @pytest.mark.parametrize("workers", [0, 2, 4])
+    @pytest.mark.parametrize("workers", [-1, 0, 2, 3, 4, 8])
     def test_any_worker_count_but_one_is_rejected(
         self, bundle, workload, workers
     ):
         system = make_system(bundle)
-        with pytest.raises(ValueError, match="max_workers"):
+        with pytest.raises(ValueError, match=f"max_workers.*{workers}"):
             system.verify_batch(workload, max_workers=workers)
-        # refused before any record was opened
-        assert len(system.provenance) == 0
+        # refused before any record was opened or any pair verified
+        assert (len(system.provenance), system.llm.num_calls) == (0, 0)

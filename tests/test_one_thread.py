@@ -133,14 +133,6 @@ def test_max_workers_one_is_the_default(bundle, system, objects_of):
     ]
 
 
-@pytest.mark.parametrize("workers", [-1, 3, 8])
-def test_another_worker_count_verifies_nothing(bundle, system, workers):
-    calls, records = system.llm.num_calls, len(system.provenance)
-    with pytest.raises(ValueError, match=f"max_workers must be 1.*{workers}"):
-        system.verify_batch(tuples_of(bundle), max_workers=workers)
-    assert (system.llm.num_calls, len(system.provenance)) == (calls, records)
-
-
 def test_a_campaign_takes_its_policy_from_the_config(bundle):
     system = VerifAI(bundle.lake, config=VerifAIConfig(batch_max_retries=2))
     default = Campaign(system, [])
