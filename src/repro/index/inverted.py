@@ -28,13 +28,18 @@ writes between them did not move (none when they moved the document
 count or the average length).  No index holds a table of every
 posting's contribution.
 
-:meth:`InvertedIndex.seal` is the **compaction**: it folds the writes
-since the base into new CSR arrays in a fixed number of numpy passes,
-when called and when a write leaves more documents written since the
-base than ``_COMPACT_SHARE`` of it.  A view ranks as the compacted seal
-of the same documents, ids and score bits (``tests/test_index_view.py``),
-and a compacted seal is byte-identical to a fresh index's over the
-surviving payloads (``tests/test_index_patch.py``).
+:meth:`InvertedIndex.seal` is the **compaction**, when called and when a
+write leaves more documents written since the base than
+``_COMPACT_SHARE`` of it.  One fold makes every base: it lays the
+documents added since out as one run of postings sorted by row, and
+merges the base's surviving postings in only when the base holds any.
+The first seal, the compile, is that fold over an empty base, so the
+run *is* the postings and every output array is allocated once (the
+compile's traced peak is under 2.5x the postings it leaves).  A view
+ranks as the compacted seal of the same documents, ids and score bits
+(``tests/test_index_view.py``), and a compacted seal is byte-identical
+to a fresh index's over the surviving payloads
+(``tests/test_index_patch.py``).
 """
 
 from __future__ import annotations
@@ -508,10 +513,10 @@ class InvertedIndex(SearchIndex):
         Idempotent: a published seal with no write since is kept.  Reads
         do not call this; they publish a view (:meth:`_current_seal`).  A
         write calls the fold when the writes since the base outgrow
-        ``_COMPACT_SHARE`` of it.  The first seal is the fold over an
-        empty base, a compile from the fresh records.  It publishes a
-        *new* view, so a caller still holding the previous view keeps a
-        consistent one.
+        ``_COMPACT_SHARE`` of it, and the first seal is the same fold
+        (:meth:`_fold`) over an empty base.  It publishes a *new* view,
+        so a caller still holding the previous view keeps a consistent
+        one.
         """
         if self._sealed is None or self._delta is not None:
             self._fold()
@@ -531,20 +536,24 @@ class InvertedIndex(SearchIndex):
             self._fold()
 
     def _fold(self) -> None:
-        """Fold the writes since ``_base`` into its CSR arrays and make
-        the result the base.
+        """Fold the writes since ``_base`` into new CSR arrays and make
+        the result the base: the one fold, the compile included.
 
         Produces, array for array and byte for byte, the one layout of
         the index's documents: documents in ``_doc_length`` order (the
         base's survivors, then the fresh ones), every row in document
         order (its surviving postings, then the fresh ones), rows in
         sorted token order (emptied rows dropped, first-seen tokens
-        inserted in place).  The base's arrays are only read; with no
-        write since (:meth:`invalidate_seal`) the base stays.
+        inserted in place).  The added documents' postings become one
+        run sorted by row, and the base's survivors are merged into it
+        only when the base holds any postings (:meth:`_fold_writes`):
+        the first seal is this fold over an empty base, and its run is
+        the new arrays.  The base's arrays are only read; with no write
+        since (:meth:`invalidate_seal`) the base stays.
         """
-        # the base stays referenced until the new one replaces it: its
-        # arrays are the only copy of its documents' postings, so a fold
-        # that fails leaves the index as it was
+        # the base and the fresh records stay referenced until the new
+        # base replaces them: they are the only copy of the documents'
+        # postings, so a fold that fails leaves the index as it was
         base, fresh = self._base, self._fresh
         dead = [] if self._delta is None else [
             position for position in self._delta.dead
@@ -566,25 +575,27 @@ class InvertedIndex(SearchIndex):
         self._viewed, self._touched = None, set()
         published.inc()
 
-
     def _fold_writes(
         self,
         base: _Postings,
         dead: List[int],
         fresh: Dict[str, Tuple[Tuple[str, ...], Tuple[int, ...]]],
     ) -> _Postings:
-        """:meth:`_fold` when something was written: ``dead``
-        holds the positions of the base documents removed since."""
-        if dead:
+        """:meth:`_fold` when something was written: ``dead`` holds the
+        positions of the base documents removed since."""
+        merge = base.doc_idx.size > 0
+        kept_len = np.diff(base.tok_start)
+        kept_docs, kept_tf = base.doc_idx, base.tf_flat
+        if merge and dead:
             keep_doc = np.ones(len(base.doc_ids), dtype=bool)
             keep_doc[dead] = False
             keep = keep_doc[base.doc_idx]
             # each dead posting shortens the row its position falls in
-            dead_rows = np.searchsorted(
-                base.tok_start, np.flatnonzero(~keep), side="right"
-            ) - 1
-            kept_len = np.diff(base.tok_start) - np.bincount(
-                dead_rows, minlength=len(base.tokens)
+            kept_len -= np.bincount(
+                np.searchsorted(
+                    base.tok_start, np.flatnonzero(~keep), side="right"
+                ) - 1,
+                minlength=len(base.tokens),
             )
             kept_docs = base.doc_idx[keep]
             # survivors close ranks; every index is in range, and
@@ -595,9 +606,6 @@ class InvertedIndex(SearchIndex):
             )
             kept_tf = base.tf_flat[keep]
             del keep
-        else:
-            kept_len = np.diff(base.tok_start)
-            kept_docs, kept_tf = base.doc_idx, base.tf_flat
 
         # vocabulary: a base row lives on if a posting survived or a
         # fresh one lands in it; first-seen tokens are sorted in
@@ -614,54 +622,65 @@ class InvertedIndex(SearchIndex):
         )
         tok_pos = dict(zip(tokens, range(len(tokens))))
 
-        # the fresh documents' postings, document by document, as flat
-        # arrays each allocated once at its final size
-        lengths = np.fromiter(
+        # the fresh run: every fresh posting's row (int32 keys), term
+        # frequency and document, put in row order by one stable sort
+        sizes = np.fromiter(
             (len(distinct) for distinct, _ in records),
             dtype=np.int64, count=len(records),
         )
-        total = int(lengths.sum())
-        add_rows = np.fromiter(
+        total = int(sizes.sum())
+        rows = np.fromiter(
             map(tok_pos.__getitem__, chain.from_iterable(
                 distinct for distinct, _ in records
             )),
-            dtype=np.int64, count=total,
+            dtype=np.int32, count=total,
         )
         add_tf = np.fromiter(
             chain.from_iterable(counts for _, counts in records),
             dtype=np.float64, count=total,
         )
-        first_fresh = len(base.doc_ids) - len(dead)
-        add_docs = np.repeat(
-            np.arange(first_fresh, first_fresh + len(records)), lengths
-        )
         del records
-
-        # row lengths: the surviving base rows keep their order around
-        # the first-seen rows, then every row grows by its additions
-        kept_end = np.zeros(len(tokens), dtype=np.int64)
-        from_base = np.ones(len(tokens), dtype=bool)
-        from_base[[tok_pos[t] for t in first_seen]] = False
-        kept_end[from_base] = kept_len[alive]
-        np.cumsum(kept_end, out=kept_end)
         tok_start = np.zeros(len(tokens) + 1, dtype=np.int64)
-        tok_start[1:] = kept_end + np.cumsum(
-            np.bincount(add_rows, minlength=len(tokens))
+        np.cumsum(
+            np.bincount(rows, minlength=len(tokens)), out=tok_start[1:]
         )
-        # an addition lands behind the surviving postings of its row and
-        # of every row before it, and behind the additions before it
-        order = np.argsort(add_rows, kind="stable")
-        at = kept_end[add_rows[order]] + np.arange(order.size)
-        survivor = np.ones(int(tok_start[-1]), dtype=bool)
-        survivor[at] = False
-        doc_idx = np.empty(survivor.size, dtype=np.int64)
-        doc_idx[survivor] = kept_docs
-        doc_idx[at] = add_docs[order]
-        del kept_docs, add_docs
-        tf_flat = np.empty(survivor.size, dtype=np.float64)
-        tf_flat[survivor] = kept_tf
-        tf_flat[at] = add_tf[order]
-        del kept_tf, add_tf
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order] if merge else None
+        tf_run = add_tf[order]
+        del add_tf
+        first_fresh = len(base.doc_ids) - len(dead)
+        docs_run = np.repeat(
+            np.arange(first_fresh, first_fresh + sizes.size, dtype=np.int32),
+            sizes,
+        )[order]
+        del order
+
+        if not merge:  # the compile: the run is the postings
+            doc_idx, tf_flat = docs_run.astype(np.int64), tf_run
+        else:
+            # row lengths: the surviving base rows keep their order
+            # around the first-seen rows, then every row grows by its
+            # additions; an addition lands behind the surviving postings
+            # of its row and of every row before it, and behind the
+            # additions before it
+            kept_end = np.zeros(len(tokens), dtype=np.int64)
+            from_base = np.ones(len(tokens), dtype=bool)
+            from_base[[tok_pos[t] for t in first_seen]] = False
+            kept_end[from_base] = kept_len[alive]
+            np.cumsum(kept_end, out=kept_end)
+            tok_start[1:] += kept_end
+            at = kept_end[rows] + np.arange(total)
+            del rows
+            survivor = np.ones(int(tok_start[-1]), dtype=bool)
+            survivor[at] = False
+            doc_idx = np.empty(survivor.size, dtype=np.int64)
+            doc_idx[survivor] = kept_docs
+            doc_idx[at] = docs_run
+            tf_flat = np.empty(survivor.size, dtype=np.float64)
+            tf_flat[survivor] = kept_tf
+            tf_flat[at] = tf_run
+        # only the new arrays stay while the id tables are built
+        del docs_run, tf_run, kept_docs, kept_tf
 
         doc_ids = list(self._doc_length)
         if self._delta is None:  # the compile: sort the ids once

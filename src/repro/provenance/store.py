@@ -11,7 +11,9 @@ reranking disagree?".
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from array import array
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,15 +26,22 @@ RECORD_FINALIZED = "finalized"  # verification completed normally
 RECORD_FAILED = "failed"        # verification aborted; ``error`` says why
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalStep:
-    """One stage of retrieval: which index/reranker returned which ids."""
+    """One stage of retrieval: which index/reranker returned which ids,
+    as two columns in rank order."""
 
-    stage: str                       # e.g. "index:bm25", "combiner", "rerank"
-    hits: Tuple[Tuple[str, float], ...]  # (instance_id, score), ranked
+    stage: str             # e.g. "index:bm25", "combiner", "rerank"
+    ids: Tuple[str, ...]   # instance ids, ranked
+    scores: array          # array("d"): ``scores[i]`` is ``ids[i]``'s
+
+    @property
+    def hits(self) -> Tuple[Tuple[str, float], ...]:
+        """The stage as ``(instance_id, score)`` pairs, ranked."""
+        return tuple(zip(self.ids, self.scores))
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationRecord:
     """Lineage of one verify(g, L) call."""
 
@@ -56,7 +65,7 @@ class VerificationRecord:
     ) -> None:
         """Record one retrieval/rerank stage from its ranking's columns."""
         self.retrieval.append(
-            RetrievalStep(stage=stage, hits=tuple(zip(ids, map(float, scores))))
+            RetrievalStep(stage, tuple(ids), array("d", scores))
         )
 
     def add_stage(self, stage: str, hits) -> None:
@@ -103,11 +112,9 @@ class VerificationRecord:
 
     def evidence_ids(self) -> List[str]:
         """Every instance id this record touched, in stage order."""
-        seen: Dict[str, None] = {}
-        for step in self.retrieval:
-            for instance_id, _ in step.hits:
-                seen.setdefault(instance_id, None)
-        return list(seen)
+        return list(dict.fromkeys(
+            chain.from_iterable(step.ids for step in self.retrieval)
+        ))
 
 
 class ProvenanceStore:
@@ -149,7 +156,7 @@ class ProvenanceStore:
         return [
             record
             for record in self._records.values()
-            if instance_id in record.evidence_ids()
+            if any(instance_id in step.ids for step in record.retrieval)
         ]
 
     def explain(self, record_id: str) -> str:
@@ -162,7 +169,9 @@ class ProvenanceStore:
         if record.trace_id:
             lines.append(f"trace: {record.trace_id}")
         for step in record.retrieval:
-            rendered = ", ".join(f"{i}:{s:.3f}" for i, s in step.hits[:5])
+            rendered = ", ".join(
+                f"{i}:{s:.3f}" for i, s in zip(step.ids[:5], step.scores[:5])
+            )
             lines.append(f"  [{step.stage}] {rendered}")
         for evidence_id, verifier, verdict, explanation in record.outcomes:
             lines.append(
@@ -185,8 +194,18 @@ class ProvenanceStore:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> None:
-        """Dump all records as JSON."""
-        payload = [asdict(record) for record in self._records.values()]
+        """Dump all records as JSON, each stage as ``"hits": [[id,
+        score], ...]``."""
+        payload = [
+            {
+                **{f.name: getattr(record, f.name) for f in fields(record)},
+                "retrieval": [
+                    {"stage": step.stage, "hits": step.hits}
+                    for step in record.retrieval
+                ],
+            }
+            for record in self._records.values()
+        ]
         write_json(payload, Path(path))
 
     @classmethod
@@ -202,8 +221,9 @@ class ProvenanceStore:
                 query=entry["query"],
                 retrieval=[
                     RetrievalStep(
-                        stage=step["stage"],
-                        hits=tuple((i, s) for i, s in step["hits"]),
+                        step["stage"],
+                        tuple(i for i, _ in step["hits"]),
+                        array("d", [s for _, s in step["hits"]]),
                     )
                     for step in entry["retrieval"]
                 ],

@@ -18,6 +18,7 @@ It is one of ``make coverage``'s suites for ``index/inverted.py``.
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,69 @@ class TestCompileIsPinned:
         assert first_difference(reference, reference) is None
         assert first_difference(reference, mutant) == name
         assert digest(reference) != digest(mutant)
+
+
+# ---------------------------------------------------------------------------
+# the one fold: each output array allocated once, nothing moved on a fault
+# ---------------------------------------------------------------------------
+def bits(hits):
+    return [(hit.instance_id, float(hit.score).hex()) for hit in hits]
+
+
+class TestOneFold:
+    def test_a_compile_peaks_under_two_and_a_half_postings(self):
+        """The traced peak of a compile is at most 2.5x the bytes of the
+        postings it leaves (``doc_idx``, ``tf_flat``, ``tok_start``):
+        the fresh run is sorted once into the final arrays."""
+        pair, _ = seeded_pair(31, docs=3000)
+        index = pair.live
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index.seal()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        base = index._base
+        postings = (
+            base.doc_idx.nbytes + base.tf_flat.nbytes + base.tok_start.nbytes
+        )
+        assert postings > 500_000
+        assert peak <= 2.5 * postings, peak / postings
+
+    @pytest.mark.parametrize("based", [False, True], ids=["compile", "merge"])
+    def test_a_fold_that_raises_leaves_the_index_as_it_was(
+        self, monkeypatch, based
+    ):
+        pair, rng = seeded_pair(8, docs=400)
+        index = pair.live
+        if based:  # a base, then writes short of a compaction
+            index.seal()
+            for number in range(0, 400, 41):
+                pair.remove(f"doc{number}")
+            pair.update("doc7", payload(rng))
+            for number in range(400, 406):
+                pair.add(f"doc{number}", payload(rng))
+            assert index._delta is not None
+        queries = ["kax tox", "mix rax", "chix benx kax"]
+        expected = [bits(hits) for hits in pair.fresh().search_batch(queries)]
+        fresh, df, size = dict(index._fresh), dict(index._df), len(index)
+        reached = []
+
+        def broken(*args, **kwargs):
+            reached.append(True)
+            raise MemoryError("argsort")
+
+        monkeypatch.setattr(np, "argsort", broken)
+        with pytest.raises(MemoryError):
+            index.seal()
+        monkeypatch.undo()
+        assert reached
+        assert index._fresh == fresh and dict(index._df) == df
+        assert len(index) == size
+        index.invalidate_seal()
+        assert [bits(hits) for hits in index.search_batch(queries)] == expected
+        pair.check(queries)
 
 
 # ---------------------------------------------------------------------------

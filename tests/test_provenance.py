@@ -1,6 +1,9 @@
 """Verification lineage and generation logging."""
 
 import hashlib
+import random
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ from repro.datalake.types import Modality, Row
 from repro.index.base import SearchHit, hits_of
 from repro.llm.model import SimulatedLLM
 from repro.provenance.generation import GenerationLog
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, RetrievalStep
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.verdict import Verdict
 
@@ -81,6 +84,125 @@ class TestProvenanceStore:
     def test_get_unknown(self):
         with pytest.raises(KeyError):
             ProvenanceStore().get("rec-000001")
+
+
+# ----------------------------------------------------------------------
+# the stored format: columns in memory, ``(id, score)`` pairs on disk
+# ----------------------------------------------------------------------
+DATA = Path(__file__).resolve().parent / "data"
+#: ``seeded_store().save()`` as written when every stage was kept as
+#: ``(id, score)`` pair tuples
+PARENT_FORMAT = DATA / "provenance_parent.json"
+#: every record's ``explain()`` then its ``evidence_ids()``, from the same
+#: code and store
+PARENT_EXPLAIN = DATA / "provenance_parent_explain.txt"
+
+
+def seeded_store(seed=53):
+    """Four finalized records shaped like ``campaign_full``'s (two
+    50-hit coarse stages, each followed by a 3-hit rerank of its head),
+    one failed and one still open; scores of every magnitude."""
+    rng = random.Random(seed)
+    pool = [f"t{rng.randrange(900)}#r{rng.randrange(40)}" for _ in range(400)]
+    store = ProvenanceStore()
+    for number in range(6):
+        record = store.new_record(f"obj-{number}", f"query {number} café")
+        for modality in ("tuple", "text"):
+            coarse = rng.sample(pool, 50)
+            scores = sorted(
+                (rng.random() * 10 ** rng.randint(-7, 2) for _ in coarse),
+                reverse=True,
+            )
+            scores[3] = scores[4]  # a tie
+            record.add_ranking(f"coarse:{modality}", coarse, scores)
+            record.add_stage(f"rerank:{modality}", [
+                SearchHit(score, instance_id) for instance_id, score in zip(
+                    coarse[:3], (1.0, -rng.random(), 1e-6)
+                )
+            ])
+        if number == 4:
+            record.mark_failed("model timed out after 3 tries")
+            continue
+        if number == 5:
+            continue  # left open
+        for evidence_id in coarse[:3]:
+            record.add_outcome(
+                evidence_id, "llm", Verdict(rng.randrange(3)), "matches — ok"
+            )
+        record.trace_id = f"trace-{number:04d}" if number % 2 else ""
+        record.finalize(Verdict.VERIFIED, rng.random())
+    return store
+
+
+def explained(store):
+    """What :data:`PARENT_EXPLAIN` holds, from ``store``."""
+    return "\n\n".join(
+        store.explain(record_id) + "\nevidence: "
+        + " ".join(store.get(record_id).evidence_ids())
+        for record_id in (f"rec-{n:06d}" for n in range(1, len(store) + 1))
+    ) + "\n"
+
+
+class TestTheParentFormat:
+    def test_save_writes_the_parent_bytes(self, tmp_path):
+        seeded_store().save(tmp_path / "store.json")
+        assert (
+            (tmp_path / "store.json").read_bytes()
+            == PARENT_FORMAT.read_bytes()
+        )
+
+    def test_load_then_save_round_trips(self, tmp_path):
+        loaded = ProvenanceStore.load(PARENT_FORMAT)
+        loaded.save(tmp_path / "again.json")
+        assert (
+            (tmp_path / "again.json").read_bytes()
+            == PARENT_FORMAT.read_bytes()
+        )
+        assert explained(loaded) == PARENT_EXPLAIN.read_text("utf-8")
+
+    def test_explain_and_evidence_are_the_parents(self):
+        store = seeded_store()
+        full = store.get("rec-000001")
+        assert [
+            (step.stage, len(step.ids)) for step in full.retrieval
+        ] == [
+            ("coarse:tuple", 50), ("rerank:tuple", 3),
+            ("coarse:text", 50), ("rerank:text", 3),
+        ]
+        assert explained(store) == PARENT_EXPLAIN.read_text("utf-8")
+
+    def test_a_stage_is_two_columns(self):
+        step = seeded_store().get("rec-000001").retrieval[0]
+        assert isinstance(step.ids, tuple)
+        assert isinstance(step.scores, array) and step.scores.typecode == "d"
+        assert step.hits == tuple(zip(step.ids, step.scores))
+        assert not hasattr(step, "__dict__")
+        assert not hasattr(seeded_store().get("rec-000001"), "__dict__")
+
+    def test_evidence_lookup_reads_every_stage(self):
+        store = seeded_store()
+        for record_id in ("rec-000001", "rec-000005"):
+            record = store.get(record_id)
+            for step in record.retrieval:
+                for instance_id in (step.ids[0], step.ids[-1]):
+                    assert record in store.records_using_evidence(instance_id)
+        assert [
+            record.record_id for record in store.records_using_evidence(
+                store.get("rec-000002").retrieval[2].ids[-1]
+            )
+        ] == [
+            record_id for record_id in (
+                f"rec-{n:06d}" for n in range(1, len(store) + 1)
+            )
+            if store.get("rec-000002").retrieval[2].ids[-1]
+            in store.get(record_id).evidence_ids()
+        ]
+
+    def test_a_step_equals_one_built_from_its_pairs(self):
+        step = RetrievalStep("s", ("a", "b"), array("d", [2.5, 1.0]))
+        assert step == RetrievalStep("s", ("a", "b"), array("d", [2.5, 1.0]))
+        assert step != RetrievalStep("s", ("a", "b"), array("d", [2.5, 1.5]))
+        assert step.hits == (("a", 2.5), ("b", 1.0))
 
 
 class TestGenerationLog:
