@@ -1,6 +1,6 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-slow serve-demo trace-demo loop-demo experiments examples lint sanitize coverage
+.PHONY: install check test test-slow trace-demo loop-demo experiments examples lint sanitize coverage
 
 install:
 	pip install -e . --no-build-isolation
@@ -25,14 +25,6 @@ test:
 test-slow:
 	PYTHONPATH=src pytest tests/test_index_churn.py tests/test_workloads.py \
 		-m slow -q
-
-# serve a small lake, replay a seeded load mix against ourselves,
-# print the p50/p95/p99 + shed report, and exit
-serve-demo:
-	PYTHONPATH=src python -m repro.cli build-lake --tables 40 \
-		--out /tmp/repro-serve-lake.json
-	PYTHONPATH=src python -m repro.cli serve \
-		--lake /tmp/repro-serve-lake.json --port 0 --demo 32
 
 # end-to-end trace demo: build a small lake, run a traced campaign,
 # render the span tree (artifacts land in /tmp)

@@ -12,7 +12,6 @@ Subcommands::
     repro profile     -- verify-batch --lake lake.json --sample 20
     repro trace       out.json [--json]
     repro serve       --lake lake.json [--port 8080] [--queue 16]
-                      [--demo N]
     repro discover    --lake lake.json --query "..." [--modality text]
     repro experiment  --name table1 [--scale small]
     repro lint        [--json] [--root DIR] [paths...]
@@ -35,6 +34,7 @@ from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.datalake.persistence import load_lake, save_lake
 from repro.datalake.types import Modality
+from repro.serve.config import ServeConfig
 from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 from repro.workloads.tables import ScopeExhausted
@@ -225,14 +225,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        LoadGenerator,
-        ServeConfig,
-        ServerThread,
-        VerificationService,
-        build_request_mix,
-        mix_digest,
-    )
+    from repro.serve import ServerThread, VerificationService
 
     lake = load_lake(args.lake)
     system = VerifAI(lake, config=VerifAIConfig())
@@ -242,20 +235,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.queue,
     )
     service = VerificationService(system, serve_config)
-    if args.demo:
-        # start, replay a seeded mix against ourselves, report, stop —
-        # the smoke path `make serve-demo` runs
-        with ServerThread(service) as server:
-            host, port = server.address
-            print(f"serving {lake.name} on http://{host}:{port}")
-            mix = build_request_mix(lake, args.demo, seed=args.seed)
-            print(f"demo mix: {args.demo} requests, digest {mix_digest(mix)}")
-            report = LoadGenerator(host, port).run_closed(
-                mix, clients=min(4, args.demo)
-            )
-            print(report.summary())
-        print("stopped")
-        return 0
     server = ServerThread(service).start()
     host, port = server.address
     print(f"serving {lake.name} on http://{host}:{port} (Ctrl-C to stop)")
@@ -461,8 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-lake", help="generate a synthetic lake")
-    p.add_argument("--tables", type=_non_negative_int, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--tables", type=_non_negative_int, default=LakeConfig.num_tables
+    )
+    p.add_argument("--seed", type=int, default=LakeConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_lake)
 
@@ -542,21 +523,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the verification service over a lake"
     )
     p.add_argument("--lake", required=True)
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", default=ServeConfig.host)
     p.add_argument(
-        "--port", type=int, default=8080,
+        "--port", type=int, default=ServeConfig.port,
         help="listen port (0 = pick a free one)",
     )
     p.add_argument(
-        "--queue", type=_non_negative_int, default=16,
+        "--queue", type=_non_negative_int, default=ServeConfig.max_queue,
         help="requests allowed to wait while one verifies, before 429s",
     )
-    p.add_argument(
-        "--demo", type=int, default=0, metavar="N",
-        help="serve, replay N seeded requests against ourselves, "
-             "print the load report, and exit",
-    )
-    p.add_argument("--seed", type=int, default=0, help="demo mix seed")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -48,7 +48,7 @@ class VerifAIConfig:
       Retries are immediate and deterministic — no sleeps or jitter —
       so two runs stay report-for-report identical.
 
-    A depth, size or count below its floor (1; 0 for
+    A depth or count below its floor (1; 0 for
     ``batch_max_retries``) is refused at construction with a
     ``ValueError`` naming the field.
     """
@@ -61,13 +61,10 @@ class VerifAIConfig:
     use_reranker: bool = False
     fusion: FusionMethod = FusionMethod.RRF
     prefer_local: bool = False
-    chunk_text: bool = False
-    chunk_max_tokens: int = 64
     batch_max_retries: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("k_coarse", "chunk_max_tokens"):
-            require_at_least(name, getattr(self, name), 1)
+        require_at_least("k_coarse", self.k_coarse, 1)
         for modality, depth in self.k_fine.items():
             require_at_least(f"k_fine[{modality.value}]", depth, 1)
         require_at_least("batch_max_retries", self.batch_max_retries, 0)

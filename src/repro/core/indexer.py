@@ -5,10 +5,9 @@ content-based BM25 index and, optionally, a semantic vector index; the
 Combiner fuses their rankings.  All indexes speak instance ids, which
 the lake resolves back to data instances.
 
-Text documents may be indexed as sentence-aligned chunks
-(``config.chunk_text``): retrieval then scores passages — long pages no
-longer drown a single relevant sentence in length normalization — and
-chunk hits are folded back to their parent documents.
+Each instance is one entry, its serialized text under its own id: a
+text file is retrieved whole, as the paper's Section 4 retrieves its
+top-3 text files.
 
 A modality's indexes and Combiner are built together, by
 :meth:`build` or by the first read that needs them, and published only
@@ -32,11 +31,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import DataInstance, Modality, Table, TextDocument
-from repro.embed.chunker import chunk_document
 from repro.embed.vectorizers import HashingVectorizer
-from repro.index.base import (
-    Ranking, SearchHit, SearchIndex, hits_of, rank_top_k,
-)
+from repro.index.base import Ranking, SearchHit, SearchIndex, hits_of
 from repro.index.combiner import Combiner
 from repro.index.inverted import InvertedIndex
 from repro.index.vector import FlatVectorIndex
@@ -51,21 +47,6 @@ _INDEXED_MODALITIES = (
     Modality.TEXT,
     Modality.KG_ENTITY,
 )
-
-
-def _fold_chunks_to_documents(ranking: Ranking, k: int) -> Ranking:
-    """Collapse a chunk ranking (``doc#cN`` ids) onto the parent
-    documents, keeping each document's best chunk score.  Documents are
-    re-ranked by ``(-score, instance_id)`` afterwards: a document whose
-    best chunk appears late in the chunk ranking must not be stuck at the
-    position of its first (weaker) chunk."""
-    best: Dict[str, float] = {}
-    for chunk_id, score in zip(*ranking):
-        doc_id = chunk_id.split("#c", 1)[0]
-        current = best.get(doc_id)
-        if current is None or score > current:
-            best[doc_id] = score
-    return rank_top_k(best, k)
 
 
 def _entries_missing_from(
@@ -102,20 +83,6 @@ class IndexerModule:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _payload_entries(self, instance: DataInstance):
-        """(index id, payload) entries for one instance — one per chunk
-        for text documents when chunking is on."""
-        if (
-            self.config.chunk_text
-            and isinstance(instance, TextDocument)
-        ):
-            chunks = chunk_document(
-                instance, max_tokens=self.config.chunk_max_tokens
-            )
-            if chunks:
-                return [(chunk.chunk_id, chunk.text) for chunk in chunks]
-        return [(instance.instance_id, serialize_instance(instance))]
-
     def _new_semantic_index(
         self, modality: Modality
     ) -> Optional[FlatVectorIndex]:
@@ -137,11 +104,12 @@ class IndexerModule:
         is built, so a write leaves it out."""
         if isinstance(instance, Table):
             entries = {
-                Modality.TABLE: dict(self._payload_entries(instance)),
+                Modality.TABLE: {
+                    instance.instance_id: serialize_instance(instance)
+                },
                 Modality.TUPLE: {
-                    index_id: payload
+                    row.instance_id: serialize_instance(row)
                     for row in instance.iter_rows()
-                    for index_id, payload in self._payload_entries(row)
                 },
             }
         else:
@@ -149,7 +117,11 @@ class IndexerModule:
                 Modality.TEXT if isinstance(instance, TextDocument)
                 else Modality.TUPLE
             )
-            entries = {modality: dict(self._payload_entries(instance))}
+            entries = {
+                modality: {
+                    instance.instance_id: serialize_instance(instance)
+                }
+            }
         return {
             modality: by_id for modality, by_id in entries.items()
             if modality in self._combiners
@@ -197,10 +169,10 @@ class IndexerModule:
                 (entity.instance_id, entity.serialize())
                 for entity in self.lake.kg.entities()
             ]
-        entries: List[Tuple[str, str]] = []
-        for instance in self.lake.iter_instances(modality):
-            entries.extend(self._payload_entries(instance))
-        return entries
+        return [
+            (instance.instance_id, serialize_instance(instance))
+            for instance in self.lake.iter_instances(modality)
+        ]
 
     def build(
         self,
@@ -269,9 +241,8 @@ class IndexerModule:
 
         Takes the removed instance itself (what
         :meth:`DataLake.remove_instance` returns) because its derived
-        index entries — a table's tuples, a chunked document's chunks —
-        are recomputed from it.  Content postings and vector entries go
-        at once.
+        index entries — a table's tuples — are recomputed from it.
+        Content postings and vector entries go at once.
         """
         for modality, entries in self._instance_entries(instance).items():
             self._unindex_entries(modality, entries)
@@ -283,7 +254,7 @@ class IndexerModule:
         """Replace an instance's index entries with its new version.
 
         Needs both versions: the old one names the entries to drop
-        (its chunk/tuple ids may differ from the new one's), the new
+        (its tuple ids may differ from the new one's), the new
         one is what :meth:`DataLake.update_instance` registered.  Only
         the entries whose ``(id, payload)`` differs between the two are
         touched — a one-cell change re-indexes the table and that row,
@@ -331,9 +302,8 @@ class IndexerModule:
         """Coarse top-k for a whole query batch against one modality, as
         :data:`Ranking` columns.
 
-        Every underlying index ranks the batch in one call, each
-        query's rankings are fused in columns and (for chunked text)
-        folded back to documents; no hit is built here.
+        Every underlying index ranks the batch in one call and each
+        query's rankings are fused in columns; no hit is built here.
         """
         queries = list(queries)
         if not queries:
@@ -343,13 +313,7 @@ class IndexerModule:
             len(queries)
         )
         depth = k if k is not None else self.config.k_coarse
-        combiner = self._combiners[modality]
-        if modality is Modality.TEXT and self.config.chunk_text:
-            return [
-                _fold_chunks_to_documents(raw, depth)
-                for raw in combiner.rank_batch(queries, depth * 3)
-            ]
-        return combiner.rank_batch(queries, depth)
+        return self._combiners[modality].rank_batch(queries, depth)
 
     @staticmethod
     def index_name(modality: Modality) -> str:

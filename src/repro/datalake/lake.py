@@ -111,9 +111,9 @@ class DataLake:
         """Remove a top-level instance (table or document) by id.
 
         Returns the removed instance so callers (the Indexer) can
-        unindex its derived entries — a table's tuples, a document's
-        chunks.  Tuples and KG entities are not individually removable:
-        tuples live and die with their table, and raise ``ValueError``.
+        unindex its derived entries — a table's tuples.  Tuples and KG
+        entities are not individually removable: tuples live and die
+        with their table, and raise ``ValueError``.
         """
         if instance_id in self._tables:
             return self.remove_table(instance_id)

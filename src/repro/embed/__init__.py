@@ -11,15 +11,11 @@ vector out, where cosine similarity tracks lexical-semantic overlap.
   used by the ColBERT-style late-interaction reranker.
 """
 
-from repro.embed.chunker import Chunk, chunk_document, chunk_text
 from repro.embed.token_embed import TokenEmbedder
 from repro.embed.vectorizers import HashingVectorizer, TfidfVectorizer
 
 __all__ = [
-    "Chunk",
     "HashingVectorizer",
     "TfidfVectorizer",
     "TokenEmbedder",
-    "chunk_document",
-    "chunk_text",
 ]

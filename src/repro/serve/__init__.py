@@ -12,9 +12,9 @@ overload sheds deterministically with ``429`` + ``Retry-After`` instead
 of collapsing, and every request's verification is traced end to end
 (span tree ↔ provenance record, both ways).
 
-``repro.serve.loadgen`` is the matching deterministic load harness:
-seeded request mixes, open- and closed-loop arrival patterns, and
-p50/p95/p99 latency / throughput / shed-rate reports.
+``repro.serve.loadgen`` holds the seeded request mix the service is
+load-tested with (byte-stable, pinned by :func:`mix_digest`); the
+benchmark (``bench/``) replays it against a server process.
 
 See docs/serving.md for the endpoint and knob reference.
 """
@@ -22,19 +22,12 @@ See docs/serving.md for the endpoint and knob reference.
 from repro.serve.admission import AdmissionController, ServiceOverloaded
 from repro.serve.app import VerificationService
 from repro.serve.config import ServeConfig
-from repro.serve.loadgen import (
-    LoadGenerator,
-    LoadReport,
-    build_request_mix,
-    mix_digest,
-)
+from repro.serve.loadgen import build_request_mix, mix_digest
 from repro.serve.prometheus import render_prometheus
 from repro.serve.runner import ServerThread
 
 __all__ = [
     "AdmissionController",
-    "LoadGenerator",
-    "LoadReport",
     "ServeConfig",
     "ServerThread",
     "ServiceOverloaded",

@@ -1,24 +1,34 @@
 """A minimal HTTP/1.1 layer over ``asyncio`` streams.
 
-Just enough protocol for the verification service and its load
-harness — request-line + headers + ``Content-Length`` bodies,
-keep-alive by default, explicit limits on every input — with **no new
-dependencies**.  Chunked transfer encoding, continuations, and trailers
-are deliberately out of scope; a malformed or oversized request maps to
-a :class:`HttpError` the server answers with the right 4xx.
+Just enough protocol for the verification service — request-line +
+headers + ``Content-Length`` bodies, keep-alive by default, explicit
+limits on every input — with **no new dependencies**.  Continuations
+and trailers are deliberately out of scope, and so is any
+``Transfer-Encoding``: a request that names one is answered ``501``
+and its connection closed, never read past its head.  A malformed or
+oversized request maps to a :class:`HttpError` the server answers with
+the right 4xx and a close.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 #: input limits (bytes / counts) the parser enforces
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_LINE = 8192
 MAX_HEADER_COUNT = 100
+
+#: a ``Content-Length`` value (RFC 9112 section 6: ``1*DIGIT``; no sign,
+#: blank or underscore, all of which ``int()`` would take)
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+#: a field name (RFC 9110 section 5.1: a token); a blank before the colon
+#: or a folded continuation line would make a name two readers disagree on
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 #: the status lines the service emits
 REASONS = {
@@ -29,6 +39,7 @@ REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -132,17 +143,23 @@ async def read_request(
             name, value = line.decode("latin-1").split(":", 1)
         except ValueError as exc:
             raise HttpError(400, "malformed header") from exc
-        headers[name.strip().lower()] = value.strip()
+        if not _FIELD_NAME.fullmatch(name):
+            raise HttpError(400, "malformed header")
+        name, value = name.lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
 
+    # a body framed any other way than by its length would be left on
+    # the stream and read as the next request
+    if "transfer-encoding" in headers:
+        raise HttpError(501, "Transfer-Encoding is not supported")
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
-        try:
-            length = int(length_header)
-        except ValueError as exc:
-            raise HttpError(400, "malformed Content-Length") from exc
-        if length < 0:
+        if not _CONTENT_LENGTH.fullmatch(length_header):
             raise HttpError(400, "malformed Content-Length")
+        length = int(length_header)
         if length > max_body_bytes:
             raise HttpError(
                 413, f"request body over {max_body_bytes} bytes"
@@ -164,52 +181,3 @@ async def read_request(
         body=body,
     )
 
-
-async def read_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
-    """Client side: parse one response (status, headers, body).
-
-    The load generator and tests speak through this; it accepts exactly
-    what :meth:`Response.to_bytes` produces (Content-Length framing).
-    """
-    raw_line = await _read_line(reader, MAX_REQUEST_LINE)
-    try:
-        _, status_text, _ = raw_line.decode("latin-1").split(" ", 2)
-        status = int(status_text)
-    except ValueError as exc:
-        raise HttpError(400, "malformed status line") from exc
-    headers: Dict[str, str] = {}
-    while True:
-        line = await _read_line(reader, MAX_HEADER_LINE)
-        if not line:
-            break
-        name, value = line.decode("latin-1").split(":", 1)
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = int(headers.get("content-length", "0"))
-    if length:
-        body = await reader.readexactly(length)
-    return status, headers, body
-
-
-def request_bytes(
-    method: str,
-    path: str,
-    body: bytes = b"",
-    host: str = "localhost",
-    keep_alive: bool = True,
-    content_type: Optional[str] = None,
-) -> bytes:
-    """Client side: serialize one request (Content-Length framing)."""
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        f"Host: {host}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        f"Content-Length: {len(body)}",
-    ]
-    if content_type is None and body:
-        content_type = "application/json"
-    if content_type is not None:
-        lines.append(f"Content-Type: {content_type}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body

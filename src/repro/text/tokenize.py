@@ -146,9 +146,9 @@ _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9\"'])")
 def sentences(text: str) -> List[str]:
     """Split raw (non-normalized) text into sentences.
 
-    Used by the text chunker to produce passage-sized units for the
-    semantic index.  Splitting is heuristic: sentence-final punctuation
-    followed by whitespace and an upper-case/numeric start.
+    The simulated LLM checks a number against the sentence that holds
+    it (``llm/model.py``).  Splitting is heuristic: sentence-final
+    punctuation followed by whitespace and an upper-case/numeric start.
     """
     text = text.strip()
     if not text:

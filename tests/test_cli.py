@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import dataclasses
 import json
 import re
 
@@ -10,8 +11,10 @@ from repro.core.indexer import IndexerModule
 from repro.core.pipeline import VerifAI
 from repro.datalake.persistence import load_lake, save_lake
 from repro.datalake.types import Modality
+from repro.serve.config import ServeConfig
 from repro.serve.protocol import replaced_row
 from repro.verify.objects import ClaimObject, TupleObject
+from repro.workloads.builder import LakeConfig
 
 COLLAPSED_LINE = re.compile(r"^[^ ;]+(;[^ ;]+)* \d+$")
 
@@ -31,6 +34,19 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_a_flag_that_sets_a_field_defaults_to_the_field(self):
+        """One source per default: the config dataclass's."""
+        lake = {f.name: f.default for f in dataclasses.fields(LakeConfig)}
+        serve = {f.name: f.default for f in dataclasses.fields(ServeConfig)}
+        args = build_parser().parse_args(["build-lake", "--out", "x.json"])
+        assert (args.tables, args.seed) == (
+            lake["num_tables"], lake["seed"]
+        )
+        args = build_parser().parse_args(["serve", "--lake", "x.json"])
+        assert (args.host, args.port, args.queue) == (
+            serve["host"], serve["port"], serve["max_queue"]
+        )
 
 
 class TestBuildLake:
@@ -469,6 +485,9 @@ class TestCountFlags:
         ("profile", "--workers"),
         ("orchestrate", "--workers"),
         ("serve", "--concurrency"),
+        # and the self-test mode's load size and mix seed
+        ("serve", "--demo"),
+        ("serve", "--seed"),
     ])
     def test_the_thread_count_flags_are_gone(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exited:

@@ -1,15 +1,15 @@
 """The pipeline with every optional feature enabled at once.
 
-Semantic index + text chunking + reranking + local verifiers + trust
-weights, end to end — the configuration surface a production deployment
-would actually run.
+Semantic index + reranking + local verifiers + trust weights, end to
+end — the configuration surface a production deployment would
+actually run.
 """
 
 import pytest
 
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
-from repro.datalake.types import Modality
+from repro.datalake.types import Modality, TextDocument
 from repro.llm.model import SimulatedLLM
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.pasta import PastaVerifier
@@ -22,8 +22,6 @@ def full_system(tiny_lake, quiet_profile):
     config = VerifAIConfig(
         use_semantic_index=True,
         use_reranker=True,
-        chunk_text=True,
-        chunk_max_tokens=24,
         k_coarse=20,
         prefer_local=True,
     )
@@ -57,11 +55,14 @@ class TestFullConfiguration:
         assert report.final_verdict is not None
 
     def test_text_evidence_is_whole_documents(self, full_system,
-                                              election_table):
+                                              election_table, tiny_lake):
         obj = TupleObject("f4", election_table.row(0), attribute="votes")
         hits = full_system.retrieve(obj, Modality.TEXT)
         assert hits
-        assert all("#c" not in h.instance_id for h in hits)
+        assert all(
+            isinstance(tiny_lake.instance(h.instance_id), TextDocument)
+            for h in hits
+        )
 
     def test_provenance_records_both_stages(self, full_system, election_table):
         obj = TupleObject("f5", election_table.row(1), attribute="party")

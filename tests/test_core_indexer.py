@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import EMBEDDING_DIM, VerifAIConfig
 from repro.core.indexer import IndexerModule
+from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import Modality
 from repro.index.inverted import InvertedIndex
 from repro.index.vector import FlatVectorIndex
@@ -175,7 +176,7 @@ class TestAnalyseOnce:
         # Each is analysed once as it was, for the removal's terms, and
         # once as it is, for the addition's
         changed = [
-            indexer._payload_entries(version)[0][1]
+            serialize_instance(version)
             for version in (old, new, old.iter_rows()[0], new.iter_rows()[0])
         ]
         assert spy.texts == Counter(changed)
@@ -202,8 +203,8 @@ class TestAnalyseOnce:
         new = dataclasses.replace(table, rows=rows)
         indexer.update_instance(lake.update_instance(new), new)
         row = new.iter_rows()[-1]
-        payload = indexer._payload_entries(row)[0][1]
-        old_payload = indexer._payload_entries(table.iter_rows()[-1])[0][1]
+        payload = serialize_instance(row)
+        old_payload = serialize_instance(table.iter_rows()[-1])
         content.remove(row.instance_id, content._analyze(old_payload))
         semantic.remove(row.instance_id)
         for index in (content, semantic):

@@ -1,61 +1,46 @@
-"""Chunked text indexing, incremental updates, and KG-modality search."""
+"""Incremental updates and KG-modality search."""
 
 import pytest
 
-from repro.core.config import VerifAIConfig
-from repro.core.indexer import IndexerModule, _fold_chunks_to_documents
-from repro.index.base import hits_of
+from repro.core.indexer import IndexerModule
 from repro.datalake.lake import DataLake
+from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import Modality, Source, Table, TextDocument
 
 
-class TestChunkedText:
+class TestWholeInstances:
+    """Each lake instance is one entry under its own id, its payload the
+    serialized instance: a text file is retrieved whole."""
+
     @pytest.fixture()
-    def chunked(self, tiny_lake):
-        config = VerifAIConfig(chunk_text=True, chunk_max_tokens=16)
-        return IndexerModule(tiny_lake, config).build()
+    def indexer(self, tiny_lake):
+        return IndexerModule(tiny_lake).build()
 
-    def test_hits_are_parent_documents(self, chunked):
-        hits = chunked.search("valoria gold medals", Modality.TEXT, 2)
-        assert hits
-        assert all("#c" not in hit.instance_id for hit in hits)
-        assert hits[0].instance_id == "page-valoria"
-
-    def test_long_document_findable_by_buried_fact(self, chunked):
-        hits = chunked.search("102,000 votes", Modality.TEXT, 1)
-        assert hits[0].instance_id == "page-jenkins"
-
-    def test_fold_keeps_best_score(self):
-        ranking = (["d1#c0", "d1#c2", "d2#c0"], [0.5, 0.9, 0.7])
-        folded = hits_of([_fold_chunks_to_documents(ranking, 5)], "chunks")[0]
-        by_id = {h.instance_id: h.score for h in folded}
-        assert by_id == {"d1": 0.9, "d2": 0.7}
-        assert {h.index_name for h in folded} == {"chunks"}
-
-    def test_fold_respects_k(self):
-        ranking = (
-            [f"d{i}#c0" for i in range(5)], [1.0 - i * 0.1 for i in range(5)]
-        )
-        assert len(_fold_chunks_to_documents(ranking, 2)[0]) == 2
-
-    def test_fold_reranks_late_best_chunk(self):
-        # d2's best chunk appears after d1's first chunk; d2 must still
-        # outrank d1 because its best-chunk score is higher
-        ranking = (["d1#c0", "d2#c0", "d2#c7"], [0.6, 0.5, 0.9])
-        folded = hits_of([_fold_chunks_to_documents(ranking, 5)], "")[0]
-        assert [(h.instance_id, h.score) for h in folded] == [
-            ("d2", 0.9), ("d1", 0.6),
+    def test_a_text_file_is_one_entry(self, indexer, tiny_lake):
+        documents = list(tiny_lake.iter_instances(Modality.TEXT))
+        assert indexer._modality_entries(Modality.TEXT) == [
+            (doc.instance_id, serialize_instance(doc)) for doc in documents
         ]
+        assert len(indexer.content_index(Modality.TEXT)) == len(documents)
 
-    def test_fold_breaks_score_ties_by_id(self):
-        ranking = (["dz#c0", "da#c0"], [0.5, 0.5])
-        folded = hits_of([_fold_chunks_to_documents(ranking, 5)], "")[0]
-        assert [h.instance_id for h in folded] == ["da", "dz"]
+    def test_a_table_is_its_own_entry_and_one_per_row(
+        self, indexer, election_table
+    ):
+        assert indexer._instance_entries(election_table) == {
+            Modality.TABLE: {
+                election_table.instance_id: serialize_instance(election_table)
+            },
+            Modality.TUPLE: {
+                row.instance_id: serialize_instance(row)
+                for row in election_table.iter_rows()
+            },
+        }
 
-    def test_other_modalities_unaffected(self, chunked, tiny_lake):
-        assert len(chunked.content_index(Modality.TUPLE)) == (
-            tiny_lake.stats().num_tuples
-        )
+    def test_a_document_is_one_text_entry(self, indexer, tiny_lake):
+        page = tiny_lake.instance("page-valoria")
+        assert indexer._instance_entries(page) == {
+            Modality.TEXT: {"page-valoria": serialize_instance(page)}
+        }
 
 
 class TestIncrementalUpdates:

@@ -35,8 +35,7 @@ class TestConfig:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("k_coarse", 0), ("k_coarse", -1), ("chunk_max_tokens", 0),
-        ("batch_max_retries", -1),
+        ("k_coarse", 0), ("k_coarse", -1), ("batch_max_retries", -1),
     ])
     def test_a_value_below_the_floor_is_refused(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be >= "):

@@ -8,10 +8,17 @@ and exempt.  Inside fenced blocks only paths with a directory part are
 checked: bare names there are command output and tree listings.
 """
 
+import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
+from repro.core.config import VerifAIConfig
+from repro.serve.config import ServeConfig
+from repro.workloads.builder import LakeConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTS = [
@@ -79,3 +86,45 @@ def test_references_resolve(document):
     for span in _INLINE.findall(_FENCE.sub("", text)):
         problems += _dangling(" ".join(span.split()), check_bare=True)
     assert not problems, f"{document.name} names what is gone: {problems}"
+
+
+#: one census row: its back-ticked knob, then its consumer and verdict
+_CENSUS_ROW = re.compile(r"^\| `([^`]+)` \| (.+?) \| (.+?) \|$", re.M)
+
+
+def _knobs():
+    """Every independently settable value: each config field, each
+    subcommand flag, each make target."""
+    knobs = {
+        f"{config.__name__}.{field.name}"
+        for config in (VerifAIConfig, ServeConfig, LakeConfig)
+        for field in dataclasses.fields(config)
+    }
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    knobs |= {
+        f"repro {name} {max(action.option_strings, key=len)}"
+        for name, command in commands.items()
+        for action in command._actions
+        if action.option_strings and action.dest != "help"
+    }
+    return knobs | {f"make {target}" for target in _TARGETS}
+
+
+def test_the_knob_census_has_one_row_per_knob():
+    text = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+    census = text.split("## Knob census", 1)[1].split("\n## ", 1)[0]
+    rows = _CENSUS_ROW.findall(census)
+    named = [knob for knob, _, _ in rows]
+    assert len(named) == len(set(named)), "a knob has two rows"
+    expected = _knobs()
+    assert set(named) == expected, (
+        f"without a row: {sorted(expected - set(named))}; "
+        f"a row for what is gone: {sorted(set(named) - expected)}"
+    )
+    for knob, consumer, verdict in rows:
+        assert consumer.strip(), knob
+        assert verdict in ("kept", "**no consumer**"), knob
+        assert (verdict == "kept") != consumer.startswith("none"), knob

@@ -70,8 +70,8 @@ def assert_matches_rebuild(lake, indexer, config, context):
             assert got == expected, (context, modality.value, query)
 
 
-def run_churn(churn_ops, seed, steps, burst, config=None):
-    config = config or VerifAIConfig()
+def run_churn(churn_ops, seed, steps, burst):
+    config = VerifAIConfig()
     lake = fresh_lake(seed)
     indexer = IndexerModule(lake, config).build()
     applied = 0
@@ -93,10 +93,6 @@ class TestChurnEqualsRebuild:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bursts_match_rebuild(self, churn_ops, seed):
         run_churn(churn_ops, seed, steps=35, burst=12)
-
-    def test_chunked_text_churn(self, churn_ops):
-        config = VerifAIConfig(chunk_text=True, chunk_max_tokens=24)
-        run_churn(churn_ops, seed=5, steps=24, burst=12, config=config)
 
     @pytest.mark.slow
     def test_soak(self, churn_ops):

@@ -498,16 +498,6 @@ class TestIndexerBatch:
                 pairs(indexer.search(q, modality, 10)) for q in QUERIES[:4]
             ]
 
-    def test_chunked_text_fold_batch_identical(self, small_bundle):
-        indexer = IndexerModule(
-            small_bundle.lake,
-            VerifAIConfig(chunk_text=True, chunk_max_tokens=24),
-        ).build()
-        assert [
-            pairs(h)
-            for h in indexer.search_batch(QUERIES, Modality.TEXT, 10)
-        ] == [pairs(indexer.search(q, Modality.TEXT, 10)) for q in QUERIES]
-
     def test_batch_after_live_mutation_identical(self, small_bundle):
         indexer = IndexerModule(small_bundle.lake, VerifAIConfig()).build()
         indexer.search_batch(QUERIES, Modality.TUPLE, 10)  # warm/seal

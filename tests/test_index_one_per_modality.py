@@ -9,9 +9,7 @@ dict oracle of ``tests/bm25_oracle.py`` fed the modality's entries:
   ``1 / (61 + rank)``;
 * BM25 alone, MAX fusion: the oracle's top 2k, min-max normalised,
   re-ranked by ``(-score, id)``;
-* BM25 + vectors: the two top-2k lists fused;
-* chunked text: the oracle's top 3k chunks folded onto their documents,
-  each document at its best chunk's rank.
+* BM25 + vectors: the two top-2k lists fused.
 
 Every comparison is of ids and score bits, over two generated lakes,
 every indexed modality, queries cut from the modality's own entries and
@@ -232,34 +230,6 @@ class TestFusionPaths:
             assert hits(
                 system.indexer.search(query, modality, 10)
             ) == top(fused, 10), query
-
-    @pytest.fixture(scope="class")
-    def chunked(self, small_bundle):
-        return Built(
-            small_bundle.lake,
-            VerifAIConfig(chunk_text=True, chunk_max_tokens=24),
-        )
-
-    @pytest.mark.parametrize("slot", SLOTS)
-    def test_chunked_text_folds_to_each_documents_best_chunk(
-        self, chunked, slot
-    ):
-        entries = chunked.entries[Modality.TEXT]
-        assert any("#c" in instance_id for instance_id, _ in entries)
-        query = chunked.queries(Modality.TEXT)[slot]
-        chunk_ids = [
-            hit.instance_id
-            for hit in chunked.oracles[Modality.TEXT].search(query, 30)
-        ]
-        assert chunk_ids, f"vacuous: {query!r} matched nothing"
-        best = {}
-        for rank, chunk_id in enumerate(chunk_ids):
-            best.setdefault(chunk_id.split("#c", 1)[0], 1.0 / (
-                RRF_K + rank + 1
-            ))
-        got = hits(chunked.indexer.search(query, Modality.TEXT, 10))
-        assert got == top(best, 10)
-        assert not any("#c" in instance_id for instance_id, _ in got)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,53 @@ class TestErrors:
         )
         assert status == 413
 
+    def test_two_pipelined_requests_are_both_answered_in_order(
+        self, served
+    ):
+        """``Content-Length`` framing leaves the stream at the next
+        request: a body and the request after it, sent in one write on
+        a kept-alive connection, are two answers."""
+        server, _, _ = served
+        body = json.dumps({"kind": "claim", "text": "x"}).encode("utf-8")
+        with socket.create_connection(server.address, timeout=60) as sock:
+            sock.sendall(
+                b"POST /verify HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+                + b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            received = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                received += data
+        statuses = re.findall(rb"^HTTP/1\.1 (\d{3}) ", received, re.M)
+        assert statuses == [b"200", b"200"]
+        assert b'"verdict"' in received.split(b"HTTP/1.1 200", 2)[1]
+
+    def test_a_chunked_body_is_a_501_and_never_a_second_request(
+        self, served
+    ):
+        """The chunked body holds a whole second request: the server
+        answers the head 501, closes, and never reads the body."""
+        server, _, _ = served
+        smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+        with socket.create_connection(server.address, timeout=60) as sock:
+            sock.sendall(
+                b"POST /verify HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(smuggled) + smuggled + b"\r\n0\r\n\r\n"
+            )
+            received = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:  # the server closed the connection
+                    break
+                received += data
+        assert received.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1
+
     def test_empty_claim_text_400(self, served):
         server, _, _ = served
         status, _, body = request(

@@ -1,17 +1,18 @@
-"""Admission control, overload shedding, and the load harness.
+"""Admission control, overload shedding, and the seeded request mix.
 
 Three layers:
 
 * the :class:`AdmissionController` alone, on a bare event loop —
   turn accounting, FIFO waiting, shed-without-waiting;
-* a real served system under contention — queue-full 429s with
+* a real served system under contention, driven by stdlib
+  ``http.client`` callers on threads — queue-full 429s with
   ``Retry-After``, one verify at a time proven through the
   ``serve.inflight_peak`` gauge, the 500 error boundary;
-* the deterministic load generator — byte-stable seeded mixes,
-  nearest-rank percentiles, report arithmetic.
+* the seeded request mix — byte-stable bodies, every kind, validation.
 """
 
 import asyncio
+import http.client
 import threading
 import time
 
@@ -22,7 +23,6 @@ from repro.obs.clock import TickClock
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.serve import (
     AdmissionController,
-    LoadGenerator,
     ServeConfig,
     ServerThread,
     ServiceOverloaded,
@@ -31,7 +31,6 @@ from repro.serve import (
     mix_digest,
     render_prometheus,
 )
-from repro.serve.loadgen import LoadReport, percentile
 from repro.workloads.builder import LakeConfig, build_lake
 
 from tests.test_serve import request
@@ -229,18 +228,57 @@ def queued_served():
         yield server, service, bundle
 
 
+def replay(server, planned, clients, keep_alive):
+    """Send ``planned`` from ``clients`` threads at once, each its
+    ``planned[client::clients]`` share in order, one request at a time:
+    on one kept-alive connection, or on a fresh connection a request.
+    Returns every status, in no particular order."""
+    host, port = server.address
+    barrier = threading.Barrier(clients)
+    statuses = []
+
+    def client(worker):
+        conn = None
+        barrier.wait(timeout=30)
+        try:
+            for request in planned[worker::clients]:
+                if conn is None:
+                    conn = http.client.HTTPConnection(host, port, timeout=60)
+                conn.request(
+                    request.method, request.path, body=request.body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+                if not keep_alive:
+                    conn.close()
+                    conn = None
+        finally:
+            if conn is not None:
+                conn.close()
+
+    threads = [
+        threading.Thread(target=client, args=(worker,))
+        for worker in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    return statuses
+
+
 class TestOneVerifyAtATime:
     def test_inflight_never_exceeds_one(self, queued_served):
         """Six closed-loop clients hammer the server; the
         ``serve.inflight_peak`` gauge proves admission let one verify
         run at a time."""
         server, service, bundle = queued_served
-        host, port = server.address
         mix = build_request_mix(bundle.lake, 18, seed=7)
-        report = LoadGenerator(host, port).run_closed(mix, clients=6)
-        assert report.total == 18
-        assert report.ok == 18  # queue of 16 >= 6 clients: nothing shed
-        assert report.shed == 0
+        statuses = replay(server, mix, clients=6, keep_alive=True)
+        # a queue of 16 >= 6 clients: nothing shed
+        assert statuses == [200] * 18
         assert service.admission.peak_inflight == 1
         assert get_registry().gauge("serve.inflight_peak").value == 1
         assert get_registry().gauge("serve.inflight").value == 0
@@ -347,36 +385,18 @@ class TestOneVerifyAtATime:
         assert peak[0] == 1
 
     def test_open_loop_round_trip(self, queued_served):
-        server, _, bundle = queued_served
-        host, port = server.address
+        """A burst of six requests, each on its own connection, that
+        does not wait for answers: each is answered, verified or shed."""
+        server, service, bundle = queued_served
         mix = build_request_mix(bundle.lake, 6, seed=9)
-        report = LoadGenerator(host, port).run_open(mix, rate=200.0)
-        assert report.total == 6
-        assert set(report.statuses) <= {200, 429}
-        assert len(report.latencies) == 6
-        assert report.mode == "open[200/s]"
-
-    def test_per_endpoint_breakdown_partitions_latencies(
-        self, queued_served
-    ):
-        """The per-route breakdown accounts for every timed request,
-        keyed by the actual paths in the mix."""
-        server, _, bundle = queued_served
-        host, port = server.address
-        mix = build_request_mix(bundle.lake, 18, seed=7)
-        report = LoadGenerator(host, port).run_closed(mix, clients=4)
-        breakdown = report.per_endpoint()
-        assert set(breakdown) == {r.path for r in mix}
-        assert sum(b["count"] for b in breakdown.values()) == (
-            len(report.latencies)
-        )
-        for stats in breakdown.values():
-            assert 0 <= stats["p50"] <= stats["p95"] <= stats["p99"]
-        assert report.to_dict()["per_endpoint"] == breakdown
+        statuses = replay(server, mix, clients=6, keep_alive=False)
+        assert len(statuses) == 6
+        assert set(statuses) <= {200, 429}
+        assert service.admission.peak_inflight == 1
 
 
 # ----------------------------------------------------------------------
-# the load harness itself
+# the seeded request mix
 # ----------------------------------------------------------------------
 class TestLoadgen:
     @pytest.fixture(scope="class")
@@ -409,42 +429,6 @@ class TestLoadgen:
             build_request_mix(lake, 4, weights=[("claim", 0.0)])
         with pytest.raises(ValueError):
             build_request_mix(lake, 4, weights=[("claim", -1.0)])
-
-    def test_percentile_nearest_rank(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        assert percentile(values, 50) == 20.0
-        assert percentile(values, 75) == 30.0
-        assert percentile(values, 99) == 40.0
-        assert percentile(values, 100) == 40.0
-        assert percentile([], 50) == 0.0
-        with pytest.raises(ValueError):
-            percentile(values, 0)
-
-    def test_report_arithmetic(self):
-        report = LoadReport(
-            mode="closed[2]",
-            total=10,
-            statuses={200: 7, 429: 3},
-            latencies=[0.01] * 10,
-            duration_seconds=2.0,
-        )
-        assert report.ok == 7
-        assert report.shed == 3
-        assert report.shed_rate == pytest.approx(0.3)
-        assert report.throughput == pytest.approx(5.0)
-        payload = report.to_dict()
-        assert payload["statuses"] == {"200": 7, "429": 3}
-        assert payload["latency_p50"] == pytest.approx(0.01)
-        assert "latencies" not in payload  # the raw list stays out
-        assert "p50" in report.summary()
-
-    def test_report_frozen_clock_throughput(self):
-        report = LoadReport(
-            mode="open[5/s]", total=4, statuses={200: 4},
-            latencies=[0.0] * 4, duration_seconds=0.0,
-        )
-        assert report.throughput == 0.0
-        assert report.shed_rate == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The service's HTTP/1.1 layer, its knobs and its server thread.
 
-``read_request`` / ``read_response`` are driven straight off an
-``asyncio.StreamReader`` fed with raw bytes, so every malformed input
-the parser guards against is checked without a socket; the knob checks
-of :class:`ServeConfig` and the lifecycle guards of
-:class:`ServerThread` follow.
+``read_request`` is driven straight off an ``asyncio.StreamReader``
+fed with raw bytes, so every malformed input the parser guards against
+is checked without a socket, and a serialized :class:`Response` is read
+back by stdlib ``http.client``; the knob checks of :class:`ServeConfig`
+and the lifecycle guards of :class:`ServerThread` follow.
 """
 
 import asyncio
+import http.client
+import io
 
 import pytest
 
@@ -21,8 +23,6 @@ from repro.serve.http import (
     Request,
     Response,
     read_request,
-    read_response,
-    request_bytes,
 )
 from repro.workloads.builder import LakeConfig, build_lake
 
@@ -41,11 +41,23 @@ def parse(data: bytes, max_body_bytes: int = 1024, limit: int = 2 ** 16):
     return asyncio.run(go())
 
 
-def parse_response(data: bytes):
-    async def go():
-        return await read_response(_reader(data))
+class _Wire:
+    """The one socket method ``http.client.HTTPResponse`` calls."""
 
-    return asyncio.run(go())
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self._data)
+
+
+def parse_response(data: bytes):
+    """(status, lower-cased headers, body) as ``http.client`` reads
+    ``data``."""
+    response = http.client.HTTPResponse(_Wire(data))
+    response.begin()
+    headers = {name.lower(): value for name, value in response.getheaders()}
+    return response.status, headers, response.read()
 
 
 # ----------------------------------------------------------------------
@@ -73,14 +85,6 @@ class TestReadRequest:
         assert (request.path, request.version) == ("/healthz", "HTTP/1.0")
         assert request.body == b""
 
-    def test_request_bytes_round_trip(self):
-        wire = request_bytes("POST", "/verify", b'{"k": 1}')
-        request = parse(wire)
-        assert request.method == "POST" and request.path == "/verify"
-        assert request.body == b'{"k": 1}'
-        assert request.headers["content-type"] == "application/json"
-        assert request.keep_alive
-
     @pytest.mark.parametrize("data", [b"", b"\r\n"], ids=["eof", "blank"])
     def test_nothing_before_the_request_line_is_a_closed_connection(
         self, data
@@ -93,10 +97,26 @@ class TestReadRequest:
         (b"GET /\r\n\r\n", "malformed request line"),
         (b"GET / HTTP/2.0\r\n\r\n", "unsupported HTTP version"),
         (b"GET / HTTP/1.1\r\nno colon here\r\n\r\n", "malformed header"),
+        # RFC 9112 sections 5.1 and 5.2: no blank before the colon, no
+        # folded continuation line
+        (b"POST / HTTP/1.1\r\nContent-Length : 3\r\n\r\nabc",
+         "malformed header"),
+        (b"POST / HTTP/1.1\r\nX-A: 1\r\n Content-Length: 3\r\n\r\nabc",
+         "malformed header"),
         (b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
          "malformed Content-Length"),
         (b"GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
          "malformed Content-Length"),
+        # RFC 9112 section 6: 1*DIGIT, though int() takes all three
+        (b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+         "malformed Content-Length"),
+        (b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+         "malformed Content-Length"),
+        (b"GET / HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+         "malformed Content-Length"),
+        (b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+         b"Content-Length: 5\r\n\r\nabcde",
+         "conflicting Content-Length headers"),
         (b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
          "truncated request body"),
         (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * MAX_HEADER_LINE + b"\r\n\r\n",
@@ -107,14 +127,36 @@ class TestReadRequest:
          "too many headers"),
     ], ids=[
         "no-line-end", "two-part-line", "http2", "header-colon",
-        "length-text", "length-negative", "short-body", "long-header",
-        "header-count",
+        "blank-before-colon", "folded-line",
+        "length-text", "length-negative", "length-underscore",
+        "length-plus", "length-minus-zero", "length-twice-differing",
+        "short-body", "long-header", "header-count",
     ])
     def test_a_malformed_request_is_a_400(self, data, message):
         with pytest.raises(HttpError) as caught:
             parse(data)
         assert caught.value.status == 400
         assert message in caught.value.message
+
+    def test_a_repeated_equal_content_length_frames_the_body(self):
+        request = parse(
+            b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"content-length: 3\r\n\r\nabc"
+        )
+        assert request.body == b"abc"
+
+    @pytest.mark.parametrize("data", [
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"3\r\nabc\r\n0\r\n\r\n",
+        b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n",
+    ], ids=["chunked", "chunked-beside-length", "gzip"])
+    def test_any_transfer_encoding_is_a_501(self, data):
+        with pytest.raises(HttpError) as caught:
+            parse(data)
+        assert caught.value.status == 501
+        assert "Transfer-Encoding" in caught.value.message
 
     def test_a_line_over_the_stream_limit_is_a_400(self):
         with pytest.raises(HttpError) as caught:
@@ -159,6 +201,7 @@ class TestKeepAlive:
 # ----------------------------------------------------------------------
 class TestResponses:
     def test_to_bytes_round_trips_through_read_response(self):
+        """``http.client`` reads what the server writes."""
         response = Response(429, b'{"e": 1}', headers={"Retry-After": "1"})
         status, headers, body = parse_response(response.to_bytes(False))
         assert status == 429
@@ -172,13 +215,6 @@ class TestResponses:
         head = Response(413).to_bytes(True).split(b"\r\n", 1)[0]
         assert head == b"HTTP/1.1 413 Payload Too Large"
         assert Response(299).to_bytes(True).startswith(b"HTTP/1.1 299 Unknown")
-
-    @pytest.mark.parametrize("line", [
-        b"HTTP/1.1 OK\r\n\r\n", b"HTTP/1.1 abc Bad\r\n\r\n",
-    ], ids=["two-part", "non-numeric"])
-    def test_a_malformed_status_line_is_an_error(self, line):
-        with pytest.raises(HttpError, match="malformed status line"):
-            parse_response(line)
 
 
 # ----------------------------------------------------------------------
