@@ -56,6 +56,19 @@ def served():
         yield server, service, bundle
 
 
+def exchange(server, data):
+    """Send raw ``data`` on one connection and read until the server
+    closes it -> every byte it answered."""
+    received = b""
+    with socket.create_connection(server.address, timeout=60) as sock:
+        sock.sendall(data)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
 def request(server, method, path, payload=None, raw_body=None):
     """One request over a fresh connection -> (status, headers, body).
 
@@ -407,19 +420,13 @@ class TestErrors:
         a kept-alive connection, are two answers."""
         server, _, _ = served
         body = json.dumps({"kind": "claim", "text": "x"}).encode("utf-8")
-        with socket.create_connection(server.address, timeout=60) as sock:
-            sock.sendall(
-                b"POST /verify HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(body) + body
-                + b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
-                b"Connection: close\r\n\r\n"
-            )
-            received = b""
-            while True:
-                data = sock.recv(65536)
-                if not data:
-                    break
-                received += data
+        received = exchange(
+            server,
+            b"POST /verify HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n",
+        )
         statuses = re.findall(rb"^HTTP/1\.1 (\d{3}) ", received, re.M)
         assert statuses == [b"200", b"200"]
         assert b'"verdict"' in received.split(b"HTTP/1.1 200", 2)[1]
@@ -431,18 +438,12 @@ class TestErrors:
         answers the head 501, closes, and never reads the body."""
         server, _, _ = served
         smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
-        with socket.create_connection(server.address, timeout=60) as sock:
-            sock.sendall(
-                b"POST /verify HTTP/1.1\r\nHost: x\r\n"
-                b"Transfer-Encoding: chunked\r\n\r\n"
-                + b"%x\r\n" % len(smuggled) + smuggled + b"\r\n0\r\n\r\n"
-            )
-            received = b""
-            while True:
-                data = sock.recv(65536)
-                if not data:  # the server closed the connection
-                    break
-                received += data
+        received = exchange(
+            server,
+            b"POST /verify HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(smuggled) + smuggled + b"\r\n0\r\n\r\n",
+        )
         assert received.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
         assert received.count(b"HTTP/1.1 ") == 1
 
