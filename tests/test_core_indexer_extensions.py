@@ -42,6 +42,59 @@ class TestWholeInstances:
             Modality.TEXT: {"page-valoria": serialize_instance(page)}
         }
 
+    def test_a_lone_row_is_one_tuple_entry(self, indexer, election_table):
+        row = election_table.row(1)
+        assert indexer._instance_entries(row) == {
+            Modality.TUPLE: {row.instance_id: serialize_instance(row)}
+        }
+
+    def test_an_unbuilt_modality_gets_no_entry(
+        self, tiny_lake, election_table
+    ):
+        indexer = IndexerModule(tiny_lake).build((Modality.TUPLE,))
+        assert set(indexer._instance_entries(election_table)) == {
+            Modality.TUPLE
+        }
+
+    @pytest.mark.parametrize(
+        "modality", [Modality.TUPLE, Modality.TABLE, Modality.TEXT],
+        ids=lambda m: m.value,
+    )
+    def test_every_hit_is_a_lake_instance(self, indexer, tiny_lake, modality):
+        ids = {i.instance_id for i in tiny_lake.iter_instances(modality)}
+        found = indexer.search("tom jenkins ohio valoria gold", modality, 50)
+        assert found
+        assert {hit.instance_id for hit in found} <= ids
+
+    def test_a_long_document_is_found_by_a_buried_fact(self):
+        """The fact sits after a page of filler; the short pages share
+        the filler's words and the query's common ones, not its name."""
+        filler = " ".join(
+            f"The river town held its market on day {n} of the season."
+            for n in range(60)
+        )
+        lake = DataLake("long")
+        lake.add_document(TextDocument(
+            "long", "River town",
+            filler + " The lighthouse keeper was Amelia Quarrington.",
+        ))
+        for n in range(5):
+            lake.add_document(TextDocument(
+                f"short-{n}", "Market",
+                f"The lighthouse over the river town saw its market on "
+                f"day {n}.",
+            ))
+        indexer = IndexerModule(lake).build()
+        found = indexer.search(
+            "who was the lighthouse keeper quarrington", Modality.TEXT, 3
+        )
+        assert found[0].instance_id == "long"
+
+    def test_an_empty_batch_ranks_nothing_and_builds_nothing(self, tiny_lake):
+        indexer = IndexerModule(tiny_lake)
+        assert indexer.rank_batch([], Modality.TEXT) == []
+        assert indexer.built_modalities == frozenset()
+
 
 class TestIncrementalUpdates:
     def make_lake(self):

@@ -690,6 +690,26 @@ class TestMetrics:
         assert ticks >= 1
         assert after - before == pytest.approx(ticks * 0.001)
 
+    def test_a_request_of_a_second_or_more_is_logged_slow(self):
+        """A clock stepping one second per read makes every request
+        slow; its event names the route, status and seconds."""
+        bundle = build_lake(LakeConfig(num_tables=4, seed=5))
+        config = ServeConfig(port=0, clock=TickClock(step=1.0))
+        with ServerThread(
+            VerificationService(VerifAI(bundle.lake), config)
+        ) as server:
+            status, _, _ = request(server, "GET", "/healthz")
+            assert status == 200
+            status, _, body = request(
+                server, "GET", "/debug/events?kind=serve.slow_request"
+            )
+        assert status == 200
+        slow = body["events"][0]
+        assert slow["kind"] == "serve.slow_request"
+        fields = slow["fields"]
+        assert (fields["route"], fields["status"]) == ("healthz", 200)
+        assert fields["seconds"] >= 1.0
+
 
 # ----------------------------------------------------------------------
 # flight recorder + sampling profiler over the wire

@@ -430,6 +430,10 @@ class TestLoadgen:
         with pytest.raises(ValueError):
             build_request_mix(lake, 4, weights=[("claim", -1.0)])
 
+    def test_an_unknown_kind_is_refused_by_name(self, lake):
+        with pytest.raises(ValueError, match="unknown request kind 'explain'"):
+            build_request_mix(lake, 4, weights=[("explain", 1.0)])
+
 
 # ----------------------------------------------------------------------
 # prometheus rendering

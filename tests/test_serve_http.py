@@ -18,6 +18,7 @@ from repro.serve import ServeConfig, ServerThread, VerificationService
 from repro.serve.http import (
     MAX_HEADER_COUNT,
     MAX_HEADER_LINE,
+    REASONS,
     ConnectionClosed,
     HttpError,
     Request,
@@ -39,6 +40,17 @@ def parse(data: bytes, max_body_bytes: int = 1024, limit: int = 2 ** 16):
         return await read_request(_reader(data, limit), max_body_bytes)
 
     return asyncio.run(go())
+
+
+class _Sent:
+    """The one socket method ``http.client.HTTPConnection`` calls on
+    an open connection: every byte it sends lands in ``data``."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def sendall(self, data: bytes) -> None:
+        self.data += data
 
 
 class _Wire:
@@ -76,6 +88,21 @@ class TestReadRequest:
         assert request.version == "HTTP/1.1"
         assert request.headers["x-thing"] == "padded"
         assert request.body == b"body"
+
+    def test_request_bytes_round_trip(self):
+        """What ``http.client`` writes, the server reads whole."""
+        connection = http.client.HTTPConnection("localhost")
+        connection.sock = sent = _Sent()
+        connection.request(
+            "POST", "/verify", body=b'{"k": 1}',
+            headers={"Content-Type": "application/json"},
+        )
+        request = parse(sent.data)
+        assert request.method == "POST" and request.path == "/verify"
+        assert request.body == b'{"k": 1}'
+        assert request.headers["content-type"] == "application/json"
+        assert request.headers["content-length"] == "8"
+        assert request.keep_alive
 
     def test_an_empty_target_path_is_root(self):
         assert parse(b"GET ?x=1 HTTP/1.1\r\n\r\n").path == "/"
@@ -211,6 +238,18 @@ class TestResponses:
         assert headers["content-length"] == "8"
         assert headers["connection"] == "close"
 
+    @pytest.mark.parametrize("status", sorted(REASONS))
+    def test_every_status_the_service_emits_reads_back(self, status):
+        body = b'{"status": %d}' % status
+        wire = Response(status, body).to_bytes(True)
+        response = http.client.HTTPResponse(_Wire(wire))
+        response.begin()
+        assert (response.status, response.reason) == (
+            status, REASONS[status]
+        )
+        assert response.getheader("Connection") == "keep-alive"
+        assert response.read() == body
+
     def test_status_line_names_the_reason(self):
         head = Response(413).to_bytes(True).split(b"\r\n", 1)[0]
         assert head == b"HTTP/1.1 413 Payload Too Large"
@@ -255,6 +294,10 @@ def service():
 
 
 class TestServerThread:
+    def test_the_address_before_start_is_refused(self, service):
+        with pytest.raises(RuntimeError, match="service is not started"):
+            ServerThread(service).address
+
     def test_stop_before_start_is_a_no_op(self, service):
         server = ServerThread(service)
         server.stop()
