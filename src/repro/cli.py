@@ -41,8 +41,11 @@ from repro.workloads.tables import ScopeExhausted
 
 
 def _cmd_build_lake(args: argparse.Namespace) -> int:
+    # the saved file feeds `discover` and `stats`, which read the KG
     try:
-        bundle = build_lake(LakeConfig(num_tables=args.tables, seed=args.seed))
+        bundle = build_lake(
+            LakeConfig(num_tables=args.tables, seed=args.seed, build_kg=True)
+        )
     except ScopeExhausted as exc:
         print(f"build-lake: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Lake assembly: tables + entity pages + knowledge graph in one bundle.
+"""Lake assembly: tables + entity pages (+ an opt-in knowledge graph).
 
 :func:`build_lake` is the single entry point benchmarks and examples use
 to obtain a corpus with ground-truth relevance structure.
@@ -24,6 +24,9 @@ class LakeConfig:
     the same relevance structure.  The paper's scale is out of reach:
     the generator runs out of unique captions near 2,900 tables and
     raises :class:`~repro.workloads.tables.ScopeExhausted`.
+
+    ``build_kg`` fills the Section 5 knowledge graph.  No default route
+    reads it, so it is off unless a KG reader gets the lake.
     """
 
     seed: int = 0
@@ -31,23 +34,21 @@ class LakeConfig:
     domain_mix: Optional[Dict[str, float]] = None
     boilerplate_level: int = 3
     cross_mention_rate: float = 0.3
-    build_kg: bool = True
-    name: str = "synthetic-lake"
+    build_kg: bool = False
 
 
 @dataclass
 class LakeBundle:
-    """A built lake plus the ground-truth maps the evaluation needs."""
+    """A built lake plus the ground truth the evaluation needs."""
 
     lake: DataLake
     tables: List[Table]
-    entities: Dict[str, Entity]
-    entity_page: Dict[str, str]  # entity name (lower) -> doc_id
     config: LakeConfig
 
     def pages_of(self, entity_name: str) -> Optional[str]:
         """doc_id of the page about ``entity_name``, if any."""
-        return self.entity_page.get(entity_name.lower())
+        page = self.lake.entity_page(entity_name)
+        return None if page is None else page.doc_id
 
     def relevant_pages_for_row(self, row: Row) -> List[str]:
         """Ground-truth relevant text files for a tuple.
@@ -61,7 +62,7 @@ class LakeBundle:
             cell = row.get(column)
             if cell is None:
                 continue
-            doc_id = self.entity_page.get(cell.lower())
+            doc_id = self.pages_of(cell)
             if doc_id is not None and doc_id not in doc_ids:
                 doc_ids.append(doc_id)
         return doc_ids
@@ -87,20 +88,11 @@ def build_lake(config: LakeConfig = LakeConfig()) -> LakeBundle:
     )
     documents = page_gen.generate(table_gen.entities)
 
-    lake = DataLake(name=config.name)
+    lake = DataLake(name="synthetic-lake")
     for table in tables:
         lake.add_table(table)
-    entity_page: Dict[str, str] = {}
     for doc in documents:
         lake.add_document(doc)
-        assert doc.entity is not None
-        entity_page[doc.entity.lower()] = doc.doc_id
     if config.build_kg:
         _populate_kg(lake, table_gen.entities)
-    return LakeBundle(
-        lake=lake,
-        tables=tables,
-        entities=dict(table_gen.entities),
-        entity_page=entity_page,
-        config=config,
-    )
+    return LakeBundle(lake=lake, tables=tables, config=config)

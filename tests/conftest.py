@@ -1,7 +1,7 @@
 """Shared test fixtures: a tiny hand-written lake and a small synthetic
-bundle (both session-scoped; construction is deterministic), plus the
-seeded churn-sequence generator the churn differential tests drive lake
-mutation with."""
+bundle, with and without its KG (all session-scoped; construction is
+deterministic), plus the seeded churn-sequence generator the churn
+differential tests drive lake mutation with."""
 
 import random
 
@@ -194,6 +194,13 @@ def tiny_lake(election_table, medal_table):
 def small_bundle():
     """A small generated bundle shared across integration tests."""
     return build_lake(LakeConfig(num_tables=60, seed=11))
+
+
+@pytest.fixture(scope="session")
+def kg_bundle():
+    """``small_bundle``'s lake with the opt-in knowledge graph filled,
+    for the suites that read the KG."""
+    return build_lake(LakeConfig(num_tables=60, seed=11, build_kg=True))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from repro.datalake.kg import KGEntity, KGTriple, KnowledgeGraph
 from repro.datalake.lake import DataLake
 from repro.datalake.persistence import load_lake, save_lake
 from repro.workloads.builder import _populate_kg
+from repro.workloads.tables import WebTableGenerator
 
 
 class TestKnowledgeGraph:
@@ -93,17 +94,19 @@ class TestKnowledgeGraph:
         assert kg.num_entities == 3
         assert kg.num_triples == 4
 
-    def test_a_lake_kg_holds_each_triple_once(self, small_bundle):
+    def test_a_lake_kg_holds_each_triple_once(self, kg_bundle):
         # a second list of triples and a set of lowered string copies
         # took 437 B a triple on this lake; one list takes about 104
+        generator = WebTableGenerator(seed=kg_bundle.config.seed)
+        generator.generate(kg_bundle.config.num_tables)
         lake = DataLake(name="kg")
         tracemalloc.start()
         try:
-            _populate_kg(lake, small_bundle.entities)
+            _populate_kg(lake, generator.entities)
             allocated, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert lake.kg.num_triples == small_bundle.lake.kg.num_triples
+        assert lake.kg.num_triples == kg_bundle.lake.kg.num_triples
         assert allocated / lake.kg.num_triples < 160
 
 

@@ -104,10 +104,12 @@ class Built:
 
 
 @pytest.fixture(scope="module")
-def lakes(small_bundle):
+def lakes(kg_bundle):
     return {
-        "seed-11": small_bundle.lake,
-        "seed-5": build_lake(LakeConfig(num_tables=30, seed=5)).lake,
+        "seed-11": kg_bundle.lake,
+        "seed-5": build_lake(
+            LakeConfig(num_tables=30, seed=5, build_kg=True)
+        ).lake,
     }
 
 
@@ -160,16 +162,16 @@ class TestEveryQueryEveryModality:
 # ---------------------------------------------------------------------------
 class TestFusionPaths:
     @pytest.fixture(scope="class")
-    def max_fused(self, small_bundle):
+    def max_fused(self, kg_bundle):
         return Built(
-            small_bundle.lake, VerifAIConfig(fusion=FusionMethod.MAX)
+            kg_bundle.lake, VerifAIConfig(fusion=FusionMethod.MAX)
         )
 
     @pytest.fixture(scope="class")
-    def semantic(self, small_bundle):
+    def semantic(self, kg_bundle):
         built = {
             method: Built(
-                small_bundle.lake,
+                kg_bundle.lake,
                 VerifAIConfig(use_semantic_index=True, fusion=method),
             )
             for method in FusionMethod

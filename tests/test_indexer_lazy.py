@@ -36,9 +36,9 @@ def kg_queries(lake, count=12):
 
 class TestWhatBuildIndexesBuilds:
     @pytest.mark.parametrize("semantic", [False, True])
-    def test_the_default_reads_and_no_kg(self, small_bundle, semantic):
+    def test_the_default_reads_and_no_kg(self, kg_bundle, semantic):
         system = VerifAI(
-            small_bundle.lake,
+            kg_bundle.lake,
             config=VerifAIConfig(use_semantic_index=semantic),
         ).build_indexes()
         indexer = system.indexer
@@ -48,19 +48,19 @@ class TestWhatBuildIndexesBuilds:
         assert all(index.is_sealed for index in indexer._content.values())
 
     @pytest.mark.parametrize("semantic", [False, True])
-    def test_the_first_kg_search_builds_kg(self, small_bundle, semantic):
+    def test_the_first_kg_search_builds_kg(self, kg_bundle, semantic):
         system = VerifAI(
-            small_bundle.lake,
+            kg_bundle.lake,
             config=VerifAIConfig(use_semantic_index=semantic),
         ).build_indexes()
         indexer = system.indexer
         hits = indexer.search(
-            kg_queries(small_bundle.lake, 1)[0], Modality.KG_ENTITY, 3
+            kg_queries(kg_bundle.lake, 1)[0], Modality.KG_ENTITY, 3
         )
         assert hits
         assert indexer.built_modalities == DEFAULT_READS | {Modality.KG_ENTITY}
         assert len(indexer._content[Modality.KG_ENTITY]) == (
-            small_bundle.lake.kg.num_entities
+            kg_bundle.lake.kg.num_entities
         )
         assert (Modality.KG_ENTITY in indexer._semantic) is semantic
 
@@ -71,12 +71,13 @@ class TestWhatBuildIndexesBuilds:
         assert indexer.built_modalities == {Modality.TABLE, Modality.TEXT}
 
 
-def test_kg_hits_equal_an_eager_build(small_bundle):
+def test_kg_hits_equal_an_eager_build(kg_bundle):
     config = VerifAIConfig(use_semantic_index=True)
-    eager = IndexerModule(small_bundle.lake, config).build()
-    lazy = VerifAI(small_bundle.lake, config=config).build_indexes().indexer
+    eager = IndexerModule(kg_bundle.lake, config).build()
+    lazy = VerifAI(kg_bundle.lake, config=config).build_indexes().indexer
     assert Modality.KG_ENTITY not in lazy.built_modalities
-    queries = kg_queries(small_bundle.lake)
+    queries = kg_queries(kg_bundle.lake)
+    assert queries, "vacuous: the lake has no KG"
     for query in queries:
         assert pairs(lazy.search(query, Modality.KG_ENTITY, 8)) == pairs(
             eager.search(query, Modality.KG_ENTITY, 8)
@@ -91,11 +92,11 @@ def test_kg_hits_equal_an_eager_build(small_bundle):
 
 
 def test_the_first_kg_search_builds_it_once_whole_and_sealed(
-    small_bundle, monkeypatch
+    kg_bundle, monkeypatch
 ):
     """The first KG read builds the modality, later reads find it
     built, and what is published is whole and sealed."""
-    lake = small_bundle.lake
+    lake = kg_bundle.lake
     indexer = IndexerModule(lake, VerifAIConfig(use_semantic_index=True))
     entities = lake.kg.num_entities
     built = []
@@ -173,11 +174,11 @@ def traced_cold_campaign(bundle, objects):
 
 
 class TestACampaignBuildsWhatItReads:
-    def test_a_cold_claim_campaign_builds_only_table(self, small_bundle):
+    def test_a_cold_claim_campaign_builds_only_table(self, kg_bundle):
         exports = []
         for _ in range(2):
             system, batch = traced_cold_campaign(
-                small_bundle, claims_of(small_bundle)
+                kg_bundle, claims_of(kg_bundle)
             )
             assert system.indexer.built_modalities == {Modality.TABLE}
             assert [
@@ -187,12 +188,12 @@ class TestACampaignBuildsWhatItReads:
             exports.append(render_trace_json(batch.trace))
         assert exports[0] == exports[1]
 
-    def test_a_solo_tuple_builds_tuple_and_text(self, small_bundle):
+    def test_a_solo_tuple_builds_tuple_and_text(self, kg_bundle):
         system = VerifAI(
-            small_bundle.lake, llm=SimulatedLLM(knowledge=None, seed=26),
+            kg_bundle.lake, llm=SimulatedLLM(knowledge=None, seed=26),
             clock=TickClock(),
         )
-        table = small_bundle.tables[0]
+        table = kg_bundle.tables[0]
         report = system.verify(
             TupleObject("t-0", table.row(0), attribute=table.columns[1]),
             trace=True,

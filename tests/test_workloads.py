@@ -1,5 +1,6 @@
 """Synthetic corpus generation: tables, pages, bundles, workloads."""
 
+import gc
 import hashlib
 import math
 import random
@@ -354,16 +355,24 @@ class TestEntityPageGenerator:
 
 
 class TestBuildLake:
-    def test_bundle_structure(self, small_bundle):
-        stats = small_bundle.lake.stats()
+    def test_bundle_structure(self, kg_bundle):
+        stats = kg_bundle.lake.stats()
         assert stats.num_tables == 60
-        assert stats.num_text_files == len(small_bundle.entity_page)
+        assert stats.num_text_files == len(
+            {doc.entity.lower() for doc in kg_bundle.lake.documents()}
+        )
         assert stats.num_kg_entities > 0
 
     def test_entity_pages_resolvable(self, small_bundle):
-        for entity, doc_id in list(small_bundle.entity_page.items())[:20]:
-            doc = small_bundle.lake.document(doc_id)
-            assert doc.entity.lower() == entity
+        # pages_of answers as the map build_lake used to keep beside the
+        # lake (entity, lowered -> doc_id, the last page winning)
+        kept = {}
+        for doc in small_bundle.lake.documents():
+            kept[doc.entity.lower()] = doc.doc_id
+        for doc in small_bundle.lake.documents():
+            assert small_bundle.pages_of(doc.entity) == kept[doc.entity.lower()]
+            assert small_bundle.pages_of(doc.entity.upper()) == doc.doc_id
+        assert small_bundle.pages_of("no such entity") is None
 
     def test_relevant_pages_for_row(self, small_bundle):
         for table in small_bundle.tables[:10]:
@@ -377,27 +386,49 @@ class TestBuildLake:
         a = build_lake(LakeConfig(num_tables=10, seed=3))
         b = build_lake(LakeConfig(num_tables=10, seed=3))
         assert [t.caption for t in a.tables] == [t.caption for t in b.tables]
-        assert sorted(a.entity_page) == sorted(b.entity_page)
+        assert [(d.doc_id, d.entity) for d in a.lake.documents()] == [
+            (d.doc_id, d.entity) for d in b.lake.documents()
+        ]
 
-    @pytest.mark.parametrize("seed,num_tables,digest", [
-        (11, 60, "0637c5f99c4f79c1c49b7dbe4d54a92ee52a5dbcb835061a1f253ac0cb5849d3"),
+    @pytest.mark.parametrize("seed,num_tables,build_kg,digest", [
+        (11, 60, True,
+         "0637c5f99c4f79c1c49b7dbe4d54a92ee52a5dbcb835061a1f253ac0cb5849d3"),
         # large enough that album and city pools run out
-        (3, 1200, "9217e1ff5ad9f443b266d4edc106f0118dad7a0a7aea0151e11e9050057b3eab"),
+        (3, 1200, True,
+         "9217e1ff5ad9f443b266d4edc106f0118dad7a0a7aea0151e11e9050057b3eab"),
         # past half the names drawn from a used-up pool
         pytest.param(
-            3, 2400,
+            3, 2400, True,
             "5b36394c4b5f2470e2f6ff180a24a3cd49c7e947c042fe12b8f916a5b418bbd9",
             marks=pytest.mark.slow,
         ),
-    ], ids=["seed11-60", "seed3-1200", "seed3-2400"])
-    def test_saved_lake_bytes_are_pinned(self, tmp_path, seed, num_tables, digest):
-        bundle = build_lake(LakeConfig(seed=seed, num_tables=num_tables))
+        # the default lake: the same tables and pages, no KG triples
+        (11, 60, False,
+         "48d85c5c5081ed8ca73c9b0c78e5ef12e980ba4c730716fc104a1768663f8413"),
+        (3, 1200, False,
+         "bce23c8e84d900ff3b84cf7325b53be0b4eddc5eb52341e358dd5608ce07ef27"),
+    ], ids=["seed11-60", "seed3-1200", "seed3-2400",
+            "default-seed11-60", "default-seed3-1200"])
+    def test_saved_lake_bytes_are_pinned(
+        self, tmp_path, seed, num_tables, build_kg, digest
+    ):
+        bundle = build_lake(
+            LakeConfig(seed=seed, num_tables=num_tables, build_kg=build_kg)
+        )
         save_lake(bundle.lake, tmp_path / "lake.json")
         saved = (tmp_path / "lake.json").read_bytes()
         assert hashlib.sha256(saved).hexdigest() == digest
 
-    def test_kg_optional(self):
-        bundle = build_lake(LakeConfig(num_tables=5, seed=3, build_kg=False))
+    def test_a_default_lake_keeps_no_entity_record_and_no_kg(self):
+        def alive():
+            return sum(type(o) is Entity for o in gc.get_objects())
+
+        gc.collect()
+        before = alive()
+        bundle = build_lake(LakeConfig(num_tables=30, seed=3))
+        # released when the build returns, without a collection
+        assert alive() == before
+        assert bundle.lake.kg.num_triples == 0
         assert bundle.lake.stats().num_kg_entities == 0
 
 
