@@ -46,7 +46,8 @@ class LakeBundle:
     config: LakeConfig
 
     def pages_of(self, entity_name: str) -> Optional[str]:
-        """doc_id of the page about ``entity_name``, if any."""
+        """doc_id of the page about ``entity_name``, if any (the first
+        such page, should the lake hold several)."""
         page = self.lake.entity_page(entity_name)
         return None if page is None else page.doc_id
 

@@ -56,6 +56,14 @@ class TestBuildLake:
         assert code == 0
         assert out.exists()
         assert "10 tables" in capsys.readouterr().out
+        # the file feeds `discover` and `stats`, which read its KG
+        assert load_lake(out).kg.num_triples > 0
+        assert main(["stats", "--lake", str(out)]) == 0
+        kg_line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("kg entities:")
+        )
+        assert int(kg_line.split(":")[1]) > 0
 
     def test_too_many_tables_exits_two_with_the_message(
         self, tmp_path, capsys, monkeypatch

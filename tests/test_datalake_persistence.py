@@ -58,8 +58,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             load_lake(path)
 
-    def test_generated_bundle_round_trip(self, small_bundle, tmp_path):
+    @pytest.mark.parametrize("bundle_name", ["small_bundle", "kg_bundle"])
+    def test_generated_bundle_round_trip(self, bundle_name, request, tmp_path):
+        bundle = request.getfixturevalue(bundle_name)
         path = tmp_path / "big.json"
-        save_lake(small_bundle.lake, path)
+        save_lake(bundle.lake, path)
         loaded = load_lake(path)
-        assert loaded.stats() == small_bundle.lake.stats()
+        assert loaded.stats() == bundle.lake.stats()
+        assert loaded.kg.num_triples == bundle.lake.kg.num_triples
+        assert (loaded.kg.num_triples > 0) == bundle.config.build_kg

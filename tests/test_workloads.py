@@ -364,10 +364,12 @@ class TestBuildLake:
         assert stats.num_kg_entities > 0
 
     def test_entity_pages_resolvable(self, small_bundle):
-        # pages_of answers as the map build_lake used to keep beside the
-        # lake (entity, lowered -> doc_id, the last page winning)
+        # the generator writes one page per entity, so pages_of (which
+        # takes an entity's first page) answers as the map build_lake
+        # used to keep beside the lake (entity, lowered -> doc_id)
         kept = {}
         for doc in small_bundle.lake.documents():
+            assert doc.entity.lower() not in kept, doc.entity
             kept[doc.entity.lower()] = doc.doc_id
         for doc in small_bundle.lake.documents():
             assert small_bundle.pages_of(doc.entity) == kept[doc.entity.lower()]
