@@ -1,16 +1,15 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-slow trace-demo loop-demo experiments examples lint sanitize coverage
+.PHONY: install check test test-slow trace-demo loop-demo experiments examples lint coverage
 
 install:
 	pip install -e . --no-build-isolation
 
 # the default CI gate: static analysis, the whole of tests/, the slow
-# soak tier-1 deselects, the suites that start threads under the
-# lockset race sanitizer, and the coverage floor.  A target
-# stays in this file only if `check` depends on it or it runs something
-# no single pytest path does; timing is `python3 -m bench.run`
-check: lint test test-slow sanitize coverage
+# soak tier-1 deselects, and the coverage floor.  A target stays in
+# this file only if `check` depends on it or it runs something no
+# single pytest path does; timing is `python3 -m bench.run`
+check: lint test test-slow coverage
 
 # tests/ includes tests/paper/, the paper's tables, figures and
 # ablations as shape assertions at the medium scale (REPRO_SCALE=paper
@@ -115,16 +114,6 @@ lint:
 # trails with --trail DIR)
 loop-demo:
 	PYTHONPATH=src python -m repro.cli orchestrate --max-iters 4
-
-# the suites that still start threads — the metrics and flight-recorder
-# hammers, and the service (its event loop beside its one verifying
-# thread) — under the Eraser-style lockset race sanitizer (see
-# docs/static_analysis.md); exit status 3 = races found
-sanitize:
-	PYTHONPATH=src python -m repro.cli sanitize -- -q \
-		tests/test_obs_clock_metrics.py tests/test_obs_events.py \
-		tests/test_serve.py tests/test_serve_admission.py \
-		tests/test_serve_http.py tests/test_one_thread.py
 
 # regenerate EXPERIMENTS.md: every table, figure and ablation at the
 # paper scale (the build/search seconds of the vector-index ablation

@@ -10,13 +10,10 @@ from repro.analysis.linter import (
     Finding,
     Linter,
     LintRun,
-    ProjectRule,
     Rule,
-    all_project_rules,
     all_rules,
     known_rule_ids,
     register,
-    register_project,
 )
 from repro.analysis.report import render_json, render_text
 
@@ -24,13 +21,10 @@ __all__ = [
     "Finding",
     "LintRun",
     "Linter",
-    "ProjectRule",
     "Rule",
-    "all_project_rules",
     "all_rules",
     "known_rule_ids",
     "register",
-    "register_project",
     "render_json",
     "render_text",
 ]

@@ -1,22 +1,13 @@
 """The repro-lint rule engine.
 
-Linting runs in **two phases**:
-
-1. *per-file* — a single-pass AST walker with a rule registry: each
-   :class:`Rule` declares the node types it wants to see, the engine
-   parses every file once and dispatches nodes to interested rules;
-2. *whole-program* — the per-file contexts are lifted into a
-   :class:`~repro.analysis.project.Project` (module + symbol tables, a
-   conservative call graph) and every registered :class:`ProjectRule`
-   runs once over it.  This is where the interprocedural rules live:
-   blocking calls under a lock (IPC002), escape analysis for
-   pool-shared state (IPE001), and the stale-pragma audit (META001),
-   which needs both phases' raw findings to decide whether a
-   suppression still suppresses anything.
-
-Findings from both phases are filtered through inline ``# repro-lint:
-disable=RULE`` pragmas — the one way to suppress a finding — before
-being returned.
+Linting is **one pass per file**: each :class:`Rule` declares the AST
+node types it wants to see, the engine parses a file once and
+dispatches every node to the interested rules, and then hands the
+file's raw (pre-pragma) findings to each rule's :meth:`Rule.audit` —
+the last pass, where META001 checks that every suppression pragma
+still suppresses something.  Inline ``# repro-lint:
+disable=RULE`` pragmas, the one way to suppress a finding, then filter
+the file's findings.  No rule needs more than the one file it reads.
 
 The rules themselves live in :mod:`repro.analysis.rules`; each one
 stays only while it has caught a real defect (the keep rule in
@@ -74,6 +65,13 @@ class Rule:
     def visit(self, node: ast.AST, ctx: "LintContext") -> Iterator[Finding]:
         raise NotImplementedError
 
+    def audit(
+        self, ctx: "LintContext", raw: Sequence[Finding]
+    ) -> Iterator[Finding]:
+        """The file's last pass, over every raw (pre-pragma) finding
+        the node visits raised; only META001 uses it."""
+        return iter(())
+
     def finding(
         self, ctx: "LintContext", node: ast.AST, message: str
     ) -> Finding:
@@ -90,76 +88,31 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Runs once per lint invocation over the assembled
-    :class:`~repro.analysis.project.Project` instead of per AST node;
-    findings anchor in whichever file holds the offending node, so
-    pragmas apply exactly as for per-file rules.
-    """
-
-    node_types: Tuple[type, ...] = (ast.Module,)  # satisfies Rule contract
-
-    def visit(self, node: ast.AST, ctx: "LintContext") -> Iterator[Finding]:
-        return iter(())  # project rules do not run in the per-file phase
-
-    def visit_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 _RULE_REGISTRY: List[Type[Rule]] = []
-_PROJECT_RULE_REGISTRY: List[Type[ProjectRule]] = []
-
-
-def _check_new_rule(cls: Type[Rule]) -> None:
-    if not cls.rule_id:
-        raise ValueError(f"rule {cls.__name__} has no rule_id")
-    taken = [c.rule_id for c in _RULE_REGISTRY]
-    taken += [c.rule_id for c in _PROJECT_RULE_REGISTRY]
-    if cls.rule_id in taken:
-        raise ValueError(f"duplicate rule id {cls.rule_id}")
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a per-file rule to the global registry."""
-    _check_new_rule(cls)
+    """Class decorator adding a rule to the global registry."""
+    if not cls.rule_id:
+        raise ValueError(f"rule {cls.__name__} has no rule_id")
+    if cls.rule_id in {c.rule_id for c in _RULE_REGISTRY}:
+        raise ValueError(f"duplicate rule id {cls.rule_id}")
     _RULE_REGISTRY.append(cls)
     return cls
 
 
-def register_project(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    _check_new_rule(cls)
-    _PROJECT_RULE_REGISTRY.append(cls)
-    return cls
-
-
 def all_rules() -> List[Rule]:
-    """One fresh instance of every registered per-file rule, id-sorted."""
+    """One fresh instance of every registered rule, id-sorted."""
     # importing the package populates the registry
     from repro.analysis import rules as _rules  # noqa: F401
 
     return [cls() for cls in sorted(_RULE_REGISTRY, key=lambda c: c.rule_id)]
 
 
-def all_project_rules() -> List[ProjectRule]:
-    """One fresh instance of every whole-program rule, id-sorted."""
-    from repro.analysis import rules as _rules  # noqa: F401
-
-    return [
-        cls() for cls in sorted(_PROJECT_RULE_REGISTRY, key=lambda c: c.rule_id)
-    ]
-
-
 def known_rule_ids() -> List[str]:
-    """Every registered rule id (both phases) plus the engine's own
-    ``E001`` syntax marker — the universe META001 validates pragmas
-    against."""
-    ids = {cls.rule_id for cls in _RULE_REGISTRY}
-    ids |= {cls.rule_id for cls in _PROJECT_RULE_REGISTRY}
-    ids.add("E001")
-    return sorted(ids)
+    """Every registered rule id plus the engine's own ``E001`` syntax
+    marker — the universe META001 validates pragmas against."""
+    return sorted({cls.rule_id for cls in _RULE_REGISTRY} | {"E001"})
 
 
 @dataclass
@@ -221,34 +174,23 @@ def _annotate_parents(tree: ast.AST) -> None:
 
 @dataclass
 class LintRun:
-    """The result of one two-phase lint invocation."""
+    """The result of one lint invocation."""
 
     findings: List[Finding]
     files: int = 0
 
 
 class Linter:
-    """Parse files once, dispatch AST nodes to per-file rules, then run
-    the whole-program rules over the assembled project."""
+    """Parse each file once, dispatch its AST nodes to the rules, audit
+    its raw findings, drop what its pragmas suppress."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        project_rules: Optional[Sequence[ProjectRule]] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules: List[Rule] = list(rules) if rules is not None else all_rules()
-        self.project_rules: List[ProjectRule] = (
-            list(project_rules) if project_rules is not None
-            else all_project_rules()
-        )
         self._dispatch: Dict[type, List[Rule]] = {}
         for rule in self.rules:
             for node_type in rule.node_types:
                 self._dispatch.setdefault(node_type, []).append(rule)
 
-    # ------------------------------------------------------------------
-    # phase 1: per-file
-    # ------------------------------------------------------------------
     def _make_context(self, source: str, path: str) -> LintContext:
         """Parse one file (``SyntaxError`` propagates) and read its
         pragmas."""
@@ -270,14 +212,13 @@ class Linter:
         _annotate_parents(tree)
         return ctx
 
-    def _lint_module(
-        self, source: str, path: str
-    ) -> Tuple[Optional[LintContext], List[Finding]]:
-        """Phase-1 raw findings (pre-pragma) for one source string."""
+    def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
+        """Every unsuppressed finding in one source string, sorted;
+        ``path`` is used for reporting and path-scoped rules only."""
         try:
             ctx = self._make_context(source, path)
         except SyntaxError as error:
-            return None, [
+            return [
                 Finding(
                     rule_id="E001",
                     path=path,
@@ -286,76 +227,35 @@ class Linter:
                     message=f"syntax error: {error.msg}",
                 )
             ]
-        findings: List[Finding] = []
+        raw: List[Finding] = []
         for node in ast.walk(ctx.tree):
             for rule in self._dispatch.get(type(node), ()):
-                findings.extend(rule.visit(node, ctx))
-        return ctx, findings
-
-    # ------------------------------------------------------------------
-    # entry points
-    # ------------------------------------------------------------------
-    def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
-        """Lint one source string with the per-file rules only;
-        ``path`` is used for reporting only.  (Whole-program rules need
-        a project — see :meth:`run_paths` or
-        ``Project.from_sources``.)"""
-        ctx, findings = self._lint_module(source, path)
-        if ctx is not None:
-            findings = [f for f in findings if not ctx.suppressed(f)]
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
+                raw.extend(rule.visit(node, ctx))
+        for rule in self.rules:
+            raw.extend(rule.audit(ctx, list(raw)))
+        findings = [f for f in raw if not ctx.suppressed(f)]
+        findings.sort(key=_order)
         return findings
 
     def lint_paths(
         self, paths: Iterable[Path], root: Optional[Path] = None
     ) -> List[Finding]:
-        """Two-phase lint of every ``.py`` file under each path."""
+        """Lint every ``.py`` file under each path."""
         return self.run_paths(paths, root=root).findings
 
     def run_paths(
         self, paths: Iterable[Path], root: Optional[Path] = None
     ) -> LintRun:
-        """Lint ``paths`` through both phases."""
-        from repro.analysis.project import Project, module_info
-
-        contexts: List[LintContext] = []
-        raw: List[Finding] = []
-        raw_by_file: Dict[str, List[Finding]] = {}
+        """Lint every ``.py`` file under each path, counting the files."""
+        findings: List[Finding] = []
         files = 0
         for file_path in self._iter_files(paths):
             files += 1
-            rel = _rel_path(file_path, root)
-            source = file_path.read_text(encoding="utf-8")
-            ctx, file_findings = self._lint_module(source, rel)
-            if ctx is not None:
-                contexts.append(ctx)
-            raw.extend(file_findings)
-            raw_by_file.setdefault(rel, []).extend(file_findings)
-
-        # phase 2: whole-program rules over the assembled project
-        project_findings: List[Finding] = []
-        context_by_path: Dict[str, LintContext] = {
-            ctx.rel_path: ctx for ctx in contexts
-        }
-        if contexts and self.project_rules:
-            project = Project([module_info(ctx) for ctx in contexts])
-            project.file_findings = raw_by_file
-            # rules run in id order; each rule's raw findings join the
-            # per-file pool so META001 (sorted last) audits pragma
-            # liveness against *everything* that fired
-            for rule in self.project_rules:
-                rule_findings = list(rule.visit_project(project))
-                project_findings.extend(rule_findings)
-                for finding in rule_findings:
-                    raw_by_file.setdefault(finding.path, []).append(finding)
-
-        findings = []
-        for finding in raw + project_findings:
-            ctx = context_by_path.get(finding.path)
-            if ctx is not None and ctx.suppressed(finding):
-                continue
-            findings.append(finding)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
+            findings.extend(self.lint_source(
+                file_path.read_text(encoding="utf-8"),
+                _rel_path(file_path, root),
+            ))
+        findings.sort(key=_order)
         return LintRun(findings=findings, files=files)
 
     @staticmethod
@@ -367,6 +267,10 @@ class Linter:
                 if _SKIP_PARTS.intersection(file_path.parts):
                     continue
                 yield file_path
+
+
+def _order(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.col, finding.rule_id)
 
 
 def _rel_path(path: Path, root: Optional[Path]) -> str:

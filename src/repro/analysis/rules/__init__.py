@@ -1,17 +1,17 @@
 """Rule packages; importing this module populates the rule registry."""
 
 from repro.analysis.rules import (
+    concurrency,
     contracts,
     determinism,
-    interprocedural,
     meta,
     observability,
 )
 
 __all__ = [
+    "concurrency",
     "contracts",
     "determinism",
-    "interprocedural",
     "meta",
     "observability",
 ]

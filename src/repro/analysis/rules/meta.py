@@ -12,31 +12,29 @@ genuine finding on that line.  META001 flags:
 * file pragmas for rules that produce no raw finding anywhere in the
   file.
 
-Liveness is judged against :attr:`Project.file_findings`, which the
-linter populates with raw findings from the per-file phase **and** from
-every whole-program rule that ran before this one — META001 sorts last
-in the registry, so a pragma suppressing IPC002 is correctly seen as
-live.  META001 does not audit pragmas naming itself (a self-referential
-suppression can never be proven live or stale).
+It is the file's last pass (:meth:`Rule.audit`): liveness is judged
+against every raw finding the node visits raised, so a pragma
+suppressing IPC002 is correctly seen as live.  META001 does not audit
+pragmas naming itself (a self-referential suppression can never be
+proven live or stale).
 """
 
 from __future__ import annotations
 
-import ast  # noqa: F401  (ProjectRule contract)
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis.linter import (
     Finding,
-    ProjectRule,
+    LintContext,
+    Rule,
     _PRAGMA_RE,
     known_rule_ids,
-    register_project,
+    register,
 )
-from repro.analysis.project import Project
 
 
-@register_project
-class StalePragma(ProjectRule):
+@register
+class StalePragma(Rule):
     rule_id = "META001"
     name = "stale-pragma"
     category = "meta"
@@ -45,63 +43,48 @@ class StalePragma(ProjectRule):
         "longer suppresses anything."
     )
 
-    def visit_project(self, project: Project) -> Iterator[Finding]:
+    def audit(
+        self, ctx: LintContext, raw: Sequence[Finding]
+    ) -> Iterator[Finding]:
         known = set(known_rule_ids())
-        for name in sorted(project.modules):
-            mod = project.modules[name]
-            raw = project.file_findings.get(mod.rel_path, [])
-            fired_at_line = {(f.rule_id, f.line) for f in raw}
-            fired_in_file = {f.rule_id for f in raw}
-            for lineno, text in enumerate(mod.ctx.lines, start=1):
-                match = _PRAGMA_RE.search(text)
-                if match is None:
+        fired_at_line = {(f.rule_id, f.line) for f in raw}
+        fired_in_file = {f.rule_id for f in raw}
+        for lineno, text in enumerate(ctx.lines, start=1):
+            match = _PRAGMA_RE.search(text)
+            if match is None:
+                continue
+            kind, raw_ids = match.groups()
+            ids = sorted(
+                part.strip().upper()
+                for part in raw_ids.split(",")
+                if part.strip()
+            )
+            for rule_id in ids:
+                if rule_id == self.rule_id:
                     continue
-                kind, raw_ids = match.groups()
-                ids = sorted(
-                    part.strip().upper()
-                    for part in raw_ids.split(",")
-                    if part.strip()
+                if rule_id not in known:
+                    message = f"pragma disables unknown rule {rule_id}"
+                elif kind == "disable" and (
+                    (rule_id, lineno) not in fired_at_line
+                ):
+                    message = (
+                        f"stale pragma: {rule_id} no longer fires on "
+                        f"this line"
+                    )
+                elif kind == "disable-file" and (
+                    rule_id not in fired_in_file
+                ):
+                    message = (
+                        f"stale pragma: {rule_id} no longer fires "
+                        f"anywhere in this file"
+                    )
+                else:
+                    continue
+                yield Finding(
+                    rule_id=self.rule_id,
+                    path=ctx.rel_path,
+                    line=lineno,
+                    col=0,
+                    message=message,
+                    snippet=ctx.line_text(lineno),
                 )
-                for rule_id in ids:
-                    if rule_id == self.rule_id:
-                        continue
-                    if rule_id not in known:
-                        yield Finding(
-                            rule_id=self.rule_id,
-                            path=mod.rel_path,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                f"pragma disables unknown rule "
-                                f"{rule_id}"
-                            ),
-                            snippet=mod.ctx.line_text(lineno),
-                        )
-                    elif kind == "disable" and (
-                        (rule_id, lineno) not in fired_at_line
-                    ):
-                        yield Finding(
-                            rule_id=self.rule_id,
-                            path=mod.rel_path,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                f"stale pragma: {rule_id} no longer "
-                                f"fires on this line"
-                            ),
-                            snippet=mod.ctx.line_text(lineno),
-                        )
-                    elif kind == "disable-file" and (
-                        rule_id not in fired_in_file
-                    ):
-                        yield Finding(
-                            rule_id=self.rule_id,
-                            path=mod.rel_path,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                f"stale pragma: {rule_id} no longer "
-                                f"fires anywhere in this file"
-                            ),
-                            snippet=mod.ctx.line_text(lineno),
-                        )

@@ -15,7 +15,6 @@ Subcommands::
     repro discover    --lake lake.json --query "..." [--modality text]
     repro experiment  --name table1 [--scale small]
     repro lint        [--json] [--root DIR] [paths...]
-    repro sanitize    -- [pytest args...]
     repro coverage    [--floor 0.9] [--target PATH ...] -- [pytest args...]
     repro orchestrate [--scenario NAME] [--max-iters 4] [--trail PATH]
                       [--json]
@@ -191,9 +190,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if command:
         from repro.obs.profile import sample_callable
 
-        run = sample_callable(
-            lambda: main(command), interval=args.interval
-        )
+        run = sample_callable(lambda: main(command))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(run.collapsed)
@@ -301,40 +298,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     run = linter.run_paths(paths, root=root)
     if args.json:
-        rules = sorted(
-            [*linter.rules, *linter.project_rules], key=lambda r: r.rule_id
-        )
-        print(render_json(run.findings, rules=rules, files=run.files))
+        print(render_json(run.findings, rules=linter.rules, files=run.files))
     else:
         print(render_text(run.findings))
     return 1 if run.findings else 0
-
-
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    # a fresh interpreter, so the plugin's pytest_configure patches the
-    # lock factories before any repro module (and its module-level
-    # locks) is imported
-    import os
-    import subprocess
-    from pathlib import Path
-
-    pytest_args = list(args.pytest_args)
-    if pytest_args[:1] == ["--"]:
-        pytest_args = pytest_args[1:]
-    package_root = str(Path(__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH", "")) if p
-    )
-    command = [
-        sys.executable, "-m", "pytest",
-        "-p", "repro.analysis.sanitizer", *pytest_args,
-    ]
-    try:
-        return subprocess.call(command, env=env)
-    except OSError as exc:  # pragma: no cover - interpreter missing
-        print(f"repro-sanitize: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
@@ -508,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign mode: emit CPU self time instead of wall time",
     )
     p.add_argument(
-        "--interval", type=float, default=0.005,
-        help="sampler mode: seconds between stack samples",
-    )
-    p.add_argument(
         "--out", default=None, metavar="PATH",
         help="write collapsed stacks to PATH instead of stdout",
     )
@@ -574,17 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory findings paths are reported relative to",
     )
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "sanitize",
-        help="run pytest under the lockset race sanitizer "
-             "(repro sanitize -- <pytest args>)",
-    )
-    p.add_argument(
-        "pytest_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to pytest (prefix with --)",
-    )
-    p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser(
         "coverage",

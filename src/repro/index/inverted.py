@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from bisect import bisect_right, insort_right
 from collections import Counter
 from itertools import chain, compress
@@ -362,11 +361,6 @@ class InvertedIndex(SearchIndex):
         self._df: Counter = Counter()
         #: the published view; ``None`` from a write until the next read
         self._sealed: Optional[_View] = None
-        # guards only :meth:`_writes`' lazy start: one thread owns the
-        # index, but IPE001 reaches that start from the serving loop
-        # through an over-approximate call edge, and the lock stays
-        # until the rule is re-scored (ROADMAP item 13)
-        self._seal_lock = threading.Lock()
         #: the last compaction's postings, which every view reads and the
         #: next compaction folds into; ``None`` = nothing compiled yet
         self._base: Optional[_Postings] = None
@@ -472,8 +466,7 @@ class InvertedIndex(SearchIndex):
         """The writes since the base (which exists), begun by the first
         of them."""
         if self._delta is None:
-            with self._seal_lock:
-                self._delta = _Delta(self._base)
+            self._delta = _Delta(self._base)
         return self._delta
 
     def __len__(self) -> int:

@@ -33,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Union
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.obs.clock import Clock, MonotonicClock
 
 #: default ring capacity (events)
@@ -94,9 +93,7 @@ class EventLog:
             event = Event(seq=self._seq, time=now, kind=kind, fields=fields)
             if len(self._ring) == self.capacity:
                 self._dropped += 1
-                _sanitizer.note_write(self, "_dropped", lock=self._lock)
             self._ring.append(event)
-            _sanitizer.note_write(self, "_ring", lock=self._lock)
         return event
 
     # ------------------------------------------------------------------
@@ -204,7 +201,6 @@ def install_event_log(log: EventLog) -> None:
     """Make ``log`` the process-wide recorder (serve startup)."""
     with _CURRENT_LOCK:
         _CURRENT["log"] = log
-        _sanitizer.note_write(_CURRENT, "log", lock=_CURRENT_LOCK)
 
 
 def uninstall_event_log(log: EventLog) -> None:
@@ -217,4 +213,3 @@ def uninstall_event_log(log: EventLog) -> None:
     with _CURRENT_LOCK:
         if _CURRENT["log"] is log:
             _CURRENT["log"] = NULL_EVENT_LOG
-            _sanitizer.note_write(_CURRENT, "log", lock=_CURRENT_LOCK)

@@ -21,8 +21,6 @@ from __future__ import annotations
 import bisect
 import threading
 from contextlib import contextmanager
-
-from repro.analysis import sanitizer as _sanitizer
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: default latency buckets (seconds) for duration histograms
@@ -189,7 +187,6 @@ class MetricsRegistry:
             candidate = factory()
             with self._lock:
                 instrument = self._instruments.setdefault(name, candidate)
-                _sanitizer.note_write(self, "_instruments", lock=self._lock)
         if not isinstance(instrument, kind):
             raise TypeError(
                 f"metric {name!r} is a {type(instrument).__name__}, "

@@ -26,8 +26,8 @@ before conftest files, so tracing begins at plugin *import* (the
 env-gated auto-start at the bottom), strictly before any test import
 of the targets.
 
-Like the race sanitizer, the tracer is cooperative and in-process; it
-measures the interpreter that runs it, not subprocesses tests spawn.
+The tracer is cooperative and in-process; it measures the
+interpreter that runs it, not subprocesses tests spawn.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 #: pytest session exit status when a measured file is below the floor
-#: (3 is taken by the race sanitizer)
 COVERAGE_EXIT_STATUS = 4
 
 #: marker comment excluding a statement (and its body) from measurement

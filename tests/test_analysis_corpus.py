@@ -6,8 +6,7 @@ caught in this tree's history and someone fixed, the code as it was
 the finding needs; each module's docstring names the commit it comes
 from.  ``missed/<case>/`` holds recorded bugs, and their fixes, that no
 rule fires on: the other half of an honest score.  Each side of a case
-is linted as a project of its own, so the whole-program rules see the
-thread pool that makes a lazy build shared.
+is linted as a tree of its own.
 
 A registered rule that no ``before/`` fixture makes fire has caught
 nothing and fails the registry test: the keep rule of
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Linter, all_project_rules, all_rules
+from repro.analysis import Linter, all_rules
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "analysis_corpus"
@@ -34,10 +33,6 @@ CAUGHT = {
     "knowledge_wrong": {"CTR003": 1},
     "ablations_clock": {"OBS001": 4},
     "batch_clock": {"OBS001": 5},
-    "crossmodal_build": {"IPE001": 1},
-    "bm25_seal": {"IPE001": 1},
-    "shard_spool": {"IPE001": 1},
-    "vector_matrix": {"IPE001": 1},
     "metrics_factory": {"IPC002": 1},
     "phantom_pragma": {"META001": 2},
 }
@@ -83,7 +78,7 @@ def test_no_rule_fires_on_a_missed_bug_or_its_fix(case, side):
 
 
 def test_every_registered_rule_caught_something():
-    registered = {rule.rule_id for rule in all_rules() + all_project_rules()}
+    registered = {rule.rule_id for rule in all_rules()}
     caught = {rule for fired in CAUGHT.values() for rule in fired}
     assert registered - caught == set(), (
         "rules no corpus defect makes fire: delete them, or add the "
@@ -96,7 +91,7 @@ def test_the_catalogue_lists_the_rules_and_the_miss_rate():
     text = CATALOGUE.read_text(encoding="utf-8")
     catalogue = text.split("## Rule catalogue", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"^\| ([A-Z]{3,4}\d{3}) \|", catalogue, re.M))
-    registered = {rule.rule_id for rule in all_rules() + all_project_rules()}
+    registered = {rule.rule_id for rule in all_rules()}
     assert listed == registered
     total = len(CAUGHT) + len(MISSED)
     assert f"misses {len(MISSED)} of the {total} recorded bugs" in text

@@ -1,40 +1,33 @@
-"""Fire/quiet pairs for the whole-program rules.
+"""Fire/quiet pairs for the concurrency rule and the pragma audit.
 
 Each rule gets at least one fixture that must fire and one structurally
 close fixture that must stay quiet — the quiet twin is what keeps the
-conservative analyses honest about false positives.
+rule honest about false positives.  IPC002 and META001 once needed the
+whole-program project model; both now run in the one pass over each
+file, so every fixture goes through the real linter.
 """
 
-from pathlib import Path
-
 from repro.analysis.linter import Linter
-from repro.analysis.project import Project
-from repro.analysis.rules.interprocedural import (
-    BlockingUnderLock,
-    EscapedLazyInit,
-)
 
 
-def findings_for(rule_cls, sources):
-    project = Project.from_sources(sources)
-    return list(rule_cls().visit_project(project))
+def findings_for(source, rule_id="IPC002"):
+    found = Linter().lint_source(source, path="src/repro/m.py")
+    return [f for f in found if f.rule_id == rule_id]
 
 
 # ----------------------------------------------------------------------
 # IPC002: blocking / injected code under a lock
 # ----------------------------------------------------------------------
 def test_ipc002_fires_on_sleep_and_injected_callable_under_lock():
-    found = findings_for(BlockingUnderLock, {
-        "src/repro/m.py": (
-            "import threading\n"
-            "import time\n"
-            "LOCK = threading.Lock()\n"
-            "def bad(callback):\n"
-            "    with LOCK:\n"
-            "        time.sleep(0.1)\n"
-            "        callback()\n"
-        ),
-    })
+    found = findings_for(
+        "import threading\n"
+        "import time\n"
+        "LOCK = threading.Lock()\n"
+        "def bad(callback):\n"
+        "    with LOCK:\n"
+        "        time.sleep(0.1)\n"
+        "        callback()\n"
+    )
     messages = sorted(f.message for f in found)
     assert len(found) == 2
     assert any("time.sleep" in m for m in messages)
@@ -42,136 +35,78 @@ def test_ipc002_fires_on_sleep_and_injected_callable_under_lock():
 
 
 def test_ipc002_fires_on_bare_result_wait_join():
-    found = findings_for(BlockingUnderLock, {
-        "src/repro/m.py": (
-            "import threading\n"
-            "LOCK = threading.Lock()\n"
-            "def bad(future):\n"
-            "    with LOCK:\n"
-            "        return future.result()\n"
-        ),
-    })
+    found = findings_for(
+        "import threading\n"
+        "LOCK = threading.Lock()\n"
+        "def bad(future):\n"
+        "    with LOCK:\n"
+        "        return future.result()\n"
+    )
     assert len(found) == 1
     assert "result" in found[0].message
 
 
 def test_ipc002_quiet_outside_lock_and_for_str_join():
-    found = findings_for(BlockingUnderLock, {
-        "src/repro/m.py": (
-            "import threading\n"
-            "import time\n"
-            "LOCK = threading.Lock()\n"
-            "def fine(parts):\n"
-            "    with LOCK:\n"
-            "        joined = ', '.join(parts)\n"
-            "    time.sleep(0)\n"
-            "    return joined\n"
-        ),
-    })
+    found = findings_for(
+        "import threading\n"
+        "import time\n"
+        "LOCK = threading.Lock()\n"
+        "def fine(parts):\n"
+        "    with LOCK:\n"
+        "        joined = ', '.join(parts)\n"
+        "    time.sleep(0)\n"
+        "    return joined\n"
+    )
     assert found == []
+
+
+def test_ipc002_quiet_for_a_local_definition_and_a_deferred_call():
+    # a call by the name of a function defined in the body runs that
+    # definition, not an injected one; a lambda or def under the lock
+    # runs later, on its own schedule
+    found = findings_for(
+        "import threading\n"
+        "import time\n"
+        "LOCK = threading.Lock()\n"
+        "def fine(callback, pool):\n"
+        "    def callback():\n"
+        "        return 1\n"
+        "    with LOCK:\n"
+        "        callback()\n"
+        "        pool.append(lambda: time.sleep(1))\n"
+    )
+    assert found == []
+
+
+def test_ipc002_quiet_outside_a_function():
+    found = findings_for(
+        "import threading\n"
+        "import time\n"
+        "LOCK = threading.Lock()\n"
+        "with LOCK:\n"
+        "    time.sleep(0)\n"
+        "class Holder:\n"
+        "    with LOCK:\n"
+        "        time.sleep(0)\n"
+    )
+    assert found == []
+
+
+def test_ipc002_follows_import_aliases():
+    found = findings_for(
+        "import threading\n"
+        "from time import sleep\n"
+        "LOCK = threading.Lock()\n"
+        "def bad():\n"
+        "    with LOCK:\n"
+        "        sleep(0.1)\n"
+    )
+    assert [f.line for f in found] == [6]
+    assert "holding LOCK" in found[0].message
 
 
 # ----------------------------------------------------------------------
-# IPE001: escaped lazy initialization
-# ----------------------------------------------------------------------
-_RACY_CACHE = (
-    "from concurrent.futures import ThreadPoolExecutor\n"
-    "class Cache:\n"
-    "    def __init__(self):\n"
-    "        self._data = None\n"
-    "    def get(self):\n"
-    "        if self._data is None:\n"
-    "            self._data = [1]\n"
-    "        return self._data\n"
-    "def run(cache):\n"
-    "    with ThreadPoolExecutor() as pool:\n"
-    "        pool.submit(cache.get)\n"
-)
-
-
-def test_ipe001_fires_on_unlocked_lazy_init_reachable_from_pool():
-    found = findings_for(EscapedLazyInit, {"src/repro/m.py": _RACY_CACHE})
-    assert len(found) == 1
-    finding = found[0]
-    assert finding.rule_id == "IPE001"
-    assert "self._data" in finding.message
-    assert "thread entry" in finding.message
-
-
-def test_ipe001_fires_on_guard_return_form():
-    source = _RACY_CACHE.replace(
-        "        if self._data is None:\n"
-        "            self._data = [1]\n"
-        "        return self._data\n",
-        "        if self._data is not None:\n"
-        "            return self._data\n"
-        "        self._data = [1]\n"
-        "        return self._data\n",
-    )
-    found = findings_for(EscapedLazyInit, {"src/repro/m.py": source})
-    assert len(found) == 1
-
-
-def test_ipe001_fires_on_module_global_dict_fill():
-    found = findings_for(EscapedLazyInit, {
-        "src/repro/m.py": (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "_CACHE = {}\n"
-            "def lookup(key):\n"
-            "    if key not in _CACHE:\n"
-            "        _CACHE[key] = key.upper()\n"
-            "    return _CACHE[key]\n"
-            "def run(keys):\n"
-            "    with ThreadPoolExecutor() as pool:\n"
-            "        list(pool.map(lookup, keys))\n"
-        ),
-    })
-    assert len(found) == 1
-    assert "_CACHE" in found[0].message
-
-
-def test_ipe001_quiet_when_write_is_under_a_lock():
-    source = _RACY_CACHE.replace(
-        "    def __init__(self):\n"
-        "        self._data = None\n",
-        "    def __init__(self):\n"
-        "        self._data = None\n"
-        "        self._lock = __import__('threading').Lock()\n",
-    ).replace(
-        "        if self._data is None:\n"
-        "            self._data = [1]\n",
-        "        if self._data is None:\n"
-        "            with self._lock:\n"
-        "                if self._data is None:\n"
-        "                    self._data = [1]\n",
-    )
-    found = findings_for(EscapedLazyInit, {"src/repro/m.py": source})
-    assert found == []
-
-
-def test_ipe001_quiet_when_not_reachable_from_a_thread_entry():
-    source = _RACY_CACHE.replace(
-        "def run(cache):\n"
-        "    with ThreadPoolExecutor() as pool:\n"
-        "        pool.submit(cache.get)\n",
-        "def run(cache):\n"
-        "    return cache.get()\n",
-    )
-    found = findings_for(EscapedLazyInit, {"src/repro/m.py": source})
-    assert found == []
-
-
-def test_ipe001_quiet_for_locked_suffix_convention():
-    source = _RACY_CACHE.replace("def get(self):", "def get_locked(self):")
-    source = source.replace("pool.submit(cache.get)",
-                            "pool.submit(cache.get_locked)")
-    found = findings_for(EscapedLazyInit, {"src/repro/m.py": source})
-    assert found == []
-
-
-# ----------------------------------------------------------------------
-# META001: pragma liveness (needs the full two-phase linter so raw
-# findings are populated)
+# META001: pragma liveness, audited against the file's raw findings
 # ----------------------------------------------------------------------
 def lint_source(tmp_path, source):
     target = tmp_path / "mod.py"
@@ -206,9 +141,9 @@ def test_meta001_flags_stale_file_pragma(tmp_path):
 
 
 def test_meta001_sees_suppressions_of_project_rule_findings(tmp_path):
-    # a live pragma for a whole-program rule (IPC002) must NOT be
-    # reported stale: META001 runs last and audits against the raw
-    # findings of every earlier phase, including project rules
+    # a live pragma for IPC002 must NOT be reported stale: META001 is
+    # the file's last pass and audits against every raw finding the
+    # node visits raised
     found = lint_source(
         tmp_path,
         "import threading\n"
@@ -220,14 +155,3 @@ def test_meta001_sees_suppressions_of_project_rule_findings(tmp_path):
     )
     assert not any(f.rule_id == "META001" for f in found)
     assert not any(f.rule_id == "IPC002" for f in found)
-
-
-# ----------------------------------------------------------------------
-# end to end: the racy fixture through the real two-phase pipeline
-# ----------------------------------------------------------------------
-def test_run_paths_reports_project_findings(tmp_path):
-    target = tmp_path / "racy.py"
-    target.write_text(_RACY_CACHE)
-    linter = Linter()
-    run = linter.run_paths([Path(target)], root=tmp_path)
-    assert any(f.rule_id == "IPE001" for f in run.findings)

@@ -2,12 +2,15 @@
 registry (counters, gauges, histograms, and per-campaign scopes)."""
 
 import threading
+import time
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.clock import MonotonicClock, TickClock
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    Counter,
     MetricsRegistry,
     get_registry,
 )
@@ -106,6 +109,43 @@ class TestInstruments:
 
     def test_default_registry_is_a_singleton(self):
         assert get_registry() is get_registry()
+
+    def test_one_instrument_per_name_under_contention(self, monkeypatch):
+        # the service's I/O thread and its verifying thread share one
+        # registry.  Slow constructors hold four racing creators in the
+        # window between the lookup and the publish: the name still ends
+        # with one instrument, and the first kind to land owns it
+        def slow(kind):
+            class Slow(kind):
+                def __init__(self, *args):
+                    time.sleep(0.02)
+                    super().__init__(*args)
+            return Slow
+
+        monkeypatch.setattr(metrics, "Counter", slow(metrics.Counter))
+        monkeypatch.setattr(metrics, "Gauge", slow(metrics.Gauge))
+        registry = MetricsRegistry()
+        start = threading.Barrier(4)
+        got, refused = [], []
+
+        def race(kind):
+            start.wait(5)
+            try:
+                got.append(getattr(registry, kind)("test.race"))
+            except TypeError:
+                refused.append(kind)
+
+        threads = [
+            threading.Thread(target=race, args=(kind,))
+            for kind in ("counter", "gauge", "counter", "gauge")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5)
+        assert len(got) == 2 and got[0] is got[1]
+        loser = "gauge" if isinstance(got[0], Counter) else "counter"
+        assert refused == [loser, loser]
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,12 @@ field (validated, then ignored).
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,26 @@ def test_the_stats_name_no_worker_count():
     stats = BatchStats(objects=2, stage_seconds={"total": 1.0})
     assert not [key for key in stats.to_dict() if "workers" in key]
     assert stats.summary().startswith("2 objects (total 1.000s); ")
+
+
+def test_the_pipeline_loads_no_analysis_module():
+    # the race tooling left with the worker threads, and with it the
+    # pipeline's one import of the linter package
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.datalake.lake import DataLake\n"
+        "repro.VerifAI(DataLake())\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.analysis')))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
