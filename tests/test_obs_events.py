@@ -7,6 +7,7 @@ that never leaves core code emitting into a dead sink.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -108,27 +109,42 @@ class TestExports:
         assert log.to_dict()["events"] == []
 
 
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so the hammers interleave inside
+    ``emit``: at the default 5 ms a thread's emits run between switches,
+    and a dropped ring lock goes unnoticed."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fast_switching")
 class TestConcurrency:
     def test_no_loss_below_capacity_under_threads(self):
-        """8 threads x 50 events into a 512 ring: every event lands,
-        sequence numbers are a permutation of 1..400, bound holds."""
-        log = EventLog(capacity=512, clock=TickClock())
+        """8 threads x 50 events into a 512 ring, five times over: every
+        event lands, in sequence order 1..400, and the bound holds."""
+        for _ in range(5):
+            log = EventLog(capacity=512, clock=TickClock())
+            start = threading.Barrier(8)
 
-        def hammer(worker):
-            for i in range(50):
-                log.emit("batch.retry", worker=worker, i=i)
+            def hammer(worker):
+                start.wait(5)
+                for i in range(50):
+                    log.emit("batch.retry", worker=worker, i=i)
 
-        threads = [
-            threading.Thread(target=hammer, args=(w,)) for w in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        events = log.events()
-        assert len(events) == 400
-        assert log.dropped == 0
-        assert sorted(e.seq for e in events) == list(range(1, 401))
+            threads = [
+                threading.Thread(target=hammer, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            events = log.events()
+            assert len(events) == 400
+            assert log.dropped == 0
+            assert [e.seq for e in events] == list(range(1, 401))
 
     def test_ring_bound_holds_under_concurrent_overflow(self):
         log = EventLog(capacity=32, clock=TickClock())

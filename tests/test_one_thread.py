@@ -266,6 +266,32 @@ def test_the_system_is_only_touched_on_the_verifying_thread(route):
     assert threads and set(threads) == {"serve-verify"}
 
 
+def test_the_trace_cache_is_only_touched_on_the_io_thread():
+    # the verifying thread hands each trace back through its future;
+    # the cache itself belongs to the loop, which serves /trace/<id>
+    bundle = build_lake(LakeConfig(num_tables=4, seed=5))
+    service = VerificationService(VerifAI(bundle.lake), ServeConfig(port=0))
+    threads = []
+    real = service._remember_trace
+
+    def spy(trace):
+        threads.append(threading.current_thread().name)
+        return real(trace)
+
+    service._remember_trace = spy
+    table, column = sample_cell(bundle.lake)
+    body = {"kind": "tuple", "table_id": table.table_id, "row": 0,
+            "column": column}
+    with ServerThread(service) as server:
+        _, _, verified = request(server, "POST", "/verify", body)
+        request(server, "POST", "/verify-batch", {"objects": [body]})
+        status, _, _ = request(
+            server, "GET", f"/trace/{verified['trace_id']}"
+        )
+        assert status == 200
+    assert threads == ["serve-loop", "serve-loop"]
+
+
 def test_healthz_reports_the_line_and_no_width():
     bundle = build_lake(LakeConfig(num_tables=4, seed=5))
     service = VerificationService(
