@@ -6,10 +6,12 @@ silenced or newly noisy — fails tier-1.  The defects each rule caught
 in this tree's history are replayed in tests/test_analysis_corpus.py.
 """
 
+import ast
 import json
 import textwrap
 
 from repro.analysis import Linter, all_rules, render_json, render_text
+from repro.analysis.linter import Finding, Rule
 
 
 def findings_for(source, rule_id=None, path="<string>"):
@@ -39,6 +41,90 @@ def assert_quiet(source, rule_id, path="<string>"):
 def test_syntax_error_is_reported_not_raised():
     found = findings_for("def broken(:\n")
     assert [f.rule_id for f in found] == ["E001"]
+
+
+class _EveryName(Rule):
+    """Fires on each ``Name`` load; its audit reports how many raw
+    findings it was shown."""
+
+    rule_id = "TST001"
+    node_types = (ast.Name,)
+
+    def visit(self, node, ctx):
+        yield self.finding(ctx, node, node.id)
+
+    def audit(self, ctx, raw):
+        yield Finding("TST002", ctx.rel_path, 1, 0, f"saw {len(raw)}")
+
+
+def test_the_audit_pass_sees_suppressed_raw_findings():
+    found = Linter(rules=[_EveryName()]).lint_source(
+        "a = b  # repro-lint: disable=TST001\nc = d\n"
+    )
+    # four names raised four raw findings; the pragma then dropped the
+    # two on line 1, after the audit had seen them
+    assert [(f.rule_id, f.line, f.message) for f in found] == [
+        ("TST002", 1, "saw 4"), ("TST001", 2, "c"), ("TST001", 2, "d"),
+    ]
+
+
+def test_a_linter_runs_only_the_rules_it_is_given():
+    source = (
+        "ordered = list(set(items))\n"
+        "def f(x):\n"
+        "    return x == 0.5\n"
+    )
+    assert {f.rule_id for f in findings_for(source)} == {"DET003", "CTR003"}
+    (det003,) = [rule for rule in all_rules() if rule.rule_id == "DET003"]
+    found = Linter(rules=[det003]).lint_source(source)
+    assert [f.rule_id for f in found] == ["DET003"]
+    assert Linter(rules=[]).lint_source(source) == []
+
+
+def test_run_paths_counts_files_and_skips_caches(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("ordered = list(set(items))\n")
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("list(set(items))\n")
+    (tmp_path / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "pkg" / "__pycache__" / "c.py").write_text(
+        "ordered = list(set(items))\n"
+    )
+    run = Linter().run_paths([tmp_path], root=tmp_path)
+    assert run.files == 2
+    assert [f.location() for f in run.findings] == ["pkg/a.py:1:10"]
+
+
+def test_run_paths_agrees_with_lint_source_file_by_file(tmp_path):
+    sources = {
+        "b.py": "import time\nstart = time.perf_counter()\n",
+        "a.py": "ordered = list(set(items))  # repro-lint: disable=CTR003\n",
+        "c.py": "def broken(:\n",
+    }
+    expected = []
+    for name, source in sources.items():
+        (tmp_path / name).write_text(source)
+        expected += Linter().lint_source(source, path=name)
+    run = Linter().run_paths([tmp_path], root=tmp_path)
+    assert run.findings == sorted(
+        expected, key=lambda f: (f.path, f.line, f.col, f.rule_id)
+    )
+    assert [f.rule_id for f in run.findings] == [
+        "META001", "DET003", "OBS001", "E001",
+    ]
+
+
+def test_lint_paths_takes_a_single_file_under_its_relative_path(tmp_path):
+    (tmp_path / "src").mkdir()
+    target = tmp_path / "src" / "broken.py"
+    target.write_text("x = 1\ndef broken(:\n")
+    (found,) = Linter().lint_paths([target], root=tmp_path)
+    assert (found.rule_id, found.path, found.line) == (
+        "E001", "src/broken.py", 2,
+    )
+    # outside the root the path is kept as given
+    (found,) = Linter().lint_paths([target], root=tmp_path / "elsewhere")
+    assert found.path == str(target)
 
 
 # ----------------------------------------------------------------------

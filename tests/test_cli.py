@@ -411,6 +411,18 @@ class TestProfile:
         assert code == 0
         assert "tables:" in capsys.readouterr().out
 
+    def test_sampler_mode_samples_at_the_default_period(
+        self, lake_path, tmp_path, capsys
+    ):
+        out = tmp_path / "stacks.txt"
+        code = main([
+            "profile", "--out", str(out), "--", "stats", "--lake", lake_path,
+        ])
+        assert code == 0
+        assert "samples every 5ms -> " in capsys.readouterr().out
+        for line in out.read_text(encoding="utf-8").splitlines():
+            assert COLLAPSED_LINE.match(line), line
+
     def test_both_modes_at_once_is_a_usage_error(self, lake_path, capsys):
         code = main([
             "profile", "--lake", lake_path,
@@ -496,6 +508,8 @@ class TestCountFlags:
         # and the self-test mode's load size and mix seed
         ("serve", "--demo"),
         ("serve", "--seed"),
+        # and the sampler's period, which had no consumer
+        ("profile", "--interval"),
     ])
     def test_the_thread_count_flags_are_gone(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exited:
