@@ -39,7 +39,8 @@ trace-demo:
 # the suites that exercise the orchestration loop, the repairer, the
 # simulated LLM's prompt handlers, the rerankers and the module that
 # routes to them, the Agent and the LLM verifier, the pipeline config's
-# validation, the token embedder, the flat vector index, the inverted
+# validation, the token embedder, the hashing vectorizers' block kernel,
+# the flat vector index, the inverted
 # index (compile, view, compaction, seeded churn against the dict
 # oracle), the text layer's
 # analysis and similarity, the campaign path's glue (prompt splitting
@@ -59,6 +60,7 @@ coverage:
 		--target src/repro/loop --target src/repro/repair.py \
 		--target src/repro/llm/model.py --target src/repro/rerank \
 		--target src/repro/embed/token_embed.py \
+		--target src/repro/embed/vectorizers.py \
 		--target src/repro/index/vector.py \
 		--target src/repro/index/inverted.py \
 		--target src/repro/text/tokenize.py \
@@ -104,7 +106,7 @@ coverage:
 		tests/test_trust.py tests/test_core_pipeline.py \
 		tests/test_experiments_smoke.py tests/test_experiments_harness.py \
 		tests/test_provenance.py tests/test_verify_verifiers.py \
-		tests/test_memos.py
+		tests/test_memos.py tests/test_embed_vectorizers.py
 
 lint:
 	PYTHONPATH=src python -m repro.cli lint src/repro

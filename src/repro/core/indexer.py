@@ -26,6 +26,7 @@ reads the already-written lake.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.datalake.lake import DataLake
@@ -47,6 +48,9 @@ _INDEXED_MODALITIES = (
     Modality.TEXT,
     Modality.KG_ENTITY,
 )
+
+#: entries embedded by one vectorizer call
+_EMBED_BLOCK = 256
 
 
 def _entries_missing_from(
@@ -127,33 +131,49 @@ class IndexerModule:
             if modality in self._combiners
         }
 
-    def _index_entry(
-        self, content, semantic, index_id: str, payload: str
-    ) -> None:
-        """Analyse one payload once and hand its terms to the BM25 index
-        and, when there is one, the vector index: both analyse with the
-        default chain, so each gets what its own ``add`` would have."""
-        terms = analyze(payload)
-        content.add_tokens(index_id, terms)
-        if semantic is not None:
-            semantic.add_vector(
-                index_id, self._vectorizer.transform_tokens(terms)
-            )
-
     def _index_entries(
         self, modality: Modality, entries: Dict[str, str]
     ) -> None:
-        content = self._content[modality]
-        semantic = self._semantic.get(modality)
-        for index_id, payload in entries.items():
-            self._index_entry(content, semantic, index_id, payload)
+        self._fill(
+            self._content[modality], self._semantic.get(modality),
+            entries.items(),
+        )
+
+    def _fill(
+        self,
+        content: InvertedIndex,
+        semantic: Optional[FlatVectorIndex],
+        entries: Iterable[Tuple[str, str]],
+    ) -> None:
+        """Analyse each payload once and count its terms once; hand the
+        counts to the BM25 index and, when there is a vector index,
+        :data:`_EMBED_BLOCK` entries at a time through the vectorizer to
+        it.  Both analyse with the default chain, so each gets what its
+        own ``add`` would have."""
+        pending: List[Tuple[str, Counter]] = []
+        for index_id, payload in entries:
+            terms = Counter(analyze(payload))
+            content.add_counts(index_id, terms)
+            if semantic is not None:
+                pending.append((index_id, terms))
+                if len(pending) == _EMBED_BLOCK:
+                    self._embed(semantic, pending)
+                    pending = []
+        if pending:
+            self._embed(semantic, pending)
+
+    def _embed(
+        self, semantic: FlatVectorIndex, pending: List[Tuple[str, Counter]]
+    ) -> None:
+        ids, counts = zip(*pending)
+        semantic.add_vectors(ids, self._vectorizer.transform_counts(counts))
 
     def _unindex_entries(
         self, modality: Modality, entries: Dict[str, str]
     ) -> None:
         """Drop entries from the content index and the vector index,
         handing the BM25 index each payload's terms (the mirror of
-        :meth:`_index_entry`), so a removal costs what the entry holds."""
+        :meth:`_fill`), so a removal costs what the entry holds."""
         content = self._content[modality]
         semantic = self._semantic.get(modality)
         for index_id, payload in entries.items():
@@ -209,8 +229,7 @@ class IndexerModule:
         reader the modality is built."""
         content = InvertedIndex(name=f"bm25-{modality.value}")
         semantic = self._new_semantic_index(modality)
-        for index_id, payload in self._modality_entries(modality):
-            self._index_entry(content, semantic, index_id, payload)
+        self._fill(content, semantic, self._modality_entries(modality))
         content.seal()
         indexes: List[SearchIndex] = [content]
         if semantic is not None:

@@ -56,7 +56,11 @@ class HNSWIndex(VectorIndex):
         return self._distance(self._rows[node], vector)
 
     # -- construction -------------------------------------------------------
-    def _store(self, instance_id: str, vector: np.ndarray) -> None:
+    def _store(self, block: np.ndarray) -> None:
+        for vector in block:
+            self._insert(vector)
+
+    def _insert(self, vector: np.ndarray) -> None:
         node = len(self._rows)
         self._rows.append(vector)
         level = int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)

@@ -50,7 +50,8 @@ from bisect import bisect_right, insort_right
 from collections import Counter
 from itertools import chain, compress
 from typing import (
-    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
@@ -394,19 +395,25 @@ class InvertedIndex(SearchIndex):
 
     def add_tokens(self, instance_id: str, tokens: Sequence[str]) -> None:
         """Index one document by its analysed tokens: what :meth:`add`
-        does after analysing, for a caller that analysed the payload
-        under this index's settings and hands the terms to other
-        indexes too."""
+        does after analysing."""
+        self.add_counts(instance_id, Counter(tokens))
+
+    def add_counts(self, instance_id: str, counts: Mapping[str, int]) -> None:
+        """Index one document by the counts of its analysed tokens, in
+        first-occurrence order (a ``Counter`` of them): what
+        :meth:`add_tokens` does after counting, for a caller that
+        analysed the payload under this index's settings and hands the
+        counts to other indexes too."""
         if instance_id in self._doc_length:
             raise ValueError(f"duplicate instance id: {instance_id}")
         self._sealed = None  # any write un-publishes the read form
-        self._doc_length[instance_id] = len(tokens)
-        self._total_length += len(tokens)
-        counts = Counter(tokens)
+        length = sum(counts.values())
+        self._doc_length[instance_id] = length
+        self._total_length += length
         distinct = tuple(map(sys.intern, counts))
         record = self._fresh[instance_id] = (distinct, tuple(counts.values()))
         if self._base is not None:
-            self._writes().add(instance_id, *record, len(tokens))
+            self._writes().add(instance_id, *record, length)
             self._touched.update(distinct)
         self._df.update(distinct)
         self._compact_if_outgrown()

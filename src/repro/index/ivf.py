@@ -78,8 +78,8 @@ class IVFFlatIndex(VectorIndex):
         self._data: Optional[np.ndarray] = None
         self._norms: Optional[np.ndarray] = None
 
-    def _store(self, instance_id: str, vector: np.ndarray) -> None:
-        self._rows.append(vector)
+    def _store(self, block: np.ndarray) -> None:
+        self._rows.extend(block)
         self._centroids = None  # retrain on next search
         self._cells = {}
         self._data = self._norms = None

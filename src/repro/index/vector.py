@@ -145,13 +145,36 @@ class VectorIndex(SearchIndex):
 
     # -- vector interface ----------------------------------------------
     def add_vector(self, instance_id: str, vector: np.ndarray) -> None:
-        if instance_id in self._id_set:
-            raise ValueError(f"duplicate instance id: {instance_id}")
-        vector = self._check_vector(vector)
-        self._id_set.add(instance_id)
-        self._ids.append(instance_id)
+        """:meth:`add_vectors` of one row."""
+        self.add_vectors(
+            [instance_id], np.asarray(vector, dtype=np.float64).reshape(1, -1)
+        )
+
+    def add_vectors(self, instance_ids: Sequence[str], block: np.ndarray) -> None:
+        """Store ``block[i]`` under ``instance_ids[i]``, all or none: the
+        whole block is checked — its shape, its finiteness, its ids
+        against each other and against the stored ones — before a row
+        of it is stored."""
+        ids = list(instance_ids)
+        block = np.asarray(block, dtype=np.float64)
+        if block.shape != (len(ids), self.dim):
+            raise ValueError(
+                f"expected {len(ids)} vector(s) of dim {self.dim}, "
+                f"got shape {block.shape}"
+            )
+        if not np.isfinite(block).all():
+            # a NaN score would escape top_ranked's partition cut
+            raise ValueError("expected finite vectors, got NaN or infinity")
+        if len(set(ids)) < len(ids) or not self._id_set.isdisjoint(ids):
+            seen: set = set()
+            for instance_id in ids:
+                if instance_id in self._id_set or instance_id in seen:
+                    raise ValueError(f"duplicate instance id: {instance_id}")
+                seen.add(instance_id)
+        self._id_set.update(ids)
+        self._ids.extend(ids)
         self._ordinal = None
-        self._store(instance_id, vector)
+        self._store(block)
 
     def remove_vector(self, instance_id: str) -> None:
         """Backend-specific eviction; exact backends implement it."""
@@ -167,8 +190,9 @@ class VectorIndex(SearchIndex):
         return self._ordinal
 
     @abc.abstractmethod
-    def _store(self, instance_id: str, vector: np.ndarray) -> None:
-        """Backend-specific insertion."""
+    def _store(self, block: np.ndarray) -> None:
+        """Backend-specific insertion of a checked ``(n, dim)`` block,
+        the rows of the last ``n`` ids."""
 
     @abc.abstractmethod
     def search_vector(self, vector: np.ndarray, k: int = 10) -> List[SearchHit]:
@@ -222,30 +246,37 @@ class FlatVectorIndex(VectorIndex):
         #: L2 norm of every row
         self._row_norms = np.zeros(0)
         #: rows moved out of the stage: into the buckets, or into
-        #: ``_blocks``, ``(norms, rows, values)`` of one staged block each,
-        #: split by bucket, which the next read joins into the buckets
+        #: ``_blocks``, ``(norms, sizes, rows, values)`` of one staged
+        #: block each (see :meth:`_unstage`), which the next read joins
+        #: into the buckets
         self._count = 0
         self._blocks: List[Tuple[np.ndarray, ...]] = []
         #: the ``_staged`` vectors of ``_ids[_count:]``
         self._stage = np.zeros((_STAGE_ROWS, dim), dtype=np.float64)
         self._staged = 0
 
-    def _store(self, instance_id: str, vector: np.ndarray) -> None:
-        if self._staged == _STAGE_ROWS:
-            self._unstage()
-        self._stage[self._staged] = vector
-        self._staged += 1
+    def _store(self, block: np.ndarray) -> None:
+        done = 0
+        while done < len(block):
+            if self._staged == _STAGE_ROWS:
+                self._unstage()
+            at = self._staged
+            take = min(_STAGE_ROWS - at, len(block) - done)
+            self._stage[at:at + take] = block[done:done + take]
+            self._staged = at + take
+            done += take
 
     def _unstage(self) -> None:
-        """Move the staged rows into ``_blocks``: the block's norms and
-        its non-zeros."""
+        """Move the staged rows into ``_blocks``: the block's norms, how
+        many non-zeros each bucket holds, and the non-zeros' rows and
+        values in bucket order."""
         block = self._stage[: self._staged]
         buckets, rows = np.nonzero(block.T)
-        cuts = np.searchsorted(buckets, np.arange(1, self.dim))
         self._blocks.append((
             np.linalg.norm(block, axis=1),
-            np.split((rows + self._count).astype(np.int32), cuts),
-            np.split(block.T[buckets, rows], cuts),
+            np.bincount(buckets, minlength=self.dim),
+            (rows + self._count).astype(np.int32),
+            block.T[buckets, rows],
         ))
         self._count += self._staged
         self._staged = 0
@@ -256,10 +287,33 @@ class FlatVectorIndex(VectorIndex):
         if self._staged:
             self._unstage()
         if self._blocks:
-            norms, rows, values = zip(*self._blocks)
-            self._rows = [np.concatenate(p) for p in zip(self._rows, *rows)]
+            norms, sizes, rows, values = zip(*self._blocks)
+            held = np.array([len(bucket) for bucket in self._rows])
+            totals = held + np.sum(sizes, axis=0)
+            bounds = np.concatenate(([0], np.cumsum(totals))).tolist()
+            all_rows = np.empty(bounds[-1], dtype=np.int32)
+            all_values = np.empty(bounds[-1])
+            # each bucket: its rows as they are, then every block's, in
+            # block order, so that its rows stay ascending
+            for start, bucket_rows, bucket_values in zip(
+                bounds, self._rows, self._values
+            ):
+                all_rows[start:start + len(bucket_rows)] = bucket_rows
+                all_values[start:start + len(bucket_values)] = bucket_values
+            fill = np.array(bounds[:-1]) + held
+            for size, block_rows, block_values in zip(sizes, rows, values):
+                # a block's non-zeros are in bucket order: the i-th of
+                # its bucket ``b`` goes to ``fill[b] + i``
+                at = np.repeat(fill - (np.cumsum(size) - size), size)
+                at += np.arange(len(block_rows))
+                all_rows[at] = block_rows
+                all_values[at] = block_values
+                fill += size
+            self._rows = [
+                all_rows[a:b] for a, b in zip(bounds, bounds[1:])
+            ]
             self._values = [
-                np.concatenate(p) for p in zip(self._values, *values)
+                all_values[a:b] for a, b in zip(bounds, bounds[1:])
             ]
             self._row_norms = np.concatenate((self._row_norms,) + norms)
             self._blocks = []

@@ -1,15 +1,21 @@
 """Flat, IVF, and HNSW vector indexes."""
 
+import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import VerifAIConfig
+from repro.core.indexer import IndexerModule
+from repro.datalake.types import Modality
 from repro.embed.vectorizers import HashingVectorizer, TfidfVectorizer
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.vector import FlatVectorIndex
+from repro.workloads.builder import LakeConfig, build_lake
 
 
 def random_vectors(n, dim, seed=0):
@@ -437,3 +443,169 @@ class TestTheIndexHoldsItsNonZeros:
             if name != "_stage"
         )
         assert held <= 16 * non_zeros + 16 * len(texts)
+
+
+# ---------------------------------------------------------------------------
+# add_vectors: a block is checked whole, then staged a slice at a time
+# ---------------------------------------------------------------------------
+def held_state(index):
+    """Everything a refused ``add_vectors`` must leave as it was."""
+    return (
+        list(index._ids),
+        sorted(index._id_set),
+        index._count,
+        index._staged,
+        index._stage[: index._staged].tobytes(),
+        [[part.tobytes() for part in block] for block in index._blocks],
+    )
+
+
+def table_bytes(index):
+    """The ids, every bucket's rows and values, and the row norms."""
+    rows, values, norms = index._table()
+    return (
+        list(index._ids),
+        [bucket.tobytes() for bucket in rows],
+        [bucket.tobytes() for bucket in values],
+        norms.tobytes(),
+    )
+
+
+class TestAddVectorsRefusals:
+    """The checks ``add_vector`` made one vector at a time, made on the
+    whole block before any of it is stored."""
+
+    @pytest.fixture
+    def index(self):
+        index = FlatVectorIndex(dim=4)
+        # one block moved out of the stage, 44 rows staged on top
+        index.add_vectors(
+            [f"v{i}" for i in range(300)], random_vectors(300, 4, seed=8)
+        )
+        assert index._blocks and index._staged == 44
+        return index
+
+    @pytest.mark.parametrize("ids, block, match", [
+        (["a", "b"], np.ones((2, 5)), r"expected 2 vector\(s\) of dim 4"),
+        (["a", "b"], np.ones((3, 4)), r"expected 2 vector\(s\) of dim 4"),
+        (["a"], np.ones(4), r"got shape \(4,\)"),
+        (["a", "b"], np.array([[1.0, 0, 0, 0], [0, np.nan, 0, 0]]), "finite"),
+        (["a", "b"], np.array([[np.inf, 0, 0, 0], [0, 1.0, 0, 0]]), "finite"),
+        (["a"], np.array([[0, 0, -np.inf, 0]]), "finite"),
+        (["a", "b", "a"], np.ones((3, 4)), "duplicate instance id: a"),
+        (["a", "v7"], np.ones((2, 4)), "duplicate instance id: v7"),
+        (["v299"], np.ones((1, 4)), "duplicate instance id: v299"),
+    ], ids=[
+        "wide", "long", "flat", "nan", "inf", "-inf",
+        "twice-in-block", "stored-in-blocks", "stored-in-stage",
+    ])
+    def test_a_refused_block_leaves_the_index_as_it_was(
+        self, index, ids, block, match
+    ):
+        before = held_state(index)
+        with pytest.raises(ValueError, match=match):
+            index.add_vectors(ids, block)
+        assert held_state(index) == before
+        assert "a" not in index and len(index) == 300
+
+    def test_a_refusal_stores_nothing_it_already_checked(self, index):
+        # the good rows before the bad one are not kept either
+        block = np.ones((5, 4))
+        block[4, 2] = np.nan
+        before = held_state(index)
+        with pytest.raises(ValueError, match="finite"):
+            index.add_vectors([f"n{i}" for i in range(5)], block)
+        assert held_state(index) == before
+        index.add_vectors([f"n{i}" for i in range(4)], block[:4])
+        assert len(index) == 304
+
+    def test_an_empty_block_is_a_no_op(self, index):
+        before = held_state(index)
+        index.add_vectors([], np.zeros((0, 4)))
+        assert held_state(index) == before
+
+
+class TestBlockBoundaries:
+    """One entry sequence, embedded and added in blocks of any size,
+    holds the same bytes: the kernel's rows do not depend on their
+    block, and the stage fills the same rows whatever slices reach it."""
+
+    @staticmethod
+    def entries(count, seed=6):
+        pyrandom = random.Random(seed)
+        words = [f"w{i}" for i in range(400)] + ["the", "of"]
+        return [
+            (f"e{position:04d}", Counter(pyrandom.choices(
+                words, k=pyrandom.randint(0, 25)
+            )))
+            for position in range(count)
+        ]
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
+    def test_blocks_of_1_7_256_and_all_hold_the_same_bytes(self, count):
+        entries = self.entries(count)
+        held = []
+        for size in (1, 7, 256, count):
+            vectorizer = HashingVectorizer(dim=64)
+            index = FlatVectorIndex(dim=64)
+            for start in range(0, count, size):
+                block = entries[start:start + size]
+                index.add_vectors(
+                    [instance_id for instance_id, _ in block],
+                    vectorizer.transform_counts([terms for _, terms in block]),
+                )
+            held.append(table_bytes(index))
+        assert held[1:] == held[:1] * 3
+
+    def test_add_vector_is_add_vectors_of_one_row(self):
+        entries = self.entries(300)
+        vectorizer = HashingVectorizer(dim=64)
+        one, block = FlatVectorIndex(dim=64), FlatVectorIndex(dim=64)
+        for instance_id, terms in entries:
+            one.add_vector(
+                instance_id,
+                vectorizer.transform_tokens(list(terms.elements())),
+            )
+        block.add_vectors(
+            [instance_id for instance_id, _ in entries],
+            vectorizer.transform_counts([terms for _, terms in entries]),
+        )
+        assert table_bytes(one) == table_bytes(block)
+
+
+#: sha256 per modality of the semantic index's ids, bucket rows, bucket
+#: values and row norms for ``build_lake(LakeConfig(num_tables=48,
+#: seed=5))``, taken at ``988646c``, before the index was embedded a
+#: block at a time
+PINNED_SEMANTIC = {
+    "tuple": "00ccd11eced7316c6f5880e62852c7e9447451b518d432e779a06436fc27950d",
+    "text": "094700c0c86883cc83f9fd329aed66b49b26c7e832297c59b23c69aabf2dffd5",
+    "table": "373d34d768e288f8fdf409a515f99a764dfedb0b5f6c9b35bd47f1313a0c1d56",
+}
+
+
+def semantic_digest(index):
+    hasher = hashlib.sha256()
+
+    def feed(data):
+        hasher.update(len(data).to_bytes(8, "big"))
+        hasher.update(data)
+
+    ids, rows, values, norms = table_bytes(index)
+    feed("\n".join(ids).encode())
+    for bucket_rows, bucket_values in zip(rows, values):
+        feed(bucket_rows)
+        feed(bucket_values)
+    feed(norms)
+    return hasher.hexdigest()
+
+
+class TestSemanticIndexPin:
+    def test_a_seeded_lake_embeds_to_the_pinned_bytes(self):
+        lake = build_lake(LakeConfig(num_tables=48, seed=5)).lake
+        indexer = IndexerModule(lake, VerifAIConfig(use_semantic_index=True))
+        digests = {
+            modality.value: semantic_digest(indexer.semantic_index(modality))
+            for modality in (Modality.TUPLE, Modality.TEXT, Modality.TABLE)
+        }
+        assert digests == PINNED_SEMANTIC
