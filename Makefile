@@ -46,8 +46,7 @@ trace-demo:
 # analysis and similarity, the campaign path's glue (prompt splitting
 # and response parsing, the verifier module, the combiner and the
 # ranking type it fuses, the data objects), the evidence form's writers
-# and readers, the indexer's build-on-first-read lifecycle, the
-# cross-modal discovery index, the knowledge graph, the corpus
+# and readers, the indexer's build-on-first-read lifecycle, the corpus
 # generator's name and page draws, the trust model with its pooling
 # rule, the experiment runners that verify through the system (the
 # labelled cases, the end-to-end and trust campaigns, Table 2, the
@@ -76,8 +75,6 @@ coverage:
 		--target src/repro/datalake/serialize.py \
 		--target src/repro/verify/objects.py \
 		--target src/repro/core/indexer.py \
-		--target src/repro/discovery/crossmodal.py \
-		--target src/repro/datalake/kg.py \
 		--target src/repro/workloads/vocab.py \
 		--target src/repro/workloads/textgen.py \
 		--target src/repro/trust/model.py \
@@ -101,7 +98,6 @@ coverage:
 		tests/test_datalake_serialize.py tests/test_index_ranking.py \
 		tests/test_rerank_vocabulary.py tests/test_indexer_lazy.py \
 		tests/test_core_indexer.py tests/test_core_indexer_extensions.py \
-		tests/test_discovery.py tests/test_datalake_kg.py \
 		tests/test_workloads.py tests/test_workloads_textgen_kinds.py \
 		tests/test_trust.py tests/test_core_pipeline.py \
 		tests/test_experiments_smoke.py tests/test_experiments_harness.py \

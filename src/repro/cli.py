@@ -12,7 +12,6 @@ Subcommands::
     repro profile     -- verify-batch --lake lake.json --sample 20
     repro trace       out.json [--json]
     repro serve       --lake lake.json [--port 8080] [--queue 16]
-    repro discover    --lake lake.json --query "..." [--modality text]
     repro experiment  --name table1 [--scale small]
     repro lint        [--json] [--root DIR] [paths...]
     repro coverage    [--floor 0.9] [--target PATH ...] -- [pytest args...]
@@ -32,7 +31,6 @@ from typing import List, Optional
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.datalake.persistence import load_lake, save_lake
-from repro.datalake.types import Modality
 from repro.serve.config import ServeConfig
 from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
@@ -40,11 +38,8 @@ from repro.workloads.tables import ScopeExhausted
 
 
 def _cmd_build_lake(args: argparse.Namespace) -> int:
-    # the saved file feeds `discover` and `stats`, which read the KG
     try:
-        bundle = build_lake(
-            LakeConfig(num_tables=args.tables, seed=args.seed, build_kg=True)
-        )
+        bundle = build_lake(LakeConfig(num_tables=args.tables, seed=args.seed))
     except ScopeExhausted as exc:
         print(f"build-lake: {exc}", file=sys.stderr)
         return 2
@@ -64,7 +59,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"tables:      {stats.num_tables}")
     print(f"tuples:      {stats.num_tuples}")
     print(f"text files:  {stats.num_text_files}")
-    print(f"kg entities: {stats.num_kg_entities}")
     print(f"sources:     {stats.num_sources}")
     return 0
 
@@ -262,19 +256,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_discover(args: argparse.Namespace) -> int:
-    from repro.discovery.crossmodal import CrossModalIndex
-
-    lake = load_lake(args.lake)
-    index = CrossModalIndex(lake).build()
-    modalities = None
-    if args.modality:
-        modalities = [Modality(args.modality)]
-    for hit in index.search(args.query, k=args.k, modalities=modalities):
-        print(f"{hit.score:6.3f}  [{hit.modality.value:9s}] {hit.instance_id}")
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import get_context
     from repro.experiments.report import render_experiment
@@ -448,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort on the first per-object fault instead of reporting it",
     )
     p.add_argument(
-        "--retries", type=_non_negative_int, default=None, metavar="N",
-        help="extra attempts per faulted object "
-             "(default: config batch_max_retries)",
+        "--retries", type=_non_negative_int, default=0, metavar="N",
+        help="extra attempts per faulted object (default: 0)",
     )
     p.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -509,15 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-emit the validated stable JSON instead of the tree",
     )
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("discover", help="cross-modal discovery query")
-    p.add_argument("--lake", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", type=_positive_int, default=10)
-    p.add_argument(
-        "--modality", choices=[m.value for m in Modality], default=None
-    )
-    p.set_defaults(func=_cmd_discover)
 
     p = sub.add_parser("experiment", help="run one paper experiment")
     p.add_argument(

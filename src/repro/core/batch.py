@@ -206,9 +206,8 @@ class Campaign:
     cold fills for itself.
 
     ``fail_fast`` re-raises the first per-object fault instead of
-    reporting it; ``max_retries`` (default
-    ``system.config.batch_max_retries``) grants each object that many
-    extra attempts before it is reported FAILED.  ``profile`` (with
+    reporting it; ``max_retries`` (default 0) grants each object that
+    many extra attempts before it is reported FAILED.  ``profile`` (with
     ``trace``) stamps spans with thread-CPU readings.
     """
 
@@ -223,13 +222,11 @@ class Campaign:
         profile: bool = False,
         solo: bool = False,
         fail_fast: bool = False,
-        max_retries: Optional[int] = None,
+        max_retries: int = 0,
     ) -> None:
         for name, depth in (("k_coarse", k_coarse), ("k_fine", k_fine)):
             if depth is not None:
                 require_at_least(name, depth, 1)
-        if max_retries is None:
-            max_retries = system.config.batch_max_retries
         require_at_least("max_retries", max_retries, 0)
         self.fail_fast = fail_fast
         self.max_retries = max_retries

@@ -39,17 +39,9 @@ class VerifAIConfig:
     * ``use_reranker`` — apply the task-specific reranker (off = the
       paper's Section 4 setting, which evaluates raw index retrieval);
     * ``prefer_local`` — Agent policy: route to local verifiers when one
-      supports the pair, else the LLM;
-    * ``batch_max_retries`` — extra attempts the per-object error
-      boundary grants an object whose retrieve/rerank/verify raised
-      (0 = fail on the first error).  One boundary serves
-      :meth:`VerifAI.verify_batch` and :meth:`VerifAI.verify` (the
-      campaign of one), so both honour it.
-      Retries are immediate and deterministic — no sleeps or jitter —
-      so two runs stay report-for-report identical.
+      supports the pair, else the LLM.
 
-    A depth or count below its floor (1; 0 for
-    ``batch_max_retries``) is refused at construction with a
+    A depth below its floor (1) is refused at construction with a
     ``ValueError`` naming the field.
     """
 
@@ -61,13 +53,11 @@ class VerifAIConfig:
     use_reranker: bool = False
     fusion: FusionMethod = FusionMethod.RRF
     prefer_local: bool = False
-    batch_max_retries: int = 0
 
     def __post_init__(self) -> None:
         require_at_least("k_coarse", self.k_coarse, 1)
         for modality, depth in self.k_fine.items():
             require_at_least(f"k_fine[{modality.value}]", depth, 1)
-        require_at_least("batch_max_retries", self.batch_max_retries, 0)
 
     def fine_k(self, modality: Modality) -> int:
         """Shortlist size for one modality."""

@@ -1,6 +1,6 @@
 """The Indexer module: task-agnostic retrieval over the lake.
 
-Per modality (tuples, tables, text files, KG entities) it maintains a
+Per modality (tuples, tables, text files) it maintains a
 content-based BM25 index and, optionally, a semantic vector index; the
 Combiner fuses their rankings.  All indexes speak instance ids, which
 the lake resolves back to data instances.
@@ -11,8 +11,8 @@ top-3 text files.
 
 A modality's indexes and Combiner are built together, by
 :meth:`build` or by the first read that needs them, and published only
-once filled and sealed: a modality no caller reads (the KG entities,
-under the default routes) is never built.
+once filled and sealed: a modality no caller reads is never built (a
+claim-only caller builds TABLE alone, never TUPLE or TEXT).
 
 The module supports the full incremental lifecycle: instances added to
 the lake after a build fold in with :meth:`add_instance`, and lake
@@ -41,13 +41,6 @@ from repro.core.config import EMBEDDING_DIM, VerifAIConfig
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
 from repro.text import analyze
-
-_INDEXED_MODALITIES = (
-    Modality.TUPLE,
-    Modality.TABLE,
-    Modality.TEXT,
-    Modality.KG_ENTITY,
-)
 
 #: entries embedded by one vectorizer call
 _EMBED_BLOCK = 256
@@ -184,11 +177,6 @@ class IndexerModule:
     def _modality_entries(self, modality: Modality) -> List[Tuple[str, str]]:
         """Every (index id, payload) entry of one modality, in lake
         iteration order."""
-        if modality is Modality.KG_ENTITY:
-            return [
-                (entity.instance_id, entity.serialize())
-                for entity in self.lake.kg.entities()
-            ]
         return [
             (instance.instance_id, serialize_instance(instance))
             for instance in self.lake.iter_instances(modality)
@@ -196,7 +184,7 @@ class IndexerModule:
 
     def build(
         self,
-        modalities: Iterable[Modality] = _INDEXED_MODALITIES,
+        modalities: Iterable[Modality] = tuple(Modality),
         branch=None,
         parent=None,
     ) -> "IndexerModule":
@@ -213,7 +201,7 @@ class IndexerModule:
         if not missing:
             return self
         branch = branch or NULL_BRANCH
-        for modality in _INDEXED_MODALITIES:
+        for modality in Modality:
             if modality in missing:
                 with branch.span(
                     f"index.build:{modality.value}",

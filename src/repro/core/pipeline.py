@@ -151,10 +151,9 @@ class VerifAI:
     def build_indexes(self) -> "VerifAI":
         """Build the indexes of every modality a default route reads:
         the union of ``DEFAULT_MODALITIES``' values, TUPLE, TEXT and
-        TABLE.  Any other modality (the KG entities) is built by its
-        first search; without this call, so is every modality.  Nothing
-        else is prepared: a reranker reads a payload, and embeds its
-        tokens, when a rerank first meets it."""
+        TABLE.  Without this call, each modality is built by its first
+        search.  Nothing else is prepared: a reranker reads a payload,
+        and embeds its tokens, when a rerank first meets it."""
         self.indexer.build(
             modality for route in DEFAULT_MODALITIES.values()
             for modality in route
@@ -259,8 +258,7 @@ class VerifAI:
         object, so it runs inside the same per-object error boundary — a
         fault anywhere in retrieve/rerank/verify finalizes the
         provenance record with the failure, lands in the flight
-        recorder, and returns a ``FAILED`` report instead of raising,
-        after ``config.batch_max_retries`` extra attempts (default 0).
+        recorder, and returns a ``FAILED`` report instead of raising.
         ``fail_fast=True`` restores raise-on-error (the record is still
         finalized first, so no dangling lineage either way).
 
@@ -290,7 +288,7 @@ class VerifAI:
         k_coarse: Optional[int] = None,
         k_fine: Optional[int] = None,
         fail_fast: bool = False,
-        max_retries: Optional[int] = None,
+        max_retries: int = 0,
         trace: bool = False,
         profile: bool = False,
     ) -> "BatchReport":
@@ -303,9 +301,9 @@ class VerifAI:
         ``ValueError``): it stays only for callers written when the
         campaign could fan out to threads.  Each object runs inside an
         error boundary: a fault yields a ``FAILED`` report (after
-        ``max_retries`` extra attempts, default
-        ``config.batch_max_retries``) instead of aborting the campaign;
-        ``fail_fast=True`` restores raise-on-first-error.  The returned
+        ``max_retries`` extra attempts, default 0) instead of aborting
+        the campaign; ``fail_fast=True`` restores raise-on-first-error.
+        The returned
         :class:`BatchReport` carries stage timings, cache-hit, failure,
         and retry counters in ``stats``; ``trace=True`` additionally
         attaches a campaign-wide span tree (``report.trace``) whose

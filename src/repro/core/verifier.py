@@ -58,10 +58,7 @@ class VerifierModule:
         """Lake source name of an evidence instance."""
         if isinstance(evidence, Row):
             return self.lake.table(evidence.table_id).source.name
-        source = getattr(evidence, "source", None)
-        if source is None:  # KG entities have no per-instance source
-            return "knowledge-graph"
-        return source.name
+        return evidence.source.name
 
     def verify_pool(
         self,

@@ -1,13 +1,10 @@
 """Multi-modal data lake: datatypes, catalog, serialization, persistence.
 
-The paper's lake stores relational tables and textual files (knowledge
-graphs are sketched as a Section 5 extension; a prototype lives in
-:mod:`repro.datalake.kg`).  Every unit of data the Indexer can retrieve is
-a :class:`DataInstance` with a stable id, a modality, and a source tag
-used by the trust model.
+The paper's lake stores relational tables and textual files.  Every unit
+of data the Indexer can retrieve is a :class:`DataInstance` with a stable
+id, a modality, and a source tag used by the trust model.
 """
 
-from repro.datalake.kg import KnowledgeGraph, KGEntity, KGTriple
 from repro.datalake.lake import DataLake, LakeStats
 from repro.datalake.persistence import load_lake, save_lake
 from repro.datalake.serialize import (
@@ -28,9 +25,6 @@ from repro.datalake.types import (
 __all__ = [
     "DataInstance",
     "DataLake",
-    "KGEntity",
-    "KGTriple",
-    "KnowledgeGraph",
     "LakeStats",
     "Modality",
     "Row",

@@ -1,8 +1,8 @@
 """The multi-modal data lake catalog.
 
 A :class:`DataLake` is the single repository from which VerifAI's Indexer
-retrieves evidence.  It stores tables and text documents (plus an optional
-knowledge graph), exposes every unit as a uniformly addressable
+retrieves evidence.  It stores tables and text documents, exposes every
+unit as a uniformly addressable
 :class:`~repro.datalake.types.DataInstance`, and tracks per-source
 statistics for the trust model.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.datalake.kg import KnowledgeGraph
 from repro.datalake.types import (
     DataInstance,
     Modality,
@@ -30,7 +29,6 @@ class LakeStats:
     num_tables: int
     num_tuples: int
     num_text_files: int
-    num_kg_entities: int
     num_sources: int
 
 
@@ -41,7 +39,6 @@ class DataLake:
         self.name = name
         self._tables: Dict[str, Table] = {}
         self._documents: Dict[str, TextDocument] = {}
-        self._kg = KnowledgeGraph()
         #: entity name -> the id of the one document about it, or the
         #: ids of the several, in ``_documents`` order: the first is the
         #: entity's page (a list only where one is needed)
@@ -70,11 +67,6 @@ class DataLake:
                 self._entity_docs[entity] = [ids, doc.doc_id]
             else:
                 ids.append(doc.doc_id)
-
-    @property
-    def kg(self) -> KnowledgeGraph:
-        """The lake's (optional) knowledge-graph modality."""
-        return self._kg
 
     # ------------------------------------------------------------------
     # mutation
@@ -111,15 +103,15 @@ class DataLake:
         """Remove a top-level instance (table or document) by id.
 
         Returns the removed instance so callers (the Indexer) can
-        unindex its derived entries — a table's tuples.  Tuples and KG
-        entities are not individually removable: tuples live and die
-        with their table, and raise ``ValueError``.
+        unindex its derived entries — a table's tuples.  Tuples are not
+        individually removable: they live and die with their table, and
+        raise ``ValueError``.
         """
         if instance_id in self._tables:
             return self.remove_table(instance_id)
         if instance_id in self._documents:
             return self.remove_document(instance_id)
-        if "#r" in instance_id or instance_id.startswith("kg:"):
+        if "#r" in instance_id:
             raise ValueError(
                 f"cannot remove {instance_id!r}: only top-level tables "
                 "and documents are removable"
@@ -173,16 +165,12 @@ class DataLake:
         return self._documents[ids if isinstance(ids, str) else ids[0]]
 
     def instance(self, instance_id: str) -> DataInstance:
-        """Resolve any instance id: table id, ``table#rN`` tuple id, doc
-        id, or ``kg:<slug>`` knowledge-graph entity id."""
+        """Resolve any instance id: table id, ``table#rN`` tuple id, or
+        doc id."""
         if instance_id in self._tables:
             return self._tables[instance_id]
         if instance_id in self._documents:
             return self._documents[instance_id]
-        if instance_id.startswith("kg:"):
-            entity = self._kg.entity_by_id(instance_id)
-            if entity is not None:
-                return entity
         if "#r" in instance_id:
             table_id, _, row_part = instance_id.rpartition("#r")
             table = self._tables.get(table_id)
@@ -249,7 +237,6 @@ class DataLake:
             num_tables=len(self._tables),
             num_tuples=sum(t.num_rows for t in self._tables.values()),
             num_text_files=len(self._documents),
-            num_kg_entities=self._kg.num_entities,
             num_sources=len(self.sources()),
         )
 

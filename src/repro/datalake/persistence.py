@@ -46,22 +46,28 @@ def save_lake(lake: DataLake, path: Union[str, Path]) -> None:
             }
             for d in lake.documents()
         ],
-        "kg_triples": [
-            [t.subject, t.predicate, t.obj]
-            for entity in lake.kg.entities()
-            for t in entity.triples
-        ],
     }
     write_json(payload, Path(path))
 
 
 def load_lake(path: Union[str, Path]) -> DataLake:
-    """Load a lake previously written by :func:`save_lake`."""
+    """Load a lake previously written by :func:`save_lake`.
+
+    A file saved before the lake dropped its knowledge graph may carry a
+    ``kg_triples`` key: an empty one loads, a non-empty one is refused
+    rather than its facts dropped silently.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported lake format version: {payload.get('version')!r}"
+        )
+    if payload.get("kg_triples"):
+        raise ValueError(
+            f"{path}: the lake file holds {len(payload['kg_triples'])} "
+            "'kg_triples', and the lake has no knowledge graph to load "
+            "them into"
         )
     lake = DataLake(name=payload["name"])
     for entry in payload["tables"]:
@@ -88,6 +94,4 @@ def load_lake(path: Union[str, Path]) -> DataLake:
                 metadata=entry["metadata"],
             )
         )
-    for subject, predicate, obj in payload.get("kg_triples", []):
-        lake.kg.add(subject, predicate, obj)
     return lake

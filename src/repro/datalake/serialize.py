@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.datalake.kg import KGEntity
 from repro.datalake.types import DataInstance, Row, Table, TextDocument
 
 
@@ -96,6 +95,4 @@ def serialize_instance(instance: DataInstance) -> str:
         return serialize_table(instance)
     if isinstance(instance, TextDocument):
         return serialize_text(instance)
-    if isinstance(instance, KGEntity):
-        return instance.serialize()
     raise TypeError(f"not a data instance: {type(instance).__name__}")

@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.datalake.kg import KGEntity
 from repro.text.numbers import parse_number
 
 
@@ -21,7 +20,6 @@ class Modality(enum.Enum):
     TUPLE = "tuple"
     TABLE = "table"
     TEXT = "text"
-    KG_ENTITY = "kg_entity"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -185,7 +183,7 @@ class TextDocument:
         return self.doc_id
 
 
-DataInstance = Union[Row, Table, TextDocument, KGEntity]
+DataInstance = Union[Row, Table, TextDocument]
 
 
 def modality_of(instance: DataInstance) -> Modality:
@@ -196,8 +194,6 @@ def modality_of(instance: DataInstance) -> Modality:
         return Modality.TABLE
     if isinstance(instance, TextDocument):
         return Modality.TEXT
-    if isinstance(instance, KGEntity):
-        return Modality.KG_ENTITY
     raise TypeError(f"not a data instance: {type(instance).__name__}")
 
 

@@ -221,10 +221,7 @@ def get_context(
     if config is None and cache_key in _CACHE:
         return _CACHE[cache_key]
     sizes = SCALES[scale]
-    # the KG examples (kg_verification, crossmodal_discovery) read it
-    bundle = build_lake(
-        LakeConfig(num_tables=sizes["num_tables"], seed=seed, build_kg=True)
-    )
+    bundle = build_lake(LakeConfig(num_tables=sizes["num_tables"], seed=seed))
     tuple_workload = build_tuple_workload(
         bundle, num_tasks=sizes["num_tuples"], seed=seed + 1
     )

@@ -17,7 +17,6 @@ A :class:`VerifierAgent` decides which verifier handles a given
 
 from repro.verify.agent import VerifierAgent
 from repro.verify.base import VerificationError, VerificationOutcome, Verifier
-from repro.verify.kg_verifier import KGVerifier
 from repro.verify.llm_verifier import LLMVerifier
 from repro.verify.objects import ClaimObject, DataObject, TupleObject
 from repro.verify.pasta import PastaVerifier
@@ -27,7 +26,6 @@ from repro.verify.verdict import Verdict
 __all__ = [
     "ClaimObject",
     "DataObject",
-    "KGVerifier",
     "LLMVerifier",
     "PastaVerifier",
     "TupleObject",

@@ -1,4 +1,4 @@
-"""Lake assembly: tables + entity pages (+ an opt-in knowledge graph).
+"""Lake assembly: tables + entity pages.
 
 :func:`build_lake` is the single entry point benchmarks and examples use
 to obtain a corpus with ground-truth relevance structure.
@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 
 from repro.datalake.lake import DataLake
 from repro.datalake.types import Row, Table
-from repro.workloads.tables import Entity, WebTableGenerator
+from repro.workloads.tables import WebTableGenerator
 from repro.workloads.textgen import EntityPageGenerator
 
 
@@ -24,9 +24,6 @@ class LakeConfig:
     the same relevance structure.  The paper's scale is out of reach:
     the generator runs out of unique captions near 2,900 tables and
     raises :class:`~repro.workloads.tables.ScopeExhausted`.
-
-    ``build_kg`` fills the Section 5 knowledge graph.  No default route
-    reads it, so it is off unless a KG reader gets the lake.
     """
 
     seed: int = 0
@@ -34,7 +31,6 @@ class LakeConfig:
     domain_mix: Optional[Dict[str, float]] = None
     boilerplate_level: int = 3
     cross_mention_rate: float = 0.3
-    build_kg: bool = False
 
 
 @dataclass
@@ -69,15 +65,6 @@ class LakeBundle:
         return doc_ids
 
 
-def _populate_kg(lake: DataLake, entities: Dict[str, Entity]) -> None:
-    """Derive triples from entity appearances (Section 5 KG prototype)."""
-    for entity in entities.values():
-        lake.kg.add(entity.name, "instance of", entity.kind)
-        facts = entity.appearances[0] if entity.appearances else {}
-        for predicate, obj in facts.items():
-            lake.kg.add(entity.name, predicate.replace("_", " "), obj)
-
-
 def build_lake(config: LakeConfig = LakeConfig()) -> LakeBundle:
     """Build a complete multi-modal lake from a config."""
     table_gen = WebTableGenerator(seed=config.seed)
@@ -94,6 +81,4 @@ def build_lake(config: LakeConfig = LakeConfig()) -> LakeBundle:
         lake.add_table(table)
     for doc in documents:
         lake.add_document(doc)
-    if config.build_kg:
-        _populate_kg(lake, table_gen.entities)
     return LakeBundle(lake=lake, tables=tables, config=config)

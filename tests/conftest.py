@@ -1,6 +1,5 @@
 """Shared test fixtures: a tiny hand-written lake and a small synthetic
-bundle, with and without its KG (all session-scoped; construction is
-deterministic), plus the seeded churn-sequence generator the churn
+bundle (all session-scoped; construction is deterministic), plus the seeded churn-sequence generator the churn
 differential tests drive lake mutation with."""
 
 import random
@@ -194,13 +193,6 @@ def tiny_lake(election_table, medal_table):
 def small_bundle():
     """A small generated bundle shared across integration tests."""
     return build_lake(LakeConfig(num_tables=60, seed=11))
-
-
-@pytest.fixture(scope="session")
-def kg_bundle():
-    """``small_bundle``'s lake with the opt-in knowledge graph filled,
-    for the suites that read the KG."""
-    return build_lake(LakeConfig(num_tables=60, seed=11, build_kg=True))
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ opt-in ``fail_fast`` raise-on-first-error escape hatch.
 
 import pytest
 
+from repro.core.batch import Campaign, run_campaign
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import STATUS_FAILED, STATUS_OK, VerifAI
 from repro.datalake.types import Modality
@@ -163,25 +164,21 @@ class TestPoisonedBatch:
 
 class TestRetries:
     def test_retry_then_succeed(self, bundle):
-        system = make_system(
-            bundle, prefer_local=True, batch_max_retries=1
-        )
+        system = make_system(bundle, prefer_local=True)
         flaky = FlakyVerifier(failures=1)
         system.verifier.agent.local_verifiers.append(flaky)
         obj = TupleObject(
             "flaky-1", bundle.tables[0].row(0),
             attribute=bundle.tables[0].columns[1],
         )
-        batch = system.verify_batch([obj, obj])
+        batch = system.verify_batch([obj, obj], max_retries=1)
         assert all(r.ok for r in batch.reports)
         assert batch.stats.retries == 1
         assert batch.stats.failed == 0
         assert system.provenance.open_records() == []
 
     def test_retries_exhausted_reports_failure(self, bundle):
-        system = make_system(
-            bundle, prefer_local=True, batch_max_retries=2
-        )
+        system = make_system(bundle, prefer_local=True)
         system.verifier.agent.local_verifiers.append(
             FlakyVerifier(failures=10 ** 6)
         )
@@ -189,12 +186,12 @@ class TestRetries:
             "flaky-2", bundle.tables[0].row(0),
             attribute=bundle.tables[0].columns[1],
         )
-        batch = system.verify_batch([obj])
+        batch = system.verify_batch([obj], max_retries=2)
         assert batch.failed == 1
         assert batch.stats.retries == 2
         assert "VerificationError" in batch.reports[0].error
 
-    def test_max_retries_argument_overrides_config(self, bundle):
+    def test_retries_default_to_none(self, bundle):
         system = make_system(bundle, prefer_local=True)
         flaky = FlakyVerifier(failures=1)
         system.verifier.agent.local_verifiers.append(flaky)
@@ -202,9 +199,10 @@ class TestRetries:
             "flaky-3", bundle.tables[0].row(0),
             attribute=bundle.tables[0].columns[1],
         )
-        batch = system.verify_batch([obj], max_retries=3)
-        assert batch.failed == 0
-        assert batch.stats.retries == 1
+        batch = system.verify_batch([obj])
+        assert batch.failed == 1
+        assert batch.stats.retries == 0
+        assert flaky.calls == 1
 
     def test_negative_retries_rejected(self, bundle, mixed_workload):
         system = make_system(bundle)
@@ -286,15 +284,30 @@ class TestSerialVerifyBoundary:
         generation = system.generation_log.for_object("bad-solo")
         assert generation.verification_record_ids == [report.record_id]
 
-    def test_solo_verify_honours_batch_max_retries(self, bundle, event_log):
-        system = make_system(bundle, prefer_local=True, batch_max_retries=1)
+    def test_solo_verify_does_not_retry(self, bundle, event_log):
+        system = make_system(bundle, prefer_local=True)
+        flaky = FlakyVerifier(failures=1)
+        system.verifier.agent.local_verifiers.append(flaky)
+        obj = TupleObject(
+            "flaky-once", bundle.tables[0].row(0),
+            attribute=bundle.tables[0].columns[1],
+        )
+        report = system.verify(obj)
+        assert report.status == STATUS_FAILED
+        assert flaky.calls == 1
+        assert event_log.events(kind="batch.retry") == []
+
+    def test_a_solo_campaign_honours_max_retries(self, bundle, event_log):
+        system = make_system(bundle, prefer_local=True)
         flaky = FlakyVerifier(failures=1)
         system.verifier.agent.local_verifiers.append(flaky)
         obj = TupleObject(
             "flaky-solo", bundle.tables[0].row(0),
             attribute=bundle.tables[0].columns[1],
         )
-        report = system.verify(obj, trace=True)
+        campaign = Campaign(system, [obj], trace=True, solo=True, max_retries=1)
+        report = run_campaign(campaign)[0]
+        report.trace = campaign.trace
         assert report.status == STATUS_OK
         assert flaky.calls > 1
         retries = event_log.events(kind="batch.retry")

@@ -1,4 +1,4 @@
-"""Incremental updates and KG-modality search."""
+"""Whole-instance entries and incremental updates."""
 
 import pytest
 
@@ -134,24 +134,3 @@ class TestIncrementalUpdates:
         assert indexer.built_modalities == frozenset()
         assert indexer.search("apples", Modality.TABLE, 1)
 
-
-class TestKGModality:
-    def test_kg_entities_searchable(self):
-        lake = DataLake("kg-lake")
-        lake.kg.add("tom jenkins", "party", "republican")
-        lake.kg.add("tom jenkins", "district", "ohio 1")
-        lake.kg.add("anne clark", "party", "democratic")
-        indexer = IndexerModule(lake).build()
-        hits = indexer.search("jenkins republican", Modality.KG_ENTITY, 1)
-        assert hits[0].instance_id == "kg:tom_jenkins"
-
-    def test_kg_instance_resolution(self):
-        lake = DataLake("kg-lake")
-        lake.kg.add("tom jenkins", "party", "republican")
-        entity = lake.instance("kg:tom_jenkins")
-        assert entity.name == "tom jenkins"
-
-    def test_kg_unknown_id(self):
-        lake = DataLake("kg-lake")
-        with pytest.raises(KeyError):
-            lake.instance("kg:nobody")

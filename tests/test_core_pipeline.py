@@ -30,12 +30,13 @@ class TestConfig:
         assert config.fine_k(Modality.TABLE) == 5
 
     def test_unknown_modality_default(self):
-        assert VerifAIConfig().fine_k(Modality.KG_ENTITY) == 5
+        config = VerifAIConfig(k_fine={Modality.TUPLE: 2})
+        assert config.fine_k(Modality.TEXT) == 5
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("k_coarse", 0), ("k_coarse", -1), ("batch_max_retries", -1),
+        ("k_coarse", 0), ("k_coarse", -1),
     ])
     def test_a_value_below_the_floor_is_refused(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be >= "):
@@ -47,7 +48,7 @@ class TestConfigValidation:
 
     def test_the_floors_are_accepted(self):
         config = VerifAIConfig(
-            k_coarse=1, k_fine={Modality.TUPLE: 1}, batch_max_retries=0,
+            k_coarse=1, k_fine={Modality.TUPLE: 1},
         )
         assert config.fine_k(Modality.TUPLE) == 1
 

@@ -36,10 +36,8 @@ class TestSourceOf:
     def test_document_source(self, module, tiny_lake):
         assert module.source_of(tiny_lake.document("page-jenkins")) == "wikipages"
 
-    def test_kg_entity_source(self, module, tiny_lake):
-        tiny_lake.kg.add("some entity", "p", "o")
-        entity = tiny_lake.kg.entity("some entity")
-        assert module.source_of(entity) == "knowledge-graph"
+    def test_table_source(self, module, election_table):
+        assert module.source_of(election_table) == "tabfact"
 
 
 class TestVerifyPool:

@@ -83,9 +83,14 @@ class TestIteration:
         assert len(list(tiny_lake.iter_instances(Modality.TEXT))) == 2
         assert len(list(tiny_lake.iter_instances(Modality.TUPLE))) == 7
 
-    def test_iter_kg_modality_rejected(self, tiny_lake):
+    def test_iter_non_modality_rejected(self, tiny_lake):
         with pytest.raises(ValueError):
-            list(tiny_lake.iter_instances(Modality.KG_ENTITY))
+            list(tiny_lake.iter_instances("kg_entity"))
+
+    def test_a_kg_id_is_an_ordinary_unknown_id(self, tiny_lake):
+        with pytest.raises(KeyError, match="no instance with id 'kg:x'"):
+            tiny_lake.instance("kg:x")
+        assert "kg:x" not in tiny_lake
 
     def test_sources(self, tiny_lake):
         names = {source.name for source in tiny_lake.sources()}

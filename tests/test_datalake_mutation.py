@@ -66,10 +66,10 @@ class TestRemove:
         with pytest.raises(KeyError):
             lake.remove_instance("ghost")
 
-    def test_tuples_and_kg_not_removable(self, lake):
+    def test_tuples_not_removable(self, lake):
         with pytest.raises(ValueError):
             lake.remove_instance("t1#r0")
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):
             lake.remove_instance("kg:someone")
 
     def test_stats_shrink(self, lake):

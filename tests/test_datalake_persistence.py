@@ -35,12 +35,12 @@ class TestRoundTrip:
         assert doc.text == tiny_lake.document("page-jenkins").text
         assert doc.entity == "tom jenkins"
 
-    def test_kg_triples_preserved(self, tiny_lake, tmp_path):
-        tiny_lake.kg.add("tom jenkins", "party", "republican")
+    def test_no_kg_triples_written(self, tiny_lake, tmp_path):
         path = tmp_path / "lake.json"
         save_lake(tiny_lake, path)
-        loaded = load_lake(path)
-        assert loaded.kg.has("tom jenkins", "party", "republican")
+        assert sorted(json.loads(path.read_text())) == [
+            "documents", "name", "tables", "version",
+        ]
 
     def test_double_round_trip_stable(self, tiny_lake, tmp_path):
         path_a = tmp_path / "a.json"
@@ -58,12 +58,39 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             load_lake(path)
 
-    @pytest.mark.parametrize("bundle_name", ["small_bundle", "kg_bundle"])
-    def test_generated_bundle_round_trip(self, bundle_name, request, tmp_path):
-        bundle = request.getfixturevalue(bundle_name)
+    def test_generated_bundle_round_trip(self, small_bundle, tmp_path):
         path = tmp_path / "big.json"
-        save_lake(bundle.lake, path)
+        save_lake(small_bundle.lake, path)
         loaded = load_lake(path)
-        assert loaded.stats() == bundle.lake.stats()
-        assert loaded.kg.num_triples == bundle.lake.kg.num_triples
-        assert (loaded.kg.num_triples > 0) == bundle.config.build_kg
+        assert loaded.stats() == small_bundle.lake.stats()
+        assert [t.rows for t in loaded.tables()] == [
+            t.rows for t in small_bundle.lake.tables()
+        ]
+
+
+class TestAFileSavedWithAKnowledgeGraph:
+    """Files saved before the lake dropped its knowledge graph carry a
+    ``kg_triples`` key: empty (every default lake) or filled (a
+    ``repro build-lake`` file)."""
+
+    def saved_with(self, tiny_lake, tmp_path, **extra):
+        path = tmp_path / "old.json"
+        save_lake(tiny_lake, path)
+        payload = json.loads(path.read_text())
+        payload.update(extra)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("extra", [{}, {"kg_triples": []}],
+                             ids=["absent", "empty"])
+    def test_an_empty_or_absent_graph_loads(self, tiny_lake, tmp_path, extra):
+        loaded = load_lake(self.saved_with(tiny_lake, tmp_path, **extra))
+        assert loaded.stats() == tiny_lake.stats()
+
+    def test_a_filled_graph_is_refused_by_name(self, tiny_lake, tmp_path):
+        path = self.saved_with(
+            tiny_lake, tmp_path,
+            kg_triples=[["tom jenkins", "party", "republican"]],
+        )
+        with pytest.raises(ValueError, match="1 'kg_triples'"):
+            load_lake(path)

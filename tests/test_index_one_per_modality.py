@@ -35,9 +35,7 @@ from repro.workloads.builder import LakeConfig, build_lake
 from tests.bm25_oracle import DictOracle
 from tests.test_index_churn import apply_op, fresh_lake
 
-MODALITIES = [
-    Modality.TUPLE, Modality.TABLE, Modality.TEXT, Modality.KG_ENTITY,
-]
+MODALITIES = [Modality.TUPLE, Modality.TABLE, Modality.TEXT]
 LAKES = ["seed-11", "seed-5"]
 SLOTS = range(8)
 RRF_K = 60
@@ -104,12 +102,10 @@ class Built:
 
 
 @pytest.fixture(scope="module")
-def lakes(kg_bundle):
+def lakes(small_bundle):
     return {
-        "seed-11": kg_bundle.lake,
-        "seed-5": build_lake(
-            LakeConfig(num_tables=30, seed=5, build_kg=True)
-        ).lake,
+        "seed-11": small_bundle.lake,
+        "seed-5": build_lake(LakeConfig(num_tables=30, seed=5)).lake,
     }
 
 
@@ -162,16 +158,16 @@ class TestEveryQueryEveryModality:
 # ---------------------------------------------------------------------------
 class TestFusionPaths:
     @pytest.fixture(scope="class")
-    def max_fused(self, kg_bundle):
+    def max_fused(self, small_bundle):
         return Built(
-            kg_bundle.lake, VerifAIConfig(fusion=FusionMethod.MAX)
+            small_bundle.lake, VerifAIConfig(fusion=FusionMethod.MAX)
         )
 
     @pytest.fixture(scope="class")
-    def semantic(self, kg_bundle):
+    def semantic(self, small_bundle):
         built = {
             method: Built(
-                kg_bundle.lake,
+                small_bundle.lake,
                 VerifAIConfig(use_semantic_index=True, fusion=method),
             )
             for method in FusionMethod

@@ -1,10 +1,11 @@
 """An index is built by the first read that needs it.
 
 ``VerifAI.build_indexes()`` builds the modalities a default route reads
-(TUPLE, TEXT, TABLE); anything else — the KG entities — is built,
-content index, semantic index and Combiner together, by its first
-search, and published only once filled and sealed.  What must hold: a
-lazily built index ranks to the bit like an eager one; the first
+(TUPLE, TEXT, TABLE); without it each modality is built, content index,
+semantic index and Combiner together, by its first search, and
+published only once filled and sealed.  A claim-only caller reads TABLE
+alone, so TEXT is the modality these tests find unbuilt.  What must
+hold: a lazily built index ranks to the bit like an eager one; the first
 reader builds it once and publishes it whole; a write changes only what
 is built, and a modality built after writes ranks like one built from
 the written lake; a campaign builds exactly the modalities it reads.
@@ -30,15 +31,25 @@ def pairs(hits):
     return [(hit.instance_id, hit.score.hex()) for hit in hits]
 
 
-def kg_queries(lake, count=12):
-    return [entity.name for entity in list(lake.kg.entities())[:count]]
+def text_queries(lake, count=12):
+    return [doc.title for doc in lake.documents()[:count]]
+
+
+def claim_only_system(bundle, semantic):
+    """A system that has verified one claim and nothing else."""
+    system = VerifAI(
+        bundle.lake, llm=SimulatedLLM(knowledge=None, seed=26),
+        config=VerifAIConfig(use_semantic_index=semantic),
+    )
+    system.verify(claims_of(bundle, 1)[0])
+    return system
 
 
 class TestWhatBuildIndexesBuilds:
     @pytest.mark.parametrize("semantic", [False, True])
-    def test_the_default_reads_and_no_kg(self, kg_bundle, semantic):
+    def test_every_modality_a_default_route_reads(self, small_bundle, semantic):
         system = VerifAI(
-            kg_bundle.lake,
+            small_bundle.lake,
             config=VerifAIConfig(use_semantic_index=semantic),
         ).build_indexes()
         indexer = system.indexer
@@ -48,21 +59,23 @@ class TestWhatBuildIndexesBuilds:
         assert all(index.is_sealed for index in indexer._content.values())
 
     @pytest.mark.parametrize("semantic", [False, True])
-    def test_the_first_kg_search_builds_kg(self, kg_bundle, semantic):
-        system = VerifAI(
-            kg_bundle.lake,
-            config=VerifAIConfig(use_semantic_index=semantic),
-        ).build_indexes()
-        indexer = system.indexer
+    def test_a_claim_only_system_builds_only_table(self, small_bundle, semantic):
+        indexer = claim_only_system(small_bundle, semantic).indexer
+        assert indexer.built_modalities == {Modality.TABLE}
+        assert set(indexer._semantic) == ({Modality.TABLE} if semantic else set())
+
+    @pytest.mark.parametrize("semantic", [False, True])
+    def test_the_first_text_search_builds_text(self, small_bundle, semantic):
+        indexer = claim_only_system(small_bundle, semantic).indexer
         hits = indexer.search(
-            kg_queries(kg_bundle.lake, 1)[0], Modality.KG_ENTITY, 3
+            text_queries(small_bundle.lake, 1)[0], Modality.TEXT, 3
         )
         assert hits
-        assert indexer.built_modalities == DEFAULT_READS | {Modality.KG_ENTITY}
-        assert len(indexer._content[Modality.KG_ENTITY]) == (
-            kg_bundle.lake.kg.num_entities
+        assert indexer.built_modalities == {Modality.TABLE, Modality.TEXT}
+        assert len(indexer._content[Modality.TEXT]) == len(
+            small_bundle.lake.documents()
         )
-        assert (Modality.KG_ENTITY in indexer._semantic) is semantic
+        assert (Modality.TEXT in indexer._semantic) is semantic
 
     def test_direct_index_access_builds_only_its_modality(self, tiny_lake):
         indexer = IndexerModule(tiny_lake)
@@ -71,50 +84,50 @@ class TestWhatBuildIndexesBuilds:
         assert indexer.built_modalities == {Modality.TABLE, Modality.TEXT}
 
 
-def test_kg_hits_equal_an_eager_build(kg_bundle):
+def test_lazy_text_hits_equal_an_eager_build(small_bundle):
     config = VerifAIConfig(use_semantic_index=True)
-    eager = IndexerModule(kg_bundle.lake, config).build()
-    lazy = VerifAI(kg_bundle.lake, config=config).build_indexes().indexer
-    assert Modality.KG_ENTITY not in lazy.built_modalities
-    queries = kg_queries(kg_bundle.lake)
-    assert queries, "vacuous: the lake has no KG"
+    eager = IndexerModule(small_bundle.lake, config).build()
+    lazy = claim_only_system(small_bundle, semantic=True).indexer
+    assert Modality.TEXT not in lazy.built_modalities
+    queries = text_queries(small_bundle.lake)
+    assert queries, "vacuous: the lake has no text"
     for query in queries:
-        assert pairs(lazy.search(query, Modality.KG_ENTITY, 8)) == pairs(
-            eager.search(query, Modality.KG_ENTITY, 8)
+        assert pairs(lazy.search(query, Modality.TEXT, 8)) == pairs(
+            eager.search(query, Modality.TEXT, 8)
         ), query
     assert [
         pairs(hits)
-        for hits in lazy.search_batch(queries, Modality.KG_ENTITY, 8)
+        for hits in lazy.search_batch(queries, Modality.TEXT, 8)
     ] == [
         pairs(hits)
-        for hits in eager.search_batch(queries, Modality.KG_ENTITY, 8)
+        for hits in eager.search_batch(queries, Modality.TEXT, 8)
     ]
 
 
-def test_the_first_kg_search_builds_it_once_whole_and_sealed(
-    kg_bundle, monkeypatch
+def test_the_first_text_search_builds_it_once_whole_and_sealed(
+    small_bundle, monkeypatch
 ):
-    """The first KG read builds the modality, later reads find it
+    """The first TEXT read builds the modality, later reads find it
     built, and what is published is whole and sealed."""
-    lake = kg_bundle.lake
+    lake = small_bundle.lake
     indexer = IndexerModule(lake, VerifAIConfig(use_semantic_index=True))
-    entities = lake.kg.num_entities
+    documents = len(lake.documents())
     built = []
     build = indexer._build_modality
     monkeypatch.setattr(
         indexer, "_build_modality",
         lambda modality, *rest: built.append(modality) or build(modality, *rest),
     )
-    query = kg_queries(lake, 1)[0]
+    query = text_queries(lake, 1)[0]
     hits = [
-        pairs(indexer.search(query, Modality.KG_ENTITY, 5)) for _ in range(4)
+        pairs(indexer.search(query, Modality.TEXT, 5)) for _ in range(4)
     ]
-    assert built == [Modality.KG_ENTITY]
+    assert built == [Modality.TEXT]
     assert all(h == hits[0] for h in hits) and hits[0]
-    content = indexer._content[Modality.KG_ENTITY]
-    semantic = indexer._semantic[Modality.KG_ENTITY]
+    content = indexer._content[Modality.TEXT]
+    semantic = indexer._semantic[Modality.TEXT]
     assert (len(content), content.is_sealed, len(semantic)) == (
-        entities, True, entities
+        documents, True, documents
     )
 
 
@@ -174,11 +187,11 @@ def traced_cold_campaign(bundle, objects):
 
 
 class TestACampaignBuildsWhatItReads:
-    def test_a_cold_claim_campaign_builds_only_table(self, kg_bundle):
+    def test_a_cold_claim_campaign_builds_only_table(self, small_bundle):
         exports = []
         for _ in range(2):
             system, batch = traced_cold_campaign(
-                kg_bundle, claims_of(kg_bundle)
+                small_bundle, claims_of(small_bundle)
             )
             assert system.indexer.built_modalities == {Modality.TABLE}
             assert [
@@ -188,12 +201,12 @@ class TestACampaignBuildsWhatItReads:
             exports.append(render_trace_json(batch.trace))
         assert exports[0] == exports[1]
 
-    def test_a_solo_tuple_builds_tuple_and_text(self, kg_bundle):
+    def test_a_solo_tuple_builds_tuple_and_text(self, small_bundle):
         system = VerifAI(
-            kg_bundle.lake, llm=SimulatedLLM(knowledge=None, seed=26),
+            small_bundle.lake, llm=SimulatedLLM(knowledge=None, seed=26),
             clock=TickClock(),
         )
-        table = kg_bundle.tables[0]
+        table = small_bundle.tables[0]
         report = system.verify(
             TupleObject("t-0", table.row(0), attribute=table.columns[1]),
             trace=True,

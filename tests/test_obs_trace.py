@@ -259,7 +259,7 @@ class TestRetrySpans:
         llm = SimulatedLLM(knowledge=None, seed=26)
         system = VerifAI(
             bundle.lake, llm=llm,
-            config=VerifAIConfig(prefer_local=True, batch_max_retries=1),
+            config=VerifAIConfig(prefer_local=True),
             clock=TickClock(),
         ).build_indexes()
         system.verifier.agent.local_verifiers.append(FlakyVerifier(1))
@@ -267,7 +267,7 @@ class TestRetrySpans:
             "flaky-obj", bundle.tables[0].row(0),
             attribute=bundle.tables[0].columns[1],
         )
-        batch = system.verify_batch([obj], trace=True)
+        batch = system.verify_batch([obj], trace=True, max_retries=1)
         assert batch.stats.retries == 1
         verifies = batch.trace.spans_named("verify")
         # one object -> exactly one committed verify span, and it is the

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.batch import BatchStats, Campaign, run_batch
-from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.loop.orchestrator import LoopConfig
 from repro.loop.scenarios import run_mix, run_scenario
@@ -157,12 +156,12 @@ def test_max_workers_one_is_the_default(bundle, system, objects_of):
     ]
 
 
-def test_a_campaign_takes_its_policy_from_the_config(bundle):
-    system = VerifAI(bundle.lake, config=VerifAIConfig(batch_max_retries=2))
+def test_a_campaign_takes_its_policy_per_call(bundle):
+    system = VerifAI(bundle.lake)
     default = Campaign(system, [])
-    assert (default.max_retries, default.fail_fast) == (2, False)
-    asked = Campaign(system, [], max_retries=0, fail_fast=True)
-    assert (asked.max_retries, asked.fail_fast) == (0, True)
+    assert (default.max_retries, default.fail_fast) == (0, False)
+    asked = Campaign(system, [], max_retries=2, fail_fast=True)
+    assert (asked.max_retries, asked.fail_fast) == (2, True)
 
 
 def test_a_negative_retry_count_opens_no_record(bundle, system):

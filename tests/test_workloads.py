@@ -355,13 +355,12 @@ class TestEntityPageGenerator:
 
 
 class TestBuildLake:
-    def test_bundle_structure(self, kg_bundle):
-        stats = kg_bundle.lake.stats()
+    def test_bundle_structure(self, small_bundle):
+        stats = small_bundle.lake.stats()
         assert stats.num_tables == 60
         assert stats.num_text_files == len(
-            {doc.entity.lower() for doc in kg_bundle.lake.documents()}
+            {doc.entity.lower() for doc in small_bundle.lake.documents()}
         )
-        assert stats.num_kg_entities > 0
 
     def test_entity_pages_resolvable(self, small_bundle):
         # the generator writes one page per entity, so pages_of (which
@@ -392,36 +391,28 @@ class TestBuildLake:
             (d.doc_id, d.entity) for d in b.lake.documents()
         ]
 
-    @pytest.mark.parametrize("seed,num_tables,build_kg,digest", [
-        (11, 60, True,
-         "0637c5f99c4f79c1c49b7dbe4d54a92ee52a5dbcb835061a1f253ac0cb5849d3"),
+    @pytest.mark.parametrize("seed,num_tables,digest", [
+        (11, 60,
+         "60581b62a28297aaa2ae8920e3c15e7740471e742be47fb9a8a8b0c0624d18d1"),
         # large enough that album and city pools run out
-        (3, 1200, True,
-         "9217e1ff5ad9f443b266d4edc106f0118dad7a0a7aea0151e11e9050057b3eab"),
+        (3, 1200,
+         "e66d0a823e3339dee0d658a4bc31ce5753a8bdde8ade411a8a06f826c7b5a0bc"),
         # past half the names drawn from a used-up pool
         pytest.param(
-            3, 2400, True,
-            "5b36394c4b5f2470e2f6ff180a24a3cd49c7e947c042fe12b8f916a5b418bbd9",
+            3, 2400,
+            "153dd335a3f76393b94af50f3a4eefdcdaf3ae2aed084f60345efeb7bd3ad42e",
             marks=pytest.mark.slow,
         ),
-        # the default lake: the same tables and pages, no KG triples
-        (11, 60, False,
-         "48d85c5c5081ed8ca73c9b0c78e5ef12e980ba4c730716fc104a1768663f8413"),
-        (3, 1200, False,
-         "bce23c8e84d900ff3b84cf7325b53be0b4eddc5eb52341e358dd5608ce07ef27"),
-    ], ids=["seed11-60", "seed3-1200", "seed3-2400",
-            "default-seed11-60", "default-seed3-1200"])
+    ], ids=["seed11-60", "seed3-1200", "seed3-2400"])
     def test_saved_lake_bytes_are_pinned(
-        self, tmp_path, seed, num_tables, build_kg, digest
+        self, tmp_path, seed, num_tables, digest
     ):
-        bundle = build_lake(
-            LakeConfig(seed=seed, num_tables=num_tables, build_kg=build_kg)
-        )
+        bundle = build_lake(LakeConfig(seed=seed, num_tables=num_tables))
         save_lake(bundle.lake, tmp_path / "lake.json")
         saved = (tmp_path / "lake.json").read_bytes()
         assert hashlib.sha256(saved).hexdigest() == digest
 
-    def test_a_default_lake_keeps_no_entity_record_and_no_kg(self):
+    def test_a_default_lake_keeps_no_entity_record(self):
         def alive():
             return sum(type(o) is Entity for o in gc.get_objects())
 
@@ -430,8 +421,7 @@ class TestBuildLake:
         bundle = build_lake(LakeConfig(num_tables=30, seed=3))
         # released when the build returns, without a collection
         assert alive() == before
-        assert bundle.lake.kg.num_triples == 0
-        assert bundle.lake.stats().num_kg_entities == 0
+        assert bundle.lake.stats().num_tables == 30
 
 
 class TestTupleWorkload:
