@@ -204,6 +204,38 @@ class TestRetries:
         assert batch.stats.retries == 0
         assert flaky.calls == 1
 
+    @pytest.mark.parametrize("max_retries", [0, 1, 2, 3])
+    @pytest.mark.parametrize("failures", [1, 2, 3])
+    def test_a_call_grants_its_own_retries(self, bundle, failures,
+                                           max_retries):
+        system = make_system(bundle, prefer_local=True)
+        flaky = FlakyVerifier(failures=failures)
+        system.verifier.agent.local_verifiers.append(flaky)
+        obj = TupleObject(
+            "flaky-4", bundle.tables[0].row(0),
+            attribute=bundle.tables[0].columns[1],
+        )
+        batch = system.verify_batch([obj], max_retries=max_retries)
+        assert batch.failed == (failures > max_retries)
+        assert batch.stats.retries == min(failures, max_retries)
+        assert flaky.calls >= min(failures, max_retries + 1)
+        assert system.provenance.open_records() == []
+
+    def test_retries_do_not_outlive_their_call(self, bundle):
+        system = make_system(bundle, prefer_local=True)
+        flaky = FlakyVerifier(failures=3)
+        system.verifier.agent.local_verifiers.append(flaky)
+        obj = TupleObject(
+            "flaky-5", bundle.tables[0].row(0),
+            attribute=bundle.tables[0].columns[1],
+        )
+        assert system.verify_batch([obj], max_retries=1).failed == 1
+        # the flaky verifier now has one failure left; a call without
+        # retries meets it and fails, rather than inheriting the last
+        # call's budget
+        assert system.verify_batch([obj]).failed == 1
+        assert system.verify_batch([obj]).failed == 0
+
     def test_negative_retries_rejected(self, bundle, mixed_workload):
         system = make_system(bundle)
         with pytest.raises(ValueError, match="max_retries"):

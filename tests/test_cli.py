@@ -362,6 +362,16 @@ class TestExperiment:
         assert "paper" in output and "measured" in output
 
 
+def test_stats_refuses_a_lake_saved_with_a_filled_graph(tiny_lake, tmp_path):
+    path = tmp_path / "old.json"
+    save_lake(tiny_lake, path)
+    payload = json.loads(path.read_text())
+    payload["kg_triples"] = [["tom jenkins", "party", "republican"]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="kg_triples"):
+        main(["stats", "--lake", str(path)])
+
+
 def test_discover_is_an_unknown_command(lake_path, capsys):
     with pytest.raises(SystemExit) as exited:
         main(["discover", "--lake", lake_path, "--query", "valoria"])
@@ -514,6 +524,7 @@ class TestCountFlags:
 
     def test_retries(self, capsys):
         self.assert_rejected(capsys, "--retries", ["-1"], ["verify-batch"])
+        assert build_parser().parse_args(self.COMMANDS["verify-batch"]).retries == 0
         assert build_parser().parse_args(
             self.COMMANDS["verify-batch"] + ["--retries", "0"]
         ).retries == 0

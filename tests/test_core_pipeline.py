@@ -1,8 +1,13 @@
 """End-to-end VerifAI pipeline on small lakes."""
 
+import dataclasses
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.config import PAPER_FINE_K, VerifAIConfig
+from repro.datalake.lake import LakeStats
 from repro.core.pipeline import VerifAI
 from repro.core.reranker import RerankerModule
 from repro.datalake.types import Modality
@@ -13,6 +18,7 @@ from repro.rerank.table import TableReranker
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.verify.pasta import PastaVerifier
 from repro.verify.verdict import Verdict
+from repro.workloads.builder import LakeConfig
 from repro.workloads.tuplecomp import build_tuple_workload
 
 
@@ -32,6 +38,49 @@ class TestConfig:
     def test_unknown_modality_default(self):
         config = VerifAIConfig(k_fine={Modality.TUPLE: 2})
         assert config.fine_k(Modality.TEXT) == 5
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("config_type,field", [
+        (VerifAIConfig, "batch_max_retries"),
+        (LakeConfig, "build_kg"),
+    ])
+    def test_a_removed_field_is_refused(self, config_type, field):
+        assert field not in {f.name for f in dataclasses.fields(config_type)}
+        with pytest.raises(TypeError, match=field):
+            config_type(**{field: 1})
+
+    def test_lake_stats_count_tables_tuples_texts_and_sources(self):
+        assert [f.name for f in dataclasses.fields(LakeStats)] == [
+            "num_tables", "num_tuples", "num_text_files", "num_sources",
+        ]
+
+    def test_a_default_system_loads_no_removed_module(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.core.pipeline import VerifAI\n"
+            "from repro.datalake.persistence import load_lake, save_lake\n"
+            "from repro.verify.objects import ClaimObject, TupleObject\n"
+            "from repro.workloads.builder import LakeConfig, build_lake\n"
+            "bundle = build_lake(LakeConfig(num_tables=6, seed=2))\n"
+            f"save_lake(bundle.lake, {str(tmp_path / 'l.json')!r})\n"
+            f"lake = load_lake({str(tmp_path / 'l.json')!r})\n"
+            "system = VerifAI(lake).build_indexes()\n"
+            "table = lake.tables()[0]\n"
+            "system.verify_batch([\n"
+            "    ClaimObject('c', f'the {table.columns[1]} of x is 1'),\n"
+            "    TupleObject('t', table.row(0), attribute=table.columns[1]),\n"
+            "])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro')))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert "'repro.core.pipeline'" in loaded
+        for gone in ("repro.discovery", "repro.datalake.kg",
+                     "repro.verify.kg_verifier"):
+            assert f"'{gone}" not in loaded, gone
 
 
 class TestConfigValidation:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pipeline import VerifAI
 from repro.core.verifier import VerifierModule
 from repro.datalake.lake import DataLake
-from repro.datalake.types import Source, Table, TextDocument
+from repro.datalake.types import Modality, Source, Table, TextDocument
 from repro.llm.model import SimulatedLLM
 from repro.obs.metrics import get_registry
 from repro.trust.model import weighted_vote
@@ -38,6 +38,18 @@ class TestSourceOf:
 
     def test_table_source(self, module, election_table):
         assert module.source_of(election_table) == "tabfact"
+
+    @pytest.mark.parametrize("modality", list(Modality), ids=str)
+    def test_every_instance_names_its_lake_source(self, module, small_bundle,
+                                                  modality):
+        lake = small_bundle.lake
+        module = VerifierModule(module.agent, lake)
+        for instance in lake.iter_instances(modality):
+            owner = (
+                lake.table(instance.table_id)
+                if modality is Modality.TUPLE else instance
+            )
+            assert module.source_of(instance) == owner.source.name
 
 
 class TestVerifyPool:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.datalake.lake import DataLake
-from repro.datalake.types import Modality, Row, Source, Table, TextDocument
+from repro.datalake.types import (
+    Modality, Row, Source, Table, TextDocument, modality_of,
+)
 
 
 class TestIngestion:
@@ -86,6 +88,26 @@ class TestIteration:
     def test_iter_non_modality_rejected(self, tiny_lake):
         with pytest.raises(ValueError):
             list(tiny_lake.iter_instances("kg_entity"))
+
+    @pytest.mark.parametrize("instance_id", [
+        "kg:x", "kg:tom_jenkins", "kg:", "", "page-nobody", "t-nobody#r0",
+        "#r0", "t-ohio-1950#r",
+    ])
+    def test_an_unknown_id_is_a_key_error(self, tiny_lake, instance_id):
+        with pytest.raises(KeyError, match="no instance with id"):
+            tiny_lake.instance(instance_id)
+        assert instance_id not in tiny_lake
+
+    @pytest.mark.parametrize("modality", list(Modality), ids=str)
+    def test_every_iterated_id_resolves_to_its_instance(
+        self, small_bundle, modality
+    ):
+        lake = small_bundle.lake
+        instances = list(lake.iter_instances(modality))
+        assert instances
+        for instance in instances:
+            assert modality_of(instance) is modality
+            assert lake.instance(instance.instance_id) == instance
 
     def test_a_kg_id_is_an_ordinary_unknown_id(self, tiny_lake):
         with pytest.raises(KeyError, match="no instance with id 'kg:x'"):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.datalake.persistence import load_lake, save_lake
+from repro.datalake.serialize import serialize_instance
+from repro.datalake.types import Modality
 
 
 class TestRoundTrip:
@@ -67,6 +69,22 @@ class TestRoundTrip:
             t.rows for t in small_bundle.lake.tables()
         ]
 
+    @pytest.mark.parametrize("modality", list(Modality), ids=str)
+    def test_every_instance_reads_back_as_written(
+        self, small_bundle, tmp_path, modality
+    ):
+        path = tmp_path / "lake.json"
+        save_lake(small_bundle.lake, path)
+        loaded = load_lake(path)
+
+        def rendered(lake):
+            return [
+                (instance.instance_id, serialize_instance(instance))
+                for instance in lake.iter_instances(modality)
+            ]
+
+        assert rendered(loaded) == rendered(small_bundle.lake)
+
 
 class TestAFileSavedWithAKnowledgeGraph:
     """Files saved before the lake dropped its knowledge graph carry a
@@ -87,10 +105,12 @@ class TestAFileSavedWithAKnowledgeGraph:
         loaded = load_lake(self.saved_with(tiny_lake, tmp_path, **extra))
         assert loaded.stats() == tiny_lake.stats()
 
-    def test_a_filled_graph_is_refused_by_name(self, tiny_lake, tmp_path):
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_filled_graph_is_refused_by_name(self, tiny_lake, tmp_path,
+                                               count):
         path = self.saved_with(
             tiny_lake, tmp_path,
-            kg_triples=[["tom jenkins", "party", "republican"]],
+            kg_triples=[["tom jenkins", "party", "republican"]] * count,
         )
-        with pytest.raises(ValueError, match="1 'kg_triples'"):
+        with pytest.raises(ValueError, match=f"{count} 'kg_triples'"):
             load_lake(path)

@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.datalake.serialize import (
+    serialize_instance,
+    serialize_row,
+    serialize_table,
+    serialize_text,
+)
 from repro.datalake.types import (
     Modality,
     Row,
@@ -11,6 +17,20 @@ from repro.datalake.types import (
     instance_id_of,
     modality_of,
 )
+from repro.datalake.lake import LakeStats
+from repro.verify.objects import ClaimObject, TupleObject
+
+#: values that are no lake instance, though some look like one
+NOT_INSTANCES = {
+    "none": None,
+    "id": "t-ohio-1950",
+    "kg-id": "kg:tom_jenkins",
+    "number": 3,
+    "dict": {"table_id": "t", "rows": []},
+    "source": Source("tabfact"),
+    "claim": ClaimObject("c", "the party of tom jenkins is republican"),
+    "stats": LakeStats(1, 1, 1, 1),
+}
 
 
 class TestRow:
@@ -92,6 +112,40 @@ class TestModality:
     def test_modality_of_garbage(self):
         with pytest.raises(TypeError):
             modality_of("not an instance")
+
+    @pytest.mark.parametrize("value", NOT_INSTANCES.values(),
+                             ids=NOT_INSTANCES.keys())
+    def test_modality_of_refuses_a_non_instance(self, value):
+        with pytest.raises(TypeError, match="not a data instance"):
+            modality_of(value)
+
+    @pytest.mark.parametrize("value", NOT_INSTANCES.values(),
+                             ids=NOT_INSTANCES.keys())
+    def test_serialize_instance_refuses_a_non_instance(self, value):
+        with pytest.raises(TypeError, match="not a data instance"):
+            serialize_instance(value)
+
+    def test_a_tuple_object_is_no_instance(self, election_table):
+        obj = TupleObject("o", election_table.row(0), attribute="party")
+        with pytest.raises(TypeError):
+            modality_of(obj)
+
+    def test_the_modalities_are_the_papers_three(self):
+        assert [m.value for m in Modality] == ["tuple", "table", "text"]
+        with pytest.raises(ValueError):
+            Modality("kg_entity")
+
+    @pytest.mark.parametrize("modality", list(Modality), ids=str)
+    def test_each_kind_has_its_modality_and_serializer(
+        self, election_table, modality
+    ):
+        instance, serializer = {
+            Modality.TUPLE: (election_table.row(1), serialize_row),
+            Modality.TABLE: (election_table, serialize_table),
+            Modality.TEXT: (TextDocument("d", "T", "body"), serialize_text),
+        }[modality]
+        assert modality_of(instance) is modality
+        assert serialize_instance(instance) == serializer(instance)
 
     def test_instance_id_of(self, election_table):
         assert instance_id_of(election_table) == election_table.table_id

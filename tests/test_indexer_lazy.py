@@ -20,6 +20,7 @@ from repro.datalake.types import Modality, Table
 from repro.llm.model import SimulatedLLM
 from repro.obs.clock import TickClock
 from repro.obs.export import render_trace_json
+from repro.obs.trace import Tracer
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 from repro.workloads.claimwl import build_claim_workload
@@ -31,8 +32,13 @@ def pairs(hits):
     return [(hit.instance_id, hit.score.hex()) for hit in hits]
 
 
-def text_queries(lake, count=12):
-    return [doc.title for doc in lake.documents()[:count]]
+def queries_of(bundle, modality, count=12):
+    """A document's title, a table's caption, a tuple's cells."""
+    if modality is Modality.TEXT:
+        return [doc.title for doc in bundle.lake.documents()[:count]]
+    if modality is Modality.TABLE:
+        return [table.caption for table in bundle.tables[:count]]
+    return [" ".join(table.row(0).values) for table in bundle.tables[:count]]
 
 
 def claim_only_system(bundle, semantic):
@@ -65,17 +71,19 @@ class TestWhatBuildIndexesBuilds:
         assert set(indexer._semantic) == ({Modality.TABLE} if semantic else set())
 
     @pytest.mark.parametrize("semantic", [False, True])
-    def test_the_first_text_search_builds_text(self, small_bundle, semantic):
+    @pytest.mark.parametrize(
+        "modality", [Modality.TUPLE, Modality.TEXT], ids=str
+    )
+    def test_the_first_search_builds_its_modality(self, small_bundle,
+                                                  modality, semantic):
         indexer = claim_only_system(small_bundle, semantic).indexer
-        hits = indexer.search(
-            text_queries(small_bundle.lake, 1)[0], Modality.TEXT, 3
-        )
+        hits = indexer.search(queries_of(small_bundle, modality)[0], modality, 3)
         assert hits
-        assert indexer.built_modalities == {Modality.TABLE, Modality.TEXT}
-        assert len(indexer._content[Modality.TEXT]) == len(
-            small_bundle.lake.documents()
+        assert indexer.built_modalities == {Modality.TABLE, modality}
+        assert len(indexer._content[modality]) == len(
+            list(small_bundle.lake.iter_instances(modality))
         )
-        assert (Modality.TEXT in indexer._semantic) is semantic
+        assert (modality in indexer._semantic) is semantic
 
     def test_direct_index_access_builds_only_its_modality(self, tiny_lake):
         indexer = IndexerModule(tiny_lake)
@@ -84,50 +92,77 @@ class TestWhatBuildIndexesBuilds:
         assert indexer.built_modalities == {Modality.TABLE, Modality.TEXT}
 
 
-def test_lazy_text_hits_equal_an_eager_build(small_bundle):
-    config = VerifAIConfig(use_semantic_index=True)
+@pytest.mark.parametrize("semantic", [False, True])
+@pytest.mark.parametrize("modality", [Modality.TUPLE, Modality.TEXT], ids=str)
+def test_lazy_hits_equal_an_eager_build(small_bundle, modality, semantic):
+    """TUPLE and TEXT, which a claim-only system has not built, rank
+    like an eager build once a search builds them."""
+    config = VerifAIConfig(use_semantic_index=semantic)
     eager = IndexerModule(small_bundle.lake, config).build()
-    lazy = claim_only_system(small_bundle, semantic=True).indexer
-    assert Modality.TEXT not in lazy.built_modalities
-    queries = text_queries(small_bundle.lake)
-    assert queries, "vacuous: the lake has no text"
+    lazy = claim_only_system(small_bundle, semantic).indexer
+    assert modality not in lazy.built_modalities
+    queries = queries_of(small_bundle, modality)
+    assert queries, "vacuous: no queries"
     for query in queries:
-        assert pairs(lazy.search(query, Modality.TEXT, 8)) == pairs(
-            eager.search(query, Modality.TEXT, 8)
+        assert pairs(lazy.search(query, modality, 8)) == pairs(
+            eager.search(query, modality, 8)
         ), query
     assert [
-        pairs(hits)
-        for hits in lazy.search_batch(queries, Modality.TEXT, 8)
+        pairs(hits) for hits in lazy.search_batch(queries, modality, 8)
     ] == [
-        pairs(hits)
-        for hits in eager.search_batch(queries, Modality.TEXT, 8)
+        pairs(hits) for hits in eager.search_batch(queries, modality, 8)
     ]
 
 
-def test_the_first_text_search_builds_it_once_whole_and_sealed(
-    small_bundle, monkeypatch
+@pytest.mark.parametrize("modality", list(Modality), ids=str)
+def test_a_build_of_one_modality_indexes_every_instance_of_it(
+    small_bundle, modality
 ):
-    """The first TEXT read builds the modality, later reads find it
+    lake = small_bundle.lake
+    indexer = IndexerModule(lake).build([modality])
+    assert indexer.built_modalities == {modality}
+    assert len(indexer.content_index(modality)) == len(
+        list(lake.iter_instances(modality))
+    )
+
+
+def test_a_default_build_builds_every_modality_in_modality_order(tiny_lake):
+    tracer = Tracer("trace-build", clock=TickClock())
+    root = tracer.root("build")
+    branch = tracer.branch()
+    indexer = IndexerModule(tiny_lake).build(branch=branch, parent=root)
+    branch.commit()
+    tracer.close(root)
+    assert indexer.built_modalities == set(Modality)
+    assert [
+        span.name for span in tracer.trace().spans
+        if span.name.startswith("index.build")
+    ] == [f"index.build:{modality.value}" for modality in Modality]
+
+
+@pytest.mark.parametrize("modality", list(Modality), ids=str)
+def test_the_first_search_builds_it_once_whole_and_sealed(
+    small_bundle, monkeypatch, modality
+):
+    """The first read of a modality builds it, later reads find it
     built, and what is published is whole and sealed."""
     lake = small_bundle.lake
     indexer = IndexerModule(lake, VerifAIConfig(use_semantic_index=True))
-    documents = len(lake.documents())
+    entries = len(list(lake.iter_instances(modality)))
     built = []
     build = indexer._build_modality
     monkeypatch.setattr(
         indexer, "_build_modality",
         lambda modality, *rest: built.append(modality) or build(modality, *rest),
     )
-    query = text_queries(lake, 1)[0]
-    hits = [
-        pairs(indexer.search(query, Modality.TEXT, 5)) for _ in range(4)
-    ]
-    assert built == [Modality.TEXT]
+    query = queries_of(small_bundle, modality, 1)[0]
+    hits = [pairs(indexer.search(query, modality, 5)) for _ in range(4)]
+    assert built == [modality]
     assert all(h == hits[0] for h in hits) and hits[0]
-    content = indexer._content[Modality.TEXT]
-    semantic = indexer._semantic[Modality.TEXT]
+    content = indexer._content[modality]
+    semantic = indexer._semantic[modality]
     assert (len(content), content.is_sealed, len(semantic)) == (
-        documents, True, documents
+        entries, True, entries
     )
 
 
@@ -198,6 +233,34 @@ class TestACampaignBuildsWhatItReads:
                 span.name for span in batch.trace.spans
                 if span.name.startswith("index.build")
             ] == ["index.build:table"]
+            exports.append(render_trace_json(batch.trace))
+        assert exports[0] == exports[1]
+
+    def test_a_cold_mixed_campaign_builds_every_modality_ahead_of_index_0(
+        self, small_bundle
+    ):
+        """One build and one prefill per modality: the most setup spans
+        a campaign opens, all at negative sibling indexes, so they sort
+        ahead of the first object's ``verify`` span at index 0."""
+        table = small_bundle.tables[0]
+        objects = claims_of(small_bundle, 3) + [
+            TupleObject("t-0", table.row(0), attribute=table.columns[1])
+        ]
+        exports = []
+        for _ in range(2):
+            system, batch = traced_cold_campaign(small_bundle, objects)
+            assert system.indexer.built_modalities == set(Modality)
+            root = batch.trace.spans[0]
+            setup = [
+                span for span in batch.trace.spans
+                if span.parent_id == root.span_id and span.index < 0
+            ]
+            assert sorted(span.index for span in setup) == list(
+                range(-2 * len(Modality), 0)
+            )
+            assert {span.name.split(":")[0] for span in setup} == {
+                "index.build", "retrieve",
+            }
             exports.append(render_trace_json(batch.trace))
         assert exports[0] == exports[1]
 

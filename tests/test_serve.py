@@ -21,6 +21,7 @@ from hypothesis import given, strategies as st
 from repro.claims.generator import ClaimGenerator
 from repro.core.pipeline import VerifAI
 from repro.datalake.serialize import parse_row
+from repro.datalake.types import Modality
 from repro.llm.prompts import verification_prompt
 from repro.obs.clock import TickClock
 from repro.obs.export import trace_to_dict, validate_trace
@@ -124,6 +125,10 @@ class TestEndpoints:
         assert body["lake"] == "synthetic-lake"
         assert "max_concurrency" not in body
         assert body["max_queue"] == 8
+
+    def test_every_modality_is_built_before_the_socket_opens(self, served):
+        _, service, _ = served
+        assert service.system.indexer.built_modalities == set(Modality)
 
     def test_verify_claim(self, served):
         server, _, _ = served
