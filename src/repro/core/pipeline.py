@@ -303,9 +303,8 @@ class VerifAI:
         error boundary: a fault yields a ``FAILED`` report (after
         ``max_retries`` extra attempts, default 0) instead of aborting
         the campaign; ``fail_fast=True`` restores raise-on-first-error.
-        The returned
-        :class:`BatchReport` carries stage timings, cache-hit, failure,
-        and retry counters in ``stats``; ``trace=True`` additionally
+        The returned :class:`BatchReport` carries stage timings,
+        cache-hit, failure, and retry counters in ``stats``; ``trace=True`` additionally
         attaches a campaign-wide span tree (``report.trace``) whose
         export is byte-identical from run to run under a deterministic
         clock.

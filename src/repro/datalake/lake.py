@@ -2,9 +2,8 @@
 
 A :class:`DataLake` is the single repository from which VerifAI's Indexer
 retrieves evidence.  It stores tables and text documents, exposes every
-unit as a uniformly addressable
-:class:`~repro.datalake.types.DataInstance`, and tracks per-source
-statistics for the trust model.
+unit as a uniformly addressable :class:`~repro.datalake.types.DataInstance`,
+and tracks per-source statistics for the trust model.
 """
 
 from __future__ import annotations

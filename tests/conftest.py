@@ -1,6 +1,7 @@
 """Shared test fixtures: a tiny hand-written lake and a small synthetic
-bundle (all session-scoped; construction is deterministic), plus the seeded churn-sequence generator the churn
-differential tests drive lake mutation with."""
+bundle (all session-scoped; construction is deterministic), plus the
+seeded churn-sequence generator the churn differential tests drive lake
+mutation with."""
 
 import random
 

@@ -67,8 +67,9 @@ class TestRemove:
             lake.remove_instance("ghost")
 
     @pytest.mark.parametrize("instance_id,error", [
-        ("t1#r1", ValueError), ("ghost#r0", ValueError),
-        ("kg:ada_lovelace", KeyError), ("kg:", KeyError),
+        ("t1#r0", ValueError), ("t1#r1", ValueError), ("ghost#r0", ValueError),
+        ("kg:someone", KeyError), ("kg:ada_lovelace", KeyError),
+        ("kg:", KeyError),
     ])
     def test_only_tables_and_documents_are_removable(
         self, lake, instance_id, error
@@ -77,12 +78,6 @@ class TestRemove:
         with pytest.raises(error):
             lake.remove_instance(instance_id)
         assert lake.stats() == before
-
-    def test_tuples_not_removable(self, lake):
-        with pytest.raises(ValueError):
-            lake.remove_instance("t1#r0")
-        with pytest.raises(KeyError):
-            lake.remove_instance("kg:someone")
 
     def test_stats_shrink(self, lake):
         before = lake.stats()

@@ -22,6 +22,7 @@ from repro.verify.objects import ClaimObject, TupleObject
 
 #: values that are no lake instance, though some look like one
 NOT_INSTANCES = {
+    "text": "not an instance",
     "none": None,
     "id": "t-ohio-1950",
     "kg-id": "kg:tom_jenkins",
@@ -108,10 +109,6 @@ class TestModality:
         assert modality_of(election_table.row(0)) is Modality.TUPLE
         doc = TextDocument("d", "T", "body")
         assert modality_of(doc) is Modality.TEXT
-
-    def test_modality_of_garbage(self):
-        with pytest.raises(TypeError):
-            modality_of("not an instance")
 
     @pytest.mark.parametrize("value", NOT_INSTANCES.values(),
                              ids=NOT_INSTANCES.keys())
