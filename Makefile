@@ -1,9 +1,6 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-slow trace-demo loop-demo experiments examples lint coverage
-
-install:
-	pip install -e . --no-build-isolation
+.PHONY: check test test-slow trace-demo loop-demo experiments examples lint coverage
 
 # the default CI gate: static analysis, the whole of tests/, the slow
 # soak tier-1 deselects, and the coverage floor.  A target stays in

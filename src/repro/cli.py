@@ -144,7 +144,6 @@ def _cmd_verify_batch(args: argparse.Namespace) -> int:
     batch = system.verify_batch(
         objects,
         fail_fast=args.fail_fast,
-        max_retries=args.retries,
         trace=args.trace is not None,
     )
     print(batch.summary())
@@ -427,10 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fail-fast", action="store_true",
         help="abort on the first per-object fault instead of reporting it",
-    )
-    p.add_argument(
-        "--retries", type=_non_negative_int, default=0, metavar="N",
-        help="extra attempts per faulted object (default: 0)",
     )
     p.add_argument(
         "--trace", default=None, metavar="PATH",

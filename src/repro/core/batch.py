@@ -10,11 +10,12 @@ object's ``verify`` span *is* the trace root instead of a child of
 ``verify_batch``.  What the stages buy over a per-object loop:
 
 * **retrieval dedup** — objects that issue the identical retrieval
-  (same object type, query text, modality, and depths) share one
-  execution; each object still gets the full stage list replayed into
-  its own provenance record.  The dedup plan is computed up front from
-  the inputs alone, so the reported dedup counters (and the ``dedup``
-  span attribute) depend on the inputs and nothing else;
+  (same object type, query text and modality; the depths are the
+  system's) share one execution; each object still gets the full
+  stage list replayed into its own provenance record.  The dedup plan
+  is computed up front from the inputs alone, so the reported dedup
+  counters (and the ``dedup`` span attribute) depend on the inputs and
+  nothing else;
 * **query-matrix retrieval** — the deduplicated queries of each
   modality are scored as *one* query-matrix BM25 pass per index
   (:meth:`VerifAI.retrieval_stages_batch`) that prefills the retrieval
@@ -42,17 +43,16 @@ object's ``verify`` span *is* the trace root instead of a child of
 
 Every object runs inside a **per-object error boundary**: a fault
 anywhere in its retrieve→rerank→verify chain never propagates out of
-the campaign.  The object gets ``max_retries`` extra attempts (immediate
-and deterministic — no sleeps or jitter), and if they are exhausted its
+the campaign.  The object is not retried: the pipeline is
+deterministic, so a second attempt would meet the same fault.  Its
 report comes back with ``status="FAILED"``, the error string, and
 ``final_verdict=NOT_RELATED``, while its provenance record is finalized
-with the same failure (never left dangling).  Stage and outcome writes
-— and span commits — are deferred until an attempt succeeds or fails
-for the last time, so retried attempts never duplicate provenance or
-trace spans.  ``fail_fast=True`` restores raise-on-first-error for
-callers that prefer a crash (the failing object's record is still
-finalized before the raise; the records of the objects after it stay
-open because the campaign aborted).
+with the same failure (never left dangling) and carries no stages: they
+are written only after the verifier pool succeeds.
+``fail_fast=True`` restores raise-on-first-error for callers that
+prefer a crash (the failing object's record is still finalized before
+the raise; the records of the objects after it stay open because the
+campaign aborted).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import require_at_least
 from repro.core.pipeline import (
     DEFAULT_MODALITIES,
     STATUS_FAILED,
@@ -90,7 +89,7 @@ from repro.verify.verdict import Verdict
 
 #: setup spans (cold index build, matrix prefill: at most one of each
 #: per modality) take sibling indexes counting up from here, so they
-#: sort ahead of what the attempts hang under the same root — object
+#: sort ahead of what the objects hang under the same root — object
 #: ``verify`` spans at their positions, or a solo object's stages
 _SETUP_FIRST_INDEX = -2 * len(Modality)
 
@@ -106,7 +105,6 @@ class BatchStats:
 
     objects: int = 0
     failed: int = 0
-    retries: int = 0
     unique_retrievals: int = 0
     retrieval_cache_hits: int = 0
     matrix_batches: int = 0
@@ -120,7 +118,6 @@ class BatchStats:
         return cls(
             objects=len(campaign.objects),
             failed=int(scope.value("batch.failed")),
-            retries=int(scope.value("batch.retries")),
             unique_retrievals=len(campaign.plan_first),
             retrieval_cache_hits=(
                 campaign.planned_refs - len(campaign.plan_first)
@@ -156,7 +153,6 @@ class BatchStats:
             "matrix_batches": self.matrix_batches,
             "objects": self.objects,
             "per_object_seconds": self.per_object_seconds(),
-            "retries": self.retries,
             "retrieval_cache_hits": self.retrieval_cache_hits,
             "stage_seconds": {
                 name: self.stage_seconds[name]
@@ -176,7 +172,7 @@ class BatchStats:
         )
         return (
             f"{self.objects} objects ({stages}); "
-            f"{self.failed} failed, {self.retries} retries; "
+            f"{self.failed} failed; "
             f"{self.unique_retrievals} unique retrievals "
             f"({self.retrieval_cache_hits} deduped, "
             f"{self.matrix_batches} matrix batches)"
@@ -206,9 +202,9 @@ class Campaign:
     cold fills for itself.
 
     ``fail_fast`` re-raises the first per-object fault instead of
-    reporting it; ``max_retries`` (default 0) grants each object that
-    many extra attempts before it is reported FAILED.  ``profile`` (with
-    ``trace``) stamps spans with thread-CPU readings.
+    reporting it.  ``profile`` (with ``trace``) stamps spans with
+    thread-CPU readings.  The retrieval depths are the system's
+    :class:`~repro.core.config.VerifAIConfig`.
     """
 
     def __init__(
@@ -216,20 +212,12 @@ class Campaign:
         system: VerifAI,
         objects: Sequence[DataObject],
         modalities: Optional[Sequence[Modality]] = None,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
         trace: bool = False,
         profile: bool = False,
         solo: bool = False,
         fail_fast: bool = False,
-        max_retries: int = 0,
     ) -> None:
-        for name, depth in (("k_coarse", k_coarse), ("k_fine", k_fine)):
-            if depth is not None:
-                require_at_least(name, depth, 1)
-        require_at_least("max_retries", max_retries, 0)
         self.fail_fast = fail_fast
-        self.max_retries = max_retries
         self.system = system
         self.objects = list(objects)
         #: each object's ``query_text()``; ``None`` where it raised
@@ -241,8 +229,6 @@ class Campaign:
             else DEFAULT_MODALITIES.get(type(obj), (Modality.TABLE,))
             for obj in self.objects
         ]
-        self.k_coarse = k_coarse
-        self.k_fine = k_fine
         self.records = [
             system.provenance.new_record(obj.object_id, query or "")
             for obj, query in zip(self.objects, self.queries)
@@ -252,7 +238,8 @@ class Campaign:
         self.profile = profile
         self.tracer: Optional[Tracer] = None
         self.root: Optional[Span] = None
-        #: staging for the cold-build and prefill spans under ``root``
+        #: the sibling counter of the cold-build and prefill spans
+        #: under ``root``
         self.setup_branch = NULL_BRANCH
         if trace:
             self.tracer = Tracer(
@@ -281,20 +268,19 @@ class Campaign:
         self.total_seconds = 0.0
         self.trace: Optional[Trace] = None
         #: retrieval key -> the provenance stages of one (object type,
-        #: query, modality, depths) execution and its shortlist
+        #: query, modality) execution and its shortlist
         self.retrievals: Dict[tuple, Retrieval] = {}
 
+    @staticmethod
     def retrieval_key(
-        self, obj: DataObject, query: str, modality: Modality
+        obj: DataObject, query: str, modality: Modality
     ) -> tuple:
-        return (
-            type(obj).__name__, query, modality, self.k_coarse, self.k_fine
-        )
+        return type(obj).__name__, query, modality
 
     def object_span(self, branch, position: int) -> ContextManager[Span]:
-        """The ``verify`` span of one attempt at one object: a child of
-        the campaign root, or — solo — the root itself, which stays
-        open across attempts and is closed by :func:`finalize`."""
+        """The ``verify`` span of one object: a child of the campaign
+        root, or — solo — the root itself, which :func:`finalize`
+        closes."""
         if self.solo:
             return nullcontext(self.root or NULL_SPAN)
         return branch.span(
@@ -322,7 +308,7 @@ def run_batch(campaign: Campaign) -> BatchReport:
 
 
 def run_campaign(campaign: Campaign) -> List[VerificationReport]:
-    """plan → prefill → attempt every object → finalize."""
+    """plan → prefill → run every object → finalize."""
     system = campaign.system
     # build (and seal) the indexes the campaign reads up front; build
     # cost is not attributed to the campaign scope.  A traced cold build
@@ -378,7 +364,7 @@ def prefill(campaign: Campaign) -> None:
             ):
                 retrievals = system.retrieval_stages_batch(
                     [campaign.objects[campaign.plan_first[k]] for k in keys],
-                    modality, campaign.k_coarse, campaign.k_fine,
+                    modality,
                 )
         except Exception:
             registry.counter("batch.matrix_prefill_failures").inc()
@@ -393,7 +379,6 @@ def prefill(campaign: Campaign) -> None:
     registry.histogram("pipeline.retrieve_seconds").observe(
         system.clock.now() - prefill_start
     )
-    campaign.setup_branch.commit()
 
 
 def replay_stage_spans(
@@ -404,19 +389,12 @@ def replay_stage_spans(
     from the stage list (whoever executed the retrieval), so the trace
     shape never depends on execution order."""
     config = campaign.system.config
-    fine = (
-        campaign.k_fine if campaign.k_fine is not None
-        else config.fine_k(modality)
-    )
-    coarse_depth = (
-        campaign.k_coarse if campaign.k_coarse is not None
-        else config.k_coarse
-    )
+    fine = config.fine_k(modality)
     for stage_name, (ids, _) in stages:
         if stage_name.startswith("coarse:"):
             span_name = f"retrieve:{stage_name}"
             # a lone coarse stage retrieves at fine depth
-            depth = coarse_depth if len(stages) > 1 else fine
+            depth = config.k_coarse if len(stages) > 1 else fine
         else:
             span_name = stage_name
             depth = fine
@@ -449,9 +427,7 @@ def retrieve_object(
         retrieval = campaign.retrievals.get(key)
         if retrieval is None:
             retrieval = campaign.retrievals[key] = (
-                campaign.system.retrieval_stages_batch(
-                    [obj], modality, campaign.k_coarse, campaign.k_fine
-                )[0]
+                campaign.system.retrieval_stages_batch([obj], modality)[0]
             )
         replay_stage_spans(
             campaign, branch, obj_span, retrieval[0], modality,
@@ -461,20 +437,16 @@ def retrieve_object(
     return retrieved
 
 
-def attempt(
-    campaign: Campaign, position: int, final_attempt: bool
-) -> VerificationReport:
-    """One guarded attempt at one object.
+def attempt(campaign: Campaign, position: int) -> VerificationReport:
+    """One object's retrieve → resolve → verify chain, which may raise.
 
     The provenance record is written only once retrieval and the
-    verifier pool have succeeded, so a fault there never leaves stages
-    or outcomes behind for a retry to duplicate.  Those writes and the
-    two ``pipeline.*_seconds`` observations run inside the object's
-    ``verify`` span: the span's duration covers the object's own
-    bookkeeping, and a profile charges that cost to the object instead
-    of leaving it unattributed.  Spans are committed on success or on
-    the final failure and discarded on a retried attempt — a fault in
-    the bookkeeping itself included."""
+    verifier pool have succeeded, so a FAILED record carries no stages.
+    Those writes and the two ``pipeline.*_seconds`` observations run
+    inside the object's ``verify`` span: the span's duration covers the
+    object's own bookkeeping, and a profile charges that cost to the
+    object instead of leaving it unattributed.  A fault marks every
+    span it unwinds through FAILED, and they stay in the trace."""
     system = campaign.system
     clock = system.clock
     obj = campaign.objects[position]
@@ -483,49 +455,38 @@ def attempt(
         campaign.tracer.branch() if campaign.tracer is not None
         else NULL_BRANCH
     )
-    try:
-        with campaign.object_span(branch, position) as obj_span:
-            retrieve_start = clock.now()
-            retrieved = retrieve_object(campaign, position, branch, obj_span)
-            evidence: List[DataInstance] = []
-            for _, shortlist in retrieved:
-                evidence.extend(system.resolve(shortlist))
-            verify_start = clock.now()
-            with branch.span(
-                "verify_pool",
-                parent=obj_span,
-                attributes={"evidence": len(evidence)},
-            ) as pool_span:
-                outcomes, final, margin = system.verifier.verify_pool(
-                    obj, evidence, branch=branch, parent=pool_span
-                )
-                pool_span.set("verdict", final.name)
-            obj_span.set("verdict", final.name)
-            verify_end = clock.now()
-            # the chain succeeded: record it once, inside the object's
-            # span (see the docstring)
-            for stages, _ in retrieved:
-                for stage_name, (ids, scores) in stages:
-                    record.add_ranking(stage_name, ids, scores)
-            record.record_outcomes(outcomes)
-            record.finalize(final, margin)
-            registry = system.metrics
-            registry.histogram("pipeline.retrieve_seconds").observe(
-                verify_start - retrieve_start
+    with campaign.object_span(branch, position) as obj_span:
+        retrieve_start = clock.now()
+        retrieved = retrieve_object(campaign, position, branch, obj_span)
+        evidence: List[DataInstance] = []
+        for _, shortlist in retrieved:
+            evidence.extend(system.resolve(shortlist))
+        verify_start = clock.now()
+        with branch.span(
+            "verify_pool",
+            parent=obj_span,
+            attributes={"evidence": len(evidence)},
+        ) as pool_span:
+            outcomes, final, margin = system.verifier.verify_pool(
+                obj, evidence, branch=branch, parent=pool_span
             )
-            registry.histogram("pipeline.verify_seconds").observe(
-                verify_end - verify_start
-            )
-    except Exception:
-        # the failed attempt's spans (each marked FAILED on unwind) are
-        # the record of what happened — but only if no retry will
-        # produce a cleaner story
-        if final_attempt:
-            branch.commit()
-        else:
-            branch.discard()
-        raise
-    branch.commit()
+            pool_span.set("verdict", final.name)
+        obj_span.set("verdict", final.name)
+        verify_end = clock.now()
+        # the chain succeeded: record it, inside the object's span (see
+        # the docstring)
+        for stages, _ in retrieved:
+            for stage_name, (ids, scores) in stages:
+                record.add_ranking(stage_name, ids, scores)
+        record.record_outcomes(outcomes)
+        record.finalize(final, margin)
+        registry = system.metrics
+        registry.histogram("pipeline.retrieve_seconds").observe(
+            verify_start - retrieve_start
+        )
+        registry.histogram("pipeline.verify_seconds").observe(
+            verify_end - verify_start
+        )
     return VerificationReport(
         object_id=obj.object_id,
         final_verdict=final,
@@ -541,38 +502,28 @@ def run_object(campaign: Campaign, position: int) -> VerificationReport:
     registry = campaign.system.metrics
     obj = campaign.objects[position]
     registry.counter("pipeline.verify_calls").inc()
-    attempts = campaign.max_retries + 1
-    for number in range(1, attempts + 1):
-        try:
-            return attempt(campaign, position, number == attempts)
-        except Exception as exc:
-            if number < attempts:
-                registry.counter("batch.retries").inc()
-                get_event_log().emit(
-                    "batch.retry",
-                    object_id=obj.object_id,
-                    attempt=number,
-                )
-                continue
-            record = campaign.records[position]
-            error = format_error(exc)
-            record.mark_failed(error)
-            registry.counter("batch.failed").inc()
-            get_event_log().emit(
-                "batch.object_failed",
-                object_id=obj.object_id,
-                error=error,
-            )
-            if campaign.fail_fast:
-                raise
-            return VerificationReport(
-                object_id=obj.object_id,
-                final_verdict=Verdict.NOT_RELATED,
-                margin=0.0,
-                record_id=record.record_id,
-                status=STATUS_FAILED,
-                error=error,
-            )
+    try:
+        return attempt(campaign, position)
+    except Exception as exc:
+        record = campaign.records[position]
+        error = format_error(exc)
+        record.mark_failed(error)
+        registry.counter("batch.failed").inc()
+        get_event_log().emit(
+            "batch.object_failed",
+            object_id=obj.object_id,
+            error=error,
+        )
+        if campaign.fail_fast:
+            raise
+        return VerificationReport(
+            object_id=obj.object_id,
+            final_verdict=Verdict.NOT_RELATED,
+            margin=0.0,
+            record_id=record.record_id,
+            status=STATUS_FAILED,
+            error=error,
+        )
 
 
 def run_objects(campaign: Campaign) -> List[VerificationReport]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import ClassVar, Dict
 
 from repro.datalake.types import Modality
 from repro.index.combiner import FusionMethod
@@ -35,7 +35,8 @@ class VerifAIConfig:
     * ``k_fine`` — per-modality shortlist after reranking (defaults to
       the paper's 3/3/5);
     * ``use_semantic_index`` — add the vector index alongside BM25 and
-      fuse with the Combiner;
+      fuse with the Combiner, by ``fusion`` (RRF; a constant, read by
+      the indexer and ``bench/replay.py``);
     * ``use_reranker`` — apply the task-specific reranker (off = the
       paper's Section 4 setting, which evaluates raw index retrieval);
     * ``prefer_local`` — Agent policy: route to local verifiers when one
@@ -51,8 +52,9 @@ class VerifAIConfig:
     )
     use_semantic_index: bool = False
     use_reranker: bool = False
-    fusion: FusionMethod = FusionMethod.RRF
     prefer_local: bool = False
+
+    fusion: ClassVar[FusionMethod] = FusionMethod.RRF
 
     def __post_init__(self) -> None:
         require_at_least("k_coarse", self.k_coarse, 1)

@@ -167,11 +167,7 @@ class VerifAI:
         return f"trace-{self._trace_counter:06d}"
 
     def retrieval_stages_batch(
-        self,
-        objs: Sequence[DataObject],
-        modality: Modality,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
+        self, objs: Sequence[DataObject], modality: Modality
     ) -> List[Retrieval]:
         """Coarse retrieval + optional reranking for each object against
         one modality: its named provenance stages, in columns, and the
@@ -185,14 +181,14 @@ class VerifAI:
         the batched coarse columns.  A hit is built only for what a
         reranker or the Verifier reads: every coarse candidate on a
         route that rescores them, the shortlist's head on one that does
-        not.  Results depend only on each object's query text, type,
-        and the depths, which is what lets a campaign dedupe identical
-        retrievals.  Emits no spans: the campaign core replays them from
-        the stages.
+        not.  Results depend only on each object's query text and type
+        (the depths are ``config``'s), which is what lets a campaign
+        dedupe identical retrievals.  Emits no spans: the campaign core
+        replays them from the stages.
         """
         objs = list(objs)
         queries = [obj.query_text() for obj in objs]
-        fine = k_fine if k_fine is not None else self.config.fine_k(modality)
+        fine = self.config.fine_k(modality)
         coarse_name = f"coarse:{modality.value}"
         index_name = self.indexer.index_name(modality)
         if not self.config.use_reranker:
@@ -205,7 +201,9 @@ class VerifAI:
             ]
         rerank_name = f"rerank:{modality.value}"
         retrievals: List[Retrieval] = []
-        coarse_lists = self.indexer.rank_batch(queries, modality, k_coarse)
+        coarse_lists = self.indexer.rank_batch(
+            queries, modality, self.config.k_coarse
+        )
         for obj, coarse in zip(objs, coarse_lists):
             ids, scores = coarse
             read = (
@@ -223,17 +221,11 @@ class VerifAI:
         return retrievals
 
     def retrieve(
-        self,
-        obj: DataObject,
-        modality: Modality,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
+        self, obj: DataObject, modality: Modality
     ) -> List[SearchHit]:
         """Coarse retrieval + optional task-specific reranking: the
         evidence shortlist for one object against one modality."""
-        return self.retrieval_stages_batch(
-            [obj], modality, k_coarse, k_fine
-        )[0][1]
+        return self.retrieval_stages_batch([obj], modality)[0][1]
 
     def resolve(self, hits: Sequence[SearchHit]) -> List[DataInstance]:
         """Instance ids back to lake instances."""
@@ -246,8 +238,6 @@ class VerifAI:
         self,
         obj: DataObject,
         modalities: Optional[Sequence[Modality]] = None,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
         fail_fast: bool = False,
         trace: bool = False,
     ) -> VerificationReport:
@@ -273,7 +263,7 @@ class VerifAI:
         from repro.core.batch import Campaign, run_campaign
 
         campaign = Campaign(
-            self, [obj], modalities, k_coarse, k_fine,
+            self, [obj], modalities,
             trace=trace, solo=True, fail_fast=fail_fast,
         )
         report = run_campaign(campaign)[0]
@@ -285,10 +275,7 @@ class VerifAI:
         objects: Sequence[DataObject],
         modalities: Optional[Sequence[Modality]] = None,
         max_workers: int = 1,
-        k_coarse: Optional[int] = None,
-        k_fine: Optional[int] = None,
         fail_fast: bool = False,
-        max_retries: int = 0,
         trace: bool = False,
         profile: bool = False,
     ) -> "BatchReport":
@@ -300,11 +287,11 @@ class VerifAI:
         input order.  ``max_workers`` must be 1 (anything else raises
         ``ValueError``): it stays only for callers written when the
         campaign could fan out to threads.  Each object runs inside an
-        error boundary: a fault yields a ``FAILED`` report (after
-        ``max_retries`` extra attempts, default 0) instead of aborting
-        the campaign; ``fail_fast=True`` restores raise-on-first-error.
-        The returned :class:`BatchReport` carries stage timings,
-        cache-hit, failure, and retry counters in ``stats``; ``trace=True`` additionally
+        error boundary: a fault yields a ``FAILED`` report instead of
+        aborting the campaign; ``fail_fast=True`` restores
+        raise-on-first-error.  The returned :class:`BatchReport` carries
+        stage timings, dedup and failure counters in ``stats``;
+        ``trace=True`` additionally
         attaches a campaign-wide span tree (``report.trace``) whose
         export is byte-identical from run to run under a deterministic
         clock.
@@ -324,9 +311,8 @@ class VerifAI:
                 f"got {max_workers}"
             )
         return run_batch(Campaign(
-            self, objects, modalities, k_coarse, k_fine,
-            trace=trace or profile, profile=profile,
-            fail_fast=fail_fast, max_retries=max_retries,
+            self, objects, modalities,
+            trace=trace or profile, profile=profile, fail_fast=fail_fast,
         ))
 
     def add_instance(self, instance) -> None:
@@ -419,8 +405,5 @@ class BatchReport:
         if self.failed:
             line += f" ({self.failed} FAILED)"
         if self.stats is not None:
-            line += (
-                f"; {self.stats.failed} failed, "
-                f"{self.stats.retries} retries"
-            )
+            line += f"; {self.stats.failed} failed"
         return line

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import VerifAIConfig
 from repro.core.pipeline import BatchReport, VerifAI
 from repro.datalake.lake import DataLake
 from repro.datalake.serialize import serialize_instance, serialize_row
@@ -458,10 +459,11 @@ def _trust_runs(
     (``fitted``)."""
     return {
         name: VerifAI(
-            lake, llm=context.verifier_llm, source_trust=trust
+            lake, llm=context.verifier_llm,
+            config=VerifAIConfig(k_fine={Modality.TUPLE: 8}),
+            source_trust=trust,
         ).verify_batch(
-            [case.obj for case in cases],
-            modalities=(Modality.TUPLE,), k_fine=8,
+            [case.obj for case in cases], modalities=(Modality.TUPLE,)
         )
         for name, trust in (("uniform", None), ("trust_weighted", fitted))
     }

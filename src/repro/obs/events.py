@@ -3,9 +3,9 @@
 Metrics answer "how many, how fast" in aggregate; traces answer "what
 did *this* request do".  The flight recorder covers the gap between
 them — "what just happened on this process, in order": the last N
-admission decisions, queue waits, retries, pool evictions, and
-slow requests, cheap enough to leave on in production and dumped on
-demand via ``GET /debug/events`` or a JSONL export.
+admission decisions, queue waits, object failures and slow requests,
+cheap enough to leave on in production and dumped on demand via
+``GET /debug/events`` or a JSONL export.
 
 Design rules:
 
@@ -47,7 +47,7 @@ class Event:
     """One recorded occurrence.
 
     ``kind`` is dotted lowercase like metric names
-    (``admission.shed``, ``batch.retry``); the catalogue lives in
+    (``admission.shed``, ``batch.object_failed``); the catalogue lives in
     docs/observability.md next to the metric catalogue.
     """
 

@@ -13,10 +13,10 @@ execution did: ``verify_batch`` → per-object ``verify`` →
 * **injectable time** — all timestamps come from the tracer's
   :class:`~repro.obs.clock.Clock`; under a frozen
   :class:`~repro.obs.clock.TickClock` the whole trace is byte-stable;
-* **attempt isolation** — spans are staged in a :class:`SpanBranch` and
-  only committed when an attempt completes (succeeds, or fails for the
-  last time), mirroring the provenance rule that retried attempts never
-  duplicate stages.
+* **registered on open** — a span joins its tracer's trace the moment
+  it opens; a :class:`SpanBranch` only numbers the spans it opens under
+  each parent, and :meth:`Tracer.trace` orders them by position, not by
+  the order they opened.
 
 Span attributes are restricted to values that are deterministic per
 input (object ids, depths, hit counts, verdicts, planned dedup).
@@ -158,7 +158,7 @@ class Tracer:
         attributes: Optional[Mapping[str, AttrValue]] = None,
         record_id: str = "",
     ) -> Span:
-        """Create (but do not register) a span; ``start`` is set now."""
+        """Create and register a span; ``start`` is set now."""
         if parent is None:
             path = f"{index}:{name}"
             parent_id = ""
@@ -167,7 +167,7 @@ class Tracer:
             path = f"{parent.path}/{index}:{name}"
             parent_id = parent.span_id
             sort_key = parent.sort_key + (index,)
-        return Span(
+        span = Span(
             trace_id=self.trace_id,
             span_id=span_id_for(self.trace_id, path),
             parent_id=parent_id,
@@ -182,6 +182,8 @@ class Tracer:
                 self.cpu_clock.now() if self.cpu_clock is not None else None
             ),
         )
+        self._spans.append(span)
+        return span
 
     def root(
         self,
@@ -189,13 +191,11 @@ class Tracer:
         attributes: Optional[Mapping[str, AttrValue]] = None,
         record_id: str = "",
     ) -> Span:
-        """Open and register the trace's root span."""
-        span = self.open_span(
+        """Open the trace's root span."""
+        return self.open_span(
             name, parent=None, index=0,
             attributes=attributes, record_id=record_id,
         )
-        self._spans.append(span)
-        return span
 
     def close(self, span: Span, status: str = SPAN_OK, error: str = "") -> None:
         """Stamp a span's end time and final status."""
@@ -206,16 +206,13 @@ class Tracer:
         span.error = error
 
     def branch(self, first_index: int = 0) -> "SpanBranch":
-        """A staging area for one attempt's spans (commit or discard).
+        """A sibling-index counter: the spans opened through it are
+        numbered per parent.
 
         Sibling indexes count up from ``first_index``; a negative one
         sorts the branch's spans ahead of siblings other branches hang
         under the same parent (setup work ahead of the objects)."""
         return SpanBranch(self, first_index)
-
-    def extend(self, spans: List[Span]) -> None:
-        """Register finished spans (called by branch commits)."""
-        self._spans.extend(spans)
 
     # ------------------------------------------------------------------
     # completion
@@ -227,18 +224,15 @@ class Tracer:
 
 
 class SpanBranch:
-    """Per-attempt span staging.
+    """Opens spans on its tracer, numbering each parent's children.
 
-    Spans opened through a branch are invisible to the tracer until
-    :meth:`commit`; a retried attempt calls :meth:`discard` instead, so
-    the final trace never carries spans from attempts that were thrown
-    away.
+    A span it opens is registered with the tracer at once; the branch
+    keeps only the next sibling index per parent.
     """
 
     def __init__(self, tracer: Tracer, first_index: int = 0) -> None:
         self._tracer = tracer
         self._first_index = first_index
-        self._spans: List[Span] = []
         self._next_index: Dict[str, int] = {}
 
     def _auto_index(self, parent: Optional[Span]) -> int:
@@ -268,7 +262,6 @@ class SpanBranch:
             name, parent=parent, index=index,
             attributes=attributes, record_id=record_id,
         )
-        self._spans.append(span)
         cpu_clock = self._tracer.cpu_clock
         try:
             yield span
@@ -283,15 +276,6 @@ class SpanBranch:
             span.end = self._tracer.clock.now()
             if cpu_clock is not None:
                 span.cpu_end = cpu_clock.now()
-
-    def commit(self) -> None:
-        """Publish this attempt's spans into the trace."""
-        self._tracer.extend(self._spans)
-        self._spans = []
-
-    def discard(self) -> None:
-        """Drop this attempt's spans (the attempt will be retried)."""
-        self._spans = []
 
 
 class _NullSpan:
@@ -324,12 +308,6 @@ class _NullBranch:
         record_id: str = "",
     ) -> _NullSpan:
         return NULL_SPAN
-
-    def commit(self) -> None:
-        return None
-
-    def discard(self) -> None:
-        return None
 
 
 NULL_SPAN = _NullSpan()

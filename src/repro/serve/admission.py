@@ -36,10 +36,8 @@ from repro.obs.metrics import MetricsRegistry
 class ServiceOverloaded(Exception):
     """Queue full: the caller should retry after ``retry_after``."""
 
-    def __init__(self, retry_after: float) -> None:
-        super().__init__(
-            f"service overloaded; retry after {retry_after:g}s"
-        )
+    def __init__(self, retry_after: int) -> None:
+        super().__init__(f"service overloaded; retry after {retry_after}s")
         self.retry_after = retry_after
 
 
@@ -50,7 +48,7 @@ class AdmissionController:
         self,
         max_queue: int,
         registry: MetricsRegistry,
-        retry_after_seconds: float = 1.0,
+        retry_after_seconds: int = 1,
         clock: Optional[Clock] = None,
         events: Optional[EventLog] = None,
     ) -> None:

@@ -30,10 +30,8 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
-import queue
-import threading
 from collections import OrderedDict
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional
 
 from repro.core.pipeline import VerifAI
@@ -92,43 +90,6 @@ def _error_response(status: int, message: str, **headers: str) -> Response:
                           **headers)
 
 
-class _VerifyingThread:
-    """The one thread that runs every call into the ``VerifAI``, in the
-    order the calls were submitted."""
-
-    def __init__(self) -> None:
-        self._calls: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._run, name="serve-verify", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            call = self._calls.get()
-            if call is None:
-                return
-            future, fn, args = call
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                result = fn(*args)
-            except BaseException as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-
-    def submit(self, fn: Callable, *args) -> Future:
-        future: Future = Future()
-        self._calls.put((future, fn, args))
-        return future
-
-    def shutdown(self) -> None:
-        """Finish the calls already submitted, then end the thread."""
-        self._calls.put(None)
-        self._thread.join()
-
-
 class VerificationService:
     """One VerifAI system served over asyncio (see module docstring)."""
 
@@ -137,10 +98,9 @@ class VerificationService:
     ) -> None:
         self.system = system
         self.config = config or ServeConfig()
-        #: the injectable time source for request latency metrics — the
-        #: pipeline's clock unless the config pins its own (tests pin a
-        #: frozen TickClock on both)
-        self.clock: Clock = self.config.clock or system.clock
+        #: the time source for request latency metrics: the pipeline's
+        #: (tests pin a frozen TickClock on the system)
+        self.clock: Clock = system.clock
         self.registry = get_registry()
         #: the flight recorder; installed process-wide while the
         #: service runs so core/index emitters land here too
@@ -160,7 +120,9 @@ class VerificationService:
             events=self.events,
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._verifier: Optional[_VerifyingThread] = None
+        #: the one verifying thread: every call into the system runs on
+        #: it, in the order the calls were submitted
+        self._verifier: Optional[ThreadPoolExecutor] = None
         #: open connections, so stop() can drain them cooperatively
         #: instead of letting loop teardown cancel them mid-request
         self._conn_tasks: set = set()
@@ -179,7 +141,9 @@ class VerificationService:
         """Start the verifying thread and build the indexes on it, take
         what was built out of the collector's reach, open the socket.  A
         start that fails part-way stops what it had started."""
-        self._verifier = _VerifyingThread()
+        self._verifier = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-verify"
+        )
         try:
             # the verifying thread owns the system from its first build
             await self._on_verifying_thread(self.system.build_indexes)
@@ -288,9 +252,8 @@ class VerificationService:
         try:
             response = await handler(request)
         except ServiceOverloaded as exc:
-            retry_after = max(1, round(exc.retry_after))
             response = _error_response(
-                429, str(exc), **{"Retry-After": str(retry_after)}
+                429, str(exc), **{"Retry-After": str(exc.retry_after)}
             )
         except HttpError as exc:
             response = _error_response(exc.status, exc.message)
@@ -491,7 +454,8 @@ class VerificationService:
             raise BadRequest(
                 f"seconds must be a number, got {raw_seconds!r}"
             )
-        if seconds <= 0:
+        # written so that nan, which compares false, is refused too
+        if not seconds > 0:
             raise BadRequest(f"seconds must be > 0, got {seconds:g}")
         seconds = min(seconds, self.config.debug_profile_max_seconds)
         # the sampler runs on its own thread; the loop only waits out

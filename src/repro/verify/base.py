@@ -17,8 +17,7 @@ class VerificationError(RuntimeError):
     other ``Exception`` — as a per-object failure: the object's report
     comes back ``FAILED`` and its provenance record is finalized with
     the error instead of the whole campaign aborting.  Raise it from
-    custom verifiers to signal a fault that is *about the input*, and
-    therefore worth a bounded retry when transient.
+    custom verifiers to signal a fault that is *about the input*.
     """
 
 

@@ -3,14 +3,12 @@
 One poisoned object must never abort a campaign: its report comes back
 FAILED (with the error string and a NOT_RELATED verdict), its provenance
 record is finalized with the failure, and every other object completes
-normally — identically under serial and parallel execution.  These
-tests pin that contract, plus bounded deterministic retries and the
-opt-in ``fail_fast`` raise-on-first-error escape hatch.
+normally.  These tests pin that contract, that a fault is not retried,
+and the opt-in ``fail_fast`` raise-on-first-error escape hatch.
 """
 
 import pytest
 
-from repro.core.batch import Campaign, run_campaign
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import STATUS_FAILED, STATUS_OK, VerifAI
 from repro.datalake.types import Modality
@@ -157,41 +155,12 @@ class TestPoisonedBatch:
         system = make_system(bundle)
         batch = system.verify_batch(mixed_workload)
         assert batch.stats.failed == 5
-        assert batch.stats.retries == 0
         assert "5 failed" in batch.stats.summary()
         assert "(5 FAILED)" in batch.summary()
 
 
-class TestRetries:
-    def test_retry_then_succeed(self, bundle):
-        system = make_system(bundle, prefer_local=True)
-        flaky = FlakyVerifier(failures=1)
-        system.verifier.agent.local_verifiers.append(flaky)
-        obj = TupleObject(
-            "flaky-1", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        batch = system.verify_batch([obj, obj], max_retries=1)
-        assert all(r.ok for r in batch.reports)
-        assert batch.stats.retries == 1
-        assert batch.stats.failed == 0
-        assert system.provenance.open_records() == []
-
-    def test_retries_exhausted_reports_failure(self, bundle):
-        system = make_system(bundle, prefer_local=True)
-        system.verifier.agent.local_verifiers.append(
-            FlakyVerifier(failures=10 ** 6)
-        )
-        obj = TupleObject(
-            "flaky-2", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        batch = system.verify_batch([obj], max_retries=2)
-        assert batch.failed == 1
-        assert batch.stats.retries == 2
-        assert "VerificationError" in batch.reports[0].error
-
-    def test_retries_default_to_none(self, bundle):
+class TestNoRetry:
+    def test_a_faulted_object_is_not_retried(self, bundle):
         system = make_system(bundle, prefer_local=True)
         flaky = FlakyVerifier(failures=1)
         system.verifier.agent.local_verifiers.append(flaky)
@@ -201,46 +170,46 @@ class TestRetries:
         )
         batch = system.verify_batch([obj])
         assert batch.failed == 1
-        assert batch.stats.retries == 0
         assert flaky.calls == 1
-
-    @pytest.mark.parametrize("max_retries", [0, 1, 2, 3])
-    @pytest.mark.parametrize("failures", [1, 2, 3])
-    def test_a_call_grants_its_own_retries(self, bundle, failures,
-                                           max_retries):
-        system = make_system(bundle, prefer_local=True)
-        flaky = FlakyVerifier(failures=failures)
-        system.verifier.agent.local_verifiers.append(flaky)
-        obj = TupleObject(
-            "flaky-4", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        batch = system.verify_batch([obj], max_retries=max_retries)
-        assert batch.failed == (failures > max_retries)
-        assert batch.stats.retries == min(failures, max_retries)
-        assert flaky.calls >= min(failures, max_retries + 1)
+        # the next call meets the verifier as the fault left it
+        assert system.verify_batch([obj]).failed == 0
         assert system.provenance.open_records() == []
 
-    def test_retries_do_not_outlive_their_call(self, bundle):
-        system = make_system(bundle, prefer_local=True)
-        flaky = FlakyVerifier(failures=3)
-        system.verifier.agent.local_verifiers.append(flaky)
-        obj = TupleObject(
-            "flaky-5", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        assert system.verify_batch([obj], max_retries=1).failed == 1
-        # the flaky verifier now has one failure left; a call without
-        # retries meets it and fails, rather than inheriting the last
-        # call's budget
-        assert system.verify_batch([obj]).failed == 1
-        assert system.verify_batch([obj]).failed == 0
 
-    def test_negative_retries_rejected(self, bundle, mixed_workload):
-        system = make_system(bundle)
-        with pytest.raises(ValueError, match="max_retries"):
-            system.verify_batch(mixed_workload[:2], max_retries=-1)
-        assert len(system.provenance) == 0  # refused before any record
+class TestAFailedRecordCarriesNoStages:
+    """The record is written only once the verifier pool has succeeded:
+    a fault before or inside the pool leaves a FAILED record with no
+    retrieval stage and no outcome, in a campaign as in a solo verify."""
+
+    @staticmethod
+    def faulting(bundle, where):
+        system = make_system(bundle, prefer_local=True)
+        row = bundle.tables[0].row(0)
+        cls = PoisonedObject if where == "query" else TupleObject
+        obj = cls(f"bad-{where}", row, attribute=bundle.tables[0].columns[1])
+        if where == "resolve":
+            def resolve(hits):
+                raise KeyError("evidence left the lake")
+
+            system.resolve = resolve
+        elif where == "verifier":
+            system.verifier.agent.local_verifiers.append(
+                FlakyVerifier(failures=10 ** 6)
+            )
+        return system, obj
+
+    @pytest.mark.parametrize("entry", ["verify", "verify_batch"])
+    @pytest.mark.parametrize("where", ["query", "resolve", "verifier"])
+    def test_a_fault_leaves_no_stage_behind(self, bundle, where, entry):
+        system, obj = self.faulting(bundle, where)
+        if entry == "verify":
+            report = system.verify(obj)
+        else:
+            report = system.verify_batch([obj]).reports[0]
+        assert report.status == STATUS_FAILED
+        record = system.provenance.get(report.record_id)
+        assert record.status == RECORD_FAILED
+        assert (record.retrieval, record.outcomes) == ([], [])
 
 
 class TestFailFast:
@@ -327,34 +296,8 @@ class TestSerialVerifyBoundary:
         report = system.verify(obj)
         assert report.status == STATUS_FAILED
         assert flaky.calls == 1
-        assert event_log.events(kind="batch.retry") == []
-
-    def test_a_solo_campaign_honours_max_retries(self, bundle, event_log):
-        system = make_system(bundle, prefer_local=True)
-        flaky = FlakyVerifier(failures=1)
-        system.verifier.agent.local_verifiers.append(flaky)
-        obj = TupleObject(
-            "flaky-solo", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        campaign = Campaign(system, [obj], trace=True, solo=True, max_retries=1)
-        report = run_campaign(campaign)[0]
-        report.trace = campaign.trace
-        assert report.status == STATUS_OK
-        assert flaky.calls > 1
-        retries = event_log.events(kind="batch.retry")
-        assert [e.fields for e in retries] == [
-            {"object_id": "flaky-solo", "attempt": 1}
-        ]
-        assert event_log.events(kind="batch.object_failed") == []
-        # the retried attempt's spans were discarded: one attempt's
-        # worth, none of them FAILED
-        assert len(report.trace.spans_named("verify")) == 1
-        assert len(report.trace.spans_named("verify_pool")) == 1
-        assert not any(span.failed for span in report.trace.spans)
-        assert len(system.provenance.get(report.record_id).outcomes) == (
-            len(report.outcomes)
-        )
+        assert [(e.kind, e.fields["object_id"]) for e in event_log.events()] \
+            == [("batch.object_failed", "flaky-once")]
 
     def test_verification_error_is_a_runtime_error(self):
         assert issubclass(VerificationError, RuntimeError)

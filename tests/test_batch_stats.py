@@ -85,6 +85,14 @@ class TestEmptyCampaign:
         assert stats.to_dict()["objects"] == 0
 
 
+def test_the_stats_dict_keys():
+    stats = BatchStats(objects=1, stage_seconds={"total": 0.5})
+    assert sorted(stats.to_dict()) == [
+        "failed", "matrix_batches", "objects", "per_object_seconds",
+        "retrieval_cache_hits", "stage_seconds", "unique_retrievals",
+    ]
+
+
 class TestSuccessiveCampaigns:
     def test_successive_campaigns_do_not_share_a_scope(self, system):
         """Two campaigns in a row each see exactly their own matrix

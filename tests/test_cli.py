@@ -522,13 +522,6 @@ class TestCountFlags:
             capsys, "--sample", ["0", "-3"], ["verify-batch", "profile"]
         )
 
-    def test_retries(self, capsys):
-        self.assert_rejected(capsys, "--retries", ["-1"], ["verify-batch"])
-        assert build_parser().parse_args(self.COMMANDS["verify-batch"]).retries == 0
-        assert build_parser().parse_args(
-            self.COMMANDS["verify-batch"] + ["--retries", "0"]
-        ).retries == 0
-
     def test_queue(self, capsys):
         self.assert_rejected(capsys, "--queue", ["-1", "1.5"], ["serve"])
         assert build_parser().parse_args(

@@ -5,6 +5,7 @@ import pytest
 from repro.core.batch import BatchStats
 from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
+from repro.datalake.types import Modality
 from repro.llm.model import SimulatedLLM
 from repro.obs.clock import TickClock
 from repro.verify.objects import TupleObject
@@ -227,3 +228,50 @@ class TestEngineEdges:
             system.verify_batch(workload, max_workers=workers)
         # refused before any record was opened or any pair verified
         assert (len(system.provenance), system.llm.num_calls) == (0, 0)
+
+
+class TestDepthsFromTheConfig:
+    """A campaign reads both depths from the system's config: the
+    replayed stage spans carry them, and the shortlist is cut at them."""
+
+    @pytest.mark.parametrize("use_reranker", [False, True],
+                             ids=["coarse", "reranked"])
+    def test_the_replayed_spans_carry_the_configs_depths(
+        self, bundle, workload, use_reranker
+    ):
+        system = make_system(
+            bundle, clock=TickClock(), use_reranker=use_reranker,
+            k_coarse=17, k_fine={Modality.TUPLE: 4, Modality.TEXT: 2},
+        )
+        trace = system.verify_batch(workload[:2], trace=True).trace
+        depths = {
+            (span.name, span.attributes["k"])
+            for span in trace.spans
+            if span.name.startswith(("retrieve:coarse:", "rerank:"))
+        }
+        if use_reranker:
+            assert depths == {
+                ("retrieve:coarse:tuple", 17), ("rerank:tuple", 4),
+                ("retrieve:coarse:text", 17), ("rerank:text", 2),
+            }
+        else:
+            # a lone coarse stage retrieves at the shortlist depth
+            assert depths == {
+                ("retrieve:coarse:tuple", 4), ("retrieve:coarse:text", 2),
+            }
+
+    @pytest.mark.parametrize("entry", ["verify", "verify_batch"])
+    def test_a_config_shortlist_depth_cuts_the_evidence(
+        self, bundle, workload, entry
+    ):
+        deep = make_system(bundle, k_fine={Modality.TUPLE: 8})
+        obj = workload[0]
+        if entry == "verify":
+            report = deep.verify(obj, modalities=(Modality.TUPLE,))
+        else:
+            report = deep.verify_batch(
+                [obj], modalities=(Modality.TUPLE,)
+            ).reports[0]
+        shallow = make_system(bundle).verify(obj, modalities=(Modality.TUPLE,))
+        assert len(report.evidence_ids) == 8
+        assert report.evidence_ids[:3] == shallow.evidence_ids

@@ -101,20 +101,6 @@ class TestConfigValidation:
         )
         assert config.fine_k(Modality.TUPLE) == 1
 
-    @pytest.mark.parametrize("field,value", [
-        ("k_coarse", -1), ("k_coarse", 0), ("k_fine", -2), ("k_fine", 0),
-    ])
-    def test_a_per_call_depth_below_one_is_refused(
-        self, system, election_table, field, value
-    ):
-        obj = TupleObject("o", election_table.row(0), attribute="party")
-        records = len(system.provenance)
-        with pytest.raises(ValueError, match=rf"^{field} must be >= 1"):
-            system.verify(obj, **{field: value})
-        with pytest.raises(ValueError, match=rf"^{field} must be >= 1"):
-            system.verify_batch([obj], **{field: value})
-        assert len(system.provenance) == records
-
 
 class TestRerankerRouting:
     def test_the_tuple_routes_have_no_reranker(self):

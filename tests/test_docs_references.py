@@ -16,8 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.core.batch import Campaign
 from repro.core.config import VerifAIConfig
+from repro.core.pipeline import VerifAI
+from repro.datalake.lake import DataLake
+from repro.datalake.types import Modality
+from repro.index.combiner import FusionMethod
 from repro.serve.config import ServeConfig
+from repro.verify.objects import ClaimObject
 from repro.workloads.builder import LakeConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +131,88 @@ def test_the_knob_census_has_one_row_per_knob():
         f"a row for what is gone: {sorted(set(named) - expected)}"
     )
     for knob, consumer, verdict in rows:
-        assert consumer.strip(), knob
-        assert verdict in ("kept", "**no consumer**"), knob
-        assert (verdict == "kept") != consumer.startswith("none"), knob
+        assert consumer.strip() and not consumer.startswith("none"), knob
+        assert verdict == "kept", knob
+
+
+def test_the_constants_bench_reads_resolve_on_an_instance():
+    # bench/serve.py reads the request guards and the worker cap off
+    # ServeConfig(), bench/replay.py the fusion method off its config:
+    # class constants, which an instance still carries
+    serve = ServeConfig()
+    assert (
+        serve.max_body_bytes, serve.max_batch_objects,
+        serve.batch_max_workers,
+    ) == (1 << 20, 256, 1)
+    assert VerifAIConfig().fusion is FusionMethod.RRF
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "host", "port", "max_queue",
+    ]
+    assert [f.name for f in dataclasses.fields(VerifAIConfig)] == [
+        "k_coarse", "k_fine", "use_semantic_index", "use_reranker",
+        "prefer_local",
+    ]
+
+
+def _system():
+    return VerifAI(DataLake("empty"))
+
+
+#: every keyword, field and flag that left with no consumer, and a call
+#: that passes it
+_REMOVED = {
+    "verify-batch---retries": lambda: build_parser().parse_args(
+        ["verify-batch", "--lake", "lake.json", "--retries", "1"]
+    ),
+    "verify-k_coarse": lambda: _system().verify(_CLAIM, k_coarse=50),
+    "verify-k_fine": lambda: _system().verify(_CLAIM, k_fine=3),
+    "verify_batch-k_coarse": lambda: _system().verify_batch(
+        [_CLAIM], k_coarse=50
+    ),
+    "verify_batch-k_fine": lambda: _system().verify_batch(
+        [_CLAIM], k_fine=3
+    ),
+    "verify_batch-max_retries": lambda: _system().verify_batch(
+        [_CLAIM], max_retries=1
+    ),
+    "retrieve-k_coarse": lambda: _system().retrieve(
+        _CLAIM, Modality.TABLE, k_coarse=50
+    ),
+    "retrieve-k_fine": lambda: _system().retrieve(
+        _CLAIM, Modality.TABLE, k_fine=3
+    ),
+    "retrieval_stages_batch-k_coarse": lambda: (
+        _system().retrieval_stages_batch(
+            [_CLAIM], Modality.TABLE, k_coarse=50
+        )
+    ),
+    "retrieval_stages_batch-k_fine": lambda: (
+        _system().retrieval_stages_batch([_CLAIM], Modality.TABLE, k_fine=3)
+    ),
+    "Campaign-k_coarse": lambda: Campaign(_system(), [], k_coarse=50),
+    "Campaign-k_fine": lambda: Campaign(_system(), [], k_fine=3),
+    "Campaign-max_retries": lambda: Campaign(_system(), [], max_retries=1),
+    "VerifAIConfig-fusion": lambda: VerifAIConfig(fusion=FusionMethod.MAX),
+    **{
+        f"ServeConfig-{field}": (
+            lambda field=field: ServeConfig(**{field: 1})
+        )
+        for field in (
+            "retry_after_seconds", "max_body_bytes", "max_batch_objects",
+            "trace_cache_size", "event_log_size",
+            "debug_profile_max_seconds", "clock",
+        )
+    },
+}
+_CLAIM = ClaimObject("c", "the gold of valoria is 10")
+
+
+@pytest.mark.parametrize("call", _REMOVED.values(), ids=list(_REMOVED))
+def test_a_removed_knob_is_refused(call, capsys):
+    with pytest.raises((TypeError, SystemExit)) as refused:
+        call()
+    if refused.type is SystemExit:
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    else:
+        assert "unexpected keyword argument" in str(refused.value)

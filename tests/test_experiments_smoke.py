@@ -148,6 +148,18 @@ class TestRunners:
         assert 0.0 <= results["uniform_accuracy"] <= 1.0
         assert results["trust_clean"] > results["trust_dirty_a"]
 
+    def test_the_trust_runs_shortlist_eight_tuples_by_config(
+        self, tiny_context
+    ):
+        from repro.experiments.ablations import _build_dirty_lake, _trust_runs
+
+        runs = _trust_runs(
+            tiny_context, _build_dirty_lake(tiny_context),
+            tiny_context.tuple_cases[:4], {},
+        )
+        for batch in runs.values():
+            assert {len(report.evidence_ids) for report in batch} == {8}
+
     def test_tuple_verifier_comparison(self, tiny_context):
         from repro.experiments.ablations import run_tuple_verifier_comparison
 

@@ -156,19 +156,24 @@ class TestEveryQueryEveryModality:
 # ---------------------------------------------------------------------------
 # the other fusion paths over the one index
 # ---------------------------------------------------------------------------
+def fused_by(method, **fields):
+    """A config that fuses by ``method``: ``VerifAIConfig.fusion`` is a
+    class constant (RRF), which a subclass overrides."""
+    fused = type("Fused", (VerifAIConfig,), {"fusion": method})
+    return fused(**fields)
+
+
 class TestFusionPaths:
     @pytest.fixture(scope="class")
     def max_fused(self, small_bundle):
-        return Built(
-            small_bundle.lake, VerifAIConfig(fusion=FusionMethod.MAX)
-        )
+        return Built(small_bundle.lake, fused_by(FusionMethod.MAX))
 
     @pytest.fixture(scope="class")
     def semantic(self, small_bundle):
         built = {
             method: Built(
                 small_bundle.lake,
-                VerifAIConfig(use_semantic_index=True, fusion=method),
+                fused_by(method, use_semantic_index=True),
             )
             for method in FusionMethod
         }

@@ -131,7 +131,6 @@ def test_a_default_build_builds_every_modality_in_modality_order(tiny_lake):
     root = tracer.root("build")
     branch = tracer.branch()
     indexer = IndexerModule(tiny_lake).build(branch=branch, parent=root)
-    branch.commit()
     tracer.close(root)
     assert indexer.built_modalities == set(Modality)
     assert [

@@ -97,7 +97,6 @@ def build_profile_trace():
         with branch.span("verify_pool", parent=span):
             clock.advance(1.0)
             cpu.advance(0.75)
-    branch.commit()
     clock.advance(2.0)
     tracer.close(root)
     return tracer.trace()

@@ -24,12 +24,12 @@ from repro.obs.render import render_tree
 from repro.obs.trace import (
     NULL_BRANCH,
     SPAN_FAILED,
+    SPAN_OK,
     Span,
     Trace,
     Tracer,
     span_id_for,
 )
-from repro.verify.base import VerificationError, Verifier
 from repro.verify.objects import TupleObject
 from repro.verify.verdict import Verdict
 from repro.workloads.builder import LakeConfig, build_lake
@@ -40,25 +40,6 @@ class PoisonedObject(TupleObject):
 
     def query_text(self) -> str:
         raise RuntimeError(f"poisoned payload in {self.object_id}")
-
-
-class FlakyVerifier(Verifier):
-    """Raises for the first ``failures`` calls, then verifies."""
-
-    name = "flaky"
-
-    def __init__(self, failures: int = 1):
-        self.failures = failures
-        self.calls = 0
-
-    def supports(self, obj, evidence) -> bool:
-        return True
-
-    def verify(self, obj, evidence):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise VerificationError("transient backend hiccup")
-        return self._outcome(Verdict.VERIFIED, "ok after retry", evidence)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +145,40 @@ class TestTraceShape:
             s.attributes.get("dedup") for s in first_retrievals
         )
 
+    def test_a_verifier_fault_fails_the_spans_it_unwinds(self, bundle):
+        # the faulting object's spans stay in the trace, once each,
+        # FAILED from the verdict up; the next object's are OK
+        system = make_system(bundle, clock=TickClock())
+        verify = system.verifier.agent.verify
+
+        def choking_verify(obj, evidence):
+            if obj.object_id == "chokes":
+                raise RuntimeError("model backend down")
+            return verify(obj, evidence)
+
+        system.verifier.agent.verify = choking_verify
+        table = bundle.tables[0]
+        objects = [
+            TupleObject(name, table.row(0), attribute=table.columns[1])
+            for name in ("chokes", "fine")
+        ]
+        trace = system.verify_batch(objects, trace=True).trace
+        status = {}
+        for span in trace.spans:
+            if span.name in ("verify", "verify_pool", "verdict"):
+                owner = span.path.split("/")[1]
+                status.setdefault((owner, span.name), []).append(span.status)
+        fine_verdicts = status.pop(("1:verify", "verdict"))
+        assert fine_verdicts and set(fine_verdicts) == {SPAN_OK}
+        assert status == {
+            ("0:verify", "verify"): [SPAN_FAILED],
+            ("0:verify", "verify_pool"): [SPAN_FAILED],
+            ("0:verify", "verdict"): [SPAN_FAILED],
+            ("1:verify", "verify"): [SPAN_OK],
+            ("1:verify", "verify_pool"): [SPAN_OK],
+        }
+        assert "model backend down" in trace.spans_named("verdict")[0].error
+
     def test_failed_object_span_carries_status_and_error(
         self, bundle, workload
     ):
@@ -247,34 +262,6 @@ class TestSerialVerifyTrace:
             attribute=bundle.tables[0].columns[1],
         )
         assert system.verify(obj).trace is None
-
-
-# ----------------------------------------------------------------------
-# retries
-# ----------------------------------------------------------------------
-class TestRetrySpans:
-    def test_retried_attempt_spans_are_discarded(self, bundle):
-        from repro.core.config import VerifAIConfig
-
-        llm = SimulatedLLM(knowledge=None, seed=26)
-        system = VerifAI(
-            bundle.lake, llm=llm,
-            config=VerifAIConfig(prefer_local=True),
-            clock=TickClock(),
-        ).build_indexes()
-        system.verifier.agent.local_verifiers.append(FlakyVerifier(1))
-        obj = TupleObject(
-            "flaky-obj", bundle.tables[0].row(0),
-            attribute=bundle.tables[0].columns[1],
-        )
-        batch = system.verify_batch([obj], trace=True, max_retries=1)
-        assert batch.stats.retries == 1
-        verifies = batch.trace.spans_named("verify")
-        # one object -> exactly one committed verify span, and it is the
-        # successful attempt's (no FAILED spans from the retried one)
-        assert len(verifies) == 1
-        assert not verifies[0].failed
-        assert not any(s.failed for s in batch.trace.spans)
 
 
 # ----------------------------------------------------------------------
@@ -362,14 +349,12 @@ class TestStatsSurface:
         positions = [line.index(f"{name} ") for name in names]
         assert positions == sorted(positions)
 
-    def test_batch_summary_surfaces_failed_and_retries(
-        self, bundle, workload
-    ):
+    def test_batch_summary_surfaces_failed(self, bundle, workload):
         system = make_system(bundle)
         batch = system.verify_batch(workload)
-        assert "1 failed" in batch.summary()
-        assert "retries" in batch.summary()
-        assert "1 failed" in batch.stats.summary()
+        assert batch.summary().endswith("(1 FAILED); 1 failed")
+        assert "; 1 failed; " in batch.stats.summary()
+        assert "retries" not in batch.stats.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -379,23 +364,47 @@ class TestNullBranch:
     def test_null_branch_is_inert(self):
         with NULL_BRANCH.span("anything", attributes={"k": 1}) as span:
             span.set("ignored", True)
-        NULL_BRANCH.commit()
-        NULL_BRANCH.discard()
 
-    def test_tracer_branch_commit_publishes(self):
+    def test_a_branch_span_is_in_the_trace_once_it_opens(self):
         tracer = Tracer("trace-test", clock=TickClock())
         branch = tracer.branch()
         with branch.span("work") as span:
             span.set("k", 1)
-        assert len(tracer.trace()) == 0, "uncommitted spans stay staged"
-        branch.commit()
-        assert [s.name for s in tracer.trace().spans] == ["work"]
+            assert [s.name for s in tracer.trace().spans] == ["work"]
+        with pytest.raises(KeyError):
+            with branch.span("fails"):
+                raise KeyError("gone")
+        assert [(s.name, s.index, s.status) for s in tracer.trace().spans] \
+            == [("work", 0, SPAN_OK), ("fails", 1, SPAN_FAILED)]
 
-    def test_tracer_branch_discard_drops(self):
+    def test_a_branch_numbers_each_parents_children_apart(self):
         tracer = Tracer("trace-test", clock=TickClock())
+        root = tracer.root("root")
         branch = tracer.branch()
-        with branch.span("work"):
+        with branch.span("a", parent=root) as a:
+            with branch.span("a1", parent=a):
+                pass
+            with branch.span("a2", parent=a):
+                pass
+        with branch.span("b", parent=root):
             pass
-        branch.discard()
-        branch.commit()
-        assert len(tracer.trace()) == 0
+        assert [(s.name, s.path) for s in tracer.trace().spans] == [
+            ("root", "0:root"),
+            ("a", "0:root/0:a"),
+            ("a1", "0:root/0:a/0:a1"),
+            ("a2", "0:root/0:a/1:a2"),
+            ("b", "0:root/1:b"),
+        ]
+
+    def test_a_negative_first_index_sorts_ahead_of_later_spans(self):
+        tracer = Tracer("trace-test", clock=TickClock())
+        root = tracer.root("root")
+        with tracer.branch().span("object", parent=root):
+            pass
+        setup = tracer.branch(first_index=-2)
+        for name in ("build", "prefill"):
+            with setup.span(name, parent=root):
+                pass
+        assert [
+            (s.name, s.index) for s in tracer.trace().spans
+        ] == [("root", 0), ("build", -2), ("prefill", -1), ("object", 0)]

@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -33,7 +32,6 @@ from repro.serve import (
     ServerThread,
     VerificationService,
 )
-from repro.serve.app import _VerifyingThread
 from repro.verify.objects import ClaimObject, TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 
@@ -158,17 +156,8 @@ def test_max_workers_one_is_the_default(bundle, system, objects_of):
 
 def test_a_campaign_takes_its_policy_per_call(bundle):
     system = VerifAI(bundle.lake)
-    default = Campaign(system, [])
-    assert (default.max_retries, default.fail_fast) == (0, False)
-    asked = Campaign(system, [], max_retries=2, fail_fast=True)
-    assert (asked.max_retries, asked.fail_fast) == (2, True)
-
-
-def test_a_negative_retry_count_opens_no_record(bundle, system):
-    records = len(system.provenance)
-    with pytest.raises(ValueError, match="max_retries"):
-        Campaign(system, tuples_of(bundle), max_retries=-1)
-    assert len(system.provenance) == records
+    assert Campaign(system, []).fail_fast is False
+    assert Campaign(system, [], fail_fast=True).fail_fast is True
 
 
 def test_run_batch_profiles_only_when_asked(bundle, system):
@@ -180,57 +169,6 @@ def test_run_batch_profiles_only_when_asked(bundle, system):
     assert [r.final_verdict for r in traced.reports] == [
         r.final_verdict for r in profiled.reports
     ]
-
-
-# ----------------------------------------------------------------------
-# the verifying thread
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def verifying():
-    worker = _VerifyingThread()
-    yield worker
-    worker.shutdown()
-
-
-class TestVerifyingThread:
-    def test_calls_run_in_submission_order_on_one_thread(self, verifying):
-        seen = []
-
-        def call(number):
-            seen.append((number, threading.current_thread().name))
-            return number * number
-
-        futures = [verifying.submit(call, number) for number in range(20)]
-        assert [f.result(10) for f in futures] == [n * n for n in range(20)]
-        assert seen == [(number, "serve-verify") for number in range(20)]
-
-    def test_a_fault_reaches_the_caller_and_the_thread_lives_on(
-        self, verifying
-    ):
-        def boom():
-            raise KeyError("gone")
-
-        with pytest.raises(KeyError, match="gone"):
-            verifying.submit(boom).result(10)
-        assert verifying.submit(lambda: 7).result(10) == 7
-
-    def test_a_call_cancelled_before_it_runs_is_skipped(self, verifying):
-        release, ran = threading.Event(), []
-        blocker = verifying.submit(release.wait, 10)
-        skipped = verifying.submit(ran.append, "skipped")
-        assert skipped.cancel()
-        after = verifying.submit(ran.append, "after")
-        release.set()
-        after.result(10)
-        assert blocker.result(10) is True
-        assert ran == ["after"] and skipped.cancelled()
-
-    def test_shutdown_finishes_what_was_submitted(self):
-        worker = _VerifyingThread()
-        futures = [worker.submit(time.sleep, 0.001) for _ in range(5)]
-        worker.shutdown()
-        assert all(f.done() and not f.cancelled() for f in futures)
-        assert not worker._thread.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +200,24 @@ def test_the_system_is_only_touched_on_the_verifying_thread(route):
             s, "GET", f"/explain/{verified['record_id']}"
         )
         assert status == 200
-    assert threads and set(threads) == {"serve-verify"}
+    assert threads and set(threads) == {"serve-verify_0"}
+
+
+def test_a_stopped_service_leaves_no_verifying_thread():
+    # the executor's worker is no daemon: stop() must have joined it
+    bundle = build_lake(LakeConfig(num_tables=4, seed=5))
+    service = VerificationService(VerifAI(bundle.lake), ServeConfig(port=0))
+    with ServerThread(service) as server:
+        request(server, "GET", "/healthz")
+        workers = [
+            t for t in threading.enumerate() if t.name == "serve-verify_0"
+        ]
+        assert len(workers) == 1
+    assert not workers[0].is_alive()
+    assert not [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("serve-")
+    ]
 
 
 def test_the_trace_cache_is_only_touched_on_the_io_thread():

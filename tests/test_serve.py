@@ -40,21 +40,23 @@ COLLAPSED_LINE = re.compile(r"^[^ ;]+(;[^ ;]+)* \d+$")
 @pytest.fixture(scope="module")
 def served():
     bundle = build_lake(LakeConfig(num_tables=10, seed=3))
-    clock = TickClock(step=0.001)
-    system = VerifAI(bundle.lake, clock=clock)
-    config = ServeConfig(
-        port=0,
-        max_queue=8,
-        max_body_bytes=64 * 1024,
-        max_batch_objects=8,
-        trace_cache_size=4,
-        event_log_size=256,
-        debug_profile_max_seconds=0.2,
-        clock=clock,
-    )
-    service = VerificationService(system, config)
-    with ServerThread(service) as server:
-        yield server, service, bundle
+    system = VerifAI(bundle.lake, clock=TickClock(step=0.001))
+    # the service's limits are class constants: shrink them for the
+    # module so the tests below can reach each one
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (
+            ("max_body_bytes", 64 * 1024),
+            ("max_batch_objects", 8),
+            ("trace_cache_size", 4),
+            ("event_log_size", 256),
+            ("debug_profile_max_seconds", 0.2),
+        ):
+            patch.setattr(ServeConfig, name, value)
+        service = VerificationService(
+            system, ServeConfig(port=0, max_queue=8)
+        )
+        with ServerThread(service) as server:
+            yield server, service, bundle
 
 
 def exchange(server, data):
@@ -280,8 +282,9 @@ class TestLineage:
     def test_trace_bytes_are_the_finished_trace_exported(self, served):
         """``/trace/<id>`` exports when it is asked, not when the request
         is served.  Its bytes are still those of ``trace_to_dict`` over
-        the pipeline's trace: the same as a twin system's, one with its
-        own frozen clock on the same lake, verifying the same objects."""
+        the pipeline's trace: the same as a twin system's on the same
+        lake, verifying the same objects.  Both clocks are frozen, so
+        the service's own reads of the system's clock move nothing."""
         _, _, bundle = served
         table, column = sample_cell(bundle.lake)
         bodies = [
@@ -291,10 +294,8 @@ class TestLineage:
             {"kind": "tuple", "table_id": table.table_id, "row": 1,
              "column": column, "value": "999,999,999"},
         ]
-        system = VerifAI(bundle.lake, clock=TickClock(step=0.001))
-        service = VerificationService(system, ServeConfig(
-            port=0, clock=TickClock(step=0.001),
-        ))
+        system = VerifAI(bundle.lake, clock=TickClock())
+        service = VerificationService(system, ServeConfig(port=0))
         exported = []
         with ServerThread(service) as server:
             for body in bodies:
@@ -303,7 +304,7 @@ class TestLineage:
                 first = raw_body(server, path)
                 assert raw_body(server, path) == first
                 exported.append(first)
-        twin = VerifAI(bundle.lake, clock=TickClock(step=0.001))
+        twin = VerifAI(bundle.lake, clock=TickClock())
         twin.build_indexes()
         expected = []
         for number, body in enumerate(bodies, start=1):
@@ -699,9 +700,9 @@ class TestMetrics:
         """A clock stepping one second per read makes every request
         slow; its event names the route, status and seconds."""
         bundle = build_lake(LakeConfig(num_tables=4, seed=5))
-        config = ServeConfig(port=0, clock=TickClock(step=1.0))
+        system = VerifAI(bundle.lake, clock=TickClock(step=1.0))
         with ServerThread(
-            VerificationService(VerifAI(bundle.lake), config)
+            VerificationService(system, ServeConfig(port=0))
         ) as server:
             status, _, _ = request(server, "GET", "/healthz")
             assert status == 200
@@ -798,6 +799,10 @@ class TestDebugEndpoints:
         ("/debug/events?format=xml", "format"),
         ("/debug/profile?seconds=abc", "number"),
         ("/debug/profile?seconds=0", "> 0"),
+        # nan compares false with everything: it would pass a `<= 0`
+        # check and reach the event loop's timer heap
+        ("/debug/profile?seconds=nan", "seconds must be > 0, got nan"),
+        ("/debug/profile?seconds=-inf", "seconds must be > 0"),
     ])
     def test_debug_param_validation_400(self, served, path, fragment):
         server, _, _ = served
@@ -821,6 +826,14 @@ class TestDebugEndpoints:
         server, _, _ = served
         status, headers, _ = request(
             server, "GET", "/debug/profile?seconds=60"
+        )
+        assert status == 200
+        assert headers["x-profile-seconds"] == "0.2"
+
+    def test_an_infinite_profile_window_is_clamped(self, served):
+        server, _, _ = served
+        status, headers, _ = request(
+            server, "GET", "/debug/profile?seconds=inf"
         )
         assert status == 200
         assert headers["x-profile-seconds"] == "0.2"
@@ -868,7 +881,7 @@ class TestDebugEndpoints:
         status, _, stacks = answered["profile"]
         assert status == 200
         assert any(
-            "repro.serve.app._run;repro.serve.app._run_verify;"
+            "concurrent.futures.thread.run;repro.serve.app._run_verify;"
             "repro.core.pipeline.verify;" in line
             for line in stacks.decode("utf-8").splitlines()
         )

@@ -55,12 +55,12 @@ class TestAdmissionController:
     def test_sheds_without_waiting_when_queue_full(self):
         async def main():
             registry = MetricsRegistry()
-            ctrl = AdmissionController(0, registry, retry_after_seconds=3.0)
+            ctrl = AdmissionController(0, registry, retry_after_seconds=3)
             async with ctrl.admit():
                 with pytest.raises(ServiceOverloaded) as info:
                     async with ctrl.admit():
                         pass
-                assert info.value.retry_after == 3.0
+                assert info.value.retry_after == 3
             assert registry.counter("serve.shed").value == 1
             assert registry.counter("serve.admitted").value == 1
             # a freed slot admits again
@@ -133,6 +133,19 @@ class TestAdmissionController:
 
         asyncio.run(main())
 
+    def test_a_shed_asks_for_the_default_second(self):
+        async def main():
+            ctrl = AdmissionController(0, MetricsRegistry())
+            async with ctrl.admit():
+                with pytest.raises(ServiceOverloaded) as info:
+                    async with ctrl.admit():
+                        pass
+            return info.value
+
+        shed = asyncio.run(main())
+        assert shed.retry_after == ServeConfig.retry_after_seconds == 1
+        assert str(shed) == "service overloaded; retry after 1s"
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError, match="max_queue"):
             AdmissionController(-1, MetricsRegistry())
@@ -142,14 +155,11 @@ class TestAdmissionController:
 # a real server under contention
 # ----------------------------------------------------------------------
 @pytest.fixture()
-def tiny_served():
+def tiny_served(monkeypatch):
     bundle = build_lake(LakeConfig(num_tables=4, seed=3))
-    clock = TickClock(step=0.001)
-    system = VerifAI(bundle.lake, clock=clock)
-    config = ServeConfig(
-        port=0, max_queue=0, retry_after_seconds=2.0, clock=clock,
-    )
-    service = VerificationService(system, config)
+    system = VerifAI(bundle.lake, clock=TickClock(step=0.001))
+    monkeypatch.setattr(ServeConfig, "retry_after_seconds", 2)
+    service = VerificationService(system, ServeConfig(port=0, max_queue=0))
     with ServerThread(service) as server:
         yield server, service, bundle
 
@@ -220,10 +230,8 @@ class TestOverload:
 @pytest.fixture()
 def queued_served():
     bundle = build_lake(LakeConfig(num_tables=6, seed=3))
-    clock = TickClock(step=0.001)
-    system = VerifAI(bundle.lake, clock=clock)
-    config = ServeConfig(port=0, max_queue=16, clock=clock)
-    service = VerificationService(system, config)
+    system = VerifAI(bundle.lake, clock=TickClock(step=0.001))
+    service = VerificationService(system, ServeConfig(port=0, max_queue=16))
     with ServerThread(service) as server:
         yield server, service, bundle
 

@@ -260,28 +260,21 @@ class TestResponses:
 # knobs
 # ----------------------------------------------------------------------
 class TestServeConfig:
-    @pytest.mark.parametrize("field,value", [
-        ("retry_after_seconds", -1.0),
-        ("max_queue", -1),
-        ("retry_after_seconds", 0.0),
-        ("max_body_bytes", 0),
-        ("max_batch_objects", 0),
-        ("trace_cache_size", 0),
-        ("event_log_size", 0),
-        ("debug_profile_max_seconds", 0.0),
-    ])
+    @pytest.mark.parametrize("field,value", [("max_queue", -1)])
     def test_an_out_of_range_knob_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             ServeConfig(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [
-        ("max_queue", 0),
-        ("max_batch_objects", 1),
-        ("max_body_bytes", 1),
-        ("trace_cache_size", 1),
-    ])
+    @pytest.mark.parametrize("field,value", [("max_queue", 0)])
     def test_the_least_allowed_value_is_kept(self, field, value):
         assert getattr(ServeConfig(**{field: value}), field) == value
+
+    def test_a_service_takes_its_limits_from_the_constants(self, service):
+        assert service.events.capacity == ServeConfig.event_log_size
+        assert service.admission.retry_after_seconds == (
+            ServeConfig.retry_after_seconds
+        )
+        assert service.clock is service.system.clock
 
 
 # ----------------------------------------------------------------------
