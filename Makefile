@@ -15,9 +15,9 @@ test:
 	PYTHONPATH=src pytest tests/ -q
 
 # the slow tests tier-1 deselects: the soak of the churn differential
-# suite, and the 2,400-table lake's byte pin (-m slow overrides the
-# default -m "not slow" addopts; the non-slow rest of these files runs
-# in `test`)
+# suite, the 2,400-table lake's byte pin and the paper's 19,498-table
+# build (-m slow overrides the default -m "not slow" addopts; the
+# non-slow rest of these files runs in `test`)
 test-slow:
 	PYTHONPATH=src pytest tests/test_index_churn.py tests/test_workloads.py \
 		-m slow -q
@@ -44,7 +44,7 @@ trace-demo:
 # and response parsing, the verifier module, the combiner and the
 # ranking type it fuses, the data objects), the evidence form's writers
 # and readers, the indexer's build-on-first-read lifecycle, the corpus
-# generator's name and page draws, the trust model with its pooling
+# generator's name, caption-scope and page draws, the trust model with its pooling
 # rule, the experiment runners that verify through the system (the
 # labelled cases, the end-to-end and trust campaigns, Table 2, the
 # figures, the headline; on the tiny context), and the provenance store
@@ -73,6 +73,7 @@ coverage:
 		--target src/repro/verify/objects.py \
 		--target src/repro/core/indexer.py \
 		--target src/repro/workloads/vocab.py \
+		--target src/repro/workloads/tables.py \
 		--target src/repro/workloads/textgen.py \
 		--target src/repro/trust/model.py \
 		--target src/repro/experiments/setup.py \

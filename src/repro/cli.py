@@ -34,15 +34,10 @@ from repro.datalake.persistence import load_lake, save_lake
 from repro.serve.config import ServeConfig
 from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
-from repro.workloads.tables import ScopeExhausted
 
 
 def _cmd_build_lake(args: argparse.Namespace) -> int:
-    try:
-        bundle = build_lake(LakeConfig(num_tables=args.tables, seed=args.seed))
-    except ScopeExhausted as exc:
-        print(f"build-lake: {exc}", file=sys.stderr)
-        return 2
+    bundle = build_lake(LakeConfig(num_tables=args.tables, seed=args.seed))
     save_lake(bundle.lake, args.out)
     stats = bundle.lake.stats()
     print(

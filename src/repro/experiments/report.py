@@ -27,6 +27,7 @@ from repro.experiments.routes import run_rerank_routes
 from repro.experiments.setup import ExperimentContext
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
+from repro.loop import MixReport, run_mix
 
 
 def _markdown_table(headers, rows) -> str:
@@ -212,7 +213,39 @@ def render_ablations(context: ExperimentContext) -> str:
         ["coverage", "imputation accuracy"],
         [[cov, acc] for cov, acc in coverage],
     ))
+
+    parts.append(
+        "\n### Generate-verify-revise loop (the default mix, at most 4 "
+        "rounds)\n"
+    )
+    parts.append(render_loop(run_mix()))
+    parts.append(
+        "\nEach scenario builds its own 48-table lake, so this table does "
+        "not follow the scale. A first draft comes from a generator with "
+        "poor parametric memory; each refuted draft is revised with the "
+        "verifier's feedback (docs/orchestration.md)."
+    )
     return "\n".join(parts)
+
+
+def render_loop(report: MixReport) -> str:
+    """The generate-verify-revise loop's convergence, scenario by
+    scenario and over the mix."""
+    rows = [
+        [r.scenario.name, len(r.result), r.result.first_pass_accuracy,
+         r.result.end_accuracy, r.result.convergence_rate,
+         r.result.mean_iterations_to_pass]
+        for r in report
+    ]
+    rows.append([
+        "mix", report.tasks, report.first_pass_accuracy, report.end_accuracy,
+        report.convergence_rate, report.mean_iterations_to_pass,
+    ])
+    return _markdown_table(
+        ["scenario", "tasks", "first-pass accuracy", "end accuracy",
+         "converged", "mean rounds to pass"],
+        rows,
+    )
 
 
 _RENDERERS = {

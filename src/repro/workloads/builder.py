@@ -7,7 +7,7 @@ to obtain a corpus with ground-truth relevance structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.datalake.lake import DataLake
 from repro.datalake.types import Row, Table
@@ -17,20 +17,17 @@ from repro.workloads.textgen import EntityPageGenerator
 
 @dataclass(frozen=True)
 class LakeConfig:
-    """Knobs of the synthetic corpus.
+    """The seed and size of the synthetic corpus.
 
     ``num_tables=300`` (seed 0) yields 2,148 tuples and 1,888 entity
     pages — a scaled-down version of the paper's 19,498-table lake with
-    the same relevance structure.  The paper's scale is out of reach:
-    the generator runs out of unique captions near 2,900 tables and
-    raises :class:`~repro.workloads.tables.ScopeExhausted`.
+    the same relevance structure.  Any size builds, the paper's too:
+    past a name pool or caption scope space the generator numbers the
+    name (``"velvet echo 907"``, ``"ohio 1907"``).
     """
 
     seed: int = 0
     num_tables: int = 300
-    domain_mix: Optional[Dict[str, float]] = None
-    boilerplate_level: int = 3
-    cross_mention_rate: float = 0.3
 
 
 @dataclass
@@ -68,13 +65,10 @@ class LakeBundle:
 def build_lake(config: LakeConfig = LakeConfig()) -> LakeBundle:
     """Build a complete multi-modal lake from a config."""
     table_gen = WebTableGenerator(seed=config.seed)
-    tables = table_gen.generate(config.num_tables, domain_mix=config.domain_mix)
-    page_gen = EntityPageGenerator(
-        seed=config.seed + 1,
-        boilerplate_level=config.boilerplate_level,
-        cross_mention_rate=config.cross_mention_rate,
+    tables = table_gen.generate(config.num_tables)
+    documents = EntityPageGenerator(seed=config.seed + 1).generate(
+        table_gen.entities
     )
-    documents = page_gen.generate(table_gen.entities)
 
     lake = DataLake(name="synthetic-lake")
     for table in tables:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.datalake.types import Source, Table
 from repro.workloads.vocab import (
@@ -34,17 +34,6 @@ from repro.workloads.vocab import (
 )
 
 DOMAINS = ("elections", "films", "sports", "music", "geography", "olympics")
-
-#: additional table families available by explicit ``domain_mix`` opt-in
-#: (kept out of the default mix so the calibrated evaluation corpora are
-#: unchanged)
-EXTENDED_DOMAINS = ("aviation", "books")
-
-
-class ScopeExhausted(RuntimeError):
-    """No fresh caption scope is left: the lake asked for more tables
-    than the vocabulary can caption uniquely (about 2,900 at seed 3)."""
-
 
 @dataclass
 class Entity:
@@ -102,7 +91,7 @@ class WebTableGenerator:
         self._registry = _EntityRegistry()
         self._counter = 0
         self._source = Source(source_name)
-        self._used_scopes: set = set()
+        self._used_scopes: Dict[str, set] = {}
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -126,17 +115,20 @@ class WebTableGenerator:
 
     def _fresh_scope(self, kind: str, draw) -> tuple:
         """Draw a caption scope (e.g. (state, year)) not used before, so
-        captions are unique lake-wide (as real table titles are)."""
+        captions are unique lake-wide (as real table titles are).  After
+        200 taken draws the next draw's name part is numbered, as a
+        used-up :class:`Vocabulary` pool numbers its names
+        (``("ohio 1907", 1950)``)."""
+        used = self._used_scopes.setdefault(kind, set())
         for _ in range(200):
             scope = draw()
-            key = (kind,) + tuple(scope)
-            if key not in self._used_scopes:
-                self._used_scopes.add(key)
+            if scope not in used:
+                used.add(scope)
                 return scope
-        raise ScopeExhausted(
-            f"could not find a fresh {kind} scope after {self._counter} "
-            f"tables; ask for fewer tables"
-        )
+        name, *rest = draw()
+        scope = (f"{name} {len(used)}", *rest)
+        used.add(scope)
+        return scope
 
     @property
     def entities(self) -> Dict[str, Entity]:
@@ -442,103 +434,11 @@ class WebTableGenerator:
         )
         return table
 
-    def aviation_table(self) -> Table:
-        """Busiest-airports table of one country and year (extended domain)."""
-        country, year = self._fresh_scope(
-            "aviation", lambda: (self._vocab.choice(COUNTRIES), self._year())
-        )
-        num_rows = self._rng.randint(4, 8)
-        rows: List[Tuple[str, ...]] = []
-        page_entities: List[Entity] = []
-        for _ in range(num_rows):
-            city = self._vocab.city_name()
-            airport = f"{city} international airport"
-            passengers = self._rng.randint(500, 45000) * 1000
-            runways = self._rng.randint(1, 6)
-            rows.append((airport, city, f"{passengers:,}", str(runways)))
-            page_entities.append(self._registry.record(
-                airport,
-                kind="airport",
-                distinctive=True,
-                city=city,
-                country=country,
-                passengers=f"{passengers:,}",
-                runways=str(runways),
-                year=str(year),
-            ))
-        self._link_peers(page_entities)
-        return Table(
-            table_id=self._next_id("aviation"),
-            caption=f"busiest airports of {country} ({year})",
-            columns=("airport", "city", "passengers", "runways"),
-            rows=rows,
-            source=self._source,
-            entity_columns=("airport",),
-            key_column="airport",
-            metadata={"domain": "aviation", "country": country, "year": year},
-        )
-
-    def books_table(self) -> Table:
-        """Bibliography of one author (extended domain)."""
-        author = self._namer.next_name()
-        start_year = self._year()
-        num_rows = self._rng.randint(4, 7)
-        rows: List[Tuple[str, ...]] = []
-        page_entities: List[Entity] = []
-        year = start_year
-        for _ in range(num_rows):
-            title = self._vocab.album_title()
-            publisher = self._vocab.choice(RECORD_LABELS).replace(
-                "records", "press"
-            ).replace("music", "books").replace("sound", "house")
-            pages = self._rng.randint(120, 900)
-            copies = self._rng.randint(5, 900) * 1000
-            rows.append((title, str(year), publisher, str(pages),
-                         f"{copies:,}"))
-            page_entities.append(self._registry.record(
-                title,
-                kind="book",
-                distinctive=False,
-                author=author,
-                year=str(year),
-                publisher=publisher,
-                pages=str(pages),
-                copies=f"{copies:,}",
-            ))
-            self._registry.record(
-                publisher,
-                kind="publisher",
-                distinctive=False,
-                title=title,
-                author=author,
-                year=str(year),
-            )
-            year += self._rng.randint(1, 4)
-        self._link_peers(page_entities)
-        return Table(
-            table_id=self._next_id("books"),
-            caption=f"{author} bibliography",
-            columns=("title", "year published", "publisher", "pages",
-                     "copies sold"),
-            rows=rows,
-            source=self._source,
-            entity_columns=("title", "publisher"),
-            key_column="title",
-            metadata={"domain": "books", "author": author},
-        )
-
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
-    def generate(
-        self,
-        num_tables: int,
-        domain_mix: Optional[Dict[str, float]] = None,
-    ) -> List[Table]:
-        """Generate ``num_tables`` tables with the given domain proportions.
-
-        The default mix weights all six domains equally.
-        """
+    def generate(self, num_tables: int) -> List[Table]:
+        """Generate ``num_tables`` tables, each domain equally likely."""
         if num_tables < 0:
             raise ValueError(f"num_tables must be >= 0, got {num_tables}")
         builders: Dict[str, Callable[[], Table]] = {
@@ -548,17 +448,9 @@ class WebTableGenerator:
             "music": self.music_table,
             "geography": self.geography_table,
             "olympics": self.olympics_table,
-            "aviation": self.aviation_table,
-            "books": self.books_table,
         }
-        mix = domain_mix or {domain: 1.0 for domain in DOMAINS}
-        unknown = set(mix) - set(builders)
-        if unknown:
-            raise ValueError(f"unknown domains in mix: {sorted(unknown)}")
-        domains = sorted(mix)
-        weights = [mix[d] for d in domains]
-        tables: List[Table] = []
-        for _ in range(num_tables):
-            domain = self._rng.choices(domains, weights=weights)[0]
-            tables.append(builders[domain]())
-        return tables
+        domains = sorted(DOMAINS)
+        return [
+            builders[self._rng.choices(domains)[0]]()
+            for _ in range(num_tables)
+        ]

@@ -89,19 +89,6 @@ _BOILERPLATE = {
         "court.",
         "A team's roster lists each player with their position.",
     ],
-    "airport": [
-        "Airport traffic is measured in annual passengers.",
-        "An international airport serves its city and surrounding region.",
-    ],
-    "book": [
-        "A bibliography lists an author's books with year, publisher, and "
-        "copies sold.",
-        "Page counts and sales figures are reported by the publisher.",
-    ],
-    "publisher": [
-        "A publishing house releases books by many authors.",
-        "Catalogue entries record each title with its publication year.",
-    ],
 }
 
 
@@ -190,24 +177,6 @@ def _fact_sentences(entity: Entity, facts: Dict[str, str]) -> List[str]:
         return [
             f"The {entity.name} position was held by "
             f"{facts['player'].title()} of the {facts['team']}.",
-        ]
-    if kind == "airport":
-        return [
-            f"{name} serves {facts['city'].title()} in {facts['country']}.",
-            f"In {facts['year']} it handled {facts['passengers']} passengers "
-            f"across {facts['runways']} runways.",
-        ]
-    if kind == "book":
-        return [
-            f"{name} is a book by {facts['author'].title()} published in "
-            f"{facts['year']} by {facts['publisher']}.",
-            f"It runs {facts['pages']} pages and sold {facts['copies']} "
-            f"copies.",
-        ]
-    if kind == "publisher":
-        return [
-            f"{name} published {facts['title']} by "
-            f"{facts['author'].title()} in {facts['year']}.",
         ]
     raise ValueError(f"unknown entity kind: {kind}")
 

