@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.claims.engine import TableQueryEngine
+from repro.claims.generator import ClaimGenerator
 from repro.datalake.persistence import save_lake
 from repro.workloads.builder import LakeConfig, build_lake
 from repro.workloads.claimwl import build_claim_workload
@@ -282,6 +284,101 @@ class TestWebTableGenerator:
         generator.generate(30)
         with_peers = [e for e in generator.entities.values() if e.peers]
         assert with_peers
+
+
+# per domain: (caption phrase, key column, numeric columns, the entity
+# column whose page states the fact column's value)
+DOMAIN_SHAPES = {
+    "elections": ("house of representatives elections", "district",
+                  ("first elected", "votes"), ("incumbent", "votes")),
+    "films": ("main cast of", "actor", ("billing", "scenes"),
+              ("actor", "role")),
+    "sports": ("season player statistics", "player",
+               ("games", "points per game", "rebounds per game"),
+               ("player", "points per game")),
+    "music": ("studio album discography", "album",
+              ("year", "weeks on chart", "peak position"), ("album", "label")),
+    "geography": ("largest cities of", "city", ("population", "area km2"),
+                  ("city", "population")),
+    "olympics": ("summer games in", "nation",
+                 ("gold", "silver", "bronze", "total"), ("nation", "total")),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+class TestDomainTables:
+    """Each default domain's tables, claims, pages and verification."""
+
+    def tables_of(self, domain, count, seed=42):
+        generator = WebTableGenerator(seed=seed)
+        build = getattr(generator, f"{domain}_table")
+        return generator, [build() for _ in range(count)]
+
+    def test_schema(self, domain):
+        phrase, key, _, _ = DOMAIN_SHAPES[domain]
+        _, tables = self.tables_of(domain, 5)
+        assert len({t.columns for t in tables}) == 1
+        for table in tables:
+            assert table.metadata["domain"] == domain
+            assert table.key_column == key
+            assert key in table.entity_columns
+            assert phrase in table.caption
+            assert table.table_id.startswith(f"{domain}-")
+
+    def test_numeric_columns_parse(self, domain):
+        _, numeric, _ = DOMAIN_SHAPES[domain][1:]
+        _, tables = self.tables_of(domain, 5)
+        for table in tables:
+            for column in numeric:
+                assert None not in table.column_numbers(column), column
+
+    def test_claims_agree_with_the_engine(self, domain):
+        _, tables = self.tables_of(domain, 3)
+        generator = ClaimGenerator(seed=1)
+        engine = TableQueryEngine()
+        for table in tables:
+            claims = generator.generate_for_table(table, 4)
+            assert claims, table.table_id
+            for made in claims:
+                assert engine.execute(
+                    made.claim.spec, table
+                ).verdict == made.label, made.claim.text
+
+    def test_pages_state_the_row_facts(self, domain):
+        entity_column, fact_column = DOMAIN_SHAPES[domain][3]
+        generator, (table,) = self.tables_of(domain, 1)
+        pages = EntityPageGenerator(seed=1, cross_mention_rate=0.0).generate(
+            generator.entities
+        )
+        by_entity = {p.entity.lower(): p for p in pages}
+        for row in table.iter_rows():
+            page = by_entity[row.get(entity_column).lower()]
+            assert row.get(fact_column) in page.text, page.doc_id
+
+    def test_a_corrupted_value_is_refuted_end_to_end(
+        self, domain, quiet_profile
+    ):
+        from repro.core.pipeline import VerifAI
+        from repro.datalake.lake import DataLake
+        from repro.llm.model import SimulatedLLM
+        from repro.verify.objects import TupleObject
+        from repro.verify.verdict import Verdict
+
+        generator, tables = self.tables_of(domain, 4, seed=9)
+        lake = DataLake(domain)
+        for table in tables:
+            lake.add_table(table)
+        for doc in EntityPageGenerator(seed=2).generate(generator.entities):
+            lake.add_document(doc)
+        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=10)
+        system = VerifAI(lake, llm=llm).build_indexes()
+        column = DOMAIN_SHAPES[domain][2][-1]
+        row = tables[0].row(0)
+        wrong = row.replace_value(column, "1,234,567")
+        report = system.verify(TupleObject("x1", wrong, attribute=column))
+        assert report.final_verdict is Verdict.REFUTED
+        report = system.verify(TupleObject("x2", row, attribute=column))
+        assert report.final_verdict is Verdict.VERIFIED
 
 
 class TestEntityPageGenerator:
